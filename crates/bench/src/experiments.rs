@@ -12,7 +12,7 @@ use cqapx_core::{
     HtwK, QueryClass, TwK,
 };
 use cqapx_cq::eval::naive::{eval_boolean_naive, eval_naive};
-use cqapx_cq::eval::AcyclicPlan;
+use cqapx_cq::eval::{AcyclicPlan, Answers};
 use cqapx_cq::{contained_in, equivalent, parse_cq};
 use cqapx_gadgets::{decision, dp, prop44, tight};
 use cqapx_graphs::{generators, Digraph};
@@ -399,7 +399,10 @@ pub fn exp_speedup() -> String {
         let t0 = Instant::now();
         let approx = plan.eval(&db);
         let t_yann = t0.elapsed();
-        assert!(approx.iter().all(|t| exact.contains(t)), "soundness");
+        assert!(
+            approx.iter().all(|t| exact.contains(t.as_slice())),
+            "soundness"
+        );
         let _ = writeln!(
             out,
             "{:>9} {:>12} {:>14} {:>9} {:>9}",
@@ -1829,13 +1832,9 @@ pub fn exp_eval() -> String {
     let mut dense_rows: Vec<DenseRow> = Vec::new();
     {
         use cqapx_cq::eval::{set_direct_index_enabled, DecomposedPlan, MatStrategy};
-        use std::collections::BTreeSet;
 
         let mut bench =
-            |name: &'static str,
-             what: &'static str,
-             tuples: usize,
-             run: &dyn Fn() -> BTreeSet<Vec<cqapx_structures::Element>>| {
+            |name: &'static str, what: &'static str, tuples: usize, run: &dyn Fn() -> Answers| {
                 set_direct_index_enabled(false);
                 let hashed_answers = run();
                 set_direct_index_enabled(true);
@@ -1911,13 +1910,7 @@ pub fn exp_eval() -> String {
                 "semijoin_sweep_bool",
                 "Boolean 8-var path, pure single-column semijoin probes",
                 db.total_tuples(),
-                &|| {
-                    let mut set = BTreeSet::new();
-                    if plan.eval_boolean(&db) {
-                        set.insert(Vec::new());
-                    }
-                    set
-                },
+                &|| Answers::boolean(plan.eval_boolean(&db)),
             );
         }
         {
@@ -1975,13 +1968,9 @@ pub fn exp_eval() -> String {
         use cqapx_cq::eval::{
             set_bitmap_mode, BitmapMode, DecomposedPlan, MatStrategy, MaterializationCache,
         };
-        use std::collections::BTreeSet;
 
         let mut bench =
-            |name: &'static str,
-             what: &'static str,
-             tuples: usize,
-             run: &dyn Fn() -> BTreeSet<Vec<cqapx_structures::Element>>| {
+            |name: &'static str, what: &'static str, tuples: usize, run: &dyn Fn() -> Answers| {
                 // The answer check doubles as the cache warm-up, so the
                 // first timed sample of either mode starts warm.
                 set_bitmap_mode(BitmapMode::Off);
@@ -2049,13 +2038,7 @@ pub fn exp_eval() -> String {
                 "semijoin_sweep_bool",
                 "Boolean 8-var path, sweep collapsed to mask intersections",
                 db.total_tuples(),
-                &|| {
-                    let mut set = BTreeSet::new();
-                    if plan.eval_boolean_cached(&db, Some(&cache)).0 {
-                        set.insert(Vec::new());
-                    }
-                    set
-                },
+                &|| Answers::boolean(plan.eval_boolean_cached(&db, Some(&cache)).0),
             );
         }
         {
@@ -2070,13 +2053,7 @@ pub fn exp_eval() -> String {
                 "star_membership_bool",
                 "Boolean dense star, repeated hub-column membership",
                 db.total_tuples(),
-                &|| {
-                    let mut set = BTreeSet::new();
-                    if plan.eval_boolean_cached(&db, Some(&cache)).0 {
-                        set.insert(Vec::new());
-                    }
-                    set
-                },
+                &|| Answers::boolean(plan.eval_boolean_cached(&db, Some(&cache)).0),
             );
         }
         {
@@ -2147,13 +2124,9 @@ pub fn exp_eval() -> String {
     let mut packed_rows: Vec<PackedRow> = Vec::new();
     {
         use cqapx_cq::eval::{set_packed_mode, DecomposedPlan, PackedMode};
-        use std::collections::BTreeSet;
 
         let mut bench =
-            |name: &'static str,
-             what: &'static str,
-             tuples: usize,
-             run: &dyn Fn() -> BTreeSet<Vec<cqapx_structures::Element>>| {
+            |name: &'static str, what: &'static str, tuples: usize, run: &dyn Fn() -> Answers| {
                 set_packed_mode(PackedMode::Off);
                 let unpacked_answers = run();
                 set_packed_mode(PackedMode::Auto);

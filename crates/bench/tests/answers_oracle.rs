@@ -1,0 +1,296 @@
+//! The answer boundary against the naive oracle: whatever tier
+//! produced them, [`Answers`] must be `Q(D)` exactly — equal to
+//! `eval_naive`'s tree **as a set and in iteration order**, with
+//! `contains` agreeing row by row — and byte-identical whether the
+//! canonicalizing sort took the packed radix arm (`CQAPX_PACKED=on`)
+//! or the comparison arm (`off`).
+//!
+//! One generator drives everything: acyclic and cyclic query shapes
+//! whose heads draw up to three variables *with repetition* (arity 0
+//! and 1, `Q(x, x)`), over uniform and Zipf digraphs that are
+//! optionally re-spaced into a universe larger than the active domain
+//! (a non-identity `DomainDict`); sparse draws give empty results. The
+//! packing boundary (`arity · b` at 63/64/65 bits, widths `2¹⁶` and
+//! `2³² − 1`) is unreachable from in-memory structures, so it is
+//! driven through `AnswersBuilder`, which takes the width bound
+//! directly.
+//!
+//! The packed knob is process-global, so every case serializes on a
+//! file-local lock and restores `Auto` before releasing it.
+
+use cqapx_bench::experiments::zipf_db;
+use cqapx_bench::workloads;
+use cqapx_core::{all_approximations, Acyclic, ApproxOptions};
+use cqapx_cq::eval::{
+    eval_naive, set_packed_mode, AcyclicPlan, Answers, AnswersBuilder, DecomposedPlan, PackedMode,
+};
+use cqapx_cq::{parse_cq, treewidth_of_query, ConjunctiveQuery};
+use cqapx_engine::{ApproxClassChoice, Engine, EngineConfig, EvalMode, PlanKind, Request};
+use cqapx_structures::{Element, Structure};
+use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::{Mutex, MutexGuard};
+
+type Rows = BTreeSet<Vec<Element>>;
+
+fn knob_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Runs `f` with the packed kernels forced on, then forced off.
+fn both_modes<T>(mut f: impl FnMut() -> T) -> (T, T) {
+    let _g = knob_lock();
+    set_packed_mode(PackedMode::On);
+    let on = f();
+    set_packed_mode(PackedMode::Off);
+    let off = f();
+    set_packed_mode(PackedMode::Auto);
+    (on, off)
+}
+
+/// Paths, stars and trees with reversed twins (acyclic), then cycles,
+/// `K4` and the double triangle (cyclic); orientations flipped by
+/// `flips`, head = up to three occurring variables, repeats allowed.
+fn query() -> impl Strategy<Value = ConjunctiveQuery> {
+    (
+        0..6u8,
+        3..=5u32,
+        any::<u32>(),
+        proptest::collection::vec(0..64usize, 0..=3),
+    )
+        .prop_map(|(kind, size, flips, head)| {
+            let mut edges: Vec<(u32, u32)> = Vec::new();
+            match kind {
+                0 => edges.extend((0..size).map(|i| (i, i + 1))),
+                1 => edges.extend((1..=size).map(|i| (0, i))),
+                2 => {
+                    edges.extend((1..=size).map(|i| ((i - 1) / 2, i)));
+                    edges.push((1, 0));
+                }
+                3 => edges.extend((0..size).map(|i| (i, (i + 1) % size))),
+                4 => edges.extend((0..4).flat_map(|a| (a + 1..4).map(move |b| (a, b)))),
+                _ => edges.extend([(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]),
+            }
+            let mut used: BTreeSet<u32> = BTreeSet::new();
+            let atoms: Vec<String> = edges
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, b))| {
+                    let (a, b) = if flips >> (i % 32) & 1 == 1 {
+                        (b, a)
+                    } else {
+                        (a, b)
+                    };
+                    used.extend([a, b]);
+                    format!("E(x{a}, x{b})")
+                })
+                .collect();
+            let used: Vec<u32> = used.into_iter().collect();
+            let head: Vec<String> = head
+                .iter()
+                .map(|&h| format!("x{}", used[h % used.len()]))
+                .collect();
+            let text = format!("Q({}) :- {}", head.join(", "), atoms.join(", "));
+            parse_cq(&text).expect("generated query must parse")
+        })
+}
+
+/// A uniform or Zipf digraph on up to nine nodes, node `v` moved to
+/// `v · gap + gap − 1` in a universe with two spare elements: for
+/// `gap > 1` the active domain has holes and the dictionary is not the
+/// identity.
+fn database() -> impl Strategy<Value = Structure> {
+    (
+        (any::<bool>(), any::<u64>()),
+        3..=9usize,
+        0..=3usize,
+        1..=3u32,
+    )
+        .prop_map(|((zipf, seed), n, density, gap)| {
+            let base = if zipf {
+                zipf_db(n, density * n, 1.1, seed)
+            } else {
+                workloads::random_db(n, density as f64, seed)
+            };
+            let e = base.vocabulary().rel("E").expect("digraph vocabulary");
+            let edges: Vec<(Element, Element)> = base
+                .tuples(e)
+                .iter()
+                .map(|t| (t[0] * gap + gap - 1, t[1] * gap + gap - 1))
+                .collect();
+            Structure::digraph(n * gap as usize + 2, &edges)
+        })
+}
+
+/// `got` is `expected`: as a set (both `PartialEq` directions), in
+/// length, in iteration order, and under `contains` — probed with
+/// every expected row and its neighbours one element up and down.
+fn assert_is(got: &Answers, expected: &Rows, arity: usize, what: &str) {
+    assert_eq!(got, expected, "{what}");
+    assert_eq!(expected, got, "{what} (tree on the left)");
+    assert_eq!(got.len(), expected.len(), "{what}: len");
+    assert_eq!(got.is_empty(), expected.is_empty(), "{what}: is_empty");
+    assert_eq!(got.arity(), arity, "{what}: arity");
+    assert!(
+        got.iter()
+            .map(|r| r.as_slice())
+            .eq(expected.iter().map(Vec::as_slice)),
+        "{what}: iteration order"
+    );
+    assert!(
+        got.iter()
+            .zip(got.iter().skip(1))
+            .all(|(a, b)| a.as_slice() < b.as_slice()),
+        "{what}: rows strictly increasing"
+    );
+    assert_eq!(&got.to_btree_set(), expected, "{what}: to_btree_set");
+    for row in expected {
+        assert!(got.contains(row), "{what}: contains {row:?}");
+        for nudge in [1, Element::MAX] {
+            let mut near = row.clone();
+            if let Some(last) = near.last_mut() {
+                *last = last.wrapping_add(nudge);
+            }
+            assert_eq!(
+                got.contains(&near),
+                expected.contains(&near),
+                "{what}: contains {near:?}"
+            );
+        }
+    }
+    assert!(!got.contains(&vec![0; arity + 1]), "{what}: wrong arity");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every tier that can run the query — Yannakakis when acyclic,
+    /// the decomposed tier at the exact treewidth, the engine's own
+    /// choice — returns the oracle's set, in the oracle's order, under
+    /// both arms of the canonicalizing sort.
+    #[test]
+    fn tiers_return_the_oracles_rows_in_order(q in query(), d in database()) {
+        let expected = eval_naive(&q, &d);
+        let arity = q.arity();
+        let (on, off) = both_modes(|| {
+            let mut got: Vec<(&str, Answers)> = Vec::new();
+            if let Ok(plan) = AcyclicPlan::compile(&q) {
+                got.push(("yannakakis", plan.eval(&d)));
+            }
+            let plan = DecomposedPlan::compile(&q, treewidth_of_query(&q))
+                .expect("compiles at the exact treewidth");
+            got.push(("decomposed", plan.eval(&d)));
+            let engine = Engine::new(EngineConfig { threads: 1, ..EngineConfig::default() });
+            let db = engine.register_database("d", d.clone());
+            let id = engine.prepare_query("q", q.clone());
+            got.push(("engine", engine.execute(&Request::new(id, db)).answers));
+            got
+        });
+        for (tier, answers) in &on {
+            assert_is(answers, &expected, arity, &format!("{tier}, packed on, {q}"));
+        }
+        for ((tier, a), (_, b)) in on.iter().zip(&off) {
+            assert_is(b, &expected, arity, &format!("{tier}, packed off, {q}"));
+            prop_assert_eq!(a, b, "{} differs across the packed knob on {}", tier, q);
+        }
+    }
+
+    /// The packed ↔ comparison boundary of the canonicalizing sort:
+    /// rows of `arity` elements below `width` pack into `arity · b`
+    /// bits. Either side of 32 bits (`u32` ↔ `u64` words) and of 64
+    /// (`u64` words ↔ comparison sort), streamed and unioned, both arms
+    /// must leave the oracle's bytes.
+    #[test]
+    fn packing_boundary_is_byte_identical(
+        case in 0..12usize,
+        seeds in proptest::collection::vec(any::<u64>(), 0..1500),
+        split in 0..1500usize,
+    ) {
+        let (arity, width): (usize, u32) = [
+            (1, 1 << 16),         // single columns are their own words
+            (1, u32::MAX),
+            (2, 1 << 16),         // 32 bits: the last u32 word
+            (2, (1 << 16) + 1),   // 34 bits: the first u64 word
+            (2, u32::MAX),        // 64 bits
+            (3, 1 << 21),         // 63 bits
+            (7, 1 << 9),          // 63 bits
+            (4, 1 << 16),         // 64 bits
+            (8, 1 << 8),          // 64 bits
+            (5, 1 << 13),         // 65 bits: comparison arm
+            (3, (1 << 21) + 1),   // 66 bits: comparison arm
+            (3, 0),               // no bound: comparison arm
+        ][case];
+        // A few distinct values per column, the extremes among them,
+        // so rows repeat and the top bits of every column are used.
+        let top = if width == 0 { Element::MAX } else { width - 1 };
+        let values = [0, 1, top / 2, top.saturating_sub(1), top];
+        let rows: Vec<Vec<Element>> = seeds
+            .iter()
+            .map(|&s| (0..arity).map(|c| values[(s >> (3 * c)) as usize % 5]).collect())
+            .collect();
+        let expected: Rows = rows.iter().cloned().collect();
+        let split = split.min(rows.len());
+        let (on, off) = both_modes(|| {
+            let mut streamed = AnswersBuilder::new(arity, width);
+            rows.iter().for_each(|r| streamed.push_row(r));
+            let streamed = streamed.finish();
+            // The same rows as a union of two canonical sets.
+            let mut union = AnswersBuilder::new(arity, width);
+            for half in [&rows[..split], &rows[split..]] {
+                let mut part = AnswersBuilder::new(arity, width);
+                half.iter().for_each(|r| part.push_row(r));
+                union.append(part.finish());
+            }
+            (streamed, union.finish())
+        });
+        for (streamed, unioned) in [&on, &off] {
+            let what = format!("arity {arity} width {width}");
+            assert_is(streamed, &expected, arity, &what);
+            assert_is(unioned, &expected, arity, &what);
+        }
+        prop_assert_eq!(on, off);
+    }
+}
+
+/// The sandwich tier unions the certain answers of every →-maximal
+/// approximation. Example 6.6's ternary triangle has eight acyclic ones
+/// once two variables are free, and on a dense relation their answer
+/// sets overlap: the union must come out sorted and duplicate-free,
+/// equal to the union of the approximations evaluated one by one.
+#[test]
+fn sandwich_union_of_overlapping_evaluators_is_duplicate_free() {
+    let q = parse_cq("Q(x1, x3) :- R(x1,x2,x3), R(x3,x4,x5), R(x5,x6,x1)").unwrap();
+    let d = workloads::random_relation_db(6, 3, 60, 29);
+    let approximations = all_approximations(&q, &Acyclic, &ApproxOptions::default()).approximations;
+    assert!(approximations.len() >= 2, "several evaluators to union");
+    let parts: Vec<Rows> = approximations.iter().map(|a| eval_naive(a, &d)).collect();
+    let expected: Rows = parts.iter().flatten().cloned().collect();
+    assert!(
+        parts.iter().map(BTreeSet::len).sum::<usize>() > expected.len(),
+        "the evaluators' answer sets overlap"
+    );
+    let (on, off) = both_modes(|| {
+        let engine = Engine::new(EngineConfig {
+            threads: 1,
+            naive_cost_budget: 0.0, // force the sandwich
+            approx_class: ApproxClassChoice::Acyclic,
+            ..EngineConfig::default()
+        });
+        let db = engine.register_database("d", d.clone());
+        let query = engine.prepare_query("q66", q.clone());
+        let r = engine.execute(&Request {
+            query,
+            db,
+            mode: EvalMode::CertainOnly,
+            timeout: None,
+        });
+        assert_eq!(r.plan, PlanKind::Sandwich);
+        r.answers
+    });
+    assert_is(&on, &expected, 2, "certain answers, packed on");
+    assert_is(&off, &expected, 2, "certain answers, packed off");
+    assert_eq!(on, off);
+    let exact = eval_naive(&q, &d);
+    assert!(on.iter().all(|row| exact.contains(row.as_slice())));
+}

@@ -11,7 +11,7 @@
 //! lock and restores `Auto` before releasing it.
 
 use cqapx_cq::eval::{
-    set_bitmap_mode, AcyclicPlan, BitmapMode, DecomposedPlan, MatCacheStats, MatStrategy,
+    set_bitmap_mode, AcyclicPlan, Answers, BitmapMode, DecomposedPlan, MatCacheStats, MatStrategy,
     MaterializationCache, NaivePlan,
 };
 use cqapx_cq::{parse_cq, treewidth_of_query, ConjunctiveQuery};
@@ -159,7 +159,7 @@ fn digraph(max_n: usize) -> impl Strategy<Value = Structure> {
 /// mode-independent. Caller must hold [`knob_lock`].
 fn check_modes<F>(eval: F, expected: &BTreeSet<Vec<u32>>, label: &str)
 where
-    F: Fn(Option<&MaterializationCache>, &ThreadBudget) -> (BTreeSet<Vec<u32>>, MatCacheStats),
+    F: Fn(Option<&MaterializationCache>, &ThreadBudget) -> (Answers, MatCacheStats),
 {
     let mut per_mode: Vec<Vec<(u32, u32, u32, u32)>> = Vec::new();
     for mode in [BitmapMode::On, BitmapMode::Off] {

@@ -14,7 +14,7 @@
 //! file-local lock and restores `Auto` before releasing it.
 
 use cqapx_cq::eval::{
-    set_packed_mode, AcyclicPlan, AtomBinder, DecomposedPlan, FlatRelation, MatCacheStats,
+    set_packed_mode, AcyclicPlan, Answers, AtomBinder, DecomposedPlan, FlatRelation, MatCacheStats,
     MatStrategy, MaterializationCache, NaivePlan, PackedMode,
 };
 use cqapx_cq::{parse_cq, treewidth_of_query, ConjunctiveQuery};
@@ -162,7 +162,7 @@ fn digraph(max_n: usize) -> impl Strategy<Value = Structure> {
 /// accounting is mode-independent. Caller must hold [`knob_lock`].
 fn check_modes<F>(eval: F, expected: &BTreeSet<Vec<u32>>, label: &str)
 where
-    F: Fn(Option<&MaterializationCache>, &ThreadBudget) -> (BTreeSet<Vec<u32>>, MatCacheStats),
+    F: Fn(Option<&MaterializationCache>, &ThreadBudget) -> (Answers, MatCacheStats),
 {
     let mut per_mode: Vec<Vec<(u32, u32, u32, u32)>> = Vec::new();
     for mode in [PackedMode::On, PackedMode::Off] {

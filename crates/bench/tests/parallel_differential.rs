@@ -7,7 +7,7 @@
 //! cache, plus engine batches whose `EngineStats` must not depend on
 //! the thread count.
 
-use cqapx_cq::eval::{AcyclicPlan, DecomposedPlan, MaterializationCache, NaivePlan};
+use cqapx_cq::eval::{AcyclicPlan, Answers, DecomposedPlan, MaterializationCache, NaivePlan};
 use cqapx_cq::{parse_cq, treewidth_of_query, ConjunctiveQuery};
 use cqapx_engine::{
     Engine, EngineConfig, EvalMode, MetricsLevel, Request, ResponseStatus, DEGRADE_MIN_SAMPLES,
@@ -138,10 +138,7 @@ fn digraph(max_n: usize) -> impl Strategy<Value = Structure> {
 /// sequential reference, checking answers and cache accounting.
 fn check_budgets<F>(eval: F, expected: &BTreeSet<Vec<u32>>, label: &str)
 where
-    F: Fn(
-        Option<&MaterializationCache>,
-        &ThreadBudget,
-    ) -> (BTreeSet<Vec<u32>>, cqapx_cq::eval::MatCacheStats),
+    F: Fn(Option<&MaterializationCache>, &ThreadBudget) -> (Answers, cqapx_cq::eval::MatCacheStats),
 {
     let seq_budget = ThreadBudget::new(1);
     let seq_cache = MaterializationCache::new();
@@ -389,7 +386,7 @@ proptest! {
                 prop_assert!(r.answers.is_empty());
             }
             for a in &r.answers {
-                prop_assert!(exact.contains(a), "unsound answer in {:?}", r.status);
+                prop_assert!(exact.contains(a.as_slice()), "unsound answer in {:?}", r.status);
             }
         }
         prop_assert_eq!(e.stats().shed, shed as u64);
@@ -408,7 +405,7 @@ proptest! {
             timeout: Some(Duration::from_nanos(1)),
         });
         for a in &r.answers {
-            prop_assert!(exact.contains(a), "unsound answer in {:?}", r.status);
+            prop_assert!(exact.contains(a.as_slice()), "unsound answer in {:?}", r.status);
         }
         if r.status == ResponseStatus::Degraded {
             prop_assert_eq!(e.stats().degraded, 1);

@@ -31,12 +31,12 @@
 
 use crate::ast::{Atom, ConjunctiveQuery, VarId};
 use crate::classes::query_graph;
+use crate::eval::answers::Answers;
 use crate::eval::flat::{MatCacheStats, MatKey, MaterializationCache};
 use crate::eval::ir::{compile_tree, MatSource, MatStrategy, NodeSpec, PlanIr};
 use cqapx_graphs::treewidth::treewidth_at_most;
 use cqapx_par::ThreadBudget;
-use cqapx_structures::{Element, RelId, Structure};
-use std::collections::BTreeSet;
+use cqapx_structures::{RelId, Structure};
 use std::fmt;
 
 /// Error: the query graph has treewidth above the requested bound, so
@@ -249,7 +249,7 @@ impl DecomposedPlan {
     }
 
     /// Full evaluation: the set of answer tuples in head order.
-    pub fn eval(&self, d: &Structure) -> BTreeSet<Vec<Element>> {
+    pub fn eval(&self, d: &Structure) -> Answers {
         self.eval_cached(d, None).0
     }
 
@@ -259,7 +259,7 @@ impl DecomposedPlan {
         &self,
         d: &Structure,
         cache: Option<&MaterializationCache>,
-    ) -> (BTreeSet<Vec<Element>>, MatCacheStats) {
+    ) -> (Answers, MatCacheStats) {
         self.eval_cached_budget(d, cache, ThreadBudget::shared())
     }
 
@@ -272,7 +272,7 @@ impl DecomposedPlan {
         d: &Structure,
         cache: Option<&MaterializationCache>,
         budget: &ThreadBudget,
-    ) -> (BTreeSet<Vec<Element>>, MatCacheStats) {
+    ) -> (Answers, MatCacheStats) {
         self.eval_cached_budget_profiled(d, cache, budget, None)
     }
 
@@ -284,27 +284,9 @@ impl DecomposedPlan {
         cache: Option<&MaterializationCache>,
         budget: &ThreadBudget,
         profile: Option<&mut crate::eval::EvalProfile>,
-    ) -> (BTreeSet<Vec<Element>>, MatCacheStats) {
-        if self.query.is_boolean() {
-            let (nonempty, stats) = self
-                .ir
-                .run_boolean_budget_profiled(d, cache, budget, profile);
-            let mut out = BTreeSet::new();
-            if nonempty {
-                out.insert(Vec::new());
-            }
-            return (out, stats);
-        }
-        let (result, stats) = self.ir.run_budget_profiled(d, cache, budget, profile);
-        match result {
-            None => (BTreeSet::new(), stats),
-            // Plan intermediates hold dense domain codes; the answer
-            // boundary decodes them back to the structure's elements.
-            Some(rel) => (
-                rel.rows_in_head_order_decoded(self.query.free_vars(), d.domain_dict()),
-                stats,
-            ),
-        }
+    ) -> (Answers, MatCacheStats) {
+        self.ir
+            .run_answers(self.query.free_vars(), d, cache, budget, profile)
     }
 }
 

@@ -4,13 +4,13 @@
 //! sites.
 
 use crate::ast::ConjunctiveQuery;
+use crate::eval::answers::Answers;
 use crate::eval::decomposed::DecomposedPlan;
 use crate::eval::flat::{MatCacheStats, MaterializationCache};
 use crate::eval::naive::NaivePlan;
 use crate::eval::yannakakis::AcyclicPlan;
 use cqapx_par::ThreadBudget;
-use cqapx_structures::{Element, Structure};
-use std::collections::BTreeSet;
+use cqapx_structures::Structure;
 
 /// A prepared evaluation strategy for one conjunctive query.
 ///
@@ -22,7 +22,7 @@ pub trait Evaluator {
     fn query(&self) -> &ConjunctiveQuery;
 
     /// Evaluates `Q(D)`: the full answer set, tuples in head order.
-    fn eval(&self, d: &Structure) -> BTreeSet<Vec<Element>>;
+    fn eval(&self, d: &Structure) -> Answers;
 
     /// Decides `Q(D) ≠ ∅`.
     fn eval_boolean(&self, d: &Structure) -> bool {
@@ -40,7 +40,7 @@ pub trait Evaluator {
         d: &Structure,
         cache: &MaterializationCache,
         budget: &ThreadBudget,
-    ) -> (BTreeSet<Vec<Element>>, MatCacheStats) {
+    ) -> (Answers, MatCacheStats) {
         let _ = (cache, budget);
         (self.eval(d), MatCacheStats::default())
     }
@@ -71,8 +71,8 @@ impl Evaluator for NaiveEvaluator {
         self.plan.query()
     }
 
-    fn eval(&self, d: &Structure) -> BTreeSet<Vec<Element>> {
-        self.plan.eval(d)
+    fn eval(&self, d: &Structure) -> Answers {
+        self.plan.eval_answers(d)
     }
 
     fn eval_boolean(&self, d: &Structure) -> bool {
@@ -89,7 +89,7 @@ impl Evaluator for AcyclicPlan {
         AcyclicPlan::query(self)
     }
 
-    fn eval(&self, d: &Structure) -> BTreeSet<Vec<Element>> {
+    fn eval(&self, d: &Structure) -> Answers {
         AcyclicPlan::eval(self, d)
     }
 
@@ -102,7 +102,7 @@ impl Evaluator for AcyclicPlan {
         d: &Structure,
         cache: &MaterializationCache,
         budget: &ThreadBudget,
-    ) -> (BTreeSet<Vec<Element>>, MatCacheStats) {
+    ) -> (Answers, MatCacheStats) {
         AcyclicPlan::eval_cached_budget(self, d, Some(cache), budget)
     }
 
@@ -116,7 +116,7 @@ impl Evaluator for DecomposedPlan {
         DecomposedPlan::query(self)
     }
 
-    fn eval(&self, d: &Structure) -> BTreeSet<Vec<Element>> {
+    fn eval(&self, d: &Structure) -> Answers {
         DecomposedPlan::eval(self, d)
     }
 
@@ -129,7 +129,7 @@ impl Evaluator for DecomposedPlan {
         d: &Structure,
         cache: &MaterializationCache,
         budget: &ThreadBudget,
-    ) -> (BTreeSet<Vec<Element>>, MatCacheStats) {
+    ) -> (Answers, MatCacheStats) {
         DecomposedPlan::eval_cached_budget(self, d, Some(cache), budget)
     }
 

@@ -22,6 +22,7 @@
 //! ```
 
 use crate::ast::{Atom, VarId};
+use crate::eval::answers::Answers;
 use cqapx_par::{parallel_chunks, parallel_map, DisjointWriter, ThreadBudget};
 use cqapx_structures::fxhash::{FxHashMap, FxHasher};
 use cqapx_structures::packed::{pack2, radix_dedup, radix_dedup_u32, radix_sort_pairs};
@@ -375,6 +376,33 @@ enum PackedWords {
     },
 }
 
+/// Bits covering every dense code under a width bound: codes are
+/// `< width ≤ 2^b`.
+fn code_bits(width: u32) -> u32 {
+    match width {
+        0 | 1 => 0,
+        w => 32 - (w - 1).leading_zeros(),
+    }
+}
+
+/// Inverse of the tight row packing: refills `out` with the `arity`
+/// columns of every word, `b ≤ 32` bits apiece, first column highest.
+fn unpack_words(
+    words: impl ExactSizeIterator<Item = u64>,
+    arity: usize,
+    b: u32,
+    out: &mut Vec<Element>,
+) {
+    let mask = (1u64 << b) - 1;
+    out.clear();
+    out.reserve(words.len() * arity);
+    for w in words {
+        for col in (0..arity as u32).rev() {
+            out.push(((w >> (col * b)) & mask) as Element);
+        }
+    }
+}
+
 /// Sorted-set intersection over packed words: the words of `mine`
 /// that appear in `theirs` (both sorted distinct), in order.
 fn isect_keys<K: Copy + Ord>(mine: &[K], theirs: &[K]) -> Vec<K> {
@@ -452,6 +480,41 @@ impl FlatRelation {
         }
     }
 
+    /// A relation over positional columns `0..arity` wrapping a raw
+    /// row-major buffer whose elements are all `< domain_width` (`0` =
+    /// no bound) — how the answer boundary borrows the kernel's
+    /// canonicalization for head-ordered rows.
+    pub(crate) fn from_raw(
+        arity: usize,
+        rows: usize,
+        data: Vec<Element>,
+        domain_width: u32,
+    ) -> Self {
+        debug_assert_eq!(data.len(), rows * arity, "buffer must hold rows × arity");
+        FlatRelation {
+            schema: (0..arity as VarId).collect(),
+            rows,
+            data,
+            domain_width,
+            bitmaps: BitmapCell::default(),
+            words: WordsCell::default(),
+        }
+    }
+
+    /// The row count and the row-major buffer, schema dropped.
+    pub(crate) fn into_raw(self) -> (usize, Vec<Element>) {
+        (self.rows, self.data)
+    }
+
+    /// Appends `rows` rows given as one row-major slice. May introduce
+    /// duplicates, like [`FlatRelation::push_row`].
+    pub(crate) fn extend_raw(&mut self, rows: usize, data: &[Element]) {
+        debug_assert_eq!(data.len(), rows * self.schema.len(), "row arity mismatch");
+        self.data.extend_from_slice(data);
+        self.rows += rows;
+        self.invalidate_bitmaps();
+    }
+
     /// The dense-domain bound of this relation's elements (`0` = none).
     pub fn domain_width(&self) -> u32 {
         self.domain_width
@@ -506,14 +569,16 @@ impl FlatRelation {
 
     /// Whether [`FlatRelation::sort_dedup_seq`] takes the packed
     /// radix path: every row packs into one `u64` code word. Legal
-    /// only for arity ≤ 2 with a dense-domain bound — packing wider
-    /// rows does not fit a word, and without `domain_width > 0` the
-    /// radix passes lose the bounded-digit guarantee the `Auto` cost
-    /// model relies on (see `cqapx_structures::packed`). A pure
-    /// function of the relation and the knob — never of the thread
-    /// budget — so every dispatch site agrees.
+    /// only when the dense-domain bound's bit width `b` gives
+    /// `arity · b ≤ 64` — wider rows do not fit a word, and without
+    /// `domain_width > 0` the radix passes lose the bounded-digit
+    /// guarantee the `Auto` cost model relies on (see
+    /// `cqapx_structures::packed`). A pure function of the relation
+    /// and the knob — never of the thread budget — so every dispatch
+    /// site agrees.
     fn packed_sort_wanted(&self) -> bool {
-        if self.domain_width == 0 || self.schema.is_empty() || self.schema.len() > 2 {
+        let a = self.schema.len();
+        if self.domain_width == 0 || a == 0 || a * code_bits(self.domain_width) as usize > 64 {
             return false;
         }
         match packed_mode() {
@@ -860,10 +925,10 @@ impl FlatRelation {
     /// output is bit-identical to the generic path's.
     ///
     /// When the rows pack into single `u64` code words
-    /// ([`FlatRelation::packed_sort_wanted`]: arity ≤ 2 over a dense
-    /// domain), the comparison sort is replaced by an LSB **radix
-    /// sort** over the words. Packing is monotone — numeric word
-    /// order is lexicographic row order — so this too is
+    /// ([`FlatRelation::packed_sort_wanted`]: `arity · b ≤ 64` over a
+    /// `b`-bit dense domain), the comparison sort is replaced by an
+    /// LSB **radix sort** over the words. Packing is monotone —
+    /// numeric word order is lexicographic row order — so this too is
     /// bit-identical, while a relation of `n` dense codes sorts in
     /// `O(n · passes)` with at most four byte passes under 64 K codes.
     fn sort_dedup_seq(&mut self) {
@@ -882,15 +947,14 @@ impl FlatRelation {
     /// word compare per adjacent pair.
     ///
     /// Words are packed **tightly**: with `b` bits covering the dense
-    /// bound, a two-column row becomes `hi << b | lo` — monotone for
-    /// any `b` with `lo < 2^b`, exactly like the fixed-shift
-    /// [`pack2`], but occupying `2b` bits instead of `32 + b`. Rows
-    /// whose tight word fits 32 bits (and all single columns) sort as
-    /// `u32` keys: half the memory traffic per pass and at most half
-    /// the passes of the wide encoding.
+    /// bound, a row becomes its columns concatenated `b` bits apiece,
+    /// first column highest — monotone for any `b` with every code
+    /// `< 2^b`, exactly like the fixed-shift [`pack2`], but occupying
+    /// `arity · b` bits. Rows whose tight word fits 32 bits (and all
+    /// single columns) sort as `u32` keys: half the memory traffic per
+    /// pass and at most half the passes of the wide encoding.
     fn sort_dedup_radix(&mut self) {
         let a = self.schema.len();
-        debug_assert!(a == 1 || a == 2, "only word-packable rows");
         let n = self.rows;
         if a == 1 {
             radix_dedup_u32(&mut self.data);
@@ -898,49 +962,43 @@ impl FlatRelation {
             note_packed(n);
             return;
         }
-        // Bits covering every code: codes are `< domain_width ≤ 2^b`.
-        let b = match self.domain_width {
-            0 | 1 => 0,
-            w => 32 - (w - 1).leading_zeros(),
-        };
-        if 2 * b <= 32 {
+        let b = code_bits(self.domain_width);
+        debug_assert!(a * b as usize <= 64, "only word-packable rows");
+        if a * b as usize <= 32 {
             let mut keys = self.build_words32(b);
             radix_dedup_u32(&mut keys);
-            self.data.clear();
-            let mask = (1u32 << b).wrapping_sub(1);
-            for &k in &keys {
-                self.data.push(k >> b);
-                self.data.push(k & mask);
-            }
+            unpack_words(keys.iter().map(|&k| u64::from(k)), a, b, &mut self.data);
             self.rows = keys.len();
-            self.words.0 = Some(PackedWords::W32 { b, keys });
+            if a == 2 {
+                self.words.0 = Some(PackedWords::W32 { b, keys });
+            }
         } else {
             let mut keys = self.build_words64(b);
             radix_dedup(&mut keys);
-            self.data.clear();
-            let mask = (1u64 << b) - 1;
-            for &k in &keys {
-                self.data.push((k >> b) as Element);
-                self.data.push((k & mask) as Element);
-            }
+            unpack_words(keys.iter().copied(), a, b, &mut self.data);
             self.rows = keys.len();
-            self.words.0 = Some(PackedWords::W64 { b, keys });
+            if a == 2 {
+                self.words.0 = Some(PackedWords::W64 { b, keys });
+            }
         }
         note_packed(n);
     }
 
-    /// Packs the two columns of every row into a tight `u32` word at
-    /// per-column bit width `b` (caller guarantees arity 2, `2b ≤ 32`).
+    /// Packs every row into a tight `u32` word at per-column bit
+    /// width `b` (caller guarantees arity ≥ 2 and `arity · b ≤ 32`).
     fn build_words32(&self, b: u32) -> Vec<u32> {
-        (0..self.rows)
-            .map(|i| (self.data[2 * i] << b) | self.data[2 * i + 1])
+        self.data
+            .chunks_exact(self.schema.len())
+            .map(|row| row.iter().fold(0, |w, &c| (w << b) | c))
             .collect()
     }
 
-    /// [`FlatRelation::build_words32`] widened to `u64` words.
+    /// [`FlatRelation::build_words32`] widened to `u64` words
+    /// (`arity · b ≤ 64`).
     fn build_words64(&self, b: u32) -> Vec<u64> {
-        (0..self.rows)
-            .map(|i| ((self.data[2 * i] as u64) << b) | self.data[2 * i + 1] as u64)
+        self.data
+            .chunks_exact(self.schema.len())
+            .map(|row| row.iter().fold(0, |w, &c| (w << b) | u64::from(c)))
             .collect()
     }
 
@@ -950,8 +1008,8 @@ impl FlatRelation {
     /// gather **and** its canonical sort with one pipeline — the
     /// intermediate row buffer the gather would write (and the sort
     /// would immediately re-read) never exists. The caller guarantees
-    /// `out.packed_sort_wanted()`: arity 1 or 2, a dense-domain bound,
-    /// and a row count past the knob's threshold.
+    /// `out.packed_sort_wanted()` at arity 1 or 2: a dense-domain
+    /// bound and a row count past the knob's threshold.
     fn project_packed_into(&self, keep: &[usize], out: &mut FlatRelation) {
         let a = self.schema.len();
         let n = self.rows;
@@ -963,22 +1021,13 @@ impl FlatRelation {
                 out.data = keys;
             }
             [k0, k1] => {
-                // Bits covering every code (see `sort_dedup_radix`).
-                let b = match out.domain_width {
-                    0 | 1 => 0,
-                    w => 32 - (w - 1).leading_zeros(),
-                };
+                let b = code_bits(out.domain_width);
                 if 2 * b <= 32 {
                     let mut keys: Vec<u32> = (0..n)
                         .map(|i| (self.data[i * a + k0] << b) | self.data[i * a + k1])
                         .collect();
                     radix_dedup_u32(&mut keys);
-                    let mask = (1u32 << b).wrapping_sub(1);
-                    out.data.reserve(2 * keys.len());
-                    for &k in &keys {
-                        out.data.push(k >> b);
-                        out.data.push(k & mask);
-                    }
+                    unpack_words(keys.iter().map(|&k| u64::from(k)), 2, b, &mut out.data);
                     out.rows = keys.len();
                 } else {
                     let mut keys: Vec<u64> = (0..n)
@@ -987,12 +1036,7 @@ impl FlatRelation {
                         })
                         .collect();
                     radix_dedup(&mut keys);
-                    let mask = (1u64 << b) - 1;
-                    out.data.reserve(2 * keys.len());
-                    for &k in &keys {
-                        out.data.push((k >> b) as Element);
-                        out.data.push((k & mask) as Element);
-                    }
+                    unpack_words(keys.iter().copied(), 2, b, &mut out.data);
                     out.rows = keys.len();
                 }
             }
@@ -1021,6 +1065,11 @@ impl FlatRelation {
             packed.len()
         }
         let a = self.schema.len();
+        // Already canonical (scans and radix-projected inputs usually
+        // are): one sequential pass instead of a copy-out sort.
+        if self.data.chunks_exact(a).is_sorted_by(|x, y| x < y) {
+            return;
+        }
         match a {
             1 => self.rows = packed::<1>(self.rows, &mut self.data),
             2 => self.rows = packed::<2>(self.rows, &mut self.data),
@@ -1138,10 +1187,7 @@ impl FlatRelation {
             return;
         }
         // One shared bit width so word order agrees on both sides.
-        let b = match self.domain_width.max(other.domain_width) {
-            0 | 1 => 0,
-            w => 32 - (w - 1).leading_zeros(),
-        };
+        let b = code_bits(self.domain_width.max(other.domain_width));
         if 2 * b <= 32 {
             let mine = match self.words.0.take() {
                 Some(PackedWords::W32 { b: wb, keys }) if wb == b => keys,
@@ -1151,12 +1197,7 @@ impl FlatRelation {
                 Some(PackedWords::W32 { b: wb, keys }) if *wb == b => isect_keys(&mine, keys),
                 _ => isect_keys(&mine, &other.build_words32(b)),
             };
-            self.data.clear();
-            let mask = (1u32 << b).wrapping_sub(1);
-            for &k in &kept {
-                self.data.push(k >> b);
-                self.data.push(k & mask);
-            }
+            unpack_words(kept.iter().map(|&k| u64::from(k)), 2, b, &mut self.data);
             self.rows = kept.len();
             self.invalidate_bitmaps();
             self.words.0 = Some(PackedWords::W32 { b, keys: kept });
@@ -1169,12 +1210,7 @@ impl FlatRelation {
                 Some(PackedWords::W64 { b: wb, keys }) if *wb == b => isect_keys(&mine, keys),
                 _ => isect_keys(&mine, &other.build_words64(b)),
             };
-            self.data.clear();
-            let mask = (1u64 << b) - 1;
-            for &k in &kept {
-                self.data.push((k >> b) as Element);
-                self.data.push((k & mask) as Element);
-            }
+            unpack_words(kept.iter().copied(), 2, b, &mut self.data);
             self.rows = kept.len();
             self.invalidate_bitmaps();
             self.words.0 = Some(PackedWords::W64 { b, keys: kept });
@@ -1603,7 +1639,7 @@ impl FlatRelation {
         // intermediate row buffer. Output bytes are identical: the
         // packing is monotone, so sorted distinct words unpack to the
         // sorted distinct rows the gather-then-sort path produces.
-        if out.packed_sort_wanted() {
+        if keep.len() <= 2 && out.packed_sort_wanted() {
             self.project_packed_into(&keep, &mut out);
             return out;
         }
@@ -1742,43 +1778,25 @@ impl FlatRelation {
         out
     }
 
-    /// Reads the rows out in the order of an explicit head (duplicated
-    /// head variables allowed).
-    pub fn rows_in_head_order(&self, head: &[VarId]) -> BTreeSet<Vec<Element>> {
-        let map: FxHashMap<VarId, usize> = self
-            .schema
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i))
-            .collect();
-        let positions: Vec<usize> = head
-            .iter()
-            .map(|v| *map.get(v).expect("head variable must be in schema"))
-            .collect();
-        self.iter_rows()
-            .map(|r| positions.iter().map(|&p| r[p]).collect())
-            .collect()
-    }
-
-    /// [`FlatRelation::rows_in_head_order`] with the dictionary decode
-    /// applied: relations materialized from a structure hold dense
-    /// domain codes, and this is the one boundary where codes turn back
-    /// into the structure's elements. A no-op (bit-identical) when the
-    /// dictionary encodes identically.
+    /// The decoded answer set for `head` as a tree of row vectors — a
+    /// view of [`Answers::from_relation`] kept for callers that
+    /// measure or inspect the boundary per row. Evaluation itself
+    /// returns [`Answers`] and never builds the tree.
     pub fn rows_in_head_order_decoded(
         &self,
         head: &[VarId],
         dict: &DomainDict,
     ) -> BTreeSet<Vec<Element>> {
-        if dict.is_identity() {
-            return self.rows_in_head_order(head);
-        }
-        // The encoding is monotone, so decoding per row preserves the
-        // set (and even the canonical order) exactly.
-        self.rows_in_head_order(head)
-            .into_iter()
-            .map(|row| row.into_iter().map(|c| dict.decode(c)).collect())
-            .collect()
+        Answers::from_relation(self.clone(), head, dict, ThreadBudget::shared()).to_btree_set()
+    }
+}
+
+#[cfg(test)]
+impl FlatRelation {
+    /// The rows in head order, codes left as they are.
+    pub(crate) fn rows_in_head_order(&self, head: &[VarId]) -> BTreeSet<Vec<Element>> {
+        let identity = DomainDict::build(&Structure::digraph(0, &[]));
+        self.rows_in_head_order_decoded(head, &identity)
     }
 }
 
@@ -3003,7 +3021,12 @@ impl MaterializationCache {
                     Some(f) => Arc::clone(f),
                     None => {
                         let f = Arc::clone(map.entry(key.clone()).or_default());
-                        drop(map);
+                        // Hand entry before the map lock goes (same
+                        // map → clock order as the sweep): a racer
+                        // that finds the flight in the map may land it
+                        // and sweep at once, and a sweep that cannot
+                        // see the key leaves the budget exceeded at
+                        // quiescence.
                         self.clock
                             .lock()
                             .expect("clock lock poisoned")
@@ -3257,7 +3280,9 @@ mod tests {
         assert_eq!(j.len(), 2);
         assert_eq!(
             j.rows_in_head_order(&[0, 1, 2]),
-            [vec![1, 2, 5], vec![1, 2, 6]].into_iter().collect()
+            [vec![1, 2, 5], vec![1, 2, 6]]
+                .into_iter()
+                .collect::<BTreeSet<_>>()
         );
         // Build-side choice must not change the answer.
         let j2 = b.join(&a);
@@ -3921,8 +3946,9 @@ mod tests {
     // ── packed code-word kernels ────────────────────────────────────
 
     /// The radix `sort_dedup` fast path must leave exactly the bytes
-    /// the comparison sort leaves, for arity 1 and arity 2, including
-    /// the duplicate-heavy and empty cases.
+    /// the comparison sort leaves, for every arity whose rows fit a
+    /// word (`u32` and `u64` words, up to exactly 64 bits), including
+    /// the duplicate-heavy, already-sorted-width-1 and empty cases.
     #[test]
     fn packed_sort_dedup_is_byte_identical_to_comparison() {
         let _g = knob_guard();
@@ -3931,6 +3957,15 @@ mod tests {
             (&[0, 1][..], 2000, 64),
             (&[0, 1][..], 1500, 3), // duplicate-heavy
             (&[0, 1][..], 0, 16),
+            (&[0, 1][..], 700, 1),                    // b = 0: one possible row
+            (&[0, 1][..], 2000, 1 << 16),             // 32 bits: last u32 word
+            (&[0, 1][..], 2000, (1 << 16) + 1),       // 34 bits: first u64 word
+            (&[0, 1][..], 2000, u32::MAX),            // 64 bits at arity 2
+            (&[0, 1, 2][..], 2000, 50),               // 18 bits, u32 words
+            (&[0, 1, 2][..], 2000, 4000),             // 36 bits, u64 words
+            (&[0, 1, 2][..], 2000, 1 << 21),          // 63 bits
+            (&[0, 1, 2, 3][..], 2000, 1 << 16),       // 64 bits
+            (&[0, 1, 2, 3, 4, 5, 6, 7][..], 1200, 3), // 16 bits, duplicate-heavy
         ] {
             let mut radix = big_random_rel(schema, n, width.max(1), 17);
             radix.domain_width = width;
@@ -3948,8 +3983,8 @@ mod tests {
         // even when forced on: the knob selects among eligible
         // representations, it does not create eligibility.
         let mut unbounded = big_random_rel(&[0, 1], 600, 50, 23);
-        let mut wide = big_random_rel(&[0, 1, 2], 600, 50, 23);
-        wide.domain_width = 50;
+        let mut wide = big_random_rel(&[0, 1, 2, 3, 4], 600, 50, 23);
+        wide.domain_width = 1 << 13; // 5 × 13 = 65 bits
         set_packed_mode(PackedMode::On);
         assert!(!unbounded.packed_sort_wanted());
         assert!(!wide.packed_sort_wanted());

@@ -31,6 +31,7 @@
 //! detects which case it is in — see [`PlanIr::reduction_decides`]).
 
 use crate::ast::{Atom, VarId};
+use crate::eval::answers::Answers;
 use crate::eval::flat::{
     bitmap_mode, note_bitmap_build, note_bitmap_probe, AtomBinder, BitmapMode, FlatRelation,
     MatCacheStats, MatKey, MaterializationCache,
@@ -872,6 +873,32 @@ impl PlanIr {
             return (None, stats);
         }
         (slots[self.output].take(), stats)
+    }
+
+    /// Runs the program to the answer set for `head` — the compiled
+    /// query's free variables, in head order: the Boolean short-cut
+    /// ([`PlanIr::run_boolean_budget_profiled`]) when the head is
+    /// empty, otherwise the full run read out through the answer
+    /// boundary, where the dense codes plan intermediates hold are
+    /// decoded back to the structure's elements.
+    pub fn run_answers(
+        &self,
+        head: &[VarId],
+        d: &Structure,
+        cache: Option<&MaterializationCache>,
+        budget: &ThreadBudget,
+        profile: Option<&mut EvalProfile>,
+    ) -> (Answers, MatCacheStats) {
+        if head.is_empty() {
+            let (nonempty, stats) = self.run_boolean_budget_profiled(d, cache, budget, profile);
+            return (Answers::boolean(nonempty), stats);
+        }
+        let (result, stats) = self.run_budget_profiled(d, cache, budget, profile);
+        let answers = match result {
+            None => Answers::empty(head.len()),
+            Some(rel) => Answers::from_relation(rel, head, d.domain_dict(), budget),
+        };
+        (answers, stats)
     }
 
     /// Decides whether the answer is nonempty, running only as much of

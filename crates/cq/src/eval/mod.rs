@@ -1,8 +1,10 @@
 //! Query evaluation: naive backtracking, Yannakakis for acyclic CQs,
 //! and the bounded-treewidth decomposition tier — the latter two
 //! compiled to the shared physical plan IR of [`ir`], executing on the
-//! columnar join kernel of [`flat`].
+//! columnar join kernel of [`flat`] and handing results out as the
+//! flat sorted [`Answers`] of [`answers`].
 
+pub mod answers;
 pub mod decomposed;
 pub mod evaluator;
 pub mod flat;
@@ -10,6 +12,7 @@ pub mod ir;
 pub mod naive;
 pub mod yannakakis;
 
+pub use answers::{AnswerRow, Answers, AnswersBuilder, AnswersIter};
 pub use decomposed::{BagPart, BagSummary, DecomposedPlan, NotDecomposable};
 pub use evaluator::{Evaluator, NaiveEvaluator};
 pub use flat::{

@@ -10,7 +10,7 @@
 //! cache. The free functions are one-shot sugar over it.
 
 use crate::ast::ConjunctiveQuery;
-use crate::eval::flat::FlatRelation;
+use crate::eval::answers::{Answers, AnswersBuilder};
 use crate::tableau::tableau_of;
 use cqapx_structures::{Element, HomSearchStats, HomSolver, Pointed, SearchBudget, Structure};
 use std::collections::BTreeSet;
@@ -80,31 +80,28 @@ impl NaivePlan {
         })
     }
 
-    /// Evaluates `Q(D)`: the set of answer tuples. Answers accumulate in
-    /// a flat row buffer (contiguous, deduplicated by sorting) instead
-    /// of a per-answer `Vec` insert into a tree. The search emits one
-    /// tuple per homomorphism — possibly far more than there are
-    /// distinct answers — so the buffer re-dedups whenever it doubles,
-    /// keeping peak memory proportional to the answer set.
+    /// Evaluates `Q(D)`: the set of answer tuples, as the tree of row
+    /// vectors the rest of the workspace uses as its oracle.
     pub fn eval(&self, d: &Structure) -> BTreeSet<Vec<Element>> {
-        // The sorts stay explicitly sequential: naive evaluation is
-        // dominated by the backtracking search, and the engine's
-        // "one thread pool" invariant must not leak worker claims
-        // through this strategy's incidental buffer maintenance.
-        let seq = cqapx_par::ThreadBudget::sequential();
-        let arity = self.query.arity();
-        let mut flat = FlatRelation::empty((0..arity as u32).collect());
-        let mut dedup_at = 1024usize;
+        self.eval_answers(d).to_btree_set()
+    }
+
+    /// Evaluates `Q(D)` into the flat [`Answers`] representation.
+    /// Answers accumulate in one row buffer (contiguous, deduplicated
+    /// by sorting) instead of a per-answer `Vec` insert into a tree.
+    /// The search emits one tuple per homomorphism — possibly far more
+    /// than there are distinct answers — so the builder re-dedups
+    /// whenever the buffer doubles, keeping peak memory proportional to
+    /// the answer set.
+    pub fn eval_answers(&self, d: &Structure) -> Answers {
+        // No width bound: the oracle canonicalizes through the
+        // comparison sort, independent of the packed kernels.
+        let mut answers = AnswersBuilder::new(self.query.arity(), 0);
         self.for_each_answer(d, None, |a| {
-            flat.push_row(a);
-            if flat.len() >= dedup_at {
-                flat.sort_dedup_budget(&seq);
-                dedup_at = (flat.len() * 2).max(1024);
-            }
+            answers.push_row(a);
             ControlFlow::Continue(())
         });
-        flat.sort_dedup_budget(&seq);
-        flat.iter_rows().map(|r| r.to_vec()).collect()
+        answers.finish()
     }
 
     /// Decides `Q(D) ≠ ∅`.
@@ -174,7 +171,12 @@ mod tests {
         let q = parse_cq("Q(x, z) :- E(x, y), E(y, z)").unwrap();
         let d = Structure::digraph(4, &[(0, 1), (1, 2), (2, 3)]);
         let ans = eval_naive(&q, &d);
-        assert_eq!(ans, [vec![0, 2], vec![1, 3]].into_iter().collect());
+        assert_eq!(
+            ans,
+            [vec![0, 2], vec![1, 3]]
+                .into_iter()
+                .collect::<BTreeSet<_>>()
+        );
         assert!(contains_answer(&q, &d, &[0, 2]));
         assert!(!contains_answer(&q, &d, &[0, 3]));
     }
@@ -184,7 +186,7 @@ mod tests {
         let q = parse_cq("Q(x, x) :- E(x, y)").unwrap();
         let d = Structure::digraph(2, &[(0, 1)]);
         let ans = eval_naive(&q, &d);
-        assert_eq!(ans, [vec![0, 0]].into_iter().collect());
+        assert_eq!(ans, [vec![0, 0]].into_iter().collect::<BTreeSet<_>>());
     }
 
     #[test]

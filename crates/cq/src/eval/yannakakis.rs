@@ -23,12 +23,12 @@
 //! [`compile_tree`]: crate::eval::ir::compile_tree
 
 use crate::ast::{Atom, ConjunctiveQuery, VarId};
+use crate::eval::answers::Answers;
 use crate::eval::flat::{MatCacheStats, MaterializationCache};
 use crate::eval::ir::{compile_tree, MatSource, NodeSpec, PlanIr};
 use cqapx_hypergraphs::{gyo, Hypergraph};
 use cqapx_par::ThreadBudget;
-use cqapx_structures::{Element, Structure};
-use std::collections::BTreeSet;
+use cqapx_structures::Structure;
 use std::fmt;
 
 /// Error: the query is not acyclic, so no join tree exists.
@@ -148,7 +148,7 @@ impl AcyclicPlan {
     }
 
     /// Full evaluation: the set of answer tuples in head order.
-    pub fn eval(&self, d: &Structure) -> BTreeSet<Vec<Element>> {
+    pub fn eval(&self, d: &Structure) -> Answers {
         self.eval_cached(d, None).0
     }
 
@@ -158,7 +158,7 @@ impl AcyclicPlan {
         &self,
         d: &Structure,
         cache: Option<&MaterializationCache>,
-    ) -> (BTreeSet<Vec<Element>>, MatCacheStats) {
+    ) -> (Answers, MatCacheStats) {
         self.eval_cached_budget(d, cache, ThreadBudget::shared())
     }
 
@@ -170,7 +170,7 @@ impl AcyclicPlan {
         d: &Structure,
         cache: Option<&MaterializationCache>,
         budget: &ThreadBudget,
-    ) -> (BTreeSet<Vec<Element>>, MatCacheStats) {
+    ) -> (Answers, MatCacheStats) {
         self.eval_cached_budget_profiled(d, cache, budget, None)
     }
 
@@ -183,28 +183,9 @@ impl AcyclicPlan {
         cache: Option<&MaterializationCache>,
         budget: &ThreadBudget,
         profile: Option<&mut crate::eval::EvalProfile>,
-    ) -> (BTreeSet<Vec<Element>>, MatCacheStats) {
-        if self.query.is_boolean() {
-            let (nonempty, stats) = self
-                .ir
-                .run_boolean_budget_profiled(d, cache, budget, profile);
-            let mut out = BTreeSet::new();
-            if nonempty {
-                // Nonempty after full reduction: the single empty tuple.
-                out.insert(Vec::new());
-            }
-            return (out, stats);
-        }
-        let (result, stats) = self.ir.run_budget_profiled(d, cache, budget, profile);
-        match result {
-            None => (BTreeSet::new(), stats),
-            // Plan intermediates hold dense domain codes; the answer
-            // boundary decodes them back to the structure's elements.
-            Some(rel) => (
-                rel.rows_in_head_order_decoded(self.query.free_vars(), d.domain_dict()),
-                stats,
-            ),
-        }
+    ) -> (Answers, MatCacheStats) {
+        self.ir
+            .run_answers(self.query.free_vars(), d, cache, budget, profile)
     }
 }
 

@@ -5,13 +5,13 @@ use crate::catalog::{Catalog, DatabaseEntry, DbId, PreparedQuery, QueryId};
 use crate::par::{default_threads, env_threads, parallel_map, ThreadBudget};
 use crate::planner::{choose_plan, PlanDecision, PlanKind, PlanReason};
 use cqapx_core::{Acyclic, ApproxOptions, HtwK, QueryClass, TwK};
-use cqapx_cq::eval::{EvalProfile, MatCacheStats, NaivePlan};
+use cqapx_cq::eval::{Answers, AnswersBuilder, EvalProfile, MatCacheStats, NaivePlan};
 use cqapx_metrics::{
     Counter, CounterFamily, EventLog, Gauge, HistogramFamily, HistogramSnapshot, MetricsLevel,
     MetricsSink, TraceEvent,
 };
 use cqapx_structures::{Element, HomSearchStats, SearchBudget, Structure};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -189,8 +189,9 @@ pub enum ResponseStatus {
 #[derive(Debug, Clone)]
 pub struct Response {
     /// Answer tuples (sound in every status; complete only in
-    /// [`ResponseStatus::Complete`]).
-    pub answers: BTreeSet<Vec<Element>>,
+    /// [`ResponseStatus::Complete`]): one flat buffer of rows in head
+    /// order, sorted and duplicate-free.
+    pub answers: Answers,
     /// Completeness of `answers`.
     pub status: ResponseStatus,
     /// The plan the engine chose.
@@ -795,7 +796,7 @@ impl Engine {
         limit: usize,
     ) -> Response {
         let r = Response {
-            answers: BTreeSet::new(),
+            answers: Answers::empty(q.query().arity()),
             status: ResponseStatus::Shed,
             plan: PlanKind::Shed,
             decomposition_width: None,
@@ -1103,16 +1104,9 @@ impl Engine {
                                 )
                             }) {
                                 Some(cached) => {
-                                    let mut answers = exact;
-                                    for e in &cached.evaluators {
-                                        let (certain, mstats) = e.eval_with_cache(
-                                            &d.structure,
-                                            &d.materialized,
-                                            &self.budget,
-                                        );
-                                        answers.extend(certain);
-                                        mat_cache.add(mstats);
-                                    }
+                                    let (answers, mstats) =
+                                        self.union_certain(exact, &cached, q, d);
+                                    mat_cache.add(mstats);
                                     (answers, ResponseStatus::TimedOut, Some(true))
                                 }
                                 None => (exact, ResponseStatus::TimedOut, None),
@@ -1258,16 +1252,32 @@ impl Engine {
         qid: QueryId,
         q: &PreparedQuery,
         d: &DatabaseEntry,
-    ) -> (BTreeSet<Vec<Element>>, bool, MatCacheStats) {
+    ) -> (Answers, bool, MatCacheStats) {
         let (cached, hit) = self.approximation_of(qid, q);
-        let mut answers: BTreeSet<Vec<Element>> = BTreeSet::new();
+        let none = Answers::empty(q.query().arity());
+        let (answers, mat) = self.union_certain(none, &cached, q, d);
+        (answers, hit, mat)
+    }
+
+    /// `seed ∪ ⋃ Q'(D)` over the approximation's evaluators: every
+    /// set lands in one flat buffer, canonicalized once at the end (a
+    /// lone non-empty set is passed through untouched).
+    fn union_certain(
+        &self,
+        seed: Answers,
+        cached: &CachedApproximation,
+        q: &PreparedQuery,
+        d: &DatabaseEntry,
+    ) -> (Answers, MatCacheStats) {
+        let mut union = answers_builder(q.query().arity(), &d.structure);
+        union.append(seed);
         let mut mat = MatCacheStats::default();
         for e in &cached.evaluators {
             let (certain, mstats) = e.eval_with_cache(&d.structure, &d.materialized, &self.budget);
-            answers.extend(certain);
+            union.append(certain);
             mat.add(mstats);
         }
-        (answers, hit, mat)
+        (union.finish(), mat)
     }
 
     /// Naive evaluation under a deadline: answers stream out of the
@@ -1283,20 +1293,26 @@ impl Engine {
         d: &Structure,
         deadline: Option<Instant>,
         budget: Option<&SearchBudget>,
-    ) -> (BTreeSet<Vec<Element>>, bool, HomSearchStats) {
-        let mut answers = BTreeSet::new();
+    ) -> (Answers, bool, HomSearchStats) {
+        let mut answers = answers_builder(plan.query().arity(), d);
         let mut timed_out = false;
         let stats = plan.for_each_answer(d, budget, |a| {
             if deadline.is_some_and(|dl| Instant::now() >= dl) {
                 timed_out = true;
                 return ControlFlow::Break(());
             }
-            answers.insert(a.to_vec());
+            answers.push_row(a);
             ControlFlow::Continue(())
         });
         let timed_out = timed_out || stats.budget_exhausted;
-        (answers, timed_out, stats)
+        (answers.finish(), timed_out, stats)
     }
+}
+
+/// A builder for answer tuples over `d`: its elements are bounded by
+/// the universe size, which lets canonicalization pack rows.
+fn answers_builder(arity: usize, d: &Structure) -> AnswersBuilder {
+    AnswersBuilder::new(arity, u32::try_from(d.universe_size()).unwrap_or(0))
 }
 
 #[cfg(test)]
@@ -1534,7 +1550,7 @@ mod tests {
         let r = e.execute(&req);
         // Whatever came back is sound.
         for a in &r.answers {
-            assert!(full.contains(a));
+            assert!(full.contains(a.as_slice()));
         }
         if r.status == ResponseStatus::TimedOut {
             assert!(r.answers.len() <= full.len());
@@ -1656,7 +1672,10 @@ mod tests {
         assert_eq!(r.plan, PlanKind::Sandwich);
         assert!(r.plan_reason().contains("degraded"));
         for a in &r.answers {
-            assert!(exact.contains(a), "degraded answers must stay sound");
+            assert!(
+                exact.contains(a.as_slice()),
+                "degraded answers must stay sound"
+            );
         }
         let snap = e.snapshot();
         assert_eq!(snap.counters.degraded, 1);

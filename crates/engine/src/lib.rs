@@ -52,6 +52,7 @@ pub mod planner;
 
 pub use cache::{ApproxCache, CachedApproximation};
 pub use catalog::{Catalog, DatabaseEntry, DbId, PreparedQuery, QueryId, RelationStats};
+pub use cqapx_cq::eval::{AnswerRow, Answers};
 pub use cqapx_metrics::{HistogramSnapshot, MetricsLevel, TraceEvent};
 pub use engine::{
     ApproxClassChoice, Engine, EngineConfig, EngineStats, EvalMode, Request, Response,

@@ -52,7 +52,7 @@ fn main() {
     println!("exact answers     (Q,  naive):      {exact:?}");
     println!("candidate answers (Q⁺, Yannakakis): {candidates:?}");
 
-    assert!(certain.iter().all(|t| exact.contains(t)));
+    assert!(certain.iter().all(|t| exact.contains(t.as_slice())));
     assert!(exact.iter().all(|t| candidates.contains(t)));
     println!(
         "\nsandwich holds: {} certain ⊆ {} exact ⊆ {} candidates",

@@ -48,7 +48,7 @@ fn main() {
         let approx = plan.eval(&d);
         let t_yann = t0.elapsed();
         // Soundness on real data: approximate answers ⊆ exact answers.
-        assert!(approx.iter().all(|a| full.contains(a)));
+        assert!(approx.iter().all(|a| full.contains(a.as_slice())));
         println!(
             "{:>8} {:>14.2?} {:>14.2?} {:>9} {:>9}",
             n,

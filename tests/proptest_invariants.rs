@@ -164,7 +164,7 @@ proptest! {
             timeout: None,
         });
         for a in &certain.answers {
-            prop_assert!(exact.contains(a), "certain answer {:?} not in Q(D)", a);
+            prop_assert!(exact.contains(a.as_slice()), "certain answer {:?} not in Q(D)", a);
         }
     }
 
