@@ -69,7 +69,7 @@ fn bench_approx(c: &mut Criterion) {
     group.bench_function("seed_engine/random8_tw1", |b| {
         b.iter(|| baseline::baseline_all_approximations_tableaux(&t, &in_class, u64::MAX).len())
     });
-    group.bench_function("solver_memo/random8_tw1", |b| {
+    group.bench_function("pruned_antichain/random8_tw1", |b| {
         b.iter(|| {
             all_approximations_tableaux(&t, &TwK(1), &ApproxOptions::default())
                 .0

@@ -1108,10 +1108,11 @@ pub fn exp_engine() -> String {
     out
 }
 
-/// E14 — the hom-engine refactor scorecard: the indexed, compiled,
-/// memoized solver (`HomSolver` + `StructureIndex` + `HomOrderMemo`)
-/// against the frozen pre-refactor engine (`crate::baseline`) on the
-/// paper's gadget workloads. Writes `BENCH_hom.json` so the speedup is
+/// E14 — the hom-engine scorecard: the indexed, compiled solver
+/// (`HomSolver` + `StructureIndex`) and, on the `approx_*` rows, the
+/// pruned partition walk feeding a `MinimalAntichain`, against the frozen
+/// pre-refactor engine (`crate::baseline`) on the paper's gadget
+/// workloads. Writes `BENCH_hom.json` so the speedup is
 /// tracked in the perf trajectory.
 pub fn exp_hom() -> String {
     use cqapx_structures::{core_of, Structure};
@@ -1119,7 +1120,7 @@ pub fn exp_hom() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "E14 — hom engine: indexed/compiled/memoized solver vs the seed engine\n"
+        "E14 — hom engine: indexed/compiled solver + pruned antichain search vs the seed engine\n"
     );
 
     struct Row {
@@ -1210,10 +1211,13 @@ pub fn exp_hom() -> String {
     }
 
     // W3–W5 — the exact approximation search (Theorem 4.1 run to
-    // completion): candidates → dedup → minimality → cores, the
-    // O(candidates²) hom regime the memo table targets. The random
-    // 8-variable cyclic pattern is the E12 ablation workload — dense in
-    // candidates and hom arrows; Q2 and C6 are the intro examples.
+    // completion). The baseline scans all Bell(n) partitions and runs
+    // dedup and minimality as O(candidates²) hom passes; the new search
+    // cuts out-of-class subtrees of the partition tree and keeps the
+    // →-minimal candidates in one antichain pass (one hom test per
+    // dropped candidate). The random 8-variable cyclic pattern is the E12
+    // ablation workload — dense in candidates and hom arrows; Q2 and C6
+    // are the intro examples.
     for (name, what, q) in [
         (
             "approx_random8_tw1",
@@ -1222,7 +1226,7 @@ pub fn exp_hom() -> String {
         ),
         (
             "approx_intro_q2_tw1",
-            "TW(1)-approximation of intro Q2 (Bell(8) partitions)",
+            "TW(1)-approximation of intro Q2 (8 variables)",
             parse_cq(
                 "Q() :- E(x,y), E(y,z), E(z,u), E(x1,y1), E(y1,z1), E(z1,u1), E(x,z1), E(y,u1)",
             )
@@ -1230,7 +1234,7 @@ pub fn exp_hom() -> String {
         ),
         (
             "approx_c6_tw1",
-            "TW(1)-approximation of C6 (Bell(6) partitions)",
+            "TW(1)-approximation of C6 (6 variables)",
             workloads::cycle_query(6),
         ),
     ] {
@@ -1286,8 +1290,9 @@ pub fn exp_hom() -> String {
     }
     let _ = writeln!(
         out,
-        "\nSame engines, same answers (asserted above); the speedup is pure\n\
-         index caching + source compilation + iso-class memoization."
+        "\nSame answers (asserted above). The first two rows are index caching +\n\
+         source compilation; the approx_* rows add prefix pruning of the\n\
+         partition tree and the streaming →-minimal antichain."
     );
 
     let mut json = String::from("{\n  \"workloads\": [\n");

@@ -1,19 +1,23 @@
 //! Differential property tests: the refactored hom engine
-//! (`HomSolver` + cached indexes + memoized order) against the frozen
-//! seed engine (`cqapx_bench::baseline`) on random structures.
+//! (`HomSolver` + cached indexes + streaming antichain) and the pruned
+//! approximation search against the frozen seed engine
+//! (`cqapx_bench::baseline`) on random structures.
 //!
 //! The refactor must change *time*, never *answers*: existence verdicts,
 //! witness validity under pins/exclusions/injectivity, core idempotence,
-//! and the memoized hom-order must all agree with the pre-refactor
-//! engine.
+//! the order filters and the approximations themselves must all agree
+//! with the pre-refactor engine.
 
 use cqapx_bench::baseline;
-use cqapx_core::HomOrderMemo;
+use cqapx_core::{all_approximations_tableaux, Acyclic, ApproxOptions, HtwK, QueryClass, TwK};
+use cqapx_structures::partition::{bell, for_each_partition};
+use cqapx_structures::quotient::quotient_pointed;
 use cqapx_structures::{
     core_of, hom_exists, is_core, order, Element, HomProblem, HomSolver, Homomorphism, Pointed,
-    Structure,
+    Structure, StructureBuilder, Vocabulary,
 };
 use proptest::prelude::*;
+use std::ops::ControlFlow;
 
 /// A random small digraph with an active universe.
 fn digraph_structure(max_n: usize) -> impl Strategy<Value = Structure> {
@@ -108,28 +112,25 @@ proptest! {
         prop_assert!(baseline::baseline_is_core(&r.core));
     }
 
-    /// The iso-keyed order memo agrees with direct hom checks (old and
-    /// new engines) in both directions, including after interning many
-    /// structures.
+    /// The streaming antichain keeps exactly the →-minimal first
+    /// representatives that dedup-then-minimality keeps, in the same
+    /// order, whatever the arrival order evicts on the way.
     #[test]
-    fn order_memo_agrees_with_direct_checks(
-        a in digraph_structure(5),
-        b in digraph_structure(5),
-        c in digraph_structure(4),
+    fn antichain_agrees_with_dedupe_then_minimal(
+        family in proptest::collection::vec(digraph_structure(4), 2..=7),
     ) {
-        let (pa, pb, pc) = (
-            Pointed::boolean(a),
-            Pointed::boolean(b),
-            Pointed::boolean(c),
-        );
-        let mut memo = HomOrderMemo::new();
-        for (x, y) in [(&pa, &pb), (&pb, &pa), (&pa, &pc), (&pc, &pb), (&pb, &pb)] {
-            let expected = baseline::baseline_hom_exists(x, y);
-            prop_assert_eq!(expected, hom_exists(x, y));
-            prop_assert_eq!(expected, memo.hom_between(x, y), "memo disagrees");
-            // Asking twice hits the verdict cache and must not flip.
-            prop_assert_eq!(expected, memo.hom_between(x, y));
+        let family: Vec<Pointed> = family.into_iter().map(Pointed::boolean).collect();
+        let kept = order::dedupe_hom_equivalent(&family);
+        let reps: Vec<Pointed> = kept.iter().map(|&i| family[i].clone()).collect();
+        let expected: Vec<Pointed> = order::minimal_elements(&reps)
+            .into_iter()
+            .map(|i| reps[i].clone())
+            .collect();
+        let mut chain = order::MinimalAntichain::new();
+        for p in &family {
+            chain.offer(p.clone());
         }
+        prop_assert_eq!(expected, chain.into_members());
     }
 
     /// The order functions (matrix-backed) agree with the seed engine's
@@ -153,5 +154,107 @@ proptest! {
             baseline::baseline_dedupe_hom_equivalent(&family),
             order::dedupe_hom_equivalent(&family)
         );
+    }
+}
+
+/// A random query tableau on at most `max_n` variables over `{E/2}` or
+/// `{E/2, F/2}`, Boolean or with one or two free variables.
+fn query_tableau(max_n: usize) -> impl Strategy<Value = Pointed> {
+    (3..=max_n, 0..2usize, 0..3usize).prop_flat_map(move |(n, extra_rels, n_free)| {
+        (
+            proptest::collection::vec((0..=extra_rels, 0..n as u32, 0..n as u32), 2..=(2 * n)),
+            proptest::collection::vec(0..n as u32, n_free),
+        )
+            .prop_map(move |(atoms, free)| {
+                let rels = [("E", 2), ("F", 2)];
+                let vocab = Vocabulary::new(rels[..=extra_rels].to_vec());
+                let mut b = StructureBuilder::new(vocab.clone(), n);
+                for &(r, x, y) in &atoms {
+                    b.add(vocab.rel(rels[r].0).unwrap(), &[x, y]);
+                }
+                let (s, renamed) = b.finish().restrict_to_adom();
+                // Free variables must occur in an atom: skip the others.
+                let free = free.iter().filter_map(|&x| renamed[x as usize]).collect();
+                Pointed::new(s, free)
+            })
+    })
+}
+
+/// The search against the exhaustive scan: `baseline` for the results,
+/// a full partition enumeration for the candidate count.
+fn assert_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass, pruned: bool) {
+    let n = t.structure.universe_size();
+    #[allow(clippy::mutable_key_type)]
+    let mut in_class_quotients = std::collections::HashSet::new();
+    for_each_partition(n, |p| {
+        let (qt, _) = quotient_pointed(t, p);
+        if class.contains_tableau(&qt) {
+            in_class_quotients.insert(qt);
+        }
+        ControlFlow::Continue(())
+    });
+    let expected = baseline::baseline_all_approximations_tableaux(
+        t,
+        &|qt: &Pointed| class.contains_tableau(qt),
+        u64::MAX,
+    );
+    let (got, meta) = all_approximations_tableaux(t, class, &ApproxOptions::default());
+    let name = class.name();
+    assert!(meta.complete, "{name}");
+    assert_eq!(
+        meta.candidates,
+        in_class_quotients.len(),
+        "{name}: candidates"
+    );
+    if pruned {
+        assert!(meta.partitions <= bell(n), "{name}");
+    } else {
+        assert_eq!(meta.partitions, bell(n), "{name}: nothing may be pruned");
+    }
+    assert_eq!(
+        got.len(),
+        expected.len(),
+        "{name}: number of approximations"
+    );
+    for g in &got {
+        assert!(
+            class.contains_tableau(g),
+            "{name}: result outside the class"
+        );
+        assert!(hom_exists(t, g), "{name}: result not contained in Q");
+        assert!(
+            expected.iter().any(|e| order::hom_equivalent(g, e)),
+            "{name}: result the exhaustive search does not have"
+        );
+    }
+    for e in &expected {
+        assert!(
+            got.iter().any(|g| order::hom_equivalent(g, e)),
+            "{name}: exhaustive result missing"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Prefix pruning and the antichain pass change nothing but time:
+    /// for classes closed under subgraphs the search meets every
+    /// in-class quotient of the exhaustive scan and returns the same
+    /// approximations up to equivalence.
+    #[test]
+    fn pruned_search_agrees_with_exhaustive_baseline(t in query_tableau(7)) {
+        assert_search_matches_exhaustive(&t, &TwK(1), true);
+        assert_search_matches_exhaustive(&t, &TwK(2), true);
+    }
+
+    /// Hypergraph-based classes are not pruned: every partition is
+    /// reached. Over binary vocabularies no repair can succeed (an extra
+    /// edge never removes a cycle), so the exhaustive baseline without
+    /// repairs is still the oracle.
+    #[test]
+    fn unpruned_search_agrees_with_exhaustive_baseline(t in query_tableau(6)) {
+        assert_search_matches_exhaustive(&t, &Acyclic, false);
+        assert_search_matches_exhaustive(&t, &HtwK(1), false);
     }
 }

@@ -19,21 +19,28 @@
 //!   enough for every example in the paper; raise it for exhaustiveness on
 //!   wilder vocabularies).
 //!
-//! The exact pipeline is `enumerate candidates → filter by class →
-//! deduplicate up to homomorphic equivalence → keep →-minimal elements →
-//! minimize (core)`; Corollaries 4.3 and 6.5 bound it by single-exponential
-//! time, and Proposition 4.11 shows no polynomial algorithm exists unless
-//! P = NP. [`one_approximation`] is the anytime variant: greedy merging
-//! with a beam, sound (`Q' ⊆ Q` and `Q' ∈ C` always) but not guaranteed
-//! →-minimal.
+//! The exact pipeline is `walk the partition tree → fingerprint and
+//! class-check each quotient reached → stream the in-class candidates
+//! through a →-minimal antichain → minimize (core)`. For a class closed
+//! under subgraphs the walk is a branch-and-bound: a prefix of a
+//! restricted growth string fixes a subgraph of every quotient below it,
+//! so an out-of-class prefix cuts its whole subtree
+//! (`for_each_class_partition`); hypergraph-based classes walk all
+//! Bell(n) partitions, since their repairs start from out-of-class
+//! quotients. Corollaries 4.3 and 6.5 bound the search by
+//! single-exponential time, and Proposition 4.11 shows no polynomial
+//! algorithm exists unless P = NP. [`one_approximation`] is the anytime
+//! variant: greedy merging with a beam, sound (`Q' ⊆ Q` and `Q' ∈ C`
+//! always) but not guaranteed →-minimal.
 
 use crate::classes::{ClassKind, QueryClass};
 use cqapx_cq::{query_from_tableau, tableau_of, ConjunctiveQuery};
-use cqapx_structures::fxhash::{FxHashMap, FxHashSet};
-use cqapx_structures::iso::{isomorphic_pointed, signature_pointed, IsoSignature};
+use cqapx_structures::fxhash::FxHashSet;
+use cqapx_structures::iso::{signature_pointed, IsoSignature};
+use cqapx_structures::order::{self, MinimalAntichain};
+use cqapx_structures::partition::{walk_partitions, Walk};
 use cqapx_structures::{
-    core_of, order, partition::for_each_partition, quotient::quotient_pointed, HomSolver,
-    Partition, Pointed, SearchBudget, StructureBuilder,
+    core_of, quotient::quotient_pointed, Partition, Pointed, SearchBudget, StructureBuilder,
 };
 use std::collections::HashSet;
 use std::ops::ControlFlow;
@@ -46,8 +53,10 @@ use std::ops::ControlFlow;
 /// future fields automatically part of the key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ApproxOptions {
-    /// Cap on the number of partitions enumerated (Bell(n) grows fast).
-    /// When hit, the result is still sound but flagged incomplete.
+    /// Cap on the number of partitions reached: all Bell(n) for a
+    /// hypergraph-based class, those that survive prefix pruning for a
+    /// class closed under subgraphs. When hit, the result is still sound
+    /// but flagged incomplete.
     pub max_partitions: u64,
     /// For hypergraph-based classes: maximum number of extra atoms added
     /// to a quotient when repairing it into the class.
@@ -79,7 +88,7 @@ pub struct ApproxReport {
     pub tableaux: Vec<Pointed>,
     /// Number of in-class candidates examined (after structural dedup).
     pub candidates: usize,
-    /// Number of partitions enumerated.
+    /// Number of partitions reached (pruned subtrees are not counted).
     pub partitions: u64,
     /// `false` when a cap was hit; the output is then still sound (each
     /// returned query is in the class and contained in `Q`) but might miss
@@ -119,143 +128,108 @@ impl ApproxCacheKey {
     }
 }
 
-/// A per-search memo table of hom-order verdicts, keyed by isomorphism
-/// class.
+/// Walks the partitions of `t`'s variables whose quotients can be
+/// candidates for `class`, in RGS order, calling `leaf` on at most
+/// `max_partitions` of them. Returns how many were reached and whether
+/// the walk ran to completion (`leaf` breaking, or the cap, ends it).
 ///
-/// The candidate space of the approximation search is full of repeats: a
-/// quotient and a repaired quotient, or two quotients by conjugate
-/// partitions, are frequently isomorphic, and the dedup/minimality
-/// filtering used to re-derive the same arrows `→` between them over and
-/// over. The memo assigns each tableau an **isomorphism class id** —
-/// bucketed by [`signature_pointed`] (a necessary condition), confirmed by
-/// [`isomorphic_pointed`] (exact, so signature collisions are harmless) —
-/// compiles one [`HomSolver`] per class representative, and caches one
-/// hom-existence verdict per ordered class pair. Hom existence is
-/// invariant under isomorphism on either side, so a per-class verdict is
-/// sound for every member.
-#[derive(Default)]
-pub struct HomOrderMemo {
-    reps: Vec<Pointed>,
-    solvers: Vec<HomSolver>,
-    by_sig: FxHashMap<IsoSignature, Vec<usize>>,
-    verdicts: FxHashMap<(usize, usize), bool>,
-}
-
-impl HomOrderMemo {
-    /// An empty memo.
-    pub fn new() -> Self {
-        HomOrderMemo::default()
+/// For a [`ClassKind::SubgraphClosed`] class this is a branch-and-bound.
+/// A prefix of length `d` fixes the images of the atoms over the first
+/// `d` variables, and those form a subgraph of every quotient below the
+/// prefix; so once [`QueryClass::contains_quotient`] rejects them, no
+/// quotient below is in the class and the subtree is cut. (Only depths
+/// at which some atom has just become fully labelled are tested.)
+/// [`ClassKind::HypergraphClosed`] classes get every partition: a
+/// variable prefix is not an induced subhypergraph, and their repairs
+/// start from out-of-class quotients.
+pub(crate) fn for_each_class_partition(
+    t: &Pointed,
+    class: &dyn QueryClass,
+    max_partitions: u64,
+    mut leaf: impl FnMut(&Partition) -> ControlFlow<()>,
+) -> (u64, bool) {
+    let s = &t.structure;
+    let n = s.universe_size();
+    // Atoms in the order they become fully labelled, and per depth how
+    // many are complete: `done[d]` counts the atoms over `{0, …, d-1}`.
+    let mut atoms: Vec<&[u32]> = Vec::new();
+    if class.kind() == ClassKind::SubgraphClosed {
+        let rels = s.vocabulary().rel_ids();
+        atoms.extend(rels.flat_map(|rel| s.tuples(rel)).map(|a| &a[..]));
+        atoms.sort_by_key(|a| a.iter().max().copied());
     }
-
-    /// The isomorphism-class id of a tableau, interning it on first sight.
-    pub fn class_of(&mut self, p: &Pointed) -> usize {
-        let sig = signature_pointed(p);
-        let bucket = self.by_sig.entry(sig).or_default();
-        for &c in bucket.iter() {
-            // Signature equality already forces equal universe sizes,
-            // per-relation tuple counts and distinguished arities, so a
-            // pinned injective homomorphism from the stored representative
-            // is an isomorphism (the `isomorphic_pointed` argument), and
-            // the representative's compiled solver is reused for the
-            // confirmation.
-            let rep = &self.reps[c];
-            if rep.distinguished().len() == p.distinguished().len()
-                && self.solvers[c]
-                    .run(&p.structure)
-                    .pin_tuple(rep.distinguished(), p.distinguished())
-                    .injective()
-                    .exists()
-            {
-                return c;
+    let done: Vec<usize> = (0..=n)
+        .map(|d| atoms.partition_point(|a| a.iter().all(|&e| (e as usize) < d)))
+        .collect();
+    let mut mapped: Vec<u32> = Vec::new();
+    let mut reached = 0u64;
+    let complete = walk_partitions(n, |p| {
+        let d = p.len();
+        if d == n {
+            if reached == max_partitions {
+                return Walk::Stop;
             }
+            reached += 1;
+            return if leaf(p).is_break() {
+                Walk::Stop
+            } else {
+                Walk::Descend
+            };
         }
-        let c = self.reps.len();
-        bucket.push(c);
-        self.reps.push(p.clone());
-        self.solvers.push(HomSolver::compile(&p.structure));
-        c
-    }
-
-    /// The stored representative of a class.
-    pub fn rep(&self, class: usize) -> &Pointed {
-        &self.reps[class]
-    }
-
-    /// Number of distinct isomorphism classes interned so far.
-    pub fn classes(&self) -> usize {
-        self.reps.len()
-    }
-
-    /// Number of hom verdicts actually derived (≤ ordered class pairs).
-    pub fn derived_verdicts(&self) -> usize {
-        self.verdicts.len()
-    }
-
-    /// `class(a) → class(b)` in the hom preorder (`a ≤ b`), memoized.
-    pub fn hom_le(&mut self, a: usize, b: usize) -> bool {
-        if a == b {
-            return true; // isomorphic tableaux are hom-equivalent
+        if done[d] == done[d - 1] {
+            return Walk::Descend;
         }
-        if let Some(&v) = self.verdicts.get(&(a, b)) {
-            return v;
+        mapped.clear();
+        for a in &atoms[..done[d]] {
+            mapped.extend(a.iter().map(|&e| p.block_of(e as usize)));
         }
-        let ra = &self.reps[a];
-        let rb = &self.reps[b];
-        let v = ra.distinguished().len() == rb.distinguished().len()
-            && self.solvers[a]
-                .run(&rb.structure)
-                .pin_tuple(ra.distinguished(), rb.distinguished())
-                .exists();
-        self.verdicts.insert((a, b), v);
-        v
-    }
-
-    /// Memoized [`order::hom_exists`] on arbitrary tableaux (both sides
-    /// are interned first).
-    pub fn hom_between(&mut self, a: &Pointed, b: &Pointed) -> bool {
-        let ca = self.class_of(a);
-        let cb = self.class_of(b);
-        self.hom_le(ca, cb)
-    }
+        let mut rest = mapped.as_slice();
+        let mut images = atoms[..done[d]].iter().map(|a| {
+            let (image, tail) = rest.split_at(a.len());
+            rest = tail;
+            image
+        });
+        match class.contains_quotient(p.n_blocks(), &mut images) {
+            Some(false) => Walk::Prune,
+            _ => Walk::Descend,
+        }
+    });
+    (reached, complete)
 }
 
-/// Enumerates the in-class candidate tableaux for a query tableau.
+/// Streams the candidate tableaux for a query tableau into `emit`, in
+/// the order the partition walk meets them: the in-class quotients and,
+/// for hypergraph-based classes, the repaired out-of-class ones.
 ///
-/// Distinct partitions frequently induce the *same* quotient; building a
-/// `Structure` (and running the class-membership test) per partition used
-/// to pay for every duplicate. Each quotient is therefore fingerprinted
-/// first — block count plus the per-relation sorted mapped tuples,
-/// computed into reusable scratch buffers with no structure built — and
-/// only unseen fingerprints get materialized and class-checked.
+/// Distinct partitions frequently induce the *same* quotient, so each
+/// quotient is fingerprinted first — block count, mapped distinguished
+/// tuple and the per-relation sorted mapped tuples, computed into
+/// reusable scratch buffers with no structure built — and only unseen
+/// fingerprints get materialized and class-checked. The fingerprint
+/// determines the pointed quotient, so in-class quotients need no second
+/// dedup among themselves.
 fn candidates(
     t: &Pointed,
     class: &dyn QueryClass,
     opts: &ApproxOptions,
-) -> (Vec<Pointed>, u64, bool) {
+    mut emit: impl FnMut(Pointed),
+) -> (u64, bool) {
     let s = &t.structure;
-    let n = s.universe_size();
     let vocab = s.vocabulary().clone();
-    // Flatten the source tuples once: per relation, (arity, concatenated
-    // tuple elements).
-    let rels: Vec<(cqapx_structures::RelId, usize, Vec<u32>)> = vocab
+    // Per relation: (id, arity, concatenated source tuple elements).
+    let rels: Vec<(cqapx_structures::RelId, usize, &[u32])> = vocab
         .rel_ids()
-        .map(|rel| {
-            let arity = vocab.arity(rel);
-            let mut flat = Vec::with_capacity(arity * s.tuples(rel).len());
-            for tup in s.tuples(rel) {
-                flat.extend_from_slice(tup);
-            }
-            (rel, arity, flat)
-        })
+        .map(|rel| (rel, vocab.arity(rel), s.flat_tuples(rel)))
         .collect();
+    let wants_repairs = class.kind() == ClassKind::HypergraphClosed && opts.repair_extra_atoms > 0;
 
     let mut seen_fp: FxHashSet<Box<[u32]>> = FxHashSet::default();
-    // `Structure`'s interior mutability is only its derived index cache,
-    // which equality and hashing ignore — the key is logically immutable.
+    // Repaired quotients can coincide with each other and with in-class
+    // quotients, so a search that repairs dedups whole candidates too.
+    // (`Structure`'s interior mutability is only its derived index cache,
+    // which equality and hashing ignore — the key is logically immutable.)
     #[allow(clippy::mutable_key_type)]
     let mut seen_structs: FxHashSet<Pointed> = FxHashSet::default();
-    let mut out: Vec<Pointed> = Vec::new();
-    let mut count: u64 = 0;
     // Reusable scratch: per-relation sorted/deduplicated mapped tuples,
     // a u64 packing buffer for low arities, a chunk-sort order, a swap
     // buffer for the generic path, and the fingerprint itself.
@@ -265,11 +239,7 @@ fn candidates(
     let mut sorted: Vec<u32> = Vec::new();
     let mut fp: Vec<u32> = Vec::new();
 
-    let complete = for_each_partition(n, |p| {
-        count += 1;
-        if count > opts.max_partitions {
-            return ControlFlow::Break(());
-        }
+    for_each_class_partition(t, class, opts.max_partitions, |p| {
         let labels = p.labels();
         fp.clear();
         fp.push(p.n_blocks() as u32);
@@ -353,8 +323,6 @@ fn candidates(
                 .filter(|((_, w, _), _)| *w > 0)
                 .flat_map(|((_, w, _), buf)| buf.chunks_exact(*w)),
         );
-        let wants_repairs =
-            class.kind() == ClassKind::HypergraphClosed && opts.repair_extra_atoms > 0;
         if verdict == Some(false) && !wants_repairs {
             return ControlFlow::Continue(());
         }
@@ -368,28 +336,23 @@ fn candidates(
                 b.add(*rel, tup);
             }
         }
-        let distinguished = t
-            .distinguished()
-            .iter()
-            .map(|&x| labels[x as usize])
-            .collect();
-        let qt = Pointed::new(b.finish(), distinguished);
+        // After the block count, `fp` opens with the mapped distinguished tuple.
+        let qt = Pointed::new(b.finish(), fp[1..=t.distinguished().len()].to_vec());
 
         let in_class = verdict.unwrap_or_else(|| class.contains_tableau(&qt));
         if in_class {
-            if seen_structs.insert(qt.clone()) {
-                out.push(qt);
+            if !wants_repairs || seen_structs.insert(qt.clone()) {
+                emit(qt);
             }
         } else if wants_repairs {
             for repaired in repairs_public(&qt, class, opts) {
                 if seen_structs.insert(repaired.clone()) {
-                    out.push(repaired);
+                    emit(repaired);
                 }
             }
         }
         ControlFlow::Continue(())
-    });
-    (out, count.min(opts.max_partitions), complete)
+    })
 }
 
 /// Inclusion-minimal augmentations of `qt` with up to
@@ -541,54 +504,19 @@ pub fn all_approximations_tableaux(
     class: &dyn QueryClass,
     opts: &ApproxOptions,
 ) -> (Vec<Pointed>, ApproxReportMeta) {
-    let (cands, partitions, complete) = candidates(t, class, opts);
-    let n_candidates = cands.len();
-    // Collapse candidates into isomorphism classes (isomorphic tableaux
-    // are hom-equivalent, so this is already part of the dedup) and run
-    // the dedup/minimality arrows through the per-search memo: every hom
-    // verdict between two classes is derived at most once.
-    let mut memo = HomOrderMemo::new();
-    let mut class_order: Vec<usize> = Vec::new();
-    let mut seen_classes: FxHashSet<usize> = FxHashSet::default();
-    for c in &cands {
-        let cid = memo.class_of(c);
-        if seen_classes.insert(cid) {
-            class_order.push(cid);
-        }
-    }
-    // Deduplicate up to homomorphic equivalence (first representative
-    // wins), keeping the quadratic minimality pass small.
-    let mut kept: Vec<usize> = Vec::new();
-    'outer: for &c in &class_order {
-        for &k in &kept {
-            if memo.hom_le(c, k) && memo.hom_le(k, c) {
-                continue 'outer;
-            }
-        }
-        kept.push(c);
-    }
-    // →-minimal elements among the kept classes.
-    let minimal: Vec<usize> = kept
-        .iter()
-        .copied()
-        .filter(|&i| {
-            !kept
-                .iter()
-                .any(|&j| j != i && memo.hom_le(j, i) && !memo.hom_le(i, j))
-        })
-        .collect();
-    let mut result: Vec<Pointed> = minimal.into_iter().map(|c| memo.rep(c).clone()).collect();
+    // One pass: a candidate with a current minimal element below it is
+    // dropped after that hom test; any other evicts what it maps into.
+    let mut minimal = MinimalAntichain::new();
+    let mut n_candidates = 0usize;
+    let (partitions, complete) = candidates(t, class, opts, |c| {
+        n_candidates += 1;
+        minimal.offer(c);
+    });
+    let mut result = minimal.into_members();
     if opts.minimize {
+        // Antichain members are pairwise incomparable, so their cores are
+        // pairwise non-isomorphic: nothing to dedup.
         result = result.iter().map(|p| core_of(p).core).collect();
-        // Cores of non-equivalent structures are non-isomorphic; dedupe
-        // defensively anyway.
-        let mut unique: Vec<Pointed> = Vec::new();
-        for r in result {
-            if !unique.iter().any(|u| isomorphic_pointed(u, &r)) {
-                unique.push(r);
-            }
-        }
-        result = unique;
     }
     (
         result,
@@ -605,7 +533,7 @@ pub fn all_approximations_tableaux(
 pub struct ApproxReportMeta {
     /// In-class candidates examined.
     pub candidates: usize,
-    /// Partitions enumerated.
+    /// Partitions reached (pruned subtrees are not counted).
     pub partitions: u64,
     /// Whether the enumeration was exhaustive.
     pub complete: bool,
@@ -735,6 +663,7 @@ mod tests {
     use super::*;
     use crate::classes::{Acyclic, HtwK, TwK};
     use cqapx_cq::{contained_in, equivalent, parse_cq};
+    use cqapx_structures::partition::{bell, for_each_partition};
 
     fn opts() -> ApproxOptions {
         ApproxOptions::default()
@@ -886,31 +815,50 @@ mod tests {
         assert!(equivalent(&one, &q));
     }
 
+    /// Ground truth for `candidates`: the distinct in-class quotients over
+    /// all Bell(n) partitions, each fully materialized.
+    fn exhaustive_candidates(t: &Pointed, class: &dyn QueryClass) -> usize {
+        #[allow(clippy::mutable_key_type)]
+        let mut seen: HashSet<Pointed> = HashSet::new();
+        for_each_partition(t.structure.universe_size(), |p| {
+            let (qt, _) = quotient_pointed(t, p);
+            if class.contains_tableau(&qt) {
+                seen.insert(qt);
+            }
+            ControlFlow::Continue(())
+        });
+        seen.len()
+    }
+
     #[test]
     fn multi_relation_fingerprints_do_not_collide() {
         // Regression: without a length prefix per relation, the quotient
         // fingerprint of a multi-relation vocabulary was ambiguous (a
         // tuple of R could be misread as a tuple of S), silently dropping
-        // distinct candidates. Compare the candidate count against a
-        // ground-truth enumeration with full materialization.
-        use cqapx_structures::Vocabulary;
-        let v = Vocabulary::new(vec![("R", 1), ("S", 1)]);
+        // distinct candidates.
+        let v = cqapx_structures::Vocabulary::new(vec![("R", 1), ("S", 1)]);
         let r = v.rel("R").unwrap();
         let s = v.rel("S").unwrap();
         let mut b = StructureBuilder::new(v, 4);
         b.add(r, &[0]).add(r, &[1]).add(s, &[2]).add(s, &[3]);
         let t = Pointed::boolean(b.finish());
-        #[allow(clippy::mutable_key_type)]
-        let mut ground_truth: HashSet<Pointed> = HashSet::new();
-        for_each_partition(4, |p| {
-            let (qt, _) = quotient_pointed(&t, p);
-            if TwK(1).contains_tableau(&qt) {
-                ground_truth.insert(qt);
-            }
-            ControlFlow::Continue(())
-        });
-        let (_, meta) = all_approximations_tableaux(&t, &TwK(1), &ApproxOptions::default());
-        assert_eq!(meta.candidates, ground_truth.len());
+        let (_, meta) = all_approximations_tableaux(&t, &TwK(1), &opts());
+        assert_eq!(meta.candidates, exhaustive_candidates(&t, &TwK(1)));
+    }
+
+    #[test]
+    fn c6_into_tw1_prunes_the_partition_tree() {
+        // Branch-and-bound reaches fewer than Bell(6) = 203 partitions and
+        // still meets every in-class quotient the exhaustive scan does;
+        // the hypergraph discipline walks all of them.
+        let c6 = parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
+        let expected = exhaustive_candidates(&tableau_of(&c6), &TwK(1));
+        let rep = all_approximations(&c6, &TwK(1), &opts());
+        assert!(rep.complete);
+        assert!(rep.partitions < bell(6), "reached {}", rep.partitions);
+        assert_eq!(rep.candidates, expected);
+        let ac = all_approximations(&c6, &Acyclic, &opts());
+        assert_eq!((ac.partitions, ac.candidates), (bell(6), expected));
     }
 
     #[test]

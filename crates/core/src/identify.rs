@@ -10,24 +10,26 @@
 //! 2. no witness `Q'' ∈ C` with `Q' ⊂ Q'' ⊆ Q` — the paper observes the
 //!    witness can always be chosen among structures not exceeding `|Q|`,
 //!    specifically among homomorphic images of `T_Q` (quotients), which is
-//!    exactly the candidate space we enumerate (coNP).
+//!    exactly the candidate space we enumerate (coNP) — with the same
+//!    walk as the search (`approx::for_each_class_partition`), so a class
+//!    closed under subgraphs skips the subtrees with no in-class quotient.
 //!
 //! For hypergraph-based classes the witness space additionally includes
 //! the bounded repair augmentations of Claim 6.2 (see
 //! [`crate::approx`]); completeness is subject to the configured repair
 //! cap.
 
-use crate::approx::ApproxOptions;
+use crate::approx::{for_each_class_partition, ApproxOptions};
 use crate::classes::{ClassKind, QueryClass};
 use cqapx_cq::{contained_in, tableau_of, ConjunctiveQuery};
-use cqapx_structures::{order, partition::for_each_partition, quotient::quotient_pointed};
+use cqapx_structures::{order, quotient::quotient_pointed};
 use std::ops::ControlFlow;
 
 /// Decides whether `q_prime` is a `C`-approximation of `q`.
 ///
-/// Returns `None` when the partition cap was hit before a verdict (the
-/// instance is too large for exhaustive search); `Some(true/false)`
-/// otherwise.
+/// Returns `None` when `opts.max_partitions` partitions were reached
+/// without a verdict (the instance is too large for exhaustive search);
+/// `Some(true/false)` otherwise.
 ///
 /// # Examples
 ///
@@ -60,14 +62,8 @@ pub fn is_approximation(
     // T_{Q''} → T_{Q'} (so Q' ⊆ Q'') without the converse, and T_{Q''} a
     // candidate (quotient / repaired quotient of T_Q, so Q'' ⊆ Q).
     let t = tableau_of(q);
-    let n = t.structure.universe_size();
     let mut found_witness = false;
-    let mut budget = opts.max_partitions;
-    let complete = for_each_partition(n, |p| {
-        if budget == 0 {
-            return ControlFlow::Break(());
-        }
-        budget -= 1;
+    let (_, complete) = for_each_class_partition(&t, class, opts.max_partitions, |p| {
         let (qt, _) = quotient_pointed(&t, p);
         let mut candidates = Vec::new();
         if class.contains_tableau(&qt) {

@@ -124,6 +124,49 @@ pub fn dedupe_hom_equivalent(family: &[Pointed]) -> Vec<usize> {
     kept
 }
 
+/// The →-minimal elements of a stream of pointed structures, one
+/// representative per hom-equivalence class, maintained incrementally.
+///
+/// Invariant: the members are pairwise incomparable, and everything
+/// offered so far has a member below it (`m → x`). So a newcomer with a
+/// member below it is not minimal (or repeats a class) and is dropped
+/// after one hom test per member, without ever being compiled; any other
+/// newcomer is compiled, evicts the members it maps into, and joins.
+/// The result equals [`minimal_elements`] of [`dedupe_hom_equivalent`] of
+/// the stream, first representatives in arrival order.
+#[derive(Default)]
+pub struct MinimalAntichain {
+    members: Vec<(HomSolver, Pointed)>,
+}
+
+impl MinimalAntichain {
+    /// An empty antichain.
+    pub fn new() -> Self {
+        MinimalAntichain::default()
+    }
+
+    /// Offers the next element of the stream; `true` when it joined.
+    pub fn offer(&mut self, c: Pointed) -> bool {
+        if self
+            .members
+            .iter()
+            .any(|(solver, m)| hom_exists_compiled(solver, m, &c))
+        {
+            return false;
+        }
+        let solver = HomSolver::compile(&c.structure);
+        self.members
+            .retain(|(_, m)| !hom_exists_compiled(&solver, &c, m));
+        self.members.push((solver, c));
+        true
+    }
+
+    /// The current minimal representatives, in arrival order.
+    pub fn into_members(self) -> Vec<Pointed> {
+        self.members.into_iter().map(|(_, m)| m).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,6 +215,21 @@ mod tests {
         assert_eq!(mins, vec![1, 3]); // C6 and C4
         let maxs = maximal_elements(&family);
         assert_eq!(maxs, vec![2]); // the loop
+    }
+
+    #[test]
+    fn antichain_evicts_and_drops() {
+        // The family of `minimal_and_maximal`, ordered so that each of
+        // the first two members is evicted by the next.
+        let mut chain = MinimalAntichain::new();
+        assert!(chain.offer(lp()));
+        assert!(chain.offer(cycle(3))); // evicts the loop
+        assert!(chain.offer(cycle(6))); // evicts C3
+        assert!(chain.offer(cycle(4))); // incomparable with C6
+        assert!(!chain.offer(cycle(3))); // C6 → C3
+        let twice = Pointed::boolean(cycle(6).structure.disjoint_union(&cycle(6).structure));
+        assert!(!chain.offer(twice)); // equivalent to C6
+        assert_eq!(chain.into_members(), vec![cycle(6), cycle(4)]);
     }
 
     #[test]

@@ -127,8 +127,70 @@ impl Partition {
     }
 }
 
+/// What a [`walk_partitions`] visitor wants done below the prefix it was
+/// shown.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Walk {
+    /// Visit the extensions of this prefix (at a leaf: move on).
+    Descend,
+    /// Skip every extension of this prefix.
+    Prune,
+    /// Stop the whole enumeration.
+    Stop,
+}
+
+/// Depth-first walk of the restricted-growth-string tree of
+/// `{0, …, n-1}`: the visitor sees every non-empty RGS prefix, as the
+/// partition of `{0, …, len-1}` it denotes, before any of its
+/// extensions, and decides whether to [`Walk::Descend`]. Prefixes of
+/// length `n` are the partitions themselves and arrive in RGS order. A
+/// bound that is monotone along extension — once a prefix fails, every
+/// partition below it fails — turns the walk into a branch-and-bound.
+///
+/// One `Partition` is reused for the whole walk; clone it to keep it.
+/// Returns `true` unless the visitor answered [`Walk::Stop`]. (`n = 0`
+/// has one partition, the empty one, and it is visited as a leaf.)
+pub fn walk_partitions<F: FnMut(&Partition) -> Walk>(n: usize, mut f: F) -> bool {
+    let mut p = Partition {
+        blocks: Vec::with_capacity(n),
+        n_blocks: 0,
+    };
+    if n == 0 {
+        return f(&p) != Walk::Stop;
+    }
+    // `before[i]`: number of blocks among the first `i` labels.
+    let mut before = vec![0u32; n];
+    p.blocks.push(0);
+    p.n_blocks = 1;
+    loop {
+        match f(&p) {
+            Walk::Stop => return false,
+            Walk::Descend if p.blocks.len() < n => {
+                before[p.blocks.len()] = p.n_blocks;
+                p.blocks.push(0);
+                continue;
+            }
+            _ => {}
+        }
+        // Next sibling of the deepest label that has one.
+        loop {
+            let last = p.blocks.len() - 1;
+            if last == 0 {
+                return true; // exhausted
+            }
+            if p.blocks[last] < before[last] {
+                p.blocks[last] += 1;
+                p.n_blocks = before[last].max(p.blocks[last] + 1);
+                break;
+            }
+            p.blocks.pop();
+        }
+    }
+}
+
 /// Enumerates every partition of `{0, …, n-1}` (Bell(n) of them) in RGS
-/// order, invoking the callback on each; stops early on `Break`.
+/// order, invoking the callback on each; stops early on `Break`. This is
+/// [`walk_partitions`] with nothing pruned.
 ///
 /// Returns `true` when the enumeration ran to completion.
 ///
@@ -146,47 +208,13 @@ impl Partition {
 /// assert_eq!(count, 15); // Bell(4)
 /// ```
 pub fn for_each_partition<F: FnMut(&Partition) -> ControlFlow<()>>(n: usize, mut f: F) -> bool {
-    if n == 0 {
-        return matches!(
-            f(&Partition {
-                blocks: vec![],
-                n_blocks: 0
-            }),
-            ControlFlow::Continue(())
-        );
-    }
-    // Iterative RGS enumeration.
-    let mut b = vec![0u32; n]; // current RGS
-    let mut m = vec![0u32; n]; // m[i] = max(b[0..=i])
-    loop {
-        let n_blocks = m[n - 1] + 1;
-        let p = Partition {
-            blocks: b.clone(),
-            n_blocks,
-        };
-        if let ControlFlow::Break(()) = f(&p) {
-            return false;
+    walk_partitions(n, |p| {
+        if p.len() == n && f(p).is_break() {
+            Walk::Stop
+        } else {
+            Walk::Descend
         }
-        // Find rightmost position we can increment.
-        let mut i = n - 1;
-        loop {
-            if i == 0 {
-                return true; // exhausted
-            }
-            let max_prev = m[i - 1];
-            if b[i] <= max_prev {
-                // can increment b[i] up to max_prev + 1
-                b[i] += 1;
-                m[i] = m[i - 1].max(b[i]);
-                for j in i + 1..n {
-                    b[j] = 0;
-                    m[j] = m[j - 1];
-                }
-                break;
-            }
-            i -= 1;
-        }
-    }
+    })
 }
 
 /// The `n`-th Bell number (number of partitions of an `n`-set), saturating
@@ -257,6 +285,29 @@ mod tests {
         });
         assert!(!completed);
         assert_eq!(count, 10);
+    }
+
+    #[test]
+    fn walk_shows_prefixes_first_and_prunes_subtrees() {
+        // Every visit is a normalized partition seen after its parent
+        // prefix; pruning "0 and 1 share a block" leaves exactly the
+        // partitions of 5 that separate them.
+        let mut visited: Vec<Vec<u32>> = Vec::new();
+        let mut leaves = 0u64;
+        assert!(walk_partitions(5, |p| {
+            let l = p.labels();
+            assert_eq!(p, &Partition::from_labels(l));
+            assert!(l.len() == 1 || visited.contains(&l[..l.len() - 1].to_vec()));
+            assert!(l.len() <= 2 || l[..2] != [0, 0], "pruned subtree entered");
+            visited.push(l.to_vec());
+            leaves += (l.len() == 5) as u64;
+            if l == [0, 0] {
+                Walk::Prune
+            } else {
+                Walk::Descend
+            }
+        }));
+        assert_eq!(leaves, bell(5) - bell(4));
     }
 
     #[test]

@@ -19,7 +19,7 @@ fn main() {
 
     let rep = all_approximations(&q, &Acyclic, &ApproxOptions::default());
     println!(
-        "\n{} non-equivalent acyclic approximations (searched {} quotients):",
+        "\n{} non-equivalent acyclic approximations (reached {} partitions):",
         rep.approximations.len(),
         rep.partitions
     );

@@ -24,7 +24,7 @@ fn main() {
     // Compute all acyclic (TW(1)) approximations exactly.
     let rep = all_approximations(&q, &TwK(1), &ApproxOptions::default());
     println!(
-        "  searched {} quotients, {} candidates, complete = {}",
+        "  reached {} partitions (pruned subtrees not counted), {} candidates, complete = {}",
         rep.partitions, rep.candidates, rep.complete
     );
     for a in &rep.approximations {
