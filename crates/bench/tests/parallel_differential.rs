@@ -185,6 +185,163 @@ where
     }
 }
 
+/// Plan slots share the rows of the cache entries they adopt, so no
+/// plan shape may ever write through one: Boolean and one-variable
+/// heads, identity projections (alone and after a join), Cartesian
+/// roots, and decomposed plans with 0-ary connector bags run three
+/// times each against one engine-owned cache (budgeted or not, as the
+/// environment says) at thread budgets 1 and 2. After every run each
+/// entry reads back byte-identical to its first landing, resident
+/// bytes stand still unless something was evicted, and the answers are
+/// the naive evaluator's.
+#[test]
+fn cached_rows_are_never_written_through_a_sharing_slot() {
+    use cqapx_cq::eval::{MatCacheStats, PlanIr};
+    let edges: Vec<(u32, u32)> = (0..240u32)
+        .flat_map(|u| [(u, (u * 7 + 3) % 240), (u, (u + 1) % 200), (u % 50, u)])
+        .collect();
+    let d = Structure::digraph(260, &edges);
+    let texts = [
+        "Q() :- E(x,y), E(y,z), E(z,w)",
+        "Q(x) :- E(x,y), E(y,z), E(z,w)",
+        "Q(x,y) :- E(x,y)",
+        "Q(x,y,z) :- E(x,y), E(y,z)",
+        "Q(x,z) :- E(x,y), E(y,z), E(y,y)",
+        "Q(x,u) :- E(x,x), E(u,v), E(v,u)",
+        "Q() :- E(x,y), E(u,v), E(v,w)",
+        "Q(x) :- E(x,y), E(y,z), E(z,x)",
+        "Q() :- E(a,b), E(b,c), E(c,d), E(d,a)",
+        "Q(a) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,a)",
+    ];
+    let mut landed: Vec<(String, Vec<Vec<u32>>)> = Vec::new();
+    let mut connector_bags = 0;
+    for threads in [1, 2] {
+        let engine = Engine::new(EngineConfig::default());
+        let db = engine.register_database("g", d.clone());
+        let entry = engine.database(db).expect("registered");
+        let cache = &entry.materialized;
+        let budget = ThreadBudget::new(threads);
+        for text in texts {
+            let q = parse_cq(text).unwrap();
+            let expected = NaivePlan::compile(q.clone()).eval(&d);
+            let acyclic = AcyclicPlan::compile(&q).ok();
+            let decomposed = acyclic
+                .is_none()
+                .then(|| DecomposedPlan::compile(&q, treewidth_of_query(&q)).unwrap());
+            let ir: &PlanIr = match (&acyclic, &decomposed) {
+                (Some(p), _) => p.ir(),
+                (_, Some(p)) => p.ir(),
+                _ => unreachable!(),
+            };
+            connector_bags += ir
+                .materialize_sources()
+                .filter(|s| s.parts.is_empty())
+                .count();
+            // (evictions, resident bytes) once the previous run was over.
+            let mut quiescent: Option<(u64, usize)> = None;
+            for run in 0..3 {
+                let (answers, _) = ir.run_answers(q.free_vars(), &d, Some(cache), &budget, None);
+                assert_eq!(answers, expected, "{text}, run {run}, {threads} threads");
+                // Read every entry back (an evicted one re-lands, from
+                // the same database, so the bytes must agree all the
+                // same).
+                for source in ir.materialize_sources() {
+                    let rel =
+                        source.materialize(&d, Some(cache), &mut MatCacheStats::default(), &budget);
+                    let rows: Vec<Vec<u32>> = rel.iter_rows().map(<[u32]>::to_vec).collect();
+                    let key = format!("{:?}", source.key);
+                    match landed.iter().find(|(k, _)| *k == key) {
+                        Some((_, first)) => assert_eq!(&rows, first, "{text}, run {run}: {key}"),
+                        None => landed.push((key, rows)),
+                    }
+                }
+                let now = (cache.evictions(), cache.resident_bytes());
+                if let Some(before) = quiescent.replace(now) {
+                    assert!(
+                        before == now || before.0 != now.0,
+                        "{text}, run {run}: {before:?} -> {now:?}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(connector_bags > 0, "no plan had a 0-ary connector bag");
+}
+
+/// The system allocator, counting the calling thread's allocations
+/// while that thread has switched its counter on (other tests of this
+/// binary run beside it on their own threads).
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
+}
+
+fn note_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`;
+// the counter is a const-initialised thread-local `Cell` without a
+// destructor, so reading it allocates nothing.
+unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { std::alloc::System.alloc(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
+        note_alloc();
+        // SAFETY: `ptr` came from `System` with `layout`, as the caller vouches.
+        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        // SAFETY: `ptr` came from `System` with `layout`.
+        unsafe { std::alloc::System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// A warm two-atom request allocates the same number of times whether
+/// or not the database has a dangling tuple: the one semijoin left in
+/// the plan costs the same when it removes a row as when it removes
+/// none, and the second sweep — which would rebuild the bitmaps of
+/// whatever the first one touched — is the join. (`cqbench` draws a
+/// new graph per seed, about one in three without an in-degree-0
+/// vertex; its allocation counts must not tell them apart.)
+#[test]
+fn warm_wedge_allocations_ignore_a_dangling_tuple() {
+    let mut edges: Vec<(u32, u32)> = (0..400u32)
+        .flat_map(|u| [(u, (u * 7 + 3) % 400), (u, (u + 1) % 400)])
+        .collect();
+    let full = Structure::digraph(402, &edges);
+    // Vertex 400 gets an edge out and none in: `E(y,z)` loses one row.
+    edges.push((400, 0));
+    let dangling = Structure::digraph(402, &edges);
+    for text in ["Q(x,y,z) :- E(x,y), E(y,z)", "Q(x,z) :- E(x,y), E(y,z)"] {
+        let q = parse_cq(text).unwrap();
+        let plan = AcyclicPlan::compile(&q).unwrap();
+        let budget = ThreadBudget::new(1);
+        let counts = [&full, &dangling].map(|d| {
+            let cache = MaterializationCache::new();
+            let warm = plan
+                .ir()
+                .run_answers(q.free_vars(), d, Some(&cache), &budget, None);
+            assert_eq!(warm.0, NaivePlan::compile(q.clone()).eval(d), "{text}");
+            ALLOCS.with(|n| n.set(Some(0)));
+            let again = plan
+                .ir()
+                .run_answers(q.free_vars(), d, Some(&cache), &budget, None);
+            let count = ALLOCS.with(|n| n.replace(None)).expect("switched on");
+            assert_eq!(again.0, warm.0, "{text}");
+            count
+        });
+        assert_eq!(counts[0], counts[1], "{text}: full vs dangling");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

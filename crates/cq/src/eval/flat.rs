@@ -11,7 +11,9 @@
 //! indices rather than per-row set insertion, and semijoins compact the
 //! surviving rows in place instead of rebuilding the set. The only
 //! allocations on the hot path are the (reused, chain-linked) key index
-//! and the output buffers of joins/projections.
+//! and the output buffers of joins/projections. Rows that landed in a
+//! [`MaterializationCache`] are shared, not copied, by every plan slot
+//! that adopts them (see [`FlatRelation::relabel`]).
 //!
 //! Layout of a relation over schema `(x, y)` with rows `(1,2)`, `(3,4)`:
 //!
@@ -422,6 +424,50 @@ fn isect_keys<K: Copy + Ord>(mine: &[K], theirs: &[K]) -> Vec<K> {
     out
 }
 
+/// Row storage of a [`FlatRelation`]: a plain owned buffer, or the
+/// bytes of a [`MaterializationCache`] entry shared by every plan slot
+/// that adopted it (clone and [`FlatRelation::relabel`] are then O(1)).
+/// Reads deref to the buffer either way; writers ask for
+/// [`Rows::make_mut`] once, outside their row loops, and only then is
+/// a shared buffer copied.
+#[derive(Debug, Clone)]
+enum Rows {
+    Owned(Vec<Element>),
+    Shared(Arc<Vec<Element>>),
+}
+
+impl std::ops::Deref for Rows {
+    type Target = Vec<Element>;
+    fn deref(&self) -> &Vec<Element> {
+        match self {
+            Rows::Owned(v) => v,
+            Rows::Shared(a) => a,
+        }
+    }
+}
+
+impl Rows {
+    /// The buffer for in-place mutation (copy-on-write when shared).
+    fn make_mut(&mut self) -> &mut Vec<Element> {
+        if let Rows::Shared(a) = self {
+            *self = Rows::Owned(a.to_vec());
+        }
+        match self {
+            Rows::Owned(v) => v,
+            Rows::Shared(_) => unreachable!("just made owned"),
+        }
+    }
+
+    /// The buffer for overwriting: an owned allocation is handed out
+    /// for reuse, shared bytes are left to their other holders.
+    fn take_scratch(&mut self) -> Vec<Element> {
+        match std::mem::replace(self, Rows::Owned(Vec::new())) {
+            Rows::Owned(v) => v,
+            Rows::Shared(_) => Vec::new(),
+        }
+    }
+}
+
 /// A relation over distinct variables, stored columnar-flat: one
 /// contiguous row-major buffer instead of a hash set of row vectors.
 ///
@@ -438,7 +484,7 @@ pub struct FlatRelation {
     /// intermediates — still distinguish "no row" from "one empty row").
     rows: usize,
     /// Row-major buffer of `rows * schema.len()` elements.
-    data: Vec<Element>,
+    data: Rows,
     /// Dense-domain guarantee: when nonzero, every element of `data` is
     /// `< domain_width` (the snapshot dictionary's code count). `0`
     /// means "no guarantee" — the hashed index fallback. Relations
@@ -459,7 +505,7 @@ impl FlatRelation {
         FlatRelation {
             schema,
             rows: 0,
-            data: Vec::new(),
+            data: Rows::Owned(Vec::new()),
             domain_width: 0,
             bitmaps: BitmapCell::default(),
             words: WordsCell::default(),
@@ -473,7 +519,7 @@ impl FlatRelation {
         FlatRelation {
             schema: Vec::new(),
             rows: 1,
-            data: Vec::new(),
+            data: Rows::Owned(Vec::new()),
             domain_width: 0,
             bitmaps: BitmapCell::default(),
             words: WordsCell::default(),
@@ -494,23 +540,24 @@ impl FlatRelation {
         FlatRelation {
             schema: (0..arity as VarId).collect(),
             rows,
-            data,
+            data: Rows::Owned(data),
             domain_width,
             bitmaps: BitmapCell::default(),
             words: WordsCell::default(),
         }
     }
 
-    /// The row count and the row-major buffer, schema dropped.
-    pub(crate) fn into_raw(self) -> (usize, Vec<Element>) {
-        (self.rows, self.data)
+    /// The row count and the row-major buffer (copied out if it is
+    /// shared), schema dropped.
+    pub(crate) fn into_raw(mut self) -> (usize, Vec<Element>) {
+        (self.rows, std::mem::take(self.data.make_mut()))
     }
 
     /// Appends `rows` rows given as one row-major slice. May introduce
     /// duplicates, like [`FlatRelation::push_row`].
     pub(crate) fn extend_raw(&mut self, rows: usize, data: &[Element]) {
         debug_assert_eq!(data.len(), rows * self.schema.len(), "row arity mismatch");
-        self.data.extend_from_slice(data);
+        self.data.make_mut().extend_from_slice(data);
         self.rows += rows;
         self.invalidate_bitmaps();
     }
@@ -550,7 +597,9 @@ impl FlatRelation {
     /// relations prebuild their bitmaps at landing (`prebuild_bitmaps`
     /// in [`MaterializationCache::get_or_materialize`]) so the bytes
     /// stored with the cache entry — and subtracted at eviction —
-    /// include them.
+    /// include them. A shared buffer counts in full for every holder:
+    /// the cache charges an entry once, at landing, and the slots that
+    /// adopt it are never charged.
     pub fn heap_bytes(&self) -> usize {
         self.data.capacity() * std::mem::size_of::<Element>()
             + self.schema.capacity() * std::mem::size_of::<VarId>()
@@ -588,29 +637,16 @@ impl FlatRelation {
         }
     }
 
-    /// Whether projecting `self` to `vars` would take the fused
-    /// packed path — the `EvalProfile` labelling predicate, mirroring
-    /// the `packed_sort_wanted` check [`FlatRelation::project_budget`]
-    /// makes on its (projected-schema, same-width, same-row-count)
-    /// output shell.
-    pub(crate) fn packed_project_would_dispatch(&self, vars: &[VarId]) -> bool {
-        if self.domain_width == 0 {
-            return false;
-        }
-        let mut kept: Vec<VarId> = Vec::new();
-        for &v in vars {
-            if !kept.contains(&v) {
-                kept.push(v);
-            }
-        }
-        if kept.is_empty() || kept.len() > 2 {
-            return false;
-        }
-        match packed_mode() {
-            PackedMode::Off => false,
-            PackedMode::On => true,
-            PackedMode::Auto => self.rows >= PACKED_MIN_ROWS,
-        }
+    /// Whether [`FlatRelation::join_project_budget`] on these operands
+    /// would dedup through the packed radix sort — the `EvalProfile`
+    /// labelling predicate, judged on the very shell the operator
+    /// dispatches on.
+    pub(crate) fn packed_join_project_would_dispatch(
+        &self,
+        other: &FlatRelation,
+        vars: &[VarId],
+    ) -> bool {
+        self.join_shell(other, Some(vars)).0.packed_sort_wanted()
     }
 
     /// Whether a semijoin against `source` on `source_pos` would
@@ -629,20 +665,26 @@ impl FlatRelation {
     /// [`FlatRelation::join_budget`]'s shared-column and
     /// build-smaller-side choices.
     pub(crate) fn packed_join_would_dispatch(&self, other: &FlatRelation) -> bool {
-        let mut my_shared = Vec::new();
-        let mut their_shared = Vec::new();
-        for (i, v) in self.schema.iter().enumerate() {
-            if let Some(j) = other.schema.iter().position(|w| w == v) {
-                my_shared.push(i);
-                their_shared.push(j);
-            }
-        }
+        let (my_shared, their_shared) = self.shared_columns(other);
         let (build, build_pos) = if self.rows <= other.rows {
             (self, &my_shared)
         } else {
             (other, &their_shared)
         };
         KeyIndex::wants_packed(build, build_pos)
+    }
+
+    /// The positions, in `self` and in `other`, of the variables both
+    /// schemas hold (the natural-join key), in `self`'s column order.
+    fn shared_columns(&self, other: &FlatRelation) -> (Vec<usize>, Vec<usize>) {
+        let mut shared = (Vec::new(), Vec::new());
+        for (i, v) in self.schema.iter().enumerate() {
+            if let Some(j) = other.schema.iter().position(|w| w == v) {
+                shared.0.push(i);
+                shared.1.push(j);
+            }
+        }
+        shared
     }
 
     /// Whether a sequential dedup of this relation would take the
@@ -710,7 +752,9 @@ impl FlatRelation {
     /// Drops all rows.
     pub fn clear(&mut self) {
         self.rows = 0;
-        self.data.clear();
+        let mut data = self.data.take_scratch();
+        data.clear();
+        self.data = Rows::Owned(data);
         self.invalidate_bitmaps();
     }
 
@@ -731,10 +775,8 @@ impl FlatRelation {
     /// bag builds.
     pub(crate) fn reset(&mut self, schema: Vec<VarId>) {
         self.schema = schema;
-        self.rows = 0;
-        self.data.clear();
+        self.clear();
         self.domain_width = 0;
-        self.invalidate_bitmaps();
     }
 
     /// The `i`-th row.
@@ -753,7 +795,7 @@ impl FlatRelation {
     /// call [`FlatRelation::sort_dedup`] to normalize.
     pub fn push_row(&mut self, row: &[Element]) {
         debug_assert_eq!(row.len(), self.schema.len(), "row arity mismatch");
-        self.data.extend_from_slice(row);
+        self.data.make_mut().extend_from_slice(row);
         self.rows += 1;
         self.invalidate_bitmaps();
     }
@@ -761,7 +803,9 @@ impl FlatRelation {
     /// The same rows under different column labels (`schema` must have
     /// the original arity). This is how cached materializations —
     /// stored under canonical labels — are adopted into a plan's
-    /// variable space: one buffer memcpy, no re-scan.
+    /// variable space: cache entries hold shared rows, so adoption is
+    /// a new schema over the *same bytes* and the same bitmaps, O(1)
+    /// whatever the row count (an owned buffer is copied).
     pub fn relabel(&self, schema: Vec<VarId>) -> FlatRelation {
         assert_eq!(schema.len(), self.schema.len(), "relabel arity mismatch");
         FlatRelation {
@@ -772,6 +816,25 @@ impl FlatRelation {
             // Same rows, same bitmaps: relabeling shares the cell.
             bitmaps: self.bitmaps.clone(),
             words: WordsCell::default(),
+        }
+    }
+
+    /// Moves the row buffer behind an `Arc` (no copy; nothing to do
+    /// when it already is) so that clones and relabels share it. The
+    /// cache does this at landing and the plan interpreter for an
+    /// identity projection; every other buffer stays plainly owned.
+    pub(crate) fn share_rows(&mut self) {
+        if let Rows::Owned(v) = &mut self.data {
+            self.data = Rows::Shared(Arc::new(std::mem::take(v)));
+        }
+    }
+
+    /// Whether both relations read the same shared row bytes.
+    #[cfg(test)]
+    pub(crate) fn shares_rows_with(&self, other: &FlatRelation) -> bool {
+        match (&self.data, &other.data) {
+            (Rows::Shared(a), Rows::Shared(b)) => Arc::ptr_eq(a, b),
+            _ => false,
         }
     }
 
@@ -795,8 +858,9 @@ impl FlatRelation {
             "union operands must range over the same variables"
         );
         self.domain_width = self.combine_widths(other);
+        let data = self.data.make_mut();
         if self.schema == other.schema {
-            self.data.extend_from_slice(&other.data);
+            data.extend_from_slice(&other.data);
             self.rows += other.rows;
             self.invalidate_bitmaps();
             return;
@@ -807,10 +871,10 @@ impl FlatRelation {
             .iter()
             .map(|v| other.schema.iter().position(|w| w == v).expect("same vars"))
             .collect();
-        self.data.reserve(other.rows * self.schema.len());
+        data.reserve(other.rows * self.schema.len());
         for row in other.iter_rows() {
             for &p in &from {
-                self.data.push(row[p]);
+                data.push(row[p]);
             }
         }
         self.rows += other.rows;
@@ -910,7 +974,7 @@ impl FlatRelation {
             (total, out)
         };
         self.rows = rows_out;
-        self.data = data_out;
+        self.data = Rows::Owned(data_out);
     }
 
     /// The sequential sort + dedup (also the `threads = 1` compile
@@ -957,7 +1021,7 @@ impl FlatRelation {
         let a = self.schema.len();
         let n = self.rows;
         if a == 1 {
-            radix_dedup_u32(&mut self.data);
+            radix_dedup_u32(self.data.make_mut());
             self.rows = self.data.len();
             note_packed(n);
             return;
@@ -967,21 +1031,28 @@ impl FlatRelation {
         if a * b as usize <= 32 {
             let mut keys = self.build_words32(b);
             radix_dedup_u32(&mut keys);
-            unpack_words(keys.iter().map(|&k| u64::from(k)), a, b, &mut self.data);
-            self.rows = keys.len();
+            self.refill(keys.iter().map(|&k| u64::from(k)), b);
             if a == 2 {
                 self.words.0 = Some(PackedWords::W32 { b, keys });
             }
         } else {
             let mut keys = self.build_words64(b);
             radix_dedup(&mut keys);
-            unpack_words(keys.iter().copied(), a, b, &mut self.data);
-            self.rows = keys.len();
+            self.refill(keys.iter().copied(), b);
             if a == 2 {
                 self.words.0 = Some(PackedWords::W64 { b, keys });
             }
         }
         note_packed(n);
+    }
+
+    /// Replaces the rows by the unpacked `words` (`b` bits a column),
+    /// reusing an owned buffer and leaving a shared one alone.
+    fn refill(&mut self, words: impl ExactSizeIterator<Item = u64>, b: u32) {
+        self.rows = words.len();
+        let mut data = self.data.take_scratch();
+        unpack_words(words, self.schema.len(), b, &mut data);
+        self.data = Rows::Owned(data);
     }
 
     /// Packs every row into a tight `u32` word at per-column bit
@@ -1000,49 +1071,6 @@ impl FlatRelation {
             .chunks_exact(self.schema.len())
             .map(|row| row.iter().fold(0, |w, &c| (w << b) | u64::from(c)))
             .collect()
-    }
-
-    /// Fused packed projection: packs the kept columns of every source
-    /// row straight into tight code words, radix sorts, dedups, and
-    /// unpacks into `out`. This replaces the unpacked path's column
-    /// gather **and** its canonical sort with one pipeline — the
-    /// intermediate row buffer the gather would write (and the sort
-    /// would immediately re-read) never exists. The caller guarantees
-    /// `out.packed_sort_wanted()` at arity 1 or 2: a dense-domain
-    /// bound and a row count past the knob's threshold.
-    fn project_packed_into(&self, keep: &[usize], out: &mut FlatRelation) {
-        let a = self.schema.len();
-        let n = self.rows;
-        match *keep {
-            [k] => {
-                let mut keys: Vec<Element> = (0..n).map(|i| self.data[i * a + k]).collect();
-                radix_dedup_u32(&mut keys);
-                out.rows = keys.len();
-                out.data = keys;
-            }
-            [k0, k1] => {
-                let b = code_bits(out.domain_width);
-                if 2 * b <= 32 {
-                    let mut keys: Vec<u32> = (0..n)
-                        .map(|i| (self.data[i * a + k0] << b) | self.data[i * a + k1])
-                        .collect();
-                    radix_dedup_u32(&mut keys);
-                    unpack_words(keys.iter().map(|&k| u64::from(k)), 2, b, &mut out.data);
-                    out.rows = keys.len();
-                } else {
-                    let mut keys: Vec<u64> = (0..n)
-                        .map(|i| {
-                            ((self.data[i * a + k0] as u64) << b) | self.data[i * a + k1] as u64
-                        })
-                        .collect();
-                    radix_dedup(&mut keys);
-                    unpack_words(keys.iter().copied(), 2, b, &mut out.data);
-                    out.rows = keys.len();
-                }
-            }
-            _ => unreachable!("packed projection requires arity 1 or 2"),
-        }
-        note_packed(n);
     }
 
     /// The comparison arm of [`FlatRelation::sort_dedup_seq`] (also
@@ -1065,20 +1093,21 @@ impl FlatRelation {
             packed.len()
         }
         let a = self.schema.len();
-        // Already canonical (scans and radix-projected inputs usually
-        // are): one sequential pass instead of a copy-out sort.
+        // Already canonical (scans, cache entries and radix-projected
+        // inputs usually are): one sequential pass instead of a
+        // copy-out sort, and a shared buffer stays shared.
         if self.data.chunks_exact(a).is_sorted_by(|x, y| x < y) {
             return;
         }
         match a {
-            1 => self.rows = packed::<1>(self.rows, &mut self.data),
-            2 => self.rows = packed::<2>(self.rows, &mut self.data),
-            3 => self.rows = packed::<3>(self.rows, &mut self.data),
-            4 => self.rows = packed::<4>(self.rows, &mut self.data),
-            5 => self.rows = packed::<5>(self.rows, &mut self.data),
-            6 => self.rows = packed::<6>(self.rows, &mut self.data),
-            7 => self.rows = packed::<7>(self.rows, &mut self.data),
-            8 => self.rows = packed::<8>(self.rows, &mut self.data),
+            1 => self.rows = packed::<1>(self.rows, self.data.make_mut()),
+            2 => self.rows = packed::<2>(self.rows, self.data.make_mut()),
+            3 => self.rows = packed::<3>(self.rows, self.data.make_mut()),
+            4 => self.rows = packed::<4>(self.rows, self.data.make_mut()),
+            5 => self.rows = packed::<5>(self.rows, self.data.make_mut()),
+            6 => self.rows = packed::<6>(self.rows, self.data.make_mut()),
+            7 => self.rows = packed::<7>(self.rows, self.data.make_mut()),
+            8 => self.rows = packed::<8>(self.rows, self.data.make_mut()),
             _ => {
                 let data = &self.data;
                 let mut idx: Vec<u32> = (0..self.rows as u32).collect();
@@ -1095,7 +1124,7 @@ impl FlatRelation {
                     out.extend_from_slice(&data[i as usize * a..][..a]);
                 }
                 self.rows = idx.len();
-                self.data = out;
+                self.data = Rows::Owned(out);
             }
         }
     }
@@ -1117,20 +1146,21 @@ impl FlatRelation {
         if self.packed_intersect_wanted(other) {
             return self.intersect_sorted_packed(other);
         }
+        let data = self.data.make_mut();
         let mut w = 0usize; // write row
         let mut j = 0usize; // read row in other
         for i in 0..self.rows {
             let mine = i * a;
-            while j < other.rows && other.data[j * a..j * a + a] < self.data[mine..mine + a] {
+            while j < other.rows && other.data[j * a..j * a + a] < data[mine..mine + a] {
                 j += 1;
             }
-            if j < other.rows && other.data[j * a..j * a + a] == self.data[mine..mine + a] {
-                self.data.copy_within(mine..mine + a, w * a);
+            if j < other.rows && other.data[j * a..j * a + a] == data[mine..mine + a] {
+                data.copy_within(mine..mine + a, w * a);
                 w += 1;
             }
         }
         self.rows = w;
-        self.data.truncate(w * a);
+        data.truncate(w * a);
         self.invalidate_bitmaps();
     }
 
@@ -1165,10 +1195,11 @@ impl FlatRelation {
         let n = self.rows;
         if self.schema.len() == 1 {
             // Single columns are their own words.
+            let data = self.data.make_mut();
             let mut w = 0usize;
             let mut j = 0usize;
             for i in 0..n {
-                let m = self.data[i];
+                let m = data[i];
                 while j < other.rows && other.data[j] < m {
                     j += 1;
                 }
@@ -1176,12 +1207,12 @@ impl FlatRelation {
                     break;
                 }
                 if other.data[j] == m {
-                    self.data[w] = m;
+                    data[w] = m;
                     w += 1;
                 }
             }
             self.rows = w;
-            self.data.truncate(w);
+            data.truncate(w);
             self.invalidate_bitmaps();
             note_packed(n);
             return;
@@ -1197,8 +1228,7 @@ impl FlatRelation {
                 Some(PackedWords::W32 { b: wb, keys }) if *wb == b => isect_keys(&mine, keys),
                 _ => isect_keys(&mine, &other.build_words32(b)),
             };
-            unpack_words(kept.iter().map(|&k| u64::from(k)), 2, b, &mut self.data);
-            self.rows = kept.len();
+            self.refill(kept.iter().map(|&k| u64::from(k)), b);
             self.invalidate_bitmaps();
             self.words.0 = Some(PackedWords::W32 { b, keys: kept });
         } else {
@@ -1210,8 +1240,7 @@ impl FlatRelation {
                 Some(PackedWords::W64 { b: wb, keys }) if *wb == b => isect_keys(&mine, keys),
                 _ => isect_keys(&mine, &other.build_words64(b)),
             };
-            unpack_words(kept.iter().copied(), 2, b, &mut self.data);
-            self.rows = kept.len();
+            self.refill(kept.iter().copied(), b);
             self.invalidate_bitmaps();
             self.words.0 = Some(PackedWords::W64 { b, keys: kept });
         }
@@ -1236,19 +1265,28 @@ impl FlatRelation {
 
     /// Semijoin `self ⋉ other` on aligned key columns: keeps the rows of
     /// `self` whose `my_pos` columns match some row of `other` on its
-    /// `their_pos` columns. Survivors are compacted **in place** — no
-    /// row set is rebuilt and no per-row key is allocated. With empty
-    /// key positions this is the cartesian-semantics degenerate case:
-    /// all rows survive iff `other` is nonempty.
+    /// `their_pos` columns. No row set is rebuilt and no per-row key is
+    /// allocated. With empty key positions this is the
+    /// cartesian-semantics degenerate case: all rows survive iff
+    /// `other` is nonempty.
     pub fn semijoin_on(&mut self, my_pos: &[usize], other: &FlatRelation, their_pos: &[usize]) {
         self.semijoin_on_budget(my_pos, other, their_pos, ThreadBudget::shared());
     }
 
-    /// [`FlatRelation::semijoin_on`] under an explicit thread budget:
-    /// the probe runs over row-range morsels on claimed workers, each
-    /// collecting its survivors, and the in-place compaction walks the
-    /// morsel results in order — the surviving rows and their order are
-    /// identical to the sequential sweep.
+    /// [`FlatRelation::semijoin_on`] under an explicit thread budget.
+    /// Three membership kernels, one survivor path
+    /// (`retain_where`), so survivors and their order
+    /// are identical whichever dispatches:
+    ///
+    /// * single-column key against a dense source — the source's
+    ///   existence bitmap ("does my code occur in the other column?"
+    ///   is exactly what the index probe answers);
+    /// * two-column key against a dense source — both key columns
+    ///   packed into one word and compared inside the
+    ///   radix-partitioned index, whose groups are exact;
+    /// * anything else — the hashed / direct key index, built under
+    ///   the budget when the target is large enough to probe in
+    ///   parallel.
     pub fn semijoin_on_budget(
         &mut self,
         my_pos: &[usize],
@@ -1263,202 +1301,104 @@ impl FlatRelation {
             }
             return;
         }
-        // Branch-free bitmap path for single-column keys against a
-        // dense source: the existence predicate ("does my code occur
-        // in the other column?") is exactly what the index probe
-        // answers, so survivors — and with them output bytes — are
-        // identical; only the per-row branch goes away.
         if my_pos.len() == 1 {
             if let Some(bm) = other.column_bitmap(their_pos[0]) {
                 note_bitmap_probe();
-                return self.semijoin_bitmap(my_pos[0], &bm, budget);
+                let c = my_pos[0];
+                return self.retain_where(budget, |row| bm.contains(row[c]));
             }
         }
-        // Word-compare path for two-column keys against a dense
-        // source: pack both key columns into one word and test
-        // membership in the radix-partitioned index — the selection-
-        // vector style of the bitmap path, extended to pair keys. The
-        // index groups exactly the matching rows, so survivors — and
-        // output bytes — are identical to the per-row hashed probe.
         if KeyIndex::wants_packed(other, their_pos) {
             let index = KeyIndex::build_packed(other, their_pos);
-            return self.semijoin_packed(my_pos, &index, budget);
+            let (p0, p1) = (my_pos[0], my_pos[1]);
+            return self.retain_where(budget, |row| index.contains_packed(pack2(row[p0], row[p1])));
         }
-        let a = self.schema.len();
-        if self.rows >= PAR_MIN_ROWS && budget.capacity() > 0 {
-            // Build first (the build claims and releases its own
-            // workers), then lease the probe: claiming the probe lease
-            // first would drain the budget the build could have used.
-            let index = KeyIndex::build_budget(other, their_pos, budget);
-            let lease = budget.claim(par_want(self.rows));
-            if lease.extra() > 0 {
-                let survivors: Vec<Vec<u32>> = {
-                    let data = &self.data;
-                    parallel_chunks(self.rows, MORSEL_ROWS, lease.workers(), |_, r| {
-                        let mut keep: Vec<u32> = Vec::new();
-                        for i in r {
-                            let row = &data[i * a..i * a + a];
-                            if index.has_row_match(row, my_pos, other, their_pos) {
-                                keep.push(i as u32);
-                            }
-                        }
-                        keep
-                    })
-                };
-                let mut w = 0usize;
-                for keep in &survivors {
-                    for &i in keep {
-                        self.data
-                            .copy_within(i as usize * a..i as usize * a + a, w * a);
-                        w += 1;
-                    }
-                }
-                self.rows = w;
-                self.data.truncate(w * a);
-                self.invalidate_bitmaps();
-                return;
-            }
-            // No probe workers left: sequential probe over the (bit-
-            // identical) index that was just built.
-            return self.semijoin_probe_seq(my_pos, other, their_pos, &index);
-        }
-        let index = KeyIndex::build(other, their_pos);
-        self.semijoin_probe_seq(my_pos, other, their_pos, &index);
+        // Build first (the build claims and releases its own workers),
+        // then lease the probe: claiming the probe lease first would
+        // drain the budget the build could have used.
+        let index = if self.rows >= PAR_MIN_ROWS && budget.capacity() > 0 {
+            KeyIndex::build_budget(other, their_pos, budget)
+        } else {
+            KeyIndex::build(other, their_pos)
+        };
+        self.retain_where(budget, |row| {
+            index.has_row_match(row, my_pos, other, their_pos)
+        });
     }
 
-    /// The sequential semijoin probe + in-place compaction over a
-    /// prebuilt index.
-    fn semijoin_probe_seq(
-        &mut self,
-        my_pos: &[usize],
-        other: &FlatRelation,
-        their_pos: &[usize],
-        index: &KeyIndex,
-    ) {
+    /// Keeps the rows that pass `hit`, in order. Rows are tested
+    /// **branch-free** into selection vectors (an unconditional store
+    /// plus a 0/1 index bump), over row-range morsels on claimed
+    /// workers when the relation is large and the budget grants any.
+    ///
+    /// What is stored depends on the buffer, decided once, outside the
+    /// row loops: row indices for an owned buffer, which is then
+    /// compacted in place; the rows themselves for a buffer shared with
+    /// a cache entry, which is left alone — the selection vector *is*
+    /// the fresh buffer (one gather, no index pass). When every row
+    /// survives nothing is touched — rows, order, bitmaps and sharing
+    /// all stay (on fully-reducing data, i.e. the second sweep of every
+    /// join tree, that is most semijoins). Either way the call makes
+    /// the same allocations whether or not a row is removed: a request
+    /// costs the same on a database with one dangling tuple as on one
+    /// with none.
+    fn retain_where(&mut self, budget: &ThreadBudget, hit: impl Fn(&[Element]) -> bool + Sync) {
         let a = self.schema.len();
-        let mut w = 0usize;
-        for i in 0..self.rows {
-            let row = &self.data[i * a..i * a + a];
-            if index.has_row_match(row, my_pos, other, their_pos) {
-                self.data.copy_within(i * a..i * a + a, w * a);
-                w += 1;
-            }
-        }
-        self.rows = w;
-        self.data.truncate(w * a);
-        self.invalidate_bitmaps();
-    }
-
-    /// Semijoin survivor selection against a prebuilt existence
-    /// bitmap: codes are tested **branch-free** into a selection
-    /// vector (the membership read is straight-line word math and the
-    /// conditional append is an unconditional store plus a 0/1 index
-    /// bump), then the survivors are compacted once. The parallel
-    /// variant collects per-morsel selection vectors and compacts in
-    /// morsel order, mirroring [`FlatRelation::semijoin_on_budget`]
-    /// exactly — survivors and their order are identical to the
-    /// per-row `has_row_match` loop either way.
-    fn semijoin_bitmap(&mut self, my_col: usize, bm: &DomainBitmap, budget: &ThreadBudget) {
-        let a = self.schema.len();
-        if self.rows >= PAR_MIN_ROWS && budget.capacity() > 0 {
-            let lease = budget.claim(par_want(self.rows));
-            if lease.extra() > 0 {
-                let survivors: Vec<Vec<u32>> = {
-                    let data = &self.data;
-                    parallel_chunks(self.rows, MORSEL_ROWS, lease.workers(), |_, r| {
-                        let mut keep: Vec<u32> = vec![0; r.len()];
-                        let mut n = 0usize;
-                        for i in r {
-                            keep[n] = i as u32;
-                            n += bm.contains(data[i * a + my_col]) as usize;
-                        }
-                        keep.truncate(n);
-                        keep
-                    })
-                };
-                let mut w = 0usize;
-                for keep in &survivors {
-                    for &i in keep {
-                        self.data
-                            .copy_within(i as usize * a..i as usize * a + a, w * a);
-                        w += 1;
-                    }
+        let shared = matches!(self.data, Rows::Shared(_));
+        // Elements stored per survivor.
+        let w = if shared { a } else { 1 };
+        let select = |r: std::ops::Range<usize>| {
+            let mut keep: Vec<Element> = vec![0; r.len() * w];
+            let mut n = 0usize;
+            for (i, row) in r
+                .clone()
+                .zip(self.data[r.start * a..r.end * a].chunks_exact(a))
+            {
+                if shared {
+                    keep[n * a..(n + 1) * a].copy_from_slice(row);
+                } else {
+                    keep[n] = i as Element;
                 }
-                self.rows = w;
-                self.data.truncate(w * a);
-                self.invalidate_bitmaps();
-                return;
+                n += hit(row) as usize;
             }
+            keep.truncate(n * w);
+            keep
+        };
+        let lease = (self.rows >= PAR_MIN_ROWS && budget.capacity() > 0)
+            .then(|| budget.claim(par_want(self.rows)))
+            .filter(|l| l.extra() > 0);
+        let (mut morsels, mut whole);
+        let survivors: &mut [Vec<Element>] = match lease {
+            Some(lease) => {
+                morsels =
+                    parallel_chunks(self.rows, MORSEL_ROWS, lease.workers(), |_, r| select(r));
+                &mut morsels
+            }
+            None => {
+                whole = select(0..self.rows);
+                std::slice::from_mut(&mut whole)
+            }
+        };
+        let n = survivors.iter().map(Vec::len).sum::<usize>() / w;
+        if n == self.rows {
+            return;
         }
-        let mut sel: Vec<u32> = vec![0; self.rows];
-        let mut n = 0usize;
-        for i in 0..self.rows {
-            sel[n] = i as u32;
-            n += bm.contains(self.data[i * a + my_col]) as usize;
-        }
-        for (w, &i) in sel[..n].iter().enumerate() {
-            self.data
-                .copy_within(i as usize * a..i as usize * a + a, w * a);
+        match &mut self.data {
+            Rows::Owned(data) => {
+                let kept = survivors.iter().flatten().map(|&i| i as usize * a);
+                for (to, i) in kept.enumerate() {
+                    data.copy_within(i..i + a, to * a);
+                }
+                data.truncate(n * a);
+            }
+            Rows::Shared(_) => {
+                self.data = Rows::Owned(match survivors {
+                    [one] => std::mem::take(one),
+                    many => many.concat(),
+                });
+            }
         }
         self.rows = n;
-        self.data.truncate(n * a);
-        self.invalidate_bitmaps();
-    }
-
-    /// Semijoin survivor selection for two-column keys against a
-    /// packed radix-partitioned index: each probe row's key columns
-    /// pack into one `u64` word, membership is a word compare inside
-    /// the index's partition, and survivors collect through the same
-    /// selection-vector compaction as [`FlatRelation::semijoin_bitmap`]
-    /// (unconditional store plus a 0/1 index bump). Sequential and
-    /// morsel-parallel variants compact survivors in identical order.
-    fn semijoin_packed(&mut self, my_pos: &[usize], index: &KeyIndex, budget: &ThreadBudget) {
-        let a = self.schema.len();
-        let (p0, p1) = (my_pos[0], my_pos[1]);
-        if self.rows >= PAR_MIN_ROWS && budget.capacity() > 0 {
-            let lease = budget.claim(par_want(self.rows));
-            if lease.extra() > 0 {
-                let survivors: Vec<Vec<u32>> = {
-                    let data = &self.data;
-                    parallel_chunks(self.rows, MORSEL_ROWS, lease.workers(), |_, r| {
-                        let mut keep: Vec<u32> = vec![0; r.len()];
-                        let mut n = 0usize;
-                        for i in r {
-                            keep[n] = i as u32;
-                            let k = pack2(data[i * a + p0], data[i * a + p1]);
-                            n += index.contains_packed(k) as usize;
-                        }
-                        keep.truncate(n);
-                        keep
-                    })
-                };
-                let mut w = 0usize;
-                for keep in &survivors {
-                    for &i in keep {
-                        self.data
-                            .copy_within(i as usize * a..i as usize * a + a, w * a);
-                        w += 1;
-                    }
-                }
-                self.rows = w;
-                self.data.truncate(w * a);
-                self.invalidate_bitmaps();
-                return;
-            }
-        }
-        let mut sel: Vec<u32> = vec![0; self.rows];
-        let mut n = 0usize;
-        for i in 0..self.rows {
-            sel[n] = i as u32;
-            let k = pack2(self.data[i * a + p0], self.data[i * a + p1]);
-            n += index.contains_packed(k) as usize;
-        }
-        for (w, &i) in sel[..n].iter().enumerate() {
-            self.data
-                .copy_within(i as usize * a..i as usize * a + a, w * a);
-        }
-        self.rows = n;
-        self.data.truncate(n * a);
         self.invalidate_bitmaps();
     }
 
@@ -1477,131 +1417,28 @@ impl FlatRelation {
     /// stitched in morsel order, so the output rows and their order are
     /// identical to the sequential probe loop.
     pub fn join_budget(&self, other: &FlatRelation, budget: &ThreadBudget) -> FlatRelation {
-        let my_map: FxHashMap<VarId, usize> = self
-            .schema
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i))
-            .collect();
-        let their_map: FxHashMap<VarId, usize> = other
-            .schema
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i))
-            .collect();
-        let mut my_shared = Vec::new();
-        let mut their_shared = Vec::new();
-        for (i, v) in self.schema.iter().enumerate() {
-            if let Some(&j) = their_map.get(v) {
-                my_shared.push(i);
-                their_shared.push(j);
-            }
-        }
-        let mut their_extra = Vec::new();
-        let mut schema = self.schema.clone();
-        for (j, &v) in other.schema.iter().enumerate() {
-            if !my_map.contains_key(&v) {
-                their_extra.push(j);
-                schema.push(v);
-            }
-        }
-        let out_arity = schema.len();
-        let mut out = FlatRelation::empty(schema);
-        // When `other` contributes no output columns (its variables
-        // are a subset of mine — a semijoin-shaped join), every output
-        // element comes from `self`, so my bound survives even if the
-        // other side carries none.
-        out.domain_width = if their_extra.is_empty() && self.domain_width > 0 {
-            self.domain_width
-        } else {
-            self.combine_widths(other)
-        };
+        self.join_cols(other, None, false, budget)
+    }
 
-        if my_shared.is_empty() {
-            // Disjoint schemas: cartesian product.
-            out.data.reserve(self.rows * other.rows * out_arity);
-            for i in 0..self.rows {
-                for j in 0..other.rows {
-                    out.data.extend_from_slice(self.row(i));
-                    let orow = other.row(j);
-                    for &p in &their_extra {
-                        out.data.push(orow[p]);
-                    }
-                }
-            }
-            out.rows = self.rows * other.rows;
-            return out;
-        }
-
-        // Build the index on the smaller side, probe with the larger.
-        // `probe_is_other` tracks which operand the probe rows come
-        // from, because the output layout is always `self`'s columns
-        // followed by `other`'s extras.
-        let (build, probe, build_pos, probe_pos, probe_is_other) = if self.rows <= other.rows {
-            (self, other, &my_shared, &their_shared, true)
-        } else {
-            (other, self, &their_shared, &my_shared, false)
-        };
-        // One probe morsel: emit every match of rows `range` into `buf`
-        // (the sequential loop is the single-morsel case).
-        let probe_range =
-            |buf: &mut Vec<Element>, range: std::ops::Range<usize>, index: &KeyIndex| -> usize {
-                let mut rows = 0usize;
-                let exact = index.is_exact();
-                for j in range {
-                    let prow = probe.row(j);
-                    for m in index.probe_row(prow, probe_pos) {
-                        let brow = build.row(m);
-                        if exact || Self::keys_eq(prow, probe_pos, brow, build_pos) {
-                            let (s_row, o_row) = if probe_is_other {
-                                (brow, prow)
-                            } else {
-                                (prow, brow)
-                            };
-                            buf.extend_from_slice(s_row);
-                            for &p in &their_extra {
-                                buf.push(o_row[p]);
-                            }
-                            rows += 1;
-                        }
-                    }
-                }
-                rows
-            };
-
-        if probe.rows >= PAR_MIN_ROWS && budget.capacity() > 0 {
-            // Build first (own worker claim, released after), then
-            // lease the probe — the other order would hand the build's
-            // workers to the probe before the build could use them.
-            let index = KeyIndex::build_budget(build, build_pos, budget);
-            let lease = budget.claim(par_want(probe.rows));
-            if lease.extra() > 0 {
-                let parts: Vec<(Vec<Element>, usize)> =
-                    parallel_chunks(probe.rows, MORSEL_ROWS, lease.workers(), |_, r| {
-                        let mut buf: Vec<Element> = Vec::new();
-                        let rows = probe_range(&mut buf, r, &index);
-                        (buf, rows)
-                    });
-                let total_rows: usize = parts.iter().map(|(_, r)| r).sum();
-                out.data.reserve(total_rows * out_arity);
-                for (buf, rows) in parts {
-                    out.data.extend_from_slice(&buf);
-                    out.rows += rows;
-                }
-                return out;
-            }
-            // No probe workers left: sequential probe over the index
-            // that was just built (bit-identical to a sequential build).
-            let mut buf = std::mem::take(&mut out.data);
-            out.rows = probe_range(&mut buf, 0..probe.rows, &index);
-            out.data = buf;
-            return out;
-        }
-        let index = KeyIndex::build(build, build_pos);
-        let mut buf = std::mem::take(&mut out.data);
-        out.rows = probe_range(&mut buf, 0..probe.rows, &index);
-        out.data = buf;
-        out
+    /// `π_vars(self ⋈ other)` as **one operator** (repeated variables
+    /// collapse to their first occurrence): the probe is
+    /// [`FlatRelation::join_budget`]'s, but every match emits only the
+    /// kept columns, so the full-width join never exists, and the
+    /// narrow rows are deduplicated where they landed — by the packed
+    /// radix sort when they fit code words, through an open-addressed
+    /// hash table otherwise. Both operands must be duplicate-free
+    /// (plan slots are). Row order is unspecified: the join phase only
+    /// needs set semantics — joins and semijoins probe hashes, the
+    /// answer boundary orders — so the canonical sort would buy
+    /// nothing. Joining against [`FlatRelation::unit`] is the plain
+    /// distinct projection.
+    pub fn join_project_budget(
+        &self,
+        other: &FlatRelation,
+        vars: &[VarId],
+        budget: &ThreadBudget,
+    ) -> FlatRelation {
+        self.join_cols(other, Some(vars), false, budget)
     }
 
     /// Projection onto a sub-schema (variables must be present;
@@ -1612,142 +1449,260 @@ impl FlatRelation {
     }
 
     /// [`FlatRelation::project`] under an explicit thread budget: the
-    /// column gather runs over row-range morsels stitched in order, and
-    /// the canonicalizing sort is [`FlatRelation::sort_dedup_budget`].
+    /// fused operator against the unit relation, asked for the
+    /// canonical order — which the packed radix dedup leaves anyway
+    /// (the packing is monotone, so sorted distinct words unpack to
+    /// sorted distinct rows) and [`FlatRelation::sort_dedup_budget`]
+    /// establishes otherwise. Bag materialization projects through
+    /// here: its sorted output is a cache and bit-identity contract.
     pub fn project_budget(&self, vars: &[VarId], budget: &ThreadBudget) -> FlatRelation {
-        let map: FxHashMap<VarId, usize> = self
-            .schema
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i))
-            .collect();
+        self.join_cols(&FlatRelation::unit(), Some(vars), true, budget)
+    }
+
+    /// The output shell of `self ⋈ other` kept to `vars` (`None` = the
+    /// natural join's own columns) and, per output column, its position
+    /// in the concatenated `self ++ other` row. The shell carries the
+    /// schema, the width bound, and as its row count the larger
+    /// operand's — the probe side's, which is what the packed dedup
+    /// dispatch is judged on, before a single match is known.
+    fn join_shell(
+        &self,
+        other: &FlatRelation,
+        vars: Option<&[VarId]>,
+    ) -> (FlatRelation, Vec<usize>) {
+        let a = self.schema.len();
         let mut schema = Vec::new();
-        let mut keep = Vec::new();
-        for &v in vars {
-            if !schema.contains(&v) {
-                schema.push(v);
-                keep.push(*map.get(&v).expect("projected variable must be in schema"));
+        let mut cols = Vec::new();
+        match vars {
+            None => {
+                schema.extend_from_slice(&self.schema);
+                cols.extend(0..a);
+                for (j, v) in other.schema.iter().enumerate() {
+                    if !self.schema.contains(v) {
+                        schema.push(*v);
+                        cols.push(a + j);
+                    }
+                }
+            }
+            Some(vars) => {
+                for v in vars {
+                    if !schema.contains(v) {
+                        schema.push(*v);
+                        let mine = self.schema.iter().position(|w| w == v);
+                        let theirs = || other.schema.iter().position(|w| w == v);
+                        let col = mine.or_else(|| theirs().map(|j| a + j));
+                        cols.push(col.expect("projected variable must be in a schema"));
+                    }
+                }
             }
         }
         let mut out = FlatRelation::empty(schema);
-        out.domain_width = self.domain_width;
-        out.rows = self.rows;
-        // Fused packed projection: when the projected rows pack into
-        // code words, build the words straight from the source rows —
-        // the column gather, the canonical sort, and the dedup of the
-        // unpacked path collapse into one radix pipeline with no
-        // intermediate row buffer. Output bytes are identical: the
-        // packing is monotone, so sorted distinct words unpack to the
-        // sorted distinct rows the gather-then-sort path produces.
-        if keep.len() <= 2 && out.packed_sort_wanted() {
-            self.project_packed_into(&keep, &mut out);
+        // When `other` contributes no new variable (a semijoin-shaped
+        // join), every output element comes from `self`, so my bound
+        // survives even if the other side carries none.
+        let covered = other.schema.iter().all(|v| self.schema.contains(v));
+        out.domain_width = if covered && self.domain_width > 0 {
+            self.domain_width
+        } else {
+            self.combine_widths(other)
+        };
+        out.rows = self.rows.max(other.rows);
+        (out, cols)
+    }
+
+    /// The join family over the one probe loop: the natural join
+    /// (`vars` = `None`), or its projection to `vars`, deduplicated —
+    /// in canonical order if asked, in whatever order is cheapest
+    /// otherwise. Kept columns that fit a code word are emitted *as*
+    /// words, straight into the radix dedup; anything else lands as
+    /// narrow rows in the output buffer and is deduplicated there.
+    fn join_cols(
+        &self,
+        other: &FlatRelation,
+        vars: Option<&[VarId]>,
+        canonical: bool,
+        budget: &ThreadBudget,
+    ) -> FlatRelation {
+        let a = self.schema.len();
+        let (mut out, cols) = self.join_shell(other, vars);
+        let packed = vars.is_some() && out.packed_sort_wanted();
+        let pick = |s: &[Element], o: &[Element], c: usize| if c < a { s[c] } else { o[c - a] };
+        if packed && cols.len() > 1 {
+            let b = code_bits(out.domain_width);
+            let n = if cols.len() * b as usize <= 32 {
+                let word = |buf: &mut Vec<u32>, s: &[Element], o: &[Element]| {
+                    buf.push(cols.iter().fold(0, |w, &c| (w << b) | pick(s, o, c)))
+                };
+                let (mut keys, n) = self.join_emit(other, 1, budget, word);
+                radix_dedup_u32(&mut keys);
+                out.refill(keys.iter().map(|&k| u64::from(k)), b);
+                n
+            } else {
+                let word = |buf: &mut Vec<u64>, s: &[Element], o: &[Element]| {
+                    let w = cols
+                        .iter()
+                        .fold(0, |w, &c| (w << b) | u64::from(pick(s, o, c)));
+                    buf.push(w)
+                };
+                let (mut keys, n) = self.join_emit(other, 1, budget, word);
+                radix_dedup(&mut keys);
+                out.refill(keys.iter().copied(), b);
+                n
+            };
+            note_packed(n);
             return out;
         }
-        let mut gathered = false;
-        if self.rows >= PAR_MIN_ROWS && budget.capacity() > 0 {
-            let lease = budget.claim(par_want(self.rows));
-            if lease.extra() > 0 {
-                let bufs = parallel_chunks(self.rows, MORSEL_ROWS, lease.workers(), |_, r| {
-                    let mut b: Vec<Element> = Vec::with_capacity(r.len() * keep.len());
-                    for i in r {
-                        let row = self.row(i);
-                        for &p in &keep {
-                            b.push(row[p]);
-                        }
-                    }
-                    b
-                });
-                out.data.reserve(self.rows * keep.len());
-                for b in bufs {
-                    out.data.extend_from_slice(&b);
-                }
-                gathered = true;
+        // A leading run of `self`'s own columns goes as one slice.
+        let lead = (0..cols.len().min(a)).take_while(|&i| cols[i] == i).count();
+        let row = |buf: &mut Vec<Element>, s: &[Element], o: &[Element]| {
+            buf.extend_from_slice(&s[..lead]);
+            for &c in &cols[lead..] {
+                buf.push(pick(s, o, c));
             }
+        };
+        let (data, n) = self.join_emit(other, cols.len(), budget, row);
+        out.data = Rows::Owned(data);
+        out.rows = n;
+        match vars {
+            None => {}
+            Some(_) if packed => out.sort_dedup_radix(),
+            Some(_) if canonical => out.sort_dedup_budget(budget),
+            Some(_) => out.hash_distinct(),
         }
-        if !gathered {
-            out.data.reserve(self.rows * keep.len());
-            for i in 0..self.rows {
-                let row = self.row(i);
-                for &p in &keep {
-                    out.data.push(row[p]);
-                }
-            }
-        }
-        out.sort_dedup_budget(budget);
         out
     }
 
-    /// Distinct projection **without** the canonical ordering: gathers
-    /// the kept columns and dedups through an open-addressed hash table
-    /// in one pass, leaving row order unspecified (first occurrence
-    /// wins). Requires a duplicate-free input (all plan intermediates
-    /// are). The join-phase operators only need set semantics — joins
-    /// and semijoins probe hashes, and the answer collector orders —
-    /// so plan execution uses this on wide intermediates where the
-    /// O(n log n) sort dwarfs the dedup it buys. Bag materialization
-    /// keeps using [`FlatRelation::project_budget`]: its sorted output
-    /// is a cache and bit-identity contract.
-    pub fn project_distinct(&self, vars: &[VarId]) -> FlatRelation {
-        let map: FxHashMap<VarId, usize> = self
-            .schema
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i))
-            .collect();
-        let mut schema = Vec::new();
-        let mut keep = Vec::new();
-        for &v in vars {
-            if !schema.contains(&v) {
-                schema.push(v);
-                keep.push(*map.get(&v).expect("projected variable must be in schema"));
+    /// The one probe loop of the join family: `emit(buf, self_row,
+    /// other_row)` runs for every matching pair of rows, and the
+    /// filled buffer comes back with the match count. The key index is
+    /// built on the smaller side (hash-partitioned build when large)
+    /// and the larger side probes it — over row-range morsels on
+    /// claimed workers when the budget grants any, each emitting into
+    /// its own buffer, the buffers stitched in morsel order, so the
+    /// emission order is the sequential probe's whatever the budget.
+    /// `emit` pushes `per_match` values a pair, which is what the
+    /// sequential buffer is pre-sized from.
+    fn join_emit<T: Copy + Send>(
+        &self,
+        other: &FlatRelation,
+        per_match: usize,
+        budget: &ThreadBudget,
+        emit: impl Fn(&mut Vec<T>, &[Element], &[Element]) + Sync,
+    ) -> (Vec<T>, usize) {
+        let (my_shared, their_shared) = self.shared_columns(other);
+        let mut buf: Vec<T> = Vec::new();
+        if my_shared.is_empty() {
+            // Disjoint schemas: cartesian product.
+            buf.reserve(self.rows * other.rows * per_match);
+            for s in self.iter_rows() {
+                for o in other.iter_rows() {
+                    emit(&mut buf, s, o);
+                }
             }
+            return (buf, self.rows * other.rows);
         }
-        let a = keep.len();
-        let mut out = FlatRelation::empty(schema);
-        out.domain_width = self.domain_width;
+        // Build the index on the smaller side, probe with the larger.
+        // `probe_is_other` tracks which operand the probe rows come
+        // from, because `emit` takes `self`'s row first.
+        let (build, probe, build_pos, probe_pos, probe_is_other) = if self.rows <= other.rows {
+            (self, other, &my_shared, &their_shared, true)
+        } else {
+            (other, self, &their_shared, &my_shared, false)
+        };
+        let (pa, ba) = (probe.schema.len(), build.schema.len());
+        let (pdata, bdata): (&[Element], &[Element]) = (&probe.data, &build.data);
+        // One probe morsel: emit every match of rows `range` into `buf`
+        // (the sequential loop is the single-morsel case).
+        let probe_range = |buf: &mut Vec<T>, range: std::ops::Range<usize>, index: &KeyIndex| {
+            let mut rows = 0usize;
+            let exact = index.is_exact();
+            for j in range {
+                let prow = &pdata[j * pa..][..pa];
+                for m in index.probe_row(prow, probe_pos) {
+                    let brow = &bdata[m * ba..][..ba];
+                    if exact || Self::keys_eq(prow, probe_pos, brow, build_pos) {
+                        let (s, o) = if probe_is_other {
+                            (brow, prow)
+                        } else {
+                            (prow, brow)
+                        };
+                        emit(buf, s, o);
+                        rows += 1;
+                    }
+                }
+            }
+            rows
+        };
+        let index = if probe.rows >= PAR_MIN_ROWS && budget.capacity() > 0 {
+            // Build first (own worker claim, released after), then
+            // lease the probe — the other order would hand the build's
+            // workers to the probe before the build could use them.
+            let index = KeyIndex::build_budget(build, build_pos, budget);
+            let lease = budget.claim(par_want(probe.rows));
+            if lease.extra() > 0 {
+                let parts: Vec<(Vec<T>, usize)> =
+                    parallel_chunks(probe.rows, MORSEL_ROWS, lease.workers(), |_, r| {
+                        let mut buf: Vec<T> = Vec::new();
+                        let rows = probe_range(&mut buf, r, &index);
+                        (buf, rows)
+                    });
+                buf.reserve(parts.iter().map(|(b, _)| b.len()).sum());
+                let mut rows = 0;
+                for (part, n) in parts {
+                    buf.extend_from_slice(&part);
+                    rows += n;
+                }
+                return (buf, rows);
+            }
+            // No probe workers left: sequential probe over the index
+            // that was just built (bit-identical to a sequential build).
+            index
+        } else {
+            KeyIndex::build(build, build_pos)
+        };
+        // A direct index knows every group's size without touching a
+        // row, so the buffer is sized once, exactly. The others are
+        // not asked: one match per probe row is what a reduced plan
+        // slot gives at least, and the buffer doubles from there.
+        let matches = index.count_matches(probe, probe_pos[0]);
+        buf.reserve(matches.unwrap_or(probe.rows) * per_match);
+        let rows = probe_range(&mut buf, 0..probe.rows, &index);
+        (buf, rows)
+    }
+
+    /// Duplicate elimination in place **without** the canonical
+    /// ordering (first occurrence wins): open addressing over the rows
+    /// kept so far. What the fused join→project falls back to when its
+    /// rows do not fit code words.
+    fn hash_distinct(&mut self) {
+        let a = self.schema.len();
         if a == 0 {
-            out.rows = self.rows.min(1);
-            return out;
+            self.rows = self.rows.min(1);
+            return;
         }
-        // Packed fast path: projected rows that fit a code word dedup
-        // through the radix pipeline instead of the hash table —
-        // sequential counting passes instead of random probes into an
-        // open-addressed table that outgrows cache on wide inputs.
-        // This op's row order is unspecified by contract, so the
-        // packed path's sorted order is a legal (and canonical)
-        // choice; every consumer is order-insensitive.
-        if self.packed_project_would_dispatch(vars) {
-            self.project_packed_into(&keep, &mut out);
-            return out;
-        }
-        // Open addressing over output-row indices, hashes recomputed on
-        // compare-miss only (the table stays a quarter empty).
         let cap = (self.rows * 2).next_power_of_two().max(16);
         let mask = cap - 1;
         let mut table: Vec<u32> = vec![u32::MAX; cap];
-        out.data.reserve(self.rows.min(cap) * a);
-        let mut scratch: Vec<Element> = vec![0; a];
+        let data = self.data.make_mut();
+        let mut w = 0usize;
         for i in 0..self.rows {
-            let row = self.row(i);
-            for (s, &p) in scratch.iter_mut().zip(&keep) {
-                *s = row[p];
-            }
-            let mut slot = (Self::hash_row(&scratch) as usize) & mask;
+            let mut slot = (Self::hash_row(&data[i * a..][..a]) as usize) & mask;
             loop {
-                let entry = table[slot];
-                if entry == u32::MAX {
-                    table[slot] = out.rows as u32;
-                    out.data.extend_from_slice(&scratch);
-                    out.rows += 1;
+                let entry = table[slot] as usize;
+                if entry == u32::MAX as usize {
+                    table[slot] = w as u32;
+                    data.copy_within(i * a..i * a + a, w * a);
+                    w += 1;
                     break;
                 }
-                if out.data[entry as usize * a..][..a] == scratch[..] {
+                if data[entry * a..][..a] == data[i * a..][..a] {
                     break;
                 }
                 slot = (slot + 1) & mask;
             }
         }
-        out
+        data.truncate(w * a);
+        self.rows = w;
     }
 
     /// FxHash of a whole row.
@@ -2154,6 +2109,21 @@ impl KeyIndex {
         }
     }
 
+    /// How many rows of the index's relation the rows of `probe` match
+    /// on its key column `col`, summed over the groups' sizes — known
+    /// to a direct index only.
+    fn count_matches(&self, probe: &FlatRelation, col: usize) -> Option<usize> {
+        let KeyIndex::Direct { offsets, .. } = self else {
+            return None;
+        };
+        let group = |&v: &Element| match offsets.get(v as usize + 1) {
+            Some(&end) => (end - offsets[v as usize]) as usize,
+            None => 0,
+        };
+        let keys = probe.data.iter().skip(col).step_by(probe.schema.len());
+        Some(keys.map(group).sum())
+    }
+
     /// Whether probe candidates are **exact** matches already: direct
     /// buckets hold exactly the rows whose key column equals the probe
     /// code — and packed groups exactly the rows whose packed key word
@@ -2327,6 +2297,9 @@ fn gallop(
 /// O(run) instead of galloping from row 0 per parent binding).
 struct WcojShape<'a> {
     parts: &'a [&'a FlatRelation],
+    /// Per part: its row buffer, resolved once (a part may share its
+    /// rows with a cache entry, and the kernel reads them per value).
+    data: Vec<&'a [Element]>,
     /// Per level: `(part, depth)` for every part whose `depth`-th column
     /// binds at this level. Nonempty at every level (the schema is the
     /// union of the part schemas).
@@ -2362,6 +2335,7 @@ impl<'a> WcojShape<'a> {
             .collect();
         WcojShape {
             parts,
+            data: parts.iter().map(|r| r.data.as_slice()).collect(),
             active_at,
             col0,
             levels: schema.len(),
@@ -2377,7 +2351,7 @@ impl<'a> WcojShape<'a> {
         let exact = idx.is_exact();
         let (mut lo, mut hi) = (usize::MAX, 0usize);
         for r in idx.probe_value(v) {
-            if exact || rel.data[r * a] == v {
+            if exact || self.data[p][r * a] == v {
                 lo = lo.min(r);
                 hi = hi.max(r + 1);
             }
@@ -2423,8 +2397,7 @@ impl<'a> WcojRun<'a> {
 
     #[inline]
     fn val(&self, p: usize, row: usize, c: usize) -> Element {
-        let rel = self.shape.parts[p];
-        rel.data[row * rel.schema.len() + c]
+        self.shape.data[p][row * self.shape.parts[p].schema.len() + c]
     }
 
     /// Enumerates all extensions of the current binding from `level` on,
@@ -2482,7 +2455,7 @@ impl<'a> WcojRun<'a> {
                 if self.val(p, curs[slot], d) < vmax {
                     let rel = self.shape.parts[p];
                     curs[slot] = gallop(
-                        &rel.data,
+                        self.shape.data[p],
                         rel.schema.len(),
                         d,
                         curs[slot],
@@ -2521,7 +2494,7 @@ impl<'a> WcojRun<'a> {
                     let &(p, d) = a;
                     let rel = self.shape.parts[p];
                     let run_end = gallop(
-                        &rel.data,
+                        self.shape.data[p],
                         rel.schema.len(),
                         d,
                         curs[slot],
@@ -2545,7 +2518,7 @@ impl<'a> WcojRun<'a> {
                     self.bounds[p][d + 1].1
                 } else {
                     gallop(
-                        &rel.data,
+                        self.shape.data[p],
                         rel.schema.len(),
                         d,
                         curs[slot],
@@ -2658,7 +2631,7 @@ pub(crate) fn multiway_join(
             for (slot, &(p, _)) in lead.iter().enumerate() {
                 let rel = parts[p];
                 let lo = gallop(
-                    &rel.data,
+                    shape.data[p],
                     rel.schema.len(),
                     0,
                     curs[slot],
@@ -2666,7 +2639,7 @@ pub(crate) fn multiway_join(
                     v,
                     false,
                 );
-                let end = gallop(&rel.data, rel.schema.len(), 0, lo, rel.rows, v, true);
+                let end = gallop(shape.data[p], rel.schema.len(), 0, lo, rel.rows, v, true);
                 runs.push((lo, end));
                 curs[slot] = end;
             }
@@ -2677,14 +2650,14 @@ pub(crate) fn multiway_join(
         'scan: while live {
             let mut vmax = Element::MIN;
             for (slot, &(p, _)) in lead.iter().enumerate() {
-                vmax = vmax.max(parts[p].data[curs[slot] * parts[p].schema.len()]);
+                vmax = vmax.max(shape.data[p][curs[slot] * parts[p].schema.len()]);
             }
             let mut moved = false;
             for (slot, &(p, _)) in lead.iter().enumerate() {
                 let rel = parts[p];
-                if rel.data[curs[slot] * rel.schema.len()] < vmax {
+                if shape.data[p][curs[slot] * rel.schema.len()] < vmax {
                     curs[slot] = gallop(
-                        &rel.data,
+                        shape.data[p],
                         rel.schema.len(),
                         0,
                         curs[slot],
@@ -2695,7 +2668,7 @@ pub(crate) fn multiway_join(
                     if curs[slot] >= rel.rows {
                         break 'scan;
                     }
-                    if rel.data[curs[slot] * rel.schema.len()] > vmax {
+                    if shape.data[p][curs[slot] * rel.schema.len()] > vmax {
                         moved = true;
                     }
                 }
@@ -2707,7 +2680,7 @@ pub(crate) fn multiway_join(
             for (slot, &(p, _)) in lead.iter().enumerate() {
                 let rel = parts[p];
                 let end = gallop(
-                    &rel.data,
+                    shape.data[p],
                     rel.schema.len(),
                     0,
                     curs[slot],
@@ -2744,9 +2717,10 @@ pub(crate) fn multiway_join(
                     (st.out, st.rows)
                 });
             let total: usize = bufs.iter().map(|(_, n)| n).sum();
-            out.data.reserve(total * schema.len());
+            let data = out.data.make_mut();
+            data.reserve(total * schema.len());
             for (buf, n) in bufs {
-                out.data.extend_from_slice(&buf);
+                data.extend_from_slice(&buf);
                 out.rows += n;
             }
             return out;
@@ -2756,7 +2730,7 @@ pub(crate) fn multiway_join(
     for i in 0..cands.len() {
         run_candidate(&mut st, i);
     }
-    out.data = st.out;
+    out.data = Rows::Owned(st.out);
     out.rows = st.rows;
     out
 }
@@ -2821,7 +2795,8 @@ impl AtomBinder {
         // instead of chasing a heap allocation per tuple.
         let arity = d.vocabulary().arity(self.rel);
         let flat = d.flat_tuples(self.rel);
-        out.data.reserve((flat.len() / arity) * self.out_pos.len());
+        let data = out.data.make_mut();
+        data.reserve((flat.len() / arity) * self.out_pos.len());
         if dict.is_identity() {
             // Whole-tuple scans (no filter, columns in tuple order) are
             // one bulk copy of the image.
@@ -2829,7 +2804,7 @@ impl AtomBinder {
                 && arity == self.out_pos.len()
                 && self.out_pos.iter().enumerate().all(|(i, &p)| i == p)
             {
-                out.data.extend_from_slice(flat);
+                data.extend_from_slice(flat);
                 out.rows += flat.len() / arity;
                 return;
             }
@@ -2840,7 +2815,7 @@ impl AtomBinder {
                     }
                 }
                 for &p in &self.out_pos {
-                    out.data.push(t[p]);
+                    data.push(t[p]);
                 }
                 out.rows += 1;
             }
@@ -2853,7 +2828,7 @@ impl AtomBinder {
                 }
             }
             for &p in &self.out_pos {
-                out.data.push(dict.encode(t[p]));
+                data.push(dict.encode(t[p]));
             }
             out.rows += 1;
         }
@@ -2999,6 +2974,15 @@ impl MaterializationCache {
     /// misses on the same key are single-flight — one caller runs
     /// `materialize` (and counts the miss), the rest wait on the flight
     /// and count hits, exactly as if they had arrived after it.
+    ///
+    /// The entry's rows are shared: callers adopt them with
+    /// [`FlatRelation::relabel`], which copies nothing, and no operator
+    /// writes through a shared buffer, so an entry reads the same for
+    /// as long as it lives. The cache owns an entry's bytes only in the
+    /// accounting sense: eviction subtracts them from
+    /// [`MaterializationCache::resident_bytes`] at once, while the
+    /// memory itself is freed when the last request still reading the
+    /// rows drops its slot.
     pub fn get_or_materialize(
         &self,
         key: &MatKey,
@@ -3039,7 +3023,12 @@ impl MaterializationCache {
         let mut ran = false;
         let rel = flight.cell.get_or_init(|| {
             ran = true;
-            let rel = Arc::new(materialize());
+            // Rows go behind their `Arc` here, once per landing, so
+            // that every later hit adopts them without a copy; buffers
+            // that never reach a cache never pay for sharing.
+            let mut rel = materialize();
+            rel.share_rows();
+            let rel = Arc::new(rel);
             // Build the entry's column bitmaps before taking its byte
             // size: the stored bytes — what eviction later subtracts —
             // then include the bitmap words, keeping the budget honest.
@@ -3194,6 +3183,13 @@ impl MaterializationCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Byte equality of row buffers, shared or owned.
+    impl PartialEq for Rows {
+        fn eq(&self, other: &Rows) -> bool {
+            **self == **other
+        }
+    }
 
     fn rel(schema: &[VarId], rows: &[&[Element]]) -> FlatRelation {
         let mut r = FlatRelation::empty(schema.to_vec());
@@ -4120,7 +4116,8 @@ mod tests {
         for vars in [&[0][..], &[1][..], &[1, 0][..]] {
             assert_eq!(r.project(vars).domain_width(), 24, "project {vars:?}");
             assert_eq!(
-                r.project_distinct(vars).domain_width(),
+                r.join_project_budget(&FlatRelation::unit(), vars, ThreadBudget::shared())
+                    .domain_width(),
                 24,
                 "distinct {vars:?}"
             );
@@ -4173,6 +4170,174 @@ mod tests {
             let budget = ThreadBudget::new(threads);
             let par = multiway_join(&parts, &[0, 1, 2], &budget);
             assert_identical(&par, &seq, &format!("{threads} threads"));
+        }
+    }
+
+    /// A duplicate-free relation over `schema` whose codes stay below
+    /// `width` (the declared bound; `0` declares none) and reach its
+    /// top bit.
+    fn bounded_rel(schema: &[VarId], rows: usize, width: u32, seed: &mut u64) -> FlatRelation {
+        let dom = u64::from(if width == 0 { 50 } else { width });
+        let data: Vec<Element> = (0..rows * schema.len())
+            .map(|_| ((lcg(seed) * 3) % dom) as Element)
+            .collect();
+        let mut r =
+            FlatRelation::from_raw(schema.len(), rows, data, width).relabel(schema.to_vec());
+        r.sort_dedup();
+        r
+    }
+
+    /// Shared-target and owned-target semijoins must leave the same
+    /// bytes, and the shared original untouched, for each membership
+    /// kernel (one key column: bitmap; two: packed words; three:
+    /// hashed index — or whatever the knobs dispatch instead) and each
+    /// outcome, sequentially and over morsels.
+    #[test]
+    fn semijoin_on_shared_rows_matches_owned_rows() {
+        let _g = knob_guard(); // the kernels bump counters other tests read
+        let mut seed = 16;
+        let target = bounded_rel(&[0, 1, 2], 6000, 24, &mut seed);
+        let cached = {
+            let mut t = target.clone();
+            t.share_rows();
+            t
+        };
+        let all = target.clone();
+        // Half the codes per column, so every key width filters.
+        let some = {
+            let mut r = bounded_rel(&[0, 1, 2], 900, 12, &mut seed);
+            r.domain_width = 24;
+            r
+        };
+        let none = {
+            let mut r = bounded_rel(&[0, 1, 2], 40, 24, &mut seed);
+            r.data.make_mut().iter_mut().for_each(|e| *e += 24);
+            r.domain_width = 48;
+            r
+        };
+        let empty = bounded_rel(&[0, 1, 2], 0, 24, &mut seed);
+        let budgets = [ThreadBudget::sequential(), ThreadBudget::new(2)];
+        for (source, what) in [
+            (&all, "all"),
+            (&some, "some"),
+            (&none, "none"),
+            (&empty, "empty"),
+        ] {
+            for keys in 0..=3usize {
+                let pos: Vec<usize> = (0..keys).collect();
+                for budget in &budgets {
+                    let mut owned = target.clone();
+                    owned.semijoin_on_budget(&pos, source, &pos, budget);
+                    let mut shared = cached.clone();
+                    assert!(shared.shares_rows_with(&cached));
+                    shared.semijoin_on_budget(&pos, source, &pos, budget);
+                    let ctx = format!("{what} source, {keys} key columns");
+                    assert_eq!(owned.rows, shared.rows, "{ctx}");
+                    assert_eq!(owned.data, shared.data, "{ctx}");
+                    assert_eq!(cached.data, target.data, "{ctx}: cached rows changed");
+                    let kept_all = owned.rows == target.rows;
+                    assert_eq!(shared.shares_rows_with(&cached), kept_all, "{ctx}");
+                    assert_eq!(
+                        kept_all,
+                        what == "all" || (keys == 0 && what != "empty"),
+                        "{ctx}"
+                    );
+                    if what == "some" && keys > 0 {
+                        assert!(0 < owned.rows && owned.rows < target.rows, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The fused join→project on large operands, every dedup path,
+    /// sequentially and over morsels, against join-then-project.
+    #[test]
+    fn fused_join_project_matches_two_steps_in_parallel() {
+        let _g = knob_guard();
+        let mut seed = 5;
+        let l = bounded_rel(&[0, 1, 2], 9000, 300, &mut seed);
+        let r = bounded_rel(&[1, 3], 7000, 300, &mut seed);
+        for vars in [&[0, 3][..], &[3, 2, 0, 1], &[2], &[]] {
+            let want = l.join(&r).project(vars);
+            for budget in [ThreadBudget::sequential(), ThreadBudget::new(4)] {
+                let mut got = l.join_project_budget(&r, vars, &budget);
+                assert_eq!(got.schema, want.schema);
+                assert_eq!(got.rows, want.rows, "fused output must be duplicate-free");
+                got.sort_dedup();
+                assert_eq!(got.data, want.data, "vars {vars:?}");
+            }
+        }
+    }
+
+    /// Widths on both sides of every packing edge of the fused dedup:
+    /// `2b`, `3b`, `4b` at and past 32 and 64 bits, plus "no bound".
+    const WIDTHS: [u32; 10] = [
+        0,
+        3,
+        300,
+        1 << 16,
+        (1 << 16) + 1,
+        1 << 21,
+        (1 << 21) + 1,
+        1 << 31,
+        (1 << 31) + 1,
+        u32::MAX,
+    ];
+    /// Row counts around `PACKED_MIN_ROWS`, where `Auto` flips.
+    const SIZES: [usize; 7] = [0, 1, 9, 200, 511, 512, 700];
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// `join_project_budget` ≡ `join_budget` then `project_budget`
+        /// as a set, with the same schema and the same width bound, on
+        /// random duplicate-free operands and keep-lists (subsets,
+        /// the identity, repeats, nothing).
+        #[test]
+        fn fused_join_project_matches_join_then_project(
+            arities in (1..=4usize, 1..=4usize, 0..=2usize),
+            widths in (0..WIDTHS.len(), 0..WIDTHS.len()),
+            sizes in (0..SIZES.len(), 0..SIZES.len()),
+            keep in proptest::collection::vec(0..8usize, 0..=5),
+            identity in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let _g = knob_guard();
+            let (la, ra, shared) = arities;
+            let shared = shared.min(la).min(ra);
+            let mut seed = seed;
+            let left: Vec<VarId> = (0..la as VarId).collect();
+            // The right side reuses `shared` of the left's variables,
+            // from the back, then brings its own.
+            let right: Vec<VarId> = (0..ra)
+                .map(|j| if j < shared { (la - 1 - j) as VarId } else { (10 + j) as VarId })
+                .collect();
+            // A cartesian product of two large sides is no test of the
+            // dedup; keep it small.
+            let cap = if shared == 0 { 40 } else { usize::MAX };
+            let l = bounded_rel(&left, SIZES[sizes.0].min(cap), WIDTHS[widths.0], &mut seed);
+            let r = bounded_rel(&right, SIZES[sizes.1].min(cap), WIDTHS[widths.1], &mut seed);
+            let joined = l.join(&r);
+            let vars: Vec<VarId> = if identity {
+                joined.schema.clone()
+            } else {
+                keep.iter().map(|&k| joined.schema[k % joined.schema.len()]).collect()
+            };
+            let want = joined.project(&vars);
+            let mut got = l.join_project_budget(&r, &vars, ThreadBudget::shared());
+            prop_assert_eq!(&got.schema, &want.schema);
+            prop_assert_eq!(got.domain_width, want.domain_width);
+            prop_assert_eq!(got.rows, want.rows, "fused output must be duplicate-free");
+            got.sort_dedup();
+            prop_assert_eq!(&got.data, &want.data);
+            // The one-slot projection is the same operator.
+            let mut alone = joined.join_project_budget(&FlatRelation::unit(), &vars, ThreadBudget::shared());
+            prop_assert_eq!(alone.domain_width, want.domain_width);
+            alone.sort_dedup();
+            prop_assert_eq!(&alone.data, &want.data);
         }
     }
 }

@@ -7,11 +7,12 @@
 //!
 //! | operator             | effect                                                |
 //! |----------------------|-------------------------------------------------------|
-//! | [`Op::Materialize`]  | scan/adopt a [`MatSource`] into a slot (cache-aware); multi-part bags join binarily or via the worst-case-optimal multiway kernel per the source's [`MatStrategy`] |
-//! | [`Op::Semijoin`]     | in-place `target ⋉ source` on aligned key columns     |
+//! | [`Op::Materialize`]  | scan/adopt a [`MatSource`] into a slot (cache-aware: a hit shares the cached rows, it does not copy them); multi-part bags join binarily or via the worst-case-optimal multiway kernel per the source's [`MatStrategy`] |
+//! | [`Op::Semijoin`]     | `target ⋉ source` on aligned key columns: nothing is touched when every row survives, an owned target is compacted in place, a target still sharing cached rows gathers its survivors into a fresh buffer; the allocations are the same whether or not a row goes |
 //! | [`Op::AssertNonempty`] | abort with the empty answer when a slot ran dry     |
 //! | [`Op::Join`]         | natural hash join of two slots into a third           |
-//! | [`Op::Project`]      | hash-distinct projection onto a variable list         |
+//! | [`Op::JoinProject`]  | `π_vars(left ⋈ right)` in one pass: matches emit only the kept columns, then packed-radix or hash dedup; the full-width join never exists |
+//! | [`Op::Project`]      | distinct projection of one slot ([`Op::JoinProject`] against the unit relation); the identity projection shares the slot's rows |
 //! | [`Op::Dedup`]        | in-place sort + duplicate elimination                 |
 //! | [`Op::Union`]        | append a same-variable slot (column-remapped)         |
 //!
@@ -454,9 +455,9 @@ pub enum Op {
         /// What to materialize.
         source: MatSource,
     },
-    /// In-place semijoin `target ⋉ source` on aligned key columns.
+    /// Semijoin `target ⋉ source` on aligned key columns.
     Semijoin {
-        /// Slot filtered in place.
+        /// Slot filtered.
         target: Slot,
         /// Slot probed for matches.
         source: Slot,
@@ -479,7 +480,22 @@ pub enum Op {
         /// Right operand slot.
         right: Slot,
     },
-    /// Projection of `src` onto `vars` into `dst` (sorted, deduplicated).
+    /// `π_vars(left ⋈ right)` into `dst` as one operator (operands are
+    /// kept, rows deduplicated, order unspecified): what
+    /// [`compile_tree`] emits where a [`Op::Join`] would feed straight
+    /// into a [`Op::Project`].
+    JoinProject {
+        /// Destination slot.
+        dst: Slot,
+        /// Left operand slot.
+        left: Slot,
+        /// Right operand slot.
+        right: Slot,
+        /// Variables kept (each must occur in an operand's schema).
+        vars: Vec<VarId>,
+    },
+    /// Projection of `src` onto `vars` into `dst` (deduplicated, order
+    /// unspecified).
     Project {
         /// Destination slot.
         dst: Slot,
@@ -592,7 +608,10 @@ impl PlanIr {
                 Op::Materialize { dst, .. } => (vec![], vec![*dst]),
                 Op::Semijoin { target, source, .. } => (vec![*source, *target], vec![*target]),
                 Op::AssertNonempty { slot } => (vec![*slot], vec![]),
-                Op::Join { dst, left, right } => (vec![*left, *right], vec![*dst]),
+                Op::Join { dst, left, right }
+                | Op::JoinProject {
+                    dst, left, right, ..
+                } => (vec![*left, *right], vec![*dst]),
                 Op::Project { dst, src, .. } => (vec![*src], vec![*dst]),
                 Op::Dedup { slot } => (vec![*slot], vec![*slot]),
                 Op::Union { dst, src } => (vec![*src, *dst], vec![*dst]),
@@ -669,8 +688,24 @@ impl PlanIr {
                     (Some(l), Some(r)) if l.packed_join_would_dispatch(r) => "join(packed)",
                     _ => "join",
                 },
+                Op::JoinProject {
+                    left, right, vars, ..
+                } => match (&slots[*left], &slots[*right]) {
+                    (Some(l), Some(r)) if l.packed_join_project_would_dispatch(r, vars) => {
+                        "join+project(packed)"
+                    }
+                    _ => "join+project",
+                },
                 Op::Project { src, vars, .. } => match &slots[*src] {
-                    Some(s) if s.packed_project_would_dispatch(vars) => "project(packed)",
+                    Some(s)
+                        if vars != s.schema()
+                            && s.packed_join_project_would_dispatch(
+                                &FlatRelation::unit(),
+                                vars,
+                            ) =>
+                    {
+                        "project(packed)"
+                    }
                     _ => "project",
                 },
                 Op::Dedup { slot } => match &slots[*slot] {
@@ -686,7 +721,7 @@ impl PlanIr {
                 Op::Materialize { dst, .. } => *dst,
                 Op::Semijoin { target, .. } => *target,
                 Op::AssertNonempty { slot } => *slot,
-                Op::Join { dst, .. } => *dst,
+                Op::Join { dst, .. } | Op::JoinProject { dst, .. } => *dst,
                 Op::Project { dst, .. } => *dst,
                 Op::Dedup { slot } => *slot,
                 Op::Union { dst, .. } => *dst,
@@ -783,20 +818,27 @@ impl PlanIr {
                     let out = rel(&slots[*left]).join_budget(rel(&slots[*right]), budget);
                     slots[*dst] = Some(out);
                 }
+                Op::JoinProject {
+                    dst,
+                    left,
+                    right,
+                    vars,
+                } => {
+                    let (l, r) = (rel(&slots[*left]), rel(&slots[*right]));
+                    slots[*dst] = Some(l.join_project_budget(r, vars, budget));
+                }
                 Op::Project { dst, src, vars } => {
-                    // Every Project in a compiled tree reads a
-                    // duplicate-free slot (materializations are
-                    // canonical; joins of duplicate-free inputs are
-                    // duplicate-free), so a keep-list equal to the full
-                    // schema is the identity, and otherwise the
-                    // hash-distinct projection suffices: downstream
-                    // operators probe hashes and the answer collector
-                    // orders, so the canonical sort would buy nothing.
-                    let source = rel(&slots[*src]);
+                    // Every slot of a compiled tree is duplicate-free
+                    // (materializations are canonical; joins of
+                    // duplicate-free inputs are duplicate-free), so a
+                    // keep-list equal to the full schema is the
+                    // identity: both slots then share one buffer.
+                    let source = slots[*src].as_mut().expect("slot written before use");
                     let out = if vars == source.schema() {
-                        source.clone()
+                        source.share_rows();
+                        source.relabel(vars.clone())
                     } else {
-                        source.project_distinct(vars)
+                        source.join_project_budget(&FlatRelation::unit(), vars, budget)
                     };
                     slots[*dst] = Some(out);
                 }
@@ -1183,14 +1225,22 @@ pub struct NodeSpec {
 ///
 /// 1. materialize every node source;
 /// 2. full reducer — semijoins leaves→root then root→leaves on the
-///    columns the adjacent *schemas* share, with emptiness assertions;
+///    columns the adjacent *schemas* share, with emptiness assertions
+///    (the second sweep skips the nodes the join phase never reads
+///    again and those it joins into their parent unchanged — that join
+///    is their semijoin — so a Boolean join tree is one sweep);
 /// 3. unless the query is Boolean and the reduction decides it:
 ///    bottom-up joins, each node projected onto its free variables plus
-///    the variables its parent's *label* retains, roots combined by
-///    (cartesian) join.
+///    the variables its parent's *label* retains — the last join of a
+///    node fused with that projection into one [`Op::JoinProject`] —
+///    roots combined by (cartesian) join.
 ///
 /// `parent`/`order` describe the rooted tree (children before parents
-/// in `order`); `free` lists the query's free variables.
+/// in `order`); `free` lists the query's free variables. A genuine
+/// join tree (every label equal to its schema) with free variables is
+/// re-rooted at the node holding most of them, and its join phase
+/// skips every subtree whose join would be the identity after the full
+/// reducer: `Q(x) :- E(x,y), E(y,z), E(z,w)` runs no join at all.
 pub fn compile_tree(
     nodes: &[NodeSpec],
     parent: &[Option<usize>],
@@ -1203,12 +1253,53 @@ pub fn compile_tree(
     let reduction_decides = nodes.iter().all(|s| s.label == s.source.schema);
     let free_set: BTreeSet<VarId> = free.iter().copied().collect();
 
+    // A join tree may be rooted at any node. Root each at the node
+    // holding the most free variables (ties keep the caller's root):
+    // what the root covers needs no join from below — see the join
+    // phase — and a root covering the whole head makes that phase one
+    // projection.
+    let reroot = reduction_decides && !free.is_empty();
+    let (mut parent, mut order) = (parent.to_vec(), order.to_vec());
+    if reroot {
+        let held = |u: usize| {
+            let schema = &nodes[u].source.schema;
+            schema.iter().filter(|v| free_set.contains(v)).count()
+        };
+        // Children come first in `order`: every node hands the best
+        // candidate of its subtree up to its parent.
+        let mut best: Vec<usize> = (0..n).collect();
+        for &u in &order {
+            match parent[u] {
+                Some(p) if held(best[u]) > held(best[p]) => best[p] = best[u],
+                _ => {}
+            }
+        }
+        for r in (0..n).filter(|&r| parent[r].is_none()).collect::<Vec<_>>() {
+            // Reverse the parent pointers on the path up to `r`.
+            let (mut prev, mut cur) = (None, Some(best[r]));
+            while let Some(c) = cur {
+                cur = std::mem::replace(&mut parent[c], prev);
+                prev = Some(c);
+            }
+        }
+    }
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (u, p) in parent.iter().enumerate() {
         if let Some(p) = p {
             children[*p].push(u);
         }
     }
+    if reroot {
+        // Children-first order of the new forest: a reversed preorder.
+        let mut stack: Vec<usize> = (0..n).filter(|&r| parent[r].is_none()).collect();
+        order.clear();
+        while let Some(u) = stack.pop() {
+            order.push(u);
+            stack.extend(&children[u]);
+        }
+        order.reverse();
+    }
+    let (parent, order) = (&parent[..], &order[..]);
 
     let mut ops: Vec<Op> = Vec::new();
     let mut slots = n; // slots 0..n hold the node relations
@@ -1245,6 +1336,40 @@ pub fn compile_tree(
         })
         .collect();
 
+    // The join phase, statically first (children before parents):
+    // `keep[u]` is the schema of `u`'s projected subtree join — the
+    // free variables plus the variables the parent's label retains —
+    // and `whole[u]` says that projection drops nothing.
+    //
+    // `dead[u]`: the join phase needs nothing from `u`'s subtree. On a
+    // genuine join tree the first sweep already leaves every row of a
+    // node with a match all the way down each child's subtree, so
+    // joining a child whose kept variables the node already has is the
+    // identity: no op for it, and none for anything below it.
+    let mut keep: Vec<Vec<VarId>> = vec![Vec::new(); n];
+    let (mut whole, mut dead) = (vec![false; n], vec![false; n]);
+    for &u in order {
+        let mut schema = nodes[u].source.schema.clone();
+        for &c in &children[u] {
+            for &v in &keep[c] {
+                if !schema.contains(&v) {
+                    schema.push(v);
+                }
+            }
+        }
+        let joined = schema.len();
+        let label = parent[u].map(|p| &nodes[p].label);
+        schema
+            .retain(|v| free_set.contains(v) || label.is_some_and(|l| l.binary_search(v).is_ok()));
+        whole[u] = schema.len() == joined;
+        let above = parent[u].map(|p| &nodes[p].source.schema);
+        dead[u] = reduction_decides && above.is_some_and(|s| schema.iter().all(|v| s.contains(v)));
+        keep[u] = schema;
+    }
+    for &u in order.iter().rev() {
+        dead[u] |= parent[u].is_some_and(|p| dead[p]);
+    }
+
     // Full reducer: leaves → root …
     for &u in order {
         if let Some(p) = parent[u] {
@@ -1258,9 +1383,14 @@ pub fn compile_tree(
         }
         ops.push(Op::AssertNonempty { slot: u });
     }
-    // … then root → leaves.
+    // … then root → leaves, but only into nodes the join phase computes
+    // on. A dead node is never read again; a live one with no live
+    // child to join and nothing to project away is handed to its parent
+    // as it is, and that join drops exactly the rows the semijoin would
+    // have, at the same probe per row.
+    let as_is = |u: usize| (dead[u] || whole[u]) && children[u].iter().all(|&c| dead[c]);
     for &u in order.iter().rev() {
-        if parent[u].is_some() {
+        if parent[u].is_some() && !as_is(u) {
             let (child_pos, parent_pos) = edge_pos[u].as_ref().expect("non-root has an edge");
             ops.push(Op::Semijoin {
                 target: u,
@@ -1287,66 +1417,55 @@ pub fn compile_tree(
         };
     }
 
-    // Bottom-up joins with projection. `partial[u]` is the slot holding
-    // the projected join of `u`'s subtree; its schema is tracked
-    // statically so projections list exact variables.
-    let mut partial: Vec<Option<(Slot, Vec<VarId>)>> = vec![None; n];
-    for &u in order {
-        let mut cur: Slot = u;
-        let mut schema: Vec<VarId> = nodes[u].source.schema.clone();
-        for &c in &children[u] {
-            let (cslot, cschema) = partial[c].take().expect("children processed first");
-            let dst = slots;
-            slots += 1;
-            ops.push(Op::Join {
-                dst,
-                left: cur,
-                right: cslot,
-            });
-            for v in cschema {
-                if !schema.contains(&v) {
-                    schema.push(v);
+    // Then the ops: a node joins its live children one by one; the last
+    // join waits for the projection and fuses with it. `partial[u]` is
+    // the slot holding the projected join of `u`'s subtree.
+    let mut partial: Vec<Slot> = vec![0; n];
+    for &u in order.iter().filter(|&&u| !dead[u]) {
+        let mut last: Option<(Slot, Slot)> = None;
+        for &c in children[u].iter().filter(|&&c| !dead[c]) {
+            let left = match last {
+                None => u,
+                Some((left, right)) => {
+                    ops.push(Op::Join {
+                        dst: slots,
+                        left,
+                        right,
+                    });
+                    slots += 1;
+                    slots - 1
                 }
-            }
-            cur = dst;
+            };
+            last = Some((left, partial[c]));
         }
-        // Keep free variables plus variables the parent's label retains.
-        let keep: Vec<VarId> = schema
-            .iter()
-            .copied()
-            .filter(|v| {
-                free_set.contains(v)
-                    || parent[u]
-                        .map(|p| nodes[p].label.binary_search(v).is_ok())
-                        .unwrap_or(false)
-            })
-            .collect();
-        let dst = slots;
+        let (dst, vars) = (slots, keep[u].clone());
         slots += 1;
-        ops.push(Op::Project {
-            dst,
-            src: cur,
-            vars: keep.clone(),
+        ops.push(match last {
+            Some((left, right)) if whole[u] => Op::Join { dst, left, right },
+            Some((left, right)) => Op::JoinProject {
+                dst,
+                left,
+                right,
+                vars,
+            },
+            None => Op::Project { dst, src: u, vars },
         });
-        partial[u] = Some((dst, keep));
+        partial[u] = dst;
     }
 
     // Combine the roots (cartesian join across components).
-    let roots: Vec<usize> = (0..n).filter(|&u| parent[u].is_none()).collect();
     let mut out: Option<Slot> = None;
-    for r in roots {
-        let (rslot, _) = partial[r].take().expect("root processed");
+    for r in (0..n).filter(|&u| parent[u].is_none()) {
         out = Some(match out {
-            None => rslot,
+            None => partial[r],
             Some(acc) => {
-                let dst = slots;
-                slots += 1;
                 ops.push(Op::Join {
-                    dst,
+                    dst: slots,
                     left: acc,
-                    right: rslot,
+                    right: partial[r],
                 });
-                dst
+                slots += 1;
+                slots - 1
             }
         });
     }
@@ -1664,6 +1783,138 @@ mod tests {
         assert!(none.is_none());
         assert!(aborted.ops.len() < plan.ir().op_count());
         assert_eq!(aborted.ops.last().unwrap().op, "assert_nonempty");
+    }
+
+    #[test]
+    fn warm_boolean_run_copies_no_cached_row() {
+        use crate::eval::yannakakis::AcyclicPlan;
+        // The kernels bump process-wide counters other tests read.
+        let _g = crate::eval::flat::knob_guard();
+        // A directed cycle reduces nothing: every semijoin keeps every
+        // row, so even the kernel sweep must leave the slots alone.
+        let edges: Vec<(u32, u32)> = (0..700u32).map(|u| (u, (u + 1) % 700)).collect();
+        let d = Structure::digraph(700, &edges);
+        let q = parse_cq("Q() :- E(x,y), E(y,z), E(z,w), E(y,u)").unwrap();
+        let plan = AcyclicPlan::compile(&q).unwrap();
+        let ir = plan.ir();
+        assert!(ir.reduction_decides());
+        let cache = MaterializationCache::new();
+        let budget = &ThreadBudget::sequential();
+        assert!(ir.run_boolean_budget(&d, Some(&cache), budget).0);
+        let resident = cache.resident_bytes();
+        let mut stats = MatCacheStats::default();
+        let mut slots: Vec<Option<FlatRelation>> = vec![None; ir.slots];
+        let mat_len = ir.materialize_sources().count();
+        assert!(ir.exec(
+            0,
+            mat_len,
+            &mut slots,
+            &d,
+            Some(&cache),
+            &mut stats,
+            budget,
+            None
+        ));
+        assert_eq!((stats.hits as usize, stats.misses), (mat_len, 0));
+        // Both sweep paths: the bitmap collapse (when bitmaps are on)
+        // and the semijoin kernels.
+        assert_ne!(ir.bitmap_bool_sweep(mat_len, &slots, None), Some(false));
+        let len = ir.bool_len;
+        assert!(ir.exec(
+            mat_len,
+            len,
+            &mut slots,
+            &d,
+            Some(&cache),
+            &mut stats,
+            budget,
+            None
+        ));
+        for (dst, source) in ir.materialize_sources().enumerate() {
+            let (entry, hit) = cache.get_or_materialize(&source.key, || unreachable!("warm"));
+            assert!(hit);
+            let slot = slots[dst].as_ref().unwrap();
+            assert!(slot.shares_rows_with(&entry), "slot {dst} copied its rows");
+            assert_eq!(slot.schema(), &source.schema[..]);
+        }
+        assert_eq!(cache.resident_bytes(), resident);
+    }
+
+    fn joins_in(ir: &PlanIr) -> usize {
+        let join = |op: &&Op| matches!(op, Op::Join { .. } | Op::JoinProject { .. });
+        ir.ops.iter().filter(join).count()
+    }
+
+    fn semijoins_in(ir: &PlanIr) -> usize {
+        let semijoin = |op: &&Op| matches!(op, Op::Semijoin { .. });
+        ir.ops.iter().filter(semijoin).count()
+    }
+
+    #[test]
+    fn join_tree_elides_identity_joins_but_decomposition_keeps_them() {
+        use crate::eval::yannakakis::AcyclicPlan;
+        let q = parse_cq("Q(x) :- E(x,y), E(y,z), E(z,w)").unwrap();
+        let plan = AcyclicPlan::compile(&q).unwrap();
+        assert_eq!(joins_in(plan.ir()), 0, "{:?}", plan.ir().ops);
+        // Two free variables two hops apart: one join must stay, fused.
+        let q2 = parse_cq("Q(x, z) :- E(x,y), E(y,z), E(z,w)").unwrap();
+        let ir2 = AcyclicPlan::compile(&q2).unwrap();
+        assert_eq!(joins_in(ir2.ir()), 1);
+        assert!(ir2
+            .ir()
+            .ops
+            .iter()
+            .any(|op| matches!(op, Op::JoinProject { .. })));
+        // The second sweep reaches only what the join phase computes
+        // on: nothing when the root covers the head or is joined with
+        // unchanged leaves (that join drops the same rows), the inner
+        // node of a path whose ends are both free.
+        assert_eq!((semijoins_in(plan.ir()), semijoins_in(ir2.ir())), (2, 2));
+        for (rule, semijoins) in [
+            ("Q() :- E(x,y), E(y,z), E(z,w)", 2),
+            ("Q(x, y, z) :- E(x,y), E(y,z)", 1),
+            ("Q(x, z) :- E(x,y), E(y,z)", 1),
+            ("Q(x, w) :- E(x,y), E(y,z), E(z,w)", 3),
+        ] {
+            let q = parse_cq(rule).unwrap();
+            let ir = AcyclicPlan::compile(&q).unwrap();
+            assert_eq!(
+                semijoins_in(ir.ir()),
+                semijoins,
+                "{rule}: {:?}",
+                ir.ir().ops
+            );
+        }
+        // The same three atoms as bags, the middle one also carrying
+        // `x` as a connector-only variable: the sweeps no longer decide
+        // and every join is back.
+        let nodes: Vec<NodeSpec> = q
+            .atoms()
+            .iter()
+            .map(|a| {
+                let source = MatSource::from_groups(&[vec![a]]);
+                NodeSpec {
+                    label: source.schema.clone(),
+                    source,
+                }
+            })
+            .collect();
+        let mut bags = nodes.clone();
+        bags[1].label = vec![0, 1, 2];
+        let (parent, order) = ([None, Some(0), Some(1)], [2, 1, 0]);
+        let tree = compile_tree(&nodes, &parent, &order, q.free_vars());
+        let decomp = compile_tree(&bags, &parent, &order, q.free_vars());
+        assert!(tree.reduction_decides() && !decomp.reduction_decides());
+        assert_eq!((joins_in(&tree), joins_in(&decomp)), (0, 2));
+        // … and so is the second sweep into every bag that is projected
+        // before it is joined (the leaf loses `w`).
+        assert_eq!((semijoins_in(&tree), semijoins_in(&decomp)), (2, 4));
+        let d = Structure::digraph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (5, 5), (4, 0)]);
+        let want = plan.eval(&d);
+        for ir in [&tree, &decomp] {
+            let (got, _) = ir.run_answers(q.free_vars(), &d, None, ThreadBudget::shared(), None);
+            assert_eq!(got, want);
+        }
     }
 
     #[test]
