@@ -10,10 +10,15 @@
 //! heads. Every plan is compiled at the query's exact treewidth; full
 //! evaluation, Boolean evaluation, and cached evaluation (cold and
 //! warm) must all agree with both references.
+//!
+//! `DecomposedPlan::compile` evaluates one root of the reduced
+//! decomposition; `every_root_agrees` compiles all of them
+//! (`compile_rooted`), so the answers cannot depend on the root rule.
 
 use cqapx_bench::baseline::BaselineHom;
 use cqapx_cq::eval::{DecomposedPlan, MaterializationCache, NaivePlan};
-use cqapx_cq::{parse_cq, tableau_of, treewidth_of_query, ConjunctiveQuery};
+use cqapx_cq::{parse_cq, query_graph, tableau_of, treewidth_of_query, ConjunctiveQuery};
+use cqapx_graphs::treewidth::treewidth_at_most;
 use cqapx_structures::{Element, Structure};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -113,6 +118,24 @@ fn random_query(max_vars: usize) -> impl Strategy<Value = ConjunctiveQuery> {
     })
 }
 
+/// Two random bodies over disjoint variables, a triangle in each so
+/// both components are cyclic; loops (repeated variables) and duplicate
+/// atoms included. `boolean` empties the head.
+fn disconnected_cyclic_query() -> impl Strategy<Value = ConjunctiveQuery> {
+    (
+        proptest::collection::vec((0..4u32, 0..4u32), 0..=4),
+        proptest::collection::vec((4..8u32, 4..8u32), 0..=4),
+        any::<u32>(),
+        any::<bool>(),
+    )
+        .prop_map(|(mut edges, other, head_bits, boolean)| {
+            edges.extend([(0, 1), (1, 2), (2, 0)]);
+            edges.extend(other);
+            edges.extend([(4, 5), (5, 6), (6, 4)]);
+            build_query(&edges, 0, if boolean { 0 } else { head_bits })
+        })
+}
+
 /// A random digraph database.
 fn digraph(max_n: usize) -> impl Strategy<Value = Structure> {
     (2..=max_n).prop_flat_map(move |n| {
@@ -161,8 +184,56 @@ fn check(q: &ConjunctiveQuery, d: &Structure) {
     prop_assert_eq!(b, !expected.is_empty());
 }
 
+/// Every root of the reduced decomposition computes `Q(D)`: uncached,
+/// cold and warm, with the same cache traffic when all of it is done
+/// again — and the same traffic at every root, since the bags are.
+fn check_every_root(q: &ConjunctiveQuery, d: &Structure) {
+    let tw = treewidth_of_query(q);
+    let td = treewidth_at_most(&query_graph(q), tw)
+        .expect("decomposes at the exact treewidth")
+        .reduced();
+    let expected = NaivePlan::compile(q.clone()).eval(d);
+    let mut traffic = BTreeSet::new();
+    for root in 0..td.bags.len() {
+        let plan = DecomposedPlan::compile_rooted(q, &td, root);
+        prop_assert_eq!(plan.width(), td.width());
+        prop_assert_eq!(&plan.eval(d), &expected, "root {} disagrees on {}", root, q);
+        prop_assert_eq!(plan.eval_boolean(d), !expected.is_empty());
+        for _ in 0..2 {
+            let cache = MaterializationCache::new();
+            let (cold, s_cold) = plan.eval_cached(d, Some(&cache));
+            let (warm, s_warm) = plan.eval_cached(d, Some(&cache));
+            prop_assert_eq!(&cold, &expected, "cold, root {}, on {}", root, q);
+            prop_assert_eq!(&warm, &expected, "warm, root {}, on {}", root, q);
+            prop_assert_eq!(s_warm.misses, 0, "warm run re-materialized on {}", q);
+            traffic.insert((s_cold.hits, s_cold.misses, s_warm.hits, s_warm.misses));
+        }
+    }
+    prop_assert_eq!(
+        traffic.len(),
+        1,
+        "cache traffic moved on {}: {:?}",
+        q,
+        traffic
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Templates, random queries and two-component queries (free and
+    /// Boolean) at every root of the reduced decomposition.
+    #[test]
+    fn every_root_agrees(
+        t in template_query(),
+        r in random_query(6),
+        two in disconnected_cyclic_query(),
+        d in digraph(7),
+    ) {
+        for q in [&t, &r, &two] {
+            check_every_root(q, &d);
+        }
+    }
 
     /// Cycles, wheels, cliques and double triangles with random
     /// orientations and heads.

@@ -8,10 +8,11 @@
 //! the thread count.
 
 use cqapx_cq::eval::{AcyclicPlan, Answers, DecomposedPlan, MaterializationCache, NaivePlan};
-use cqapx_cq::{parse_cq, treewidth_of_query, ConjunctiveQuery};
+use cqapx_cq::{parse_cq, query_graph, treewidth_of_query, ConjunctiveQuery};
 use cqapx_engine::{
     Engine, EngineConfig, EvalMode, MetricsLevel, Request, ResponseStatus, DEGRADE_MIN_SAMPLES,
 };
+use cqapx_graphs::treewidth::TreeDecomposition;
 use cqapx_par::ThreadBudget;
 use cqapx_structures::Structure;
 use proptest::prelude::*;
@@ -212,7 +213,17 @@ fn cached_rows_are_never_written_through_a_sharing_slot() {
         "Q(x) :- E(x,y), E(y,z), E(z,x)",
         "Q() :- E(a,b), E(b,c), E(c,d), E(d,a)",
         "Q(a) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,a)",
+        C6,
     ];
+    // The compiler's own (reduced) decompositions cover an atom in every
+    // bag here; a star over C6 whose centre {b, d, f} covers none keeps
+    // the 0-ary connector bag in the matrix.
+    const C6: &str = "Q(a) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)";
+    let star = TreeDecomposition {
+        bags: vec![vec![1, 3, 5], vec![0, 1, 5], vec![1, 2, 3], vec![3, 4, 5]],
+        tree_edges: vec![(0, 1), (0, 2), (0, 3)],
+    };
+    star.validate(&query_graph(&parse_cq(C6).unwrap())).unwrap();
     let mut landed: Vec<(String, Vec<Vec<u32>>)> = Vec::new();
     let mut connector_bags = 0;
     for threads in [1, 2] {
@@ -225,9 +236,10 @@ fn cached_rows_are_never_written_through_a_sharing_slot() {
             let q = parse_cq(text).unwrap();
             let expected = NaivePlan::compile(q.clone()).eval(&d);
             let acyclic = AcyclicPlan::compile(&q).ok();
-            let decomposed = acyclic
-                .is_none()
-                .then(|| DecomposedPlan::compile(&q, treewidth_of_query(&q)).unwrap());
+            let decomposed = acyclic.is_none().then(|| match text {
+                C6 => DecomposedPlan::compile_rooted(&q, &star, 0),
+                _ => DecomposedPlan::compile(&q, treewidth_of_query(&q)).unwrap(),
+            });
             let ir: &PlanIr = match (&acyclic, &decomposed) {
                 (Some(p), _) => p.ir(),
                 (_, Some(p)) => p.ir(),

@@ -6,7 +6,8 @@
 //! cyclic queries the acyclic tier must reject. The classic recipe:
 //!
 //! 1. compute a width-`≤ k` [`TreeDecomposition`] of `G(Q)`
-//!    (deterministic, exact — `graphs::treewidth::treewidth_at_most`);
+//!    (deterministic, exact — `graphs::treewidth::treewidth_at_most`),
+//!    reduced and rooted at its centre ([`DecomposedPlan::compile`]);
 //! 2. assign every atom to **every bag containing its variables** (an
 //!    atom's variables form a clique of `G(Q)`, so at least one bag
 //!    covers it) and **materialize each bag** as the join of its atom
@@ -34,9 +35,10 @@ use crate::classes::query_graph;
 use crate::eval::answers::Answers;
 use crate::eval::flat::{MatCacheStats, MatKey, MaterializationCache};
 use crate::eval::ir::{compile_tree, MatSource, MatStrategy, NodeSpec, PlanIr};
-use cqapx_graphs::treewidth::treewidth_at_most;
+use cqapx_graphs::treewidth::{treewidth_at_most, TreeDecomposition};
 use cqapx_par::ThreadBudget;
 use cqapx_structures::{RelId, Structure};
+use std::cmp::Reverse;
 use std::fmt;
 
 /// Error: the query graph has treewidth above the requested bound, so
@@ -110,11 +112,41 @@ pub struct DecomposedPlan {
 impl DecomposedPlan {
     /// Compiles a plan from a width-`≤ k` tree decomposition of `G(Q)`;
     /// fails when the treewidth exceeds `k`.
+    ///
+    /// The decomposition is [reduced] first — a bag inside a neighbour
+    /// costs a materialization, two semijoins and a join and constrains
+    /// nothing — and rooted at a bag of minimum height, ties going to
+    /// the bag with most head variables, then the lowest index: every
+    /// level below the root is one more join whose fan-out multiplies
+    /// the intermediate carried up, while rooting at the head's bag
+    /// only spares carrying the head (and is the deepest root there is
+    /// when that bag is a leaf).
+    ///
+    /// [reduced]: TreeDecomposition::reduced
     pub fn compile(query: &ConjunctiveQuery, k: usize) -> Result<DecomposedPlan, NotDecomposable> {
         let g = query_graph(query);
-        let td = treewidth_at_most(&g, k).ok_or(NotDecomposable { width_limit: k })?;
+        let td = treewidth_at_most(&g, k)
+            .ok_or(NotDecomposable { width_limit: k })?
+            .reduced();
+        let heights = td.heights();
+        let head = |bag: &[VarId]| query.free_vars().iter().filter(|v| bag.contains(v)).count();
+        let root = (0..td.bags.len())
+            .min_by_key(|&b| (heights[b], Reverse(head(&td.bags[b])), b))
+            .expect("a decomposition has at least one bag");
+        Ok(Self::compile_rooted(query, &td, root))
+    }
+
+    /// Compiles a plan over a given tree decomposition of `G(Q)` rooted
+    /// at bag `root`; every root of every valid decomposition computes
+    /// the same answers. Panics when `td` is not a tree over its bags,
+    /// `root` is not one of them, or some atom's variables lie in no bag.
+    pub fn compile_rooted(
+        query: &ConjunctiveQuery,
+        td: &TreeDecomposition,
+        root: usize,
+    ) -> DecomposedPlan {
         let width = td.width();
-        let rooted = td.rooted();
+        let rooted = td.rooted_at(root);
 
         // Assign each atom to every bag covering its variable set, then
         // group the atoms of a bag by variable set (one MatPart each).
@@ -180,12 +212,12 @@ impl DecomposedPlan {
         );
 
         let ir = compile_tree(&nodes, &rooted.parent, &rooted.order, query.free_vars());
-        Ok(DecomposedPlan {
+        DecomposedPlan {
             query: query.clone(),
             ir,
             width,
             bags,
-        })
+        }
     }
 
     /// Returns the plan with every bag forced to the given build
@@ -448,6 +480,76 @@ mod tests {
                 "cache traffic must not depend on the kernel ({qs})"
             );
         }
+    }
+
+    #[test]
+    fn any_decomposition_at_any_root() {
+        // A star over C6 whose centre {b, d, f} covers no atom — a shape
+        // `compile` never picks — evaluated from each of its bags.
+        let q = parse_cq("Q(a, d) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
+        let star = TreeDecomposition {
+            bags: vec![vec![0, 1, 5], vec![1, 2, 3], vec![1, 3, 5], vec![3, 4, 5]],
+            tree_edges: vec![(0, 2), (1, 2), (2, 3)],
+        };
+        star.validate(&query_graph(&q)).unwrap();
+        let d = Structure::digraph(
+            7,
+            &[
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (4, 5),
+                (5, 0),
+                (0, 6),
+                (6, 2),
+                (3, 3),
+            ],
+        );
+        let expected = eval_naive(&q, &d);
+        assert!(!expected.is_empty());
+        for root in 0..star.bags.len() {
+            let plan = DecomposedPlan::compile_rooted(&q, &star, root);
+            assert_eq!(plan.width(), 2);
+            assert_eq!(
+                plan.bag_summaries()[2].parts.len(),
+                0,
+                "the centre covers no atom"
+            );
+            assert_eq!(plan.eval(&d), expected, "root {root}");
+        }
+    }
+
+    #[test]
+    fn compile_reduces_and_roots_at_the_centre() {
+        // One bag per eliminated vertex would be three for the triangle
+        // and six for C6; reduced, one and four.
+        let tri = parse_cq("Q(x) :- E(x,y), E(y,z), E(z,x)").unwrap();
+        assert_eq!(
+            DecomposedPlan::compile(&tri, 2)
+                .unwrap()
+                .bag_summaries()
+                .len(),
+            1
+        );
+        let c6 = parse_cq("Q(a) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
+        let plan = DecomposedPlan::compile(&c6, 2).unwrap();
+        assert_eq!(plan.bag_summaries().len(), 4);
+        // The four bags form a path; the plan is the one rooted at one
+        // of its two middle bags, not at either end.
+        let td = treewidth_at_most(&query_graph(&c6), 2).unwrap().reduced();
+        let heights = td.heights();
+        let centre = (0..4).filter(|&b| heights[b] == 2).collect::<Vec<_>>();
+        assert_eq!(centre.len(), 2);
+        let same_ops = |root: usize| {
+            let rooted = DecomposedPlan::compile_rooted(&c6, &td, root);
+            format!("{:?}", rooted.ir()) == format!("{:?}", plan.ir())
+        };
+        assert!(
+            centre.iter().any(|&b| same_ops(b)),
+            "compiled at a centre bag"
+        );
+        assert!((0..4).filter(|b| !centre.contains(b)).all(|b| !same_ops(b)));
     }
 
     #[test]

@@ -1718,19 +1718,38 @@ impl FlatRelation {
     /// Per-column maximum value frequency — the observed heavy-hitter
     /// degree the Auto bag strategy feeds into its skew-corrected
     /// estimate (see `resolve_bag_strategy_observed`). One counting
-    /// pass per column; empty relations report all zeros.
+    /// pass per column: into one `domain_width`-sized array, cleared
+    /// between columns, when the rows are dense dictionary codes — every
+    /// relation materialized from a snapshot — and into a hash map for
+    /// hand-built relations that carry no code width. Empty relations
+    /// report all zeros.
     pub fn max_degrees(&self) -> Vec<usize> {
         let a = self.schema.len();
-        let mut out = vec![0usize; a];
-        let mut counts: FxHashMap<Element, usize> = FxHashMap::default();
-        for (j, slot) in out.iter_mut().enumerate() {
-            counts.clear();
-            for r in 0..self.rows {
-                *counts.entry(self.data[r * a + j]).or_insert(0) += 1;
-            }
-            *slot = counts.values().copied().max().unwrap_or(0);
+        let column = |j: usize| self.data.iter().skip(j).step_by(a);
+        if self.domain_width == 0 {
+            let mut counts: FxHashMap<Element, usize> = FxHashMap::default();
+            return (0..a)
+                .map(|j| {
+                    counts.clear();
+                    for &v in column(j) {
+                        *counts.entry(v).or_insert(0) += 1;
+                    }
+                    counts.values().copied().max().unwrap_or(0)
+                })
+                .collect();
         }
-        out
+        let mut counts = vec![0u32; self.domain_width as usize];
+        (0..a)
+            .map(|j| {
+                counts.fill(0);
+                let mut max = 0;
+                for &v in column(j) {
+                    counts[v as usize] += 1;
+                    max = max.max(counts[v as usize]);
+                }
+                max as usize
+            })
+            .collect()
     }
 
     /// The decoded answer set for `head` as a tree of row vectors — a
@@ -2368,8 +2387,10 @@ struct WcojRun<'a> {
     /// `bounds[p][d]`: row range of part `p` matching the first `d`
     /// bound columns. `bounds[p][0]` is the whole relation.
     bounds: Vec<Vec<(usize, usize)>>,
-    /// Per level: cursor per active slot (reused across calls).
-    cursors: Vec<Vec<usize>>,
+    /// Per level: `(cursor, range end)` per active slot. A level's
+    /// scratch is taken for the duration of its call and put back, so
+    /// the recursion allocates nothing per binding.
+    cursors: Vec<Vec<(usize, usize)>>,
     binding: Vec<Element>,
     out: Vec<Element>,
     rows: usize,
@@ -2387,7 +2408,7 @@ impl<'a> WcojRun<'a> {
             cursors: shape
                 .active_at
                 .iter()
-                .map(|a| vec![0usize; a.len()])
+                .map(|a| vec![(0, 0); a.len()])
                 .collect(),
             binding: vec![0; shape.levels],
             out: Vec::new(),
@@ -2411,39 +2432,64 @@ impl<'a> WcojRun<'a> {
             self.rows += 1;
             return;
         }
-        let active = &self.shape.active_at[level];
+        self.search(level, &mut |st: &mut Self, v| {
+            st.binding[level] = v;
+            st.enumerate(level + 1);
+        });
+    }
+
+    /// The leapfrog search of one level: calls `on_match` with every
+    /// value all the level's parts share under the current binding, in
+    /// ascending order, each part's bounds narrowed to its run of the
+    /// value.
+    fn search(&mut self, level: usize, on_match: &mut impl FnMut(&mut Self, Element)) {
+        let mut curs = std::mem::take(&mut self.cursors[level]);
+        self.leapfrog(level, &mut curs, on_match);
+        self.cursors[level] = curs;
+    }
+
+    fn leapfrog(
+        &mut self,
+        level: usize,
+        curs: &mut [(usize, usize)],
+        on_match: &mut impl FnMut(&mut Self, Element),
+    ) {
+        let shape = self.shape;
+        let active = &shape.active_at[level];
         // Parts entering here with their whole relation as the range are
         // filtered by hash prefix probe instead of leapfrogged — unless
         // every active part is such, in which case they lead themselves.
         let all_fresh = active
             .iter()
-            .all(|&(p, d)| d == 0 && self.shape.col0[p].is_some());
-        let is_probed =
-            |&(p, d): &(usize, usize)| !all_fresh && d == 0 && self.shape.col0[p].is_some();
-        let mut curs = std::mem::take(&mut self.cursors[level]);
-        let mut ends = vec![0usize; active.len()];
-        let mut live = true;
-        for (slot, &(p, d)) in active.iter().enumerate() {
-            if is_probed(&active[slot]) {
+            .all(|&(p, d)| d == 0 && shape.col0[p].is_some());
+        let is_probed = |&(p, d): &(usize, usize)| !all_fresh && d == 0 && shape.col0[p].is_some();
+        // `gallop` within a slot's remaining range, on its bound column.
+        let seek = |&(p, d): &(usize, usize), (lo, hi): (usize, usize), v, strict| {
+            gallop(
+                shape.data[p],
+                shape.parts[p].schema.len(),
+                d,
+                lo,
+                hi,
+                v,
+                strict,
+            )
+        };
+        for (slot, a) in active.iter().enumerate() {
+            if is_probed(a) {
                 continue;
             }
-            let (lo, hi) = self.bounds[p][d];
-            curs[slot] = lo;
-            ends[slot] = hi;
-            if lo >= hi {
-                live = false;
+            curs[slot] = self.bounds[a.0][a.1];
+            if curs[slot].0 >= curs[slot].1 {
+                return;
             }
         }
-        if !live {
-            self.cursors[level] = curs;
-            return;
-        }
-        'search: loop {
+        loop {
             // Leapfrog the lead slots to a common value.
             let mut vmax = Element::MIN;
             for (slot, a) in active.iter().enumerate() {
                 if !is_probed(a) {
-                    vmax = vmax.max(self.val(a.0, curs[slot], a.1));
+                    vmax = vmax.max(self.val(a.0, curs[slot].0, a.1));
                 }
             }
             let mut moved = false;
@@ -2451,22 +2497,12 @@ impl<'a> WcojRun<'a> {
                 if is_probed(a) {
                     continue;
                 }
-                let &(p, d) = a;
-                if self.val(p, curs[slot], d) < vmax {
-                    let rel = self.shape.parts[p];
-                    curs[slot] = gallop(
-                        self.shape.data[p],
-                        rel.schema.len(),
-                        d,
-                        curs[slot],
-                        ends[slot],
-                        vmax,
-                        false,
-                    );
-                    if curs[slot] >= ends[slot] {
-                        break 'search;
+                if self.val(a.0, curs[slot].0, a.1) < vmax {
+                    curs[slot].0 = seek(a, curs[slot], vmax, false);
+                    if curs[slot].0 >= curs[slot].1 {
+                        return;
                     }
-                    if self.val(p, curs[slot], d) > vmax {
+                    if self.val(a.0, curs[slot].0, a.1) > vmax {
                         moved = true;
                     }
                 }
@@ -2478,7 +2514,7 @@ impl<'a> WcojRun<'a> {
             // narrow every active part to its run of the value.
             let mut ok = true;
             for a in active.iter().filter(|a| is_probed(a)) {
-                match self.shape.probe_run(a.0, vmax) {
+                match shape.probe_run(a.0, vmax) {
                     Some(run) => self.bounds[a.0][1] = run,
                     None => {
                         ok = false;
@@ -2486,53 +2522,25 @@ impl<'a> WcojRun<'a> {
                     }
                 }
             }
-            if ok {
-                for (slot, a) in active.iter().enumerate() {
-                    if is_probed(a) {
-                        continue;
-                    }
-                    let &(p, d) = a;
-                    let rel = self.shape.parts[p];
-                    let run_end = gallop(
-                        self.shape.data[p],
-                        rel.schema.len(),
-                        d,
-                        curs[slot],
-                        ends[slot],
-                        vmax,
-                        true,
-                    );
-                    self.bounds[p][d + 1] = (curs[slot], run_end);
-                }
-                self.binding[level] = vmax;
-                self.enumerate(level + 1);
-            }
-            // Advance every lead slot past the value.
+            // Advance every lead slot past the value; on a match, what
+            // it skips is the part's run for the level below.
+            let mut exhausted = false;
             for (slot, a) in active.iter().enumerate() {
                 if is_probed(a) {
                     continue;
                 }
-                let &(p, d) = a;
-                let rel = self.shape.parts[p];
-                curs[slot] = if ok {
-                    self.bounds[p][d + 1].1
-                } else {
-                    gallop(
-                        self.shape.data[p],
-                        rel.schema.len(),
-                        d,
-                        curs[slot],
-                        ends[slot],
-                        vmax,
-                        true,
-                    )
-                };
-                if curs[slot] >= ends[slot] {
-                    break 'search;
-                }
+                let run_end = seek(a, curs[slot], vmax, true);
+                self.bounds[a.0][a.1 + 1] = (curs[slot].0, run_end);
+                curs[slot].0 = run_end;
+                exhausted |= run_end >= curs[slot].1;
+            }
+            if ok {
+                on_match(self, vmax);
+            }
+            if exhausted {
+                return;
             }
         }
-        self.cursors[level] = curs;
     }
 }
 
@@ -2617,9 +2625,17 @@ pub(crate) fn multiway_join(
     // columns, with each candidate's per-part run recorded so workers
     // (and the sequential fallback) start directly at level 1.
     let lead: Vec<(usize, usize)> = shape.active_at[0].clone();
-    let mut cands: Vec<Element> = Vec::new();
-    let mut runs: Vec<(usize, usize)> = Vec::new(); // cands.len() × lead.len()
-    if let Some(bm) = wcoj_lead_bitmap(parts, &lead) {
+    let lead_bitmap = wcoj_lead_bitmap(parts, &lead);
+    // Sized once — a candidate occurs in every lead column — so the
+    // number of allocations does not grow with the data.
+    let most = match &lead_bitmap {
+        Some(bm) => bm.ones() as usize,
+        None => lead.iter().map(|&(p, _)| parts[p].rows).min().unwrap_or(0),
+    };
+    let mut cands: Vec<Element> = Vec::with_capacity(most);
+    let mut runs: Vec<(usize, usize)> = Vec::with_capacity(most * lead.len());
+    let mut st = WcojRun::new(&shape);
+    if let Some(bm) = lead_bitmap {
         // Bitmap AND gave the candidates; a monotone cursor per lead
         // slot finds each candidate's run exactly as the leapfrog
         // would (first row ≥ v is the first row = v, since v occurs
@@ -2645,56 +2661,13 @@ pub(crate) fn multiway_join(
             }
         }
     } else {
-        let mut curs: Vec<usize> = vec![0; lead.len()];
-        let mut live = lead.iter().all(|&(p, _)| parts[p].rows > 0);
-        'scan: while live {
-            let mut vmax = Element::MIN;
-            for (slot, &(p, _)) in lead.iter().enumerate() {
-                vmax = vmax.max(shape.data[p][curs[slot] * parts[p].schema.len()]);
-            }
-            let mut moved = false;
-            for (slot, &(p, _)) in lead.iter().enumerate() {
-                let rel = parts[p];
-                if shape.data[p][curs[slot] * rel.schema.len()] < vmax {
-                    curs[slot] = gallop(
-                        shape.data[p],
-                        rel.schema.len(),
-                        0,
-                        curs[slot],
-                        rel.rows,
-                        vmax,
-                        false,
-                    );
-                    if curs[slot] >= rel.rows {
-                        break 'scan;
-                    }
-                    if shape.data[p][curs[slot] * rel.schema.len()] > vmax {
-                        moved = true;
-                    }
-                }
-            }
-            if moved {
-                continue;
-            }
-            cands.push(vmax);
-            for (slot, &(p, _)) in lead.iter().enumerate() {
-                let rel = parts[p];
-                let end = gallop(
-                    shape.data[p],
-                    rel.schema.len(),
-                    0,
-                    curs[slot],
-                    rel.rows,
-                    vmax,
-                    true,
-                );
-                runs.push((curs[slot], end));
-                curs[slot] = end;
-                if end >= rel.rows {
-                    live = false;
-                }
-            }
-        }
+        // No part is probed at level 0 (`col0` covers only parts that
+        // enter below it), so every match leaves each lead part's run
+        // in `bounds[p][1]`.
+        st.search(0, &mut |st: &mut WcojRun, v| {
+            cands.push(v);
+            runs.extend(lead.iter().map(|&(p, _)| st.bounds[p][1]));
+        });
     }
     // One candidate's subtree: bind level 0, install the runs, recurse.
     let run_candidate = |st: &mut WcojRun, i: usize| {
@@ -2726,7 +2699,6 @@ pub(crate) fn multiway_join(
             return out;
         }
     }
-    let mut st = WcojRun::new(&shape);
     for i in 0..cands.len() {
         run_candidate(&mut st, i);
     }

@@ -1,0 +1,126 @@
+//! A cold bag build allocates per plan operator and per join level,
+//! never per tuple or per binding: the same cyclic query over ten times
+//! the edges must call the allocator exactly as often.
+//!
+//! Its own test binary because it installs a counting
+//! `#[global_allocator]`. The counter is thread-local, so the harness's
+//! own threads cannot move it, and evaluation runs under
+//! `ThreadBudget::new(1)`, which keeps every kernel on the calling
+//! thread.
+
+use cqapx_cq::eval::{DecomposedPlan, MatStrategy, MaterializationCache};
+use cqapx_cq::parse_cq;
+use cqapx_par::ThreadBudget;
+use cqapx_structures::Structure;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocator calls made by this thread (`alloc`, `alloc_zeroed` and
+    /// `realloc` alike — a growing buffer counts every time it grows).
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn note() {
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a
+// const-initialized thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` was allocated by `System` with `layout`, as the
+        // caller vouches; `new_size` is passed through unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+const UNIVERSE: u32 = 5000;
+/// Vertices `0..PLANTED` carry disjoint directed triangles.
+const PLANTED: u32 = 30;
+
+/// `edges` edges over a fixed universe: ten planted triangles, the rest
+/// a pseudo-random DAG (`u < v`) on the other vertices. A DAG has no
+/// directed cycle, so the triangle query has the same 30 answers at
+/// every size — output buffers grow alike — while the join's bindings
+/// (wedges `x → y → z`) grow with the edge count.
+fn graph(edges: usize) -> Structure {
+    let mut list: Vec<(u32, u32)> = (0..PLANTED).map(|v| (v, v - v % 3 + (v + 1) % 3)).collect();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        PLANTED + ((state >> 33) as u32) % (UNIVERSE - PLANTED)
+    };
+    let mut seen = std::collections::HashSet::new();
+    while list.len() < edges {
+        let (a, b) = (next(), next());
+        if a != b && seen.insert((a.min(b), a.max(b))) {
+            list.push((a.min(b), a.max(b)));
+        }
+    }
+    Structure::digraph(UNIVERSE as usize, &list)
+}
+
+/// Allocator calls of one cold evaluation: fresh cache, dictionary and
+/// flat image built beforehand (as registration leaves them).
+fn cold_eval_calls(plan: &DecomposedPlan, d: &Structure) -> (u64, usize) {
+    d.distinct_per_column();
+    let cache = MaterializationCache::new();
+    let budget = ThreadBudget::new(1);
+    let before = CALLS.with(Cell::get);
+    let (answers, stats) = plan.eval_cached_budget(d, Some(&cache), &budget);
+    let calls = CALLS.with(Cell::get) - before;
+    assert!(stats.misses > 0, "a cold run materializes");
+    assert_eq!(stats.wcoj_bag_builds, 1, "the triangle is one multiway bag");
+    (calls, answers.len())
+}
+
+#[test]
+fn cold_triangle_allocations_do_not_grow_with_the_graph() {
+    let q = parse_cq("Q(x) :- E(x,y), E(y,z), E(z,x)").unwrap();
+    let plan = DecomposedPlan::compile(&q, 2)
+        .unwrap()
+        .with_bag_strategy(MatStrategy::Wcoj);
+    // The kernel knobs read the environment once per process, on first
+    // use, and a set variable costs an allocation: spend that here.
+    cold_eval_calls(&plan, &graph(40));
+    let (small, big) = (graph(2_000), graph(20_000));
+    let (small_calls, small_answers) = cold_eval_calls(&plan, &small);
+    let (big_calls, big_answers) = cold_eval_calls(&plan, &big);
+    assert_eq!((small_answers, big_answers), (30, 30));
+    assert_eq!(
+        small_calls, big_calls,
+        "allocator calls must not depend on the number of edges"
+    );
+    assert!(
+        small_calls < 200,
+        "{small_calls} allocator calls for one bag"
+    );
+}

@@ -10,7 +10,7 @@
 use cqapx_cq::eval::{AcyclicPlan, DecomposedPlan, MaterializationCache, NaivePlan};
 use cqapx_cq::{ConjunctiveQuery, QueryShape};
 use cqapx_structures::{Pointed, RelId, Structure};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Handle of a registered database.
@@ -53,6 +53,23 @@ pub struct DatabaseEntry {
 }
 
 impl DatabaseEntry {
+    /// Builds the entry of one snapshot: the flat tuple image, the
+    /// statistics and the domain dictionary every evaluation encodes
+    /// through, all from one scan ([`compute_stats`]), ready before the
+    /// first request. This is the expensive half of a registration and
+    /// needs no catalog: a caller that keeps the catalog behind a lock
+    /// builds first and locks only for [`Catalog::insert_database`].
+    pub fn build(name: impl Into<String>, s: Structure) -> DatabaseEntry {
+        let stats = compute_stats(&s);
+        DatabaseEntry {
+            name: name.into(),
+            adom_size: s.domain_dict().len(),
+            stats,
+            structure: Arc::new(s),
+            materialized: MaterializationCache::new(),
+        }
+    }
+
     /// The statistics of one relation.
     pub fn rel_stats(&self, rel: RelId) -> &RelationStats {
         &self.stats[rel.index()]
@@ -64,24 +81,19 @@ impl DatabaseEntry {
     }
 }
 
-/// Scans per-relation statistics (one pass per relation).
+/// Per-relation statistics: cardinalities are read off the relations,
+/// distinct counts come from [`Structure::distinct_per_column`] — one
+/// sequential pass over the flat tuple image with a universe-sized
+/// bitset per column, which also leaves the structure's domain
+/// dictionary built (the two share the pass).
 pub fn compute_stats(s: &Structure) -> Vec<RelationStats> {
     s.vocabulary()
         .rel_ids()
-        .map(|rel| {
-            let arity = s.vocabulary().arity(rel);
-            let tuples = s.tuples(rel);
-            let mut distinct: Vec<HashSet<u32>> = vec![HashSet::new(); arity];
-            for t in tuples {
-                for (col, &v) in t.iter().enumerate() {
-                    distinct[col].insert(v);
-                }
-            }
-            RelationStats {
-                rel,
-                cardinality: tuples.len(),
-                distinct_per_column: distinct.into_iter().map(|d| d.len()).collect(),
-            }
+        .zip(s.distinct_per_column())
+        .map(|(rel, distinct_per_column)| RelationStats {
+            rel,
+            cardinality: s.tuples(rel).len(),
+            distinct_per_column,
         })
         .collect()
 }
@@ -142,25 +154,18 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Registers a database under a name, scanning its statistics and
-    /// building its domain dictionary (registration is the
-    /// once-per-snapshot step, so the dictionary every evaluation
-    /// encodes through is ready before the first request instead of
-    /// being built lazily on its critical path).
+    /// Registers a database under a name: [`DatabaseEntry::build`], then
+    /// [`Catalog::insert_database`].
     pub fn register_database(&mut self, name: impl Into<String>, s: Structure) -> DbId {
-        let name = name.into();
+        self.insert_database(DatabaseEntry::build(name, s))
+    }
+
+    /// Adds a built entry and points its name at it: a push and a map
+    /// insert, the only part of a registration that needs the catalog.
+    pub fn insert_database(&mut self, entry: DatabaseEntry) -> DbId {
         let id = DbId(self.dbs.len());
-        let stats = compute_stats(&s);
-        let structure = Arc::new(s);
-        let adom_size = structure.domain_dict().len();
-        self.dbs.push(Arc::new(DatabaseEntry {
-            name: name.clone(),
-            adom_size,
-            stats,
-            structure,
-            materialized: MaterializationCache::new(),
-        }));
-        self.db_names.insert(name, id);
+        self.db_names.insert(entry.name.clone(), id);
+        self.dbs.push(Arc::new(entry));
         id
     }
 
@@ -249,6 +254,49 @@ mod tests {
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].cardinality, 3);
         assert_eq!(stats[0].distinct_per_column, vec![2, 2]);
+    }
+
+    /// Registration against the reference definitions, on universes at
+    /// the bitset word edges: a unary and an empty relation beside the
+    /// binary one, gaps, and the element `universe − 1` present or not.
+    #[test]
+    fn entry_stats_and_dictionary_match_reference() {
+        use cqapx_structures::{StructureBuilder, Vocabulary};
+        use std::collections::HashSet;
+        for universe in [63usize, 64, 65] {
+            for top in [false, true] {
+                let v = Vocabulary::new(vec![("U", 1), ("E", 2), ("Z", 3)]);
+                let (u, e) = (v.rel("U").unwrap(), v.rel("E").unwrap());
+                let mut b = StructureBuilder::new(v.clone(), universe);
+                for i in (0..universe as u32 - 1).step_by(7) {
+                    b.add(e, &[i, (i * 5 + 3) % 60]);
+                    b.add(e, &[i, 2]);
+                }
+                b.add(u, &[9]);
+                if top {
+                    b.add(u, &[universe as u32 - 1]);
+                }
+                let entry = DatabaseEntry::build("d", b.finish());
+                let s = &entry.structure;
+                assert_eq!(entry.adom_size, s.active_domain().len());
+                assert_eq!(s.domain_dict().len(), entry.adom_size);
+                assert_eq!(entry.stats.len(), 3);
+                for (rel, stats) in v.rel_ids().zip(&entry.stats) {
+                    assert_eq!(stats.rel, rel);
+                    assert_eq!(stats.cardinality, s.tuples(rel).len());
+                    let naive: Vec<usize> = (0..v.arity(rel))
+                        .map(|c| {
+                            s.tuples(rel)
+                                .iter()
+                                .map(|t| t[c])
+                                .collect::<HashSet<_>>()
+                                .len()
+                        })
+                        .collect();
+                    assert_eq!(stats.distinct_per_column, naive, "universe {universe}");
+                }
+            }
+        }
     }
 
     #[test]

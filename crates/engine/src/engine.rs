@@ -631,18 +631,21 @@ impl Engine {
         &self.budget
     }
 
-    /// Registers a database: scans statistics, builds the domain
-    /// dictionary, and applies the resolved materialization-cache byte
-    /// budget (see [`EngineConfig::mat_cache_budget_bytes`]).
+    /// Registers a database: scans statistics and builds the domain
+    /// dictionary ([`DatabaseEntry::build`]), applies the resolved
+    /// materialization-cache byte budget (see
+    /// [`EngineConfig::mat_cache_budget_bytes`]), and only then takes
+    /// the catalog's write lock, for the push — requests resolving
+    /// other databases never wait for a snapshot's scan.
     pub fn register_database(&self, name: impl Into<String>, s: Structure) -> DbId {
-        let mut catalog = self.catalog.write().expect("catalog lock poisoned");
-        let id = catalog.register_database(name, s);
+        let entry = DatabaseEntry::build(name, s);
         if self.mat_budget > 0 {
-            if let Some(entry) = catalog.database(id) {
-                entry.materialized.set_budget_bytes(self.mat_budget);
-            }
+            entry.materialized.set_budget_bytes(self.mat_budget);
         }
-        id
+        self.catalog
+            .write()
+            .expect("catalog lock poisoned")
+            .insert_database(entry)
     }
 
     /// Prepares a query (computes shape; compiles Yannakakis if acyclic).
@@ -1335,6 +1338,55 @@ mod tests {
         assert_eq!(r.status, ResponseStatus::Complete);
         assert_eq!(r.answers.len(), 2);
         assert_eq!(e.stats().plan_yannakakis, 1);
+    }
+
+    /// A registration holds the catalog's write lock for the push, not
+    /// for the snapshot's scan: while one thread registers snapshot
+    /// after snapshot, another finds the lock free almost whenever it
+    /// looks and resolves the database registered before. (With the
+    /// scan under the lock it is held almost whenever it looks — and a
+    /// descheduled registrar is then most likely holding it, so the
+    /// shares do not depend on how the two threads are scheduled.)
+    #[test]
+    fn registration_scans_outside_the_catalog_lock() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::{Barrier, TryLockError};
+        let e = engine();
+        let small = e.register_database("small", Structure::digraph(2, &[(0, 1)]));
+        let edges: Vec<(u32, u32)> = (0..20_000u32)
+            .map(|i| (i % 4999, (i * 7919 + 13) % 4999))
+            .collect();
+        let big = Structure::digraph(4999, &edges);
+        let snapshots: Vec<Structure> = (0..16).map(|_| big.clone()).collect();
+        let (start, done) = (Barrier::new(2), AtomicBool::new(false));
+        let (mut free, mut held) = (0u64, 0u64);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for s in snapshots {
+                    e.register_database("big", s);
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            start.wait();
+            while !done.load(Ordering::SeqCst) {
+                match e.catalog.try_read() {
+                    Ok(catalog) => {
+                        assert!(catalog.database(small).is_some());
+                        free += 1;
+                    }
+                    Err(TryLockError::WouldBlock) => held += 1,
+                    Err(TryLockError::Poisoned(_)) => panic!("catalog lock poisoned"),
+                }
+                std::hint::spin_loop();
+            }
+        });
+        assert_eq!(e.database_by_name("big"), Some(DbId(16)));
+        assert!(
+            free > 10 * held,
+            "catalog lock held on {held} of {} looks during registrations",
+            free + held
+        );
     }
 
     #[test]

@@ -30,49 +30,28 @@ pub struct TreeDecomposition {
     pub tree_edges: Vec<(usize, usize)>,
 }
 
-/// Vertex positions shared by one parent↔child edge of a rooted
-/// decomposition: for every vertex of `bag(child) ∩ bag(parent)`, its
-/// index in the child's (sorted) bag and in the parent's (sorted) bag.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SharedBagPositions {
-    /// Positions of the shared vertices in the child's bag.
-    pub child_pos: Vec<usize>,
-    /// Positions of the shared vertices in the parent's bag.
-    pub parent_pos: Vec<usize>,
-}
-
-/// A [`TreeDecomposition`] oriented for plan compilation: a fixed root,
-/// parent links, a bottom-up traversal order, children lists, and the
-/// shared-vertex positions of every tree edge — everything a consumer
-/// (e.g. a bounded-treewidth query plan) would otherwise re-derive from
-/// the undirected edge list.
+/// A [`TreeDecomposition`] oriented for plan compilation: parent links
+/// and a bottom-up traversal order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RootedDecomposition {
-    /// The chosen root bag (always bag 0 — deterministic).
-    pub root: usize,
     /// Parent bag of each bag (`None` exactly for the root).
     pub parent: Vec<Option<usize>>,
     /// Bottom-up traversal order: children before parents, root last.
     pub order: Vec<usize>,
-    /// Children lists, in ascending bag-index order.
-    pub children: Vec<Vec<usize>>,
-    /// For each non-root bag `u`: the positions of `bag(u) ∩ bag(parent)`
-    /// in both bags (`None` exactly for the root).
-    pub edge_shared: Vec<Option<SharedBagPositions>>,
 }
 
 impl TreeDecomposition {
-    /// Orients the decomposition tree at bag 0 and precomputes the
-    /// traversal structure plan compilation needs. Deterministic: the
-    /// same decomposition always yields the same rooted form.
+    /// Orients the decomposition tree at `root`. Deterministic: the same
+    /// decomposition and root always yield the same rooted form.
     ///
     /// # Panics
     ///
-    /// Panics when the edge list is not a tree over all bags (which
-    /// [`treewidth_at_most`] guarantees, and `validate` checks).
-    pub fn rooted(&self) -> RootedDecomposition {
+    /// Panics when `root` is not a bag or the edge list is not a tree
+    /// over all bags (which [`treewidth_at_most`] guarantees, and
+    /// `validate` checks).
+    pub fn rooted_at(&self, root: usize) -> RootedDecomposition {
         let n = self.bags.len();
-        assert!(n > 0, "cannot root an empty decomposition");
+        assert!(root < n, "root {root} is not one of {n} bags");
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
         for &(a, b) in &self.tree_edges {
             adj[a].push(b);
@@ -81,10 +60,8 @@ impl TreeDecomposition {
         for a in &mut adj {
             a.sort_unstable();
         }
-        let root = 0;
         let mut parent: Vec<Option<usize>> = vec![None; n];
         let mut seen = vec![false; n];
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
         // Iterative DFS from the root; `order` collects the post-order,
         // which is exactly a bottom-up (children-before-parents) order.
         let mut order = Vec::with_capacity(n);
@@ -100,43 +77,69 @@ impl TreeDecomposition {
                 if !seen[w] {
                     seen[w] = true;
                     parent[w] = Some(v);
-                    children[v].push(w);
                     stack.push((w, false));
                 }
             }
         }
         assert_eq!(order.len(), n, "decomposition tree must be connected");
-        let edge_shared: Vec<Option<SharedBagPositions>> = (0..n)
-            .map(|u| {
-                parent[u].map(|p| {
-                    let (cb, pb) = (&self.bags[u], &self.bags[p]);
-                    let mut shared = SharedBagPositions {
-                        child_pos: Vec::new(),
-                        parent_pos: Vec::new(),
-                    };
-                    let (mut i, mut j) = (0, 0);
-                    while i < cb.len() && j < pb.len() {
-                        match cb[i].cmp(&pb[j]) {
-                            std::cmp::Ordering::Less => i += 1,
-                            std::cmp::Ordering::Greater => j += 1,
-                            std::cmp::Ordering::Equal => {
-                                shared.child_pos.push(i);
-                                shared.parent_pos.push(j);
-                                i += 1;
-                                j += 1;
-                            }
-                        }
+        RootedDecomposition { parent, order }
+    }
+
+    /// The height of the tree rooted at each bag: the number of edges on
+    /// the longest path from that bag to a leaf.
+    pub fn heights(&self) -> Vec<usize> {
+        (0..self.bags.len())
+            .map(|root| {
+                let rooted = self.rooted_at(root);
+                let mut depth = vec![0; self.bags.len()];
+                // Root first: a parent's depth is known before its children's.
+                for &u in rooted.order.iter().rev() {
+                    if let Some(p) = rooted.parent[u] {
+                        depth[u] = depth[p] + 1;
                     }
-                    shared
-                })
+                }
+                depth.into_iter().max().unwrap_or(0)
             })
-            .collect();
-        RootedDecomposition {
-            root,
-            parent,
-            order,
-            children,
-            edge_shared,
+            .collect()
+    }
+
+    /// The decomposition with every bag that is contained in a tree
+    /// neighbour contracted into that neighbour, until none is left
+    /// ([`treewidth_at_most`] emits one bag per eliminated vertex: a
+    /// triangle comes out as `{0,1,2} – {1,2} – {2}`). Contracting an
+    /// edge whose one end is a subset of the other keeps all three
+    /// decomposition conditions and the larger bag, so the width is
+    /// unchanged and the result still [`validate`](Self::validate)s.
+    ///
+    /// Deterministic and idempotent: the first such edge in list order
+    /// goes first; survivors keep their relative order and edges come
+    /// out as sorted `(low, high)` pairs.
+    pub fn reduced(&self) -> TreeDecomposition {
+        let (mut bags, mut edges) = (self.bags.clone(), self.tree_edges.clone());
+        let inside = |bags: &[Vec<Element>], a: usize, b: usize| {
+            bags[a].iter().all(|v| bags[b].binary_search(v).is_ok())
+        };
+        while let Some((gone, kept)) = edges.iter().find_map(|&(a, b)| {
+            let ab = inside(&bags, a, b).then_some((a, b));
+            ab.or(inside(&bags, b, a).then_some((b, a)))
+        }) {
+            // `gone`'s other neighbours move to `kept`; bags above it
+            // shift down one index.
+            bags.remove(gone);
+            edges.retain(|&e| e != (gone, kept) && e != (kept, gone));
+            let moved = |x: usize| if x == gone { kept } else { x };
+            let shifted = |x: usize| x - usize::from(x > gone);
+            for e in &mut edges {
+                *e = (shifted(moved(e.0)), shifted(moved(e.1)));
+            }
+        }
+        for e in &mut edges {
+            *e = (e.0.min(e.1), e.0.max(e.1));
+        }
+        edges.sort_unstable();
+        TreeDecomposition {
+            bags,
+            tree_edges: edges,
         }
     }
 }
@@ -349,56 +352,35 @@ fn decomposition_from_order(
 ) -> TreeDecomposition {
     let n = g.n;
     let mut bags: Vec<Vec<Element>> = Vec::with_capacity(n);
-    let mut bag_of_vertex = vec![usize::MAX; n];
     let mut tree_edges = Vec::new();
     let mut elim = 0u64;
-    // position in elimination order
+    // Position in the elimination order — also the index of the
+    // vertex's bag, since bag `i` is the one emitted for `order[i]`.
     let mut pos = vec![usize::MAX; n];
     for (i, &v) in order.iter().enumerate() {
         pos[v] = i;
     }
     for (i, &v) in order.iter().enumerate() {
-        let nb = g.fill_neighbors(v, elim);
         let mut bag: Vec<Element> = vec![vertex_names[v]];
-        let mut rest = nb;
+        let mut rest = g.fill_neighbors(v, elim);
         let mut first_successor: Option<usize> = None;
         while rest != 0 {
             let u = rest.trailing_zeros() as usize;
             rest &= rest - 1;
             bag.push(vertex_names[u]);
-            if first_successor.is_none_or(|f| pos[u] < pos[f]) {
-                first_successor = Some(u);
-            }
+            first_successor = Some(first_successor.map_or(pos[u], |f| f.min(pos[u])));
         }
         bag.sort_unstable();
-        let bag_idx = bags.len();
         bags.push(bag);
-        bag_of_vertex[v] = bag_idx;
-        if let Some(u) = first_successor {
-            // connect later, once u's bag exists: record a pending edge via
-            // a second pass. Use negative marker: store (bag_idx, u).
-            tree_edges.push((bag_idx, usize::MAX - u));
-        } else if i + 1 == order.len() {
-            // last vertex: root, nothing to connect
-        } else {
-            // isolated in fill graph: connect to the next bag created to
-            // keep the tree connected (harmless: shares no vertices).
-            tree_edges.push((bag_idx, usize::MAX - order[i + 1]));
+        // A vertex isolated in the fill graph hangs under the next bag
+        // to keep the tree connected (harmless: they share no vertex);
+        // the last vertex is the root.
+        if let Some(above) = first_successor.or((i + 1 < n).then_some(i + 1)) {
+            tree_edges.push((i, above));
         }
         elim |= 1u64 << v;
     }
-    // Resolve pending edges.
-    let resolved: Vec<(usize, usize)> = tree_edges
-        .into_iter()
-        .map(|(b, marker)| {
-            let u = usize::MAX - marker;
-            (b, bag_of_vertex[u])
-        })
-        .collect();
-    TreeDecomposition {
-        bags,
-        tree_edges: resolved,
-    }
+    TreeDecomposition { bags, tree_edges }
 }
 
 /// Decides whether `tw(g) ≤ k`, returning a witness decomposition.
@@ -613,7 +595,8 @@ mod tests {
             let a = treewidth_at_most(&build(), k).unwrap();
             let b = treewidth_at_most(&build(), k).unwrap();
             assert_eq!(a, b, "width {k}");
-            assert_eq!(a.rooted(), b.rooted(), "rooted width {k}");
+            assert_eq!(a.rooted_at(0), b.rooted_at(0), "rooted width {k}");
+            assert_eq!(a.reduced(), b.reduced(), "reduced width {k}");
         }
     }
 
@@ -622,29 +605,20 @@ mod tests {
         let c5: Vec<(Element, Element)> = (0..5).map(|i| (i, (i + 1) % 5)).collect();
         let g = UGraph::from_edges(5, &c5);
         let td = treewidth_at_most(&g, 2).unwrap();
-        let r = td.rooted();
-        assert_eq!(r.root, 0);
-        assert!(r.parent[r.root].is_none());
-        assert!(r.edge_shared[r.root].is_none());
-        assert_eq!(r.order.len(), td.bags.len());
-        assert_eq!(*r.order.last().unwrap(), r.root);
-        // Children before parents, and parent/children agree.
-        let pos = |x: usize| r.order.iter().position(|&y| y == x).unwrap();
-        for u in 0..td.bags.len() {
-            if let Some(p) = r.parent[u] {
-                assert!(pos(u) < pos(p), "child {u} must precede parent {p}");
-                assert!(r.children[p].contains(&u));
-                // Shared positions really index the shared vertices.
-                let s = r.edge_shared[u].as_ref().unwrap();
-                assert_eq!(s.child_pos.len(), s.parent_pos.len());
-                for (&ci, &pi) in s.child_pos.iter().zip(&s.parent_pos) {
-                    assert_eq!(td.bags[u][ci], td.bags[p][pi]);
+        for root in 0..td.bags.len() {
+            let r = td.rooted_at(root);
+            assert_eq!(r.order.len(), td.bags.len());
+            assert_eq!(*r.order.last().unwrap(), root);
+            // Children before parents, along tree edges only.
+            let pos = |x: usize| r.order.iter().position(|&y| y == x).unwrap();
+            for u in 0..td.bags.len() {
+                match r.parent[u] {
+                    Some(p) => {
+                        assert!(pos(u) < pos(p), "child {u} must precede parent {p}");
+                        assert!(td.tree_edges.contains(&(u, p)) || td.tree_edges.contains(&(p, u)));
+                    }
+                    None => assert_eq!(u, root),
                 }
-                // And they are exhaustive: every common vertex is listed.
-                let common = td.bags[u].iter().filter(|v| td.bags[p].contains(v)).count();
-                assert_eq!(s.child_pos.len(), common);
-            } else {
-                assert_eq!(u, r.root);
             }
         }
     }
@@ -654,8 +628,38 @@ mod tests {
         let g = UGraph::new(1);
         let td = treewidth_at_most(&g, 1).unwrap();
         assert_eq!(td.bags.len(), 1);
-        let r = td.rooted();
+        let r = td.rooted_at(0);
         assert_eq!(r.order, vec![0]);
-        assert!(r.children[0].is_empty());
+        assert_eq!(r.parent, vec![None]);
+        assert_eq!(td.heights(), vec![0]);
+    }
+
+    #[test]
+    fn reduced_contracts_contained_bags() {
+        // One bag per eliminated vertex: the triangle's two trailing
+        // bags sit inside the first.
+        let c3 = UGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+        let td = treewidth_at_most(&c3, 2).unwrap();
+        assert_eq!(td.bags.len(), 3);
+        let red = td.reduced();
+        assert_eq!(red.bags, vec![vec![0, 1, 2]]);
+        assert!(red.tree_edges.is_empty());
+        red.validate(&c3).unwrap();
+        // C6 at width 2 needs four triangles in a path.
+        let c6: Vec<(Element, Element)> = (0..6).map(|i| (i, (i + 1) % 6)).collect();
+        let g = UGraph::from_edges(6, &c6);
+        let red = treewidth_at_most(&g, 2).unwrap().reduced();
+        red.validate(&g).unwrap();
+        assert_eq!(red.bags.len(), 4);
+        assert_eq!(red.width(), 2);
+        let mut heights = red.heights();
+        heights.sort_unstable();
+        assert_eq!(heights, vec![2, 2, 3, 3], "a path of four bags");
+        assert_eq!(red.reduced(), red, "idempotent");
+        // Components glued with empty overlaps stay glued.
+        let two = UGraph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
+        let red = treewidth_at_most(&two, 2).unwrap().reduced();
+        red.validate(&two).unwrap();
+        assert_eq!(red.bags, vec![vec![0, 1, 2], vec![3, 4, 5]]);
     }
 }

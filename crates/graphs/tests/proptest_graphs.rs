@@ -40,6 +40,43 @@ proptest! {
         }
     }
 
+    /// `reduced()` keeps a witness decomposition valid and as wide, leaves
+    /// no bag inside a tree neighbour, and is idempotent and
+    /// deterministic; every root orients the reduced tree.
+    #[test]
+    fn reduced_decompositions(g in digraph_strategy(9, 14), extra in 0usize..2) {
+        let u = UGraph::underlying(&g);
+        // At the exact width and, one above it, on a looser witness.
+        let k = treewidth::treewidth(&u) + extra;
+        let td = treewidth::treewidth_at_most(&u, k).expect("witness at or above the width");
+        let red = td.reduced();
+        red.validate(&u).unwrap();
+        prop_assert_eq!(red.width(), td.width());
+        prop_assert!(red.bags.len() <= td.bags.len());
+        for &(a, b) in &red.tree_edges {
+            let inside = |x: usize, y: usize| red.bags[x].iter().all(|v| red.bags[y].contains(v));
+            prop_assert!(!inside(a, b) && !inside(b, a), "bags {} and {} nest", a, b);
+        }
+        prop_assert_eq!(&red.reduced(), &red, "idempotent");
+        let again = treewidth::treewidth_at_most(&u, k).unwrap().reduced();
+        prop_assert_eq!(&again, &red, "deterministic");
+        for (root, height) in red.heights().into_iter().enumerate() {
+            let r = red.rooted_at(root);
+            prop_assert_eq!(*r.order.last().unwrap(), root);
+            prop_assert_eq!(r.parent.iter().filter(|p| p.is_none()).count(), 1);
+            // The height is the longest parent chain.
+            let depth = |mut x: usize| {
+                let mut d = 0;
+                while let Some(p) = r.parent[x] {
+                    x = p;
+                    d += 1;
+                }
+                d
+            };
+            prop_assert_eq!((0..red.bags.len()).map(depth).max().unwrap(), height);
+        }
+    }
+
     /// k-colorability agrees with homomorphism into K⃗_k (the definition
     /// the paper uses).
     #[test]

@@ -133,14 +133,22 @@ impl Structure {
     /// heap allocation per tuple.
     pub fn flat_tuples(&self, rel: RelId) -> &[Element] {
         let all = self.flat.0.get_or_init(|| {
-            Arc::new(
-                self.relations
-                    .iter()
-                    .map(|ts| ts.iter().flat_map(|t| t.iter().copied()).collect())
-                    .collect(),
-            )
+            // `concat` sizes each image exactly before copying.
+            Arc::new(self.relations.iter().map(|ts| ts.concat()).collect())
         });
         &all[rel.index()]
+    }
+
+    /// The number of distinct values in every column of every relation
+    /// (`[rel][col]`, relations in `RelId` order), counted in the pass
+    /// that builds the domain dictionary
+    /// ([`DomainDict::build_with_distinct`]) — so this leaves
+    /// [`Self::flat_tuples`] and [`Self::domain_dict`] built: it is the
+    /// whole once-per-snapshot scan of a registration.
+    pub fn distinct_per_column(&self) -> Vec<Vec<usize>> {
+        let (dict, distinct) = DomainDict::build_with_distinct(self);
+        self.dict.0.get_or_init(|| Arc::new(dict));
+        distinct
     }
 
     /// Checks whether a tuple is a fact of the relation.
