@@ -15,6 +15,12 @@
 //! driven through `AnswersBuilder`, which takes the width bound
 //! directly.
 //!
+//! Head order gets its own deterministic sweep
+//! (`every_head_order_is_the_oracles`): a plan's root operator emits
+//! the answer columns in head order and the boundary only checks the
+//! row order, so every permutation of the head of a few fixed bodies
+//! is compared with the naive plan, byte for byte.
+//!
 //! The packed knob is process-global, so every case serializes on a
 //! file-local lock and restores `Auto` before releasing it.
 
@@ -22,10 +28,12 @@ use cqapx_bench::experiments::zipf_db;
 use cqapx_bench::workloads;
 use cqapx_core::{all_approximations, Acyclic, ApproxOptions};
 use cqapx_cq::eval::{
-    eval_naive, set_packed_mode, AcyclicPlan, Answers, AnswersBuilder, DecomposedPlan, PackedMode,
+    eval_naive, set_packed_mode, AcyclicPlan, Answers, AnswersBuilder, DecomposedPlan,
+    MaterializationCache, NaivePlan, PackedMode,
 };
 use cqapx_cq::{parse_cq, treewidth_of_query, ConjunctiveQuery};
 use cqapx_engine::{ApproxClassChoice, Engine, EngineConfig, EvalMode, PlanKind, Request};
+use cqapx_par::ThreadBudget;
 use cqapx_structures::{Element, Structure};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -293,4 +301,116 @@ fn sandwich_union_of_overlapping_evaluators_is_duplicate_free() {
     assert_eq!(on, off);
     let exact = eval_naive(&q, &d);
     assert!(on.iter().all(|row| exact.contains(row.as_slice())));
+}
+
+/// Every ordering of `vars`.
+fn permutations(vars: &[&'static str]) -> Vec<Vec<&'static str>> {
+    if vars.len() <= 1 {
+        return vec![vars.to_vec()];
+    }
+    let mut out = Vec::new();
+    for i in 0..vars.len() {
+        let mut rest = vars.to_vec();
+        let first = rest.remove(i);
+        out.extend(permutations(&rest).into_iter().map(|mut p| {
+            p.insert(0, first);
+            p
+        }));
+    }
+    out
+}
+
+/// The plan's root operator emits the answer columns in head order,
+/// already canonical, and the boundary only checks: so whatever the
+/// head order — every permutation, a repeated variable, a cartesian
+/// product of two components — each tier must return the naive plan's
+/// bytes, cold and warm, sequentially and with a second worker, under
+/// both arms of the packed knob. The larger database puts `two_hop` and
+/// `wedge3` above the row counts the parallel kernels start at.
+#[test]
+fn every_head_order_is_the_oracles() {
+    let small = workloads::random_db(40, 3.0, 11);
+    let large = workloads::random_db(700, 7.0, 5);
+    assert!(large.total_tuples() >= 4096, "parallel kernels start there");
+    let path = "E(x, y), E(y, z)";
+    let star = "E(c, a), E(c, b), E(c, d), E(c, e)";
+    let pair = "E(x, y), E(u, v)";
+    let mut cases: Vec<(String, &Structure)> = Vec::new();
+    let mut case = |body: &str, head: &[&str], d| {
+        cases.push((format!("Q({}) :- {body}", head.join(", ")), d));
+    };
+    for d in [&small, &large] {
+        for head in permutations(&["x", "z"]) {
+            case(path, &head, d); // two_hop
+        }
+        for head in permutations(&["x", "y", "z"]) {
+            case(path, &head, d); // wedge3
+        }
+    }
+    for head in permutations(&["a", "b", "c", "d"]) {
+        case(star, &head, &small);
+    }
+    for head in permutations(&["x", "y"]) {
+        case("E(x, y)", &head, &small);
+        case("E(x, y)", &head, &large);
+    }
+    for head in [&["z", "x", "z"][..], &["y", "y", "x"], &["z", "z"]] {
+        case(path, head, &small);
+    }
+    case(star, &["e", "c", "e", "a"], &small);
+    for head in [
+        &["x", "u"][..],
+        &["u", "x"],
+        &["v", "x", "y"],
+        &["u", "y", "u"],
+    ] {
+        case(pair, head, &small);
+    }
+    for (text, d) in cases {
+        let q = parse_cq(&text).unwrap();
+        let expected = NaivePlan::compile(q.clone()).eval_answers(d);
+        let (on, off) = both_modes(|| {
+            let mut got: Vec<(String, Answers)> = Vec::new();
+            for threads in [1, 2] {
+                let budget = ThreadBudget::new(threads);
+                let acyclic = AcyclicPlan::compile(&q).expect("acyclic body");
+                let decomposed = DecomposedPlan::compile(&q, 1).expect("treewidth 1");
+                let engine = Engine::new(EngineConfig {
+                    threads,
+                    ..EngineConfig::default()
+                });
+                let db = engine.register_database("d", d.clone());
+                let id = engine.prepare_query("q", q.clone());
+                let (c1, c2) = (MaterializationCache::new(), MaterializationCache::new());
+                for run in ["cold", "warm"] {
+                    let tiers = [
+                        (
+                            "yannakakis",
+                            acyclic.eval_cached_budget(d, Some(&c1), &budget).0,
+                        ),
+                        (
+                            "decomposed",
+                            decomposed.eval_cached_budget(d, Some(&c2), &budget).0,
+                        ),
+                        ("engine", engine.execute(&Request::new(id, db)).answers),
+                    ];
+                    for (tier, answers) in tiers {
+                        got.push((format!("{tier}, {run}, {threads} thread(s)"), answers));
+                    }
+                }
+            }
+            got
+        });
+        for (mode, got) in [("on", on), ("off", off)] {
+            for (what, answers) in got {
+                assert_eq!(answers.arity(), q.arity(), "{text}: {what}, packed {mode}");
+                assert!(
+                    answers == expected,
+                    "{text}: {what}, packed {mode}: {} rows, oracle {}",
+                    answers.len(),
+                    expected.len()
+                );
+            }
+        }
+    }
 }

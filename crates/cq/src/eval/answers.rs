@@ -4,10 +4,15 @@
 //! Plans compute over dense dictionary codes in a [`FlatRelation`];
 //! callers want the structure's elements, in head order, as a set.
 //! [`Answers::from_relation`] is the one place that turns the first
-//! into the second — gather the columns into head order, canonicalize
-//! with the relation kernel's own [`FlatRelation::sort_dedup_budget`]
-//! (still on dense codes, so the packed radix arm applies), decode in
-//! place — and it never allocates per row.
+//! into the second, and for a compiled plan it has little left to do:
+//! the plan's last operator already emits the columns in head order
+//! and the rows in canonical order (it *is* the answer set's one
+//! sort — see `compile_tree`), so the boundary checks that order in
+//! one sequential pass ([`FlatRelation::sort_dedup_budget`]'s
+//! early-out) and decodes in place. Gathering columns and sorting are
+//! kept for what still needs them — repeated head variables, a root
+//! join that needs no projection, cartesian products of several
+//! roots, the naive tier — and nothing here allocates per row.
 
 use crate::ast::VarId;
 use crate::eval::flat::FlatRelation;
@@ -103,10 +108,12 @@ impl Answers {
     /// answer set for `head` (duplicate head variables allowed).
     ///
     /// One pipeline over one buffer: gather the columns into head
-    /// order (skipped when the schema already *is* the head), sort and
-    /// dedup on the codes, then decode through `dict` in place — the
-    /// encoding is monotone, so the decoded rows are still strictly
-    /// increasing.
+    /// order (skipped when the schema already *is* the head, as a
+    /// single-root plan's is), canonicalize on the codes (one order
+    /// check when the rows already are canonical, as that plan's are;
+    /// a gather over distinct head variables in head order keeps them
+    /// so), then decode through `dict` in place — the encoding is
+    /// monotone, so the decoded rows are still strictly increasing.
     ///
     /// # Panics
     ///

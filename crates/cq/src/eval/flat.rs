@@ -889,12 +889,16 @@ impl FlatRelation {
         self.sort_dedup_budget(ThreadBudget::shared());
     }
 
-    /// [`FlatRelation::sort_dedup`] under an explicit thread budget: a
-    /// parallel merge sort (morsel-sorted runs, pairwise parallel
-    /// merges, parallel gather) when the budget grants extra workers and
-    /// the relation is large enough; the plain sequential sort
-    /// otherwise. The canonical output is identical either way — rows
-    /// that compare equal are byte-identical, so tie order cannot show.
+    /// [`FlatRelation::sort_dedup`] under an explicit thread budget:
+    /// nothing beyond one sequential pass when the rows already are
+    /// canonical (scans, cache entries, radix-deduplicated projections
+    /// and a plan's head-ordered root are) — whichever arm would have
+    /// run, and a shared buffer stays shared; otherwise a parallel
+    /// merge sort (morsel-sorted runs, pairwise parallel merges,
+    /// parallel gather) when the budget grants extra workers and the
+    /// relation is large enough, the plain sequential sort if not. The
+    /// canonical output is identical either way — rows that compare
+    /// equal are byte-identical, so tie order cannot show.
     ///
     /// Built bitmaps stay valid across this call: reordering rows and
     /// dropping whole-row duplicates never changes a column's value
@@ -903,6 +907,9 @@ impl FlatRelation {
         let a = self.schema.len();
         if a == 0 {
             self.rows = self.rows.min(1);
+            return;
+        }
+        if self.data.chunks_exact(a).is_sorted_by(|x, y| x < y) {
             return;
         }
         if self.rows < PAR_MIN_ROWS || budget.capacity() == 0 {
@@ -1093,12 +1100,6 @@ impl FlatRelation {
             packed.len()
         }
         let a = self.schema.len();
-        // Already canonical (scans, cache entries and radix-projected
-        // inputs usually are): one sequential pass instead of a
-        // copy-out sort, and a shared buffer stays shared.
-        if self.data.chunks_exact(a).is_sorted_by(|x, y| x < y) {
-            return;
-        }
         match a {
             1 => self.rows = packed::<1>(self.rows, self.data.make_mut()),
             2 => self.rows = packed::<2>(self.rows, self.data.make_mut()),
@@ -1427,11 +1428,12 @@ impl FlatRelation {
     /// narrow rows are deduplicated where they landed — by the packed
     /// radix sort when they fit code words, through an open-addressed
     /// hash table otherwise. Both operands must be duplicate-free
-    /// (plan slots are). Row order is unspecified: the join phase only
-    /// needs set semantics — joins and semijoins probe hashes, the
-    /// answer boundary orders — so the canonical sort would buy
-    /// nothing. Joining against [`FlatRelation::unit`] is the plain
-    /// distinct projection.
+    /// (plan slots are). Row order is unspecified: inside the join
+    /// phase only set semantics matter — joins and semijoins probe
+    /// hashes — so the canonical sort would buy nothing (the plan's
+    /// root operator, whose output the answer boundary reads, asks
+    /// `join_cols` for it). Joining against [`FlatRelation::unit`] is
+    /// the plain distinct projection.
     pub fn join_project_budget(
         &self,
         other: &FlatRelation,
@@ -1516,7 +1518,7 @@ impl FlatRelation {
     /// otherwise. Kept columns that fit a code word are emitted *as*
     /// words, straight into the radix dedup; anything else lands as
     /// narrow rows in the output buffer and is deduplicated there.
-    fn join_cols(
+    pub(crate) fn join_cols(
         &self,
         other: &FlatRelation,
         vars: Option<&[VarId]>,
@@ -3930,6 +3932,7 @@ mod tests {
             (&[0, 1][..], 2000, (1 << 16) + 1),       // 34 bits: first u64 word
             (&[0, 1][..], 2000, u32::MAX),            // 64 bits at arity 2
             (&[0, 1, 2][..], 2000, 50),               // 18 bits, u32 words
+            (&[0, 1, 2][..], 2000, 1 << 11),          // 33 bits: first u64 word
             (&[0, 1, 2][..], 2000, 4000),             // 36 bits, u64 words
             (&[0, 1, 2][..], 2000, 1 << 21),          // 63 bits
             (&[0, 1, 2, 3][..], 2000, 1 << 16),       // 64 bits
@@ -3964,6 +3967,89 @@ mod tests {
             before,
             "ineligible inputs skip the counter"
         );
+        reset_packed_override();
+    }
+
+    /// A canonical relation costs `sort_dedup` one pass on every arm —
+    /// sequential radix, sequential comparison, parallel merge — and a
+    /// buffer shared with a cache entry stays shared.
+    #[test]
+    fn canonical_rows_stay_shared_on_every_sort_arm() {
+        let _g = knob_guard();
+        let data: Vec<Element> = (0..100_000u32).flat_map(|i| [i / 300, i % 300]).collect();
+        let mut cached = FlatRelation::from_raw(2, 100_000, data, 400);
+        cached.share_rows();
+        for mode in [PackedMode::On, PackedMode::Off] {
+            set_packed_mode(mode);
+            for threads in [1, 2] {
+                let mut slot = cached.clone();
+                slot.sort_dedup_budget(&ThreadBudget::new(threads));
+                assert!(
+                    slot.shares_rows_with(&cached),
+                    "{mode:?}, {threads} thread(s)"
+                );
+                assert_eq!(slot.rows, 100_000);
+            }
+        }
+        reset_packed_override();
+    }
+
+    /// The packing-width edges — `arity · b` = 32 (the last `u32`
+    /// word), 33 (the first `u64` word) and 64 (the last word of all),
+    /// at code widths 2¹⁶ and 2³² − 1 among them — through the sort and
+    /// through the fused join→project, on rows that reach every
+    /// column's top bit and arrive ordered on their first column only
+    /// (the shape the word sort's run path takes), against a plain set
+    /// of rows.
+    #[test]
+    fn packing_width_edges_sort_and_project_like_a_set() {
+        let _g = knob_guard();
+        for (arity, width) in [
+            (2usize, 1u32 << 16), // 32 bits
+            (4, 1 << 8),          // 32 bits
+            (3, 1 << 11),         // 33 bits
+            (2, u32::MAX),        // 64 bits
+            (4, 1 << 16),         // 64 bits
+        ] {
+            let top = width - 1;
+            let values = [0, 1, top / 2, top - 1, top];
+            let mut seed = 41u64;
+            let mut rows: Vec<Vec<Element>> = (0..3000)
+                .map(|_| {
+                    (0..arity)
+                        .map(|_| values[lcg(&mut seed) as usize % 5])
+                        .collect()
+                })
+                .collect();
+            rows.sort_by_key(|r| r[0]);
+            let schema: Vec<VarId> = (0..arity as VarId).collect();
+            let flat: Vec<Element> = rows.concat();
+            // Heads: the columns reversed, and rotated by one.
+            let heads: [Vec<VarId>; 2] = [
+                schema.iter().rev().copied().collect(),
+                schema.iter().cycle().skip(1).take(arity).copied().collect(),
+            ];
+            for mode in [PackedMode::On, PackedMode::Off] {
+                set_packed_mode(mode);
+                let what = format!("arity {arity}, width {width}, {mode:?}");
+                let mut rel = FlatRelation::from_raw(arity, rows.len(), flat.clone(), width);
+                rel.sort_dedup();
+                let want: BTreeSet<&[Element]> = rows.iter().map(Vec::as_slice).collect();
+                assert!(rel.iter_rows().eq(want.iter().copied()), "sort: {what}");
+                // Every value of column 0, so the join drops nothing.
+                let all = FlatRelation::from_raw(1, 5, values.to_vec(), width);
+                for (other, head) in [&FlatRelation::unit(), &all].into_iter().zip(&heads) {
+                    let got = rel.join_project_budget(other, head, ThreadBudget::shared());
+                    let want: BTreeSet<Vec<Element>> = rows
+                        .iter()
+                        .map(|r| head.iter().map(|&v| r[v as usize]).collect())
+                        .collect();
+                    assert_eq!(got.rows, want.len(), "project: {what}");
+                    let got: BTreeSet<Vec<Element>> = got.iter_rows().map(<[_]>::to_vec).collect();
+                    assert_eq!(got, want, "project: {what}");
+                }
+            }
+        }
         reset_packed_override();
     }
 

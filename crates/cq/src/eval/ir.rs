@@ -11,8 +11,8 @@
 //! | [`Op::Semijoin`]     | `target ⋉ source` on aligned key columns: nothing is touched when every row survives, an owned target is compacted in place, a target still sharing cached rows gathers its survivors into a fresh buffer; the allocations are the same whether or not a row goes |
 //! | [`Op::AssertNonempty`] | abort with the empty answer when a slot ran dry     |
 //! | [`Op::Join`]         | natural hash join of two slots into a third           |
-//! | [`Op::JoinProject`]  | `π_vars(left ⋈ right)` in one pass: matches emit only the kept columns, then packed-radix or hash dedup; the full-width join never exists |
-//! | [`Op::Project`]      | distinct projection of one slot ([`Op::JoinProject`] against the unit relation); the identity projection shares the slot's rows |
+//! | [`Op::JoinProject`]  | `π_vars(left ⋈ right)` in one pass: matches emit only the kept columns, then packed-radix or hash dedup; the full-width join never exists. Writing the program's output slot, it leaves the rows in canonical order — the answer set's one sort |
+//! | [`Op::Project`]      | distinct projection of one slot ([`Op::JoinProject`] against the unit relation, canonical at the output slot likewise); the identity projection shares the slot's rows |
 //! | [`Op::Dedup`]        | in-place sort + duplicate elimination                 |
 //! | [`Op::Union`]        | append a same-variable slot (column-remapped)         |
 //!
@@ -481,7 +481,8 @@ pub enum Op {
         right: Slot,
     },
     /// `π_vars(left ⋈ right)` into `dst` as one operator (operands are
-    /// kept, rows deduplicated, order unspecified): what
+    /// kept, rows deduplicated; in canonical order when `dst` is the
+    /// program's output slot, in no particular order otherwise): what
     /// [`compile_tree`] emits where a [`Op::Join`] would feed straight
     /// into a [`Op::Project`].
     JoinProject {
@@ -494,8 +495,8 @@ pub enum Op {
         /// Variables kept (each must occur in an operand's schema).
         vars: Vec<VarId>,
     },
-    /// Projection of `src` onto `vars` into `dst` (deduplicated, order
-    /// unspecified).
+    /// Projection of `src` onto `vars` into `dst` (deduplicated; in
+    /// canonical order when `dst` is the program's output slot).
     Project {
         /// Destination slot.
         dst: Slot,
@@ -824,8 +825,10 @@ impl PlanIr {
                     right,
                     vars,
                 } => {
+                    // The output slot is what the answer boundary
+                    // reads: only there does row order matter.
                     let (l, r) = (rel(&slots[*left]), rel(&slots[*right]));
-                    slots[*dst] = Some(l.join_project_budget(r, vars, budget));
+                    slots[*dst] = Some(l.join_cols(r, Some(vars), *dst == self.output, budget));
                 }
                 Op::Project { dst, src, vars } => {
                     // Every slot of a compiled tree is duplicate-free
@@ -838,7 +841,8 @@ impl PlanIr {
                         source.share_rows();
                         source.relabel(vars.clone())
                     } else {
-                        source.join_project_budget(&FlatRelation::unit(), vars, budget)
+                        let unit = FlatRelation::unit();
+                        source.join_cols(&unit, Some(vars), *dst == self.output, budget)
                     };
                     slots[*dst] = Some(out);
                 }
@@ -1233,7 +1237,12 @@ pub struct NodeSpec {
 ///    bottom-up joins, each node projected onto its free variables plus
 ///    the variables its parent's *label* retains — the last join of a
 ///    node fused with that projection into one [`Op::JoinProject`] —
-///    roots combined by (cartesian) join.
+///    roots combined by (cartesian) join. A plan's **one root** keeps
+///    the head's distinct variables *in head order* and, unless its
+///    join comes out in that order by itself, is a projection even when
+///    it drops no column: it writes the output slot, so its dedup is
+///    the canonical sort, and the answer boundary receives `schema ==
+///    head`, rows in order, with nothing left to gather or sort.
 ///
 /// `parent`/`order` describe the rooted tree (children before parents
 /// in `order`); `free` lists the query's free variables. A genuine
@@ -1348,6 +1357,13 @@ pub fn compile_tree(
     // identity: no op for it, and none for anything below it.
     let mut keep: Vec<Vec<VarId>> = vec![Vec::new(); n];
     let (mut whole, mut dead) = (vec![false; n], vec![false; n]);
+    let one_root = parent.iter().filter(|p| p.is_none()).count() == 1;
+    let mut head: Vec<VarId> = Vec::new();
+    for v in free {
+        if !head.contains(v) {
+            head.push(*v);
+        }
+    }
     for &u in order {
         let mut schema = nodes[u].source.schema.clone();
         for &c in &children[u] {
@@ -1362,6 +1378,13 @@ pub fn compile_tree(
         schema
             .retain(|v| free_set.contains(v) || label.is_some_and(|l| l.binary_search(v).is_ok()));
         whole[u] = schema.len() == joined;
+        if parent[u].is_none() && one_root {
+            // The one root's output is the answer set: its columns go
+            // out in head order, and anything short of that is a
+            // projection, which orders the rows as well.
+            whole[u] &= schema == head;
+            schema.clone_from(&head);
+        }
         let above = parent[u].map(|p| &nodes[p].source.schema);
         dead[u] = reduction_decides && above.is_some_and(|s| schema.iter().all(|v| s.contains(v)));
         keep[u] = schema;
@@ -1915,6 +1938,106 @@ mod tests {
             let (got, _) = ir.run_answers(q.free_vars(), &d, None, ThreadBudget::shared(), None);
             assert_eq!(got, want);
         }
+    }
+
+    /// A plan with one root hands the answer boundary its columns in
+    /// head order, whatever order the head lists them in (repeated
+    /// head variables once), and — unless the root is a plain join
+    /// that comes out in head order by itself — its rows in canonical
+    /// order.
+    #[test]
+    fn single_root_output_is_head_ordered_and_canonical() {
+        use crate::eval::decomposed::DecomposedPlan;
+        use crate::eval::yannakakis::AcyclicPlan;
+        let _g = crate::eval::flat::knob_guard(); // kernels bump shared counters
+        let edges: Vec<(u32, u32)> = (0..40u32)
+            .flat_map(|u| [(u, (u * 7 + 3) % 40), (u, (u + 1) % 40), ((u * 5) % 40, u)])
+            .collect();
+        let d = Structure::digraph(40, &edges);
+        for (rule, schema) in [
+            ("Q(x, z) :- E(x,y), E(y,z)", &[0, 2][..]),
+            ("Q(z, x) :- E(x,y), E(y,z)", &[2, 0]),
+            ("Q(x, y, z) :- E(x,y), E(y,z)", &[0, 1, 2]),
+            ("Q(z, x, y) :- E(x,y), E(y,z)", &[2, 0, 1]),
+            ("Q(y, z, x) :- E(x,y), E(y,z)", &[1, 2, 0]),
+            ("Q(y, x) :- E(x,y)", &[1, 0]),
+            ("Q(z, x, z) :- E(x,y), E(y,z)", &[2, 0]),
+            ("Q(b, c, a) :- E(c,a), E(c,b), E(c,d)", &[2, 0, 1]),
+            ("Q(z, x) :- E(x,y), E(y,z), E(z,x)", &[2, 0]),
+        ] {
+            let q = parse_cq(rule).unwrap();
+            let ir = match AcyclicPlan::compile(&q) {
+                Ok(plan) => plan.ir().clone(),
+                Err(_) => DecomposedPlan::compile(&q, 2).unwrap().ir().clone(),
+            };
+            let (out, _) = ir.run_budget(&d, None, &ThreadBudget::sequential());
+            let out = out.expect("nonempty on this graph");
+            assert_eq!(out.schema(), schema, "{rule}: {:?}", ir.ops);
+            let rows: Vec<&[u32]> = out.iter_rows().collect();
+            let ordered = rows.windows(2).all(|w| w[0] < w[1]);
+            let plain_join = matches!(ir.ops.last(), Some(Op::Join { .. }));
+            assert!(ordered || plain_join, "{rule}: row order");
+            assert_eq!(plain_join, rule.starts_with("Q(y, z, x)"), "{rule}");
+        }
+        // Covering the head from the root still costs no join at all.
+        let q = parse_cq("Q(x) :- E(x,y), E(y,z), E(z,w)").unwrap();
+        assert_eq!(joins_in(AcyclicPlan::compile(&q).unwrap().ir()), 0);
+    }
+
+    /// `wedge3`'s root is the fused operator, and its profile label
+    /// says which dedup it dispatches on the head-ordered keep-list:
+    /// the packed counter moves exactly when the label reads
+    /// `(packed)`.
+    #[test]
+    fn head_ordered_root_is_labelled_as_it_dispatches() {
+        use crate::eval::flat::{packed_stats, reset_packed_override, set_packed_mode, PackedMode};
+        use crate::eval::yannakakis::AcyclicPlan;
+        let _g = crate::eval::flat::knob_guard();
+        let edges: Vec<(u32, u32)> = (0..60u32)
+            .flat_map(|u| [(u, (u * 7 + 3) % 60), (u, (u + 1) % 60)])
+            .collect();
+        let d = Structure::digraph(60, &edges);
+        let q = parse_cq("Q(x, y, z) :- E(x,y), E(y,z)").unwrap();
+        let plan = AcyclicPlan::compile(&q).unwrap();
+        let ir = plan.ir();
+        let root = ir.ops.len() - 1;
+        assert!(matches!(&ir.ops[root], Op::JoinProject { vars, .. } if vars == q.free_vars()));
+        let budget = &ThreadBudget::sequential();
+        for (mode, label) in [
+            (PackedMode::On, "join+project(packed)"),
+            (PackedMode::Off, "join+project"),
+        ] {
+            set_packed_mode(mode);
+            let mut stats = MatCacheStats::default();
+            let mut slots: Vec<Option<FlatRelation>> = vec![None; ir.slots];
+            assert!(ir.exec(0, root, &mut slots, &d, None, &mut stats, budget, None));
+            let before = packed_stats();
+            let mut profile = EvalProfile::default();
+            let profiled = Some(&mut profile);
+            assert!(ir.exec(
+                root,
+                root + 1,
+                &mut slots,
+                &d,
+                None,
+                &mut stats,
+                budget,
+                profiled
+            ));
+            let after = packed_stats();
+            assert_eq!(profile.ops[0].op, label);
+            assert_eq!(profile.ops[0].rows, 240);
+            let moved = (after.builds - before.builds, after.rows - before.rows);
+            assert_eq!(
+                moved,
+                if mode == PackedMode::On {
+                    (1, 240)
+                } else {
+                    (0, 0)
+                }
+            );
+        }
+        reset_packed_override();
     }
 
     #[test]

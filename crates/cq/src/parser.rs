@@ -193,6 +193,10 @@ pub fn parse_cq(input: &str) -> Result<ConjunctiveQuery, ParseError> {
                     ));
                 }
             }
+            // `Vocabulary::new` takes no 0-ary symbol (it panics).
+            None if a.args.is_empty() => {
+                return err(format!("relation {} has no arguments", a.name));
+            }
             None => rels.push((a.name.clone(), a.args.len())),
         }
     }
@@ -302,6 +306,16 @@ mod tests {
     #[test]
     fn arity_conflict_rejected() {
         assert!(parse_cq("Q() :- R(x, y), R(x, y, z)").is_err());
+    }
+
+    /// No vocabulary holds a 0-ary symbol, so no structure, plan or
+    /// scan ever meets one: the parser is where such an atom stops —
+    /// with an error, not with `Vocabulary::new`'s panic.
+    #[test]
+    fn nullary_atom_is_an_error_not_a_panic() {
+        assert!(parse_cq("Q() :- P()").is_err());
+        assert!(parse_cq("Q(x) :- E(x, y), P()").is_err());
+        assert!(parse_cq_with_vocab("Q() :- E()", &Vocabulary::graphs()).is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Packed **code-word rows**: two dense codes in one `u64`, plus the
-//! LSB radix sorts the packed kernels run on.
+//! radix sorts the packed kernels run on.
 //!
 //! [`crate::dict::DomainDict`] interns the active domain into dense
 //! `u32` codes, so a row (or join key) spanning at most two coded
@@ -23,6 +23,14 @@
 //! final order is the full numeric key order, and — for the pair
 //! variant — ties preserve feed order, which the join kernels use to
 //! reproduce the probe order of the chained-hash index exactly.
+//!
+//! The dedup variants ([`radix_dedup`], [`radix_dedup_u32`]) **keep
+//! the order their input already has**: one pass finds the longest
+//! high prefix of the key bits the stream is already sorted on — a
+//! join's emitted words are ordered on the probe side's leading
+//! columns, a canonical scan on all of them — and only the bits below
+//! it are sorted, run by run of equal prefix. Keys in order cost that
+//! one pass; keys in no order at all, the full radix sort.
 
 use crate::structure::Element;
 
@@ -40,12 +48,67 @@ pub const fn unpack2(w: u64) -> (Element, Element) {
     ((w >> 32) as Element, w as Element)
 }
 
-/// The OR of all keys: a zero digit here means the digit is zero in
-/// every key, so its counting pass would be the identity permutation
-/// (everything lands in bucket 0 in feed order) and can be skipped.
-#[inline]
-fn or_mask(keys: &[u64]) -> u64 {
-    keys.iter().fold(0, |m, &k| m | k)
+/// Buckets of one counting pass (8-bit digits) — and the run length
+/// from which [`sort_words`] sorts a run by such passes: with fewer
+/// keys than buckets a pass spends more on its histogram than on the
+/// keys.
+const BUCKETS: usize = 256;
+
+/// The bits in which some two of `keys` differ.
+fn varying_bits(keys: impl Iterator<Item = u64>) -> u64 {
+    let (or, and) = keys.fold((0, u64::MAX), |(or, and), k| (or | k, and & k));
+    or & !and
+}
+
+/// The LSB radix sort proper: one stable counting pass per 8-bit digit
+/// of `varying`. A digit that is constant in every key would be the
+/// identity permutation (everything lands in one bucket, in feed
+/// order) and is skipped. `scratch` grows to `items.len()` on demand
+/// (zeroed pages, never written before a pass does) and is reusable
+/// across calls.
+fn radix_passes<T: Copy + Default>(
+    items: &mut [T],
+    scratch: &mut Vec<T>,
+    varying: u64,
+    key: impl Fn(&T) -> u64,
+) {
+    if varying == 0 {
+        return;
+    }
+    if scratch.len() < items.len() {
+        *scratch = vec![T::default(); items.len()];
+    }
+    let scratch = &mut scratch[..items.len()];
+    let mut in_items = true;
+    for shift in (0..u64::BITS).step_by(8) {
+        if (varying >> shift) & 0xff == 0 {
+            continue;
+        }
+        let (src, dst): (&[T], &mut [T]) = if in_items {
+            (items, scratch)
+        } else {
+            (scratch, items)
+        };
+        let digit = |t: &T| ((key(t) >> shift) & 0xff) as usize;
+        let mut starts = [0usize; BUCKETS];
+        for t in src {
+            starts[digit(t)] += 1;
+        }
+        // Exclusive prefix sums: each digit's first output slot.
+        let mut sum = 0usize;
+        for c in starts.iter_mut() {
+            sum += std::mem::replace(c, sum);
+        }
+        for t in src {
+            let d = digit(t);
+            dst[starts[d]] = *t;
+            starts[d] += 1;
+        }
+        in_items = !in_items;
+    }
+    if !in_items {
+        items.copy_from_slice(scratch);
+    }
 }
 
 /// Sorts packed key words ascending: LSB radix over 8-bit digits,
@@ -54,33 +117,8 @@ fn or_mask(keys: &[u64]) -> u64 {
 /// width `w` runs `2 * ceil(log2(w) / 8)` passes — at most four for
 /// any domain under 64 K codes.
 pub fn radix_sort(keys: &mut [u64]) {
-    if keys.len() < 2 {
-        return;
-    }
-    let or = or_mask(keys);
-    let mut scratch = vec![0u64; keys.len()];
-    let mut in_keys = true;
-    for pass in 0..8u32 {
-        let shift = pass * 8;
-        if (or >> shift) & 0xff == 0 {
-            continue;
-        }
-        let (src, dst): (&[u64], &mut [u64]) = if in_keys {
-            (keys, &mut scratch)
-        } else {
-            (&scratch, keys)
-        };
-        let mut starts = digit_starts(src, shift, |&k| k);
-        for &k in src {
-            let d = ((k >> shift) & 0xff) as usize;
-            dst[starts[d]] = k;
-            starts[d] += 1;
-        }
-        in_keys = !in_keys;
-    }
-    if !in_keys {
-        keys.copy_from_slice(&scratch);
-    }
+    let varying = varying_bits(keys.iter().copied());
+    radix_passes(keys, &mut Vec::new(), varying, |&k| k);
 }
 
 /// [`radix_sort`] for `u32` keys: half the memory traffic per pass
@@ -88,53 +126,71 @@ pub fn radix_sort(keys: &mut [u64]) {
 /// b | lo` for a `b`-bit domain with `2b ≤ 32`) and single dense
 /// columns sort here instead of widening to `u64`.
 pub fn radix_sort_u32(keys: &mut [u32]) {
-    if keys.len() < 2 {
+    let varying = varying_bits(keys.iter().map(|&k| u64::from(k)));
+    radix_passes(keys, &mut Vec::new(), varying, |&k| u64::from(k));
+}
+
+/// Sorts key words, keeping whatever order they already have. One
+/// pass finds the varying bits and the smallest shift `s` under which
+/// the stream is non-decreasing: a descent `a > b` has `a >> s == b >>
+/// s` exactly when `s` is above its highest differing bit, so `s` is
+/// one more than the highest such bit over all descents — `0` when the
+/// keys are in order. The runs of equal `key >> s` then stand where
+/// they belong, and each is sorted on its own, on the bits below `s`
+/// only: short ones by comparison, long ones by the radix passes. With
+/// nothing in order above `s` there is one run — the plain radix sort.
+fn sort_words<T: Copy + Ord + Default>(keys: &mut [T], key: impl Fn(&T) -> u64 + Copy) {
+    let Some(first) = keys.first().map(key) else {
+        return;
+    };
+    let (mut or, mut and, mut descents, mut prev) = (first, first, 0u64, first);
+    for k in keys[1..].iter().map(key) {
+        or |= k;
+        and &= k;
+        // Branch-free: descents are unpredictable in unordered input.
+        descents |= (k ^ prev) & u64::from(k < prev).wrapping_neg();
+        prev = k;
+    }
+    if descents == 0 {
         return;
     }
-    let or = keys.iter().fold(0u32, |m, &k| m | k);
-    let mut scratch = vec![0u32; keys.len()];
-    let mut in_keys = true;
-    for pass in 0..4u32 {
-        let shift = pass * 8;
-        if (or >> shift) & 0xff == 0 {
-            continue;
-        }
-        let (src, dst): (&[u32], &mut [u32]) = if in_keys {
-            (keys, &mut scratch)
-        } else {
-            (&scratch, keys)
-        };
-        let mut starts = digit_starts(src, shift, |&k| k as u64);
-        for &k in src {
-            let d = ((k >> shift) & 0xff) as usize;
-            dst[starts[d]] = k;
-            starts[d] += 1;
-        }
-        in_keys = !in_keys;
+    // `1 ≤ s ≤ 64`: shifts by `s` are spelled so that 64 is legal.
+    let s = u64::BITS - descents.leading_zeros();
+    let prefix = |k: &T| (key(k) >> (s - 1)) >> 1;
+    let varying = or & !and;
+    let low = varying & (u64::MAX >> (u64::BITS - s));
+    let mut scratch = Vec::new();
+    if low == varying {
+        // Nothing varies above `s`: one run, found without looking.
+        return radix_passes(keys, &mut scratch, varying, key);
     }
-    if !in_keys {
-        keys.copy_from_slice(&scratch);
+    let mut rest = keys;
+    while let Some(head) = rest.first().map(prefix) {
+        let len = rest.iter().take_while(|k| prefix(k) == head).count();
+        let (run, tail) = rest.split_at_mut(len);
+        if len < BUCKETS {
+            run.sort_unstable();
+        } else {
+            radix_passes(run, &mut scratch, low, key);
+        }
+        rest = tail;
     }
 }
 
-/// Sorts-and-dedups packed key words in place, skipping the radix
-/// sort entirely when the keys already arrive in order — materialized
-/// scans usually do — so the packed path matches the adaptive
-/// comparison sort's sorted-input best case instead of paying full
-/// counting passes for order it already has. The sortedness check is
-/// one sequential pass, a fraction of a single radix pass.
+/// Sorts-and-dedups packed key words in place, adaptively
+/// (`sort_words`): keys that arrive in order — materialized scans
+/// usually do — cost one sequential pass, a fraction of a single radix
+/// pass; keys ordered on their high bits only — a join emits them in
+/// the probe side's scan order — are sorted below those bits, run by
+/// run; anything else takes the full radix sort.
 pub fn radix_dedup(keys: &mut Vec<u64>) {
-    if !keys.is_sorted() {
-        radix_sort(keys);
-    }
+    sort_words(keys, |&k| k);
     keys.dedup();
 }
 
 /// [`radix_dedup`] for `u32` keys.
 pub fn radix_dedup_u32(keys: &mut Vec<u32>) {
-    if !keys.is_sorted() {
-        radix_sort_u32(keys);
-    }
+    sort_words(keys, |&k| u64::from(k));
     keys.dedup();
 }
 
@@ -145,52 +201,8 @@ pub fn radix_dedup_u32(keys: &mut Vec<u32>) {
 /// chained-hash and direct-addressed indexes, which is what keeps join
 /// output buffers byte-identical across index representations.
 pub fn radix_sort_pairs(pairs: &mut [(u64, u32)]) {
-    /// A `(packed key, tag)` pair, as fed by the join kernels.
-    type Pair = (u64, u32);
-    if pairs.len() < 2 {
-        return;
-    }
-    let or = pairs.iter().fold(0, |m, &(k, _)| m | k);
-    let mut scratch = vec![(0u64, 0u32); pairs.len()];
-    let mut in_pairs = true;
-    for pass in 0..8u32 {
-        let shift = pass * 8;
-        if (or >> shift) & 0xff == 0 {
-            continue;
-        }
-        let (src, dst): (&[Pair], &mut [Pair]) = if in_pairs {
-            (pairs, &mut scratch)
-        } else {
-            (&scratch, pairs)
-        };
-        let mut starts = digit_starts(src, shift, |&(k, _)| k);
-        for &p in src {
-            let d = ((p.0 >> shift) & 0xff) as usize;
-            dst[starts[d]] = p;
-            starts[d] += 1;
-        }
-        in_pairs = !in_pairs;
-    }
-    if !in_pairs {
-        pairs.copy_from_slice(&scratch);
-    }
-}
-
-/// One counting pass: the exclusive prefix sums of the 256 digit
-/// counts at `shift`, i.e. each digit's first output slot.
-#[inline]
-fn digit_starts<T>(src: &[T], shift: u32, key: impl Fn(&T) -> u64) -> [usize; 256] {
-    let mut counts = [0usize; 256];
-    for t in src {
-        counts[((key(t) >> shift) & 0xff) as usize] += 1;
-    }
-    let mut sum = 0usize;
-    for c in counts.iter_mut() {
-        let n = *c;
-        *c = sum;
-        sum += n;
-    }
-    counts
+    let varying = varying_bits(pairs.iter().map(|p| p.0));
+    radix_passes(pairs, &mut Vec::new(), varying, |p| p.0);
 }
 
 #[cfg(test)]
@@ -262,26 +274,86 @@ mod tests {
         }
     }
 
+    /// Both word sorts against `sort_unstable(); dedup()`; `u32` keys
+    /// are the low halves.
+    fn check_dedup(keys: Vec<u64>, what: &str) {
+        let mut k32: Vec<u32> = keys.iter().map(|&k| k as u32).collect();
+        let mut e32 = k32.clone();
+        e32.sort_unstable();
+        e32.dedup();
+        radix_dedup_u32(&mut k32);
+        assert_eq!(k32, e32, "u32 {what}");
+        let mut expected = keys.clone();
+        expected.sort_unstable();
+        expected.dedup();
+        let mut keys = keys;
+        radix_dedup(&mut keys);
+        assert_eq!(keys, expected, "u64 {what}");
+    }
+
     #[test]
     fn radix_dedup_matches_sort_dedup() {
-        for sorted in [false, true] {
-            let mut k64: Vec<u64> = stream(21).take(3000).map(|k| k % 400).collect();
-            let mut k32: Vec<u32> = k64.iter().map(|&k| k as u32).collect();
-            if sorted {
-                k64.sort_unstable();
-                k32.sort_unstable();
-            }
-            let mut e64 = k64.clone();
-            e64.sort_unstable();
-            e64.dedup();
-            let mut e32 = k32.clone();
-            e32.sort_unstable();
-            e32.dedup();
-            radix_dedup(&mut k64);
-            radix_dedup_u32(&mut k32);
-            assert_eq!(k64, e64, "sorted={sorted}");
-            assert_eq!(k32, e32, "sorted={sorted}");
+        for n in [0usize, 1, 2, 3000] {
+            let random: Vec<u64> = stream(21).take(n).map(|k| k % 400).collect();
+            let mut sorted = random.clone();
+            sorted.sort_unstable();
+            check_dedup(sorted.iter().rev().copied().collect(), "reverse sorted");
+            check_dedup(sorted, "sorted");
+            check_dedup(vec![0x8000_0000_8000_0000; n], "all equal, top bits set");
+            check_dedup(random, "random");
         }
+        // Keys that use bit 63 / bit 31, in no order.
+        check_dedup(stream(5).take(2000).collect(), "full width");
+    }
+
+    /// Keys sorted on everything above bit `s`, shuffled below it.
+    fn prefix_sorted(runs: impl Iterator<Item = usize>, s: u32, seed: u64) -> Vec<u64> {
+        let mut low = stream(seed);
+        let mut keys = Vec::new();
+        for (p, len) in runs.enumerate() {
+            // Every third prefix is skipped, so prefixes have gaps.
+            let hi = (p as u64 + p as u64 / 2) << s;
+            keys.extend(low.by_ref().take(len).map(|k| hi | (k & ((1 << s) - 1))));
+        }
+        keys
+    }
+
+    #[test]
+    fn radix_dedup_keeps_a_sorted_prefix() {
+        for s in [1u32, 5, 12, 19] {
+            for len in [1usize, 8, 64, 300, 1000] {
+                check_dedup(
+                    prefix_sorted(std::iter::repeat_n(len, 4000 / len), s, 7),
+                    &format!("runs of {len} below bit {s}"),
+                );
+            }
+            // One run holds everything but one key, at either end.
+            check_dedup(prefix_sorted([2999, 1].into_iter(), s, 9), "long, one");
+            check_dedup(prefix_sorted([1, 2999].into_iter(), s, 9), "one, long");
+            // Mixed short and long runs share one scratch buffer.
+            check_dedup(
+                prefix_sorted([700, 3, 256, 255, 900].into_iter(), s, 3),
+                "mixed",
+            );
+        }
+        // A sorted prefix of one bit (the top one used) and of all but
+        // one bit, for both word sizes.
+        let mut top: Vec<u64> = stream(13).take(1500).map(|k| k >> 1).collect();
+        top.extend(stream(17).take(1500).map(|k| k | 1 << 63));
+        check_dedup(top.clone(), "one-bit prefix, u64");
+        check_dedup(
+            top.iter().map(|k| (k >> 32) | (k >> 63) << 31).collect(),
+            "one-bit prefix, u32",
+        );
+        let mut pairs: Vec<u64> = stream(19).take(1500).map(|k| k & !1).collect();
+        pairs.sort_unstable();
+        let swap = |k: u64| [k | 1, k];
+        check_dedup(
+            pairs.iter().copied().flat_map(swap).collect(),
+            "all but one bit, u64",
+        );
+        let narrow = pairs.iter().map(|k| k >> 32 & !1);
+        check_dedup(narrow.flat_map(swap).collect(), "all but one bit, u32");
     }
 
     #[test]
