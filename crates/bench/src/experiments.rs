@@ -164,12 +164,12 @@ pub fn exp_fig2() -> String {
     let _ = writeln!(out, "Q = {q}");
     let _ = writeln!(
         out,
-        "partitions of the 8 variables:   {} (Bell(8) = 4140)",
+        "partitions reached:              {} (Bell(8) = 4140)",
         rep.partitions
     );
     let _ = writeln!(
         out,
-        "in-class candidate tableaux:     {} (distinct quotients in TW(1))",
+        "in-class candidate tableaux:     {} (quotients of the finest partitions in TW(1))",
         rep.candidates
     );
     let _ = writeln!(

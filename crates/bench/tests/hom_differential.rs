@@ -9,14 +9,20 @@
 //! with the pre-refactor engine.
 
 use cqapx_bench::baseline;
-use cqapx_core::{all_approximations_tableaux, Acyclic, ApproxOptions, HtwK, QueryClass, TwK};
+use cqapx_core::approx::repairs_public;
+use cqapx_core::{
+    all_approximations_tableaux, is_approximation, Acyclic, ApproxOptions, HtwK, QueryClass, TwK,
+};
+use cqapx_cq::query_from_tableau;
 use cqapx_structures::partition::{bell, for_each_partition};
 use cqapx_structures::quotient::quotient_pointed;
 use cqapx_structures::{
-    core_of, hom_exists, is_core, order, Element, HomProblem, HomSolver, Homomorphism, Pointed,
-    Structure, StructureBuilder, Vocabulary,
+    core_of, hom_exists, is_core, order, Element, HomProblem, HomSolver, Homomorphism, Partition,
+    Pointed, Structure, StructureBuilder, Vocabulary,
 };
 use proptest::prelude::*;
+use proptest::strategy::Just;
+use proptest::test_runner::TestRng;
 use std::ops::ControlFlow;
 
 /// A random small digraph with an active universe.
@@ -180,43 +186,35 @@ fn query_tableau(max_n: usize) -> impl Strategy<Value = Pointed> {
     })
 }
 
-/// The search against the exhaustive scan: `baseline` for the results,
-/// a full partition enumeration for the candidate count.
-fn assert_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass, pruned: bool) {
-    let n = t.structure.universe_size();
-    #[allow(clippy::mutable_key_type)]
-    let mut in_class_quotients = std::collections::HashSet::new();
-    for_each_partition(n, |p| {
-        let (qt, _) = quotient_pointed(t, p);
-        if class.contains_tableau(&qt) {
-            in_class_quotients.insert(qt);
+/// Runs `check` on `cases` values drawn from `strategy`, seeded by `name`
+/// the way `proptest!` seeds a test — for properties that need state
+/// across cases or a case count chosen by the caller.
+fn for_cases<S: Strategy>(name: &str, cases: u32, strategy: S, mut check: impl FnMut(S::Value)) {
+    let mut rng = TestRng::deterministic(name);
+    let mut accepted = 0;
+    while accepted < cases {
+        if let Some(value) = strategy.generate(&mut rng) {
+            check(value);
+            accepted += 1;
         }
-        ControlFlow::Continue(())
-    });
-    let expected = baseline::baseline_all_approximations_tableaux(
-        t,
-        &|qt: &Pointed| class.contains_tableau(qt),
-        u64::MAX,
-    );
-    let (got, meta) = all_approximations_tableaux(t, class, &ApproxOptions::default());
-    let name = class.name();
-    assert!(meta.complete, "{name}");
-    assert_eq!(
-        meta.candidates,
-        in_class_quotients.len(),
-        "{name}: candidates"
-    );
-    if pruned {
-        assert!(meta.partitions <= bell(n), "{name}");
-    } else {
-        assert_eq!(meta.partitions, bell(n), "{name}: nothing may be pruned");
     }
+}
+
+/// Same approximations up to equivalence, each in the class and
+/// contained in `Q`.
+fn assert_same_approximations(
+    t: &Pointed,
+    class: &dyn QueryClass,
+    got: &[Pointed],
+    expected: &[Pointed],
+) {
+    let name = class.name();
     assert_eq!(
         got.len(),
         expected.len(),
-        "{name}: number of approximations"
+        "{name}: number of approximations of {t:?}"
     );
-    for g in &got {
+    for g in got {
         assert!(
             class.contains_tableau(g),
             "{name}: result outside the class"
@@ -227,7 +225,7 @@ fn assert_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass, pruned:
             "{name}: result the exhaustive search does not have"
         );
     }
-    for e in &expected {
+    for e in expected {
         assert!(
             got.iter().any(|g| order::hom_equivalent(g, e)),
             "{name}: exhaustive result missing"
@@ -235,26 +233,194 @@ fn assert_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass, pruned:
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// The search against the exhaustive scan: `baseline` for the results,
+/// a full partition enumeration for the candidate count — the distinct
+/// quotients of the in-class partitions that no strictly finer in-class
+/// partition refines. Returns how many partitions the search reached.
+fn assert_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass) -> u64 {
+    let n = t.structure.universe_size();
+    let mut in_class = Vec::new();
+    for_each_partition(n, |p| {
+        let (qt, _) = quotient_pointed(t, p);
+        if class.contains_tableau(&qt) {
+            in_class.push((p.clone(), qt));
+        }
+        ControlFlow::Continue(())
+    });
+    #[allow(clippy::mutable_key_type)]
+    let finest_quotients: std::collections::HashSet<&Pointed> = in_class
+        .iter()
+        .filter(|(p, _)| !in_class.iter().any(|(f, _)| f != p && f.refines(p)))
+        .map(|(_, qt)| qt)
+        .collect();
+    let expected = baseline::baseline_all_approximations_tableaux(
+        t,
+        &|qt: &Pointed| class.contains_tableau(qt),
+        u64::MAX,
+    );
+    let (got, meta) = all_approximations_tableaux(t, class, &ApproxOptions::default());
+    let name = class.name();
+    assert!(meta.complete, "{name}");
+    assert_eq!(
+        meta.candidates,
+        finest_quotients.len(),
+        "{name}: candidates of {t:?}"
+    );
+    assert!(meta.partitions <= bell(n), "{name}");
+    assert_same_approximations(t, class, &got, &expected);
+    meta.partitions
+}
 
-    /// Prefix pruning and the antichain pass change nothing but time:
-    /// for classes closed under subgraphs the search meets every
-    /// in-class quotient of the exhaustive scan and returns the same
-    /// approximations up to equivalence.
-    #[test]
-    fn pruned_search_agrees_with_exhaustive_baseline(t in query_tableau(7)) {
-        assert_search_matches_exhaustive(&t, &TwK(1), true);
-        assert_search_matches_exhaustive(&t, &TwK(2), true);
-    }
+/// Prefix pruning, the domination bound and the antichain pass change
+/// nothing but time: for classes closed under subgraphs the search
+/// offers every quotient of a finest in-class partition the exhaustive
+/// scan finds and returns the same approximations up to equivalence.
+fn check_pruned_search(name: &str, cases: u32, max_n: usize) {
+    for_cases(name, cases, query_tableau(max_n), |t| {
+        assert_search_matches_exhaustive(&t, &TwK(1));
+        assert_search_matches_exhaustive(&t, &TwK(2));
+    });
+}
 
-    /// Hypergraph-based classes are not pruned: every partition is
-    /// reached. Over binary vocabularies no repair can succeed (an extra
-    /// edge never removes a cycle), so the exhaustive baseline without
-    /// repairs is still the oracle.
-    #[test]
-    fn unpruned_search_agrees_with_exhaustive_baseline(t in query_tableau(6)) {
-        assert_search_matches_exhaustive(&t, &Acyclic, false);
-        assert_search_matches_exhaustive(&t, &HtwK(1), false);
-    }
+/// Hypergraph-based classes have no prefix cut, only the domination
+/// bound — which must bite on some case. Over binary vocabularies no
+/// repair can succeed (an extra edge never removes a cycle), so the
+/// exhaustive baseline without repairs is still the oracle.
+fn check_unpruned_search(name: &str, cases: u32, max_n: usize) {
+    let mut some_case_reached_fewer = false;
+    for_cases(name, cases, query_tableau(max_n), |t| {
+        let all = bell(t.structure.universe_size());
+        some_case_reached_fewer |= assert_search_matches_exhaustive(&t, &Acyclic) < all;
+        some_case_reached_fewer |= assert_search_matches_exhaustive(&t, &HtwK(1)) < all;
+    });
+    assert!(some_case_reached_fewer, "domination never cut anything");
+}
+
+#[test]
+fn pruned_search_agrees_with_exhaustive_baseline() {
+    check_pruned_search("pruned_search_agrees_with_exhaustive_baseline", 48, 7);
+}
+
+#[test]
+fn unpruned_search_agrees_with_exhaustive_baseline() {
+    check_unpruned_search("unpruned_search_agrees_with_exhaustive_baseline", 48, 6);
+}
+
+/// A random Boolean tableau of at most three atoms over `{R/3}` on at
+/// most `max_n` variables: the vocabulary on which Claim 6.2's repairs
+/// succeed, so a repaired candidate can be the one a finer in-class
+/// quotient dominates.
+fn ternary_tableau(max_n: usize) -> impl Strategy<Value = Pointed> {
+    (3..=max_n).prop_flat_map(|n| {
+        let var = 0..n as u32;
+        proptest::collection::vec((var.clone(), var.clone(), var), 1..=3).prop_map(move |atoms| {
+            let vocab = Vocabulary::new(vec![("R", 3)]);
+            let r = vocab.rel("R").unwrap();
+            let mut b = StructureBuilder::new(vocab, n);
+            for &(x, y, z) in &atoms {
+                b.add(r, &[x, y, z]);
+            }
+            Pointed::boolean(b.finish().restrict_to_adom().0)
+        })
+    })
+}
+
+/// The repairing search against a walk-free pipeline: every partition's
+/// quotient, or its repairs when it is outside the class, deduplicated
+/// up to equivalence and filtered to the →-minimal ones.
+fn assert_repairing_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass) {
+    let opts = ApproxOptions {
+        minimize: false,
+        ..ApproxOptions::default()
+    };
+    let mut family = Vec::new();
+    for_each_partition(t.structure.universe_size(), |p| {
+        let (qt, _) = quotient_pointed(t, p);
+        if class.contains_tableau(&qt) {
+            family.push(qt);
+        } else {
+            family.extend(repairs_public(&qt, class, &opts));
+        }
+        ControlFlow::Continue(())
+    });
+    let reps: Vec<Pointed> = order::dedupe_hom_equivalent(&family)
+        .into_iter()
+        .map(|i| family[i].clone())
+        .collect();
+    let expected: Vec<Pointed> = order::minimal_elements(&reps)
+        .into_iter()
+        .map(|i| reps[i].clone())
+        .collect();
+    let (got, meta) = all_approximations_tableaux(t, class, &opts);
+    assert!(meta.complete);
+    assert_same_approximations(t, class, &got, &expected);
+}
+
+fn check_repairing_search(name: &str, cases: u32) {
+    // Example 6.6: three approximations, one of them a repaired quotient.
+    let vocab = Vocabulary::new(vec![("R", 3)]);
+    let r = vocab.rel("R").unwrap();
+    let mut b = StructureBuilder::new(vocab, 6);
+    b.add(r, &[0, 1, 2]).add(r, &[2, 3, 4]).add(r, &[4, 5, 0]);
+    assert_repairing_search_matches_exhaustive(&Pointed::boolean(b.finish()), &Acyclic);
+    for_cases(name, cases, ternary_tableau(6), |t| {
+        assert_repairing_search_matches_exhaustive(&t, &Acyclic);
+        assert_repairing_search_matches_exhaustive(&t, &HtwK(1));
+    });
+}
+
+#[test]
+fn repairing_search_agrees_with_exhaustive_pipeline() {
+    check_repairing_search("repairing_search_agrees_with_exhaustive_pipeline", 24);
+}
+
+/// `is_approximation` shares the pruned walk; its verdict must be the one
+/// a scan of all Bell(n) quotients gives. `Q′` is a random quotient of
+/// `Q`, so it is always contained in `Q` and often in the class.
+fn check_identification(name: &str, cases: u32, max_n: usize) {
+    let strategy = query_tableau(max_n).prop_flat_map(|t| {
+        let n = t.structure.universe_size();
+        (Just(t), proptest::collection::vec(0..n as u32, n))
+    });
+    let mut verdicts = [0u32; 2];
+    for_cases(name, cases, strategy, |(t, labels)| {
+        let (tp, _) = quotient_pointed(&t, &Partition::from_labels(&labels));
+        let (q, q_prime) = (query_from_tableau(&t), query_from_tableau(&tp));
+        for class in [&TwK(1) as &dyn QueryClass, &Acyclic] {
+            let mut beaten = false;
+            for_each_partition(t.structure.universe_size(), |p| {
+                let (qt, _) = quotient_pointed(&t, p);
+                beaten |=
+                    class.contains_tableau(&qt) && hom_exists(&qt, &tp) && !hom_exists(&tp, &qt);
+                ControlFlow::Continue(())
+            });
+            let expected = class.contains_tableau(&tp) && !beaten;
+            let got = is_approximation(&q, &q_prime, class, &ApproxOptions::default());
+            assert_eq!(got, Some(expected), "{}: {q_prime} of {q}", class.name());
+            verdicts[expected as usize] += 1;
+        }
+    });
+    assert!(
+        verdicts[0] > 0 && verdicts[1] > 0,
+        "both verdicts exercised"
+    );
+}
+
+#[test]
+fn identification_agrees_with_exhaustive_witness_search() {
+    check_identification(
+        "identification_agrees_with_exhaustive_witness_search",
+        48,
+        6,
+    );
+}
+
+/// The deep variant CI runs in release mode after the default suite.
+#[test]
+#[ignore = "deep: 512 cases up to 8 variables, run in release by CI"]
+fn deep_approximation_differentials() {
+    check_pruned_search("deep_pruned", 512, 8);
+    check_unpruned_search("deep_unpruned", 512, 7);
+    check_repairing_search("deep_repairing", 512);
+    check_identification("deep_identification", 512, 7);
 }

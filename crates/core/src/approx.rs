@@ -19,23 +19,27 @@
 //!   enough for every example in the paper; raise it for exhaustiveness on
 //!   wilder vocabularies).
 //!
-//! The exact pipeline is `walk the partition tree → fingerprint and
-//! class-check each quotient reached → stream the in-class candidates
-//! through a →-minimal antichain → minimize (core)`. For a class closed
-//! under subgraphs the walk is a branch-and-bound: a prefix of a
-//! restricted growth string fixes a subgraph of every quotient below it,
-//! so an out-of-class prefix cuts its whole subtree
-//! (`for_each_class_partition`); hypergraph-based classes walk all
-//! Bell(n) partitions, since their repairs start from out-of-class
-//! quotients. Corollaries 4.3 and 6.5 bound the search by
-//! single-exponential time, and Proposition 4.11 shows no polynomial
-//! algorithm exists unless P = NP. [`one_approximation`] is the anytime
-//! variant: greedy merging with a beam, sound (`Q' ⊆ Q` and `Q' ∈ C`
-//! always) but not guaranteed →-minimal.
+//! The exact pipeline is `walk the partition tree finest first →
+//! fingerprint and class-check each quotient reached → stream the
+//! candidates through a →-minimal antichain → minimize (core)`. The walk
+//! is a branch-and-bound with two cuts (`for_each_class_partition`).
+//! *Domination*, for every class: the canonical map `T_Q/π → T_Q/π′` of a
+//! refinement `π ≤ π′` is a homomorphism, so once `T_Q/π` is in the
+//! class, no coarsening of `π` — nor any repair built on one — can be
+//! →-minimal without being equivalent to it; partitions arrive after
+//! all their refinements, so only the finest in-class quotients are
+//! ever built. *Subgraph closure*, for the graph-based classes: a prefix
+//! of a restricted growth string fixes a subgraph of every quotient
+//! below it, so an out-of-class prefix cuts its whole subtree.
+//! Corollaries 4.3 and 6.5 bound the search by single-exponential time,
+//! and Proposition 4.11 shows no polynomial algorithm exists unless
+//! P = NP. [`one_approximation`] is the anytime variant: greedy merging
+//! with a beam, sound (`Q' ⊆ Q` and `Q' ∈ C` always) but not guaranteed
+//! →-minimal.
 
 use crate::classes::{ClassKind, QueryClass};
 use cqapx_cq::{query_from_tableau, tableau_of, ConjunctiveQuery};
-use cqapx_structures::fxhash::FxHashSet;
+use cqapx_structures::fxhash::{FxHashMap, FxHashSet};
 use cqapx_structures::iso::{signature_pointed, IsoSignature};
 use cqapx_structures::order::{self, MinimalAntichain};
 use cqapx_structures::partition::{walk_partitions, Walk};
@@ -53,10 +57,9 @@ use std::ops::ControlFlow;
 /// future fields automatically part of the key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ApproxOptions {
-    /// Cap on the number of partitions reached: all Bell(n) for a
-    /// hypergraph-based class, those that survive prefix pruning for a
-    /// class closed under subgraphs. When hit, the result is still sound
-    /// but flagged incomplete.
+    /// Cap on the number of partitions reached (those no cut of the walk
+    /// removed). When hit, the result is still sound but flagged
+    /// incomplete; the trivial quotient is still offered.
     pub max_partitions: u64,
     /// For hypergraph-based classes: maximum number of extra atoms added
     /// to a quotient when repairing it into the class.
@@ -86,10 +89,16 @@ pub struct ApproxReport {
     pub approximations: Vec<ConjunctiveQuery>,
     /// The approximations, as tableaux.
     pub tableaux: Vec<Pointed>,
-    /// Number of in-class candidates examined (after structural dedup).
+    /// Number of candidates offered to the →-minimal antichain: the
+    /// distinct quotients of the in-class partitions no finer in-class
+    /// partition refines, plus the repaired out-of-class ones.
     pub candidates: usize,
-    /// Number of partitions reached (pruned subtrees are not counted).
+    /// Number of partitions reached (leaves of the walk; pruned subtrees
+    /// and dominated leaves are not counted).
     pub partitions: u64,
+    /// Number of leaves skipped plus subtrees cut because an in-class
+    /// partition found earlier refines all of them.
+    pub dominated: u64,
     /// `false` when a cap was hit; the output is then still sound (each
     /// returned query is in the class and contained in `Q`) but might miss
     /// approximations or return non-minimal ones.
@@ -129,25 +138,31 @@ impl ApproxCacheKey {
 }
 
 /// Walks the partitions of `t`'s variables whose quotients can be
-/// candidates for `class`, in RGS order, calling `leaf` on at most
-/// `max_partitions` of them. Returns how many were reached and whether
-/// the walk ran to completion (`leaf` breaking, or the cap, ends it).
+/// candidates for `class`, finest first, calling `leaf` on at most
+/// `max_partitions` of them; `leaf` answers whether the plain quotient is
+/// in the class. Returns how many leaves were reached, how many leaves
+/// and subtrees the domination bound skipped, and whether the walk ran
+/// to completion (`leaf` breaking, or the cap, ends it).
 ///
-/// For a [`ClassKind::SubgraphClosed`] class this is a branch-and-bound.
-/// A prefix of length `d` fixes the images of the atoms over the first
+/// **Domination** (module docs). A partition arrives after all of its
+/// refinements, so the in-class leaves reached are the finest ones; they
+/// are kept, and a prefix is cut when one refines everything below it.
+///
+/// **Subgraph closure.** For a [`ClassKind::SubgraphClosed`] class a
+/// prefix of length `d` fixes the images of the atoms over the first
 /// `d` variables, and those form a subgraph of every quotient below the
 /// prefix; so once [`QueryClass::contains_quotient`] rejects them, no
 /// quotient below is in the class and the subtree is cut. (Only depths
 /// at which some atom has just become fully labelled are tested.)
-/// [`ClassKind::HypergraphClosed`] classes get every partition: a
+/// [`ClassKind::HypergraphClosed`] classes have the first bound only: a
 /// variable prefix is not an induced subhypergraph, and their repairs
 /// start from out-of-class quotients.
 pub(crate) fn for_each_class_partition(
     t: &Pointed,
     class: &dyn QueryClass,
     max_partitions: u64,
-    mut leaf: impl FnMut(&Partition) -> ControlFlow<()>,
-) -> (u64, bool) {
+    mut leaf: impl FnMut(&Partition) -> ControlFlow<(), bool>,
+) -> (u64, u64, bool) {
     let s = &t.structure;
     let n = s.universe_size();
     // Atoms in the order they become fully labelled, and per depth how
@@ -162,26 +177,58 @@ pub(crate) fn for_each_class_partition(
         .map(|d| atoms.partition_point(|a| a.iter().all(|&e| (e as usize) < d)))
         .collect();
     let mut mapped: Vec<u32> = Vec::new();
-    let mut reached = 0u64;
+    // The in-class leaves kept so far, `n + 1` words each: per element
+    // the previous element of its block (`NONE` for a block's first),
+    // then `tail`, the least index from which all elements are
+    // singletons. `alive[d]` lists the kept leaves whose restriction to
+    // the first `d` elements refines the current prefix of length `d`.
+    const NONE: u32 = u32::MAX;
+    let mut kept: Vec<u32> = Vec::new();
+    let mut alive: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
+    let (mut reached, mut dominated) = (0u64, 0u64);
     let complete = walk_partitions(n, |p| {
-        let d = p.len();
+        let (d, labels) = (p.len(), p.labels());
+        if d > 0 {
+            // A kept leaf stays alive iff element `d-1` opens a block in
+            // it or joins its predecessor's block in the prefix too.
+            let (parents, here) = alive.split_at_mut(d);
+            here[0].clear();
+            here[0].extend(parents[d - 1].iter().copied().filter(|&e| {
+                let prev = kept[e * (n + 1) + d - 1];
+                prev == NONE || labels[prev as usize] == labels[d - 1]
+            }));
+            // Blocks inside the prefix, singletons after it: the leaf
+            // refines every partition below.
+            if here[0].iter().any(|&e| kept[e * (n + 1) + n] as usize <= d) {
+                dominated += 1;
+                return Walk::Prune;
+            }
+        }
         if d == n {
             if reached == max_partitions {
                 return Walk::Stop;
             }
             reached += 1;
-            return if leaf(p).is_break() {
-                Walk::Stop
-            } else {
-                Walk::Descend
+            let ControlFlow::Continue(in_class) = leaf(p) else {
+                return Walk::Stop;
             };
+            if in_class {
+                let prev = |x: usize| labels[..x].iter().rposition(|&b| b == labels[x]);
+                let tail = (0..n).rev().find(|&x| prev(x).is_some());
+                // Every ancestor's prefix is this leaf's own.
+                let entry = kept.len() / (n + 1);
+                alive.iter_mut().for_each(|list| list.push(entry));
+                kept.extend((0..n).map(|x| prev(x).map_or(NONE, |j| j as u32)));
+                kept.push(tail.map_or(0, |x| x as u32 + 1));
+            }
+            return Walk::Descend;
         }
         if done[d] == done[d - 1] {
             return Walk::Descend;
         }
         mapped.clear();
         for a in &atoms[..done[d]] {
-            mapped.extend(a.iter().map(|&e| p.block_of(e as usize)));
+            mapped.extend(a.iter().map(|&e| labels[e as usize]));
         }
         let mut rest = mapped.as_slice();
         let mut images = atoms[..done[d]].iter().map(|a| {
@@ -194,12 +241,13 @@ pub(crate) fn for_each_class_partition(
             _ => Walk::Descend,
         }
     });
-    (reached, complete)
+    (reached, dominated, complete)
 }
 
 /// Streams the candidate tableaux for a query tableau into `emit`, in
-/// the order the partition walk meets them: the in-class quotients and,
-/// for hypergraph-based classes, the repaired out-of-class ones.
+/// the order the partition walk meets them: the in-class quotients no
+/// finer in-class quotient dominates and, for hypergraph-based classes,
+/// the repaired out-of-class ones. Returns the walk's counts.
 ///
 /// Distinct partitions frequently induce the *same* quotient, so each
 /// quotient is fingerprinted first — block count, mapped distinguished
@@ -208,12 +256,16 @@ pub(crate) fn for_each_class_partition(
 /// fingerprints get materialized and class-checked. The fingerprint
 /// determines the pointed quotient, so in-class quotients need no second
 /// dedup among themselves.
+///
+/// A walk the cap cut short has not reached its last leaf, the coarsest
+/// partition, so that one's quotient — the trivial query, in every
+/// built-in class — is visited on the way out.
 fn candidates(
     t: &Pointed,
     class: &dyn QueryClass,
     opts: &ApproxOptions,
     mut emit: impl FnMut(Pointed),
-) -> (u64, bool) {
+) -> (u64, u64, bool) {
     let s = &t.structure;
     let vocab = s.vocabulary().clone();
     // Per relation: (id, arity, concatenated source tuple elements).
@@ -223,7 +275,8 @@ fn candidates(
         .collect();
     let wants_repairs = class.kind() == ClassKind::HypergraphClosed && opts.repair_extra_atoms > 0;
 
-    let mut seen_fp: FxHashSet<Box<[u32]>> = FxHashSet::default();
+    // Fingerprint → was the plain quotient in the class.
+    let mut seen_fp: FxHashMap<Box<[u32]>, bool> = FxHashMap::default();
     // Repaired quotients can coincide with each other and with in-class
     // quotients, so a search that repairs dedups whole candidates too.
     // (`Structure`'s interior mutability is only its derived index cache,
@@ -239,7 +292,7 @@ fn candidates(
     let mut sorted: Vec<u32> = Vec::new();
     let mut fp: Vec<u32> = Vec::new();
 
-    for_each_class_partition(t, class, opts.max_partitions, |p| {
+    let mut visit = |p: &Partition| -> bool {
         let labels = p.labels();
         fp.clear();
         fp.push(p.n_blocks() as u32);
@@ -305,10 +358,9 @@ fn candidates(
             fp.push((buf.len() / w) as u32);
             fp.extend_from_slice(buf);
         }
-        if seen_fp.contains(fp.as_slice()) {
-            return ControlFlow::Continue(());
+        if let Some(&in_class) = seen_fp.get(fp.as_slice()) {
+            return in_class;
         }
-        seen_fp.insert(fp.clone().into_boxed_slice());
 
         // First sighting of this quotient: class-check it from the raw
         // buffers when the class supports that; materialize a `Pointed`
@@ -324,7 +376,8 @@ fn candidates(
                 .flat_map(|((_, w, _), buf)| buf.chunks_exact(*w)),
         );
         if verdict == Some(false) && !wants_repairs {
-            return ControlFlow::Continue(());
+            seen_fp.insert(fp.as_slice().into(), false);
+            return false;
         }
 
         let mut b = StructureBuilder::new(vocab.clone(), n_blocks);
@@ -340,6 +393,7 @@ fn candidates(
         let qt = Pointed::new(b.finish(), fp[1..=t.distinguished().len()].to_vec());
 
         let in_class = verdict.unwrap_or_else(|| class.contains_tableau(&qt));
+        seen_fp.insert(fp.as_slice().into(), in_class);
         if in_class {
             if !wants_repairs || seen_structs.insert(qt.clone()) {
                 emit(qt);
@@ -351,8 +405,15 @@ fn candidates(
                 }
             }
         }
-        ControlFlow::Continue(())
-    })
+        in_class
+    };
+    let counts @ (.., complete) = for_each_class_partition(t, class, opts.max_partitions, |p| {
+        ControlFlow::Continue(visit(p))
+    });
+    if !complete {
+        visit(&Partition::coarsest(s.universe_size()));
+    }
+    counts
 }
 
 /// Inclusion-minimal augmentations of `qt` with up to
@@ -508,7 +569,7 @@ pub fn all_approximations_tableaux(
     // dropped after that hom test; any other evicts what it maps into.
     let mut minimal = MinimalAntichain::new();
     let mut n_candidates = 0usize;
-    let (partitions, complete) = candidates(t, class, opts, |c| {
+    let (partitions, dominated, complete) = candidates(t, class, opts, |c| {
         n_candidates += 1;
         minimal.offer(c);
     });
@@ -523,6 +584,7 @@ pub fn all_approximations_tableaux(
         ApproxReportMeta {
             candidates: n_candidates,
             partitions,
+            dominated,
             complete,
         },
     )
@@ -531,12 +593,28 @@ pub fn all_approximations_tableaux(
 /// Bookkeeping from a tableau-level approximation run.
 #[derive(Debug, Clone, Copy)]
 pub struct ApproxReportMeta {
-    /// In-class candidates examined.
+    /// Candidates offered to the antichain.
     pub candidates: usize,
-    /// Partitions reached (pruned subtrees are not counted).
+    /// Partitions reached (pruned and dominated ones are not counted).
     pub partitions: u64,
+    /// Leaves skipped plus subtrees cut by the domination bound.
+    pub dominated: u64,
     /// Whether the enumeration was exhaustive.
     pub complete: bool,
+}
+
+impl ApproxReport {
+    /// The report of one [`all_approximations_tableaux`] run.
+    pub fn from_tableaux(tableaux: Vec<Pointed>, meta: ApproxReportMeta) -> ApproxReport {
+        ApproxReport {
+            approximations: tableaux.iter().map(query_from_tableau).collect(),
+            tableaux,
+            candidates: meta.candidates,
+            partitions: meta.partitions,
+            dominated: meta.dominated,
+            complete: meta.complete,
+        }
+    }
 }
 
 /// Computes all `C`-approximations of a query.
@@ -562,14 +640,7 @@ pub fn all_approximations(
 ) -> ApproxReport {
     let t = tableau_of(q);
     let (tableaux, meta) = all_approximations_tableaux(&t, class, opts);
-    let approximations = tableaux.iter().map(query_from_tableau).collect();
-    ApproxReport {
-        approximations,
-        tableaux,
-        candidates: meta.candidates,
-        partitions: meta.partitions,
-        complete: meta.complete,
-    }
+    ApproxReport::from_tableaux(tableaux, meta)
 }
 
 /// Greedy anytime approximation: beam search over variable merges.
@@ -811,65 +882,94 @@ mod tests {
         let rep = all_approximations(&q, &TwK(1), &opts());
         assert_eq!(rep.approximations.len(), 1);
         assert!(equivalent(&rep.approximations[0], &q));
+        // The identity is the first leaf and dominates all the others.
+        assert_eq!((rep.partitions, rep.candidates), (1, 1));
+        assert!(rep.dominated > 0);
         let one = one_approximation(&q, &TwK(1), 8);
         assert!(equivalent(&one, &q));
     }
 
-    /// Ground truth for `candidates`: the distinct in-class quotients over
-    /// all Bell(n) partitions, each fully materialized.
+    /// Ground truth for `candidates` (no repair succeeding): the distinct
+    /// quotients of the in-class partitions that no strictly finer
+    /// in-class partition refines, over all Bell(n) partitions, each
+    /// fully materialized.
     fn exhaustive_candidates(t: &Pointed, class: &dyn QueryClass) -> usize {
-        #[allow(clippy::mutable_key_type)]
-        let mut seen: HashSet<Pointed> = HashSet::new();
+        let mut in_class: Vec<(Partition, Pointed)> = Vec::new();
         for_each_partition(t.structure.universe_size(), |p| {
             let (qt, _) = quotient_pointed(t, p);
             if class.contains_tableau(&qt) {
-                seen.insert(qt);
+                in_class.push((p.clone(), qt));
             }
             ControlFlow::Continue(())
         });
-        seen.len()
+        #[allow(clippy::mutable_key_type)]
+        let finest: HashSet<&Pointed> = in_class
+            .iter()
+            .filter(|(p, _)| !in_class.iter().any(|(f, _)| f != p && f.refines(p)))
+            .map(|(_, qt)| qt)
+            .collect();
+        finest.len()
     }
 
     #[test]
     fn multi_relation_fingerprints_do_not_collide() {
         // Regression: without a length prefix per relation, the quotient
         // fingerprint of a multi-relation vocabulary was ambiguous (a
-        // tuple of R could be misread as a tuple of S), silently dropping
-        // distinct candidates.
-        let v = cqapx_structures::Vocabulary::new(vec![("R", 1), ("S", 1)]);
-        let r = v.rel("R").unwrap();
-        let s = v.rel("S").unwrap();
-        let mut b = StructureBuilder::new(v, 4);
-        b.add(r, &[0]).add(r, &[1]).add(s, &[2]).add(s, &[3]);
+        // tuple of E could be misread as a tuple of F), silently dropping
+        // distinct candidates. The triangle 0-1-2 keeps the identity out
+        // of the class, so each merge of two corners is a finest in-class
+        // partition; two of the three quotients, {E(0,0), E(0,1), E(1,0);
+        // F(1,1)} and {E(0,0), E(0,1); F(1,0), F(1,1)}, read the same
+        // once the counts are gone.
+        let v = cqapx_structures::Vocabulary::new(vec![("E", 2), ("F", 2)]);
+        let e = v.rel("E").unwrap();
+        let f = v.rel("F").unwrap();
+        let mut b = StructureBuilder::new(v, 3);
+        b.add(e, &[2, 0]).add(e, &[0, 0]).add(e, &[0, 1]);
+        b.add(f, &[1, 1]).add(f, &[1, 2]);
         let t = Pointed::boolean(b.finish());
+        assert!(!TwK(1).contains_tableau(&t));
         let (_, meta) = all_approximations_tableaux(&t, &TwK(1), &opts());
+        assert_eq!(meta.candidates, 3);
         assert_eq!(meta.candidates, exhaustive_candidates(&t, &TwK(1)));
     }
 
     #[test]
     fn c6_into_tw1_prunes_the_partition_tree() {
         // Branch-and-bound reaches fewer than Bell(6) = 203 partitions and
-        // still meets every in-class quotient the exhaustive scan does;
-        // the hypergraph discipline walks all of them.
+        // still offers every quotient of a finest in-class partition the
+        // exhaustive scan finds; the hypergraph discipline has the
+        // domination bound alone, so it reaches more, and the same ones.
         let c6 = parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
         let expected = exhaustive_candidates(&tableau_of(&c6), &TwK(1));
         let rep = all_approximations(&c6, &TwK(1), &opts());
         assert!(rep.complete);
         assert!(rep.partitions < bell(6), "reached {}", rep.partitions);
         assert_eq!(rep.candidates, expected);
+        assert!(rep.dominated > 0);
         let ac = all_approximations(&c6, &Acyclic, &opts());
-        assert_eq!((ac.partitions, ac.candidates), (bell(6), expected));
+        assert!(rep.partitions < ac.partitions && ac.partitions < bell(6));
+        assert_eq!(ac.candidates, expected);
+        assert!(ac.dominated > rep.dominated);
     }
 
     #[test]
     fn incomplete_flag_when_capped() {
         let q = parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
-        let mut o = opts();
-        o.max_partitions = 10;
-        let rep = all_approximations(&q, &TwK(1), &o);
-        assert!(!rep.complete);
-        for a in &rep.approximations {
-            assert!(contained_in(a, &q));
+        // The coarsest partition is the walk's last leaf, so a capped
+        // walk visits it on the way out: even a cap of one leaf (the
+        // identity, out of class) leaves the trivial approximation.
+        for max_partitions in [10, 1] {
+            let mut o = opts();
+            o.max_partitions = max_partitions;
+            let rep = all_approximations(&q, &TwK(1), &o);
+            assert!(!rep.complete);
+            assert_eq!(rep.partitions, max_partitions);
+            assert!(!rep.approximations.is_empty());
+            for a in &rep.approximations {
+                assert!(contained_in(a, &q));
+                assert!(TwK(1).contains_tableau(&tableau_of(a)));
+            }
         }
     }
 }

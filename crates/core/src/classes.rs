@@ -121,6 +121,34 @@ impl TwK {
     }
 }
 
+/// Forest-ness of the co-occurrence graph of `tuples`, no graph built:
+/// the distinct unordered pairs (loops are immaterial) go through a
+/// union-find, and the first pair inside one component closes a cycle.
+fn co_occurrences_form_forest(universe: usize, tuples: &mut dyn Iterator<Item = &[u32]>) -> bool {
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for t in tuples {
+        for (i, &x) in t.iter().enumerate() {
+            let later = t[i + 1..].iter().filter(|&&y| x != y);
+            edges.extend(later.map(|&y| (x.min(y), x.max(y))));
+        }
+    }
+    edges.sort_unstable();
+    edges.dedup();
+    let mut root: Vec<u32> = (0..universe as u32).collect();
+    let find = |root: &mut [u32], mut x: u32| {
+        while root[x as usize] != x {
+            root[x as usize] = root[root[x as usize] as usize];
+            x = root[x as usize];
+        }
+        x
+    };
+    edges.iter().all(|&(x, y)| {
+        let (rx, ry) = (find(&mut root, x), find(&mut root, y));
+        root[rx as usize] = ry;
+        rx != ry
+    })
+}
+
 impl QueryClass for TwK {
     fn name(&self) -> String {
         format!("TW({})", self.0)
@@ -136,6 +164,9 @@ impl QueryClass for TwK {
         universe: usize,
         tuples: &mut dyn Iterator<Item = &[u32]>,
     ) -> Option<bool> {
+        if self.0 == 1 {
+            return Some(co_occurrences_form_forest(universe, tuples));
+        }
         let mut g = UGraph::new(universe);
         for t in tuples {
             for (i, &x) in t.iter().enumerate() {

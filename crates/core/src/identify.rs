@@ -12,7 +12,9 @@
 //!    specifically among homomorphic images of `T_Q` (quotients), which is
 //!    exactly the candidate space we enumerate (coNP) — with the same
 //!    walk as the search (`approx::for_each_class_partition`), so a class
-//!    closed under subgraphs skips the subtrees with no in-class quotient.
+//!    closed under subgraphs skips the subtrees with no in-class quotient,
+//!    and every class skips the coarsenings of an in-class quotient (if
+//!    one of those is a witness, the in-class quotient below it is too).
 //!
 //! For hypergraph-based classes the witness space additionally includes
 //! the bounded repair augmentations of Claim 6.2 (see
@@ -63,10 +65,11 @@ pub fn is_approximation(
     // candidate (quotient / repaired quotient of T_Q, so Q'' ⊆ Q).
     let t = tableau_of(q);
     let mut found_witness = false;
-    let (_, complete) = for_each_class_partition(&t, class, opts.max_partitions, |p| {
+    let (_, _, complete) = for_each_class_partition(&t, class, opts.max_partitions, |p| {
         let (qt, _) = quotient_pointed(&t, p);
         let mut candidates = Vec::new();
-        if class.contains_tableau(&qt) {
+        let in_class = class.contains_tableau(&qt);
+        if in_class {
             candidates.push(qt);
         } else if class.kind() == ClassKind::HypergraphClosed && opts.repair_extra_atoms > 0 {
             candidates.extend(crate::approx::repairs_public(&qt, class, opts));
@@ -77,7 +80,7 @@ pub fn is_approximation(
                 return ControlFlow::Break(());
             }
         }
-        ControlFlow::Continue(())
+        ControlFlow::Continue(in_class)
     });
     if found_witness {
         return Some(false);

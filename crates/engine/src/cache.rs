@@ -18,7 +18,6 @@ use cqapx_core::{
     all_approximations_tableaux, ApproxCacheKey, ApproxOptions, ApproxReport, QueryClass,
 };
 use cqapx_cq::eval::{AcyclicPlan, DecomposedPlan, Evaluator, NaiveEvaluator};
-use cqapx_cq::query_from_tableau;
 use cqapx_structures::iso::isomorphic_pointed;
 use cqapx_structures::Pointed;
 use std::collections::HashMap;
@@ -125,8 +124,9 @@ impl ApproxCache {
 
         let start = Instant::now();
         let (tableaux, meta) = all_approximations_tableaux(t, class, opts);
-        let approximations: Vec<_> = tableaux.iter().map(query_from_tableau).collect();
-        let evaluators: Vec<Arc<dyn Evaluator + Send + Sync>> = approximations
+        let report = ApproxReport::from_tableaux(tableaux, meta);
+        let evaluators: Vec<Arc<dyn Evaluator + Send + Sync>> = report
+            .approximations
             .iter()
             .map(|q| {
                 if let Ok(plan) = AcyclicPlan::compile(q) {
@@ -143,13 +143,7 @@ impl ApproxCache {
             })
             .collect();
         let value = Arc::new(CachedApproximation {
-            report: ApproxReport {
-                approximations,
-                tableaux,
-                candidates: meta.candidates,
-                partitions: meta.partitions,
-                complete: meta.complete,
-            },
+            report,
             evaluators,
             compute_time: start.elapsed(),
         });

@@ -8,6 +8,12 @@
 //! `b` with `b[0] = 0` and `b[i] ≤ 1 + max(b[0..i])`, canonical per
 //! set-partition. The number of partitions of an `n`-set is the `n`-th
 //! Bell number — the source of the paper's single-exponential bounds.
+//!
+//! The enumeration order is **finest first** (reverse lexicographic on
+//! the strings): every partition arrives after all of its refinements
+//! (the lemma at [`walk_partitions`]), so a search for the finest
+//! partitions with some property — the finest in-class quotients — can
+//! discard a partition as soon as one it has already kept refines it.
 
 use serde::{Deserialize, Serialize};
 use std::ops::ControlFlow;
@@ -143,9 +149,19 @@ pub enum Walk {
 /// `{0, …, n-1}`: the visitor sees every non-empty RGS prefix, as the
 /// partition of `{0, …, len-1}` it denotes, before any of its
 /// extensions, and decides whether to [`Walk::Descend`]. Prefixes of
-/// length `n` are the partitions themselves and arrive in RGS order. A
-/// bound that is monotone along extension — once a prefix fails, every
-/// partition below it fails — turns the walk into a branch-and-bound.
+/// length `n` are the partitions themselves. A bound that is monotone
+/// along extension — once a prefix fails, every partition below it
+/// fails — turns the walk into a branch-and-bound.
+///
+/// **Order.** The children of a prefix are tried *new block first*, then
+/// the existing blocks from the highest label down, so the leaves arrive
+/// in reverse lexicographic order: the identity first, the coarsest last.
+///
+/// **Refinement lemma.** If `π` strictly refines `π′`, then `π` arrives
+/// first. Proof: at the first position `i` where the strings differ both
+/// have the same blocks `0..m` before it. Were `π[i] < m`, `i` would
+/// share a `π`-block, hence a `π′`-block, with some `j < i`, forcing
+/// `π′[i] = π′[j] = π[j] = π[i]`. So `π[i] = m > π′[i]`.
 ///
 /// One `Partition` is reused for the whole walk; clone it to keep it.
 /// Returns `true` unless the visitor answered [`Walk::Stop`]. (`n = 0`
@@ -166,31 +182,35 @@ pub fn walk_partitions<F: FnMut(&Partition) -> Walk>(n: usize, mut f: F) -> bool
         match f(&p) {
             Walk::Stop => return false,
             Walk::Descend if p.blocks.len() < n => {
+                // First child: the next element opens a new block.
                 before[p.blocks.len()] = p.n_blocks;
-                p.blocks.push(0);
+                p.blocks.push(p.n_blocks);
+                p.n_blocks += 1;
                 continue;
             }
             _ => {}
         }
-        // Next sibling of the deepest label that has one.
+        // Next sibling of the deepest label that has one: the next lower
+        // label, which is a block the shorter prefix already has.
         loop {
             let last = p.blocks.len() - 1;
+            if p.blocks[last] > 0 {
+                p.blocks[last] -= 1;
+                p.n_blocks = before[last];
+                break;
+            }
             if last == 0 {
                 return true; // exhausted
-            }
-            if p.blocks[last] < before[last] {
-                p.blocks[last] += 1;
-                p.n_blocks = before[last].max(p.blocks[last] + 1);
-                break;
             }
             p.blocks.pop();
         }
     }
 }
 
-/// Enumerates every partition of `{0, …, n-1}` (Bell(n) of them) in RGS
-/// order, invoking the callback on each; stops early on `Break`. This is
-/// [`walk_partitions`] with nothing pruned.
+/// Enumerates every partition of `{0, …, n-1}` (Bell(n) of them), finest
+/// first (each after all of its refinements), invoking the callback on
+/// each; stops early on `Break`. This is [`walk_partitions`] with nothing
+/// pruned.
 ///
 /// Returns `true` when the enumeration ran to completion.
 ///
@@ -308,6 +328,35 @@ mod tests {
             }
         }));
         assert_eq!(leaves, bell(5) - bell(4));
+    }
+
+    #[test]
+    fn leaves_arrive_finest_first() {
+        // Reverse lexicographic: identity first, coarsest last, every
+        // leaf after each of its strict refinements; inner prefixes are
+        // still shown before their extensions.
+        for n in 1..=7 {
+            let mut shown = std::collections::HashSet::new();
+            let mut leaves: Vec<Partition> = Vec::new();
+            assert!(walk_partitions(n, |p| {
+                let l = p.labels();
+                assert!(l.len() == 1 || shown.contains(&l[..l.len() - 1]));
+                assert!(shown.insert(l.to_vec()), "each prefix once");
+                if l.len() == n {
+                    leaves.push(p.clone());
+                }
+                Walk::Descend
+            }));
+            assert_eq!(leaves.len() as u64, bell(n));
+            assert_eq!(leaves[0], Partition::identity(n));
+            assert_eq!(leaves[leaves.len() - 1], Partition::coarsest(n));
+            assert!(leaves.windows(2).all(|w| w[0].labels() > w[1].labels()));
+            for (i, early) in leaves.iter().enumerate() {
+                for late in &leaves[i + 1..] {
+                    assert!(!late.refines(early), "{late:?} refines {early:?}");
+                }
+            }
+        }
     }
 
     #[test]

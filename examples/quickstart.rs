@@ -24,8 +24,9 @@ fn main() {
     // Compute all acyclic (TW(1)) approximations exactly.
     let rep = all_approximations(&q, &TwK(1), &ApproxOptions::default());
     println!(
-        "  reached {} partitions (pruned subtrees not counted), {} candidates, complete = {}",
-        rep.partitions, rep.candidates, rep.complete
+        "  reached {} partitions ({} leaves and subtrees dominated by a finer in-class one), \
+         {} candidates, complete = {}",
+        rep.partitions, rep.dominated, rep.candidates, rep.complete
     );
     for a in &rep.approximations {
         println!("approximation: {a}");

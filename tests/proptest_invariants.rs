@@ -4,7 +4,8 @@
 use cq_approx::prelude::*;
 use cqapx_cq::eval::naive::eval_naive;
 use cqapx_structures::{
-    core_of, hom_exists, order, partition::for_each_partition, quotient::quotient_pointed,
+    core_of, hom_exists, iso::isomorphic_pointed, order, partition::for_each_partition,
+    quotient::quotient_pointed,
 };
 use proptest::prelude::*;
 use std::ops::ControlFlow;
@@ -284,5 +285,83 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The search does not depend on how the query is written: renaming
+    /// the variables and reordering the atoms (which changes the order
+    /// the partition walk meets its candidates in) gives the same
+    /// approximations up to isomorphism. And a `TW(k)`-approximation is
+    /// the core of a quotient, so it has at most `|vars(Q)|` variables.
+    #[test]
+    fn approximations_invariant_under_renaming_and_atom_order(
+        s in digraph_structure(6),
+        n_free in 0..3usize,
+        var_keys in proptest::collection::vec(any::<u32>(), 6),
+        atom_keys in proptest::collection::vec(any::<u32>(), 12),
+    ) {
+        let n = s.universe_size();
+        let q = query_from_tableau(&Pointed::new(s, (0..n_free.min(n) as u32).collect()));
+        // `rename[v]`: the rank of `v`'s key; atoms sorted by theirs.
+        let mut by_key: Vec<usize> = (0..n).collect();
+        by_key.sort_by_key(|&v| var_keys[v]);
+        let mut rename = vec![0u32; n];
+        for (rank, &v) in by_key.iter().enumerate() {
+            rename[v] = rank as u32;
+        }
+        let mut atoms: Vec<(u32, cqapx_cq::Atom)> = q
+            .atoms()
+            .iter()
+            .zip(&atom_keys)
+            .map(|(a, &key)| {
+                let args = a.args.iter().map(|&v| rename[v as usize]).collect();
+                (key, cqapx_cq::Atom { rel: a.rel, args })
+            })
+            .collect();
+        atoms.sort_by_key(|(key, _)| *key);
+        let rewritten = ConjunctiveQuery::new(
+            q.vocabulary().clone(),
+            (0..n).map(|v| format!("w{v}")).collect(),
+            q.free_vars().iter().map(|&v| rename[v as usize]).collect(),
+            atoms.into_iter().map(|(_, a)| a).collect(),
+        );
+        let opts = ApproxOptions::default();
+        for k in [1, 2] {
+            let a = all_approximations(&q, &TwK(k), &opts);
+            let b = all_approximations(&rewritten, &TwK(k), &opts);
+            prop_assert_eq!(a.tableaux.len(), b.tableaux.len());
+            for ta in &a.tableaux {
+                prop_assert!(ta.structure.universe_size() <= n);
+                prop_assert!(b.tableaux.iter().any(|tb| isomorphic_pointed(ta, tb)));
+            }
+        }
+    }
+
+    /// `TW(1)`'s raw-tuple membership test (sorted pairs through a
+    /// union-find) agrees with the graph-building one on structures with
+    /// loops, antiparallel and repeated pairs and ternary atoms.
+    #[test]
+    fn tw1_quotient_check_agrees_with_tableau_check(
+        n in 2..7usize,
+        edges in proptest::collection::vec((0..7u32, 0..7u32), 0..8),
+        triples in proptest::collection::vec((0..7u32, 0..7u32, 0..7u32), 0..3),
+    ) {
+        let vocab = Vocabulary::new(vec![("E", 2), ("R", 3)]);
+        let (e, r) = (vocab.rel("E").unwrap(), vocab.rel("R").unwrap());
+        let mut b = cqapx_structures::StructureBuilder::new(vocab, n);
+        let m = n as u32;
+        // Raw atoms as a quotient map leaves them: unsorted, repeated.
+        let mut raw: Vec<Vec<u32>> = Vec::new();
+        for &(x, y) in &edges {
+            b.add(e, &[x % m, y % m]).add(e, &[y % m, x % m]);
+            raw.push(vec![x % m, y % m]);
+            raw.push(vec![y % m, x % m]);
+        }
+        for &(x, y, z) in &triples {
+            b.add(r, &[x % m, y % m, z % m]);
+            raw.push(vec![x % m, y % m, z % m]);
+        }
+        let t = Pointed::boolean(b.finish());
+        let fast = TwK(1).contains_quotient(n, &mut raw.iter().map(|a| &a[..]));
+        prop_assert_eq!(fast, Some(TwK(1).contains_tableau(&t)));
     }
 }
