@@ -9,11 +9,11 @@
 //! with the pre-refactor engine.
 
 use cqapx_bench::baseline;
-use cqapx_core::approx::repairs_public;
+use cqapx_core::approx::{in_walk_order, repairs_public};
 use cqapx_core::{
     all_approximations_tableaux, is_approximation, Acyclic, ApproxOptions, HtwK, QueryClass, TwK,
 };
-use cqapx_cq::query_from_tableau;
+use cqapx_cq::{parse_cq, query_from_tableau, tableau_of};
 use cqapx_structures::partition::{bell, for_each_partition};
 use cqapx_structures::quotient::quotient_pointed;
 use cqapx_structures::{
@@ -120,7 +120,8 @@ proptest! {
 
     /// The streaming antichain keeps exactly the →-minimal first
     /// representatives that dedup-then-minimality keeps, in the same
-    /// order, whatever the arrival order evicts on the way.
+    /// order and as they were offered, whatever the arrival order evicts
+    /// on the way; beside each it holds that member's core.
     #[test]
     fn antichain_agrees_with_dedupe_then_minimal(
         family in proptest::collection::vec(digraph_structure(4), 2..=7),
@@ -132,9 +133,14 @@ proptest! {
             .into_iter()
             .map(|i| reps[i].clone())
             .collect();
-        let mut chain = order::MinimalAntichain::new();
+        let (mut chain, mut cored) = (order::MinimalAntichain::new(), order::MinimalAntichain::new());
         for p in &family {
-            chain.offer(p.clone());
+            prop_assert_eq!(chain.offer(p.clone()), cored.offer(p.clone()));
+        }
+        let cores = cored.into_cores();
+        prop_assert_eq!(cores.len(), expected.len());
+        for (core, member) in cores.iter().zip(&expected) {
+            prop_assert!(is_core(core) && order::hom_equivalent(core, member));
         }
         prop_assert_eq!(expected, chain.into_members());
     }
@@ -236,12 +242,15 @@ fn assert_same_approximations(
 /// The search against the exhaustive scan: `baseline` for the results,
 /// a full partition enumeration for the candidate count — the distinct
 /// quotients of the in-class partitions that no strictly finer in-class
-/// partition refines. Returns how many partitions the search reached.
+/// partition refines, under the numbering the search walks (which
+/// partitions' *labelled* quotients coincide depends on the numbering).
+/// Returns how many partitions the search reached.
 fn assert_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass) -> u64 {
     let n = t.structure.universe_size();
+    let ordered = in_walk_order(t);
     let mut in_class = Vec::new();
     for_each_partition(n, |p| {
-        let (qt, _) = quotient_pointed(t, p);
+        let (qt, _) = quotient_pointed(&ordered, p);
         if class.contains_tableau(&qt) {
             in_class.push((p.clone(), qt));
         }
@@ -415,6 +424,68 @@ fn identification_agrees_with_exhaustive_witness_search() {
     );
 }
 
+/// `cqbench`'s four `approx_cold` shapes (its `CELLS` table: the
+/// introduction's Q2 and three `Query::random` draws) with their classes.
+const COLD_SHAPES: [(&str, usize); 4] = [
+    ("E(x,y), E(y,z), E(z,u), E(x1,y1), E(y1,z1), E(z1,u1), E(x,z1), E(y,u1)", 1),
+    ("E(v1,v0), E(v2,v1), E(v1,v3), E(v4,v0), E(v5,v4), E(v5,v6), E(v7,v1), E(v7,v3), E(v6,v2)", 1),
+    ("E(v1,v0), E(v2,v1), E(v1,v3), E(v4,v0), E(v5,v4), E(v5,v6), E(v7,v1), E(v8,v7), E(v7,v6), \
+      E(v3,v4)", 1),
+    ("E(v1,v0), E(v2,v1), E(v1,v3), E(v4,v0), E(v5,v4), E(v5,v6), E(v7,v1), E(v7,v3), E(v6,v2), \
+      E(v5,v0), E(v2,v0), E(v1,v6), E(v5,v1), E(v5,v2)", 2),
+];
+
+/// How the caller spelled the query changes neither the answer nor, by
+/// much, the work: over `cases` scramblings of each shape (variables
+/// renamed, atoms shuffled — the parser numbers variables by first
+/// occurrence) the approximations stay the same up to equivalence and the
+/// prefixes the walk visits stay within a factor of two.
+fn check_order_robustness(name: &str, cases: usize) {
+    let mut rng = TestRng::deterministic(name);
+    let mut shuffle = |items: &mut Vec<String>| {
+        for i in (1..items.len()).rev() {
+            items.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+    };
+    for (body, k) in COLD_SHAPES {
+        let class = TwK(k);
+        let t = tableau_of(&parse_cq(&format!("Q() :- {body}")).unwrap());
+        let (expected, meta) = all_approximations_tableaux(&t, &class, &ApproxOptions::default());
+        let (mut least, mut most) = (meta.nodes, meta.nodes);
+        let pairs: Vec<(u32, u32)> = t
+            .structure
+            .tuples(t.structure.vocabulary().rel("E").unwrap())
+            .iter()
+            .map(|a| (a[0], a[1]))
+            .collect();
+        for _ in 0..cases {
+            let mut names: Vec<String> = (0..t.structure.universe_size())
+                .map(|i| format!("n{i}"))
+                .collect();
+            shuffle(&mut names);
+            let atom =
+                |&(x, y): &(u32, u32)| format!("E({}, {})", names[x as usize], names[y as usize]);
+            let mut atoms: Vec<String> = pairs.iter().map(atom).collect();
+            shuffle(&mut atoms);
+            let scrambled = tableau_of(&parse_cq(&format!("Q() :- {}", atoms.join(", "))).unwrap());
+            let (got, meta) =
+                all_approximations_tableaux(&scrambled, &class, &ApproxOptions::default());
+            assert!(meta.complete);
+            assert_same_approximations(&scrambled, &class, &got, &expected);
+            (least, most) = (least.min(meta.nodes), most.max(meta.nodes));
+        }
+        assert!(
+            most <= 2 * least,
+            "{body}: {least} to {most} prefixes visited"
+        );
+    }
+}
+
+#[test]
+fn search_cost_and_results_do_not_depend_on_the_spelling() {
+    check_order_robustness("search_cost_and_results_do_not_depend_on_the_spelling", 40);
+}
+
 /// The deep variant CI runs in release mode after the default suite.
 #[test]
 #[ignore = "deep: 512 cases up to 8 variables, run in release by CI"]
@@ -423,4 +494,5 @@ fn deep_approximation_differentials() {
     check_unpruned_search("deep_unpruned", 512, 7);
     check_repairing_search("deep_repairing", 512);
     check_identification("deep_identification", 512, 7);
+    check_order_robustness("deep_order_robustness", 512);
 }

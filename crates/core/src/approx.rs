@@ -19,10 +19,16 @@
 //!   enough for every example in the paper; raise it for exhaustiveness on
 //!   wilder vocabularies).
 //!
-//! The exact pipeline is `walk the partition tree finest first →
-//! fingerprint and class-check each quotient reached → stream the
-//! candidates through a →-minimal antichain → minimize (core)`. The walk
-//! is a branch-and-bound with two cuts (`for_each_class_partition`).
+//! The exact pipeline is `put the variables in an atom-completing order
+//! (`[`in_walk_order`]`) → walk the partition tree finest first →
+//! fingerprint each in-class quotient reached (and class-check the ones a
+//! hypergraph-based class leaves open) → stream the candidates through a
+//! →-minimal antichain of cores`. The walk is a branch-and-bound with two
+//! cuts (`for_each_class_partition`) that carries the co-occurrence graph
+//! of the prefix quotient, one level per depth (`PrefixGraphs`): a node
+//! ORs in only the atoms its newest variable completes, and a graph-based
+//! class reads its verdict — for prefixes and leaves alike — off that
+//! graph ([`QueryClass::contains_graph`]).
 //! *Domination*, for every class: the canonical map `T_Q/π → T_Q/π′` of a
 //! refinement `π ≤ π′` is a homomorphism, so once `T_Q/π` is in the
 //! class, no coarsening of `π` — nor any repair built on one — can be
@@ -37,17 +43,21 @@
 //! with a beam, sound (`Q' ⊆ Q` and `Q' ∈ C` always) but not guaranteed
 //! →-minimal.
 
-use crate::classes::{ClassKind, QueryClass};
+use crate::classes::{structure_graph, ClassKind, QueryClass};
 use cqapx_cq::{query_from_tableau, tableau_of, ConjunctiveQuery};
+use cqapx_graphs::BitGraph;
 use cqapx_structures::fxhash::{FxHashMap, FxHashSet};
 use cqapx_structures::iso::{signature_pointed, IsoSignature};
 use cqapx_structures::order::{self, MinimalAntichain};
 use cqapx_structures::partition::{walk_partitions, Walk};
 use cqapx_structures::{
-    core_of, quotient::quotient_pointed, Partition, Pointed, SearchBudget, StructureBuilder,
+    core_of, quotient::quotient_pointed, Partition, Pointed, SearchBudget, Structure,
+    StructureBuilder,
 };
+use std::cmp::Reverse;
 use std::collections::HashSet;
 use std::ops::ControlFlow;
+use std::time::Instant;
 
 /// Tuning knobs for the approximation search.
 ///
@@ -82,27 +92,23 @@ impl Default for ApproxOptions {
     }
 }
 
-/// The result of an approximation computation.
+/// The result of an approximation computation. The counts and times of
+/// the run read through it: `report.partitions` is `report.meta.partitions`.
 #[derive(Debug, Clone)]
 pub struct ApproxReport {
     /// The approximations, as queries (minimized when requested).
     pub approximations: Vec<ConjunctiveQuery>,
     /// The approximations, as tableaux.
     pub tableaux: Vec<Pointed>,
-    /// Number of candidates offered to the →-minimal antichain: the
-    /// distinct quotients of the in-class partitions no finer in-class
-    /// partition refines, plus the repaired out-of-class ones.
-    pub candidates: usize,
-    /// Number of partitions reached (leaves of the walk; pruned subtrees
-    /// and dominated leaves are not counted).
-    pub partitions: u64,
-    /// Number of leaves skipped plus subtrees cut because an in-class
-    /// partition found earlier refines all of them.
-    pub dominated: u64,
-    /// `false` when a cap was hit; the output is then still sound (each
-    /// returned query is in the class and contained in `Q`) but might miss
-    /// approximations or return non-minimal ones.
-    pub complete: bool,
+    /// What the search did to find them.
+    pub meta: ApproxReportMeta,
+}
+
+impl std::ops::Deref for ApproxReport {
+    type Target = ApproxReportMeta;
+    fn deref(&self) -> &ApproxReportMeta {
+        &self.meta
+    }
 }
 
 /// A stable, hashable cache key for approximation results: the tableau's
@@ -137,12 +143,99 @@ impl ApproxCacheKey {
     }
 }
 
+/// `t` with its variables renumbered into the order the walk places
+/// them: always the one with the most neighbours already placed, then the
+/// highest degree, then the lowest index (maximum-cardinality search on
+/// the co-occurrence graph). Atoms complete, and cycles close, as early
+/// as the query allows, however the caller numbered its variables. The
+/// search and [`crate::identify::is_approximation`] walk this tableau:
+/// their partitions and quotients are over its numbering.
+pub fn in_walk_order(t: &Pointed) -> Pointed {
+    let g = structure_graph(&t.structure);
+    let degree = |v: usize| (0..g.n()).filter(|&u| g.has_edge(v, u)).count();
+    let mut order: Vec<usize> = Vec::new();
+    let mut position = vec![0u32; g.n()];
+    while order.len() < g.n() {
+        let placed = |v: usize| order.iter().filter(|&&u| g.has_edge(v, u)).count();
+        let free = (0..g.n()).filter(|v| !order.contains(v));
+        let next = free.max_by_key(|&v| (placed(v), degree(v), Reverse(v)));
+        let v = next.expect("a variable is left");
+        position[v] = order.len() as u32;
+        order.push(v);
+    }
+    t.map_image(&position)
+}
+
+/// The co-occurrence graphs of the prefix quotients along the walk's
+/// current branch (blocks as vertices; the vertices no block uses yet
+/// stay isolated), one level per depth: level `d` is level `d − 1` plus
+/// the images of the atoms that variable `d − 1` completes, so entering a
+/// node costs a copy of its parent's rows and a bit per new atom pair,
+/// and backtracking nothing. Beside each level, the class's verdict on
+/// it, asked again only when an edge was actually new.
+struct PrefixGraphs<'a> {
+    /// `atoms[done[d - 1]..done[d]]` have largest variable `d − 1`.
+    atoms: Vec<&'a [u32]>,
+    done: Vec<usize>,
+    levels: Vec<(BitGraph, Option<bool>)>,
+}
+
+impl<'a> PrefixGraphs<'a> {
+    /// Over the atoms of `s` — none, and so never a verdict, for a class
+    /// that does not read graphs.
+    fn new(s: &'a Structure, class: &dyn QueryClass) -> Self {
+        let n = s.universe_size();
+        let mut empty = BitGraph::new(n);
+        let verdict = class.contains_graph(&mut empty);
+        let mut atoms: Vec<&[u32]> = Vec::new();
+        if verdict.is_some() {
+            let rels = s.vocabulary().rel_ids();
+            atoms.extend(rels.flat_map(|rel| s.tuples(rel)).map(|a| &a[..]));
+            atoms.sort_by_key(|a| a.iter().max().copied());
+        }
+        let done = |d| atoms.partition_point(|a| a.iter().all(|&e| (e as usize) < d));
+        PrefixGraphs {
+            done: (0..=n).map(done).collect(),
+            atoms,
+            levels: vec![(empty, verdict); n + 1],
+        }
+    }
+
+    /// Derives the level of prefix `p` from its parent's — which the walk
+    /// entered last at that depth — and returns the class's verdict on
+    /// the prefix quotient: `Some(false)` rules out every quotient below.
+    fn enter(&mut self, p: &Partition, class: &dyn QueryClass) -> Option<bool> {
+        let (d, labels) = (p.len(), p.labels());
+        let (parents, here) = self.levels.split_at_mut(d);
+        let Some((parent, inherited)) = parents.last() else {
+            return here[0].1;
+        };
+        let (g, verdict) = &mut here[0];
+        g.copy_from(parent);
+        let mut grew = false;
+        for a in &self.atoms[self.done[d - 1]..self.done[d]] {
+            for (i, &x) in a.iter().enumerate() {
+                for &y in &a[i + 1..] {
+                    grew |= g.add_edge(labels[x as usize], labels[y as usize]);
+                }
+            }
+        }
+        *verdict = if grew {
+            class.contains_graph(g)
+        } else {
+            *inherited
+        };
+        *verdict
+    }
+}
+
 /// Walks the partitions of `t`'s variables whose quotients can be
-/// candidates for `class`, finest first, calling `leaf` on at most
-/// `max_partitions` of them; `leaf` answers whether the plain quotient is
-/// in the class. Returns how many leaves were reached, how many leaves
-/// and subtrees the domination bound skipped, and whether the walk ran
-/// to completion (`leaf` breaking, or the cap, ends it).
+/// candidates for `class`, finest first, reaching at most
+/// `max_partitions` of them. `leaf` sees every leaf reached that the
+/// class's graph verdict does not rule out, with whether that verdict
+/// already says "in the class", and answers whether the plain quotient
+/// is in the class. (`leaf` breaking, or the cap, ends the walk.) Returns
+/// the walk's part of the report; the rest is left at zero.
 ///
 /// **Domination** (module docs). A partition arrives after all of its
 /// refinements, so the in-class leaves reached are the finest ones; they
@@ -151,9 +244,9 @@ impl ApproxCacheKey {
 /// **Subgraph closure.** For a [`ClassKind::SubgraphClosed`] class a
 /// prefix of length `d` fixes the images of the atoms over the first
 /// `d` variables, and those form a subgraph of every quotient below the
-/// prefix; so once [`QueryClass::contains_quotient`] rejects them, no
-/// quotient below is in the class and the subtree is cut. (Only depths
-/// at which some atom has just become fully labelled are tested.)
+/// prefix; so once [`QueryClass::contains_graph`] rejects their graph
+/// (`PrefixGraphs`), no quotient below is in the class and the subtree
+/// is cut — the leaf itself included, which is never fingerprinted.
 /// [`ClassKind::HypergraphClosed`] classes have the first bound only: a
 /// variable prefix is not an induced subhypergraph, and their repairs
 /// start from out-of-class quotients.
@@ -161,22 +254,10 @@ pub(crate) fn for_each_class_partition(
     t: &Pointed,
     class: &dyn QueryClass,
     max_partitions: u64,
-    mut leaf: impl FnMut(&Partition) -> ControlFlow<(), bool>,
-) -> (u64, u64, bool) {
-    let s = &t.structure;
-    let n = s.universe_size();
-    // Atoms in the order they become fully labelled, and per depth how
-    // many are complete: `done[d]` counts the atoms over `{0, …, d-1}`.
-    let mut atoms: Vec<&[u32]> = Vec::new();
-    if class.kind() == ClassKind::SubgraphClosed {
-        let rels = s.vocabulary().rel_ids();
-        atoms.extend(rels.flat_map(|rel| s.tuples(rel)).map(|a| &a[..]));
-        atoms.sort_by_key(|a| a.iter().max().copied());
-    }
-    let done: Vec<usize> = (0..=n)
-        .map(|d| atoms.partition_point(|a| a.iter().all(|&e| (e as usize) < d)))
-        .collect();
-    let mut mapped: Vec<u32> = Vec::new();
+    mut leaf: impl FnMut(&Partition, bool) -> ControlFlow<(), bool>,
+) -> ApproxReportMeta {
+    let n = t.structure.universe_size();
+    let mut graphs = PrefixGraphs::new(&t.structure, class);
     // The in-class leaves kept so far, `n + 1` words each: per element
     // the previous element of its block (`NONE` for a block's first),
     // then `tail`, the least index from which all elements are
@@ -185,8 +266,9 @@ pub(crate) fn for_each_class_partition(
     const NONE: u32 = u32::MAX;
     let mut kept: Vec<u32> = Vec::new();
     let mut alive: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
-    let (mut reached, mut dominated) = (0u64, 0u64);
+    let (mut nodes, mut reached, mut dominated) = (0u64, 0u64, 0u64);
     let complete = walk_partitions(n, |p| {
+        nodes += 1;
         let (d, labels) = (p.len(), p.labels());
         if d > 0 {
             // A kept leaf stays alive iff element `d-1` opens a block in
@@ -204,44 +286,38 @@ pub(crate) fn for_each_class_partition(
                 return Walk::Prune;
             }
         }
-        if d == n {
-            if reached == max_partitions {
-                return Walk::Stop;
-            }
-            reached += 1;
-            let ControlFlow::Continue(in_class) = leaf(p) else {
-                return Walk::Stop;
-            };
-            if in_class {
-                let prev = |x: usize| labels[..x].iter().rposition(|&b| b == labels[x]);
-                let tail = (0..n).rev().find(|&x| prev(x).is_some());
-                // Every ancestor's prefix is this leaf's own.
-                let entry = kept.len() / (n + 1);
-                alive.iter_mut().for_each(|list| list.push(entry));
-                kept.extend((0..n).map(|x| prev(x).map_or(NONE, |j| j as u32)));
-                kept.push(tail.map_or(0, |x| x as u32 + 1));
-            }
+        let verdict = graphs.enter(p, class);
+        if d == n && reached == max_partitions {
+            return Walk::Stop;
+        }
+        reached += u64::from(d == n);
+        if verdict == Some(false) {
+            return Walk::Prune;
+        }
+        if d < n {
             return Walk::Descend;
         }
-        if done[d] == done[d - 1] {
-            return Walk::Descend;
+        let ControlFlow::Continue(in_class) = leaf(p, verdict == Some(true)) else {
+            return Walk::Stop;
+        };
+        if in_class {
+            let prev = |x: usize| labels[..x].iter().rposition(|&b| b == labels[x]);
+            let tail = (0..n).rev().find(|&x| prev(x).is_some());
+            // Every ancestor's prefix is this leaf's own.
+            let entry = kept.len() / (n + 1);
+            alive.iter_mut().for_each(|list| list.push(entry));
+            kept.extend((0..n).map(|x| prev(x).map_or(NONE, |j| j as u32)));
+            kept.push(tail.map_or(0, |x| x as u32 + 1));
         }
-        mapped.clear();
-        for a in &atoms[..done[d]] {
-            mapped.extend(a.iter().map(|&e| labels[e as usize]));
-        }
-        let mut rest = mapped.as_slice();
-        let mut images = atoms[..done[d]].iter().map(|a| {
-            let (image, tail) = rest.split_at(a.len());
-            rest = tail;
-            image
-        });
-        match class.contains_quotient(p.n_blocks(), &mut images) {
-            Some(false) => Walk::Prune,
-            _ => Walk::Descend,
-        }
+        Walk::Descend
     });
-    (reached, dominated, complete)
+    ApproxReportMeta {
+        nodes,
+        partitions: reached,
+        dominated,
+        complete,
+        ..ApproxReportMeta::default()
+    }
 }
 
 /// Streams the candidate tableaux for a query tableau into `emit`, in
@@ -250,12 +326,13 @@ pub(crate) fn for_each_class_partition(
 /// the repaired out-of-class ones. Returns the walk's counts.
 ///
 /// Distinct partitions frequently induce the *same* quotient, so each
-/// quotient is fingerprinted first — block count, mapped distinguished
-/// tuple and the per-relation sorted mapped tuples, computed into
-/// reusable scratch buffers with no structure built — and only unseen
-/// fingerprints get materialized and class-checked. The fingerprint
-/// determines the pointed quotient, so in-class quotients need no second
-/// dedup among themselves.
+/// quotient the walk hands over — none that a graph-based class rejects
+/// — is fingerprinted first: block count, mapped distinguished tuple
+/// and the per-relation sorted mapped tuples, computed into reusable
+/// scratch buffers with no structure built. Only unseen fingerprints get
+/// materialized (and class-checked, where the walk's graph did not
+/// already say). The fingerprint determines the pointed quotient, so
+/// in-class quotients need no second dedup among themselves.
 ///
 /// A walk the cap cut short has not reached its last leaf, the coarsest
 /// partition, so that one's quotient — the trivial query, in every
@@ -265,7 +342,7 @@ fn candidates(
     class: &dyn QueryClass,
     opts: &ApproxOptions,
     mut emit: impl FnMut(Pointed),
-) -> (u64, u64, bool) {
+) -> ApproxReportMeta {
     let s = &t.structure;
     let vocab = s.vocabulary().clone();
     // Per relation: (id, arity, concatenated source tuple elements).
@@ -292,7 +369,7 @@ fn candidates(
     let mut sorted: Vec<u32> = Vec::new();
     let mut fp: Vec<u32> = Vec::new();
 
-    let mut visit = |p: &Partition| -> bool {
+    let mut visit = |p: &Partition, known_in_class: bool| -> bool {
         let labels = p.labels();
         fp.clear();
         fp.push(p.n_blocks() as u32);
@@ -362,19 +439,20 @@ fn candidates(
             return in_class;
         }
 
-        // First sighting of this quotient: class-check it from the raw
-        // buffers when the class supports that; materialize a `Pointed`
-        // only when it is actually a candidate (or feeds the repair
-        // search).
+        // First sighting of this quotient: unless the walk knows it,
+        // class-check it from the raw buffers when the class supports
+        // that; materialize a `Pointed` only when it is actually a
+        // candidate (or feeds the repair search).
         let n_blocks = p.n_blocks();
-        let verdict = class.contains_quotient(
-            n_blocks,
-            &mut rels
-                .iter()
-                .zip(mapped_rel.iter())
-                .filter(|((_, w, _), _)| *w > 0)
-                .flat_map(|((_, w, _), buf)| buf.chunks_exact(*w)),
-        );
+        let mut tuples = rels
+            .iter()
+            .zip(mapped_rel.iter())
+            .filter(|((_, w, _), _)| *w > 0)
+            .flat_map(|((_, w, _), buf)| buf.chunks_exact(*w));
+        let verdict = match known_in_class {
+            true => Some(true),
+            false => class.contains_quotient(n_blocks, &mut tuples),
+        };
         if verdict == Some(false) && !wants_repairs {
             seen_fp.insert(fp.as_slice().into(), false);
             return false;
@@ -407,11 +485,11 @@ fn candidates(
         }
         in_class
     };
-    let counts @ (.., complete) = for_each_class_partition(t, class, opts.max_partitions, |p| {
-        ControlFlow::Continue(visit(p))
+    let counts = for_each_class_partition(t, class, opts.max_partitions, |p, known| {
+        ControlFlow::Continue(visit(p, known))
     });
-    if !complete {
-        visit(&Partition::coarsest(s.universe_size()));
+    if !counts.complete {
+        visit(&Partition::coarsest(s.universe_size()), false);
     }
     counts
 }
@@ -559,7 +637,9 @@ pub fn repairs_public(qt: &Pointed, class: &dyn QueryClass, opts: &ApproxOptions
 ///
 /// This is Theorem 4.1's (resp. 6.1's) procedure run to completion:
 /// candidates, filtered by class, →-minimal elements, cores. The returned
-/// tableaux are pairwise non-equivalent.
+/// tableaux are pairwise non-equivalent, and over the variable numbering
+/// of [`in_walk_order`] — cores of quotients of `t` up to a renaming, or
+/// with `minimize` off the quotients themselves.
 pub fn all_approximations_tableaux(
     t: &Pointed,
     class: &dyn QueryClass,
@@ -568,39 +648,52 @@ pub fn all_approximations_tableaux(
     // One pass: a candidate with a current minimal element below it is
     // dropped after that hom test; any other evicts what it maps into.
     let mut minimal = MinimalAntichain::new();
-    let mut n_candidates = 0usize;
-    let (partitions, dominated, complete) = candidates(t, class, opts, |c| {
+    let (mut n_candidates, mut offers) = (0usize, std::time::Duration::ZERO);
+    let start = Instant::now();
+    let mut meta = candidates(&in_walk_order(t), class, opts, |c| {
         n_candidates += 1;
+        let offered = Instant::now();
         minimal.offer(c);
+        offers += offered.elapsed();
     });
-    let mut result = minimal.into_members();
-    if opts.minimize {
-        // Antichain members are pairwise incomparable, so their cores are
-        // pairwise non-isomorphic: nothing to dedup.
-        result = result.iter().map(|p| core_of(p).core).collect();
-    }
-    (
-        result,
-        ApproxReportMeta {
-            candidates: n_candidates,
-            partitions,
-            dominated,
-            complete,
-        },
-    )
+    meta.candidates = n_candidates;
+    let (search, cores) = (start.elapsed(), minimal.core_time());
+    meta.walk_us = (search - offers).as_micros() as u64;
+    meta.antichain_us = (offers - cores).as_micros() as u64;
+    meta.core_us = cores.as_micros() as u64;
+    // The antichain holds its members' cores: nothing left to minimize.
+    let result = match opts.minimize {
+        true => minimal.into_cores(),
+        false => minimal.into_members(),
+    };
+    (result, meta)
 }
 
-/// Bookkeeping from a tableau-level approximation run.
-#[derive(Debug, Clone, Copy)]
+/// Counts and times of a tableau-level approximation run.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ApproxReportMeta {
-    /// Candidates offered to the antichain.
+    /// Number of candidates offered to the →-minimal antichain: the
+    /// distinct quotients of the in-class partitions no finer in-class
+    /// partition refines, plus the repaired out-of-class ones.
     pub candidates: usize,
-    /// Partitions reached (pruned and dominated ones are not counted).
+    /// Number of partitions reached (leaves of the walk; pruned subtrees
+    /// and dominated leaves are not counted).
     pub partitions: u64,
-    /// Leaves skipped plus subtrees cut by the domination bound.
+    /// Number of leaves skipped plus subtrees cut because an in-class
+    /// partition found earlier refines all of them.
     pub dominated: u64,
-    /// Whether the enumeration was exhaustive.
+    /// `false` when a cap was hit; the output is then still sound (each
+    /// returned query is in the class and contained in `Q`) but might miss
+    /// approximations or return non-minimal ones.
     pub complete: bool,
+    /// Number of prefixes the walk visited, cut ones included: its work.
+    pub nodes: u64,
+    /// Microseconds in the walk (fingerprints, quotients, repairs), …
+    pub walk_us: u64,
+    /// … in the antichain's hom tests, …
+    pub antichain_us: u64,
+    /// … and in its members' core computations: together, the search.
+    pub core_us: u64,
 }
 
 impl ApproxReport {
@@ -609,10 +702,7 @@ impl ApproxReport {
         ApproxReport {
             approximations: tableaux.iter().map(query_from_tableau).collect(),
             tableaux,
-            candidates: meta.candidates,
-            partitions: meta.partitions,
-            dominated: meta.dominated,
-            complete: meta.complete,
+            meta,
         }
     }
 }
@@ -734,7 +824,11 @@ mod tests {
     use super::*;
     use crate::classes::{Acyclic, HtwK, TwK};
     use cqapx_cq::{contained_in, equivalent, parse_cq};
+    use cqapx_structures::iso::isomorphic_pointed;
     use cqapx_structures::partition::{bell, for_each_partition};
+    use cqapx_structures::{Tuple, Vocabulary};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn opts() -> ApproxOptions {
         ApproxOptions::default()
@@ -892,8 +986,10 @@ mod tests {
     /// Ground truth for `candidates` (no repair succeeding): the distinct
     /// quotients of the in-class partitions that no strictly finer
     /// in-class partition refines, over all Bell(n) partitions, each
-    /// fully materialized.
+    /// fully materialized — under the walk's own numbering: which
+    /// partitions' *labelled* quotients coincide depends on it.
     fn exhaustive_candidates(t: &Pointed, class: &dyn QueryClass) -> usize {
+        let t = &in_walk_order(t);
         let mut in_class: Vec<(Partition, Pointed)> = Vec::new();
         for_each_partition(t.structure.universe_size(), |p| {
             let (qt, _) = quotient_pointed(t, p);
@@ -971,5 +1067,119 @@ mod tests {
                 assert!(TwK(1).contains_tableau(&tableau_of(a)));
             }
         }
+    }
+
+    #[test]
+    fn unminimized_results_are_quotients_not_cores() {
+        // An in-class query that is not a core: its only candidate is
+        // itself. The antichain works on the core either way; what comes
+        // back is the quotient as offered unless minimization is on.
+        let t = tableau_of(&parse_cq("Q(x) :- E(x,y), E(x,z), E(z,w)").unwrap());
+        let unminimized = ApproxOptions {
+            minimize: false,
+            ..opts()
+        };
+        let (got, meta) = all_approximations_tableaux(&t, &TwK(1), &unminimized);
+        assert_eq!((got.len(), meta.candidates), (1, 1));
+        assert!(isomorphic_pointed(&got[0], &t));
+        let (got, _) = all_approximations_tableaux(&t, &TwK(1), &opts());
+        assert_eq!(got[0].structure.universe_size(), 3);
+        assert!(order::hom_equivalent(&got[0], &t));
+    }
+
+    #[test]
+    fn walk_order_completes_atoms_early() {
+        // A variable of highest degree first, then always one next to
+        // what is placed: the triangle closes before the pendant path
+        // is touched.
+        let q = parse_cq("Q() :- E(p1,p2), E(p2,a), E(a,h), E(b,h), E(a,b), E(h,c)").unwrap();
+        let (t, ordered) = (tableau_of(&q), in_walk_order(&tableau_of(&q)));
+        assert!(isomorphic_pointed(&t, &ordered));
+        let e = ordered.structure.vocabulary().rel("E").unwrap();
+        let closes_at = |a: &Tuple| a.iter().max().copied();
+        let mut depths: Vec<_> = ordered.structure.tuples(e).iter().map(closes_at).collect();
+        depths.sort_unstable();
+        assert_eq!(depths, [1, 2, 2, 3, 4, 5].map(Some));
+    }
+
+    /// The quotient of the atoms over `p`'s variables by `p`.
+    fn prefix_quotient(t: &Pointed, p: &Partition) -> Pointed {
+        let s = &t.structure;
+        let mut b = StructureBuilder::new(s.vocabulary().clone(), p.n_blocks());
+        for rel in s.vocabulary().rel_ids() {
+            let inside = |a: &&Tuple| a.iter().all(|&e| (e as usize) < p.len());
+            for a in s.tuples(rel).iter().filter(inside) {
+                let image: Vec<u32> = a.iter().map(|&e| p.block_of(e as usize)).collect();
+                b.add(rel, &image);
+            }
+        }
+        Pointed::boolean(b.finish())
+    }
+
+    /// At every prefix `descend` lets the walk reach, the carried graph's
+    /// verdict is the class's on the materialized prefix quotient —
+    /// out-of-class prefixes and what lies below them included.
+    fn assert_carried_graphs_agree(t: &Pointed, descend: impl Fn(&Partition) -> bool) {
+        for class in [TwK(1), TwK(2), TwK(3)] {
+            let mut graphs = PrefixGraphs::new(&t.structure, &class);
+            walk_partitions(t.structure.universe_size(), |p| {
+                let expected = class.contains_tableau(&prefix_quotient(t, p));
+                assert_eq!(graphs.enter(p, &class), Some(expected), "{p:?} of {t:?}");
+                match descend(p) {
+                    true => Walk::Descend,
+                    false => Walk::Prune,
+                }
+            });
+        }
+    }
+
+    /// Loops, antiparallel and repeated pairs, ternary atoms, two
+    /// relations, variables that occur in no atom.
+    fn mixed_tableau(max_n: usize) -> impl Strategy<Value = Pointed> {
+        (2..=max_n).prop_flat_map(|n| {
+            let var = 0..n as u32;
+            let edges = proptest::collection::vec((var.clone(), var.clone(), 0..2u32), 0..=8);
+            let triples = proptest::collection::vec((var.clone(), var.clone(), var), 0..=2);
+            (edges, triples).prop_map(move |(edges, triples)| {
+                let vocab = Vocabulary::new(vec![("E", 2), ("R", 3)]);
+                let (e, r) = (vocab.rel("E").unwrap(), vocab.rel("R").unwrap());
+                let mut b = StructureBuilder::new(vocab, n);
+                for &(x, y, both_ways) in &edges {
+                    b.add(e, &[x, y]);
+                    if both_ways == 1 {
+                        b.add(e, &[y, x]);
+                    }
+                }
+                for &(x, y, z) in &triples {
+                    b.add(r, &[x, y, z]);
+                }
+                Pointed::boolean(b.finish())
+            })
+        })
+    }
+
+    fn check_carried_graphs(name: &str, cases: u32, max_n: usize) {
+        let (mut rng, strategy) = (TestRng::deterministic(name), mixed_tableau(max_n));
+        for _ in 0..cases {
+            let t = strategy.generate(&mut rng).expect("nothing is filtered");
+            assert_carried_graphs_agree(&t, |_| true);
+        }
+        // Rows wider than one word: a 70-variable path, in every class,
+        // along the identity's branch and one step off it.
+        let path: Vec<(u32, u32)> = (0..69).map(|i| (i, i + 1)).collect();
+        let t = in_walk_order(&Pointed::boolean(Structure::digraph(70, &path)));
+        assert_carried_graphs_agree(&t, |p| p.n_blocks() == p.len());
+    }
+
+    #[test]
+    fn carried_graph_agrees_with_materialized_prefix_quotient() {
+        check_carried_graphs("carried_graph", 64, 7);
+    }
+
+    /// The deep variant CI runs in release mode after the default suite.
+    #[test]
+    #[ignore = "deep: 512 cases up to 8 variables, run in release by CI"]
+    fn deep_carried_graph_agrees_with_materialized_prefix_quotient() {
+        check_carried_graphs("deep_carried_graph", 512, 8);
     }
 }

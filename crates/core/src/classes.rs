@@ -12,8 +12,14 @@
 //!   extensions, e.g. `AC` and `HTW(k)`. Approximations are found among
 //!   quotients **augmented** with extra atoms (Claim 6.2 keeps the sizes
 //!   polynomial).
+//!
+//! Besides [`QueryClass::contains_tableau`] a class offers the search one
+//! fast path, by discipline: a graph-based class implements
+//! [`QueryClass::contains_graph`] (the walk carries the co-occurrence
+//! graph of its prefix), a hypergraph-based one
+//! [`QueryClass::contains_quotient`] (one whole quotient, as raw tuples).
 
-use cqapx_graphs::{treewidth_at_most, UGraph};
+use cqapx_graphs::BitGraph;
 use cqapx_hypergraphs::{gyo, htw, Hypergraph};
 use cqapx_structures::{Pointed, Structure};
 
@@ -35,15 +41,25 @@ pub trait QueryClass {
     fn kind(&self) -> ClassKind;
     /// Membership of the query whose tableau is `t`.
     fn contains_tableau(&self, t: &Pointed) -> bool;
-    /// Fast-path membership for a candidate given as raw data — universe
-    /// size plus the tuples' element slices — so enumeration loops (the
-    /// approximation search checks thousands of quotients) can decide
-    /// membership without materializing a `Structure` per candidate.
+    /// Graph-based classes: membership of any query whose co-occurrence
+    /// graph (an edge per pair of elements sharing a tuple) is `g`. The
+    /// approximation search keeps that graph per prefix of its partition
+    /// walk: a verdict costs no structure, and `false` cuts the subtree.
+    ///
+    /// Must agree with [`QueryClass::contains_tableau`] and leave `g`'s
+    /// edges alone (`&mut` lends its scratch space). The default returns
+    /// `None`: membership is not a function of the graph.
+    fn contains_graph(&self, _g: &mut BitGraph) -> Option<bool> {
+        None
+    }
+
+    /// Hypergraph-based classes: membership of a candidate given as raw
+    /// data — universe size plus the tuples' element slices — so the
+    /// search can reject a quotient without materializing a `Structure`.
     ///
     /// Must agree with [`QueryClass::contains_tableau`] on the
-    /// materialized candidate (the built-in classes only look at element
-    /// co-occurrence, which the slices carry in full). The default
-    /// returns `None`: no fast path, the caller materializes.
+    /// materialized candidate. The default returns `None`: no fast path,
+    /// the caller materializes.
     fn contains_quotient(
         &self,
         _universe: usize,
@@ -63,19 +79,14 @@ pub trait QueryClass {
     }
 }
 
-/// The Gaifman graph of a structure: elements as nodes, co-occurrence
-/// edges per tuple (self-loops not recorded; see the treewidth module of
-/// `cqapx-graphs` for why loops are immaterial).
-pub fn structure_graph(s: &Structure) -> UGraph {
-    let mut g = UGraph::new(s.universe_size());
-    for rel in s.vocabulary().rel_ids() {
-        for t in s.tuples(rel) {
-            for (i, &x) in t.iter().enumerate() {
-                for &y in t.iter().skip(i + 1) {
-                    if x != y {
-                        g.add_edge(x, y);
-                    }
-                }
+/// The co-occurrence (Gaifman) graph of a structure: elements as
+/// vertices, an edge per pair of distinct elements sharing a tuple.
+pub fn structure_graph(s: &Structure) -> BitGraph {
+    let mut g = BitGraph::new(s.universe_size());
+    for t in s.vocabulary().rel_ids().flat_map(|rel| s.tuples(rel)) {
+        for (i, &x) in t.iter().enumerate() {
+            for &y in &t[i + 1..] {
+                g.add_edge(x, y);
             }
         }
     }
@@ -109,46 +120,6 @@ pub fn structure_hypergraph(s: &Structure) -> Hypergraph {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TwK(pub usize);
 
-impl TwK {
-    fn graph_in_class(&self, g: &UGraph) -> bool {
-        if self.0 == 1 {
-            // Treewidth ≤ 1 is exactly forest-ness (loops immaterial):
-            // a union-find-cheap test for the hottest class.
-            g.is_forest()
-        } else {
-            treewidth_at_most(g, self.0).is_some()
-        }
-    }
-}
-
-/// Forest-ness of the co-occurrence graph of `tuples`, no graph built:
-/// the distinct unordered pairs (loops are immaterial) go through a
-/// union-find, and the first pair inside one component closes a cycle.
-fn co_occurrences_form_forest(universe: usize, tuples: &mut dyn Iterator<Item = &[u32]>) -> bool {
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    for t in tuples {
-        for (i, &x) in t.iter().enumerate() {
-            let later = t[i + 1..].iter().filter(|&&y| x != y);
-            edges.extend(later.map(|&y| (x.min(y), x.max(y))));
-        }
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    let mut root: Vec<u32> = (0..universe as u32).collect();
-    let find = |root: &mut [u32], mut x: u32| {
-        while root[x as usize] != x {
-            root[x as usize] = root[root[x as usize] as usize];
-            x = root[x as usize];
-        }
-        x
-    };
-    edges.iter().all(|&(x, y)| {
-        let (rx, ry) = (find(&mut root, x), find(&mut root, y));
-        root[rx as usize] = ry;
-        rx != ry
-    })
-}
-
 impl QueryClass for TwK {
     fn name(&self) -> String {
         format!("TW({})", self.0)
@@ -156,28 +127,13 @@ impl QueryClass for TwK {
     fn kind(&self) -> ClassKind {
         ClassKind::SubgraphClosed
     }
+    /// A graph the treewidth decision cannot certify (a kernel of more
+    /// than 64 vertices, see `cqapx_graphs::treewidth`) counts as outside.
     fn contains_tableau(&self, t: &Pointed) -> bool {
-        self.graph_in_class(&structure_graph(&t.structure))
+        self.contains_graph(&mut structure_graph(&t.structure)) == Some(true)
     }
-    fn contains_quotient(
-        &self,
-        universe: usize,
-        tuples: &mut dyn Iterator<Item = &[u32]>,
-    ) -> Option<bool> {
-        if self.0 == 1 {
-            return Some(co_occurrences_form_forest(universe, tuples));
-        }
-        let mut g = UGraph::new(universe);
-        for t in tuples {
-            for (i, &x) in t.iter().enumerate() {
-                for &y in t.iter().skip(i + 1) {
-                    if x != y {
-                        g.add_edge(x, y);
-                    }
-                }
-            }
-        }
-        Some(self.graph_in_class(&g))
+    fn contains_graph(&self, g: &mut BitGraph) -> Option<bool> {
+        Some(g.treewidth_at_most(self.0) == Some(true))
     }
     fn decomposition_width(&self) -> Option<usize> {
         Some(self.0)

@@ -11,20 +11,21 @@
 //!    witness can always be chosen among structures not exceeding `|Q|`,
 //!    specifically among homomorphic images of `T_Q` (quotients), which is
 //!    exactly the candidate space we enumerate (coNP) — with the same
-//!    walk as the search (`approx::for_each_class_partition`), so a class
-//!    closed under subgraphs skips the subtrees with no in-class quotient,
-//!    and every class skips the coarsenings of an in-class quotient (if
-//!    one of those is a witness, the in-class quotient below it is too).
+//!    walk as the search (`approx::for_each_class_partition`, over
+//!    [`in_walk_order`]'s numbering), so a class closed under subgraphs
+//!    never sees an out-of-class quotient, and every class skips the
+//!    coarsenings of an in-class quotient (if one of those is a witness,
+//!    the in-class quotient below it is too).
 //!
 //! For hypergraph-based classes the witness space additionally includes
 //! the bounded repair augmentations of Claim 6.2 (see
 //! [`crate::approx`]); completeness is subject to the configured repair
 //! cap.
 
-use crate::approx::{for_each_class_partition, ApproxOptions};
+use crate::approx::{for_each_class_partition, in_walk_order, ApproxOptions};
 use crate::classes::{ClassKind, QueryClass};
 use cqapx_cq::{contained_in, tableau_of, ConjunctiveQuery};
-use cqapx_structures::{order, quotient::quotient_pointed};
+use cqapx_structures::{order, quotient::quotient_pointed, HomSolver};
 use std::ops::ControlFlow;
 
 /// Decides whether `q_prime` is a `C`-approximation of `q`.
@@ -63,19 +64,21 @@ pub fn is_approximation(
     // Search for a witness Q'' ∈ C with Q' ⊂ Q'' ⊆ Q. In tableau terms:
     // T_{Q''} → T_{Q'} (so Q' ⊆ Q'') without the converse, and T_{Q''} a
     // candidate (quotient / repaired quotient of T_Q, so Q'' ⊆ Q).
-    let t = tableau_of(q);
+    // Every test `T_{Q'} → candidate` runs from the one compiled `T_{Q'}`.
+    let t = in_walk_order(&tableau_of(q));
+    let from_tp = HomSolver::compile(&tp.structure);
     let mut found_witness = false;
-    let (_, _, complete) = for_each_class_partition(&t, class, opts.max_partitions, |p| {
+    let walk = for_each_class_partition(&t, class, opts.max_partitions, |p, known_in_class| {
         let (qt, _) = quotient_pointed(&t, p);
         let mut candidates = Vec::new();
-        let in_class = class.contains_tableau(&qt);
+        let in_class = known_in_class || class.contains_tableau(&qt);
         if in_class {
             candidates.push(qt);
         } else if class.kind() == ClassKind::HypergraphClosed && opts.repair_extra_atoms > 0 {
             candidates.extend(crate::approx::repairs_public(&qt, class, opts));
         }
         for cand in candidates {
-            if order::hom_exists(&cand, &tp) && !order::hom_exists(&tp, &cand) {
+            if order::hom_exists(&cand, &tp) && !order::hom_exists_compiled(&from_tp, &tp, &cand) {
                 found_witness = true;
                 return ControlFlow::Break(());
             }
@@ -85,10 +88,7 @@ pub fn is_approximation(
     if found_witness {
         return Some(false);
     }
-    if !complete {
-        return None;
-    }
-    Some(true)
+    walk.complete.then_some(true)
 }
 
 #[cfg(test)]

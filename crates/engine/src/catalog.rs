@@ -125,6 +125,34 @@ pub struct PreparedQuery {
 }
 
 impl PreparedQuery {
+    /// Prepares `q`: its shape and the plans it admits. Like
+    /// [`DatabaseEntry::build`], the expensive half and no catalog needed:
+    /// build first, lock only for [`Catalog::insert_query`].
+    pub fn build(name: impl Into<String>, q: ConjunctiveQuery) -> PreparedQuery {
+        let shape = QueryShape::of(&q);
+        // GYO on H(Q) decides acyclicity and plan compilation runs the
+        // same reduction, so an acyclic shape must compile; fail loudly
+        // here (prepare time) rather than deep inside a request.
+        let yannakakis = shape.acyclic.then(|| {
+            let plan = AcyclicPlan::compile(&q);
+            Arc::new(plan.expect("acyclic query must compile to a Yannakakis plan"))
+        });
+        // A width within the limit is exact (above it the shape may carry
+        // `treewidth`'s upper bound), so compilation at that width must
+        // succeed; fail loudly at prepare time if not.
+        let decomposed = (!shape.acyclic && shape.treewidth <= MAX_DECOMPOSED_WIDTH).then(|| {
+            let plan = DecomposedPlan::compile(&q, shape.treewidth);
+            Arc::new(plan.expect("decomposition at the exact treewidth must exist"))
+        });
+        PreparedQuery {
+            name: name.into(),
+            naive: NaivePlan::compile(q),
+            shape,
+            yannakakis,
+            decomposed,
+        }
+    }
+
     /// The prepared query itself.
     pub fn query(&self) -> &ConjunctiveQuery {
         self.naive.query()
@@ -169,39 +197,17 @@ impl Catalog {
         id
     }
 
-    /// Prepares a query under a name: computes its shape and, when
-    /// acyclic, compiles its Yannakakis plan.
+    /// Prepares a query under a name: [`PreparedQuery::build`], then
+    /// [`Catalog::insert_query`].
     pub fn prepare_query(&mut self, name: impl Into<String>, q: ConjunctiveQuery) -> QueryId {
-        let name = name.into();
+        self.insert_query(PreparedQuery::build(name, q))
+    }
+
+    /// Adds a built query and points its name at it.
+    pub fn insert_query(&mut self, entry: PreparedQuery) -> QueryId {
         let id = QueryId(self.queries.len());
-        let shape = QueryShape::of(&q);
-        // GYO on H(Q) decides acyclicity and plan compilation runs the
-        // same reduction, so an acyclic shape must compile; fail loudly
-        // here (prepare time) rather than deep inside a request.
-        let yannakakis = if shape.acyclic {
-            let plan =
-                AcyclicPlan::compile(&q).expect("acyclic query must compile to a Yannakakis plan");
-            Some(Arc::new(plan))
-        } else {
-            None
-        };
-        // The shape carries the exact treewidth, so compilation at that
-        // width must succeed; fail loudly at prepare time if not.
-        let decomposed = if !shape.acyclic && shape.treewidth <= MAX_DECOMPOSED_WIDTH {
-            let plan = DecomposedPlan::compile(&q, shape.treewidth)
-                .expect("decomposition at the exact treewidth must exist");
-            Some(Arc::new(plan))
-        } else {
-            None
-        };
-        self.queries.push(Arc::new(PreparedQuery {
-            name: name.clone(),
-            naive: NaivePlan::compile(q),
-            shape,
-            yannakakis,
-            decomposed,
-        }));
-        self.query_names.insert(name, id);
+        self.query_names.insert(entry.name.clone(), id);
+        self.queries.push(Arc::new(entry));
         id
     }
 

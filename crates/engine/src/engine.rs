@@ -648,12 +648,15 @@ impl Engine {
             .insert_database(entry)
     }
 
-    /// Prepares a query (computes shape; compiles Yannakakis if acyclic).
+    /// Prepares a query (shape and plans, [`PreparedQuery::build`]) and
+    /// takes the catalog's write lock only for the push, as
+    /// [`Engine::register_database`] does.
     pub fn prepare_query(&self, name: impl Into<String>, q: cqapx_cq::ConjunctiveQuery) -> QueryId {
+        let entry = PreparedQuery::build(name, q);
         self.catalog
             .write()
             .expect("catalog lock poisoned")
-            .prepare_query(name, q)
+            .insert_query(entry)
     }
 
     /// The catalog entry behind a database id: the immutable snapshot,
@@ -1324,6 +1327,8 @@ mod tests {
     use cqapx_cq::eval::naive::eval_naive;
     use cqapx_cq::parse_cq;
 
+    const C4: &str = "Q() :- E(a, b), E(b, c), E(c, d), E(d, a)";
+
     fn engine() -> Engine {
         Engine::new(EngineConfig::default())
     }
@@ -1340,53 +1345,62 @@ mod tests {
         assert_eq!(e.stats().plan_yannakakis, 1);
     }
 
-    /// A registration holds the catalog's write lock for the push, not
-    /// for the snapshot's scan: while one thread registers snapshot
-    /// after snapshot, another finds the lock free almost whenever it
-    /// looks and resolves the database registered before. (With the
-    /// scan under the lock it is held almost whenever it looks — and a
-    /// descheduled registrar is then most likely holding it, so the
-    /// shares do not depend on how the two threads are scheduled.)
+    /// A registration and a preparation hold the catalog's write lock
+    /// for the push, not for the scan or the compilation: both builders
+    /// run to completion while this very thread holds the lock for
+    /// reading, which a builder that touched the catalog could not.
     #[test]
     fn registration_scans_outside_the_catalog_lock() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::{Barrier, TryLockError};
         let e = engine();
-        let small = e.register_database("small", Structure::digraph(2, &[(0, 1)]));
-        let edges: Vec<(u32, u32)> = (0..20_000u32)
-            .map(|i| (i % 4999, (i * 7919 + 13) % 4999))
-            .collect();
-        let big = Structure::digraph(4999, &edges);
-        let snapshots: Vec<Structure> = (0..16).map(|_| big.clone()).collect();
-        let (start, done) = (Barrier::new(2), AtomicBool::new(false));
-        let (mut free, mut held) = (0u64, 0u64);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                start.wait();
-                for s in snapshots {
-                    e.register_database("big", s);
-                }
-                done.store(true, Ordering::SeqCst);
-            });
-            start.wait();
-            while !done.load(Ordering::SeqCst) {
-                match e.catalog.try_read() {
-                    Ok(catalog) => {
-                        assert!(catalog.database(small).is_some());
-                        free += 1;
-                    }
-                    Err(TryLockError::WouldBlock) => held += 1,
-                    Err(TryLockError::Poisoned(_)) => panic!("catalog lock poisoned"),
-                }
-                std::hint::spin_loop();
-            }
-        });
-        assert_eq!(e.database_by_name("big"), Some(DbId(16)));
-        assert!(
-            free > 10 * held,
-            "catalog lock held on {held} of {} looks during registrations",
-            free + held
+        let held = e.catalog.read().expect("catalog lock");
+        let edges: Vec<(u32, u32)> = (0..2_000u32).map(|i| (i % 499, (i * 7919) % 499)).collect();
+        let entry = DatabaseEntry::build("big", Structure::digraph(499, &edges));
+        let query = PreparedQuery::build("c4", parse_cq(C4).unwrap());
+        assert!(held.database_by_name("big").is_none() && held.query_by_name("c4").is_none());
+        drop(held);
+        let mut catalog = e.catalog.write().expect("catalog lock");
+        let (db, q) = (catalog.insert_database(entry), catalog.insert_query(query));
+        drop(catalog);
+        assert_eq!(
+            e.execute(&Request::new(q, db)).status,
+            ResponseStatus::Complete
         );
+    }
+
+    /// Legal queries the `u64`-mask treewidth search cannot hold (a
+    /// 70-variable cycle, a 9×9 grid) prepare with an uncertified shape
+    /// instead of panicking inside the catalog lock and poisoning it.
+    #[test]
+    fn wide_queries_prepare_and_leave_the_catalog_usable() {
+        let e = engine();
+        let var = |i: usize| format!("v{i}");
+        let cycle: Vec<String> = (0..70)
+            .map(|i| format!("E({}, {})", var(i), var((i + 1) % 70)))
+            .collect();
+        let cell = |r: usize, c: usize| var(9 * r + c);
+        let grid: Vec<String> = (0..9)
+            .flat_map(|r| (0..8).map(move |c| (r, c)))
+            .flat_map(|(r, c)| {
+                let along = format!("E({}, {})", cell(r, c), cell(r, c + 1));
+                [along, format!("E({}, {})", cell(c, r), cell(c + 1, r))]
+            })
+            .collect();
+        // Into a directed C5 both have five homomorphisms, one per image
+        // of the first variable (the naive join enumerates them all).
+        let d = Structure::digraph(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
+        let db = e.register_database("d", d.clone());
+        for (name, atoms) in [("c70", cycle), ("grid", grid)] {
+            let q = parse_cq(&format!("Q() :- {}", atoms.join(", "))).unwrap();
+            let id = e.prepare_query(name, q.clone());
+            let prepared = e.catalog.read().unwrap().query(id).unwrap();
+            assert!(prepared.decomposed.is_none() && !prepared.shape.acyclic);
+            let r = e.execute(&Request::new(id, db));
+            assert_eq!(r.status, ResponseStatus::Complete, "{name}");
+            assert_eq!(r.answers.len(), 1, "{name}");
+            assert_eq!(r.answers, eval_naive(&q, &d), "{name}");
+            let after = e.prepare_query("c4", parse_cq(C4).unwrap());
+            assert_eq!(e.query_by_name("c4"), Some(after));
+        }
     }
 
     #[test]

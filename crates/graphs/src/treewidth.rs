@@ -15,6 +15,13 @@
 //!
 //! The exact search is exponential in the worst case but instantaneous on
 //! query-sized graphs (approximation candidates never exceed `|Q|` nodes).
+//!
+//! Two entries: [`treewidth_at_most`] returns a witness decomposition;
+//! [`BitGraph::treewidth_at_most`] only decides, after removing vertices
+//! of degree ≤ 2 (Arnborg & Proskurowski; complete for `k = 2`). **The
+//! 64-vertex rule:** the search keeps vertex sets in one `u64`, so a
+//! component — for the decision, what the reductions leave — of more than
+//! 64 vertices is *not certified*: the answer is `None`, never a panic.
 
 use crate::ugraph::UGraph;
 use cqapx_structures::Element;
@@ -236,6 +243,125 @@ impl TreeDecomposition {
     }
 }
 
+/// A simple graph on a fixed vertex set as adjacency bit-rows (`⌈n/64⌉`
+/// words per vertex) whose edge set only grows, with a component label
+/// per vertex, so an edge that closes a cycle is noticed as it is added.
+/// Loops are ignored.
+#[derive(Debug, Clone, Default)]
+pub struct BitGraph {
+    words: usize,
+    rows: Vec<u64>,
+    comp: Vec<u32>,
+    cyclic: bool,
+    scratch: Vec<u64>,
+}
+
+impl BitGraph {
+    /// The edgeless graph on `n` vertices.
+    pub fn new(n: usize) -> BitGraph {
+        let words = n.div_ceil(64);
+        BitGraph {
+            words,
+            rows: vec![0; n * words],
+            comp: (0..n as u32).collect(),
+            ..BitGraph::default()
+        }
+    }
+
+    /// Number of vertices.
+    pub fn n(&self) -> usize {
+        self.comp.len()
+    }
+
+    /// `true` when `{x, y}` is an edge.
+    pub fn has_edge(&self, x: usize, y: usize) -> bool {
+        self.rows[x * self.words + y / 64] >> (y % 64) & 1 == 1
+    }
+
+    /// Adds the edge `{x, y}`; `false` when it is a loop or already there.
+    pub fn add_edge(&mut self, x: Element, y: Element) -> bool {
+        let (x, y) = (x as usize, y as usize);
+        if x == y || self.has_edge(x, y) {
+            return false;
+        }
+        self.rows[x * self.words + y / 64] |= 1 << (y % 64);
+        self.rows[y * self.words + x / 64] |= 1 << (x % 64);
+        let (cx, cy) = (self.comp[x], self.comp[y]);
+        self.cyclic |= cx == cy;
+        let merged = self.comp.iter_mut().filter(|c| **c == cy);
+        merged.for_each(|c| *c = cx);
+        true
+    }
+
+    /// Makes `self` a copy of `other` in its own buffers: a search that
+    /// keeps one graph per depth allocates nothing per node.
+    pub fn copy_from(&mut self, other: &BitGraph) {
+        self.words = other.words;
+        self.rows.clone_from(&other.rows);
+        self.comp.clone_from(&other.comp);
+        self.cyclic = other.cyclic;
+    }
+
+    /// Decides `tw ≤ k`, or `None` (module docs). The edges stay as they
+    /// are: the reductions run on a copy in the graph's scratch space.
+    pub fn treewidth_at_most(&mut self, k: usize) -> Option<bool> {
+        match k {
+            0 => Some(self.rows.iter().all(|&w| w == 0)),
+            1 => Some(!self.cyclic),
+            _ => {
+                self.scratch.clone_from(&self.rows);
+                kernel_tw_at_most(&mut self.scratch, self.words, k)
+            }
+        }
+    }
+}
+
+/// `tw ≤ k` for `k ≥ 2` on adjacency bit-rows, which it consumes. A
+/// vertex of degree ≤ 1 goes; one of degree 2 goes and leaves an edge
+/// between its neighbours `u, w` (a minor of the graph before, and a bag
+/// `{v, u, w}` hung on any bag holding `u, w` undoes the step). What is
+/// left has minimum degree 3: a "no" for `k = 2`, the search's above it.
+fn kernel_tw_at_most(rows: &mut [u64], words: usize, k: usize) -> Option<bool> {
+    let n = rows.len() / words;
+    let mut progress = true;
+    while std::mem::take(&mut progress) {
+        for v in 0..n {
+            let row = &mut rows[v * words..][..words];
+            let degree = row.iter().map(|w| w.count_ones()).sum::<u32>() as usize;
+            if degree == 0 || degree > 2 {
+                continue;
+            }
+            let mut ends = [v; 2];
+            for end in &mut ends[..degree] {
+                let w = row.iter().position(|&w| w != 0).expect("a neighbour");
+                *end = w * 64 + row[w].trailing_zeros() as usize;
+                row[w] &= row[w] - 1;
+            }
+            let [a, b] = ends;
+            rows[a * words + v / 64] &= !(1 << (v % 64));
+            rows[b * words + v / 64] &= !(1 << (v % 64));
+            if degree == 2 {
+                rows[a * words + b / 64] |= 1 << (b % 64);
+                rows[b * words + a / 64] |= 1 << (a % 64);
+            }
+            progress = true;
+        }
+    }
+    let left = (0..n).filter(|v| rows[v * words..][..words].iter().any(|&w| w != 0));
+    let size = left.clone().count();
+    if k == 2 || size <= k + 1 {
+        return Some(size <= k + 1);
+    }
+    if size > 64 {
+        return None;
+    }
+    let kernel: Vec<usize> = left.collect();
+    let bit = |v: usize, u: usize| rows[v * words + u / 64] >> (u % 64) & 1;
+    let mask = |&v: &usize| (0..size).fold(0, |m, i| m | bit(v, kernel[i]) << i);
+    let adj = kernel.iter().map(mask).collect();
+    Some(component_tw_at_most(&MaskGraph { adj, n: size }, k).is_some())
+}
+
 /// Internal: adjacency as 64-bit masks (per-component search keeps n ≤ 64).
 struct MaskGraph {
     adj: Vec<u64>,
@@ -386,8 +512,8 @@ fn decomposition_from_order(
 /// Decides whether `tw(g) ≤ k`, returning a witness decomposition.
 ///
 /// Loops are ignored (see the module docs). Works per connected component;
-/// each component must have at most 64 vertices (query-sized inputs —
-/// approximation candidates never exceed the number of query variables).
+/// one of more than 64 vertices is not certified: `None`, as above the
+/// width.
 ///
 /// **Deterministic**: the same graph always yields the same decomposition
 /// — bags in the same order with the same tree edges. The search branches
@@ -426,10 +552,9 @@ pub fn treewidth_at_most(g: &UGraph, k: usize) -> Option<TreeDecomposition> {
         let vertices: Vec<Element> = (0..g.n() as Element)
             .filter(|&v| comp[v as usize] == c)
             .collect();
-        assert!(
-            vertices.len() <= 64,
-            "treewidth search supports components of at most 64 vertices"
-        );
+        if vertices.len() > 64 {
+            return None; // not certified
+        }
         let index_of = |v: Element| vertices.iter().position(|&x| x == v).unwrap();
         let mut adj = vec![0u64; vertices.len()];
         for (u, v) in g.edges() {
@@ -466,7 +591,8 @@ pub fn treewidth_at_most(g: &UGraph, k: usize) -> Option<TreeDecomposition> {
     Some(td)
 }
 
-/// The exact treewidth of `g` (0 for edgeless graphs; loops ignored).
+/// The exact treewidth of `g` (0 for edgeless graphs; loops ignored); the
+/// upper bound `n − 1` for a graph [`treewidth_at_most`] cannot certify.
 pub fn treewidth(g: &UGraph) -> usize {
     for k in 0..g.n().max(1) {
         if treewidth_at_most(g, k).is_some() {
@@ -555,6 +681,31 @@ mod tests {
         let g = crate::generators::wheel(5);
         let u = UGraph::underlying(&g);
         assert_eq!(treewidth(&u), 3);
+    }
+
+    #[test]
+    fn wide_components_are_not_certified_instead_of_fatal() {
+        let bits = |g: &UGraph| {
+            let mut b = BitGraph::new(g.n());
+            g.edges().for_each(|(u, v)| assert!(b.add_edge(u, v)));
+            b
+        };
+        // A 70-cycle: no decomposition is built for a component the mask
+        // search cannot hold, but the reductions need no search.
+        let ring: Vec<(Element, Element)> = (0..70).map(|i| (i, (i + 1) % 70)).collect();
+        let c70 = UGraph::from_edges(70, &ring);
+        assert!(treewidth_at_most(&c70, 2).is_none());
+        assert_eq!(treewidth(&c70), 69, "the documented upper bound");
+        let mut b = bits(&c70);
+        assert_eq!(b.treewidth_at_most(1), Some(false));
+        assert_eq!(b.treewidth_at_most(2), Some(true));
+        assert_eq!(b.treewidth_at_most(3), Some(true));
+        // A 9×9 grid keeps a 77-vertex kernel: "no" at 2, unknown above.
+        let grid = UGraph::underlying(&crate::generators::grid(9, 9));
+        assert!(treewidth_at_most(&grid, 9).is_none());
+        let mut b = bits(&grid);
+        assert_eq!(b.treewidth_at_most(2), Some(false));
+        assert_eq!(b.treewidth_at_most(9), None);
     }
 
     #[test]

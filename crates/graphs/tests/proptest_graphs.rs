@@ -1,6 +1,6 @@
 //! Property-based tests for the graph algorithms.
 
-use cqapx_graphs::{balance, coloring, treewidth, Digraph, UGraph};
+use cqapx_graphs::{balance, coloring, treewidth, BitGraph, Digraph, UGraph};
 use proptest::prelude::*;
 
 fn digraph_strategy(max_n: usize, max_e: usize) -> impl Strategy<Value = Digraph> {
@@ -38,6 +38,24 @@ proptest! {
         if tw > 0 {
             prop_assert!(treewidth::treewidth_at_most(&u, tw - 1).is_none());
         }
+    }
+
+    /// The decision-only entry (degree-≤-2 reductions, then the search on
+    /// the kernel) agrees with the decomposition-building one, and leaves
+    /// the graph it was asked about as it found it.
+    #[test]
+    fn bit_row_decision_agrees_with_decompositions(g in digraph_strategy(12, 30)) {
+        let u = UGraph::underlying(&g);
+        let mut bits = BitGraph::new(u.n());
+        for (x, y) in g.edges() {
+            bits.add_edge(x, y);
+        }
+        for k in 0..=4 {
+            let expected = treewidth::treewidth_at_most(&u, k).is_some();
+            prop_assert_eq!(bits.treewidth_at_most(k), Some(expected), "k = {}", k);
+        }
+        let degree = |v: usize| (0..u.n()).filter(|&w| bits.has_edge(v, w)).count();
+        prop_assert_eq!((0..u.n()).map(degree).sum::<usize>(), 2 * u.edge_count());
     }
 
     /// `reduced()` keeps a witness decomposition valid and as wide, leaves

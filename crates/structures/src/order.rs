@@ -6,9 +6,11 @@
 //! strictly below in the preorder. Dually, on queries, `Q ⊆ Q'` iff
 //! `T_{Q'} → T_Q`.
 
+use crate::core_ops::core_of;
 use crate::hom::HomProblem;
 use crate::pointed::Pointed;
 use crate::solver::HomSolver;
+use std::time::{Duration, Instant};
 
 /// `true` when a homomorphism `a → b` respecting distinguished tuples
 /// exists.
@@ -22,8 +24,9 @@ pub fn hom_exists(a: &Pointed, b: &Pointed) -> bool {
 }
 
 /// Like [`hom_exists`], against a pre-compiled source solver (`solver`
-/// must be `HomSolver::compile(&a.structure)`).
-fn hom_exists_compiled(solver: &HomSolver, a: &Pointed, b: &Pointed) -> bool {
+/// must be `HomSolver::compile(&a.structure)`): for a source tested
+/// against many targets.
+pub fn hom_exists_compiled(solver: &HomSolver, a: &Pointed, b: &Pointed) -> bool {
     if a.distinguished().len() != b.distinguished().len() {
         return false;
     }
@@ -131,12 +134,22 @@ pub fn dedupe_hom_equivalent(family: &[Pointed]) -> Vec<usize> {
 /// offered so far has a member below it (`m → x`). So a newcomer with a
 /// member below it is not minimal (or repeats a class) and is dropped
 /// after one hom test per member, without ever being compiled; any other
-/// newcomer is compiled, evicts the members it maps into, and joins.
-/// The result equals [`minimal_elements`] of [`dedupe_hom_equivalent`] of
+/// newcomer evicts the members it maps into and joins.
+///
+/// **Members are held as cores**, the solver compiled on the core:
+/// `x → y` iff `core(x) → core(y)`, so every later test runs between the
+/// smallest structures of the two classes, and minimized results are
+/// there for the taking ([`Self::into_cores`]; [`Self::into_members`]
+/// returns what was offered). Offered structures need active universes,
+/// as [`core_of`] does and tableaux have.
+///
+/// The members equal [`minimal_elements`] of [`dedupe_hom_equivalent`] of
 /// the stream, first representatives in arrival order.
 #[derive(Default)]
 pub struct MinimalAntichain {
-    members: Vec<(HomSolver, Pointed)>,
+    /// Per member: the core's solver, the core, the structure as offered.
+    members: Vec<(HomSolver, Pointed, Pointed)>,
+    core_time: Duration,
 }
 
 impl MinimalAntichain {
@@ -147,23 +160,38 @@ impl MinimalAntichain {
 
     /// Offers the next element of the stream; `true` when it joined.
     pub fn offer(&mut self, c: Pointed) -> bool {
-        if self
-            .members
-            .iter()
-            .any(|(solver, m)| hom_exists_compiled(solver, m, &c))
-        {
+        let below = |(solver, core, _): &(HomSolver, Pointed, Pointed)| {
+            hom_exists_compiled(solver, core, &c)
+        };
+        if self.members.iter().any(below) {
             return false;
         }
-        let solver = HomSolver::compile(&c.structure);
+        let start = Instant::now();
+        let core = core_of(&c).core;
+        self.core_time += start.elapsed();
+        let solver = HomSolver::compile(&core.structure);
         self.members
-            .retain(|(_, m)| !hom_exists_compiled(&solver, &c, m));
-        self.members.push((solver, c));
+            .retain(|(_, m, _)| !hom_exists_compiled(&solver, &core, m));
+        self.members.push((solver, core, c));
         true
     }
 
-    /// The current minimal representatives, in arrival order.
+    /// Time spent computing members' cores so far (a part of the time
+    /// spent in [`Self::offer`]).
+    pub fn core_time(&self) -> Duration {
+        self.core_time
+    }
+
+    /// The current minimal representatives as they were offered, in
+    /// arrival order.
     pub fn into_members(self) -> Vec<Pointed> {
-        self.members.into_iter().map(|(_, m)| m).collect()
+        self.members.into_iter().map(|(.., m)| m).collect()
+    }
+
+    /// The cores of the current minimal representatives, in arrival
+    /// order: pairwise incomparable, so pairwise non-isomorphic.
+    pub fn into_cores(self) -> Vec<Pointed> {
+        self.members.into_iter().map(|(_, core, _)| core).collect()
     }
 }
 

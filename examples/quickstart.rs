@@ -24,9 +24,13 @@ fn main() {
     // Compute all acyclic (TW(1)) approximations exactly.
     let rep = all_approximations(&q, &TwK(1), &ApproxOptions::default());
     println!(
-        "  reached {} partitions ({} leaves and subtrees dominated by a finer in-class one), \
-         {} candidates, complete = {}",
-        rep.partitions, rep.dominated, rep.candidates, rep.complete
+        "  visited {} prefixes, reached {} partitions ({} leaves and subtrees dominated by a \
+         finer in-class one), {} candidates, complete = {}",
+        rep.nodes, rep.partitions, rep.dominated, rep.candidates, rep.complete
+    );
+    println!(
+        "  walk {} µs, antichain {} µs, cores {} µs",
+        rep.walk_us, rep.antichain_us, rep.core_us
     );
     for a in &rep.approximations {
         println!("approximation: {a}");

@@ -335,33 +335,4 @@ proptest! {
             }
         }
     }
-
-    /// `TW(1)`'s raw-tuple membership test (sorted pairs through a
-    /// union-find) agrees with the graph-building one on structures with
-    /// loops, antiparallel and repeated pairs and ternary atoms.
-    #[test]
-    fn tw1_quotient_check_agrees_with_tableau_check(
-        n in 2..7usize,
-        edges in proptest::collection::vec((0..7u32, 0..7u32), 0..8),
-        triples in proptest::collection::vec((0..7u32, 0..7u32, 0..7u32), 0..3),
-    ) {
-        let vocab = Vocabulary::new(vec![("E", 2), ("R", 3)]);
-        let (e, r) = (vocab.rel("E").unwrap(), vocab.rel("R").unwrap());
-        let mut b = cqapx_structures::StructureBuilder::new(vocab, n);
-        let m = n as u32;
-        // Raw atoms as a quotient map leaves them: unsorted, repeated.
-        let mut raw: Vec<Vec<u32>> = Vec::new();
-        for &(x, y) in &edges {
-            b.add(e, &[x % m, y % m]).add(e, &[y % m, x % m]);
-            raw.push(vec![x % m, y % m]);
-            raw.push(vec![y % m, x % m]);
-        }
-        for &(x, y, z) in &triples {
-            b.add(r, &[x % m, y % m, z % m]);
-            raw.push(vec![x % m, y % m, z % m]);
-        }
-        let t = Pointed::boolean(b.finish());
-        let fast = TwK(1).contains_quotient(n, &mut raw.iter().map(|a| &a[..]));
-        prop_assert_eq!(fast, Some(TwK(1).contains_tableau(&t)));
-    }
 }
