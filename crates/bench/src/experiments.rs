@@ -48,10 +48,10 @@ fn lcg_next(s: &mut u64) -> u64 {
 
 /// A digraph on `n` nodes with `edges` edges whose endpoints follow a
 /// Zipf(`s`) distribution over node ids — a few hubs collect most of
-/// the incidences. The skew regime where left-deep binary bag joins
-/// blow up (every pair of hub-incident edges survives the first join)
-/// while the multiway kernel's per-value intersections stay
-/// output-bounded.
+/// the incidences. The skew regime where a left-deep binary join of a
+/// bag's parts would blow up (every pair of hub-incident edges survives
+/// the first join) while the multiway kernel's per-value intersections
+/// stay output-bounded.
 pub fn zipf_db(n: usize, edges: usize, s: f64, seed: u64) -> cqapx_structures::Structure {
     let mut cum: Vec<f64> = Vec::with_capacity(n);
     let mut total = 0.0;
@@ -1727,99 +1727,6 @@ pub fn exp_eval() -> String {
         batch_n as f64 / (batch_t4_ms / 1e3)
     );
 
-    // W7 — worst-case-optimal bag materialization: forced-binary vs
-    // forced-multiway bag builds on cyclic workloads over uniform and
-    // skewed (Zipf / hub-and-spoke) data. Times are the bag-build join
-    // phase only, read off `MatCacheStats` — the part the strategy
-    // choice governs; the auto columns report how many bags the cost
-    // model routed to each strategy.
-    struct WcojRow {
-        name: &'static str,
-        what: &'static str,
-        tuples: usize,
-        binary_ms: f64,
-        wcoj_ms: f64,
-        auto_bags_binary: u32,
-        auto_bags_wcoj: u32,
-    }
-    let mut wcoj_rows: Vec<WcojRow> = Vec::new();
-    {
-        use cqapx_cq::eval::{DecomposedPlan, MatStrategy};
-        use cqapx_par::ThreadBudget;
-
-        let mut bench =
-            |name: &'static str, what: &'static str, q: &str, db: &cqapx_structures::Structure| {
-                let q = parse_cq(q).unwrap();
-                let tw = cqapx_cq::treewidth_of_query(&q);
-                let plan = DecomposedPlan::compile(&q, tw).expect("cyclic workload compiles");
-                let budget = ThreadBudget::new(1);
-                assert_eq!(
-                    plan.clone().with_bag_strategy(MatStrategy::Binary).eval(db),
-                    plan.clone().with_bag_strategy(MatStrategy::Wcoj).eval(db),
-                    "bag strategies disagree on {name}"
-                );
-                let build_ms = |strategy: MatStrategy| -> f64 {
-                    let p = plan.clone().with_bag_strategy(strategy);
-                    let mut times: Vec<f64> = (0..samples)
-                        .map(|_| {
-                            let (_, st) = p.eval_cached_budget(db, None, &budget);
-                            (st.binary_bag_us + st.wcoj_bag_us) as f64 / 1e3
-                        })
-                        .collect();
-                    times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-                    times[times.len() / 2]
-                };
-                let binary_ms = build_ms(MatStrategy::Binary);
-                let wcoj_ms = build_ms(MatStrategy::Wcoj);
-                let (_, auto) = plan.eval_cached_budget(db, None, &budget);
-                wcoj_rows.push(WcojRow {
-                    name,
-                    what,
-                    tuples: db.total_tuples(),
-                    binary_ms,
-                    wcoj_ms,
-                    auto_bags_binary: auto.binary_bag_builds,
-                    auto_bags_wcoj: auto.wcoj_bag_builds,
-                });
-            };
-        bench(
-            "wcoj_k4_zipf",
-            "K4 over a Zipf(1.2) digraph (4-part bags, hub blow-up)",
-            "Q(a, d) :- E(a,b), E(a,c), E(a,d), E(b,c), E(b,d), E(c,d)",
-            &zipf_db(400, 3200, 1.2, 37),
-        );
-        bench(
-            "wcoj_c6_uniform",
-            "C6 over the cyclic_c6_free digraph (connector bags)",
-            "Q(a, d) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)",
-            &workloads::random_db(300, 6.0, 29),
-        );
-        bench(
-            "wcoj_triangle_hub",
-            "triangle listing over hub-and-spoke triangles",
-            "Q(x, y, z) :- E(x,y), E(y,z), E(z,x)",
-            &hub_triangles_db(6, 220, 600, 41),
-        );
-    }
-    let _ = writeln!(
-        out,
-        "\n{:<20} {:>8} {:>12} {:>10} {:>9} {:>11}  bag-build strategy (decomposed tier)",
-        "id", "tuples", "binary", "multiway", "speedup", "auto picks"
-    );
-    for r in &wcoj_rows {
-        let _ = writeln!(
-            out,
-            "{:<20} {:>8} {:>10.2}ms {:>8.2}ms {:>8.1}× {:>11}  {}",
-            r.name,
-            r.tuples,
-            r.binary_ms,
-            r.wcoj_ms,
-            r.binary_ms / r.wcoj_ms.max(1e-9),
-            format!("{}b/{}w", r.auto_bags_binary, r.auto_bags_wcoj),
-            r.what
-        );
-    }
-
     // W8 — dense-domain direct indexes: the per-database dictionary
     // guarantees codes in `[0, n)`, so single-column join keys probe
     // offset/count arrays instead of hashed chains. The knob forces the
@@ -1836,7 +1743,7 @@ pub fn exp_eval() -> String {
     }
     let mut dense_rows: Vec<DenseRow> = Vec::new();
     {
-        use cqapx_cq::eval::{set_direct_index_enabled, DecomposedPlan, MatStrategy};
+        use cqapx_cq::eval::{set_direct_index_enabled, DecomposedPlan};
 
         let mut bench =
             |name: &'static str, what: &'static str, tuples: usize, run: &dyn Fn() -> Answers| {
@@ -1918,22 +1825,6 @@ pub fn exp_eval() -> String {
                 &|| Answers::boolean(plan.eval_boolean(&db)),
             );
         }
-        {
-            let q = parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap();
-            let db = hub_triangles_db(8, 1500, 3000, 41);
-            // Force the multiway kernel: its per-candidate column-0
-            // prefix probes are exactly the single-value lookups the
-            // direct representation answers with two array loads.
-            let plan = DecomposedPlan::compile(&q, 2)
-                .expect("triangle has treewidth 2")
-                .with_bag_strategy(MatStrategy::Wcoj);
-            bench(
-                "triangle_probe_bool",
-                "Boolean triangle over hub data, multiway prefix probes",
-                db.total_tuples(),
-                &|| plan.eval(&db),
-            );
-        }
     }
     let _ = writeln!(
         out,
@@ -1970,9 +1861,7 @@ pub fn exp_eval() -> String {
     }
     let mut bitmap_rows: Vec<BitmapRow> = Vec::new();
     {
-        use cqapx_cq::eval::{
-            set_bitmap_mode, BitmapMode, DecomposedPlan, MatStrategy, MaterializationCache,
-        };
+        use cqapx_cq::eval::{set_bitmap_mode, BitmapMode, DecomposedPlan, MaterializationCache};
 
         let mut bench =
             |name: &'static str, what: &'static str, tuples: usize, run: &dyn Fn() -> Answers| {
@@ -2059,23 +1948,6 @@ pub fn exp_eval() -> String {
                 "Boolean dense star, repeated hub-column membership",
                 db.total_tuples(),
                 &|| Answers::boolean(plan.eval_boolean_cached(&db, Some(&cache)).0),
-            );
-        }
-        {
-            // Triangle on the multiway kernel: the top-level leapfrog
-            // intersection becomes a bitmap AND over the lead parts'
-            // column-0 bitmaps (density-adaptive; this data qualifies).
-            let q = parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap();
-            let db = hub_triangles_db(8, 1500, 3000, 41);
-            let plan = DecomposedPlan::compile(&q, 2)
-                .expect("triangle has treewidth 2")
-                .with_bag_strategy(MatStrategy::Wcoj);
-            let cache = MaterializationCache::new();
-            bench(
-                "triangle_probe_bool",
-                "Boolean triangle, WCOJ lead via bitmap intersection",
-                db.total_tuples(),
-                &|| plan.eval_cached(&db, Some(&cache)).0,
             );
         }
         {
@@ -2319,22 +2191,6 @@ pub fn exp_eval() -> String {
         batch_t1_ms / batch_t4_ms.max(1e-9)
     );
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"wcoj\": [");
-    for (i, r) in wcoj_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"tuples\": {}, \"binary_build_ms\": {:.3}, \"wcoj_build_ms\": {:.3}, \"speedup\": {:.2}, \"auto_bags_binary\": {}, \"auto_bags_wcoj\": {}}}{}",
-            r.name,
-            r.tuples,
-            r.binary_ms,
-            r.wcoj_ms,
-            r.binary_ms / r.wcoj_ms.max(1e-9),
-            r.auto_bags_binary,
-            r.auto_bags_wcoj,
-            if i + 1 < wcoj_rows.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"dense_probe\": [");
     for (i, r) in dense_rows.iter().enumerate() {
         let _ = writeln!(

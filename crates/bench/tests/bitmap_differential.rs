@@ -11,7 +11,7 @@
 //! lock and restores `Auto` before releasing it.
 
 use cqapx_cq::eval::{
-    set_bitmap_mode, AcyclicPlan, Answers, BitmapMode, DecomposedPlan, MatCacheStats, MatStrategy,
+    set_bitmap_mode, AcyclicPlan, Answers, BitmapMode, DecomposedPlan, MatCacheStats,
     MaterializationCache, NaivePlan,
 };
 use cqapx_cq::{parse_cq, treewidth_of_query, ConjunctiveQuery};
@@ -229,9 +229,8 @@ proptest! {
         set_bitmap_mode(BitmapMode::Auto);
     }
 
-    /// `DecomposedPlan` (cyclic tier, WCOJ bags forced): bitmap ≡ probe
-    /// ≡ naive — the density-adaptive top-level intersection must never
-    /// change the join output.
+    /// `DecomposedPlan` (cyclic tier): bitmap ≡ probe ≡ naive — the
+    /// bitmap sweeps over bag relations must never change the output.
     #[test]
     fn cyclic_bitmap_equals_probe(
         q in cyclic_query(),
@@ -239,8 +238,7 @@ proptest! {
     ) {
         let _g = knob_lock();
         let plan = DecomposedPlan::compile(&q, treewidth_of_query(&q))
-            .expect("templates compile at their exact treewidth")
-            .with_bag_strategy(MatStrategy::Wcoj);
+            .expect("templates compile at their exact treewidth");
         let expected = NaivePlan::compile(q.clone()).eval(&d);
         check_modes(
             |cache, budget| plan.eval_cached_budget(&d, cache, budget),

@@ -15,7 +15,7 @@
 
 use cqapx_cq::eval::{
     set_packed_mode, AcyclicPlan, Answers, AtomBinder, DecomposedPlan, FlatRelation, MatCacheStats,
-    MatStrategy, MaterializationCache, NaivePlan, PackedMode,
+    MaterializationCache, NaivePlan, PackedMode,
 };
 use cqapx_cq::{parse_cq, treewidth_of_query, ConjunctiveQuery};
 use cqapx_engine::{Engine, EngineConfig, Request};
@@ -232,7 +232,7 @@ proptest! {
         set_packed_mode(PackedMode::Auto);
     }
 
-    /// `DecomposedPlan` (cyclic tier, WCOJ bags forced): packed ≡
+    /// `DecomposedPlan` (cyclic tier): packed ≡
     /// unpacked ≡ naive — bag parts, cross-bag interfaces, and the
     /// final projection must not move a byte under the knob.
     #[test]
@@ -242,8 +242,7 @@ proptest! {
     ) {
         let _g = knob_lock();
         let plan = DecomposedPlan::compile(&q, treewidth_of_query(&q))
-            .expect("templates compile at their exact treewidth")
-            .with_bag_strategy(MatStrategy::Wcoj);
+            .expect("templates compile at their exact treewidth");
         let expected = NaivePlan::compile(q.clone()).eval(&d);
         check_modes(
             |cache, budget| plan.eval_cached_budget(&d, cache, budget),

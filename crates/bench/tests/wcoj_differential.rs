@@ -1,21 +1,23 @@
-//! Differential property tests for the worst-case-optimal bag
-//! materializer: the multiway (generic-join) kernel against the
-//! left-deep binary pipeline and the compiled naive evaluator, on
-//! random cyclic queries over random and skewed (power-law) digraphs.
+//! Differential property tests for the bag kernel: the multiway
+//! (leapfrog-triejoin) build against a test-local left-deep binary
+//! join and the compiled naive evaluator, on random cyclic queries over
+//! random and skewed (power-law) digraphs, and on every numbering of
+//! the variables of the directed cycles C₄, C₅ and C₆.
 //!
-//! For every generated pair the two forced strategies must produce
-//! **byte-identical** bag relations (same schema, same rows in the same
-//! canonical order), identical answers cold and warm through a
-//! [`MaterializationCache`], identical answers under thread budgets
-//! {1, 2, 8}, and identical cache hit/miss accounting — the strategy is
-//! cache-invisible by design.
+//! For every generated pair each multi-part bag must be
+//! **byte-identical** to the binary reference (same schema, same rows
+//! in the same canonical order, same code width), with identical
+//! answers cold and warm through a [`MaterializationCache`] and under
+//! thread budgets {1, 2, 8}. The numbering sweep adds a clock-free
+//! cost guard: the kernel's cursor advances stay linear in the rows it
+//! reads and writes, however the query is spelled.
 
 use cqapx_cq::eval::{
-    env_bag_strategy, DecomposedPlan, MatCacheStats, MatStrategy, MaterializationCache, NaivePlan,
+    DecomposedPlan, FlatRelation, MatCacheStats, MatSource, MaterializationCache, NaivePlan,
 };
-use cqapx_cq::{parse_cq, treewidth_of_query, ConjunctiveQuery};
+use cqapx_cq::{parse_cq, treewidth_of_query, Atom, ConjunctiveQuery};
 use cqapx_par::ThreadBudget;
-use cqapx_structures::Structure;
+use cqapx_structures::{Structure, Vocabulary};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -118,90 +120,178 @@ fn skewed_db(max_n: usize) -> impl Strategy<Value = Structure> {
     (4..=max_n, any::<u64>()).prop_map(|(n, seed)| skewed_digraph(n, 4 * n, seed))
 }
 
-/// The differential check: forced-binary ≡ forced-wcoj ≡ naive, with
-/// byte-identical bag relations, identical cold/warm cache accounting,
-/// and budget-independent answers.
-fn check(q: &ConjunctiveQuery, d: &Structure) {
-    let tw = treewidth_of_query(q);
-    let base = DecomposedPlan::compile(q, tw).expect("compiles at the exact treewidth");
-    let expected = NaivePlan::compile(q.clone()).eval(d);
-    let binary = base.clone().with_bag_strategy(MatStrategy::Binary);
-    let wcoj = base.clone().with_bag_strategy(MatStrategy::Wcoj);
-
-    // Byte identity of every multi-part bag build under both forced
-    // strategies: same schema, same rows, same canonical order.
+/// Each part of a source scanned on its own.
+fn part_relations(source: &MatSource, d: &Structure) -> Vec<FlatRelation> {
     let budget = ThreadBudget::sequential();
-    for (sb, sw) in binary
-        .ir()
-        .materialize_sources()
-        .zip(wcoj.ir().materialize_sources())
-    {
-        if sb.parts.len() < 2 {
+    let scan = |part: &cqapx_cq::eval::MatPart| {
+        let alone = MatSource {
+            schema: part.schema.clone(),
+            key: part.key.clone(),
+            parts: vec![part.clone()],
+        };
+        alone.materialize(d, None, &mut MatCacheStats::default(), &budget)
+    };
+    source.parts.iter().map(scan).collect()
+}
+
+/// The binary reference build of a bag: its parts joined left-deep,
+/// then projected canonically onto the bag schema.
+fn binary_reference(parts: &[FlatRelation], schema: &[cqapx_cq::VarId]) -> FlatRelation {
+    let budget = ThreadBudget::sequential();
+    let mut joined = parts[0].clone();
+    for part in &parts[1..] {
+        joined = joined.join_budget(part, &budget);
+    }
+    joined.project_budget(schema, &budget)
+}
+
+/// Builds every multi-part bag of `plan` with the kernel and checks it
+/// against [`binary_reference`] byte for byte. Returns the rows the
+/// kernel read and wrote (part rows + bag rows) and the cursor
+/// advances it reported for them.
+fn check_bags(plan: &DecomposedPlan, d: &Structure, q: &ConjunctiveQuery) -> (u64, u64) {
+    let budget = ThreadBudget::sequential();
+    let (mut rows, mut advances) = (0u64, 0u64);
+    for source in plan.ir().materialize_sources() {
+        if source.parts.len() < 2 {
             continue;
         }
-        let mut st_b = MatCacheStats::default();
-        let mut st_w = MatCacheStats::default();
-        let rb = sb.materialize(d, None, &mut st_b, &budget);
-        let rw = sw.materialize(d, None, &mut st_w, &budget);
-        prop_assert_eq!(rb.schema(), rw.schema(), "bag schemas differ on {}", q);
-        prop_assert_eq!(rb.len(), rw.len(), "bag cardinalities differ on {}", q);
-        for i in 0..rb.len() {
-            prop_assert_eq!(rb.row(i), rw.row(i), "bag row {} differs on {}", i, q);
-        }
-        // Strategy attribution (only meaningful when no env override
-        // preempts the per-source field).
-        if env_bag_strategy() == MatStrategy::Auto {
-            prop_assert_eq!(
-                st_b.wcoj_bag_builds,
-                0,
-                "binary build ran the kernel on {}",
-                q
-            );
-            prop_assert_eq!(
-                st_w.binary_bag_builds,
-                0,
-                "wcoj build joined binarily on {}",
-                q
-            );
-            prop_assert!(
-                st_w.wcoj_bag_builds > 0,
-                "wcoj build not attributed on {}",
-                q
-            );
+        let mut stats = MatCacheStats::default();
+        let got = source.materialize(d, None, &mut stats, &budget);
+        let parts = part_relations(source, d);
+        let want = binary_reference(&parts, &source.schema);
+        assert_eq!(got.schema(), want.schema(), "bag schemas differ on {q}");
+        assert_eq!(got.len(), want.len(), "bag cardinalities differ on {q}");
+        assert!(
+            got.iter_rows().eq(want.iter_rows()),
+            "bag rows differ on {q}"
+        );
+        assert_eq!(got.domain_width(), want.domain_width(), "width on {q}");
+        assert_eq!(
+            (stats.binary_bag_builds, stats.wcoj_bag_builds),
+            (0, 1),
+            "one build, by the kernel, on {q}"
+        );
+        let scanned: usize = parts.iter().map(FlatRelation::len).sum();
+        rows += (scanned + got.len()) as u64;
+        advances += stats.cursor_advances;
+    }
+    (rows, advances)
+}
+
+/// The differential check: kernel ≡ binary reference ≡ naive, with
+/// byte-identical bag relations, cold/warm cache accounting, and
+/// budget-independent answers.
+fn check(q: &ConjunctiveQuery, d: &Structure) {
+    let tw = treewidth_of_query(q);
+    let plan = DecomposedPlan::compile(q, tw).expect("compiles at the exact treewidth");
+    let expected = NaivePlan::compile(q.clone()).eval(d);
+    check_bags(&plan, d, q);
+
+    // Answers: uncached, then cold + warm through one cache across
+    // thread budgets {1, 2, 8}; warm runs must not re-materialize.
+    assert_eq!(&plan.eval(d), &expected, "uncached eval disagrees on {q}");
+    let cache = MaterializationCache::new();
+    for (i, t) in [1usize, 2, 8].into_iter().enumerate() {
+        let (ans, stats) = plan.eval_cached_budget(d, Some(&cache), &ThreadBudget::new(t));
+        assert_eq!(&ans, &expected, "cached eval (budget {t}) disagrees on {q}");
+        if i == 0 {
+            assert!(stats.misses > 0, "cold run must materialize on {q}");
+        } else {
+            assert_eq!(stats.misses, 0, "warm run re-materialized on {q}");
         }
     }
+}
 
-    // Answers: uncached, then cold + warm through one cache per
-    // strategy, across thread budgets {1, 2, 8}. The cold hit/miss
-    // accounting must be identical across strategies (the strategy is
-    // cache-invisible), and warm runs must not re-materialize.
-    let mut cold_accounting: Vec<(u32, u32)> = Vec::new();
-    for plan in [&binary, &wcoj] {
-        prop_assert_eq!(&plan.eval(d), &expected, "uncached eval disagrees on {}", q);
-        let cache = MaterializationCache::new();
-        for (i, t) in [1usize, 2, 8].into_iter().enumerate() {
-            let (ans, stats) = plan.eval_cached_budget(d, Some(&cache), &ThreadBudget::new(t));
-            prop_assert_eq!(
-                &ans,
-                &expected,
-                "cached eval (budget {}) disagrees on {}",
-                t,
-                q
-            );
-            if i == 0 {
-                prop_assert!(stats.misses > 0, "cold run must materialize on {}", q);
-                cold_accounting.push((stats.hits, stats.misses));
-            } else {
-                prop_assert_eq!(stats.misses, 0, "warm run re-materialized on {}", q);
+/// A seeded `degree`-out-regular digraph on `n` vertices (no loops).
+fn regular_digraph(n: u32, degree: usize, seed: u64) -> Structure {
+    let mut s = seed | 1;
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for u in 0..n {
+        let first = edges.len();
+        while edges.len() - first < degree {
+            let v = (lcg(&mut s) % u64::from(n)) as u32;
+            if v != u && !edges[first..].contains(&(u, v)) {
+                edges.push((u, v));
             }
         }
     }
-    prop_assert_eq!(
-        cold_accounting[0],
-        cold_accounting[1],
-        "cache accounting differs between strategies on {}",
-        q
+    Structure::digraph(n as usize, &edges)
+}
+
+/// Every permutation of `0..n`, by Heap's algorithm.
+fn permutations(n: usize) -> Vec<Vec<u32>> {
+    fn heap(k: usize, items: &mut Vec<u32>, out: &mut Vec<Vec<u32>>) {
+        if k <= 1 {
+            return out.push(items.clone());
+        }
+        for i in 0..k {
+            heap(k - 1, items, out);
+            items.swap(if k.is_multiple_of(2) { i } else { 0 }, k - 1);
+        }
+    }
+    let mut out = Vec::new();
+    heap(n, &mut (0..n as u32).collect(), &mut out);
+    out
+}
+
+/// One constant for every numbering: advances ≤ `ADVANCES_PER_ROW` ×
+/// (rows of the parts read + rows of the bags built).
+const ADVANCES_PER_ROW: u64 = 2;
+
+/// Answers, bag bytes and the linear cost bound for one spelling.
+fn check_spelling(q: &ConjunctiveQuery, d: &Structure, expected: bool) {
+    let plan = DecomposedPlan::compile(q, 2).expect("a cycle has treewidth 2");
+    assert_eq!(plan.eval_boolean(d), expected, "answer differs on {q}");
+    let (rows, advances) = check_bags(&plan, d, q);
+    assert!(
+        rows > 0,
+        "a cycle of four or more has a multi-part bag: {q}"
     );
+    assert!(
+        advances <= ADVANCES_PER_ROW * rows,
+        "{advances} cursor advances for {rows} rows read and written on {q}"
+    );
+}
+
+/// The cost of a cyclic query must not depend on how it is spelled:
+/// all 24 + 120 + 720 numberings of the variables of the directed C₄,
+/// C₅ and C₆ give the naive answer, bags identical to the binary
+/// reference, and a kernel whose cursor advances are linear in its
+/// input plus its output. (Ascending-`VarId` enumeration makes a bag
+/// whose middle variable carries the highest id lead level 1 with a
+/// whole relation per level-0 candidate: |V|² leapfrogs.)
+#[test]
+fn every_numbering_of_a_cycle_costs_the_same() {
+    let d = regular_digraph(400, 3, 0xC1C1E);
+    for n in [4usize, 5, 6] {
+        let mut expected = None;
+        for numbering in permutations(n) {
+            let atoms = (0..n)
+                .map(|i| Atom {
+                    rel: Vocabulary::graphs().rel("E").expect("E"),
+                    args: vec![numbering[i], numbering[(i + 1) % n]],
+                })
+                .collect();
+            let names = (0..n).map(|v| format!("v{v}")).collect();
+            let q = ConjunctiveQuery::new(Vocabulary::graphs(), names, Vec::new(), atoms);
+            // Renamings of one query share one answer: ask the naive
+            // evaluator once per cycle length.
+            let expected =
+                *expected.get_or_insert_with(|| !NaivePlan::compile(q.clone()).eval(&d).is_empty());
+            check_spelling(&q, &d, expected);
+        }
+    }
+    // The two spellings of C₄ from the issue: 11.6 ms and 3,756 ms at
+    // 5000 × 4 before the kernel chose its own order.
+    for text in [
+        "Q() :- E(a,b), E(b,c), E(c,d), E(d,a)",
+        "Q() :- E(a,b), E(c,a), E(b,d), E(d,c)",
+    ] {
+        let q = parse_cq(text).expect("parses");
+        let expected = !NaivePlan::compile(q.clone()).eval(&d).is_empty();
+        check_spelling(&q, &d, expected);
+    }
 }
 
 proptest! {

@@ -11,7 +11,9 @@
 //! 2. assign every atom to **every bag containing its variables** (an
 //!    atom's variables form a clique of `G(Q)`, so at least one bag
 //!    covers it) and **materialize each bag** as the join of its atom
-//!    groups — at most `adom^(k+1)` rows, the tractability bound. Bag
+//!    groups — at most `adom^(k+1)` rows, the tractability bound —
+//!    by the one bag kernel, a worst-case-optimal multiway join whose
+//!    cost does not depend on how the query numbers its variables. Bag
 //!    materializations are [`MatKey`]-cached exactly like hyperedges
 //!    and shared across plans (see [`MatSource`]);
 //! 3. run the acyclic pipeline over the rooted bag tree: full-reducer
@@ -34,7 +36,7 @@ use crate::ast::{Atom, ConjunctiveQuery, VarId};
 use crate::classes::query_graph;
 use crate::eval::answers::Answers;
 use crate::eval::flat::{MatCacheStats, MatKey, MaterializationCache};
-use crate::eval::ir::{compile_tree, MatSource, MatStrategy, NodeSpec, PlanIr};
+use crate::eval::ir::{compile_tree, MatSource, NodeSpec, PlanIr};
 use cqapx_graphs::treewidth::{treewidth_at_most, TreeDecomposition};
 use cqapx_par::ThreadBudget;
 use cqapx_structures::{RelId, Structure};
@@ -68,20 +70,14 @@ pub struct BagPart {
     pub rel: RelId,
     /// The part's cache key (for real materialized cardinalities).
     pub key: MatKey,
-    /// Sorted distinct variables of the part (for the strategy model).
-    pub schema: Vec<VarId>,
 }
 
-/// Cost-model inputs of one bag, exposed for the planner: the bag size,
-/// the compiled build strategy, and the parts (sub-hyperedges) joined
-/// inside it.
+/// Cost-model inputs of one bag, exposed for the planner: the bag size
+/// and the parts (sub-hyperedges) joined inside it.
 #[derive(Debug, Clone)]
 pub struct BagSummary {
     /// Number of variables in the bag (label, not just covered schema).
     pub label_size: usize,
-    /// The bag source's compiled build strategy (plans compile with
-    /// [`MatStrategy::Auto`]; see [`DecomposedPlan::with_bag_strategy`]).
-    pub strategy: MatStrategy,
     /// The sub-hyperedges joined inside the bag.
     pub parts: Vec<BagPart>,
 }
@@ -182,14 +178,12 @@ impl DecomposedPlan {
                     schema: Vec::new(),
                     key: MatKey::of_group(&[], &[]),
                     parts: Vec::new(),
-                    strategy: MatStrategy::Auto,
                 }
             } else {
                 MatSource::from_groups(&group_refs)
             };
             bags.push(BagSummary {
                 label_size: bag.len(),
-                strategy: source.strategy,
                 parts: source
                     .parts
                     .iter()
@@ -197,7 +191,6 @@ impl DecomposedPlan {
                     .map(|(p, g)| BagPart {
                         rel: g[0].rel,
                         key: p.key.clone(),
-                        schema: p.schema.clone(),
                     })
                     .collect(),
             });
@@ -218,19 +211,6 @@ impl DecomposedPlan {
             width,
             bags,
         }
-    }
-
-    /// Returns the plan with every bag forced to the given build
-    /// strategy (compiled plans default to [`MatStrategy::Auto`]). The
-    /// produced bag relations are identical under any strategy — only
-    /// the build cost changes — so this is a test/bench/planner knob,
-    /// not a semantic one.
-    pub fn with_bag_strategy(mut self, strategy: MatStrategy) -> DecomposedPlan {
-        self.ir.set_bag_strategy(strategy);
-        for bag in &mut self.bags {
-            bag.strategy = strategy;
-        }
-        self
     }
 
     /// The underlying query.
@@ -393,7 +373,7 @@ mod tests {
 
     /// The cyclic tier must give identical answers and cache traffic
     /// under both bitmap kernel settings — the bitmap path reaches it
-    /// through the WCOJ lead intersection and the bag semijoin sweeps.
+    /// through the bag semijoin sweeps.
     #[test]
     fn bitmap_kernels_identical_on_cyclic_tier() {
         use crate::eval::flat::{knob_guard, reset_bitmap_override, set_bitmap_mode, BitmapMode};
@@ -407,15 +387,9 @@ mod tests {
             edges.push(((u * 3) % 60, u));
         }
         let d = Structure::digraph(60, &edges);
-        for (qs, strategy) in [
-            (q6, MatStrategy::Binary),
-            (q6, MatStrategy::Wcoj),
-            (qtri, MatStrategy::Wcoj),
-        ] {
+        for qs in [q6, qtri] {
             let q = parse_cq(qs).unwrap();
-            let plan = DecomposedPlan::compile(&q, 2)
-                .unwrap()
-                .with_bag_strategy(strategy);
+            let plan = DecomposedPlan::compile(&q, 2).unwrap();
             set_bitmap_mode(BitmapMode::On);
             let cache_on = MaterializationCache::new();
             let (rows_on, s_on) = plan.eval_cached(&d, Some(&cache_on));
@@ -453,15 +427,9 @@ mod tests {
             edges.push(((u * 3) % 60, u));
         }
         let d = Structure::digraph(60, &edges);
-        for (qs, strategy) in [
-            (q6, MatStrategy::Binary),
-            (q6, MatStrategy::Wcoj),
-            (qpair, MatStrategy::Binary),
-        ] {
+        for qs in [q6, qpair] {
             let q = parse_cq(qs).unwrap();
-            let plan = DecomposedPlan::compile(&q, 2)
-                .unwrap()
-                .with_bag_strategy(strategy);
+            let plan = DecomposedPlan::compile(&q, 2).unwrap();
             set_packed_mode(PackedMode::On);
             let cache_on = MaterializationCache::new();
             let (rows_on, s_on) = plan.eval_cached(&d, Some(&cache_on));

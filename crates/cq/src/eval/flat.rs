@@ -22,6 +22,14 @@
 //! row 0 →  1  2                   ^--^  row 0 (offset 0·arity)
 //! row 1 →  3  4                         ^--^  row 1 (offset 1·arity)
 //! ```
+//!
+//! A canonical relation (rows sorted, duplicate-free) is also a
+//! *trie*: rows sharing a prefix are contiguous and the next column is
+//! sorted within them. The one bag kernel, `multiway_join`, joins
+//! the parts of a decomposition bag by walking such tries with
+//! cursors, variable by variable, in an order it picks from the part
+//! schemas, and writes the bag relation in canonical form — at its
+//! exact size when the last variable has a single part.
 
 use crate::ast::{Atom, VarId};
 use crate::eval::answers::Answers;
@@ -1717,43 +1725,6 @@ impl FlatRelation {
         h.finish()
     }
 
-    /// Per-column maximum value frequency — the observed heavy-hitter
-    /// degree the Auto bag strategy feeds into its skew-corrected
-    /// estimate (see `resolve_bag_strategy_observed`). One counting
-    /// pass per column: into one `domain_width`-sized array, cleared
-    /// between columns, when the rows are dense dictionary codes — every
-    /// relation materialized from a snapshot — and into a hash map for
-    /// hand-built relations that carry no code width. Empty relations
-    /// report all zeros.
-    pub fn max_degrees(&self) -> Vec<usize> {
-        let a = self.schema.len();
-        let column = |j: usize| self.data.iter().skip(j).step_by(a);
-        if self.domain_width == 0 {
-            let mut counts: FxHashMap<Element, usize> = FxHashMap::default();
-            return (0..a)
-                .map(|j| {
-                    counts.clear();
-                    for &v in column(j) {
-                        *counts.entry(v).or_insert(0) += 1;
-                    }
-                    counts.values().copied().max().unwrap_or(0)
-                })
-                .collect();
-        }
-        let mut counts = vec![0u32; self.domain_width as usize];
-        (0..a)
-            .map(|j| {
-                counts.fill(0);
-                let mut max = 0;
-                for &v in column(j) {
-                    counts[v as usize] += 1;
-                    max = max.max(counts[v as usize]);
-                }
-                max as usize
-            })
-            .collect()
-    }
-
     /// The decoded answer set for `head` as a tree of row vectors — a
     /// view of [`Answers::from_relation`] kept for callers that
     /// measure or inspect the boundary per row. Evaluation itself
@@ -2123,7 +2094,14 @@ impl KeyIndex {
     fn probe_row<'a>(&'a self, row: &[Element], pos: &[usize]) -> ProbeIter<'a> {
         match self {
             KeyIndex::Hashed { .. } => self.probe_hash(FlatRelation::hash_key(row, pos)),
-            KeyIndex::Direct { .. } => self.probe_value(row[pos[0]]),
+            KeyIndex::Direct { offsets, slots, .. } => {
+                let v = row[pos[0]] as usize;
+                let group = match offsets.get(v..v + 2) {
+                    Some(w) => &slots[w[0] as usize..w[1] as usize],
+                    None => &[],
+                };
+                ProbeIter::Direct(group.iter())
+            }
             KeyIndex::Packed { .. } => {
                 ProbeIter::Direct(self.packed_group(Self::pack_key(row, pos)).iter())
             }
@@ -2178,26 +2156,6 @@ impl KeyIndex {
             KeyIndex::Hashed { .. } => self
                 .probe_row(row, pos)
                 .any(|m| FlatRelation::keys_eq(row, pos, build.row(m), build_pos)),
-        }
-    }
-
-    /// Probe by a single key value (the WCOJ prefix probe: key column
-    /// is always column 0 of the part).
-    #[inline]
-    fn probe_value(&self, v: Element) -> ProbeIter<'_> {
-        match self {
-            KeyIndex::Hashed { .. } => self.probe_hash(FlatRelation::hash_key(&[v], &[0])),
-            KeyIndex::Direct { offsets, slots, .. } => {
-                let group = if (v as usize) < offsets.len() - 1 {
-                    &slots[offsets[v as usize] as usize..offsets[v as usize + 1] as usize]
-                } else {
-                    &[]
-                };
-                ProbeIter::Direct(group.iter())
-            }
-            KeyIndex::Packed { .. } => {
-                unreachable!("single-value probe on a packed two-column index")
-            }
         }
     }
 
@@ -2266,8 +2224,9 @@ const WCOJ_MORSEL_CANDS: usize = 32;
 /// First row in `lo..hi` whose `col` value is `>= v` (`> v` when
 /// `strict`): galloping search — exponential probe from `lo`, then
 /// binary search inside the overshot step. Within a fixed-prefix row
-/// range of a sorted relation the column is sorted, which is what makes
-/// this the "per-column sorted index" of the multiway kernel.
+/// range of a sorted relation the column is sorted; the kernel falls
+/// back on this wherever a trie has no cheaper way to move (a middle
+/// column, or a first column without an offsets array).
 fn gallop(
     data: &[Element],
     arity: usize,
@@ -2310,402 +2269,585 @@ fn gallop(
     }
 }
 
-/// Static shape of one multiway join: which global variable level each
-/// part column binds at, which parts activate at each level, and the
-/// column-0 [`KeyIndex`]es used as prefix probes for parts that enter
-/// the recursion below the root (their whole relation is the candidate
-/// range, so a stored-hash probe finds the run of the current value in
-/// O(run) instead of galloping from row 0 per parent binding).
-struct WcojShape<'a> {
-    parts: &'a [&'a FlatRelation],
-    /// Per part: its row buffer, resolved once (a part may share its
-    /// rows with a cache entry, and the kernel reads them per value).
-    data: Vec<&'a [Element]>,
-    /// Per level: `(part, depth)` for every part whose `depth`-th column
-    /// binds at this level. Nonempty at every level (the schema is the
-    /// union of the part schemas).
-    active_at: Vec<Vec<(usize, usize)>>,
-    /// Per part: a hash index over column 0, built only for parts whose
-    /// first column binds below the root.
-    col0: Vec<Option<KeyIndex>>,
-    levels: usize,
-}
-
-impl<'a> WcojShape<'a> {
-    fn new(parts: &'a [&'a FlatRelation], schema: &[VarId]) -> WcojShape<'a> {
-        debug_assert!(schema.windows(2).all(|w| w[0] < w[1]));
-        let cols: Vec<Vec<usize>> = parts
-            .iter()
-            .map(|p| {
-                p.schema
-                    .iter()
-                    .map(|v| schema.binary_search(v).expect("part var must be in schema"))
-                    .collect()
-            })
-            .collect();
-        let mut active_at: Vec<Vec<(usize, usize)>> = vec![Vec::new(); schema.len()];
-        for (pi, lv) in cols.iter().enumerate() {
-            for (depth, &level) in lv.iter().enumerate() {
-                active_at[level].push((pi, depth));
+/// The order in which [`multiway_join`] binds the variables of
+/// `schema`, as positions into it: ascending, except that a variable
+/// sharing no part with an already placed one waits while some other
+/// unplaced variable does. Every level after the first of a connected
+/// component therefore has a part whose range the bound prefix already
+/// narrowed; only a new cartesian component starts from whole parts.
+fn enumeration_order(parts: &[&FlatRelation], schema: &[VarId]) -> Vec<usize> {
+    let n = schema.len();
+    let (mut placed, mut linked) = (vec![false; n], vec![false; n]);
+    let mut order = Vec::with_capacity(n);
+    while order.len() < n {
+        let free = |i: &usize| !placed[*i];
+        let next = (0..n)
+            .filter(free)
+            .find(|&i| linked[i])
+            .or_else(|| (0..n).find(free))
+            .expect("an unplaced variable remains");
+        placed[next] = true;
+        order.push(next);
+        for p in parts.iter().filter(|p| p.schema.contains(&schema[next])) {
+            for v in &p.schema {
+                linked[schema.binary_search(v).expect("part var must be in schema")] = true;
             }
         }
-        let col0 = parts
-            .iter()
-            .zip(&cols)
-            .map(|(p, lv)| (lv[0] > 0).then(|| KeyIndex::build(p, &[0])))
-            .collect();
-        WcojShape {
-            parts,
-            data: parts.iter().map(|r| r.data.as_slice()).collect(),
-            active_at,
-            col0,
-            levels: schema.len(),
-        }
     }
-
-    /// The run `[lo, hi)` of rows of part `p` whose column 0 equals `v`,
-    /// via the stored-hash prefix probe; `None` when no row matches.
-    fn probe_run(&self, p: usize, v: Element) -> Option<(usize, usize)> {
-        let idx = self.col0[p].as_ref().expect("probe only for indexed parts");
-        let rel = self.parts[p];
-        let a = rel.schema.len();
-        let exact = idx.is_exact();
-        let (mut lo, mut hi) = (usize::MAX, 0usize);
-        for r in idx.probe_value(v) {
-            if exact || self.data[p][r * a] == v {
-                lo = lo.min(r);
-                hi = hi.max(r + 1);
-            }
-        }
-        (lo != usize::MAX).then_some((lo, hi))
-    }
+    order
 }
 
-/// Mutable per-worker state of one multiway enumeration: prefix-run
-/// bounds per (part, depth), per-level cursor scratch, the current
-/// variable binding, and the output buffer.
-struct WcojRun<'a> {
-    shape: &'a WcojShape<'a>,
-    /// `bounds[p][d]`: row range of part `p` matching the first `d`
-    /// bound columns. `bounds[p][0]` is the whole relation.
-    bounds: Vec<Vec<(usize, usize)>>,
-    /// Per level: `(cursor, range end)` per active slot. A level's
-    /// scratch is taken for the duration of its call and put back, so
-    /// the recursion allocates nothing per binding.
-    cursors: Vec<Vec<(usize, usize)>>,
-    binding: Vec<Element>,
-    out: Vec<Element>,
+/// A range of rows `lo..hi` of one trie.
+type Run = (usize, usize);
+
+/// One part read as a trie: rows sorted on its columns, which are in
+/// enumeration order — the part's own buffer when its schema already
+/// is, a re-sorted copy otherwise (see [`multiway_join`]).
+struct Trie<'a> {
+    data: &'a [Element],
+    arity: usize,
     rows: usize,
+    /// `offsets[v]..offsets[v + 1]` is the run of rows whose first
+    /// column holds `v`: built over the dense codes when the bound is
+    /// known and within 8× the row count (the array is `O(width)` to
+    /// fill), empty otherwise — then the first column is searched.
+    offsets: Vec<u32>,
 }
 
-impl<'a> WcojRun<'a> {
-    fn new(shape: &'a WcojShape<'a>) -> WcojRun<'a> {
-        WcojRun {
-            shape,
-            bounds: shape
-                .parts
-                .iter()
-                .map(|p| vec![(0, p.rows); p.schema.len() + 1])
-                .collect(),
-            cursors: shape
-                .active_at
-                .iter()
-                .map(|a| vec![(0, 0); a.len()])
-                .collect(),
-            binding: vec![0; shape.levels],
-            out: Vec::new(),
-            rows: 0,
+impl<'a> Trie<'a> {
+    fn new(rel: &'a FlatRelation) -> Trie<'a> {
+        let (arity, width) = (rel.schema.len(), rel.domain_width as usize);
+        let mut offsets = Vec::new();
+        if width > 0 && width <= 8 * rel.rows {
+            offsets = vec![0u32; width + 1];
+            for row in rel.data.chunks_exact(arity) {
+                offsets[row[0] as usize + 1] += 1;
+            }
+            for v in 0..width {
+                offsets[v + 1] += offsets[v];
+            }
+        }
+        Trie {
+            data: &rel.data,
+            arity,
+            rows: rel.rows,
+            offsets,
         }
     }
 
     #[inline]
-    fn val(&self, p: usize, row: usize, c: usize) -> Element {
-        self.shape.data[p][row * self.shape.parts[p].schema.len() + c]
+    fn val(&self, row: usize, col: usize) -> Element {
+        self.data[row * self.arity + col]
+    }
+
+    /// First row of `lo..hi` (rows agreeing on the columns before
+    /// `col`) whose column `col` is `>= v`.
+    #[inline]
+    fn seek(&self, col: usize, lo: usize, hi: usize, v: Element) -> usize {
+        if lo >= hi || self.val(lo, col) >= v {
+            return lo;
+        }
+        match self.offsets.get(v as usize) {
+            Some(&at) if col == 0 => at as usize,
+            _ => gallop(self.data, self.arity, col, lo + 1, hi, v, false),
+        }
+    }
+
+    /// End of the run of `v`, the value column `col` holds at row `lo`
+    /// of `lo..hi`. The last column of a duplicate-free trie is its own
+    /// run.
+    #[inline]
+    fn run_end(&self, col: usize, lo: usize, hi: usize, v: Element) -> usize {
+        if col + 1 == self.arity {
+            lo + 1
+        } else if col == 0 && !self.offsets.is_empty() {
+            self.offsets[v as usize + 1] as usize
+        } else {
+            gallop(self.data, self.arity, col, lo + 1, hi, v, true)
+        }
+    }
+
+    /// The run of `v` in the first column of the whole trie (empty
+    /// when absent): two loads of the offsets array, a search of the
+    /// sorted column without one.
+    #[inline]
+    fn find(&self, v: Element) -> Run {
+        if !self.offsets.is_empty() {
+            return match self.offsets.get(v as usize..v as usize + 2) {
+                Some(w) => (w[0] as usize, w[1] as usize),
+                None => (0, 0),
+            };
+        }
+        let lo = gallop(self.data, self.arity, 0, 0, self.rows, v, false);
+        if lo == self.rows || self.val(lo, 0) != v {
+            return (0, 0);
+        }
+        (lo, self.run_end(0, lo, self.rows, v))
+    }
+}
+
+/// One cursor position of a multiway join: column `depth` of part
+/// `part`, bound at one level.
+struct Slot {
+    part: usize,
+    depth: usize,
+    /// This slot's entry in [`WcojRun::range`].
+    own: usize,
+    /// The entry of the part's next column, which a match here narrows
+    /// to the run of the matched value; a write-only sink entry for a
+    /// last column.
+    next: usize,
+}
+
+/// The slots bound at one level: `start..mid` *lead* — their row
+/// ranges are intersected — and `mid..end` are parts entering with
+/// their first column while some lead's range is already narrowed:
+/// those are *probed* per candidate value ([`Trie::find`]) instead of
+/// walked. A level whose slots are all first columns (level 0, or the
+/// first level of a cartesian component) leads with all of them.
+struct Level {
+    start: usize,
+    mid: usize,
+    end: usize,
+}
+
+/// The static shape of one multiway join.
+struct WcojPlan<'a> {
+    tries: Vec<Trie<'a>>,
+    /// All slots, level by level.
+    slots: Vec<Slot>,
+    levels: Vec<Level>,
+    /// Per level, the position in the output schema of its variable.
+    order: Vec<usize>,
+    /// The last level has a single slot: its matches are the rows of
+    /// one range, written (or counted) without a search.
+    bulk_last: bool,
+}
+
+impl<'a> WcojPlan<'a> {
+    /// `tries[p]` reads `parts[p]` in the column order `order` induces;
+    /// `level` maps a variable to the level binding it.
+    fn new(
+        parts: &[&FlatRelation],
+        tries: Vec<Trie<'a>>,
+        order: Vec<usize>,
+        level: impl Fn(&VarId) -> usize,
+    ) -> WcojPlan<'a> {
+        let mut slots = Vec::with_capacity(parts.iter().map(|p| p.schema.len()).sum());
+        let mut levels = Vec::with_capacity(order.len());
+        for l in 0..order.len() {
+            let start = slots.len();
+            // A part holding this level's variable binds it at the
+            // depth of how many of its variables are bound earlier;
+            // narrowed slots go first.
+            for deep in [true, false] {
+                for (part, rel) in parts.iter().enumerate() {
+                    let depth = rel.schema.iter().filter(|v| level(v) < l).count();
+                    if rel.schema.iter().any(|v| level(v) == l) && (depth > 0) == deep {
+                        let own = slots.len();
+                        slots.push(Slot {
+                            part,
+                            depth,
+                            own,
+                            next: usize::MAX,
+                        });
+                    }
+                }
+            }
+            let narrowed = slots[start..].iter().filter(|s| s.depth > 0).count();
+            levels.push(Level {
+                start,
+                mid: if narrowed == 0 {
+                    slots.len()
+                } else {
+                    start + narrowed
+                },
+                end: slots.len(),
+            });
+        }
+        for i in 0..slots.len() {
+            let (part, depth) = (slots[i].part, slots[i].depth + 1);
+            let next = slots
+                .iter()
+                .position(|s: &Slot| (s.part, s.depth) == (part, depth));
+            slots[i].next = next.unwrap_or(slots.len());
+        }
+        let bulk_last = levels.last().is_some_and(|lv| lv.end - lv.start == 1);
+        WcojPlan {
+            tries,
+            slots,
+            levels,
+            order,
+            bulk_last,
+        }
+    }
+}
+
+/// Mutable per-worker state of one multiway enumeration.
+struct WcojRun<'a> {
+    plan: &'a WcojPlan<'a>,
+    /// Per slot (plus the sink): the rows of its part that agree with
+    /// the current binding on the part's earlier columns, as left by
+    /// the match on the previous column — set by whichever earlier
+    /// level bound that column, read by every visit of the slot's own
+    /// level in between. First-column slots range over the whole trie.
+    range: Vec<Run>,
+    /// Per slot: where a leapfrogging level's cursor stands in its
+    /// range (one lead and a merge of two keep theirs in locals).
+    cursor: Vec<usize>,
+    /// The current binding, in schema order.
+    binding: Vec<Element>,
+    out: Vec<Element>,
+    rows: usize,
+    /// Cursor moves made: seeks, steps, probes and rows written.
+    advances: u64,
+    /// `false` while counting: a bulk last level adds up its range
+    /// lengths and nothing is written.
+    fill: bool,
+    /// When set, a level-0 match is recorded here — the value and each
+    /// level-0 part's run of it — instead of being descended into.
+    candidates: Option<(Vec<Element>, Vec<Run>)>,
+}
+
+impl<'a> WcojRun<'a> {
+    fn new(plan: &'a WcojPlan<'a>) -> WcojRun<'a> {
+        WcojRun {
+            plan,
+            range: vec![(0, 0); plan.slots.len() + 1],
+            cursor: vec![0; plan.slots.len()],
+            binding: vec![0; plan.order.len()],
+            out: Vec::new(),
+            rows: 0,
+            advances: 0,
+            fill: true,
+            candidates: None,
+        }
+    }
+
+    #[inline]
+    fn entry(&self, s: &Slot) -> Run {
+        if s.depth == 0 {
+            (0, self.plan.tries[s.part].rows)
+        } else {
+            self.range[s.own]
+        }
     }
 
     /// Enumerates all extensions of the current binding from `level` on,
     /// appending complete bindings (schema order) to the output. Values
     /// are visited in ascending order at every level, so the output is
-    /// lexicographically sorted and duplicate-free — the canonical
-    /// `sort_dedup` form, byte-identical to the binary build's.
-    fn enumerate(&mut self, level: usize) {
-        if level == self.shape.levels {
+    /// duplicate-free and sorted on the enumeration order. A level is
+    /// specialised by its leads: one is iterated, two of comparable
+    /// length are merged on locals, anything else leapfrogs.
+    fn descend(&mut self, level: usize) {
+        let plan = self.plan;
+        let Some(lv) = plan.levels.get(level) else {
             self.out.extend_from_slice(&self.binding);
             self.rows += 1;
             return;
-        }
-        self.search(level, &mut |st: &mut Self, v| {
-            st.binding[level] = v;
-            st.enumerate(level + 1);
-        });
-    }
-
-    /// The leapfrog search of one level: calls `on_match` with every
-    /// value all the level's parts share under the current binding, in
-    /// ascending order, each part's bounds narrowed to its run of the
-    /// value.
-    fn search(&mut self, level: usize, on_match: &mut impl FnMut(&mut Self, Element)) {
-        let mut curs = std::mem::take(&mut self.cursors[level]);
-        self.leapfrog(level, &mut curs, on_match);
-        self.cursors[level] = curs;
-    }
-
-    fn leapfrog(
-        &mut self,
-        level: usize,
-        curs: &mut [(usize, usize)],
-        on_match: &mut impl FnMut(&mut Self, Element),
-    ) {
-        let shape = self.shape;
-        let active = &shape.active_at[level];
-        // Parts entering here with their whole relation as the range are
-        // filtered by hash prefix probe instead of leapfrogged — unless
-        // every active part is such, in which case they lead themselves.
-        let all_fresh = active
-            .iter()
-            .all(|&(p, d)| d == 0 && shape.col0[p].is_some());
-        let is_probed = |&(p, d): &(usize, usize)| !all_fresh && d == 0 && shape.col0[p].is_some();
-        // `gallop` within a slot's remaining range, on its bound column.
-        let seek = |&(p, d): &(usize, usize), (lo, hi): (usize, usize), v, strict| {
-            gallop(
-                shape.data[p],
-                shape.parts[p].schema.len(),
-                d,
-                lo,
-                hi,
-                v,
-                strict,
-            )
         };
-        for (slot, a) in active.iter().enumerate() {
-            if is_probed(a) {
-                continue;
-            }
-            curs[slot] = self.bounds[a.0][a.1];
-            if curs[slot].0 >= curs[slot].1 {
+        let (leads, probes) = (&plan.slots[lv.start..lv.mid], &plan.slots[lv.mid..lv.end]);
+        if plan.bulk_last && level + 1 == plan.levels.len() {
+            let (s, pos) = (&leads[0], plan.order[level]);
+            let (lo, hi) = self.entry(s);
+            self.rows += hi - lo;
+            if !self.fill {
+                self.advances += 1;
                 return;
             }
-        }
-        loop {
-            // Leapfrog the lead slots to a common value.
-            let mut vmax = Element::MIN;
-            for (slot, a) in active.iter().enumerate() {
-                if !is_probed(a) {
-                    vmax = vmax.max(self.val(a.0, curs[slot].0, a.1));
+            self.advances += (hi - lo) as u64;
+            let (t, arity, base) = (&plan.tries[s.part], self.binding.len(), self.out.len());
+            self.out.resize(base + (hi - lo) * arity, 0);
+            // Column by column: copying the binding row by row is a
+            // `memcpy` call per row, most of the cost of a short run.
+            let dst = &mut self.out[base..];
+            for (j, &b) in self.binding.iter().enumerate() {
+                for k in 0..hi - lo {
+                    dst[k * arity + j] = b;
                 }
             }
-            let mut moved = false;
-            for (slot, a) in active.iter().enumerate() {
-                if is_probed(a) {
-                    continue;
+            for (k, row) in (lo..hi).enumerate() {
+                dst[k * arity + pos] = t.val(row, s.depth);
+            }
+            return;
+        }
+        match leads {
+            [a] => {
+                let t = &plan.tries[a.part];
+                let (mut lo, hi) = self.entry(a);
+                while lo < hi {
+                    let v = t.val(lo, a.depth);
+                    let end = t.run_end(a.depth, lo, hi, v);
+                    self.advances += 1;
+                    self.range[a.next] = (lo, end);
+                    self.hit(level, probes, v);
+                    lo = end;
                 }
-                if self.val(a.0, curs[slot].0, a.1) < vmax {
-                    curs[slot].0 = seek(a, curs[slot], vmax, false);
-                    if curs[slot].0 >= curs[slot].1 {
+            }
+            [a, b] => {
+                let ((mut i, ie), (mut j, je)) = (self.entry(a), self.entry(b));
+                // Ranges within 8× of each other merge run by run with
+                // no data-dependent branch per step, at a cost linear
+                // in both; a lopsided pair seeks instead.
+                if ie - i > 8 * (je - j) || je - j > 8 * (ie - i) {
+                    return self.leapfrog(level, leads, probes);
+                }
+                let (ta, tb) = (&plan.tries[a.part], &plan.tries[b.part]);
+                while i < ie && j < je {
+                    let (x, y) = (ta.val(i, a.depth), tb.val(j, b.depth));
+                    let ni = ta.run_end(a.depth, i, ie, x);
+                    let nj = tb.run_end(b.depth, j, je, y);
+                    self.advances += 1;
+                    if x == y {
+                        self.range[a.next] = (i, ni);
+                        self.range[b.next] = (j, nj);
+                        self.hit(level, probes, x);
+                    }
+                    (i, j) = (if x <= y { ni } else { i }, if y <= x { nj } else { j });
+                }
+            }
+            _ => self.leapfrog(level, leads, probes),
+        }
+    }
+
+    /// The general level: every lead seeks the largest value any of
+    /// them holds until all agree (leapfrog), so the level costs the
+    /// shortest range times a logarithm, not the sum of the ranges.
+    fn leapfrog(&mut self, level: usize, leads: &[Slot], probes: &[Slot]) {
+        let plan = self.plan;
+        for s in leads {
+            let (lo, hi) = self.entry(s);
+            if lo >= hi {
+                return;
+            }
+            self.cursor[s.own] = lo;
+        }
+        let mut v = Element::MIN;
+        loop {
+            // Seek every lead to `v`, raising `v` to whatever a lead
+            // overshoots to, until all of them sit on it.
+            let (mut agreed, mut i) = (0, 0);
+            while agreed < leads.len() {
+                let (s, t) = (&leads[i], &plan.tries[leads[i].part]);
+                let (mut lo, hi) = (self.cursor[s.own], self.entry(s).1);
+                if t.val(lo, s.depth) < v {
+                    lo = t.seek(s.depth, lo + 1, hi, v);
+                    self.advances += 1;
+                    if lo >= hi {
                         return;
                     }
-                    if self.val(a.0, curs[slot].0, a.1) > vmax {
-                        moved = true;
-                    }
+                    self.cursor[s.own] = lo;
                 }
+                let x = t.val(lo, s.depth);
+                agreed = if x == v { agreed + 1 } else { 1 };
+                v = x;
+                i = (i + 1) % leads.len();
             }
-            if moved {
-                continue;
-            }
-            // All lead slots sit on `vmax`: check the probed slots and
-            // narrow every active part to its run of the value.
-            let mut ok = true;
-            for a in active.iter().filter(|a| is_probed(a)) {
-                match shape.probe_run(a.0, vmax) {
-                    Some(run) => self.bounds[a.0][1] = run,
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            // Advance every lead slot past the value; on a match, what
-            // it skips is the part's run for the level below.
             let mut exhausted = false;
-            for (slot, a) in active.iter().enumerate() {
-                if is_probed(a) {
-                    continue;
-                }
-                let run_end = seek(a, curs[slot], vmax, true);
-                self.bounds[a.0][a.1 + 1] = (curs[slot].0, run_end);
-                curs[slot].0 = run_end;
-                exhausted |= run_end >= curs[slot].1;
+            for s in leads {
+                let (lo, hi) = (self.cursor[s.own], self.entry(s).1);
+                let end = plan.tries[s.part].run_end(s.depth, lo, hi, v);
+                self.range[s.next] = (lo, end);
+                self.cursor[s.own] = end;
+                exhausted |= end >= hi;
             }
-            if ok {
-                on_match(self, vmax);
-            }
+            self.advances += leads.len() as u64;
+            self.hit(level, probes, v);
             if exhausted {
                 return;
             }
         }
     }
+
+    /// Every lead of `level` holds `v`, each part's next column narrowed
+    /// to its run of it: look `v` up in the probed slots, narrowing
+    /// those too, and if all hold it bind it and go one level down.
+    #[inline]
+    fn hit(&mut self, level: usize, probes: &[Slot], v: Element) {
+        let plan = self.plan;
+        for s in probes {
+            self.advances += 1;
+            let run = plan.tries[s.part].find(v);
+            if run.0 == run.1 {
+                return;
+            }
+            self.range[s.next] = run;
+        }
+        if let (0, Some((cands, runs))) = (level, &mut self.candidates) {
+            cands.push(v);
+            runs.extend(
+                plan.slots[..plan.levels[0].end]
+                    .iter()
+                    .map(|s| self.range[s.next]),
+            );
+            return;
+        }
+        self.binding[plan.order[level]] = v;
+        self.descend(level + 1);
+    }
 }
 
-/// Worst-case-optimal multiway join (generic-join / leapfrog style) of
-/// sorted-canonical relations onto their sorted variable union:
-/// variable by variable, the candidate extensions are intersected
-/// across every part containing the variable — galloping over the
-/// sorted per-column runs, with stored-hash [`KeyIndex`] prefix probes
-/// for parts entering the intersection mid-recursion. The total work is
-/// bounded by the fractional-cover (AGM) bound of the join, not by the
-/// size of any binary intermediate.
+/// `part` with its columns permuted into enumeration order (`level`
+/// maps a variable to the level binding it) and its rows re-sorted;
+/// `None` when the part's own column order already is that order.
+fn reordered(
+    part: &FlatRelation,
+    level: impl Fn(&VarId) -> usize,
+    budget: &ThreadBudget,
+) -> Option<FlatRelation> {
+    let arity = part.schema.len();
+    let mut perm: Vec<usize> = (0..arity).collect();
+    perm.sort_by_key(|&c| level(&part.schema[c]));
+    if perm.is_sorted() {
+        return None;
+    }
+    let mut data = Vec::with_capacity(part.data.len());
+    for row in part.data.chunks_exact(arity) {
+        data.extend(perm.iter().map(|&c| row[c]));
+    }
+    let mut copy = FlatRelation::from_raw(arity, part.rows, data, part.domain_width);
+    copy.sort_dedup_budget(budget);
+    Some(copy)
+}
+
+/// The bag kernel: the worst-case-optimal multiway join (leapfrog
+/// triejoin) of sorted-canonical relations onto their sorted variable
+/// union. Variable by variable, the candidate extensions of the current
+/// binding are intersected across every part containing the variable,
+/// so the total work is bounded by the fractional-cover (AGM) bound of
+/// the join, not by the size of any binary intermediate.
+///
+/// **Order.** The kernel binds variables in [`enumeration_order`],
+/// which it derives from the part schemas alone. Any order yields the
+/// same relation: a binding survives level `l` iff its projection lies
+/// in every part containing variable `l` under the prefix bound so far,
+/// so the complete bindings are exactly the tuples whose projection on
+/// each part's schema is a row of that part — the natural join, a set —
+/// and a set has one canonical form (sorted duplicate-free rows over
+/// the sorted schema). Parts whose columns are not in enumeration order
+/// are read through a re-sorted copy ([`reordered`]), and when the
+/// order is not ascending the rows, which come out sorted on the
+/// enumeration order, get one canonicalizing sort. Either way the
+/// result is byte-identical to `parts[0] ⋈ … ⋈ parts[n-1]` projected
+/// onto `schema` and canonicalized.
+///
+/// **Cursors.** Every part is a [`Trie`]; a [`Slot`]'s range is always
+/// the run of rows agreeing with the current binding on the part's
+/// earlier columns, so within it the slot's column is sorted and a
+/// cursor only moves forward. A part entering below the first level of
+/// its component is looked up per candidate, never walked.
+///
+/// **Output.** When the last level has a single slot the row count is
+/// the sum of its range lengths: a first pass counts without visiting
+/// a row and the result is allocated once at its exact size. Otherwise
+/// the buffer grows geometrically.
 ///
 /// Requirements: every part is in `sort_dedup` canonical form with a
-/// sorted, nonempty schema; `schema` is the sorted union of the part
-/// schemas. The output is in canonical form by construction (values are
-/// enumerated in ascending order per level), byte-identical to
-/// `parts[0] ⋈ … ⋈ parts[n-1]` projected and canonicalized.
+/// sorted schema; `schema` is the sorted union of the part schemas. A
+/// 0-ary part binds nothing: the true one drops out, and the false one,
+/// like any empty part, makes the result empty. Cursor moves are added
+/// to `stats.cursor_advances`.
 ///
 /// Under a granting `budget` the enumeration fans out over morsels of
 /// the first variable's candidates, each worker enumerating its
 /// candidates' subtrees into its own buffer; buffers are stitched in
 /// candidate order, so the output is bit-identical to the sequential
 /// run.
-/// The level-0 candidate set of a multiway join as a bitmap AND of the
-/// lead parts' column-0 bitmaps, when the density-adaptive choice
-/// favors it: `None` falls back to the galloping leapfrog scan.
-///
-/// Both enumerations produce the identical ascending candidate
-/// sequence (each column-0 bitmap is the exact value set of that
-/// column, so the AND is exactly the leapfrog intersection); the
-/// choice is pure performance. [`BitmapMode::Auto`] takes the bitmap
-/// only above a density threshold — the word scan is `O(width / 64)`
-/// regardless of outcome, while galloping is `O(cands · log)` — which
-/// plays the same role as the skew-corrected cost model's density
-/// estimate in the bag-strategy choice: an observed-size heuristic,
-/// never affecting bytes.
-fn wcoj_lead_bitmap(parts: &[&FlatRelation], lead: &[(usize, usize)]) -> Option<DomainBitmap> {
-    let mode = bitmap_mode();
-    if mode == BitmapMode::Off {
-        return None;
-    }
-    let min_rows = lead.iter().map(|&(p, _)| parts[p].rows).min().unwrap_or(0);
-    let width = lead
-        .iter()
-        .map(|&(p, _)| parts[p].domain_width)
-        .min()
-        .unwrap_or(0);
-    if min_rows == 0 || width == 0 {
-        return None;
-    }
-    // Dense enough: at least one candidate value per 8 codes of the
-    // narrowest lead column's domain.
-    if mode == BitmapMode::Auto && (width as usize) > 8 * min_rows {
-        return None;
-    }
-    let mut acc: Option<DomainBitmap> = None;
-    for &(p, _) in lead {
-        let bm = parts[p].column_bitmap(0)?;
-        acc = Some(match acc {
-            None => bm.as_ref().clone(),
-            Some(prev) => prev.and(&bm),
-        });
-    }
-    acc
-}
-
 pub(crate) fn multiway_join(
     parts: &[&FlatRelation],
     schema: &[VarId],
     budget: &ThreadBudget,
+    stats: &mut MatCacheStats,
 ) -> FlatRelation {
-    debug_assert!(!parts.is_empty() && parts.iter().all(|p| !p.schema.is_empty()));
-    let shape = WcojShape::new(parts, schema);
+    debug_assert!(schema.windows(2).all(|w| w[0] < w[1]));
     let mut out = FlatRelation::empty(schema.to_vec());
-    if parts.iter().all(|p| p.domain_width > 0) {
+    let bound = |p: &&FlatRelation| p.domain_width > 0 || p.schema.is_empty();
+    if parts.iter().all(bound) {
         out.domain_width = parts.iter().map(|p| p.domain_width).max().unwrap_or(0);
     }
-    if shape.levels == 0 {
+    if parts.iter().any(|p| p.is_empty()) {
         return out;
     }
-    // Level-0 candidates: the leapfrog intersection of the first
-    // columns, with each candidate's per-part run recorded so workers
-    // (and the sequential fallback) start directly at level 1.
-    let lead: Vec<(usize, usize)> = shape.active_at[0].clone();
-    let lead_bitmap = wcoj_lead_bitmap(parts, &lead);
-    // Sized once — a candidate occurs in every lead column — so the
-    // number of allocations does not grow with the data.
-    let most = match &lead_bitmap {
-        Some(bm) => bm.ones() as usize,
-        None => lead.iter().map(|&(p, _)| parts[p].rows).min().unwrap_or(0),
-    };
-    let mut cands: Vec<Element> = Vec::with_capacity(most);
-    let mut runs: Vec<(usize, usize)> = Vec::with_capacity(most * lead.len());
-    let mut st = WcojRun::new(&shape);
-    if let Some(bm) = lead_bitmap {
-        // Bitmap AND gave the candidates; a monotone cursor per lead
-        // slot finds each candidate's run exactly as the leapfrog
-        // would (first row ≥ v is the first row = v, since v occurs
-        // in every lead column).
-        note_bitmap_probe();
-        let mut curs: Vec<usize> = vec![0; lead.len()];
-        for v in bm.iter_ones() {
-            cands.push(v);
-            for (slot, &(p, _)) in lead.iter().enumerate() {
-                let rel = parts[p];
-                let lo = gallop(
-                    shape.data[p],
-                    rel.schema.len(),
-                    0,
-                    curs[slot],
-                    rel.rows,
-                    v,
-                    false,
-                );
-                let end = gallop(shape.data[p], rel.schema.len(), 0, lo, rel.rows, v, true);
-                runs.push((lo, end));
-                curs[slot] = end;
-            }
-        }
+    let binding: Vec<&FlatRelation>;
+    let parts = if parts.iter().any(|p| p.schema.is_empty()) {
+        binding = parts
+            .iter()
+            .copied()
+            .filter(|p| !p.schema.is_empty())
+            .collect();
+        &binding[..]
     } else {
-        // No part is probed at level 0 (`col0` covers only parts that
-        // enter below it), so every match leaves each lead part's run
-        // in `bounds[p][1]`.
-        st.search(0, &mut |st: &mut WcojRun, v| {
-            cands.push(v);
-            runs.extend(lead.iter().map(|&(p, _)| st.bounds[p][1]));
-        });
-    }
-    // One candidate's subtree: bind level 0, install the runs, recurse.
-    let run_candidate = |st: &mut WcojRun, i: usize| {
-        st.binding[0] = cands[i];
-        for (slot, &(p, _)) in lead.iter().enumerate() {
-            st.bounds[p][1] = runs[i * lead.len() + slot];
-        }
-        st.enumerate(1);
+        parts
     };
-    if cands.len() >= 2 * WCOJ_MORSEL_CANDS && budget.capacity() > 0 {
+    if schema.is_empty() {
+        out.rows = 1;
+        return out;
+    }
+    let order = enumeration_order(parts, schema);
+    let ascending = order.is_sorted();
+    let mut level_of = vec![0; order.len()];
+    for (l, &pos) in order.iter().enumerate() {
+        level_of[pos] = l;
+    }
+    let level = |v: &VarId| level_of[schema.binary_search(v).expect("part var in schema")];
+    let copies: Vec<Option<FlatRelation>> = if ascending {
+        Vec::new()
+    } else {
+        parts.iter().map(|p| reordered(p, level, budget)).collect()
+    };
+    let tries = parts
+        .iter()
+        .enumerate()
+        .map(|(i, p)| Trie::new(copies.get(i).and_then(Option::as_ref).unwrap_or(p)))
+        .collect();
+    let plan = WcojPlan::new(parts, tries, order, level);
+    let mut st = WcojRun::new(&plan);
+    let mut fanned_out = false;
+    if budget.capacity() > 0 && plan.levels.len() > 1 {
+        // Level-0 candidates with each lead part's run, so workers
+        // start directly at level 1.
+        st.candidates = Some(Default::default());
+        st.descend(0);
+        let (cands, runs) = st.candidates.take().expect("installed above");
+        let lead = &plan.slots[..plan.levels[0].end];
         let want = (cands.len() / WCOJ_MORSEL_CANDS).saturating_sub(1).min(31);
         let lease = budget.claim(want);
         if lease.extra() > 0 {
-            let bufs: Vec<(Vec<Element>, usize)> =
-                parallel_chunks(cands.len(), WCOJ_MORSEL_CANDS, lease.workers(), |_, r| {
-                    let mut st = WcojRun::new(&shape);
-                    for i in r {
-                        run_candidate(&mut st, i);
+            let bufs = parallel_chunks(cands.len(), WCOJ_MORSEL_CANDS, lease.workers(), |_, r| {
+                let mut st = WcojRun::new(&plan);
+                for i in r {
+                    st.binding[plan.order[0]] = cands[i];
+                    for (k, s) in lead.iter().enumerate() {
+                        st.range[s.next] = runs[i * lead.len() + k];
                     }
-                    (st.out, st.rows)
-                });
-            let total: usize = bufs.iter().map(|(_, n)| n).sum();
-            let data = out.data.make_mut();
-            data.reserve(total * schema.len());
-            for (buf, n) in bufs {
-                data.extend_from_slice(&buf);
-                out.rows += n;
+                    st.descend(1);
+                }
+                (st.out, st.rows, st.advances)
+            });
+            st.out.reserve(bufs.iter().map(|(b, _, _)| b.len()).sum());
+            for (buf, rows, advances) in bufs {
+                st.out.extend_from_slice(&buf);
+                st.rows += rows;
+                st.advances += advances;
             }
-            return out;
+            fanned_out = true;
         }
     }
-    for i in 0..cands.len() {
-        run_candidate(&mut st, i);
+    if !fanned_out {
+        if plan.bulk_last {
+            st.fill = false;
+            st.descend(0);
+            st.out.reserve_exact(st.rows * schema.len());
+            (st.rows, st.fill) = (0, true);
+        }
+        st.descend(0);
     }
-    out.data = Rows::Owned(st.out);
+    stats.cursor_advances += st.advances;
     out.rows = st.rows;
+    out.data = Rows::Owned(st.out);
+    if !ascending {
+        out.sort_dedup_budget(budget);
+    }
     out
 }
 
@@ -2855,14 +2997,20 @@ pub struct MatCacheStats {
     pub hits: u32,
     /// Hyperedges materialized (and inserted) on this call.
     pub misses: u32,
-    /// Multi-part bag builds that joined their parts binarily.
+    /// Always 0: the binary bag build is gone. Kept, with
+    /// [`MatCacheStats::binary_bag_us`], because the frozen `cqbench`
+    /// reads both by name, until a `benchmark` issue drops
+    /// `flat.bag_builds_binary`.
     pub binary_bag_builds: u32,
-    /// Multi-part bag builds that ran the multiway (WCOJ) kernel.
+    /// Multi-part bag builds, every one by the multiway kernel.
     pub wcoj_bag_builds: u32,
-    /// Microseconds spent in binary bag joins (join phase only).
+    /// Always 0, see [`MatCacheStats::binary_bag_builds`].
     pub binary_bag_us: u64,
     /// Microseconds spent in multiway bag builds (join phase only).
     pub wcoj_bag_us: u64,
+    /// Cursor moves of the multiway kernel (seeks, steps, probes and
+    /// rows written): a clock-free measure of bag-build work.
+    pub cursor_advances: u64,
 }
 
 impl MatCacheStats {
@@ -2870,10 +3018,9 @@ impl MatCacheStats {
     pub fn add(&mut self, other: MatCacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
-        self.binary_bag_builds += other.binary_bag_builds;
         self.wcoj_bag_builds += other.wcoj_bag_builds;
-        self.binary_bag_us += other.binary_bag_us;
         self.wcoj_bag_us += other.wcoj_bag_us;
+        self.cursor_advances += other.cursor_advances;
     }
 }
 
@@ -3497,43 +3644,112 @@ mod tests {
     fn assert_identical(got: &FlatRelation, want: &FlatRelation, ctx: &str) {
         assert_eq!(got.schema(), want.schema(), "schema differs: {ctx}");
         assert_eq!(got.len(), want.len(), "row count differs: {ctx}");
+        assert_eq!(got.data.len(), got.len() * got.arity(), "buffer: {ctx}");
         assert!(got.iter_rows().eq(want.iter_rows()), "rows differ: {ctx}");
+    }
+
+    /// The kernel under a sequential budget, its stats dropped.
+    fn kernel(parts: &[&FlatRelation], schema: &[VarId]) -> FlatRelation {
+        let mut stats = MatCacheStats::default();
+        multiway_join(parts, schema, &ThreadBudget::sequential(), &mut stats)
+    }
+
+    fn union_schema(schemas: &[&[VarId]]) -> Vec<VarId> {
+        let mut schema: Vec<VarId> = schemas.iter().flat_map(|s| s.iter().copied()).collect();
+        schema.sort_unstable();
+        schema.dedup();
+        schema
+    }
+
+    /// Kernel ≡ binary reference (bytes and code width) on random parts
+    /// over `schemas`, at three sizes, with every part carrying a dense
+    /// bound (offsets arrays) and with none (searched first columns).
+    fn check_shape(schemas: &[&[VarId]], seed: &mut u64) {
+        let schema = union_schema(schemas);
+        for &(dom, rows) in &[(4u64, 12usize), (10, 60), (25, 300)] {
+            for dense in [true, false] {
+                let rels: Vec<FlatRelation> = schemas
+                    .iter()
+                    .map(|s| {
+                        let mut r = random_rel(s, rows, dom, seed);
+                        r.domain_width = if dense { dom as u32 } else { 0 };
+                        r
+                    })
+                    .collect();
+                let parts: Vec<&FlatRelation> = rels.iter().collect();
+                let got = kernel(&parts, &schema);
+                let want = binary_reference(&parts, &schema);
+                let ctx = format!("{schemas:?} dom {dom} rows {rows} dense {dense}");
+                assert_identical(&got, &want, &ctx);
+                assert_eq!(got.domain_width, want.domain_width, "width: {ctx}");
+            }
+        }
     }
 
     #[test]
     fn multiway_join_matches_binary_build() {
         let mut seed = 7u64;
-        // Shapes: path (exercises the mid-recursion prefix probe),
-        // triangle, and two irregular hypergraphs with 3–4 variables.
-        let shapes: [&[&[VarId]]; 4] = [
+        // Path (a part probed below the first level), triangle, two
+        // irregular hypergraphs, a cartesian bag, a part that is a
+        // strict prefix of another, unary parts, four parts with a
+        // four-way level, a part entering at its middle column, three
+        // unary parts, and K4 (three-way levels re-entered under one
+        // ancestor binding).
+        let shapes: [&[&[VarId]]; 11] = [
             &[&[0, 1], &[1, 2]],
             &[&[0, 1], &[1, 2], &[0, 2]],
             &[&[0, 1, 2], &[1, 3], &[2, 3]],
             &[&[0, 2], &[1, 2], &[0, 1, 3]],
+            &[&[0, 1], &[2, 3]],
+            &[&[0, 1], &[0, 1, 2]],
+            &[&[0], &[0, 1], &[1]],
+            &[&[0, 3], &[1, 3], &[2, 3], &[3]],
+            &[&[0, 1, 2], &[1, 2, 3], &[0, 3]],
+            &[&[0], &[1], &[2]],
+            &[&[0, 1], &[0, 2], &[0, 3], &[1, 2], &[1, 3], &[2, 3]],
         ];
-        for &(dom, rows) in &[(4u64, 12usize), (10, 60), (25, 300)] {
-            for schemas in shapes {
-                let rels: Vec<FlatRelation> = schemas
-                    .iter()
-                    .map(|s| random_rel(s, rows, dom, &mut seed))
-                    .collect();
-                let parts: Vec<&FlatRelation> = rels.iter().collect();
-                let mut schema: Vec<VarId> =
-                    schemas.iter().flat_map(|s| s.iter().copied()).collect();
-                schema.sort_unstable();
-                schema.dedup();
-                let got = multiway_join(&parts, &schema, &ThreadBudget::sequential());
-                let want = binary_reference(&parts, &schema);
-                assert_identical(&got, &want, &format!("{schemas:?} dom {dom} rows {rows}"));
-            }
+        for schemas in shapes {
+            check_shape(schemas, &mut seed);
         }
+    }
+
+    /// Every numbering of a three-variable path and triangle: for four
+    /// of the six the middle variable does not come second, so the
+    /// order rule postpones an endpoint and some part is read through
+    /// its re-sorted copy.
+    #[test]
+    fn multiway_join_every_variable_order() {
+        let mut seed = 23u64;
+        let perms: [[VarId; 3]; 6] = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        let sorted = |a: VarId, b: VarId| [a.min(b), a.max(b)];
+        for [x, y, z] in perms {
+            let (xy, yz, xz) = (sorted(x, y), sorted(y, z), sorted(x, z));
+            check_shape(&[&xy, &yz], &mut seed);
+            check_shape(&[&xy, &yz, &xz], &mut seed);
+        }
+        // The order itself: the path with its middle variable last
+        // binds 0, then 2 (which 0 reaches), then 1.
+        let (a, b) = (rel(&[0, 2], &[&[1, 5]]), rel(&[1, 2], &[&[7, 5]]));
+        assert_eq!(enumeration_order(&[&a, &b], &[0, 1, 2]), [0, 2, 1]);
+        assert_identical(
+            &kernel(&[&a, &b], &[0, 1, 2]),
+            &rel(&[0, 1, 2], &[&[1, 7, 5]]),
+            "flipped path",
+        );
     }
 
     #[test]
     fn multiway_join_empty_part_gives_empty() {
         let a = rel(&[0, 1], &[&[1, 2], &[2, 3]]);
         let b = FlatRelation::empty(vec![1, 2]);
-        let out = multiway_join(&[&a, &b], &[0, 1, 2], &ThreadBudget::sequential());
+        let out = kernel(&[&a, &b], &[0, 1, 2]);
         assert_eq!(out.schema(), &[0, 1, 2]);
         assert!(out.is_empty());
     }
@@ -3541,8 +3757,55 @@ mod tests {
     #[test]
     fn multiway_join_single_part_is_identity() {
         let a = rel(&[0, 1], &[&[1, 2], &[2, 3], &[5, 1]]);
-        let out = multiway_join(&[&a], &[0, 1], &ThreadBudget::sequential());
-        assert_identical(&out, &a, "single part");
+        assert_identical(&kernel(&[&a], &[0, 1]), &a, "single part");
+    }
+
+    /// A 0-ary part binds nothing: "true" drops out of the join and
+    /// "false" empties it, wherever it stands among the parts.
+    #[test]
+    fn multiway_join_nullary_parts() {
+        let a = rel(&[0, 1], &[&[1, 2], &[2, 3]]);
+        let b = rel(&[1, 2], &[&[2, 4], &[3, 1], &[3, 9]]);
+        let (yes, no) = (FlatRelation::unit(), FlatRelation::empty(Vec::new()));
+        let want = binary_reference(&[&a, &b], &[0, 1, 2]);
+        assert_eq!(want.len(), 3);
+        for parts in [[&yes, &a, &b], [&a, &yes, &b], [&a, &b, &yes]] {
+            assert_identical(&kernel(&parts, &[0, 1, 2]), &want, "true part");
+        }
+        for parts in [[&no, &a, &b], [&a, &b, &no]] {
+            let out = kernel(&parts, &[0, 1, 2]);
+            assert_eq!(out.schema(), &[0, 1, 2]);
+            assert!(out.is_empty(), "a false part empties the bag");
+        }
+        assert_eq!(kernel(&[&yes, &yes], &[]).len(), 1);
+        assert_eq!(kernel(&[&yes, &no], &[]).len(), 0);
+    }
+
+    /// Cursor moves are linear in input plus output on a path bag,
+    /// whichever variable carries the highest id.
+    #[test]
+    fn multiway_join_advances_are_linear_for_every_order() {
+        let mut seed = 5u64;
+        for (s1, s2) in [([0, 1], [1, 2]), ([0, 2], [1, 2]), ([0, 1], [0, 2])] {
+            let mut rels = [
+                random_rel(&s1, 3000, 400, &mut seed),
+                random_rel(&s2, 3000, 400, &mut seed),
+            ];
+            for dense in [true, false] {
+                for r in &mut rels {
+                    r.domain_width = if dense { 400 } else { 0 };
+                }
+                let mut stats = MatCacheStats::default();
+                let budget = ThreadBudget::sequential();
+                let out = multiway_join(&[&rels[0], &rels[1]], &[0, 1, 2], &budget, &mut stats);
+                let linear = (rels[0].len() + rels[1].len() + out.len()) as u64;
+                assert!(
+                    stats.cursor_advances <= 4 * linear,
+                    "{} advances for {linear} rows on {s1:?} {s2:?}",
+                    stats.cursor_advances
+                );
+            }
+        }
     }
 
     // ── direct-addressed index ──────────────────────────────────────
@@ -3624,27 +3887,35 @@ mod tests {
         assert!(!KeyIndex::wants_direct(&unbounded, &[0]), "no width bound");
     }
 
-    /// The WCOJ prefix probe through a direct column-0 index must keep
-    /// the multiway output identical to the binary reference.
+    /// A part probed below the first level finds runs through its
+    /// offsets array when the dense bound is close to its row count and
+    /// by searching its first column when the bound is sparse or
+    /// absent, out-of-range probe values included; same bytes each way.
     #[test]
     fn multiway_join_with_direct_prefix_probe_matches_binary() {
-        let _g = knob_guard();
         let mut seed = 17u64;
         let schemas: [&[VarId]; 3] = [&[0, 1], &[1, 2], &[0, 2]];
-        let rels: Vec<FlatRelation> = schemas
+        let mut rels: Vec<FlatRelation> = schemas
             .iter()
-            .map(|s| {
-                let mut r = random_rel(s, 400, 60, &mut seed);
-                r.domain_width = 60;
-                r
-            })
+            .map(|s| random_rel(s, 400, 60, &mut seed))
             .collect();
-        let parts: Vec<&FlatRelation> = rels.iter().collect();
-        assert!(parts.iter().all(|p| KeyIndex::wants_direct(p, &[0])));
-        let got = multiway_join(&parts, &[0, 1, 2], &ThreadBudget::sequential());
-        assert_eq!(got.domain_width, 60);
-        let want = binary_reference(&parts, &[0, 1, 2]);
-        assert_identical(&got, &want, "direct prefix probe");
+        for widths in [[60, 60, 60], [60, 4000, 60], [90, 60, 0], [0, 0, 0]] {
+            for (r, w) in rels.iter_mut().zip(widths) {
+                r.domain_width = w;
+            }
+            let parts: Vec<&FlatRelation> = rels.iter().collect();
+            assert_eq!(Trie::new(parts[1]).offsets.is_empty(), widths[1] != 60);
+            let got = kernel(&parts, &[0, 1, 2]);
+            let want = binary_reference(&parts, &[0, 1, 2]);
+            assert!(!want.is_empty());
+            assert_identical(&got, &want, &format!("widths {widths:?}"));
+        }
+        // A probe value beyond the probed part's bound simply misses.
+        let mut a = rel(&[0, 1], &[&[1, 2], &[1, 50]]);
+        let mut b = rel(&[1, 2], &[&[2, 3], &[2, 4]]);
+        (a.domain_width, b.domain_width) = (64, 5);
+        assert!(!Trie::new(&b).offsets.is_empty());
+        assert_eq!(kernel(&[&a, &b], &[0, 1, 2]).len(), 2);
     }
 
     // ── dictionary encoding ─────────────────────────────────────────
@@ -3814,34 +4085,6 @@ mod tests {
             }
         }
         BITMAP_OVERRIDE.store(0, Ordering::Relaxed);
-    }
-
-    /// The density-adaptive WCOJ lead (bitmap AND over the parts'
-    /// column-0 bitmaps, runs recovered by monotone gallops) must keep
-    /// the multiway output identical to the pure-leapfrog scan.
-    #[test]
-    fn multiway_join_bitmap_lead_matches_leapfrog() {
-        let _g = knob_guard();
-        let mut seed = 43u64;
-        let schemas: [&[VarId]; 3] = [&[0, 1], &[1, 2], &[0, 2]];
-        let rels: Vec<FlatRelation> = schemas
-            .iter()
-            .map(|s| {
-                let mut r = random_rel(s, 600, 80, &mut seed);
-                r.domain_width = 80;
-                r
-            })
-            .collect();
-        let parts: Vec<&FlatRelation> = rels.iter().collect();
-        set_bitmap_mode(BitmapMode::On);
-        let with_bitmap = multiway_join(&parts, &[0, 1, 2], &ThreadBudget::sequential());
-        let with_bitmap_par = multiway_join(&parts, &[0, 1, 2], &ThreadBudget::new(4));
-        set_bitmap_mode(BitmapMode::Off);
-        let leapfrog = multiway_join(&parts, &[0, 1, 2], &ThreadBudget::sequential());
-        BITMAP_OVERRIDE.store(0, Ordering::Relaxed);
-        assert!(!leapfrog.is_empty(), "triangle join must produce rows");
-        assert_identical(&with_bitmap, &leapfrog, "bitmap lead (sequential)");
-        assert_identical(&with_bitmap_par, &leapfrog, "bitmap lead (parallel)");
     }
 
     /// Bitmaps answer only existence, so they survive `sort_dedup` but
@@ -4222,12 +4465,26 @@ mod tests {
             .map(|s| random_rel(s, 900, 200, &mut seed))
             .collect();
         let parts: Vec<&FlatRelation> = rels.iter().collect();
-        let seq = multiway_join(&parts, &[0, 1, 2], &ThreadBudget::sequential());
+        let mut seq_stats = MatCacheStats::default();
+        let sequential = ThreadBudget::sequential();
+        let seq = multiway_join(&parts, &[0, 1, 2], &sequential, &mut seq_stats);
         assert!(!seq.is_empty(), "triangle join must produce rows");
         for threads in [2usize, 4, 8] {
             let budget = ThreadBudget::new(threads);
-            let par = multiway_join(&parts, &[0, 1, 2], &budget);
+            let mut stats = MatCacheStats::default();
+            let par = multiway_join(&parts, &[0, 1, 2], &budget, &mut stats);
             assert_identical(&par, &seq, &format!("{threads} threads"));
+            assert!(stats.cursor_advances >= seq_stats.cursor_advances);
+        }
+        // One level leaves nothing below level 0 to fan out.
+        let ones: Vec<FlatRelation> = (0..2)
+            .map(|_| random_rel(&[0], 400, 300, &mut seed))
+            .collect();
+        let budget = ThreadBudget::new(4);
+        for parts in [vec![&ones[0]], vec![&ones[0], &ones[1]]] {
+            let mut stats = MatCacheStats::default();
+            let par = multiway_join(&parts, &[0], &budget, &mut stats);
+            assert_identical(&par, &kernel(&parts, &[0]), "one level, four threads");
         }
     }
 

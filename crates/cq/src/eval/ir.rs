@@ -7,7 +7,7 @@
 //!
 //! | operator             | effect                                                |
 //! |----------------------|-------------------------------------------------------|
-//! | [`Op::Materialize`]  | scan/adopt a [`MatSource`] into a slot (cache-aware: a hit shares the cached rows, it does not copy them); multi-part bags join binarily or via the worst-case-optimal multiway kernel per the source's [`MatStrategy`] |
+//! | [`Op::Materialize`]  | scan/adopt a [`MatSource`] into a slot (cache-aware: a hit shares the cached rows, it does not copy them); a multi-part bag is the worst-case-optimal multiway join of its parts, the one bag kernel |
 //! | [`Op::Semijoin`]     | `target ⋉ source` on aligned key columns: nothing is touched when every row survives, an owned target is compacted in place, a target still sharing cached rows gathers its survivors into a fresh buffer; the allocations are the same whether or not a row goes |
 //! | [`Op::AssertNonempty`] | abort with the empty answer when a slot ran dry     |
 //! | [`Op::Join`]         | natural hash join of two slots into a third           |
@@ -90,136 +90,6 @@ impl EvalProfile {
     }
 }
 
-/// How a multi-part [`MatSource`] joins its parts into the bag relation.
-/// Either path produces the identical canonical relation (sorted rows,
-/// sorted schema) under the identical [`MatKey`], so the choice is
-/// invisible to the cache and to every consumer — it is purely a build
-/// cost decision.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum MatStrategy {
-    /// Decide per build from the parts' exact cardinalities: an
-    /// AGM-style multiway bound against the estimated left-deep binary
-    /// intermediates (see [`resolve_bag_strategy`]).
-    #[default]
-    Auto,
-    /// Left-deep binary hash joins, then canonicalize onto the schema.
-    Binary,
-    /// Worst-case-optimal multiway intersection (generic join /
-    /// leapfrog): never materializes an intermediate larger than the
-    /// output.
-    Wcoj,
-}
-
-impl MatStrategy {
-    /// Lower-case label, as accepted by `CQAPX_BAG_STRATEGY` and used
-    /// for metrics labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            MatStrategy::Auto => "auto",
-            MatStrategy::Binary => "binary",
-            MatStrategy::Wcoj => "wcoj",
-        }
-    }
-}
-
-impl std::fmt::Display for MatStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The process-wide `CQAPX_BAG_STRATEGY` override (mirroring
-/// `CQAPX_THREADS`): `binary` or `wcoj` force that build path for every
-/// multi-part bag; anything else (or unset) leaves the decision to the
-/// plan / the per-build cost model. Read once and cached.
-pub fn env_bag_strategy() -> MatStrategy {
-    static STRATEGY: std::sync::OnceLock<MatStrategy> = std::sync::OnceLock::new();
-    *STRATEGY.get_or_init(
-        || match std::env::var("CQAPX_BAG_STRATEGY").ok().as_deref() {
-            Some("binary") => MatStrategy::Binary,
-            Some("wcoj") => MatStrategy::Wcoj,
-            _ => MatStrategy::Auto,
-        },
-    )
-}
-
-/// The cost-model half of [`MatStrategy::Auto`]: picks binary vs
-/// multiway for one bag from its parts' `(cardinality, schema)` pairs
-/// under a uniform-independence model over an active domain of `adom`
-/// elements. The binary cost is the sum of the estimated left-deep
-/// intermediate sizes plus one more pass over the final result (the
-/// canonicalizing sort); the multiway cost is the total input size plus
-/// the final result (worst-case-optimal enumeration never touches an
-/// intermediate bigger than the output, and emits in canonical order).
-/// This is the cardinality-only prior the planner's mirrored
-/// [`BagSummary`](crate::eval::DecomposedPlan) annotation uses; the
-/// build itself refines it with observed column degrees
-/// ([`resolve_bag_strategy_observed`]).
-pub fn resolve_bag_strategy(parts: &[(usize, &[VarId])], adom: usize) -> MatStrategy {
-    strategy_from_model(parts, None, adom)
-}
-
-/// Skew-corrected variant of [`resolve_bag_strategy`] for the runtime,
-/// which has the part relations in hand: `max_degrees[i][j]` is the
-/// maximum frequency of any single value in column `j` of part `i`
-/// (see [`FlatRelation::max_degrees`]). The per-row match estimate for
-/// a join becomes the geometric mean of the average degree (the uniform
-/// model) and the heavy-hitter degree, so hub-concentrated relations —
-/// where a few values carry most of the tuples and binary intermediates
-/// explode — push the decision multiway. The correction only ever
-/// raises the estimate (the max degree bounds the average from above),
-/// so key-like joins keep the uniform verdict.
-pub fn resolve_bag_strategy_observed(
-    parts: &[(usize, &[VarId])],
-    max_degrees: &[Vec<usize>],
-    adom: usize,
-) -> MatStrategy {
-    strategy_from_model(parts, Some(max_degrees), adom)
-}
-
-fn strategy_from_model(
-    parts: &[(usize, &[VarId])],
-    max_degrees: Option<&[Vec<usize>]>,
-    adom: usize,
-) -> MatStrategy {
-    if parts.len() < 2 || parts.iter().any(|(_, s)| s.is_empty()) {
-        return MatStrategy::Binary;
-    }
-    let adom = adom.max(1) as f64;
-    let mut acc_vars: BTreeSet<VarId> = parts[0].1.iter().copied().collect();
-    let mut acc_est = parts[0].0 as f64;
-    let mut binary = 0.0;
-    for (i, &(card, schema)) in parts.iter().enumerate().skip(1) {
-        let shared: Vec<usize> = (0..schema.len())
-            .filter(|&j| acc_vars.contains(&schema[j]))
-            .collect();
-        let avg = card as f64 / adom.powi(shared.len() as i32);
-        let matches = match max_degrees {
-            Some(md) if !shared.is_empty() => {
-                // A composite join key's degree is at most the least
-                // loaded of its columns' heavy hitters.
-                let cap = shared
-                    .iter()
-                    .map(|&j| md[i][j].max(1))
-                    .min()
-                    .unwrap_or(card) as f64;
-                (avg * cap).sqrt().min(card as f64)
-            }
-            _ => avg,
-        };
-        acc_est *= matches;
-        acc_vars.extend(schema.iter().copied());
-        binary += acc_est;
-    }
-    binary += acc_est; // the canonicalizing sort of the final result
-    let inputs: f64 = parts.iter().map(|&(c, _)| c as f64).sum();
-    if binary > inputs + acc_est {
-        MatStrategy::Wcoj
-    } else {
-        MatStrategy::Binary
-    }
-}
-
 /// One sub-hyperedge of a [`MatSource`]: the atoms sharing one variable
 /// set, compiled to binders, with its own cache identity.
 #[derive(Debug, Clone)]
@@ -238,7 +108,8 @@ pub struct MatPart {
 /// * join-tree nodes have exactly one part whose schema equals the
 ///   source schema — the hyperedge itself;
 /// * tree-decomposition bags join every covering atom group — the bag
-///   materialization;
+///   materialization, built by the one bag kernel (the multiway join
+///   of `flat`): there is no second build path and nothing to choose;
 /// * a node with **no** parts materializes to the 0-ary "true" relation
 ///   (a connector bag none of whose atoms it covers).
 ///
@@ -255,8 +126,6 @@ pub struct MatSource {
     pub key: MatKey,
     /// The sub-hyperedges joined to form the relation.
     pub parts: Vec<MatPart>,
-    /// How the parts are joined (cache-invisible; see [`MatStrategy`]).
-    pub strategy: MatStrategy,
 }
 
 impl MatSource {
@@ -287,7 +156,6 @@ impl MatSource {
             key: MatKey::of_group(&all, &schema),
             schema,
             parts,
-            strategy: MatStrategy::Auto,
         }
     }
 
@@ -357,65 +225,15 @@ impl MatSource {
                 }
             });
         }
-        let strategy = self.resolve_strategy(&rels, d);
+        // One build path: the multiway kernel, which leaves the rows
+        // canonical on the sorted source schema (column order and row
+        // order), so cache entries are label-independent.
         let t0 = std::time::Instant::now();
-        let out = match strategy {
-            MatStrategy::Wcoj => {
-                let parts: Vec<&FlatRelation> = rels.iter().collect();
-                crate::eval::flat::multiway_join(&parts, &self.schema, budget)
-            }
-            _ => {
-                let mut acc: Option<FlatRelation> = None;
-                for rel in rels {
-                    acc = Some(match acc {
-                        None => rel,
-                        Some(a) => a.join_budget(&rel, budget),
-                    });
-                }
-                // Canonicalize onto the sorted source schema (column
-                // order and row order), so cache entries are
-                // label-independent.
-                acc.expect("nonempty parts")
-                    .project_budget(&self.schema, budget)
-            }
-        };
-        let us = t0.elapsed().as_micros() as u64;
-        if strategy == MatStrategy::Wcoj {
-            stats.wcoj_bag_builds += 1;
-            stats.wcoj_bag_us += us;
-        } else {
-            stats.binary_bag_builds += 1;
-            stats.binary_bag_us += us;
-        }
+        let parts: Vec<&FlatRelation> = rels.iter().collect();
+        let out = crate::eval::flat::multiway_join(&parts, &self.schema, budget, stats);
+        stats.wcoj_bag_builds += 1;
+        stats.wcoj_bag_us += t0.elapsed().as_micros() as u64;
         out
-    }
-
-    /// The build path actually taken, given the parts' materialized
-    /// relations: the env override when it forces a path, else the
-    /// compiled [`MatSource::strategy`], else the skew-corrected cost
-    /// model over exact part cardinalities and observed column degrees.
-    /// Multiway needs two or more parts, all with nonempty schemas;
-    /// everything else joins binarily.
-    fn resolve_strategy(&self, rels: &[FlatRelation], d: &Structure) -> MatStrategy {
-        if self.parts.len() < 2 || self.parts.iter().any(|p| p.schema.is_empty()) {
-            return MatStrategy::Binary;
-        }
-        let forced = match env_bag_strategy() {
-            MatStrategy::Auto => self.strategy,
-            f => f,
-        };
-        match forced {
-            MatStrategy::Auto => {
-                let parts: Vec<(usize, &[VarId])> = rels
-                    .iter()
-                    .zip(&self.parts)
-                    .map(|(r, p)| (r.len(), p.schema.as_slice()))
-                    .collect();
-                let degrees: Vec<Vec<usize>> = rels.iter().map(|r| r.max_degrees()).collect();
-                resolve_bag_strategy_observed(&parts, &degrees, d.universe_size())
-            }
-            s => s,
-        }
     }
 }
 
@@ -569,17 +387,6 @@ impl PlanIr {
     /// Whether the reduction prefix alone decides Boolean answers.
     pub fn reduction_decides(&self) -> bool {
         self.reduction_decides
-    }
-
-    /// Overrides the bag-build strategy of every materialization source
-    /// in the program (tests and benches force a path this way; plans
-    /// compile with [`MatStrategy::Auto`]).
-    pub fn set_bag_strategy(&mut self, strategy: MatStrategy) {
-        for op in &mut self.ops {
-            if let Op::Materialize { source, .. } = op {
-                source.strategy = strategy;
-            }
-        }
     }
 
     /// The materialization sources of the program, in op order.
@@ -1529,7 +1336,6 @@ mod tests {
             schema: vec![],
             key: MatKey::of_group(&[], &[]),
             parts: vec![],
-            strategy: MatStrategy::Auto,
         };
         let d = Structure::digraph(2, &[]);
         let mut stats = MatCacheStats::default();
@@ -1561,17 +1367,25 @@ mod tests {
         );
     }
 
+    /// The binary reference build of a source: left-deep joins of its
+    /// part relations, then the canonical projection onto its schema.
+    fn binary_reference(src: &MatSource, d: &Structure) -> FlatRelation {
+        let budget = ThreadBudget::sequential();
+        let mut scratch = FlatRelation::empty(Vec::new());
+        src.parts
+            .iter()
+            .map(|p| p.materialize_fresh(d, &budget, &mut scratch))
+            .reduce(|a, b| a.join_budget(&b, &budget))
+            .expect("a source with parts")
+            .project_budget(&src.schema, &budget)
+    }
+
     #[test]
     fn forced_strategies_build_identical_relations() {
-        // Triangle bag over a pseudo-random digraph: binary and multiway
-        // builds must agree byte-for-byte (schema and sorted rows), and
-        // the stats must attribute the build to the forced path.
-        let q = parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap();
-        let groups: Vec<Vec<&Atom>> = q.atoms().iter().map(|a| vec![a]).collect();
-        let mut binary = MatSource::from_groups(&groups);
-        binary.strategy = MatStrategy::Binary;
-        let mut wcoj = binary.clone();
-        wcoj.strategy = MatStrategy::Wcoj;
+        // Triangle bag over a pseudo-random digraph, under every
+        // numbering of its variables: the kernel's build must agree
+        // with the binary join byte-for-byte (schema, sorted rows and
+        // code width), and the stats attribute it to the one path.
         let edges: Vec<(u32, u32)> = (0..120u32)
             .flat_map(|u| {
                 [
@@ -1583,64 +1397,27 @@ mod tests {
             .filter(|&(a, b)| a != b)
             .collect();
         let d = Structure::digraph(120, &edges);
-        let mut sb = MatCacheStats::default();
-        let rb = binary.materialize(&d, None, &mut sb, ThreadBudget::shared());
-        let mut sw = MatCacheStats::default();
-        let rw = wcoj.materialize(&d, None, &mut sw, ThreadBudget::shared());
-        assert_eq!(rb.schema(), rw.schema());
-        assert_eq!(rb.len(), rw.len());
-        assert!(
-            rb.iter_rows().eq(rw.iter_rows()),
-            "builds must be byte-identical"
-        );
-        // Build attribution follows the forced strategy — unless the
-        // process-wide env override preempts the per-source field.
-        if env_bag_strategy() == MatStrategy::Auto {
-            assert_eq!((sb.binary_bag_builds, sb.wcoj_bag_builds), (1, 0));
-            assert_eq!((sw.binary_bag_builds, sw.wcoj_bag_builds), (0, 1));
+        for q in [
+            "Q(x,y,z) :- E(x,y), E(y,z), E(z,x)",
+            "Q(x,z,y) :- E(x,y), E(y,z), E(z,x)",
+            "Q(y,x,z) :- E(x,y), E(y,z), E(z,x)",
+            "Q(a,c,b) :- E(a,b), E(b,c)",
+            "Q(b,a,c) :- E(a,b), E(b,c)",
+        ] {
+            let src = source_of(q);
+            let mut stats = MatCacheStats::default();
+            let got = src.materialize(&d, None, &mut stats, ThreadBudget::shared());
+            let want = binary_reference(&src, &d);
+            assert!(!want.is_empty(), "fixture must produce rows on {q}");
+            assert_eq!(got.schema(), want.schema(), "{q}");
+            assert_eq!(got.domain_width(), want.domain_width(), "{q}");
+            assert!(got.iter_rows().eq(want.iter_rows()), "bytes differ on {q}");
+            assert_eq!((stats.binary_bag_builds, stats.wcoj_bag_builds), (0, 1));
+            assert!(
+                stats.cursor_advances > 0,
+                "the kernel counts its work on {q}"
+            );
         }
-    }
-
-    #[test]
-    fn auto_strategy_picks_multiway_when_intermediates_blow_up() {
-        // Two large parts over a small shared prefix: the estimated
-        // binary intermediate dwarfs input + output, so Auto goes
-        // multiway; a tiny instance stays binary.
-        let big: Vec<(usize, &[VarId])> = vec![(1770, &[0, 1]), (1770, &[1, 2])];
-        assert_eq!(resolve_bag_strategy(&big, 300), MatStrategy::Wcoj);
-        let tiny: Vec<(usize, &[VarId])> = vec![(3, &[0, 1]), (3, &[1, 2])];
-        assert_eq!(resolve_bag_strategy(&tiny, 4), MatStrategy::Binary);
-        // Degenerate shapes never go multiway.
-        let single: Vec<(usize, &[VarId])> = vec![(1770, &[0, 1])];
-        assert_eq!(resolve_bag_strategy(&single, 300), MatStrategy::Binary);
-        let nullary: Vec<(usize, &[VarId])> = vec![(10, &[0, 1]), (1, &[])];
-        assert_eq!(resolve_bag_strategy(&nullary, 300), MatStrategy::Binary);
-    }
-
-    #[test]
-    fn observed_degrees_flip_the_uniform_prior_on_skew() {
-        // A triangle bag over a hub-and-spoke graph: three edge parts of
-        // ~4.5k tuples over a ~2.6k domain look harmless to the uniform
-        // model (average degree < 2, estimated intermediate below the
-        // input size), but the observed heavy-hitter degree of ~220
-        // reveals the 2-hop blow-up through the hubs, so the
-        // skew-corrected runtime model goes multiway.
-        let tri: Vec<(usize, &[VarId])> = vec![(4560, &[0, 1]), (4560, &[1, 2]), (4560, &[0, 2])];
-        assert_eq!(resolve_bag_strategy(&tri, 2646), MatStrategy::Binary);
-        let hubs = vec![vec![220, 220], vec![220, 220], vec![220, 220]];
-        assert_eq!(
-            resolve_bag_strategy_observed(&tri, &hubs, 2646),
-            MatStrategy::Wcoj
-        );
-        // Key-like joins (every value unique on the join column) keep
-        // the binary verdict: at most one match per probe, so the
-        // intermediates never grow past the inputs.
-        let keyed: Vec<(usize, &[VarId])> = vec![(300, &[0, 1]), (300, &[1, 2])];
-        let unique = vec![vec![1, 1], vec![1, 1]];
-        assert_eq!(
-            resolve_bag_strategy_observed(&keyed, &unique, 300),
-            MatStrategy::Binary
-        );
     }
 
     #[test]

@@ -20,9 +20,6 @@ pub use flat::{
     AtomBinder, BitmapMode, BitmapStats, FlatRelation, MatCacheStats, MatKey, MaterializationCache,
     PackedMode, PackedStats,
 };
-pub use ir::{
-    env_bag_strategy, resolve_bag_strategy, resolve_bag_strategy_observed, EvalProfile, MatPart,
-    MatSource, MatStrategy, NodeSpec, Op, OpProfile, PlanIr, Slot,
-};
+pub use ir::{EvalProfile, MatPart, MatSource, NodeSpec, Op, OpProfile, PlanIr, Slot};
 pub use naive::{eval_boolean_naive, eval_naive, NaivePlan};
 pub use yannakakis::{AcyclicPlan, NotAcyclic};

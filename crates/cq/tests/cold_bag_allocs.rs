@@ -1,6 +1,8 @@
 //! A cold bag build allocates per plan operator and per join level,
 //! never per tuple or per binding: the same cyclic query over ten times
-//! the edges must call the allocator exactly as often.
+//! the edges must call the allocator exactly as often. And a bag whose
+//! last variable has one part is counted before it is written, so its
+//! build requests little more than the bytes it reads and returns.
 //!
 //! Its own test binary because it installs a counting
 //! `#[global_allocator]`. The counter is thread-local, so the harness's
@@ -8,7 +10,7 @@
 //! `ThreadBudget::new(1)`, which keeps every kernel on the calling
 //! thread.
 
-use cqapx_cq::eval::{DecomposedPlan, MatStrategy, MaterializationCache};
+use cqapx_cq::eval::{DecomposedPlan, MatCacheStats, MatSource, MaterializationCache};
 use cqapx_cq::parse_cq;
 use cqapx_par::ThreadBudget;
 use cqapx_structures::Structure;
@@ -19,13 +21,16 @@ thread_local! {
     /// Allocator calls made by this thread (`alloc`, `alloc_zeroed` and
     /// `realloc` alike — a growing buffer counts every time it grows).
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those calls asked for (a `realloc` counts its new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
 
-fn note() {
+fn note(bytes: usize) {
     // `try_with`: a thread being torn down may still allocate.
     let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -33,19 +38,19 @@ fn note() {
 // const-initialized thread-local `Cell` and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size);
         // SAFETY: `ptr` was allocated by `System` with `layout`, as the
         // caller vouches; `new_size` is passed through unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -105,9 +110,7 @@ fn cold_eval_calls(plan: &DecomposedPlan, d: &Structure) -> (u64, usize) {
 #[test]
 fn cold_triangle_allocations_do_not_grow_with_the_graph() {
     let q = parse_cq("Q(x) :- E(x,y), E(y,z), E(z,x)").unwrap();
-    let plan = DecomposedPlan::compile(&q, 2)
-        .unwrap()
-        .with_bag_strategy(MatStrategy::Wcoj);
+    let plan = DecomposedPlan::compile(&q, 2).unwrap();
     // The kernel knobs read the environment once per process, on first
     // use, and a set variable costs an allocation: spend that here.
     cold_eval_calls(&plan, &graph(40));
@@ -122,5 +125,38 @@ fn cold_triangle_allocations_do_not_grow_with_the_graph() {
     assert!(
         small_calls < 200,
         "{small_calls} allocator calls for one bag"
+    );
+}
+
+/// The two-path bag `E(a,b) ⋈ E(b,c)` over a 4-out-regular graph: 16
+/// rows out per vertex, each three codes wide. The kernel sums the last
+/// level's run lengths first and allocates the result once, so the
+/// whole build — both part scans, the offsets arrays, the plan, the
+/// rows — asks for at most 1.25 × the bytes of its parts and its
+/// result. (Grown by doubling, an 80k-row result alone requests 2–4 ×
+/// its size.)
+#[test]
+fn cold_two_path_bag_requests_little_more_than_it_returns() {
+    let n = 5000u32;
+    let edges: Vec<(u32, u32)> = (0..n)
+        .flat_map(|u| [1, 7, 61, 331].map(|step| (u, (u * 3 + step) % n)))
+        .collect();
+    let d = Structure::digraph(n as usize, &edges);
+    d.distinct_per_column();
+    let q = parse_cq("Q(a, b, c) :- E(a, b), E(b, c)").unwrap();
+    let groups: Vec<Vec<_>> = q.atoms().iter().map(|a| vec![a]).collect();
+    let source = MatSource::from_groups(&groups);
+    let budget = ThreadBudget::new(1);
+    let mut stats = MatCacheStats::default();
+    let before = BYTES.with(Cell::get);
+    let bag = source.materialize(&d, None, &mut stats, &budget);
+    let requested = BYTES.with(Cell::get) - before;
+    assert_eq!(stats.wcoj_bag_builds, 1);
+    assert_eq!(bag.len(), 16 * n as usize, "every wedge, once");
+    let parts = 2 * edges.len() * 2 * std::mem::size_of::<u32>();
+    let held = (bag.heap_bytes() + parts) as u64;
+    assert!(
+        requested * 4 <= held * 5,
+        "{requested} bytes requested to build {held}"
     );
 }

@@ -295,11 +295,8 @@ pub struct EngineStats {
     /// Relation-materialization cache misses: hyperedge relations
     /// actually scanned (and inserted for later requests).
     pub mat_misses: u64,
-    /// Multi-part bags joined with the left-deep binary pipeline.
-    pub bag_builds_binary: u64,
-    /// Multi-part bags joined with the worst-case-optimal multiway
-    /// kernel.
-    pub bag_builds_wcoj: u64,
+    /// Multi-part bags built (each by the multiway kernel).
+    pub bag_builds: u64,
     /// Total answer tuples returned.
     pub answers: u64,
     /// Summed per-request wall time (across workers; exceeds elapsed
@@ -357,11 +354,7 @@ impl fmt::Display for EngineStats {
             self.mat_misses,
             100.0 * self.mat_hit_rate()
         )?;
-        writeln!(
-            f,
-            "bag builds      binary {} · wcoj {}",
-            self.bag_builds_binary, self.bag_builds_wcoj
-        )?;
+        writeln!(f, "bag builds      {}", self.bag_builds)?;
         writeln!(f, "answers         {}", self.answers)?;
         write!(f, "busy time       {:?}", self.busy)
     }
@@ -528,8 +521,8 @@ pub struct StatsSnapshot {
     pub op_micros: BTreeMap<String, u64>,
     /// `Debug`: plan-IR output rows by operator kind.
     pub op_rows: BTreeMap<String, u64>,
-    /// `Debug`: bag-build time quantiles by join strategy
-    /// (`"binary"`/`"wcoj"`), per-response totals in µs.
+    /// `Debug`: bag-build time quantiles under the one label `"wcoj"`
+    /// (the multiway kernel), per-response totals in µs.
     pub bag_build_latency: BTreeMap<String, HistogramSnapshot>,
     /// Column existence bitmaps built by the eval layer, process-wide
     /// (the `CQAPX_BITMAP` kernels). Authoritative at every level.
@@ -815,7 +808,6 @@ impl Engine {
                 est_decomposed_cost: None,
                 decomposition_width: None,
                 naive_budget: self.config.naive_cost_budget,
-                bag_strategies: Vec::new(),
                 reason: PlanReason::QueueFull(depth, limit),
             },
             note: ReasonNote::None,
@@ -944,8 +936,7 @@ impl Engine {
         }
         s.mat_hits += r.mat_cache.hits as u64;
         s.mat_misses += r.mat_cache.misses as u64;
-        s.bag_builds_binary += r.mat_cache.binary_bag_builds as u64;
-        s.bag_builds_wcoj += r.mat_cache.wcoj_bag_builds as u64;
+        s.bag_builds += r.mat_cache.wcoj_bag_builds as u64;
         s.answers += r.answers.len() as u64;
         s.busy += r.wall;
     }
@@ -1197,9 +1188,6 @@ impl Engine {
                     m.op_micros.with(op).add(micros);
                     m.op_rows.with(op).add(rows as u64);
                 }
-            }
-            if r.mat_cache.binary_bag_builds > 0 {
-                m.bag_build.with("binary").record(r.mat_cache.binary_bag_us);
             }
             if r.mat_cache.wcoj_bag_builds > 0 {
                 m.bag_build.with("wcoj").record(r.mat_cache.wcoj_bag_us);

@@ -17,8 +17,8 @@
 //!    refining exactly only on demand.
 
 use crate::catalog::DatabaseEntry;
-use cqapx_cq::eval::{resolve_bag_strategy, DecomposedPlan, MatStrategy};
-use cqapx_cq::{QueryShape, VarId};
+use cqapx_cq::eval::DecomposedPlan;
+use cqapx_cq::QueryShape;
 use std::fmt;
 
 /// The strategy chosen for one request.
@@ -95,11 +95,6 @@ pub struct PlanDecision {
     pub decomposition_width: Option<usize>,
     /// The budget the estimates were compared against.
     pub naive_budget: f64,
-    /// Per-bag build strategy the materializer is expected to take
-    /// (mirrored through [`plan_bag_strategies`] from the same cost
-    /// model, on the best cardinalities known at planning time); empty
-    /// without a compiled decomposition.
-    pub bag_strategies: Vec<MatStrategy>,
     /// The decision, cheap to copy; see [`PlanDecision::describe`] for
     /// the rendered rationale.
     pub reason: PlanReason,
@@ -115,23 +110,12 @@ impl PlanDecision {
             PlanReason::ProvablyEmpty => {
                 "a body relation is empty: the answer is provably empty".into()
             }
-            PlanReason::DecomposedCheaper => {
-                let mut text = format!(
-                    "cyclic with treewidth {}: est. {:.1e} bag rows within {NAIVE_NODE_COST_FACTOR}× of est. {:.1e} naive branch nodes",
-                    self.decomposition_width.unwrap_or(0),
-                    self.est_decomposed_cost.unwrap_or(f64::NAN),
-                    self.est_naive_cost,
-                );
-                let wcoj = self
-                    .bag_strategies
-                    .iter()
-                    .filter(|&&s| s == MatStrategy::Wcoj)
-                    .count();
-                if wcoj > 0 {
-                    text.push_str(&format!("; {wcoj} bag(s) build multiway"));
-                }
-                text
-            }
+            PlanReason::DecomposedCheaper => format!(
+                "cyclic with treewidth {}: est. {:.1e} bag rows within {NAIVE_NODE_COST_FACTOR}× of est. {:.1e} naive branch nodes",
+                self.decomposition_width.unwrap_or(0),
+                self.est_decomposed_cost.unwrap_or(f64::NAN),
+                self.est_naive_cost,
+            ),
             PlanReason::NaiveCheap => format!(
                 "cyclic but cheap here: est. {:.1e} branch nodes ≤ budget {:.1e}",
                 self.est_naive_cost, self.naive_budget,
@@ -218,41 +202,6 @@ pub fn estimate_decomposed_cost(plan: &DecomposedPlan, db: &DatabaseEntry) -> f6
     total
 }
 
-/// The planner's mirror of the materializer's per-bag build decision:
-/// resolves binary vs multiway for every bag of the compiled plan from
-/// the best cardinalities available at planning time — real cached
-/// materializations when present, raw relation statistics otherwise —
-/// through the same cost model the build itself applies to exact part
-/// sizes ([`resolve_bag_strategy`]). One cache peek for all bags.
-pub fn plan_bag_strategies(plan: &DecomposedPlan, db: &DatabaseEntry) -> Vec<MatStrategy> {
-    let keys: Vec<_> = plan
-        .bag_summaries()
-        .iter()
-        .flat_map(|b| b.parts.iter().map(|p| &p.key))
-        .collect();
-    let cached = db.materialized.peek_cardinalities(keys.iter().copied());
-    let mut base = 0usize;
-    plan.bag_summaries()
-        .iter()
-        .map(|bag| {
-            let parts: Vec<(usize, &[VarId])> = bag
-                .parts
-                .iter()
-                .enumerate()
-                .map(|(pi, p)| {
-                    let card = cached[base + pi].unwrap_or_else(|| db.rel_stats(p.rel).cardinality);
-                    (card, p.schema.as_slice())
-                })
-                .collect();
-            base += bag.parts.len();
-            match bag.strategy {
-                MatStrategy::Auto => resolve_bag_strategy(&parts, db.adom_size),
-                s => s,
-            }
-        })
-        .collect()
-}
-
 /// Relative cost of one backtracking branch node against one streamed
 /// bag row, used when comparing the naive and decomposed estimates: a
 /// branch node re-checks constraints and trashes the cache, a bag row
@@ -279,15 +228,11 @@ pub fn choose_plan(
             est_decomposed_cost: None,
             decomposition_width: width,
             naive_budget,
-            bag_strategies: Vec::new(),
             reason: PlanReason::Acyclic,
         };
     }
     let est_naive = estimate_naive_cost(shape, db);
     let est_dec = decomposed.map(|p| estimate_decomposed_cost(p, db));
-    let bag_strategies = decomposed
-        .map(|p| plan_bag_strategies(p, db))
-        .unwrap_or_default();
     if est_naive == 0.0 {
         return PlanDecision {
             kind: PlanKind::Naive,
@@ -295,7 +240,6 @@ pub fn choose_plan(
             est_decomposed_cost: est_dec,
             decomposition_width: width,
             naive_budget,
-            bag_strategies,
             reason: PlanReason::ProvablyEmpty,
         };
     }
@@ -307,7 +251,6 @@ pub fn choose_plan(
                 est_decomposed_cost: est_dec,
                 decomposition_width: width,
                 naive_budget,
-                bag_strategies,
                 reason: PlanReason::DecomposedCheaper,
             };
         }
@@ -319,7 +262,6 @@ pub fn choose_plan(
             est_decomposed_cost: est_dec,
             decomposition_width: width,
             naive_budget,
-            bag_strategies,
             reason: PlanReason::NaiveCheap,
         }
     } else {
@@ -329,7 +271,6 @@ pub fn choose_plan(
             est_decomposed_cost: est_dec,
             decomposition_width: width,
             naive_budget,
-            bag_strategies,
             reason: PlanReason::SandwichExpensive,
         }
     }

@@ -109,17 +109,14 @@ fn main() {
         let rows = snap.op_rows.get(op).copied().unwrap_or(0);
         println!("  {op:<15} {us:>8}µs {rows:>8} rows");
     }
-    println!("\n── bag builds by strategy (Debug tier) ──");
-    println!(
-        "  counters: binary {} · wcoj {}",
-        snap.counters.bag_builds_binary, snap.counters.bag_builds_wcoj
-    );
-    for (strategy, h) in &snap.bag_build_latency {
+    println!("\n── bag builds (Debug tier) ──");
+    println!("  counter: {}", snap.counters.bag_builds);
+    for (kernel, h) in &snap.bag_build_latency {
         if h.count == 0 {
             continue;
         }
         println!(
-            "  {strategy:<12} n={:<4} p50={}µs p99={}µs max={}µs (per-response totals)",
+            "  {kernel:<12} n={:<4} p50={}µs p99={}µs max={}µs (per-response totals)",
             h.count, h.p50, h.p99, h.max
         );
     }
