@@ -14,11 +14,19 @@
 //! `DecomposedPlan::compile` evaluates one root of the reduced
 //! decomposition; `every_root_agrees` compiles all of them
 //! (`compile_rooted`), so the answers cannot depend on the root rule.
+//!
+//! A node with two or more children is one multiway join
+//! (`Op::MultiJoin`): every check also rebuilds each such node from the
+//! same input slots with a chain of binary joins and one projection and
+//! demands the same bytes, and `wide_nodes_on_cycles` drives the shape
+//! by name — `C₅`, `C₆`, `C₇` under four heads, at every root of a path
+//! and of a star decomposition, on a regular and on a hub-skewed graph.
 
 use cqapx_bench::baseline::BaselineHom;
-use cqapx_cq::eval::{DecomposedPlan, MaterializationCache, NaivePlan};
+use cqapx_cq::eval::{DecomposedPlan, MaterializationCache, NaivePlan, Op};
 use cqapx_cq::{parse_cq, query_graph, tableau_of, treewidth_of_query, ConjunctiveQuery};
-use cqapx_graphs::treewidth::treewidth_at_most;
+use cqapx_graphs::treewidth::{treewidth_at_most, TreeDecomposition};
+use cqapx_par::ThreadBudget;
 use cqapx_structures::{Element, Structure};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -144,6 +152,40 @@ fn digraph(max_n: usize) -> impl Strategy<Value = Structure> {
     })
 }
 
+/// Every node of `plan` that compiled to the multiway op, against a
+/// chain of binary joins and one projection over the same input slots:
+/// same schema, same rows in the same (canonical) order, same code
+/// width. Returns how many nodes a run reached.
+fn check_wide_nodes(plan: &DecomposedPlan, d: &Structure, q: &ConjunctiveQuery) -> usize {
+    let budget = ThreadBudget::sequential();
+    let (_, slots, _) = plan.ir().run_slots(d, None, &budget, None);
+    let mut reached = 0;
+    for op in plan.ir().ops() {
+        let Op::MultiJoin { dst, inputs, vars } = op else {
+            continue;
+        };
+        // An emptiness assertion may have stopped the run before it.
+        let Some(got) = &slots[*dst] else { continue };
+        let input = |s: &usize| slots[*s].as_ref().expect("operands are written first");
+        let chain = inputs[1..]
+            .iter()
+            .fold(input(&inputs[0]).clone(), |acc, s| {
+                acc.join_budget(input(s), &budget)
+            });
+        let want = chain.project_budget(vars, &budget);
+        assert_eq!(got.schema(), want.schema(), "node schema on {q}");
+        assert!(
+            got.iter_rows().eq(want.iter_rows()),
+            "node rows on {q}: {} against {}",
+            got.len(),
+            want.len()
+        );
+        assert_eq!(got.domain_width(), want.domain_width(), "width on {q}");
+        reached += 1;
+    }
+    reached
+}
+
 /// The differential check: decomposed ≡ naive ≡ frozen baseline, plus
 /// cold-cache ≡ warm-cache ≡ uncached.
 fn check(q: &ConjunctiveQuery, d: &Structure) {
@@ -165,6 +207,7 @@ fn check(q: &ConjunctiveQuery, d: &Structure) {
         "boolean disagrees on {}",
         q
     );
+    check_wide_nodes(&plan, d, q);
     // Cold, then warm, through one cache: same answers, and the warm
     // run adopts every materialization.
     let cache = MaterializationCache::new();
@@ -199,6 +242,7 @@ fn check_every_root(q: &ConjunctiveQuery, d: &Structure) {
         prop_assert_eq!(plan.width(), td.width());
         prop_assert_eq!(&plan.eval(d), &expected, "root {} disagrees on {}", root, q);
         prop_assert_eq!(plan.eval_boolean(d), !expected.is_empty());
+        check_wide_nodes(&plan, d, q);
         for _ in 0..2 {
             let cache = MaterializationCache::new();
             let (cold, s_cold) = plan.eval_cached(d, Some(&cache));
@@ -216,6 +260,95 @@ fn check_every_root(q: &ConjunctiveQuery, d: &Structure) {
         q,
         traffic
     );
+}
+
+fn lcg(s: &mut u64) -> u64 {
+    *s = s
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *s >> 33
+}
+
+/// A seeded 3-out-regular digraph on 400 vertices (no loops).
+fn regular_digraph(seed: u64) -> Structure {
+    let (n, mut s) = (400u32, seed | 1);
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for u in 0..n {
+        let first = edges.len();
+        while edges.len() - first < 3 {
+            let v = (lcg(&mut s) % u64::from(n)) as u32;
+            if v != u && !edges[first..].contains(&(u, v)) {
+                edges.push((u, v));
+            }
+        }
+    }
+    Structure::digraph(n as usize, &edges)
+}
+
+/// `wcoj_differential.rs`'s skewed digraph: endpoints drawn with a
+/// quadratic bias toward low ids, so a few hubs hold most of the edges.
+fn skewed_digraph(n: usize, edges: usize, seed: u64) -> Structure {
+    let mut s = seed | 1;
+    let mut pick = || {
+        let r = (lcg(&mut s) % 1_048_576) as f64 / 1_048_576.0;
+        ((r * r * n as f64) as usize).min(n - 1) as u32
+    };
+    let es: Vec<(u32, u32)> = (0..edges).map(|_| (pick(), pick())).collect();
+    Structure::digraph(n, &es)
+}
+
+/// The directed cycles `C₅`, `C₆`, `C₇` with no head, one variable,
+/// two non-adjacent ones and all of them, at every root of two
+/// decompositions whose inner nodes have two children or more: the
+/// fan of triangles around `v0` (a path of bags, so every inner root
+/// has two) and a star around `{v0, v2, v4}`, which for `C₆` covers no
+/// atom and has three leaves. Answers equal the naive
+/// evaluator's and every wide node equals its binary chain, on a
+/// regular and on a hub-skewed graph.
+#[test]
+fn wide_nodes_on_cycles() {
+    let dbs = [regular_digraph(0xC1C1E), skewed_digraph(30, 120, 0x5EED)];
+    for n in [5u32, 6, 7] {
+        let path = TreeDecomposition {
+            bags: (1..n - 1).map(|i| vec![0, i, i + 1]).collect(),
+            tree_edges: (0..n as usize - 3).map(|i| (i, i + 1)).collect(),
+        };
+        // Centre `{v0, v2, v4}` with the triangles over `v1` and `v3`
+        // as leaves; the rest of the ring, `v4 → … → v0`, is a fan
+        // around `v4` hanging off the centre (one more leaf for `C₆`).
+        let mut bags = vec![vec![0, 2, 4], vec![0, 1, 2], vec![2, 3, 4]];
+        let mut tree_edges = vec![(0, 1), (0, 2)];
+        let mut above = 0;
+        for i in (5..n).rev() {
+            let mut bag = vec![4, i, (i + 1) % n];
+            bag.sort_unstable();
+            bags.push(bag);
+            tree_edges.push((above, bags.len() - 1));
+            above = bags.len() - 1;
+        }
+        let star = TreeDecomposition { bags, tree_edges };
+        let atoms: Vec<String> = (0..n)
+            .map(|i| format!("E(v{i}, v{})", (i + 1) % n))
+            .collect();
+        let all: Vec<String> = (0..n).map(|i| format!("v{i}")).collect();
+        for head in ["", "v0", "v0, v3", &all.join(", ")] {
+            let q = parse_cq(&format!("Q({head}) :- {}", atoms.join(", "))).unwrap();
+            for d in &dbs {
+                let expected = NaivePlan::compile(q.clone()).eval(d);
+                for td in [&path, &star] {
+                    td.validate(&query_graph(&q))
+                        .unwrap_or_else(|e| panic!("C{n}: {e:?}"));
+                    let mut reached = 0;
+                    for root in 0..td.bags.len() {
+                        let plan = DecomposedPlan::compile_rooted(&q, td, root);
+                        assert_eq!(plan.eval(d), expected, "root {root} of {td:?} on {q}");
+                        reached += check_wide_nodes(&plan, d, &q);
+                    }
+                    assert!(reached > 0, "no wide node ran on {q} over {td:?}");
+                }
+            }
+        }
+    }
 }
 
 proptest! {

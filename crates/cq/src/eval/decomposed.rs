@@ -17,8 +17,15 @@
 //!    materializations are [`MatKey`]-cached exactly like hyperedges
 //!    and shared across plans (see [`MatSource`]);
 //! 3. run the acyclic pipeline over the rooted bag tree: full-reducer
-//!    semijoin sweeps as a prefilter, then bottom-up joins projected
-//!    onto (free ∪ parent-bag) variables.
+//!    semijoin sweeps as a prefilter, then one join per bag, bottom-up,
+//!    projected onto (free ∪ parent-bag) variables. A bag with two or
+//!    more children is joined with all of their partials at once, by
+//!    the kernel the bags were built with: it binds the kept variables
+//!    first and stops at the first witness for the rest, so nothing
+//!    wider than the projection is ever materialized (`Q(a) :- C₆`'s
+//!    root looks for one `(b, c, f)` per `a`; a Boolean root for one
+//!    binding at all). Every operand lies inside `bag ∪ free`, so the
+//!    join enumerates no more than a chain of binary joins would hold.
 //!
 //! Bags may contain *connector* variables none of their own atoms
 //! constrain (a width-2 decomposition of the 6-cycle has them), so the
@@ -114,9 +121,10 @@ impl DecomposedPlan {
     /// nothing — and rooted at a bag of minimum height, ties going to
     /// the bag with most head variables, then the lowest index: every
     /// level below the root is one more join whose fan-out multiplies
-    /// the intermediate carried up, while rooting at the head's bag
-    /// only spares carrying the head (and is the deepest root there is
-    /// when that bag is a leaf).
+    /// the partial carried up, while a root with many children is
+    /// still one multiway join, and rooting at the head's bag only
+    /// spares carrying the head (and is the deepest root there is when
+    /// that bag is a leaf).
     ///
     /// [reduced]: TreeDecomposition::reduced
     pub fn compile(query: &ConjunctiveQuery, k: usize) -> Result<DecomposedPlan, NotDecomposable> {

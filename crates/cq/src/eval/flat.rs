@@ -25,11 +25,14 @@
 //!
 //! A canonical relation (rows sorted, duplicate-free) is also a
 //! *trie*: rows sharing a prefix are contiguous and the next column is
-//! sorted within them. The one bag kernel, `multiway_join`, joins
-//! the parts of a decomposition bag by walking such tries with
-//! cursors, variable by variable, in an order it picks from the part
-//! schemas, and writes the bag relation in canonical form — at its
-//! exact size when the last variable has a single part.
+//! sorted within them. The one multiway kernel, `multiway_join`, joins
+//! the parts of a decomposition bag — or a tree node with its
+//! children's partials — by walking such tries with cursors, variable
+//! by variable, in an order it picks from the part schemas and the
+//! list of variables to keep, and writes the kept columns in canonical
+//! form — at the exact size when the last variable is kept and has a
+//! single part, and without looking past the first witness for
+//! variables that are not.
 
 use crate::ast::{Atom, VarId};
 use crate::eval::answers::Answers;
@@ -645,7 +648,7 @@ impl FlatRelation {
         }
     }
 
-    /// Whether [`FlatRelation::join_project_budget`] on these operands
+    /// Whether the fused `join_cols` on these operands
     /// would dedup through the packed radix sort — the `EvalProfile`
     /// labelling predicate, judged on the very shell the operator
     /// dispatches on.
@@ -1426,29 +1429,7 @@ impl FlatRelation {
     /// stitched in morsel order, so the output rows and their order are
     /// identical to the sequential probe loop.
     pub fn join_budget(&self, other: &FlatRelation, budget: &ThreadBudget) -> FlatRelation {
-        self.join_cols(other, None, false, budget)
-    }
-
-    /// `π_vars(self ⋈ other)` as **one operator** (repeated variables
-    /// collapse to their first occurrence): the probe is
-    /// [`FlatRelation::join_budget`]'s, but every match emits only the
-    /// kept columns, so the full-width join never exists, and the
-    /// narrow rows are deduplicated where they landed — by the packed
-    /// radix sort when they fit code words, through an open-addressed
-    /// hash table otherwise. Both operands must be duplicate-free
-    /// (plan slots are). Row order is unspecified: inside the join
-    /// phase only set semantics matter — joins and semijoins probe
-    /// hashes — so the canonical sort would buy nothing (the plan's
-    /// root operator, whose output the answer boundary reads, asks
-    /// `join_cols` for it). Joining against [`FlatRelation::unit`] is
-    /// the plain distinct projection.
-    pub fn join_project_budget(
-        &self,
-        other: &FlatRelation,
-        vars: &[VarId],
-        budget: &ThreadBudget,
-    ) -> FlatRelation {
-        self.join_cols(other, Some(vars), false, budget)
+        self.join_cols(other, None, budget)
     }
 
     /// Projection onto a sub-schema (variables must be present;
@@ -1459,14 +1440,9 @@ impl FlatRelation {
     }
 
     /// [`FlatRelation::project`] under an explicit thread budget: the
-    /// fused operator against the unit relation, asked for the
-    /// canonical order — which the packed radix dedup leaves anyway
-    /// (the packing is monotone, so sorted distinct words unpack to
-    /// sorted distinct rows) and [`FlatRelation::sort_dedup_budget`]
-    /// establishes otherwise. Bag materialization projects through
-    /// here: its sorted output is a cache and bit-identity contract.
+    /// fused operator against the unit relation.
     pub fn project_budget(&self, vars: &[VarId], budget: &ThreadBudget) -> FlatRelation {
-        self.join_cols(&FlatRelation::unit(), Some(vars), true, budget)
+        self.join_cols(&FlatRelation::unit(), Some(vars), budget)
     }
 
     /// The output shell of `self ⋈ other` kept to `vars` (`None` = the
@@ -1521,16 +1497,22 @@ impl FlatRelation {
     }
 
     /// The join family over the one probe loop: the natural join
-    /// (`vars` = `None`), or its projection to `vars`, deduplicated —
-    /// in canonical order if asked, in whatever order is cheapest
-    /// otherwise. Kept columns that fit a code word are emitted *as*
-    /// words, straight into the radix dedup; anything else lands as
-    /// narrow rows in the output buffer and is deduplicated there.
+    /// (`vars` = `None`, rows in probe order), or `π_vars(self ⋈ other)`
+    /// as **one operator** (repeated variables collapse to their first
+    /// occurrence; both operands must be duplicate-free, as plan slots
+    /// are): every match emits only the kept columns, so the full-width
+    /// join never exists, and the result is canonical — it may be an
+    /// answer set, or feed the multiway kernel, which reads sorted
+    /// rows. Kept columns that fit a code word are emitted *as* words,
+    /// straight into the radix dedup (the packing is monotone, so sorted
+    /// distinct words unpack to sorted distinct rows); anything else
+    /// lands as narrow rows in the output buffer and is sorted there.
+    /// Joining against [`FlatRelation::unit`] is the plain distinct
+    /// projection.
     pub(crate) fn join_cols(
         &self,
         other: &FlatRelation,
         vars: Option<&[VarId]>,
-        canonical: bool,
         budget: &ThreadBudget,
     ) -> FlatRelation {
         let a = self.schema.len();
@@ -1576,8 +1558,7 @@ impl FlatRelation {
         match vars {
             None => {}
             Some(_) if packed => out.sort_dedup_radix(),
-            Some(_) if canonical => out.sort_dedup_budget(budget),
-            Some(_) => out.hash_distinct(),
+            Some(_) => out.sort_dedup_budget(budget),
         }
         out
     }
@@ -1678,51 +1659,6 @@ impl FlatRelation {
         buf.reserve(matches.unwrap_or(probe.rows) * per_match);
         let rows = probe_range(&mut buf, 0..probe.rows, &index);
         (buf, rows)
-    }
-
-    /// Duplicate elimination in place **without** the canonical
-    /// ordering (first occurrence wins): open addressing over the rows
-    /// kept so far. What the fused join→project falls back to when its
-    /// rows do not fit code words.
-    fn hash_distinct(&mut self) {
-        let a = self.schema.len();
-        if a == 0 {
-            self.rows = self.rows.min(1);
-            return;
-        }
-        let cap = (self.rows * 2).next_power_of_two().max(16);
-        let mask = cap - 1;
-        let mut table: Vec<u32> = vec![u32::MAX; cap];
-        let data = self.data.make_mut();
-        let mut w = 0usize;
-        for i in 0..self.rows {
-            let mut slot = (Self::hash_row(&data[i * a..][..a]) as usize) & mask;
-            loop {
-                let entry = table[slot] as usize;
-                if entry == u32::MAX as usize {
-                    table[slot] = w as u32;
-                    data.copy_within(i * a..i * a + a, w * a);
-                    w += 1;
-                    break;
-                }
-                if data[entry * a..][..a] == data[i * a..][..a] {
-                    break;
-                }
-                slot = (slot + 1) & mask;
-            }
-        }
-        data.truncate(w * a);
-        self.rows = w;
-    }
-
-    /// FxHash of a whole row.
-    #[inline]
-    fn hash_row(row: &[Element]) -> u64 {
-        let mut h = FxHasher::default();
-        for &e in row {
-            h.write_u32(e);
-        }
-        h.finish()
     }
 
     /// The decoded answer set for `head` as a tree of row vectors — a
@@ -2221,23 +2157,16 @@ impl Iterator for ProbeIter<'_> {
 /// than one row, so the morsel is much smaller than [`MORSEL_ROWS`].
 const WCOJ_MORSEL_CANDS: usize = 32;
 
-/// First row in `lo..hi` whose `col` value is `>= v` (`> v` when
-/// `strict`): galloping search — exponential probe from `lo`, then
-/// binary search inside the overshot step. Within a fixed-prefix row
-/// range of a sorted relation the column is sorted; the kernel falls
-/// back on this wherever a trie has no cheaper way to move (a middle
-/// column, or a first column without an offsets array).
-fn gallop(
-    data: &[Element],
-    arity: usize,
-    col: usize,
-    lo: usize,
-    hi: usize,
-    v: Element,
-    strict: bool,
-) -> usize {
+/// First row in `lo..hi` whose value is `>= v` (`> v` when `strict`),
+/// in a column stored every `stride` elements of `col`: galloping
+/// search — exponential probe from `lo`, then binary search inside the
+/// overshot step. Within a fixed-prefix row range of a sorted relation
+/// the column is sorted; the kernel falls back on this wherever a trie
+/// has no cheaper way to move (a middle or last column, or a first
+/// column without an offsets array).
+fn gallop(col: &[Element], stride: usize, lo: usize, hi: usize, v: Element, strict: bool) -> usize {
     let above = |row: usize| {
-        let x = data[row * arity + col];
+        let x = col[row * stride];
         if strict {
             x > v
         } else {
@@ -2270,27 +2199,30 @@ fn gallop(
 }
 
 /// The order in which [`multiway_join`] binds the variables of
-/// `schema`, as positions into it: ascending, except that a variable
-/// sharing no part with an already placed one waits while some other
-/// unplaced variable does. Every level after the first of a connected
-/// component therefore has a part whose range the bound prefix already
-/// narrowed; only a new cartesian component starts from whole parts.
-fn enumeration_order(parts: &[&FlatRelation], schema: &[VarId]) -> Vec<usize> {
+/// `schema`, as positions into it. A variable sharing no part with an
+/// already placed one waits while some other unplaced variable does, so
+/// every level after the first of a connected component has a part
+/// whose range the bound prefix already narrowed and only a new
+/// cartesian component starts from whole parts. Among the variables
+/// that rule admits, the `keep` list goes first, in its own order, then
+/// the dropped ones ascending: whatever follows the last kept variable
+/// only has to exist.
+fn enumeration_order(parts: &[&FlatRelation], schema: &[VarId], keep: &[VarId]) -> Vec<usize> {
     let n = schema.len();
+    let at = |v: &VarId| schema.binary_search(v).expect("part var must be in schema");
     let (mut placed, mut linked) = (vec![false; n], vec![false; n]);
     let mut order = Vec::with_capacity(n);
     while order.len() < n {
-        let free = |i: &usize| !placed[*i];
-        let next = (0..n)
-            .filter(free)
-            .find(|&i| linked[i])
+        let waits = (0..n).any(|i| !placed[i] && linked[i]);
+        let free = |i: &usize| !placed[*i] && (linked[*i] || !waits);
+        let next = (keep.iter().map(at).find(free))
             .or_else(|| (0..n).find(free))
             .expect("an unplaced variable remains");
         placed[next] = true;
         order.push(next);
         for p in parts.iter().filter(|p| p.schema.contains(&schema[next])) {
             for v in &p.schema {
-                linked[schema.binary_search(v).expect("part var must be in schema")] = true;
+                linked[at(v)] = true;
             }
         }
     }
@@ -2312,32 +2244,69 @@ struct Trie<'a> {
     /// known and within 8× the row count (the array is `O(width)` to
     /// fill), empty otherwise — then the first column is searched.
     offsets: Vec<u32>,
+    /// The last column on its own. The innermost levels do most of a
+    /// join's reads, each in a run picked by the columns before it: in
+    /// the row-major buffer those runs are `arity` times as many cache
+    /// lines, most of them misses once the part outgrows the cache.
+    last: &'a [Element],
 }
 
 impl<'a> Trie<'a> {
-    fn new(rel: &'a FlatRelation) -> Trie<'a> {
+    /// `last` is scratch for the copy of the last column, one element
+    /// per row.
+    fn new(rel: &'a FlatRelation, last: &'a mut [Element]) -> Trie<'a> {
         let (arity, width) = (rel.schema.len(), rel.domain_width as usize);
-        let mut offsets = Vec::new();
-        if width > 0 && width <= 8 * rel.rows {
-            offsets = vec![0u32; width + 1];
-            for row in rel.data.chunks_exact(arity) {
+        let dense = width > 0 && width <= 8 * rel.rows;
+        let mut offsets = vec![0u32; if dense { width + 1 } else { 0 }];
+        for (row, last) in rel.data.chunks_exact(arity).zip(last.iter_mut()) {
+            if dense {
                 offsets[row[0] as usize + 1] += 1;
             }
-            for v in 0..width {
-                offsets[v + 1] += offsets[v];
-            }
+            *last = row[arity - 1];
+        }
+        for v in 0..offsets.len().saturating_sub(1) {
+            offsets[v + 1] += offsets[v];
         }
         Trie {
             data: &rel.data,
             arity,
             rows: rel.rows,
             offsets,
+            last,
+        }
+    }
+
+    /// Column `col` as a slice to index by `row * stride`.
+    #[inline]
+    fn column(&self, col: usize) -> (&[Element], usize) {
+        if col + 1 == self.arity {
+            (self.last, 1)
+        } else {
+            (&self.data[col..], self.arity)
         }
     }
 
     #[inline]
     fn val(&self, row: usize, col: usize) -> Element {
-        self.data[row * self.arity + col]
+        let (column, stride) = self.column(col);
+        column[row * stride]
+    }
+
+    /// [`Trie::seek`] over a nonempty `lo..hi` by plain binary search
+    /// with no data-dependent branch: `log₂` of the whole range whatever
+    /// the distance, but searches for different values do not wait for
+    /// one another.
+    #[inline]
+    fn lower_bound(&self, col: usize, lo: usize, hi: usize, v: Element) -> usize {
+        let (column, stride) = self.column(col);
+        let (mut base, mut size) = (lo, hi - lo);
+        while size > 1 {
+            let half = size / 2;
+            let below = column[(base + half) * stride] < v;
+            base = std::hint::select_unpredictable(below, base + half, base);
+            size -= half;
+        }
+        base + usize::from(column[base * stride] < v)
     }
 
     /// First row of `lo..hi` (rows agreeing on the columns before
@@ -2347,9 +2316,10 @@ impl<'a> Trie<'a> {
         if lo >= hi || self.val(lo, col) >= v {
             return lo;
         }
+        let (column, stride) = self.column(col);
         match self.offsets.get(v as usize) {
             Some(&at) if col == 0 => at as usize,
-            _ => gallop(self.data, self.arity, col, lo + 1, hi, v, false),
+            _ => gallop(column, stride, lo + 1, hi, v, false),
         }
     }
 
@@ -2363,7 +2333,7 @@ impl<'a> Trie<'a> {
         } else if col == 0 && !self.offsets.is_empty() {
             self.offsets[v as usize + 1] as usize
         } else {
-            gallop(self.data, self.arity, col, lo + 1, hi, v, true)
+            gallop(&self.data[col..], self.arity, lo + 1, hi, v, true)
         }
     }
 
@@ -2378,7 +2348,8 @@ impl<'a> Trie<'a> {
                 None => (0, 0),
             };
         }
-        let lo = gallop(self.data, self.arity, 0, 0, self.rows, v, false);
+        let (column, stride) = self.column(0);
+        let lo = gallop(column, stride, 0, self.rows, v, false);
         if lo == self.rows || self.val(lo, 0) != v {
             return (0, 0);
         }
@@ -2411,31 +2382,40 @@ struct Level {
     end: usize,
 }
 
+/// The output column of a variable the keep list drops.
+const DROPPED: usize = usize::MAX;
+
 /// The static shape of one multiway join.
 struct WcojPlan<'a> {
     tries: Vec<Trie<'a>>,
     /// All slots, level by level.
     slots: Vec<Slot>,
     levels: Vec<Level>,
-    /// Per level, the position in the output schema of its variable.
-    order: Vec<usize>,
-    /// The last level has a single slot: its matches are the rows of
-    /// one range, written (or counted) without a search.
+    /// Per level, the output column of its variable; [`DROPPED`] for
+    /// a variable the keep list leaves out.
+    col: Vec<usize>,
+    /// The first level of the all-dropped suffix (the level count when
+    /// the last variable is kept): from here down one complete binding
+    /// is as good as all of them.
+    exist_from: usize,
+    /// The last level is kept and has a single slot: its matches are
+    /// the rows of one range, written (or counted) without a search.
     bulk_last: bool,
 }
 
 impl<'a> WcojPlan<'a> {
-    /// `tries[p]` reads `parts[p]` in the column order `order` induces;
-    /// `level` maps a variable to the level binding it.
+    /// `tries[p]` reads `parts[p]` in the column order the levels
+    /// induce; `level` maps a variable to the level binding it, `col`
+    /// a level to its output column.
     fn new(
         parts: &[&FlatRelation],
         tries: Vec<Trie<'a>>,
-        order: Vec<usize>,
+        col: Vec<usize>,
         level: impl Fn(&VarId) -> usize,
     ) -> WcojPlan<'a> {
         let mut slots = Vec::with_capacity(parts.iter().map(|p| p.schema.len()).sum());
-        let mut levels = Vec::with_capacity(order.len());
-        for l in 0..order.len() {
+        let mut levels = Vec::with_capacity(col.len());
+        for l in 0..col.len() {
             let start = slots.len();
             // A part holding this level's variable binds it at the
             // depth of how many of its variables are bound earlier;
@@ -2472,13 +2452,15 @@ impl<'a> WcojPlan<'a> {
                 .position(|s: &Slot| (s.part, s.depth) == (part, depth));
             slots[i].next = next.unwrap_or(slots.len());
         }
-        let bulk_last = levels.last().is_some_and(|lv| lv.end - lv.start == 1);
+        let exist_from = col.iter().rposition(|&c| c != DROPPED).map_or(0, |l| l + 1);
+        let single = levels.last().is_some_and(|lv| lv.end - lv.start == 1);
         WcojPlan {
             tries,
             slots,
+            bulk_last: single && exist_from == levels.len(),
             levels,
-            order,
-            bulk_last,
+            col,
+            exist_from,
         }
     }
 }
@@ -2495,7 +2477,7 @@ struct WcojRun<'a> {
     /// Per slot: where a leapfrogging level's cursor stands in its
     /// range (one lead and a merge of two keep theirs in locals).
     cursor: Vec<usize>,
-    /// The current binding, in schema order.
+    /// The kept part of the current binding: one output row.
     binding: Vec<Element>,
     out: Vec<Element>,
     rows: usize,
@@ -2515,7 +2497,7 @@ impl<'a> WcojRun<'a> {
             plan,
             range: vec![(0, 0); plan.slots.len() + 1],
             cursor: vec![0; plan.slots.len()],
-            binding: vec![0; plan.order.len()],
+            binding: vec![0; plan.col.iter().filter(|&&c| c != DROPPED).count()],
             out: Vec::new(),
             rows: 0,
             advances: 0,
@@ -2533,27 +2515,31 @@ impl<'a> WcojRun<'a> {
         }
     }
 
-    /// Enumerates all extensions of the current binding from `level` on,
-    /// appending complete bindings (schema order) to the output. Values
-    /// are visited in ascending order at every level, so the output is
-    /// duplicate-free and sorted on the enumeration order. A level is
-    /// specialised by its leads: one is iterated, two of comparable
-    /// length are merged on locals, anything else leapfrogs.
-    fn descend(&mut self, level: usize) {
+    /// Enumerates the extensions of the current binding from `level` on,
+    /// appending the kept columns of each complete binding to the
+    /// output, and says whether there was one. Values are visited in
+    /// ascending order at every level, so the output is sorted on the
+    /// enumeration order. From [`WcojPlan::exist_from`] down a level
+    /// returns at its first hit: nothing it binds is kept, so one
+    /// witness stands for all. A level is specialised by its leads: one
+    /// is iterated, two of comparable length are merged on locals,
+    /// anything else leapfrogs.
+    fn descend(&mut self, level: usize) -> bool {
         let plan = self.plan;
         let Some(lv) = plan.levels.get(level) else {
             self.out.extend_from_slice(&self.binding);
             self.rows += 1;
-            return;
+            return true;
         };
+        let first = level >= plan.exist_from;
         let (leads, probes) = (&plan.slots[lv.start..lv.mid], &plan.slots[lv.mid..lv.end]);
         if plan.bulk_last && level + 1 == plan.levels.len() {
-            let (s, pos) = (&leads[0], plan.order[level]);
+            let (s, pos) = (&leads[0], plan.col[level]);
             let (lo, hi) = self.entry(s);
             self.rows += hi - lo;
             if !self.fill {
                 self.advances += 1;
-                return;
+                return hi > lo;
             }
             self.advances += (hi - lo) as u64;
             let (t, arity, base) = (&plan.tries[s.part], self.binding.len(), self.out.len());
@@ -2569,7 +2555,7 @@ impl<'a> WcojRun<'a> {
             for (k, row) in (lo..hi).enumerate() {
                 dst[k * arity + pos] = t.val(row, s.depth);
             }
-            return;
+            return hi > lo;
         }
         match leads {
             [a] => {
@@ -2580,17 +2566,38 @@ impl<'a> WcojRun<'a> {
                     let end = t.run_end(a.depth, lo, hi, v);
                     self.advances += 1;
                     self.range[a.next] = (lo, end);
-                    self.hit(level, probes, v);
+                    if self.hit(level, probes, v) && first {
+                        return true;
+                    }
                     lo = end;
                 }
+                false
             }
             [a, b] => {
                 let ((mut i, ie), (mut j, je)) = (self.entry(a), self.entry(b));
                 // Ranges within 8× of each other merge run by run with
                 // no data-dependent branch per step, at a cost linear
-                // in both; a lopsided pair seeks instead.
+                // in both; of a lopsided pair the short range is walked
+                // and each of its values looked up in the long one.
                 if ie - i > 8 * (je - j) || je - j > 8 * (ie - i) {
-                    return self.leapfrog(level, leads, probes);
+                    let (s, l) = if ie - i < je - j { (a, b) } else { (b, a) };
+                    let (ts, tl) = (&plan.tries[s.part], &plan.tries[l.part]);
+                    let ((mut i, ie), (lo, hi)) = (self.entry(s), self.entry(l));
+                    while i < ie {
+                        let x = ts.val(i, s.depth);
+                        let end = ts.run_end(s.depth, i, ie, x);
+                        let at = tl.lower_bound(l.depth, lo, hi, x);
+                        self.advances += 1;
+                        if at < hi && tl.val(at, l.depth) == x {
+                            self.range[s.next] = (i, end);
+                            self.range[l.next] = (at, tl.run_end(l.depth, at, hi, x));
+                            if self.hit(level, probes, x) && first {
+                                return true;
+                            }
+                        }
+                        i = end;
+                    }
+                    return false;
                 }
                 let (ta, tb) = (&plan.tries[a.part], &plan.tries[b.part]);
                 while i < ie && j < je {
@@ -2601,10 +2608,13 @@ impl<'a> WcojRun<'a> {
                     if x == y {
                         self.range[a.next] = (i, ni);
                         self.range[b.next] = (j, nj);
-                        self.hit(level, probes, x);
+                        if self.hit(level, probes, x) && first {
+                            return true;
+                        }
                     }
                     (i, j) = (if x <= y { ni } else { i }, if y <= x { nj } else { j });
                 }
+                false
             }
             _ => self.leapfrog(level, leads, probes),
         }
@@ -2613,12 +2623,12 @@ impl<'a> WcojRun<'a> {
     /// The general level: every lead seeks the largest value any of
     /// them holds until all agree (leapfrog), so the level costs the
     /// shortest range times a logarithm, not the sum of the ranges.
-    fn leapfrog(&mut self, level: usize, leads: &[Slot], probes: &[Slot]) {
+    fn leapfrog(&mut self, level: usize, leads: &[Slot], probes: &[Slot]) -> bool {
         let plan = self.plan;
         for s in leads {
             let (lo, hi) = self.entry(s);
             if lo >= hi {
-                return;
+                return false;
             }
             self.cursor[s.own] = lo;
         }
@@ -2634,7 +2644,7 @@ impl<'a> WcojRun<'a> {
                     lo = t.seek(s.depth, lo + 1, hi, v);
                     self.advances += 1;
                     if lo >= hi {
-                        return;
+                        return false;
                     }
                     self.cursor[s.own] = lo;
                 }
@@ -2652,24 +2662,27 @@ impl<'a> WcojRun<'a> {
                 exhausted |= end >= hi;
             }
             self.advances += leads.len() as u64;
-            self.hit(level, probes, v);
+            if self.hit(level, probes, v) && level >= plan.exist_from {
+                return true;
+            }
             if exhausted {
-                return;
+                return false;
             }
         }
     }
 
     /// Every lead of `level` holds `v`, each part's next column narrowed
     /// to its run of it: look `v` up in the probed slots, narrowing
-    /// those too, and if all hold it bind it and go one level down.
+    /// those too, and if all hold it bind it and go one level down;
+    /// `true` when that reached a complete binding.
     #[inline]
-    fn hit(&mut self, level: usize, probes: &[Slot], v: Element) {
+    fn hit(&mut self, level: usize, probes: &[Slot], v: Element) -> bool {
         let plan = self.plan;
         for s in probes {
             self.advances += 1;
             let run = plan.tries[s.part].find(v);
             if run.0 == run.1 {
-                return;
+                return false;
             }
             self.range[s.next] = run;
         }
@@ -2680,10 +2693,12 @@ impl<'a> WcojRun<'a> {
                     .iter()
                     .map(|s| self.range[s.next]),
             );
-            return;
+            return false;
         }
-        self.binding[plan.order[level]] = v;
-        self.descend(level + 1);
+        if plan.col[level] != DROPPED {
+            self.binding[plan.col[level]] = v;
+        }
+        self.descend(level + 1)
     }
 }
 
@@ -2710,26 +2725,26 @@ fn reordered(
     Some(copy)
 }
 
-/// The bag kernel: the worst-case-optimal multiway join (leapfrog
-/// triejoin) of sorted-canonical relations onto their sorted variable
-/// union. Variable by variable, the candidate extensions of the current
-/// binding are intersected across every part containing the variable,
-/// so the total work is bounded by the fractional-cover (AGM) bound of
-/// the join, not by the size of any binary intermediate.
+/// The multiway kernel: `π_keep(parts[0] ⋈ … ⋈ parts[n-1])` as one
+/// worst-case-optimal join (leapfrog triejoin) of canonical relations —
+/// a bag build when `keep` is the sorted variable union, a tree node's
+/// join with its children's partials when it is less. Variable by
+/// variable, the candidate extensions of the current binding are
+/// intersected across every part containing the variable, so the total
+/// work is bounded by the fractional-cover (AGM) bound of the join, not
+/// by the size of any binary intermediate.
 ///
 /// **Order.** The kernel binds variables in [`enumeration_order`],
-/// which it derives from the part schemas alone. Any order yields the
-/// same relation: a binding survives level `l` iff its projection lies
-/// in every part containing variable `l` under the prefix bound so far,
-/// so the complete bindings are exactly the tuples whose projection on
-/// each part's schema is a row of that part — the natural join, a set —
-/// and a set has one canonical form (sorted duplicate-free rows over
-/// the sorted schema). Parts whose columns are not in enumeration order
-/// are read through a re-sorted copy ([`reordered`]), and when the
-/// order is not ascending the rows, which come out sorted on the
-/// enumeration order, get one canonicalizing sort. Either way the
-/// result is byte-identical to `parts[0] ⋈ … ⋈ parts[n-1]` projected
-/// onto `schema` and canonicalized.
+/// which it derives from the part schemas and `keep` alone: kept
+/// variables as early as connectivity lets them. Any order yields the
+/// same *projected* set: a binding survives level `l` iff its
+/// projection lies in every part containing variable `l` under the
+/// prefix bound so far, so the complete bindings are exactly the tuples
+/// whose projection on each part's schema is a row of that part — the
+/// natural join — and a kept row is written iff some complete binding
+/// extends it, which for the all-dropped suffix of the order is decided
+/// by the first one found. Parts whose columns are not in enumeration
+/// order are read through a re-sorted copy ([`reordered`]).
 ///
 /// **Cursors.** Every part is a [`Trie`]; a [`Slot`]'s range is always
 /// the run of rows agreeing with the current binding on the part's
@@ -2737,16 +2752,24 @@ fn reordered(
 /// cursor only moves forward. A part entering below the first level of
 /// its component is looked up per candidate, never walked.
 ///
-/// **Output.** When the last level has a single slot the row count is
-/// the sum of its range lengths: a first pass counts without visiting
-/// a row and the result is allocated once at its exact size. Otherwise
-/// the buffer grows geometrically.
+/// **Output.** Only kept columns are written, in `keep`'s order. When
+/// the order *starts* with `keep` as listed, every level below is
+/// existential, each kept row is met once, in order, and nothing is
+/// sorted afterwards; otherwise (a dropped variable had to come before
+/// a kept one, or a bag's variables not ascending) the rows get one
+/// canonicalizing `sort_dedup`. Either way the result is byte-identical
+/// to the binary joins of the parts projected onto `keep` and
+/// canonicalized. When the last level is kept and has a single slot the
+/// row count is the sum of its range lengths: a first pass counts
+/// without visiting a row and the result is allocated once at its exact
+/// size. Otherwise the buffer grows geometrically.
 ///
-/// Requirements: every part is in `sort_dedup` canonical form with a
-/// sorted schema; `schema` is the sorted union of the part schemas. A
-/// 0-ary part binds nothing: the true one drops out, and the false one,
-/// like any empty part, makes the result empty. Cursor moves are added
-/// to `stats.cursor_advances`.
+/// Requirements: every part is duplicate-free with its rows sorted in
+/// its own column order; `schema` is the sorted union of the part
+/// schemas and `keep` lists distinct variables of it.
+/// A 0-ary part binds nothing: the true one drops out, and the false
+/// one, like any empty part, makes the result empty. Cursor moves are
+/// added to `stats.cursor_advances`.
 ///
 /// Under a granting `budget` the enumeration fans out over morsels of
 /// the first variable's candidates, each worker enumerating its
@@ -2756,11 +2779,12 @@ fn reordered(
 pub(crate) fn multiway_join(
     parts: &[&FlatRelation],
     schema: &[VarId],
+    keep: &[VarId],
     budget: &ThreadBudget,
     stats: &mut MatCacheStats,
 ) -> FlatRelation {
     debug_assert!(schema.windows(2).all(|w| w[0] < w[1]));
-    let mut out = FlatRelation::empty(schema.to_vec());
+    let mut out = FlatRelation::empty(keep.to_vec());
     let bound = |p: &&FlatRelation| p.domain_width > 0 || p.schema.is_empty();
     if parts.iter().all(bound) {
         out.domain_width = parts.iter().map(|p| p.domain_width).max().unwrap_or(0);
@@ -2783,27 +2807,38 @@ pub(crate) fn multiway_join(
         out.rows = 1;
         return out;
     }
-    let order = enumeration_order(parts, schema);
-    let ascending = order.is_sorted();
+    let mut order = enumeration_order(parts, schema, keep);
     let mut level_of = vec![0; order.len()];
     for (l, &pos) in order.iter().enumerate() {
         level_of[pos] = l;
     }
     let level = |v: &VarId| level_of[schema.binary_search(v).expect("part var in schema")];
-    let copies: Vec<Option<FlatRelation>> = if ascending {
-        Vec::new()
-    } else {
-        parts.iter().map(|p| reordered(p, level, budget)).collect()
-    };
-    let tries = parts
-        .iter()
-        .enumerate()
-        .map(|(i, p)| Trie::new(copies.get(i).and_then(Option::as_ref).unwrap_or(p)))
+    // From here on a level is known by its output column.
+    for pos in &mut order {
+        *pos = (keep.iter().position(|v| *v == schema[*pos])).unwrap_or(DROPPED);
+    }
+    let canonical = order.iter().take(keep.len()).copied().eq(0..keep.len());
+    let copies: Vec<Option<FlatRelation>> =
+        if parts.iter().all(|p| p.schema.is_sorted_by_key(level)) {
+            Vec::new()
+        } else {
+            parts.iter().map(|p| reordered(p, level, budget)).collect()
+        };
+    let read = |i: usize| copies.get(i).and_then(Option::as_ref).unwrap_or(parts[i]);
+    // One buffer holds every part's last column.
+    let mut lasts = vec![0; parts.iter().map(|p| p.rows).sum()];
+    let mut rest = &mut lasts[..];
+    let tries = (0..parts.len())
+        .map(|i| {
+            let (last, tail) = std::mem::take(&mut rest).split_at_mut(parts[i].rows);
+            rest = tail;
+            Trie::new(read(i), last)
+        })
         .collect();
     let plan = WcojPlan::new(parts, tries, order, level);
     let mut st = WcojRun::new(&plan);
     let mut fanned_out = false;
-    if budget.capacity() > 0 && plan.levels.len() > 1 {
+    if budget.capacity() > 0 && plan.levels.len() > 1 && plan.exist_from > 0 {
         // Level-0 candidates with each lead part's run, so workers
         // start directly at level 1.
         st.candidates = Some(Default::default());
@@ -2816,7 +2851,8 @@ pub(crate) fn multiway_join(
             let bufs = parallel_chunks(cands.len(), WCOJ_MORSEL_CANDS, lease.workers(), |_, r| {
                 let mut st = WcojRun::new(&plan);
                 for i in r {
-                    st.binding[plan.order[0]] = cands[i];
+                    // Level 0 picks among all variables: a kept one.
+                    st.binding[plan.col[0]] = cands[i];
                     for (k, s) in lead.iter().enumerate() {
                         st.range[s.next] = runs[i * lead.len() + k];
                     }
@@ -2837,7 +2873,7 @@ pub(crate) fn multiway_join(
         if plan.bulk_last {
             st.fill = false;
             st.descend(0);
-            st.out.reserve_exact(st.rows * schema.len());
+            st.out.reserve_exact(st.rows * keep.len());
             (st.rows, st.fill) = (0, true);
         }
         st.descend(0);
@@ -2845,7 +2881,7 @@ pub(crate) fn multiway_join(
     stats.cursor_advances += st.advances;
     out.rows = st.rows;
     out.data = Rows::Owned(st.out);
-    if !ascending {
+    if !canonical {
         out.sort_dedup_budget(budget);
     }
     out
@@ -3649,9 +3685,10 @@ mod tests {
     }
 
     /// The kernel under a sequential budget, its stats dropped.
-    fn kernel(parts: &[&FlatRelation], schema: &[VarId]) -> FlatRelation {
-        let mut stats = MatCacheStats::default();
-        multiway_join(parts, schema, &ThreadBudget::sequential(), &mut stats)
+    fn kernel(parts: &[&FlatRelation], keep: &[VarId]) -> FlatRelation {
+        let schemas: Vec<&[VarId]> = parts.iter().map(|p| p.schema()).collect();
+        let (schema, budget) = (union_schema(&schemas), ThreadBudget::sequential());
+        multiway_join(parts, &schema, keep, &budget, &mut MatCacheStats::default())
     }
 
     fn union_schema(schemas: &[&[VarId]]) -> Vec<VarId> {
@@ -3661,9 +3698,27 @@ mod tests {
         schema
     }
 
+    /// Every keep list over `schema`: each subset, ascending, the
+    /// full schema first (the bag build, which must reproduce the
+    /// bytes of the binary build) — and each of two or more variables
+    /// also reversed, an order the enumeration cannot follow.
+    fn keep_lists(schema: &[VarId]) -> Vec<Vec<VarId>> {
+        let mut lists = Vec::new();
+        for mask in (0..1u32 << schema.len()).rev() {
+            let pick = |(i, v): (usize, &VarId)| (mask >> i & 1 == 1).then_some(*v);
+            let keep: Vec<VarId> = schema.iter().enumerate().filter_map(pick).collect();
+            if keep.len() > 1 {
+                lists.push(keep.iter().rev().copied().collect());
+            }
+            lists.push(keep);
+        }
+        lists
+    }
+
     /// Kernel ≡ binary reference (bytes and code width) on random parts
-    /// over `schemas`, at three sizes, with every part carrying a dense
-    /// bound (offsets arrays) and with none (searched first columns).
+    /// over `schemas` for every keep list, at three sizes, with every
+    /// part carrying a dense bound (offsets arrays) and with none
+    /// (searched first columns).
     fn check_shape(schemas: &[&[VarId]], seed: &mut u64) {
         let schema = union_schema(schemas);
         for &(dom, rows) in &[(4u64, 12usize), (10, 60), (25, 300)] {
@@ -3677,11 +3732,15 @@ mod tests {
                     })
                     .collect();
                 let parts: Vec<&FlatRelation> = rels.iter().collect();
-                let got = kernel(&parts, &schema);
-                let want = binary_reference(&parts, &schema);
-                let ctx = format!("{schemas:?} dom {dom} rows {rows} dense {dense}");
-                assert_identical(&got, &want, &ctx);
-                assert_eq!(got.domain_width, want.domain_width, "width: {ctx}");
+                let joined = binary_reference(&parts, &schema);
+                for keep in keep_lists(&schema) {
+                    let got = kernel(&parts, &keep);
+                    let want = joined.project(&keep);
+                    let ctx =
+                        format!("{schemas:?} keep {keep:?} dom {dom} rows {rows} dense {dense}");
+                    assert_identical(&got, &want, &ctx);
+                    assert_eq!(got.domain_width, want.domain_width, "width: {ctx}");
+                }
             }
         }
     }
@@ -3737,7 +3796,18 @@ mod tests {
         // The order itself: the path with its middle variable last
         // binds 0, then 2 (which 0 reaches), then 1.
         let (a, b) = (rel(&[0, 2], &[&[1, 5]]), rel(&[1, 2], &[&[7, 5]]));
-        assert_eq!(enumeration_order(&[&a, &b], &[0, 1, 2]), [0, 2, 1]);
+        assert_eq!(
+            enumeration_order(&[&a, &b], &[0, 1, 2], &[0, 1, 2]),
+            [0, 2, 1]
+        );
+        // Kept variables go first where a part links them, in the keep
+        // list's order; the rest ascending.
+        let path = [&rel(&[0, 1], &[&[1, 7]]), &b, &rel(&[2, 3], &[&[5, 9]])];
+        let schema = [0, 1, 2, 3];
+        assert_eq!(enumeration_order(&path, &schema, &[]), [0, 1, 2, 3]);
+        assert_eq!(enumeration_order(&path, &schema, &[2]), [2, 1, 0, 3]);
+        assert_eq!(enumeration_order(&path, &schema, &[3, 2]), [3, 2, 1, 0]);
+        assert_eq!(enumeration_order(&path, &schema, &[0, 3]), [0, 1, 2, 3]);
         assert_identical(
             &kernel(&[&a, &b], &[0, 1, 2]),
             &rel(&[0, 1, 2], &[&[1, 7, 5]]),
@@ -3797,7 +3867,8 @@ mod tests {
                 }
                 let mut stats = MatCacheStats::default();
                 let budget = ThreadBudget::sequential();
-                let out = multiway_join(&[&rels[0], &rels[1]], &[0, 1, 2], &budget, &mut stats);
+                let parts = [&rels[0], &rels[1]];
+                let out = multiway_join(&parts, &[0, 1, 2], &[0, 1, 2], &budget, &mut stats);
                 let linear = (rels[0].len() + rels[1].len() + out.len()) as u64;
                 assert!(
                     stats.cursor_advances <= 4 * linear,
@@ -3904,7 +3975,10 @@ mod tests {
                 r.domain_width = w;
             }
             let parts: Vec<&FlatRelation> = rels.iter().collect();
-            assert_eq!(Trie::new(parts[1]).offsets.is_empty(), widths[1] != 60);
+            let dense = !Trie::new(parts[1], &mut vec![0; parts[1].len()])
+                .offsets
+                .is_empty();
+            assert_eq!(dense, widths[1] == 60);
             let got = kernel(&parts, &[0, 1, 2]);
             let want = binary_reference(&parts, &[0, 1, 2]);
             assert!(!want.is_empty());
@@ -3914,7 +3988,7 @@ mod tests {
         let mut a = rel(&[0, 1], &[&[1, 2], &[1, 50]]);
         let mut b = rel(&[1, 2], &[&[2, 3], &[2, 4]]);
         (a.domain_width, b.domain_width) = (64, 5);
-        assert!(!Trie::new(&b).offsets.is_empty());
+        assert!(!Trie::new(&b, &mut [0; 2]).offsets.is_empty());
         assert_eq!(kernel(&[&a, &b], &[0, 1, 2]).len(), 2);
     }
 
@@ -4282,7 +4356,7 @@ mod tests {
                 // Every value of column 0, so the join drops nothing.
                 let all = FlatRelation::from_raw(1, 5, values.to_vec(), width);
                 for (other, head) in [&FlatRelation::unit(), &all].into_iter().zip(&heads) {
-                    let got = rel.join_project_budget(other, head, ThreadBudget::shared());
+                    let got = rel.join_cols(other, Some(head), ThreadBudget::shared());
                     let want: BTreeSet<Vec<Element>> = rows
                         .iter()
                         .map(|r| head.iter().map(|&v| r[v as usize]).collect())
@@ -4417,7 +4491,7 @@ mod tests {
         for vars in [&[0][..], &[1][..], &[1, 0][..]] {
             assert_eq!(r.project(vars).domain_width(), 24, "project {vars:?}");
             assert_eq!(
-                r.join_project_budget(&FlatRelation::unit(), vars, ThreadBudget::shared())
+                r.join_cols(&FlatRelation::unit(), Some(vars), ThreadBudget::shared())
                     .domain_width(),
                 24,
                 "distinct {vars:?}"
@@ -4465,16 +4539,22 @@ mod tests {
             .map(|s| random_rel(s, 900, 200, &mut seed))
             .collect();
         let parts: Vec<&FlatRelation> = rels.iter().collect();
-        let mut seq_stats = MatCacheStats::default();
-        let sequential = ThreadBudget::sequential();
-        let seq = multiway_join(&parts, &[0, 1, 2], &sequential, &mut seq_stats);
-        assert!(!seq.is_empty(), "triangle join must produce rows");
-        for threads in [2usize, 4, 8] {
-            let budget = ThreadBudget::new(threads);
-            let mut stats = MatCacheStats::default();
-            let par = multiway_join(&parts, &[0, 1, 2], &budget, &mut stats);
-            assert_identical(&par, &seq, &format!("{threads} threads"));
-            assert!(stats.cursor_advances >= seq_stats.cursor_advances);
+        // The full bag, then keep lists whose dropped suffix is an
+        // existence check below the fanned-out level (`[0]`), spans it
+        // (`[]`, which must not fan out) or is empty with a sort after
+        // (`[2, 0]`).
+        for keep in [&[0, 1, 2][..], &[0], &[2, 0], &[]] {
+            let mut seq_stats = MatCacheStats::default();
+            let sequential = ThreadBudget::sequential();
+            let seq = multiway_join(&parts, &[0, 1, 2], keep, &sequential, &mut seq_stats);
+            assert!(!seq.is_empty(), "triangle join must produce rows");
+            for threads in [2usize, 4, 8] {
+                let budget = ThreadBudget::new(threads);
+                let mut stats = MatCacheStats::default();
+                let par = multiway_join(&parts, &[0, 1, 2], keep, &budget, &mut stats);
+                assert_identical(&par, &seq, &format!("{threads} threads, keep {keep:?}"));
+                assert!(stats.cursor_advances >= seq_stats.cursor_advances);
+            }
         }
         // One level leaves nothing below level 0 to fan out.
         let ones: Vec<FlatRelation> = (0..2)
@@ -4483,7 +4563,7 @@ mod tests {
         let budget = ThreadBudget::new(4);
         for parts in [vec![&ones[0]], vec![&ones[0], &ones[1]]] {
             let mut stats = MatCacheStats::default();
-            let par = multiway_join(&parts, &[0], &budget, &mut stats);
+            let par = multiway_join(&parts, &[0], &[0], &budget, &mut stats);
             assert_identical(&par, &kernel(&parts, &[0]), "one level, four threads");
         }
     }
@@ -4576,7 +4656,7 @@ mod tests {
         for vars in [&[0, 3][..], &[3, 2, 0, 1], &[2], &[]] {
             let want = l.join(&r).project(vars);
             for budget in [ThreadBudget::sequential(), ThreadBudget::new(4)] {
-                let mut got = l.join_project_budget(&r, vars, &budget);
+                let mut got = l.join_cols(&r, Some(vars), &budget);
                 assert_eq!(got.schema, want.schema);
                 assert_eq!(got.rows, want.rows, "fused output must be duplicate-free");
                 got.sort_dedup();
@@ -4607,7 +4687,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
-        /// `join_project_budget` ≡ `join_budget` then `project_budget`
+        /// fused `join_cols` ≡ `join_budget` then `project_budget`
         /// as a set, with the same schema and the same width bound, on
         /// random duplicate-free operands and keep-lists (subsets,
         /// the identity, repeats, nothing).
@@ -4642,14 +4722,14 @@ mod tests {
                 keep.iter().map(|&k| joined.schema[k % joined.schema.len()]).collect()
             };
             let want = joined.project(&vars);
-            let mut got = l.join_project_budget(&r, &vars, ThreadBudget::shared());
+            let mut got = l.join_cols(&r, Some(&vars), ThreadBudget::shared());
             prop_assert_eq!(&got.schema, &want.schema);
             prop_assert_eq!(got.domain_width, want.domain_width);
             prop_assert_eq!(got.rows, want.rows, "fused output must be duplicate-free");
             got.sort_dedup();
             prop_assert_eq!(&got.data, &want.data);
             // The one-slot projection is the same operator.
-            let mut alone = joined.join_project_budget(&FlatRelation::unit(), &vars, ThreadBudget::shared());
+            let mut alone = joined.join_cols(&FlatRelation::unit(), Some(&vars), ThreadBudget::shared());
             prop_assert_eq!(alone.domain_width, want.domain_width);
             alone.sort_dedup();
             prop_assert_eq!(&alone.data, &want.data);

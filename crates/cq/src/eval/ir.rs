@@ -11,8 +11,9 @@
 //! | [`Op::Semijoin`]     | `target ⋉ source` on aligned key columns: nothing is touched when every row survives, an owned target is compacted in place, a target still sharing cached rows gathers its survivors into a fresh buffer; the allocations are the same whether or not a row goes |
 //! | [`Op::AssertNonempty`] | abort with the empty answer when a slot ran dry     |
 //! | [`Op::Join`]         | natural hash join of two slots into a third           |
-//! | [`Op::JoinProject`]  | `π_vars(left ⋈ right)` in one pass: matches emit only the kept columns, then packed-radix or hash dedup; the full-width join never exists. Writing the program's output slot, it leaves the rows in canonical order — the answer set's one sort |
-//! | [`Op::Project`]      | distinct projection of one slot ([`Op::JoinProject`] against the unit relation, canonical at the output slot likewise); the identity projection shares the slot's rows |
+//! | [`Op::JoinProject`]  | `π_vars(left ⋈ right)` in one pass: matches emit only the kept columns, then one sort + dedup (packed radix when the rows fit code words); the full-width join never exists, and the rows are left canonical — at the output slot that is the answer set's one sort |
+//! | [`Op::MultiJoin`]    | `π_vars(⋈ inputs)` for three or more slots by the multiway kernel bags are built with: kept variables are enumerated first, what follows them is an existence check, no intermediate exists |
+//! | [`Op::Project`]      | distinct projection of one slot ([`Op::JoinProject`] against the unit relation); the identity projection shares the slot's rows |
 //! | [`Op::Dedup`]        | in-place sort + duplicate elimination                 |
 //! | [`Op::Union`]        | append a same-variable slot (column-remapped)         |
 //!
@@ -34,8 +35,8 @@
 use crate::ast::{Atom, VarId};
 use crate::eval::answers::Answers;
 use crate::eval::flat::{
-    bitmap_mode, note_bitmap_build, note_bitmap_probe, AtomBinder, BitmapMode, FlatRelation,
-    MatCacheStats, MatKey, MaterializationCache,
+    bitmap_mode, multiway_join, note_bitmap_build, note_bitmap_probe, AtomBinder, BitmapMode,
+    FlatRelation, MatCacheStats, MatKey, MaterializationCache,
 };
 use cqapx_par::{parallel_map, ThreadBudget};
 use cqapx_structures::{DomainBitmap, Structure};
@@ -230,7 +231,7 @@ impl MatSource {
         // order), so cache entries are label-independent.
         let t0 = std::time::Instant::now();
         let parts: Vec<&FlatRelation> = rels.iter().collect();
-        let out = crate::eval::flat::multiway_join(&parts, &self.schema, budget, stats);
+        let out = multiway_join(&parts, &self.schema, &self.schema, budget, stats);
         stats.wcoj_bag_builds += 1;
         stats.wcoj_bag_us += t0.elapsed().as_micros() as u64;
         out
@@ -299,10 +300,8 @@ pub enum Op {
         right: Slot,
     },
     /// `π_vars(left ⋈ right)` into `dst` as one operator (operands are
-    /// kept, rows deduplicated; in canonical order when `dst` is the
-    /// program's output slot, in no particular order otherwise): what
-    /// [`compile_tree`] emits where a [`Op::Join`] would feed straight
-    /// into a [`Op::Project`].
+    /// kept, rows canonical): what [`compile_tree`] emits where a
+    /// [`Op::Join`] would feed straight into a [`Op::Project`].
     JoinProject {
         /// Destination slot.
         dst: Slot,
@@ -313,8 +312,18 @@ pub enum Op {
         /// Variables kept (each must occur in an operand's schema).
         vars: Vec<VarId>,
     },
-    /// Projection of `src` onto `vars` into `dst` (deduplicated; in
-    /// canonical order when `dst` is the program's output slot).
+    /// `π_vars(⋈ inputs)` into `dst` as one multiway join (operands are
+    /// kept and must be canonical, as is the result): a tree node with
+    /// its two or more children's partials.
+    MultiJoin {
+        /// Destination slot.
+        dst: Slot,
+        /// Operand slots.
+        inputs: Vec<Slot>,
+        /// Variables kept (each must occur in an operand's schema).
+        vars: Vec<VarId>,
+    },
+    /// Projection of `src` onto `vars` into `dst` (canonical).
     Project {
         /// Destination slot.
         dst: Slot,
@@ -337,6 +346,38 @@ pub enum Op {
         /// Source slot (kept).
         src: Slot,
     },
+}
+
+impl Op {
+    /// The slots the operator reads (one it filters in place included).
+    pub fn reads(&self) -> Vec<Slot> {
+        match self {
+            Op::Materialize { .. } => vec![],
+            Op::Semijoin { target, source, .. } => vec![*source, *target],
+            Op::AssertNonempty { slot } | Op::Dedup { slot } => vec![*slot],
+            Op::Join { left, right, .. } | Op::JoinProject { left, right, .. } => {
+                vec![*left, *right]
+            }
+            Op::MultiJoin { inputs, .. } => inputs.clone(),
+            Op::Project { src, .. } => vec![*src],
+            Op::Union { dst, src } => vec![*src, *dst],
+        }
+    }
+
+    /// The slot the operator writes; an assertion writes none.
+    pub fn dst(&self) -> Option<Slot> {
+        match self {
+            Op::AssertNonempty { .. } => None,
+            Op::Semijoin { target: dst, .. }
+            | Op::Dedup { slot: dst }
+            | Op::Materialize { dst, .. }
+            | Op::Join { dst, .. }
+            | Op::JoinProject { dst, .. }
+            | Op::MultiJoin { dst, .. }
+            | Op::Project { dst, .. }
+            | Op::Union { dst, .. } => Some(*dst),
+        }
+    }
 }
 
 /// A compiled physical plan: a straight-line operator program over
@@ -379,9 +420,9 @@ fn pair_mut<T>(xs: &mut [T], a: usize, b: usize) -> (&mut T, &T) {
 }
 
 impl PlanIr {
-    /// Number of operators in the program.
-    pub fn op_count(&self) -> usize {
-        self.ops.len()
+    /// The operators, in execution order.
+    pub fn ops(&self) -> &[Op] {
+        &self.ops
     }
 
     /// Whether the reduction prefix alone decides Boolean answers.
@@ -412,33 +453,20 @@ impl PlanIr {
         let mut barrier: Option<usize> = None;
         let mut stages = Vec::with_capacity(self.ops.len());
         for op in &self.ops {
-            let (reads, writes): (Vec<Slot>, Vec<Slot>) = match op {
-                Op::Materialize { dst, .. } => (vec![], vec![*dst]),
-                Op::Semijoin { target, source, .. } => (vec![*source, *target], vec![*target]),
-                Op::AssertNonempty { slot } => (vec![*slot], vec![]),
-                Op::Join { dst, left, right }
-                | Op::JoinProject {
-                    dst, left, right, ..
-                } => (vec![*left, *right], vec![*dst]),
-                Op::Project { dst, src, .. } => (vec![*src], vec![*dst]),
-                Op::Dedup { slot } => (vec![*slot], vec![*slot]),
-                Op::Union { dst, src } => (vec![*src, *dst], vec![*dst]),
-            };
+            let (reads, writes) = (op.reads(), op.dst());
             let mut stage = barrier.map(|b| b + 1).unwrap_or(0);
             for &r in &reads {
                 if let Some(w) = last_write[r] {
                     stage = stage.max(w + 1);
                 }
             }
-            for &w in &writes {
-                for dep in [last_write[w], last_read[w]].into_iter().flatten() {
-                    stage = stage.max(dep + 1);
-                }
+            for dep in writes.iter().flat_map(|&w| [last_write[w], last_read[w]]) {
+                stage = stage.max(dep.map_or(0, |d| d + 1));
             }
             for &r in &reads {
                 last_read[r] = Some(last_read[r].unwrap_or(0).max(stage));
             }
-            for &w in &writes {
+            if let Some(w) = writes {
                 last_write[w] = Some(stage);
             }
             if matches!(op, Op::AssertNonempty { .. }) {
@@ -504,6 +532,7 @@ impl PlanIr {
                     }
                     _ => "join+project",
                 },
+                Op::MultiJoin { .. } => "join(multiway)",
                 Op::Project { src, vars, .. } => match &slots[*src] {
                     Some(s)
                         if vars != s.schema()
@@ -521,18 +550,6 @@ impl PlanIr {
                     _ => "dedup",
                 },
                 Op::Union { .. } => "union",
-            }
-        }
-        /// The slot whose row count describes the op's output.
-        fn out_slot(op: &Op) -> Slot {
-            match op {
-                Op::Materialize { dst, .. } => *dst,
-                Op::Semijoin { target, .. } => *target,
-                Op::AssertNonempty { slot } => *slot,
-                Op::Join { dst, .. } | Op::JoinProject { dst, .. } => *dst,
-                Op::Project { dst, .. } => *dst,
-                Op::Dedup { slot } => *slot,
-                Op::Union { dst, .. } => *dst,
             }
         }
         // Stage labels are only needed to group materializations; skip
@@ -593,9 +610,10 @@ impl PlanIr {
                     }
                 }
             }
+            let op = &self.ops[pc];
             let t0 = profile.is_some().then(std::time::Instant::now);
-            let label = profile.is_some().then(|| op_label(&self.ops[pc], slots));
-            match &self.ops[pc] {
+            let label = profile.is_some().then(|| op_label(op, slots));
+            match op {
                 Op::Materialize { dst, source } => {
                     slots[*dst] = Some(source.materialize(d, cache, stats, budget));
                 }
@@ -632,10 +650,17 @@ impl PlanIr {
                     right,
                     vars,
                 } => {
-                    // The output slot is what the answer boundary
-                    // reads: only there does row order matter.
                     let (l, r) = (rel(&slots[*left]), rel(&slots[*right]));
-                    slots[*dst] = Some(l.join_cols(r, Some(vars), *dst == self.output, budget));
+                    slots[*dst] = Some(l.join_cols(r, Some(vars), budget));
+                }
+                Op::MultiJoin { dst, inputs, vars } => {
+                    let parts: Vec<&FlatRelation> =
+                        inputs.iter().map(|s| rel(&slots[*s])).collect();
+                    let mut schema: Vec<VarId> =
+                        parts.iter().flat_map(|p| p.schema()).copied().collect();
+                    schema.sort_unstable();
+                    schema.dedup();
+                    slots[*dst] = Some(multiway_join(&parts, &schema, vars, budget, stats));
                 }
                 Op::Project { dst, src, vars } => {
                     // Every slot of a compiled tree is duplicate-free
@@ -649,7 +674,7 @@ impl PlanIr {
                         source.relabel(vars.clone())
                     } else {
                         let unit = FlatRelation::unit();
-                        source.join_cols(&unit, Some(vars), *dst == self.output, budget)
+                        source.join_cols(&unit, Some(vars), budget)
                     };
                     slots[*dst] = Some(out);
                 }
@@ -670,7 +695,8 @@ impl PlanIr {
                 p.ops.push(OpProfile {
                     op: label.expect("label computed when profiling"),
                     micros: t0.map_or(0, |t| t.elapsed().as_micros() as u64),
-                    rows: slots[out_slot(&self.ops[pc])]
+                    // The slot written; an assertion's, the one checked.
+                    rows: slots[op.dst().unwrap_or_else(|| op.reads()[0])]
                         .as_ref()
                         .map_or(0, |r| r.len()),
                 });
@@ -711,21 +737,26 @@ impl PlanIr {
         budget: &ThreadBudget,
         profile: Option<&mut EvalProfile>,
     ) -> (Option<FlatRelation>, MatCacheStats) {
+        let (alive, mut slots, stats) = self.run_slots(d, cache, budget, profile);
+        (slots[self.output].take().filter(|_| alive), stats)
+    }
+
+    /// The full run with every slot handed back as the program left it
+    /// (`None`: never written) and whether it ran to the end (`false`:
+    /// an emptiness assertion fired) — what it takes to check one
+    /// operator's output against another build from the same inputs.
+    pub fn run_slots(
+        &self,
+        d: &Structure,
+        cache: Option<&MaterializationCache>,
+        budget: &ThreadBudget,
+        profile: Option<&mut EvalProfile>,
+    ) -> (bool, Vec<Option<FlatRelation>>, MatCacheStats) {
         let mut stats = MatCacheStats::default();
         let mut slots: Vec<Option<FlatRelation>> = vec![None; self.slots];
-        if !self.exec(
-            0,
-            self.ops.len(),
-            &mut slots,
-            d,
-            cache,
-            &mut stats,
-            budget,
-            profile,
-        ) {
-            return (None, stats);
-        }
-        (slots[self.output].take(), stats)
+        let len = self.ops.len();
+        let alive = self.exec(0, len, &mut slots, d, cache, &mut stats, budget, profile);
+        (alive, slots, stats)
     }
 
     /// Runs the program to the answer set for `head` — the compiled
@@ -1040,16 +1071,23 @@ pub struct NodeSpec {
 ///    (the second sweep skips the nodes the join phase never reads
 ///    again and those it joins into their parent unchanged — that join
 ///    is their semijoin — so a Boolean join tree is one sweep);
-/// 3. unless the query is Boolean and the reduction decides it:
-///    bottom-up joins, each node projected onto its free variables plus
-///    the variables its parent's *label* retains — the last join of a
-///    node fused with that projection into one [`Op::JoinProject`] —
-///    roots combined by (cartesian) join. A plan's **one root** keeps
-///    the head's distinct variables *in head order* and, unless its
-///    join comes out in that order by itself, is a projection even when
-///    it drops no column: it writes the output slot, so its dedup is
-///    the canonical sort, and the answer boundary receives `schema ==
-///    head`, rows in order, with nothing left to gather or sort.
+/// 3. unless the query is Boolean and the reduction decides it: one op
+///    per node, bottom-up — the node joined with its live children's
+///    partials and projected onto its free variables plus the variables
+///    its parent's *label* retains. One child is [`Op::JoinProject`]
+///    (plain [`Op::Join`] when the projection drops nothing and nobody
+///    needs the rows sorted); two or more are one [`Op::MultiJoin`],
+///    never a chain of binary joins: the kernel enumerates the kept
+///    variables first and only checks that the rest — the node's own
+///    variables nothing above needs — has a witness. Every operand lies
+///    inside `label ∪ free`, so the op enumerates at most the bindings
+///    the chain's widest intermediate held, and the bound per node is
+///    what it was. Roots are combined by (cartesian) join. A plan's
+///    **one root** keeps the head's distinct variables *in head order*
+///    and, unless its join comes out in that order by itself, is a
+///    projection even when it drops no column: it writes the output
+///    slot canonical, and the answer boundary receives `schema == head`,
+///    rows in order, with nothing left to gather or sort.
 ///
 /// `parent`/`order` describe the rooted tree (children before parents
 /// in `order`); `free` lists the query's free variables. A genuine
@@ -1247,38 +1285,37 @@ pub fn compile_tree(
         };
     }
 
-    // Then the ops: a node joins its live children one by one; the last
-    // join waits for the projection and fuses with it. `partial[u]` is
-    // the slot holding the projected join of `u`'s subtree.
-    let mut partial: Vec<Slot> = vec![0; n];
+    // Then the ops, one per live node over its live children's partials.
+    // The kernel reads sorted rows, which a plain binary join does not
+    // leave: a child of a multiway node projects even when that drops
+    // nothing. `partial[u]` is the slot holding the projected join of
+    // `u`'s subtree.
+    let live = |u: usize| children[u].iter().filter(|&&c| !dead[c]);
+    let (mut partial, mut below): (Vec<Slot>, Vec<Slot>) = (vec![0; n], Vec::new());
     for &u in order.iter().filter(|&&u| !dead[u]) {
-        let mut last: Option<(Slot, Slot)> = None;
-        for &c in children[u].iter().filter(|&&c| !dead[c]) {
-            let left = match last {
-                None => u,
-                Some((left, right)) => {
-                    ops.push(Op::Join {
-                        dst: slots,
-                        left,
-                        right,
-                    });
-                    slots += 1;
-                    slots - 1
-                }
-            };
-            last = Some((left, partial[c]));
-        }
+        below.clear();
+        below.extend(live(u).map(|&c| partial[c]));
+        let feeds_kernel = parent[u].is_some_and(|p| live(p).count() > 1);
         let (dst, vars) = (slots, keep[u].clone());
         slots += 1;
-        ops.push(match last {
-            Some((left, right)) if whole[u] => Op::Join { dst, left, right },
-            Some((left, right)) => Op::JoinProject {
+        ops.push(match below[..] {
+            [] => Op::Project { dst, src: u, vars },
+            [right] if whole[u] && !feeds_kernel => Op::Join {
                 dst,
-                left,
+                left: u,
+                right,
+            },
+            [right] => Op::JoinProject {
+                dst,
+                left: u,
                 right,
                 vars,
             },
-            None => Op::Project { dst, src: u, vars },
+            _ => Op::MultiJoin {
+                dst,
+                inputs: std::iter::once(u).chain(below.iter().copied()).collect(),
+                vars,
+            },
         });
         partial[u] = dst;
     }
@@ -1564,7 +1601,7 @@ mod tests {
             "profiling must not change answers"
         );
         // A completed run profiles every instruction.
-        assert_eq!(profile.ops.len(), plan.ir().op_count());
+        assert_eq!(profile.ops.len(), plan.ir().ops().len());
         assert!(profile.ops.iter().any(|o| o.op == "materialize"));
         assert!(profile.ops.iter().any(|o| o.op == "semijoin"));
         let agg = profile.by_op();
@@ -1581,8 +1618,27 @@ mod tests {
             plan.ir()
                 .run_budget_profiled(&empty, None, ThreadBudget::shared(), Some(&mut aborted));
         assert!(none.is_none());
-        assert!(aborted.ops.len() < plan.ir().op_count());
+        assert!(aborted.ops.len() < plan.ir().ops().len());
         assert_eq!(aborted.ops.last().unwrap().op, "assert_nonempty");
+        // A node with two children is one more profiled op, under a
+        // label the benchmark's `join` prefix still catches.
+        let c6 = parse_cq("Q(a) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
+        let plan = crate::eval::decomposed::DecomposedPlan::compile(&c6, 2).unwrap();
+        let ring = Structure::digraph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
+        let budget = ThreadBudget::shared();
+        let (plain, _) = plan.ir().run_budget(&ring, None, budget);
+        let mut profile = EvalProfile::default();
+        let (profiled, _) = plan
+            .ir()
+            .run_budget_profiled(&ring, None, budget, Some(&mut profile));
+        assert_eq!(plain.unwrap().len(), 6);
+        assert_eq!(profiled.unwrap().len(), 6);
+        assert_eq!(profile.ops.len(), plan.ir().ops().len());
+        let multiway: Vec<_> = (profile.ops.iter())
+            .filter(|o| o.op == "join(multiway)")
+            .collect();
+        assert_eq!(multiway.len(), 1);
+        assert_eq!(multiway[0].rows, 6);
     }
 
     #[test]
@@ -1815,6 +1871,82 @@ mod tests {
             );
         }
         reset_packed_override();
+        // `Q(a) :- C6`: the root has two children and is the multiway
+        // op over the head; its rows are the answers and its cursor
+        // moves land in the run's own stats.
+        let q = parse_cq("Q(a) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
+        let plan = crate::eval::decomposed::DecomposedPlan::compile(&q, 2).unwrap();
+        let ir = plan.ir();
+        let root = ir.ops.len() - 1;
+        assert!(
+            matches!(&ir.ops[root], Op::MultiJoin { inputs, vars, .. } if inputs.len() == 3 && vars == q.free_vars())
+        );
+        let mut stats = MatCacheStats::default();
+        let mut slots: Vec<Option<FlatRelation>> = vec![None; ir.slots];
+        assert!(ir.exec(0, root, &mut slots, &d, None, &mut stats, budget, None));
+        let before = stats.cursor_advances;
+        let mut profile = EvalProfile::default();
+        let profiled = Some(&mut profile);
+        assert!(ir.exec(
+            root,
+            root + 1,
+            &mut slots,
+            &d,
+            None,
+            &mut stats,
+            budget,
+            profiled
+        ));
+        assert_eq!(profile.ops[0].op, "join(multiway)");
+        assert_eq!(profile.ops[0].rows, plan.eval(&d).len());
+        assert!(profile.ops[0].rows > 0 && stats.cursor_advances > before);
+    }
+
+    /// One op per node: two or more live children are one multiway
+    /// join, never a chain of binary ones, on join trees and
+    /// decompositions alike — and the six plans of the benchmark's warm
+    /// workloads have no such node, so the op cannot move them.
+    #[test]
+    fn wide_nodes_are_one_multiway_join() {
+        use crate::eval::decomposed::DecomposedPlan;
+        use crate::eval::yannakakis::AcyclicPlan;
+        let multiway = |ir: &PlanIr| {
+            let wide = |op: &&Op| matches!(op, Op::MultiJoin { .. });
+            ir.ops.iter().filter(wide).count()
+        };
+        for rule in [
+            "Q(x, z) :- E(x,y), E(y,z)",
+            "Q(x, y, z) :- E(x,y), E(y,z)",
+            "Q() :- E(a0,a1), E(a1,a2), E(a2,a3), E(a3,a4), E(a4,a5), E(a5,a6), E(a6,a7), E(a7,a8)",
+            "Q() :- E(c,a1), E(c,a2), E(c,a3), E(c,a4), E(c,a5)",
+            "Q() :- E(a0,a1), E(a1,a2), E(a2,a3), E(a3,a4), E(a4,a5), E(a5,a6), E(a6,a7), E(a7,a8), E(a8,a9), E(a9,a10)",
+            "Q(x) :- E(x,y), E(y,z), E(z,w)",
+        ] {
+            let plan = AcyclicPlan::compile(&parse_cq(rule).unwrap()).unwrap();
+            assert_eq!(multiway(plan.ir()), 0, "{rule}");
+        }
+        // An edge with a free pendant at either end, every variable in
+        // the head: both pendants hang off the edge.
+        let star = parse_cq("Q(a, b, x, y) :- E(a,b), E(a,x), E(b,y)").unwrap();
+        let plan = AcyclicPlan::compile(&star).unwrap();
+        assert_eq!((multiway(plan.ir()), joins_in(plan.ir())), (1, 0));
+        // The star decomposition of C6 around a centre covering no
+        // atom, rooted there: three children, one op.
+        let c6 = parse_cq("Q(a, d) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
+        let td = cqapx_graphs::treewidth::TreeDecomposition {
+            bags: vec![vec![0, 1, 5], vec![1, 2, 3], vec![1, 3, 5], vec![3, 4, 5]],
+            tree_edges: vec![(0, 2), (1, 2), (2, 3)],
+        };
+        let centred = DecomposedPlan::compile_rooted(&c6, &td, 2);
+        assert_eq!((multiway(centred.ir()), joins_in(centred.ir())), (1, 0));
+        assert!(matches!(
+            centred.ir().ops.last(),
+            Some(Op::MultiJoin { inputs, .. }) if inputs.len() == 4
+        ));
+        let d = Structure::digraph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 1)]);
+        for (q, got) in [(&star, plan.eval(&d)), (&c6, centred.eval(&d))] {
+            assert_eq!(got, crate::eval::naive::eval_naive(q, &d), "{q}");
+        }
     }
 
     #[test]
