@@ -42,6 +42,7 @@ use cqapx_structures::packed::{pack2, radix_dedup, radix_dedup_u32, radix_sort_p
 use cqapx_structures::{DomainBitmap, DomainDict, Element, RelId, Structure};
 use std::collections::{BTreeSet, VecDeque};
 use std::hash::Hasher;
+use std::ops::{BitOr, Shl};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
@@ -396,6 +397,30 @@ fn code_bits(width: u32) -> u32 {
         0 | 1 => 0,
         w => 32 - (w - 1).leading_zeros(),
     }
+}
+
+/// What the join family emits: code words (`u32`, `u64`) or elements.
+trait Word: Copy + Send + From<u32> + Shl<u32, Output = Self> + BitOr<Output = Self> {}
+impl<T: Copy + Send + From<u32> + Shl<u32, Output = T> + BitOr<Output = T>> Word for T {}
+
+/// One side's share of a tight output word (`cols` and `b` as in
+/// [`FlatRelation::join_cols`]): the columns `side` maps onto `row` at
+/// their bit positions, every other column zero.
+fn word_share<T: Word>(
+    row: &[Element],
+    cols: &[usize],
+    b: u32,
+    side: impl Fn(usize) -> Option<usize>,
+) -> T {
+    let zero = T::from(0);
+    cols.iter().fold(zero, |w, &c| {
+        (w << b) | side(c).map_or(zero, |j| T::from(row[j]))
+    })
+}
+
+/// A row id as an index payload (see [`KeyIndex`]).
+fn row_id(i: usize) -> u32 {
+    i as u32
 }
 
 /// Inverse of the tight row packing: refills `out` with the `arity`
@@ -1321,7 +1346,7 @@ impl FlatRelation {
             }
         }
         if KeyIndex::wants_packed(other, their_pos) {
-            let index = KeyIndex::build_packed(other, their_pos);
+            let index = KeyIndex::build_packed(other, their_pos, row_id);
             let (p0, p1) = (my_pos[0], my_pos[1]);
             return self.retain_where(budget, |row| index.contains_packed(pack2(row[p0], row[p1])));
         }
@@ -1329,9 +1354,9 @@ impl FlatRelation {
         // then lease the probe: claiming the probe lease first would
         // drain the budget the build could have used.
         let index = if self.rows >= PAR_MIN_ROWS && budget.capacity() > 0 {
-            KeyIndex::build_budget(other, their_pos, budget)
+            KeyIndex::build_budget(other, their_pos, budget, row_id)
         } else {
-            KeyIndex::build(other, their_pos)
+            KeyIndex::build(other, their_pos, row_id)
         };
         self.retain_where(budget, |row| {
             index.has_row_match(row, my_pos, other, their_pos)
@@ -1521,11 +1546,12 @@ impl FlatRelation {
         let pick = |s: &[Element], o: &[Element], c: usize| if c < a { s[c] } else { o[c - a] };
         if packed && cols.len() > 1 {
             let b = code_bits(out.domain_width);
+            let layout = Some((&cols[..], b));
             let n = if cols.len() * b as usize <= 32 {
                 let word = |buf: &mut Vec<u32>, s: &[Element], o: &[Element]| {
                     buf.push(cols.iter().fold(0, |w, &c| (w << b) | pick(s, o, c)))
                 };
-                let (mut keys, n) = self.join_emit(other, 1, budget, word);
+                let (mut keys, n) = self.join_emit(other, 1, budget, layout, word);
                 radix_dedup_u32(&mut keys);
                 out.refill(keys.iter().map(|&k| u64::from(k)), b);
                 n
@@ -1536,7 +1562,7 @@ impl FlatRelation {
                         .fold(0, |w, &c| (w << b) | u64::from(pick(s, o, c)));
                     buf.push(w)
                 };
-                let (mut keys, n) = self.join_emit(other, 1, budget, word);
+                let (mut keys, n) = self.join_emit(other, 1, budget, layout, word);
                 radix_dedup(&mut keys);
                 out.refill(keys.iter().copied(), b);
                 n
@@ -1552,7 +1578,7 @@ impl FlatRelation {
                 buf.push(pick(s, o, c));
             }
         };
-        let (data, n) = self.join_emit(other, cols.len(), budget, row);
+        let (data, n) = self.join_emit(other, cols.len(), budget, None, row);
         out.data = Rows::Owned(data);
         out.rows = n;
         match vars {
@@ -1573,11 +1599,21 @@ impl FlatRelation {
     /// emission order is the sequential probe's whatever the budget.
     /// `emit` pushes `per_match` values a pair, which is what the
     /// sequential buffer is pre-sized from.
-    fn join_emit<T: Copy + Send>(
+    ///
+    /// A word `layout` (`(cols, b)` of `join_cols`' tight output word)
+    /// makes an exact index carry each build row's **share** of the
+    /// word in place of its row id: its kept columns at their bit
+    /// positions, shifted down to the lowest of them. A match is then
+    /// one OR of the probe row's share, computed once per probe row,
+    /// with a slot of the group — no build row, column pick or key
+    /// compare. A hashed index, or a build share spanning more than
+    /// the 32 bits of a slot, keeps row ids and `emit`.
+    fn join_emit<T: Word>(
         &self,
         other: &FlatRelation,
         per_match: usize,
         budget: &ThreadBudget,
+        layout: Option<(&[usize], u32)>,
         emit: impl Fn(&mut Vec<T>, &[Element], &[Element]) + Sync,
     ) -> (Vec<T>, usize) {
         let (my_shared, their_shared) = self.shared_columns(other);
@@ -1602,11 +1638,42 @@ impl FlatRelation {
         };
         let (pa, ba) = (probe.schema.len(), build.schema.len());
         let (pdata, bdata): (&[Element], &[Element]) = (&probe.data, &build.data);
+        // Output column `c` of `self ++ other` as a column of `self`
+        // (`of_self`) or of `other`, if it is one.
+        let a = self.schema.len();
+        let side = |of_self: bool| {
+            move |c: usize| (of_self == (c < a)).then(|| if c < a { c } else { c - a })
+        };
+        let (on_build, on_probe) = (side(probe_is_other), side(!probe_is_other));
+        // The build share's shift, when a word is emitted and the
+        // share — the word's build-side bits — fits a slot.
+        let shift = layout.and_then(|(cols, b)| {
+            let ones = |c: &usize| u64::from(on_build(*c).is_some()) * ((1 << b) - 1);
+            let bits = cols.iter().fold(0, |w, c| (w << b) | ones(c));
+            let lo = bits.trailing_zeros() % 64;
+            (bits >> lo <= u64::from(u32::MAX)).then_some(lo)
+        });
+        let payload = |i: usize| match (layout, shift) {
+            (Some((cols, b)), Some(lo)) => {
+                (word_share::<u64>(&bdata[i * ba..][..ba], cols, b, on_build) >> lo) as u32
+            }
+            _ => row_id(i),
+        };
         // One probe morsel: emit every match of rows `range` into `buf`
         // (the sequential loop is the single-morsel case).
         let probe_range = |buf: &mut Vec<T>, range: std::ops::Range<usize>, index: &KeyIndex| {
             let mut rows = 0usize;
             let exact = index.is_exact();
+            if let (Some((cols, b)), Some(lo), true) = (layout, shift, exact) {
+                for j in range {
+                    let prow = &pdata[j * pa..][..pa];
+                    let share: T = word_share(prow, cols, b, on_probe);
+                    let group = index.group(prow, probe_pos);
+                    buf.extend(group.iter().map(|&s| share | T::from(s) << lo));
+                    rows += group.len();
+                }
+                return rows;
+            }
             for j in range {
                 let prow = &pdata[j * pa..][..pa];
                 for m in index.probe_row(prow, probe_pos) {
@@ -1628,7 +1695,7 @@ impl FlatRelation {
             // Build first (own worker claim, released after), then
             // lease the probe — the other order would hand the build's
             // workers to the probe before the build could use them.
-            let index = KeyIndex::build_budget(build, build_pos, budget);
+            let index = KeyIndex::build_budget(build, build_pos, budget, payload);
             let lease = budget.claim(par_want(probe.rows));
             if lease.extra() > 0 {
                 let parts: Vec<(Vec<T>, usize)> =
@@ -1649,7 +1716,7 @@ impl FlatRelation {
             // that was just built (bit-identical to a sequential build).
             index
         } else {
-            KeyIndex::build(build, build_pos)
+            KeyIndex::build(build, build_pos, payload)
         };
         // A direct index knows every group's size without touching a
         // row, so the buffer is sized once, exactly. The others are
@@ -1714,12 +1781,17 @@ impl FlatRelation {
 ///   group holds exactly the rows equal to the probe word — no
 ///   per-candidate key re-check.
 ///
-/// Buckets of all representations list rows in **descending row
-/// order** (the chained build pushes at the head in ascending row
-/// order; the direct build fills in reverse; the packed build feeds
-/// the stable radix sort in reverse), so probe sequences — and
-/// with them join output buffers — are byte-identical across
-/// representations.
+/// Buckets of all representations list rows in **ascending row
+/// order** (the chained build pushes at the head in descending row
+/// order; the direct and packed builds fill forward), so probe
+/// sequences — and with them join output buffers — are byte-identical
+/// across representations, and a probe side whose columns lead a
+/// join's output emits it in order.
+///
+/// The two exact representations store a `u32` **payload** per row in
+/// `slots`, taken at build time: the row id, or — built for a
+/// word-emitting join (`FlatRelation::join_emit`) — the row's share of
+/// the output word.
 enum KeyIndex {
     Hashed {
         /// Bucket heads; length is a power of two.
@@ -1734,7 +1806,8 @@ enum KeyIndex {
     Direct {
         /// CSR offsets, length `width + 1`.
         offsets: Vec<u32>,
-        /// Row ids grouped by key code, descending within a group.
+        /// Row payloads grouped by key code, ascending rows within a
+        /// group.
         slots: Vec<u32>,
     },
     Packed {
@@ -1742,7 +1815,8 @@ enum KeyIndex {
         keys: Vec<u64>,
         /// CSR offsets into `slots`, length `keys.len() + 1`.
         offsets: Vec<u32>,
-        /// Row ids grouped by key word, descending within a group.
+        /// Row payloads grouped by key word, ascending rows within a
+        /// group.
         slots: Vec<u32>,
         /// Partition directory: `dir[d]..dir[d + 1]` delimits the run
         /// of `keys` whose word `>> dir_shift` equals `d`. Length
@@ -1778,10 +1852,10 @@ impl KeyIndex {
     }
 
     /// Counting-sort build of the direct representation: one pass
-    /// counts codes, one prefix sum, one **reverse** fill so each
-    /// code's slot group lists rows in descending order — the exact
-    /// probe order of the chained-hash build.
-    fn build_direct(rel: &FlatRelation, col: usize) -> KeyIndex {
+    /// counts codes, one prefix sum, one fill of `payload(row)` in row
+    /// order, so each code's group lists rows ascending — the probe
+    /// order of the chained-hash build.
+    fn build_direct(rel: &FlatRelation, col: usize, payload: impl Fn(usize) -> u32) -> KeyIndex {
         let n = rel.len();
         let a = rel.schema.len();
         let width = rel.domain_width as usize;
@@ -1794,9 +1868,9 @@ impl KeyIndex {
         }
         let mut cursor = offsets.clone();
         let mut slots = vec![0u32; n];
-        for i in (0..n).rev() {
+        for i in 0..n {
             let v = rel.data[i * a + col] as usize;
-            slots[cursor[v] as usize] = i as u32;
+            slots[cursor[v] as usize] = payload(i);
             cursor[v] += 1;
         }
         KeyIndex::Direct { offsets, slots }
@@ -1825,19 +1899,15 @@ impl KeyIndex {
     }
 
     /// Radix-partitioned build: pack every key, radix-sort the
-    /// `(word, row)` pairs — rows fed in **reverse** so the stable
-    /// passes leave each word group listing rows descending, the
+    /// `(word, payload(row))` pairs — fed in row order, so the stable
+    /// passes leave each word group listing rows ascending, the
     /// chained-hash probe order — then lay the groups out CSR and
     /// index the sorted words with a top-bits partition directory.
-    fn build_packed(rel: &FlatRelation, pos: &[usize]) -> KeyIndex {
+    fn build_packed(rel: &FlatRelation, pos: &[usize], payload: impl Fn(usize) -> u32) -> KeyIndex {
         let n = rel.len();
-        let a = rel.schema.len();
-        let (p0, p1) = (pos[0], pos[1]);
-        let mut pairs: Vec<(u64, u32)> = Vec::with_capacity(n);
-        for i in (0..n).rev() {
-            let base = i * a;
-            pairs.push((pack2(rel.data[base + p0], rel.data[base + p1]), i as u32));
-        }
+        let mut pairs: Vec<(u64, u32)> = (0..n)
+            .map(|i| (Self::pack_key(rel.row(i), pos), payload(i)))
+            .collect();
         radix_sort_pairs(&mut pairs);
         let mut keys: Vec<u64> = Vec::new();
         let mut offsets: Vec<u32> = Vec::new();
@@ -1876,8 +1946,9 @@ impl KeyIndex {
         }
     }
 
-    /// The rows matching packed word `k` exactly (descending), or the
-    /// empty slice: directory partition, then a word-compare binary
+    /// The payloads of the rows matching packed word `k` exactly
+    /// (ascending rows), or the empty slice: directory partition, then
+    /// a word-compare binary
     /// search inside it. Words above every indexed key shift past the
     /// directory and read as absent, mirroring the direct index's
     /// out-of-range behaviour.
@@ -1916,12 +1987,14 @@ impl KeyIndex {
         !self.packed_group(k).is_empty()
     }
 
-    fn build(rel: &FlatRelation, pos: &[usize]) -> KeyIndex {
+    /// The index over `pos`; an exact representation stores
+    /// `payload(row)` per row.
+    fn build(rel: &FlatRelation, pos: &[usize], payload: impl Fn(usize) -> u32) -> KeyIndex {
         if Self::wants_direct(rel, pos) {
-            return Self::build_direct(rel, pos[0]);
+            return Self::build_direct(rel, pos[0], payload);
         }
         if Self::wants_packed(rel, pos) {
-            return Self::build_packed(rel, pos);
+            return Self::build_packed(rel, pos, payload);
         }
         let n = rel.len();
         let mut hashes = vec![0u64; n];
@@ -1931,9 +2004,9 @@ impl KeyIndex {
         let (buckets, shift) = Self::table_shape(n);
         let mut heads = vec![CHAIN_END; buckets];
         let mut next = vec![CHAIN_END; n];
-        for (i, slot) in next.iter_mut().enumerate() {
+        for i in (0..n).rev() {
             let b = (hashes[i] >> shift) as usize;
-            *slot = heads[b];
+            next[i] = heads[b];
             heads[b] = i as u32;
         }
         KeyIndex::Hashed {
@@ -1947,11 +2020,16 @@ impl KeyIndex {
     /// Hash-partitioned parallel build: one worker pass computes the
     /// per-row hashes over morsels, then each worker owns a contiguous
     /// **bucket range** and inserts exactly the rows hashing into it
-    /// (reusing the stored hashes), scanning rows in ascending order —
+    /// (reusing the stored hashes), scanning rows in descending order —
     /// the resulting table is bit-identical to the sequential build, so
     /// probe sequences (and join output order) cannot depend on the
     /// thread count.
-    fn build_budget(rel: &FlatRelation, pos: &[usize], budget: &ThreadBudget) -> KeyIndex {
+    fn build_budget(
+        rel: &FlatRelation,
+        pos: &[usize],
+        budget: &ThreadBudget,
+        payload: impl Fn(usize) -> u32,
+    ) -> KeyIndex {
         let n = rel.len();
         // The direct build is a counting sort — linear, branch-free,
         // already cheaper than the parallel hashed build's hash pass —
@@ -1959,18 +2037,13 @@ impl KeyIndex {
         // stays budget-independent). The packed build is a handful of
         // radix passes, comparable to the hash pass alone, and stays
         // sequential for the same reason.
-        if Self::wants_direct(rel, pos) {
-            return Self::build_direct(rel, pos[0]);
-        }
-        if Self::wants_packed(rel, pos) {
-            return Self::build_packed(rel, pos);
-        }
-        if n < PAR_MIN_ROWS || budget.capacity() == 0 {
-            return Self::build(rel, pos);
+        let exact = Self::wants_direct(rel, pos) || Self::wants_packed(rel, pos);
+        if exact || n < PAR_MIN_ROWS || budget.capacity() == 0 {
+            return Self::build(rel, pos, payload);
         }
         let lease = budget.claim(par_want(n));
         if lease.extra() == 0 {
-            return Self::build(rel, pos);
+            return Self::build(rel, pos, payload);
         }
         let w = lease.workers();
         let mut hashes = vec![0u64; n];
@@ -1998,7 +2071,7 @@ impl KeyIndex {
             // rescan keeps the build single-phase with zero shared
             // mutable state beyond the partition-owned slots.
             parallel_chunks(buckets, buckets.div_ceil(w), w, |_, bucket_range| {
-                for (i, &h) in hashes.iter().enumerate() {
+                for (i, &h) in hashes.iter().enumerate().rev() {
                     let b = (h >> shift) as usize;
                     if bucket_range.contains(&b) {
                         // SAFETY: each bucket lies in exactly one
@@ -2030,17 +2103,24 @@ impl KeyIndex {
     fn probe_row<'a>(&'a self, row: &[Element], pos: &[usize]) -> ProbeIter<'a> {
         match self {
             KeyIndex::Hashed { .. } => self.probe_hash(FlatRelation::hash_key(row, pos)),
+            _ => ProbeIter::Direct(self.group(row, pos).iter()),
+        }
+    }
+
+    /// The payloads of an exact index's group for a probe row's key
+    /// columns; out-of-range codes and absent words yield nothing.
+    #[inline]
+    fn group(&self, row: &[Element], pos: &[usize]) -> &[u32] {
+        match self {
             KeyIndex::Direct { offsets, slots, .. } => {
                 let v = row[pos[0]] as usize;
-                let group = match offsets.get(v..v + 2) {
+                match offsets.get(v..v + 2) {
                     Some(w) => &slots[w[0] as usize..w[1] as usize],
                     None => &[],
-                };
-                ProbeIter::Direct(group.iter())
+                }
             }
-            KeyIndex::Packed { .. } => {
-                ProbeIter::Direct(self.packed_group(Self::pack_key(row, pos)).iter())
-            }
+            KeyIndex::Packed { .. } => self.packed_group(Self::pack_key(row, pos)),
+            KeyIndex::Hashed { .. } => unreachable!("group of an inexact index"),
         }
     }
 
@@ -2071,10 +2151,10 @@ impl KeyIndex {
     }
 
     /// Existence-only probe: does any indexed row of `build` match the
-    /// probe `row` on the key columns? The direct representation
-    /// answers from the offset table alone — two loads, no candidate
-    /// iteration and no `build` row access; hashed walks the chain and
-    /// re-checks columns as usual.
+    /// probe `row` on the key columns? The exact representations answer
+    /// from the group bounds alone — no candidate iteration and no
+    /// `build` row access; hashed walks the chain and re-checks columns
+    /// as usual.
     #[inline]
     fn has_row_match(
         &self,
@@ -2084,11 +2164,7 @@ impl KeyIndex {
         build_pos: &[usize],
     ) -> bool {
         match self {
-            KeyIndex::Direct { offsets, .. } => {
-                let v = row[pos[0]] as usize;
-                v + 1 < offsets.len() && offsets[v] < offsets[v + 1]
-            }
-            KeyIndex::Packed { .. } => self.contains_packed(Self::pack_key(row, pos)),
+            KeyIndex::Direct { .. } | KeyIndex::Packed { .. } => !self.group(row, pos).is_empty(),
             KeyIndex::Hashed { .. } => self
                 .probe_row(row, pos)
                 .any(|m| FlatRelation::keys_eq(row, pos, build.row(m), build_pos)),
@@ -3890,44 +3966,59 @@ mod tests {
         r
     }
 
-    /// Joins and semijoins through the direct-addressed index must be
-    /// byte-identical to the hashed path — same rows, same order.
+    /// Joins and semijoins through every index representation must be
+    /// byte-identical — same rows, same order: direct vs hashed on a
+    /// one-column key, packed vs hashed on two, each hashed build also
+    /// partitioned under four threads (the last fixture is large
+    /// enough for that). All three list a group's rows ascending, so
+    /// when the larger side probes the join comes out sorted.
     #[test]
     fn direct_index_is_bit_identical_to_hashed() {
         let _g = knob_guard();
-        let budget = ThreadBudget::sequential();
+        let (seq, par) = (ThreadBudget::sequential(), ThreadBudget::new(4));
         for &(n, m, width) in &[
             (500usize, 300usize, 64u32),
             (3000, 2500, 900),
             (64, 6000, 40),
+            (7000, 5000, 2500),
         ] {
-            let a = dense_rel(&[0, 1], n, width, 11);
-            let b = dense_rel(&[1, 2], m, width, 22);
-            assert!(
-                KeyIndex::wants_direct(&b, &[0]),
-                "fixture must be direct-eligible"
-            );
-
-            let direct = a.join_budget(&b, &budget);
-            let mut sj_direct = a.clone();
-            sj_direct.semijoin_on_budget(&[1], &b, &[0], &budget);
-
-            // Force the hashed representation for the comparison run.
-            set_direct_index_enabled(false);
-            let hashed = a.join_budget(&b, &budget);
-            let mut sj_hashed = a.clone();
-            sj_hashed.semijoin_on_budget(&[1], &b, &[0], &budget);
-            set_direct_index_enabled(true);
-
-            assert_eq!(direct.schema, hashed.schema);
-            assert_eq!(direct.data, hashed.data, "join bytes differ (n={n})");
-            assert_eq!(direct.domain_width, hashed.domain_width);
-            assert_eq!(
-                sj_direct.data, sj_hashed.data,
-                "semijoin bytes differ (n={n})"
-            );
+            for key in 1..=2usize {
+                let (sa, sb): (&[VarId], &[VarId]) = match key {
+                    1 => (&[0, 1], &[1, 2]),
+                    _ => (&[0, 1, 2], &[1, 2, 3]),
+                };
+                let a = dense_rel(sa, n, width, 11);
+                let b = dense_rel(sb, m, width, 22);
+                let (pa, pb): (Vec<usize>, Vec<usize>) = ((1..=key).collect(), (0..key).collect());
+                let run = |budget: &ThreadBudget| {
+                    let mut sj = a.clone();
+                    sj.semijoin_on_budget(&pa, &b, &pb, budget);
+                    (a.join_budget(&b, budget), sj)
+                };
+                set_direct_index_enabled(true);
+                set_packed_mode(PackedMode::On);
+                let a_builds = a.len() <= b.len();
+                let (build, build_pos) = if a_builds { (&a, &pa) } else { (&b, &pb) };
+                assert!(KeyIndex::build(build, build_pos, row_id).is_exact());
+                let (exact, sj_exact) = run(&seq);
+                // Force the hashed representation for the comparison runs.
+                set_direct_index_enabled(false);
+                set_packed_mode(PackedMode::Off);
+                for (budget, what) in [(&seq, "hashed"), (&par, "partitioned")] {
+                    let (join, sj) = run(budget);
+                    let ctx = format!("{what}, n={n}, {key}-column key");
+                    assert_eq!(exact.schema, join.schema, "{ctx}");
+                    assert_eq!(exact.data, join.data, "join bytes differ: {ctx}");
+                    assert_eq!(exact.domain_width, join.domain_width, "{ctx}");
+                    assert_eq!(sj_exact.data, sj.data, "semijoin bytes differ: {ctx}");
+                }
+                if !a_builds {
+                    assert!(exact.iter_rows().is_sorted(), "n={n}, {key}-column key");
+                }
+            }
         }
         DIRECT_INDEX_OVERRIDE.store(0, Ordering::Relaxed);
+        reset_packed_override();
     }
 
     /// Probe values outside the dense bound (possible when the probe
@@ -4430,13 +4521,13 @@ mod tests {
             r.domain_width = 8;
             r
         };
-        let idx = KeyIndex::build_packed(&empty, &[0, 1]);
+        let idx = KeyIndex::build_packed(&empty, &[0, 1], row_id);
         assert!(!idx.contains_packed(pack2(0, 0)));
 
         let mut one = FlatRelation::empty(vec![0, 1]);
         one.push_row(&[0, 0]);
         one.domain_width = 1;
-        let idx = KeyIndex::build_packed(&one, &[0, 1]);
+        let idx = KeyIndex::build_packed(&one, &[0, 1], row_id);
         assert!(idx.contains_packed(pack2(0, 0)));
         assert!(!idx.contains_packed(pack2(0, 1)));
         assert!(
@@ -4446,7 +4537,7 @@ mod tests {
         assert!(!idx.contains_packed(u64::MAX));
 
         let b = dense_rel(&[0, 1], 700, 20, 5);
-        let idx = KeyIndex::build_packed(&b, &[0, 1]);
+        let idx = KeyIndex::build_packed(&b, &[0, 1], row_id);
         assert!(idx.is_exact(), "packed candidates need no re-check");
         for row in b.iter_rows() {
             assert!(idx.contains_packed(pack2(row[0], row[1])));
@@ -4456,11 +4547,11 @@ mod tests {
         reset_packed_override();
     }
 
-    /// The descending-row group order inside the packed index must
+    /// The ascending-row group order inside the packed index must
     /// match the chained-hash bucket order exactly — this is the
     /// invariant the join byte-identity rests on.
     #[test]
-    fn packed_groups_list_rows_descending() {
+    fn packed_groups_list_rows_ascending() {
         let _g = knob_guard();
         set_packed_mode(PackedMode::On);
         let mut r = FlatRelation::empty(vec![0, 1]);
@@ -4468,12 +4559,13 @@ mod tests {
             r.push_row(&[i % 7, i % 3]);
         }
         r.domain_width = 7;
-        let idx = KeyIndex::build_packed(&r, &[0, 1]);
+        let idx = KeyIndex::build_packed(&r, &[0, 1], row_id);
         for key in (0..7u32).flat_map(|h| (0..3u32).map(move |l| pack2(h, l))) {
             let group = idx.packed_group(key);
+            assert!(!group.is_empty());
             assert!(
-                group.windows(2).all(|w| w[0] > w[1]),
-                "group for {key:#x} must list rows strictly descending"
+                group.windows(2).all(|w| w[0] < w[1]),
+                "group for {key:#x} must list rows strictly ascending"
             );
         }
         reset_packed_override();
@@ -4663,6 +4755,179 @@ mod tests {
                 assert_eq!(got.data, want.data, "vars {vars:?}");
             }
         }
+    }
+
+    // ── word-emitting joins ─────────────────────────────────────────
+
+    /// Duplicate-free rows over `schema` under the bound `width`: key
+    /// variables (`< 10`) drawn from the first `keys` codes so that two
+    /// sides meet, the others from the whole bound, the top code often.
+    fn word_rel(
+        schema: &[VarId],
+        rows: usize,
+        width: u32,
+        keys: u32,
+        seed: &mut u64,
+    ) -> FlatRelation {
+        let mut data = Vec::with_capacity(rows * schema.len());
+        for i in 0..rows * schema.len() {
+            let dom = if schema[i % schema.len()] < 10 {
+                keys
+            } else {
+                width
+            };
+            let x = lcg(seed) as u32;
+            data.push(if x.is_multiple_of(8) {
+                dom - 1
+            } else {
+                x % dom
+            });
+        }
+        let mut r =
+            FlatRelation::from_raw(schema.len(), rows, data, width).relabel(schema.to_vec());
+        r.sort_dedup();
+        r
+    }
+
+    /// `l.join_cols(r, vars)` on the word path against `join_budget` +
+    /// `project_budget` over the same operands — schema, rows in order,
+    /// bound — under 1, 2 and 4 threads; then its emission against the
+    /// row-id loop's, word for word, sequential and over morsels.
+    /// Returns whether the share loop emitted (no match took `emit`).
+    fn check_word_join(l: &FlatRelation, r: &FlatRelation, vars: &[VarId], ctx: &str) -> bool {
+        let seq = ThreadBudget::sequential();
+        let want = l.join_budget(r, &seq).project_budget(vars, &seq);
+        for threads in [1, 2, 4] {
+            let got = l.join_cols(r, Some(vars), &ThreadBudget::new(threads));
+            assert_eq!(got.schema, want.schema, "{ctx}");
+            assert_eq!(got.data, want.data, "{ctx}, {threads} threads");
+            assert_eq!(got.domain_width, want.domain_width, "{ctx}");
+        }
+        let (shell, cols) = l.join_shell(r, Some(vars));
+        let b = code_bits(shell.domain_width);
+        let word = shell.packed_sort_wanted() && cols.len() > 1 && cols.len() as u32 * b <= 64;
+        assert!(word, "{ctx}: not a word join");
+        let (a, calls) = (l.arity(), AtomicUsize::new(0));
+        let emit = |buf: &mut Vec<u64>, s: &[Element], o: &[Element]| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            let pick = |c: usize| u64::from(if c < a { s[c] } else { o[c - a] });
+            buf.push(cols.iter().fold(0, |w, &c| (w << b) | pick(c)));
+        };
+        let rows = l.join_emit(r, 1, &seq, None, emit);
+        calls.store(0, Ordering::Relaxed);
+        let words = l.join_emit(r, 1, &seq, Some((&cols, b)), emit);
+        let shared = calls.load(Ordering::Relaxed) == 0;
+        assert_eq!(words, rows, "{ctx}: emission differs from the row-id loop");
+        for threads in [2, 4] {
+            let par = l.join_emit(r, 1, &ThreadBudget::new(threads), Some((&cols, b)), emit);
+            assert_eq!(par, rows, "{ctx}: {threads}-thread emission differs");
+        }
+        shared
+    }
+
+    /// The word path of `join_cols` — the share loop where the index is
+    /// exact and the build's kept columns span at most 32 bits, the
+    /// row-id loop elsewhere — matches the two-step reference on one-
+    /// and two-column keys (direct / hashed, packed), `u32` and `u64`
+    /// words at both packing boundaries, kept columns of the build side
+    /// `l` only (10, 11), of the probe side `r` only (20, 21) and
+    /// interleaved, probe codes past the build's bound, and an empty
+    /// build side; in both operand orders.
+    #[test]
+    fn word_join_matches_join_then_project() {
+        let _g = knob_guard();
+        set_direct_index_enabled(true);
+        set_packed_mode(PackedMode::Auto);
+        let mut seed = 23;
+        let wide = (1 << 16) + 1;
+        // (build bound, probe bound, kept variables, the build's share
+        // fits a slot); the comment gives the word's bits.
+        let cases: [(u32, u32, &[VarId], bool); 19] = [
+            (300, 300, &[10, 11], true),         // 18
+            (300, 300, &[20, 21], true),         // 18
+            (300, 300, &[10, 20, 11], true),     // 27
+            (300, 300, &[20, 10, 21, 11], true), // 36
+            (300, 300, &[10, 20, 21, 11], false),
+            (300, 300, &[11, 1, 20], true),
+            (300, 600, &[10, 20, 11], true), // probe keys past 300
+            (300, 600, &[20, 21], true),
+            (1 << 16, 1 << 16, &[10, 11], true), // 32, u32
+            (1 << 16, 1 << 16, &[20, 21], true), // 32, u32
+            (1 << 16, 1 << 16, &[10, 11, 20, 21], true), // 64, shift 32
+            (1 << 16, 1 << 16, &[10, 20, 11], false), // 48
+            (1 << 16, 1 << 16, &[10, 20, 21, 11], false), // 64
+            (wide, wide, &[10, 11], false),      // 34
+            (wide, wide, &[20, 21], true),
+            (wide, wide, &[20, 10, 21], true),
+            (1 << 21, 1 << 21, &[20, 10, 21], true), // 63, shift 21
+            (1 << 21, 1 << 21, &[10, 20, 11], false),
+            (1 << 21, 1 << 21, &[10, 11], false), // 42
+        ];
+        for key in [&[1][..], &[1, 2]] {
+            let keys = if key.len() == 1 { 300 } else { 40 };
+            let schema = |private: [VarId; 2]| {
+                let mut s = vec![private[0]];
+                s.extend_from_slice(key);
+                s.push(private[1]);
+                s
+            };
+            for &(bw, pw, vars, fits) in &cases {
+                let l = word_rel(&schema([10, 11]), 1000, bw, keys, &mut seed);
+                let r = word_rel(&schema([20, 21]), 4200, pw, keys * pw / bw, &mut seed);
+                assert!(l.len() < r.len() && r.len() >= PAR_MIN_ROWS);
+                // Two-column keys index packed, one-column keys direct
+                // under a dense bound and hashed under a wide one.
+                let exact = key.len() == 2 || bw == 300;
+                for (x, y) in [(&l, &r), (&r, &l)] {
+                    let ctx = format!("key {key:?}, bounds {bw}/{pw}, vars {vars:?}");
+                    assert_eq!(check_word_join(x, y, vars, &ctx), exact && fits, "{ctx}");
+                }
+            }
+            let empty = word_rel(&schema([10, 11]), 0, 300, keys, &mut seed);
+            let r = word_rel(&schema([20, 21]), 4200, 300, keys, &mut seed);
+            for vars in [&[10, 20][..], &[20, 21]] {
+                assert!(check_word_join(&empty, &r, vars, "empty build"));
+                assert!(check_word_join(&r, &empty, vars, "empty build, swapped"));
+            }
+        }
+        DIRECT_INDEX_OVERRIDE.store(0, Ordering::Relaxed);
+        reset_packed_override();
+    }
+
+    /// A `wedge3`-shaped root, `π_{x,y,z}(E(y,z) ⋈ E(x,y))`: the probe
+    /// side `E(x,y)` is canonical and leads the output, the build side
+    /// `E(y,z)` adds `z` in ascending groups, so the share loop emits
+    /// the answer words already in order and the dedup finds no
+    /// descent. `two_hop`'s `π_{x,z}` emits runs instead. Counted on the
+    /// emitted words, not timed.
+    #[test]
+    fn canonical_probe_emits_canonical_words() {
+        let _g = knob_guard();
+        set_direct_index_enabled(true);
+        set_packed_mode(PackedMode::Auto);
+        let n = 600u32;
+        let mut e = FlatRelation::empty(vec![0, 1]);
+        for u in 0..n {
+            for k in 1..=8 {
+                e.push_row(&[u, (u * 7 + k * 13) % n]);
+            }
+        }
+        e.sort_dedup();
+        e.domain_width = n;
+        // Equal sizes: the left operand `E(y,z)` builds.
+        let (xy, yz) = (e.relabel(vec![0, 1]), e.relabel(vec![1, 2]));
+        for (vars, in_order) in [(&[0, 1, 2][..], true), (&[0, 2], false)] {
+            assert!(check_word_join(&yz, &xy, vars, "wedge"), "share loop");
+            let (shell, cols) = yz.join_shell(&xy, Some(vars));
+            let layout = Some((&cols[..], code_bits(shell.domain_width)));
+            let no_rows = |_: &mut Vec<u64>, _: &[Element], _: &[Element]| unreachable!();
+            let (words, matches) =
+                yz.join_emit(&xy, 1, &ThreadBudget::sequential(), layout, no_rows);
+            assert_eq!(matches, 8 * 8 * n as usize);
+            assert_eq!(words.is_sorted(), in_order, "vars {vars:?}");
+        }
+        DIRECT_INDEX_OVERRIDE.store(0, Ordering::Relaxed);
+        reset_packed_override();
     }
 
     /// Widths on both sides of every packing edge of the fused dedup:

@@ -28,9 +28,11 @@
 //! the order their input already has**: one pass finds the longest
 //! high prefix of the key bits the stream is already sorted on — a
 //! join's emitted words are ordered on the probe side's leading
-//! columns, a canonical scan on all of them — and only the bits below
-//! it are sorted, run by run of equal prefix. Keys in order cost that
-//! one pass; keys in no order at all, the full radix sort.
+//! columns, and on all of them when a canonical probe side leads the
+//! output (the build side's groups list rows ascending); a canonical
+//! scan is ordered on all of them — and only the bits below it are
+//! sorted, run by run of equal prefix. Keys in order cost that one
+//! pass; keys in no order at all, the full radix sort.
 
 use crate::structure::Element;
 
@@ -196,10 +198,11 @@ pub fn radix_dedup_u32(keys: &mut Vec<u32>) {
 
 /// Sorts `(key, tag)` pairs ascending by key, **stably**: pairs with
 /// equal keys keep their feed order across every pass. The join
-/// kernels feed row ids in descending order, so each key group comes
-/// out listing rows descending — the exact candidate order of the
-/// chained-hash and direct-addressed indexes, which is what keeps join
-/// output buffers byte-identical across index representations.
+/// kernels feed rows in ascending order (a tag is the row id or the
+/// row's share of an output word), so each key group comes out listing
+/// rows ascending — the candidate order of the chained-hash and
+/// direct-addressed indexes, which is what keeps join output buffers
+/// byte-identical across index representations.
 pub fn radix_sort_pairs(pairs: &mut [(u64, u32)]) {
     let varying = varying_bits(pairs.iter().map(|p| p.0));
     radix_passes(pairs, &mut Vec::new(), varying, |p| p.0);
