@@ -2073,7 +2073,7 @@ pub fn exp_eval() -> String {
         {
             // Two length-2 path bags joined on BOTH endpoints {x, y}:
             // a genuine two-column cross-bag interface, dispatching
-            // the radix-partitioned packed join and semijoin.
+            // the radix-partitioned packed join.
             let q = parse_cq("Q(x, y) :- E(x, z), E(z, y), E(x, w), E(w, y)").unwrap();
             let db = workloads::random_db(900, 4.0, 17);
             let plan = DecomposedPlan::compile(&q, 2).expect("4-cycle has treewidth 2");

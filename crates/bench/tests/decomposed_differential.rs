@@ -21,6 +21,9 @@
 //! demands the same bytes, and `wide_nodes_on_cycles` drives the shape
 //! by name — `C₅`, `C₆`, `C₇` under four heads, at every root of a path
 //! and of a star decomposition, on a regular and on a hub-skewed graph.
+//! A Boolean root's multi-column edge is the same op with nothing kept;
+//! `boolean_cycles_with_and_without_a_witness` drives it through every
+//! orientation of `C₄`–`C₆`, on graphs with and without a witness.
 
 use cqapx_bench::baseline::BaselineHom;
 use cqapx_cq::eval::{DecomposedPlan, MaterializationCache, NaivePlan, Op};
@@ -348,6 +351,44 @@ fn wide_nodes_on_cycles() {
                 }
             }
         }
+    }
+}
+
+/// A random DAG on `n` vertices, 3n edge draws, every edge from a lower
+/// to a higher id: no directed cycle maps into it.
+fn random_dag(n: u32, seed: u64) -> Structure {
+    let mut s = seed | 1;
+    let mut pick = || (lcg(&mut s) % u64::from(n)) as u32;
+    let es: Vec<(u32, u32)> = (0..3 * n)
+        .map(|_| (pick(), pick()))
+        .filter(|(a, b)| a != b)
+        .map(|(a, b)| (a.min(b), a.max(b)))
+        .collect();
+    Structure::digraph(n as usize, &es)
+}
+
+/// Boolean `C₄`, `C₅` and `C₆` in every orientation of their edges, on
+/// a hub-skewed graph and on a DAG (no witness for a directed cycle):
+/// the naive answer, and every multiway op — the existence call `C₄`'s
+/// root edge becomes included — equal to its binary chain. Each length
+/// meets both answers.
+#[test]
+fn boolean_cycles_with_and_without_a_witness() {
+    let dbs = [skewed_digraph(30, 120, 0x5EED), random_dag(120, 0xDA6)];
+    for n in [4u32, 5, 6] {
+        let ring: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        let mut answers = BTreeSet::new();
+        for flips in 0..1u32 << n {
+            let q = build_query(&ring, flips, 0);
+            let plan = DecomposedPlan::compile(&q, 2).expect("a cycle has treewidth 2");
+            for d in &dbs {
+                let expected = NaivePlan::compile(q.clone()).eval_boolean(d);
+                answers.insert(expected);
+                assert_eq!(plan.eval_boolean(d), expected, "{q}");
+                check_wide_nodes(&plan, d, &q);
+            }
+        }
+        assert_eq!(answers.len(), 2, "C{n} meets one answer only");
     }
 }
 

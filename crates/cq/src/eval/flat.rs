@@ -8,8 +8,8 @@
 //! **one contiguous buffer** (`rows × arity` elements, row-major) and
 //! keys rows by hashing the relevant columns in place with the FxHash
 //! mixer; duplicate elimination is a lexicographic sort + dedup over row
-//! indices rather than per-row set insertion, and semijoins compact the
-//! surviving rows in place instead of rebuilding the set. The only
+//! indices rather than per-row set insertion, and a semijoin leaves the
+//! relation untouched when every row survives. The only
 //! allocations on the hot path are the (reused, chain-linked) key index
 //! and the output buffers of joins/projections. Rows that landed in a
 //! [`MaterializationCache`] are shared, not copied, by every plan slot
@@ -78,7 +78,7 @@ static DIRECT_INDEX_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 /// Forces the direct-addressed index on or off for the whole process,
 /// overriding the `CQAPX_DIRECT_INDEX` environment default. Both index
-/// representations produce byte-identical join/semijoin outputs; this
+/// representations produce byte-identical join outputs; this
 /// knob exists for benchmarking and differential testing.
 pub fn set_direct_index_enabled(on: bool) {
     DIRECT_INDEX_OVERRIDE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
@@ -109,7 +109,8 @@ pub enum BitmapMode {
     Auto,
     /// Bitmaps wherever eligible, ignoring the density threshold.
     On,
-    /// No bitmaps: every probe goes through the key index.
+    /// No bitmaps: every existence test goes through the multiway
+    /// kernel or a key index.
     Off,
 }
 
@@ -151,9 +152,8 @@ pub(crate) fn bitmap_mode() -> BitmapMode {
 }
 
 /// Policy for the packed code-word kernels over dense codes (the
-/// `CQAPX_PACKED` knob): radix sort-dedup, radix-partitioned join
-/// indexes, and word-compare semijoin selection vectors, all over rows
-/// or keys packed into single `u64` words.
+/// `CQAPX_PACKED` knob): radix sort-dedup and radix-partitioned join
+/// indexes, over rows or keys packed into single `u64` words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PackedMode {
     /// Packed kernels wherever the per-relation heuristic (arity,
@@ -418,11 +418,6 @@ fn word_share<T: Word>(
     })
 }
 
-/// A row id as an index payload (see [`KeyIndex`]).
-fn row_id(i: usize) -> u32 {
-    i as u32
-}
-
 /// Inverse of the tight row packing: refills `out` with the `arity`
 /// columns of every word, `b ≤ 32` bits apiece, first column highest.
 fn unpack_words(
@@ -644,8 +639,8 @@ impl FlatRelation {
 
     /// Whether column bitmaps may be built over this relation: the
     /// dense bound is known and the word table stays within ~8 bytes
-    /// per row (beyond that the bitmap is mostly empty words and the
-    /// index probe is cheaper per cache line). A pure function of the
+    /// per row (beyond that the bitmap is mostly empty words and a
+    /// sorted search is cheaper per cache line). A pure function of the
     /// relation — never of the thread budget — so every kernel
     /// dispatch agrees on eligibility.
     fn bitmap_eligible(&self) -> bool {
@@ -685,17 +680,6 @@ impl FlatRelation {
         self.join_shell(other, Some(vars)).0.packed_sort_wanted()
     }
 
-    /// Whether a semijoin against `source` on `source_pos` would
-    /// dispatch the packed word-compare kernel — the `EvalProfile`
-    /// labelling predicate, kept in lockstep with the dispatch order
-    /// of [`FlatRelation::semijoin_on_budget`].
-    pub(crate) fn packed_semijoin_would_dispatch(
-        source: &FlatRelation,
-        source_pos: &[usize],
-    ) -> bool {
-        KeyIndex::wants_packed(source, source_pos)
-    }
-
     /// Whether `self ⋈ other` would build a packed radix-partitioned
     /// index — the `EvalProfile` labelling predicate, mirroring
     /// [`FlatRelation::join_budget`]'s shared-column and
@@ -731,8 +715,8 @@ impl FlatRelation {
 
     /// The existence bitmap of one column, built lazily and shared by
     /// clones. `None` when bitmaps are off ([`BitmapMode::Off`]) or
-    /// the relation is ineligible — callers fall back to the index
-    /// probe, which answers identically.
+    /// the relation is ineligible — callers fall back to the multiway
+    /// kernel, which answers identically.
     pub(crate) fn column_bitmap(&self, col: usize) -> Option<Arc<DomainBitmap>> {
         if bitmap_mode() == BitmapMode::Off || !self.bitmap_eligible() {
             return None;
@@ -1302,28 +1286,29 @@ impl FlatRelation {
 
     /// Semijoin `self ⋉ other` on aligned key columns: keeps the rows of
     /// `self` whose `my_pos` columns match some row of `other` on its
-    /// `their_pos` columns. No row set is rebuilt and no per-row key is
-    /// allocated. With empty key positions this is the
-    /// cartesian-semantics degenerate case: all rows survive iff
-    /// `other` is nonempty.
+    /// `their_pos` columns (distinct positions on each side). With empty
+    /// key positions this is the cartesian-semantics degenerate case:
+    /// all rows survive iff `other` is nonempty.
     pub fn semijoin_on(&mut self, my_pos: &[usize], other: &FlatRelation, their_pos: &[usize]) {
         self.semijoin_on_budget(my_pos, other, their_pos, ThreadBudget::shared());
     }
 
     /// [`FlatRelation::semijoin_on`] under an explicit thread budget.
-    /// Three membership kernels, one survivor path
-    /// (`retain_where`), so survivors and their order
-    /// are identical whichever dispatches:
+    /// Both operands must be canonical (rows sorted in their own column
+    /// order, duplicate-free), as every plan slot is. Two arms, one
+    /// survivor set in one order:
     ///
-    /// * single-column key against a dense source — the source's
-    ///   existence bitmap ("does my code occur in the other column?"
-    ///   is exactly what the index probe answers);
-    /// * two-column key against a dense source — both key columns
-    ///   packed into one word and compared inside the
-    ///   radix-partitioned index, whose groups are exact;
-    /// * anything else — the hashed / direct key index, built under
-    ///   the budget when the target is large enough to probe in
-    ///   parallel.
+    /// * a single-column key against a source with a column bitmap —
+    ///   the bitmap answers "does my code occur in the other column?"
+    ///   for each row (`retain_where`);
+    /// * anything else — the multiway kernel over `self` and `π_K(other)`
+    ///   keeping every column of `self`. `π_K(other)` lists the key in
+    ///   `self`'s column order under `self`'s variables, so the kernel
+    ///   reads both in their own column order and writes the survivors
+    ///   canonical, which is `self`'s order.
+    ///
+    /// When every row survives nothing is touched: rows, order, bitmaps
+    /// and sharing all stay. `self` keeps its own width bound.
     pub fn semijoin_on_budget(
         &mut self,
         my_pos: &[usize],
@@ -1332,6 +1317,11 @@ impl FlatRelation {
         budget: &ThreadBudget,
     ) {
         debug_assert_eq!(my_pos.len(), their_pos.len(), "key positions must align");
+        let canonical = |r: &FlatRelation| r.iter_rows().is_sorted_by(|x, y| x < y);
+        debug_assert!(
+            canonical(self) && canonical(other),
+            "operands must be canonical"
+        );
         if my_pos.is_empty() {
             if other.is_empty() {
                 self.clear();
@@ -1345,22 +1335,22 @@ impl FlatRelation {
                 return self.retain_where(budget, |row| bm.contains(row[c]));
             }
         }
-        if KeyIndex::wants_packed(other, their_pos) {
-            let index = KeyIndex::build_packed(other, their_pos, row_id);
-            let (p0, p1) = (my_pos[0], my_pos[1]);
-            return self.retain_where(budget, |row| index.contains_packed(pack2(row[p0], row[p1])));
+        let mut key: Vec<(&usize, &usize)> = std::iter::zip(my_pos, their_pos).collect();
+        key.sort_unstable();
+        let theirs: Vec<VarId> = key.iter().map(|&(_, &j)| other.schema[j]).collect();
+        let mut filter = other.project_budget(&theirs, budget);
+        let distinct = key.windows(2).all(|w| w[0].0 < w[1].0) && filter.schema.len() == key.len();
+        debug_assert!(distinct, "key positions must be distinct on each side");
+        filter.schema = key.iter().map(|&(&i, _)| self.schema[i]).collect();
+        let mut schema = self.schema.clone();
+        schema.sort_unstable();
+        let (parts, mut stats) = ([&*self, &filter], MatCacheStats::default());
+        let kept = multiway_join(&parts, &schema, &self.schema, budget, &mut stats);
+        if kept.rows < self.rows {
+            self.rows = kept.rows;
+            self.data = kept.data;
+            self.invalidate_bitmaps();
         }
-        // Build first (the build claims and releases its own workers),
-        // then lease the probe: claiming the probe lease first would
-        // drain the budget the build could have used.
-        let index = if self.rows >= PAR_MIN_ROWS && budget.capacity() > 0 {
-            KeyIndex::build_budget(other, their_pos, budget, row_id)
-        } else {
-            KeyIndex::build(other, their_pos, row_id)
-        };
-        self.retain_where(budget, |row| {
-            index.has_row_match(row, my_pos, other, their_pos)
-        });
     }
 
     /// Keeps the rows that pass `hit`, in order. Rows are tested
@@ -1657,7 +1647,7 @@ impl FlatRelation {
             (Some((cols, b)), Some(lo)) => {
                 (word_share::<u64>(&bdata[i * ba..][..ba], cols, b, on_build) >> lo) as u32
             }
-            _ => row_id(i),
+            _ => i as u32,
         };
         // One probe morsel: emit every match of rows `range` into `buf`
         // (the sequential loop is the single-morsel case).
@@ -1750,8 +1740,11 @@ impl FlatRelation {
     }
 }
 
-/// A key index over the key columns of a [`FlatRelation`], in one of
-/// three representations chosen deterministically at build time:
+/// A key index over the key columns of a [`FlatRelation`], the build
+/// side of the join family's probe loop (`FlatRelation::join_emit`) and
+/// of nothing else — semijoins run on column bitmaps and the multiway
+/// kernel. One of three representations, chosen deterministically at
+/// build time:
 ///
 /// * [`KeyIndex::Hashed`] — a chained hash index: a flat power-of-two
 ///   bucket table (`heads`, addressed by the top hash bits) with rows
@@ -1951,8 +1944,10 @@ impl KeyIndex {
     /// a word-compare binary
     /// search inside it. Words above every indexed key shift past the
     /// directory and read as absent, mirroring the direct index's
-    /// out-of-range behaviour.
-    #[inline]
+    /// out-of-range behaviour. Never inlined: [`KeyIndex::group`] runs
+    /// once per probe row of every exact-index join, and with this
+    /// search inside it the direct arm gets slower.
+    #[inline(never)]
     fn packed_group(&self, k: u64) -> &[u32] {
         let KeyIndex::Packed {
             keys,
@@ -1978,13 +1973,6 @@ impl KeyIndex {
             }
             Err(_) => &[],
         }
-    }
-
-    /// Word-membership probe on a packed index: is any indexed row's
-    /// key equal to word `k`?
-    #[inline]
-    fn contains_packed(&self, k: u64) -> bool {
-        !self.packed_group(k).is_empty()
     }
 
     /// The index over `pos`; an exact representation stores
@@ -2148,27 +2136,6 @@ impl KeyIndex {
     #[inline]
     fn is_exact(&self) -> bool {
         matches!(self, KeyIndex::Direct { .. } | KeyIndex::Packed { .. })
-    }
-
-    /// Existence-only probe: does any indexed row of `build` match the
-    /// probe `row` on the key columns? The exact representations answer
-    /// from the group bounds alone — no candidate iteration and no
-    /// `build` row access; hashed walks the chain and re-checks columns
-    /// as usual.
-    #[inline]
-    fn has_row_match(
-        &self,
-        row: &[Element],
-        pos: &[usize],
-        build: &FlatRelation,
-        build_pos: &[usize],
-    ) -> bool {
-        match self {
-            KeyIndex::Direct { .. } | KeyIndex::Packed { .. } => !self.group(row, pos).is_empty(),
-            KeyIndex::Hashed { .. } => self
-                .probe_row(row, pos)
-                .any(|m| FlatRelation::keys_eq(row, pos, build.row(m), build_pos)),
-        }
     }
 
     #[inline]
@@ -3966,12 +3933,29 @@ mod tests {
         r
     }
 
-    /// Joins and semijoins through every index representation must be
-    /// byte-identical — same rows, same order: direct vs hashed on a
-    /// one-column key, packed vs hashed on two, each hashed build also
-    /// partitioned under four threads (the last fixture is large
-    /// enough for that). All three list a group's rows ascending, so
-    /// when the larger side probes the join comes out sorted.
+    /// The semijoin by its definition: the rows of `target` whose
+    /// `my_pos` columns are the `their_pos` columns of some row of
+    /// `source` (a `BTreeSet` of those key tuples), in order, as one
+    /// row-major buffer.
+    fn semijoin_reference(
+        target: &FlatRelation,
+        my_pos: &[usize],
+        source: &FlatRelation,
+        their_pos: &[usize],
+    ) -> Vec<Element> {
+        let key = |row: &[Element], pos: &[usize]| pos.iter().map(|&i| row[i]).collect();
+        let keys: BTreeSet<Vec<Element>> = source.iter_rows().map(|r| key(r, their_pos)).collect();
+        let hit = |row: &&[Element]| keys.contains(&key(row, my_pos));
+        target.iter_rows().filter(hit).flatten().copied().collect()
+    }
+
+    /// Joins through every index representation must be byte-identical
+    /// — same rows, same order: direct vs hashed on a one-column key,
+    /// packed vs hashed on two, each hashed build also partitioned under
+    /// four threads (the last fixture is large enough for that). All
+    /// three list a group's rows ascending, so when the larger side
+    /// probes the join comes out sorted. Semijoins on the same keys
+    /// build no index, whatever the knobs: they match the reference.
     #[test]
     fn direct_index_is_bit_identical_to_hashed() {
         let _g = knob_guard();
@@ -3990,27 +3974,31 @@ mod tests {
                 let a = dense_rel(sa, n, width, 11);
                 let b = dense_rel(sb, m, width, 22);
                 let (pa, pb): (Vec<usize>, Vec<usize>) = ((1..=key).collect(), (0..key).collect());
+                let want = semijoin_reference(&a, &pa, &b, &pb);
                 let run = |budget: &ThreadBudget| {
                     let mut sj = a.clone();
                     sj.semijoin_on_budget(&pa, &b, &pb, budget);
-                    (a.join_budget(&b, budget), sj)
+                    assert_eq!(
+                        *sj.data, want,
+                        "semijoin bytes differ, n={n}, {key} columns"
+                    );
+                    a.join_budget(&b, budget)
                 };
                 set_direct_index_enabled(true);
                 set_packed_mode(PackedMode::On);
                 let a_builds = a.len() <= b.len();
                 let (build, build_pos) = if a_builds { (&a, &pa) } else { (&b, &pb) };
-                assert!(KeyIndex::build(build, build_pos, row_id).is_exact());
-                let (exact, sj_exact) = run(&seq);
+                assert!(KeyIndex::build(build, build_pos, |i| i as u32).is_exact());
+                let exact = run(&seq);
                 // Force the hashed representation for the comparison runs.
                 set_direct_index_enabled(false);
                 set_packed_mode(PackedMode::Off);
                 for (budget, what) in [(&seq, "hashed"), (&par, "partitioned")] {
-                    let (join, sj) = run(budget);
+                    let join = run(budget);
                     let ctx = format!("{what}, n={n}, {key}-column key");
                     assert_eq!(exact.schema, join.schema, "{ctx}");
                     assert_eq!(exact.data, join.data, "join bytes differ: {ctx}");
                     assert_eq!(exact.domain_width, join.domain_width, "{ctx}");
-                    assert_eq!(sj_exact.data, sj.data, "semijoin bytes differ: {ctx}");
                 }
                 if !a_builds {
                     assert!(exact.iter_rows().is_sorted(), "n={n}, {key}-column key");
@@ -4022,15 +4010,25 @@ mod tests {
     }
 
     /// Probe values outside the dense bound (possible when the probe
-    /// side carries a wider — or no — bound) must simply miss.
+    /// side carries a wider — or no — bound) must simply miss: a join
+    /// probing a direct index with codes past its width.
     #[test]
     fn direct_index_out_of_range_probe_misses() {
         let _g = knob_guard();
+        set_direct_index_enabled(true);
         let b = dense_rel(&[1, 2], 100, 16, 5);
-        assert!(KeyIndex::wants_direct(&b, &[0]));
-        let mut a = rel(&[0, 1], &[&[7, 3], &[8, 99]]); // 99 ≥ width 16
-        a.semijoin_on(&[1], &b, &[0]);
-        assert!(a.iter_rows().all(|r| r[1] < 16));
+        assert!(matches!(
+            KeyIndex::build(&b, &[0], |i| i as u32),
+            KeyIndex::Direct { .. }
+        ));
+        // More rows than `b`, so `b` builds; codes up to 19 ≥ width 16.
+        let rows: Vec<[Element; 2]> = (0..200).map(|i| [i, i % 20]).collect();
+        let a = rel(&[0, 1], &rows.iter().map(|r| &r[..]).collect::<Vec<_>>());
+        let joined = a.join_budget(&b, &ThreadBudget::sequential());
+        let hits = |v: Element| b.iter_rows().filter(|r| r[0] == v).count();
+        assert_eq!(joined.len(), rows.iter().map(|r| hits(r[1])).sum::<usize>());
+        assert!(!joined.is_empty() && joined.iter_rows().all(|r| r[1] < 16));
+        DIRECT_INDEX_OVERRIDE.store(0, Ordering::Relaxed);
     }
 
     /// A sparse bound (width ≫ rows) must fall back to the hashed
@@ -4216,8 +4214,8 @@ mod tests {
     // ── bitmap existence kernels ────────────────────────────────────
 
     /// The bitmap semijoin (branch-free selection vector) must be
-    /// byte-identical to the index-probe path — same survivors, same
-    /// order, same width bound — sequentially and under morsel fan-out.
+    /// byte-identical to the kernel arm — same survivors, same order,
+    /// same width bound — sequentially and under morsel fan-out.
     #[test]
     fn bitmap_semijoin_is_bit_identical_to_probe() {
         let _g = knob_guard();
@@ -4461,16 +4459,25 @@ mod tests {
         reset_packed_override();
     }
 
-    /// Joins and semijoins on a two-column key through the packed
-    /// radix-partitioned index must be byte-identical to the hashed
-    /// path — same rows, same order — sequentially and under a
-    /// granting thread budget.
+    /// Joins on a two-column key through the packed radix-partitioned
+    /// index must be byte-identical to the hashed path — same rows, same
+    /// order — sequentially and under a granting thread budget. The
+    /// semijoin on that key matches the reference under both knobs.
     #[test]
     fn packed_index_is_bit_identical_to_hashed() {
         let _g = knob_guard();
         for &(n, m, width) in &[(800usize, 600usize, 12u32), (2500, 2000, 48)] {
             let a = dense_rel(&[0, 1, 2], n, width, 31);
             let b = dense_rel(&[1, 2, 3], m, width, 32);
+            let want = semijoin_reference(&a, &[1, 2], &b, &[0, 1]);
+            let semijoin = |threads: usize| {
+                let mut sj = a.clone();
+                sj.semijoin_on_budget(&[1, 2], &b, &[0, 1], &ThreadBudget::new(threads));
+                assert_eq!(
+                    *sj.data, want,
+                    "semijoin bytes differ (n={n}, {threads} threads)"
+                );
+            };
             // Shared columns {1, 2}: a genuine two-column key.
             set_packed_mode(PackedMode::On);
             assert!(
@@ -4480,32 +4487,24 @@ mod tests {
             let before = packed_stats();
             let packed = a.join_budget(&b, &ThreadBudget::sequential());
             let packed_par = a.join_budget(&b, &ThreadBudget::new(4));
-            let mut sj_packed = a.clone();
-            sj_packed.semijoin_on_budget(&[1, 2], &b, &[0, 1], &ThreadBudget::sequential());
-            let mut sj_packed_par = a.clone();
-            sj_packed_par.semijoin_on_budget(&[1, 2], &b, &[0, 1], &ThreadBudget::new(4));
             let after = packed_stats();
             assert!(
                 after.builds > before.builds,
                 "packed builds must be counted"
             );
             assert!(after.rows > before.rows, "packed rows must be counted");
+            semijoin(1);
+            semijoin(4);
 
             set_packed_mode(PackedMode::Off);
             let hashed = a.join_budget(&b, &ThreadBudget::sequential());
-            let mut sj_hashed = a.clone();
-            sj_hashed.semijoin_on_budget(&[1, 2], &b, &[0, 1], &ThreadBudget::sequential());
+            semijoin(1);
             reset_packed_override();
 
             assert_eq!(packed.schema, hashed.schema);
             assert_eq!(packed.data, hashed.data, "join bytes differ (n={n})");
             assert_eq!(packed.domain_width, hashed.domain_width);
             assert_eq!(packed_par.data, hashed.data, "parallel join bytes differ");
-            assert_eq!(sj_packed.data, sj_hashed.data, "semijoin bytes differ");
-            assert_eq!(
-                sj_packed_par.data, sj_hashed.data,
-                "parallel semijoin bytes differ"
-            );
         }
     }
 
@@ -4521,29 +4520,28 @@ mod tests {
             r.domain_width = 8;
             r
         };
+        let row_id = |i: usize| i as u32;
         let idx = KeyIndex::build_packed(&empty, &[0, 1], row_id);
-        assert!(!idx.contains_packed(pack2(0, 0)));
+        let has = |idx: &KeyIndex, k: u64| !idx.packed_group(k).is_empty();
+        assert!(!has(&idx, pack2(0, 0)));
 
         let mut one = FlatRelation::empty(vec![0, 1]);
         one.push_row(&[0, 0]);
         one.domain_width = 1;
         let idx = KeyIndex::build_packed(&one, &[0, 1], row_id);
-        assert!(idx.contains_packed(pack2(0, 0)));
-        assert!(!idx.contains_packed(pack2(0, 1)));
-        assert!(
-            !idx.contains_packed(pack2(7, 7)),
-            "past-the-directory probe misses"
-        );
-        assert!(!idx.contains_packed(u64::MAX));
+        assert!(has(&idx, pack2(0, 0)));
+        assert!(!has(&idx, pack2(0, 1)));
+        assert!(!has(&idx, pack2(7, 7)), "past-the-directory probe misses");
+        assert!(!has(&idx, u64::MAX));
 
         let b = dense_rel(&[0, 1], 700, 20, 5);
         let idx = KeyIndex::build_packed(&b, &[0, 1], row_id);
         assert!(idx.is_exact(), "packed candidates need no re-check");
-        for row in b.iter_rows() {
-            assert!(idx.contains_packed(pack2(row[0], row[1])));
+        for (i, row) in b.iter_rows().enumerate() {
+            assert_eq!(idx.packed_group(pack2(row[0], row[1])), [i as u32]);
         }
-        assert!(!idx.contains_packed(pack2(20, 0)), "width is exclusive");
-        assert!(!idx.contains_packed(pack2(1_000_000, 3)));
+        assert!(!has(&idx, pack2(20, 0)), "width is exclusive");
+        assert!(!has(&idx, pack2(1_000_000, 3)));
         reset_packed_override();
     }
 
@@ -4559,7 +4557,7 @@ mod tests {
             r.push_row(&[i % 7, i % 3]);
         }
         r.domain_width = 7;
-        let idx = KeyIndex::build_packed(&r, &[0, 1], row_id);
+        let idx = KeyIndex::build_packed(&r, &[0, 1], |i| i as u32);
         for key in (0..7u32).flat_map(|h| (0..3u32).map(move |l| pack2(h, l))) {
             let group = idx.packed_group(key);
             assert!(!group.is_empty());
@@ -4674,11 +4672,12 @@ mod tests {
         r
     }
 
-    /// Shared-target and owned-target semijoins must leave the same
-    /// bytes, and the shared original untouched, for each membership
-    /// kernel (one key column: bitmap; two: packed words; three:
-    /// hashed index — or whatever the knobs dispatch instead) and each
-    /// outcome, sequentially and over morsels.
+    /// Shared-target and owned-target semijoins must leave the reference
+    /// bytes, and the shared original untouched, on both arms (one key
+    /// column with bitmaps on: bitmap; anything else: the kernel), with
+    /// the key leading and trailing each schema, for each outcome,
+    /// sequentially and over morsels. A shared target stays shared
+    /// exactly when nothing drops.
     #[test]
     fn semijoin_on_shared_rows_matches_owned_rows() {
         let _g = knob_guard(); // the kernels bump counters other tests read
@@ -4710,15 +4709,25 @@ mod tests {
             (&none, "none"),
             (&empty, "empty"),
         ] {
-            for keys in 0..=3usize {
-                let pos: Vec<usize> = (0..keys).collect();
-                for budget in &budgets {
+            for (keys, lead) in (0..=3usize).flat_map(|k| [(k, true), (k, false)]) {
+                let pos: Vec<usize> = if lead {
+                    (0..keys).collect()
+                } else {
+                    (3 - keys..3).collect()
+                };
+                let want = semijoin_reference(&target, &pos, source, &pos);
+                for (budget, mode) in budgets
+                    .iter()
+                    .flat_map(|b| [(b, BitmapMode::On), (b, BitmapMode::Off)])
+                {
+                    set_bitmap_mode(mode);
                     let mut owned = target.clone();
                     owned.semijoin_on_budget(&pos, source, &pos, budget);
                     let mut shared = cached.clone();
                     assert!(shared.shares_rows_with(&cached));
                     shared.semijoin_on_budget(&pos, source, &pos, budget);
-                    let ctx = format!("{what} source, {keys} key columns");
+                    let ctx = format!("{what} source, key {pos:?}, bitmaps {mode:?}");
+                    assert_eq!(*owned.data, want, "{ctx}");
                     assert_eq!(owned.rows, shared.rows, "{ctx}");
                     assert_eq!(owned.data, shared.data, "{ctx}");
                     assert_eq!(cached.data, target.data, "{ctx}: cached rows changed");
@@ -4734,6 +4743,144 @@ mod tests {
                     }
                 }
             }
+        }
+        BITMAP_OVERRIDE.store(0, Ordering::Relaxed);
+    }
+
+    /// The kernel arm against the reference filter: keys of one, two
+    /// and three columns at every placement in a four-column target and
+    /// in a four-column source (leading, trailing, interleaved, out of
+    /// order across the two), dense bounds and none, an empty source and
+    /// an empty target; then a large two-column case fanned out over 1,
+    /// 2 and 4 threads, byte-identical.
+    #[test]
+    fn semijoin_kernel_matches_reference_filter() {
+        let _g = knob_guard();
+        set_bitmap_mode(BitmapMode::Off);
+        let mut seed = 61;
+        let placements = |k: usize| -> Vec<Vec<usize>> {
+            (0..16usize)
+                .map(|m| (0..4).filter(|i| m >> i & 1 == 1).collect())
+                .filter(|p: &Vec<usize>| p.len() == k)
+                .collect()
+        };
+        for width in [7u32, 0] {
+            // The source draws from fewer codes, so every key filters.
+            let target = bounded_rel(&[0, 1, 2, 3], 500, width, &mut seed);
+            let mut source = bounded_rel(&[10, 11, 12, 13], 200, 4, &mut seed);
+            source.domain_width = width;
+            let empty = bounded_rel(&[10, 11, 12, 13], 0, width, &mut seed);
+            let none = bounded_rel(&[0, 1, 2, 3], 0, width, &mut seed);
+            for k in 1..=3 {
+                for mine in placements(k) {
+                    for theirs in placements(k) {
+                        // Also pair the key columns in reverse.
+                        let reversed: Vec<usize> = theirs.iter().rev().copied().collect();
+                        for theirs in [theirs.clone(), reversed] {
+                            for (t, s) in [(&target, &source), (&target, &empty), (&none, &source)]
+                            {
+                                let mut got = t.clone();
+                                got.semijoin_on(&mine, s, &theirs);
+                                let want = semijoin_reference(t, &mine, s, &theirs);
+                                let ctx = format!("width {width}, {mine:?} ⋉ {theirs:?}");
+                                assert_eq!(*got.data, want, "{ctx}");
+                                assert_eq!(got.rows * 4, want.len(), "{ctx}");
+                                assert_eq!(got.domain_width, t.domain_width, "{ctx}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let target = bounded_rel(&[0, 1, 2], 12_000, 400, &mut seed);
+        let source = bounded_rel(&[3, 2, 1], 9_000, 200, &mut seed);
+        let want = semijoin_reference(&target, &[1, 2], &source, &[2, 1]);
+        assert!(!want.is_empty() && want.len() < target.data.len());
+        for threads in [1, 2, 4] {
+            let mut got = target.clone();
+            got.semijoin_on_budget(&[1, 2], &source, &[2, 1], &ThreadBudget::new(threads));
+            assert_eq!(*got.data, want, "{threads} threads");
+        }
+        BITMAP_OVERRIDE.store(0, Ordering::Relaxed);
+    }
+
+    /// Timing, so ignored by default (`cargo test --release -p cqapx-cq
+    /// --lib -- --ignored --nocapture existence`): the Boolean `C₄`
+    /// root's existence call over its two 80k-row bags (5000 vertices ×
+    /// 4 out-edges) against the packed-word semijoin arm it replaced —
+    /// a radix-partitioned index over the child's `(b, d)` and a
+    /// selection vector over the root's — with a witness and with the
+    /// child's `d` shifted past every code (no witness). Medians of 21
+    /// interleaved runs; the call must stay within 1.25× of the arm.
+    #[test]
+    #[ignore]
+    fn existence_call_against_packed_semijoin_arm() {
+        let n = 5000u32;
+        let mut seed = 0xC4;
+        let mut out: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
+        for (u, succ) in out.iter_mut().enumerate() {
+            while succ.len() < 4 {
+                let v = (lcg(&mut seed) % u64::from(n)) as u32;
+                if v != u as u32 && !succ.contains(&v) {
+                    succ.push(v);
+                }
+            }
+        }
+        // Root (a, b, d): d → a → b. Child (b, c, d): b → c → d.
+        let (mut root, mut child) = (
+            FlatRelation::empty(vec![0, 1, 3]),
+            FlatRelation::empty(vec![1, 2, 3]),
+        );
+        for (x, succ) in out.iter().enumerate() {
+            for &y in succ {
+                for &z in &out[y as usize] {
+                    child.push_row(&[x as u32, y, z]);
+                    root.push_row(&[y, z, x as u32]);
+                }
+            }
+        }
+        root.sort_dedup();
+        child.sort_dedup();
+        (root.domain_width, child.domain_width) = (n, n);
+        root.share_rows();
+        let mut shifted = child.clone();
+        shifted
+            .data
+            .make_mut()
+            .iter_mut()
+            .skip(2)
+            .step_by(3)
+            .for_each(|d| *d += n);
+        shifted.domain_width = 2 * n;
+        let seq = ThreadBudget::sequential();
+        let median = |mut t: Vec<f64>| {
+            t.sort_by(f64::total_cmp);
+            t[t.len() / 2]
+        };
+        for (child, witness) in [(&child, true), (&shifted, false)] {
+            let (mut call, mut arm, mut advances) = (Vec::new(), Vec::new(), 0);
+            for _ in 0..21 {
+                let t0 = std::time::Instant::now();
+                let mut stats = MatCacheStats::default();
+                let found = multiway_join(&[&root, child], &[0, 1, 2, 3], &[], &seq, &mut stats);
+                call.push(t0.elapsed().as_secs_f64() * 1e3);
+                assert_eq!(found.len(), usize::from(witness));
+                advances = stats.cursor_advances;
+                let t0 = std::time::Instant::now();
+                let index = KeyIndex::build_packed(child, &[0, 2], |i| i as u32);
+                let mut kept = root.clone();
+                kept.retain_where(&seq, |r| !index.packed_group(pack2(r[1], r[2])).is_empty());
+                arm.push(t0.elapsed().as_secs_f64() * 1e3);
+                assert_eq!(kept.is_empty(), !witness);
+            }
+            let (call, arm) = (median(call), median(arm));
+            println!(
+                "witness {witness}: {} + {} rows, existence call {call:.3} ms \
+                 ({advances} advances), packed arm {arm:.3} ms",
+                root.len(),
+                child.len()
+            );
+            assert!(call <= 1.25 * arm, "{call:.3} ms against {arm:.3} ms");
         }
     }
 

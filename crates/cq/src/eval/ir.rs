@@ -8,11 +8,11 @@
 //! | operator             | effect                                                |
 //! |----------------------|-------------------------------------------------------|
 //! | [`Op::Materialize`]  | scan/adopt a [`MatSource`] into a slot (cache-aware: a hit shares the cached rows, it does not copy them); a multi-part bag is the worst-case-optimal multiway join of its parts, the one bag kernel |
-//! | [`Op::Semijoin`]     | `target ⋉ source` on aligned key columns: nothing is touched when every row survives, an owned target is compacted in place, a target still sharing cached rows gathers its survivors into a fresh buffer; the allocations are the same whether or not a row goes |
+//! | [`Op::Semijoin`]     | `target ⋉ source` on aligned key columns: a one-column key against a source column bitmap filters row by row, any other key is the multiway kernel over the target and the source's key projection; nothing is touched when every row survives |
 //! | [`Op::AssertNonempty`] | abort with the empty answer when a slot ran dry     |
 //! | [`Op::Join`]         | natural hash join of two slots into a third           |
 //! | [`Op::JoinProject`]  | `π_vars(left ⋈ right)` in one pass: matches emit only the kept columns, then one sort + dedup (packed radix when the rows fit code words); the full-width join never exists, and the rows are left canonical — at the output slot that is the answer set's one sort |
-//! | [`Op::MultiJoin`]    | `π_vars(⋈ inputs)` for three or more slots by the multiway kernel bags are built with: kept variables are enumerated first, what follows them is an existence check, no intermediate exists |
+//! | [`Op::MultiJoin`]    | `π_vars(⋈ inputs)` by the multiway kernel bags are built with: kept variables are enumerated first, what follows them is an existence check, no intermediate exists; a tree node with two or more children, or a Boolean root with one child (`vars` empty: the first witness decides) |
 //! | [`Op::Project`]      | distinct projection of one slot ([`Op::JoinProject`] against the unit relation); the identity projection shares the slot's rows |
 //! | [`Op::Dedup`]        | in-place sort + duplicate elimination                 |
 //! | [`Op::Union`]        | append a same-variable slot (column-remapped)         |
@@ -314,7 +314,8 @@ pub enum Op {
     },
     /// `π_vars(⋈ inputs)` into `dst` as one multiway join (operands are
     /// kept and must be canonical, as is the result): a tree node with
-    /// its two or more children's partials.
+    /// its two or more children's partials, or a Boolean root with one
+    /// child and nothing kept.
     MultiJoin {
         /// Destination slot.
         dst: Slot,
@@ -511,14 +512,7 @@ impl PlanIr {
         fn op_label(op: &Op, slots: &[Option<FlatRelation>]) -> &'static str {
             match op {
                 Op::Materialize { .. } => "materialize",
-                Op::Semijoin {
-                    source, source_pos, ..
-                } => match &slots[*source] {
-                    Some(s) if FlatRelation::packed_semijoin_would_dispatch(s, source_pos) => {
-                        "semijoin(packed)"
-                    }
-                    _ => "semijoin",
-                },
+                Op::Semijoin { .. } => "semijoin",
                 Op::AssertNonempty { .. } => "assert_nonempty",
                 Op::Join { left, right, .. } => match (&slots[*left], &slots[*right]) {
                     (Some(l), Some(r)) if l.packed_join_would_dispatch(r) => "join(packed)",
@@ -871,9 +865,9 @@ impl PlanIr {
     /// the kernel path. Slots are never mutated.
     ///
     /// Returns `None` (before emitting any profile entry) when bitmaps
-    /// are off or any sweep op is ineligible — a multi-column key, or
-    /// a source without a dense bound; the caller then runs the same
-    /// ops through the semijoin kernel.
+    /// are off or any sweep op is ineligible — a multi-column key, a
+    /// fused root edge, or a source without a dense bound; the caller
+    /// then runs the same ops through the semijoin and multiway kernels.
     fn bitmap_bool_sweep(
         &self,
         mat_len: usize,
@@ -1070,7 +1064,16 @@ pub struct NodeSpec {
 ///    columns the adjacent *schemas* share, with emptiness assertions
 ///    (the second sweep skips the nodes the join phase never reads
 ///    again and those it joins into their parent unchanged — that join
-///    is their semijoin — so a Boolean join tree is one sweep);
+///    is their semijoin — so a Boolean join tree is one sweep). There
+///    a root's emptiness check is all that reads the root, so its last
+///    incoming edge with a key of two or more columns (its semijoins
+///    commute) is not a semijoin: it is one [`Op::MultiJoin`] of the
+///    root and that child keeping nothing, which stops at its first
+///    witness, asserted nonempty. Only two parts are fused: one call
+///    over the root and k children could backtrack across children
+///    that are independent given the root, at up to the product of
+///    their fan-outs. One-column edges stay semijoins, for the bitmap
+///    sweep;
 /// 3. unless the query is Boolean and the reduction decides it: one op
 ///    per node, bottom-up — the node joined with its live children's
 ///    partials and projected onto its free variables plus the variables
@@ -1238,9 +1241,22 @@ pub fn compile_tree(
         dead[u] |= parent[u].is_some_and(|p| dead[p]);
     }
 
+    // `fused[r]`: the child whose edge a Boolean root `r` checks with
+    // one existence call — the last in `order` with a multi-column key.
+    let mut fused: Vec<Option<usize>> = vec![None; n];
+    for &u in order
+        .iter()
+        .filter(|_| free.is_empty() && reduction_decides)
+    {
+        let key = edge_pos[u].as_ref().map_or(0, |(k, _)| k.len());
+        match parent[u] {
+            Some(p) if parent[p].is_none() && key > 1 => fused[p] = Some(u),
+            _ => {}
+        }
+    }
     // Full reducer: leaves → root …
     for &u in order {
-        if let Some(p) = parent[u] {
+        if let Some(p) = parent[u].filter(|&p| fused[p] != Some(u)) {
             let (child_pos, parent_pos) = edge_pos[u].as_ref().expect("non-root has an edge");
             ops.push(Op::Semijoin {
                 target: p,
@@ -1249,7 +1265,16 @@ pub fn compile_tree(
                 source_pos: child_pos.clone(),
             });
         }
-        ops.push(Op::AssertNonempty { slot: u });
+        let mut slot = u;
+        if let Some(c) = fused[u] {
+            (slot, slots) = (slots, slots + 1);
+            ops.push(Op::MultiJoin {
+                dst: slot,
+                inputs: vec![u, c],
+                vars: Vec::new(),
+            });
+        }
+        ops.push(Op::AssertNonempty { slot });
     }
     // … then root → leaves, but only into nodes the join phase computes
     // on. A dead node is never read again; a live one with no live
@@ -1946,6 +1971,116 @@ mod tests {
         let d = Structure::digraph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 1)]);
         for (q, got) in [(&star, plan.eval(&d)), (&c6, centred.eval(&d))] {
             assert_eq!(got, crate::eval::naive::eval_naive(q, &d), "{q}");
+        }
+    }
+
+    /// Graphs to decide Boolean cycles on: a regular digraph full of
+    /// directed cycles, and a DAG (`u < v`) with none.
+    fn cyclic_and_acyclic() -> [Structure; 2] {
+        let edges: Vec<(u32, u32)> = (0..60u32)
+            .flat_map(|u| [(u, (u * 7 + 3) % 60), (u, (u + 1) % 60), ((u * 5) % 60, u)])
+            .filter(|&(a, b)| a != b)
+            .collect();
+        let dag: Vec<(u32, u32)> = edges.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
+        [Structure::digraph(60, &edges), Structure::digraph(60, &dag)]
+    }
+
+    /// The Boolean `C₄` plan decides its two bags' edge with one
+    /// existence call: no semijoin into the root, a `MultiJoin` of the
+    /// root and its child keeping nothing, asserted nonempty — with the
+    /// naive answer on data with and without a witness.
+    #[test]
+    fn boolean_c4_root_is_one_existence_call() {
+        use crate::eval::decomposed::DecomposedPlan;
+        use crate::eval::naive::eval_boolean_naive;
+        let c4 = parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,a)").unwrap();
+        let plan = DecomposedPlan::compile(&c4, 2).unwrap();
+        let ir = plan.ir();
+        assert!(ir.reduction_decides());
+        let [.., Op::MultiJoin { dst, inputs, vars }, Op::AssertNonempty { slot }] = &ir.ops[..]
+        else {
+            panic!("{:?}", ir.ops)
+        };
+        assert!(vars.is_empty() && slot == dst && inputs.len() == 2);
+        assert_eq!((semijoins_in(ir), ir.bool_len), (0, ir.ops.len()));
+        for (d, witness) in cyclic_and_acyclic().iter().zip([true, false]) {
+            assert_eq!(eval_boolean_naive(&c4, d), witness);
+            assert_eq!(plan.eval_boolean(d), witness);
+        }
+    }
+
+    /// Boolean paths and stars have one-column edges only: they compile
+    /// op for op as before — one semijoin per edge and one assertion per
+    /// node after the scans, no existence call, no extra slot.
+    #[test]
+    fn boolean_paths_and_stars_keep_their_semijoins() {
+        use crate::eval::yannakakis::AcyclicPlan;
+        for rule in [
+            "Q() :- E(a0,a1), E(a1,a2), E(a2,a3), E(a3,a4), E(a4,a5), E(a5,a6), E(a6,a7), E(a7,a8)",
+            "Q() :- E(c,a1), E(c,a2), E(c,a3), E(c,a4), E(c,a5)",
+            "Q() :- E(x,y), E(y,z), E(z,w)",
+        ] {
+            let q = parse_cq(rule).unwrap();
+            let plan = AcyclicPlan::compile(&q).unwrap();
+            let (ir, n) = (plan.ir(), q.atoms().len());
+            let sweep = &ir.ops[n..];
+            assert!(ir.ops[..n]
+                .iter()
+                .all(|op| matches!(op, Op::Materialize { .. })));
+            let edge =
+                |op: &&Op| matches!(op, Op::Semijoin { target_pos, .. } if target_pos.len() == 1);
+            let check = |op: &&Op| matches!(op, Op::AssertNonempty { slot } if *slot < n);
+            assert_eq!(sweep.iter().filter(edge).count(), n - 1, "{rule}");
+            assert_eq!(sweep.iter().filter(check).count(), n, "{rule}");
+            assert_eq!((sweep.len(), ir.slots), (2 * n - 1, n), "{rule}");
+        }
+    }
+
+    /// A Boolean forest of two `C₄`-shaped trees fuses one edge per
+    /// root: in the first the root has two children over two-column
+    /// keys, and only the later one in `order` is fused — the other
+    /// stays a semijoin.
+    #[test]
+    fn boolean_forest_fuses_one_edge_per_root() {
+        use crate::eval::naive::eval_boolean_naive;
+        let q = parse_cq(
+            "Q() :- E(a,b), E(d,a), E(b,c), E(c,d), E(a,e), E(e,b), \
+             E(f,g), E(i,f), E(g,h), E(h,i)",
+        )
+        .unwrap();
+        let node = |atoms: &[usize]| {
+            let groups: Vec<Vec<&Atom>> = atoms.iter().map(|&i| vec![&q.atoms()[i]]).collect();
+            let source = MatSource::from_groups(&groups);
+            NodeSpec {
+                label: source.schema.clone(),
+                source,
+            }
+        };
+        let nodes = [
+            node(&[0, 1]),
+            node(&[2, 3]),
+            node(&[4, 5]),
+            node(&[6, 7]),
+            node(&[8, 9]),
+        ];
+        let parent = [None, Some(0), Some(0), None, Some(3)];
+        let ir = compile_tree(&nodes, &parent, &[1, 2, 0, 4, 3], &[]);
+        let fused: Vec<&Vec<Slot>> = (ir.ops.iter())
+            .filter_map(|op| match op {
+                Op::MultiJoin { inputs, vars, .. } if vars.is_empty() => Some(inputs),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fused, [&vec![0, 2], &vec![3, 4]]);
+        let semijoins: Vec<(Slot, Slot)> = (ir.ops.iter())
+            .filter_map(|op| match op {
+                Op::Semijoin { target, source, .. } => Some((*target, *source)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(semijoins, [(0, 1)]);
+        for d in cyclic_and_acyclic() {
+            assert_eq!(ir.run_boolean(&d, None).0, eval_boolean_naive(&q, &d));
         }
     }
 

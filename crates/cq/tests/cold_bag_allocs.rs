@@ -6,7 +6,8 @@
 //! The join phase is held to the same kind of bound: a tree node with
 //! two children is one multiway join that materializes nothing between
 //! its inputs and its projected output, and what it only has to find —
-//! a Boolean plan's witness — it stops at.
+//! a Boolean plan's witness — it stops at; so does the existence call
+//! that decides a Boolean root's multi-column edge.
 //!
 //! Its own test binary because it installs a counting
 //! `#[global_allocator]`. The counter is thread-local, so the harness's
@@ -265,3 +266,68 @@ fn boolean_six_cycle_stops_at_the_first_witness() {
         with_head.cursor_advances
     );
 }
+
+/// A 4-out DAG on `n` vertices in nine layers (`v % 9`): every edge
+/// goes one layer up, so there are two-paths everywhere and no closed
+/// walk at all.
+fn layered_dag(n: u32, seed: u64) -> Structure {
+    let mut state = seed | 1;
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for u in (0..n).filter(|u| u % 9 < 8) {
+        let first = edges.len();
+        while edges.len() - first < 4 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let v = ((state >> 33) % u64::from(n / 9)) as u32 * 9 + u % 9 + 1;
+            if v < n && !edges[first..].contains(&(u, v)) {
+                edges.push((u, v));
+            }
+        }
+    }
+    Structure::digraph(n as usize, &edges)
+}
+
+/// The Boolean `C₄` plan's root edge is one existence call over the two
+/// bags (80,000 rows each on 5000 × 4, as the benchmark builds them).
+/// Warm, so the bag builds count for nothing: with a witness the call
+/// spends fewer cursor advances than 1 % of the rows of its two parts;
+/// on a DAG, with none, it reads each part a small number of times —
+/// at most 3 advances per row.
+#[test]
+fn boolean_four_cycle_root_is_one_existence_call() {
+    let plan = DecomposedPlan::compile(&parse_cq(C4).unwrap(), 2).unwrap();
+    let [.., Op::MultiJoin { inputs, vars, .. }, Op::AssertNonempty { .. }] = plan.ir().ops()
+    else {
+        panic!("the Boolean C4 root ends in its existence call");
+    };
+    assert!(vars.is_empty());
+    let budget = ThreadBudget::new(1);
+    for (d, witness) in [
+        (regular_digraph(5000, 4, 0xC4), true),
+        (layered_dag(5000, 0xC4), false),
+    ] {
+        let cache = MaterializationCache::new();
+        plan.eval_boolean_cached_budget(&d, Some(&cache), &budget);
+        let (alive, slots, stats) = plan.ir().run_slots(&d, Some(&cache), &budget, None);
+        assert_eq!((alive, stats.misses), (witness, 0));
+        let parts: u64 = (inputs.iter())
+            .map(|s| slots[*s].as_ref().map_or(0, |r| r.len()) as u64)
+            .sum();
+        let advances = stats.cursor_advances;
+        assert!(parts > 100_000, "{parts} rows in the two bags");
+        if witness {
+            assert!(
+                advances * 100 < parts,
+                "{advances} advances over {parts} rows"
+            );
+        } else {
+            assert!(
+                advances <= 3 * parts,
+                "{advances} advances over {parts} rows"
+            );
+        }
+    }
+}
+
+const C4: &str = "Q() :- E(a,b), E(b,c), E(c,d), E(d,a)";
