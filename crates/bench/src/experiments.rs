@@ -1727,131 +1727,13 @@ pub fn exp_eval() -> String {
         batch_n as f64 / (batch_t4_ms / 1e3)
     );
 
-    // W8 — dense-domain direct indexes: the per-database dictionary
-    // guarantees codes in `[0, n)`, so single-column join keys probe
-    // offset/count arrays instead of hashed chains. The knob forces the
-    // hashed fallback for the baseline side of each pair; answers are
-    // asserted identical (the direct index enumerates matches in the
-    // same order, so even the intermediate buffers agree byte for
-    // byte).
-    struct DenseRow {
-        name: &'static str,
-        what: &'static str,
-        tuples: usize,
-        hashed_ms: f64,
-        direct_ms: f64,
-    }
-    let mut dense_rows: Vec<DenseRow> = Vec::new();
-    {
-        use cqapx_cq::eval::{set_direct_index_enabled, DecomposedPlan};
-
-        let mut bench =
-            |name: &'static str, what: &'static str, tuples: usize, run: &dyn Fn() -> Answers| {
-                set_direct_index_enabled(false);
-                let hashed_answers = run();
-                set_direct_index_enabled(true);
-                let direct_answers = run();
-                assert_eq!(
-                    hashed_answers, direct_answers,
-                    "index representations disagree on {name}"
-                );
-                // Interleave the two representations sample by sample so
-                // clock drift and cache warmth hit both sides equally —
-                // measuring one side in a block and then the other turns
-                // any frequency ramp into a systematic bias.
-                let time_one = |direct: bool| -> f64 {
-                    set_direct_index_enabled(direct);
-                    let t0 = std::time::Instant::now();
-                    std::hint::black_box(run());
-                    t0.elapsed().as_secs_f64() * 1e3
-                };
-                let mut hashed_times = Vec::with_capacity(samples);
-                let mut direct_times = Vec::with_capacity(samples);
-                for _ in 0..samples {
-                    hashed_times.push(time_one(false));
-                    direct_times.push(time_one(true));
-                }
-                set_direct_index_enabled(true);
-                let median = |mut t: Vec<f64>| -> f64 {
-                    t.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-                    t[t.len() / 2]
-                };
-                dense_rows.push(DenseRow {
-                    name,
-                    what,
-                    tuples,
-                    hashed_ms: median(hashed_times),
-                    direct_ms: median(direct_times),
-                });
-            };
-        {
-            let q = parse_cq("Q(x1, x4) :- E(x1,x2), E(x2,x3), E(x3,x4)").unwrap();
-            let db = workloads::random_db(700, 4.0, 13);
-            let plan = AcyclicPlan::compile(&q).expect("acyclic");
-            bench(
-                "join_heavy_free",
-                "3-hop join, single-column probes on dense codes",
-                db.total_tuples(),
-                &|| plan.eval(&db),
-            );
-        }
-        {
-            // Boolean C6: the decomposed tier materializes three
-            // width-2 bags (join-bound, shared by both sides) and then
-            // reduces across bags on single shared columns — that
-            // cross-bag phase is pure single-column semijoins, the
-            // direct representation's O(1) existence probe.
-            let q = parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
-            let db = workloads::random_db(10000, 2.5, 29);
-            let plan = DecomposedPlan::compile(&q, 2).expect("C6 has treewidth 2");
-            bench(
-                "cyclic_c6_bool",
-                "Boolean C6 decomposed tier, cross-bag semijoin probes",
-                db.total_tuples(),
-                &|| plan.eval(&db),
-            );
-        }
-        {
-            let q = parse_cq(
-                "Q() :- E(x1,x2), E(x2,x3), E(x3,x4), E(x4,x5), E(x5,x6), E(x6,x7), E(x7,x8)",
-            )
-            .unwrap();
-            let db = workloads::layered_dag(9, 150, 0.12, 11);
-            let plan = AcyclicPlan::compile(&q).expect("acyclic");
-            bench(
-                "semijoin_sweep_bool",
-                "Boolean 8-var path, pure single-column semijoin probes",
-                db.total_tuples(),
-                &|| Answers::boolean(plan.eval_boolean(&db)),
-            );
-        }
-    }
-    let _ = writeln!(
-        out,
-        "\n{:<20} {:>8} {:>12} {:>10} {:>9}  single-column index representation",
-        "id", "tuples", "hashed", "direct", "speedup"
-    );
-    for r in &dense_rows {
-        let _ = writeln!(
-            out,
-            "{:<20} {:>8} {:>10.2}ms {:>8.2}ms {:>8.2}×  {}",
-            r.name,
-            r.tuples,
-            r.hashed_ms,
-            r.direct_ms,
-            r.hashed_ms / r.direct_ms.max(1e-9),
-            r.what
-        );
-    }
-
     // W9 — bitmap existence kernels: Boolean probe-bound workloads
-    // where every dispatch is an existence test over dense codes. The
-    // baseline side keeps the direct-addressed index (the fastest
-    // probe representation) and only the `CQAPX_BITMAP` knob flips;
-    // each workload shares a warm materialization cache across both
-    // sides so the timed region is the sweep/probe phase the bitmaps
-    // target, not relation building. Samples interleave the two modes
-    // exactly like W8, for the same drift-cancelling reason.
+    // where every dispatch is an existence test over dense codes. Only
+    // the `CQAPX_BITMAP` knob flips; each workload shares a warm
+    // materialization cache across both sides so the timed region is
+    // the sweep/probe phase the bitmaps target, not relation building.
+    // Samples interleave the two modes one by one, so clock drift and
+    // cache warmth hit both sides equally.
     struct BitmapRow {
         name: &'static str,
         what: &'static str,
@@ -1983,14 +1865,13 @@ pub fn exp_eval() -> String {
         );
     }
 
-    // W10 — packed code-word kernels: join-materialization-bound
-    // workloads where the canonicalizing sorts and two-column join
-    // keys run over dense codes packed into single `u64` words
-    // (`CQAPX_PACKED`). The comparison is Auto vs Off — Auto is what
-    // production runs, so the speedup reported is the one users get.
-    // No shared cache: the timed region is exactly the materialize/
-    // dedup/join phase the packed kernels target. Samples interleave
-    // the two modes like W8/W9 to cancel clock drift.
+    // W10 — packed code-word sorts: join-materialization-bound
+    // workloads where the canonicalizing sorts run over dense codes
+    // packed into single words (`CQAPX_PACKED`). The comparison is Auto
+    // vs Off — Auto is what production runs, so the speedup reported is
+    // the one users get. No shared cache: the timed region is exactly
+    // the materialize/dedup/join phase the packed sorts target. Samples
+    // interleave the two modes like W9 to cancel clock drift.
     struct PackedRow {
         name: &'static str,
         what: &'static str,
@@ -2057,9 +1938,9 @@ pub fn exp_eval() -> String {
         }
         {
             // Boolean C6: bag *parts* are arity-2 scans dedup'd before
-            // intersection; the bags themselves are arity-3 (not
-            // packable), so this row is expected closer to parity —
-            // reported honestly either way.
+            // the bag join; the bags themselves come out of the join
+            // kernel canonical, so this row is expected closer to
+            // parity — reported honestly either way.
             let q = parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
             let db = workloads::random_db(10000, 2.5, 29);
             let plan = DecomposedPlan::compile(&q, 2).expect("C6 has treewidth 2");
@@ -2072,14 +1953,14 @@ pub fn exp_eval() -> String {
         }
         {
             // Two length-2 path bags joined on BOTH endpoints {x, y}:
-            // a genuine two-column cross-bag interface, dispatching
-            // the radix-partitioned packed join.
+            // a genuine two-column cross-bag interface, joined by the
+            // trie kernel; the knob reaches only the sorts around it.
             let q = parse_cq("Q(x, y) :- E(x, z), E(z, y), E(x, w), E(w, y)").unwrap();
             let db = workloads::random_db(900, 4.0, 17);
             let plan = DecomposedPlan::compile(&q, 2).expect("4-cycle has treewidth 2");
             bench(
                 "wide_key_pairs",
-                "two-column {x,y} interface, radix-partitioned join",
+                "two-column {x,y} interface, kernel join",
                 db.total_tuples(),
                 &|| plan.eval(&db),
             );
@@ -2088,12 +1969,10 @@ pub fn exp_eval() -> String {
             // Reversed-atom intersections: under the head-fixed
             // variable order, scans of `E(y, x)` / `F(y, x)` arrive
             // genuinely out of row order, so evaluation is bound by
-            // the canonicalizing sorts plus the sorted intersection of
-            // same-variable-set parts — every phase the packed path
-            // accelerates (radix dedup over code words, cached word
-            // images, single-word merge). These are the
-            // join-materialization-bound rows the packed kernels were
-            // built for.
+            // the canonicalizing sorts (radix dedup over code words)
+            // plus the kernel's intersection of same-variable-set
+            // parts. These are the join-materialization-bound rows the
+            // packed sorts were built for.
             let db = workloads::two_rel_reversed_db(60_000, 1_000_000, 7);
             let tuples = db.total_tuples();
             let q = parse_cq("Q(x, y) :- E(x, y), E(y, x)").unwrap();
@@ -2108,7 +1987,7 @@ pub fn exp_eval() -> String {
             let plan = AcyclicPlan::compile(&q).expect("acyclic");
             bench(
                 "rev_overlap_pairs",
-                "cross-relation reversed overlap, word-merge intersection",
+                "cross-relation reversed overlap, kernel intersection",
                 tuples,
                 &|| plan.eval(&db),
             );
@@ -2116,7 +1995,7 @@ pub fn exp_eval() -> String {
             let plan = AcyclicPlan::compile(&q).expect("acyclic");
             bench(
                 "rev_intersect3",
-                "three-part intersection on cached packed word images",
+                "three-part kernel intersection of radix-sorted scans",
                 tuples,
                 &|| plan.eval(&db),
             );
@@ -2124,7 +2003,7 @@ pub fn exp_eval() -> String {
     }
     let _ = writeln!(
         out,
-        "\n{:<20} {:>8} {:>12} {:>10} {:>9}  packed code-word kernels (CQAPX_PACKED)",
+        "\n{:<20} {:>8} {:>12} {:>10} {:>9}  packed code-word sorts (CQAPX_PACKED)",
         "id", "tuples", "unpacked", "packed", "speedup"
     );
     for r in &packed_rows {
@@ -2191,20 +2070,6 @@ pub fn exp_eval() -> String {
         batch_t1_ms / batch_t4_ms.max(1e-9)
     );
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"dense_probe\": [");
-    for (i, r) in dense_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"tuples\": {}, \"hashed_ms\": {:.3}, \"direct_ms\": {:.3}, \"speedup\": {:.2}}}{}",
-            r.name,
-            r.tuples,
-            r.hashed_ms,
-            r.direct_ms,
-            r.hashed_ms / r.direct_ms.max(1e-9),
-            if i + 1 < dense_rows.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"bitmap\": [");
     for (i, r) in bitmap_rows.iter().enumerate() {
         let _ = writeln!(

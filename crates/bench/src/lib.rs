@@ -11,6 +11,7 @@
 
 pub mod baseline;
 pub mod experiments;
+pub mod reference;
 pub mod workloads;
 
 pub use experiments::*;

@@ -15,18 +15,20 @@
 //! decomposition; `every_root_agrees` compiles all of them
 //! (`compile_rooted`), so the answers cannot depend on the root rule.
 //!
-//! A node with two or more children is one multiway join
-//! (`Op::MultiJoin`): every check also rebuilds each such node from the
-//! same input slots with a chain of binary joins and one projection and
-//! demands the same bytes, and `wide_nodes_on_cycles` drives the shape
-//! by name — `C₅`, `C₆`, `C₇` under four heads, at every root of a path
+//! A node with one child or more is one kernel join (`Op::MultiJoin`),
+//! and so is the combination of two roots: every check also rebuilds
+//! each such op from the same input slots with the reference
+//! nested-loop join (`cqapx_bench::reference`) and demands the same
+//! bytes, and `wide_nodes_on_cycles` drives nodes with two children or
+//! more by name — `C₅`, `C₆`, `C₇` under four heads, at every root of a path
 //! and of a star decomposition, on a regular and on a hub-skewed graph.
 //! A Boolean root's multi-column edge is the same op with nothing kept;
 //! `boolean_cycles_with_and_without_a_witness` drives it through every
 //! orientation of `C₄`–`C₆`, on graphs with and without a witness.
 
 use cqapx_bench::baseline::BaselineHom;
-use cqapx_cq::eval::{DecomposedPlan, MaterializationCache, NaivePlan, Op};
+use cqapx_bench::reference::assert_join;
+use cqapx_cq::eval::{DecomposedPlan, FlatRelation, MaterializationCache, NaivePlan, Op};
 use cqapx_cq::{parse_cq, query_graph, tableau_of, treewidth_of_query, ConjunctiveQuery};
 use cqapx_graphs::treewidth::{treewidth_at_most, TreeDecomposition};
 use cqapx_par::ThreadBudget;
@@ -155,10 +157,10 @@ fn digraph(max_n: usize) -> impl Strategy<Value = Structure> {
     })
 }
 
-/// Every node of `plan` that compiled to the multiway op, against a
-/// chain of binary joins and one projection over the same input slots:
-/// same schema, same rows in the same (canonical) order, same code
-/// width. Returns how many nodes a run reached.
+/// Every join op of `plan`, against the reference join over the same
+/// input slots: same schema, same rows in the same (canonical) order,
+/// same code width. Returns how many ops with three inputs or more — a
+/// node with two children or more — a run reached.
 fn check_wide_nodes(plan: &DecomposedPlan, d: &Structure, q: &ConjunctiveQuery) -> usize {
     let budget = ThreadBudget::sequential();
     let (_, slots, _) = plan.ir().run_slots(d, None, &budget, None);
@@ -170,21 +172,9 @@ fn check_wide_nodes(plan: &DecomposedPlan, d: &Structure, q: &ConjunctiveQuery) 
         // An emptiness assertion may have stopped the run before it.
         let Some(got) = &slots[*dst] else { continue };
         let input = |s: &usize| slots[*s].as_ref().expect("operands are written first");
-        let chain = inputs[1..]
-            .iter()
-            .fold(input(&inputs[0]).clone(), |acc, s| {
-                acc.join_budget(input(s), &budget)
-            });
-        let want = chain.project_budget(vars, &budget);
-        assert_eq!(got.schema(), want.schema(), "node schema on {q}");
-        assert!(
-            got.iter_rows().eq(want.iter_rows()),
-            "node rows on {q}: {} against {}",
-            got.len(),
-            want.len()
-        );
-        assert_eq!(got.domain_width(), want.domain_width(), "width on {q}");
-        reached += 1;
+        let parts: Vec<&FlatRelation> = inputs.iter().map(input).collect();
+        assert_join(got, &parts, vars, &format!("{op:?} on {q}"));
+        reached += usize::from(inputs.len() > 2);
     }
     reached
 }
@@ -306,7 +296,7 @@ fn skewed_digraph(n: usize, edges: usize, seed: u64) -> Structure {
 /// fan of triangles around `v0` (a path of bags, so every inner root
 /// has two) and a star around `{v0, v2, v4}`, which for `C₆` covers no
 /// atom and has three leaves. Answers equal the naive
-/// evaluator's and every wide node equals its binary chain, on a
+/// evaluator's and every join op equals the reference join, on a
 /// regular and on a hub-skewed graph.
 #[test]
 fn wide_nodes_on_cycles() {
@@ -369,8 +359,8 @@ fn random_dag(n: u32, seed: u64) -> Structure {
 
 /// Boolean `C₄`, `C₅` and `C₆` in every orientation of their edges, on
 /// a hub-skewed graph and on a DAG (no witness for a directed cycle):
-/// the naive answer, and every multiway op — the existence call `C₄`'s
-/// root edge becomes included — equal to its binary chain. Each length
+/// the naive answer, and every join op — the existence call `C₄`'s root
+/// edge becomes included — equal to the reference join. Each length
 /// meets both answers.
 #[test]
 fn boolean_cycles_with_and_without_a_witness() {

@@ -1,7 +1,7 @@
 //! Differential property tests for the packed code-word kernels
 //! (`CQAPX_PACKED`): evaluation with the packed radix kernels forced
 //! **on** must produce identical answers — and identical cache
-//! accounting — as the comparison-sort/hash path with them forced
+//! accounting — as the comparison-sort path with them forced
 //! **off**, with the naive backtracking evaluator as ground truth, on
 //! random acyclic queries and cyclic templates over uniform and
 //! Zipf-skewed digraphs, cold and warm cache, under thread budgets
@@ -138,8 +138,8 @@ fn cyclic_query() -> impl Strategy<Value = ConjunctiveQuery> {
 
 /// A random digraph, uniform or Zipf-skewed: under skew every endpoint
 /// `v` collapses to `v²/n`, concentrating edges on low codes — heavy
-/// key-duplication is where the stable radix order must still match
-/// the hashed probe order exactly.
+/// key-duplication is where the radix sort must still leave exactly
+/// the comparison sort's bytes.
 fn digraph(max_n: usize) -> impl Strategy<Value = Structure> {
     (2..=max_n, any::<bool>()).prop_flat_map(move |(n, skew)| {
         proptest::collection::vec((0..n as u32, 0..n as u32), 0..=(4 * n)).prop_map(

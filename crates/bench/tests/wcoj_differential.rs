@@ -1,17 +1,19 @@
 //! Differential property tests for the bag kernel: the multiway
-//! (leapfrog-triejoin) build against a test-local left-deep binary
-//! join and the compiled naive evaluator, on random cyclic queries over
+//! (leapfrog-triejoin) build against the reference nested-loop join
+//! (`cqapx_bench::reference`) and the compiled naive evaluator, on
+//! random cyclic queries over
 //! random and skewed (power-law) digraphs, and on every numbering of
 //! the variables of the directed cycles C₄, C₅ and C₆.
 //!
 //! For every generated pair each multi-part bag must be
-//! **byte-identical** to the binary reference (same schema, same rows
+//! **byte-identical** to the reference join (same schema, same rows
 //! in the same canonical order, same code width), with identical
 //! answers cold and warm through a [`MaterializationCache`] and under
 //! thread budgets {1, 2, 8}. The numbering sweep adds a clock-free
 //! cost guard: the kernel's cursor advances stay linear in the rows it
 //! reads and writes, however the query is spelled.
 
+use cqapx_bench::reference::assert_join;
 use cqapx_cq::eval::{
     DecomposedPlan, FlatRelation, MatCacheStats, MatSource, MaterializationCache, NaivePlan,
 };
@@ -134,19 +136,8 @@ fn part_relations(source: &MatSource, d: &Structure) -> Vec<FlatRelation> {
     source.parts.iter().map(scan).collect()
 }
 
-/// The binary reference build of a bag: its parts joined left-deep,
-/// then projected canonically onto the bag schema.
-fn binary_reference(parts: &[FlatRelation], schema: &[cqapx_cq::VarId]) -> FlatRelation {
-    let budget = ThreadBudget::sequential();
-    let mut joined = parts[0].clone();
-    for part in &parts[1..] {
-        joined = joined.join_budget(part, &budget);
-    }
-    joined.project_budget(schema, &budget)
-}
-
 /// Builds every multi-part bag of `plan` with the kernel and checks it
-/// against [`binary_reference`] byte for byte. Returns the rows the
+/// against the reference join byte for byte. Returns the rows the
 /// kernel read and wrote (part rows + bag rows) and the cursor
 /// advances it reported for them.
 fn check_bags(plan: &DecomposedPlan, d: &Structure, q: &ConjunctiveQuery) -> (u64, u64) {
@@ -159,14 +150,8 @@ fn check_bags(plan: &DecomposedPlan, d: &Structure, q: &ConjunctiveQuery) -> (u6
         let mut stats = MatCacheStats::default();
         let got = source.materialize(d, None, &mut stats, &budget);
         let parts = part_relations(source, d);
-        let want = binary_reference(&parts, &source.schema);
-        assert_eq!(got.schema(), want.schema(), "bag schemas differ on {q}");
-        assert_eq!(got.len(), want.len(), "bag cardinalities differ on {q}");
-        assert!(
-            got.iter_rows().eq(want.iter_rows()),
-            "bag rows differ on {q}"
-        );
-        assert_eq!(got.domain_width(), want.domain_width(), "width on {q}");
+        let refs: Vec<&FlatRelation> = parts.iter().collect();
+        assert_join(&got, &refs, &source.schema, &format!("bag of {q}"));
         assert_eq!(
             (stats.binary_bag_builds, stats.wcoj_bag_builds),
             (0, 1),
@@ -179,7 +164,7 @@ fn check_bags(plan: &DecomposedPlan, d: &Structure, q: &ConjunctiveQuery) -> (u6
     (rows, advances)
 }
 
-/// The differential check: kernel ≡ binary reference ≡ naive, with
+/// The differential check: kernel ≡ reference join ≡ naive, with
 /// byte-identical bag relations, cold/warm cache accounting, and
 /// budget-independent answers.
 fn check(q: &ConjunctiveQuery, d: &Structure) {
@@ -256,8 +241,8 @@ fn check_spelling(q: &ConjunctiveQuery, d: &Structure, expected: bool) {
 
 /// The cost of a cyclic query must not depend on how it is spelled:
 /// all 24 + 120 + 720 numberings of the variables of the directed C₄,
-/// C₅ and C₆ give the naive answer, bags identical to the binary
-/// reference, and a kernel whose cursor advances are linear in its
+/// C₅ and C₆ give the naive answer, bags identical to the reference
+/// join, and a kernel whose cursor advances are linear in its
 /// input plus its output. (Ascending-`VarId` enumeration makes a bag
 /// whose middle variable carries the highest id lead level 1 with a
 /// whole relation per level-0 candidate: |V|² leapfrogs.)

@@ -10,10 +10,8 @@
 //! | [`Op::Materialize`]  | scan/adopt a [`MatSource`] into a slot (cache-aware: a hit shares the cached rows, it does not copy them); a multi-part bag is the worst-case-optimal multiway join of its parts, the one bag kernel |
 //! | [`Op::Semijoin`]     | `target ⋉ source` on aligned key columns: a one-column key against a source column bitmap filters row by row, any other key is the multiway kernel over the target and the source's key projection; nothing is touched when every row survives |
 //! | [`Op::AssertNonempty`] | abort with the empty answer when a slot ran dry     |
-//! | [`Op::Join`]         | natural hash join of two slots into a third           |
-//! | [`Op::JoinProject`]  | `π_vars(left ⋈ right)` in one pass: matches emit only the kept columns, then one sort + dedup (packed radix when the rows fit code words); the full-width join never exists, and the rows are left canonical — at the output slot that is the answer set's one sort |
-//! | [`Op::MultiJoin`]    | `π_vars(⋈ inputs)` by the multiway kernel bags are built with: kept variables are enumerated first, what follows them is an existence check, no intermediate exists; a tree node with two or more children, or a Boolean root with one child (`vars` empty: the first witness decides) |
-//! | [`Op::Project`]      | distinct projection of one slot ([`Op::JoinProject`] against the unit relation); the identity projection shares the slot's rows |
+//! | [`Op::MultiJoin`]    | the join: `π_vars(⋈ inputs)` by the one kernel bags are built with — kept variables are enumerated first, what follows them is an existence check, no intermediate exists, and the rows come out canonical; a tree node with its children's partials (one or several), two roots combined, or a Boolean root with one child (`vars` empty: the first witness decides) |
+//! | [`Op::Project`]      | distinct projection of one slot: the kept columns gathered in the slot's row order, then canonicalized; the identity projection shares the slot's rows |
 //! | [`Op::Dedup`]        | in-place sort + duplicate elimination                 |
 //! | [`Op::Union`]        | append a same-variable slot (column-remapped)         |
 //!
@@ -202,21 +200,18 @@ impl MatSource {
         stats: &mut MatCacheStats,
         budget: &ThreadBudget,
     ) -> FlatRelation {
-        // One scratch buffer serves every atom scan of the whole build.
-        let mut scratch = FlatRelation::empty(Vec::new());
         if self.parts.len() == 1 && self.parts[0].schema == self.schema {
             // The source *is* its single part; its key equals the part
             // key, so the caller's lookup already covered it.
-            return self.parts[0].materialize_fresh(d, budget, &mut scratch);
+            return self.parts[0].materialize_fresh(d, budget, stats);
         }
         let mut rels: Vec<FlatRelation> = Vec::with_capacity(self.parts.len());
         for part in &self.parts {
             rels.push(match cache {
-                None => part.materialize_fresh(d, budget, &mut scratch),
+                None => part.materialize_fresh(d, budget, stats),
                 Some(c) => {
-                    let (rel, hit) = c.get_or_materialize(&part.key, || {
-                        part.materialize_fresh(d, budget, &mut scratch)
-                    });
+                    let (rel, hit) = c
+                        .get_or_materialize(&part.key, || part.materialize_fresh(d, budget, stats));
                     if hit {
                         stats.hits += 1;
                     } else {
@@ -230,8 +225,7 @@ impl MatSource {
         // canonical on the sorted source schema (column order and row
         // order), so cache entries are label-independent.
         let t0 = std::time::Instant::now();
-        let parts: Vec<&FlatRelation> = rels.iter().collect();
-        let out = multiway_join(&parts, &self.schema, &self.schema, budget, stats);
+        let out = multiway_join(rels.iter(), &self.schema, budget, stats);
         stats.wcoj_bag_builds += 1;
         stats.wcoj_bag_us += t0.elapsed().as_micros() as u64;
         out
@@ -239,27 +233,26 @@ impl MatSource {
 }
 
 impl MatPart {
-    /// Scans the part's atoms and intersects them (they share a schema).
-    /// `scratch` buffers the second and later atom scans — cleared and
-    /// refilled, so one allocation serves an entire bag build.
+    /// Scans the part's atoms, each into its canonical relation, and
+    /// intersects them (they share a schema) one at a time by the join
+    /// kernel, keeping the whole schema.
     fn materialize_fresh(
         &self,
         d: &Structure,
         budget: &ThreadBudget,
-        scratch: &mut FlatRelation,
+        stats: &mut MatCacheStats,
     ) -> FlatRelation {
-        let mut acc = FlatRelation::empty(self.schema.clone());
-        self.binders[0].materialize_into(d, &mut acc);
-        acc.sort_dedup_budget(budget);
+        let scan = |binder: &AtomBinder| {
+            let mut rel = FlatRelation::empty(self.schema.clone());
+            binder.materialize_into(d, &mut rel);
+            rel.sort_dedup_budget(budget);
+            rel
+        };
+        let mut acc = scan(&self.binders[0]);
         for binder in &self.binders[1..] {
-            scratch.reset(self.schema.clone());
-            binder.materialize_into(d, scratch);
-            scratch.sort_dedup_budget(budget);
-            acc.intersect_sorted(scratch);
+            let next = scan(binder);
+            acc = multiway_join([&acc, &next].into_iter(), &self.schema, budget, stats);
         }
-        // Word images are build-local scratch: drop before the
-        // relation can land in a cache (see `WordsCell`).
-        acc.drop_word_image();
         acc
     }
 }
@@ -290,32 +283,11 @@ pub enum Op {
         /// Slot checked.
         slot: Slot,
     },
-    /// Natural join `left ⋈ right` into `dst` (operands are kept).
-    Join {
-        /// Destination slot.
-        dst: Slot,
-        /// Left operand slot.
-        left: Slot,
-        /// Right operand slot.
-        right: Slot,
-    },
-    /// `π_vars(left ⋈ right)` into `dst` as one operator (operands are
-    /// kept, rows canonical): what [`compile_tree`] emits where a
-    /// [`Op::Join`] would feed straight into a [`Op::Project`].
-    JoinProject {
-        /// Destination slot.
-        dst: Slot,
-        /// Left operand slot.
-        left: Slot,
-        /// Right operand slot.
-        right: Slot,
-        /// Variables kept (each must occur in an operand's schema).
-        vars: Vec<VarId>,
-    },
-    /// `π_vars(⋈ inputs)` into `dst` as one multiway join (operands are
-    /// kept and must be canonical, as is the result): a tree node with
-    /// its two or more children's partials, or a Boolean root with one
-    /// child and nothing kept.
+    /// `π_vars(⋈ inputs)` into `dst` by the one join kernel (operands
+    /// are kept and must be canonical, as is the result): a tree node
+    /// with its children's partials, one or several; the cartesian
+    /// combination of two roots; or a Boolean root with one child and
+    /// nothing kept.
     MultiJoin {
         /// Destination slot.
         dst: Slot,
@@ -324,7 +296,8 @@ pub enum Op {
         /// Variables kept (each must occur in an operand's schema).
         vars: Vec<VarId>,
     },
-    /// Projection of `src` onto `vars` into `dst` (canonical).
+    /// Projection of `src` onto `vars` into `dst` (canonical): the kept
+    /// columns gathered in `src`'s row order, then canonicalized.
     Project {
         /// Destination slot.
         dst: Slot,
@@ -356,9 +329,6 @@ impl Op {
             Op::Materialize { .. } => vec![],
             Op::Semijoin { target, source, .. } => vec![*source, *target],
             Op::AssertNonempty { slot } | Op::Dedup { slot } => vec![*slot],
-            Op::Join { left, right, .. } | Op::JoinProject { left, right, .. } => {
-                vec![*left, *right]
-            }
             Op::MultiJoin { inputs, .. } => inputs.clone(),
             Op::Project { src, .. } => vec![*src],
             Op::Union { dst, src } => vec![*src, *dst],
@@ -372,8 +342,6 @@ impl Op {
             Op::Semijoin { target: dst, .. }
             | Op::Dedup { slot: dst }
             | Op::Materialize { dst, .. }
-            | Op::Join { dst, .. }
-            | Op::JoinProject { dst, .. }
             | Op::MultiJoin { dst, .. }
             | Op::Project { dst, .. }
             | Op::Union { dst, .. } => Some(*dst),
@@ -503,46 +471,16 @@ impl PlanIr {
         fn rel(s: &Option<FlatRelation>) -> &FlatRelation {
             s.as_ref().expect("slot written before use")
         }
-        /// Metrics label of one op, specialized when the operator
-        /// would dispatch a packed code-word kernel (`CQAPX_PACKED`)
-        /// against the current slot contents — computed **before** the
-        /// op runs, so eligibility is judged on the same relations the
-        /// dispatch itself sees. Labels only; the kernels are
-        /// byte-identical either way.
-        fn op_label(op: &Op, slots: &[Option<FlatRelation>]) -> &'static str {
+        /// Metrics label of one op: one per variant. `cqbench` sums the
+        /// `join` and `project` prefixes.
+        fn op_label(op: &Op) -> &'static str {
             match op {
                 Op::Materialize { .. } => "materialize",
                 Op::Semijoin { .. } => "semijoin",
                 Op::AssertNonempty { .. } => "assert_nonempty",
-                Op::Join { left, right, .. } => match (&slots[*left], &slots[*right]) {
-                    (Some(l), Some(r)) if l.packed_join_would_dispatch(r) => "join(packed)",
-                    _ => "join",
-                },
-                Op::JoinProject {
-                    left, right, vars, ..
-                } => match (&slots[*left], &slots[*right]) {
-                    (Some(l), Some(r)) if l.packed_join_project_would_dispatch(r, vars) => {
-                        "join+project(packed)"
-                    }
-                    _ => "join+project",
-                },
-                Op::MultiJoin { .. } => "join(multiway)",
-                Op::Project { src, vars, .. } => match &slots[*src] {
-                    Some(s)
-                        if vars != s.schema()
-                            && s.packed_join_project_would_dispatch(
-                                &FlatRelation::unit(),
-                                vars,
-                            ) =>
-                    {
-                        "project(packed)"
-                    }
-                    _ => "project",
-                },
-                Op::Dedup { slot } => match &slots[*slot] {
-                    Some(s) if s.packed_dedup_would_dispatch() => "dedup(packed)",
-                    _ => "dedup",
-                },
+                Op::MultiJoin { .. } => "join",
+                Op::Project { .. } => "project",
+                Op::Dedup { .. } => "dedup",
                 Op::Union { .. } => "union",
             }
         }
@@ -606,7 +544,6 @@ impl PlanIr {
             }
             let op = &self.ops[pc];
             let t0 = profile.is_some().then(std::time::Instant::now);
-            let label = profile.is_some().then(|| op_label(op, slots));
             match op {
                 Op::Materialize { dst, source } => {
                     slots[*dst] = Some(source.materialize(d, cache, stats, budget));
@@ -634,27 +571,9 @@ impl PlanIr {
                         return false;
                     }
                 }
-                Op::Join { dst, left, right } => {
-                    let out = rel(&slots[*left]).join_budget(rel(&slots[*right]), budget);
-                    slots[*dst] = Some(out);
-                }
-                Op::JoinProject {
-                    dst,
-                    left,
-                    right,
-                    vars,
-                } => {
-                    let (l, r) = (rel(&slots[*left]), rel(&slots[*right]));
-                    slots[*dst] = Some(l.join_cols(r, Some(vars), budget));
-                }
                 Op::MultiJoin { dst, inputs, vars } => {
-                    let parts: Vec<&FlatRelation> =
-                        inputs.iter().map(|s| rel(&slots[*s])).collect();
-                    let mut schema: Vec<VarId> =
-                        parts.iter().flat_map(|p| p.schema()).copied().collect();
-                    schema.sort_unstable();
-                    schema.dedup();
-                    slots[*dst] = Some(multiway_join(&parts, &schema, vars, budget, stats));
+                    let parts = inputs.iter().map(|s| rel(&slots[*s]));
+                    slots[*dst] = Some(multiway_join(parts, vars, budget, stats));
                 }
                 Op::Project { dst, src, vars } => {
                     // Every slot of a compiled tree is duplicate-free
@@ -667,8 +586,7 @@ impl PlanIr {
                         source.share_rows();
                         source.relabel(vars.clone())
                     } else {
-                        let unit = FlatRelation::unit();
-                        source.join_cols(&unit, Some(vars), budget)
+                        source.project_budget(vars, budget)
                     };
                     slots[*dst] = Some(out);
                 }
@@ -687,7 +605,7 @@ impl PlanIr {
             }
             if let Some(p) = profile.as_deref_mut() {
                 p.ops.push(OpProfile {
-                    op: label.expect("label computed when profiling"),
+                    op: op_label(op),
                     micros: t0.map_or(0, |t| t.elapsed().as_micros() as u64),
                     // The slot written; an assertion's, the one checked.
                     rows: slots[op.dst().unwrap_or_else(|| op.reads()[0])]
@@ -751,6 +669,32 @@ impl PlanIr {
         let len = self.ops.len();
         let alive = self.exec(0, len, &mut slots, d, cache, &mut stats, budget, profile);
         (alive, slots, stats)
+    }
+
+    /// Runs the ops `range` of the program alone, over `slots` as an
+    /// earlier run left them (`(false, _)`: an emptiness assertion
+    /// fired) — what it takes to measure one operator on the inputs it
+    /// reads in a plan.
+    pub fn run_ops(
+        &self,
+        range: std::ops::Range<usize>,
+        slots: &mut [Option<FlatRelation>],
+        d: &Structure,
+        cache: Option<&MaterializationCache>,
+        budget: &ThreadBudget,
+    ) -> (bool, MatCacheStats) {
+        let mut stats = MatCacheStats::default();
+        let alive = self.exec(
+            range.start,
+            range.end,
+            slots,
+            d,
+            cache,
+            &mut stats,
+            budget,
+            None,
+        );
+        (alive, stats)
     }
 
     /// Runs the program to the answer set for `head` — the compiled
@@ -1077,20 +1021,20 @@ pub struct NodeSpec {
 /// 3. unless the query is Boolean and the reduction decides it: one op
 ///    per node, bottom-up — the node joined with its live children's
 ///    partials and projected onto its free variables plus the variables
-///    its parent's *label* retains. One child is [`Op::JoinProject`]
-///    (plain [`Op::Join`] when the projection drops nothing and nobody
-///    needs the rows sorted); two or more are one [`Op::MultiJoin`],
-///    never a chain of binary joins: the kernel enumerates the kept
-///    variables first and only checks that the rest — the node's own
-///    variables nothing above needs — has a witness. Every operand lies
-///    inside `label ∪ free`, so the op enumerates at most the bindings
-///    the chain's widest intermediate held, and the bound per node is
-///    what it was. Roots are combined by (cartesian) join. A plan's
-///    **one root** keeps the head's distinct variables *in head order*
-///    and, unless its join comes out in that order by itself, is a
-///    projection even when it drops no column: it writes the output
-///    slot canonical, and the answer boundary receives `schema == head`,
-///    rows in order, with nothing left to gather or sort.
+///    its parent's *label* retains: an [`Op::Project`] of a node with no
+///    live child, one [`Op::MultiJoin`] over the node and all its
+///    partials otherwise — never a chain of two-input joins: the kernel
+///    enumerates the kept variables first and only checks that the
+///    rest — the node's own variables nothing above needs — has a
+///    witness. Every operand lies inside `label ∪ free`, so the op
+///    enumerates at most the bindings a chain's widest intermediate
+///    would hold, and the bound per node is what it was. Roots are
+///    combined by (cartesian) kernel joins, the last one keeping the
+///    head. A plan's **one root** keeps the head's distinct variables
+///    *in head order*, and is an op even when it drops no column: every
+///    op writes its slot canonical, so the answer boundary receives
+///    `schema == head`, rows in order, with nothing left to gather or
+///    sort.
 ///
 /// `parent`/`order` describe the rooted tree (children before parents
 /// in `order`); `free` lists the query's free variables. A genuine
@@ -1310,56 +1254,51 @@ pub fn compile_tree(
         };
     }
 
-    // Then the ops, one per live node over its live children's partials.
-    // The kernel reads sorted rows, which a plain binary join does not
-    // leave: a child of a multiway node projects even when that drops
-    // nothing. `partial[u]` is the slot holding the projected join of
-    // `u`'s subtree.
-    let live = |u: usize| children[u].iter().filter(|&&c| !dead[c]);
-    let (mut partial, mut below): (Vec<Slot>, Vec<Slot>) = (vec![0; n], Vec::new());
+    // Then the ops, one per live node over its live children's partials:
+    // a projection of a node with none, the join kernel over the node
+    // and its partials otherwise. `partial[u]` is the slot holding the
+    // projected join of `u`'s subtree; every one is canonical.
+    let mut partial: Vec<Slot> = vec![0; n];
     for &u in order.iter().filter(|&&u| !dead[u]) {
-        below.clear();
-        below.extend(live(u).map(|&c| partial[c]));
-        let feeds_kernel = parent[u].is_some_and(|p| live(p).count() > 1);
-        let (dst, vars) = (slots, keep[u].clone());
+        let mut live = children[u].iter().filter(|&&c| !dead[c]).peekable();
+        // Only the roots of a forest are read again, to combine them.
+        let vars = match parent[u] {
+            None if !one_root => keep[u].clone(),
+            _ => std::mem::take(&mut keep[u]),
+        };
+        let dst = slots;
         slots += 1;
-        ops.push(match below[..] {
-            [] => Op::Project { dst, src: u, vars },
-            [right] if whole[u] && !feeds_kernel => Op::Join {
+        ops.push(match live.peek() {
+            None => Op::Project { dst, src: u, vars },
+            Some(_) => Op::MultiJoin {
                 dst,
-                left: u,
-                right,
-            },
-            [right] => Op::JoinProject {
-                dst,
-                left: u,
-                right,
-                vars,
-            },
-            _ => Op::MultiJoin {
-                dst,
-                inputs: std::iter::once(u).chain(below.iter().copied()).collect(),
+                inputs: std::iter::once(u)
+                    .chain(live.map(|&c| partial[c]))
+                    .collect(),
                 vars,
             },
         });
         partial[u] = dst;
     }
 
-    // Combine the roots (cartesian join across components).
-    let mut out: Option<Slot> = None;
-    for r in (0..n).filter(|&u| parent[u].is_none()) {
-        out = Some(match out {
-            None => partial[r],
-            Some(acc) => {
-                ops.push(Op::Join {
-                    dst: slots,
-                    left: acc,
-                    right: partial[r],
-                });
-                slots += 1;
-                slots - 1
-            }
+    // Combine the roots (cartesian join across components), the last
+    // combination in head order.
+    let mut roots = (0..n).filter(|&u| parent[u].is_none());
+    let first = roots.next().expect("at least one root");
+    let (mut out, mut vars) = (partial[first], None);
+    let mut roots = roots.peekable();
+    while let Some(r) = roots.next() {
+        let vars = vars.get_or_insert_with(|| keep[first].clone());
+        vars.extend_from_slice(&keep[r]);
+        if roots.peek().is_none() {
+            vars.clone_from(&head);
+        }
+        ops.push(Op::MultiJoin {
+            dst: slots,
+            inputs: vec![out, partial[r]],
+            vars: vars.clone(),
         });
+        (out, slots) = (slots, slots + 1);
     }
 
     PlanIr {
@@ -1367,7 +1306,7 @@ pub fn compile_tree(
         ops,
         bool_len,
         reduction_decides,
-        output: out.expect("at least one root"),
+        output: out,
         stages_memo: std::sync::OnceLock::new(),
     }
 }
@@ -1429,24 +1368,61 @@ mod tests {
         );
     }
 
-    /// The binary reference build of a source: left-deep joins of its
-    /// part relations, then the canonical projection onto its schema.
-    fn binary_reference(src: &MatSource, d: &Structure) -> FlatRelation {
-        let budget = ThreadBudget::sequential();
-        let mut scratch = FlatRelation::empty(Vec::new());
-        src.parts
-            .iter()
-            .map(|p| p.materialize_fresh(d, &budget, &mut scratch))
-            .reduce(|a, b| a.join_budget(&b, &budget))
-            .expect("a source with parts")
-            .project_budget(&src.schema, &budget)
+    /// A part whose atoms share one variable set — the same atom twice,
+    /// `F` in both directions — is their intersection, built by the join
+    /// kernel keeping the whole schema: canonical, under the scan's
+    /// width, and equal to the naive answer to the same atoms.
+    #[test]
+    fn same_schema_atoms_intersect_on_the_materialize_path() {
+        use crate::eval::naive::eval_naive;
+        use cqapx_structures::{StructureBuilder, Vocabulary};
+        let _g = crate::eval::flat::knob_guard(); // the scans' sorts bump shared counters
+        let v = Vocabulary::new(vec![("E", 2), ("F", 2)]);
+        let (e, f) = (v.rel("E").unwrap(), v.rel("F").unwrap());
+        let mut b = StructureBuilder::new(v.clone(), 40);
+        for u in 0..40u32 {
+            b.add(e, &[u, (u * 7 + 3) % 40]).add(e, &[u, (u + 1) % 40]);
+            b.add(f, &[u, (u + 1) % 40]).add(f, &[(u + 1) % 40, u]);
+            b.add(f, &[(u * 7 + 3) % 40, u]);
+        }
+        let d = b.finish();
+        let rule = "Q(x, y) :- E(x, y), F(x, y), E(x, y), F(y, x)";
+        let q = crate::parser::parse_cq_with_vocab(rule, &v).unwrap();
+        let src = MatSource::from_groups(&[q.atoms().iter().collect()]);
+        assert_eq!((src.parts.len(), src.parts[0].binders.len()), (1, 4));
+        let mut stats = MatCacheStats::default();
+        let got = src.materialize(&d, None, &mut stats, &ThreadBudget::sequential());
+        assert_eq!(got.schema(), &[0, 1]);
+        assert_eq!(got.domain_width(), d.domain_dict().len() as u32);
+        let rows: Vec<&[u32]> = got.iter_rows().collect();
+        assert!(rows.windows(2).all(|w| w[0] < w[1]), "canonical rows");
+        let want = eval_naive(&q, &d);
+        assert_eq!(got.len(), want.len());
+        assert!(got.len() > 40, "both directions of the ring and more");
+        assert_eq!(
+            got.rows_in_head_order_decoded(&[0, 1], d.domain_dict()),
+            want
+        );
+        assert!(
+            stats.cursor_advances > 0,
+            "the kernel intersected the scans"
+        );
+    }
+
+    /// The reference build of a source: its parts scanned, then the
+    /// reference join onto its schema.
+    fn reference(src: &MatSource, d: &Structure) -> FlatRelation {
+        let (budget, mut stats) = (ThreadBudget::sequential(), MatCacheStats::default());
+        let scan = |p: &MatPart| p.materialize_fresh(d, &budget, &mut stats);
+        let parts: Vec<FlatRelation> = src.parts.iter().map(scan).collect();
+        crate::eval::flat::reference_join(&parts.iter().collect::<Vec<_>>(), &src.schema)
     }
 
     #[test]
     fn forced_strategies_build_identical_relations() {
         // Triangle bag over a pseudo-random digraph, under every
         // numbering of its variables: the kernel's build must agree
-        // with the binary join byte-for-byte (schema, sorted rows and
+        // with the reference join byte-for-byte (schema, sorted rows and
         // code width), and the stats attribute it to the one path.
         let edges: Vec<(u32, u32)> = (0..120u32)
             .flat_map(|u| {
@@ -1469,7 +1445,7 @@ mod tests {
             let src = source_of(q);
             let mut stats = MatCacheStats::default();
             let got = src.materialize(&d, None, &mut stats, ThreadBudget::shared());
-            let want = binary_reference(&src, &d);
+            let want = reference(&src, &d);
             assert!(!want.is_empty(), "fixture must produce rows on {q}");
             assert_eq!(got.schema(), want.schema(), "{q}");
             assert_eq!(got.domain_width(), want.domain_width(), "{q}");
@@ -1645,8 +1621,9 @@ mod tests {
         assert!(none.is_none());
         assert!(aborted.ops.len() < plan.ir().ops().len());
         assert_eq!(aborted.ops.last().unwrap().op, "assert_nonempty");
-        // A node with two children is one more profiled op, under a
-        // label the benchmark's `join` prefix still catches.
+        // Every join is one profiled op under the one label the
+        // benchmark's `join` prefix catches; the root, a node with two
+        // children, writes the answers.
         let c6 = parse_cq("Q(a) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
         let plan = crate::eval::decomposed::DecomposedPlan::compile(&c6, 2).unwrap();
         let ring = Structure::digraph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
@@ -1659,11 +1636,11 @@ mod tests {
         assert_eq!(plain.unwrap().len(), 6);
         assert_eq!(profiled.unwrap().len(), 6);
         assert_eq!(profile.ops.len(), plan.ir().ops().len());
-        let multiway: Vec<_> = (profile.ops.iter())
-            .filter(|o| o.op == "join(multiway)")
-            .collect();
-        assert_eq!(multiway.len(), 1);
-        assert_eq!(multiway[0].rows, 6);
+        let joins = (plan.ir().ops().iter()).filter(|op| matches!(op, Op::MultiJoin { .. }));
+        let labelled = profile.ops.iter().filter(|o| o.op == "join");
+        assert_eq!(labelled.count(), joins.count());
+        let root = profile.ops.last().expect("a completed run");
+        assert_eq!((root.op, root.rows), ("join", 6));
     }
 
     #[test]
@@ -1721,8 +1698,10 @@ mod tests {
         assert_eq!(cache.resident_bytes(), resident);
     }
 
+    /// Joins of a node with one child: kernel calls over two inputs
+    /// that keep a variable.
     fn joins_in(ir: &PlanIr) -> usize {
-        let join = |op: &&Op| matches!(op, Op::Join { .. } | Op::JoinProject { .. });
+        let join = |op: &&Op| matches!(op, Op::MultiJoin { inputs, vars, .. } if inputs.len() == 2 && !vars.is_empty());
         ir.ops.iter().filter(join).count()
     }
 
@@ -1737,15 +1716,10 @@ mod tests {
         let q = parse_cq("Q(x) :- E(x,y), E(y,z), E(z,w)").unwrap();
         let plan = AcyclicPlan::compile(&q).unwrap();
         assert_eq!(joins_in(plan.ir()), 0, "{:?}", plan.ir().ops);
-        // Two free variables two hops apart: one join must stay, fused.
+        // Two free variables two hops apart: one join must stay.
         let q2 = parse_cq("Q(x, z) :- E(x,y), E(y,z), E(z,w)").unwrap();
         let ir2 = AcyclicPlan::compile(&q2).unwrap();
         assert_eq!(joins_in(ir2.ir()), 1);
-        assert!(ir2
-            .ir()
-            .ops
-            .iter()
-            .any(|op| matches!(op, Op::JoinProject { .. })));
         // The second sweep reaches only what the join phase computes
         // on: nothing when the root covers the head or is joined with
         // unchanged leaves (that join drops the same rows), the inner
@@ -1800,9 +1774,8 @@ mod tests {
 
     /// A plan with one root hands the answer boundary its columns in
     /// head order, whatever order the head lists them in (repeated
-    /// head variables once), and — unless the root is a plain join
-    /// that comes out in head order by itself — its rows in canonical
-    /// order.
+    /// head variables once), and its rows in canonical order: every
+    /// root is a projection or a kernel join.
     #[test]
     fn single_root_output_is_head_ordered_and_canonical() {
         use crate::eval::decomposed::DecomposedPlan;
@@ -1832,20 +1805,56 @@ mod tests {
             let out = out.expect("nonempty on this graph");
             assert_eq!(out.schema(), schema, "{rule}: {:?}", ir.ops);
             let rows: Vec<&[u32]> = out.iter_rows().collect();
-            let ordered = rows.windows(2).all(|w| w[0] < w[1]);
-            let plain_join = matches!(ir.ops.last(), Some(Op::Join { .. }));
-            assert!(ordered || plain_join, "{rule}: row order");
-            assert_eq!(plain_join, rule.starts_with("Q(y, z, x)"), "{rule}");
+            assert!(rows.windows(2).all(|w| w[0] < w[1]), "{rule}: row order");
         }
         // Covering the head from the root still costs no join at all.
         let q = parse_cq("Q(x) :- E(x,y), E(y,z), E(z,w)").unwrap();
         assert_eq!(joins_in(AcyclicPlan::compile(&q).unwrap().ir()), 0);
     }
 
-    /// `wedge3`'s root is the fused operator, and its profile label
-    /// says which dedup it dispatches on the head-ordered keep-list:
-    /// the packed counter moves exactly when the label reads
-    /// `(packed)`.
+    /// The kernel has no fixed limit on variables per op: a path of 69
+    /// edges with all 70 variables in the head, rooted at one end, is a
+    /// chain of one-child joins whose root keeps all 70, and it answers
+    /// as the naive evaluator does on a 75-vertex ring — one walk per
+    /// start.
+    #[test]
+    fn seventy_variable_head_joins_through_one_child() {
+        use crate::eval::naive::eval_naive;
+        let _g = crate::eval::flat::knob_guard(); // kernels bump shared counters
+        let head: Vec<String> = (0..70).map(|i| format!("x{i}")).collect();
+        let atoms: Vec<String> = (1..70).map(|i| format!("E(x{}, x{i})", i - 1)).collect();
+        let q = parse_cq(&format!("Q({}) :- {}", head.join(", "), atoms.join(", "))).unwrap();
+        let nodes: Vec<NodeSpec> = (q.atoms().iter())
+            .map(|a| {
+                let source = MatSource::from_groups(&[vec![a]]);
+                let label = source.schema.clone();
+                NodeSpec { source, label }
+            })
+            .collect();
+        let parent: Vec<Option<usize>> = (0..69usize).map(|i| i.checked_sub(1)).collect();
+        let order: Vec<usize> = (0..69).rev().collect();
+        let ir = compile_tree(&nodes, &parent, &order, q.free_vars());
+        let one_child = |op: &Op| matches!(op, Op::MultiJoin { inputs, .. } if inputs.len() == 2);
+        assert_eq!(ir.ops.iter().filter(|op| one_child(op)).count(), 68);
+        let root = ir.ops.last();
+        assert!(
+            matches!(root, Some(op @ Op::MultiJoin { vars, .. }) if one_child(op) && vars.len() == 70),
+            "{root:?}"
+        );
+        let ring: Vec<(u32, u32)> = (0..75).map(|u| (u, (u + 1) % 75)).collect();
+        let d = Structure::digraph(75, &ring);
+        let budget = ThreadBudget::sequential();
+        let (answers, _) = ir.run_answers(q.free_vars(), &d, None, &budget, None);
+        assert_eq!(answers.len(), 75);
+        assert_eq!(answers, eval_naive(&q, &d));
+    }
+
+    /// A head-ordered root is one kernel join under the one label
+    /// `join`, whatever it writes: `wedge3`'s binds the head in order
+    /// and writes its rows with no sort, `two_hop`'s drops `y` before
+    /// `z` and sorts its matches — as code words when the packed sorts
+    /// are on, so the packed counter moves by the match count then, and
+    /// not otherwise.
     #[test]
     fn head_ordered_root_is_labelled_as_it_dispatches() {
         use crate::eval::flat::{packed_stats, reset_packed_override, set_packed_mode, PackedMode};
@@ -1855,45 +1864,43 @@ mod tests {
             .flat_map(|u| [(u, (u * 7 + 3) % 60), (u, (u + 1) % 60)])
             .collect();
         let d = Structure::digraph(60, &edges);
-        let q = parse_cq("Q(x, y, z) :- E(x,y), E(y,z)").unwrap();
-        let plan = AcyclicPlan::compile(&q).unwrap();
-        let ir = plan.ir();
-        let root = ir.ops.len() - 1;
-        assert!(matches!(&ir.ops[root], Op::JoinProject { vars, .. } if vars == q.free_vars()));
         let budget = &ThreadBudget::sequential();
-        for (mode, label) in [
-            (PackedMode::On, "join+project(packed)"),
-            (PackedMode::Off, "join+project"),
+        for (rule, sorts) in [
+            ("Q(x, y, z) :- E(x,y), E(y,z)", false),
+            ("Q(x, z) :- E(x,y), E(y,z)", true),
         ] {
-            set_packed_mode(mode);
-            let mut stats = MatCacheStats::default();
-            let mut slots: Vec<Option<FlatRelation>> = vec![None; ir.slots];
-            assert!(ir.exec(0, root, &mut slots, &d, None, &mut stats, budget, None));
-            let before = packed_stats();
-            let mut profile = EvalProfile::default();
-            let profiled = Some(&mut profile);
-            assert!(ir.exec(
-                root,
-                root + 1,
-                &mut slots,
-                &d,
-                None,
-                &mut stats,
-                budget,
-                profiled
+            let q = parse_cq(rule).unwrap();
+            let plan = AcyclicPlan::compile(&q).unwrap();
+            let ir = plan.ir();
+            let root = ir.ops.len() - 1;
+            assert!(matches!(
+                &ir.ops[root],
+                Op::MultiJoin { inputs, vars, .. } if inputs.len() == 2 && vars == q.free_vars()
             ));
-            let after = packed_stats();
-            assert_eq!(profile.ops[0].op, label);
-            assert_eq!(profile.ops[0].rows, 240);
-            let moved = (after.builds - before.builds, after.rows - before.rows);
-            assert_eq!(
-                moved,
-                if mode == PackedMode::On {
-                    (1, 240)
-                } else {
-                    (0, 0)
+            for mode in [PackedMode::On, PackedMode::Off] {
+                set_packed_mode(mode);
+                let mut stats = MatCacheStats::default();
+                let mut slots: Vec<Option<FlatRelation>> = vec![None; ir.slots];
+                assert!(ir.exec(0, root, &mut slots, &d, None, &mut stats, budget, None));
+                let mut profile = EvalProfile::default();
+                // Tests running meanwhile can only add to the
+                // process-wide counters: the least move of five runs of
+                // the root is its own.
+                let mut moved = (u64::MAX, u64::MAX);
+                for _ in 0..5 {
+                    let before = packed_stats();
+                    profile = EvalProfile::default();
+                    let (s, profiled) = (&mut stats, Some(&mut profile));
+                    assert!(ir.exec(root, root + 1, &mut slots, &d, None, s, budget, profiled));
+                    let after = packed_stats();
+                    moved = moved.min((after.builds - before.builds, after.rows - before.rows));
                 }
-            );
+                assert_eq!(profile.ops[0].op, "join");
+                assert_eq!(profile.ops[0].rows, plan.eval(&d).len(), "{rule}");
+                let words = sorts && mode == PackedMode::On;
+                let want = if words { (1, 240) } else { (0, 0) };
+                assert_eq!(moved, want, "{rule}, {mode:?}");
+            }
         }
         reset_packed_override();
         // `Q(a) :- C6`: the root has two children and is the multiway
@@ -1922,21 +1929,21 @@ mod tests {
             budget,
             profiled
         ));
-        assert_eq!(profile.ops[0].op, "join(multiway)");
+        assert_eq!(profile.ops[0].op, "join");
         assert_eq!(profile.ops[0].rows, plan.eval(&d).len());
         assert!(profile.ops[0].rows > 0 && stats.cursor_advances > before);
     }
 
-    /// One op per node: two or more live children are one multiway
-    /// join, never a chain of binary ones, on join trees and
-    /// decompositions alike — and the six plans of the benchmark's warm
-    /// workloads have no such node, so the op cannot move them.
+    /// One op per node: two or more live children are one kernel
+    /// join over all of them, never a chain of two-input ones, on join
+    /// trees and decompositions alike — and the six plans of the
+    /// benchmark's warm workloads have no such node.
     #[test]
     fn wide_nodes_are_one_multiway_join() {
         use crate::eval::decomposed::DecomposedPlan;
         use crate::eval::yannakakis::AcyclicPlan;
         let multiway = |ir: &PlanIr| {
-            let wide = |op: &&Op| matches!(op, Op::MultiJoin { .. });
+            let wide = |op: &&Op| matches!(op, Op::MultiJoin { inputs, .. } if inputs.len() > 2);
             ir.ops.iter().filter(wide).count()
         };
         for rule in [
@@ -2102,10 +2109,10 @@ mod tests {
                     source_pos: vec![0],
                 },
                 // … then build the 2-hop join.
-                Op::Join {
+                Op::MultiJoin {
                     dst: 2,
-                    left: 0,
-                    right: 1,
+                    inputs: vec![0, 1],
+                    vars: vec![0, 1, 2],
                 },
             ],
             bool_len: 4,

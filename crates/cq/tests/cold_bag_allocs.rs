@@ -7,7 +7,9 @@
 //! two children is one multiway join that materializes nothing between
 //! its inputs and its projected output, and what it only has to find —
 //! a Boolean plan's witness — it stops at; so does the existence call
-//! that decides a Boolean root's multi-column edge.
+//! that decides a Boolean root's multi-column edge. And every join and
+//! projection of the benchmark's plans, run on its own, calls the
+//! allocator no more often than the hash-index join it replaced.
 //!
 //! Its own test binary because it installs a counting
 //! `#[global_allocator]`. The counter is thread-local, so the harness's
@@ -15,7 +17,9 @@
 //! `ThreadBudget::new(1)`, which keeps every kernel on the calling
 //! thread.
 
-use cqapx_cq::eval::{DecomposedPlan, MatCacheStats, MatSource, MaterializationCache, Op};
+use cqapx_cq::eval::{
+    AcyclicPlan, DecomposedPlan, MatCacheStats, MatSource, MaterializationCache, Op, PlanIr,
+};
 use cqapx_cq::parse_cq;
 use cqapx_par::ThreadBudget;
 use cqapx_structures::Structure;
@@ -188,9 +192,9 @@ fn regular_digraph(n: u32, degree: usize, seed: u64) -> Structure {
 const C6_HEAD: &str = "Q(a) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)";
 
 /// `Q(a) :- C₆` cold on 2000 × 4: everything the run asks the allocator
-/// for — part scans, bags, key indexes, sort scratch, partials, tries —
-/// is at most 2.5 × the bytes of the relations its operators return
-/// (measured: 4.9 MB for 2.5 MB, 1.9 ×). The root joins `E(b,c)`, the
+/// for — part scans, bags, sort scratch, partials, tries — is at most
+/// 2.5 × the bytes of the relations its operators return (measured:
+/// 4.5 MB for 2.5 MB, 1.8 ×). The root joins `E(b,c)`, the
 /// bag over `{a,b,f}` and the 3-path partial `(c,f)`; joined two at a
 /// time that is a 4-column, 128,000-row intermediate and a key index
 /// over the partial, and the same run asked for 14.5 MB — 3.2 × what
@@ -201,7 +205,7 @@ fn cold_six_cycle_head_requests_a_small_multiple_of_what_its_ops_return() {
     let d = regular_digraph(2000, 4, 0xC6);
     d.distinct_per_column();
     let plan = DecomposedPlan::compile(&parse_cq(C6_HEAD).unwrap(), 2).unwrap();
-    let wide = |op: &&Op| matches!(op, Op::MultiJoin { .. });
+    let wide = |op: &&Op| matches!(op, Op::MultiJoin { inputs, .. } if inputs.len() > 2);
     assert_eq!(plan.ir().ops().iter().filter(wide).count(), 1);
     let cache = MaterializationCache::new();
     let budget = ThreadBudget::new(1);
@@ -226,11 +230,12 @@ const C6_ADVANCES_PER_ROW: u64 = 6;
 /// On a graph where every vertex lies on a directed 6-cycle (the ring
 /// `u → u + 200` six times round, plus three more edges per vertex)
 /// the Boolean `C₆` plan's root stops at its first witness: it spends
-/// at most a tenth of the cursor advances of the same plan with head
-/// `a`, which must find a witness per vertex — and that one stays
+/// at most a tenth of the cursor advances of the same plan's root with
+/// head `a`, which must find a witness per vertex — and that one stays
 /// linear in the rows the root reads (its operands) and writes (the
-/// answers). Both run against a warm cache, so the bag builds, which
-/// the two plans share, count for neither.
+/// answers). Each root is run on its own, over the slots a warm run of
+/// its plan left, so neither the bag builds nor the joins below the
+/// root count.
 #[test]
 fn boolean_six_cycle_stops_at_the_first_witness() {
     let n = 1200u32;
@@ -243,27 +248,32 @@ fn boolean_six_cycle_stops_at_the_first_witness() {
     let head = DecomposedPlan::compile(&parse_cq(C6_HEAD).unwrap(), 2).unwrap();
     let boolean = C6_HEAD.replace("Q(a)", "Q()");
     let boolean = DecomposedPlan::compile(&parse_cq(&boolean).unwrap(), 2).unwrap();
-    head.eval_cached_budget(&d, Some(&cache), &budget);
-    let (alive, slots, with_head) = head.ir().run_slots(&d, Some(&cache), &budget, None);
-    assert!(alive && with_head.misses == 0);
+    // The root's advances, and the slots it read and wrote.
+    let root = |plan: &DecomposedPlan| {
+        let ir = plan.ir();
+        let (alive, mut slots, _) = ir.run_slots(&d, Some(&cache), &budget, None);
+        assert!(alive, "the graph has 6-cycles");
+        let last = ir.ops().len() - 1;
+        let (alive, stats) = ir.run_ops(last..last + 1, &mut slots, &d, Some(&cache), &budget);
+        assert!(alive);
+        (stats.cursor_advances, slots)
+    };
+    let (with_head, slots) = root(&head);
     let rows = |s: &usize| slots[*s].as_ref().map_or(0, |r| r.len()) as u64;
     let Some(Op::MultiJoin { dst, inputs, .. }) = head.ir().ops().last() else {
-        panic!("the root of the path of four bags has two children");
+        panic!("the root of the path of four bags joins");
     };
+    assert_eq!(inputs.len(), 3, "the root has two children");
     assert_eq!(rows(dst), u64::from(n), "every vertex answers");
     let touched = inputs.iter().map(rows).sum::<u64>() + rows(dst);
     assert!(
-        with_head.cursor_advances <= C6_ADVANCES_PER_ROW * touched,
-        "{} advances for {touched} rows",
-        with_head.cursor_advances
+        with_head <= C6_ADVANCES_PER_ROW * touched,
+        "{with_head} advances for {touched} rows"
     );
-    let (found, without) = boolean.eval_boolean_cached_budget(&d, Some(&cache), &budget);
-    assert!(found && without.misses == 0);
+    let (without, _) = root(&boolean);
     assert!(
-        without.cursor_advances * 10 <= with_head.cursor_advances,
-        "{} advances to find one witness, {} to find one per vertex",
-        without.cursor_advances,
-        with_head.cursor_advances
+        without * 10 <= with_head,
+        "{without} advances to find one witness, {with_head} to find one per vertex"
     );
 }
 
@@ -331,3 +341,69 @@ fn boolean_four_cycle_root_is_one_existence_call() {
 }
 
 const C4: &str = "Q() :- E(a,b), E(b,c), E(c,d), E(d,a)";
+
+/// Allocator calls of op `pc` of `ir` run alone on a warm cache, over
+/// the slots a full run left.
+fn op_calls(ir: &PlanIr, pc: usize, d: &Structure) -> u64 {
+    let (cache, budget) = (MaterializationCache::new(), ThreadBudget::new(1));
+    let (alive, mut slots, _) = ir.run_slots(d, Some(&cache), &budget, None);
+    assert!(alive, "the graph answers");
+    let before = CALLS.with(Cell::get);
+    let (alive, _) = ir.run_ops(pc..pc + 1, &mut slots, d, Some(&cache), &budget);
+    let calls = CALLS.with(Cell::get) - before;
+    assert!(alive);
+    calls
+}
+
+/// The joins and projections of the benchmark's plans, each run on its
+/// own over the inputs it reads in its plan, call the allocator no more
+/// often than the hash-index join and its unit-relation projection did
+/// for the same op (the counts written here, measured with them on the
+/// same inputs): `two_hop`'s and `wedge3`'s root joins on a 3000 × 8
+/// graph, `c6_head`'s one-child join of its bag with the 3-path partial
+/// `(c, f)` and its projection `(d, e, f) → (d, f)` on 5000 × 4, and
+/// `three_hop_head`'s projection of the root onto `x`.
+#[test]
+fn warm_joins_and_projections_allocate_no_more_than_the_hash_path() {
+    let wide = regular_digraph(3000, 8, 0x2B);
+    let narrow = regular_digraph(5000, 4, 0xC6);
+    let acyclic = |rule: &str| AcyclicPlan::compile(&parse_cq(rule).unwrap()).unwrap();
+    let c6 = DecomposedPlan::compile(&parse_cq(C6_HEAD).unwrap(), 2).unwrap();
+    let at = |ir: &PlanIr, pick: &dyn Fn(&Op) -> bool| {
+        let mut found = (ir.ops().iter().enumerate()).filter(|(_, op)| pick(op));
+        let (pc, _) = found.next().expect("the plan has the op");
+        assert!(found.next().is_none(), "the op is unique");
+        pc
+    };
+    let root = |ir: &PlanIr| ir.ops().len() - 1;
+    let two_hop = acyclic("Q(x, z) :- E(x,y), E(y,z)");
+    let wedge3 = acyclic("Q(x, y, z) :- E(x,y), E(y,z)");
+    let three_hop = acyclic("Q(x) :- E(x,y), E(y,z), E(z,w)");
+    let c6_join = at(
+        c6.ir(),
+        &|op| matches!(op, Op::MultiJoin { inputs, .. } if inputs.len() == 2),
+    );
+    let c6_project = at(
+        c6.ir(),
+        &|op| matches!(op, Op::Project { vars, .. } if vars.len() == 2),
+    );
+    for (name, ir, pc, d, parent) in [
+        ("two_hop join", two_hop.ir(), root(two_hop.ir()), &wide, 9),
+        ("wedge3 join", wedge3.ir(), root(wedge3.ir()), &wide, 9),
+        ("c6_head (c,f) join", c6.ir(), c6_join, &narrow, 10),
+        ("c6_head (d,e,f) → (d,f)", c6.ir(), c6_project, &narrow, 4),
+        (
+            "three_hop_head projection",
+            three_hop.ir(),
+            root(three_hop.ir()),
+            &narrow,
+            3,
+        ),
+    ] {
+        let calls = op_calls(ir, pc, d);
+        assert!(
+            calls <= parent,
+            "{name}: {calls} allocator calls, {parent} before"
+        );
+    }
+}

@@ -2,7 +2,6 @@
 
 use crate::cache::{ApproxCache, CachedApproximation};
 use crate::catalog::{Catalog, DatabaseEntry, DbId, PreparedQuery, QueryId};
-use crate::par::{default_threads, env_threads, parallel_map, ThreadBudget};
 use crate::planner::{choose_plan, PlanDecision, PlanKind, PlanReason};
 use cqapx_core::{Acyclic, ApproxOptions, HtwK, QueryClass, TwK};
 use cqapx_cq::eval::{Answers, AnswersBuilder, EvalProfile, MatCacheStats, NaivePlan};
@@ -10,6 +9,7 @@ use cqapx_metrics::{
     Counter, CounterFamily, EventLog, Gauge, HistogramFamily, HistogramSnapshot, MetricsLevel,
     MetricsSink, TraceEvent,
 };
+use cqapx_par::{default_threads, env_threads, parallel_map, ThreadBudget};
 use cqapx_structures::{Element, HomSearchStats, SearchBudget, Structure};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;

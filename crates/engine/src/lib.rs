@@ -47,7 +47,6 @@ pub mod cache;
 pub mod catalog;
 pub mod engine;
 pub mod memory;
-pub mod par;
 pub mod planner;
 
 pub use cache::{ApproxCache, CachedApproximation};

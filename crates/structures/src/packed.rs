@@ -1,59 +1,42 @@
-//! Packed **code-word rows**: two dense codes in one `u64`, plus the
-//! radix sorts the packed kernels run on.
+//! The radix sorts of packed **code words**: rows of dense codes, each
+//! packed into one `u32` or `u64`, first column highest.
 //!
 //! [`crate::dict::DomainDict`] interns the active domain into dense
-//! `u32` codes, so a row (or join key) spanning at most two coded
-//! columns fits in a single machine word, `hi << 32 | lo`. The packing
-//! is injective and **monotone**: the numeric order of packed words is
-//! exactly the lexicographic order of `[hi, lo]` rows, which is what
-//! lets a radix sort over words replace the comparison sort on the
+//! `u32` codes, so a row of `a` columns over a `b`-bit domain fits one
+//! word when `a · b ≤ 64`. The packing (which lives with the relations,
+//! in `cqapx-cq`) is injective and **monotone**: the numeric order of
+//! the words is exactly the lexicographic order of the rows, which is
+//! what lets a radix sort over words replace the comparison sort on the
 //! canonical row order without changing a single output byte.
 //!
 //! **Packing invariant.** Callers may only pack columns whose relation
 //! carries a dense-domain bound (`domain_width > 0` for *every* packed
-//! column). The packing itself is total over `u32` pairs, but the
-//! bound is what keeps the word population confined to the low bits —
-//! the sorts below skip every radix pass whose digit is constant
-//! across all keys, and the partition directories built over sorted
-//! keys stay cache-sized, only because dense codes never stray above
-//! their width.
+//! column). The packing itself is total, but the bound is what keeps
+//! the word population confined to the low bits — the sorts below skip
+//! every radix pass whose digit is constant across all keys, only
+//! because dense codes never stray above their width.
 //!
-//! The sorts are **LSB (least-significant-digit) radix sorts** over
-//! 8-bit digits: each executed pass is a stable counting sort, so the
-//! final order is the full numeric key order, and — for the pair
-//! variant — ties preserve feed order, which the join kernels use to
-//! reproduce the probe order of the chained-hash index exactly.
+//! The sorts are **LSB (least-significant-digit) radix sorts**: each
+//! executed pass is a stable counting sort, so the final order is the
+//! full numeric key order.
 //!
 //! The dedup variants ([`radix_dedup`], [`radix_dedup_u32`]) **keep
 //! the order their input already has**: one pass finds the longest
-//! high prefix of the key bits the stream is already sorted on — a
-//! join's emitted words are ordered on the probe side's leading
-//! columns, and on all of them when a canonical probe side leads the
-//! output (the build side's groups list rows ascending); a canonical
-//! scan is ordered on all of them — and only the bits below it are
-//! sorted, run by run of equal prefix. Keys in order cost that one
-//! pass; keys in no order at all, the full radix sort.
+//! high prefix of the key bits the stream is already sorted on — the
+//! join kernel writes words ordered on the kept columns it binds before
+//! the first dropped one; a canonical scan is ordered on all of them —
+//! and only the bits below it are sorted, run by run of equal prefix. A
+//! run shorter than 256 keys — what the kernel leaves when a dropped
+//! variable precedes the last kept one: the dozens of partners of one
+//! vertex — is sorted by counting passes over the bits that vary inside
+//! it, with digits about as wide as the run is long, between the run
+//! and a buffer on the stack; a longer run by 8-bit passes through a
+//! heap buffer. Keys in order cost that one pass; keys in no order at
+//! all, the full radix sort.
 
-use crate::structure::Element;
-
-/// Packs two dense codes into one word, high column first. Monotone:
-/// `pack2(a, b) <= pack2(c, d)` iff `[a, b] <= [c, d]`
-/// lexicographically.
-#[inline]
-pub const fn pack2(hi: Element, lo: Element) -> u64 {
-    ((hi as u64) << 32) | lo as u64
-}
-
-/// Inverse of [`pack2`].
-#[inline]
-pub const fn unpack2(w: u64) -> (Element, Element) {
-    ((w >> 32) as Element, w as Element)
-}
-
-/// Buckets of one counting pass (8-bit digits) — and the run length
-/// from which [`sort_words`] sorts a run by such passes: with fewer
-/// keys than buckets a pass spends more on its histogram than on the
-/// keys.
+/// Buckets of one 8-bit counting pass — and the run length from which
+/// [`sort_words`] sorts a run by such passes: a shorter run is sorted by
+/// [`sort_short`], whose digits are narrower.
 const BUCKETS: usize = 256;
 
 /// The bits in which some two of `keys` differ.
@@ -113,23 +96,64 @@ fn radix_passes<T: Copy + Default>(
     }
 }
 
-/// Sorts packed key words ascending: LSB radix over 8-bit digits,
-/// skipping constant-digit passes. Dense codes populate only the low
-/// bytes of each half-word, so a sort over `pack2`-packed rows of
-/// width `w` runs `2 * ceil(log2(w) / 8)` passes — at most four for
-/// any domain under 64 K codes.
-pub fn radix_sort(keys: &mut [u64]) {
-    let varying = varying_bits(keys.iter().copied());
-    radix_passes(keys, &mut Vec::new(), varying, |&k| k);
-}
-
-/// [`radix_sort`] for `u32` keys: half the memory traffic per pass
-/// and at most four passes. Tightly packed two-column words (`hi <<
-/// b | lo` for a `b`-bit domain with `2b ≤ 32`) and single dense
-/// columns sort here instead of widening to `u64`.
-pub fn radix_sort_u32(keys: &mut [u32]) {
-    let varying = varying_bits(keys.iter().map(|&k| u64::from(k)));
-    radix_passes(keys, &mut Vec::new(), varying, |&k| u64::from(k));
+/// Sorts a run of fewer than [`BUCKETS`] keys on its `varying` bits
+/// (those in which some two of them differ): stable counting passes
+/// from the lowest varying bit up, as few as digits of at most 8 bits
+/// allow, the varying span split evenly among them — a pass costs a
+/// fixed amount plus its histogram, and a short run has few keys to
+/// spread that over. Keys move between the run and `scratch`, which the
+/// caller keeps on its stack. A run too short to repay the histograms —
+/// fewer pairs of keys than they hold buckets — is sorted by comparison
+/// instead.
+fn sort_short<T: Copy + Ord>(
+    run: &mut [T],
+    scratch: &mut [T; BUCKETS],
+    varying: u64,
+    key: impl Fn(&T) -> u64,
+) {
+    let n = run.len();
+    debug_assert!(n < BUCKETS, "a short run");
+    if varying == 0 {
+        return;
+    }
+    let span = u64::BITS - varying.leading_zeros() - varying.trailing_zeros();
+    let passes = span.div_ceil(8);
+    let bits = span.div_ceil(passes);
+    if (passes as usize) << bits >= n * n {
+        return run.sort_unstable();
+    }
+    let mask = (1u64 << bits) - 1;
+    let scratch = &mut scratch[..n];
+    let mut counts = [0u8; BUCKETS];
+    let counts = &mut counts[..1 << bits];
+    let mut in_run = true;
+    for pass in 0..passes {
+        let shift = varying.trailing_zeros() + pass * bits;
+        let (src, dst): (&[T], &mut [T]) = if in_run {
+            (run, scratch)
+        } else {
+            (scratch, run)
+        };
+        let digit = |t: &T| ((key(t) >> shift) & mask) as usize;
+        counts.fill(0);
+        for t in src {
+            counts[digit(t)] += 1;
+        }
+        // Exclusive prefix sums, at most `n < 256`.
+        let mut sum = 0u8;
+        for c in counts.iter_mut() {
+            sum += std::mem::replace(c, sum);
+        }
+        for t in src {
+            let d = digit(t);
+            dst[usize::from(counts[d])] = *t;
+            counts[d] += 1;
+        }
+        in_run = !in_run;
+    }
+    if !in_run {
+        run.copy_from_slice(scratch);
+    }
 }
 
 /// Sorts key words, keeping whatever order they already have. One
@@ -139,8 +163,9 @@ pub fn radix_sort_u32(keys: &mut [u32]) {
 /// one more than the highest such bit over all descents — `0` when the
 /// keys are in order. The runs of equal `key >> s` then stand where
 /// they belong, and each is sorted on its own, on the bits below `s`
-/// only: short ones by comparison, long ones by the radix passes. With
-/// nothing in order above `s` there is one run — the plain radix sort.
+/// only: short ones by [`sort_short`], long ones by the 8-bit radix
+/// passes. With nothing in order above `s` there is one run — the
+/// plain radix sort.
 fn sort_words<T: Copy + Ord + Default>(keys: &mut [T], key: impl Fn(&T) -> u64 + Copy) {
     let Some(first) = keys.first().map(key) else {
         return;
@@ -161,17 +186,17 @@ fn sort_words<T: Copy + Ord + Default>(keys: &mut [T], key: impl Fn(&T) -> u64 +
     let prefix = |k: &T| (key(k) >> (s - 1)) >> 1;
     let varying = or & !and;
     let low = varying & (u64::MAX >> (u64::BITS - s));
-    let mut scratch = Vec::new();
-    if low == varying {
-        // Nothing varies above `s`: one run, found without looking.
-        return radix_passes(keys, &mut scratch, varying, key);
-    }
+    let (mut scratch, mut short) = (Vec::new(), [T::default(); BUCKETS]);
     let mut rest = keys;
     while let Some(head) = rest.first().map(prefix) {
-        let len = rest.iter().take_while(|k| prefix(k) == head).count();
+        // Nothing varies above `s`: one run, found without looking.
+        let len = match low == varying {
+            true => rest.len(),
+            false => rest.iter().take_while(|k| prefix(k) == head).count(),
+        };
         let (run, tail) = rest.split_at_mut(len);
         if len < BUCKETS {
-            run.sort_unstable();
+            sort_short(run, &mut short, varying_bits(run.iter().map(key)), key);
         } else {
             radix_passes(run, &mut scratch, low, key);
         }
@@ -182,9 +207,10 @@ fn sort_words<T: Copy + Ord + Default>(keys: &mut [T], key: impl Fn(&T) -> u64 +
 /// Sorts-and-dedups packed key words in place, adaptively
 /// (`sort_words`): keys that arrive in order — materialized scans
 /// usually do — cost one sequential pass, a fraction of a single radix
-/// pass; keys ordered on their high bits only — a join emits them in
-/// the probe side's scan order — are sorted below those bits, run by
-/// run; anything else takes the full radix sort.
+/// pass; keys ordered on their high bits only — the join kernel writes
+/// them so when a dropped variable precedes a kept one — are sorted
+/// below those bits, run by run; anything else takes the full radix
+/// sort.
 pub fn radix_dedup(keys: &mut Vec<u64>) {
     sort_words(keys, |&k| k);
     keys.dedup();
@@ -194,18 +220,6 @@ pub fn radix_dedup(keys: &mut Vec<u64>) {
 pub fn radix_dedup_u32(keys: &mut Vec<u32>) {
     sort_words(keys, |&k| u64::from(k));
     keys.dedup();
-}
-
-/// Sorts `(key, tag)` pairs ascending by key, **stably**: pairs with
-/// equal keys keep their feed order across every pass. The join
-/// kernels feed rows in ascending order (a tag is the row id or the
-/// row's share of an output word), so each key group comes out listing
-/// rows ascending — the candidate order of the chained-hash and
-/// direct-addressed indexes, which is what keeps join output buffers
-/// byte-identical across index representations.
-pub fn radix_sort_pairs(pairs: &mut [(u64, u32)]) {
-    let varying = varying_bits(pairs.iter().map(|p| p.0));
-    radix_passes(pairs, &mut Vec::new(), varying, |p| p.0);
 }
 
 #[cfg(test)]
@@ -223,23 +237,8 @@ mod tests {
         })
     }
 
-    #[test]
-    fn pack_is_monotone_and_invertible() {
-        let vals = [0u32, 1, 2, 255, 256, 65_535, u32::MAX];
-        let mut rows: Vec<[u32; 2]> = Vec::new();
-        for &a in &vals {
-            for &b in &vals {
-                rows.push([a, b]);
-                assert_eq!(unpack2(pack2(a, b)), (a, b));
-            }
-        }
-        let mut by_row = rows.clone();
-        by_row.sort_unstable();
-        let mut by_word = rows;
-        by_word.sort_unstable_by_key(|r| pack2(r[0], r[1]));
-        assert_eq!(by_row, by_word, "word order must equal row order");
-    }
-
+    /// The full radix sort — keys in no order, one run — against the
+    /// comparison sort, from no key to full-width ones.
     #[test]
     fn radix_sort_matches_comparison_sort() {
         for (seed, n, width) in [
@@ -249,14 +248,12 @@ mod tests {
             (11, 4096, 1 << 20),
             (13, 777, u64::MAX),
         ] {
-            let mut keys: Vec<u64> = stream(seed).take(n).map(|k| k % width.max(1)).collect();
-            let mut expected = keys.clone();
-            expected.sort_unstable();
-            radix_sort(&mut keys);
-            assert_eq!(keys, expected, "seed {seed} n {n} width {width}");
+            let keys: Vec<u64> = stream(seed).take(n).map(|k| k % width.max(1)).collect();
+            check_dedup(keys, &format!("seed {seed} n {n} width {width}"));
         }
     }
 
+    /// [`radix_sort_matches_comparison_sort`] on `u32` keys.
     #[test]
     fn radix_sort_u32_matches_comparison_sort() {
         for (seed, n, width) in [
@@ -272,7 +269,8 @@ mod tests {
                 .collect();
             let mut expected = keys.clone();
             expected.sort_unstable();
-            radix_sort_u32(&mut keys);
+            expected.dedup();
+            radix_dedup_u32(&mut keys);
             assert_eq!(keys, expected, "seed {seed} n {n} width {width}");
         }
     }
@@ -360,29 +358,57 @@ mod tests {
     }
 
     #[test]
-    fn radix_sort_pairs_is_stable() {
-        // Many duplicate keys; tags record feed order, which must
-        // survive within every equal-key group.
-        let mut pairs: Vec<(u64, u32)> = stream(42)
-            .take(2000)
-            .enumerate()
-            .map(|(i, k)| (k % 37, i as u32))
-            .collect();
-        let mut expected = pairs.clone();
-        expected.sort_by_key(|&(k, _)| k); // std stable sort
-        radix_sort_pairs(&mut pairs);
-        assert_eq!(pairs, expected);
-    }
-
-    #[test]
     fn radix_sort_skips_constant_digits() {
         // All keys share their high bytes; the sort must still be
         // correct (the skipped passes are identity permutations).
         let base = 0xdead_beef_0000_0000u64;
-        let mut keys: Vec<u64> = stream(9).take(512).map(|k| base | (k & 0xffff)).collect();
-        let mut expected = keys.clone();
-        expected.sort_unstable();
-        radix_sort(&mut keys);
-        assert_eq!(keys, expected);
+        let keys: Vec<u64> = stream(9).take(512).map(|k| base | (k & 0xffff)).collect();
+        check_dedup(keys, "constant high bytes");
+    }
+
+    /// The short-run arm, then `dedup`, against `sort_unstable` +
+    /// `dedup`, on one run.
+    fn short_arm<T: Copy + Ord + Default + std::fmt::Debug>(
+        mut run: Vec<T>,
+        key: impl Fn(&T) -> u64 + Copy,
+    ) {
+        let mut want = run.clone();
+        want.sort_unstable();
+        want.dedup();
+        let mut scratch = [T::default(); BUCKETS];
+        let varying = varying_bits(run.iter().map(key));
+        sort_short(&mut run, &mut scratch, varying, key);
+        run.dedup();
+        assert_eq!(run, want);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The short-run arm equals `sort_unstable` + `dedup` on runs of
+        /// 1–255 keys varying in their 1–32 low bits, as `u32` keys and
+        /// as `u64` keys under a constant high half, in no order, sorted,
+        /// reversed, or drawn from three values.
+        #[test]
+        fn short_runs_sort_like_sort_unstable(
+            len in 1..BUCKETS,
+            bits in 1..=32u32,
+            high in any::<u32>(),
+            shape in 0..4u8,
+            seed in any::<u64>(),
+        ) {
+            let mask = u64::MAX >> (u64::BITS - bits);
+            let mut keys: Vec<u64> = stream(seed).take(len).map(|k| k & mask).collect();
+            match shape {
+                1 => keys.sort_unstable(),
+                2 => keys.sort_unstable_by(|a, b| b.cmp(a)),
+                3 => keys = (0..len).map(|i| keys[i % 3.min(len)]).collect(),
+                _ => {}
+            }
+            short_arm(keys.iter().map(|&k| k as u32).collect(), |&k| u64::from(k));
+            short_arm(keys.iter().map(|&k| u64::from(high) << 32 | k).collect(), |&k| k);
+        }
     }
 }

@@ -169,26 +169,16 @@ proptest! {
         }
     }
 
-    /// Dense-domain dictionary encoding is invisible: evaluation with
-    /// direct-addressed join indexes, with the hashed fallback forced,
-    /// and naive evaluation all agree — cold and warm, Boolean and
-    /// unary heads, sequential and parallel thread budgets.
+    /// Dense-domain dictionary encoding is invisible: engine evaluation
+    /// over the dictionary's codes and naive evaluation over the raw
+    /// elements agree — cold and warm, Boolean and unary heads,
+    /// sequential and parallel thread budgets.
     #[test]
     fn dense_encoding_agrees_with_hashed_and_naive(
         s in digraph_structure(5),
         db in digraph_structure(8),
     ) {
-        use cqapx_cq::eval::set_direct_index_enabled;
         use cqapx_engine::{Engine, EngineConfig, Request};
-
-        // Restore the default (direct indexes on) however the test exits.
-        struct KnobReset;
-        impl Drop for KnobReset {
-            fn drop(&mut self) {
-                set_direct_index_enabled(true);
-            }
-        }
-        let _reset = KnobReset;
 
         let queries = [
             query_from_tableau(&Pointed::boolean(s.clone())),
@@ -196,22 +186,17 @@ proptest! {
         ];
         let exact: Vec<_> = queries.iter().map(|q| eval_naive(q, &db)).collect();
         for threads in [1usize, 2] {
-            for direct in [false, true] {
-                set_direct_index_enabled(direct);
-                let engine = Engine::new(EngineConfig {
-                    threads,
-                    ..EngineConfig::default()
-                });
-                let d = engine.register_database("db", db.clone());
-                for (i, q) in queries.iter().enumerate() {
-                    let qid = engine.prepare_query(format!("q{i}"), q.clone());
-                    let cold = engine.execute(&Request::new(qid, d));
-                    let warm = engine.execute(&Request::new(qid, d));
-                    prop_assert_eq!(&cold.answers, &exact[i],
-                        "cold, direct={} threads={}", direct, threads);
-                    prop_assert_eq!(&warm.answers, &exact[i],
-                        "warm, direct={} threads={}", direct, threads);
-                }
+            let engine = Engine::new(EngineConfig {
+                threads,
+                ..EngineConfig::default()
+            });
+            let d = engine.register_database("db", db.clone());
+            for (i, q) in queries.iter().enumerate() {
+                let qid = engine.prepare_query(format!("q{i}"), q.clone());
+                let cold = engine.execute(&Request::new(qid, d));
+                let warm = engine.execute(&Request::new(qid, d));
+                prop_assert_eq!(&cold.answers, &exact[i], "cold, threads={}", threads);
+                prop_assert_eq!(&warm.answers, &exact[i], "warm, threads={}", threads);
             }
         }
     }
