@@ -1728,12 +1728,12 @@ pub fn exp_eval() -> String {
     );
 
     // W9 — bitmap existence kernels: Boolean probe-bound workloads
-    // where every dispatch is an existence test over dense codes. Only
-    // the `CQAPX_BITMAP` knob flips; each workload shares a warm
-    // materialization cache across both sides so the timed region is
-    // the sweep/probe phase the bitmaps target, not relation building.
-    // Samples interleave the two modes one by one, so clock drift and
-    // cache warmth hit both sides equally.
+    // where every dispatch is an existence test over dense codes. Each
+    // workload compiles two plans that differ only in `EvalConfig`'s
+    // `bitmaps`; they share a warm materialization cache so the timed
+    // region is the sweep/probe phase the bitmaps target, not relation
+    // building. Samples interleave the two plans one by one, so clock
+    // drift and cache warmth hit both sides equally.
     struct BitmapRow {
         name: &'static str,
         what: &'static str,
@@ -1743,49 +1743,45 @@ pub fn exp_eval() -> String {
     }
     let mut bitmap_rows: Vec<BitmapRow> = Vec::new();
     {
-        use cqapx_cq::eval::{set_bitmap_mode, BitmapMode, DecomposedPlan, MaterializationCache};
+        use cqapx_cq::eval::{DecomposedPlan, EvalConfig, MaterializationCache};
+        // The probe side: the default plan with bitmaps unread.
+        let probe = EvalConfig {
+            bitmaps: false,
+            ..EvalConfig::default()
+        };
 
-        let mut bench =
-            |name: &'static str, what: &'static str, tuples: usize, run: &dyn Fn() -> Answers| {
-                // The answer check doubles as the cache warm-up, so the
-                // first timed sample of either mode starts warm.
-                set_bitmap_mode(BitmapMode::Off);
-                let probe_answers = run();
-                set_bitmap_mode(BitmapMode::On);
-                let bitmap_answers = run();
-                assert_eq!(
-                    probe_answers, bitmap_answers,
-                    "bitmap kernels disagree on {name}"
-                );
-                let time_one = |bitmap: bool| -> f64 {
-                    set_bitmap_mode(if bitmap {
-                        BitmapMode::On
-                    } else {
-                        BitmapMode::Off
-                    });
-                    let t0 = std::time::Instant::now();
-                    std::hint::black_box(run());
-                    t0.elapsed().as_secs_f64() * 1e3
-                };
-                let mut probe_times = Vec::with_capacity(samples);
-                let mut bitmap_times = Vec::with_capacity(samples);
-                for _ in 0..samples {
-                    probe_times.push(time_one(false));
-                    bitmap_times.push(time_one(true));
-                }
-                set_bitmap_mode(BitmapMode::Auto);
-                let median = |mut t: Vec<f64>| -> f64 {
-                    t.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-                    t[t.len() / 2]
-                };
-                bitmap_rows.push(BitmapRow {
-                    name,
-                    what,
-                    tuples,
-                    probe_ms: median(probe_times),
-                    bitmap_ms: median(bitmap_times),
-                });
+        // `run(bitmap)` evaluates the plan compiled with (`true`) or
+        // without bitmaps.
+        let mut bench = |name: &'static str,
+                         what: &'static str,
+                         tuples: usize,
+                         run: &dyn Fn(bool) -> Answers| {
+            // The answer check doubles as the cache warm-up, so the
+            // first timed sample of either plan starts warm.
+            assert_eq!(run(false), run(true), "bitmap kernels disagree on {name}");
+            let time_one = |bitmap: bool| -> f64 {
+                let t0 = std::time::Instant::now();
+                std::hint::black_box(run(bitmap));
+                t0.elapsed().as_secs_f64() * 1e3
             };
+            let mut probe_times = Vec::with_capacity(samples);
+            let mut bitmap_times = Vec::with_capacity(samples);
+            for _ in 0..samples {
+                probe_times.push(time_one(false));
+                bitmap_times.push(time_one(true));
+            }
+            let median = |mut t: Vec<f64>| -> f64 {
+                t.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+                t[t.len() / 2]
+            };
+            bitmap_rows.push(BitmapRow {
+                name,
+                what,
+                tuples,
+                probe_ms: median(probe_times),
+                bitmap_ms: median(bitmap_times),
+            });
+        };
         {
             // Boolean 8-var path: `reduction_decides`, so with bitmaps
             // the sweep runs on live-row masks — and because the cycle
@@ -1809,12 +1805,16 @@ pub fn exp_eval() -> String {
             }
             let db = cqapx_structures::Structure::digraph(n as usize, &edges);
             let plan = AcyclicPlan::compile(&q).expect("acyclic");
+            let plans = [plan.clone().with_eval_config(probe), plan];
             let cache = MaterializationCache::new();
             bench(
                 "semijoin_sweep_bool",
                 "Boolean 8-var path, sweep collapsed to mask intersections",
                 db.total_tuples(),
-                &|| Answers::boolean(plan.eval_boolean_cached(&db, Some(&cache)).0),
+                &|bitmap| {
+                    let plan = &plans[usize::from(bitmap)];
+                    Answers::boolean(plan.eval_boolean_cached(&db, Some(&cache)).0)
+                },
             );
         }
         {
@@ -1824,12 +1824,16 @@ pub fn exp_eval() -> String {
             let q = parse_cq("Q() :- E(h,a), E(h,b), E(h,c), E(h,d), E(d,t), E(t,u)").unwrap();
             let db = workloads::random_db(2000, 30.0, 53);
             let plan = AcyclicPlan::compile(&q).expect("acyclic");
+            let plans = [plan.clone().with_eval_config(probe), plan];
             let cache = MaterializationCache::new();
             bench(
                 "star_membership_bool",
                 "Boolean dense star, repeated hub-column membership",
                 db.total_tuples(),
-                &|| Answers::boolean(plan.eval_boolean_cached(&db, Some(&cache)).0),
+                &|bitmap| {
+                    let plan = &plans[usize::from(bitmap)];
+                    Answers::boolean(plan.eval_boolean_cached(&db, Some(&cache)).0)
+                },
             );
         }
         {
@@ -1838,18 +1842,19 @@ pub fn exp_eval() -> String {
             let q = parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
             let db = workloads::random_db(10000, 2.5, 29);
             let plan = DecomposedPlan::compile(&q, 2).expect("C6 has treewidth 2");
+            let plans = [plan.clone().with_eval_config(probe), plan];
             let cache = MaterializationCache::new();
             bench(
                 "cyclic_c6_bool",
                 "Boolean C6 decomposed tier, selection-vector semijoins",
                 db.total_tuples(),
-                &|| plan.eval_cached(&db, Some(&cache)).0,
+                &|bitmap| plans[usize::from(bitmap)].eval_cached(&db, Some(&cache)).0,
             );
         }
     }
     let _ = writeln!(
         out,
-        "\n{:<22} {:>8} {:>12} {:>10} {:>9}  existence kernel (CQAPX_BITMAP)",
+        "\n{:<22} {:>8} {:>12} {:>10} {:>9}  existence kernel (EvalConfig::bitmaps)",
         "id", "tuples", "probe", "bitmap", "speedup"
     );
     for r in &bitmap_rows {
@@ -1867,11 +1872,12 @@ pub fn exp_eval() -> String {
 
     // W10 — packed code-word sorts: join-materialization-bound
     // workloads where the canonicalizing sorts run over dense codes
-    // packed into single words (`CQAPX_PACKED`). The comparison is Auto
-    // vs Off — Auto is what production runs, so the speedup reported is
-    // the one users get. No shared cache: the timed region is exactly
-    // the materialize/dedup/join phase the packed sorts target. Samples
-    // interleave the two modes like W9 to cancel clock drift.
+    // packed into single words. Each workload compiles two plans whose
+    // `EvalConfig` differs only in `packed`: Auto vs Off — Auto is what
+    // production runs, so the speedup reported is the one users get. No
+    // shared cache: the timed region is exactly the materialize/dedup/
+    // join phase the packed sorts target. Samples interleave the two
+    // plans like W9 to cancel clock drift.
     struct PackedRow {
         name: &'static str,
         what: &'static str,
@@ -1881,47 +1887,43 @@ pub fn exp_eval() -> String {
     }
     let mut packed_rows: Vec<PackedRow> = Vec::new();
     {
-        use cqapx_cq::eval::{set_packed_mode, DecomposedPlan, PackedMode};
+        use cqapx_cq::eval::{DecomposedPlan, EvalConfig, PackedMode};
+        // The unpacked side: the default plan with comparison sorts only.
+        let unpacked = EvalConfig {
+            packed: PackedMode::Off,
+            ..EvalConfig::default()
+        };
 
-        let mut bench =
-            |name: &'static str, what: &'static str, tuples: usize, run: &dyn Fn() -> Answers| {
-                set_packed_mode(PackedMode::Off);
-                let unpacked_answers = run();
-                set_packed_mode(PackedMode::Auto);
-                let packed_answers = run();
-                assert_eq!(
-                    unpacked_answers, packed_answers,
-                    "packed kernels disagree on {name}"
-                );
-                let time_one = |packed: bool| -> f64 {
-                    set_packed_mode(if packed {
-                        PackedMode::Auto
-                    } else {
-                        PackedMode::Off
-                    });
-                    let t0 = std::time::Instant::now();
-                    std::hint::black_box(run());
-                    t0.elapsed().as_secs_f64() * 1e3
-                };
-                let mut unpacked_times = Vec::with_capacity(samples);
-                let mut packed_times = Vec::with_capacity(samples);
-                for _ in 0..samples {
-                    unpacked_times.push(time_one(false));
-                    packed_times.push(time_one(true));
-                }
-                set_packed_mode(PackedMode::Auto);
-                let median = |mut t: Vec<f64>| -> f64 {
-                    t.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-                    t[t.len() / 2]
-                };
-                packed_rows.push(PackedRow {
-                    name,
-                    what,
-                    tuples,
-                    unpacked_ms: median(unpacked_times),
-                    packed_ms: median(packed_times),
-                });
+        // `run(packed)` evaluates the plan compiled with (`true`) or
+        // without packed sorts.
+        let mut bench = |name: &'static str,
+                         what: &'static str,
+                         tuples: usize,
+                         run: &dyn Fn(bool) -> Answers| {
+            assert_eq!(run(false), run(true), "packed kernels disagree on {name}");
+            let time_one = |packed: bool| -> f64 {
+                let t0 = std::time::Instant::now();
+                std::hint::black_box(run(packed));
+                t0.elapsed().as_secs_f64() * 1e3
             };
+            let mut unpacked_times = Vec::with_capacity(samples);
+            let mut packed_times = Vec::with_capacity(samples);
+            for _ in 0..samples {
+                unpacked_times.push(time_one(false));
+                packed_times.push(time_one(true));
+            }
+            let median = |mut t: Vec<f64>| -> f64 {
+                t.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+                t[t.len() / 2]
+            };
+            packed_rows.push(PackedRow {
+                name,
+                what,
+                tuples,
+                unpacked_ms: median(unpacked_times),
+                packed_ms: median(packed_times),
+            });
+        };
         {
             // 3-hop join with free endpoints: every intermediate is an
             // arity-2 relation canonicalized by sort — the radix
@@ -1929,11 +1931,12 @@ pub fn exp_eval() -> String {
             let q = parse_cq("Q(x1, x4) :- E(x1,x2), E(x2,x3), E(x3,x4)").unwrap();
             let db = workloads::random_db(700, 4.0, 13);
             let plan = AcyclicPlan::compile(&q).expect("acyclic");
+            let plans = [plan.clone().with_eval_config(unpacked), plan];
             bench(
                 "join_heavy_free",
                 "3-hop join, arity-2 intermediates radix-canonicalized",
                 db.total_tuples(),
-                &|| plan.eval(&db),
+                &|packed| plans[usize::from(packed)].eval(&db),
             );
         }
         {
@@ -1944,25 +1947,27 @@ pub fn exp_eval() -> String {
             let q = parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
             let db = workloads::random_db(10000, 2.5, 29);
             let plan = DecomposedPlan::compile(&q, 2).expect("C6 has treewidth 2");
+            let plans = [plan.clone().with_eval_config(unpacked), plan];
             bench(
                 "cyclic_c6_bool",
                 "Boolean C6, arity-2 bag parts radix-canonicalized",
                 db.total_tuples(),
-                &|| plan.eval(&db),
+                &|packed| plans[usize::from(packed)].eval(&db),
             );
         }
         {
             // Two length-2 path bags joined on BOTH endpoints {x, y}:
             // a genuine two-column cross-bag interface, joined by the
-            // trie kernel; the knob reaches only the sorts around it.
+            // trie kernel; the packed config reaches only the sorts around it.
             let q = parse_cq("Q(x, y) :- E(x, z), E(z, y), E(x, w), E(w, y)").unwrap();
             let db = workloads::random_db(900, 4.0, 17);
             let plan = DecomposedPlan::compile(&q, 2).expect("4-cycle has treewidth 2");
+            let plans = [plan.clone().with_eval_config(unpacked), plan];
             bench(
                 "wide_key_pairs",
                 "two-column {x,y} interface, kernel join",
                 db.total_tuples(),
-                &|| plan.eval(&db),
+                &|packed| plans[usize::from(packed)].eval(&db),
             );
         }
         {
@@ -1977,33 +1982,36 @@ pub fn exp_eval() -> String {
             let tuples = db.total_tuples();
             let q = parse_cq("Q(x, y) :- E(x, y), E(y, x)").unwrap();
             let plan = AcyclicPlan::compile(&q).expect("acyclic");
+            let plans = [plan.clone().with_eval_config(unpacked), plan];
             bench(
                 "mutual_pairs",
                 "wide two-column key, one reversed scan radix-canonicalized",
                 tuples,
-                &|| plan.eval(&db),
+                &|packed| plans[usize::from(packed)].eval(&db),
             );
             let q = parse_cq("Q(x, y) :- E(x, y), F(y, x)").unwrap();
             let plan = AcyclicPlan::compile(&q).expect("acyclic");
+            let plans = [plan.clone().with_eval_config(unpacked), plan];
             bench(
                 "rev_overlap_pairs",
                 "cross-relation reversed overlap, kernel intersection",
                 tuples,
-                &|| plan.eval(&db),
+                &|packed| plans[usize::from(packed)].eval(&db),
             );
             let q = parse_cq("Q(x, y) :- E(x, y), E(y, x), F(y, x)").unwrap();
             let plan = AcyclicPlan::compile(&q).expect("acyclic");
+            let plans = [plan.clone().with_eval_config(unpacked), plan];
             bench(
                 "rev_intersect3",
                 "three-part kernel intersection of radix-sorted scans",
                 tuples,
-                &|| plan.eval(&db),
+                &|packed| plans[usize::from(packed)].eval(&db),
             );
         }
     }
     let _ = writeln!(
         out,
-        "\n{:<20} {:>8} {:>12} {:>10} {:>9}  packed code-word sorts (CQAPX_PACKED)",
+        "\n{:<20} {:>8} {:>12} {:>10} {:>9}  packed code-word sorts (EvalConfig::packed)",
         "id", "tuples", "unpacked", "packed", "speedup"
     );
     for r in &packed_rows {

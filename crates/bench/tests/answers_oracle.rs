@@ -1,9 +1,8 @@
 //! The answer boundary against the naive oracle: whatever tier
 //! produced them, [`Answers`] must be `Q(D)` exactly — equal to
 //! `eval_naive`'s tree **as a set and in iteration order**, with
-//! `contains` agreeing row by row — and byte-identical whether the
-//! canonicalizing sort took the packed radix arm (`CQAPX_PACKED=on`)
-//! or the comparison arm (`off`).
+//! `contains` agreeing row by row — under every [`EvalConfig`] a plan
+//! can be compiled with, whichever arm its canonicalizing sorts take.
 //!
 //! One generator drives everything: acyclic and cyclic query shapes
 //! whose heads draw up to three variables *with repetition* (arity 0
@@ -13,23 +12,21 @@
 //! packing boundary (`arity · b` at 63/64/65 bits, widths `2¹⁶` and
 //! `2³² − 1`) is unreachable from in-memory structures, so it is
 //! driven through `AnswersBuilder`, which takes the width bound
-//! directly.
+//! directly and sorts by `PackedMode::Auto`: radix from 512 rows,
+//! comparison below, so the row counts drawn reach both arms.
 //!
 //! Head order gets its own deterministic sweep
 //! (`every_head_order_is_the_oracles`): a plan's root operator emits
 //! the answer columns in head order and the boundary only checks the
 //! row order, so every permutation of the head of a few fixed bodies
 //! is compared with the naive plan, byte for byte.
-//!
-//! The packed knob is process-global, so every case serializes on a
-//! file-local lock and restores `Auto` before releasing it.
 
 use cqapx_bench::experiments::zipf_db;
 use cqapx_bench::workloads;
 use cqapx_core::{all_approximations, Acyclic, ApproxOptions};
 use cqapx_cq::eval::{
-    eval_naive, set_packed_mode, AcyclicPlan, Answers, AnswersBuilder, DecomposedPlan,
-    MaterializationCache, NaivePlan, PackedMode,
+    eval_naive, AcyclicPlan, Answers, AnswersBuilder, DecomposedPlan, EvalConfig,
+    MaterializationCache, NaivePlan,
 };
 use cqapx_cq::{parse_cq, treewidth_of_query, ConjunctiveQuery};
 use cqapx_engine::{ApproxClassChoice, Engine, EngineConfig, EvalMode, PlanKind, Request};
@@ -37,25 +34,8 @@ use cqapx_par::ThreadBudget;
 use cqapx_structures::{Element, Structure};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::sync::{Mutex, MutexGuard};
 
 type Rows = BTreeSet<Vec<Element>>;
-
-fn knob_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `f` with the packed kernels forced on, then forced off.
-fn both_modes<T>(mut f: impl FnMut() -> T) -> (T, T) {
-    let _g = knob_lock();
-    set_packed_mode(PackedMode::On);
-    let on = f();
-    set_packed_mode(PackedMode::Off);
-    let off = f();
-    set_packed_mode(PackedMode::Auto);
-    (on, off)
-}
 
 /// Paths, stars and trees with reversed twins (acyclic), then cycles,
 /// `K4` and the double triangle (cyclic); orientations flipped by
@@ -173,34 +153,32 @@ fn assert_is(got: &Answers, expected: &Rows, arity: usize, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every tier that can run the query — Yannakakis when acyclic,
-    /// the decomposed tier at the exact treewidth, the engine's own
-    /// choice — returns the oracle's set, in the oracle's order, under
-    /// both arms of the canonicalizing sort.
+    /// Every tier that can run the query — Yannakakis when acyclic and
+    /// the decomposed tier at the exact treewidth, each compiled under
+    /// every config, and the engine's own choice — returns the oracle's
+    /// set, in the oracle's order.
     #[test]
     fn tiers_return_the_oracles_rows_in_order(q in query(), d in database()) {
         let expected = eval_naive(&q, &d);
         let arity = q.arity();
-        let (on, off) = both_modes(|| {
-            let mut got: Vec<(&str, Answers)> = Vec::new();
-            if let Ok(plan) = AcyclicPlan::compile(&q) {
-                got.push(("yannakakis", plan.eval(&d)));
+        let mut got: Vec<(String, Answers)> = Vec::new();
+        let acyclic = AcyclicPlan::compile(&q).ok();
+        let decomposed = DecomposedPlan::compile(&q, treewidth_of_query(&q))
+            .expect("compiles at the exact treewidth");
+        for config in EvalConfig::lattice() {
+            if let Some(plan) = &acyclic {
+                let answers = plan.clone().with_eval_config(config).eval(&d);
+                got.push((format!("yannakakis, {config:?}"), answers));
             }
-            let plan = DecomposedPlan::compile(&q, treewidth_of_query(&q))
-                .expect("compiles at the exact treewidth");
-            got.push(("decomposed", plan.eval(&d)));
-            let engine = Engine::new(EngineConfig { threads: 1, ..EngineConfig::default() });
-            let db = engine.register_database("d", d.clone());
-            let id = engine.prepare_query("q", q.clone());
-            got.push(("engine", engine.execute(&Request::new(id, db)).answers));
-            got
-        });
-        for (tier, answers) in &on {
-            assert_is(answers, &expected, arity, &format!("{tier}, packed on, {q}"));
+            let answers = decomposed.clone().with_eval_config(config).eval(&d);
+            got.push((format!("decomposed, {config:?}"), answers));
         }
-        for ((tier, a), (_, b)) in on.iter().zip(&off) {
-            assert_is(b, &expected, arity, &format!("{tier}, packed off, {q}"));
-            prop_assert_eq!(a, b, "{} differs across the packed knob on {}", tier, q);
+        let engine = Engine::new(EngineConfig { threads: 1, ..EngineConfig::default() });
+        let db = engine.register_database("d", d.clone());
+        let id = engine.prepare_query("q", q.clone());
+        got.push(("engine".into(), engine.execute(&Request::new(id, db)).answers));
+        for (tier, answers) in &got {
+            assert_is(answers, &expected, arity, &format!("{tier}, {q}"));
         }
     }
 
@@ -208,7 +186,8 @@ proptest! {
     /// rows of `arity` elements below `width` pack into `arity · b`
     /// bits. Either side of 32 bits (`u32` ↔ `u64` words) and of 64
     /// (`u64` words ↔ comparison sort), streamed and unioned, both arms
-    /// must leave the oracle's bytes.
+    /// — the radix one from 512 rows to sort — must leave the oracle's
+    /// bytes.
     #[test]
     fn packing_boundary_is_byte_identical(
         case in 0..12usize,
@@ -239,25 +218,18 @@ proptest! {
             .collect();
         let expected: Rows = rows.iter().cloned().collect();
         let split = split.min(rows.len());
-        let (on, off) = both_modes(|| {
-            let mut streamed = AnswersBuilder::new(arity, width);
-            rows.iter().for_each(|r| streamed.push_row(r));
-            let streamed = streamed.finish();
-            // The same rows as a union of two canonical sets.
-            let mut union = AnswersBuilder::new(arity, width);
-            for half in [&rows[..split], &rows[split..]] {
-                let mut part = AnswersBuilder::new(arity, width);
-                half.iter().for_each(|r| part.push_row(r));
-                union.append(part.finish());
-            }
-            (streamed, union.finish())
-        });
-        for (streamed, unioned) in [&on, &off] {
-            let what = format!("arity {arity} width {width}");
-            assert_is(streamed, &expected, arity, &what);
-            assert_is(unioned, &expected, arity, &what);
+        let mut streamed = AnswersBuilder::new(arity, width);
+        rows.iter().for_each(|r| streamed.push_row(r));
+        // The same rows as a union of two canonical sets.
+        let mut union = AnswersBuilder::new(arity, width);
+        for half in [&rows[..split], &rows[split..]] {
+            let mut part = AnswersBuilder::new(arity, width);
+            half.iter().for_each(|r| part.push_row(r));
+            union.append(part.finish());
         }
-        prop_assert_eq!(on, off);
+        let what = format!("arity {arity} width {width}");
+        assert_is(&streamed.finish(), &expected, arity, &what);
+        assert_is(&union.finish(), &expected, arity, &what);
     }
 }
 
@@ -278,29 +250,24 @@ fn sandwich_union_of_overlapping_evaluators_is_duplicate_free() {
         parts.iter().map(BTreeSet::len).sum::<usize>() > expected.len(),
         "the evaluators' answer sets overlap"
     );
-    let (on, off) = both_modes(|| {
-        let engine = Engine::new(EngineConfig {
-            threads: 1,
-            naive_cost_budget: 0.0, // force the sandwich
-            approx_class: ApproxClassChoice::Acyclic,
-            ..EngineConfig::default()
-        });
-        let db = engine.register_database("d", d.clone());
-        let query = engine.prepare_query("q66", q.clone());
-        let r = engine.execute(&Request {
-            query,
-            db,
-            mode: EvalMode::CertainOnly,
-            timeout: None,
-        });
-        assert_eq!(r.plan, PlanKind::Sandwich);
-        r.answers
+    let engine = Engine::new(EngineConfig {
+        threads: 1,
+        naive_cost_budget: 0.0, // force the sandwich
+        approx_class: ApproxClassChoice::Acyclic,
+        ..EngineConfig::default()
     });
-    assert_is(&on, &expected, 2, "certain answers, packed on");
-    assert_is(&off, &expected, 2, "certain answers, packed off");
-    assert_eq!(on, off);
+    let db = engine.register_database("d", d.clone());
+    let query = engine.prepare_query("q66", q.clone());
+    let r = engine.execute(&Request {
+        query,
+        db,
+        mode: EvalMode::CertainOnly,
+        timeout: None,
+    });
+    assert_eq!(r.plan, PlanKind::Sandwich);
+    assert_is(&r.answers, &expected, 2, "certain answers");
     let exact = eval_naive(&q, &d);
-    assert!(on.iter().all(|row| exact.contains(row.as_slice())));
+    assert!(r.answers.iter().all(|row| exact.contains(row.as_slice())));
 }
 
 /// Every ordering of `vars`.
@@ -324,8 +291,8 @@ fn permutations(vars: &[&'static str]) -> Vec<Vec<&'static str>> {
 /// already canonical, and the boundary only checks: so whatever the
 /// head order — every permutation, a repeated variable, a cartesian
 /// product of two components — each tier must return the naive plan's
-/// bytes, cold and warm, sequentially and with a second worker, under
-/// both arms of the packed knob. The larger database puts `two_hop` and
+/// bytes, cold and warm, sequentially and with a second worker — the
+/// plans under every config. The larger database puts `two_hop` and
 /// `wedge3` above the row counts the parallel kernels start at.
 #[test]
 fn every_head_order_is_the_oracles() {
@@ -369,48 +336,51 @@ fn every_head_order_is_the_oracles() {
     for (text, d) in cases {
         let q = parse_cq(&text).unwrap();
         let expected = NaivePlan::compile(q.clone()).eval_answers(d);
-        let (on, off) = both_modes(|| {
-            let mut got: Vec<(String, Answers)> = Vec::new();
-            for threads in [1, 2] {
-                let budget = ThreadBudget::new(threads);
-                let acyclic = AcyclicPlan::compile(&q).expect("acyclic body");
-                let decomposed = DecomposedPlan::compile(&q, 1).expect("treewidth 1");
-                let engine = Engine::new(EngineConfig {
-                    threads,
-                    ..EngineConfig::default()
-                });
-                let db = engine.register_database("d", d.clone());
-                let id = engine.prepare_query("q", q.clone());
+        let mut got: Vec<(String, Answers)> = Vec::new();
+        for threads in [1, 2] {
+            let budget = ThreadBudget::new(threads);
+            let acyclic = AcyclicPlan::compile(&q).expect("acyclic body");
+            let decomposed = DecomposedPlan::compile(&q, 1).expect("treewidth 1");
+            let engine = Engine::new(EngineConfig {
+                threads,
+                ..EngineConfig::default()
+            });
+            let db = engine.register_database("d", d.clone());
+            let id = engine.prepare_query("q", q.clone());
+            for run in ["cold", "warm"] {
+                let answers = engine.execute(&Request::new(id, db)).answers;
+                got.push((format!("engine, {run}, {threads} thread(s)"), answers));
+            }
+            for config in EvalConfig::lattice() {
+                let acyclic = acyclic.clone().with_eval_config(config);
+                let decomposed = decomposed.clone().with_eval_config(config);
                 let (c1, c2) = (MaterializationCache::new(), MaterializationCache::new());
                 for run in ["cold", "warm"] {
                     let tiers = [
                         (
                             "yannakakis",
-                            acyclic.eval_cached_budget(d, Some(&c1), &budget).0,
+                            acyclic.eval_cached_budget(d, Some(&c1), &budget),
                         ),
                         (
                             "decomposed",
-                            decomposed.eval_cached_budget(d, Some(&c2), &budget).0,
+                            decomposed.eval_cached_budget(d, Some(&c2), &budget),
                         ),
-                        ("engine", engine.execute(&Request::new(id, db)).answers),
                     ];
-                    for (tier, answers) in tiers {
-                        got.push((format!("{tier}, {run}, {threads} thread(s)"), answers));
+                    for (tier, (answers, _)) in tiers {
+                        let what = format!("{tier}, {run}, {threads} thread(s), {config:?}");
+                        got.push((what, answers));
                     }
                 }
             }
-            got
-        });
-        for (mode, got) in [("on", on), ("off", off)] {
-            for (what, answers) in got {
-                assert_eq!(answers.arity(), q.arity(), "{text}: {what}, packed {mode}");
-                assert!(
-                    answers == expected,
-                    "{text}: {what}, packed {mode}: {} rows, oracle {}",
-                    answers.len(),
-                    expected.len()
-                );
-            }
+        }
+        for (what, answers) in got {
+            assert_eq!(answers.arity(), q.arity(), "{text}: {what}");
+            assert!(
+                answers == expected,
+                "{text}: {what}: {} rows, oracle {}",
+                answers.len(),
+                expected.len()
+            );
         }
     }
 }

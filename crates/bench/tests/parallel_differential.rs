@@ -197,7 +197,7 @@ where
 /// the naive evaluator's.
 #[test]
 fn cached_rows_are_never_written_through_a_sharing_slot() {
-    use cqapx_cq::eval::{MatCacheStats, PlanIr};
+    use cqapx_cq::eval::{EvalConfig, MatCacheStats, PlanIr};
     let edges: Vec<(u32, u32)> = (0..240u32)
         .flat_map(|u| [(u, (u * 7 + 3) % 240), (u, (u + 1) % 200), (u % 50, u)])
         .collect();
@@ -258,8 +258,8 @@ fn cached_rows_are_never_written_through_a_sharing_slot() {
                 // the same database, so the bytes must agree all the
                 // same).
                 for source in ir.materialize_sources() {
-                    let rel =
-                        source.materialize(&d, Some(cache), &mut MatCacheStats::default(), &budget);
+                    let (mut stats, config) = (MatCacheStats::default(), EvalConfig::default());
+                    let rel = source.materialize(&d, Some(cache), &mut stats, &budget, config);
                     let rows: Vec<Vec<u32>> = rel.iter_rows().map(<[u32]>::to_vec).collect();
                     let key = format!("{:?}", source.key);
                     match landed.iter().find(|(k, _)| *k == key) {

@@ -15,7 +15,8 @@
 
 use cqapx_bench::reference::assert_join;
 use cqapx_cq::eval::{
-    DecomposedPlan, FlatRelation, MatCacheStats, MatSource, MaterializationCache, NaivePlan,
+    DecomposedPlan, EvalConfig, FlatRelation, MatCacheStats, MatSource, MaterializationCache,
+    NaivePlan,
 };
 use cqapx_cq::{parse_cq, treewidth_of_query, Atom, ConjunctiveQuery};
 use cqapx_par::ThreadBudget;
@@ -131,7 +132,13 @@ fn part_relations(source: &MatSource, d: &Structure) -> Vec<FlatRelation> {
             key: part.key.clone(),
             parts: vec![part.clone()],
         };
-        alone.materialize(d, None, &mut MatCacheStats::default(), &budget)
+        alone.materialize(
+            d,
+            None,
+            &mut MatCacheStats::default(),
+            &budget,
+            EvalConfig::default(),
+        )
     };
     source.parts.iter().map(scan).collect()
 }
@@ -148,7 +155,7 @@ fn check_bags(plan: &DecomposedPlan, d: &Structure, q: &ConjunctiveQuery) -> (u6
             continue;
         }
         let mut stats = MatCacheStats::default();
-        let got = source.materialize(d, None, &mut stats, &budget);
+        let got = source.materialize(d, None, &mut stats, &budget, EvalConfig::default());
         let parts = part_relations(source, d);
         let refs: Vec<&FlatRelation> = parts.iter().collect();
         assert_join(&got, &refs, &source.schema, &format!("bag of {q}"));

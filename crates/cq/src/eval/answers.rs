@@ -15,7 +15,7 @@
 //! roots, the naive tier — and nothing here allocates per row.
 
 use crate::ast::VarId;
-use crate::eval::flat::FlatRelation;
+use crate::eval::flat::{EvalConfig, FlatRelation, MatCacheStats};
 use cqapx_par::ThreadBudget;
 use cqapx_structures::{DomainDict, Element};
 use std::collections::BTreeSet;
@@ -114,6 +114,7 @@ impl Answers {
     /// a gather over distinct head variables in head order keeps them
     /// so), then decode through `dict` in place — the encoding is
     /// monotone, so the decoded rows are still strictly increasing.
+    /// The sort takes `config`'s arm and is counted into `stats`.
     ///
     /// # Panics
     ///
@@ -123,6 +124,8 @@ impl Answers {
         head: &[VarId],
         dict: &DomainDict,
         budget: &ThreadBudget,
+        config: EvalConfig,
+        stats: &mut MatCacheStats,
     ) -> Answers {
         if head.is_empty() {
             return Answers::boolean(!rel.is_empty());
@@ -146,7 +149,7 @@ impl Answers {
             }
             FlatRelation::from_raw(positions.len(), rel.len(), data, rel.domain_width())
         };
-        rel.sort_dedup_budget(budget);
+        rel.sort_dedup_budget(budget, config, stats);
         let (rows, mut data) = rel.into_raw();
         if !dict.is_identity() {
             for e in &mut data {
@@ -366,7 +369,9 @@ impl AnswersBuilder {
         // is dominated by backtracking, and small certain-answer
         // unions — incidental buffer maintenance must not claim
         // workers from the engine's one thread pool.
-        self.flat.sort_dedup_budget(&ThreadBudget::sequential());
+        let (budget, config) = (ThreadBudget::sequential(), EvalConfig::default());
+        let mut stats = MatCacheStats::default();
+        self.flat.sort_dedup_budget(&budget, config, &mut stats);
         self.canonical = true;
     }
 

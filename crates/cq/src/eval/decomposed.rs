@@ -42,7 +42,7 @@
 use crate::ast::{Atom, ConjunctiveQuery, VarId};
 use crate::classes::query_graph;
 use crate::eval::answers::Answers;
-use crate::eval::flat::{MatCacheStats, MatKey, MaterializationCache};
+use crate::eval::flat::{EvalConfig, MatCacheStats, MatKey, MaterializationCache};
 use crate::eval::ir::{compile_tree, MatSource, NodeSpec, PlanIr};
 use cqapx_graphs::treewidth::{treewidth_at_most, TreeDecomposition};
 use cqapx_par::ThreadBudget;
@@ -236,6 +236,12 @@ impl DecomposedPlan {
         &self.ir
     }
 
+    /// The plan with every run taking the kernel arms of `config`.
+    pub fn with_eval_config(mut self, config: EvalConfig) -> DecomposedPlan {
+        self.ir = self.ir.with_eval_config(config);
+        self
+    }
+
     /// Per-bag cost-model inputs (label sizes, part relations and cache
     /// keys), in bag order.
     pub fn bag_summaries(&self) -> &[BagSummary] {
@@ -380,12 +386,14 @@ mod tests {
     }
 
     /// The cyclic tier must give identical answers and cache traffic
-    /// under both bitmap kernel settings — the bitmap path reaches it
+    /// with bitmaps read and unread — the bitmap path reaches it
     /// through the bag semijoin sweeps.
     #[test]
     fn bitmap_kernels_identical_on_cyclic_tier() {
-        use crate::eval::flat::{knob_guard, reset_bitmap_override, set_bitmap_mode, BitmapMode};
-        let _g = knob_guard();
+        let probe = EvalConfig {
+            bitmaps: false,
+            ..EvalConfig::default()
+        };
         let q6 = "Q() :- E(a,p), E(p,b), E(b,q), E(q,c), E(c,r), E(r,a)";
         let qtri = "Q(x) :- E(x,y), E(y,z), E(z,x)";
         let mut edges: Vec<(u32, u32)> = Vec::new();
@@ -398,15 +406,14 @@ mod tests {
         for qs in [q6, qtri] {
             let q = parse_cq(qs).unwrap();
             let plan = DecomposedPlan::compile(&q, 2).unwrap();
-            set_bitmap_mode(BitmapMode::On);
+            let off = plan.clone().with_eval_config(probe);
             let cache_on = MaterializationCache::new();
             let (rows_on, s_on) = plan.eval_cached(&d, Some(&cache_on));
             let on_bool = plan.eval_boolean(&d);
-            set_bitmap_mode(BitmapMode::Off);
             let cache_off = MaterializationCache::new();
-            let (rows_off, s_off) = plan.eval_cached(&d, Some(&cache_off));
-            let off_bool = plan.eval_boolean(&d);
-            reset_bitmap_override();
+            let (rows_off, s_off) = off.eval_cached(&d, Some(&cache_off));
+            let off_bool = off.eval_boolean(&d);
+            assert_eq!(s_off.bitmap_probes, 0, "bitmaps unread on {qs}");
             assert_eq!(rows_on, rows_off, "answers differ on {qs}");
             assert_eq!(on_bool, off_bool, "boolean differs on {qs}");
             assert_eq!(rows_on, eval_naive(&q, &d), "naive disagrees on {qs}");
@@ -424,8 +431,11 @@ mod tests {
     /// semijoins, bag joins, dedups) must not move a byte.
     #[test]
     fn packed_kernels_identical_on_cyclic_tier() {
-        use crate::eval::flat::{knob_guard, reset_packed_override, set_packed_mode, PackedMode};
-        let _g = knob_guard();
+        use crate::eval::flat::PackedMode;
+        let packed = |packed| EvalConfig {
+            packed,
+            ..EvalConfig::default()
+        };
         let q6 = "Q() :- E(a,p), E(p,b), E(b,q), E(q,c), E(c,r), E(r,a)";
         let qpair = "Q(x, y) :- E(x, z), E(z, y), E(x, w), E(w, y)";
         let mut edges: Vec<(u32, u32)> = Vec::new();
@@ -438,15 +448,15 @@ mod tests {
         for qs in [q6, qpair] {
             let q = parse_cq(qs).unwrap();
             let plan = DecomposedPlan::compile(&q, 2).unwrap();
-            set_packed_mode(PackedMode::On);
+            let on = plan.clone().with_eval_config(packed(PackedMode::On));
+            let off = plan.with_eval_config(packed(PackedMode::Off));
             let cache_on = MaterializationCache::new();
-            let (rows_on, s_on) = plan.eval_cached(&d, Some(&cache_on));
-            let on_bool = plan.eval_boolean(&d);
-            set_packed_mode(PackedMode::Off);
+            let (rows_on, s_on) = on.eval_cached(&d, Some(&cache_on));
+            let on_bool = on.eval_boolean(&d);
             let cache_off = MaterializationCache::new();
-            let (rows_off, s_off) = plan.eval_cached(&d, Some(&cache_off));
-            let off_bool = plan.eval_boolean(&d);
-            reset_packed_override();
+            let (rows_off, s_off) = off.eval_cached(&d, Some(&cache_off));
+            let off_bool = off.eval_boolean(&d);
+            assert_eq!(s_off.packed_sorts, 0, "comparison sorts only on {qs}");
             assert_eq!(rows_on, rows_off, "answers differ on {qs}");
             assert_eq!(on_bool, off_bool, "boolean differs on {qs}");
             assert_eq!(rows_on, eval_naive(&q, &d), "naive disagrees on {qs}");

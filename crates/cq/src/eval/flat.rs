@@ -42,7 +42,7 @@ use cqapx_structures::fxhash::FxHashMap;
 use cqapx_structures::packed::{radix_dedup, radix_dedup_u32};
 use cqapx_structures::{DomainBitmap, DomainDict, Element, RelId, Structure};
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// Minimum rows before a kernel even consults the thread budget:
@@ -69,65 +69,13 @@ fn par_want(rows: usize) -> usize {
 /// (histograms, scratch buffer) dominate.
 const PACKED_MIN_ROWS: usize = 512;
 
-/// Policy for the word-parallel bitmap existence kernels over dense
-/// codes (the `CQAPX_BITMAP` knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BitmapMode {
-    /// Bitmaps wherever the existence predicate is a clear win; the
-    /// density-adaptive choice (bitmap AND vs galloping search) in the
-    /// WCOJ kernel's top-level intersection.
-    Auto,
-    /// Bitmaps wherever eligible, ignoring the density threshold.
-    On,
-    /// No bitmaps: every existence test goes through the multiway
-    /// kernel.
-    Off,
-}
-
-/// Runtime switch for the bitmap existence kernels: `0` = consult
-/// `CQAPX_BITMAP` (default auto), otherwise a forced [`BitmapMode`].
-/// Process-global so benchmarks and differential tests can compare the
-/// bitmap and kernel arms within one process.
-static BITMAP_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Forces the bitmap existence kernels to a mode for the whole
-/// process, overriding the `CQAPX_BITMAP` environment default. All
-/// modes produce byte-identical outputs — bitmaps only answer
-/// existence, never ordering — so this knob exists for benchmarking
-/// and differential testing.
-pub fn set_bitmap_mode(mode: BitmapMode) {
-    let v = match mode {
-        BitmapMode::Auto => 1,
-        BitmapMode::On => 2,
-        BitmapMode::Off => 3,
-    };
-    BITMAP_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-pub(crate) fn bitmap_mode() -> BitmapMode {
-    match BITMAP_OVERRIDE.load(Ordering::Relaxed) {
-        1 => BitmapMode::Auto,
-        2 => BitmapMode::On,
-        3 => BitmapMode::Off,
-        _ => {
-            static FROM_ENV: OnceLock<BitmapMode> = OnceLock::new();
-            *FROM_ENV.get_or_init(|| match std::env::var("CQAPX_BITMAP").as_deref() {
-                Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") => BitmapMode::Off,
-                Ok(v) if v == "1" || v.eq_ignore_ascii_case("on") => BitmapMode::On,
-                _ => BitmapMode::Auto,
-            })
-        }
-    }
-}
-
-/// Policy for the packed code-word sorts over dense codes (the
-/// `CQAPX_PACKED` knob): the radix arm of `sort_dedup`, over rows
-/// packed into single words — which is also the form the join kernel
-/// writes rows it has to sort in.
+/// When a sort runs on rows packed into single code words: the radix
+/// arm of `sort_dedup`, which is also the form the join kernel writes
+/// rows it has to sort in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PackedMode {
-    /// Radix sorts wherever the per-relation heuristic (arity, dense
-    /// width, row count) predicts a win.
+    /// Radix sorts wherever packing is legal and the relation has at
+    /// least 512 rows.
     Auto,
     /// Radix sorts wherever packing is legal, ignoring the row
     /// threshold.
@@ -136,136 +84,73 @@ pub enum PackedMode {
     Off,
 }
 
-/// Runtime switch for the packed code-word sorts: `0` = consult
-/// `CQAPX_PACKED` (default auto), otherwise a forced [`PackedMode`].
-/// Process-global so benchmarks and differential tests can compare the
-/// radix and comparison sorts within one process, mirroring
-/// [`set_bitmap_mode`].
-static PACKED_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Forces the packed code-word sorts to a mode for the whole process,
-/// overriding the `CQAPX_PACKED` environment default. All modes
-/// produce byte-identical outputs — packing is monotone, so the radix
-/// order is the canonical row order — so this knob exists for
-/// benchmarking and differential testing.
-pub fn set_packed_mode(mode: PackedMode) {
-    let v = match mode {
-        PackedMode::Auto => 1,
-        PackedMode::On => 2,
-        PackedMode::Off => 3,
-    };
-    PACKED_OVERRIDE.store(v, Ordering::Relaxed);
+/// The kernel arms a run may take, carried by the compiled plan (see
+/// `PlanIr::with_eval_config`) to every kernel call that dispatches on
+/// it. Every setting yields byte-identical answers and cache accounting
+/// — bitmaps only answer existence, and packing is monotone — so the
+/// value exists for tests that compare the arms in one process.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EvalConfig {
+    /// Whether one-column semijoins and the Boolean sweep read column
+    /// bitmaps. Eligible relations build them either way.
+    pub bitmaps: bool,
+    /// When sorts run on packed code words.
+    pub packed: PackedMode,
 }
 
-pub(crate) fn packed_mode() -> PackedMode {
-    match PACKED_OVERRIDE.load(Ordering::Relaxed) {
-        1 => PackedMode::Auto,
-        2 => PackedMode::On,
-        3 => PackedMode::Off,
-        _ => {
-            static FROM_ENV: OnceLock<PackedMode> = OnceLock::new();
-            *FROM_ENV.get_or_init(|| match std::env::var("CQAPX_PACKED").as_deref() {
-                Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") => PackedMode::Off,
-                Ok(v) if v == "1" || v.eq_ignore_ascii_case("on") => PackedMode::On,
-                _ => PackedMode::Auto,
-            })
+impl Default for EvalConfig {
+    /// Bitmaps on, packed sorts by row count: what the engine runs.
+    fn default() -> Self {
+        EvalConfig {
+            bitmaps: true,
+            packed: PackedMode::Auto,
         }
     }
 }
 
-/// Test-only: serializes tests (across this crate's modules) that read
-/// or flip the process-global kernel knobs, so a forced window in one
-/// test cannot leak into another's assertions.
-#[cfg(test)]
-pub(crate) fn knob_guard() -> std::sync::MutexGuard<'static, ()> {
-    static KNOB: Mutex<()> = Mutex::new(());
-    KNOB.lock().unwrap_or_else(|e| e.into_inner())
+impl EvalConfig {
+    /// Every setting, the default first.
+    pub fn lattice() -> impl Iterator<Item = EvalConfig> {
+        [true, false].into_iter().flat_map(|bitmaps| {
+            [PackedMode::Auto, PackedMode::On, PackedMode::Off]
+                .map(|packed| EvalConfig { bitmaps, packed })
+        })
+    }
 }
 
-/// Test-only: returns the bitmap knob to its env-driven default.
-#[cfg(test)]
-pub(crate) fn reset_bitmap_override() {
-    BITMAP_OVERRIDE.store(0, Ordering::Relaxed);
-}
-
-/// Test-only: returns the packed knob to its env-driven default.
-#[cfg(test)]
-pub(crate) fn reset_packed_override() {
-    PACKED_OVERRIDE.store(0, Ordering::Relaxed);
-}
-
-/// Column bitmaps built this process (one per (relation, column)).
-static BITMAP_BUILDS: AtomicU64 = AtomicU64::new(0);
-/// Kernel dispatches answered by a bitmap instead of the join kernel.
 static BITMAP_PROBES: AtomicU64 = AtomicU64::new(0);
-/// Word-table bytes of all currently live column bitmaps.
-static BITMAP_RESIDENT: AtomicUsize = AtomicUsize::new(0);
+static PACKED_ROWS: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide counters of the bitmap existence kernels, surfaced in
-/// `Engine::snapshot()` and `examples/engine_metrics.rs`.
+/// What [`MatCacheStats::bitmap_probes`] counts per run, summed over
+/// the process: the frozen `cqbench`'s view, read for
+/// `flat.bitmap_probes` until that metric reads an engine's own.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BitmapStats {
-    /// Column bitmaps built since process start.
-    pub builds: u64,
     /// Kernel dispatches (semijoins, sweeps) that ran on bitmaps
     /// instead of the join kernel.
     pub probes: u64,
-    /// Word-table bytes of all currently live column bitmaps.
-    pub resident_bytes: usize,
 }
 
-/// The current process-wide bitmap counters.
+/// The current process-wide bitmap counter.
 pub fn bitmap_stats() -> BitmapStats {
     BitmapStats {
-        builds: BITMAP_BUILDS.load(Ordering::Relaxed),
         probes: BITMAP_PROBES.load(Ordering::Relaxed),
-        resident_bytes: BITMAP_RESIDENT.load(Ordering::Relaxed),
     }
 }
 
-/// Counts one bitmap-kernel dispatch (also from the plan IR's Boolean
-/// sweep, which lives in a sibling module).
-pub(crate) fn note_bitmap_probe() {
-    BITMAP_PROBES.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Counts one transient bitmap build (the Boolean sweep's live-row
-/// rebuilds, which never become resident).
-pub(crate) fn note_bitmap_build() {
-    BITMAP_BUILDS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Radix sorts over packed code words run this process.
-static PACKED_BUILDS: AtomicU64 = AtomicU64::new(0);
-/// Rows that flowed through a radix sort as code words.
-static PACKED_ROWS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide counters of the packed code-word sorts
-/// (`CQAPX_PACKED`), surfaced in `Engine::snapshot()` and
-/// `examples/engine_metrics.rs`. Word images are transient — built
-/// inside one sort, dropped with it — so unlike the bitmaps there is no
-/// resident-bytes gauge to report (and cache byte accounting is
-/// untouched by the knob).
+/// What [`MatCacheStats::packed_rows`] counts per run, summed over the
+/// process: `cqbench`'s `flat.packed_rows`, like [`BitmapStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PackedStats {
-    /// Radix sorts over code words since process start.
-    pub builds: u64,
-    /// Rows processed through packed kernels.
+    /// Rows sorted as code words.
     pub rows: u64,
 }
 
-/// The current process-wide packed-kernel counters.
+/// The current process-wide packed-sort counter.
 pub fn packed_stats() -> PackedStats {
     PackedStats {
-        builds: PACKED_BUILDS.load(Ordering::Relaxed),
         rows: PACKED_ROWS.load(Ordering::Relaxed),
     }
-}
-
-/// Counts one packed-kernel dispatch over `rows` rows.
-fn note_packed(rows: usize) {
-    PACKED_BUILDS.fetch_add(1, Ordering::Relaxed);
-    PACKED_ROWS.fetch_add(rows as u64, Ordering::Relaxed);
 }
 
 /// The lazily-built per-column existence bitmaps of one relation,
@@ -291,15 +176,6 @@ impl ColumnBitmaps {
             .filter_map(|c| c.get())
             .map(|b| b.heap_bytes())
             .sum()
-    }
-}
-
-impl Drop for ColumnBitmaps {
-    fn drop(&mut self) {
-        let bytes = self.heap_bytes();
-        if bytes > 0 {
-            BITMAP_RESIDENT.fetch_sub(bytes, Ordering::Relaxed);
-        }
     }
 }
 
@@ -515,8 +391,8 @@ impl FlatRelation {
 
     /// Heap bytes held by this relation (buffer + schema + built
     /// column bitmaps), the unit of cache byte accounting. Cached
-    /// relations prebuild their bitmaps at landing (`prebuild_bitmaps`
-    /// in [`MaterializationCache::get_or_materialize`]) so the bytes
+    /// relations build every eligible bitmap at landing (in
+    /// [`MaterializationCache::get_or_materialize`]) so the bytes
     /// stored with the cache entry — and subtracted at eviction —
     /// include them. A shared buffer counts in full for every holder:
     /// the cache charges an entry once, at landing, and the slots that
@@ -544,14 +420,14 @@ impl FlatRelation {
     /// `domain_width > 0` the radix passes lose the bounded-digit
     /// guarantee the `Auto` cost model relies on (see
     /// `cqapx_structures::packed`). A pure function of the relation
-    /// and the knob — never of the thread budget — so every dispatch
+    /// and the mode — never of the thread budget — so every dispatch
     /// site agrees.
-    fn packed_sort_wanted(&self) -> bool {
+    fn packed_sort_wanted(&self, packed: PackedMode) -> bool {
         let a = self.schema.len();
         if self.domain_width == 0 || a == 0 || a * code_bits(self.domain_width) as usize > 64 {
             return false;
         }
-        match packed_mode() {
+        match packed {
             PackedMode::Off => false,
             PackedMode::On => true,
             PackedMode::Auto => self.rows >= PACKED_MIN_ROWS,
@@ -559,11 +435,10 @@ impl FlatRelation {
     }
 
     /// The existence bitmap of one column, built lazily and shared by
-    /// clones. `None` when bitmaps are off ([`BitmapMode::Off`]) or
-    /// the relation is ineligible — callers fall back to the multiway
-    /// kernel, which answers identically.
+    /// clones. `None` when the relation is ineligible — callers fall
+    /// back to the multiway kernel, which answers identically.
     pub(crate) fn column_bitmap(&self, col: usize) -> Option<Arc<DomainBitmap>> {
-        if bitmap_mode() == BitmapMode::Off || !self.bitmap_eligible() {
+        if !self.bitmap_eligible() {
             return None;
         }
         let cols = self
@@ -576,22 +451,9 @@ impl FlatRelation {
             for i in 0..self.rows {
                 bm.set(self.data[i * a + col]);
             }
-            BITMAP_BUILDS.fetch_add(1, Ordering::Relaxed);
-            BITMAP_RESIDENT.fetch_add(bm.heap_bytes(), Ordering::Relaxed);
             Arc::new(bm)
         });
         Some(Arc::clone(bm))
-    }
-
-    /// Eagerly builds every eligible column bitmap. The
-    /// materialization cache calls this at entry landing so
-    /// [`FlatRelation::heap_bytes`] — stored with the entry and
-    /// subtracted at eviction — includes the bitmap words, keeping
-    /// the byte budget honest.
-    pub(crate) fn prebuild_bitmaps(&self) {
-        for c in 0..self.schema.len() {
-            let _ = self.column_bitmap(c);
-        }
     }
 
     /// The column labels.
@@ -735,12 +597,14 @@ impl FlatRelation {
     /// Sorts rows lexicographically and removes duplicates, leaving the
     /// canonical form all set-level comparisons rely on. Runs under the
     /// process-wide [`ThreadBudget::shared`] budget (sequential unless
-    /// `CQAPX_THREADS` is set).
+    /// `CQAPX_THREADS` is set) and the default [`EvalConfig`].
     pub fn sort_dedup(&mut self) {
-        self.sort_dedup_budget(ThreadBudget::shared());
+        let mut stats = MatCacheStats::default();
+        self.sort_dedup_budget(ThreadBudget::shared(), EvalConfig::default(), &mut stats);
     }
 
-    /// [`FlatRelation::sort_dedup`] under an explicit thread budget:
+    /// [`FlatRelation::sort_dedup`] under an explicit thread budget and
+    /// configuration, its packed sorts counted into `stats`:
     /// nothing beyond one sequential pass when the rows already are
     /// canonical (scans, cache entries, kernel outputs and a plan's
     /// head-ordered root are) — whichever arm would have run, and a
@@ -754,7 +618,12 @@ impl FlatRelation {
     /// Built bitmaps stay valid across this call: reordering rows and
     /// dropping whole-row duplicates never changes a column's value
     /// *set*, which is all a bitmap records.
-    pub fn sort_dedup_budget(&mut self, budget: &ThreadBudget) {
+    pub fn sort_dedup_budget(
+        &mut self,
+        budget: &ThreadBudget,
+        config: EvalConfig,
+        stats: &mut MatCacheStats,
+    ) {
         let a = self.schema.len();
         if a == 0 {
             self.rows = self.rows.min(1);
@@ -764,11 +633,11 @@ impl FlatRelation {
             return;
         }
         if self.rows < PAR_MIN_ROWS || budget.capacity() == 0 {
-            return self.sort_dedup_seq();
+            return self.sort_dedup_seq(config.packed, stats);
         }
         let lease = budget.claim(par_want(self.rows));
         if lease.extra() == 0 {
-            return self.sort_dedup_seq();
+            return self.sort_dedup_seq(config.packed, stats);
         }
         let w = lease.workers();
         let n = self.rows;
@@ -852,9 +721,9 @@ impl FlatRelation {
     /// numeric word order is lexicographic row order — so this too is
     /// bit-identical, while a relation of `n` dense codes sorts in
     /// `O(n · passes)` with at most four byte passes under 64 K codes.
-    fn sort_dedup_seq(&mut self) {
-        if self.packed_sort_wanted() {
-            return self.sort_dedup_radix();
+    fn sort_dedup_seq(&mut self, packed: PackedMode, stats: &mut MatCacheStats) {
+        if self.packed_sort_wanted(packed) {
+            return self.sort_dedup_radix(stats);
         }
         self.sort_dedup_cmp()
     }
@@ -896,13 +765,12 @@ impl FlatRelation {
     /// 32 bits (and all
     /// single columns) sort as `u32` keys: half the memory traffic per
     /// pass and at most half the passes of the wide encoding.
-    fn sort_dedup_radix(&mut self) {
+    fn sort_dedup_radix(&mut self, stats: &mut MatCacheStats) {
         let a = self.schema.len();
-        let n = self.rows;
+        stats.note_packed(self.rows);
         if a == 1 {
             radix_dedup_u32(self.data.make_mut());
             self.rows = self.data.len();
-            note_packed(n);
             return;
         }
         let b = code_bits(self.domain_width);
@@ -916,7 +784,6 @@ impl FlatRelation {
             radix_dedup(&mut keys);
             self.refill(keys.iter().copied(), b);
         }
-        note_packed(n);
     }
 
     /// Replaces the rows by the unpacked `words` (`b` bits a column),
@@ -947,8 +814,8 @@ impl FlatRelation {
     }
 
     /// The comparison arm of [`FlatRelation::sort_dedup_seq`] (also
-    /// the `CQAPX_PACKED=off` pin the differential suites compare the
-    /// radix arm against).
+    /// what [`PackedMode::Off`] pins, for the differential suites to
+    /// compare the radix arm against).
     fn sort_dedup_cmp(&mut self) {
         fn packed<const A: usize>(rows: usize, data: &mut Vec<Element>) -> usize {
             let mut packed: Vec<[Element; A]> = Vec::with_capacity(rows);
@@ -1002,17 +869,20 @@ impl FlatRelation {
     /// key positions this is the cartesian-semantics degenerate case:
     /// all rows survive iff `other` is nonempty.
     pub fn semijoin_on(&mut self, my_pos: &[usize], other: &FlatRelation, their_pos: &[usize]) {
-        self.semijoin_on_budget(my_pos, other, their_pos, ThreadBudget::shared());
+        let (budget, config) = (ThreadBudget::shared(), EvalConfig::default());
+        let mut stats = MatCacheStats::default();
+        self.semijoin_on_budget(my_pos, other, their_pos, budget, config, &mut stats);
     }
 
-    /// [`FlatRelation::semijoin_on`] under an explicit thread budget.
-    /// Both operands must be canonical (rows sorted in their own column
+    /// [`FlatRelation::semijoin_on`] under an explicit thread budget and
+    /// configuration, its kernel work counted into `stats`. Both
+    /// operands must be canonical (rows sorted in their own column
     /// order, duplicate-free), as every plan slot is. Two arms, one
     /// survivor set in one order:
     ///
-    /// * a single-column key against a source with a column bitmap —
-    ///   the bitmap answers "does my code occur in the other column?"
-    ///   for each row (`retain_where`);
+    /// * a single-column key against a source with a column bitmap,
+    ///   when `config` reads bitmaps — the bitmap answers "does my code
+    ///   occur in the other column?" for each row (`retain_where`);
     /// * anything else — the multiway kernel over `self` and `π_K(other)`
     ///   keeping every column of `self`. `π_K(other)` lists the key in
     ///   `self`'s column order under `self`'s variables, so the kernel
@@ -1027,6 +897,8 @@ impl FlatRelation {
         other: &FlatRelation,
         their_pos: &[usize],
         budget: &ThreadBudget,
+        config: EvalConfig,
+        stats: &mut MatCacheStats,
     ) {
         debug_assert_eq!(my_pos.len(), their_pos.len(), "key positions must align");
         let canonical = |r: &FlatRelation| r.iter_rows().is_sorted_by(|x, y| x < y);
@@ -1040,9 +912,9 @@ impl FlatRelation {
             }
             return;
         }
-        if my_pos.len() == 1 {
+        if config.bitmaps && my_pos.len() == 1 {
             if let Some(bm) = other.column_bitmap(their_pos[0]) {
-                note_bitmap_probe();
+                stats.note_bitmap_probe();
                 let c = my_pos[0];
                 return self.retain_where(budget, |row| bm.contains(row[c]));
             }
@@ -1050,17 +922,12 @@ impl FlatRelation {
         let mut key: Vec<(&usize, &usize)> = std::iter::zip(my_pos, their_pos).collect();
         key.sort_unstable();
         let theirs: Vec<VarId> = key.iter().map(|&(_, &j)| other.schema[j]).collect();
-        let mut filter = other.project_budget(&theirs, budget);
+        let mut filter = other.project_budget(&theirs, budget, config, stats);
         let distinct = key.windows(2).all(|w| w[0].0 < w[1].0) && filter.schema.len() == key.len();
         debug_assert!(distinct, "key positions must be distinct on each side");
         filter.schema = key.iter().map(|&(&i, _)| self.schema[i]).collect();
-        let mut stats = MatCacheStats::default();
-        let kept = multiway_join(
-            [&*self, &filter].into_iter(),
-            &self.schema,
-            budget,
-            &mut stats,
-        );
+        let parts = [&*self, &filter].into_iter();
+        let kept = multiway_join(parts, &self.schema, budget, config, stats);
         if kept.rows < self.rows {
             self.rows = kept.rows;
             self.data = kept.data;
@@ -1149,17 +1016,25 @@ impl FlatRelation {
     /// present; duplicates collapse to their first occurrence). The
     /// result is sorted and deduplicated.
     pub fn project(&self, vars: &[VarId]) -> FlatRelation {
-        self.project_budget(vars, ThreadBudget::shared())
+        let (budget, mut stats) = (ThreadBudget::shared(), MatCacheStats::default());
+        self.project_budget(vars, budget, EvalConfig::default(), &mut stats)
     }
 
-    /// [`FlatRelation::project`] under an explicit thread budget: the
+    /// [`FlatRelation::project`] under an explicit thread budget and
+    /// configuration, its sort counted into `stats`: the
     /// kept columns gathered in this relation's own row order, then
     /// canonicalized — when they lead the schema in order, by dropping
     /// repeats in place, and otherwise by one
     /// [`FlatRelation::sort_dedup_budget`], which meets short runs when
     /// a dropped column separates kept ones. Nothing is joined and no
     /// copy is re-sorted. The width bound is this relation's.
-    pub fn project_budget(&self, vars: &[VarId], budget: &ThreadBudget) -> FlatRelation {
+    pub fn project_budget(
+        &self,
+        vars: &[VarId],
+        budget: &ThreadBudget,
+        config: EvalConfig,
+        stats: &mut MatCacheStats,
+    ) -> FlatRelation {
         let mut schema: Vec<VarId> = Vec::with_capacity(vars.len());
         for v in vars {
             if !schema.contains(v) {
@@ -1189,7 +1064,7 @@ impl FlatRelation {
             debug_assert!(self.iter_rows().is_sorted(), "a canonical relation");
             out.dedup_sorted();
         } else {
-            out.sort_dedup_budget(budget);
+            out.sort_dedup_budget(budget, config, stats);
         }
         out
     }
@@ -1203,7 +1078,9 @@ impl FlatRelation {
         head: &[VarId],
         dict: &DomainDict,
     ) -> BTreeSet<Vec<Element>> {
-        Answers::from_relation(self.clone(), head, dict, ThreadBudget::shared()).to_btree_set()
+        let (budget, mut stats) = (ThreadBudget::shared(), MatCacheStats::default());
+        let config = EvalConfig::default();
+        Answers::from_relation(self.clone(), head, dict, budget, config, &mut stats).to_btree_set()
     }
 }
 
@@ -1896,6 +1773,8 @@ fn reordered(
     part: &FlatRelation,
     level: impl Fn(&VarId) -> usize,
     budget: &ThreadBudget,
+    config: EvalConfig,
+    stats: &mut MatCacheStats,
 ) -> Option<FlatRelation> {
     let arity = part.schema.len();
     let mut perm: Vec<usize> = (0..arity).collect();
@@ -1908,7 +1787,7 @@ fn reordered(
         data.extend(perm.iter().map(|&c| row[c]));
     }
     let mut copy = FlatRelation::from_raw(arity, part.rows, data, part.domain_width);
-    copy.sort_dedup_budget(budget);
+    copy.sort_dedup_budget(budget, config, stats);
     Some(copy)
 }
 
@@ -1967,7 +1846,8 @@ fn reordered(
 /// A 0-ary part binds nothing: the true one drops out, and the false
 /// one, like any empty part, makes the result empty. The width bound is
 /// the largest of the parts' when every part with a column has one.
-/// Cursor moves are added to `stats.cursor_advances`.
+/// `config` decides the sorts' arms and whether rows are written as
+/// words; cursor moves and packed sorts are added to `stats`.
 ///
 /// Under a granting `budget` the enumeration fans out over morsels of
 /// the first variable's candidates, each worker enumerating its
@@ -1978,6 +1858,7 @@ pub(crate) fn multiway_join<'a>(
     parts: impl Iterator<Item = &'a FlatRelation> + Clone,
     keep: &[VarId],
     budget: &ThreadBudget,
+    config: EvalConfig,
     stats: &mut MatCacheStats,
 ) -> FlatRelation {
     let mut out = FlatRelation::empty(keep.to_vec());
@@ -2015,7 +1896,10 @@ pub(crate) fn multiway_join<'a>(
         if parts.clone().all(|p| p.schema.is_sorted_by_key(level)) {
             Vec::new()
         } else {
-            parts.clone().map(|p| reordered(p, level, budget)).collect()
+            parts
+                .clone()
+                .map(|p| reordered(p, level, budget, config, stats))
+                .collect()
         }
     };
     let read = |i: usize, p: &'a FlatRelation| copies.get(i).and_then(Option::as_ref).unwrap_or(p);
@@ -2136,7 +2020,7 @@ pub(crate) fn multiway_join<'a>(
             st.descend(0);
             out.rows = st.rows;
             let b = code_bits(out.domain_width);
-            if !canonical && k > 1 && k as u32 * b <= 32 && out.packed_sort_wanted() {
+            if !canonical && k > 1 && k as u32 * b <= 32 && out.packed_sort_wanted(config.packed) {
                 st.word = Some(b);
             }
             st.presize();
@@ -2155,14 +2039,14 @@ pub(crate) fn multiway_join<'a>(
     let Some(b) = st.word else {
         out.data = Rows::Owned(st.out);
         if !canonical {
-            out.sort_dedup_budget(budget);
+            out.sort_dedup_budget(budget, config, stats);
         }
         return out;
     };
     st.out.truncate(out.rows);
+    stats.note_packed(out.rows);
     radix_dedup_u32(&mut st.out);
     unpack_words_in_place(&mut st.out, k, b);
-    note_packed(out.rows);
     out.rows = st.out.len() / k;
     out.data = Rows::Owned(st.out);
     out
@@ -2327,8 +2211,14 @@ pub struct MatCacheStats {
     /// Microseconds spent in multiway bag builds (join phase only).
     pub wcoj_bag_us: u64,
     /// Cursor moves of the multiway kernel (seeks, steps, probes and
-    /// rows written): a clock-free measure of bag-build work.
+    /// rows written): a clock-free measure of join work.
     pub cursor_advances: u64,
+    /// Semijoins and Boolean sweep steps answered by a column bitmap.
+    pub bitmap_probes: u64,
+    /// Sorts run on packed code words.
+    pub packed_sorts: u64,
+    /// Rows those sorts read.
+    pub packed_rows: u64,
 }
 
 impl MatCacheStats {
@@ -2339,6 +2229,22 @@ impl MatCacheStats {
         self.wcoj_bag_builds += other.wcoj_bag_builds;
         self.wcoj_bag_us += other.wcoj_bag_us;
         self.cursor_advances += other.cursor_advances;
+        self.bitmap_probes += other.bitmap_probes;
+        self.packed_sorts += other.packed_sorts;
+        self.packed_rows += other.packed_rows;
+    }
+
+    /// Counts one bitmap dispatch, here and process-wide.
+    pub(crate) fn note_bitmap_probe(&mut self) {
+        self.bitmap_probes += 1;
+        BITMAP_PROBES.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one packed sort over `rows` rows, here and process-wide.
+    fn note_packed(&mut self, rows: usize) {
+        self.packed_sorts += 1;
+        self.packed_rows += rows as u64;
+        PACKED_ROWS.fetch_add(rows as u64, Ordering::Relaxed);
     }
 }
 
@@ -2471,7 +2377,11 @@ impl MaterializationCache {
             // Build the entry's column bitmaps before taking its byte
             // size: the stored bytes — what eviction later subtracts —
             // then include the bitmap words, keeping the budget honest.
-            rel.prebuild_bitmaps();
+            // Eligibility alone decides, so the bytes do not depend on
+            // whether a run reads them.
+            for c in 0..rel.arity() {
+                let _ = rel.column_bitmap(c);
+            }
             // Byte accounting must happen *inside* the flight, before
             // the `OnceLock` publishes the cell: the sweep treats a
             // landed cell as evictable and subtracts `flight.bytes`,
@@ -2802,29 +2712,29 @@ mod tests {
     /// for bit — same rows, same order, same buffer contents.
     #[test]
     fn parallel_kernels_are_bit_identical_to_sequential() {
-        let _g = knob_guard(); // the sorts bump counters other tests read
         let seq = ThreadBudget::sequential();
         let par = ThreadBudget::new(4);
+        let (cfg, mut stats) = (EvalConfig::default(), MatCacheStats::default());
         let a = big_random_rel(&[0, 1, 2], 12_000, 40, 1);
         let b = big_random_rel(&[1, 3], 9_000, 40, 2);
 
         // sort_dedup: parallel merge sort vs sequential sort.
         let mut s1 = a.clone();
-        s1.sort_dedup_budget(&seq);
+        s1.sort_dedup_budget(&seq, cfg, &mut stats);
         let mut s2 = a.clone();
-        s2.sort_dedup_budget(&par);
+        s2.sort_dedup_budget(&par, cfg, &mut stats);
         assert_eq!(s1.rows, s2.rows);
         assert_eq!(s1.data, s2.data, "sort_dedup outputs must be identical");
 
         let mut b1 = b.clone();
-        b1.sort_dedup_budget(&seq);
+        b1.sort_dedup_budget(&seq, cfg, &mut stats);
 
         // join: level-0 fan-out vs the sequential enumeration, for the
         // whole join and for a keep list that needs the sort.
         for keep in [&[0, 1, 2, 3][..], &[3, 0]] {
             let join = |budget| {
                 let parts = [&s1, &b1].into_iter();
-                multiway_join(parts, keep, budget, &mut MatCacheStats::default())
+                multiway_join(parts, keep, budget, cfg, &mut MatCacheStats::default())
             };
             let (j1, j2) = (join(&seq), join(&par));
             assert_eq!(j1.schema, j2.schema);
@@ -2834,15 +2744,15 @@ mod tests {
 
         // semijoin: morsel probe + ordered compaction vs sequential.
         let mut m1 = s1.clone();
-        m1.semijoin_on_budget(&[1], &b1, &[0], &seq);
+        m1.semijoin_on_budget(&[1], &b1, &[0], &seq, cfg, &mut stats);
         let mut m2 = s1.clone();
-        m2.semijoin_on_budget(&[1], &b1, &[0], &par);
+        m2.semijoin_on_budget(&[1], &b1, &[0], &par, cfg, &mut stats);
         assert_eq!(m1.rows, m2.rows);
         assert_eq!(m1.data, m2.data, "semijoin outputs must be identical");
 
         // project: morsel gather + parallel sort vs sequential.
-        let p1 = s1.project_budget(&[2, 0], &seq);
-        let p2 = s1.project_budget(&[2, 0], &par);
+        let p1 = s1.project_budget(&[2, 0], &seq, cfg, &mut stats);
+        let p2 = s1.project_budget(&[2, 0], &par, cfg, &mut stats);
         assert_eq!(p1.schema, p2.schema);
         assert_eq!(p1.data, p2.data, "project outputs must be identical");
     }
@@ -2854,9 +2764,10 @@ mod tests {
         let seq = ThreadBudget::sequential();
         assert_eq!(seq.capacity(), 0);
         let mut r = big_random_rel(&[0, 1], PAR_MIN_ROWS + 1, 10, 3);
+        let (cfg, mut stats) = (EvalConfig::default(), MatCacheStats::default());
         let mut expected = r.clone();
-        expected.sort_dedup_budget(&ThreadBudget::new(1));
-        r.sort_dedup_budget(&seq);
+        expected.sort_dedup_budget(&ThreadBudget::new(1), cfg, &mut stats);
+        r.sort_dedup_budget(&seq, cfg, &mut stats);
         assert_eq!(r.data, expected.data);
     }
 
@@ -2936,10 +2847,12 @@ mod tests {
         assert!(got.iter_rows().eq(want.iter_rows()), "rows differ: {ctx}");
     }
 
-    /// The kernel under a sequential budget, its stats dropped.
+    /// The kernel under a sequential budget and the default
+    /// configuration, its stats dropped.
     fn kernel(parts: &[&FlatRelation], keep: &[VarId]) -> FlatRelation {
         let (parts, budget) = (parts.iter().copied(), ThreadBudget::sequential());
-        multiway_join(parts, keep, &budget, &mut MatCacheStats::default())
+        let cfg = EvalConfig::default();
+        multiway_join(parts, keep, &budget, cfg, &mut MatCacheStats::default())
     }
 
     /// [`enumeration_order`] over `schema`, the union of the part
@@ -3124,7 +3037,8 @@ mod tests {
                 let mut stats = MatCacheStats::default();
                 let budget = ThreadBudget::sequential();
                 let parts = [&rels[0], &rels[1]].into_iter();
-                let out = multiway_join(parts, &[0, 1, 2], &budget, &mut stats);
+                let cfg = EvalConfig::default();
+                let out = multiway_join(parts, &[0, 1, 2], &budget, cfg, &mut stats);
                 let linear = (rels[0].len() + rels[1].len() + out.len()) as u64;
                 assert!(
                     stats.cursor_advances <= 4 * linear,
@@ -3362,7 +3276,11 @@ mod tests {
     /// same width bound — sequentially and under morsel fan-out.
     #[test]
     fn bitmap_semijoin_is_bit_identical_to_probe() {
-        let _g = knob_guard();
+        let on = EvalConfig::default();
+        let off = EvalConfig {
+            bitmaps: false,
+            ..on
+        };
         for &(n, m, width) in &[
             (500usize, 300usize, 64u32),
             (3000, 2500, 900),
@@ -3372,17 +3290,13 @@ mod tests {
             let b = dense_rel(&[1, 2], m, width, 32);
             for threads in [1usize, 4] {
                 let budget = ThreadBudget::new(threads);
-                set_bitmap_mode(BitmapMode::On);
-                let probes = BITMAP_PROBES.load(Ordering::Relaxed);
+                let mut stats = MatCacheStats::default();
                 let mut via_bitmap = a.clone();
-                via_bitmap.semijoin_on_budget(&[1], &b, &[0], &budget);
-                assert!(
-                    BITMAP_PROBES.load(Ordering::Relaxed) > probes,
-                    "dense fixture must take the bitmap path"
-                );
-                set_bitmap_mode(BitmapMode::Off);
+                via_bitmap.semijoin_on_budget(&[1], &b, &[0], &budget, on, &mut stats);
+                assert_eq!(stats.bitmap_probes, 1, "dense fixture takes the bitmap");
                 let mut via_probe = a.clone();
-                via_probe.semijoin_on_budget(&[1], &b, &[0], &budget);
+                via_probe.semijoin_on_budget(&[1], &b, &[0], &budget, off, &mut stats);
+                assert_eq!(stats.bitmap_probes, 1, "bitmaps off: the kernel");
                 assert_eq!(
                     via_bitmap.data, via_probe.data,
                     "semijoin bytes differ (n={n}, {threads} threads)"
@@ -3391,7 +3305,6 @@ mod tests {
                 assert_eq!(via_bitmap.domain_width, via_probe.domain_width);
             }
         }
-        BITMAP_OVERRIDE.store(0, Ordering::Relaxed);
     }
 
     /// Bitmaps answer only existence, so they survive `sort_dedup` but
@@ -3399,8 +3312,6 @@ mod tests {
     /// a stale cell would silently corrupt later semijoins.
     #[test]
     fn bitmaps_invalidate_on_mutation_and_survive_sort() {
-        let _g = knob_guard();
-        set_bitmap_mode(BitmapMode::On);
         let mut r = dense_rel(&[0, 1], 200, 32, 77);
         let bm = r.column_bitmap(0).expect("dense fixture is eligible");
         r.sort_dedup();
@@ -3415,7 +3326,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&bm, &rebuilt), "mutation must drop the cell");
         assert!(rebuilt.contains(31));
         assert!(Arc::ptr_eq(&bm, &snapshot.column_bitmap(0).unwrap()));
-        BITMAP_OVERRIDE.store(0, Ordering::Relaxed);
     }
 
     /// Regression: unioning with the unit (or an empty) relation must
@@ -3440,13 +3350,11 @@ mod tests {
         assert_eq!(unknown.domain_width, 0, "an unknown bound is none");
     }
 
-    /// Cached materializations prebuild their bitmaps, and the bytes
-    /// stored with the entry — hence resident accounting and eviction —
-    /// include the word tables.
+    /// Cached materializations prebuild their bitmaps, whether or not
+    /// a run reads them, and the bytes stored with the entry — hence
+    /// resident accounting and eviction — include the word tables.
     #[test]
     fn cache_accounts_bitmap_bytes() {
-        let _g = knob_guard();
-        set_bitmap_mode(BitmapMode::On);
         let cache = MaterializationCache::new();
         let [key, _, _] = three_keys();
         let bare = dense_rel(&[0, 1], 512, 256, 8);
@@ -3457,18 +3365,27 @@ mod tests {
             "landed entry carries bitmap words"
         );
         assert_eq!(cache.resident_bytes(), landed.heap_bytes());
-        BITMAP_OVERRIDE.store(0, Ordering::Relaxed);
     }
 
     // ── packed code-word sorts ──────────────────────────────────────
 
+    /// The default configuration with the sorts' arm set to `mode`.
+    fn packed(mode: PackedMode) -> EvalConfig {
+        EvalConfig {
+            packed: mode,
+            ..EvalConfig::default()
+        }
+    }
+
     /// The radix `sort_dedup` fast path must leave exactly the bytes
     /// the comparison sort leaves, for every arity whose rows fit a
     /// word (`u32` and `u64` words, up to exactly 64 bits), including
-    /// the duplicate-heavy, already-sorted-width-1 and empty cases.
+    /// the duplicate-heavy, already-sorted-width-1 and empty cases —
+    /// and the radix arm is the one that ran, once per unsorted input.
     #[test]
     fn packed_sort_dedup_is_byte_identical_to_comparison() {
-        let _g = knob_guard();
+        let seq = ThreadBudget::sequential();
+        let (on, off) = (packed(PackedMode::On), packed(PackedMode::Off));
         for &(schema, n, width) in &[
             (&[0][..], 900usize, 40u32),
             (&[0, 1][..], 2000, 64),
@@ -3488,34 +3405,28 @@ mod tests {
             let mut radix = big_random_rel(schema, n, width.max(1), 17);
             radix.domain_width = width;
             let mut cmp = radix.clone();
-            set_packed_mode(PackedMode::On);
-            radix.sort_dedup();
-            set_packed_mode(PackedMode::Off);
-            cmp.sort_dedup();
+            let mut stats = MatCacheStats::default();
+            radix.sort_dedup_budget(&seq, on, &mut stats);
+            cmp.sort_dedup_budget(&seq, off, &mut stats);
+            let sorted = u64::from(n > 0);
+            assert_eq!((stats.packed_sorts, stats.packed_rows), (sorted, n as u64));
             assert_eq!(radix.schema, cmp.schema);
             assert_eq!(radix.rows, cmp.rows, "row count (n={n} width={width})");
             assert_eq!(radix.data, cmp.data, "bytes differ (n={n} width={width})");
             assert_eq!(radix.domain_width, cmp.domain_width);
         }
         // Unbounded or wide relations must never take the radix path
-        // even when forced on: the knob selects among eligible
+        // even when forced on: the mode selects among eligible
         // representations, it does not create eligibility.
         let unbounded = big_random_rel(&[0, 1], 600, 50, 23);
         let mut wide = big_random_rel(&[0, 1, 2, 3, 4], 600, 50, 23);
         wide.domain_width = 1 << 13; // 5 × 13 = 65 bits
-        set_packed_mode(PackedMode::On);
-        assert!(!unbounded.packed_sort_wanted());
-        assert!(!wide.packed_sort_wanted());
-        // Tests running meanwhile can only add to the process-wide
-        // counter: some one of five tries must leave it where it was.
-        let skipped = (0..5).any(|_| {
-            let before = packed_stats().builds;
-            unbounded.clone().sort_dedup();
-            wide.clone().sort_dedup();
-            packed_stats().builds == before
-        });
-        assert!(skipped, "ineligible inputs skip the counter");
-        reset_packed_override();
+        assert!(!unbounded.packed_sort_wanted(PackedMode::On));
+        assert!(!wide.packed_sort_wanted(PackedMode::On));
+        let mut stats = MatCacheStats::default();
+        unbounded.clone().sort_dedup_budget(&seq, on, &mut stats);
+        wide.clone().sort_dedup_budget(&seq, on, &mut stats);
+        assert_eq!(stats.packed_sorts, 0, "ineligible inputs skip the counter");
     }
 
     /// A canonical relation costs `sort_dedup` one pass on every arm —
@@ -3523,15 +3434,14 @@ mod tests {
     /// buffer shared with a cache entry stays shared.
     #[test]
     fn canonical_rows_stay_shared_on_every_sort_arm() {
-        let _g = knob_guard();
         let data: Vec<Element> = (0..100_000u32).flat_map(|i| [i / 300, i % 300]).collect();
         let mut cached = FlatRelation::from_raw(2, 100_000, data, 400);
         cached.share_rows();
         for mode in [PackedMode::On, PackedMode::Off] {
-            set_packed_mode(mode);
             for threads in [1, 2] {
                 let mut slot = cached.clone();
-                slot.sort_dedup_budget(&ThreadBudget::new(threads));
+                let mut stats = MatCacheStats::default();
+                slot.sort_dedup_budget(&ThreadBudget::new(threads), packed(mode), &mut stats);
                 assert!(
                     slot.shares_rows_with(&cached),
                     "{mode:?}, {threads} thread(s)"
@@ -3539,7 +3449,6 @@ mod tests {
                 assert_eq!(slot.rows, 100_000);
             }
         }
-        reset_packed_override();
     }
 
     /// The packing-width edges — `arity · b` = 32 (the last `u32`
@@ -3551,7 +3460,7 @@ mod tests {
     /// set of rows.
     #[test]
     fn packing_width_edges_sort_and_project_like_a_set() {
-        let _g = knob_guard();
+        let seq = ThreadBudget::sequential();
         for (arity, width) in [
             (2usize, 1u32 << 16), // 32 bits
             (4, 1 << 8),          // 32 bits
@@ -3578,10 +3487,10 @@ mod tests {
                 schema.iter().cycle().skip(1).take(arity).copied().collect(),
             ];
             for mode in [PackedMode::On, PackedMode::Off] {
-                set_packed_mode(mode);
+                let (cfg, mut stats) = (packed(mode), MatCacheStats::default());
                 let what = format!("arity {arity}, width {width}, {mode:?}");
                 let mut rel = FlatRelation::from_raw(arity, rows.len(), flat.clone(), width);
-                rel.sort_dedup();
+                rel.sort_dedup_budget(&seq, cfg, &mut stats);
                 let want: BTreeSet<&[Element]> = rows.iter().map(Vec::as_slice).collect();
                 assert!(rel.iter_rows().eq(want.iter().copied()), "sort: {what}");
                 // Every value of column 0, so the join drops nothing.
@@ -3591,7 +3500,10 @@ mod tests {
                         .iter()
                         .map(|r| head.iter().map(|&v| r[v as usize]).collect())
                         .collect();
-                    for got in [rel.project(head), kernel(&[&rel, &all], head)] {
+                    let gathered = rel.project_budget(head, &seq, cfg, &mut stats);
+                    let parts = [&rel, &all].into_iter();
+                    let joined = multiway_join(parts, head, &seq, cfg, &mut stats);
+                    for got in [gathered, joined] {
                         assert_eq!(got.rows, want.len(), "project: {what}");
                         let want = want.iter().map(Vec::as_slice);
                         assert!(got.iter_rows().eq(want), "project: {what}");
@@ -3599,7 +3511,6 @@ mod tests {
                 }
             }
         }
-        reset_packed_override();
     }
 
     // ── domain-width propagation (packed eligibility audit) ─────────
@@ -3659,15 +3570,22 @@ mod tests {
         // existence check below the fanned-out level (`[0]`), spans it
         // (`[]`, which must not fan out) or is empty with a sort after
         // (`[2, 0]`).
+        let cfg = EvalConfig::default();
         for keep in [&[0, 1, 2][..], &[0], &[2, 0], &[]] {
             let mut seq_stats = MatCacheStats::default();
             let sequential = ThreadBudget::sequential();
-            let seq = multiway_join(parts.iter().copied(), keep, &sequential, &mut seq_stats);
+            let seq = multiway_join(
+                parts.iter().copied(),
+                keep,
+                &sequential,
+                cfg,
+                &mut seq_stats,
+            );
             assert!(!seq.is_empty(), "triangle join must produce rows");
             for threads in [2usize, 4, 8] {
                 let budget = ThreadBudget::new(threads);
                 let mut stats = MatCacheStats::default();
-                let par = multiway_join(parts.iter().copied(), keep, &budget, &mut stats);
+                let par = multiway_join(parts.iter().copied(), keep, &budget, cfg, &mut stats);
                 assert_identical(&par, &seq, &format!("{threads} threads, keep {keep:?}"));
                 assert!(stats.cursor_advances >= seq_stats.cursor_advances);
             }
@@ -3679,7 +3597,7 @@ mod tests {
         let budget = ThreadBudget::new(4);
         for parts in [vec![&ones[0]], vec![&ones[0], &ones[1]]] {
             let mut stats = MatCacheStats::default();
-            let par = multiway_join(parts.iter().copied(), &[0], &budget, &mut stats);
+            let par = multiway_join(parts.iter().copied(), &[0], &budget, cfg, &mut stats);
             assert_identical(&par, &kernel(&parts, &[0]), "one level, four threads");
         }
     }
@@ -3706,7 +3624,6 @@ mod tests {
     /// exactly when nothing drops.
     #[test]
     fn semijoin_on_shared_rows_matches_owned_rows() {
-        let _g = knob_guard(); // the kernels bump counters other tests read
         let mut seed = 16;
         let target = bounded_rel(&[0, 1, 2], 6000, 24, &mut seed);
         let cached = {
@@ -3742,17 +3659,18 @@ mod tests {
                     (3 - keys..3).collect()
                 };
                 let want = semijoin_reference(&target, &pos, source, &pos);
-                for (budget, mode) in budgets
-                    .iter()
-                    .flat_map(|b| [(b, BitmapMode::On), (b, BitmapMode::Off)])
-                {
-                    set_bitmap_mode(mode);
+                for (budget, bitmaps) in budgets.iter().flat_map(|b| [(b, true), (b, false)]) {
+                    let cfg = EvalConfig {
+                        bitmaps,
+                        ..EvalConfig::default()
+                    };
+                    let mut stats = MatCacheStats::default();
                     let mut owned = target.clone();
-                    owned.semijoin_on_budget(&pos, source, &pos, budget);
+                    owned.semijoin_on_budget(&pos, source, &pos, budget, cfg, &mut stats);
                     let mut shared = cached.clone();
                     assert!(shared.shares_rows_with(&cached));
-                    shared.semijoin_on_budget(&pos, source, &pos, budget);
-                    let ctx = format!("{what} source, key {pos:?}, bitmaps {mode:?}");
+                    shared.semijoin_on_budget(&pos, source, &pos, budget, cfg, &mut stats);
+                    let ctx = format!("{what} source, key {pos:?}, bitmaps {bitmaps}");
                     assert_eq!(*owned.data, want, "{ctx}");
                     assert_eq!(owned.rows, shared.rows, "{ctx}");
                     assert_eq!(owned.data, shared.data, "{ctx}");
@@ -3770,7 +3688,6 @@ mod tests {
                 }
             }
         }
-        BITMAP_OVERRIDE.store(0, Ordering::Relaxed);
     }
 
     /// The kernel arm against the reference filter: keys of one, two
@@ -3778,11 +3695,14 @@ mod tests {
     /// in a four-column source (leading, trailing, interleaved, out of
     /// order across the two), dense bounds and none, an empty source and
     /// an empty target; then a large two-column case fanned out over 1,
-    /// 2 and 4 threads, byte-identical.
+    /// 2 and 4 threads, byte-identical. Bitmaps stay unread throughout.
     #[test]
     fn semijoin_kernel_matches_reference_filter() {
-        let _g = knob_guard();
-        set_bitmap_mode(BitmapMode::Off);
+        let (seq, mut stats) = (ThreadBudget::sequential(), MatCacheStats::default());
+        let off = EvalConfig {
+            bitmaps: false,
+            ..EvalConfig::default()
+        };
         let mut seed = 61;
         let placements = |k: usize| -> Vec<Vec<usize>> {
             (0..16usize)
@@ -3806,7 +3726,7 @@ mod tests {
                             for (t, s) in [(&target, &source), (&target, &empty), (&none, &source)]
                             {
                                 let mut got = t.clone();
-                                got.semijoin_on(&mine, s, &theirs);
+                                got.semijoin_on_budget(&mine, s, &theirs, &seq, off, &mut stats);
                                 let want = semijoin_reference(t, &mine, s, &theirs);
                                 let ctx = format!("width {width}, {mine:?} ⋉ {theirs:?}");
                                 assert_eq!(*got.data, want, "{ctx}");
@@ -3824,10 +3744,11 @@ mod tests {
         assert!(!want.is_empty() && want.len() < target.data.len());
         for threads in [1, 2, 4] {
             let mut got = target.clone();
-            got.semijoin_on_budget(&[1, 2], &source, &[2, 1], &ThreadBudget::new(threads));
+            let budget = ThreadBudget::new(threads);
+            got.semijoin_on_budget(&[1, 2], &source, &[2, 1], &budget, off, &mut stats);
             assert_eq!(*got.data, want, "{threads} threads");
         }
-        BITMAP_OVERRIDE.store(0, Ordering::Relaxed);
+        assert_eq!(stats.bitmap_probes, 0);
     }
 
     /// The two-part kernel join on large operands, under every keep
@@ -3836,15 +3757,14 @@ mod tests {
     /// against the reference join.
     #[test]
     fn fused_join_project_matches_two_steps_in_parallel() {
-        let _g = knob_guard(); // the sorts bump counters other tests read
         let mut seed = 5;
         let l = bounded_rel(&[0, 1, 2], 9000, 300, &mut seed);
         let r = bounded_rel(&[1, 3], 7000, 300, &mut seed);
         for vars in [&[0, 3][..], &[3, 2, 0, 1], &[2], &[]] {
             let want = reference_join(&[&l, &r], vars);
             for budget in [ThreadBudget::sequential(), ThreadBudget::new(4)] {
-                let mut stats = MatCacheStats::default();
-                let got = multiway_join([&l, &r].into_iter(), vars, &budget, &mut stats);
+                let (cfg, mut stats) = (EvalConfig::default(), MatCacheStats::default());
+                let got = multiway_join([&l, &r].into_iter(), vars, &budget, cfg, &mut stats);
                 assert_identical(&got, &want, &format!("vars {vars:?}"));
             }
         }
@@ -3890,16 +3810,15 @@ mod tests {
     fn check_word_join(l: &FlatRelation, r: &FlatRelation, vars: &[VarId], ctx: &str) {
         let want = reference_join(&[l, r], vars);
         for mode in [PackedMode::On, PackedMode::Auto, PackedMode::Off] {
-            set_packed_mode(mode);
             for threads in [1, 2, 4] {
                 let (budget, mut stats) = (ThreadBudget::new(threads), MatCacheStats::default());
-                let got = multiway_join([l, r].into_iter(), vars, &budget, &mut stats);
+                let got =
+                    multiway_join([l, r].into_iter(), vars, &budget, packed(mode), &mut stats);
                 let ctx = format!("{ctx}, {mode:?}, {threads} threads");
                 assert_identical(&got, &want, &ctx);
                 assert_eq!(got.domain_width, want.domain_width, "{ctx}");
             }
         }
-        reset_packed_override();
     }
 
     /// Two-part joins whose kept columns need the sort — a key
@@ -3912,7 +3831,6 @@ mod tests {
     /// operand orders.
     #[test]
     fn word_join_matches_join_then_project() {
-        let _g = knob_guard();
         let mut seed = 23;
         let (wide, past) = ((1 << 16) + 1, (1 << 21) + 1);
         // (left bound, right bound, kept variables); the comment gives
@@ -3961,11 +3879,10 @@ mod tests {
     /// and writes canonical rows with no sort — no row goes through a
     /// radix sort — and the second, with `y` dropped before `z`, writes
     /// one code word per match, `x` leading, and sorts those — short
-    /// runs of equal `x`. Counted on the packed counters, not timed.
+    /// runs of equal `x`. Counted on the call's packed counters, not
+    /// timed.
     #[test]
     fn canonical_probe_emits_canonical_words() {
-        let _g = knob_guard();
-        set_packed_mode(PackedMode::Auto);
         let n = 600u32;
         let mut e = FlatRelation::empty(vec![0, 1]);
         for u in 0..n {
@@ -3977,17 +3894,13 @@ mod tests {
         e.domain_width = n;
         let (xy, yz) = (e.relabel(vec![0, 1]), e.relabel(vec![1, 2]));
         for (vars, sorted) in [(&[0, 1, 2][..], 0), (&[0, 2], u64::from(8 * 8 * n))] {
-            // Tests running meanwhile can only add to the process-wide
-            // counter: the least move of five calls is the call's own.
-            let moved = (0..5).map(|_| {
-                let before = packed_stats().rows;
-                let got = kernel(&[&yz, &xy], vars);
-                assert_identical(&got, &reference_join(&[&xy, &yz], vars), "wedge");
-                packed_stats().rows - before
-            });
-            assert_eq!(moved.min(), Some(sorted), "vars {vars:?}");
+            let (budget, mut stats) = (ThreadBudget::sequential(), MatCacheStats::default());
+            let parts = [&yz, &xy].into_iter();
+            let got = multiway_join(parts, vars, &budget, EvalConfig::default(), &mut stats);
+            assert_identical(&got, &reference_join(&[&xy, &yz], vars), "wedge");
+            let words = (stats.packed_sorts, stats.packed_rows);
+            assert_eq!(words, (u64::from(sorted > 0), sorted), "vars {vars:?}");
         }
-        reset_packed_override();
     }
 
     /// Widths on both sides of every packing edge of the kernel's word
@@ -4027,7 +3940,6 @@ mod tests {
             identity in any::<bool>(),
             seed in any::<u64>(),
         ) {
-            let _g = knob_guard();
             let (la, ra, shared) = arities;
             let shared = shared.min(la).min(ra);
             let mut seed = seed;
@@ -4054,8 +3966,9 @@ mod tests {
                 }
             }
             let want = reference_join(&[&l, &r], &vars);
-            let mut stats = MatCacheStats::default();
-            let got = multiway_join([&l, &r].into_iter(), &vars, ThreadBudget::shared(), &mut stats);
+            let (cfg, mut stats) = (EvalConfig::default(), MatCacheStats::default());
+            let parts = [&l, &r].into_iter();
+            let got = multiway_join(parts, &vars, ThreadBudget::shared(), cfg, &mut stats);
             prop_assert_eq!(&got.schema, &want.schema);
             prop_assert_eq!(got.domain_width, want.domain_width);
             prop_assert_eq!(got.rows, want.rows);

@@ -33,8 +33,8 @@
 use crate::ast::{Atom, VarId};
 use crate::eval::answers::Answers;
 use crate::eval::flat::{
-    bitmap_mode, multiway_join, note_bitmap_build, note_bitmap_probe, AtomBinder, BitmapMode,
-    FlatRelation, MatCacheStats, MatKey, MaterializationCache,
+    multiway_join, AtomBinder, EvalConfig, FlatRelation, MatCacheStats, MatKey,
+    MaterializationCache,
 };
 use cqapx_par::{parallel_map, ThreadBudget};
 use cqapx_structures::{DomainBitmap, Structure};
@@ -163,23 +163,24 @@ impl MatSource {
     /// levels: the joined source under its own key and, on a source
     /// miss, each part under its key (so single-atom parts are shared
     /// with the plans that use them as whole hyperedges). The part
-    /// joins and canonicalization run under `budget`.
+    /// joins and canonicalization run under `budget` and `config`.
     pub fn materialize(
         &self,
         d: &Structure,
         cache: Option<&MaterializationCache>,
         stats: &mut MatCacheStats,
         budget: &ThreadBudget,
+        config: EvalConfig,
     ) -> FlatRelation {
         if self.parts.is_empty() {
             return FlatRelation::unit();
         }
         match cache {
-            None => self.materialize_fresh(d, None, stats, budget),
+            None => self.materialize_fresh(d, None, stats, budget, config),
             Some(c) => {
                 let mut inner = MatCacheStats::default();
                 let (rel, hit) = c.get_or_materialize(&self.key, || {
-                    self.materialize_fresh(d, Some(c), &mut inner, budget)
+                    self.materialize_fresh(d, Some(c), &mut inner, budget, config)
                 });
                 if hit {
                     stats.hits += 1;
@@ -199,19 +200,20 @@ impl MatSource {
         cache: Option<&MaterializationCache>,
         stats: &mut MatCacheStats,
         budget: &ThreadBudget,
+        config: EvalConfig,
     ) -> FlatRelation {
         if self.parts.len() == 1 && self.parts[0].schema == self.schema {
             // The source *is* its single part; its key equals the part
             // key, so the caller's lookup already covered it.
-            return self.parts[0].materialize_fresh(d, budget, stats);
+            return self.parts[0].materialize_fresh(d, budget, config, stats);
         }
         let mut rels: Vec<FlatRelation> = Vec::with_capacity(self.parts.len());
         for part in &self.parts {
+            let fresh = |s: &mut MatCacheStats| part.materialize_fresh(d, budget, config, s);
             rels.push(match cache {
-                None => part.materialize_fresh(d, budget, stats),
+                None => fresh(stats),
                 Some(c) => {
-                    let (rel, hit) = c
-                        .get_or_materialize(&part.key, || part.materialize_fresh(d, budget, stats));
+                    let (rel, hit) = c.get_or_materialize(&part.key, || fresh(stats));
                     if hit {
                         stats.hits += 1;
                     } else {
@@ -225,7 +227,7 @@ impl MatSource {
         // canonical on the sorted source schema (column order and row
         // order), so cache entries are label-independent.
         let t0 = std::time::Instant::now();
-        let out = multiway_join(rels.iter(), &self.schema, budget, stats);
+        let out = multiway_join(rels.iter(), &self.schema, budget, config, stats);
         stats.wcoj_bag_builds += 1;
         stats.wcoj_bag_us += t0.elapsed().as_micros() as u64;
         out
@@ -240,18 +242,25 @@ impl MatPart {
         &self,
         d: &Structure,
         budget: &ThreadBudget,
+        config: EvalConfig,
         stats: &mut MatCacheStats,
     ) -> FlatRelation {
-        let scan = |binder: &AtomBinder| {
+        let scan = |binder: &AtomBinder, stats: &mut MatCacheStats| {
             let mut rel = FlatRelation::empty(self.schema.clone());
             binder.materialize_into(d, &mut rel);
-            rel.sort_dedup_budget(budget);
+            rel.sort_dedup_budget(budget, config, stats);
             rel
         };
-        let mut acc = scan(&self.binders[0]);
+        let mut acc = scan(&self.binders[0], stats);
         for binder in &self.binders[1..] {
-            let next = scan(binder);
-            acc = multiway_join([&acc, &next].into_iter(), &self.schema, budget, stats);
+            let next = scan(binder, stats);
+            acc = multiway_join(
+                [&acc, &next].into_iter(),
+                &self.schema,
+                budget,
+                config,
+                stats,
+            );
         }
         acc
     }
@@ -368,6 +377,8 @@ pub struct PlanIr {
     reduction_decides: bool,
     /// Slot holding the final relation after a full run.
     output: Slot,
+    /// The kernel arms every run of the program takes.
+    config: EvalConfig,
     /// Memoized [`PlanIr::dependency_stages`] (the labels depend only
     /// on the immutable op list): computed on the first budgeted run,
     /// a field read afterwards. Clones carry the computed value along.
@@ -389,6 +400,13 @@ fn pair_mut<T>(xs: &mut [T], a: usize, b: usize) -> (&mut T, &T) {
 }
 
 impl PlanIr {
+    /// The program with every run taking the kernel arms of `config`
+    /// (compiled programs take [`EvalConfig::default`]).
+    pub fn with_eval_config(mut self, config: EvalConfig) -> PlanIr {
+        self.config = config;
+        self
+    }
+
     /// The operators, in execution order.
     pub fn ops(&self) -> &[Op] {
         &self.ops
@@ -496,7 +514,7 @@ impl PlanIr {
         } else {
             None
         };
-        let mut pc = start;
+        let (config, mut pc) = (self.config, start);
         while pc < len {
             // A contiguous same-stage block of materializations fans
             // out over the budget's workers.
@@ -522,7 +540,7 @@ impl PlanIr {
                         let results = parallel_map(group, lease.workers(), |(dst, source)| {
                             let t0 = timed.then(std::time::Instant::now);
                             let mut s = MatCacheStats::default();
-                            let r = source.materialize(d, cache, &mut s, budget);
+                            let r = source.materialize(d, cache, &mut s, budget, config);
                             let us = t0.map_or(0, |t| t.elapsed().as_micros() as u64);
                             (dst, r, s, us)
                         });
@@ -546,7 +564,7 @@ impl PlanIr {
             let t0 = profile.is_some().then(std::time::Instant::now);
             match op {
                 Op::Materialize { dst, source } => {
-                    slots[*dst] = Some(source.materialize(d, cache, stats, budget));
+                    slots[*dst] = Some(source.materialize(d, cache, stats, budget, config));
                 }
                 Op::Semijoin {
                     target,
@@ -555,9 +573,8 @@ impl PlanIr {
                     source_pos,
                 } => {
                     let (t, s) = pair_mut(slots, *target, *source);
-                    t.as_mut()
-                        .expect("slot written before use")
-                        .semijoin_on_budget(target_pos, rel(s), source_pos, budget);
+                    let t = t.as_mut().expect("slot written before use");
+                    t.semijoin_on_budget(target_pos, rel(s), source_pos, budget, config, stats);
                 }
                 Op::AssertNonempty { slot } => {
                     if rel(&slots[*slot]).is_empty() {
@@ -573,7 +590,7 @@ impl PlanIr {
                 }
                 Op::MultiJoin { dst, inputs, vars } => {
                     let parts = inputs.iter().map(|s| rel(&slots[*s]));
-                    slots[*dst] = Some(multiway_join(parts, vars, budget, stats));
+                    slots[*dst] = Some(multiway_join(parts, vars, budget, config, stats));
                 }
                 Op::Project { dst, src, vars } => {
                     // Every slot of a compiled tree is duplicate-free
@@ -586,7 +603,7 @@ impl PlanIr {
                         source.share_rows();
                         source.relabel(vars.clone())
                     } else {
-                        source.project_budget(vars, budget)
+                        source.project_budget(vars, budget, config, stats)
                     };
                     slots[*dst] = Some(out);
                 }
@@ -594,7 +611,7 @@ impl PlanIr {
                     slots[*slot]
                         .as_mut()
                         .expect("slot written before use")
-                        .sort_dedup_budget(budget);
+                        .sort_dedup_budget(budget, config, stats);
                 }
                 Op::Union { dst, src } => {
                     let (t, s) = pair_mut(slots, *dst, *src);
@@ -715,10 +732,11 @@ impl PlanIr {
             let (nonempty, stats) = self.run_boolean_budget_profiled(d, cache, budget, profile);
             return (Answers::boolean(nonempty), stats);
         }
-        let (result, stats) = self.run_budget_profiled(d, cache, budget, profile);
+        let (result, mut stats) = self.run_budget_profiled(d, cache, budget, profile);
+        let (dict, config) = (d.domain_dict(), self.config);
         let answers = match result {
             None => Answers::empty(head.len()),
-            Some(rel) => Answers::from_relation(rel, head, d.domain_dict(), budget),
+            Some(rel) => Answers::from_relation(rel, head, dict, budget, config, &mut stats),
         };
         (answers, stats)
     }
@@ -774,7 +792,8 @@ impl PlanIr {
                 profile.as_deref_mut(),
             );
             debug_assert!(alive, "materializations assert nothing");
-            if let Some(alive) = self.bitmap_bool_sweep(mat_len, &slots, profile.as_deref_mut()) {
+            let sweep = self.bitmap_bool_sweep(mat_len, &slots, &mut stats, profile.as_deref_mut());
+            if let Some(alive) = sweep {
                 return (alive, stats);
             }
             let alive = self.exec(
@@ -808,17 +827,19 @@ impl PlanIr {
     /// the outcome — and every profiled row count — is identical to
     /// the kernel path. Slots are never mutated.
     ///
-    /// Returns `None` (before emitting any profile entry) when bitmaps
-    /// are off or any sweep op is ineligible — a multi-column key, a
-    /// fused root edge, or a source without a dense bound; the caller
-    /// then runs the same ops through the semijoin and multiway kernels.
+    /// Returns `None` (before emitting any profile entry) when the
+    /// plan's config reads no bitmaps or any sweep op is ineligible — a
+    /// multi-column key, a fused root edge, or a source without a dense
+    /// bound; the caller then runs the same ops through the semijoin
+    /// and multiway kernels. Each bitmap test is counted into `stats`.
     fn bitmap_bool_sweep(
         &self,
         mat_len: usize,
         slots: &[Option<FlatRelation>],
+        stats: &mut MatCacheStats,
         mut profile: Option<&mut EvalProfile>,
     ) -> Option<bool> {
-        if bitmap_mode() == BitmapMode::Off {
+        if !self.config.bitmaps {
             return None;
         }
         let sweep = &self.ops[mat_len..self.bool_len];
@@ -902,7 +923,7 @@ impl PlanIr {
                             m.dirty = true;
                         }
                     } else {
-                        note_bitmap_probe();
+                        stats.note_bitmap_probe();
                         let srel = rel(*source);
                         let scol = source_pos[0];
                         let smask = masks[*source].as_ref().expect("ensured");
@@ -922,7 +943,6 @@ impl PlanIr {
                                     bits &= bits - 1;
                                 }
                             }
-                            note_bitmap_build();
                             rebuilt = bm;
                             &rebuilt
                         } else {
@@ -1250,6 +1270,7 @@ pub fn compile_tree(
             bool_len,
             reduction_decides,
             output: *order.last().expect("at least one node"),
+            config: EvalConfig::default(),
             stages_memo: std::sync::OnceLock::new(),
         };
     }
@@ -1307,6 +1328,7 @@ pub fn compile_tree(
         bool_len,
         reduction_decides,
         output: out,
+        config: EvalConfig::default(),
         stages_memo: std::sync::OnceLock::new(),
     }
 }
@@ -1340,7 +1362,13 @@ mod tests {
         };
         let d = Structure::digraph(2, &[]);
         let mut stats = MatCacheStats::default();
-        let r = src.materialize(&d, None, &mut stats, ThreadBudget::shared());
+        let r = src.materialize(
+            &d,
+            None,
+            &mut stats,
+            ThreadBudget::shared(),
+            EvalConfig::default(),
+        );
         assert_eq!(r.len(), 1);
         assert_eq!(r.arity(), 0);
         assert_eq!(stats, MatCacheStats::default());
@@ -1352,7 +1380,13 @@ mod tests {
         let d = Structure::digraph(4, &[(0, 1), (1, 2), (2, 3)]);
         let cache = MaterializationCache::new();
         let mut stats = MatCacheStats::default();
-        let r = src.materialize(&d, Some(&cache), &mut stats, ThreadBudget::shared());
+        let r = src.materialize(
+            &d,
+            Some(&cache),
+            &mut stats,
+            ThreadBudget::shared(),
+            EvalConfig::default(),
+        );
         assert_eq!(r.schema(), &[0, 1, 2]);
         assert_eq!(r.len(), 2); // 0-1-2 and 1-2-3
                                 // Cold: source miss + two part misses, all inserted.
@@ -1360,7 +1394,13 @@ mod tests {
         assert_eq!(cache.len(), 2); // the part shape + the joined source
                                     // Warm: a single source-level hit.
         let mut warm = MatCacheStats::default();
-        let r2 = src.materialize(&d, Some(&cache), &mut warm, ThreadBudget::shared());
+        let r2 = src.materialize(
+            &d,
+            Some(&cache),
+            &mut warm,
+            ThreadBudget::shared(),
+            EvalConfig::default(),
+        );
         assert_eq!((warm.hits, warm.misses), (1, 0));
         assert_eq!(
             r.rows_in_head_order(&[0, 1, 2]),
@@ -1376,7 +1416,6 @@ mod tests {
     fn same_schema_atoms_intersect_on_the_materialize_path() {
         use crate::eval::naive::eval_naive;
         use cqapx_structures::{StructureBuilder, Vocabulary};
-        let _g = crate::eval::flat::knob_guard(); // the scans' sorts bump shared counters
         let v = Vocabulary::new(vec![("E", 2), ("F", 2)]);
         let (e, f) = (v.rel("E").unwrap(), v.rel("F").unwrap());
         let mut b = StructureBuilder::new(v.clone(), 40);
@@ -1391,7 +1430,13 @@ mod tests {
         let src = MatSource::from_groups(&[q.atoms().iter().collect()]);
         assert_eq!((src.parts.len(), src.parts[0].binders.len()), (1, 4));
         let mut stats = MatCacheStats::default();
-        let got = src.materialize(&d, None, &mut stats, &ThreadBudget::sequential());
+        let got = src.materialize(
+            &d,
+            None,
+            &mut stats,
+            &ThreadBudget::sequential(),
+            EvalConfig::default(),
+        );
         assert_eq!(got.schema(), &[0, 1]);
         assert_eq!(got.domain_width(), d.domain_dict().len() as u32);
         let rows: Vec<&[u32]> = got.iter_rows().collect();
@@ -1413,7 +1458,7 @@ mod tests {
     /// reference join onto its schema.
     fn reference(src: &MatSource, d: &Structure) -> FlatRelation {
         let (budget, mut stats) = (ThreadBudget::sequential(), MatCacheStats::default());
-        let scan = |p: &MatPart| p.materialize_fresh(d, &budget, &mut stats);
+        let scan = |p: &MatPart| p.materialize_fresh(d, &budget, EvalConfig::default(), &mut stats);
         let parts: Vec<FlatRelation> = src.parts.iter().map(scan).collect();
         crate::eval::flat::reference_join(&parts.iter().collect::<Vec<_>>(), &src.schema)
     }
@@ -1444,7 +1489,13 @@ mod tests {
         ] {
             let src = source_of(q);
             let mut stats = MatCacheStats::default();
-            let got = src.materialize(&d, None, &mut stats, ThreadBudget::shared());
+            let got = src.materialize(
+                &d,
+                None,
+                &mut stats,
+                ThreadBudget::shared(),
+                EvalConfig::default(),
+            );
             let want = reference(&src, &d);
             assert!(!want.is_empty(), "fixture must produce rows on {q}");
             assert_eq!(got.schema(), want.schema(), "{q}");
@@ -1489,6 +1540,7 @@ mod tests {
             bool_len: 5,
             reduction_decides: true,
             output: 2,
+            config: EvalConfig::default(),
             stages_memo: std::sync::OnceLock::new(),
         };
         let d = Structure::digraph(3, &[(0, 1), (1, 0), (1, 2)]);
@@ -1541,6 +1593,7 @@ mod tests {
             bool_len: 3,
             reduction_decides: true,
             output: 1,
+            config: EvalConfig::default(),
             stages_memo: std::sync::OnceLock::new(),
         };
         let stages = ir.dependency_stages();
@@ -1646,8 +1699,6 @@ mod tests {
     #[test]
     fn warm_boolean_run_copies_no_cached_row() {
         use crate::eval::yannakakis::AcyclicPlan;
-        // The kernels bump process-wide counters other tests read.
-        let _g = crate::eval::flat::knob_guard();
         // A directed cycle reduces nothing: every semijoin keeps every
         // row, so even the kernel sweep must leave the slots alone.
         let edges: Vec<(u32, u32)> = (0..700u32).map(|u| (u, (u + 1) % 700)).collect();
@@ -1676,7 +1727,8 @@ mod tests {
         assert_eq!((stats.hits as usize, stats.misses), (mat_len, 0));
         // Both sweep paths: the bitmap collapse (when bitmaps are on)
         // and the semijoin kernels.
-        assert_ne!(ir.bitmap_bool_sweep(mat_len, &slots, None), Some(false));
+        let sweep = ir.bitmap_bool_sweep(mat_len, &slots, &mut stats, None);
+        assert_ne!(sweep, Some(false));
         let len = ir.bool_len;
         assert!(ir.exec(
             mat_len,
@@ -1780,7 +1832,6 @@ mod tests {
     fn single_root_output_is_head_ordered_and_canonical() {
         use crate::eval::decomposed::DecomposedPlan;
         use crate::eval::yannakakis::AcyclicPlan;
-        let _g = crate::eval::flat::knob_guard(); // kernels bump shared counters
         let edges: Vec<(u32, u32)> = (0..40u32)
             .flat_map(|u| [(u, (u * 7 + 3) % 40), (u, (u + 1) % 40), ((u * 5) % 40, u)])
             .collect();
@@ -1820,7 +1871,6 @@ mod tests {
     #[test]
     fn seventy_variable_head_joins_through_one_child() {
         use crate::eval::naive::eval_naive;
-        let _g = crate::eval::flat::knob_guard(); // kernels bump shared counters
         let head: Vec<String> = (0..70).map(|i| format!("x{i}")).collect();
         let atoms: Vec<String> = (1..70).map(|i| format!("E(x{}, x{i})", i - 1)).collect();
         let q = parse_cq(&format!("Q({}) :- {}", head.join(", "), atoms.join(", "))).unwrap();
@@ -1852,14 +1902,13 @@ mod tests {
     /// A head-ordered root is one kernel join under the one label
     /// `join`, whatever it writes: `wedge3`'s binds the head in order
     /// and writes its rows with no sort, `two_hop`'s drops `y` before
-    /// `z` and sorts its matches — as code words when the packed sorts
-    /// are on, so the packed counter moves by the match count then, and
-    /// not otherwise.
+    /// `z` and sorts its matches — as code words when the plan's packed
+    /// sorts are on, so the root's packed counters count one sort of the
+    /// matches then, and nothing otherwise.
     #[test]
     fn head_ordered_root_is_labelled_as_it_dispatches() {
-        use crate::eval::flat::{packed_stats, reset_packed_override, set_packed_mode, PackedMode};
+        use crate::eval::flat::PackedMode;
         use crate::eval::yannakakis::AcyclicPlan;
-        let _g = crate::eval::flat::knob_guard();
         let edges: Vec<(u32, u32)> = (0..60u32)
             .flat_map(|u| [(u, (u * 7 + 3) % 60), (u, (u + 1) % 60)])
             .collect();
@@ -1870,39 +1919,35 @@ mod tests {
             ("Q(x, z) :- E(x,y), E(y,z)", true),
         ] {
             let q = parse_cq(rule).unwrap();
-            let plan = AcyclicPlan::compile(&q).unwrap();
-            let ir = plan.ir();
-            let root = ir.ops.len() - 1;
-            assert!(matches!(
-                &ir.ops[root],
-                Op::MultiJoin { inputs, vars, .. } if inputs.len() == 2 && vars == q.free_vars()
-            ));
             for mode in [PackedMode::On, PackedMode::Off] {
-                set_packed_mode(mode);
+                let config = EvalConfig {
+                    packed: mode,
+                    ..EvalConfig::default()
+                };
+                let plan = AcyclicPlan::compile(&q).unwrap().with_eval_config(config);
+                let ir = plan.ir();
+                let root = ir.ops.len() - 1;
+                assert!(matches!(
+                    &ir.ops[root],
+                    Op::MultiJoin { inputs, vars, .. } if inputs.len() == 2 && vars == q.free_vars()
+                ));
                 let mut stats = MatCacheStats::default();
                 let mut slots: Vec<Option<FlatRelation>> = vec![None; ir.slots];
                 assert!(ir.exec(0, root, &mut slots, &d, None, &mut stats, budget, None));
-                let mut profile = EvalProfile::default();
-                // Tests running meanwhile can only add to the
-                // process-wide counters: the least move of five runs of
-                // the root is its own.
-                let mut moved = (u64::MAX, u64::MAX);
-                for _ in 0..5 {
-                    let before = packed_stats();
-                    profile = EvalProfile::default();
-                    let (s, profiled) = (&mut stats, Some(&mut profile));
-                    assert!(ir.exec(root, root + 1, &mut slots, &d, None, s, budget, profiled));
-                    let after = packed_stats();
-                    moved = moved.min((after.builds - before.builds, after.rows - before.rows));
-                }
+                let (mut stats, mut profile) = (MatCacheStats::default(), EvalProfile::default());
+                let (s, profiled) = (&mut stats, Some(&mut profile));
+                assert!(ir.exec(root, root + 1, &mut slots, &d, None, s, budget, profiled));
                 assert_eq!(profile.ops[0].op, "join");
                 assert_eq!(profile.ops[0].rows, plan.eval(&d).len(), "{rule}");
                 let words = sorts && mode == PackedMode::On;
                 let want = if words { (1, 240) } else { (0, 0) };
-                assert_eq!(moved, want, "{rule}, {mode:?}");
+                assert_eq!(
+                    (stats.packed_sorts, stats.packed_rows),
+                    want,
+                    "{rule}, {mode:?}"
+                );
             }
         }
-        reset_packed_override();
         // `Q(a) :- C6`: the root has two children and is the multiway
         // op over the head; its rows are the answers and its cursor
         // moves land in the run's own stats.
@@ -2118,6 +2163,7 @@ mod tests {
             bool_len: 4,
             reduction_decides: true,
             output: 2,
+            config: EvalConfig::default(),
             stages_memo: std::sync::OnceLock::new(),
         };
         let d = Structure::digraph(4, &[(0, 1), (1, 2), (3, 3)]);

@@ -24,7 +24,7 @@
 
 use crate::ast::{Atom, ConjunctiveQuery, VarId};
 use crate::eval::answers::Answers;
-use crate::eval::flat::{MatCacheStats, MaterializationCache};
+use crate::eval::flat::{EvalConfig, MatCacheStats, MaterializationCache};
 use crate::eval::ir::{compile_tree, MatSource, NodeSpec, PlanIr};
 use cqapx_hypergraphs::{gyo, Hypergraph};
 use cqapx_par::ThreadBudget;
@@ -119,6 +119,12 @@ impl AcyclicPlan {
     /// The compiled IR program.
     pub fn ir(&self) -> &PlanIr {
         &self.ir
+    }
+
+    /// The plan with every run taking the kernel arms of `config`.
+    pub fn with_eval_config(mut self, config: EvalConfig) -> AcyclicPlan {
+        self.ir = self.ir.with_eval_config(config);
+        self
     }
 
     /// Boolean evaluation: `Q(D) ≠ ∅`.
@@ -231,14 +237,16 @@ mod tests {
     }
 
     /// A `reduction_decides` Boolean plan collapses its semijoin sweep
-    /// to bitmap intersections under `CQAPX_BITMAP=on`; the decision,
-    /// the naive reference, and the cache traffic must all be identical
-    /// to the probe sweep — on both satisfied and unsatisfied
-    /// instances, cold and warm.
+    /// to bitmap intersections when its config reads bitmaps; the
+    /// decision, the naive reference, and the cache traffic must all be
+    /// identical to the plan without them, which probes nothing — on
+    /// both satisfied and unsatisfied instances, cold and warm.
     #[test]
     fn bitmap_boolean_sweep_matches_probe_sweep() {
-        use crate::eval::flat::{knob_guard, reset_bitmap_override, set_bitmap_mode, BitmapMode};
-        let _g = knob_guard();
+        let probe = EvalConfig {
+            bitmaps: false,
+            ..EvalConfig::default()
+        };
         let mut edges = Vec::new();
         for u in 0..40u32 {
             edges.push((u, (u * 7 + 3) % 40));
@@ -253,17 +261,16 @@ mod tests {
         ] {
             let q = parse_cq(qs).unwrap();
             let plan = AcyclicPlan::compile(&q).unwrap();
+            let off = plan.clone().with_eval_config(probe);
             assert!(plan.ir().reduction_decides(), "{qs} must be sweep-shaped");
             for d in [&yes, &no] {
                 let naive = eval_boolean_naive(&q, d);
-                set_bitmap_mode(BitmapMode::On);
                 let cache_on = MaterializationCache::new();
                 let (on_cold, s_on) = plan.eval_boolean_cached(d, Some(&cache_on));
                 let (on_warm, _) = plan.eval_boolean_cached(d, Some(&cache_on));
-                set_bitmap_mode(BitmapMode::Off);
                 let cache_off = MaterializationCache::new();
-                let (off_cold, s_off) = plan.eval_boolean_cached(d, Some(&cache_off));
-                reset_bitmap_override();
+                let (off_cold, s_off) = off.eval_boolean_cached(d, Some(&cache_off));
+                assert_eq!(s_off.bitmap_probes, 0, "bitmaps unread on {qs}");
                 assert_eq!(on_cold, naive, "bitmap sweep wrong on {qs}");
                 assert_eq!(on_warm, naive, "warm bitmap sweep wrong on {qs}");
                 assert_eq!(off_cold, naive, "probe sweep wrong on {qs}");
@@ -281,8 +288,11 @@ mod tests {
     /// the naive reference, and cache traffic untouched.
     #[test]
     fn packed_kernels_identical_on_acyclic_tier() {
-        use crate::eval::flat::{knob_guard, reset_packed_override, set_packed_mode, PackedMode};
-        let _g = knob_guard();
+        use crate::eval::flat::PackedMode;
+        let packed = |packed| EvalConfig {
+            packed,
+            ..EvalConfig::default()
+        };
         let mut edges = Vec::new();
         for u in 0..40u32 {
             edges.push((u, (u * 7 + 3) % 40));
@@ -296,15 +306,15 @@ mod tests {
         ] {
             let q = parse_cq(qs).unwrap();
             let plan = AcyclicPlan::compile(&q).unwrap();
+            let on = plan.clone().with_eval_config(packed(PackedMode::On));
+            let off = plan.with_eval_config(packed(PackedMode::Off));
             let naive = eval_naive(&q, &d);
-            set_packed_mode(PackedMode::On);
             let cache_on = MaterializationCache::new();
-            let (rows_on, s_on) = plan.eval_cached(&d, Some(&cache_on));
-            let bool_on = plan.eval_boolean_cached(&d, Some(&cache_on)).0;
-            set_packed_mode(PackedMode::Off);
+            let (rows_on, s_on) = on.eval_cached(&d, Some(&cache_on));
+            let bool_on = on.eval_boolean_cached(&d, Some(&cache_on)).0;
             let cache_off = MaterializationCache::new();
-            let (rows_off, s_off) = plan.eval_cached(&d, Some(&cache_off));
-            reset_packed_override();
+            let (rows_off, s_off) = off.eval_cached(&d, Some(&cache_off));
+            assert_eq!(s_off.packed_sorts, 0, "comparison sorts only on {qs}");
             assert_eq!(rows_on, rows_off, "answers differ on {qs}");
             assert_eq!(rows_on, naive, "naive disagrees on {qs}");
             assert_eq!(bool_on, !naive.is_empty(), "boolean wrong on {qs}");

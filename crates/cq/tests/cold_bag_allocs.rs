@@ -18,7 +18,8 @@
 //! thread.
 
 use cqapx_cq::eval::{
-    AcyclicPlan, DecomposedPlan, MatCacheStats, MatSource, MaterializationCache, Op, PlanIr,
+    AcyclicPlan, DecomposedPlan, EvalConfig, MatCacheStats, MatSource, MaterializationCache, Op,
+    PlanIr,
 };
 use cqapx_cq::parse_cq;
 use cqapx_par::ThreadBudget;
@@ -120,9 +121,6 @@ fn cold_eval_calls(plan: &DecomposedPlan, d: &Structure) -> (u64, usize) {
 fn cold_triangle_allocations_do_not_grow_with_the_graph() {
     let q = parse_cq("Q(x) :- E(x,y), E(y,z), E(z,x)").unwrap();
     let plan = DecomposedPlan::compile(&q, 2).unwrap();
-    // The kernel knobs read the environment once per process, on first
-    // use, and a set variable costs an allocation: spend that here.
-    cold_eval_calls(&plan, &graph(40));
     let (small, big) = (graph(2_000), graph(20_000));
     let (small_calls, small_answers) = cold_eval_calls(&plan, &small);
     let (big_calls, big_answers) = cold_eval_calls(&plan, &big);
@@ -158,7 +156,7 @@ fn cold_two_path_bag_requests_little_more_than_it_returns() {
     let budget = ThreadBudget::new(1);
     let mut stats = MatCacheStats::default();
     let before = BYTES.with(Cell::get);
-    let bag = source.materialize(&d, None, &mut stats, &budget);
+    let bag = source.materialize(&d, None, &mut stats, &budget, EvalConfig::default());
     let requested = BYTES.with(Cell::get) - before;
     assert_eq!(stats.wcoj_bag_builds, 1);
     assert_eq!(bag.len(), 16 * n as usize, "every wedge, once");

@@ -297,6 +297,12 @@ pub struct EngineStats {
     pub mat_misses: u64,
     /// Multi-part bags built (each by the multiway kernel).
     pub bag_builds: u64,
+    /// Semijoins and Boolean sweep steps answered by a column bitmap.
+    pub bitmap_probes: u64,
+    /// Sorts run on packed code words.
+    pub packed_sorts: u64,
+    /// Rows those sorts read.
+    pub packed_rows: u64,
     /// Total answer tuples returned.
     pub answers: u64,
     /// Summed per-request wall time (across workers; exceeds elapsed
@@ -355,6 +361,11 @@ impl fmt::Display for EngineStats {
             100.0 * self.mat_hit_rate()
         )?;
         writeln!(f, "bag builds      {}", self.bag_builds)?;
+        writeln!(
+            f,
+            "kernels         bitmap probes {} · packed sorts {} ({} rows)",
+            self.bitmap_probes, self.packed_sorts, self.packed_rows
+        )?;
         writeln!(f, "answers         {}", self.answers)?;
         write!(f, "busy time       {:?}", self.busy)
     }
@@ -478,7 +489,8 @@ fn class_label(r: &Response) -> &'static str {
 /// accumulate into each other.
 #[derive(Debug, Clone)]
 pub struct StatsSnapshot {
-    /// The aggregate counters ([`Engine::stats`]).
+    /// The aggregate counters ([`Engine::stats`]), the kernel counters
+    /// of this engine's runs among them.
     pub counters: EngineStats,
     /// The level the engine records at.
     pub level: MetricsLevel,
@@ -524,23 +536,6 @@ pub struct StatsSnapshot {
     /// `Debug`: bag-build time quantiles under the one label `"wcoj"`
     /// (the multiway kernel), per-response totals in µs.
     pub bag_build_latency: BTreeMap<String, HistogramSnapshot>,
-    /// Column existence bitmaps built by the eval layer, process-wide
-    /// (the `CQAPX_BITMAP` kernels). Authoritative at every level.
-    pub bitmap_builds: u64,
-    /// Kernel dispatches answered via bitmaps instead of index probes,
-    /// process-wide.
-    pub bitmap_probes: u64,
-    /// Word-table bytes of currently live column bitmaps, process-wide
-    /// (bitmaps on cached materializations are also inside each cache's
-    /// resident bytes — see `mat_cache_bytes_by_db`).
-    pub bitmap_resident_bytes: u64,
-    /// Packed code-word indexes and radix dedups built by the eval
-    /// layer, process-wide (the `CQAPX_PACKED` kernels). Packed
-    /// structures are transient — built, probed, dropped — so there is
-    /// no resident-bytes gauge and cache byte accounting is untouched.
-    pub packed_builds: u64,
-    /// Rows fed through the packed kernels, process-wide.
-    pub packed_rows: u64,
     /// Outstanding admitted requests at snapshot time.
     pub queue_depth: i64,
     /// Total claimable extra workers (threads − 1).
@@ -712,8 +707,6 @@ impl Engine {
                 dict_sizes.insert(d.name.clone(), d.structure.domain_dict().len() as u64);
             }
         }
-        let bitmap_stats = cqapx_cq::eval::bitmap_stats();
-        let packed_stats = cqapx_cq::eval::packed_stats();
         StatsSnapshot {
             counters: self.stats(),
             level: m.level,
@@ -734,11 +727,6 @@ impl Engine {
             op_micros: m.op_micros.snapshot(),
             op_rows: m.op_rows.snapshot(),
             bag_build_latency: m.bag_build.snapshot(),
-            bitmap_builds: bitmap_stats.builds,
-            bitmap_probes: bitmap_stats.probes,
-            bitmap_resident_bytes: bitmap_stats.resident_bytes as u64,
-            packed_builds: packed_stats.builds,
-            packed_rows: packed_stats.rows,
             queue_depth: self.inflight.load(Ordering::Relaxed) as i64,
             workers_capacity: self.budget.capacity(),
             workers_available: m.workers_available.get(),
@@ -937,6 +925,9 @@ impl Engine {
         s.mat_hits += r.mat_cache.hits as u64;
         s.mat_misses += r.mat_cache.misses as u64;
         s.bag_builds += r.mat_cache.wcoj_bag_builds as u64;
+        s.bitmap_probes += r.mat_cache.bitmap_probes;
+        s.packed_sorts += r.mat_cache.packed_sorts;
+        s.packed_rows += r.mat_cache.packed_rows;
         s.answers += r.answers.len() as u64;
         s.busy += r.wall;
     }

@@ -2,7 +2,7 @@
 //! cache: identical answers before/after a cache hit, correct behavior
 //! across database re-registration (a fresh snapshot gets a fresh
 //! cache), sharing across prepared queries, and hit-rate reporting in
-//! `EngineStats`.
+//! `EngineStats` — with the kernel counters the same runs report.
 
 use cqapx_cq::parse_cq;
 use cqapx_engine::{Engine, EngineConfig, PlanKind, Request};
@@ -123,4 +123,53 @@ fn planner_reads_cached_cardinalities() {
     );
     let decision = choose_plan(&shape, None, &entry, 1e6);
     assert_eq!(decision.est_naive_cost, warm);
+}
+
+/// The kernel counters an engine reports are its own runs': beside a
+/// busy engine serving a batch that sorts as code words and sweeps on
+/// bitmaps, an idle engine reads zero, the busy one reads what its
+/// responses summed to, and `reset_stats` zeroes it.
+#[test]
+fn kernel_counters_are_per_engine() {
+    let edges: Vec<(u32, u32)> = (0..600u32)
+        .flat_map(|u| [1, 7, 61, 200].map(|step| (u, (u * 13 + step) % 600)))
+        .collect();
+    let d = Structure::digraph(600, &edges);
+    let (busy, idle) = (
+        Engine::new(EngineConfig::default()),
+        Engine::new(EngineConfig::default()),
+    );
+    let db = busy.register_database("d", d.clone());
+    idle.register_database("d", d);
+    let queries = [
+        "Q(x, z) :- E(x, y), E(y, z)",      // 2,400 matches sorted as words
+        "Q() :- E(x, y), E(y, z), E(z, w)", // the sweep on bitmaps
+    ];
+    let requests: Vec<Request> = (queries.iter().enumerate())
+        .map(|(i, q)| {
+            Request::new(
+                busy.prepare_query(format!("q{i}"), parse_cq(q).unwrap()),
+                db,
+            )
+        })
+        .collect();
+    let responses = busy.execute_batch(&requests);
+    let kernels = |e: &Engine| {
+        let c = e.snapshot().counters;
+        (c.bitmap_probes, c.packed_sorts, c.packed_rows)
+    };
+    let summed = responses.iter().fold((0, 0, 0), |(p, s, r), resp| {
+        let m = resp.mat_cache;
+        (p + m.bitmap_probes, s + m.packed_sorts, r + m.packed_rows)
+    });
+    let (probes, sorts, rows) = kernels(&busy);
+    assert!(
+        probes > 0 && sorts > 0 && rows >= 2400,
+        "{:?}",
+        kernels(&busy)
+    );
+    assert_eq!(kernels(&busy), summed, "the engine sums its responses");
+    assert_eq!(kernels(&idle), (0, 0, 0), "the idle engine ran nothing");
+    busy.reset_stats();
+    assert_eq!(kernels(&busy), (0, 0, 0), "reset_stats clears them");
 }

@@ -45,8 +45,8 @@ fn main() {
     );
 
     // A cyclic query lands on the decomposed tier, whose bags the
-    // materializer joins either binarily or with the multiway (WCOJ)
-    // kernel — the Debug tier histograms build time per strategy.
+    // multiway (WCOJ) kernel joins — the Debug tier histograms their
+    // build time.
     let c4 = engine.prepare_query(
         "c4",
         parse_cq("Q(a, c) :- E(a,b), E(b,c), E(c,d), E(d,a)").unwrap(),
@@ -142,13 +142,11 @@ fn main() {
         "  approx cache  resident={}B budget={} evictions={}",
         snap.approx_cache_bytes, snap.approx_cache_budget_bytes, snap.approx_cache_evictions
     );
+    // Column bitmaps of cached relations count in `resident` above;
+    // how often runs read them is one of this engine's kernel counters.
     println!(
-        "  bitmaps       resident={}B builds={} probes={} (CQAPX_BITMAP kernels)",
-        snap.bitmap_resident_bytes, snap.bitmap_builds, snap.bitmap_probes
-    );
-    println!(
-        "  packed        builds={} rows={} (CQAPX_PACKED kernels)",
-        snap.packed_builds, snap.packed_rows
+        "\n── kernels (this engine's runs) ──\n  bitmap probes={} packed sorts={} ({} rows)",
+        snap.counters.bitmap_probes, snap.counters.packed_sorts, snap.counters.packed_rows
     );
 
     println!("\n── trace ring (Trace tier, last few) ──");
