@@ -1603,97 +1603,9 @@ pub fn exp_eval() -> String {
          removes repeated hyperedge scans entirely."
     );
 
-    // W6 — morsel-driven intra-query parallelism: the heavy workloads
-    // under explicit thread budgets 1/2/4. The numbers are measured
-    // wall clock on this machine; `available_parallelism` is recorded
-    // beside them because a budget above the physical core count
-    // cannot buy wall-clock speedup (threads time-slice one core) —
-    // the differential tests, not the clock, prove the parallel paths
-    // run. Answers are asserted identical across budgets.
-    struct ParRow {
-        name: &'static str,
-        what: &'static str,
-        t1_ms: f64,
-        t2_ms: f64,
-        t4_ms: f64,
-    }
-    let mut par_rows: Vec<ParRow> = Vec::new();
-    {
-        use cqapx_cq::eval::DecomposedPlan;
-        use cqapx_par::ThreadBudget;
-
-        let q = parse_cq("Q(x1, x4) :- E(x1,x2), E(x2,x3), E(x3,x4)").unwrap();
-        let db = workloads::random_db(700, 4.0, 13);
-        let plan = AcyclicPlan::compile(&q).expect("acyclic");
-        let reference = plan.eval_cached_budget(&db, None, &ThreadBudget::new(1)).0;
-        for t in [2usize, 4] {
-            assert_eq!(
-                plan.eval_cached_budget(&db, None, &ThreadBudget::new(t)).0,
-                reference,
-                "parallel join_heavy_free answers diverge at {t} threads"
-            );
-        }
-        let ms = |t: usize| {
-            let budget = ThreadBudget::new(t);
-            median_ms(samples, || {
-                std::hint::black_box(plan.eval_cached_budget(&db, None, &budget));
-            })
-        };
-        par_rows.push(ParRow {
-            name: "join_heavy_free",
-            what: "3-hop join, morsel-parallel probe + parallel sort",
-            t1_ms: ms(1),
-            t2_ms: ms(2),
-            t4_ms: ms(4),
-        });
-
-        let q = parse_cq("Q(a, d) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
-        let db = workloads::random_db(300, 6.0, 29);
-        let plan = DecomposedPlan::compile(&q, 2).expect("C6 has treewidth 2");
-        let reference = plan.eval_cached_budget(&db, None, &ThreadBudget::new(1)).0;
-        for t in [2usize, 4] {
-            assert_eq!(
-                plan.eval_cached_budget(&db, None, &ThreadBudget::new(t)).0,
-                reference,
-                "parallel cyclic_c6_free answers diverge at {t} threads"
-            );
-        }
-        let ms = |t: usize| {
-            let budget = ThreadBudget::new(t);
-            median_ms(samples, || {
-                std::hint::black_box(plan.eval_cached_budget(&db, None, &budget));
-            })
-        };
-        par_rows.push(ParRow {
-            name: "cyclic_c6_free",
-            what: "C6 decomposed tier, concurrent bag materialization",
-            t1_ms: ms(1),
-            t2_ms: ms(2),
-            t4_ms: ms(4),
-        });
-    }
-    let hw_threads = cqapx_par::default_threads();
-    let _ = writeln!(
-        out,
-        "\n{:<20} {:>10} {:>10} {:>10} {:>9}  parallel workload (available parallelism: {hw_threads})",
-        "id", "1 thread", "2 threads", "4 threads", "speedup@4"
-    );
-    for r in &par_rows {
-        let _ = writeln!(
-            out,
-            "{:<20} {:>8.2}ms {:>8.2}ms {:>8.2}ms {:>8.2}×  {}",
-            r.name,
-            r.t1_ms,
-            r.t2_ms,
-            r.t4_ms,
-            r.t1_ms / r.t4_ms.max(1e-9),
-            r.what
-        );
-    }
-
-    // Batch-mode throughput under one shared thread budget: the same
-    // 32-request batch on a 1-thread and a 4-thread engine; batch
-    // workers and intra-query morsels draw from the same pool.
+    // Batch-mode throughput: the same 32-request batch on a 1-thread
+    // and a 4-thread engine, whose batch workers each run whole
+    // requests.
     let (batch_n, batch_t1_ms, batch_t4_ms) = {
         let run = |threads: usize| {
             let engine = Engine::new(EngineConfig {
@@ -2055,29 +1967,7 @@ pub fn exp_eval() -> String {
             if i + 1 < cyc_rows.len() { "," } else { "" }
         );
     }
-    let _ = writeln!(json, "  ],\n  \"parallel\": {{");
-    let _ = writeln!(json, "    \"available_parallelism\": {hw_threads},");
-    let _ = writeln!(json, "    \"workloads\": [");
-    for (i, r) in par_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"name\": \"{}\", \"t1_ms\": {:.3}, \"t2_ms\": {:.3}, \"t4_ms\": {:.3}, \"speedup_t2\": {:.2}, \"speedup_t4\": {:.2}}}{}",
-            r.name,
-            r.t1_ms,
-            r.t2_ms,
-            r.t4_ms,
-            r.t1_ms / r.t2_ms.max(1e-9),
-            r.t1_ms / r.t4_ms.max(1e-9),
-            if i + 1 < par_rows.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "    ],");
-    let _ = writeln!(
-        json,
-        "    \"batch\": {{\"requests\": {batch_n}, \"t1_ms\": {batch_t1_ms:.3}, \"t4_ms\": {batch_t4_ms:.3}, \"speedup_t4\": {:.2}}}",
-        batch_t1_ms / batch_t4_ms.max(1e-9)
-    );
-    let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"bitmap\": [");
     for (i, r) in bitmap_rows.iter().enumerate() {
         let _ = writeln!(

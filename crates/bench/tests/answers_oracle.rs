@@ -30,7 +30,6 @@ use cqapx_cq::eval::{
 };
 use cqapx_cq::{parse_cq, treewidth_of_query, ConjunctiveQuery};
 use cqapx_engine::{ApproxClassChoice, Engine, EngineConfig, EvalMode, PlanKind, Request};
-use cqapx_par::ThreadBudget;
 use cqapx_structures::{Element, Structure};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -337,39 +336,26 @@ fn every_head_order_is_the_oracles() {
         let q = parse_cq(&text).unwrap();
         let expected = NaivePlan::compile(q.clone()).eval_answers(d);
         let mut got: Vec<(String, Answers)> = Vec::new();
-        for threads in [1, 2] {
-            let budget = ThreadBudget::new(threads);
-            let acyclic = AcyclicPlan::compile(&q).expect("acyclic body");
-            let decomposed = DecomposedPlan::compile(&q, 1).expect("treewidth 1");
-            let engine = Engine::new(EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            });
-            let db = engine.register_database("d", d.clone());
-            let id = engine.prepare_query("q", q.clone());
+        let acyclic = AcyclicPlan::compile(&q).expect("acyclic body");
+        let decomposed = DecomposedPlan::compile(&q, 1).expect("treewidth 1");
+        let engine = Engine::new(EngineConfig::default());
+        let db = engine.register_database("d", d.clone());
+        let id = engine.prepare_query("q", q.clone());
+        for run in ["cold", "warm"] {
+            let answers = engine.execute(&Request::new(id, db)).answers;
+            got.push((format!("engine, {run}"), answers));
+        }
+        for config in EvalConfig::lattice() {
+            let acyclic = acyclic.clone().with_eval_config(config);
+            let decomposed = decomposed.clone().with_eval_config(config);
+            let (c1, c2) = (MaterializationCache::new(), MaterializationCache::new());
             for run in ["cold", "warm"] {
-                let answers = engine.execute(&Request::new(id, db)).answers;
-                got.push((format!("engine, {run}, {threads} thread(s)"), answers));
-            }
-            for config in EvalConfig::lattice() {
-                let acyclic = acyclic.clone().with_eval_config(config);
-                let decomposed = decomposed.clone().with_eval_config(config);
-                let (c1, c2) = (MaterializationCache::new(), MaterializationCache::new());
-                for run in ["cold", "warm"] {
-                    let tiers = [
-                        (
-                            "yannakakis",
-                            acyclic.eval_cached_budget(d, Some(&c1), &budget),
-                        ),
-                        (
-                            "decomposed",
-                            decomposed.eval_cached_budget(d, Some(&c2), &budget),
-                        ),
-                    ];
-                    for (tier, (answers, _)) in tiers {
-                        let what = format!("{tier}, {run}, {threads} thread(s), {config:?}");
-                        got.push((what, answers));
-                    }
+                let tiers = [
+                    ("yannakakis", acyclic.eval_cached(d, Some(&c1))),
+                    ("decomposed", decomposed.eval_cached(d, Some(&c2))),
+                ];
+                for (tier, (answers, _)) in tiers {
+                    got.push((format!("{tier}, {run}, {config:?}"), answers));
                 }
             }
         }

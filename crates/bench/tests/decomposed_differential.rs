@@ -31,7 +31,6 @@ use cqapx_bench::reference::assert_join;
 use cqapx_cq::eval::{DecomposedPlan, FlatRelation, MaterializationCache, NaivePlan, Op};
 use cqapx_cq::{parse_cq, query_graph, tableau_of, treewidth_of_query, ConjunctiveQuery};
 use cqapx_graphs::treewidth::{treewidth_at_most, TreeDecomposition};
-use cqapx_par::ThreadBudget;
 use cqapx_structures::{Element, Structure};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -162,8 +161,7 @@ fn digraph(max_n: usize) -> impl Strategy<Value = Structure> {
 /// same code width. Returns how many ops with three inputs or more — a
 /// node with two children or more — a run reached.
 fn check_wide_nodes(plan: &DecomposedPlan, d: &Structure, q: &ConjunctiveQuery) -> usize {
-    let budget = ThreadBudget::sequential();
-    let (_, slots, _) = plan.ir().run_slots(d, None, &budget, None);
+    let (_, slots, _) = plan.ir().run_slots(d, None, None);
     let mut reached = 0;
     for op in plan.ir().ops() {
         let Op::MultiJoin { dst, inputs, vars } = op else {

@@ -7,8 +7,8 @@
 //! (row for row, so every point's answer buffers are byte-identical),
 //! full and Boolean, and leave the cache with the same hits, misses and
 //! resident bytes, on random acyclic queries and cyclic templates over
-//! uniform and Zipf-skewed digraphs, cold, warm and uncached, under
-//! thread budgets {1, 2, 8}. And `sort_dedup` must be byte-identical
+//! uniform and Zipf-skewed digraphs, cold, warm and uncached. And
+//! `sort_dedup` must be byte-identical
 //! between its radix and comparison arms on binder-materialized
 //! relations.
 
@@ -17,12 +17,9 @@ use cqapx_cq::eval::{
     MaterializationCache, NaivePlan, PackedMode,
 };
 use cqapx_cq::{parse_cq, treewidth_of_query, ConjunctiveQuery};
-use cqapx_par::ThreadBudget;
 use cqapx_structures::Structure;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-
-const BUDGETS: [usize; 3] = [1, 2, 8];
 
 /// A random **acyclic** conjunctive query (random forest + reversed
 /// twins, duplicates, loops, random head) — the same family the other
@@ -162,44 +159,31 @@ fn packed_axis(config: EvalConfig) -> bool {
 /// Runs one plan under the default [`EvalConfig`] and every config on
 /// `axis` — `answers` full, cached or not, and `holds` Boolean and
 /// uncached, each compiling the plan with the config it is given —
-/// across thread budgets {1, 2, 8}, cold, warm and uncached. Every run
-/// must reproduce `expected`, and the cache accounting of each budget —
-/// hits and misses of the cold and the warm run, resident bytes after
-/// them — must be the default config's.
+/// cold, warm and uncached. Every run must reproduce `expected`, and
+/// the cache accounting — hits and misses of the cold and the warm run,
+/// resident bytes after them — must be the default config's.
 fn check_configs(
     axis: fn(EvalConfig) -> bool,
-    answers: impl Fn(
-        EvalConfig,
-        Option<&MaterializationCache>,
-        &ThreadBudget,
-    ) -> (Answers, MatCacheStats),
-    holds: impl Fn(EvalConfig, &ThreadBudget) -> bool,
+    answers: impl Fn(EvalConfig, Option<&MaterializationCache>) -> (Answers, MatCacheStats),
+    holds: impl Fn(EvalConfig) -> bool,
     expected: &BTreeSet<Vec<u32>>,
     label: &str,
 ) {
-    let mut default = Vec::new();
+    let mut default = None;
     let default_config = EvalConfig::default();
     for config in EvalConfig::lattice().filter(|&c| c == default_config || axis(c)) {
-        let mut accounting = Vec::new();
-        for threads in BUDGETS {
-            let budget = ThreadBudget::new(threads);
-            let what = format!("{config:?} at {threads} threads on {label}");
-            let cache = MaterializationCache::new();
-            let (cold, sc) = answers(config, Some(&cache), &budget);
-            let (warm, sw) = answers(config, Some(&cache), &budget);
-            let (uncached, _) = answers(config, None, &budget);
-            assert_eq!(&cold, expected, "cold run, {what}");
-            assert_eq!(&warm, expected, "warm run, {what}");
-            assert_eq!(&uncached, expected, "uncached run, {what}");
-            assert_eq!(sw.misses, 0, "warm run re-materialized, {what}");
-            assert_eq!(
-                holds(config, &budget),
-                !expected.is_empty(),
-                "boolean, {what}"
-            );
-            let bytes = cache.resident_bytes();
-            accounting.push((sc.hits, sc.misses, sw.hits, sw.misses, bytes));
-        }
+        let what = format!("{config:?} on {label}");
+        let cache = MaterializationCache::new();
+        let (cold, sc) = answers(config, Some(&cache));
+        let (warm, sw) = answers(config, Some(&cache));
+        let (uncached, _) = answers(config, None);
+        assert_eq!(&cold, expected, "cold run, {what}");
+        assert_eq!(&warm, expected, "warm run, {what}");
+        assert_eq!(&uncached, expected, "uncached run, {what}");
+        assert_eq!(sw.misses, 0, "warm run re-materialized, {what}");
+        assert_eq!(holds(config), !expected.is_empty(), "boolean, {what}");
+        let bytes = cache.resident_bytes();
+        let accounting = Some((sc.hits, sc.misses, sw.hits, sw.misses, bytes));
         if config == default_config {
             default = accounting;
         } else {
@@ -219,8 +203,8 @@ fn check_acyclic(q: &ConjunctiveQuery, d: &Structure, axis: fn(EvalConfig) -> bo
     let with = |config| plan.clone().with_eval_config(config);
     check_configs(
         axis,
-        |config, cache, budget| with(config).eval_cached_budget(d, cache, budget),
-        |config, budget| with(config).eval_boolean_cached_budget(d, None, budget).0,
+        |config, cache| with(config).eval_cached(d, cache),
+        |config| with(config).eval_boolean_cached(d, None).0,
         &NaivePlan::compile(q.clone()).eval(d),
         &q.to_string(),
     );
@@ -235,8 +219,8 @@ fn check_cyclic(q: &ConjunctiveQuery, d: &Structure, axis: fn(EvalConfig) -> boo
     let with = |config| plan.clone().with_eval_config(config);
     check_configs(
         axis,
-        |config, cache, budget| with(config).eval_cached_budget(d, cache, budget),
-        |config, budget| with(config).eval_boolean_cached_budget(d, None, budget).0,
+        |config, cache| with(config).eval_cached(d, cache),
+        |config| with(config).eval_boolean_cached(d, None).0,
         &NaivePlan::compile(q.clone()).eval(d),
         &q.to_string(),
     );
@@ -290,12 +274,11 @@ proptest! {
         base.union_rows(&reversed);
         prop_assume!(!base.is_empty());
 
-        let budget = ThreadBudget::sequential();
         let sorted = |packed| {
             let mut rel = base.clone();
             let mut stats = MatCacheStats::default();
             let config = EvalConfig { packed, ..EvalConfig::default() };
-            rel.sort_dedup_budget(&budget, config, &mut stats);
+            rel.sort_dedup(config, &mut stats);
             (rel, stats.packed_sorts)
         };
         let ((radix, words), (cmp, none)) = (sorted(PackedMode::On), sorted(PackedMode::Off));

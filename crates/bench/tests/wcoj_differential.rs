@@ -8,8 +8,8 @@
 //! For every generated pair each multi-part bag must be
 //! **byte-identical** to the reference join (same schema, same rows
 //! in the same canonical order, same code width), with identical
-//! answers cold and warm through a [`MaterializationCache`] and under
-//! thread budgets {1, 2, 8}. The numbering sweep adds a clock-free
+//! answers uncached, cold and warm through a [`MaterializationCache`].
+//! The numbering sweep adds a clock-free
 //! cost guard: the kernel's cursor advances stay linear in the rows it
 //! reads and writes, however the query is spelled.
 
@@ -19,7 +19,6 @@ use cqapx_cq::eval::{
     NaivePlan,
 };
 use cqapx_cq::{parse_cq, treewidth_of_query, Atom, ConjunctiveQuery};
-use cqapx_par::ThreadBudget;
 use cqapx_structures::{Structure, Vocabulary};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -125,7 +124,6 @@ fn skewed_db(max_n: usize) -> impl Strategy<Value = Structure> {
 
 /// Each part of a source scanned on its own.
 fn part_relations(source: &MatSource, d: &Structure) -> Vec<FlatRelation> {
-    let budget = ThreadBudget::sequential();
     let scan = |part: &cqapx_cq::eval::MatPart| {
         let alone = MatSource {
             schema: part.schema.clone(),
@@ -136,7 +134,6 @@ fn part_relations(source: &MatSource, d: &Structure) -> Vec<FlatRelation> {
             d,
             None,
             &mut MatCacheStats::default(),
-            &budget,
             EvalConfig::default(),
         )
     };
@@ -148,14 +145,13 @@ fn part_relations(source: &MatSource, d: &Structure) -> Vec<FlatRelation> {
 /// kernel read and wrote (part rows + bag rows) and the cursor
 /// advances it reported for them.
 fn check_bags(plan: &DecomposedPlan, d: &Structure, q: &ConjunctiveQuery) -> (u64, u64) {
-    let budget = ThreadBudget::sequential();
     let (mut rows, mut advances) = (0u64, 0u64);
     for source in plan.ir().materialize_sources() {
         if source.parts.len() < 2 {
             continue;
         }
         let mut stats = MatCacheStats::default();
-        let got = source.materialize(d, None, &mut stats, &budget, EvalConfig::default());
+        let got = source.materialize(d, None, &mut stats, EvalConfig::default());
         let parts = part_relations(source, d);
         let refs: Vec<&FlatRelation> = parts.iter().collect();
         assert_join(&got, &refs, &source.schema, &format!("bag of {q}"));
@@ -172,22 +168,21 @@ fn check_bags(plan: &DecomposedPlan, d: &Structure, q: &ConjunctiveQuery) -> (u6
 }
 
 /// The differential check: kernel ≡ reference join ≡ naive, with
-/// byte-identical bag relations, cold/warm cache accounting, and
-/// budget-independent answers.
+/// byte-identical bag relations and cold/warm cache accounting.
 fn check(q: &ConjunctiveQuery, d: &Structure) {
     let tw = treewidth_of_query(q);
     let plan = DecomposedPlan::compile(q, tw).expect("compiles at the exact treewidth");
     let expected = NaivePlan::compile(q.clone()).eval(d);
     check_bags(&plan, d, q);
 
-    // Answers: uncached, then cold + warm through one cache across
-    // thread budgets {1, 2, 8}; warm runs must not re-materialize.
+    // Answers: uncached, then cold + warm through one cache; warm runs
+    // must not re-materialize.
     assert_eq!(&plan.eval(d), &expected, "uncached eval disagrees on {q}");
     let cache = MaterializationCache::new();
-    for (i, t) in [1usize, 2, 8].into_iter().enumerate() {
-        let (ans, stats) = plan.eval_cached_budget(d, Some(&cache), &ThreadBudget::new(t));
-        assert_eq!(&ans, &expected, "cached eval (budget {t}) disagrees on {q}");
-        if i == 0 {
+    for run in ["cold", "warm"] {
+        let (ans, stats) = plan.eval_cached(d, Some(&cache));
+        assert_eq!(&ans, &expected, "{run} cached eval disagrees on {q}");
+        if run == "cold" {
             assert!(stats.misses > 0, "cold run must materialize on {q}");
         } else {
             assert_eq!(stats.misses, 0, "warm run re-materialized on {q}");

@@ -8,7 +8,7 @@
 //! the plan's last operator already emits the columns in head order
 //! and the rows in canonical order (it *is* the answer set's one
 //! sort — see `compile_tree`), so the boundary checks that order in
-//! one sequential pass ([`FlatRelation::sort_dedup_budget`]'s
+//! one sequential pass ([`FlatRelation::sort_dedup`]'s
 //! early-out) and decodes in place. Gathering columns and sorting are
 //! kept for what still needs them — repeated head variables, a root
 //! join that needs no projection, cartesian products of several
@@ -16,7 +16,6 @@
 
 use crate::ast::VarId;
 use crate::eval::flat::{EvalConfig, FlatRelation, MatCacheStats};
-use cqapx_par::ThreadBudget;
 use cqapx_structures::{DomainDict, Element};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -123,7 +122,6 @@ impl Answers {
         rel: FlatRelation,
         head: &[VarId],
         dict: &DomainDict,
-        budget: &ThreadBudget,
         config: EvalConfig,
         stats: &mut MatCacheStats,
     ) -> Answers {
@@ -149,7 +147,7 @@ impl Answers {
             }
             FlatRelation::from_raw(positions.len(), rel.len(), data, rel.domain_width())
         };
-        rel.sort_dedup_budget(budget, config, stats);
+        rel.sort_dedup(config, stats);
         let (rows, mut data) = rel.into_raw();
         if !dict.is_identity() {
             for e in &mut data {
@@ -365,13 +363,8 @@ impl AnswersBuilder {
     }
 
     fn canonicalize(&mut self) {
-        // Explicitly sequential: callers are the naive search, which
-        // is dominated by backtracking, and small certain-answer
-        // unions — incidental buffer maintenance must not claim
-        // workers from the engine's one thread pool.
-        let (budget, config) = (ThreadBudget::sequential(), EvalConfig::default());
-        let mut stats = MatCacheStats::default();
-        self.flat.sort_dedup_budget(&budget, config, &mut stats);
+        let (config, mut stats) = (EvalConfig::default(), MatCacheStats::default());
+        self.flat.sort_dedup(config, &mut stats);
         self.canonical = true;
     }
 

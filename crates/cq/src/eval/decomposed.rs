@@ -45,7 +45,6 @@ use crate::eval::answers::Answers;
 use crate::eval::flat::{EvalConfig, MatCacheStats, MatKey, MaterializationCache};
 use crate::eval::ir::{compile_tree, MatSource, NodeSpec, PlanIr};
 use cqapx_graphs::treewidth::{treewidth_at_most, TreeDecomposition};
-use cqapx_par::ThreadBudget;
 use cqapx_structures::{RelId, Structure};
 use std::cmp::Reverse;
 use std::fmt;
@@ -260,18 +259,7 @@ impl DecomposedPlan {
         d: &Structure,
         cache: Option<&MaterializationCache>,
     ) -> (bool, MatCacheStats) {
-        self.eval_boolean_cached_budget(d, cache, ThreadBudget::shared())
-    }
-
-    /// [`DecomposedPlan::eval_boolean_cached`] under an explicit thread
-    /// budget for intra-query parallelism.
-    pub fn eval_boolean_cached_budget(
-        &self,
-        d: &Structure,
-        cache: Option<&MaterializationCache>,
-        budget: &ThreadBudget,
-    ) -> (bool, MatCacheStats) {
-        self.ir.run_boolean_budget(d, cache, budget)
+        self.ir.run_boolean(d, cache, None)
     }
 
     /// Full evaluation: the set of answer tuples in head order.
@@ -286,33 +274,20 @@ impl DecomposedPlan {
         d: &Structure,
         cache: Option<&MaterializationCache>,
     ) -> (Answers, MatCacheStats) {
-        self.eval_cached_budget(d, cache, ThreadBudget::shared())
+        self.eval_cached_profiled(d, cache, None)
     }
 
-    /// [`DecomposedPlan::eval_cached`] under an explicit thread budget:
-    /// independent bag materializations fan out over the budget's
-    /// workers and the bag joins/sweeps run on morsel-parallel kernels;
-    /// answers are identical to the sequential run.
-    pub fn eval_cached_budget(
+    /// [`DecomposedPlan::eval_cached`], optionally collecting a per-operator
+    /// [`EvalProfile`](crate::eval::EvalProfile) (`None` keeps the hot
+    /// path at one branch per operator).
+    pub fn eval_cached_profiled(
         &self,
         d: &Structure,
         cache: Option<&MaterializationCache>,
-        budget: &ThreadBudget,
-    ) -> (Answers, MatCacheStats) {
-        self.eval_cached_budget_profiled(d, cache, budget, None)
-    }
-
-    /// [`DecomposedPlan::eval_cached_budget`], optionally collecting a
-    /// per-operator [`EvalProfile`](crate::eval::EvalProfile).
-    pub fn eval_cached_budget_profiled(
-        &self,
-        d: &Structure,
-        cache: Option<&MaterializationCache>,
-        budget: &ThreadBudget,
         profile: Option<&mut crate::eval::EvalProfile>,
     ) -> (Answers, MatCacheStats) {
         self.ir
-            .run_answers(self.query.free_vars(), d, cache, budget, profile)
+            .run_answers(self.query.free_vars(), d, cache, profile)
     }
 }
 

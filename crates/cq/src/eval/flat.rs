@@ -37,31 +37,12 @@
 
 use crate::ast::{Atom, VarId};
 use crate::eval::answers::Answers;
-use cqapx_par::{parallel_chunks, parallel_map, ThreadBudget};
 use cqapx_structures::fxhash::FxHashMap;
 use cqapx_structures::packed::{radix_dedup, radix_dedup_u32};
 use cqapx_structures::{DomainBitmap, DomainDict, Element, RelId, Structure};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-
-/// Minimum rows before a kernel even consults the thread budget:
-/// below this, thread spawn/join overhead dwarfs the scan, so small
-/// relations always take the sequential path (and never touch the
-/// budget's atomics).
-const PAR_MIN_ROWS: usize = 4096;
-
-/// Rows per morsel for parallel scans: big enough that one atomic
-/// claim amortizes over thousands of rows, small enough that the tail
-/// of an uneven workload still load-balances.
-const MORSEL_ROWS: usize = 2048;
-
-/// How many extra workers a kernel asks the budget for: one per morsel
-/// beyond the caller's own, capped so a single huge relation cannot
-/// drain the whole budget from concurrent requests.
-fn par_want(rows: usize) -> usize {
-    (rows / MORSEL_ROWS).saturating_sub(1).min(31)
-}
 
 /// Minimum rows before [`PackedMode::Auto`] routes a relation through
 /// the packed code-word kernels: below this the comparison sort is
@@ -407,21 +388,18 @@ impl FlatRelation {
     /// dense bound is known and the word table stays within ~8 bytes
     /// per row (beyond that the bitmap is mostly empty words and a
     /// sorted search is cheaper per cache line). A pure function of the
-    /// relation — never of the thread budget — so every kernel
-    /// dispatch agrees on eligibility.
+    /// relation, so every kernel dispatch agrees on eligibility.
     fn bitmap_eligible(&self) -> bool {
         self.domain_width > 0 && (self.domain_width as usize) <= 64 * self.rows.max(16)
     }
 
-    /// Whether [`FlatRelation::sort_dedup_seq`] takes the packed
-    /// radix path: every row packs into one `u64` code word. Legal
-    /// only when the dense-domain bound's bit width `b` gives
-    /// `arity · b ≤ 64` — wider rows do not fit a word, and without
-    /// `domain_width > 0` the radix passes lose the bounded-digit
-    /// guarantee the `Auto` cost model relies on (see
-    /// `cqapx_structures::packed`). A pure function of the relation
-    /// and the mode — never of the thread budget — so every dispatch
-    /// site agrees.
+    /// Whether [`FlatRelation::sort_dedup`] takes the packed radix
+    /// path: every row packs into one `u64` code word. Legal only when
+    /// the dense-domain bound's bit width `b` gives `arity · b ≤ 64` —
+    /// wider rows do not fit a word, and without `domain_width > 0` the
+    /// radix passes lose the bounded-digit guarantee the `Auto` cost
+    /// model relies on (see `cqapx_structures::packed`). A pure function
+    /// of the relation and the mode, so every dispatch site agrees.
     fn packed_sort_wanted(&self, packed: PackedMode) -> bool {
         let a = self.schema.len();
         if self.domain_width == 0 || a == 0 || a * code_bits(self.domain_width) as usize > 64 {
@@ -595,116 +573,12 @@ impl FlatRelation {
     }
 
     /// Sorts rows lexicographically and removes duplicates, leaving the
-    /// canonical form all set-level comparisons rely on. Runs under the
-    /// process-wide [`ThreadBudget::shared`] budget (sequential unless
-    /// `CQAPX_THREADS` is set) and the default [`EvalConfig`].
-    pub fn sort_dedup(&mut self) {
-        let mut stats = MatCacheStats::default();
-        self.sort_dedup_budget(ThreadBudget::shared(), EvalConfig::default(), &mut stats);
-    }
-
-    /// [`FlatRelation::sort_dedup`] under an explicit thread budget and
-    /// configuration, its packed sorts counted into `stats`:
-    /// nothing beyond one sequential pass when the rows already are
-    /// canonical (scans, cache entries, kernel outputs and a plan's
-    /// head-ordered root are) — whichever arm would have run, and a
-    /// shared buffer stays shared; otherwise a parallel merge sort
-    /// (morsel-sorted runs, pairwise parallel merges, parallel gather)
-    /// when the budget grants extra workers and the relation is large
-    /// enough, the plain sequential sort if not. The canonical output is
-    /// identical either way — rows that compare equal are
-    /// byte-identical, so tie order cannot show.
-    ///
-    /// Built bitmaps stay valid across this call: reordering rows and
-    /// dropping whole-row duplicates never changes a column's value
-    /// *set*, which is all a bitmap records.
-    pub fn sort_dedup_budget(
-        &mut self,
-        budget: &ThreadBudget,
-        config: EvalConfig,
-        stats: &mut MatCacheStats,
-    ) {
-        let a = self.schema.len();
-        if a == 0 {
-            self.rows = self.rows.min(1);
-            return;
-        }
-        if self.data.chunks_exact(a).is_sorted_by(|x, y| x < y) {
-            return;
-        }
-        if self.rows < PAR_MIN_ROWS || budget.capacity() == 0 {
-            return self.sort_dedup_seq(config.packed, stats);
-        }
-        let lease = budget.claim(par_want(self.rows));
-        if lease.extra() == 0 {
-            return self.sort_dedup_seq(config.packed, stats);
-        }
-        let w = lease.workers();
-        let n = self.rows;
-        let (rows_out, data_out) = {
-            let data = &self.data;
-            let row_cmp = |x: u32, y: u32| {
-                let (x, y) = (x as usize * a, y as usize * a);
-                data[x..x + a].cmp(&data[y..y + a])
-            };
-            // Sorted runs, one per worker-sized slice of the row space.
-            let mut runs: Vec<Vec<u32>> = parallel_chunks(n, n.div_ceil(w), w, |_, r| {
-                let mut idx: Vec<u32> = (r.start as u32..r.end as u32).collect();
-                idx.sort_unstable_by(|&x, &y| row_cmp(x, y));
-                idx
-            });
-            // Pairwise merges, each pair merged on its own worker.
-            while runs.len() > 1 {
-                let mut pairs: Vec<(Vec<u32>, Option<Vec<u32>>)> = Vec::new();
-                let mut it = runs.into_iter();
-                while let Some(first) = it.next() {
-                    pairs.push((first, it.next()));
-                }
-                runs = parallel_map(pairs, w, |(left, right)| {
-                    let Some(right) = right else { return left };
-                    let mut merged = Vec::with_capacity(left.len() + right.len());
-                    let (mut i, mut j) = (0, 0);
-                    while i < left.len() && j < right.len() {
-                        if row_cmp(left[i], right[j]) != std::cmp::Ordering::Greater {
-                            merged.push(left[i]);
-                            i += 1;
-                        } else {
-                            merged.push(right[j]);
-                            j += 1;
-                        }
-                    }
-                    merged.extend_from_slice(&left[i..]);
-                    merged.extend_from_slice(&right[j..]);
-                    merged
-                });
-            }
-            let mut idx = runs.pop().expect("at least one run");
-            idx.dedup_by(|&mut x, &mut y| {
-                let (x, y) = (x as usize * a, y as usize * a);
-                data[x..x + a] == data[y..y + a]
-            });
-            // Parallel gather into the output buffer (morsel order =
-            // sorted order).
-            let total = idx.len();
-            let bufs = parallel_chunks(total, MORSEL_ROWS, w, |_, r| {
-                let mut b: Vec<Element> = Vec::with_capacity(r.len() * a);
-                for &i in &idx[r] {
-                    b.extend_from_slice(&data[i as usize * a..][..a]);
-                }
-                b
-            });
-            let mut out = Vec::with_capacity(total * a);
-            for b in bufs {
-                out.extend_from_slice(&b);
-            }
-            (total, out)
-        };
-        self.rows = rows_out;
-        self.data = Rows::Owned(data_out);
-    }
-
-    /// The sequential sort + dedup (also the `threads = 1` compile
-    /// target of [`FlatRelation::sort_dedup_budget`]).
+    /// canonical form all set-level comparisons rely on, under
+    /// `config`'s arm, its packed sorts counted into `stats`. Nothing
+    /// beyond one sequential pass when the rows already are canonical
+    /// (scans, cache entries, kernel outputs and a plan's head-ordered
+    /// root are) — whichever arm would have run, and a shared buffer
+    /// stays shared.
     ///
     /// Narrow relations (arity ≤ 8 — every bag and join-phase
     /// intermediate of practical plans) take a packed fast path: rows
@@ -715,14 +589,26 @@ impl FlatRelation {
     /// output is bit-identical to the generic path's.
     ///
     /// When the rows pack into single `u64` code words
-    /// ([`FlatRelation::packed_sort_wanted`]: `arity · b ≤ 64` over a
-    /// `b`-bit dense domain), the comparison sort is replaced by an
+    /// (`packed_sort_wanted`: `arity · b ≤ 64` over a `b`-bit dense
+    /// domain), the comparison sort is replaced by an
     /// LSB **radix sort** over the words. Packing is monotone —
     /// numeric word order is lexicographic row order — so this too is
     /// bit-identical, while a relation of `n` dense codes sorts in
     /// `O(n · passes)` with at most four byte passes under 64 K codes.
-    fn sort_dedup_seq(&mut self, packed: PackedMode, stats: &mut MatCacheStats) {
-        if self.packed_sort_wanted(packed) {
+    ///
+    /// Built bitmaps stay valid across this call: reordering rows and
+    /// dropping whole-row duplicates never changes a column's value
+    /// *set*, which is all a bitmap records.
+    pub fn sort_dedup(&mut self, config: EvalConfig, stats: &mut MatCacheStats) {
+        let a = self.schema.len();
+        if a == 0 {
+            self.rows = self.rows.min(1);
+            return;
+        }
+        if self.data.chunks_exact(a).is_sorted_by(|x, y| x < y) {
+            return;
+        }
+        if self.packed_sort_wanted(config.packed) {
             return self.sort_dedup_radix(stats);
         }
         self.sort_dedup_cmp()
@@ -753,7 +639,7 @@ impl FlatRelation {
         self.rows = kept;
     }
 
-    /// The packed radix arm of [`FlatRelation::sort_dedup_seq`]:
+    /// The packed radix arm of [`FlatRelation::sort_dedup`]:
     /// pack → radix sort → word dedup → unpack. Injectivity of the
     /// packing makes word equality row equality, so the dedup is a
     /// word compare per adjacent pair.
@@ -813,7 +699,7 @@ impl FlatRelation {
             .collect()
     }
 
-    /// The comparison arm of [`FlatRelation::sort_dedup_seq`] (also
+    /// The comparison arm of [`FlatRelation::sort_dedup`] (also
     /// what [`PackedMode::Off`] pins, for the differential suites to
     /// compare the radix arm against).
     fn sort_dedup_cmp(&mut self) {
@@ -865,20 +751,12 @@ impl FlatRelation {
 
     /// Semijoin `self ⋉ other` on aligned key columns: keeps the rows of
     /// `self` whose `my_pos` columns match some row of `other` on its
-    /// `their_pos` columns (distinct positions on each side). With empty
+    /// `their_pos` columns (distinct positions on each side), under
+    /// `config`'s arms, its kernel work counted into `stats`. With empty
     /// key positions this is the cartesian-semantics degenerate case:
-    /// all rows survive iff `other` is nonempty.
-    pub fn semijoin_on(&mut self, my_pos: &[usize], other: &FlatRelation, their_pos: &[usize]) {
-        let (budget, config) = (ThreadBudget::shared(), EvalConfig::default());
-        let mut stats = MatCacheStats::default();
-        self.semijoin_on_budget(my_pos, other, their_pos, budget, config, &mut stats);
-    }
-
-    /// [`FlatRelation::semijoin_on`] under an explicit thread budget and
-    /// configuration, its kernel work counted into `stats`. Both
-    /// operands must be canonical (rows sorted in their own column
-    /// order, duplicate-free), as every plan slot is. Two arms, one
-    /// survivor set in one order:
+    /// all rows survive iff `other` is nonempty. Both operands must be
+    /// canonical (rows sorted in their own column order, duplicate-free),
+    /// as every plan slot is. Two arms, one survivor set in one order:
     ///
     /// * a single-column key against a source with a column bitmap,
     ///   when `config` reads bitmaps — the bitmap answers "does my code
@@ -891,12 +769,11 @@ impl FlatRelation {
     ///
     /// When every row survives nothing is touched: rows, order, bitmaps
     /// and sharing all stay. `self` keeps its own width bound.
-    pub fn semijoin_on_budget(
+    pub fn semijoin_on(
         &mut self,
         my_pos: &[usize],
         other: &FlatRelation,
         their_pos: &[usize],
-        budget: &ThreadBudget,
         config: EvalConfig,
         stats: &mut MatCacheStats,
     ) {
@@ -916,18 +793,18 @@ impl FlatRelation {
             if let Some(bm) = other.column_bitmap(their_pos[0]) {
                 stats.note_bitmap_probe();
                 let c = my_pos[0];
-                return self.retain_where(budget, |row| bm.contains(row[c]));
+                return self.retain_where(|row| bm.contains(row[c]));
             }
         }
         let mut key: Vec<(&usize, &usize)> = std::iter::zip(my_pos, their_pos).collect();
         key.sort_unstable();
         let theirs: Vec<VarId> = key.iter().map(|&(_, &j)| other.schema[j]).collect();
-        let mut filter = other.project_budget(&theirs, budget, config, stats);
+        let mut filter = other.project(&theirs, config, stats);
         let distinct = key.windows(2).all(|w| w[0].0 < w[1].0) && filter.schema.len() == key.len();
         debug_assert!(distinct, "key positions must be distinct on each side");
         filter.schema = key.iter().map(|&(&i, _)| self.schema[i]).collect();
         let parts = [&*self, &filter].into_iter();
-        let kept = multiway_join(parts, &self.schema, budget, config, stats);
+        let kept = multiway_join(parts, &self.schema, config, stats);
         if kept.rows < self.rows {
             self.rows = kept.rows;
             self.data = kept.data;
@@ -936,12 +813,11 @@ impl FlatRelation {
     }
 
     /// Keeps the rows that pass `hit`, in order. Rows are tested
-    /// **branch-free** into selection vectors (an unconditional store
-    /// plus a 0/1 index bump), over row-range morsels on claimed
-    /// workers when the relation is large and the budget grants any.
+    /// **branch-free** into a selection vector (an unconditional store
+    /// plus a 0/1 index bump).
     ///
     /// What is stored depends on the buffer, decided once, outside the
-    /// row loops: row indices for an owned buffer, which is then
+    /// row loop: row indices for an owned buffer, which is then
     /// compacted in place; the rows themselves for a buffer shared with
     /// a cache entry, which is left alone — the selection vector *is*
     /// the fresh buffer (one gather, no index pass). When every row
@@ -951,61 +827,34 @@ impl FlatRelation {
     /// the same allocations whether or not a row is removed: a request
     /// costs the same on a database with one dangling tuple as on one
     /// with none.
-    fn retain_where(&mut self, budget: &ThreadBudget, hit: impl Fn(&[Element]) -> bool + Sync) {
+    fn retain_where(&mut self, hit: impl Fn(&[Element]) -> bool) {
         let a = self.schema.len();
         let shared = matches!(self.data, Rows::Shared(_));
         // Elements stored per survivor.
         let w = if shared { a } else { 1 };
-        let select = |r: std::ops::Range<usize>| {
-            let mut keep: Vec<Element> = vec![0; r.len() * w];
-            let mut n = 0usize;
-            for (i, row) in r
-                .clone()
-                .zip(self.data[r.start * a..r.end * a].chunks_exact(a))
-            {
-                if shared {
-                    keep[n * a..(n + 1) * a].copy_from_slice(row);
-                } else {
-                    keep[n] = i as Element;
-                }
-                n += hit(row) as usize;
+        let mut keep: Vec<Element> = vec![0; self.rows * w];
+        let mut n = 0usize;
+        for (i, row) in self.data.chunks_exact(a).enumerate() {
+            if shared {
+                keep[n * a..(n + 1) * a].copy_from_slice(row);
+            } else {
+                keep[n] = i as Element;
             }
-            keep.truncate(n * w);
-            keep
-        };
-        let lease = (self.rows >= PAR_MIN_ROWS && budget.capacity() > 0)
-            .then(|| budget.claim(par_want(self.rows)))
-            .filter(|l| l.extra() > 0);
-        let (mut morsels, mut whole);
-        let survivors: &mut [Vec<Element>] = match lease {
-            Some(lease) => {
-                morsels =
-                    parallel_chunks(self.rows, MORSEL_ROWS, lease.workers(), |_, r| select(r));
-                &mut morsels
-            }
-            None => {
-                whole = select(0..self.rows);
-                std::slice::from_mut(&mut whole)
-            }
-        };
-        let n = survivors.iter().map(Vec::len).sum::<usize>() / w;
+            n += hit(row) as usize;
+        }
         if n == self.rows {
             return;
         }
+        keep.truncate(n * w);
         match &mut self.data {
             Rows::Owned(data) => {
-                let kept = survivors.iter().flatten().map(|&i| i as usize * a);
-                for (to, i) in kept.enumerate() {
+                for (to, &i) in keep.iter().enumerate() {
+                    let i = i as usize * a;
                     data.copy_within(i..i + a, to * a);
                 }
                 data.truncate(n * a);
             }
-            Rows::Shared(_) => {
-                self.data = Rows::Owned(match survivors {
-                    [one] => std::mem::take(one),
-                    many => many.concat(),
-                });
-            }
+            Rows::Shared(_) => self.data = Rows::Owned(keep),
         }
         self.rows = n;
         self.invalidate_bitmaps();
@@ -1013,25 +862,17 @@ impl FlatRelation {
 
     /// Projection of a canonical relation (rows sorted, duplicate-free,
     /// as every plan slot is) onto a sub-schema (variables must be
-    /// present; duplicates collapse to their first occurrence). The
-    /// result is sorted and deduplicated.
-    pub fn project(&self, vars: &[VarId]) -> FlatRelation {
-        let (budget, mut stats) = (ThreadBudget::shared(), MatCacheStats::default());
-        self.project_budget(vars, budget, EvalConfig::default(), &mut stats)
-    }
-
-    /// [`FlatRelation::project`] under an explicit thread budget and
-    /// configuration, its sort counted into `stats`: the
-    /// kept columns gathered in this relation's own row order, then
+    /// present; duplicates collapse to their first occurrence), its
+    /// sort taking `config`'s arm and counted into `stats`: the kept
+    /// columns gathered in this relation's own row order, then
     /// canonicalized — when they lead the schema in order, by dropping
     /// repeats in place, and otherwise by one
-    /// [`FlatRelation::sort_dedup_budget`], which meets short runs when
-    /// a dropped column separates kept ones. Nothing is joined and no
-    /// copy is re-sorted. The width bound is this relation's.
-    pub fn project_budget(
+    /// [`FlatRelation::sort_dedup`], which meets short runs when a
+    /// dropped column separates kept ones. Nothing is joined and no copy
+    /// is re-sorted. The width bound is this relation's.
+    pub fn project(
         &self,
         vars: &[VarId],
-        budget: &ThreadBudget,
         config: EvalConfig,
         stats: &mut MatCacheStats,
     ) -> FlatRelation {
@@ -1064,23 +905,23 @@ impl FlatRelation {
             debug_assert!(self.iter_rows().is_sorted(), "a canonical relation");
             out.dedup_sorted();
         } else {
-            out.sort_dedup_budget(budget, config, stats);
+            out.sort_dedup(config, stats);
         }
         out
     }
 
     /// The decoded answer set for `head` as a tree of row vectors — a
-    /// view of [`Answers::from_relation`] kept for callers that
-    /// measure or inspect the boundary per row. Evaluation itself
-    /// returns [`Answers`] and never builds the tree.
+    /// view of [`Answers::from_relation`] under the default
+    /// [`EvalConfig`], kept for callers that measure or inspect the
+    /// boundary per row. Evaluation itself returns [`Answers`] and never
+    /// builds the tree.
     pub fn rows_in_head_order_decoded(
         &self,
         head: &[VarId],
         dict: &DomainDict,
     ) -> BTreeSet<Vec<Element>> {
-        let (budget, mut stats) = (ThreadBudget::shared(), MatCacheStats::default());
-        let config = EvalConfig::default();
-        Answers::from_relation(self.clone(), head, dict, budget, config, &mut stats).to_btree_set()
+        let (config, mut stats) = (EvalConfig::default(), MatCacheStats::default());
+        Answers::from_relation(self.clone(), head, dict, config, &mut stats).to_btree_set()
     }
 }
 
@@ -1165,11 +1006,6 @@ impl FlatRelation {
         self.rows_in_head_order_decoded(head, &identity)
     }
 }
-
-/// Candidates per parallel morsel of the multiway kernel: the unit of
-/// work is one first-variable candidate *subtree*, which is far heavier
-/// than one row, so the morsel is much smaller than [`MORSEL_ROWS`].
-const WCOJ_MORSEL_CANDS: usize = 32;
 
 /// First row in `lo..hi` whose value is `>= v` (`> v` when `strict`),
 /// in a column stored every `stride` elements of `col`: galloping
@@ -1410,7 +1246,7 @@ impl<'a> Trie<'a> {
 
 /// One cursor position of a multiway join: column `depth` of part
 /// `part`, bound at level `level`, with the part's trie and the
-/// cursor's state. Every run works on its own copy of the slots.
+/// cursor's state.
 #[derive(Clone, Copy, Default)]
 struct Slot<'a> {
     trie: Trie<'a>,
@@ -1462,7 +1298,7 @@ struct WcojPlan {
     bulk_last: bool,
 }
 
-/// Mutable per-worker state of one multiway enumeration.
+/// Mutable state of one multiway enumeration.
 struct WcojRun<'p, 'a> {
     plan: &'p WcojPlan,
     /// The plan's slots, level by level, then the sink.
@@ -1481,9 +1317,6 @@ struct WcojRun<'p, 'a> {
     /// `false` while counting: a bulk last level adds up its range
     /// lengths and nothing is written.
     fill: bool,
-    /// When set, a level-0 match is recorded here — the value and each
-    /// level-0 part's run of it — instead of being descended into.
-    candidates: Option<(Vec<Element>, Vec<Run>)>,
 }
 
 impl<'p, 'a> WcojRun<'p, 'a> {
@@ -1498,7 +1331,6 @@ impl<'p, 'a> WcojRun<'p, 'a> {
             rows: 0,
             advances: 0,
             fill: true,
-            candidates: None,
         }
     }
 
@@ -1528,8 +1360,7 @@ impl<'p, 'a> WcojRun<'p, 'a> {
             self.rows += 1;
             return true;
         };
-        let late = level + 2 >= plan.levels.len() && (level > 0 || self.candidates.is_none());
-        if plan.bulk_last && late {
+        if plan.bulk_last && level + 2 >= plan.levels.len() {
             if level + 1 == plan.levels.len() {
                 return self.write_run(lv.start);
             }
@@ -1678,12 +1509,6 @@ impl<'p, 'a> WcojRun<'p, 'a> {
         if !self.probe(lv, v) {
             return false;
         }
-        if let (0, Some((cands, runs))) = (level, &mut self.candidates) {
-            cands.push(v);
-            let slots = &self.slots;
-            runs.extend(slots[..lv.end].iter().map(|s| slots[s.next].range));
-            return false;
-        }
         if lv.col != DROPPED {
             self.binding[lv.col] = v;
         }
@@ -1772,7 +1597,6 @@ impl<'p, 'a> WcojRun<'p, 'a> {
 fn reordered(
     part: &FlatRelation,
     level: impl Fn(&VarId) -> usize,
-    budget: &ThreadBudget,
     config: EvalConfig,
     stats: &mut MatCacheStats,
 ) -> Option<FlatRelation> {
@@ -1787,7 +1611,7 @@ fn reordered(
         data.extend(perm.iter().map(|&c| row[c]));
     }
     let mut copy = FlatRelation::from_raw(arity, part.rows, data, part.domain_width);
-    copy.sort_dedup_budget(budget, config, stats);
+    copy.sort_dedup(config, stats);
     Some(copy)
 }
 
@@ -1848,16 +1672,9 @@ fn reordered(
 /// the largest of the parts' when every part with a column has one.
 /// `config` decides the sorts' arms and whether rows are written as
 /// words; cursor moves and packed sorts are added to `stats`.
-///
-/// Under a granting `budget` the enumeration fans out over morsels of
-/// the first variable's candidates, each worker enumerating its
-/// candidates' subtrees into its own buffer; buffers are stitched in
-/// candidate order, so the output is bit-identical to the sequential
-/// run.
 pub(crate) fn multiway_join<'a>(
     parts: impl Iterator<Item = &'a FlatRelation> + Clone,
     keep: &[VarId],
-    budget: &ThreadBudget,
     config: EvalConfig,
     stats: &mut MatCacheStats,
 ) -> FlatRelation {
@@ -1898,7 +1715,7 @@ pub(crate) fn multiway_join<'a>(
         } else {
             parts
                 .clone()
-                .map(|p| reordered(p, level, budget, config, stats))
+                .map(|p| reordered(p, level, config, stats))
                 .collect()
         }
     };
@@ -1972,74 +1789,29 @@ pub(crate) fn multiway_join<'a>(
         exist_from,
     };
     let mut st = WcojRun::new(&plan, slots, k);
-    let mut fanned_out = false;
-    if budget.capacity() > 0 && plan.levels.len() > 1 && plan.exist_from > 0 {
-        // Level-0 candidates with each lead part's run, so workers
-        // start directly at level 1.
-        st.candidates = Some(Default::default());
+    if plan.bulk_last {
+        st.fill = false;
         st.descend(0);
-        let (cands, runs) = st.candidates.take().expect("installed above");
-        let (lead, col) = (plan.levels[0].end, plan.levels[0].col);
-        let want = (cands.len() / WCOJ_MORSEL_CANDS).saturating_sub(1).min(31);
-        let lease = budget.claim(want);
-        if lease.extra() > 0 {
-            let template = &st.slots;
-            let bufs = parallel_chunks(cands.len(), WCOJ_MORSEL_CANDS, lease.workers(), |_, r| {
-                let mut w = WcojRun::new(&plan, template.clone(), k);
-                // A bulk last level is counted first, then written.
-                w.fill = !plan.bulk_last;
-                loop {
-                    for i in r.clone() {
-                        // Level 0 picks among all variables: a kept one.
-                        w.binding[col] = cands[i];
-                        for (s, &run) in runs[i * lead..][..lead].iter().enumerate() {
-                            let next = w.slots[s].next;
-                            w.slots[next].range = run;
-                        }
-                        w.descend(1);
-                    }
-                    if w.fill {
-                        break (w.out, w.rows, w.advances);
-                    }
-                    w.presize();
-                }
-            });
-            st.out
-                .reserve_exact(bufs.iter().map(|(b, _, _)| b.len()).sum());
-            for (buf, rows, advances) in bufs {
-                st.out.extend_from_slice(&buf);
-                st.rows += rows;
-                st.advances += advances;
-            }
-            fanned_out = true;
+        out.rows = st.rows;
+        let b = code_bits(out.domain_width);
+        if !canonical && k > 1 && k as u32 * b <= 32 && out.packed_sort_wanted(config.packed) {
+            st.word = Some(b);
         }
+        st.presize();
+    } else {
+        // A part over exactly the kept variables bounds the rows.
+        let same =
+            |p: &&FlatRelation| p.schema.len() == k && keep.iter().all(|v| p.schema.contains(v));
+        let bound = parts.clone().filter(same).map(|p| p.rows).min();
+        st.out.reserve_exact(bound.unwrap_or(0) * k);
     }
-    if !fanned_out {
-        if plan.bulk_last {
-            st.fill = false;
-            st.descend(0);
-            out.rows = st.rows;
-            let b = code_bits(out.domain_width);
-            if !canonical && k > 1 && k as u32 * b <= 32 && out.packed_sort_wanted(config.packed) {
-                st.word = Some(b);
-            }
-            st.presize();
-        } else {
-            // A part over exactly the kept variables bounds the rows.
-            let same = |p: &&FlatRelation| {
-                p.schema.len() == k && keep.iter().all(|v| p.schema.contains(v))
-            };
-            let bound = parts.clone().filter(same).map(|p| p.rows).min();
-            st.out.reserve_exact(bound.unwrap_or(0) * k);
-        }
-        st.descend(0);
-    }
+    st.descend(0);
     stats.cursor_advances += st.advances;
     out.rows = st.rows;
     let Some(b) = st.word else {
         out.data = Rows::Owned(st.out);
         if !canonical {
-            out.sort_dedup_budget(budget, config, stats);
+            out.sort_dedup(config, stats);
         }
         return out;
     };
@@ -2540,12 +2312,18 @@ mod tests {
         }
     }
 
+    /// The canonical form under the default configuration, counters
+    /// dropped.
+    fn canon(r: &mut FlatRelation) {
+        r.sort_dedup(EvalConfig::default(), &mut MatCacheStats::default());
+    }
+
     fn rel(schema: &[VarId], rows: &[&[Element]]) -> FlatRelation {
         let mut r = FlatRelation::empty(schema.to_vec());
         for row in rows {
             r.push_row(row);
         }
-        r.sort_dedup();
+        canon(&mut r);
         r
     }
 
@@ -2555,7 +2333,7 @@ mod tests {
         r.push_row(&[3, 4]);
         r.push_row(&[1, 2]);
         r.push_row(&[3, 4]);
-        r.sort_dedup();
+        canon(&mut r);
         assert_eq!(r.len(), 2);
         assert_eq!(r.row(0), &[1, 2]);
         assert_eq!(r.row(1), &[3, 4]);
@@ -2566,7 +2344,7 @@ mod tests {
         let mut r = FlatRelation::empty(vec![]);
         r.push_row(&[]);
         r.push_row(&[]);
-        r.sort_dedup();
+        canon(&mut r);
         assert_eq!(r.len(), 1);
         assert_eq!(r.row(0), &[] as &[Element]);
     }
@@ -2587,7 +2365,7 @@ mod tests {
         let mut a = rel(&[0, 1], &[&[1, 2]]);
         let b = rel(&[1, 0], &[&[2, 1], &[9, 8]]);
         a.union_rows(&b);
-        a.sort_dedup();
+        canon(&mut a);
         assert_eq!(a.len(), 2); // (1,2) deduplicated, (8,9) added
         assert_eq!(a.row(0), &[1, 2]);
         assert_eq!(a.row(1), &[8, 9]);
@@ -2598,7 +2376,13 @@ mod tests {
         let mut a = rel(&[0, 1], &[&[1, 2], &[3, 4], &[5, 6]]);
         let b = rel(&[1, 2], &[&[2, 9], &[6, 9]]);
         // shared var 1: position 1 in a, position 0 in b.
-        a.semijoin_on(&[1], &b, &[0]);
+        a.semijoin_on(
+            &[1],
+            &b,
+            &[0],
+            EvalConfig::default(),
+            &mut MatCacheStats::default(),
+        );
         assert_eq!(a.len(), 2);
         assert_eq!(a.row(0), &[1, 2]);
         assert_eq!(a.row(1), &[5, 6]);
@@ -2608,10 +2392,22 @@ mod tests {
     fn semijoin_disjoint_schemas() {
         let mut a = rel(&[0], &[&[1], &[2]]);
         let b = rel(&[1], &[&[7]]);
-        a.semijoin_on(&[], &b, &[]);
+        a.semijoin_on(
+            &[],
+            &b,
+            &[],
+            EvalConfig::default(),
+            &mut MatCacheStats::default(),
+        );
         assert_eq!(a.len(), 2); // nonempty other: keep all
         let empty = FlatRelation::empty(vec![1]);
-        a.semijoin_on(&[], &empty, &[]);
+        a.semijoin_on(
+            &[],
+            &empty,
+            &[],
+            EvalConfig::default(),
+            &mut MatCacheStats::default(),
+        );
         assert!(a.is_empty()); // empty other: cartesian semantics drop all
     }
 
@@ -2644,7 +2440,11 @@ mod tests {
     #[test]
     fn project_collapses_duplicates_and_dedups() {
         let a = rel(&[0, 1], &[&[1, 2], &[3, 2]]);
-        let p = a.project(&[1, 1]);
+        let p = a.project(
+            &[1, 1],
+            EvalConfig::default(),
+            &mut MatCacheStats::default(),
+        );
         assert_eq!(p.schema(), &[1]);
         assert_eq!(p.len(), 1);
         assert_eq!(p.row(0), &[2]);
@@ -2658,7 +2458,7 @@ mod tests {
         let d = Structure::digraph(3, &[(0, 0), (0, 1), (2, 2)]);
         let mut out = FlatRelation::empty(vec![0]);
         binder.materialize_into(&d, &mut out);
-        out.sort_dedup();
+        canon(&mut out);
         assert_eq!(out.len(), 2); // loops at 0 and 2 only
         assert_eq!(out.row(0), &[0]);
         assert_eq!(out.row(1), &[2]);
@@ -2689,7 +2489,7 @@ mod tests {
     }
 
     /// A large relation of pseudo-random rows (duplicates likely; not
-    /// normalized) for exercising the parallel kernel paths.
+    /// normalized).
     fn big_random_rel(schema: &[VarId], n: usize, domain: u32, seed: u64) -> FlatRelation {
         let mut r = FlatRelation::empty(schema.to_vec());
         let mut s = seed;
@@ -2706,69 +2506,6 @@ mod tests {
             r.push_row(row);
         }
         r
-    }
-
-    /// Every parallel kernel must reproduce the sequential output bit
-    /// for bit — same rows, same order, same buffer contents.
-    #[test]
-    fn parallel_kernels_are_bit_identical_to_sequential() {
-        let seq = ThreadBudget::sequential();
-        let par = ThreadBudget::new(4);
-        let (cfg, mut stats) = (EvalConfig::default(), MatCacheStats::default());
-        let a = big_random_rel(&[0, 1, 2], 12_000, 40, 1);
-        let b = big_random_rel(&[1, 3], 9_000, 40, 2);
-
-        // sort_dedup: parallel merge sort vs sequential sort.
-        let mut s1 = a.clone();
-        s1.sort_dedup_budget(&seq, cfg, &mut stats);
-        let mut s2 = a.clone();
-        s2.sort_dedup_budget(&par, cfg, &mut stats);
-        assert_eq!(s1.rows, s2.rows);
-        assert_eq!(s1.data, s2.data, "sort_dedup outputs must be identical");
-
-        let mut b1 = b.clone();
-        b1.sort_dedup_budget(&seq, cfg, &mut stats);
-
-        // join: level-0 fan-out vs the sequential enumeration, for the
-        // whole join and for a keep list that needs the sort.
-        for keep in [&[0, 1, 2, 3][..], &[3, 0]] {
-            let join = |budget| {
-                let parts = [&s1, &b1].into_iter();
-                multiway_join(parts, keep, budget, cfg, &mut MatCacheStats::default())
-            };
-            let (j1, j2) = (join(&seq), join(&par));
-            assert_eq!(j1.schema, j2.schema);
-            assert_eq!(j1.rows, j2.rows);
-            assert_eq!(j1.data, j2.data, "join outputs must be identical");
-        }
-
-        // semijoin: morsel probe + ordered compaction vs sequential.
-        let mut m1 = s1.clone();
-        m1.semijoin_on_budget(&[1], &b1, &[0], &seq, cfg, &mut stats);
-        let mut m2 = s1.clone();
-        m2.semijoin_on_budget(&[1], &b1, &[0], &par, cfg, &mut stats);
-        assert_eq!(m1.rows, m2.rows);
-        assert_eq!(m1.data, m2.data, "semijoin outputs must be identical");
-
-        // project: morsel gather + parallel sort vs sequential.
-        let p1 = s1.project_budget(&[2, 0], &seq, cfg, &mut stats);
-        let p2 = s1.project_budget(&[2, 0], &par, cfg, &mut stats);
-        assert_eq!(p1.schema, p2.schema);
-        assert_eq!(p1.data, p2.data, "project outputs must be identical");
-    }
-
-    /// A zero-capacity budget must never spawn — and must leave results
-    /// unchanged even right at the morsel-size boundaries.
-    #[test]
-    fn sequential_budget_is_the_default_path() {
-        let seq = ThreadBudget::sequential();
-        assert_eq!(seq.capacity(), 0);
-        let mut r = big_random_rel(&[0, 1], PAR_MIN_ROWS + 1, 10, 3);
-        let (cfg, mut stats) = (EvalConfig::default(), MatCacheStats::default());
-        let mut expected = r.clone();
-        expected.sort_dedup_budget(&ThreadBudget::new(1), cfg, &mut stats);
-        r.sort_dedup_budget(&seq, cfg, &mut stats);
-        assert_eq!(r.data, expected.data);
     }
 
     /// Concurrent misses on one key run the scan exactly once
@@ -2836,7 +2573,7 @@ mod tests {
                 .collect();
             r.push_row(&row);
         }
-        r.sort_dedup();
+        canon(&mut r);
         r
     }
 
@@ -2847,12 +2584,15 @@ mod tests {
         assert!(got.iter_rows().eq(want.iter_rows()), "rows differ: {ctx}");
     }
 
-    /// The kernel under a sequential budget and the default
-    /// configuration, its stats dropped.
+    /// The kernel under the default configuration, its stats dropped.
     fn kernel(parts: &[&FlatRelation], keep: &[VarId]) -> FlatRelation {
-        let (parts, budget) = (parts.iter().copied(), ThreadBudget::sequential());
-        let cfg = EvalConfig::default();
-        multiway_join(parts, keep, &budget, cfg, &mut MatCacheStats::default())
+        let parts = parts.iter().copied();
+        multiway_join(
+            parts,
+            keep,
+            EvalConfig::default(),
+            &mut MatCacheStats::default(),
+        )
     }
 
     /// [`enumeration_order`] over `schema`, the union of the part
@@ -3035,10 +2775,9 @@ mod tests {
                     r.domain_width = if dense { 400 } else { 0 };
                 }
                 let mut stats = MatCacheStats::default();
-                let budget = ThreadBudget::sequential();
                 let parts = [&rels[0], &rels[1]].into_iter();
                 let cfg = EvalConfig::default();
-                let out = multiway_join(parts, &[0, 1, 2], &budget, cfg, &mut stats);
+                let out = multiway_join(parts, &[0, 1, 2], cfg, &mut stats);
                 let linear = (rels[0].len() + rels[1].len() + out.len()) as u64;
                 assert!(
                     stats.cursor_advances <= 4 * linear,
@@ -3055,7 +2794,7 @@ mod tests {
     /// width bound installed, as binder materialization would produce.
     fn dense_rel(schema: &[VarId], n: usize, width: u32, seed: u64) -> FlatRelation {
         let mut r = big_random_rel(schema, n, width, seed);
-        r.sort_dedup();
+        canon(&mut r);
         r.domain_width = width;
         r
     }
@@ -3153,7 +2892,7 @@ mod tests {
         let q = parse_cq("Q(x, y) :- E(x, y)").unwrap();
         let mut out = FlatRelation::empty(vec![0, 1]);
         AtomBinder::compile(&q.atoms()[0], &[0, 1]).materialize_into(&d, &mut out);
-        out.sort_dedup();
+        canon(&mut out);
         assert_eq!(out.domain_width(), 3);
         assert_eq!(out.row(0), &[0, 1]); // (1,3) encoded
         assert_eq!(out.row(1), &[1, 2]); // (3,5) encoded
@@ -3185,7 +2924,7 @@ mod tests {
         for i in 0..rows {
             r.push_row(&[i as Element, tag]);
         }
-        r.sort_dedup();
+        canon(&mut r);
         r
     }
 
@@ -3273,7 +3012,7 @@ mod tests {
 
     /// The bitmap semijoin (branch-free selection vector) must be
     /// byte-identical to the kernel arm — same survivors, same order,
-    /// same width bound — sequentially and under morsel fan-out.
+    /// same width bound.
     #[test]
     fn bitmap_semijoin_is_bit_identical_to_probe() {
         let on = EvalConfig::default();
@@ -3288,22 +3027,19 @@ mod tests {
         ] {
             let a = dense_rel(&[0, 1], n, width, 31);
             let b = dense_rel(&[1, 2], m, width, 32);
-            for threads in [1usize, 4] {
-                let budget = ThreadBudget::new(threads);
-                let mut stats = MatCacheStats::default();
-                let mut via_bitmap = a.clone();
-                via_bitmap.semijoin_on_budget(&[1], &b, &[0], &budget, on, &mut stats);
-                assert_eq!(stats.bitmap_probes, 1, "dense fixture takes the bitmap");
-                let mut via_probe = a.clone();
-                via_probe.semijoin_on_budget(&[1], &b, &[0], &budget, off, &mut stats);
-                assert_eq!(stats.bitmap_probes, 1, "bitmaps off: the kernel");
-                assert_eq!(
-                    via_bitmap.data, via_probe.data,
-                    "semijoin bytes differ (n={n}, {threads} threads)"
-                );
-                assert_eq!(via_bitmap.rows, via_probe.rows);
-                assert_eq!(via_bitmap.domain_width, via_probe.domain_width);
-            }
+            let mut stats = MatCacheStats::default();
+            let mut via_bitmap = a.clone();
+            via_bitmap.semijoin_on(&[1], &b, &[0], on, &mut stats);
+            assert_eq!(stats.bitmap_probes, 1, "dense fixture takes the bitmap");
+            let mut via_probe = a.clone();
+            via_probe.semijoin_on(&[1], &b, &[0], off, &mut stats);
+            assert_eq!(stats.bitmap_probes, 1, "bitmaps off: the kernel");
+            assert_eq!(
+                via_bitmap.data, via_probe.data,
+                "semijoin bytes differ (n={n})"
+            );
+            assert_eq!(via_bitmap.rows, via_probe.rows);
+            assert_eq!(via_bitmap.domain_width, via_probe.domain_width);
         }
     }
 
@@ -3314,7 +3050,7 @@ mod tests {
     fn bitmaps_invalidate_on_mutation_and_survive_sort() {
         let mut r = dense_rel(&[0, 1], 200, 32, 77);
         let bm = r.column_bitmap(0).expect("dense fixture is eligible");
-        r.sort_dedup();
+        canon(&mut r);
         assert!(
             Arc::ptr_eq(&bm, &r.column_bitmap(0).unwrap()),
             "sort_dedup keeps the cached cell"
@@ -3384,7 +3120,6 @@ mod tests {
     /// and the radix arm is the one that ran, once per unsorted input.
     #[test]
     fn packed_sort_dedup_is_byte_identical_to_comparison() {
-        let seq = ThreadBudget::sequential();
         let (on, off) = (packed(PackedMode::On), packed(PackedMode::Off));
         for &(schema, n, width) in &[
             (&[0][..], 900usize, 40u32),
@@ -3406,8 +3141,8 @@ mod tests {
             radix.domain_width = width;
             let mut cmp = radix.clone();
             let mut stats = MatCacheStats::default();
-            radix.sort_dedup_budget(&seq, on, &mut stats);
-            cmp.sort_dedup_budget(&seq, off, &mut stats);
+            radix.sort_dedup(on, &mut stats);
+            cmp.sort_dedup(off, &mut stats);
             let sorted = u64::from(n > 0);
             assert_eq!((stats.packed_sorts, stats.packed_rows), (sorted, n as u64));
             assert_eq!(radix.schema, cmp.schema);
@@ -3424,30 +3159,25 @@ mod tests {
         assert!(!unbounded.packed_sort_wanted(PackedMode::On));
         assert!(!wide.packed_sort_wanted(PackedMode::On));
         let mut stats = MatCacheStats::default();
-        unbounded.clone().sort_dedup_budget(&seq, on, &mut stats);
-        wide.clone().sort_dedup_budget(&seq, on, &mut stats);
+        unbounded.clone().sort_dedup(on, &mut stats);
+        wide.clone().sort_dedup(on, &mut stats);
         assert_eq!(stats.packed_sorts, 0, "ineligible inputs skip the counter");
     }
 
     /// A canonical relation costs `sort_dedup` one pass on every arm —
-    /// sequential radix, sequential comparison, parallel merge — and a
-    /// buffer shared with a cache entry stays shared.
+    /// radix or comparison — and a buffer shared with a cache entry
+    /// stays shared.
     #[test]
     fn canonical_rows_stay_shared_on_every_sort_arm() {
         let data: Vec<Element> = (0..100_000u32).flat_map(|i| [i / 300, i % 300]).collect();
         let mut cached = FlatRelation::from_raw(2, 100_000, data, 400);
         cached.share_rows();
         for mode in [PackedMode::On, PackedMode::Off] {
-            for threads in [1, 2] {
-                let mut slot = cached.clone();
-                let mut stats = MatCacheStats::default();
-                slot.sort_dedup_budget(&ThreadBudget::new(threads), packed(mode), &mut stats);
-                assert!(
-                    slot.shares_rows_with(&cached),
-                    "{mode:?}, {threads} thread(s)"
-                );
-                assert_eq!(slot.rows, 100_000);
-            }
+            let mut slot = cached.clone();
+            let mut stats = MatCacheStats::default();
+            slot.sort_dedup(packed(mode), &mut stats);
+            assert!(slot.shares_rows_with(&cached), "{mode:?}");
+            assert_eq!(slot.rows, 100_000);
         }
     }
 
@@ -3460,7 +3190,6 @@ mod tests {
     /// set of rows.
     #[test]
     fn packing_width_edges_sort_and_project_like_a_set() {
-        let seq = ThreadBudget::sequential();
         for (arity, width) in [
             (2usize, 1u32 << 16), // 32 bits
             (4, 1 << 8),          // 32 bits
@@ -3490,7 +3219,7 @@ mod tests {
                 let (cfg, mut stats) = (packed(mode), MatCacheStats::default());
                 let what = format!("arity {arity}, width {width}, {mode:?}");
                 let mut rel = FlatRelation::from_raw(arity, rows.len(), flat.clone(), width);
-                rel.sort_dedup_budget(&seq, cfg, &mut stats);
+                rel.sort_dedup(cfg, &mut stats);
                 let want: BTreeSet<&[Element]> = rows.iter().map(Vec::as_slice).collect();
                 assert!(rel.iter_rows().eq(want.iter().copied()), "sort: {what}");
                 // Every value of column 0, so the join drops nothing.
@@ -3500,9 +3229,9 @@ mod tests {
                         .iter()
                         .map(|r| head.iter().map(|&v| r[v as usize]).collect())
                         .collect();
-                    let gathered = rel.project_budget(head, &seq, cfg, &mut stats);
+                    let gathered = rel.project(head, cfg, &mut stats);
                     let parts = [&rel, &all].into_iter();
-                    let joined = multiway_join(parts, head, &seq, cfg, &mut stats);
+                    let joined = multiway_join(parts, head, cfg, &mut stats);
                     for got in [gathered, joined] {
                         assert_eq!(got.rows, want.len(), "project: {what}");
                         let want = want.iter().map(Vec::as_slice);
@@ -3523,7 +3252,8 @@ mod tests {
     fn projection_keeps_domain_width_on_surviving_columns() {
         let r = dense_rel(&[0, 1], 300, 24, 9);
         for vars in [&[0][..], &[1][..], &[1, 0][..]] {
-            assert_eq!(r.project(vars).domain_width(), 24, "project {vars:?}");
+            let p = r.project(vars, EvalConfig::default(), &mut MatCacheStats::default());
+            assert_eq!(p.domain_width(), 24, "project {vars:?}");
             assert_eq!(kernel(&[&r], vars).domain_width(), 24, "kernel {vars:?}");
         }
     }
@@ -3550,56 +3280,9 @@ mod tests {
             "bounded ∪ bounded keeps the max"
         );
         let mut unknown = big_random_rel(&[0, 1], 50, 16, 8);
-        unknown.sort_dedup();
+        canon(&mut unknown);
         scratch.union_rows(&unknown);
         assert_eq!(scratch.domain_width(), 0, "unknown side poisons the bound");
-    }
-
-    #[test]
-    fn multiway_join_parallel_is_bit_identical() {
-        // Enough level-0 candidates (> 2·WCOJ_MORSEL_CANDS) to engage
-        // the morsel fan-out under a granting budget.
-        let mut seed = 99u64;
-        let schemas: [&[VarId]; 3] = [&[0, 1], &[1, 2], &[0, 2]];
-        let rels: Vec<FlatRelation> = schemas
-            .iter()
-            .map(|s| random_rel(s, 900, 200, &mut seed))
-            .collect();
-        let parts: Vec<&FlatRelation> = rels.iter().collect();
-        // The full bag, then keep lists whose dropped suffix is an
-        // existence check below the fanned-out level (`[0]`), spans it
-        // (`[]`, which must not fan out) or is empty with a sort after
-        // (`[2, 0]`).
-        let cfg = EvalConfig::default();
-        for keep in [&[0, 1, 2][..], &[0], &[2, 0], &[]] {
-            let mut seq_stats = MatCacheStats::default();
-            let sequential = ThreadBudget::sequential();
-            let seq = multiway_join(
-                parts.iter().copied(),
-                keep,
-                &sequential,
-                cfg,
-                &mut seq_stats,
-            );
-            assert!(!seq.is_empty(), "triangle join must produce rows");
-            for threads in [2usize, 4, 8] {
-                let budget = ThreadBudget::new(threads);
-                let mut stats = MatCacheStats::default();
-                let par = multiway_join(parts.iter().copied(), keep, &budget, cfg, &mut stats);
-                assert_identical(&par, &seq, &format!("{threads} threads, keep {keep:?}"));
-                assert!(stats.cursor_advances >= seq_stats.cursor_advances);
-            }
-        }
-        // One level leaves nothing below level 0 to fan out.
-        let ones: Vec<FlatRelation> = (0..2)
-            .map(|_| random_rel(&[0], 400, 300, &mut seed))
-            .collect();
-        let budget = ThreadBudget::new(4);
-        for parts in [vec![&ones[0]], vec![&ones[0], &ones[1]]] {
-            let mut stats = MatCacheStats::default();
-            let par = multiway_join(parts.iter().copied(), &[0], &budget, cfg, &mut stats);
-            assert_identical(&par, &kernel(&parts, &[0]), "one level, four threads");
-        }
     }
 
     /// A duplicate-free relation over `schema` whose codes stay below
@@ -3612,16 +3295,15 @@ mod tests {
             .collect();
         let mut r =
             FlatRelation::from_raw(schema.len(), rows, data, width).relabel(schema.to_vec());
-        r.sort_dedup();
+        canon(&mut r);
         r
     }
 
     /// Shared-target and owned-target semijoins must leave the reference
     /// bytes, and the shared original untouched, on both arms (one key
     /// column with bitmaps on: bitmap; anything else: the kernel), with
-    /// the key leading and trailing each schema, for each outcome,
-    /// sequentially and over morsels. A shared target stays shared
-    /// exactly when nothing drops.
+    /// the key leading and trailing each schema, for each outcome. A
+    /// shared target stays shared exactly when nothing drops.
     #[test]
     fn semijoin_on_shared_rows_matches_owned_rows() {
         let mut seed = 16;
@@ -3645,7 +3327,6 @@ mod tests {
             r
         };
         let empty = bounded_rel(&[0, 1, 2], 0, 24, &mut seed);
-        let budgets = [ThreadBudget::sequential(), ThreadBudget::new(2)];
         for (source, what) in [
             (&all, "all"),
             (&some, "some"),
@@ -3659,17 +3340,17 @@ mod tests {
                     (3 - keys..3).collect()
                 };
                 let want = semijoin_reference(&target, &pos, source, &pos);
-                for (budget, bitmaps) in budgets.iter().flat_map(|b| [(b, true), (b, false)]) {
+                for bitmaps in [true, false] {
                     let cfg = EvalConfig {
                         bitmaps,
                         ..EvalConfig::default()
                     };
                     let mut stats = MatCacheStats::default();
                     let mut owned = target.clone();
-                    owned.semijoin_on_budget(&pos, source, &pos, budget, cfg, &mut stats);
+                    owned.semijoin_on(&pos, source, &pos, cfg, &mut stats);
                     let mut shared = cached.clone();
                     assert!(shared.shares_rows_with(&cached));
-                    shared.semijoin_on_budget(&pos, source, &pos, budget, cfg, &mut stats);
+                    shared.semijoin_on(&pos, source, &pos, cfg, &mut stats);
                     let ctx = format!("{what} source, key {pos:?}, bitmaps {bitmaps}");
                     assert_eq!(*owned.data, want, "{ctx}");
                     assert_eq!(owned.rows, shared.rows, "{ctx}");
@@ -3694,11 +3375,11 @@ mod tests {
     /// and three columns at every placement in a four-column target and
     /// in a four-column source (leading, trailing, interleaved, out of
     /// order across the two), dense bounds and none, an empty source and
-    /// an empty target; then a large two-column case fanned out over 1,
-    /// 2 and 4 threads, byte-identical. Bitmaps stay unread throughout.
+    /// an empty target; then a large two-column case. Bitmaps stay
+    /// unread throughout.
     #[test]
     fn semijoin_kernel_matches_reference_filter() {
-        let (seq, mut stats) = (ThreadBudget::sequential(), MatCacheStats::default());
+        let mut stats = MatCacheStats::default();
         let off = EvalConfig {
             bitmaps: false,
             ..EvalConfig::default()
@@ -3726,7 +3407,7 @@ mod tests {
                             for (t, s) in [(&target, &source), (&target, &empty), (&none, &source)]
                             {
                                 let mut got = t.clone();
-                                got.semijoin_on_budget(&mine, s, &theirs, &seq, off, &mut stats);
+                                got.semijoin_on(&mine, s, &theirs, off, &mut stats);
                                 let want = semijoin_reference(t, &mine, s, &theirs);
                                 let ctx = format!("width {width}, {mine:?} ⋉ {theirs:?}");
                                 assert_eq!(*got.data, want, "{ctx}");
@@ -3742,19 +3423,15 @@ mod tests {
         let source = bounded_rel(&[3, 2, 1], 9_000, 200, &mut seed);
         let want = semijoin_reference(&target, &[1, 2], &source, &[2, 1]);
         assert!(!want.is_empty() && want.len() < target.data.len());
-        for threads in [1, 2, 4] {
-            let mut got = target.clone();
-            let budget = ThreadBudget::new(threads);
-            got.semijoin_on_budget(&[1, 2], &source, &[2, 1], &budget, off, &mut stats);
-            assert_eq!(*got.data, want, "{threads} threads");
-        }
+        let mut got = target.clone();
+        got.semijoin_on(&[1, 2], &source, &[2, 1], off, &mut stats);
+        assert_eq!(*got.data, want, "large two-column key");
         assert_eq!(stats.bitmap_probes, 0);
     }
 
     /// The two-part kernel join on large operands, under every keep
     /// list shape — a projection that needs the sort, the whole join
-    /// reordered, one column, nothing — sequentially and over morsels,
-    /// against the reference join.
+    /// reordered, one column, nothing — against the reference join.
     #[test]
     fn fused_join_project_matches_two_steps_in_parallel() {
         let mut seed = 5;
@@ -3762,11 +3439,7 @@ mod tests {
         let r = bounded_rel(&[1, 3], 7000, 300, &mut seed);
         for vars in [&[0, 3][..], &[3, 2, 0, 1], &[2], &[]] {
             let want = reference_join(&[&l, &r], vars);
-            for budget in [ThreadBudget::sequential(), ThreadBudget::new(4)] {
-                let (cfg, mut stats) = (EvalConfig::default(), MatCacheStats::default());
-                let got = multiway_join([&l, &r].into_iter(), vars, &budget, cfg, &mut stats);
-                assert_identical(&got, &want, &format!("vars {vars:?}"));
-            }
+            assert_identical(&kernel(&[&l, &r], vars), &want, &format!("vars {vars:?}"));
         }
     }
 
@@ -3798,26 +3471,22 @@ mod tests {
         }
         let mut r =
             FlatRelation::from_raw(schema.len(), rows, data, width).relabel(schema.to_vec());
-        r.sort_dedup();
+        canon(&mut r);
         r
     }
 
     /// `π_vars(l ⋈ r)` by the kernel against the reference join —
     /// schema, rows in order, bound — under every packed mode (`On` and
     /// `Auto` write rows that need the sort as code words when they fit
-    /// a `u32` one, `Off` writes them as rows for the comparison sort),
-    /// sequentially and over 2 and 4 threads (whose workers write rows).
+    /// a `u32` one, `Off` writes them as rows for the comparison sort).
     fn check_word_join(l: &FlatRelation, r: &FlatRelation, vars: &[VarId], ctx: &str) {
         let want = reference_join(&[l, r], vars);
         for mode in [PackedMode::On, PackedMode::Auto, PackedMode::Off] {
-            for threads in [1, 2, 4] {
-                let (budget, mut stats) = (ThreadBudget::new(threads), MatCacheStats::default());
-                let got =
-                    multiway_join([l, r].into_iter(), vars, &budget, packed(mode), &mut stats);
-                let ctx = format!("{ctx}, {mode:?}, {threads} threads");
-                assert_identical(&got, &want, &ctx);
-                assert_eq!(got.domain_width, want.domain_width, "{ctx}");
-            }
+            let mut stats = MatCacheStats::default();
+            let got = multiway_join([l, r].into_iter(), vars, packed(mode), &mut stats);
+            let ctx = format!("{ctx}, {mode:?}");
+            assert_identical(&got, &want, &ctx);
+            assert_eq!(got.domain_width, want.domain_width, "{ctx}");
         }
     }
 
@@ -3890,13 +3559,13 @@ mod tests {
                 e.push_row(&[u, (u * 7 + k * 13) % n]);
             }
         }
-        e.sort_dedup();
+        canon(&mut e);
         e.domain_width = n;
         let (xy, yz) = (e.relabel(vec![0, 1]), e.relabel(vec![1, 2]));
         for (vars, sorted) in [(&[0, 1, 2][..], 0), (&[0, 2], u64::from(8 * 8 * n))] {
-            let (budget, mut stats) = (ThreadBudget::sequential(), MatCacheStats::default());
+            let mut stats = MatCacheStats::default();
             let parts = [&yz, &xy].into_iter();
-            let got = multiway_join(parts, vars, &budget, EvalConfig::default(), &mut stats);
+            let got = multiway_join(parts, vars, EvalConfig::default(), &mut stats);
             assert_identical(&got, &reference_join(&[&xy, &yz], vars), "wedge");
             let words = (stats.packed_sorts, stats.packed_rows);
             assert_eq!(words, (u64::from(sorted > 0), sorted), "vars {vars:?}");
@@ -3968,13 +3637,13 @@ mod tests {
             let want = reference_join(&[&l, &r], &vars);
             let (cfg, mut stats) = (EvalConfig::default(), MatCacheStats::default());
             let parts = [&l, &r].into_iter();
-            let got = multiway_join(parts, &vars, ThreadBudget::shared(), cfg, &mut stats);
+            let got = multiway_join(parts, &vars, cfg, &mut stats);
             prop_assert_eq!(&got.schema, &want.schema);
             prop_assert_eq!(got.domain_width, want.domain_width);
             prop_assert_eq!(got.rows, want.rows);
             prop_assert_eq!(&got.data, &want.data);
             // The gather over the whole join keeps the same set.
-            let alone = reference_join(&[&l, &r], &schema).project(&vars);
+            let alone = reference_join(&[&l, &r], &schema).project(&vars, cfg, &mut stats);
             prop_assert_eq!(&alone.data, &want.data);
         }
     }

@@ -36,7 +36,7 @@ use crate::eval::flat::{
     multiway_join, AtomBinder, EvalConfig, FlatRelation, MatCacheStats, MatKey,
     MaterializationCache,
 };
-use cqapx_par::{parallel_map, ThreadBudget};
+use cqapx_par::ThreadBudget;
 use cqapx_structures::{DomainBitmap, Structure};
 use std::collections::BTreeSet;
 
@@ -163,24 +163,23 @@ impl MatSource {
     /// levels: the joined source under its own key and, on a source
     /// miss, each part under its key (so single-atom parts are shared
     /// with the plans that use them as whole hyperedges). The part
-    /// joins and canonicalization run under `budget` and `config`.
+    /// joins and canonicalization take `config`'s arms.
     pub fn materialize(
         &self,
         d: &Structure,
         cache: Option<&MaterializationCache>,
         stats: &mut MatCacheStats,
-        budget: &ThreadBudget,
         config: EvalConfig,
     ) -> FlatRelation {
         if self.parts.is_empty() {
             return FlatRelation::unit();
         }
         match cache {
-            None => self.materialize_fresh(d, None, stats, budget, config),
+            None => self.materialize_fresh(d, None, stats, config),
             Some(c) => {
                 let mut inner = MatCacheStats::default();
                 let (rel, hit) = c.get_or_materialize(&self.key, || {
-                    self.materialize_fresh(d, Some(c), &mut inner, budget, config)
+                    self.materialize_fresh(d, Some(c), &mut inner, config)
                 });
                 if hit {
                     stats.hits += 1;
@@ -199,17 +198,16 @@ impl MatSource {
         d: &Structure,
         cache: Option<&MaterializationCache>,
         stats: &mut MatCacheStats,
-        budget: &ThreadBudget,
         config: EvalConfig,
     ) -> FlatRelation {
         if self.parts.len() == 1 && self.parts[0].schema == self.schema {
             // The source *is* its single part; its key equals the part
             // key, so the caller's lookup already covered it.
-            return self.parts[0].materialize_fresh(d, budget, config, stats);
+            return self.parts[0].materialize_fresh(d, config, stats);
         }
         let mut rels: Vec<FlatRelation> = Vec::with_capacity(self.parts.len());
         for part in &self.parts {
-            let fresh = |s: &mut MatCacheStats| part.materialize_fresh(d, budget, config, s);
+            let fresh = |s: &mut MatCacheStats| part.materialize_fresh(d, config, s);
             rels.push(match cache {
                 None => fresh(stats),
                 Some(c) => {
@@ -227,7 +225,7 @@ impl MatSource {
         // canonical on the sorted source schema (column order and row
         // order), so cache entries are label-independent.
         let t0 = std::time::Instant::now();
-        let out = multiway_join(rels.iter(), &self.schema, budget, config, stats);
+        let out = multiway_join(rels.iter(), &self.schema, config, stats);
         stats.wcoj_bag_builds += 1;
         stats.wcoj_bag_us += t0.elapsed().as_micros() as u64;
         out
@@ -241,26 +239,19 @@ impl MatPart {
     fn materialize_fresh(
         &self,
         d: &Structure,
-        budget: &ThreadBudget,
         config: EvalConfig,
         stats: &mut MatCacheStats,
     ) -> FlatRelation {
         let scan = |binder: &AtomBinder, stats: &mut MatCacheStats| {
             let mut rel = FlatRelation::empty(self.schema.clone());
             binder.materialize_into(d, &mut rel);
-            rel.sort_dedup_budget(budget, config, stats);
+            rel.sort_dedup(config, stats);
             rel
         };
         let mut acc = scan(&self.binders[0], stats);
         for binder in &self.binders[1..] {
             let next = scan(binder, stats);
-            acc = multiway_join(
-                [&acc, &next].into_iter(),
-                &self.schema,
-                budget,
-                config,
-                stats,
-            );
+            acc = multiway_join([&acc, &next].into_iter(), &self.schema, config, stats);
         }
         acc
     }
@@ -379,10 +370,6 @@ pub struct PlanIr {
     output: Slot,
     /// The kernel arms every run of the program takes.
     config: EvalConfig,
-    /// Memoized [`PlanIr::dependency_stages`] (the labels depend only
-    /// on the immutable op list): computed on the first budgeted run,
-    /// a field read afterwards. Clones carry the computed value along.
-    stages_memo: std::sync::OnceLock<Vec<usize>>,
 }
 
 /// Disjoint `(&mut xs[a], &xs[b])` access for `a ≠ b`: the borrow split
@@ -425,65 +412,15 @@ impl PlanIr {
         })
     }
 
-    /// The dependency stage of every operator: `stage[i]` is the length
-    /// of the longest chain of slot conflicts (read-after-write,
-    /// write-after-read, write-after-write) ending at op `i`, with every
-    /// [`Op::AssertNonempty`] also acting as a control barrier for the
-    /// ops behind it (they must not run if the program aborts). Ops that
-    /// share a stage are mutually independent and may execute
-    /// concurrently; stage 0 is exactly the leading block of independent
-    /// [`Op::Materialize`] ops in a [`compile_tree`] program.
-    pub fn dependency_stages(&self) -> Vec<usize> {
-        // Per slot: the stage of its last writer / last reader so far.
-        let mut last_write: Vec<Option<usize>> = vec![None; self.slots];
-        let mut last_read: Vec<Option<usize>> = vec![None; self.slots];
-        let mut barrier: Option<usize> = None;
-        let mut stages = Vec::with_capacity(self.ops.len());
-        for op in &self.ops {
-            let (reads, writes) = (op.reads(), op.dst());
-            let mut stage = barrier.map(|b| b + 1).unwrap_or(0);
-            for &r in &reads {
-                if let Some(w) = last_write[r] {
-                    stage = stage.max(w + 1);
-                }
-            }
-            for dep in writes.iter().flat_map(|&w| [last_write[w], last_read[w]]) {
-                stage = stage.max(dep.map_or(0, |d| d + 1));
-            }
-            for &r in &reads {
-                last_read[r] = Some(last_read[r].unwrap_or(0).max(stage));
-            }
-            if let Some(w) = writes {
-                last_write[w] = Some(stage);
-            }
-            if matches!(op, Op::AssertNonempty { .. }) {
-                barrier = Some(barrier.unwrap_or(0).max(stage));
-            }
-            stages.push(stage);
-        }
-        stages
-    }
-
-    /// Executes `ops[start..len]`. Returns `false` when an
+    /// Executes `self.ops[range]` in op order. Returns `false` when an
     /// [`Op::AssertNonempty`] fired (the answer is empty).
-    ///
-    /// Execution is sequential in op order, with one scheduling upgrade
-    /// when `budget` grants extra workers: a contiguous run of
-    /// [`Op::Materialize`] ops that share a dependency stage (mutually
-    /// independent by construction — distinct destination slots, no slot
-    /// reads) is fanned out over claimed workers, one source per worker,
-    /// results written back in op order. Under the cache's single-flight
-    /// guarantee the per-run hit/miss totals equal the sequential run's.
-    #[allow(clippy::too_many_arguments)]
     fn exec(
         &self,
-        start: usize,
-        len: usize,
+        range: std::ops::Range<usize>,
         slots: &mut [Option<FlatRelation>],
         d: &Structure,
         cache: Option<&MaterializationCache>,
         stats: &mut MatCacheStats,
-        budget: &ThreadBudget,
         mut profile: Option<&mut EvalProfile>,
     ) -> bool {
         fn rel(s: &Option<FlatRelation>) -> &FlatRelation {
@@ -502,69 +439,12 @@ impl PlanIr {
                 Op::Union { .. } => "union",
             }
         }
-        // Stage labels are only needed to group materializations; skip
-        // the analysis entirely on the sequential path, and memoize it
-        // across runs (the labels depend only on the immutable ops).
-        let stages: Option<&[usize]> = if budget.capacity() > 0 {
-            Some(
-                self.stages_memo
-                    .get_or_init(|| self.dependency_stages())
-                    .as_slice(),
-            )
-        } else {
-            None
-        };
-        let (config, mut pc) = (self.config, start);
-        while pc < len {
-            // A contiguous same-stage block of materializations fans
-            // out over the budget's workers.
-            if let (Op::Materialize { .. }, Some(stages)) = (&self.ops[pc], &stages) {
-                let mut end = pc;
-                while end < len
-                    && stages[end] == stages[pc]
-                    && matches!(self.ops[end], Op::Materialize { .. })
-                {
-                    end += 1;
-                }
-                if end - pc >= 2 {
-                    let lease = budget.claim(end - pc - 1);
-                    if lease.extra() > 0 {
-                        let timed = profile.is_some();
-                        let group: Vec<(Slot, &MatSource)> = self.ops[pc..end]
-                            .iter()
-                            .map(|op| match op {
-                                Op::Materialize { dst, source } => (*dst, source),
-                                _ => unreachable!("group holds only materializations"),
-                            })
-                            .collect();
-                        let results = parallel_map(group, lease.workers(), |(dst, source)| {
-                            let t0 = timed.then(std::time::Instant::now);
-                            let mut s = MatCacheStats::default();
-                            let r = source.materialize(d, cache, &mut s, budget, config);
-                            let us = t0.map_or(0, |t| t.elapsed().as_micros() as u64);
-                            (dst, r, s, us)
-                        });
-                        for (dst, r, s, us) in results {
-                            if let Some(p) = profile.as_deref_mut() {
-                                p.ops.push(OpProfile {
-                                    op: "materialize",
-                                    micros: us,
-                                    rows: r.len(),
-                                });
-                            }
-                            slots[dst] = Some(r);
-                            stats.add(s);
-                        }
-                        pc = end;
-                        continue;
-                    }
-                }
-            }
-            let op = &self.ops[pc];
+        let config = self.config;
+        for op in &self.ops[range] {
             let t0 = profile.is_some().then(std::time::Instant::now);
             match op {
                 Op::Materialize { dst, source } => {
-                    slots[*dst] = Some(source.materialize(d, cache, stats, budget, config));
+                    slots[*dst] = Some(source.materialize(d, cache, stats, config));
                 }
                 Op::Semijoin {
                     target,
@@ -574,7 +454,7 @@ impl PlanIr {
                 } => {
                     let (t, s) = pair_mut(slots, *target, *source);
                     let t = t.as_mut().expect("slot written before use");
-                    t.semijoin_on_budget(target_pos, rel(s), source_pos, budget, config, stats);
+                    t.semijoin_on(target_pos, rel(s), source_pos, config, stats);
                 }
                 Op::AssertNonempty { slot } => {
                     if rel(&slots[*slot]).is_empty() {
@@ -590,7 +470,7 @@ impl PlanIr {
                 }
                 Op::MultiJoin { dst, inputs, vars } => {
                     let parts = inputs.iter().map(|s| rel(&slots[*s]));
-                    slots[*dst] = Some(multiway_join(parts, vars, budget, config, stats));
+                    slots[*dst] = Some(multiway_join(parts, vars, config, stats));
                 }
                 Op::Project { dst, src, vars } => {
                     // Every slot of a compiled tree is duplicate-free
@@ -603,7 +483,7 @@ impl PlanIr {
                         source.share_rows();
                         source.relabel(vars.clone())
                     } else {
-                        source.project_budget(vars, budget, config, stats)
+                        source.project(vars, config, stats)
                     };
                     slots[*dst] = Some(out);
                 }
@@ -611,7 +491,7 @@ impl PlanIr {
                     slots[*slot]
                         .as_mut()
                         .expect("slot written before use")
-                        .sort_dedup_budget(budget, config, stats);
+                        .sort_dedup(config, stats);
                 }
                 Op::Union { dst, src } => {
                     let (t, s) = pair_mut(slots, *dst, *src);
@@ -630,44 +510,35 @@ impl PlanIr {
                         .map_or(0, |r| r.len()),
                 });
             }
-            pc += 1;
         }
         true
     }
 
-    /// Runs the full program under the process-wide shared thread
-    /// budget. `None` means the answer is empty (an emptiness assertion
-    /// fired); otherwise the output relation.
+    /// Runs the full program, optionally collecting a per-operator
+    /// [`EvalProfile`] (pass `None` on the hot path: the only cost is
+    /// one branch per operator). `None` means the answer is empty (an
+    /// emptiness assertion fired); otherwise the output relation.
     pub fn run(
         &self,
         d: &Structure,
         cache: Option<&MaterializationCache>,
+        profile: Option<&mut EvalProfile>,
     ) -> (Option<FlatRelation>, MatCacheStats) {
-        self.run_budget(d, cache, ThreadBudget::shared())
+        let (alive, mut slots, stats) = self.run_slots(d, cache, profile);
+        (slots[self.output].take().filter(|_| alive), stats)
     }
 
-    /// [`PlanIr::run`] under an explicit thread budget.
-    pub fn run_budget(
-        &self,
-        d: &Structure,
-        cache: Option<&MaterializationCache>,
-        budget: &ThreadBudget,
-    ) -> (Option<FlatRelation>, MatCacheStats) {
-        self.run_budget_profiled(d, cache, budget, None)
-    }
-
-    /// [`PlanIr::run_budget`], optionally collecting a per-operator
-    /// [`EvalProfile`] (pass `None` on the hot path: the only cost is
-    /// one branch per operator).
+    /// [`PlanIr::run`]. The budget is unused: it stays only because
+    /// the frozen `cqbench` calls this signature, and goes with the
+    /// next change to `cqbench`.
     pub fn run_budget_profiled(
         &self,
         d: &Structure,
         cache: Option<&MaterializationCache>,
-        budget: &ThreadBudget,
+        _budget: &ThreadBudget,
         profile: Option<&mut EvalProfile>,
     ) -> (Option<FlatRelation>, MatCacheStats) {
-        let (alive, mut slots, stats) = self.run_slots(d, cache, budget, profile);
-        (slots[self.output].take().filter(|_| alive), stats)
+        self.run(d, cache, profile)
     }
 
     /// The full run with every slot handed back as the program left it
@@ -678,13 +549,11 @@ impl PlanIr {
         &self,
         d: &Structure,
         cache: Option<&MaterializationCache>,
-        budget: &ThreadBudget,
         profile: Option<&mut EvalProfile>,
     ) -> (bool, Vec<Option<FlatRelation>>, MatCacheStats) {
         let mut stats = MatCacheStats::default();
         let mut slots: Vec<Option<FlatRelation>> = vec![None; self.slots];
-        let len = self.ops.len();
-        let alive = self.exec(0, len, &mut slots, d, cache, &mut stats, budget, profile);
+        let alive = self.exec(0..self.ops.len(), &mut slots, d, cache, &mut stats, profile);
         (alive, slots, stats)
     }
 
@@ -698,97 +567,65 @@ impl PlanIr {
         slots: &mut [Option<FlatRelation>],
         d: &Structure,
         cache: Option<&MaterializationCache>,
-        budget: &ThreadBudget,
     ) -> (bool, MatCacheStats) {
         let mut stats = MatCacheStats::default();
-        let alive = self.exec(
-            range.start,
-            range.end,
-            slots,
-            d,
-            cache,
-            &mut stats,
-            budget,
-            None,
-        );
+        let alive = self.exec(range, slots, d, cache, &mut stats, None);
         (alive, stats)
     }
 
     /// Runs the program to the answer set for `head` — the compiled
     /// query's free variables, in head order: the Boolean short-cut
-    /// ([`PlanIr::run_boolean_budget_profiled`]) when the head is
-    /// empty, otherwise the full run read out through the answer
-    /// boundary, where the dense codes plan intermediates hold are
-    /// decoded back to the structure's elements.
+    /// ([`PlanIr::run_boolean`]) when the head is empty, otherwise the
+    /// full run read out through the answer boundary, where the dense
+    /// codes plan intermediates hold are decoded back to the
+    /// structure's elements.
     pub fn run_answers(
         &self,
         head: &[VarId],
         d: &Structure,
         cache: Option<&MaterializationCache>,
-        budget: &ThreadBudget,
         profile: Option<&mut EvalProfile>,
     ) -> (Answers, MatCacheStats) {
         if head.is_empty() {
-            let (nonempty, stats) = self.run_boolean_budget_profiled(d, cache, budget, profile);
+            let (nonempty, stats) = self.run_boolean(d, cache, profile);
             return (Answers::boolean(nonempty), stats);
         }
-        let (result, mut stats) = self.run_budget_profiled(d, cache, budget, profile);
+        let (result, mut stats) = self.run(d, cache, profile);
         let (dict, config) = (d.domain_dict(), self.config);
         let answers = match result {
             None => Answers::empty(head.len()),
-            Some(rel) => Answers::from_relation(rel, head, dict, budget, config, &mut stats),
+            Some(rel) => Answers::from_relation(rel, head, dict, config, &mut stats),
         };
         (answers, stats)
     }
 
     /// Decides whether the answer is nonempty, running only as much of
-    /// the program as the plan shape requires (shared thread budget).
+    /// the program as the plan shape requires, optionally collecting a
+    /// per-operator [`EvalProfile`].
     pub fn run_boolean(
         &self,
         d: &Structure,
         cache: Option<&MaterializationCache>,
-    ) -> (bool, MatCacheStats) {
-        self.run_boolean_budget(d, cache, ThreadBudget::shared())
-    }
-
-    /// [`PlanIr::run_boolean`] under an explicit thread budget.
-    pub fn run_boolean_budget(
-        &self,
-        d: &Structure,
-        cache: Option<&MaterializationCache>,
-        budget: &ThreadBudget,
-    ) -> (bool, MatCacheStats) {
-        self.run_boolean_budget_profiled(d, cache, budget, None)
-    }
-
-    /// [`PlanIr::run_boolean_budget`], optionally collecting a
-    /// per-operator [`EvalProfile`].
-    pub fn run_boolean_budget_profiled(
-        &self,
-        d: &Structure,
-        cache: Option<&MaterializationCache>,
-        budget: &ThreadBudget,
         mut profile: Option<&mut EvalProfile>,
     ) -> (bool, MatCacheStats) {
         if self.reduction_decides {
             let mut stats = MatCacheStats::default();
             let mut slots: Vec<Option<FlatRelation>> = vec![None; self.slots];
-            // Materialize first (parallel fan-out and cache accounting
-            // identical to the full run), then decide the sweep path.
+            // Materialize first (cache accounting identical to the full
+            // run), then decide the sweep path.
             let mat_len = self
                 .ops
                 .iter()
                 .take_while(|op| matches!(op, Op::Materialize { .. }))
                 .count()
                 .min(self.bool_len);
+            let mats = 0..mat_len;
             let alive = self.exec(
-                0,
-                mat_len,
+                mats,
                 &mut slots,
                 d,
                 cache,
                 &mut stats,
-                budget,
                 profile.as_deref_mut(),
             );
             debug_assert!(alive, "materializations assert nothing");
@@ -796,20 +633,24 @@ impl PlanIr {
             if let Some(alive) = sweep {
                 return (alive, stats);
             }
-            let alive = self.exec(
-                mat_len,
-                self.bool_len,
-                &mut slots,
-                d,
-                cache,
-                &mut stats,
-                budget,
-                profile,
-            );
+            let rest = mat_len..self.bool_len;
+            let alive = self.exec(rest, &mut slots, d, cache, &mut stats, profile);
             return (alive, stats);
         }
-        let (out, stats) = self.run_budget_profiled(d, cache, budget, profile);
+        let (out, stats) = self.run(d, cache, profile);
         (out.is_some_and(|r| !r.is_empty()), stats)
+    }
+
+    /// [`PlanIr::run_boolean`]. The budget is unused, as in
+    /// [`PlanIr::run_budget_profiled`].
+    pub fn run_boolean_budget_profiled(
+        &self,
+        d: &Structure,
+        cache: Option<&MaterializationCache>,
+        _budget: &ThreadBudget,
+        profile: Option<&mut EvalProfile>,
+    ) -> (bool, MatCacheStats) {
+        self.run_boolean(d, cache, profile)
     }
 
     /// The full-reducer sweep `ops[mat_len..bool_len]` collapsed onto
@@ -1271,7 +1112,6 @@ pub fn compile_tree(
             reduction_decides,
             output: *order.last().expect("at least one node"),
             config: EvalConfig::default(),
-            stages_memo: std::sync::OnceLock::new(),
         };
     }
 
@@ -1329,7 +1169,6 @@ pub fn compile_tree(
         reduction_decides,
         output: out,
         config: EvalConfig::default(),
-        stages_memo: std::sync::OnceLock::new(),
     }
 }
 
@@ -1362,13 +1201,7 @@ mod tests {
         };
         let d = Structure::digraph(2, &[]);
         let mut stats = MatCacheStats::default();
-        let r = src.materialize(
-            &d,
-            None,
-            &mut stats,
-            ThreadBudget::shared(),
-            EvalConfig::default(),
-        );
+        let r = src.materialize(&d, None, &mut stats, EvalConfig::default());
         assert_eq!(r.len(), 1);
         assert_eq!(r.arity(), 0);
         assert_eq!(stats, MatCacheStats::default());
@@ -1380,13 +1213,7 @@ mod tests {
         let d = Structure::digraph(4, &[(0, 1), (1, 2), (2, 3)]);
         let cache = MaterializationCache::new();
         let mut stats = MatCacheStats::default();
-        let r = src.materialize(
-            &d,
-            Some(&cache),
-            &mut stats,
-            ThreadBudget::shared(),
-            EvalConfig::default(),
-        );
+        let r = src.materialize(&d, Some(&cache), &mut stats, EvalConfig::default());
         assert_eq!(r.schema(), &[0, 1, 2]);
         assert_eq!(r.len(), 2); // 0-1-2 and 1-2-3
                                 // Cold: source miss + two part misses, all inserted.
@@ -1394,13 +1221,7 @@ mod tests {
         assert_eq!(cache.len(), 2); // the part shape + the joined source
                                     // Warm: a single source-level hit.
         let mut warm = MatCacheStats::default();
-        let r2 = src.materialize(
-            &d,
-            Some(&cache),
-            &mut warm,
-            ThreadBudget::shared(),
-            EvalConfig::default(),
-        );
+        let r2 = src.materialize(&d, Some(&cache), &mut warm, EvalConfig::default());
         assert_eq!((warm.hits, warm.misses), (1, 0));
         assert_eq!(
             r.rows_in_head_order(&[0, 1, 2]),
@@ -1430,13 +1251,7 @@ mod tests {
         let src = MatSource::from_groups(&[q.atoms().iter().collect()]);
         assert_eq!((src.parts.len(), src.parts[0].binders.len()), (1, 4));
         let mut stats = MatCacheStats::default();
-        let got = src.materialize(
-            &d,
-            None,
-            &mut stats,
-            &ThreadBudget::sequential(),
-            EvalConfig::default(),
-        );
+        let got = src.materialize(&d, None, &mut stats, EvalConfig::default());
         assert_eq!(got.schema(), &[0, 1]);
         assert_eq!(got.domain_width(), d.domain_dict().len() as u32);
         let rows: Vec<&[u32]> = got.iter_rows().collect();
@@ -1457,8 +1272,8 @@ mod tests {
     /// The reference build of a source: its parts scanned, then the
     /// reference join onto its schema.
     fn reference(src: &MatSource, d: &Structure) -> FlatRelation {
-        let (budget, mut stats) = (ThreadBudget::sequential(), MatCacheStats::default());
-        let scan = |p: &MatPart| p.materialize_fresh(d, &budget, EvalConfig::default(), &mut stats);
+        let mut stats = MatCacheStats::default();
+        let scan = |p: &MatPart| p.materialize_fresh(d, EvalConfig::default(), &mut stats);
         let parts: Vec<FlatRelation> = src.parts.iter().map(scan).collect();
         crate::eval::flat::reference_join(&parts.iter().collect::<Vec<_>>(), &src.schema)
     }
@@ -1489,13 +1304,7 @@ mod tests {
         ] {
             let src = source_of(q);
             let mut stats = MatCacheStats::default();
-            let got = src.materialize(
-                &d,
-                None,
-                &mut stats,
-                ThreadBudget::shared(),
-                EvalConfig::default(),
-            );
+            let got = src.materialize(&d, None, &mut stats, EvalConfig::default());
             let want = reference(&src, &d);
             assert!(!want.is_empty(), "fixture must produce rows on {q}");
             assert_eq!(got.schema(), want.schema(), "{q}");
@@ -1541,101 +1350,19 @@ mod tests {
             reduction_decides: true,
             output: 2,
             config: EvalConfig::default(),
-            stages_memo: std::sync::OnceLock::new(),
         };
         let d = Structure::digraph(3, &[(0, 1), (1, 0), (1, 2)]);
-        let (out, _) = ir.run(&d, None);
+        let (out, _) = ir.run(&d, None, None);
         let out = out.unwrap();
         // Union of E and E-reversed, projected to the first column:
         // sources {0, 1} ∪ targets {1, 0, 2} = {0, 1, 2}.
         assert_eq!(out.len(), 3);
-        let (b, _) = ir.run_boolean(&d, None);
+        let (b, _) = ir.run_boolean(&d, None, None);
         assert!(b);
         // Empty database: the assertion aborts both runs.
         let empty = Structure::digraph(3, &[]);
-        assert!(ir.run(&empty, None).0.is_none());
-        assert!(!ir.run_boolean(&empty, None).0);
-    }
-
-    #[test]
-    fn dependency_stages_group_independent_materializations() {
-        use crate::eval::yannakakis::AcyclicPlan;
-        let q = parse_cq("Q(x1, x4) :- E(x1,x2), E(x2,x3), E(x3,x4)").unwrap();
-        let plan = AcyclicPlan::compile(&q).unwrap();
-        let stages = plan.ir().dependency_stages();
-        // The three hyperedge materializations are mutually independent:
-        // all stage 0. Everything downstream conflicts with them.
-        assert!(
-            stages[..3].iter().all(|&s| s == 0),
-            "materializations must share stage 0: {stages:?}"
-        );
-        assert!(
-            stages[3..].iter().all(|&s| s > 0),
-            "reducer/join ops depend on the materializations: {stages:?}"
-        );
-    }
-
-    #[test]
-    fn assertion_is_a_control_barrier_in_stages() {
-        // Materialize, assert, then materialize again: the second
-        // materialization must not share a stage with the first even
-        // though their slots are disjoint — the assert may abort first.
-        let q = parse_cq("Q() :- E(x, y), E(y, z)").unwrap();
-        let e = MatSource::from_groups(&[vec![&q.atoms()[0]]]);
-        let e2 = MatSource::from_groups(&[vec![&q.atoms()[1]]]);
-        let ir = PlanIr {
-            slots: 2,
-            ops: vec![
-                Op::Materialize { dst: 0, source: e },
-                Op::AssertNonempty { slot: 0 },
-                Op::Materialize { dst: 1, source: e2 },
-            ],
-            bool_len: 3,
-            reduction_decides: true,
-            output: 1,
-            config: EvalConfig::default(),
-            stages_memo: std::sync::OnceLock::new(),
-        };
-        let stages = ir.dependency_stages();
-        assert_eq!(stages[0], 0);
-        assert!(
-            stages[2] > stages[1],
-            "post-assert op must stage after the barrier: {stages:?}"
-        );
-    }
-
-    #[test]
-    fn budgeted_run_matches_sequential_run_and_accounting() {
-        use crate::eval::yannakakis::AcyclicPlan;
-        let q = parse_cq("Q(x1, x4) :- E(x1,x2), E(x2,x3), E(x3,x4)").unwrap();
-        let plan = AcyclicPlan::compile(&q).unwrap();
-        let edges: Vec<(u32, u32)> = (0..300u32)
-            .flat_map(|u| {
-                [(u, (u + 1) % 300), (u, (u * 7 + 3) % 300)]
-                    .into_iter()
-                    .filter(|&(a, b)| a != b)
-            })
-            .collect();
-        let d = Structure::digraph(300, &edges);
-        let seq_cache = MaterializationCache::new();
-        let (r1, s1) = plan
-            .ir()
-            .run_budget(&d, Some(&seq_cache), &ThreadBudget::sequential());
-        let par_cache = MaterializationCache::new();
-        let (r2, s2) = plan
-            .ir()
-            .run_budget(&d, Some(&par_cache), &ThreadBudget::new(4));
-        let (r1, r2) = (r1.unwrap(), r2.unwrap());
-        assert_eq!(
-            r1.rows_in_head_order(&[0, 3]),
-            r2.rows_in_head_order(&[0, 3]),
-            "parallel run must produce identical answers"
-        );
-        assert_eq!(
-            (s1.hits, s1.misses),
-            (s2.hits, s2.misses),
-            "single-flight keeps the cache accounting identical"
-        );
+        assert!(ir.run(&empty, None, None).0.is_none());
+        assert!(!ir.run_boolean(&empty, None, None).0);
     }
 
     #[test]
@@ -1644,11 +1371,9 @@ mod tests {
         let q = parse_cq("Q(x1, x4) :- E(x1,x2), E(x2,x3), E(x3,x4)").unwrap();
         let plan = AcyclicPlan::compile(&q).unwrap();
         let d = Structure::digraph(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let (plain, _) = plan.ir().run_budget(&d, None, ThreadBudget::shared());
+        let (plain, _) = plan.ir().run(&d, None, None);
         let mut profile = EvalProfile::default();
-        let (profiled, _) =
-            plan.ir()
-                .run_budget_profiled(&d, None, ThreadBudget::shared(), Some(&mut profile));
+        let (profiled, _) = plan.ir().run(&d, None, Some(&mut profile));
         assert_eq!(
             plain.unwrap().rows_in_head_order(&[0, 3]),
             profiled.unwrap().rows_in_head_order(&[0, 3]),
@@ -1668,9 +1393,7 @@ mod tests {
         // An aborted run profiles the prefix, ending at the assertion.
         let empty = Structure::digraph(5, &[]);
         let mut aborted = EvalProfile::default();
-        let (none, _) =
-            plan.ir()
-                .run_budget_profiled(&empty, None, ThreadBudget::shared(), Some(&mut aborted));
+        let (none, _) = plan.ir().run(&empty, None, Some(&mut aborted));
         assert!(none.is_none());
         assert!(aborted.ops.len() < plan.ir().ops().len());
         assert_eq!(aborted.ops.last().unwrap().op, "assert_nonempty");
@@ -1680,12 +1403,9 @@ mod tests {
         let c6 = parse_cq("Q(a) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
         let plan = crate::eval::decomposed::DecomposedPlan::compile(&c6, 2).unwrap();
         let ring = Structure::digraph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let budget = ThreadBudget::shared();
-        let (plain, _) = plan.ir().run_budget(&ring, None, budget);
+        let (plain, _) = plan.ir().run(&ring, None, None);
         let mut profile = EvalProfile::default();
-        let (profiled, _) = plan
-            .ir()
-            .run_budget_profiled(&ring, None, budget, Some(&mut profile));
+        let (profiled, _) = plan.ir().run(&ring, None, Some(&mut profile));
         assert_eq!(plain.unwrap().len(), 6);
         assert_eq!(profiled.unwrap().len(), 6);
         assert_eq!(profile.ops.len(), plan.ir().ops().len());
@@ -1708,38 +1428,19 @@ mod tests {
         let ir = plan.ir();
         assert!(ir.reduction_decides());
         let cache = MaterializationCache::new();
-        let budget = &ThreadBudget::sequential();
-        assert!(ir.run_boolean_budget(&d, Some(&cache), budget).0);
+        assert!(ir.run_boolean(&d, Some(&cache), None).0);
         let resident = cache.resident_bytes();
         let mut stats = MatCacheStats::default();
         let mut slots: Vec<Option<FlatRelation>> = vec![None; ir.slots];
         let mat_len = ir.materialize_sources().count();
-        assert!(ir.exec(
-            0,
-            mat_len,
-            &mut slots,
-            &d,
-            Some(&cache),
-            &mut stats,
-            budget,
-            None
-        ));
+        assert!(ir.exec(0..mat_len, &mut slots, &d, Some(&cache), &mut stats, None));
         assert_eq!((stats.hits as usize, stats.misses), (mat_len, 0));
         // Both sweep paths: the bitmap collapse (when bitmaps are on)
         // and the semijoin kernels.
         let sweep = ir.bitmap_bool_sweep(mat_len, &slots, &mut stats, None);
         assert_ne!(sweep, Some(false));
-        let len = ir.bool_len;
-        assert!(ir.exec(
-            mat_len,
-            len,
-            &mut slots,
-            &d,
-            Some(&cache),
-            &mut stats,
-            budget,
-            None
-        ));
+        let sweep = mat_len..ir.bool_len;
+        assert!(ir.exec(sweep, &mut slots, &d, Some(&cache), &mut stats, None));
         for (dst, source) in ir.materialize_sources().enumerate() {
             let (entry, hit) = cache.get_or_materialize(&source.key, || unreachable!("warm"));
             assert!(hit);
@@ -1819,7 +1520,7 @@ mod tests {
         let d = Structure::digraph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (5, 5), (4, 0)]);
         let want = plan.eval(&d);
         for ir in [&tree, &decomp] {
-            let (got, _) = ir.run_answers(q.free_vars(), &d, None, ThreadBudget::shared(), None);
+            let (got, _) = ir.run_answers(q.free_vars(), &d, None, None);
             assert_eq!(got, want);
         }
     }
@@ -1852,7 +1553,7 @@ mod tests {
                 Ok(plan) => plan.ir().clone(),
                 Err(_) => DecomposedPlan::compile(&q, 2).unwrap().ir().clone(),
             };
-            let (out, _) = ir.run_budget(&d, None, &ThreadBudget::sequential());
+            let (out, _) = ir.run(&d, None, None);
             let out = out.expect("nonempty on this graph");
             assert_eq!(out.schema(), schema, "{rule}: {:?}", ir.ops);
             let rows: Vec<&[u32]> = out.iter_rows().collect();
@@ -1893,8 +1594,7 @@ mod tests {
         );
         let ring: Vec<(u32, u32)> = (0..75).map(|u| (u, (u + 1) % 75)).collect();
         let d = Structure::digraph(75, &ring);
-        let budget = ThreadBudget::sequential();
-        let (answers, _) = ir.run_answers(q.free_vars(), &d, None, &budget, None);
+        let (answers, _) = ir.run_answers(q.free_vars(), &d, None, None);
         assert_eq!(answers.len(), 75);
         assert_eq!(answers, eval_naive(&q, &d));
     }
@@ -1913,7 +1613,6 @@ mod tests {
             .flat_map(|u| [(u, (u * 7 + 3) % 60), (u, (u + 1) % 60)])
             .collect();
         let d = Structure::digraph(60, &edges);
-        let budget = &ThreadBudget::sequential();
         for (rule, sorts) in [
             ("Q(x, y, z) :- E(x,y), E(y,z)", false),
             ("Q(x, z) :- E(x,y), E(y,z)", true),
@@ -1933,10 +1632,10 @@ mod tests {
                 ));
                 let mut stats = MatCacheStats::default();
                 let mut slots: Vec<Option<FlatRelation>> = vec![None; ir.slots];
-                assert!(ir.exec(0, root, &mut slots, &d, None, &mut stats, budget, None));
+                assert!(ir.exec(0..root, &mut slots, &d, None, &mut stats, None));
                 let (mut stats, mut profile) = (MatCacheStats::default(), EvalProfile::default());
                 let (s, profiled) = (&mut stats, Some(&mut profile));
-                assert!(ir.exec(root, root + 1, &mut slots, &d, None, s, budget, profiled));
+                assert!(ir.exec(root..root + 1, &mut slots, &d, None, s, profiled));
                 assert_eq!(profile.ops[0].op, "join");
                 assert_eq!(profile.ops[0].rows, plan.eval(&d).len(), "{rule}");
                 let words = sorts && mode == PackedMode::On;
@@ -1960,20 +1659,11 @@ mod tests {
         );
         let mut stats = MatCacheStats::default();
         let mut slots: Vec<Option<FlatRelation>> = vec![None; ir.slots];
-        assert!(ir.exec(0, root, &mut slots, &d, None, &mut stats, budget, None));
+        assert!(ir.exec(0..root, &mut slots, &d, None, &mut stats, None));
         let before = stats.cursor_advances;
         let mut profile = EvalProfile::default();
         let profiled = Some(&mut profile);
-        assert!(ir.exec(
-            root,
-            root + 1,
-            &mut slots,
-            &d,
-            None,
-            &mut stats,
-            budget,
-            profiled
-        ));
+        assert!(ir.exec(root..root + 1, &mut slots, &d, None, &mut stats, profiled));
         assert_eq!(profile.ops[0].op, "join");
         assert_eq!(profile.ops[0].rows, plan.eval(&d).len());
         assert!(profile.ops[0].rows > 0 && stats.cursor_advances > before);
@@ -2132,7 +1822,7 @@ mod tests {
             .collect();
         assert_eq!(semijoins, [(0, 1)]);
         for d in cyclic_and_acyclic() {
-            assert_eq!(ir.run_boolean(&d, None).0, eval_boolean_naive(&q, &d));
+            assert_eq!(ir.run_boolean(&d, None, None).0, eval_boolean_naive(&q, &d));
         }
     }
 
@@ -2164,10 +1854,9 @@ mod tests {
             reduction_decides: true,
             output: 2,
             config: EvalConfig::default(),
-            stages_memo: std::sync::OnceLock::new(),
         };
         let d = Structure::digraph(4, &[(0, 1), (1, 2), (3, 3)]);
-        let (out, _) = ir.run(&d, None);
+        let (out, _) = ir.run(&d, None, None);
         let out = out.unwrap();
         assert_eq!(out.schema(), &[0, 1, 2]);
         // Paths: 0→1→2 and 3→3→3.

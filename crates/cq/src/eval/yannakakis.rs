@@ -27,7 +27,6 @@ use crate::eval::answers::Answers;
 use crate::eval::flat::{EvalConfig, MatCacheStats, MaterializationCache};
 use crate::eval::ir::{compile_tree, MatSource, NodeSpec, PlanIr};
 use cqapx_hypergraphs::{gyo, Hypergraph};
-use cqapx_par::ThreadBudget;
 use cqapx_structures::Structure;
 use std::fmt;
 
@@ -139,18 +138,7 @@ impl AcyclicPlan {
         d: &Structure,
         cache: Option<&MaterializationCache>,
     ) -> (bool, MatCacheStats) {
-        self.eval_boolean_cached_budget(d, cache, ThreadBudget::shared())
-    }
-
-    /// [`AcyclicPlan::eval_boolean_cached`] under an explicit thread
-    /// budget for intra-query parallelism.
-    pub fn eval_boolean_cached_budget(
-        &self,
-        d: &Structure,
-        cache: Option<&MaterializationCache>,
-        budget: &ThreadBudget,
-    ) -> (bool, MatCacheStats) {
-        self.ir.run_boolean_budget(d, cache, budget)
+        self.ir.run_boolean(d, cache, None)
     }
 
     /// Full evaluation: the set of answer tuples in head order.
@@ -165,33 +153,20 @@ impl AcyclicPlan {
         d: &Structure,
         cache: Option<&MaterializationCache>,
     ) -> (Answers, MatCacheStats) {
-        self.eval_cached_budget(d, cache, ThreadBudget::shared())
+        self.eval_cached_profiled(d, cache, None)
     }
 
-    /// [`AcyclicPlan::eval_cached`] under an explicit thread budget:
-    /// parallel answers are identical to sequential ones — the budget
-    /// only decides how many workers the kernels may claim.
-    pub fn eval_cached_budget(
+    /// [`AcyclicPlan::eval_cached`], optionally collecting a per-operator
+    /// [`EvalProfile`](crate::eval::EvalProfile) (`None` keeps the hot
+    /// path at one branch per operator).
+    pub fn eval_cached_profiled(
         &self,
         d: &Structure,
         cache: Option<&MaterializationCache>,
-        budget: &ThreadBudget,
-    ) -> (Answers, MatCacheStats) {
-        self.eval_cached_budget_profiled(d, cache, budget, None)
-    }
-
-    /// [`AcyclicPlan::eval_cached_budget`], optionally collecting a
-    /// per-operator [`EvalProfile`](crate::eval::EvalProfile) (`None`
-    /// keeps the hot path at one branch per operator).
-    pub fn eval_cached_budget_profiled(
-        &self,
-        d: &Structure,
-        cache: Option<&MaterializationCache>,
-        budget: &ThreadBudget,
         profile: Option<&mut crate::eval::EvalProfile>,
     ) -> (Answers, MatCacheStats) {
         self.ir
-            .run_answers(self.query.free_vars(), d, cache, budget, profile)
+            .run_answers(self.query.free_vars(), d, cache, profile)
     }
 }
 

@@ -13,16 +13,14 @@
 //!
 //! Its own test binary because it installs a counting
 //! `#[global_allocator]`. The counter is thread-local, so the harness's
-//! own threads cannot move it, and evaluation runs under
-//! `ThreadBudget::new(1)`, which keeps every kernel on the calling
-//! thread.
+//! own threads cannot move it, and evaluation runs every kernel on
+//! the calling thread.
 
 use cqapx_cq::eval::{
     AcyclicPlan, DecomposedPlan, EvalConfig, MatCacheStats, MatSource, MaterializationCache, Op,
     PlanIr,
 };
 use cqapx_cq::parse_cq;
-use cqapx_par::ThreadBudget;
 use cqapx_structures::Structure;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -108,9 +106,8 @@ fn graph(edges: usize) -> Structure {
 fn cold_eval_calls(plan: &DecomposedPlan, d: &Structure) -> (u64, usize) {
     d.distinct_per_column();
     let cache = MaterializationCache::new();
-    let budget = ThreadBudget::new(1);
     let before = CALLS.with(Cell::get);
-    let (answers, stats) = plan.eval_cached_budget(d, Some(&cache), &budget);
+    let (answers, stats) = plan.eval_cached(d, Some(&cache));
     let calls = CALLS.with(Cell::get) - before;
     assert!(stats.misses > 0, "a cold run materializes");
     assert_eq!(stats.wcoj_bag_builds, 1, "the triangle is one multiway bag");
@@ -153,10 +150,9 @@ fn cold_two_path_bag_requests_little_more_than_it_returns() {
     let q = parse_cq("Q(a, b, c) :- E(a, b), E(b, c)").unwrap();
     let groups: Vec<Vec<_>> = q.atoms().iter().map(|a| vec![a]).collect();
     let source = MatSource::from_groups(&groups);
-    let budget = ThreadBudget::new(1);
     let mut stats = MatCacheStats::default();
     let before = BYTES.with(Cell::get);
-    let bag = source.materialize(&d, None, &mut stats, &budget, EvalConfig::default());
+    let bag = source.materialize(&d, None, &mut stats, EvalConfig::default());
     let requested = BYTES.with(Cell::get) - before;
     assert_eq!(stats.wcoj_bag_builds, 1);
     assert_eq!(bag.len(), 16 * n as usize, "every wedge, once");
@@ -206,9 +202,8 @@ fn cold_six_cycle_head_requests_a_small_multiple_of_what_its_ops_return() {
     let wide = |op: &&Op| matches!(op, Op::MultiJoin { inputs, .. } if inputs.len() > 2);
     assert_eq!(plan.ir().ops().iter().filter(wide).count(), 1);
     let cache = MaterializationCache::new();
-    let budget = ThreadBudget::new(1);
     let before = BYTES.with(Cell::get);
-    let (alive, slots, _) = plan.ir().run_slots(&d, Some(&cache), &budget, None);
+    let (alive, slots, _) = plan.ir().run_slots(&d, Some(&cache), None);
     let requested = BYTES.with(Cell::get) - before;
     assert!(alive, "the graph has 6-cycles");
     let returned: usize = (slots.iter().flatten())
@@ -241,7 +236,6 @@ fn boolean_six_cycle_stops_at_the_first_witness() {
         .flat_map(|u| [1, 7, 61, 200].map(|step| (u, (u + step) % n)))
         .collect();
     let d = Structure::digraph(n as usize, &edges);
-    let budget = ThreadBudget::new(1);
     let cache = MaterializationCache::new();
     let head = DecomposedPlan::compile(&parse_cq(C6_HEAD).unwrap(), 2).unwrap();
     let boolean = C6_HEAD.replace("Q(a)", "Q()");
@@ -249,10 +243,10 @@ fn boolean_six_cycle_stops_at_the_first_witness() {
     // The root's advances, and the slots it read and wrote.
     let root = |plan: &DecomposedPlan| {
         let ir = plan.ir();
-        let (alive, mut slots, _) = ir.run_slots(&d, Some(&cache), &budget, None);
+        let (alive, mut slots, _) = ir.run_slots(&d, Some(&cache), None);
         assert!(alive, "the graph has 6-cycles");
         let last = ir.ops().len() - 1;
-        let (alive, stats) = ir.run_ops(last..last + 1, &mut slots, &d, Some(&cache), &budget);
+        let (alive, stats) = ir.run_ops(last..last + 1, &mut slots, &d, Some(&cache));
         assert!(alive);
         (stats.cursor_advances, slots)
     };
@@ -310,14 +304,13 @@ fn boolean_four_cycle_root_is_one_existence_call() {
         panic!("the Boolean C4 root ends in its existence call");
     };
     assert!(vars.is_empty());
-    let budget = ThreadBudget::new(1);
     for (d, witness) in [
         (regular_digraph(5000, 4, 0xC4), true),
         (layered_dag(5000, 0xC4), false),
     ] {
         let cache = MaterializationCache::new();
-        plan.eval_boolean_cached_budget(&d, Some(&cache), &budget);
-        let (alive, slots, stats) = plan.ir().run_slots(&d, Some(&cache), &budget, None);
+        plan.eval_boolean_cached(&d, Some(&cache));
+        let (alive, slots, stats) = plan.ir().run_slots(&d, Some(&cache), None);
         assert_eq!((alive, stats.misses), (witness, 0));
         let parts: u64 = (inputs.iter())
             .map(|s| slots[*s].as_ref().map_or(0, |r| r.len()) as u64)
@@ -343,11 +336,11 @@ const C4: &str = "Q() :- E(a,b), E(b,c), E(c,d), E(d,a)";
 /// Allocator calls of op `pc` of `ir` run alone on a warm cache, over
 /// the slots a full run left.
 fn op_calls(ir: &PlanIr, pc: usize, d: &Structure) -> u64 {
-    let (cache, budget) = (MaterializationCache::new(), ThreadBudget::new(1));
-    let (alive, mut slots, _) = ir.run_slots(d, Some(&cache), &budget, None);
+    let cache = MaterializationCache::new();
+    let (alive, mut slots, _) = ir.run_slots(d, Some(&cache), None);
     assert!(alive, "the graph answers");
     let before = CALLS.with(Cell::get);
-    let (alive, _) = ir.run_ops(pc..pc + 1, &mut slots, d, Some(&cache), &budget);
+    let (alive, _) = ir.run_ops(pc..pc + 1, &mut slots, d, Some(&cache));
     let calls = CALLS.with(Cell::get) - before;
     assert!(alive);
     calls

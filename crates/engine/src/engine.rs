@@ -9,7 +9,7 @@ use cqapx_metrics::{
     Counter, CounterFamily, EventLog, Gauge, HistogramFamily, HistogramSnapshot, MetricsLevel,
     MetricsSink, TraceEvent,
 };
-use cqapx_par::{default_threads, env_threads, parallel_map, ThreadBudget};
+use cqapx_par::{default_threads, parallel_map, ThreadBudget};
 use cqapx_structures::{Element, HomSearchStats, SearchBudget, Structure};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -43,13 +43,11 @@ impl ApproxClassChoice {
 /// Engine-wide tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// The engine's **total** worker-thread budget, shared between
-    /// batch-level parallelism (requests spread over workers) and
-    /// intra-query parallelism (morsel-parallel joins, semijoins,
-    /// sorts, and concurrent bag materializations inside one request) —
-    /// one pool, so the two levels can never oversubscribe the cores.
-    /// `0` = the `CQAPX_THREADS` environment variable when set, else
-    /// available parallelism. `1` = fully sequential execution.
+    /// The engine's **total** worker-thread budget for batches: a batch
+    /// spreads its requests over up to this many workers, and
+    /// concurrent batches share the one pool. One request always runs
+    /// on the thread that executes it. `0` = available parallelism;
+    /// `1` = fully sequential execution.
     pub threads: usize,
     /// Planner budget: estimated branch nodes the naive join may cost
     /// before the planner switches to the approximation sandwich.
@@ -570,8 +568,7 @@ pub struct Engine {
     approx_memo: Mutex<HashMap<QueryId, Arc<CachedApproximation>>>,
     stats: Mutex<EngineStats>,
     /// The engine-wide worker budget ([`EngineConfig::threads`] total
-    /// workers): batch execution claims workers from it and every
-    /// request's evaluation claims morsel workers from the remainder.
+    /// workers), from which batch execution claims its workers.
     budget: ThreadBudget,
     /// Tiered instrumentation (level copied from the config).
     metrics: EngineMetrics,
@@ -591,7 +588,7 @@ impl Engine {
     /// An engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
         let threads = if config.threads == 0 {
-            env_threads().unwrap_or_else(default_threads)
+            default_threads()
         } else {
             config.threads
         };
@@ -822,11 +819,9 @@ impl Engine {
     /// Executes a batch in parallel (scoped worker threads, input order
     /// preserved). Each request carries its own deadline.
     ///
-    /// Batch workers are claimed from the engine's [`ThreadBudget`];
-    /// whatever the batch does not claim (fewer requests than threads)
-    /// stays available for intra-query parallelism inside the running
-    /// requests, so batch-level and morsel-level fan-out always share
-    /// the one configured core budget.
+    /// Batch workers are claimed from the engine's [`ThreadBudget`], so
+    /// concurrent batches share the one configured core budget; each
+    /// request runs start to finish on the worker that took it.
     ///
     /// Admission control sees the whole backlog: every request counts
     /// against the queue at submission (here, in input order), so with
@@ -1014,10 +1009,9 @@ impl Engine {
                         .yannakakis
                         .as_ref()
                         .expect("acyclic prepared queries carry a Yannakakis plan");
-                    let (answers, mstats) = plan.eval_cached_budget_profiled(
+                    let (answers, mstats) = plan.eval_cached_profiled(
                         &d.structure,
                         Some(&d.materialized),
-                        &self.budget,
                         profile.as_mut(),
                     );
                     mat_cache.add(mstats);
@@ -1030,10 +1024,9 @@ impl Engine {
                         .decomposed
                         .as_ref()
                         .expect("decomposed tier requires a compiled decomposition");
-                    let (answers, mstats) = plan.eval_cached_budget_profiled(
+                    let (answers, mstats) = plan.eval_cached_profiled(
                         &d.structure,
                         Some(&d.materialized),
-                        &self.budget,
                         profile.as_mut(),
                     );
                     mat_cache.add(mstats);
@@ -1258,7 +1251,8 @@ impl Engine {
         union.append(seed);
         let mut mat = MatCacheStats::default();
         for e in &cached.evaluators {
-            let (certain, mstats) = e.eval_with_cache(&d.structure, &d.materialized, &self.budget);
+            let (certain, mstats) =
+                e.eval_with_cache(&d.structure, &d.materialized, &ThreadBudget::sequential());
             union.append(certain);
             mat.add(mstats);
         }

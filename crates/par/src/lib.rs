@@ -1,38 +1,26 @@
-//! **cqapx-par** — morsel-driven worker-pool primitives shared by the
-//! evaluation kernel (`cqapx-cq`) and the serving engine
+//! **cqapx-par** — the batch-level worker pool of the serving engine
 //! (`cqapx-engine`).
 //!
 //! The build environment has no crate registry, so rayon is not
-//! available; this crate provides the three primitives the stack needs
-//! on plain `std::thread::scope`:
+//! available; this crate provides the two primitives the engine needs
+//! on plain `std::thread::scope` and a `Mutex`, in safe code only:
 //!
-//! * [`ThreadBudget`] — one shared, non-blocking core budget, so
-//!   batch-level and intra-query parallelism never oversubscribe the
-//!   machine: a worker that wants to fan out [`ThreadBudget::claim`]s
-//!   extra workers and runs sequentially when none are left;
-//! * [`parallel_map`] — an order-preserving data-parallel map with
-//!   **chunked** atomic-index work stealing (workers claim morsel-sized
-//!   index ranges with one `fetch_add`, not one lock round-trip per
-//!   item);
-//! * [`parallel_chunks`] — the morsel loop itself: a contiguous index
-//!   space split into fixed-size morsels, each claimed atomically and
-//!   processed by one worker, results returned **in morsel order** so
-//!   parallel kernels can stitch outputs deterministically.
+//! * [`ThreadBudget`] — one shared, non-blocking budget of worker
+//!   permits: a batch [`ThreadBudget::claim`]s extra workers and runs
+//!   sequentially when none are left, so concurrent batches never
+//!   oversubscribe the configured core count;
+//! * [`parallel_map`] — an order-preserving data-parallel map whose
+//!   workers claim chunks of items from one shared queue.
 //!
-//! Determinism contract: every primitive returns results in input
-//! (index/morsel) order, so a parallel kernel that concatenates them
-//! reproduces its sequential output bit for bit. `threads == 1`
-//! degrades to a plain loop with no thread, no atomics, no allocation
-//! beyond the result vector.
+//! Determinism contract: [`parallel_map`] returns results in input
+//! order, each item processed exactly once. `threads == 1` degrades to
+//! a plain loop with no thread and no lock.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-use std::cell::UnsafeCell;
-use std::marker::PhantomData;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::Mutex;
 
 /// The default worker count: the machine's available parallelism.
 pub fn default_threads() -> usize {
@@ -41,33 +29,17 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// The thread-count override from the `CQAPX_THREADS` environment
-/// variable, when set to a positive integer. CI forces this to `2` so
-/// every push exercises the parallel code paths; unset means "decide
-/// locally" (engines use [`default_threads`], plain plan evaluation
-/// stays sequential).
-pub fn env_threads() -> Option<usize> {
-    std::env::var("CQAPX_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
-
 /// A shared, non-blocking budget of worker threads.
 ///
 /// A budget created with `new(t)` holds `t - 1` *extra-worker* permits:
-/// the calling thread is always the first worker, and any fan-out —
-/// a batch spreading requests over workers, a join probing in parallel
-/// morsels — must [`claim`](ThreadBudget::claim) permits for the rest.
-/// Claims are try-only: when the budget is exhausted the claim returns
-/// zero extras and the caller simply runs sequentially, so nested
-/// parallelism (a batch worker whose query fans out internally) shares
-/// one core budget instead of multiplying thread counts.
+/// the calling thread is always the first worker, and a fan-out must
+/// [`claim`](ThreadBudget::claim) permits for the rest. Claims are
+/// try-only: when the budget is exhausted the claim returns zero extras
+/// and the caller simply runs sequentially.
 ///
 /// `new(1)` (or [`sequential`](ThreadBudget::sequential)) has zero
 /// capacity: every claim short-circuits on a plain field read — no
-/// atomics — which is what makes `threads = 1` compile down to the
-/// sequential code path with no overhead.
+/// atomics.
 #[derive(Debug)]
 pub struct ThreadBudget {
     /// Total extra-worker permits (threads - 1).
@@ -92,16 +64,6 @@ impl ThreadBudget {
         ThreadBudget::new(1)
     }
 
-    /// The process-wide budget derived from `CQAPX_THREADS`: capacity
-    /// `n - 1` when the variable is set to `n`, zero otherwise. Plain
-    /// (budget-less) plan evaluation runs under this budget, so setting
-    /// the variable routes the whole test suite through the parallel
-    /// kernels without touching any call site.
-    pub fn shared() -> &'static ThreadBudget {
-        static SHARED: OnceLock<ThreadBudget> = OnceLock::new();
-        SHARED.get_or_init(|| ThreadBudget::new(env_threads().unwrap_or(1)))
-    }
-
     /// Total extra-worker permits the budget was created with.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -120,20 +82,18 @@ impl ThreadBudget {
     /// holding however many (possibly zero) were available. Never
     /// blocks. Dropping the lease returns the permits.
     pub fn claim(&self, want: usize) -> Lease<'_> {
+        let none = Lease {
+            budget: None,
+            extra: 0,
+        };
         if self.capacity == 0 || want == 0 {
-            return Lease {
-                budget: None,
-                extra: 0,
-            };
+            return none;
         }
         let mut cur = self.available.load(Ordering::Relaxed);
         loop {
             let take = cur.min(want);
             if take == 0 {
-                return Lease {
-                    budget: None,
-                    extra: 0,
-                };
+                return none;
             }
             match self.available.compare_exchange_weak(
                 cur,
@@ -182,113 +142,17 @@ impl Drop for Lease<'_> {
     }
 }
 
-/// A fixed-length buffer whose slots are written by concurrent workers
-/// **at disjoint indices** through raw pointers, so no slot ever needs a
-/// lock and no `&mut` aliasing is created.
-///
-/// # Safety contract
-///
-/// Callers must guarantee that every index is accessed by at most one
-/// thread between synchronization points (here: the `thread::scope`
-/// join). The morsel primitives uphold this by construction — an
-/// atomic `fetch_add` hands each index range to exactly one worker.
-pub struct DisjointWriter<'a, T> {
-    base: *mut T,
-    len: usize,
-    _borrow: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: workers only touch disjoint indices (see the type-level
-// contract), and `T: Send` makes moving values in from worker threads
-// sound. The scope join synchronizes all writes before the buffer is
-// read again.
-unsafe impl<T: Send> Sync for DisjointWriter<'_, T> {}
-
-impl<'a, T> DisjointWriter<'a, T> {
-    /// Wraps a mutable slice for disjoint-index writes.
-    pub fn new(slice: &'a mut [T]) -> Self {
-        DisjointWriter {
-            base: slice.as_mut_ptr(),
-            len: slice.len(),
-            _borrow: PhantomData,
-        }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when there are no slots.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Writes `value` into slot `i`, dropping the previous value.
-    ///
-    /// # Safety
-    ///
-    /// `i < len`, and no other thread accesses slot `i` concurrently.
-    pub unsafe fn write(&self, i: usize, value: T) {
-        debug_assert!(i < self.len);
-        *self.base.add(i) = value;
-    }
-
-    /// Reads a copy of slot `i`.
-    ///
-    /// # Safety
-    ///
-    /// `i < len`, and no other thread writes slot `i` concurrently.
-    pub unsafe fn read(&self, i: usize) -> T
-    where
-        T: Copy,
-    {
-        debug_assert!(i < self.len);
-        *self.base.add(i)
-    }
-}
-
-/// Item storage for [`parallel_map`]: slots taken (moved out) by the
-/// single worker that claimed the index. Same disjoint-index contract
-/// as [`DisjointWriter`].
-struct TakeSlots<T> {
-    // Kept alive so the heap buffer outlives all raw accesses; the
-    // pointer is snapshotted once because `Vec` moves must not re-read
-    // it mid-scope.
-    _own: UnsafeCell<Vec<Option<T>>>,
-    base: *mut Option<T>,
-}
-
-// SAFETY: disjoint-index discipline, see `DisjointWriter`.
-unsafe impl<T: Send> Sync for TakeSlots<T> {}
-
-impl<T> TakeSlots<T> {
-    fn new(items: Vec<T>) -> Self {
-        let mut v: Vec<Option<T>> = items.into_iter().map(Some).collect();
-        let base = v.as_mut_ptr();
-        TakeSlots {
-            _own: UnsafeCell::new(v),
-            base,
-        }
-    }
-
-    /// # Safety
-    ///
-    /// `i` in bounds and claimed by exactly one thread.
-    unsafe fn take(&self, i: usize) -> T {
-        (*self.base.add(i)).take().expect("each index claimed once")
-    }
-}
-
 /// Applies `f` to every item on up to `threads` worker threads,
 /// returning results in input order.
 ///
-/// Work distribution is **chunked claiming**: one shared atomic cursor
-/// advances in morsel-sized steps (`max(1, n / (threads · 8))` items),
-/// so contended workers pay one `fetch_add` per chunk instead of a
-/// mutex round-trip per item, while the tail still load-balances.
-/// `threads == 1` (or a single item) degrades to a sequential map with
-/// no thread overhead.
+/// Work distribution is **chunked claiming**: the items sit in one
+/// `Mutex`-guarded queue, tagged with their input index, and a worker
+/// takes `max(1, n / (threads · 8))` of them per lock, so the tail
+/// still load-balances while the lock is taken a few times per worker.
+/// Each worker keeps its `(index, result)` pairs; they are put back in
+/// input order once every worker has finished. `f` never runs under the
+/// lock. `threads == 1` (or a single item) is a sequential map with no
+/// thread overhead.
 pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -301,73 +165,35 @@ where
         return items.into_iter().map(f).collect();
     }
     let chunk = (n / (threads * 8)).max(1);
-    let slots = TakeSlots::new(items);
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let worker = || {
+        let mut done: Vec<(usize, R)> = Vec::new();
+        loop {
+            let claimed: Vec<(usize, T)> = queue
+                .lock()
+                .expect("the queue lock is never held across `f`")
+                .by_ref()
+                .take(chunk)
+                .collect();
+            if claimed.is_empty() {
+                return done;
+            }
+            done.extend(claimed.into_iter().map(|(i, item)| (i, f(item))));
+        }
+    };
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let out = DisjointWriter::new(&mut results);
-    let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + chunk).min(n);
-                for i in start..end {
-                    // SAFETY: the cursor hands [start, end) to this
-                    // worker exactly once; i < n.
-                    let item = unsafe { slots.take(i) };
-                    let r = f(item);
-                    unsafe { out.write(i, Some(r)) };
-                }
-            });
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        for w in workers {
+            let done = w.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            for (i, r) in done {
+                results[i] = Some(r);
+            }
         }
     });
     results
         .into_iter()
-        .map(|r| r.expect("worker filled every claimed slot"))
-        .collect()
-}
-
-/// Splits the index space `0..len` into contiguous morsels of
-/// `morsel` indices, runs `f(morsel_index, range)` on up to `workers`
-/// threads (each morsel claimed atomically by one worker), and returns
-/// the results **in morsel order** — the stitching order that makes a
-/// parallel kernel's concatenated output identical to its sequential
-/// one.
-///
-/// `workers <= 1` or a single morsel runs inline on the caller.
-pub fn parallel_chunks<R, F>(len: usize, morsel: usize, workers: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, Range<usize>) -> R + Sync,
-{
-    let morsel = morsel.max(1);
-    let chunks = len.div_ceil(morsel);
-    let range_of = |c: usize| (c * morsel)..(((c + 1) * morsel).min(len));
-    let workers = workers.clamp(1, chunks.max(1));
-    if workers <= 1 || chunks <= 1 {
-        return (0..chunks).map(|c| f(c, range_of(c))).collect();
-    }
-    let mut results: Vec<Option<R>> = (0..chunks).map(|_| None).collect();
-    let out = DisjointWriter::new(&mut results);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= chunks {
-                    break;
-                }
-                let r = f(c, range_of(c));
-                // SAFETY: morsel c claimed exactly once; c < chunks.
-                unsafe { out.write(c, Some(r)) };
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("worker filled every claimed morsel"))
+        .map(|r| r.expect("every item is claimed exactly once"))
         .collect()
 }
 
@@ -393,10 +219,9 @@ mod tests {
         assert_eq!(parallel_map(vec![5], 16, |x| x * 2), vec![10]);
     }
 
-    /// Regression for the chunked-claiming rewrite: under heavy
-    /// contention (many workers, tiny chunks, uneven per-item work) the
-    /// results must still come back in input order, each item processed
-    /// exactly once.
+    /// Under heavy contention (many workers, tiny chunks, uneven
+    /// per-item work) the results must still come back in input order,
+    /// each item processed exactly once.
     #[test]
     fn chunked_claiming_keeps_input_order_under_contention() {
         let n: usize = 10_000;
@@ -414,18 +239,6 @@ mod tests {
         for (pos, (i, _)) in out.iter().enumerate() {
             assert_eq!(pos, *i, "result out of input order");
         }
-    }
-
-    #[test]
-    fn chunks_cover_range_in_order() {
-        let got = parallel_chunks(23, 5, 4, |c, r| (c, r.start, r.end));
-        assert_eq!(
-            got,
-            vec![(0, 0, 5), (1, 5, 10), (2, 10, 15), (3, 15, 20), (4, 20, 23)]
-        );
-        // Degenerate cases.
-        assert!(parallel_chunks(0, 5, 4, |c, _| c).is_empty());
-        assert_eq!(parallel_chunks(3, 8, 4, |_, r| r.len()), vec![3]);
     }
 
     #[test]
