@@ -238,6 +238,43 @@ fn one_request_allocates_the_same_at_any_thread_count() {
     }
 }
 
+/// Preparing a query costs less than approximating it. A request that
+/// misses the approximation cache after its query and an isomorphic
+/// twin were prepared (`cqbench`'s `approx_cold`) prepares twice and
+/// searches once, so on the introduction's `Q2` two preparations must
+/// call the allocator less often than one search into `TW(1)`: the
+/// shape's treewidth search hands its decomposition to the decomposed
+/// plan, which no second search rebuilds, and the plan's sources move
+/// into it rather than being copied. The plan is the one a search at
+/// that width compiles to.
+#[test]
+fn preparing_twice_allocates_less_than_one_approximation_search() {
+    use cqapx_core::{all_approximations_tableaux, ApproxOptions, TwK};
+    use cqapx_engine::PreparedQuery;
+    let q2 =
+        parse_cq("Q() :- E(x,y), E(y,z), E(z,u), E(x1,y1), E(y1,z1), E(z1,u1), E(x,z1), E(y,u1)")
+            .unwrap();
+    let copy = q2.clone();
+    ALLOCS.with(|n| n.set(Some(0)));
+    let prepared = PreparedQuery::build("q2", copy);
+    let prepare = ALLOCS.with(|n| n.replace(None)).expect("switched on");
+    let plan = prepared
+        .decomposed
+        .as_ref()
+        .expect("treewidth 2 is within the limit");
+    let searched = DecomposedPlan::compile(&q2, prepared.shape.treewidth).unwrap();
+    assert_eq!(format!("{:?}", plan.ir()), format!("{:?}", searched.ir()));
+    let options = ApproxOptions::default();
+    ALLOCS.with(|n| n.set(Some(0)));
+    let (approximations, _) = all_approximations_tableaux(prepared.tableau(), &TwK(1), &options);
+    let search = ALLOCS.with(|n| n.replace(None)).expect("switched on");
+    assert!(!approximations.is_empty());
+    assert!(
+        2 * prepare < search,
+        "{prepare} allocator calls per preparation, {search} for the search"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

@@ -16,6 +16,15 @@ pub struct Atom {
     pub args: Vec<VarId>,
 }
 
+impl Atom {
+    /// `true` when both atoms mention the same set of variables: they
+    /// are one hyperedge of `H(Q)`.
+    pub fn same_vars(&self, other: &Atom) -> bool {
+        let within = |a: &Atom, b: &Atom| a.args.iter().all(|v| b.args.contains(v));
+        within(self, other) && within(other, self)
+    }
+}
+
 /// A conjunctive query `Q(x̄) :- R₁(…), …, R_m(…)`.
 ///
 /// Variables are indices `0..var_count`; `free` lists the head variables

@@ -13,7 +13,6 @@
 use crate::ast::ConjunctiveQuery;
 use cqapx_graphs::{treewidth, treewidth_at_most, UGraph};
 use cqapx_hypergraphs::{gyo, htw, Hypergraph};
-use cqapx_structures::Element;
 
 /// The graph `G(Q)`: variables as nodes, co-occurrence edges.
 ///
@@ -39,8 +38,7 @@ pub fn query_graph(q: &ConjunctiveQuery) -> UGraph {
 pub fn hypergraph_of(q: &ConjunctiveQuery) -> Hypergraph {
     let mut h = Hypergraph::new(q.var_count());
     for a in q.atoms() {
-        let vars: Vec<Element> = a.args.clone();
-        h.add_edge(&vars);
+        h.add_edge(&a.args);
     }
     h
 }

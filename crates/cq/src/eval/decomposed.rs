@@ -6,15 +6,17 @@
 //! cyclic queries the acyclic tier must reject. The classic recipe:
 //!
 //! 1. compute a width-`≤ k` [`TreeDecomposition`] of `G(Q)`
-//!    (deterministic, exact — `graphs::treewidth::treewidth_at_most`),
-//!    reduced and rooted at its centre ([`DecomposedPlan::compile`]);
+//!    (deterministic, exact — `graphs::treewidth::treewidth_at_most`;
+//!    [`DecomposedPlan::compile`]) or take the one a prepared query's
+//!    shape already found ([`DecomposedPlan::from_decomposition`]),
+//!    reduced and rooted at its centre;
 //! 2. assign every atom to **every bag containing its variables** (an
 //!    atom's variables form a clique of `G(Q)`, so at least one bag
 //!    covers it) and **materialize each bag** as the join of its atom
 //!    groups — at most `adom^(k+1)` rows, the tractability bound —
 //!    by the one bag kernel, a worst-case-optimal multiway join whose
 //!    cost does not depend on how the query numbers its variables. Bag
-//!    materializations are [`MatKey`]-cached exactly like hyperedges
+//!    materializations are [`MatKey`](crate::eval::MatKey)-cached exactly like hyperedges
 //!    and shared across plans (see [`MatSource`]);
 //! 3. run the acyclic pipeline over the rooted bag tree: full-reducer
 //!    semijoin sweeps as a prefilter, then one join per bag, bottom-up,
@@ -42,10 +44,10 @@
 use crate::ast::{Atom, ConjunctiveQuery, VarId};
 use crate::classes::query_graph;
 use crate::eval::answers::Answers;
-use crate::eval::flat::{EvalConfig, MatCacheStats, MatKey, MaterializationCache};
+use crate::eval::flat::{EvalConfig, MatCacheStats, MaterializationCache};
 use crate::eval::ir::{compile_tree, MatSource, NodeSpec, PlanIr};
 use cqapx_graphs::treewidth::{treewidth_at_most, TreeDecomposition};
-use cqapx_structures::{RelId, Structure};
+use cqapx_structures::Structure;
 use std::cmp::Reverse;
 use std::fmt;
 
@@ -69,25 +71,6 @@ impl fmt::Display for NotDecomposable {
 
 impl std::error::Error for NotDecomposable {}
 
-/// One part (sub-hyperedge) of a bag, exposed for the planner.
-#[derive(Debug, Clone)]
-pub struct BagPart {
-    /// The relation of the part's first atom (for raw statistics).
-    pub rel: RelId,
-    /// The part's cache key (for real materialized cardinalities).
-    pub key: MatKey,
-}
-
-/// Cost-model inputs of one bag, exposed for the planner: the bag size
-/// and the parts (sub-hyperedges) joined inside it.
-#[derive(Debug, Clone)]
-pub struct BagSummary {
-    /// Number of variables in the bag (label, not just covered schema).
-    pub label_size: usize,
-    /// The sub-hyperedges joined inside the bag.
-    pub parts: Vec<BagPart>,
-}
-
 /// A compiled bounded-treewidth evaluation plan for a (typically
 /// cyclic) CQ.
 ///
@@ -105,15 +88,27 @@ pub struct BagSummary {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DecomposedPlan {
-    query: ConjunctiveQuery,
+    /// The query's head, the order answers come out in.
+    head: Vec<VarId>,
     ir: PlanIr,
     width: usize,
-    bags: Vec<BagSummary>,
+    /// Each bag's size, in bag order.
+    bag_sizes: Vec<usize>,
 }
 
 impl DecomposedPlan {
-    /// Compiles a plan from a width-`≤ k` tree decomposition of `G(Q)`;
-    /// fails when the treewidth exceeds `k`.
+    /// Compiles a plan from a width-`≤ k` tree decomposition of `G(Q)`
+    /// ([`DecomposedPlan::from_decomposition`]); fails when the treewidth
+    /// exceeds `k`.
+    pub fn compile(query: &ConjunctiveQuery, k: usize) -> Result<DecomposedPlan, NotDecomposable> {
+        let td =
+            treewidth_at_most(&query_graph(query), k).ok_or(NotDecomposable { width_limit: k })?;
+        Ok(Self::from_decomposition(query, td))
+    }
+
+    /// Compiles a plan from a tree decomposition of `G(Q)` someone has
+    /// already searched for — a prepared query's shape carries the one
+    /// its treewidth was read from.
     ///
     /// The decomposition is [reduced] first — a bag inside a neighbour
     /// costs a materialization, two semijoins and a join and constrains
@@ -126,17 +121,14 @@ impl DecomposedPlan {
     /// that bag is a leaf).
     ///
     /// [reduced]: TreeDecomposition::reduced
-    pub fn compile(query: &ConjunctiveQuery, k: usize) -> Result<DecomposedPlan, NotDecomposable> {
-        let g = query_graph(query);
-        let td = treewidth_at_most(&g, k)
-            .ok_or(NotDecomposable { width_limit: k })?
-            .reduced();
+    pub fn from_decomposition(query: &ConjunctiveQuery, td: TreeDecomposition) -> DecomposedPlan {
+        let td = td.reduced();
         let heights = td.heights();
         let head = |bag: &[VarId]| query.free_vars().iter().filter(|v| bag.contains(v)).count();
         let root = (0..td.bags.len())
             .min_by_key(|&b| (heights[b], Reverse(head(&td.bags[b])), b))
             .expect("a decomposition has at least one bag");
-        Ok(Self::compile_rooted(query, &td, root))
+        Self::compile_rooted(query, &td, root)
     }
 
     /// Compiles a plan over a given tree decomposition of `G(Q)` rooted
@@ -148,81 +140,39 @@ impl DecomposedPlan {
         td: &TreeDecomposition,
         root: usize,
     ) -> DecomposedPlan {
-        let width = td.width();
         let rooted = td.rooted_at(root);
-
-        // Assign each atom to every bag covering its variable set, then
-        // group the atoms of a bag by variable set (one MatPart each).
-        let atom_vars: Vec<Vec<VarId>> = query
-            .atoms()
-            .iter()
-            .map(|a| {
-                let mut vars = a.args.clone();
-                vars.sort_unstable();
-                vars.dedup();
-                vars
-            })
-            .collect();
+        // Assign each atom to every bag covering its variable set, and
+        // group the atoms of a bag by variable set: one part each. A
+        // connector bag covering no atom gets the "true" relation.
         let mut covered = vec![false; query.atoms().len()];
-        let mut nodes: Vec<NodeSpec> = Vec::with_capacity(td.bags.len());
-        let mut bags: Vec<BagSummary> = Vec::with_capacity(td.bags.len());
-        for bag in &td.bags {
-            let mut groups: Vec<(Vec<VarId>, Vec<&Atom>)> = Vec::new();
-            for (ai, atom) in query.atoms().iter().enumerate() {
-                let vars = &atom_vars[ai];
-                if vars.iter().all(|v| bag.binary_search(v).is_ok()) {
-                    covered[ai] = true;
-                    match groups.iter_mut().find(|(v, _)| v == vars) {
-                        Some((_, atoms)) => atoms.push(atom),
-                        None => groups.push((vars.clone(), vec![atom])),
+        let nodes: Vec<NodeSpec> = (td.bags.iter())
+            .map(|bag| {
+                let mut groups: Vec<Vec<&Atom>> = Vec::new();
+                for (atom, covered) in query.atoms().iter().zip(&mut covered) {
+                    if atom.args.iter().all(|v| bag.binary_search(v).is_ok()) {
+                        *covered = true;
+                        match groups.iter_mut().find(|g| g[0].same_vars(atom)) {
+                            Some(group) => group.push(atom),
+                            None => groups.push(vec![atom]),
+                        }
                     }
                 }
-            }
-            let group_refs: Vec<Vec<&Atom>> = groups.iter().map(|(_, a)| a.clone()).collect();
-            let source = if group_refs.is_empty() {
-                // A connector bag covering no atom: the "true" relation.
-                MatSource {
-                    schema: Vec::new(),
-                    key: MatKey::of_group(&[], &[]),
-                    parts: Vec::new(),
+                NodeSpec {
+                    source: MatSource::from_groups(&groups),
+                    label: bag.clone(),
                 }
-            } else {
-                MatSource::from_groups(&group_refs)
-            };
-            bags.push(BagSummary {
-                label_size: bag.len(),
-                parts: source
-                    .parts
-                    .iter()
-                    .zip(&group_refs)
-                    .map(|(p, g)| BagPart {
-                        rel: g[0].rel,
-                        key: p.key.clone(),
-                    })
-                    .collect(),
-            });
-            nodes.push(NodeSpec {
-                source,
-                label: bag.clone(),
-            });
-        }
+            })
+            .collect();
         assert!(
             covered.iter().all(|&c| c),
             "every atom's variable clique must lie in some bag"
         );
-
-        let ir = compile_tree(&nodes, &rooted.parent, &rooted.order, query.free_vars());
         DecomposedPlan {
-            query: query.clone(),
-            ir,
-            width,
-            bags,
+            head: query.free_vars().to_vec(),
+            ir: compile_tree(nodes, &rooted.parent, &rooted.order, query.free_vars()),
+            width: td.width(),
+            bag_sizes: td.bags.iter().map(Vec::len).collect(),
         }
-    }
-
-    /// The underlying query.
-    pub fn query(&self) -> &ConjunctiveQuery {
-        &self.query
     }
 
     /// The width of the decomposition the plan evaluates over.
@@ -241,10 +191,12 @@ impl DecomposedPlan {
         self
     }
 
-    /// Per-bag cost-model inputs (label sizes, part relations and cache
-    /// keys), in bag order.
-    pub fn bag_summaries(&self) -> &[BagSummary] {
-        &self.bags
+    /// Per-bag cost-model inputs, in bag order: the bag's size and the
+    /// source materialized for it, whose parts carry their relations
+    /// and cache keys.
+    pub fn bags(&self) -> impl Iterator<Item = (usize, &MatSource)> {
+        // The program materializes bag `i` first, into slot `i`.
+        (self.bag_sizes.iter().copied()).zip(self.ir.materialize_sources())
     }
 
     /// Boolean evaluation: `Q(D) ≠ ∅`.
@@ -286,8 +238,7 @@ impl DecomposedPlan {
         cache: Option<&MaterializationCache>,
         profile: Option<&mut crate::eval::EvalProfile>,
     ) -> (Answers, MatCacheStats) {
-        self.ir
-            .run_answers(self.query.free_vars(), d, cache, profile)
+        self.ir.run_answers(&self.head, d, cache, profile)
     }
 }
 
@@ -472,11 +423,8 @@ mod tests {
         for root in 0..star.bags.len() {
             let plan = DecomposedPlan::compile_rooted(&q, &star, root);
             assert_eq!(plan.width(), 2);
-            assert_eq!(
-                plan.bag_summaries()[2].parts.len(),
-                0,
-                "the centre covers no atom"
-            );
+            let centre = plan.bags().nth(2).unwrap().1;
+            assert_eq!(centre.parts.len(), 0, "the centre covers no atom");
             assert_eq!(plan.eval(&d), expected, "root {root}");
         }
     }
@@ -486,16 +434,10 @@ mod tests {
         // One bag per eliminated vertex would be three for the triangle
         // and six for C6; reduced, one and four.
         let tri = parse_cq("Q(x) :- E(x,y), E(y,z), E(z,x)").unwrap();
-        assert_eq!(
-            DecomposedPlan::compile(&tri, 2)
-                .unwrap()
-                .bag_summaries()
-                .len(),
-            1
-        );
+        assert_eq!(DecomposedPlan::compile(&tri, 2).unwrap().bags().count(), 1);
         let c6 = parse_cq("Q(a) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
         let plan = DecomposedPlan::compile(&c6, 2).unwrap();
-        assert_eq!(plan.bag_summaries().len(), 4);
+        assert_eq!(plan.bags().count(), 4);
         // The four bags form a path; the plan is the one rooted at one
         // of its two middle bags, not at either end.
         let td = treewidth_at_most(&query_graph(&c6), 2).unwrap().reduced();
@@ -596,12 +538,9 @@ mod tests {
         let plan = DecomposedPlan::compile(&q, 2).unwrap();
         // Some bag holds the whole triangle: label size 3, all three
         // edge parts joined inside it.
-        let full = plan
-            .bag_summaries()
-            .iter()
-            .find(|b| b.label_size == 3)
+        let (_, full) = (plan.bags())
+            .find(|&(size, _)| size == 3)
             .expect("a bag must contain the triangle clique");
         assert_eq!(full.parts.len(), 3);
-        assert!(!plan.bag_summaries().is_empty());
     }
 }

@@ -18,9 +18,6 @@ use cqapx_structures::Structure;
 /// `Q(D)` in head order, and `eval_boolean` is `!eval(d).is_empty()`
 /// (possibly computed faster).
 pub trait Evaluator {
-    /// The query this evaluator answers.
-    fn query(&self) -> &ConjunctiveQuery;
-
     /// Evaluates `Q(D)`: the full answer set, tuples in head order.
     fn eval(&self, d: &Structure) -> Answers;
 
@@ -67,10 +64,6 @@ impl NaiveEvaluator {
 }
 
 impl Evaluator for NaiveEvaluator {
-    fn query(&self) -> &ConjunctiveQuery {
-        self.plan.query()
-    }
-
     fn eval(&self, d: &Structure) -> Answers {
         self.plan.eval_answers(d)
     }
@@ -85,10 +78,6 @@ impl Evaluator for NaiveEvaluator {
 }
 
 impl Evaluator for AcyclicPlan {
-    fn query(&self) -> &ConjunctiveQuery {
-        AcyclicPlan::query(self)
-    }
-
     fn eval(&self, d: &Structure) -> Answers {
         AcyclicPlan::eval(self, d)
     }
@@ -112,10 +101,6 @@ impl Evaluator for AcyclicPlan {
 }
 
 impl Evaluator for DecomposedPlan {
-    fn query(&self) -> &ConjunctiveQuery {
-        DecomposedPlan::query(self)
-    }
-
     fn eval(&self, d: &Structure) -> Answers {
         DecomposedPlan::eval(self, d)
     }
@@ -157,7 +142,6 @@ mod tests {
         for e in &evals {
             assert_eq!(e.eval(&d), expected, "{}", e.strategy_name());
             assert!(e.eval_boolean(&d), "{}", e.strategy_name());
-            assert_eq!(e.query().to_string(), q.to_string());
         }
     }
 

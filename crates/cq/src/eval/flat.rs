@@ -1844,25 +1844,25 @@ impl AtomBinder {
     /// distinct variables of the atom's hyperedge; every schema variable
     /// must occur in the atom).
     pub fn compile(atom: &Atom, schema: &[VarId]) -> AtomBinder {
-        let mut eq_checks = Vec::new();
-        let mut first: FxHashMap<VarId, usize> = FxHashMap::default();
-        for (j, &v) in atom.args.iter().enumerate() {
-            match first.get(&v) {
-                Some(&i) => eq_checks.push((i, j)),
-                None => {
-                    first.insert(v, j);
-                }
-            }
-        }
+        let args = &atom.args;
+        let first = |v: &VarId| args.iter().position(|u| u == v);
+        let eq_checks = (0..args.len())
+            .filter_map(|j| first(&args[j]).filter(|&i| i < j).map(|i| (i, j)))
+            .collect();
         let out_pos = schema
             .iter()
-            .map(|v| *first.get(v).expect("schema variable must occur in atom"))
+            .map(|v| first(v).expect("schema variable must occur in atom"))
             .collect();
         AtomBinder {
             rel: atom.rel,
             eq_checks,
             out_pos,
         }
+    }
+
+    /// The relation the binder scans.
+    pub fn rel(&self) -> RelId {
+        self.rel
     }
 
     /// Scans the atom's relation in `d` and appends one row per
@@ -1932,34 +1932,55 @@ impl AtomBinder {
 /// list sorted. Two hyperedges with equal keys materialize to identical
 /// row sets over any database — which is what lets a
 /// [`MaterializationCache`] share work across prepared queries.
+///
+/// Stored flat, in one buffer: per atom its relation, its arity and its
+/// column indexes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MatKey {
-    atoms: Vec<(RelId, Vec<u32>)>,
+    atoms: Box<[u32]>,
 }
 
 impl MatKey {
     /// The key of a hyperedge: `vars` are the sorted distinct variables,
     /// `atoms` every atom whose variable set equals `vars`.
-    pub fn of_group(atoms: &[&Atom], vars: &[VarId]) -> MatKey {
+    pub fn of_group<'a>(atoms: impl IntoIterator<Item = &'a Atom>, vars: &[VarId]) -> MatKey {
         debug_assert!(vars.windows(2).all(|w| w[0] < w[1]), "vars must be sorted");
-        let col =
-            |v: VarId| -> u32 { vars.binary_search(&v).expect("atom var must be in vars") as u32 };
-        let mut keyed: Vec<(RelId, Vec<u32>)> = atoms
-            .iter()
-            .map(|a| (a.rel, a.args.iter().map(|&v| col(v)).collect()))
-            .collect();
-        keyed.sort();
+        let col = |v: &VarId| vars.binary_search(v).expect("atom var must be in vars") as u32;
+        // Column indexes rise with the variables, so sorting and
+        // deduplicating by the arguments orders the atoms by their
+        // columns too.
+        let mut keyed: Vec<(RelId, &[VarId])> =
+            atoms.into_iter().map(|a| (a.rel, &a.args[..])).collect();
+        keyed.sort_unstable();
         keyed.dedup();
-        MatKey { atoms: keyed }
+        let mut flat = Vec::with_capacity(keyed.iter().map(|(_, args)| 2 + args.len()).sum());
+        for (rel, args) in keyed {
+            flat.extend([rel.0, args.len() as u32]);
+            flat.extend(args.iter().map(col));
+        }
+        MatKey {
+            atoms: flat.into_boxed_slice(),
+        }
     }
 
     /// The key of a single atom taken as its own hyperedge (used by the
-    /// planner to look up real cardinalities of cached materializations).
+    /// planner to look up real cardinalities of cached materializations):
+    /// `of_group([atom], its sorted distinct variables)`, where a
+    /// variable's column is the number of distinct smaller ones.
     pub fn of_atom(atom: &Atom) -> MatKey {
-        let mut vars: Vec<VarId> = atom.args.clone();
-        vars.sort_unstable();
-        vars.dedup();
-        MatKey::of_group(&[atom], &vars)
+        let args = &atom.args;
+        let col = |v: &VarId| {
+            let smaller = args.iter().enumerate();
+            smaller
+                .filter(|&(i, u)| u < v && !args[..i].contains(u))
+                .count() as u32
+        };
+        let mut flat = Vec::with_capacity(2 + args.len());
+        flat.extend([atom.rel.0, args.len() as u32]);
+        flat.extend(args.iter().map(col));
+        MatKey {
+            atoms: flat.into_boxed_slice(),
+        }
     }
 }
 

@@ -129,33 +129,40 @@ pub struct MatSource {
 
 impl MatSource {
     /// Compiles a source from atom groups (each group: the atoms sharing
-    /// one variable set) over the union of their variables.
+    /// one variable set) over the union of their variables. No groups
+    /// give the 0-ary "true" source.
     pub fn from_groups(groups: &[Vec<&Atom>]) -> MatSource {
-        let mut schema: Vec<VarId> = groups
-            .iter()
-            .flat_map(|g| g.iter().flat_map(|a| a.args.iter().copied()))
-            .collect();
-        schema.sort_unstable();
-        schema.dedup();
-        let all: Vec<&Atom> = groups.iter().flat_map(|g| g.iter().copied()).collect();
-        let parts = groups
+        let sorted = |vars: &mut Vec<VarId>| {
+            vars.sort_unstable();
+            vars.dedup();
+        };
+        let parts: Vec<MatPart> = groups
             .iter()
             .map(|g| {
                 let mut vars: Vec<VarId> = g.iter().flat_map(|a| a.args.iter().copied()).collect();
-                vars.sort_unstable();
-                vars.dedup();
+                sorted(&mut vars);
+                let key = match g[..] {
+                    [atom] => MatKey::of_atom(atom),
+                    _ => MatKey::of_group(g.iter().copied(), &vars),
+                };
                 MatPart {
-                    key: MatKey::of_group(g, &vars),
+                    key,
                     binders: g.iter().map(|a| AtomBinder::compile(a, &vars)).collect(),
                     schema: vars,
                 }
             })
             .collect();
-        MatSource {
-            key: MatKey::of_group(&all, &schema),
-            schema,
-            parts,
-        }
+        let mut schema: Vec<VarId> = parts
+            .iter()
+            .flat_map(|p| p.schema.iter().copied())
+            .collect();
+        sorted(&mut schema);
+        let key = match &parts[..] {
+            // A single part is the whole source.
+            [part] => part.key.clone(),
+            _ => MatKey::of_group(groups.iter().flatten().copied(), &schema),
+        };
+        MatSource { schema, key, parts }
     }
 
     /// Materializes the source against `d`, adopting from / inserting
@@ -903,8 +910,10 @@ pub struct NodeSpec {
 /// re-rooted at the node holding most of them, and its join phase
 /// skips every subtree whose join would be the identity after the full
 /// reducer: `Q(x) :- E(x,y), E(y,z), E(z,w)` runs no join at all.
+///
+/// The nodes' sources move into the program's [`Op::Materialize`]s.
 pub fn compile_tree(
-    nodes: &[NodeSpec],
+    nodes: Vec<NodeSpec>,
     parent: &[Option<usize>],
     order: &[usize],
     free: &[VarId],
@@ -963,19 +972,17 @@ pub fn compile_tree(
     }
     let (parent, order) = (&parent[..], &order[..]);
 
-    let mut ops: Vec<Op> = Vec::new();
+    // Everything after the materializations, which go first once the
+    // specs are no longer read (`with_materializations`). Room for all:
+    // per node a materialization, two semijoins, two assertions, a join
+    // and a root combination at most.
+    let mut ops: Vec<Op> = Vec::with_capacity(7 * n);
     let mut slots = n; // slots 0..n hold the node relations
 
-    for (u, spec) in nodes.iter().enumerate() {
-        ops.push(Op::Materialize {
-            dst: u,
-            source: spec.source.clone(),
-        });
-    }
-
     // Shared *schema* column positions of the edge above `u`, for the
-    // semijoin sweeps (both schemas are sorted: one merge walk).
-    let edge_pos: Vec<Option<(Vec<usize>, Vec<usize>)>> = (0..n)
+    // semijoin sweeps (both schemas are sorted: one merge walk). The
+    // first sweep copies them, the second takes them.
+    let mut edge_pos: Vec<Option<(Vec<usize>, Vec<usize>)>> = (0..n)
         .map(|u| {
             parent[u].map(|p| {
                 let (cs, ps) = (&nodes[u].source.schema, &nodes[p].source.schema);
@@ -1018,7 +1025,9 @@ pub fn compile_tree(
         }
     }
     for &u in order {
-        let mut schema = nodes[u].source.schema.clone();
+        let below = children[u].iter().map(|&c| keep[c].len()).sum::<usize>();
+        let mut schema = Vec::with_capacity(nodes[u].source.schema.len() + below);
+        schema.extend_from_slice(&nodes[u].source.schema);
         for &c in &children[u] {
             for &v in &keep[c] {
                 if !schema.contains(&v) {
@@ -1089,17 +1098,17 @@ pub fn compile_tree(
     let as_is = |u: usize| (dead[u] || whole[u]) && children[u].iter().all(|&c| dead[c]);
     for &u in order.iter().rev() {
         if parent[u].is_some() && !as_is(u) {
-            let (child_pos, parent_pos) = edge_pos[u].as_ref().expect("non-root has an edge");
+            let (child_pos, parent_pos) = edge_pos[u].take().expect("non-root has an edge");
             ops.push(Op::Semijoin {
                 target: u,
                 source: parent[u].unwrap(),
-                target_pos: child_pos.clone(),
-                source_pos: parent_pos.clone(),
+                target_pos: child_pos,
+                source_pos: parent_pos,
             });
             ops.push(Op::AssertNonempty { slot: u });
         }
     }
-    let bool_len = ops.len();
+    let bool_len = n + ops.len();
 
     if free.is_empty() && reduction_decides {
         // Boolean join tree: the prefix is the whole program. The output
@@ -1107,10 +1116,10 @@ pub fn compile_tree(
         // in `order` (the root of the last-compiled tree).
         return PlanIr {
             slots,
-            ops,
+            output: *order.last().expect("at least one node"),
+            ops: with_materializations(nodes, ops),
             bool_len,
             reduction_decides,
-            output: *order.last().expect("at least one node"),
             config: EvalConfig::default(),
         };
     }
@@ -1164,12 +1173,23 @@ pub fn compile_tree(
 
     PlanIr {
         slots,
-        ops,
+        ops: with_materializations(nodes, ops),
         bool_len,
         reduction_decides,
         output: out,
         config: EvalConfig::default(),
     }
+}
+
+/// The program of [`compile_tree`]: node `u`'s source materialized into
+/// slot `u`, for every node in order, then the rest, in `ops`' own room.
+fn with_materializations(nodes: Vec<NodeSpec>, mut ops: Vec<Op>) -> Vec<Op> {
+    let sources = nodes.into_iter().map(|spec| spec.source).enumerate();
+    ops.splice(
+        0..0,
+        sources.map(|(dst, source)| Op::Materialize { dst, source }),
+    );
+    ops
 }
 
 #[cfg(test)]
@@ -1510,8 +1530,8 @@ mod tests {
         let mut bags = nodes.clone();
         bags[1].label = vec![0, 1, 2];
         let (parent, order) = ([None, Some(0), Some(1)], [2, 1, 0]);
-        let tree = compile_tree(&nodes, &parent, &order, q.free_vars());
-        let decomp = compile_tree(&bags, &parent, &order, q.free_vars());
+        let tree = compile_tree(nodes, &parent, &order, q.free_vars());
+        let decomp = compile_tree(bags, &parent, &order, q.free_vars());
         assert!(tree.reduction_decides() && !decomp.reduction_decides());
         assert_eq!((joins_in(&tree), joins_in(&decomp)), (0, 2));
         // … and so is the second sweep into every bag that is projected
@@ -1584,7 +1604,7 @@ mod tests {
             .collect();
         let parent: Vec<Option<usize>> = (0..69usize).map(|i| i.checked_sub(1)).collect();
         let order: Vec<usize> = (0..69).rev().collect();
-        let ir = compile_tree(&nodes, &parent, &order, q.free_vars());
+        let ir = compile_tree(nodes, &parent, &order, q.free_vars());
         let one_child = |op: &Op| matches!(op, Op::MultiJoin { inputs, .. } if inputs.len() == 2);
         assert_eq!(ir.ops.iter().filter(|op| one_child(op)).count(), 68);
         let root = ir.ops.last();
@@ -1798,7 +1818,7 @@ mod tests {
                 source,
             }
         };
-        let nodes = [
+        let nodes = vec![
             node(&[0, 1]),
             node(&[2, 3]),
             node(&[4, 5]),
@@ -1806,7 +1826,7 @@ mod tests {
             node(&[8, 9]),
         ];
         let parent = [None, Some(0), Some(0), None, Some(3)];
-        let ir = compile_tree(&nodes, &parent, &[1, 2, 0, 4, 3], &[]);
+        let ir = compile_tree(nodes, &parent, &[1, 2, 0, 4, 3], &[]);
         let fused: Vec<&Vec<Slot>> = (ir.ops.iter())
             .filter_map(|op| match op {
                 Op::MultiJoin { inputs, vars, .. } if vars.is_empty() => Some(inputs),

@@ -13,7 +13,7 @@ pub mod naive;
 pub mod yannakakis;
 
 pub use answers::{AnswerRow, Answers, AnswersBuilder, AnswersIter};
-pub use decomposed::{BagPart, BagSummary, DecomposedPlan, NotDecomposable};
+pub use decomposed::{DecomposedPlan, NotDecomposable};
 pub use evaluator::{Evaluator, NaiveEvaluator};
 pub use flat::{
     bitmap_stats, packed_stats, AtomBinder, BitmapStats, EvalConfig, FlatRelation, MatCacheStats,

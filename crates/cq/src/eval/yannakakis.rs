@@ -59,7 +59,8 @@ impl std::error::Error for NotAcyclic {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct AcyclicPlan {
-    query: ConjunctiveQuery,
+    /// The query's head, the order answers come out in.
+    head: Vec<VarId>,
     ir: PlanIr,
 }
 
@@ -69,28 +70,24 @@ impl AcyclicPlan {
         // Group atoms by variable set, preserving first-occurrence order so
         // that group indices equal hyperedge indices of `Hypergraph` (which
         // deduplicates in insertion order too).
-        let mut grouped: Vec<(Vec<VarId>, Vec<usize>)> = Vec::new();
-        for (ai, atom) in query.atoms().iter().enumerate() {
-            let mut vars: Vec<VarId> = atom.args.clone();
-            vars.sort_unstable();
-            vars.dedup();
-            match grouped.iter_mut().find(|(v, _)| *v == vars) {
-                Some((_, atoms)) => atoms.push(ai),
-                None => grouped.push((vars, vec![ai])),
+        let mut groups: Vec<Vec<&Atom>> = Vec::new();
+        for atom in query.atoms() {
+            match groups.iter_mut().find(|g| g[0].same_vars(atom)) {
+                Some(group) => group.push(atom),
+                None => groups.push(vec![atom]),
             }
         }
         let mut h = Hypergraph::new(query.var_count());
-        for (vars, _) in &grouped {
-            h.add_edge(vars);
+        for group in &groups {
+            h.add_edge(&group[0].args);
         }
-        debug_assert_eq!(h.edge_count(), grouped.len());
+        debug_assert_eq!(h.edge_count(), groups.len());
         let join_tree = gyo::gyo_reduce(&h).join_tree.ok_or(NotAcyclic)?;
 
-        let nodes: Vec<NodeSpec> = grouped
+        let nodes: Vec<NodeSpec> = groups
             .into_iter()
-            .map(|(_, atoms)| {
-                let atom_refs: Vec<&Atom> = atoms.iter().map(|&ai| &query.atoms()[ai]).collect();
-                let source = MatSource::from_groups(&[atom_refs]);
+            .map(|group| {
+                let source = MatSource::from_groups(&[group]);
                 NodeSpec {
                     label: source.schema.clone(),
                     source,
@@ -99,20 +96,15 @@ impl AcyclicPlan {
             .collect();
 
         let ir = compile_tree(
-            &nodes,
+            nodes,
             &join_tree.parent_indices(),
             &join_tree.bottom_up_order(),
             query.free_vars(),
         );
         Ok(AcyclicPlan {
-            query: query.clone(),
+            head: query.free_vars().to_vec(),
             ir,
         })
-    }
-
-    /// The underlying query.
-    pub fn query(&self) -> &ConjunctiveQuery {
-        &self.query
     }
 
     /// The compiled IR program.
@@ -165,8 +157,7 @@ impl AcyclicPlan {
         cache: Option<&MaterializationCache>,
         profile: Option<&mut crate::eval::EvalProfile>,
     ) -> (Answers, MatCacheStats) {
-        self.ir
-            .run_answers(self.query.free_vars(), d, cache, profile)
+        self.ir.run_answers(&self.head, d, cache, profile)
     }
 }
 

@@ -8,8 +8,9 @@
 //! alongside the query.
 
 use crate::ast::ConjunctiveQuery;
-use crate::classes::{is_acyclic_query, treewidth_of_query};
+use crate::classes::{is_acyclic_query, query_graph};
 use crate::eval::flat::MatKey;
+use cqapx_graphs::{min_width_decomposition, TreeDecomposition};
 use cqapx_structures::RelId;
 
 /// Static, database-independent facts about a query that drive planning.
@@ -40,32 +41,46 @@ pub struct QueryShape {
 }
 
 impl QueryShape {
-    /// Computes the shape of a query. Cost: one GYO pass plus one exact
-    /// treewidth computation on `G(Q)` — intended for prepare time, not
-    /// per request.
+    /// Computes the shape of a query. Cost: one exact treewidth search on
+    /// `G(Q)`, plus a GYO pass when some atom has more than two
+    /// arguments — intended for prepare time, not per request.
     pub fn of(q: &ConjunctiveQuery) -> QueryShape {
+        QueryShape::with_decomposition(q).0
+    }
+
+    /// [`QueryShape::of`], together with the tree decomposition of `G(Q)`
+    /// the treewidth was read from: width exactly `treewidth`, or `None`
+    /// when `G(Q)` is too wide to certify and `treewidth` is the bound
+    /// `|Q| − 1`. A plan compiled from it
+    /// ([`DecomposedPlan::from_decomposition`]) costs no second search.
+    ///
+    /// [`DecomposedPlan::from_decomposition`]: crate::eval::DecomposedPlan::from_decomposition
+    pub fn with_decomposition(q: &ConjunctiveQuery) -> (QueryShape, Option<TreeDecomposition>) {
+        let graph = query_graph(q);
+        let decomposition = min_width_decomposition(&graph);
+        let treewidth = (decomposition.as_ref())
+            .map_or(q.var_count().saturating_sub(1), TreeDecomposition::width);
         let max_atom_arity = q.atoms().iter().map(|a| a.args.len()).max().unwrap_or(0);
-        let atom_keys = q
-            .atoms()
-            .iter()
-            .map(|a| (a.rel, MatKey::of_atom(a)))
-            .collect();
-        QueryShape {
+        // Over atoms of at most two arguments `H(Q)` is `G(Q)` plus
+        // singletons, and such a hypergraph is acyclic exactly when the
+        // graph is a forest (`AC = TW(1)` for queries over graphs).
+        let acyclic = match max_atom_arity {
+            0..=2 => graph.is_forest(),
+            _ => is_acyclic_query(q),
+        };
+        let shape = QueryShape {
             var_count: q.var_count(),
             atom_count: q.atom_count(),
             arity: q.arity(),
             join_count: q.join_count(),
             max_atom_arity,
-            acyclic: is_acyclic_query(q),
-            treewidth: treewidth_of_query(q),
-            atom_keys,
-        }
-    }
-
-    /// A crude upper bound on the exponent of naive evaluation,
-    /// `|D|^O(exponent)`: the number of variables.
-    pub fn naive_exponent(&self) -> usize {
-        self.var_count
+            acyclic,
+            treewidth,
+            atom_keys: (q.atoms().iter())
+                .map(|a| (a.rel, MatKey::of_atom(a)))
+                .collect(),
+        };
+        (shape, decomposition)
     }
 }
 
@@ -96,5 +111,30 @@ mod tests {
         assert!(s.acyclic);
         assert_eq!(s.treewidth, 1);
         assert_eq!(s.arity, 2);
+    }
+
+    /// Binary queries read acyclicity off `G(Q)`; it must be what GYO
+    /// says, loops, two-way edges and components too wide for a
+    /// certified treewidth included.
+    #[test]
+    fn binary_acyclicity_agrees_with_gyo() {
+        let path: Vec<String> = (1..70).map(|i| format!("E(x{}, x{i})", i - 1)).collect();
+        let ring = format!("{}, E(x69, x0)", path.join(", "));
+        let texts = [
+            "Q() :- E(x,x)".to_string(),
+            "Q(x,y) :- E(x,y), E(y,x), E(x,x)".to_string(),
+            "Q() :- E(x,y), E(y,z), E(z,x)".to_string(),
+            "Q() :- E(x,y), E(u,v), E(v,w), E(w,u)".to_string(),
+            "Q(a) :- E(a,b), E(a,c), E(c,d), E(d,d)".to_string(),
+            format!("Q() :- {}", path.join(", ")),
+            format!("Q() :- {ring}"),
+        ];
+        for text in &texts {
+            let q = parse_cq(text).unwrap();
+            let shape = QueryShape::of(&q);
+            assert_eq!(shape.acyclic, is_acyclic_query(&q), "{text}");
+        }
+        let wide_path = QueryShape::of(&parse_cq(&texts[5]).unwrap());
+        assert!(wide_path.acyclic && wide_path.treewidth == 69);
     }
 }

@@ -4,8 +4,9 @@
 //! Registration is the expensive, once-per-object step: databases get
 //! per-relation statistics scanned, queries get their [`QueryShape`]
 //! computed (class membership, treewidth) and — when acyclic — a
-//! Yannakakis plan compiled. Execution then only reads `Arc`-shared
-//! entries.
+//! Yannakakis plan compiled, or — when cyclic and narrow — a decomposed
+//! plan over the decomposition the treewidth search found. Execution
+//! then only reads `Arc`-shared entries.
 
 use cqapx_cq::eval::{AcyclicPlan, DecomposedPlan, MaterializationCache, NaivePlan};
 use cqapx_cq::{ConjunctiveQuery, QueryShape};
@@ -129,7 +130,9 @@ impl PreparedQuery {
     /// [`DatabaseEntry::build`], the expensive half and no catalog needed:
     /// build first, lock only for [`Catalog::insert_query`].
     pub fn build(name: impl Into<String>, q: ConjunctiveQuery) -> PreparedQuery {
-        let shape = QueryShape::of(&q);
+        // One treewidth search: the width comes with the decomposition
+        // it was read from, and the decomposed plan is compiled from it.
+        let (shape, decomposition) = QueryShape::with_decomposition(&q);
         // GYO on H(Q) decides acyclicity and plan compilation runs the
         // same reduction, so an acyclic shape must compile; fail loudly
         // here (prepare time) rather than deep inside a request.
@@ -138,11 +141,10 @@ impl PreparedQuery {
             Arc::new(plan.expect("acyclic query must compile to a Yannakakis plan"))
         });
         // A width within the limit is exact (above it the shape may carry
-        // `treewidth`'s upper bound), so compilation at that width must
-        // succeed; fail loudly at prepare time if not.
+        // `treewidth`'s upper bound), so it came with a decomposition.
         let decomposed = (!shape.acyclic && shape.treewidth <= MAX_DECOMPOSED_WIDTH).then(|| {
-            let plan = DecomposedPlan::compile(&q, shape.treewidth);
-            Arc::new(plan.expect("decomposition at the exact treewidth must exist"))
+            let td = decomposition.expect("an exact treewidth comes with its decomposition");
+            Arc::new(DecomposedPlan::from_decomposition(&q, td))
         });
         PreparedQuery {
             name: name.into(),

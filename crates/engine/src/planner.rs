@@ -175,20 +175,19 @@ pub fn estimate_naive_cost(shape: &QueryShape, db: &DatabaseEntry) -> f64 {
 /// whole answer is provably empty).
 pub fn estimate_decomposed_cost(plan: &DecomposedPlan, db: &DatabaseEntry) -> f64 {
     let adom = db.adom_size.max(1) as f64;
-    let keys: Vec<_> = plan
-        .bag_summaries()
-        .iter()
-        .flat_map(|b| b.parts.iter().map(|p| &p.key))
-        .collect();
-    let cached = db.materialized.peek_cardinalities(keys.iter().copied());
+    let keys = plan
+        .bags()
+        .flat_map(|(_, bag)| bag.parts.iter().map(|p| &p.key));
+    let cached = db.materialized.peek_cardinalities(keys);
     let mut total = 0.0_f64;
     let mut base = 0usize; // this bag's first entry in `cached`
-    for bag in plan.bag_summaries() {
-        let bound = adom.powi(bag.label_size.min(1_000) as i32);
+    for (size, bag) in plan.bags() {
+        let bound = adom.powi(size.min(1_000) as i32);
         let mut rows = 1.0_f64;
         for (pi, part) in bag.parts.iter().enumerate() {
-            let card = cached[base + pi].unwrap_or_else(|| db.rel_stats(part.rel).cardinality);
-            rows *= card as f64;
+            // Raw statistics: the relation of the part's first atom.
+            let raw = || db.rel_stats(part.binders[0].rel()).cardinality;
+            rows *= cached[base + pi].unwrap_or_else(raw) as f64;
             if rows == 0.0 || !rows.is_finite() {
                 break;
             }
@@ -399,16 +398,16 @@ mod tests {
         // peek per part, strictly per bag.
         let adom = d.adom_size as f64;
         let mut expected = 0.0_f64;
-        for bag in plan.bag_summaries() {
+        for (size, bag) in plan.bags() {
             let mut rows = 1.0_f64;
             for part in &bag.parts {
                 let card = d
                     .materialized
                     .peek_cardinality(&part.key)
-                    .unwrap_or_else(|| d.rel_stats(part.rel).cardinality);
+                    .unwrap_or_else(|| d.rel_stats(part.binders[0].rel()).cardinality);
                 rows *= card as f64;
             }
-            expected += rows.min(adom.powi(bag.label_size as i32));
+            expected += rows.min(adom.powi(size as i32));
         }
         assert_eq!(est, expected);
     }
@@ -424,7 +423,7 @@ mod tests {
             .collect();
         let d = db(6, &edges);
         let est = estimate_decomposed_cost(&plan, &d);
-        let bags = plan.bag_summaries().len() as f64;
+        let bags = plan.bags().count() as f64;
         assert!(est <= bags * 6f64.powi(3) + 1e-9, "est {est} too high");
         assert!(est > 0.0);
     }

@@ -29,5 +29,7 @@ pub use balance::{height, is_balanced, levels, BalanceInfo};
 pub use coloring::{chromatic_number, is_bipartite, is_k_colorable};
 pub use digraph::Digraph;
 pub use oriented::OrientedPath;
-pub use treewidth::{treewidth, treewidth_at_most, BitGraph, TreeDecomposition};
+pub use treewidth::{
+    min_width_decomposition, treewidth, treewidth_at_most, BitGraph, TreeDecomposition,
+};
 pub use ugraph::UGraph;

@@ -16,7 +16,9 @@
 //! The exact search is exponential in the worst case but instantaneous on
 //! query-sized graphs (approximation candidates never exceed `|Q|` nodes).
 //!
-//! Two entries: [`treewidth_at_most`] returns a witness decomposition;
+//! Three entries: [`treewidth_at_most`] returns a witness decomposition;
+//! [`min_width_decomposition`] returns one of the exact width, found in
+//! the same search that finds the width;
 //! [`BitGraph::treewidth_at_most`] only decides, after removing vertices
 //! of degree ≤ 2 (Arnborg & Proskurowski; complete for `k = 2`). **The
 //! 64-vertex rule:** the search keeps vertex sets in one `u64`, so a
@@ -29,7 +31,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// A tree decomposition: bags plus tree edges between bag indices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TreeDecomposition {
     /// The bags (each a sorted set of vertices).
     pub bags: Vec<Vec<Element>>,
@@ -59,14 +61,16 @@ impl TreeDecomposition {
     pub fn rooted_at(&self, root: usize) -> RootedDecomposition {
         let n = self.bags.len();
         assert!(root < n, "root {root} is not one of {n} bags");
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &(a, b) in &self.tree_edges {
-            adj[a].push(b);
-            adj[b].push(a);
-        }
-        for a in &mut adj {
-            a.sort_unstable();
-        }
+        // Both directions of every edge, sorted: a bag's neighbours are
+        // one run, in ascending order.
+        let mut adj: Vec<(usize, usize)> = (self.tree_edges.iter())
+            .flat_map(|&(a, b)| [(a, b), (b, a)])
+            .collect();
+        adj.sort_unstable();
+        let neighbours = |v: usize| {
+            let from = adj.partition_point(|&(a, _)| a < v);
+            adj[from..].iter().take_while(move |&&(a, _)| a == v)
+        };
         let mut parent: Vec<Option<usize>> = vec![None; n];
         let mut seen = vec![false; n];
         // Iterative DFS from the root; `order` collects the post-order,
@@ -80,7 +84,7 @@ impl TreeDecomposition {
                 continue;
             }
             stack.push((v, true));
-            for &w in &adj[v] {
+            for &(_, w) in neighbours(v) {
                 if !seen[w] {
                     seen[w] = true;
                     parent[w] = Some(v);
@@ -93,20 +97,44 @@ impl TreeDecomposition {
     }
 
     /// The height of the tree rooted at each bag: the number of edges on
-    /// the longest path from that bag to a leaf.
+    /// the longest path from that bag to a leaf. In a tree the bag
+    /// farthest from any bag is an end of a longest path, and a second
+    /// sweep from that end finds the other, so three distance sweeps
+    /// give every height: the distance to the farther end.
     pub fn heights(&self) -> Vec<usize> {
-        (0..self.bags.len())
-            .map(|root| {
-                let rooted = self.rooted_at(root);
-                let mut depth = vec![0; self.bags.len()];
-                // Root first: a parent's depth is known before its children's.
-                for &u in rooted.order.iter().rev() {
-                    if let Some(p) = rooted.parent[u] {
-                        depth[u] = depth[p] + 1;
+        let n = self.bags.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let distances = |from: usize| {
+            let mut dist = vec![usize::MAX; n];
+            dist[from] = 0;
+            let mut queue = Vec::with_capacity(n);
+            queue.push(from);
+            let mut next = 0;
+            while let Some(&u) = queue.get(next) {
+                next += 1;
+                for &(a, b) in &self.tree_edges {
+                    let w = match (a == u, b == u) {
+                        (true, _) => b,
+                        (_, true) => a,
+                        _ => continue,
+                    };
+                    if dist[w] == usize::MAX {
+                        dist[w] = dist[u] + 1;
+                        queue.push(w);
                     }
                 }
-                depth.into_iter().max().unwrap_or(0)
-            })
+            }
+            dist
+        };
+        let farthest = |dist: &[usize]| (0..n).max_by_key(|&b| dist[b]).expect("a bag");
+        let from_one_end = distances(farthest(&distances(0)));
+        let from_other = distances(farthest(&from_one_end));
+        from_one_end
+            .iter()
+            .zip(&from_other)
+            .map(|(&a, &b)| a.max(b))
             .collect()
     }
 
@@ -120,9 +148,9 @@ impl TreeDecomposition {
     ///
     /// Deterministic and idempotent: the first such edge in list order
     /// goes first; survivors keep their relative order and edges come
-    /// out as sorted `(low, high)` pairs.
-    pub fn reduced(&self) -> TreeDecomposition {
-        let (mut bags, mut edges) = (self.bags.clone(), self.tree_edges.clone());
+    /// out as sorted `(low, high)` pairs. Contracts in place.
+    pub fn reduced(self) -> TreeDecomposition {
+        let (mut bags, mut edges) = (self.bags, self.tree_edges);
         let inside = |bags: &[Vec<Element>], a: usize, b: usize| {
             bags[a].iter().all(|v| bags[b].binary_search(v).is_ok())
         };
@@ -363,6 +391,7 @@ fn kernel_tw_at_most(rows: &mut [u64], words: usize, k: usize) -> Option<bool> {
 }
 
 /// Internal: adjacency as 64-bit masks (per-component search keeps n ≤ 64).
+#[derive(Default)]
 struct MaskGraph {
     adj: Vec<u64>,
     n: usize,
@@ -470,15 +499,16 @@ fn component_tw_at_most(g: &MaskGraph, k: usize) -> Option<Vec<usize>> {
     }
 }
 
-/// Builds a tree decomposition of one component from an elimination order.
-fn decomposition_from_order(
+/// Appends the tree decomposition of one component, from an elimination
+/// order, to `td`: bag `off + i` is the one emitted for `order[i]`.
+fn append_decomposition(
+    td: &mut TreeDecomposition,
     g: &MaskGraph,
     order: &[usize],
     vertex_names: &[Element],
-) -> TreeDecomposition {
+) {
     let n = g.n;
-    let mut bags: Vec<Vec<Element>> = Vec::with_capacity(n);
-    let mut tree_edges = Vec::new();
+    let off = td.bags.len();
     let mut elim = 0u64;
     // Position in the elimination order — also the index of the
     // vertex's bag, since bag `i` is the one emitted for `order[i]`.
@@ -487,8 +517,9 @@ fn decomposition_from_order(
         pos[v] = i;
     }
     for (i, &v) in order.iter().enumerate() {
-        let mut bag: Vec<Element> = vec![vertex_names[v]];
         let mut rest = g.fill_neighbors(v, elim);
+        let mut bag: Vec<Element> = Vec::with_capacity(1 + rest.count_ones() as usize);
+        bag.push(vertex_names[v]);
         let mut first_successor: Option<usize> = None;
         while rest != 0 {
             let u = rest.trailing_zeros() as usize;
@@ -497,16 +528,65 @@ fn decomposition_from_order(
             first_successor = Some(first_successor.map_or(pos[u], |f| f.min(pos[u])));
         }
         bag.sort_unstable();
-        bags.push(bag);
+        td.bags.push(bag);
         // A vertex isolated in the fill graph hangs under the next bag
         // to keep the tree connected (harmless: they share no vertex);
         // the last vertex is the root.
         if let Some(above) = first_successor.or((i + 1 < n).then_some(i + 1)) {
-            tree_edges.push((i, above));
+            td.tree_edges.push((off + i, off + above));
         }
         elim |= 1u64 << v;
     }
-    TreeDecomposition { bags, tree_edges }
+}
+
+/// The connected components of `g` as mask graphs, each with its
+/// vertices in ascending order; `None` when one has more than 64.
+fn component_masks(g: &UGraph) -> Option<Vec<(Vec<Element>, MaskGraph)>> {
+    let (count, comp) = g.components();
+    let mut parts: Vec<(Vec<Element>, MaskGraph)> =
+        (0..count).map(|_| Default::default()).collect();
+    // Each vertex's index within its component.
+    let mut index = vec![0usize; g.n()];
+    for (v, &c) in comp.iter().enumerate() {
+        let (names, mg) = &mut parts[c as usize];
+        if names.len() == 64 {
+            return None;
+        }
+        index[v] = names.len();
+        names.push(v as Element);
+        mg.adj.push(0);
+        mg.n += 1;
+    }
+    for (u, v) in g.edges() {
+        let adj = &mut parts[comp[u as usize] as usize].1.adj;
+        let (iu, iv) = (index[u as usize], index[v as usize]);
+        adj[iu] |= 1u64 << iv;
+        adj[iv] |= 1u64 << iu;
+    }
+    Some(parts)
+}
+
+/// One tree decomposition of `g` from an elimination order per
+/// component (`order_of`; `None` gives up): the components' trees in
+/// component order, each joined to the next at its first bag. An empty
+/// graph gets one empty bag.
+fn decompose(
+    g: &UGraph,
+    mut order_of: impl FnMut(&MaskGraph) -> Option<Vec<usize>>,
+) -> Option<TreeDecomposition> {
+    let mut td = TreeDecomposition::default();
+    let mut roots = Vec::new();
+    for (names, mg) in component_masks(g)? {
+        let order = order_of(&mg)?;
+        roots.push(td.bags.len());
+        append_decomposition(&mut td, &mg, &order, &names);
+    }
+    td.tree_edges.extend(roots.windows(2).map(|w| (w[0], w[1])));
+    if td.bags.is_empty() {
+        td.bags.push(Vec::new());
+    }
+    debug_assert!(td.validate(g).is_ok(), "{:?}", td.validate(g));
+    Some(td)
 }
 
 /// Decides whether `tw(g) ≤ k`, returning a witness decomposition.
@@ -531,75 +611,34 @@ fn decomposition_from_order(
 /// assert!(treewidth::treewidth_at_most(&c4, 1).is_none());
 /// ```
 pub fn treewidth_at_most(g: &UGraph, k: usize) -> Option<TreeDecomposition> {
-    if k == 0 {
-        // width 0: no edges
-        if g.edge_count() > 0 {
-            return None;
-        }
-        let bags: Vec<Vec<Element>> = (0..g.n() as Element).map(|v| vec![v]).collect();
-        let tree_edges = (1..g.n()).map(|i| (i - 1, i)).collect();
-        let td = TreeDecomposition { bags, tree_edges };
-        return Some(td);
-    }
-    if k == 1 && !g.is_forest() {
-        return None;
-    }
-    let (ncomp, comp) = g.components();
-    let mut all_bags: Vec<Vec<Element>> = Vec::new();
-    let mut all_edges: Vec<(usize, usize)> = Vec::new();
-    let mut component_roots: Vec<usize> = Vec::new();
-    for c in 0..ncomp as u32 {
-        let vertices: Vec<Element> = (0..g.n() as Element)
-            .filter(|&v| comp[v as usize] == c)
-            .collect();
-        if vertices.len() > 64 {
-            return None; // not certified
-        }
-        let index_of = |v: Element| vertices.iter().position(|&x| x == v).unwrap();
-        let mut adj = vec![0u64; vertices.len()];
-        for (u, v) in g.edges() {
-            if comp[u as usize] == c {
-                let iu = index_of(u);
-                let iv = index_of(v);
-                adj[iu] |= 1u64 << iv;
-                adj[iv] |= 1u64 << iu;
-            }
-        }
-        let mg = MaskGraph {
-            adj,
-            n: vertices.len(),
+    decompose(g, |mg| component_tw_at_most(mg, k))
+}
+
+/// A tree decomposition of `g` of width exactly `tw(g)`, from one search
+/// per component at that component's own width — the decomposition and
+/// the width in one pass, where asking [`treewidth`] and then
+/// [`treewidth_at_most`] searches twice. `None` on the 64-vertex rule.
+///
+/// A component's width is tried from below: 0 for a lone vertex, 1 for
+/// a tree, from 2 up otherwise. So on a connected graph the result is
+/// exactly `treewidth_at_most(g, tw(g))`; a component narrower than the
+/// widest keeps its own narrower bags.
+pub fn min_width_decomposition(g: &UGraph) -> Option<TreeDecomposition> {
+    decompose(g, |mg| {
+        let degrees: u32 = mg.adj.iter().map(|a| a.count_ones()).sum();
+        let least = match mg.n {
+            1 => 0,
+            n if degrees as usize == 2 * (n - 1) => 1,
+            _ => 2,
         };
-        let order = component_tw_at_most(&mg, k)?;
-        let td = decomposition_from_order(&mg, &order, &vertices);
-        let off = all_bags.len();
-        component_roots.push(off);
-        all_bags.extend(td.bags);
-        all_edges.extend(td.tree_edges.iter().map(|&(a, b)| (a + off, b + off)));
-    }
-    // Join the per-component trees into one tree.
-    for w in component_roots.windows(2) {
-        all_edges.push((w[0], w[1]));
-    }
-    if all_bags.is_empty() {
-        all_bags.push(Vec::new());
-    }
-    let td = TreeDecomposition {
-        bags: all_bags,
-        tree_edges: all_edges,
-    };
-    debug_assert!(td.validate(g).is_ok(), "{:?}", td.validate(g));
-    Some(td)
+        (least..mg.n).find_map(|k| component_tw_at_most(mg, k))
+    })
 }
 
 /// The exact treewidth of `g` (0 for edgeless graphs; loops ignored); the
 /// upper bound `n − 1` for a graph [`treewidth_at_most`] cannot certify.
 pub fn treewidth(g: &UGraph) -> usize {
-    for k in 0..g.n().max(1) {
-        if treewidth_at_most(g, k).is_some() {
-            return k;
-        }
-    }
-    g.n().saturating_sub(1)
+    min_width_decomposition(g).map_or(g.n().saturating_sub(1), |td| td.width())
 }
 
 #[cfg(test)]
@@ -806,11 +845,50 @@ mod tests {
         let mut heights = red.heights();
         heights.sort_unstable();
         assert_eq!(heights, vec![2, 2, 3, 3], "a path of four bags");
-        assert_eq!(red.reduced(), red, "idempotent");
+        assert_eq!(red.clone().reduced(), red, "idempotent");
         // Components glued with empty overlaps stay glued.
         let two = UGraph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
         let red = treewidth_at_most(&two, 2).unwrap().reduced();
         red.validate(&two).unwrap();
         assert_eq!(red.bags, vec![vec![0, 1, 2], vec![3, 4, 5]]);
+    }
+
+    #[test]
+    fn min_width_decomposition_is_the_exact_witness() {
+        // Connected: exactly what the search at the exact width builds.
+        let c6: Vec<(Element, Element)> = (0..6).map(|i| (i, (i + 1) % 6)).collect();
+        let g = UGraph::from_edges(6, &c6);
+        assert_eq!(min_width_decomposition(&g), treewidth_at_most(&g, 2));
+        // K4 beside a triangle beside a path: width 3, and each component
+        // decomposed at its own width.
+        let mut edges = vec![(0u32, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)];
+        edges.extend([(4, 5), (5, 6), (6, 4), (7, 8), (8, 9)]);
+        let g = UGraph::from_edges(11, &edges);
+        let td = min_width_decomposition(&g).unwrap();
+        td.validate(&g).unwrap();
+        assert_eq!(td.width(), 3);
+        let width_of = |vertex: Element| {
+            let bags = td.bags.iter().filter(|b| b.contains(&vertex));
+            bags.map(|b| b.len() - 1).max().unwrap()
+        };
+        assert_eq!([0, 4, 7, 10].map(width_of), [3, 2, 1, 0]);
+        // The empty graph has one empty bag; a 70-cycle is not certified.
+        assert_eq!(min_width_decomposition(&UGraph::new(0)).unwrap().bags, [[]]);
+        let ring: Vec<(Element, Element)> = (0..70).map(|i| (i, (i + 1) % 70)).collect();
+        assert_eq!(
+            min_width_decomposition(&UGraph::from_edges(70, &ring)),
+            None
+        );
+    }
+
+    #[test]
+    fn components_and_forests_by_union_find() {
+        // Components are numbered by their least vertex.
+        let g = UGraph::from_edges(6, &[(4, 1), (5, 3), (3, 0)]);
+        assert_eq!(g.components(), (3, vec![0, 1, 2, 0, 1, 0]));
+        assert!(g.is_forest());
+        let closed = UGraph::from_edges(6, &[(4, 1), (5, 3), (3, 0), (0, 5)]);
+        assert!(!closed.is_forest());
+        assert_eq!(closed.components(), g.components());
     }
 }

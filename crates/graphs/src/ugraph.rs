@@ -125,60 +125,50 @@ impl UGraph {
 
     /// `true` when the graph (ignoring loops) is a forest.
     pub fn is_forest(&self) -> bool {
-        // A graph is a forest iff every component has |E| = |V| - 1, i.e.
-        // no cycle is found during DFS.
-        let adj = self.adjacency();
-        let mut seen = vec![false; self.n];
-        for start in 0..self.n {
-            if seen[start] {
-                continue;
-            }
-            // DFS with parent tracking.
-            let mut stack: Vec<(Element, Element)> = vec![(start as Element, Element::MAX)];
-            seen[start] = true;
-            while let Some((u, parent)) = stack.pop() {
-                let mut parent_edges = 0;
-                for &v in &adj[u as usize] {
-                    if v == parent && parent_edges == 0 {
-                        // Skip one edge back to the parent (simple graphs
-                        // have no parallel edges).
-                        parent_edges += 1;
-                        continue;
-                    }
-                    if seen[v as usize] {
-                        return false;
-                    }
-                    seen[v as usize] = true;
-                    stack.push((v, u));
-                }
-            }
-        }
-        true
+        !self.union_find().1
     }
 
-    /// Connected components: `(count, component id per node)`.
+    /// Connected components: `(count, component id per node)`, ids in
+    /// the order of each component's least node.
     pub fn components(&self) -> (usize, Vec<u32>) {
-        let adj = self.adjacency();
-        let mut comp = vec![u32::MAX; self.n];
+        let mut comp = self.union_find().0;
         let mut count = 0;
-        for start in 0..self.n {
-            if comp[start] != u32::MAX {
-                continue;
-            }
-            let id = count as u32;
-            count += 1;
-            comp[start] = id;
-            let mut stack = vec![start as Element];
-            while let Some(u) = stack.pop() {
-                for &v in &adj[u as usize] {
-                    if comp[v as usize] == u32::MAX {
-                        comp[v as usize] = id;
-                        stack.push(v);
-                    }
-                }
-            }
+        for v in 0..self.n {
+            // A representative is its component's least node, so it is
+            // numbered before any other member reads its id.
+            let rep = comp[v] as usize;
+            comp[v] = if rep == v {
+                count += 1;
+                count - 1
+            } else {
+                comp[rep]
+            };
         }
-        (count, comp)
+        (count as usize, comp)
+    }
+
+    /// Union–find over the edges, in one buffer: each node's component
+    /// representative (the component's least node), and whether some
+    /// edge closed a cycle.
+    fn union_find(&self) -> (Vec<u32>, bool) {
+        let mut up: Vec<u32> = (0..self.n as u32).collect();
+        let find = |up: &mut [u32], mut v: u32| {
+            while up[v as usize] != v {
+                up[v as usize] = up[up[v as usize] as usize];
+                v = up[v as usize];
+            }
+            v
+        };
+        let mut cyclic = false;
+        for &(u, v) in &self.edges {
+            let (a, b) = (find(&mut up, u), find(&mut up, v));
+            cyclic |= a == b;
+            up[a.max(b) as usize] = a.min(b);
+        }
+        for v in 0..self.n as u32 {
+            up[v as usize] = find(&mut up, v);
+        }
+        (up, cyclic)
     }
 }
 

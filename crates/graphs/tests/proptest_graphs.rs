@@ -35,6 +35,9 @@ proptest! {
         let td = treewidth::treewidth_at_most(&u, tw).expect("witness at exact width");
         td.validate(&u).unwrap();
         prop_assert!(td.width() <= tw);
+        let exact = treewidth::min_width_decomposition(&u).expect("at most 7 vertices");
+        exact.validate(&u).unwrap();
+        prop_assert_eq!(exact.width(), tw);
         if tw > 0 {
             prop_assert!(treewidth::treewidth_at_most(&u, tw - 1).is_none());
         }
@@ -50,9 +53,11 @@ proptest! {
         for (x, y) in g.edges() {
             bits.add_edge(x, y);
         }
+        let tw = treewidth::treewidth(&u);
         for k in 0..=4 {
             let expected = treewidth::treewidth_at_most(&u, k).is_some();
             prop_assert_eq!(bits.treewidth_at_most(k), Some(expected), "k = {}", k);
+            prop_assert_eq!(tw <= k, expected, "k = {}", k);
         }
         let degree = |v: usize| (0..u.n()).filter(|&w| bits.has_edge(v, w)).count();
         prop_assert_eq!((0..u.n()).map(degree).sum::<usize>(), 2 * u.edge_count());
@@ -67,7 +72,7 @@ proptest! {
         // At the exact width and, one above it, on a looser witness.
         let k = treewidth::treewidth(&u) + extra;
         let td = treewidth::treewidth_at_most(&u, k).expect("witness at or above the width");
-        let red = td.reduced();
+        let red = td.clone().reduced();
         red.validate(&u).unwrap();
         prop_assert_eq!(red.width(), td.width());
         prop_assert!(red.bags.len() <= td.bags.len());
@@ -75,7 +80,7 @@ proptest! {
             let inside = |x: usize, y: usize| red.bags[x].iter().all(|v| red.bags[y].contains(v));
             prop_assert!(!inside(a, b) && !inside(b, a), "bags {} and {} nest", a, b);
         }
-        prop_assert_eq!(&red.reduced(), &red, "idempotent");
+        prop_assert_eq!(&red.clone().reduced(), &red, "idempotent");
         let again = treewidth::treewidth_at_most(&u, k).unwrap().reduced();
         prop_assert_eq!(&again, &red, "deterministic");
         for (root, height) in red.heights().into_iter().enumerate() {

@@ -13,9 +13,8 @@
 //! is acyclic iff it has a tree decomposition whose every bag is a
 //! hyperedge.
 
-use crate::hypergraph::{Hypergraph, Vertex};
+use crate::hypergraph::Hypergraph;
 use crate::jointree::JoinTree;
-use std::collections::BTreeSet;
 
 /// Outcome of a GYO reduction.
 #[derive(Debug, Clone)]
@@ -27,45 +26,31 @@ pub struct GyoResult {
 }
 
 /// Runs the GYO reduction.
+///
+/// The edges are read, never copied: a vertex deleted by rule 1 occurs
+/// in no other live edge, so it is marked deleted once for all of them,
+/// and an edge's current set is its vertices not so marked.
 pub fn gyo_reduce(h: &Hypergraph) -> GyoResult {
     let m = h.edge_count();
-    if m == 0 {
-        return GyoResult {
-            join_tree: Some(JoinTree {
-                n_edges: 0,
-                parent: Vec::new(),
-            }),
-            residual_edges: Vec::new(),
-        };
-    }
-    // Working copies of the edges; alive flags; parent links.
-    let mut edges: Vec<BTreeSet<Vertex>> = h.edges().to_vec();
+    let edges = h.edges();
     let mut alive: Vec<bool> = vec![true; m];
     let mut parent: Vec<Option<usize>> = vec![None; m];
+    let mut deleted: Vec<bool> = vec![false; h.n()];
+    let mut occurrence: Vec<u32> = vec![0; h.n()];
 
     loop {
         let mut changed = false;
 
-        // Rule 1: remove vertices occurring in at most one live edge.
-        let mut occurrence: Vec<u32> = vec![0; h.n()];
-        for (i, e) in edges.iter().enumerate() {
-            if alive[i] {
-                for &v in e {
-                    occurrence[v as usize] += 1;
-                }
+        // Rule 1: delete vertices occurring in at most one live edge.
+        occurrence.fill(0);
+        for e in (0..m).filter(|&i| alive[i]).map(|i| &edges[i]) {
+            for &v in e {
+                occurrence[v as usize] += 1;
             }
         }
-        for e in edges
-            .iter_mut()
-            .enumerate()
-            .filter(|(i, _)| alive[*i])
-            .map(|(_, e)| e)
-        {
-            let before = e.len();
-            e.retain(|&v| occurrence[v as usize] > 1);
-            if e.len() < before {
-                changed = true;
-            }
+        for (v, &count) in occurrence.iter().enumerate() {
+            changed |= count == 1 && !deleted[v];
+            deleted[v] |= count <= 1;
         }
 
         // Rule 2: remove edges contained in another live edge (including
@@ -74,7 +59,11 @@ pub fn gyo_reduce(h: &Hypergraph) -> GyoResult {
             if !alive[i] {
                 continue;
             }
-            if edges[i].is_empty() {
+            let mut rest = edges[i]
+                .iter()
+                .filter(|&&v| !deleted[v as usize])
+                .peekable();
+            if rest.peek().is_none() {
                 // Attach to any other live edge, or none if it is the last.
                 alive[i] = false;
                 changed = true;
@@ -83,7 +72,8 @@ pub fn gyo_reduce(h: &Hypergraph) -> GyoResult {
                 }
                 continue;
             }
-            if let Some(j) = (0..m).find(|&j| j != i && alive[j] && edges[i].is_subset(&edges[j])) {
+            let inside = |j: usize| rest.clone().all(|v| edges[j].contains(v));
+            if let Some(j) = (0..m).find(|&j| j != i && alive[j] && inside(j)) {
                 alive[i] = false;
                 parent[i] = Some(j);
                 changed = true;
@@ -97,7 +87,6 @@ pub fn gyo_reduce(h: &Hypergraph) -> GyoResult {
 
     let residual: Vec<usize> = (0..m).filter(|&i| alive[i]).collect();
     if residual.len() <= 1 {
-        // Path-compress parents onto original edge indices.
         GyoResult {
             join_tree: Some(JoinTree {
                 n_edges: m,
