@@ -9,7 +9,7 @@
 //! ```
 //!
 //! Experiment ids: fig1 fig2 prop44 trichotomy speedup tight nonboolean
-//! twk strong hyper dp ablation engine hom eval
+//! twk strong hyper dp engine hom eval
 //!
 //! The `engine` experiment additionally writes `BENCH_engine.json`
 //! (queries/sec, cache hit rate) and the `hom` experiment writes
@@ -33,7 +33,6 @@ fn main() {
         "strong",
         "hyper",
         "dp",
-        "ablation",
         "engine",
         "hom",
         "eval",
@@ -56,7 +55,6 @@ fn main() {
             "strong" => bench::exp_strong(),
             "hyper" => bench::exp_hyper(),
             "dp" => bench::exp_dp(),
-            "ablation" => bench::exp_ablation(),
             "engine" => bench::exp_engine(),
             "hom" => bench::exp_hom(),
             "eval" => bench::exp_eval(),

@@ -1,4 +1,4 @@
-//! One driver per experiment of the index in `DESIGN.md` (E1–E12).
+//! One driver per experiment of the index in `DESIGN.md` (E1–E11, E13).
 //!
 //! Every driver returns a printable, paper-shaped table; the `report`
 //! binary routes them, and `EXPERIMENTS.md` archives representative
@@ -8,8 +8,7 @@ use crate::baseline;
 use crate::workloads;
 use cqapx_core::{
     all_approximations, all_approximations_tableaux, classify_boolean_graph_query,
-    is_approximation, one_approximation, trichotomy, Acyclic, ApproxOptions, BooleanTrichotomy,
-    HtwK, QueryClass, TwK,
+    is_approximation, trichotomy, Acyclic, ApproxOptions, BooleanTrichotomy, HtwK, QueryClass, TwK,
 };
 use cqapx_cq::eval::naive::{eval_boolean_naive, eval_naive};
 use cqapx_cq::eval::{AcyclicPlan, Answers};
@@ -323,15 +322,16 @@ pub fn exp_speedup() -> String {
         "E5 — evaluating Q (naive join, |D|^O(|Q|)) vs its acyclic\n      approximation Q' (Yannakakis, O(|D|·|Q'|)) on growing databases\n"
     );
     // Q: a random 16-variable pattern of treewidth 6 — the regime where
-    // exact evaluation pays the exponent. Q': a greedy acyclic
-    // approximation (sound by construction; Prop 5.5 says the exact
-    // problem stays NP-complete even on benign-looking tableaux).
+    // exact evaluation pays the exponent. Q': its acyclic approximation
+    // from the exact search (Prop 5.5 says evaluating Q stays
+    // NP-complete even on benign-looking tableaux).
     let g = generators::random_digraph(16, 2.2 / 16.0, 5);
     let (s, _) = g.to_structure().restrict_to_adom();
     let q = cqapx_cq::query_from_tableau(&Pointed::boolean(s));
     let t0 = Instant::now();
-    let q_prime = one_approximation(&q, &TwK(1), 24);
+    let rep = all_approximations(&q, &TwK(1), &ApproxOptions::default());
     let t_static = t0.elapsed();
+    let q_prime = rep.approximations[0].clone();
     assert!(contained_in(&q_prime, &q));
     let plan = AcyclicPlan::compile(&q_prime).expect("acyclic");
     let _ = writeln!(
@@ -342,7 +342,7 @@ pub fn exp_speedup() -> String {
     );
     let _ = writeln!(
         out,
-        "Q' = {} vars, acyclic (greedy, computed once in {})\n",
+        "Q' = {} vars, acyclic (exact search, computed once in {})\n",
         q_prime.var_count(),
         ms(t_static)
     );
@@ -747,50 +747,6 @@ pub fn exp_dp() -> String {
         out,
         "\nExact Acyclic Homomorphism (G_3, P4) = {e} ({})",
         ms(t0.elapsed())
-    );
-    out
-}
-
-/// E12 — ablation: exact enumeration (Theorem 4.1) vs greedy anytime
-/// search, quality and time (Prop 4.11 says exactness cannot be cheap).
-pub fn exp_ablation() -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "E12 — exact (Thm 4.1 procedure) vs greedy anytime approximation\n"
-    );
-    let _ = writeln!(
-        out,
-        "{:>5} {:>5} {:>11} {:>11} {:>13} {:>14}",
-        "seed", "|Q|", "exact time", "greedy time", "greedy sound", "greedy optimal"
-    );
-    let opts = ApproxOptions::default();
-    for seed in 0..6u64 {
-        let q = workloads::random_cyclic_query(7, seed);
-        let t0 = Instant::now();
-        let rep = all_approximations(&q, &TwK(1), &opts);
-        let t_exact = t0.elapsed();
-        let t0 = Instant::now();
-        let greedy = one_approximation(&q, &TwK(1), 24);
-        let t_greedy = t0.elapsed();
-        let sound = contained_in(&greedy, &q);
-        let optimal = rep.approximations.iter().any(|a| equivalent(a, &greedy));
-        let _ = writeln!(
-            out,
-            "{:>5} {:>5} {:>11} {:>11} {:>13} {:>14}",
-            seed,
-            q.var_count(),
-            ms(t_exact),
-            ms(t_greedy),
-            sound,
-            optimal
-        );
-        assert!(sound);
-    }
-    let _ = writeln!(
-        out,
-        "\nGreedy is orders of magnitude faster and always sound, but may\n\
-         return a non-maximal contained query — the price Prop 4.11 predicts."
     );
     out
 }
@@ -1215,13 +1171,13 @@ pub fn exp_hom() -> String {
     // dedup and minimality as O(candidates²) hom passes; the new search
     // cuts out-of-class subtrees of the partition tree and keeps the
     // →-minimal candidates in one antichain pass (one hom test per
-    // dropped candidate). The random 8-variable cyclic pattern is the E12
-    // ablation workload — dense in candidates and hom arrows; Q2 and C6
+    // dropped candidate). The random 8-variable cyclic pattern is dense
+    // in candidates and hom arrows; Q2 and C6
     // are the intro examples.
     for (name, what, q) in [
         (
             "approx_random8_tw1",
-            "TW(1)-approximation of the E12 random 8-var cyclic query",
+            "TW(1)-approximation of a random 8-var cyclic query",
             workloads::random_cyclic_query(8, 0),
         ),
         (

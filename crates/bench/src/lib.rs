@@ -2,7 +2,7 @@
 //! of the paper.
 //!
 //! Each `exp_*` function is one experiment from the index in `DESIGN.md`
-//! (E1–E12); the `report` binary prints them in paper-shaped tables, and
+//! (E1–E11, E13); the `report` binary prints them in paper-shaped tables, and
 //! the Criterion benches in `benches/` measure the hot paths. The paper
 //! is a theory paper: its "figures" are constructions and its single
 //! table (Figure 1) summarizes existence/size/time guarantees — so the

@@ -242,12 +242,15 @@ fn assert_same_approximations(
 /// The search against the exhaustive scan: `baseline` for the results,
 /// a full partition enumeration for the candidate count — the distinct
 /// quotients of the in-class partitions that no strictly finer in-class
-/// partition refines, under the numbering the search walks (which
+/// partition refines and into which `Q^triv` does not map (none of their
+/// blocks holds every relation's loop and the whole head), plus one for
+/// `Q^triv` itself, under the numbering the search walks (which
 /// partitions' *labelled* quotients coincide depends on the numbering).
 /// Returns how many partitions the search reached.
 fn assert_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass) -> u64 {
     let n = t.structure.universe_size();
     let ordered = in_walk_order(t);
+    let (trivial, _) = quotient_pointed(&ordered, &Partition::coarsest(n));
     let mut in_class = Vec::new();
     for_each_partition(n, |p| {
         let (qt, _) = quotient_pointed(&ordered, p);
@@ -261,6 +264,7 @@ fn assert_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass) -> u64 
         .iter()
         .filter(|(p, _)| !in_class.iter().any(|(f, _)| f != p && f.refines(p)))
         .map(|(_, qt)| qt)
+        .filter(|qt| !hom_exists(&trivial, qt))
         .collect();
     let expected = baseline::baseline_all_approximations_tableaux(
         t,
@@ -272,7 +276,7 @@ fn assert_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass) -> u64 
     assert!(meta.complete, "{name}");
     assert_eq!(
         meta.candidates,
-        finest_quotients.len(),
+        finest_quotients.len() + 1,
         "{name}: candidates of {t:?}"
     );
     assert!(meta.partitions <= bell(n), "{name}");
@@ -318,12 +322,14 @@ fn unpruned_search_agrees_with_exhaustive_baseline() {
 /// A random Boolean tableau of at most three atoms over `{R/3}` on at
 /// most `max_n` variables: the vocabulary on which Claim 6.2's repairs
 /// succeed, so a repaired candidate can be the one a finer in-class
-/// quotient dominates.
+/// quotient dominates. Some draws add `S/2` to the vocabulary, which no
+/// atom uses: repairs may then add an atom of a relation `Q` lacks, and
+/// `Q^triv` has no loop of it.
 fn ternary_tableau(max_n: usize) -> impl Strategy<Value = Pointed> {
-    (3..=max_n).prop_flat_map(|n| {
+    (3..=max_n, 0..2usize).prop_flat_map(|(n, extra_rels)| {
         let var = 0..n as u32;
         proptest::collection::vec((var.clone(), var.clone(), var), 1..=3).prop_map(move |atoms| {
-            let vocab = Vocabulary::new(vec![("R", 3)]);
+            let vocab = Vocabulary::new([("R", 3), ("S", 2)][..=extra_rels].to_vec());
             let r = vocab.rel("R").unwrap();
             let mut b = StructureBuilder::new(vocab, n);
             for &(x, y, z) in &atoms {
@@ -425,21 +431,26 @@ fn identification_agrees_with_exhaustive_witness_search() {
 }
 
 /// `cqbench`'s four `approx_cold` shapes (its `CELLS` table: the
-/// introduction's Q2 and three `Query::random` draws) with their classes.
-const COLD_SHAPES: [(&str, usize); 4] = [
-    ("E(x,y), E(y,z), E(z,u), E(x1,y1), E(y1,z1), E(z1,u1), E(x,z1), E(y,u1)", 1),
-    ("E(v1,v0), E(v2,v1), E(v1,v3), E(v4,v0), E(v5,v4), E(v5,v6), E(v7,v1), E(v7,v3), E(v6,v2)", 1),
+/// introduction's Q2 and three `Query::random` draws) with their classes
+/// and a ceiling on the prefixes the walk visits under any spelling.
+const COLD_SHAPES: [(&str, usize, u64); 4] = [
+    ("E(x,y), E(y,z), E(z,u), E(x1,y1), E(y1,z1), E(z1,u1), E(x,z1), E(y,u1)", 1, 70),
+    ("E(v1,v0), E(v2,v1), E(v1,v3), E(v4,v0), E(v5,v4), E(v5,v6), E(v7,v1), E(v7,v3), E(v6,v2)", 1, 300),
     ("E(v1,v0), E(v2,v1), E(v1,v3), E(v4,v0), E(v5,v4), E(v5,v6), E(v7,v1), E(v8,v7), E(v7,v6), \
-      E(v3,v4)", 1),
+      E(v3,v4)", 1, 200),
     ("E(v1,v0), E(v2,v1), E(v1,v3), E(v4,v0), E(v5,v4), E(v5,v6), E(v7,v1), E(v7,v3), E(v6,v2), \
-      E(v5,v0), E(v2,v0), E(v1,v6), E(v5,v1), E(v5,v2)", 2),
+      E(v5,v0), E(v2,v0), E(v1,v6), E(v5,v1), E(v5,v2)", 2, 10),
 ];
 
-/// How the caller spelled the query changes neither the answer nor, by
-/// much, the work: over `cases` scramblings of each shape (variables
+/// How the caller spelled the query changes neither the answer nor the
+/// bound on the work: over `cases` scramblings of each shape (variables
 /// renamed, atoms shuffled — the parser numbers variables by first
 /// occurrence) the approximations stay the same up to equivalence and the
-/// prefixes the walk visits stay within a factor of two.
+/// prefixes the walk visits stay under the shape's ceiling. (Not within a
+/// factor of each other: with the trivial-quotient cut removing most of
+/// the tree, what is left depends on where the walk's order first closes
+/// a cycle, so the second shape visits 6 to 269 prefixes over its
+/// spellings.)
 fn check_order_robustness(name: &str, cases: usize) {
     let mut rng = TestRng::deterministic(name);
     let mut shuffle = |items: &mut Vec<String>| {
@@ -447,11 +458,11 @@ fn check_order_robustness(name: &str, cases: usize) {
             items.swap(i, rng.below(i as u64 + 1) as usize);
         }
     };
-    for (body, k) in COLD_SHAPES {
+    for (body, k, ceiling) in COLD_SHAPES {
         let class = TwK(k);
         let t = tableau_of(&parse_cq(&format!("Q() :- {body}")).unwrap());
         let (expected, meta) = all_approximations_tableaux(&t, &class, &ApproxOptions::default());
-        let (mut least, mut most) = (meta.nodes, meta.nodes);
+        let mut most = meta.nodes;
         let pairs: Vec<(u32, u32)> = t
             .structure
             .tuples(t.structure.vocabulary().rel("E").unwrap())
@@ -472,12 +483,9 @@ fn check_order_robustness(name: &str, cases: usize) {
                 all_approximations_tableaux(&scrambled, &class, &ApproxOptions::default());
             assert!(meta.complete);
             assert_same_approximations(&scrambled, &class, &got, &expected);
-            (least, most) = (least.min(meta.nodes), most.max(meta.nodes));
+            most = most.max(meta.nodes);
         }
-        assert!(
-            most <= 2 * least,
-            "{body}: {least} to {most} prefixes visited"
-        );
+        assert!(most <= ceiling, "{body}: up to {most} prefixes visited");
     }
 }
 

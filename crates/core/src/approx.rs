@@ -23,12 +23,12 @@
 //! (`[`in_walk_order`]`) → walk the partition tree finest first →
 //! fingerprint each in-class quotient reached (and class-check the ones a
 //! hypergraph-based class leaves open) → stream the candidates through a
-//! →-minimal antichain of cores`. The walk is a branch-and-bound with two
-//! cuts (`for_each_class_partition`) that carries the co-occurrence graph
-//! of the prefix quotient, one level per depth (`PrefixGraphs`): a node
-//! ORs in only the atoms its newest variable completes, and a graph-based
-//! class reads its verdict — for prefixes and leaves alike — off that
-//! graph ([`QueryClass::contains_graph`]).
+//! →-minimal antichain of cores`. The walk is a branch-and-bound with
+//! three cuts (`for_each_class_partition`) that carries what it knows of
+//! the prefix quotient, one level per depth (`PrefixGraphs`): a node
+//! reads only the atoms its newest variable completes. A graph-based
+//! class reads its verdict — for prefixes and leaves alike — off the
+//! carried co-occurrence graph ([`QueryClass::contains_graph`]).
 //! *Domination*, for every class: the canonical map `T_Q/π → T_Q/π′` of a
 //! refinement `π ≤ π′` is a homomorphism, so once `T_Q/π` is in the
 //! class, no coarsening of `π` — nor any repair built on one — can be
@@ -37,25 +37,34 @@
 //! ever built. *Subgraph closure*, for the graph-based classes: a prefix
 //! of a restricted growth string fixes a subgraph of every quotient
 //! below it, so an out-of-class prefix cuts its whole subtree.
+//! *The trivial quotient*, for every class: `Q^triv`, the quotient by the
+//! coarsest partition, is one element carrying the loop of every
+//! relation of `Q` and the whole head; every candidate maps into it, so
+//! it is the top of the → order. Once one block `b` of a prefix quotient
+//! holds the loop `R(b, …, b)` of every relation `Q` uses (an arity-0
+//! atom is in every quotient) and, when `Q` has free variables, every
+//! distinguished variable, `Q^triv` maps into the prefix quotient. That
+//! is a substructure of every quotient below the prefix and of every
+//! Claim 6.2 repair of those, so each of them receives a homomorphism
+//! from `Q^triv`, itself a candidate: none is →-minimal unless equivalent
+//! to `Q^triv`, and none is an identification witness unless `Q^triv` is
+//! one. The subtree is cut, and both callers consider `Q^triv` once,
+//! explicitly: the search offers it last, identification tests it first.
+//! (Every built-in class contains `Q^triv`; the cut relies on it.)
+//! Theorem 5.8 and Corollary 5.11 are the decision forms of this cut.
 //! Corollaries 4.3 and 6.5 bound the search by single-exponential time,
 //! and Proposition 4.11 shows no polynomial algorithm exists unless
-//! P = NP. [`one_approximation`] is the anytime variant: greedy merging
-//! with a beam, sound (`Q' ⊆ Q` and `Q' ∈ C` always) but not guaranteed
-//! →-minimal.
+//! P = NP.
 
 use crate::classes::{structure_graph, ClassKind, QueryClass};
 use cqapx_cq::{query_from_tableau, tableau_of, ConjunctiveQuery};
 use cqapx_graphs::BitGraph;
 use cqapx_structures::fxhash::{FxHashMap, FxHashSet};
 use cqapx_structures::iso::{signature_pointed, IsoSignature};
-use cqapx_structures::order::{self, MinimalAntichain};
+use cqapx_structures::order::MinimalAntichain;
 use cqapx_structures::partition::{walk_partitions, Walk};
-use cqapx_structures::{
-    core_of, quotient::quotient_pointed, Partition, Pointed, SearchBudget, Structure,
-    StructureBuilder,
-};
+use cqapx_structures::{Partition, Pointed, StructureBuilder};
 use std::cmp::Reverse;
-use std::collections::HashSet;
 use std::ops::ControlFlow;
 use std::time::Instant;
 
@@ -69,7 +78,7 @@ use std::time::Instant;
 pub struct ApproxOptions {
     /// Cap on the number of partitions reached (those no cut of the walk
     /// removed). When hit, the result is still sound but flagged
-    /// incomplete; the trivial quotient is still offered.
+    /// incomplete; the trivial quotient is offered either way.
     pub max_partitions: u64,
     /// For hypergraph-based classes: maximum number of extra atoms added
     /// to a quotient when repairing it into the class.
@@ -166,46 +175,106 @@ pub fn in_walk_order(t: &Pointed) -> Pointed {
     t.map_image(&position)
 }
 
-/// The co-occurrence graphs of the prefix quotients along the walk's
-/// current branch (blocks as vertices; the vertices no block uses yet
-/// stay isolated), one level per depth: level `d` is level `d − 1` plus
-/// the images of the atoms that variable `d − 1` completes, so entering a
-/// node costs a copy of its parent's rows and a bit per new atom pair,
-/// and backtracking nothing. Beside each level, the class's verdict on
-/// it, asked again only when an edge was actually new.
+/// What the walk knows of the prefix quotients along its current branch,
+/// one level per depth. Level `d` is derived from the level the walk
+/// entered last at a smaller depth and the atoms that variable `d − 1`
+/// completes, so backtracking costs nothing. Two things are carried:
+///
+/// * for a class that reads graphs, the co-occurrence graph (blocks as
+///   vertices; the vertices no block uses yet stay isolated) and the
+///   class's verdict on it, asked again only when an edge was actually
+///   new. Level `d` is level `d − 1` plus the new atoms' pairs: a copy of
+///   the parent's rows and a bit per pair;
+/// * for every class, which loops `R(b, …, b)` the block `b` of variable
+///   `d − 1` holds, a bit per relation `Q` uses. An atom completed at
+///   depth `d` can loop only on that block, so level `d` is the level at
+///   which the block's previous variable joined it (none for a new
+///   block) plus the new atoms' loops.
 struct PrefixGraphs<'a> {
+    /// The atoms of arity ≥ 1, each with its relation's bit;
     /// `atoms[done[d - 1]..done[d]]` have largest variable `d − 1`.
-    atoms: Vec<&'a [u32]>,
+    atoms: Vec<(usize, &'a [u32])>,
     done: Vec<usize>,
+    /// Empty for a class that does not read graphs.
     levels: Vec<(BitGraph, Option<bool>)>,
+    /// `all.len()` words per depth: the loop bits of that depth's block.
+    loops: Vec<u64>,
+    /// A bit for every relation of arity ≥ 1 that `Q` uses: arity-0 atoms
+    /// are in every prefix quotient.
+    all: Vec<u64>,
+    head: &'a [u32],
 }
 
 impl<'a> PrefixGraphs<'a> {
-    /// Over the atoms of `s` — none, and so never a verdict, for a class
-    /// that does not read graphs.
-    fn new(s: &'a Structure, class: &dyn QueryClass) -> Self {
+    /// Over the atoms and the head of `t`.
+    fn new(t: &'a Pointed, class: &dyn QueryClass) -> Self {
+        let s = &t.structure;
         let n = s.universe_size();
-        let mut empty = BitGraph::new(n);
-        let verdict = class.contains_graph(&mut empty);
-        let mut atoms: Vec<&[u32]> = Vec::new();
-        if verdict.is_some() {
-            let rels = s.vocabulary().rel_ids();
-            atoms.extend(rels.flat_map(|rel| s.tuples(rel)).map(|a| &a[..]));
-            atoms.sort_by_key(|a| a.iter().max().copied());
+        let mut atoms: Vec<(usize, &[u32])> = Vec::new();
+        let mut relations = 0;
+        for rel in s.vocabulary().rel_ids() {
+            if s.vocabulary().arity(rel) > 0 && !s.tuples(rel).is_empty() {
+                atoms.extend(s.tuples(rel).iter().map(|a| (relations, &a[..])));
+                relations += 1;
+            }
         }
-        let done = |d| atoms.partition_point(|a| a.iter().all(|&e| (e as usize) < d));
+        atoms.sort_by_key(|(_, a)| a.iter().max().copied());
+        let done = |d| atoms.partition_point(|(_, a)| a.iter().all(|&e| (e as usize) < d));
+        let mut all = vec![0u64; relations.div_ceil(64)];
+        (0..relations).for_each(|r| all[r / 64] |= 1 << (r % 64));
+        let mut empty = BitGraph::new(n);
+        let levels = match class.contains_graph(&mut empty) {
+            None => Vec::new(),
+            verdict => vec![(empty, verdict); n + 1],
+        };
         PrefixGraphs {
             done: (0..=n).map(done).collect(),
             atoms,
-            levels: vec![(empty, verdict); n + 1],
+            levels,
+            loops: vec![0; (n + 1) * all.len()],
+            all,
+            head: t.distinguished(),
         }
     }
 
-    /// Derives the level of prefix `p` from its parent's — which the walk
-    /// entered last at that depth — and returns the class's verdict on
-    /// the prefix quotient: `Some(false)` rules out every quotient below.
+    /// Derives the loops of the block of prefix `p`'s newest variable and
+    /// answers whether `Q^triv` maps into the prefix quotient through that
+    /// block: it holds
+    /// every relation's loop and every distinguished variable. Along a
+    /// branch that no earlier answer cut, no other block can: its loops
+    /// and its part of the head were complete at the level where its last
+    /// variable joined it, which would have answered `true` already.
+    fn holds_trivial(&mut self, p: &Partition) -> bool {
+        let (d, labels, w) = (p.len(), p.labels(), self.all.len());
+        let Some(&b) = labels.last() else {
+            return false;
+        };
+        let (before, here) = self.loops.split_at_mut(d * w);
+        let here = &mut here[..w];
+        match labels[..d - 1].iter().rposition(|&l| l == b) {
+            Some(j) => here.copy_from_slice(&before[(j + 1) * w..(j + 2) * w]),
+            None => here.fill(0),
+        }
+        for &(bit, a) in &self.atoms[self.done[d - 1]..self.done[d]] {
+            if a.iter().all(|&e| labels[e as usize] == b) {
+                here[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+        *here == *self.all
+            && self
+                .head
+                .iter()
+                .all(|&x| labels.get(x as usize) == Some(&b))
+    }
+
+    /// Derives the graph of prefix `p` from its parent's and returns the
+    /// class's verdict on the prefix quotient: `Some(false)` rules out
+    /// every quotient below; `None` for a class that does not read graphs.
     fn enter(&mut self, p: &Partition, class: &dyn QueryClass) -> Option<bool> {
         let (d, labels) = (p.len(), p.labels());
+        if self.levels.is_empty() {
+            return None;
+        }
         let (parents, here) = self.levels.split_at_mut(d);
         let Some((parent, inherited)) = parents.last() else {
             return here[0].1;
@@ -213,7 +282,7 @@ impl<'a> PrefixGraphs<'a> {
         let (g, verdict) = &mut here[0];
         g.copy_from(parent);
         let mut grew = false;
-        for a in &self.atoms[self.done[d - 1]..self.done[d]] {
+        for (_, a) in &self.atoms[self.done[d - 1]..self.done[d]] {
             for (i, &x) in a.iter().enumerate() {
                 for &y in &a[i + 1..] {
                     grew |= g.add_edge(labels[x as usize], labels[y as usize]);
@@ -231,11 +300,14 @@ impl<'a> PrefixGraphs<'a> {
 
 /// Walks the partitions of `t`'s variables whose quotients can be
 /// candidates for `class`, finest first, reaching at most
-/// `max_partitions` of them. `leaf` sees every leaf reached that the
-/// class's graph verdict does not rule out, with whether that verdict
-/// already says "in the class", and answers whether the plain quotient
-/// is in the class. (`leaf` breaking, or the cap, ends the walk.) Returns
-/// the walk's part of the report; the rest is left at zero.
+/// `max_partitions` of them. A leaf is reached when no cut removes it;
+/// `leaf` sees each one, with whether the class's graph verdict already
+/// says "in the class", and answers whether the plain quotient is in the
+/// class. (`leaf` breaking, or the cap, ends the walk.) The coarsest
+/// partition of `n ≥ 1` variables is never reached (the third cut
+/// removes it), so callers
+/// consider `Q^triv` themselves. Returns the walk's part of the report;
+/// the rest is left at zero.
 ///
 /// **Domination** (module docs). A partition arrives after all of its
 /// refinements, so the in-class leaves reached are the finest ones; they
@@ -247,9 +319,18 @@ impl<'a> PrefixGraphs<'a> {
 /// prefix; so once [`QueryClass::contains_graph`] rejects their graph
 /// (`PrefixGraphs`), no quotient below is in the class and the subtree
 /// is cut — the leaf itself included, which is never fingerprinted.
-/// [`ClassKind::HypergraphClosed`] classes have the first bound only: a
+/// [`ClassKind::HypergraphClosed`] classes do not have this bound: a
 /// variable prefix is not an induced subhypergraph, and their repairs
 /// start from out-of-class quotients.
+///
+/// **The trivial quotient**, for every class (module docs). Once one
+/// block of the prefix quotient holds the loop of every relation of `Q`
+/// and every distinguished variable (`PrefixGraphs::holds_trivial`),
+/// `Q^triv` maps into every quotient below and into every repair of
+/// those: none of them can be →-minimal or a witness unless `Q^triv` is
+/// one, so the subtree is cut. No quotient with such a block is reached,
+/// and so none is kept for domination; that loses nothing, since every
+/// coarsening of such a quotient has one too.
 pub(crate) fn for_each_class_partition(
     t: &Pointed,
     class: &dyn QueryClass,
@@ -257,7 +338,7 @@ pub(crate) fn for_each_class_partition(
     mut leaf: impl FnMut(&Partition, bool) -> ControlFlow<(), bool>,
 ) -> ApproxReportMeta {
     let n = t.structure.universe_size();
-    let mut graphs = PrefixGraphs::new(&t.structure, class);
+    let mut graphs = PrefixGraphs::new(t, class);
     // The in-class leaves kept so far, `n + 1` words each: per element
     // the previous element of its block (`NONE` for a block's first),
     // then `tail`, the least index from which all elements are
@@ -286,17 +367,20 @@ pub(crate) fn for_each_class_partition(
                 return Walk::Prune;
             }
         }
-        let verdict = graphs.enter(p, class);
-        if d == n && reached == max_partitions {
-            return Walk::Stop;
+        if graphs.holds_trivial(p) {
+            return Walk::Prune;
         }
-        reached += u64::from(d == n);
+        let verdict = graphs.enter(p, class);
         if verdict == Some(false) {
             return Walk::Prune;
         }
         if d < n {
             return Walk::Descend;
         }
+        if reached == max_partitions {
+            return Walk::Stop;
+        }
+        reached += 1;
         let ControlFlow::Continue(in_class) = leaf(p, verdict == Some(true)) else {
             return Walk::Stop;
         };
@@ -334,9 +418,10 @@ pub(crate) fn for_each_class_partition(
 /// already say). The fingerprint determines the pointed quotient, so
 /// in-class quotients need no second dedup among themselves.
 ///
-/// A walk the cap cut short has not reached its last leaf, the coarsest
-/// partition, so that one's quotient — the trivial query, in every
-/// built-in class — is visited on the way out.
+/// The walk never reaches the coarsest partition, so its quotient,
+/// `Q^triv`, is offered last, once, whether or not the walk was capped.
+/// It stands for every quotient the third cut removed; the antichain
+/// rejects it after one hom test whenever a member maps into it.
 fn candidates(
     t: &Pointed,
     class: &dyn QueryClass,
@@ -488,9 +573,7 @@ fn candidates(
     let counts = for_each_class_partition(t, class, opts.max_partitions, |p, known| {
         ControlFlow::Continue(visit(p, known))
     });
-    if !counts.complete {
-        visit(&Partition::coarsest(s.universe_size()), false);
-    }
+    visit(&Partition::coarsest(s.universe_size()), false);
     counts
 }
 
@@ -674,7 +757,9 @@ pub fn all_approximations_tableaux(
 pub struct ApproxReportMeta {
     /// Number of candidates offered to the →-minimal antichain: the
     /// distinct quotients of the in-class partitions no finer in-class
-    /// partition refines, plus the repaired out-of-class ones.
+    /// partition refines and no block of which holds every relation's
+    /// loop and the whole head, the repaired out-of-class ones, and
+    /// `Q^triv` (the coarsest partition's quotient), offered last.
     pub candidates: usize,
     /// Number of partitions reached (leaves of the walk; pruned subtrees
     /// and dominated leaves are not counted).
@@ -733,102 +818,18 @@ pub fn all_approximations(
     ApproxReport::from_tableaux(tableaux, meta)
 }
 
-/// Greedy anytime approximation: beam search over variable merges.
-///
-/// Starts from the identity partition and merges pairs of variables until
-/// the quotient lands in the class (the coarsest quotient always does —
-/// it is `Q^trivial`). The result is **sound** — in the class and
-/// contained in `Q` — and among the candidates the beam saw it is
-/// →-minimal, but global approximation-hood is only guaranteed by the
-/// exhaustive [`all_approximations`] (Proposition 4.11: that cannot be
-/// polynomial unless P = NP).
-pub fn one_approximation(
-    q: &ConjunctiveQuery,
-    class: &dyn QueryClass,
-    beam_width: usize,
-) -> ConjunctiveQuery {
-    one_approximation_budgeted(q, class, beam_width, None)
-}
-
-/// [`one_approximation`] under a shared [`SearchBudget`]: the anytime
-/// variant cooperating with the workspace-wide cancellation mechanism
-/// (the same step counter the hom solver and the serving engine charge).
-///
-/// The beam checks the budget between layers and between merge batches;
-/// once it runs dry the search stops expanding and falls back to the
-/// best in-class quotient found so far (or the always-in-class trivial
-/// quotient), so the result stays **sound** — in the class and contained
-/// in `Q` — under any budget, including an already-cancelled one.
-pub fn one_approximation_budgeted(
-    q: &ConjunctiveQuery,
-    class: &dyn QueryClass,
-    beam_width: usize,
-    budget: Option<&SearchBudget>,
-) -> ConjunctiveQuery {
-    let t = tableau_of(q);
-    let n = t.structure.universe_size();
-    if class.contains_tableau(&t) {
-        return q.clone();
-    }
-    let out_of_budget = |b: Option<&SearchBudget>| b.is_some_and(|b| b.is_exhausted());
-    let mut beam: Vec<Partition> = vec![Partition::identity(n)];
-    let mut found: Vec<Pointed> = Vec::new();
-    while found.is_empty() && !beam.is_empty() && !out_of_budget(budget) {
-        let mut next: Vec<Partition> = Vec::new();
-        let mut seen: HashSet<Vec<u32>> = HashSet::new();
-        'expand: for p in &beam {
-            if out_of_budget(budget) {
-                break 'expand;
-            }
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    if p.block_of(a) == p.block_of(b) {
-                        continue;
-                    }
-                    let merged = p.merge(a, b);
-                    if !seen.insert(merged.labels().to_vec()) {
-                        continue;
-                    }
-                    // Each examined quotient is one cooperative step.
-                    if let Some(bu) = budget {
-                        if !bu.charge(1) {
-                            break 'expand;
-                        }
-                    }
-                    let (qt, _) = quotient_pointed(&t, &merged);
-                    if class.contains_tableau(&qt) {
-                        found.push(qt);
-                    } else if next.len() < beam_width {
-                        next.push(merged);
-                    }
-                }
-            }
-        }
-        beam = next;
-    }
-    if found.is_empty() {
-        // Fall back to the coarsest quotient (the trivial query).
-        let (qt, _) = quotient_pointed(&t, &Partition::coarsest(n));
-        debug_assert!(class.contains_tableau(&qt), "trivial quotient is in class");
-        found.push(qt);
-    }
-    // Among found candidates of this layer, return a →-minimal one,
-    // minimized.
-    let min = order::minimal_elements(&found);
-    let best = core_of(&found[min[0]]).core;
-    query_from_tableau(&best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classes::{Acyclic, HtwK, TwK};
+    use crate::classes::{Acyclic, TwK};
     use cqapx_cq::{contained_in, equivalent, parse_cq};
     use cqapx_structures::iso::isomorphic_pointed;
-    use cqapx_structures::partition::{bell, for_each_partition};
-    use cqapx_structures::{Tuple, Vocabulary};
+    use cqapx_structures::partition::for_each_partition;
+    use cqapx_structures::quotient::quotient_pointed;
+    use cqapx_structures::{order, Structure, Tuple, Vocabulary};
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
+    use std::collections::HashSet;
 
     fn opts() -> ApproxOptions {
         ApproxOptions::default()
@@ -945,8 +946,9 @@ mod tests {
 
     #[test]
     fn free_variables_change_approximations() {
-        // §5.1.2: Q(x,y) :- E(x,y),E(y,z),E(z,x) has the acyclic
-        // approximation E(x,y),E(y,x),E(x,x).
+        // §5.1.2 / Theorem 5.8: Q(x,y) :- E(x,y),E(y,z),E(z,x) has the
+        // acyclic approximation E(x,y),E(y,x),E(x,x). Its looped block
+        // {x, z} misses y, so the trivial-quotient cut must not fire.
         let q = parse_cq("Q(x, y) :- E(x,y), E(y,z), E(z,x)").unwrap();
         let rep = all_approximations(&q, &TwK(1), &opts());
         let expected = parse_cq("Q(x, y) :- E(x,y), E(y,x), E(x,x)").unwrap();
@@ -961,35 +963,67 @@ mod tests {
     }
 
     #[test]
-    fn one_approximation_is_sound() {
-        let q = parse_cq("Q() :- E(x,y), E(y,z), E(z,x), E(z,w), E(w,v), E(v,z)").unwrap();
-        for class in [&TwK(1) as &dyn QueryClass, &Acyclic, &HtwK(2)] {
-            let a = one_approximation(&q, class, 32);
-            assert!(contained_in(&a, &q), "{}", class.name());
-            assert!(class.contains_tableau(&tableau_of(&a)));
-        }
-    }
-
-    #[test]
     fn in_class_query_is_its_own_approximation() {
         let q = parse_cq("Q(x) :- E(x,y), E(y,z)").unwrap();
         let rep = all_approximations(&q, &TwK(1), &opts());
         assert_eq!(rep.approximations.len(), 1);
         assert!(equivalent(&rep.approximations[0], &q));
-        // The identity is the first leaf and dominates all the others.
-        assert_eq!((rep.partitions, rep.candidates), (1, 1));
+        // The identity is the first leaf and dominates all the others;
+        // `Q^triv` is offered after it and rejected.
+        assert_eq!((rep.partitions, rep.candidates), (1, 2));
         assert!(rep.dominated > 0);
-        let one = one_approximation(&q, &TwK(1), 8);
-        assert!(equivalent(&one, &q));
+    }
+
+    #[test]
+    fn theorem_5_1_first_case_reaches_no_leaf() {
+        // Every loop-free quotient of an odd cycle keeps an odd cycle, and
+        // the only loop-free quotient of K4↔ is K4 itself: outside the
+        // class. Every other quotient has a block holding E's loop. The
+        // walk reaches no leaf, and `Q^triv` is the one candidate.
+        let k4 = (0..4).flat_map(|a| {
+            (0..4)
+                .filter(move |&b| b != a)
+                .map(move |b| format!("E(v{a},v{b})"))
+        });
+        let cases = [
+            ("E(x,y), E(y,z), E(z,x)".to_string(), 1),
+            ("E(a,b), E(b,c), E(c,d), E(d,e), E(e,a)".to_string(), 1),
+            (k4.collect::<Vec<_>>().join(", "), 2),
+        ];
+        let trivial = parse_cq("Q() :- E(x, x)").unwrap();
+        for (body, k) in cases {
+            let q = parse_cq(&format!("Q() :- {body}")).unwrap();
+            let rep = all_approximations(&q, &TwK(k), &opts());
+            assert!(rep.complete, "{body}");
+            assert_eq!((rep.partitions, rep.candidates), (0, 1), "{body}");
+            assert_eq!(rep.approximations.len(), 1, "{body}");
+            assert!(equivalent(&rep.approximations[0], &trivial), "{body}");
+        }
+    }
+
+    #[test]
+    fn a_loop_of_one_relation_does_not_cut_when_another_occurs() {
+        // Merging y and z loops E, but F's loop is nowhere: the walk must
+        // reach that quotient, the one approximation, strictly below
+        // `Q^triv = E(x,x), F(x,x)`.
+        let q = parse_cq("Q() :- E(x,y), E(y,z), E(z,x), F(x,w)").unwrap();
+        let rep = all_approximations(&q, &TwK(1), &opts());
+        assert!(rep.complete && rep.partitions > 0);
+        assert_eq!(rep.approximations.len(), 1);
+        let expected = parse_cq("Q() :- E(x,y), E(y,x), E(y,y), F(x,w)").unwrap();
+        let got = &rep.approximations[0];
+        assert!(equivalent(got, &expected), "{got}");
     }
 
     /// Ground truth for `candidates` (no repair succeeding): the distinct
     /// quotients of the in-class partitions that no strictly finer
-    /// in-class partition refines, over all Bell(n) partitions, each
-    /// fully materialized — under the walk's own numbering: which
-    /// partitions' *labelled* quotients coincide depends on it.
+    /// in-class partition refines and into which `Q^triv` does not map,
+    /// over all Bell(n) partitions, each fully materialized, plus one for
+    /// `Q^triv` — under the walk's own numbering: which partitions'
+    /// *labelled* quotients coincide depends on it.
     fn exhaustive_candidates(t: &Pointed, class: &dyn QueryClass) -> usize {
         let t = &in_walk_order(t);
+        let (trivial, _) = quotient_pointed(t, &Partition::coarsest(t.structure.universe_size()));
         let mut in_class: Vec<(Partition, Pointed)> = Vec::new();
         for_each_partition(t.structure.universe_size(), |p| {
             let (qt, _) = quotient_pointed(t, p);
@@ -1003,8 +1037,9 @@ mod tests {
             .iter()
             .filter(|(p, _)| !in_class.iter().any(|(f, _)| f != p && f.refines(p)))
             .map(|(_, qt)| qt)
+            .filter(|qt| !order::hom_exists(&trivial, qt))
             .collect();
-        finest.len()
+        finest.len() + 1
     }
 
     #[test]
@@ -1032,29 +1067,31 @@ mod tests {
 
     #[test]
     fn c6_into_tw1_prunes_the_partition_tree() {
-        // Branch-and-bound reaches fewer than Bell(6) = 203 partitions and
-        // still offers every quotient of a finest in-class partition the
-        // exhaustive scan finds; the hypergraph discipline has the
-        // domination bound alone, so it reaches more, and the same ones.
+        // Branch-and-bound reaches 5 of Bell(6) = 203 partitions and
+        // still offers every quotient of a finest in-class partition
+        // with no fully looped block the exhaustive scan finds, then
+        // `Q^triv`; the hypergraph discipline has no subgraph bound, so
+        // it reaches more, and offers the same ones.
         let c6 = parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
         let expected = exhaustive_candidates(&tableau_of(&c6), &TwK(1));
         let rep = all_approximations(&c6, &TwK(1), &opts());
         assert!(rep.complete);
-        assert!(rep.partitions < bell(6), "reached {}", rep.partitions);
+        assert_eq!((rep.partitions, rep.candidates, rep.nodes), (5, 6, 66));
         assert_eq!(rep.candidates, expected);
         assert!(rep.dominated > 0);
         let ac = all_approximations(&c6, &Acyclic, &opts());
-        assert!(rep.partitions < ac.partitions && ac.partitions < bell(6));
+        assert_eq!((ac.partitions, ac.nodes), (31, 97));
         assert_eq!(ac.candidates, expected);
         assert!(ac.dominated > rep.dominated);
     }
 
     #[test]
     fn incomplete_flag_when_capped() {
-        let q = parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
-        // The coarsest partition is the walk's last leaf, so a capped
-        // walk visits it on the way out: even a cap of one leaf (the
-        // identity, out of class) leaves the trivial approximation.
+        let q = parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,g), E(g,h), E(h,a)")
+            .unwrap();
+        // C8 reaches 14 leaves. The coarsest partition's quotient is
+        // offered after the walk whether or not it was capped, so even
+        // a cap of one leaf leaves a sound approximation.
         for max_partitions in [10, 1] {
             let mut o = opts();
             o.max_partitions = max_partitions;
@@ -1071,8 +1108,8 @@ mod tests {
 
     #[test]
     fn unminimized_results_are_quotients_not_cores() {
-        // An in-class query that is not a core: its only candidate is
-        // itself. The antichain works on the core either way; what comes
+        // An in-class query that is not a core: its only candidate
+        // besides `Q^triv` is itself. The antichain works on the core either way; what comes
         // back is the quotient as offered unless minimization is on.
         let t = tableau_of(&parse_cq("Q(x) :- E(x,y), E(x,z), E(z,w)").unwrap());
         let unminimized = ApproxOptions {
@@ -1080,7 +1117,7 @@ mod tests {
             ..opts()
         };
         let (got, meta) = all_approximations_tableaux(&t, &TwK(1), &unminimized);
-        assert_eq!((got.len(), meta.candidates), (1, 1));
+        assert_eq!((got.len(), meta.candidates), (1, 2));
         assert!(isomorphic_pointed(&got[0], &t));
         let (got, _) = all_approximations_tableaux(&t, &TwK(1), &opts());
         assert_eq!(got[0].structure.universe_size(), 3);
@@ -1116,13 +1153,35 @@ mod tests {
         Pointed::boolean(b.finish())
     }
 
+    /// Whether `Q^triv` maps into the prefix quotient with its head —
+    /// never while a distinguished variable is not placed.
+    fn trivial_maps_into_prefix(t: &Pointed, p: &Partition) -> bool {
+        let placed = |&x: &u32| ((x as usize) < p.len()).then(|| p.block_of(x as usize));
+        let Some(head) = t.distinguished().iter().map(placed).collect() else {
+            return false;
+        };
+        let (trivial, _) = quotient_pointed(t, &Partition::coarsest(t.structure.universe_size()));
+        order::hom_exists(
+            &trivial,
+            &Pointed::new(prefix_quotient(t, p).structure, head),
+        )
+    }
+
     /// At every prefix `descend` lets the walk reach, the carried graph's
     /// verdict is the class's on the materialized prefix quotient —
-    /// out-of-class prefixes and what lies below them included.
+    /// out-of-class prefixes and what lies below them included — and the
+    /// carried loops say whether `Q^triv` maps into it. (The loops speak
+    /// for the newest block only, so below a prefix they answered `true`
+    /// for, the walk's cut, the answer is the ancestor's.)
     fn assert_carried_graphs_agree(t: &Pointed, descend: impl Fn(&Partition) -> bool) {
+        let n = t.structure.universe_size();
         for class in [TwK(1), TwK(2), TwK(3)] {
-            let mut graphs = PrefixGraphs::new(&t.structure, &class);
-            walk_partitions(t.structure.universe_size(), |p| {
+            let mut graphs = PrefixGraphs::new(t, &class);
+            let mut cut = vec![false; n + 1];
+            walk_partitions(n, |p| {
+                let d = p.len();
+                cut[d] = graphs.holds_trivial(p) || cut[d - 1];
+                assert_eq!(cut[d], trivial_maps_into_prefix(t, p), "{p:?} of {t:?}");
                 let expected = class.contains_tableau(&prefix_quotient(t, p));
                 assert_eq!(graphs.enter(p, &class), Some(expected), "{p:?} of {t:?}");
                 match descend(p) {
@@ -1134,13 +1193,15 @@ mod tests {
     }
 
     /// Loops, antiparallel and repeated pairs, ternary atoms, two
-    /// relations, variables that occur in no atom.
+    /// relations, variables that occur in no atom, and a head of up to
+    /// two variables on some cases.
     fn mixed_tableau(max_n: usize) -> impl Strategy<Value = Pointed> {
         (2..=max_n).prop_flat_map(|n| {
             let var = 0..n as u32;
             let edges = proptest::collection::vec((var.clone(), var.clone(), 0..2u32), 0..=8);
-            let triples = proptest::collection::vec((var.clone(), var.clone(), var), 0..=2);
-            (edges, triples).prop_map(move |(edges, triples)| {
+            let triples = proptest::collection::vec((var.clone(), var.clone(), var.clone()), 0..=2);
+            let head = proptest::collection::vec(var, 0..=2);
+            (edges, triples, head).prop_map(move |(edges, triples, head)| {
                 let vocab = Vocabulary::new(vec![("E", 2), ("R", 3)]);
                 let (e, r) = (vocab.rel("E").unwrap(), vocab.rel("R").unwrap());
                 let mut b = StructureBuilder::new(vocab, n);
@@ -1153,7 +1214,7 @@ mod tests {
                 for &(x, y, z) in &triples {
                     b.add(r, &[x, y, z]);
                 }
-                Pointed::boolean(b.finish())
+                Pointed::new(b.finish(), head.clone())
             })
         })
     }
@@ -1169,6 +1230,19 @@ mod tests {
         let path: Vec<(u32, u32)> = (0..69).map(|i| (i, i + 1)).collect();
         let t = in_walk_order(&Pointed::boolean(Structure::digraph(70, &path)));
         assert_carried_graphs_agree(&t, |p| p.n_blocks() == p.len());
+        // Loop bits wider than one word: 65 unary relations, split
+        // between two variables, and a third variable on an edge.
+        let names: Vec<String> = (0..65).map(|i| format!("U{i}")).collect();
+        let mut rels: Vec<(&str, usize)> = names.iter().map(|u| (u.as_str(), 1)).collect();
+        rels.push(("E", 2));
+        let vocab = Vocabulary::new(rels);
+        let e = vocab.rel("E").unwrap();
+        let mut b = StructureBuilder::new(vocab.clone(), 3);
+        for (i, u) in names.iter().enumerate() {
+            b.add(vocab.rel(u).unwrap(), &[i as u32 % 2]);
+        }
+        b.add(e, &[0, 2]).add(e, &[2, 1]);
+        assert_carried_graphs_agree(&Pointed::boolean(b.finish()), |_| true);
     }
 
     #[test]

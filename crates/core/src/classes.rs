@@ -34,6 +34,10 @@ pub enum ClassKind {
 }
 
 /// A class of conjunctive queries with decidable membership.
+///
+/// A class must contain the trivial query `Q^triv` (one variable carrying
+/// the loop of every relation): the approximation search cuts every
+/// quotient into which it maps (`crate::approx`).
 pub trait QueryClass {
     /// Display name, e.g. `TW(2)`.
     fn name(&self) -> String;

@@ -15,17 +15,20 @@
 //!    [`in_walk_order`]'s numbering), so a class closed under subgraphs
 //!    never sees an out-of-class quotient, and every class skips the
 //!    coarsenings of an in-class quotient (if one of those is a witness,
-//!    the in-class quotient below it is too).
+//!    the in-class quotient below it is too) and every quotient with a
+//!    block that holds each relation's loop and the whole head. `Q^triv`
+//!    maps into those and into their repairs, so if one of them is a
+//!    witness, `Q^triv` is too: it is tested first, before the walk.
 //!
 //! For hypergraph-based classes the witness space additionally includes
 //! the bounded repair augmentations of Claim 6.2 (see
 //! [`crate::approx`]); completeness is subject to the configured repair
 //! cap.
 
-use crate::approx::{for_each_class_partition, in_walk_order, ApproxOptions};
+use crate::approx::{for_each_class_partition, in_walk_order, repairs_public, ApproxOptions};
 use crate::classes::{ClassKind, QueryClass};
 use cqapx_cq::{contained_in, tableau_of, ConjunctiveQuery};
-use cqapx_structures::{order, quotient::quotient_pointed, HomSolver};
+use cqapx_structures::{order, quotient::quotient_pointed, HomSolver, Partition};
 use std::ops::ControlFlow;
 
 /// Decides whether `q_prime` is a `C`-approximation of `q`.
@@ -67,23 +70,31 @@ pub fn is_approximation(
     // Every test `T_{Q'} → candidate` runs from the one compiled `T_{Q'}`.
     let t = in_walk_order(&tableau_of(q));
     let from_tp = HomSolver::compile(&tp.structure);
-    let mut found_witness = false;
-    let walk = for_each_class_partition(&t, class, opts.max_partitions, |p, known_in_class| {
+    // Breaks when `p`'s quotient, or one of its repairs, is a witness;
+    // else answers whether the quotient is in the class.
+    let visit = |p: &Partition, known_in_class: bool| {
         let (qt, _) = quotient_pointed(&t, p);
         let mut candidates = Vec::new();
         let in_class = known_in_class || class.contains_tableau(&qt);
         if in_class {
             candidates.push(qt);
         } else if class.kind() == ClassKind::HypergraphClosed && opts.repair_extra_atoms > 0 {
-            candidates.extend(crate::approx::repairs_public(&qt, class, opts));
+            candidates.extend(repairs_public(&qt, class, opts));
         }
         for cand in candidates {
             if order::hom_exists(&cand, &tp) && !order::hom_exists_compiled(&from_tp, &tp, &cand) {
-                found_witness = true;
                 return ControlFlow::Break(());
             }
         }
         ControlFlow::Continue(in_class)
+    };
+    // `Q^triv` first: the walk never reaches it.
+    let coarsest = Partition::coarsest(t.structure.universe_size());
+    let mut found_witness = visit(&coarsest, false).is_break();
+    let walk = for_each_class_partition(&t, class, opts.max_partitions, |p, known_in_class| {
+        let step = visit(p, known_in_class);
+        found_witness |= step.is_break();
+        step
     });
     if found_witness {
         return Some(false);
@@ -95,7 +106,7 @@ pub fn is_approximation(
 mod tests {
     use super::*;
     use crate::classes::{Acyclic, TwK};
-    use cqapx_cq::parse_cq;
+    use cqapx_cq::{parse_cq, parse_cq_with_vocab};
 
     fn opts() -> ApproxOptions {
         ApproxOptions::default()
@@ -138,6 +149,22 @@ mod tests {
         assert_eq!(is_approximation(&p5, &p2, &TwK(1), &opts()), Some(false));
         // P5 itself is acyclic: its own approximation.
         assert_eq!(is_approximation(&p5, &p5, &TwK(1), &opts()), Some(true));
+    }
+
+    #[test]
+    fn trivial_quotient_is_the_only_witness_over_two_relations() {
+        // Q' has an F-loop the triangle never gives, so Q^triv = E(x,x)
+        // lies strictly between Q' and Q: the only witness, and one the
+        // walk cuts (every in-class quotient of the triangle loops E).
+        let vocab = cqapx_structures::Vocabulary::new(vec![("E", 2), ("F", 2)]);
+        let tri = parse_cq_with_vocab("Q() :- E(x,y), E(y,z), E(z,x)", &vocab).unwrap();
+        let q_prime = parse_cq_with_vocab("Q() :- E(x,x), F(x,x)", &vocab).unwrap();
+        assert_eq!(
+            is_approximation(&tri, &q_prime, &TwK(1), &opts()),
+            Some(false)
+        );
+        let triv = parse_cq_with_vocab("Q() :- E(x,x)", &vocab).unwrap();
+        assert_eq!(is_approximation(&tri, &triv, &TwK(1), &opts()), Some(true));
     }
 
     #[test]

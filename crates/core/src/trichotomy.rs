@@ -14,6 +14,16 @@
 //! * **Proposition 5.12**: testing whether `Q^triv_{k+1}` is a
 //!   `TW(k)`-approximation is NP-hard for `k ≥ 2` (the reduction
 //!   `G ↦ G^↔ + K⃗_{k+1}` is implemented in `cqapx-gadgets`).
+//!
+//! Theorem 5.8 and Corollary 5.11 are the decision forms of the
+//! approximation search's trivial-quotient cut (`crate::approx`): a
+//! quotient of `T_Q` with a block that holds the loop of every relation
+//! and the whole head is equivalent to `Q^triv`, so the search expands
+//! none and considers `Q^triv` once. For a Boolean graph query every
+//! leaf the walk reaches is then loop-free, and an in-class loop-free
+//! quotient is a `(k+1)`-colouring of `T_Q`: the walk into `TW(k)`
+//! reaches an in-class leaf exactly when Corollary 5.11 promises a
+//! nontrivial approximation, and otherwise returns `Q^triv` alone.
 
 use cqapx_cq::{tableau_of, ConjunctiveQuery};
 use cqapx_graphs::{balance, coloring, Digraph};

@@ -11,7 +11,7 @@ use cqapx_metrics::{
 };
 use cqapx_par::{default_threads, parallel_map, ThreadBudget};
 use cqapx_structures::{Element, HomSearchStats, SearchBudget, Structure};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -282,8 +282,8 @@ pub struct EngineStats {
     /// Plan counts.
     pub plan_sandwich: u64,
     /// Approximation-cache hits (sandwich requests that skipped the
-    /// single-exponential search, whether via the per-query memo or the
-    /// shared isomorphism-keyed cache).
+    /// single-exponential search because the isomorphism-keyed cache held
+    /// the query's approximation).
     pub cache_hits: u64,
     /// Approximation-cache misses (searches actually run).
     pub cache_misses: u64,
@@ -562,10 +562,6 @@ pub struct Engine {
     config: EngineConfig,
     catalog: RwLock<Catalog>,
     cache: ApproxCache,
-    /// Per-`QueryId` memo of the cached approximation, so repeated
-    /// requests for the same prepared query skip even the signature and
-    /// isomorphism confirmation (O(1) hash lookup instead).
-    approx_memo: Mutex<HashMap<QueryId, Arc<CachedApproximation>>>,
     stats: Mutex<EngineStats>,
     /// The engine-wide worker budget ([`EngineConfig::threads`] total
     /// workers), from which batch execution claims its workers.
@@ -602,7 +598,6 @@ impl Engine {
             config,
             catalog: RwLock::new(Catalog::new()),
             cache,
-            approx_memo: Mutex::new(HashMap::new()),
             stats: Mutex::new(EngineStats::default()),
             budget: ThreadBudget::new(threads),
             metrics,
@@ -999,7 +994,7 @@ impl Engine {
                 p99_us,
                 headroom_us,
             };
-            let (certain, hit, mstats) = self.certain_answers(req.query, q, d);
+            let (certain, hit, mstats) = self.certain_answers(q, d);
             mat_cache.add(mstats);
             (certain, ResponseStatus::Degraded, Some(hit))
         } else {
@@ -1049,7 +1044,7 @@ impl Engine {
                         // Certain answers: the union over all →-maximal
                         // in-class approximations, each a sound
                         // under-approximation.
-                        let (certain, hit, mstats) = self.certain_answers(req.query, q, d);
+                        let (certain, hit, mstats) = self.certain_answers(q, d);
                         mat_cache.add(mstats);
                         (certain, ResponseStatus::CertainOnly, Some(hit))
                     }
@@ -1070,20 +1065,12 @@ impl Engine {
                             // approximation may be consulted — starting the
                             // single-exponential search here would blow the
                             // timeout by orders of magnitude.
-                            let memoized = self
-                                .approx_memo
-                                .lock()
-                                .expect("memo lock poisoned")
-                                .get(&req.query)
-                                .cloned();
                             let class = self.config.approx_class.as_class();
-                            match memoized.or_else(|| {
-                                self.cache.lookup_only(
-                                    q.tableau(),
-                                    class.as_ref(),
-                                    &self.config.approx_options,
-                                )
-                            }) {
+                            match self.cache.lookup_only(
+                                q.tableau(),
+                                class.as_ref(),
+                                &self.config.approx_options,
+                            ) {
                                 Some(cached) => {
                                     let (answers, mstats) =
                                         self.union_certain(exact, &cached, q, d);
@@ -1193,32 +1180,14 @@ impl Engine {
         }
     }
 
-    /// The cached approximation for a prepared query: first a per-id
-    /// memo (O(1)), then the isomorphism-keyed shared cache. Memo hits
-    /// count as cache hits in the response/stats (the search was
-    /// skipped), without touching `ApproxCache`'s lookup counters.
-    fn approximation_of(
-        &self,
-        qid: QueryId,
-        q: &PreparedQuery,
-    ) -> (Arc<CachedApproximation>, bool) {
-        if let Some(c) = self
-            .approx_memo
-            .lock()
-            .expect("memo lock poisoned")
-            .get(&qid)
-        {
-            return (Arc::clone(c), true);
-        }
+    /// The cached approximation for a prepared query, from the
+    /// isomorphism-keyed shared cache (computed there on a miss). The
+    /// engine holds no other reference to it, so the cache's byte budget
+    /// bounds what stays resident.
+    fn approximation_of(&self, q: &PreparedQuery) -> (Arc<CachedApproximation>, bool) {
         let class = self.config.approx_class.as_class();
-        let (cached, hit) =
-            self.cache
-                .get_or_compute(q.tableau(), class.as_ref(), &self.config.approx_options);
-        self.approx_memo
-            .lock()
-            .expect("memo lock poisoned")
-            .insert(qid, Arc::clone(&cached));
-        (cached, hit)
+        self.cache
+            .get_or_compute(q.tableau(), class.as_ref(), &self.config.approx_options)
     }
 
     /// The certain answers of the cached approximation: the union of
@@ -1227,11 +1196,10 @@ impl Engine {
     /// the cache-hit flag of the lookup and the materialization outcome.
     fn certain_answers(
         &self,
-        qid: QueryId,
         q: &PreparedQuery,
         d: &DatabaseEntry,
     ) -> (Answers, bool, MatCacheStats) {
-        let (cached, hit) = self.approximation_of(qid, q);
+        let (cached, hit) = self.approximation_of(q);
         let none = Answers::empty(q.query().arity());
         let (answers, mat) = self.union_certain(none, &cached, q, d);
         (answers, hit, mat)
@@ -1511,6 +1479,50 @@ mod tests {
         assert_eq!(r2.cache_hit, Some(true));
         assert_eq!(r2.answers, r1.answers);
         assert_eq!(e.stats().cache_hits, 1);
+    }
+
+    /// The approximation cache's byte budget bounds what stays resident:
+    /// nothing else in the engine holds an approximation, so an evicted
+    /// one is dropped.
+    #[test]
+    fn evicted_approximations_are_dropped() {
+        let e = Engine::new(EngineConfig {
+            naive_cost_budget: 0.0,             // force the sandwich
+            approx_cache_budget_bytes: Some(1), // every insert evicts the rest
+            ..EngineConfig::default()
+        });
+        let db = e.register_database("loops", Structure::digraph(3, &[(0, 0), (0, 1), (1, 2)]));
+        let serve = |name: String, body: &str| {
+            let query = e.prepare_query(name, parse_cq(&format!("Q() :- {body}")).unwrap());
+            let req = Request {
+                query,
+                db,
+                mode: EvalMode::CertainOnly,
+                timeout: None,
+            };
+            assert_eq!(e.execute(&req).plan, PlanKind::Sandwich);
+            query
+        };
+        let a = serve("a".into(), "E(x,y), E(y,z), E(z,x)");
+        let prepared = e.catalog.read().unwrap().query(a).unwrap();
+        let (entry, hit) = e.approximation_of(&prepared);
+        assert!(hit);
+        let weak = Arc::downgrade(&entry);
+        drop(entry);
+        // A triangle with a pendant path of `i` edges: pairwise
+        // non-isomorphic, all cyclic.
+        for i in 1..=50 {
+            let path: String = (0..i).map(|j| format!(", E(p{j},p{})", j + 1)).collect();
+            serve(
+                format!("b{i}"),
+                &format!("E(x,y), E(y,z), E(z,x), E(x,p0){path}"),
+            );
+        }
+        assert!(
+            weak.upgrade().is_none(),
+            "an evicted approximation stays pinned"
+        );
+        assert!(e.cache.evictions() >= 50);
     }
 
     #[test]

@@ -130,7 +130,7 @@ fn exists_budgeted(src: &Structure, tgt: &Structure, budget: &SearchBudget) -> O
 /// cooperative-cancellation variant. Every enumerated partition costs one
 /// step and every inner hom search charges the same counter, so one
 /// budget bounds the *whole* decision procedure — the same mechanism the
-/// serving engine and the anytime approximation use. Returns `None` when
+/// serving engine uses. Returns `None` when
 /// the budget runs dry before a definitive answer.
 pub fn graph_acyclic_approximation_budgeted(
     g: &Digraph,

@@ -37,8 +37,8 @@
 //! [`HomSearchStats::budget_exhausted`](crate::hom::HomSearchStats).
 //! Because the counter is shared (cheaply cloneable, atomically
 //! decremented), one budget can bound the *total* hom work of a composite
-//! computation — an engine request fanning out into several searches, an
-//! anytime approximation, a decision procedure — giving every layer the
+//! computation — an engine request fanning out into several searches, a
+//! decision procedure — giving every layer the
 //! same cooperative-cancellation mechanism. [`SearchBudget::cancel`]
 //! zeroes the counter, stopping all sharing searches at their next node.
 

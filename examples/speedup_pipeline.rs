@@ -22,12 +22,13 @@ fn main() {
     println!("Q = {q}");
     println!("treewidth(Q) = {}", cq_approx::cq::treewidth_of_query(&q));
 
-    // Static step: one TW(1)-approximation (greedy anytime mode — exact
-    // enumeration over 7 variables also works, this is the fast path).
+    // Static step: the exact TW(1)-approximation search, run once.
     let t0 = Instant::now();
-    let q_prime = one_approximation(&q, &TwK(1), 64);
+    let rep = all_approximations(&q, &TwK(1), &ApproxOptions::default());
+    let q_prime = rep.approximations[0].clone();
     println!(
-        "Q' = {q_prime}   (found in {:.2?}, sound: {})",
+        "Q' = {q_prime}   (one of {}, found in {:.2?}, sound: {})",
+        rep.approximations.len(),
         t0.elapsed(),
         contained_in(&q_prime, &q)
     );

@@ -55,8 +55,8 @@ pub use cqapx_structures as structures;
 /// The most common imports, re-exported flat.
 pub mod prelude {
     pub use cqapx_core::{
-        all_approximations, classify_boolean_graph_query, is_approximation, one_approximation,
-        Acyclic, ApproxOptions, BooleanTrichotomy, HtwK, QueryClass, TwK,
+        all_approximations, classify_boolean_graph_query, is_approximation, Acyclic, ApproxOptions,
+        BooleanTrichotomy, HtwK, QueryClass, TwK,
     };
     pub use cqapx_cq::{
         contained_in, equivalent, eval::naive::eval_naive, eval::AcyclicPlan, minimize, parse_cq,

@@ -107,22 +107,3 @@ fn approximation_invariant_under_minimization() {
         );
     }
 }
-
-/// The greedy anytime mode is always sound and in-class.
-#[test]
-fn greedy_mode_soundness_sweep() {
-    for seed in 0..8u64 {
-        let g = generators::random_digraph(7, 0.35, seed);
-        let s = g.to_structure();
-        if s.is_relations_empty() {
-            continue;
-        }
-        let (s, _) = s.restrict_to_adom();
-        let q = query_from_tableau(&Pointed::boolean(s));
-        for class in [&TwK(1) as &dyn QueryClass, &Acyclic] {
-            let a = one_approximation(&q, class, 16);
-            assert!(contained_in(&a, &q), "seed {seed}");
-            assert!(class.contains_tableau(&tableau_of(&a)), "seed {seed}");
-        }
-    }
-}
