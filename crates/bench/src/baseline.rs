@@ -17,8 +17,9 @@
 //! The second half of the module freezes the **row-based Yannakakis
 //! evaluator** ([`BaselineVarRelation`] / [`BaselineAcyclicPlan`]) the
 //! same way: it is the pre-columnar evaluation kernel, kept as the
-//! differential oracle for `tests/eval_differential.rs` and the
-//! reference side of `exp_eval` / `BENCH_eval.json`.
+//! reference side of `exp_eval` / `BENCH_eval.json`. It is no test
+//! oracle: `tests/oracle.rs` checks every tier against `eval_naive`,
+//! triangulated by [`BaselineHom`].
 
 use cqapx_structures::{Element, Pointed, RelId, Structure, Tuple};
 use std::collections::HashSet;
@@ -654,9 +655,8 @@ pub fn baseline_all_approximations_tableaux(
 // The frozen pre-columnar **row-based Yannakakis evaluator**: the
 // `HashSet<Vec<Element>>` relation representation and the clone-heavy
 // full reducer exactly as they stood before the flat/columnar join
-// kernel replaced them. Differential tests (`tests/eval_differential.rs`)
-// hold the new kernel to these answers; `exp_eval` measures the distance
-// in time (`BENCH_eval.json`).
+// kernel replaced them. `exp_eval` measures the distance in time
+// (`BENCH_eval.json`).
 //
 // Do not "improve" this section either: its value is being exactly the
 // evaluator the columnar-kernel speedup claims are measured against.

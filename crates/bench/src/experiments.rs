@@ -38,35 +38,6 @@ fn median_ms(samples: usize, mut f: impl FnMut()) -> f64 {
     times[times.len() / 2]
 }
 
-fn lcg_next(s: &mut u64) -> u64 {
-    *s = s
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *s >> 33
-}
-
-/// A digraph on `n` nodes with `edges` edges whose endpoints follow a
-/// Zipf(`s`) distribution over node ids — a few hubs collect most of
-/// the incidences. The skew regime where a left-deep binary join of a
-/// bag's parts would blow up (every pair of hub-incident edges survives
-/// the first join) while the multiway kernel's per-value intersections
-/// stay output-bounded.
-pub fn zipf_db(n: usize, edges: usize, s: f64, seed: u64) -> cqapx_structures::Structure {
-    let mut cum: Vec<f64> = Vec::with_capacity(n);
-    let mut total = 0.0;
-    for i in 0..n {
-        total += 1.0 / ((i + 1) as f64).powf(s);
-        cum.push(total);
-    }
-    let mut state = seed | 1;
-    let mut pick = || {
-        let r = (lcg_next(&mut state) % (1 << 24)) as f64 / (1u64 << 24) as f64 * total;
-        cum.partition_point(|&c| c < r).min(n - 1) as u32
-    };
-    let es: Vec<(u32, u32)> = (0..edges).map(|_| (pick(), pick())).collect();
-    cqapx_structures::Structure::digraph(n, &es)
-}
-
 /// Hub-and-spoke triangles: `hubs` hub nodes, each the apex of
 /// `spokes` otherwise-disjoint triangles, plus `noise` uniform random
 /// edges. Triangle counting here is easy for a worst-case-optimal join
@@ -92,8 +63,8 @@ pub fn hub_triangles_db(
     let n = next as usize + 1;
     let mut state = seed | 1;
     for _ in 0..noise {
-        let a = (lcg_next(&mut state) % n as u64) as u32;
-        let b = (lcg_next(&mut state) % n as u64) as u32;
+        let a = (workloads::lcg(&mut state) % n as u64) as u32;
+        let b = (workloads::lcg(&mut state) % n as u64) as u32;
         es.push((a, b));
     }
     cqapx_structures::Structure::digraph(n, &es)

@@ -1,26 +1,36 @@
+//! Allocation guards: what evaluation and the engine ask the allocator
+//! for, counted on the calling thread.
+//!
 //! A cold bag build allocates per plan operator and per join level,
 //! never per tuple or per binding: the same cyclic query over ten times
-//! the edges must call the allocator exactly as often. And a bag whose
-//! last variable has one part is counted before it is written, so its
-//! build requests little more than the bytes it reads and returns.
-//! The join phase is held to the same kind of bound: a tree node with
-//! two children is one multiway join that materializes nothing between
-//! its inputs and its projected output, and what it only has to find —
-//! a Boolean plan's witness — it stops at; so does the existence call
-//! that decides a Boolean root's multi-column edge. And every join and
+//! the edges must call the allocator exactly as often. A bag whose last
+//! variable has one part is counted before it is written, so its build
+//! requests little more than the bytes it reads and returns. The join
+//! phase is held to the same kind of bound: a tree node with two
+//! children is one multiway join that materializes nothing between its
+//! inputs and its projected output, and what it only has to find — a
+//! Boolean plan's witness — it stops at; so does the existence call
+//! that decides a Boolean root's multi-column edge. Every join and
 //! projection of the benchmark's plans, run on its own, calls the
 //! allocator no more often than the hash-index join it replaced.
 //!
+//! A warm request allocates alike whether or not the data has a
+//! dangling tuple and whatever the engine's thread count, and preparing
+//! a query twice calls the allocator less often than one approximation
+//! search.
+//!
 //! Its own test binary because it installs a counting
-//! `#[global_allocator]`. The counter is thread-local, so the harness's
-//! own threads cannot move it, and evaluation runs every kernel on
-//! the calling thread.
+//! `#[global_allocator]`. The counters are thread-local, so the
+//! harness's other threads cannot move them, and evaluation runs every
+//! kernel on the calling thread.
 
+use cqapx_bench::workloads::{lcg, nine_layer_dag, regular_digraph};
 use cqapx_cq::eval::{
-    AcyclicPlan, DecomposedPlan, EvalConfig, MatCacheStats, MatSource, MaterializationCache, Op,
-    PlanIr,
+    AcyclicPlan, DecomposedPlan, EvalConfig, MatCacheStats, MatSource, MaterializationCache,
+    NaivePlan, Op, PlanIr,
 };
 use cqapx_cq::parse_cq;
+use cqapx_engine::{Engine, EngineConfig, PlanKind, Request};
 use cqapx_structures::Structure;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -42,8 +52,8 @@ fn note(bytes: usize) {
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a
-// const-initialized thread-local `Cell` and never allocates.
+// which upholds the `GlobalAlloc` contract; the counters are
+// const-initialized thread-local `Cell`s and never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
@@ -73,6 +83,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// `f`'s result, the allocator calls this thread made while it ran, and
+/// the bytes they asked for.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (calls, bytes) = (CALLS.with(Cell::get), BYTES.with(Cell::get));
+    let out = f();
+    let calls = CALLS.with(Cell::get) - calls;
+    (out, calls, BYTES.with(Cell::get) - bytes)
+}
+
 const UNIVERSE: u32 = 5000;
 /// Vertices `0..PLANTED` carry disjoint directed triangles.
 const PLANTED: u32 = 30;
@@ -85,12 +104,7 @@ const PLANTED: u32 = 30;
 fn graph(edges: usize) -> Structure {
     let mut list: Vec<(u32, u32)> = (0..PLANTED).map(|v| (v, v - v % 3 + (v + 1) % 3)).collect();
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut next = || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        PLANTED + ((state >> 33) as u32) % (UNIVERSE - PLANTED)
-    };
+    let mut next = || PLANTED + lcg(&mut state) as u32 % (UNIVERSE - PLANTED);
     let mut seen = std::collections::HashSet::new();
     while list.len() < edges {
         let (a, b) = (next(), next());
@@ -106,9 +120,7 @@ fn graph(edges: usize) -> Structure {
 fn cold_eval_calls(plan: &DecomposedPlan, d: &Structure) -> (u64, usize) {
     d.distinct_per_column();
     let cache = MaterializationCache::new();
-    let before = CALLS.with(Cell::get);
-    let (answers, stats) = plan.eval_cached(d, Some(&cache));
-    let calls = CALLS.with(Cell::get) - before;
+    let ((answers, stats), calls, _) = counted(|| plan.eval_cached(d, Some(&cache)));
     assert!(stats.misses > 0, "a cold run materializes");
     assert_eq!(stats.wcoj_bag_builds, 1, "the triangle is one multiway bag");
     (calls, answers.len())
@@ -151,9 +163,8 @@ fn cold_two_path_bag_requests_little_more_than_it_returns() {
     let groups: Vec<Vec<_>> = q.atoms().iter().map(|a| vec![a]).collect();
     let source = MatSource::from_groups(&groups);
     let mut stats = MatCacheStats::default();
-    let before = BYTES.with(Cell::get);
-    let bag = source.materialize(&d, None, &mut stats, EvalConfig::default());
-    let requested = BYTES.with(Cell::get) - before;
+    let (bag, _, requested) =
+        counted(|| source.materialize(&d, None, &mut stats, EvalConfig::default()));
     assert_eq!(stats.wcoj_bag_builds, 1);
     assert_eq!(bag.len(), 16 * n as usize, "every wedge, once");
     let parts = 2 * edges.len() * 2 * std::mem::size_of::<u32>();
@@ -162,25 +173,6 @@ fn cold_two_path_bag_requests_little_more_than_it_returns() {
         requested * 4 <= held * 5,
         "{requested} bytes requested to build {held}"
     );
-}
-
-/// A seeded `degree`-out-regular digraph on `n` vertices (no loops).
-fn regular_digraph(n: u32, degree: usize, seed: u64) -> Structure {
-    let mut state = seed | 1;
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    for u in 0..n {
-        let first = edges.len();
-        while edges.len() - first < degree {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let v = ((state >> 33) % u64::from(n)) as u32;
-            if v != u && !edges[first..].contains(&(u, v)) {
-                edges.push((u, v));
-            }
-        }
-    }
-    Structure::digraph(n as usize, &edges)
 }
 
 const C6_HEAD: &str = "Q(a) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)";
@@ -202,9 +194,7 @@ fn cold_six_cycle_head_requests_a_small_multiple_of_what_its_ops_return() {
     let wide = |op: &&Op| matches!(op, Op::MultiJoin { inputs, .. } if inputs.len() > 2);
     assert_eq!(plan.ir().ops().iter().filter(wide).count(), 1);
     let cache = MaterializationCache::new();
-    let before = BYTES.with(Cell::get);
-    let (alive, slots, _) = plan.ir().run_slots(&d, Some(&cache), None);
-    let requested = BYTES.with(Cell::get) - before;
+    let ((alive, slots, _), _, requested) = counted(|| plan.ir().run_slots(&d, Some(&cache), None));
     assert!(alive, "the graph has 6-cycles");
     let returned: usize = (slots.iter().flatten())
         .map(|r| r.len() * r.arity() * std::mem::size_of::<u32>())
@@ -269,26 +259,7 @@ fn boolean_six_cycle_stops_at_the_first_witness() {
     );
 }
 
-/// A 4-out DAG on `n` vertices in nine layers (`v % 9`): every edge
-/// goes one layer up, so there are two-paths everywhere and no closed
-/// walk at all.
-fn layered_dag(n: u32, seed: u64) -> Structure {
-    let mut state = seed | 1;
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    for u in (0..n).filter(|u| u % 9 < 8) {
-        let first = edges.len();
-        while edges.len() - first < 4 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let v = ((state >> 33) % u64::from(n / 9)) as u32 * 9 + u % 9 + 1;
-            if v < n && !edges[first..].contains(&(u, v)) {
-                edges.push((u, v));
-            }
-        }
-    }
-    Structure::digraph(n as usize, &edges)
-}
+const C4: &str = "Q() :- E(a,b), E(b,c), E(c,d), E(d,a)";
 
 /// The Boolean `C₄` plan's root edge is one existence call over the two
 /// bags (80,000 rows each on 5000 × 4, as the benchmark builds them).
@@ -306,7 +277,7 @@ fn boolean_four_cycle_root_is_one_existence_call() {
     assert!(vars.is_empty());
     for (d, witness) in [
         (regular_digraph(5000, 4, 0xC4), true),
-        (layered_dag(5000, 0xC4), false),
+        (nine_layer_dag(5000, 0xC4), false),
     ] {
         let cache = MaterializationCache::new();
         plan.eval_boolean_cached(&d, Some(&cache));
@@ -331,17 +302,13 @@ fn boolean_four_cycle_root_is_one_existence_call() {
     }
 }
 
-const C4: &str = "Q() :- E(a,b), E(b,c), E(c,d), E(d,a)";
-
 /// Allocator calls of op `pc` of `ir` run alone on a warm cache, over
 /// the slots a full run left.
 fn op_calls(ir: &PlanIr, pc: usize, d: &Structure) -> u64 {
     let cache = MaterializationCache::new();
     let (alive, mut slots, _) = ir.run_slots(d, Some(&cache), None);
     assert!(alive, "the graph answers");
-    let before = CALLS.with(Cell::get);
-    let (alive, _) = ir.run_ops(pc..pc + 1, &mut slots, d, Some(&cache));
-    let calls = CALLS.with(Cell::get) - before;
+    let ((alive, _), calls, _) = counted(|| ir.run_ops(pc..pc + 1, &mut slots, d, Some(&cache)));
     assert!(alive);
     calls
 }
@@ -397,4 +364,113 @@ fn warm_joins_and_projections_allocate_no_more_than_the_hash_path() {
             "{name}: {calls} allocator calls, {parent} before"
         );
     }
+}
+
+/// A warm two-atom request allocates the same number of times whether
+/// or not the database has a dangling tuple: the one semijoin left in
+/// the plan costs the same when it removes a row as when it removes
+/// none, and the second sweep — which would rebuild the bitmaps of
+/// whatever the first one touched — is the join. (`cqbench` draws a
+/// new graph per seed, about one in three without an in-degree-0
+/// vertex; its allocation counts must not tell them apart.)
+#[test]
+fn warm_wedge_allocations_ignore_a_dangling_tuple() {
+    let mut edges: Vec<(u32, u32)> = (0..400u32)
+        .flat_map(|u| [(u, (u * 7 + 3) % 400), (u, (u + 1) % 400)])
+        .collect();
+    let full = Structure::digraph(402, &edges);
+    // Vertex 400 gets an edge out and none in: `E(y,z)` loses one row.
+    edges.push((400, 0));
+    let dangling = Structure::digraph(402, &edges);
+    for text in ["Q(x,y,z) :- E(x,y), E(y,z)", "Q(x,z) :- E(x,y), E(y,z)"] {
+        let q = parse_cq(text).unwrap();
+        let plan = AcyclicPlan::compile(&q).unwrap();
+        let counts = [&full, &dangling].map(|d| {
+            let cache = MaterializationCache::new();
+            let warm = plan.ir().run_answers(q.free_vars(), d, Some(&cache), None);
+            assert_eq!(warm.0, NaivePlan::compile(q.clone()).eval(d), "{text}");
+            let (again, count, _) =
+                counted(|| plan.ir().run_answers(q.free_vars(), d, Some(&cache), None));
+            assert_eq!(again.0, warm.0, "{text}");
+            count
+        });
+        assert_eq!(counts[0], counts[1], "{text}: full vs dangling");
+    }
+}
+
+/// One request runs start to finish on the thread that executes it,
+/// whatever the engine's thread count: engines at 1 and 2 threads serve
+/// the same warm requests — `two_hop`'s free join on a 3,000-vertex
+/// graph of out-degree 8, and a Boolean C4 on the decomposed tier —
+/// with byte-identical answers and the same number of allocator calls
+/// on the calling thread.
+#[test]
+fn one_request_allocates_the_same_at_any_thread_count() {
+    let n = 3_000u32;
+    let edges: Vec<(u32, u32)> = (0..n)
+        .flat_map(|u| (1..=8).map(move |k| (u, (u * 31 + k * 379) % n)))
+        .collect();
+    let d = Structure::digraph(n as usize, &edges);
+    let cells = [
+        ("Q(x,z) :- E(x,y), E(y,z)", PlanKind::Yannakakis),
+        (C4, PlanKind::Decomposed),
+    ];
+    let served = [1, 2].map(|threads| {
+        let engine = Engine::new(EngineConfig {
+            threads,
+            naive_cost_budget: 1e18,
+            ..EngineConfig::default()
+        });
+        let db = engine.register_database("g", d.clone());
+        cells.map(|(text, tier)| {
+            let req = Request::new(engine.prepare_query(text, parse_cq(text).unwrap()), db);
+            engine.execute(&req);
+            let (warm, count, _) = counted(|| engine.execute(&req));
+            assert_eq!(warm.plan, tier, "{text} at {threads} thread(s)");
+            assert!(!warm.answers.is_empty(), "{text} at {threads} thread(s)");
+            (warm.answers, count)
+        })
+    });
+    for (i, (text, _)) in cells.iter().enumerate() {
+        let ((one, one_allocs), (two, two_allocs)) = (&served[0][i], &served[1][i]);
+        assert!(one == two, "{text}: answers differ between 1 and 2 threads");
+        assert_eq!(
+            one_allocs, two_allocs,
+            "{text}: allocator calls, 1 vs 2 threads"
+        );
+    }
+}
+
+/// Preparing a query costs less than approximating it. A request that
+/// misses the approximation cache after its query and an isomorphic
+/// twin were prepared (`cqbench`'s `approx_cold`) prepares twice and
+/// searches once, so on the introduction's `Q2` two preparations must
+/// call the allocator less often than one search into `TW(1)`: the
+/// shape's treewidth search hands its decomposition to the decomposed
+/// plan, which no second search rebuilds, and the plan's sources move
+/// into it rather than being copied. The plan is the one a search at
+/// that width compiles to.
+#[test]
+fn preparing_twice_allocates_less_than_one_approximation_search() {
+    use cqapx_core::{all_approximations_tableaux, ApproxOptions, TwK};
+    use cqapx_engine::PreparedQuery;
+    let q2 =
+        parse_cq("Q() :- E(x,y), E(y,z), E(z,u), E(x1,y1), E(y1,z1), E(z1,u1), E(x,z1), E(y,u1)")
+            .unwrap();
+    let copy = q2.clone();
+    let (prepared, prepare, _) = counted(|| PreparedQuery::build("q2", copy));
+    let plan = prepared
+        .decomposed
+        .as_ref()
+        .expect("treewidth 2 is within the limit");
+    let searched = DecomposedPlan::compile(&q2, prepared.shape.treewidth).unwrap();
+    assert_eq!(format!("{:?}", plan.ir()), format!("{:?}", searched.ir()));
+    let options = ApproxOptions::default();
+    let ((approximations, _), search, _) =
+        counted(|| all_approximations_tableaux(prepared.tableau(), &TwK(1), &options));
+    assert!(!approximations.is_empty());
+    assert!(
+        2 * prepare < search,
+        "{prepare} allocator calls per preparation, {search} for the search"
+    );
 }

@@ -1,5 +1,7 @@
 //! Property-based tests of the core invariants, on random digraph
-//! queries.
+//! queries: quotients, cores, containment, the approximation contract,
+//! the trichotomy and renaming. Evaluation — every tier against the
+//! naive oracle — is checked in `crates/bench/tests/oracle.rs`.
 
 use cq_approx::prelude::*;
 use cqapx_cq::eval::naive::eval_naive;
@@ -94,156 +96,6 @@ proptest! {
                 ControlFlow::Continue(())
             });
         }
-    }
-
-    /// Yannakakis agrees with naive evaluation on random acyclic queries
-    /// (generated as random forests of atoms) and random databases.
-    #[test]
-    fn yannakakis_equals_naive(
-        s in digraph_structure(5),
-        db in digraph_structure(8),
-    ) {
-        let q = query_from_tableau(&Pointed::boolean(s));
-        if let Ok(plan) = AcyclicPlan::compile(&q) {
-            let exact = eval_naive(&q, &db);
-            prop_assert_eq!(plan.eval(&db), exact);
-        }
-    }
-
-    /// Differential evaluation: naive, Yannakakis (when acyclic), and
-    /// the engine's chosen plan return identical answer sets — Boolean
-    /// and unary-head variants.
-    #[test]
-    fn engine_plan_matches_naive_and_yannakakis(
-        s in digraph_structure(5),
-        db in digraph_structure(7),
-    ) {
-        use cqapx_engine::{Engine, EngineConfig, Request};
-
-        // Boolean and unary-head variants of the same random body.
-        let queries = [
-            query_from_tableau(&Pointed::boolean(s.clone())),
-            query_from_tableau(&Pointed::new(s, vec![0])),
-        ];
-        let engine = Engine::new(EngineConfig::default());
-        let d = engine.register_database("db", db.clone());
-        for (i, q) in queries.into_iter().enumerate() {
-            let exact = eval_naive(&q, &db);
-            if let Ok(plan) = AcyclicPlan::compile(&q) {
-                prop_assert_eq!(plan.eval(&db), exact.clone());
-            }
-            let qid = engine.prepare_query(format!("q{i}"), q);
-            let r = engine.execute(&Request::new(qid, d));
-            prop_assert_eq!(r.answers, exact);
-        }
-    }
-
-    /// Differential evaluation under a forced approximation sandwich:
-    /// exact mode must still produce the exact answers, and certain-only
-    /// mode a sound subset.
-    #[test]
-    fn engine_sandwich_is_sound_and_exact_on_demand(
-        s in digraph_structure(4),
-        db in digraph_structure(7),
-    ) {
-        use cqapx_engine::{Engine, EngineConfig, EvalMode, Request};
-
-        let q = query_from_tableau(&Pointed::boolean(s));
-        let exact = eval_naive(&q, &db);
-        let engine = Engine::new(EngineConfig {
-            naive_cost_budget: 0.0, // every cyclic query goes sandwich
-            ..EngineConfig::default()
-        });
-        let d = engine.register_database("db", db.clone());
-        let qid = engine.prepare_query("q", q);
-        let r = engine.execute(&Request::new(qid, d));
-        prop_assert_eq!(r.answers, exact.clone());
-        let certain = engine.execute(&Request {
-            query: qid,
-            db: d,
-            mode: EvalMode::CertainOnly,
-            timeout: None,
-        });
-        for a in &certain.answers {
-            prop_assert!(exact.contains(a.as_slice()), "certain answer {:?} not in Q(D)", a);
-        }
-    }
-
-    /// Dense-domain dictionary encoding is invisible: engine evaluation
-    /// over the dictionary's codes and naive evaluation over the raw
-    /// elements agree — cold and warm, Boolean and unary heads,
-    /// sequential and parallel thread budgets.
-    #[test]
-    fn dense_encoding_agrees_with_hashed_and_naive(
-        s in digraph_structure(5),
-        db in digraph_structure(8),
-    ) {
-        use cqapx_engine::{Engine, EngineConfig, Request};
-
-        let queries = [
-            query_from_tableau(&Pointed::boolean(s.clone())),
-            query_from_tableau(&Pointed::new(s, vec![0])),
-        ];
-        let exact: Vec<_> = queries.iter().map(|q| eval_naive(q, &db)).collect();
-        for threads in [1usize, 2] {
-            let engine = Engine::new(EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            });
-            let d = engine.register_database("db", db.clone());
-            for (i, q) in queries.iter().enumerate() {
-                let qid = engine.prepare_query(format!("q{i}"), q.clone());
-                let cold = engine.execute(&Request::new(qid, d));
-                let warm = engine.execute(&Request::new(qid, d));
-                prop_assert_eq!(&cold.answers, &exact[i], "cold, threads={}", threads);
-                prop_assert_eq!(&warm.answers, &exact[i], "warm, threads={}", threads);
-            }
-        }
-    }
-
-    /// A starvation-level cache budget only costs rebuilds, never
-    /// answers: every response matches naive evaluation, resident bytes
-    /// stay bounded, and the materialization traffic (hits + misses) of
-    /// a parallel schedule never exceeds the sequential rebuild count.
-    /// (Exact equality does not hold under starvation: a concurrent
-    /// request can coalesce onto a still-in-flight or not-yet-evicted
-    /// source entry and skip that source's per-part lookups, whereas
-    /// the sequential engine re-misses after every synchronous eviction
-    /// and redoes them — coalescing can only remove calls, never add.)
-    #[test]
-    fn tiny_cache_budget_is_correct_and_schedule_independent(
-        s in digraph_structure(5),
-        db in digraph_structure(8),
-    ) {
-        use cqapx_engine::{Engine, EngineConfig, Request};
-
-        let q = query_from_tableau(&Pointed::boolean(s));
-        let exact = eval_naive(&q, &db);
-        let mut outcomes = Vec::new();
-        for threads in [1usize, 4] {
-            let engine = Engine::new(EngineConfig {
-                threads,
-                mat_cache_budget_bytes: Some(1), // every landing evicts
-                approx_cache_budget_bytes: Some(1),
-                ..EngineConfig::default()
-            });
-            let d = engine.register_database("db", db.clone());
-            let qid = engine.prepare_query("q", q.clone());
-            for _ in 0..3 {
-                let r = engine.execute(&Request::new(qid, d));
-                prop_assert_eq!(&r.answers, &exact, "threads={}", threads);
-            }
-            let snap = engine.snapshot();
-            prop_assert!(snap.mat_cache_bytes_by_db["db"] <= 1);
-            let stats = engine.stats();
-            outcomes.push(stats.mat_hits + stats.mat_misses);
-        }
-        prop_assert!(
-            outcomes[1] <= outcomes[0],
-            "parallel traffic {} exceeds sequential rebuild count {}",
-            outcomes[1],
-            outcomes[0]
-        );
     }
 
     /// Theorem 5.1 consistency: the polynomial classifier predicts the
