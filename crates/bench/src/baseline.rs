@@ -18,8 +18,8 @@
 //! evaluator** ([`BaselineVarRelation`] / [`BaselineAcyclicPlan`]) the
 //! same way: it is the pre-columnar evaluation kernel, kept as the
 //! reference side of `exp_eval` / `BENCH_eval.json`. It is no test
-//! oracle: `tests/oracle.rs` checks every tier against `eval_naive`,
-//! triangulated by [`BaselineHom`].
+//! oracle: the harness in `tests/harness/mod.rs` checks every tier
+//! against `eval_naive`, triangulated by [`BaselineHom`].
 
 use cqapx_structures::{Element, Pointed, RelId, Structure, Tuple};
 use std::collections::HashSet;

@@ -1,126 +1,33 @@
-//! Differential property tests: the columnar join kernel
-//! (`FlatRelation`-based `AcyclicPlan`) against the frozen row-based
-//! evaluator (`cqapx_bench::baseline::BaselineAcyclicPlan`) and the
-//! compiled naive evaluator, on random acyclic queries over random
-//! digraphs.
-//!
-//! The kernel swap must change *time*, never *answers*: full evaluation,
-//! Boolean evaluation, and cached evaluation (cold and warm, through a
-//! `MaterializationCache`) must all agree with the pre-columnar
-//! pipeline.
+//! The forest family — random acyclic queries with reversed twins,
+//! duplicates and loops — through the oracle harness
+//! (`harness/mod.rs`): the oracle triangulated by the frozen seed
+//! engine, the kernel against the reference join, and the engine's
+//! cached path. The tree tiers' answers on the same family, under every
+//! `EvalConfig`, are `kernel_config_differential.rs`'s.
 
-use cqapx_bench::baseline::BaselineAcyclicPlan;
-use cqapx_cq::eval::{AcyclicPlan, MaterializationCache, NaivePlan};
-use cqapx_cq::{parse_cq, ConjunctiveQuery};
-use cqapx_structures::Structure;
+mod harness;
+
+use cqapx_cq::eval::eval_naive;
+use harness::{check_engine, check_kernels, check_oracle, database, forest};
 use proptest::prelude::*;
-
-/// A random **acyclic** conjunctive query: its query graph is a random
-/// forest over up to `max_vars` variables (binary edges of a forest form
-/// a GYO-acyclic hypergraph), spiced with the shapes that exercise the
-/// kernel's corners — reversed duplicate atoms (same hyperedge,
-/// intersected), loops `E(x, x)` (repeated-variable binders, ear-subsumed
-/// hyperedges), and a random head (possibly empty: Boolean).
-fn acyclic_query(max_vars: usize) -> impl Strategy<Value = ConjunctiveQuery> {
-    let n = 2..=max_vars;
-    n.prop_flat_map(|n| {
-        let parents = proptest::collection::vec((0..n as u32, any::<bool>(), 0..4u8), n - 1);
-        let loops = proptest::collection::vec(0..n as u32, 0..=2);
-        let head = proptest::collection::vec(0..n as u32, 0..=3);
-        (parents, loops, head).prop_map(move |(parents, loops, head)| {
-            let mut atoms: Vec<String> = Vec::new();
-            let mut used = vec![false; n];
-            for (i, &(p, flip, kind)) in parents.iter().enumerate() {
-                let (a, b) = ((i + 1) as u32, p.min(i as u32));
-                if kind == 3 {
-                    continue; // drop this edge: the forest may be disconnected
-                }
-                used[a as usize] = true;
-                used[b as usize] = true;
-                let (a, b) = if flip { (b, a) } else { (a, b) };
-                atoms.push(format!("E(x{a}, x{b})"));
-                if kind == 1 {
-                    atoms.push(format!("E(x{b}, x{a})")); // reversed twin
-                }
-                if kind == 2 {
-                    atoms.push(format!("E(x{a}, x{b})")); // exact duplicate
-                }
-            }
-            for &v in &loops {
-                // Loops on fresh variables make disconnected components.
-                used[v as usize] = true;
-                atoms.push(format!("E(x{v}, x{v})"));
-            }
-            if atoms.is_empty() {
-                used[0] = true;
-                used[1] = true;
-                atoms.push("E(x0, x1)".to_string());
-            }
-            let head: Vec<String> = head
-                .into_iter()
-                .filter(|&v| used[v as usize])
-                .map(|v| format!("x{v}"))
-                .collect();
-            let text = format!("Q({}) :- {}", head.join(", "), atoms.join(", "));
-            parse_cq(&text).expect("generated query must parse")
-        })
-    })
-}
-
-/// A random digraph database.
-fn digraph(max_n: usize) -> impl Strategy<Value = Structure> {
-    (2..=max_n).prop_flat_map(move |n| {
-        proptest::collection::vec((0..n as u32, 0..n as u32), 0..=(3 * n))
-            .prop_map(move |edges| Structure::digraph(n, &edges))
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Full and Boolean evaluation agree with the frozen row-based
-    /// evaluator and with the naive backtracking join.
+    /// `eval_naive` agrees with the frozen seed engine and the naive
+    /// plan, and every bag and join op of both tree tiers, under every
+    /// config, with the reference join.
     #[test]
-    fn kernel_agrees_with_frozen_baseline(
-        q in acyclic_query(6),
-        d in digraph(7),
-    ) {
-        let baseline = BaselineAcyclicPlan::compile(&q)
-            .expect("forest-shaped queries are acyclic");
-        let plan = AcyclicPlan::compile(&q).expect("same acyclicity verdict");
-        let expected = baseline.eval(&d);
-        prop_assert_eq!(&plan.eval(&d), &expected, "eval disagrees on {}", q);
-        prop_assert_eq!(
-            plan.eval_boolean(&d),
-            baseline.eval_boolean(&d),
-            "eval_boolean disagrees on {}",
-            q
-        );
-        // The naive evaluator triangulates both.
-        let naive = NaivePlan::compile(q.clone());
-        prop_assert_eq!(&naive.eval(&d), &expected, "naive disagrees on {}", q);
+    fn kernel_agrees_with_frozen_baseline(q in forest(), d in database()) {
+        check_oracle(&q, &d);
+        check_kernels(&q, &d);
     }
 
-    /// Evaluating through a materialization cache — cold, then warm —
-    /// changes nothing about the answers, and the warm run never
-    /// re-materializes.
+    /// The engine, cold, warm and once more, on the query and on its
+    /// Boolean version, with unbounded caches and with both starved to
+    /// one byte: caching changes no answer.
     #[test]
-    fn cached_eval_is_transparent(
-        q in acyclic_query(6),
-        d in digraph(7),
-    ) {
-        let plan = AcyclicPlan::compile(&q).expect("acyclic");
-        let uncached = plan.eval(&d);
-        let cache = MaterializationCache::new();
-        let (cold, s_cold) = plan.eval_cached(&d, Some(&cache));
-        let (warm, s_warm) = plan.eval_cached(&d, Some(&cache));
-        prop_assert_eq!(&cold, &uncached, "cold cached run disagrees on {}", q);
-        prop_assert_eq!(&warm, &uncached, "warm cached run disagrees on {}", q);
-        prop_assert!(s_cold.misses > 0, "cold run must materialize");
-        prop_assert_eq!(s_warm.misses, 0, "warm run must not re-materialize");
-        prop_assert_eq!(s_warm.hits, s_cold.hits + s_cold.misses);
-        // Boolean path through the same (already warm) cache.
-        let (b, _) = plan.eval_boolean_cached(&d, Some(&cache));
-        prop_assert_eq!(b, !uncached.is_empty());
+    fn cached_eval_is_transparent(q in forest(), d in database()) {
+        check_engine(&q, &d, &eval_naive(&q, &d));
     }
 }

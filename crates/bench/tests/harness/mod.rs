@@ -1,0 +1,607 @@
+//! The evaluation contract's one harness: every tier returns exactly
+//! `Q(D)` — the head projections of the homomorphisms from the tableau
+//! of `Q` into `D`, which `eval_naive` enumerates — and every
+//! approximation tier returns a sound subset of it.
+//!
+//! One query generator and one database generator feed one check,
+//! [`check`]. The queries are `E`-atoms over numbered variables
+//! ([`build_query`]) in four families — forests with reversed twins,
+//! duplicates and loops; cycles, wheels, `K₄` and double triangles;
+//! random digraph bodies; two cyclic components — with heads of up to
+//! three variables drawn with repetition. The databases
+//! ([`database_of`]) are uniform, Zipf or hub-skewed digraphs,
+//! optionally re-spaced into a larger universe so the `DomainDict` is
+//! not the identity. The check has four parts, which the test files run
+//! family by family:
+//! - [`check_oracle`]: the naive plan, and the frozen seed hom engine
+//!   (`cqapx_bench::baseline::BaselineHom`), which triangulates the
+//!   oracle on every shape;
+//! - [`check_kernels`]: every multi-part bag of every tree-tier plan,
+//!   and every `Op::MultiJoin` a run reaches under every
+//!   `EvalConfig::lattice()` point, rebuilt from the same inputs by the
+//!   reference join (`cqapx_bench::reference`) — byte for byte;
+//! - [`check_acyclic`] and [`check_decomposed`]: `AcyclicPlan` when the
+//!   query is acyclic, and `DecomposedPlan` at every root of the reduced
+//!   decomposition at the exact treewidth, each under the default config
+//!   and the lattice points an [`Axis`] picks — uncached, then cold and
+//!   warm through one cache, full and Boolean. Cache hits, misses and
+//!   resident bytes must not move across configs, nor across roots (the
+//!   bags are the same);
+//! - [`check_engine`]: the engine, cold and warm, on the query and on
+//!   its Boolean version, with unbounded caches and with both starved to
+//!   one byte.
+//!
+//! Every answer set passes [`assert_is`]: the oracle's rows as a set,
+//! in its order, with `contains` agreeing. [`serve_batches`] runs the
+//! engine's batches at 1, 2 and 8 threads.
+//!
+//! Each test binary compiles this module for itself and uses a part of
+//! it, hence `dead_code` is allowed.
+
+#![allow(dead_code)]
+
+use cqapx_bench::baseline::BaselineHom;
+use cqapx_bench::reference::assert_join;
+use cqapx_bench::workloads::{lcg, skewed_digraph, zipf_db};
+use cqapx_cq::eval::{
+    eval_naive, AcyclicPlan, Answers, DecomposedPlan, EvalConfig, FlatRelation, MatCacheStats,
+    MatSource, MaterializationCache, NaivePlan, Op, PackedMode, PlanIr,
+};
+use cqapx_cq::{parse_cq, query_graph, tableau_of, treewidth_of_query, ConjunctiveQuery};
+use cqapx_engine::{Engine, EngineConfig, MetricsLevel, Request, ResponseStatus, StatsSnapshot};
+use cqapx_graphs::treewidth::treewidth_at_most;
+use cqapx_structures::{Element, Structure};
+use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::ops::{ControlFlow, Range, RangeInclusive};
+
+pub type Rows = BTreeSet<Vec<Element>>;
+
+// ---------------------------------------------------------------------
+// The generators.
+// ---------------------------------------------------------------------
+
+/// The query over atoms `E(x{a}, x{b})`, edge `i` reversed when bit
+/// `i % 32` of `flips` is set, whose head lists the occurring variables
+/// `head` picks (each index taken modulo their number, so repeats
+/// happen).
+pub fn build_query(edges: &[(u32, u32)], flips: u32, head: &[usize]) -> ConjunctiveQuery {
+    let mut used: BTreeSet<u32> = BTreeSet::new();
+    let atoms: Vec<String> = edges
+        .iter()
+        .enumerate()
+        .map(|(i, &(a, b))| {
+            let (a, b) = if flips >> (i % 32) & 1 == 1 {
+                (b, a)
+            } else {
+                (a, b)
+            };
+            used.extend([a, b]);
+            format!("E(x{a}, x{b})")
+        })
+        .collect();
+    let used: Vec<u32> = used.into_iter().collect();
+    let head: Vec<String> = (head.iter())
+        .map(|&h| format!("x{}", used[h % used.len()]))
+        .collect();
+    let text = format!("Q({}) :- {}", head.join(", "), atoms.join(", "));
+    parse_cq(&text).expect("generated query must parse")
+}
+
+/// A head of arity 0 to 3, for [`build_query`].
+fn head() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(0..64usize, 0..=3)
+}
+
+/// Random forests over up to six variables, spiced with the shapes that
+/// exercise the kernel's corners: reversed twins and exact duplicates of
+/// an edge (one hyperedge, intersected), loops `E(x, x)`
+/// (repeated-variable binders, ear-subsumed hyperedges) and dropped
+/// edges (several components). Paths, stars and trees are among them.
+pub fn forest() -> impl Strategy<Value = ConjunctiveQuery> {
+    (2..=6usize).prop_flat_map(|n| {
+        let parents = proptest::collection::vec((0..n as u32, any::<bool>(), 0..4u8), n - 1);
+        let loops = proptest::collection::vec(0..n as u32, 0..=2);
+        (parents, loops, head()).prop_map(|(parents, loops, head)| {
+            let mut edges = Vec::new();
+            for (i, &(p, flip, kind)) in parents.iter().enumerate() {
+                let (a, b) = ((i + 1) as u32, p.min(i as u32));
+                let (a, b) = if flip { (b, a) } else { (a, b) };
+                match kind {
+                    0 => edges.push((a, b)),
+                    1 => edges.extend([(a, b), (b, a)]), // reversed twin
+                    2 => edges.extend([(a, b), (a, b)]), // exact duplicate
+                    _ => {}                              // dropped
+                }
+            }
+            edges.extend(loops.iter().map(|&v| (v, v)));
+            if edges.is_empty() {
+                edges.push((0, 1));
+            }
+            build_query(&edges, 0, &head)
+        })
+    })
+}
+
+/// The shapes of treewidth 2 and 3 the decomposed tier exists for:
+/// oriented cycles `C₃..C₆` (`C₆` has connector bags), wheels, `K₄` and
+/// two triangles sharing a vertex, every edge's orientation drawn.
+pub fn template() -> impl Strategy<Value = ConjunctiveQuery> {
+    (0..4u8, 3..=6u32, any::<u32>(), head()).prop_map(|(kind, size, flips, head)| {
+        let edges: Vec<(u32, u32)> = match kind {
+            0 => (0..size).map(|i| (i, (i + 1) % size)).collect(),
+            1 => {
+                // Hub 0, rim 1..=m.
+                let m = size.clamp(3, 5);
+                (1..=m).flat_map(|i| [(0, i), (i, i % m + 1)]).collect()
+            }
+            2 => (0..4)
+                .flat_map(|a| (a + 1..4).map(move |b| (a, b)))
+                .collect(),
+            _ => vec![(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)],
+        };
+        build_query(&edges, flips, &head)
+    })
+}
+
+/// Random digraph bodies over three to six variables, loops and
+/// duplicate atoms allowed: any treewidth.
+pub fn random_body() -> impl Strategy<Value = ConjunctiveQuery> {
+    (3..=6u32).prop_flat_map(|n| {
+        let edges = proptest::collection::vec((0..n, 0..n), 2..=2 * n as usize);
+        (edges, head()).prop_map(|(edges, head)| build_query(&edges, 0, &head))
+    })
+}
+
+/// Two random bodies over disjoint variables with a triangle in each,
+/// so both components are cyclic; loops and duplicate atoms included.
+pub fn two_cycles() -> impl Strategy<Value = ConjunctiveQuery> {
+    (
+        proptest::collection::vec((0..4u32, 0..4u32), 0..=4),
+        proptest::collection::vec((4..8u32, 4..8u32), 0..=4),
+        head(),
+    )
+        .prop_map(|(mut edges, other, head)| {
+            edges.extend([(0, 1), (1, 2), (2, 0)]);
+            edges.extend(other);
+            edges.extend([(4, 5), (5, 6), (6, 4)]);
+            build_query(&edges, 0, &head)
+        })
+}
+
+/// Every kind [`database_of`] draws.
+pub const ANY_KIND: Range<u8> = 0..4;
+/// Its uniform kinds.
+pub const UNIFORM: Range<u8> = 0..2;
+/// Its skewed kinds: Zipf and hub-skewed.
+pub const SKEWED: Range<u8> = 2..4;
+/// Every gap [`database_of`] re-spaces by; `1` keeps the database dense.
+pub const ANY_GAP: RangeInclusive<u32> = 1..=3;
+
+/// A digraph of one of `kinds` with up to four edges per node: uniform
+/// (kinds 0 and 1, loops included) on three to ten nodes, else Zipf
+/// (kind 2) on as many or hub-skewed (kind 3: quadratic bias toward low
+/// ids) on ten to 24, where a few hubs hold most edges; sparse draws
+/// give empty answers. Node `v` then moves to `v · gap + gap − 1` in a
+/// universe with two spare elements: for `gap > 1` the active domain
+/// has holes and the dictionary is not the identity.
+pub fn database_of(
+    kinds: Range<u8>,
+    gaps: RangeInclusive<u32>,
+) -> impl Strategy<Value = Structure> {
+    (kinds, 3..=10usize, 0..=4usize, (gaps, any::<u64>())).prop_map(
+        |(kind, n, density, (gap, seed))| {
+            let n = if kind == 3 { 2 * n + 4 } else { n };
+            let edges = density * n;
+            let base = match kind {
+                0 | 1 => {
+                    let mut s = seed;
+                    let mut pick = || (lcg(&mut s) % n as u64) as u32;
+                    let es: Vec<(u32, u32)> = (0..edges).map(|_| (pick(), pick())).collect();
+                    Structure::digraph(n, &es)
+                }
+                2 => zipf_db(n, edges, 1.1, seed),
+                _ => skewed_digraph(n, edges, seed),
+            };
+            let e = base.vocabulary().rel("E").expect("digraph vocabulary");
+            let spaced: Vec<(Element, Element)> = (base.tuples(e).iter())
+                .map(|t| (t[0] * gap + gap - 1, t[1] * gap + gap - 1))
+                .collect();
+            Structure::digraph(n * gap as usize + 2, &spaced)
+        },
+    )
+}
+
+/// Every kind, every gap.
+pub fn database() -> impl Strategy<Value = Structure> {
+    database_of(ANY_KIND, ANY_GAP)
+}
+
+// ---------------------------------------------------------------------
+// The check.
+// ---------------------------------------------------------------------
+
+/// `got` is `expected`: as a set (both `PartialEq` directions), in
+/// length, in iteration order, and under `contains` — probed with
+/// every expected row and its neighbours one element up and down.
+pub fn assert_is(got: &Answers, expected: &Rows, arity: usize, what: &str) {
+    assert_eq!(got, expected, "{what}");
+    assert_eq!(expected, got, "{what} (tree on the left)");
+    assert_eq!(got.len(), expected.len(), "{what}: len");
+    assert_eq!(got.is_empty(), expected.is_empty(), "{what}: is_empty");
+    assert_eq!(got.arity(), arity, "{what}: arity");
+    assert!(
+        got.iter()
+            .map(|r| r.as_slice())
+            .eq(expected.iter().map(Vec::as_slice)),
+        "{what}: iteration order"
+    );
+    assert!(
+        got.iter()
+            .zip(got.iter().skip(1))
+            .all(|(a, b)| a.as_slice() < b.as_slice()),
+        "{what}: rows strictly increasing"
+    );
+    assert_eq!(&got.to_btree_set(), expected, "{what}: to_btree_set");
+    // Rows share one length, so a row with its last element one up
+    // (down) is in the set exactly when it is the next (previous) row;
+    // only a wrapped element needs the tree.
+    let rows: Vec<&Vec<Element>> = expected.iter().collect();
+    let mut near = Vec::with_capacity(arity);
+    for (i, row) in rows.iter().enumerate() {
+        assert!(got.contains(row), "{what}: contains {row:?}");
+        let before = i.checked_sub(1).map(|j| rows[j]);
+        for (up, neighbour) in [(true, rows.get(i + 1).copied()), (false, before)] {
+            near.clone_from(row);
+            let Some(last) = near.last_mut() else {
+                continue;
+            };
+            let (value, wrapped) = if up {
+                last.overflowing_add(1)
+            } else {
+                last.overflowing_sub(1)
+            };
+            *last = value;
+            let member = if wrapped {
+                expected.contains(&near)
+            } else {
+                neighbour == Some(&near)
+            };
+            assert_eq!(got.contains(&near), member, "{what}: contains {near:?}");
+        }
+    }
+    assert!(!got.contains(&vec![0; arity + 1]), "{what}: wrong arity");
+}
+
+/// The frozen seed engine's answers: every tableau → database
+/// homomorphism, read off at the head.
+fn frozen_eval(q: &ConjunctiveQuery, d: &Structure) -> Rows {
+    let t = tableau_of(q);
+    let mut out = BTreeSet::new();
+    BaselineHom::new(&t.structure, d).for_each(|h| {
+        out.insert(t.distinguished().iter().map(|&v| h[v as usize]).collect());
+        ControlFlow::Continue(())
+    });
+    out
+}
+
+/// The oracle, `eval_naive`, triangulated by the frozen seed engine;
+/// the compiled naive plan returns its rows, full and Boolean. Returns
+/// the oracle's rows.
+pub fn check_oracle(q: &ConjunctiveQuery, d: &Structure) -> Rows {
+    let expected = eval_naive(q, d);
+    assert_eq!(frozen_eval(q, d), expected, "frozen engine vs naive, {q}");
+    let naive = NaivePlan::compile(q.clone());
+    assert_is(
+        &naive.eval_answers(d),
+        &expected,
+        q.arity(),
+        &format!("naive plan, {q}"),
+    );
+    assert_eq!(
+        naive.eval_boolean(d),
+        !expected.is_empty(),
+        "naive Boolean, {q}"
+    );
+    expected
+}
+
+/// `DecomposedPlan` at every root of the reduced decomposition of `q`
+/// at its exact treewidth.
+fn decomposed_roots(q: &ConjunctiveQuery) -> Vec<DecomposedPlan> {
+    let tw = treewidth_of_query(q);
+    let td = treewidth_at_most(&query_graph(q), tw)
+        .expect("decomposes at the exact treewidth")
+        .reduced();
+    assert!(td.width() <= tw, "width above the treewidth on {q}");
+    (0..td.bags.len())
+        .map(|root| {
+            let plan = DecomposedPlan::compile_rooted(q, &td, root);
+            assert_eq!(plan.width(), td.width());
+            plan
+        })
+        .collect()
+}
+
+/// Every multi-part bag of `ir`, built by the kernel alone and checked
+/// against the reference join of its parts, each scanned on its own:
+/// same schema, rows, order and code width, in one build by the
+/// multiway kernel. Returns the rows the kernel read and wrote (part
+/// rows + bag rows) and the cursor advances it reported for them.
+pub fn check_bags(ir: &PlanIr, d: &Structure, what: &str) -> (u64, u64) {
+    let (mut rows, mut advances) = (0u64, 0u64);
+    for source in ir.materialize_sources().filter(|s| s.parts.len() > 1) {
+        let mut stats = MatCacheStats::default();
+        let got = source.materialize(d, None, &mut stats, EvalConfig::default());
+        let parts: Vec<FlatRelation> = (source.parts.iter())
+            .map(|part| {
+                let alone = MatSource {
+                    schema: part.schema.clone(),
+                    key: part.key.clone(),
+                    parts: vec![part.clone()],
+                };
+                let mut stats = MatCacheStats::default();
+                alone.materialize(d, None, &mut stats, EvalConfig::default())
+            })
+            .collect();
+        let refs: Vec<&FlatRelation> = parts.iter().collect();
+        assert_join(&got, &refs, &source.schema, &format!("bag of {what}"));
+        assert_eq!(
+            (stats.binary_bag_builds, stats.wcoj_bag_builds),
+            (0, 1),
+            "one build, by the kernel: {what}"
+        );
+        let scanned: usize = parts.iter().map(FlatRelation::len).sum();
+        rows += (scanned + got.len()) as u64;
+        advances += stats.cursor_advances;
+    }
+    (rows, advances)
+}
+
+/// Every `Op::MultiJoin` a run of `ir` reaches, against the reference
+/// join over the same input slots: same schema, same rows in the same
+/// (canonical) order, same code width. Returns how many joined three
+/// inputs or more — a node with two children or more.
+pub fn check_joins(ir: &PlanIr, d: &Structure, what: &str) -> usize {
+    let (_, slots, _) = ir.run_slots(d, None, None);
+    let mut wide = 0;
+    for op in ir.ops() {
+        let Op::MultiJoin { dst, inputs, vars } = op else {
+            continue;
+        };
+        // An emptiness assertion may have stopped the run before it.
+        let Some(got) = &slots[*dst] else { continue };
+        let input = |s: &usize| slots[*s].as_ref().expect("operands are written first");
+        let parts: Vec<&FlatRelation> = inputs.iter().map(input).collect();
+        assert_join(got, &parts, vars, &format!("{op:?}, {what}"));
+        wide += usize::from(inputs.len() > 2);
+    }
+    wide
+}
+
+/// The kernel against the reference join: every multi-part bag of
+/// every tree-tier plan of `q`, and every join op their runs reach
+/// under every [`EvalConfig`].
+pub fn check_kernels(q: &ConjunctiveQuery, d: &Structure) {
+    let acyclic = AcyclicPlan::compile(q).ok();
+    let acyclic = acyclic
+        .iter()
+        .map(|plan| ("yannakakis".to_string(), plan.ir()));
+    let roots = decomposed_roots(q);
+    let roots = (roots.iter().enumerate()).map(|(root, plan)| (format!("root {root}"), plan.ir()));
+    for (tier, ir) in acyclic.chain(roots) {
+        check_bags(ir, d, &format!("{tier}, {q}"));
+        for config in EvalConfig::lattice() {
+            let ir = ir.clone().with_eval_config(config);
+            check_joins(&ir, d, &format!("{tier}, {config:?}, {q}"));
+        }
+    }
+}
+
+/// A lattice axis: which [`EvalConfig`] points besides the default a
+/// tree-tier check covers.
+pub type Axis = fn(EvalConfig) -> bool;
+
+/// The default config alone.
+pub fn default_only(_: EvalConfig) -> bool {
+    false
+}
+
+/// The whole lattice.
+pub fn every_config(_: EvalConfig) -> bool {
+    true
+}
+
+/// The lattice's probe-only points: bitmaps never read, under every
+/// packed mode.
+pub fn probe_axis(config: EvalConfig) -> bool {
+    !config.bitmaps
+}
+
+/// The lattice's forced packed points: radix sorts always or never,
+/// bitmaps read as by default. With [`probe_axis`] and the default this
+/// covers the whole lattice.
+pub fn packed_axis(config: EvalConfig) -> bool {
+    config.bitmaps && config.packed != PackedMode::Auto
+}
+
+/// Hits and misses of a cold and then a warm run through one fresh
+/// cache, and the bytes resident after them.
+type Traffic = (u32, u32, u32, u32, usize);
+
+/// One plan of a tree tier under the default [`EvalConfig`] and every
+/// config on `axis`: its answers — uncached, then cold and warm through
+/// one cache, full and Boolean — are the oracle's. A warm run
+/// materializes nothing, and the cache traffic, returned, is the same
+/// under every config.
+fn check_plan(
+    ir: &PlanIr,
+    q: &ConjunctiveQuery,
+    d: &Structure,
+    expected: &Rows,
+    tier: &str,
+    axis: Axis,
+) -> Traffic {
+    let (head, arity, holds) = (q.free_vars(), q.arity(), !expected.is_empty());
+    let default = EvalConfig::default();
+    let mut traffic = BTreeSet::new();
+    for config in EvalConfig::lattice().filter(|&c| c == default || axis(c)) {
+        let ir = ir.clone().with_eval_config(config);
+        let what = format!("{tier}, {config:?}, {q}");
+        let (uncached, _) = ir.run_answers(head, d, None, None);
+        assert_is(&uncached, expected, arity, &format!("uncached, {what}"));
+        let (boolean, _) = ir.run_boolean(d, None, None);
+        assert_eq!(boolean, holds, "Boolean, uncached, {what}");
+        let cache = MaterializationCache::new();
+        let (cold, sc) = ir.run_answers(head, d, Some(&cache), None);
+        let (warm, sw) = ir.run_answers(head, d, Some(&cache), None);
+        assert_is(&cold, expected, arity, &format!("cold, {what}"));
+        assert_is(&warm, expected, arity, &format!("warm, {what}"));
+        assert!(sc.misses > 0, "cold run must materialize, {what}");
+        assert_eq!(sw.misses, 0, "warm run re-materialized, {what}");
+        let (boolean, sb) = ir.run_boolean(d, Some(&cache), None);
+        assert_eq!((boolean, sb.misses), (holds, 0), "Boolean, warm, {what}");
+        traffic.insert((
+            sc.hits,
+            sc.misses,
+            sw.hits,
+            sw.misses,
+            cache.resident_bytes(),
+        ));
+    }
+    assert_eq!(
+        traffic.len(),
+        1,
+        "cache accounting moved across configs: {tier}, {q}: {traffic:?}"
+    );
+    traffic.pop_first().expect("the lattice has the default")
+}
+
+/// `AcyclicPlan`, when `q` is acyclic, under the default config and the
+/// points on `axis` (see [`check_plan`]). One single-part source per
+/// hyperedge: the warm run hits every lookup the cold run made.
+pub fn check_acyclic(q: &ConjunctiveQuery, d: &Structure, expected: &Rows, axis: Axis) {
+    if let Ok(plan) = AcyclicPlan::compile(q) {
+        let (hits, misses, warm_hits, _, _) =
+            check_plan(plan.ir(), q, d, expected, "yannakakis", axis);
+        assert_eq!(warm_hits, hits + misses, "warm lookups, yannakakis, {q}");
+    }
+}
+
+/// `DecomposedPlan` at every root, under the default config and the
+/// points on `axis` (see [`check_plan`]); the cache traffic is the same
+/// at every root.
+pub fn check_decomposed(q: &ConjunctiveQuery, d: &Structure, expected: &Rows, axis: Axis) {
+    let traffic: BTreeSet<Traffic> = (decomposed_roots(q).iter().enumerate())
+        .map(|(root, plan)| {
+            let tier = format!("decomposed at root {root}");
+            check_plan(plan.ir(), q, d, expected, &tier, axis)
+        })
+        .collect();
+    assert_eq!(
+        traffic.len(),
+        1,
+        "cache accounting moved across roots on {q}: {traffic:?}"
+    );
+}
+
+/// Both tree tiers, under the default config and the points on `axis`.
+pub fn check_tiers(q: &ConjunctiveQuery, d: &Structure, expected: &Rows, axis: Axis) {
+    check_acyclic(q, d, expected, axis);
+    check_decomposed(q, d, expected, axis);
+}
+
+/// The engine, cold, warm and once more, on `q` and on its Boolean
+/// version, with unbounded caches and with both caches starved to one
+/// byte — every landing evicts, which costs rebuilds, never answers.
+pub fn check_engine(q: &ConjunctiveQuery, d: &Structure, expected: &Rows) {
+    let mut queries = vec![(q.clone(), expected.clone())];
+    if !q.is_boolean() {
+        let boolean = ConjunctiveQuery::new(
+            q.vocabulary().clone(),
+            q.var_names().to_vec(),
+            Vec::new(),
+            q.atoms().to_vec(),
+        );
+        let holds: Rows = expected.iter().take(1).map(|_| Vec::new()).collect();
+        queries.push((boolean, holds));
+    }
+    for budget in [0, 1] {
+        let engine = Engine::new(EngineConfig {
+            threads: 1,
+            mat_cache_budget_bytes: Some(budget),
+            approx_cache_budget_bytes: Some(budget),
+            ..EngineConfig::default()
+        });
+        let db = engine.register_database("d", d.clone());
+        for (query, rows) in &queries {
+            let id = engine.prepare_query(query.to_string(), query.clone());
+            for run in ["cold", "warm", "again"] {
+                let r = engine.execute(&Request::new(id, db));
+                let what = format!("engine, {run}, budget {budget}, {:?}, {query}", r.plan);
+                assert_eq!(r.status, ResponseStatus::Complete, "{what}");
+                assert_is(&r.answers, rows, query.arity(), &what);
+            }
+        }
+        let resident = engine.snapshot().mat_cache_bytes_by_db["d"];
+        assert!(budget == 0 || resident <= 1, "{resident} bytes held, {q}");
+    }
+}
+
+/// The whole contract on `q` over `d`: every part above, every tier
+/// under every config.
+pub fn check(q: &ConjunctiveQuery, d: &Structure) {
+    let expected = check_oracle(q, d);
+    check_kernels(q, d);
+    check_tiers(q, d, &expected, every_config);
+    check_engine(q, d, &expected);
+}
+
+// ---------------------------------------------------------------------
+// Engine batches.
+// ---------------------------------------------------------------------
+
+/// Engine thread counts: 1 runs batches sequentially; 2 and 8 under-
+/// and over-subscribe the actual machine.
+pub const THREADS: [usize; 3] = [1, 2, 8];
+
+/// The batch's queries. None repeats a variable, so planner estimates
+/// (which may peek cached cardinalities) cannot depend on the order
+/// the batch materializes in either.
+const BATCH: [&str; 3] = [
+    "Q(x, z) :- E(x, y), E(y, z)",
+    "Q() :- E(x,y), E(y,z), E(z,x)",
+    "Q(a) :- E(a,b), E(b,c), E(c,d), E(d,a)",
+];
+
+/// Serves the batch's queries, each `dup` times, as one batch on a
+/// fresh engine at each of [`THREADS`], with both caches at `budget`
+/// bytes (`0`: unbounded) and metrics at `Counters`. Every answer must
+/// be the oracle's; returns each engine's snapshot, in [`THREADS`]
+/// order.
+pub fn serve_batches(d: &Structure, budget: usize, dup: usize) -> [StatsSnapshot; 3] {
+    let queries: Vec<ConjunctiveQuery> = BATCH.iter().map(|q| parse_cq(q).unwrap()).collect();
+    let exact: Vec<Rows> = queries.iter().map(|q| eval_naive(q, d)).collect();
+    THREADS.map(|threads| {
+        let e = Engine::new(EngineConfig {
+            threads,
+            metrics: MetricsLevel::Counters,
+            mat_cache_budget_bytes: Some(budget),
+            approx_cache_budget_bytes: Some(budget),
+            ..EngineConfig::default()
+        });
+        let db = e.register_database("d", d.clone());
+        let reqs: Vec<Request> = (queries.iter().enumerate())
+            .flat_map(|(i, q)| {
+                let qid = e.prepare_query(format!("q{i}"), q.clone());
+                (0..dup).map(move |_| Request::new(qid, db))
+            })
+            .collect();
+        for (i, r) in e.execute_batch(&reqs).iter().enumerate() {
+            let q = &queries[i / dup];
+            let what = format!("{threads} threads, budget {budget}, {q}");
+            assert_is(&r.answers, &exact[i / dup], q.arity(), &what);
+        }
+        e.snapshot()
+    })
+}

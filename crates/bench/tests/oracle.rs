@@ -1,492 +1,51 @@
-//! The evaluation contract, checked in one place: every tier returns
-//! exactly `Q(D)` — the head projections of the homomorphisms from the
-//! tableau of `Q` into `D`, which `eval_naive` enumerates — and every
-//! approximation tier returns a sound subset of it.
+//! The evaluation contract's named sweeps and engine checks, on the
+//! oracle harness (`harness/mod.rs`, which states the contract and
+//! holds the generators and the check).
 //!
-//! One query generator and one database generator feed one check,
-//! [`check`]. The queries are `E`-atoms over numbered variables
-//! ([`build_query`]) in four families — forests with reversed twins,
-//! duplicates and loops; cycles, wheels, `K₄` and double triangles;
-//! random digraph bodies; two cyclic components — with heads of up to
-//! three variables drawn with repetition. The databases ([`database`])
-//! are uniform, Zipf or hub-skewed digraphs, optionally re-spaced into
-//! a larger universe so the `DomainDict` is not the identity. The check
-//! runs every tier that compiles:
-//! - `AcyclicPlan` when the query is acyclic, and `DecomposedPlan` at
-//!   every root of the reduced decomposition at the exact treewidth,
-//!   each under every `EvalConfig::lattice()` point — uncached, then
-//!   cold and warm through one cache, full and Boolean;
-//! - the naive plan, and the frozen seed hom engine
-//!   (`cqapx_bench::baseline::BaselineHom`), which triangulates the
-//!   oracle on every shape;
-//! - the engine, cold and warm, on the query and on its Boolean
-//!   version, with unbounded caches and with both starved to one byte.
-//!
-//! Every answer set passes [`assert_is`]: the oracle's rows as a set,
-//! in its order, with `contains` agreeing. Cache hits, misses and
-//! resident bytes must not move across configs, nor across roots (the
-//! bags are the same). Every `Op::MultiJoin` a run reaches and every
-//! multi-part bag is rebuilt from the same inputs by the reference join
-//! (`cqapx_bench::reference`) and must match it byte for byte.
-//!
-//! Named deterministic sweeps drive what random draws rarely reach,
-//! with the same fixtures and checks: every numbering of a cycle (with
-//! a clock-free cost bound), wide nodes, Boolean cycles with and
-//! without a witness, head orders, the packing boundary, radix against
+//! Two cyclic components run through the whole [`check`]. Named
+//! deterministic sweeps drive what random draws rarely reach, with the
+//! same fixtures and checks: every numbering of a cycle (with a
+//! clock-free cost bound), wide nodes, Boolean cycles with and without
+//! a witness, head orders, the packing boundary, radix against
 //! comparison `sort_dedup`, the sandwich union, and cached rows never
-//! written through. The engine section runs batches at 1, 2 and 8
-//! threads — the same answers, counters and histogram counts at each —
-//! and keeps shed, degraded, sandwich and certain-only responses sound.
+//! written through. The engine section keeps shed, degraded, sandwich
+//! and certain-only responses sound.
+//!
+//! The other families run the harness's parts from their own files:
+//! forests in `eval_differential.rs` and `kernel_config_differential.rs`;
+//! cyclic templates there and in `decomposed_differential.rs`,
+//! `wcoj_differential.rs` and `answers_oracle.rs`; random bodies in
+//! `decomposed_differential.rs`, `wcoj_differential.rs` and
+//! `tests/proptest_invariants.rs`; engine batches at 1, 2 and 8 threads
+//! in `parallel_differential.rs` and `tests/proptest_invariants.rs`.
 
-use cqapx_bench::baseline::BaselineHom;
-use cqapx_bench::reference::assert_join;
-use cqapx_bench::workloads::{self, lcg, random_dag, regular_digraph, skewed_digraph, zipf_db};
+mod harness;
+
+use cqapx_bench::workloads::{self, random_dag, regular_digraph, skewed_digraph};
 use cqapx_core::{all_approximations, Acyclic, ApproxOptions};
 use cqapx_cq::eval::{
-    eval_naive, AcyclicPlan, Answers, AnswersBuilder, AtomBinder, DecomposedPlan, EvalConfig,
-    FlatRelation, MatCacheStats, MatSource, MaterializationCache, NaivePlan, Op, PackedMode,
-    PlanIr,
+    eval_naive, AcyclicPlan, AnswersBuilder, AtomBinder, DecomposedPlan, EvalConfig, FlatRelation,
+    MatCacheStats, MaterializationCache, NaivePlan, PackedMode,
 };
-use cqapx_cq::{parse_cq, query_graph, tableau_of, treewidth_of_query, Atom, ConjunctiveQuery};
+use cqapx_cq::{parse_cq, query_graph, treewidth_of_query, Atom, ConjunctiveQuery};
 use cqapx_engine::{
-    ApproxClassChoice, Engine, EngineConfig, EngineStats, EvalMode, MetricsLevel, PlanKind,
-    Request, ResponseStatus, StatsSnapshot, DEGRADE_MIN_SAMPLES,
+    ApproxClassChoice, Engine, EngineConfig, EvalMode, MetricsLevel, PlanKind, Request,
+    ResponseStatus, DEGRADE_MIN_SAMPLES,
 };
-use cqapx_graphs::treewidth::{treewidth_at_most, TreeDecomposition};
+use cqapx_graphs::treewidth::TreeDecomposition;
 use cqapx_structures::{Element, Structure, Vocabulary};
+use harness::{
+    assert_is, build_query, check, check_bags, check_joins, database, random_body, two_cycles, Rows,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::ops::ControlFlow;
 use std::time::Duration;
-
-type Rows = BTreeSet<Vec<Element>>;
-
-// ---------------------------------------------------------------------
-// The generators.
-// ---------------------------------------------------------------------
-
-/// The query over atoms `E(x{a}, x{b})`, edge `i` reversed when bit
-/// `i % 32` of `flips` is set, whose head lists the occurring variables
-/// `head` picks (each index taken modulo their number, so repeats
-/// happen).
-fn build_query(edges: &[(u32, u32)], flips: u32, head: &[usize]) -> ConjunctiveQuery {
-    let mut used: BTreeSet<u32> = BTreeSet::new();
-    let atoms: Vec<String> = edges
-        .iter()
-        .enumerate()
-        .map(|(i, &(a, b))| {
-            let (a, b) = if flips >> (i % 32) & 1 == 1 {
-                (b, a)
-            } else {
-                (a, b)
-            };
-            used.extend([a, b]);
-            format!("E(x{a}, x{b})")
-        })
-        .collect();
-    let used: Vec<u32> = used.into_iter().collect();
-    let head: Vec<String> = (head.iter())
-        .map(|&h| format!("x{}", used[h % used.len()]))
-        .collect();
-    let text = format!("Q({}) :- {}", head.join(", "), atoms.join(", "));
-    parse_cq(&text).expect("generated query must parse")
-}
-
-/// A head of arity 0 to 3, for [`build_query`].
-fn head() -> impl Strategy<Value = Vec<usize>> {
-    proptest::collection::vec(0..64usize, 0..=3)
-}
-
-/// Random forests over up to six variables, spiced with the shapes that
-/// exercise the kernel's corners: reversed twins and exact duplicates of
-/// an edge (one hyperedge, intersected), loops `E(x, x)`
-/// (repeated-variable binders, ear-subsumed hyperedges) and dropped
-/// edges (several components). Paths, stars and trees are among them.
-fn forest() -> impl Strategy<Value = ConjunctiveQuery> {
-    (2..=6usize).prop_flat_map(|n| {
-        let parents = proptest::collection::vec((0..n as u32, any::<bool>(), 0..4u8), n - 1);
-        let loops = proptest::collection::vec(0..n as u32, 0..=2);
-        (parents, loops, head()).prop_map(|(parents, loops, head)| {
-            let mut edges = Vec::new();
-            for (i, &(p, flip, kind)) in parents.iter().enumerate() {
-                let (a, b) = ((i + 1) as u32, p.min(i as u32));
-                let (a, b) = if flip { (b, a) } else { (a, b) };
-                match kind {
-                    0 => edges.push((a, b)),
-                    1 => edges.extend([(a, b), (b, a)]), // reversed twin
-                    2 => edges.extend([(a, b), (a, b)]), // exact duplicate
-                    _ => {}                              // dropped
-                }
-            }
-            edges.extend(loops.iter().map(|&v| (v, v)));
-            if edges.is_empty() {
-                edges.push((0, 1));
-            }
-            build_query(&edges, 0, &head)
-        })
-    })
-}
-
-/// The shapes of treewidth 2 and 3 the decomposed tier exists for:
-/// oriented cycles `C₃..C₆` (`C₆` has connector bags), wheels, `K₄` and
-/// two triangles sharing a vertex, every edge's orientation drawn.
-fn template() -> impl Strategy<Value = ConjunctiveQuery> {
-    (0..4u8, 3..=6u32, any::<u32>(), head()).prop_map(|(kind, size, flips, head)| {
-        let edges: Vec<(u32, u32)> = match kind {
-            0 => (0..size).map(|i| (i, (i + 1) % size)).collect(),
-            1 => {
-                // Hub 0, rim 1..=m.
-                let m = size.clamp(3, 5);
-                (1..=m).flat_map(|i| [(0, i), (i, i % m + 1)]).collect()
-            }
-            2 => (0..4)
-                .flat_map(|a| (a + 1..4).map(move |b| (a, b)))
-                .collect(),
-            _ => vec![(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)],
-        };
-        build_query(&edges, flips, &head)
-    })
-}
-
-/// Random digraph bodies over three to six variables, loops and
-/// duplicate atoms allowed: any treewidth.
-fn random_body() -> impl Strategy<Value = ConjunctiveQuery> {
-    (3..=6u32).prop_flat_map(|n| {
-        let edges = proptest::collection::vec((0..n, 0..n), 2..=2 * n as usize);
-        (edges, head()).prop_map(|(edges, head)| build_query(&edges, 0, &head))
-    })
-}
-
-/// Two random bodies over disjoint variables with a triangle in each,
-/// so both components are cyclic; loops and duplicate atoms included.
-fn two_cycles() -> impl Strategy<Value = ConjunctiveQuery> {
-    (
-        proptest::collection::vec((0..4u32, 0..4u32), 0..=4),
-        proptest::collection::vec((4..8u32, 4..8u32), 0..=4),
-        head(),
-    )
-        .prop_map(|(mut edges, other, head)| {
-            edges.extend([(0, 1), (1, 2), (2, 0)]);
-            edges.extend(other);
-            edges.extend([(4, 5), (5, 6), (6, 4)]);
-            build_query(&edges, 0, &head)
-        })
-}
-
-/// A digraph with up to four edges per node: uniform (loops included)
-/// half the time on three to ten nodes, else Zipf on as many or
-/// hub-skewed (quadratic bias toward low ids) on ten to 24, where a few
-/// hubs hold most edges; sparse draws give empty answers. Node `v` then
-/// moves to `v · gap + gap − 1` in a universe with two spare elements:
-/// for `gap > 1` the active domain has holes and the dictionary is not
-/// the identity.
-fn database() -> impl Strategy<Value = Structure> {
-    (0..4u8, 3..=10usize, 0..=4usize, (1..=3u32, any::<u64>())).prop_map(
-        |(kind, n, density, (gap, seed))| {
-            let n = if kind == 3 { 2 * n + 4 } else { n };
-            let edges = density * n;
-            let base = match kind {
-                0 | 1 => {
-                    let mut s = seed;
-                    let mut pick = || (lcg(&mut s) % n as u64) as u32;
-                    let es: Vec<(u32, u32)> = (0..edges).map(|_| (pick(), pick())).collect();
-                    Structure::digraph(n, &es)
-                }
-                2 => zipf_db(n, edges, 1.1, seed),
-                _ => skewed_digraph(n, edges, seed),
-            };
-            let e = base.vocabulary().rel("E").expect("digraph vocabulary");
-            let spaced: Vec<(Element, Element)> = (base.tuples(e).iter())
-                .map(|t| (t[0] * gap + gap - 1, t[1] * gap + gap - 1))
-                .collect();
-            Structure::digraph(n * gap as usize + 2, &spaced)
-        },
-    )
-}
-
-// ---------------------------------------------------------------------
-// The check.
-// ---------------------------------------------------------------------
-
-/// `got` is `expected`: as a set (both `PartialEq` directions), in
-/// length, in iteration order, and under `contains` — probed with
-/// every expected row and its neighbours one element up and down.
-fn assert_is(got: &Answers, expected: &Rows, arity: usize, what: &str) {
-    assert_eq!(got, expected, "{what}");
-    assert_eq!(expected, got, "{what} (tree on the left)");
-    assert_eq!(got.len(), expected.len(), "{what}: len");
-    assert_eq!(got.is_empty(), expected.is_empty(), "{what}: is_empty");
-    assert_eq!(got.arity(), arity, "{what}: arity");
-    assert!(
-        got.iter()
-            .map(|r| r.as_slice())
-            .eq(expected.iter().map(Vec::as_slice)),
-        "{what}: iteration order"
-    );
-    assert!(
-        got.iter()
-            .zip(got.iter().skip(1))
-            .all(|(a, b)| a.as_slice() < b.as_slice()),
-        "{what}: rows strictly increasing"
-    );
-    assert_eq!(&got.to_btree_set(), expected, "{what}: to_btree_set");
-    // Rows share one length, so a row with its last element one up
-    // (down) is in the set exactly when it is the next (previous) row;
-    // only a wrapped element needs the tree.
-    let rows: Vec<&Vec<Element>> = expected.iter().collect();
-    let mut near = Vec::with_capacity(arity);
-    for (i, row) in rows.iter().enumerate() {
-        assert!(got.contains(row), "{what}: contains {row:?}");
-        let before = i.checked_sub(1).map(|j| rows[j]);
-        for (up, neighbour) in [(true, rows.get(i + 1).copied()), (false, before)] {
-            near.clone_from(row);
-            let Some(last) = near.last_mut() else {
-                continue;
-            };
-            let (value, wrapped) = if up {
-                last.overflowing_add(1)
-            } else {
-                last.overflowing_sub(1)
-            };
-            *last = value;
-            let member = if wrapped {
-                expected.contains(&near)
-            } else {
-                neighbour == Some(&near)
-            };
-            assert_eq!(got.contains(&near), member, "{what}: contains {near:?}");
-        }
-    }
-    assert!(!got.contains(&vec![0; arity + 1]), "{what}: wrong arity");
-}
-
-/// The frozen seed engine's answers: every tableau → database
-/// homomorphism, read off at the head.
-fn frozen_eval(q: &ConjunctiveQuery, d: &Structure) -> Rows {
-    let t = tableau_of(q);
-    let mut out = BTreeSet::new();
-    BaselineHom::new(&t.structure, d).for_each(|h| {
-        out.insert(t.distinguished().iter().map(|&v| h[v as usize]).collect());
-        ControlFlow::Continue(())
-    });
-    out
-}
-
-/// Every multi-part bag of `ir`, built by the kernel alone and checked
-/// against the reference join of its parts, each scanned on its own:
-/// same schema, rows, order and code width, in one build by the
-/// multiway kernel. Returns the rows the kernel read and wrote (part
-/// rows + bag rows) and the cursor advances it reported for them.
-fn check_bags(ir: &PlanIr, d: &Structure, what: &str) -> (u64, u64) {
-    let (mut rows, mut advances) = (0u64, 0u64);
-    for source in ir.materialize_sources().filter(|s| s.parts.len() > 1) {
-        let mut stats = MatCacheStats::default();
-        let got = source.materialize(d, None, &mut stats, EvalConfig::default());
-        let parts: Vec<FlatRelation> = (source.parts.iter())
-            .map(|part| {
-                let alone = MatSource {
-                    schema: part.schema.clone(),
-                    key: part.key.clone(),
-                    parts: vec![part.clone()],
-                };
-                let mut stats = MatCacheStats::default();
-                alone.materialize(d, None, &mut stats, EvalConfig::default())
-            })
-            .collect();
-        let refs: Vec<&FlatRelation> = parts.iter().collect();
-        assert_join(&got, &refs, &source.schema, &format!("bag of {what}"));
-        assert_eq!(
-            (stats.binary_bag_builds, stats.wcoj_bag_builds),
-            (0, 1),
-            "one build, by the kernel: {what}"
-        );
-        let scanned: usize = parts.iter().map(FlatRelation::len).sum();
-        rows += (scanned + got.len()) as u64;
-        advances += stats.cursor_advances;
-    }
-    (rows, advances)
-}
-
-/// Every `Op::MultiJoin` a run of `ir` reaches, against the reference
-/// join over the same input slots: same schema, same rows in the same
-/// (canonical) order, same code width. Returns how many joined three
-/// inputs or more — a node with two children or more.
-fn check_joins(ir: &PlanIr, d: &Structure, what: &str) -> usize {
-    let (_, slots, _) = ir.run_slots(d, None, None);
-    let mut wide = 0;
-    for op in ir.ops() {
-        let Op::MultiJoin { dst, inputs, vars } = op else {
-            continue;
-        };
-        // An emptiness assertion may have stopped the run before it.
-        let Some(got) = &slots[*dst] else { continue };
-        let input = |s: &usize| slots[*s].as_ref().expect("operands are written first");
-        let parts: Vec<&FlatRelation> = inputs.iter().map(input).collect();
-        assert_join(got, &parts, vars, &format!("{op:?}, {what}"));
-        wide += usize::from(inputs.len() > 2);
-    }
-    wide
-}
-
-/// Hits and misses of a cold and then a warm run through one fresh
-/// cache, and the bytes resident after them.
-type Traffic = (u32, u32, u32, u32, usize);
-
-/// One plan of a tree tier under every [`EvalConfig`]: its bags and
-/// joins against the reference join, and its answers — uncached, then
-/// cold and warm through one cache, full and Boolean — the oracle's. A
-/// warm run materializes nothing, and the cache traffic, returned, is
-/// the same under every config.
-fn check_plan(
-    ir: &PlanIr,
-    q: &ConjunctiveQuery,
-    d: &Structure,
-    expected: &Rows,
-    tier: &str,
-) -> Traffic {
-    let (head, arity, holds) = (q.free_vars(), q.arity(), !expected.is_empty());
-    check_bags(ir, d, &format!("{tier}, {q}"));
-    let mut traffic = BTreeSet::new();
-    for config in EvalConfig::lattice() {
-        let ir = ir.clone().with_eval_config(config);
-        let what = format!("{tier}, {config:?}, {q}");
-        check_joins(&ir, d, &what);
-        let (uncached, _) = ir.run_answers(head, d, None, None);
-        assert_is(&uncached, expected, arity, &format!("uncached, {what}"));
-        let (boolean, _) = ir.run_boolean(d, None, None);
-        assert_eq!(boolean, holds, "Boolean, uncached, {what}");
-        let cache = MaterializationCache::new();
-        let (cold, sc) = ir.run_answers(head, d, Some(&cache), None);
-        let (warm, sw) = ir.run_answers(head, d, Some(&cache), None);
-        assert_is(&cold, expected, arity, &format!("cold, {what}"));
-        assert_is(&warm, expected, arity, &format!("warm, {what}"));
-        assert!(sc.misses > 0, "cold run must materialize, {what}");
-        assert_eq!(sw.misses, 0, "warm run re-materialized, {what}");
-        let (boolean, sb) = ir.run_boolean(d, Some(&cache), None);
-        assert_eq!((boolean, sb.misses), (holds, 0), "Boolean, warm, {what}");
-        traffic.insert((
-            sc.hits,
-            sc.misses,
-            sw.hits,
-            sw.misses,
-            cache.resident_bytes(),
-        ));
-    }
-    assert_eq!(
-        traffic.len(),
-        1,
-        "cache accounting moved across configs: {tier}, {q}: {traffic:?}"
-    );
-    traffic.pop_first().expect("the lattice has the default")
-}
-
-/// The engine, cold, warm and once more, on `q` and on its Boolean
-/// version, with unbounded caches and with both caches starved to one
-/// byte — every landing evicts, which costs rebuilds, never answers.
-fn check_engine(q: &ConjunctiveQuery, d: &Structure, expected: &Rows) {
-    let mut queries = vec![(q.clone(), expected.clone())];
-    if !q.is_boolean() {
-        let boolean = ConjunctiveQuery::new(
-            q.vocabulary().clone(),
-            q.var_names().to_vec(),
-            Vec::new(),
-            q.atoms().to_vec(),
-        );
-        let holds: Rows = expected.iter().take(1).map(|_| Vec::new()).collect();
-        queries.push((boolean, holds));
-    }
-    for budget in [0, 1] {
-        let engine = Engine::new(EngineConfig {
-            threads: 1,
-            mat_cache_budget_bytes: Some(budget),
-            approx_cache_budget_bytes: Some(budget),
-            ..EngineConfig::default()
-        });
-        let db = engine.register_database("d", d.clone());
-        for (query, rows) in &queries {
-            let id = engine.prepare_query(query.to_string(), query.clone());
-            for run in ["cold", "warm", "again"] {
-                let r = engine.execute(&Request::new(id, db));
-                let what = format!("engine, {run}, budget {budget}, {:?}, {query}", r.plan);
-                assert_eq!(r.status, ResponseStatus::Complete, "{what}");
-                assert_is(&r.answers, rows, query.arity(), &what);
-            }
-        }
-        let resident = engine.snapshot().mat_cache_bytes_by_db["d"];
-        assert!(budget == 0 || resident <= 1, "{resident} bytes held, {q}");
-    }
-}
-
-/// Every tier that compiles returns the oracle's rows (see the module
-/// doc), and the frozen seed engine agrees with the oracle.
-fn check(q: &ConjunctiveQuery, d: &Structure) {
-    let expected = eval_naive(q, d);
-    assert_eq!(frozen_eval(q, d), expected, "frozen engine vs naive, {q}");
-    let naive = NaivePlan::compile(q.clone());
-    assert_is(
-        &naive.eval_answers(d),
-        &expected,
-        q.arity(),
-        &format!("naive plan, {q}"),
-    );
-    assert_eq!(
-        naive.eval_boolean(d),
-        !expected.is_empty(),
-        "naive Boolean, {q}"
-    );
-    if let Ok(plan) = AcyclicPlan::compile(q) {
-        let (hits, misses, warm_hits, _, _) = check_plan(plan.ir(), q, d, &expected, "yannakakis");
-        // One single-part source per hyperedge: the warm run hits
-        // every lookup the cold run made.
-        assert_eq!(warm_hits, hits + misses, "warm lookups, yannakakis, {q}");
-    }
-    let tw = treewidth_of_query(q);
-    let td = treewidth_at_most(&query_graph(q), tw)
-        .expect("decomposes at the exact treewidth")
-        .reduced();
-    assert!(td.width() <= tw, "width above the treewidth on {q}");
-    let mut traffic = BTreeSet::new();
-    for root in 0..td.bags.len() {
-        let plan = DecomposedPlan::compile_rooted(q, &td, root);
-        assert_eq!(plan.width(), td.width());
-        let tier = format!("decomposed at root {root}");
-        traffic.insert(check_plan(plan.ir(), q, d, &expected, &tier));
-    }
-    assert_eq!(
-        traffic.len(),
-        1,
-        "cache accounting moved across roots on {q}: {traffic:?}"
-    );
-    check_engine(q, d, &expected);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Forests: every acyclic corner of the kernel, through both tree
-    /// tiers.
-    #[test]
-    fn forests_are_the_oracles(q in forest(), d in database()) {
-        check(&q, &d);
-    }
-
-    /// Cycles, wheels, `K₄` and double triangles.
-    #[test]
-    fn templates_are_the_oracles(q in template(), d in database()) {
-        check(&q, &d);
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random digraph bodies: any treewidth, loops and duplicates.
-    #[test]
-    fn random_bodies_are_the_oracles(q in random_body(), d in database()) {
-        check(&q, &d);
-    }
-
-    /// Two cyclic components: Cartesian roots, free and Boolean.
+    /// Two cyclic components: Cartesian roots, free and Boolean, through
+    /// every part of the check.
     #[test]
     fn two_cyclic_components_are_the_oracles(q in two_cycles(), d in database()) {
         check(&q, &d);
@@ -954,100 +513,8 @@ fn cached_rows_are_never_written_through_a_sharing_slot() {
 // The engine.
 // ---------------------------------------------------------------------
 
-/// Engine thread counts: 1 runs batches sequentially; 2 and 8 under-
-/// and over-subscribe the actual machine.
-const THREADS: [usize; 3] = [1, 2, 8];
-
-/// The batch's queries. None repeats a variable, so planner estimates
-/// (which may peek cached cardinalities) cannot depend on the order
-/// the batch materializes in either.
-const BATCH: [&str; 3] = [
-    "Q(x, z) :- E(x, y), E(y, z)",
-    "Q() :- E(x,y), E(y,z), E(z,x)",
-    "Q(a) :- E(a,b), E(b,c), E(c,d), E(d,a)",
-];
-
-/// Serves `queries`, each `dup` times, as one batch on a fresh engine
-/// with `threads` workers and both caches at `budget` bytes (`0`:
-/// unbounded); returns the answers in request order and the engine's
-/// snapshot.
-fn serve_batch(
-    queries: &[ConjunctiveQuery],
-    d: &Structure,
-    threads: usize,
-    budget: usize,
-    dup: usize,
-) -> (Vec<Answers>, StatsSnapshot) {
-    let e = Engine::new(EngineConfig {
-        threads,
-        metrics: MetricsLevel::Counters,
-        mat_cache_budget_bytes: Some(budget),
-        approx_cache_budget_bytes: Some(budget),
-        ..EngineConfig::default()
-    });
-    let db = e.register_database("d", d.clone());
-    let reqs: Vec<Request> = (queries.iter().enumerate())
-        .flat_map(|(i, q)| {
-            let qid = e.prepare_query(format!("q{i}"), q.clone());
-            (0..dup).map(move |_| Request::new(qid, db))
-        })
-        .collect();
-    let answers = e.execute_batch(&reqs).into_iter().map(|r| r.answers);
-    (answers.collect(), e.snapshot())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Batches at 1, 2 and 8 threads return the oracle's answers, and
-    /// single-flight materialization makes the accounting independent
-    /// of the schedule: every `EngineStats` counter but `busy`, the
-    /// per-class and per-database histogram counts (latencies vary) and
-    /// the per-database cache counters are the sequential run's. With
-    /// both caches starved to one byte every landing evicts: answers
-    /// stay the oracle's, nothing stays resident, and a concurrent
-    /// request can only coalesce onto a flight another one started, so
-    /// the cache lookups (hits + misses) never exceed the sequential
-    /// count.
-    #[test]
-    fn batches_are_schedule_independent(d in database(), dup in 2..4usize) {
-        let queries: Vec<ConjunctiveQuery> = BATCH.iter().map(|q| parse_cq(q).unwrap()).collect();
-        let exact: Vec<Rows> = queries.iter().map(|q| eval_naive(q, &d)).collect();
-        let check_answers = |answers: &[Answers], what: &str| {
-            for (i, a) in answers.iter().enumerate() {
-                let q = &queries[i / dup];
-                assert_is(a, &exact[i / dup], q.arity(), &format!("{what}, {q}"));
-            }
-        };
-        let mut sequential = None;
-        for threads in THREADS {
-            let (answers, snap) = serve_batch(&queries, &d, threads, 0, dup);
-            check_answers(&answers, &format!("{threads} threads"));
-            let counters = EngineStats { busy: Duration::ZERO, ..snap.counters.clone() };
-            let outcome = (
-                format!("{counters:?}"),
-                (snap.class_latency.iter()).map(|(k, h)| (k.clone(), h.count)).collect::<Vec<_>>(),
-                (snap.db_latency.iter()).map(|(k, h)| (k.clone(), h.count)).collect::<Vec<_>>(),
-                snap.approx_cache_by_db,
-                snap.mat_cache_by_db,
-            );
-            let first = sequential.get_or_insert_with(|| outcome.clone());
-            prop_assert_eq!(&*first, &outcome, "accounting at {} threads", threads);
-        }
-        let mut sequential = None;
-        for threads in THREADS {
-            let (answers, snap) = serve_batch(&queries, &d, threads, 1, dup);
-            check_answers(&answers, &format!("{threads} threads, starved"));
-            let resident = snap.mat_cache_bytes_by_db["d"];
-            prop_assert!(resident <= 1, "{} bytes held at {} threads", resident, threads);
-            let lookups = snap.counters.mat_hits + snap.counters.mat_misses;
-            let first = *sequential.get_or_insert(lookups);
-            prop_assert!(
-                lookups <= first,
-                "{} lookups at {} threads, {} sequentially", lookups, threads, first
-            );
-        }
-    }
 
     /// Admission control and degradation stay sound: a batch deeper
     /// than `max_queue_depth` sheds exactly its tail with empty answer
@@ -1104,10 +571,6 @@ proptest! {
             prop_assert_eq!(e.stats().degraded, 1);
         }
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Under a forced approximation sandwich (every cyclic query over
     /// the naive budget), exact mode still answers `Q(D)` and

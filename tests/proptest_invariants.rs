@@ -1,13 +1,22 @@
 //! Property-based tests of the core invariants, on random digraph
 //! queries: quotients, cores, containment, the approximation contract,
-//! the trichotomy and renaming. Evaluation — every tier against the
-//! naive oracle — is checked in `crates/bench/tests/oracle.rs`.
+//! the trichotomy and renaming. Then, on the evaluation oracle harness
+//! (`crates/bench/tests/harness/mod.rs`), the random-body family's
+//! oracle, acyclic tier and engine, and engine batches under a starved
+//! cache.
+
+#[path = "../crates/bench/tests/harness/mod.rs"]
+mod harness;
 
 use cq_approx::prelude::*;
 use cqapx_cq::eval::naive::eval_naive;
 use cqapx_structures::{
     core_of, hom_exists, iso::isomorphic_pointed, order, partition::for_each_partition,
     quotient::quotient_pointed,
+};
+use harness::{
+    check_acyclic, check_engine, check_oracle, database, database_of, every_config, random_body,
+    serve_batches, ANY_KIND, THREADS,
 };
 use proptest::prelude::*;
 use std::ops::ControlFlow;
@@ -170,6 +179,64 @@ proptest! {
                 prop_assert!(ta.structure.universe_size() <= n);
                 prop_assert!(b.tableaux.iter().any(|tb| isomorphic_pointed(ta, tb)));
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random bodies: `eval_naive` agrees with the frozen seed engine
+    /// and the naive plan, and Yannakakis, whenever the body is
+    /// acyclic, returns its rows under every `EvalConfig` — uncached,
+    /// cold and warm, full and Boolean.
+    #[test]
+    fn yannakakis_equals_naive(q in random_body(), d in database()) {
+        let expected = check_oracle(&q, &d);
+        check_acyclic(&q, &d, &expected, every_config);
+    }
+
+    /// The engine's chosen plan returns the oracle's rows, cold, warm
+    /// and again, on the query and on its Boolean version, with
+    /// unbounded and with starved caches, over dense databases.
+    #[test]
+    fn engine_plan_matches_naive_and_yannakakis(
+        q in random_body(),
+        d in database_of(ANY_KIND, 1..=1),
+    ) {
+        check_engine(&q, &d, &eval_naive(&q, &d));
+    }
+
+    /// The same over databases re-spaced into a larger universe, whose
+    /// domain dictionary is not the identity.
+    #[test]
+    fn dense_encoding_agrees_with_hashed_and_naive(
+        q in random_body(),
+        d in database_of(ANY_KIND, 2..=3),
+    ) {
+        check_engine(&q, &d, &eval_naive(&q, &d));
+    }
+
+    /// A starvation-level cache budget only costs rebuilds, never
+    /// answers: batches at 1, 2 and 8 threads with both caches at one
+    /// byte return the oracle's answers and hold at most one byte. A
+    /// concurrent request can only coalesce onto a flight another one
+    /// started, so no schedule looks the cache up (hits + misses) more
+    /// often than the sequential run.
+    #[test]
+    fn tiny_cache_budget_is_correct_and_schedule_independent(
+        d in database(),
+        dup in 2..4usize,
+    ) {
+        let snaps = serve_batches(&d, 1, dup);
+        let lookups = |i: usize| snaps[i].counters.mat_hits + snaps[i].counters.mat_misses;
+        for (i, threads) in THREADS.into_iter().enumerate() {
+            let resident = snaps[i].mat_cache_bytes_by_db["d"];
+            prop_assert!(resident <= 1, "{} bytes held at {} threads", resident, threads);
+            prop_assert!(
+                lookups(i) <= lookups(0),
+                "{} lookups at {} threads, {} sequentially", lookups(i), threads, lookups(0)
+            );
         }
     }
 }
