@@ -1,4 +1,4 @@
-//! E11 / Theorem 4.12: gadget verification costs and the exponential
+//! Theorem 4.12: gadget verification costs and the exponential
 //! growth of the Graph Acyclic Approximation decision procedure.
 
 use cqapx_gadgets::{decision, dp};

@@ -1,4 +1,4 @@
-//! E1 / Figure 1: time to compute approximations per class, over the
+//! Figure 1: time to compute approximations per class, over the
 //! paper-derived query suite.
 
 use cqapx_bench::workloads;

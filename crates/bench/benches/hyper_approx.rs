@@ -1,4 +1,4 @@
-//! E10 / Section 6: hypergraph-based approximation costs (Example 6.6
+//! Section 6: hypergraph-based approximation costs (Example 6.6
 //! recovery, hypertree-width membership checks, repair search).
 
 use cqapx_core::{all_approximations, Acyclic, ApproxOptions, HtwK, QueryClass};

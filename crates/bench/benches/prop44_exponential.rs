@@ -1,4 +1,4 @@
-//! E3 / Figures 3–5: building and verifying the exponential family of
+//! Figures 3–5: building and verifying the exponential family of
 //! Proposition 4.4 (construction, fold incomparability, core checks).
 
 use cqapx_gadgets::prop44;

@@ -1,4 +1,4 @@
-//! E6 / Proposition 5.6: the tight family — hom checks scale with k, the
+//! Proposition 5.6: the tight family — hom checks scale with k, the
 //! exhaustive uniqueness search pays Bell(2k+2).
 
 use cqapx_bench::workloads;

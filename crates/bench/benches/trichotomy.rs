@@ -1,4 +1,4 @@
-//! E4 / Theorem 5.1: polynomial classification vs exponential
+//! Theorem 5.1: polynomial classification vs exponential
 //! approximation — the complexity gap, measured.
 
 use cqapx_bench::workloads;

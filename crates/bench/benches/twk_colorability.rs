@@ -1,4 +1,4 @@
-//! E8 / Theorem 5.10, Corollary 5.11: `(k+1)`-colorability tests vs the
+//! Theorem 5.10, Corollary 5.11: `(k+1)`-colorability tests vs the
 //! full TW(k)-approximation decision.
 
 use cqapx_bench::workloads;

@@ -1,25 +1,27 @@
-//! The **frozen pre-refactor homomorphism engine**, kept verbatim (minus
-//! docs) as a measurement baseline and differential-test oracle.
+//! Test oracles, frozen: the seed's homomorphism engine and, on top of
+//! it, the exhaustive approximation pipeline.
 //!
-//! This is the seed's `cqapx_structures::hom` search loop: per-call
-//! target-index construction, per-call source compilation, forward
-//! checking seeded from the tuples incident to the last assigned
-//! variable. The live engine (`cqapx_structures::solver::HomSolver`)
-//! replaced it with cached per-structure indexes, compiled reusable
-//! sources and a shared-budget GAC queue; the two must stay
-//! *semantically* identical — `tests/hom_differential.rs` checks that on
-//! random structures — while `exp_hom` records how far apart they are in
-//! time (`BENCH_hom.json`).
+//! [`BaselineHom`] is the seed's `cqapx_structures::hom` search loop,
+//! kept verbatim (minus docs): per-call target-index construction,
+//! per-call source compilation, forward checking seeded from the tuples
+//! incident to the last assigned variable. The live engine
+//! (`cqapx_structures::solver::HomSolver`) replaced it with cached
+//! per-structure indexes, compiled reusable sources and a shared-budget
+//! GAC queue; the two must stay *semantically* identical.
+//!
+//! The `baseline_*` functions drive it the way the seed's `core_ops` and
+//! `approx` modules did: cores by one fresh search per exclusion probe,
+//! →-minimality and dedup as full pairwise matrices, and the
+//! approximations of a graph-based class as the cores of the →-minimal
+//! in-class quotients over every partition of the variables.
+//!
+//! `tests/hom_differential.rs` checks the live solver, cores and the
+//! pruned approximation search against them on random structures; the
+//! evaluation harness (`tests/harness/mod.rs`) triangulates `eval_naive`
+//! with [`BaselineHom`].
 //!
 //! Do not "improve" this module: its value is being exactly the engine
-//! the speedup claims are measured against.
-//!
-//! The second half of the module freezes the **row-based Yannakakis
-//! evaluator** ([`BaselineVarRelation`] / [`BaselineAcyclicPlan`]) the
-//! same way: it is the pre-columnar evaluation kernel, kept as the
-//! reference side of `exp_eval` / `BENCH_eval.json`. It is no test
-//! oracle: the harness in `tests/harness/mod.rs` checks every tier
-//! against `eval_naive`, triangulated by [`BaselineHom`].
+//! and the pipeline the live code is checked against.
 
 use cqapx_structures::{Element, Pointed, RelId, Structure, Tuple};
 use std::collections::HashSet;
@@ -651,341 +653,6 @@ pub fn baseline_all_approximations_tableaux(
         .collect()
 }
 
-// ======================================================================
-// The frozen pre-columnar **row-based Yannakakis evaluator**: the
-// `HashSet<Vec<Element>>` relation representation and the clone-heavy
-// full reducer exactly as they stood before the flat/columnar join
-// kernel replaced them. `exp_eval` measures the distance in time
-// (`BENCH_eval.json`).
-//
-// Do not "improve" this section either: its value is being exactly the
-// evaluator the columnar-kernel speedup claims are measured against.
-// ======================================================================
-
-/// The seed's row-set relation: a schema of distinct variables plus a
-/// `HashSet` of materialized rows (one `Vec` per row).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BaselineVarRelation {
-    /// The schema: distinct variables, in a fixed order.
-    pub schema: Vec<cqapx_cq::VarId>,
-    /// The rows; each row has `schema.len()` values.
-    pub rows: HashSet<Vec<Element>>,
-}
-
-impl BaselineVarRelation {
-    /// An empty relation over a schema.
-    pub fn empty(schema: Vec<cqapx_cq::VarId>) -> Self {
-        BaselineVarRelation {
-            schema,
-            rows: HashSet::new(),
-        }
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` when there are no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    fn positions(&self, vars: &[cqapx_cq::VarId]) -> Vec<usize> {
-        vars.iter()
-            .map(|v| {
-                self.schema
-                    .iter()
-                    .position(|s| s == v)
-                    .expect("variable must be in schema")
-            })
-            .collect()
-    }
-
-    fn key(row: &[Element], positions: &[usize]) -> Vec<Element> {
-        positions.iter().map(|&p| row[p]).collect()
-    }
-
-    /// Semijoin `self ⋉ other` on their shared variables.
-    pub fn semijoin(&mut self, other: &BaselineVarRelation) {
-        let shared: Vec<cqapx_cq::VarId> = self
-            .schema
-            .iter()
-            .copied()
-            .filter(|v| other.schema.contains(v))
-            .collect();
-        if shared.is_empty() {
-            if other.is_empty() {
-                self.rows.clear();
-            }
-            return;
-        }
-        let my_pos = self.positions(&shared);
-        let their_pos = other.positions(&shared);
-        let keys: HashSet<Vec<Element>> = other
-            .rows
-            .iter()
-            .map(|r| Self::key(r, &their_pos))
-            .collect();
-        self.rows.retain(|r| keys.contains(&Self::key(r, &my_pos)));
-    }
-
-    /// Natural join `self ⋈ other` (hash join, build on the smaller side).
-    pub fn join(&self, other: &BaselineVarRelation) -> BaselineVarRelation {
-        use std::collections::HashMap;
-        let shared: Vec<cqapx_cq::VarId> = self
-            .schema
-            .iter()
-            .copied()
-            .filter(|v| other.schema.contains(v))
-            .collect();
-        let extra: Vec<cqapx_cq::VarId> = other
-            .schema
-            .iter()
-            .copied()
-            .filter(|v| !self.schema.contains(v))
-            .collect();
-        let mut schema = self.schema.clone();
-        schema.extend_from_slice(&extra);
-
-        let their_shared_pos = other.positions(&shared);
-        let their_extra_pos = other.positions(&extra);
-        let my_shared_pos = self.positions(&shared);
-
-        let mut rows = HashSet::new();
-        if self.rows.len() <= other.rows.len() {
-            let mut index: HashMap<Vec<Element>, Vec<&Vec<Element>>> = HashMap::new();
-            for r in &self.rows {
-                index
-                    .entry(Self::key(r, &my_shared_pos))
-                    .or_default()
-                    .push(r);
-            }
-            for r in &other.rows {
-                if let Some(matches) = index.get(&Self::key(r, &their_shared_pos)) {
-                    let ext = Self::key(r, &their_extra_pos);
-                    for &mine in matches {
-                        let mut row = mine.clone();
-                        row.extend_from_slice(&ext);
-                        rows.insert(row);
-                    }
-                }
-            }
-        } else {
-            let mut index: HashMap<Vec<Element>, Vec<Vec<Element>>> = HashMap::new();
-            for r in &other.rows {
-                index
-                    .entry(Self::key(r, &their_shared_pos))
-                    .or_default()
-                    .push(Self::key(r, &their_extra_pos));
-            }
-            for r in &self.rows {
-                if let Some(matches) = index.get(&Self::key(r, &my_shared_pos)) {
-                    for ext in matches {
-                        let mut row = r.clone();
-                        row.extend_from_slice(ext);
-                        rows.insert(row);
-                    }
-                }
-            }
-        }
-        BaselineVarRelation { schema, rows }
-    }
-
-    /// Projection onto a sub-schema (O(vars²) duplicate scan, as seeded).
-    pub fn project(&self, vars: &[cqapx_cq::VarId]) -> BaselineVarRelation {
-        let positions = self.positions(vars);
-        let mut seen = Vec::new();
-        let mut schema = Vec::new();
-        let mut keep_positions = Vec::new();
-        for (&v, &p) in vars.iter().zip(positions.iter()) {
-            if !seen.contains(&v) {
-                seen.push(v);
-                schema.push(v);
-                keep_positions.push(p);
-            }
-        }
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| Self::key(r, &keep_positions))
-            .collect();
-        BaselineVarRelation { schema, rows }
-    }
-
-    /// Reads the rows out in the order of an explicit head.
-    pub fn rows_in_head_order(
-        &self,
-        head: &[cqapx_cq::VarId],
-    ) -> std::collections::BTreeSet<Vec<Element>> {
-        let positions = self.positions(head);
-        self.rows.iter().map(|r| Self::key(r, &positions)).collect()
-    }
-}
-
-#[derive(Debug, Clone)]
-struct BaselineGroup {
-    vars: Vec<cqapx_cq::VarId>,
-    atoms: Vec<usize>,
-}
-
-/// The seed's compiled Yannakakis plan: materialize one row-set relation
-/// per hyperedge, full-reduce with per-edge relation clones, then join
-/// bottom-up with projection — the evaluator the columnar kernel
-/// replaced.
-#[derive(Debug, Clone)]
-pub struct BaselineAcyclicPlan {
-    query: cqapx_cq::ConjunctiveQuery,
-    groups: Vec<BaselineGroup>,
-    join_tree: cqapx_hypergraphs::JoinTree,
-}
-
-impl BaselineAcyclicPlan {
-    /// Compiles a plan; fails (with `None`) when the query is cyclic.
-    pub fn compile(query: &cqapx_cq::ConjunctiveQuery) -> Option<BaselineAcyclicPlan> {
-        let mut groups: Vec<BaselineGroup> = Vec::new();
-        for (ai, atom) in query.atoms().iter().enumerate() {
-            let mut vars: Vec<cqapx_cq::VarId> = atom.args.clone();
-            vars.sort_unstable();
-            vars.dedup();
-            match groups.iter_mut().find(|g| g.vars == vars) {
-                Some(g) => g.atoms.push(ai),
-                None => groups.push(BaselineGroup {
-                    vars,
-                    atoms: vec![ai],
-                }),
-            }
-        }
-        let mut h = cqapx_hypergraphs::Hypergraph::new(query.var_count());
-        for g in &groups {
-            h.add_edge(&g.vars);
-        }
-        let join_tree = cqapx_hypergraphs::gyo::gyo_reduce(&h).join_tree?;
-        Some(BaselineAcyclicPlan {
-            query: query.clone(),
-            groups,
-            join_tree,
-        })
-    }
-
-    fn materialize(&self, gi: usize, d: &Structure) -> BaselineVarRelation {
-        let g = &self.groups[gi];
-        let mut rel: Option<BaselineVarRelation> = None;
-        for &ai in &g.atoms {
-            let atom = &self.query.atoms()[ai];
-            let mut rows = HashSet::new();
-            'tuples: for t in d.tuples(atom.rel) {
-                let mut binding: Vec<Option<Element>> = vec![None; self.query.var_count()];
-                for (&v, &val) in atom.args.iter().zip(t.iter()) {
-                    match binding[v as usize] {
-                        None => binding[v as usize] = Some(val),
-                        Some(prev) if prev == val => {}
-                        Some(_) => continue 'tuples,
-                    }
-                }
-                let row: Vec<Element> = g
-                    .vars
-                    .iter()
-                    .map(|&v| binding[v as usize].expect("group var bound"))
-                    .collect();
-                rows.insert(row);
-            }
-            let atom_rel = BaselineVarRelation {
-                schema: g.vars.clone(),
-                rows,
-            };
-            rel = Some(match rel {
-                None => atom_rel,
-                Some(mut acc) => {
-                    acc.rows.retain(|r| atom_rel.rows.contains(r));
-                    acc
-                }
-            });
-        }
-        rel.expect("groups are nonempty")
-    }
-
-    fn full_reduce(&self, rels: &mut [BaselineVarRelation]) -> bool {
-        let order = self.join_tree.bottom_up_order();
-        for &u in &order {
-            if let Some(p) = self.join_tree.parent[u] {
-                let child = rels[u].clone();
-                rels[p as usize].semijoin(&child);
-            }
-            if rels[u].is_empty() {
-                return false;
-            }
-        }
-        for &u in order.iter().rev() {
-            if let Some(p) = self.join_tree.parent[u] {
-                let parent = rels[p as usize].clone();
-                rels[u].semijoin(&parent);
-                if rels[u].is_empty() {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Boolean evaluation: `Q(D) ≠ ∅`.
-    pub fn eval_boolean(&self, d: &Structure) -> bool {
-        let mut rels: Vec<BaselineVarRelation> = (0..self.groups.len())
-            .map(|gi| self.materialize(gi, d))
-            .collect();
-        self.full_reduce(&mut rels)
-    }
-
-    /// Full evaluation: the set of answer tuples in head order.
-    pub fn eval(&self, d: &Structure) -> std::collections::BTreeSet<Vec<Element>> {
-        use std::collections::BTreeSet;
-        let mut rels: Vec<BaselineVarRelation> = (0..self.groups.len())
-            .map(|gi| self.materialize(gi, d))
-            .collect();
-        if !self.full_reduce(&mut rels) {
-            return BTreeSet::new();
-        }
-        if self.query.is_boolean() {
-            let mut out = BTreeSet::new();
-            out.insert(Vec::new());
-            return out;
-        }
-        let free: BTreeSet<cqapx_cq::VarId> = self.query.free_vars().iter().copied().collect();
-        let children = self.join_tree.children();
-        let order = self.join_tree.bottom_up_order();
-        let mut partial: Vec<Option<BaselineVarRelation>> = vec![None; self.groups.len()];
-        for &u in &order {
-            let mut acc = rels[u].clone();
-            for &c in &children[u] {
-                let child = partial[c].take().expect("children processed first");
-                acc = acc.join(&child);
-            }
-            let keep: Vec<cqapx_cq::VarId> = acc
-                .schema
-                .iter()
-                .copied()
-                .filter(|v| {
-                    free.contains(v)
-                        || self.join_tree.parent[u]
-                            .map(|p| self.groups[p as usize].vars.contains(v))
-                            .unwrap_or(false)
-                })
-                .collect();
-            partial[u] = Some(acc.project(&keep));
-        }
-        let mut result: Option<BaselineVarRelation> = None;
-        for r in self.join_tree.roots() {
-            let rel = partial[r].take().expect("root processed");
-            result = Some(match result {
-                None => rel,
-                Some(acc) => acc.join(&rel),
-            });
-        }
-        let result = result.expect("at least one root");
-        result.rows_in_head_order(self.query.free_vars())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1010,18 +677,5 @@ mod tests {
         let g = cycle(3).disjoint_union(&cycle(6));
         let core = baseline_core_of(&Pointed::boolean(g));
         assert_eq!(core.structure.universe_size(), 3);
-    }
-
-    #[test]
-    fn baseline_yannakakis_sanity() {
-        let q = cqapx_cq::parse_cq("Q(x, w) :- E(x, y), E(y, z), E(z, w)").unwrap();
-        let plan = BaselineAcyclicPlan::compile(&q).unwrap();
-        let d = Structure::digraph(4, &[(0, 1), (1, 2), (2, 3)]);
-        let answers = plan.eval(&d);
-        assert_eq!(answers.len(), 1);
-        assert!(answers.contains(&vec![0, 3]));
-        assert!(plan.eval_boolean(&d));
-        let cyclic = cqapx_cq::parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap();
-        assert!(BaselineAcyclicPlan::compile(&cyclic).is_none());
     }
 }

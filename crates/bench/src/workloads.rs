@@ -46,27 +46,6 @@ pub fn fig1_suite() -> Vec<(&'static str, ConjunctiveQuery)> {
     ]
 }
 
-/// A layered random DAG database: `layers` layers of `width` nodes with
-/// forward edges of probability `p` between consecutive layers. Dense in
-/// long paths, free of directed cycles — adversarial for backtracking
-/// cycle queries, trivial for their acyclic approximations.
-pub fn layered_dag(layers: usize, width: usize, p: f64, seed: u64) -> Structure {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = layers * width;
-    let mut g = Digraph::new(n);
-    let id = |l: usize, i: usize| (l * width + i) as Element;
-    for l in 0..layers - 1 {
-        for i in 0..width {
-            for j in 0..width {
-                if rng.gen_bool(p) {
-                    g.add_edge(id(l, i), id(l + 1, j));
-                }
-            }
-        }
-    }
-    g.to_structure()
-}
-
 /// A random digraph database (Erdős–Rényi, expected out-degree `d`).
 pub fn random_db(n: usize, expected_degree: f64, seed: u64) -> Structure {
     generators::random_digraph(n, expected_degree / n as f64, seed).to_structure()
@@ -180,94 +159,6 @@ pub fn random_relation_db(n: usize, arity: usize, tuples: usize, seed: u64) -> S
     b.finish()
 }
 
-/// Two independent random edge relations `E` and `F` over `n` nodes,
-/// with a handful of planted reversed overlaps (`E(x,y)` alongside
-/// `E(y,x)` or `F(y,x)`) so reversed-atom intersection queries have
-/// nonempty answers. Atoms like `E(y, x)` under a head-fixed variable
-/// order materialize scans that arrive genuinely out of row order —
-/// the canonicalizing-sort- and intersection-bound shape the packed
-/// code-word kernels target.
-pub fn two_rel_reversed_db(n: usize, edges: usize, seed: u64) -> Structure {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let vocab = Vocabulary::new(vec![("E", 2), ("F", 2)]);
-    let (e, f) = (
-        vocab.rel("E").expect("E declared"),
-        vocab.rel("F").expect("F declared"),
-    );
-    let mut b = StructureBuilder::new(vocab, n);
-    let mut es = Vec::with_capacity(edges);
-    for _ in 0..edges {
-        let (x, y) = (
-            rng.gen_range(0..n as Element),
-            rng.gen_range(0..n as Element),
-        );
-        es.push((x, y));
-        b.add(e, &[x, y]);
-        b.add(
-            f,
-            &[
-                rng.gen_range(0..n as Element),
-                rng.gen_range(0..n as Element),
-            ],
-        );
-    }
-    for i in 0..60 {
-        let (x, y) = es[i * 37 % es.len()];
-        b.add(f, &[y, x]); // reversed overlap of F with E
-        let (x2, y2) = es[(i * 53 + 11) % es.len()];
-        b.add(e, &[y2, x2]); // mutual E pair
-    }
-    b.finish()
-}
-
-/// The query mix for the engine-serving benchmarks: acyclic shapes the
-/// planner sends to Yannakakis, cheap cyclic shapes it evaluates
-/// naively, and an expensive cyclic shape (the introduction's `Q2`) that
-/// exercises the approximation sandwich and its cache.
-pub fn serving_suite() -> Vec<(&'static str, ConjunctiveQuery)> {
-    vec![
-        (
-            "two_hop (acyclic)",
-            parse_cq("Q(x, z) :- E(x, y), E(y, z)").unwrap(),
-        ),
-        (
-            "triangle_members (cyclic)",
-            parse_cq("Q(x) :- E(x, y), E(y, z), E(z, x)").unwrap(),
-        ),
-        (
-            "c4 (cyclic)",
-            parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,a)").unwrap(),
-        ),
-        (
-            "intro Q2 (expensive)",
-            parse_cq(
-                "Q() :- E(x,y), E(y,z), E(z,u), E(x1,y1), E(y1,z1), E(z1,u1), E(x,z1), E(y,u1)",
-            )
-            .unwrap(),
-        ),
-    ]
-}
-
-/// A random cyclic Boolean graph query with `n` variables whose tableau
-/// is connected (resampled until cyclic).
-pub fn random_cyclic_query(n: usize, seed: u64) -> ConjunctiveQuery {
-    let mut seed = seed;
-    loop {
-        let g = generators::random_digraph(n, 2.2 / n as f64, seed);
-        let s = g.to_structure();
-        if !s.is_relations_empty() {
-            let (s, _) = s.restrict_to_adom();
-            let q = query_from_tableau(&Pointed::boolean(s));
-            if !cqapx_cq::classes::is_acyclic_query(&q) && q.var_count() >= 4 {
-                return q;
-            }
-        }
-        seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,24 +170,6 @@ mod tests {
                 !cqapx_cq::classes::is_acyclic_query(&q) || cqapx_cq::treewidth_of_query(&q) > 1,
                 "{name} should be outside TW(1) or AC"
             );
-        }
-    }
-
-    #[test]
-    fn layered_dag_has_no_cycles() {
-        let d = layered_dag(4, 5, 0.5, 7);
-        let g = Digraph::from_structure(&d);
-        // no directed cycle: topological by layers
-        assert!(g
-            .edges()
-            .all(|(u, v)| (u as usize) / 5 < (v as usize) / 5 + 1));
-    }
-
-    #[test]
-    fn random_queries_are_cyclic() {
-        for seed in 0..5 {
-            let q = random_cyclic_query(7, seed);
-            assert!(!cqapx_cq::classes::is_acyclic_query(&q));
         }
     }
 }

@@ -14,8 +14,8 @@
 //! over `{t₁ … t₄}` are realizable.
 //!
 //! The **plain choosers** `S₁₃`, `S₂₁`, `S₃₂` of the paper exist only in
-//! Figure 15, whose wiring did not survive the text extraction (see
-//! `DESIGN.md`). [`PairGadget`] is the interface they would implement,
+//! Figure 15, whose wiring did not survive the text extraction, so they
+//! are not built. [`PairGadget`] is the interface they would implement,
 //! and [`pair_table`] is the verification harness: it computes, for any
 //! candidate gadget, the exact set of realizable `(h(a), h(b))` pairs
 //! (sound by Lemma 4.5: all gadgets are balanced of height 25, so `a`,

@@ -11,10 +11,11 @@
 //! (Figure 14), and chooser gadgets assembled from the connectors.
 //!
 //! Everything specified in the *text* of the appendix is built here and
-//! machine-verified in tests; the plain choosers of Figure 15 exist only
-//! as a lost figure and are substituted per `DESIGN.md` (the
-//! [`choosers`] module documents the interface and the verification
-//! harness for any candidate implementation).
+//! machine-verified in tests. The plain choosers of Figure 15 exist only
+//! as a lost figure, so they are not built; the [`choosers`] module
+//! substitutes the interface they would implement and the harness that
+//! verifies any candidate wiring (the extended choosers, given in the
+//! text, are built and pass it).
 
 pub mod anchored;
 pub mod big_t;

@@ -87,9 +87,8 @@ mod tests {
 
     #[test]
     fn claim_8_1_p_ij() {
-        // Spot-check a representative selection (the full 36×9 matrix runs
-        // in the bench harness).
-        for &(i, j) in &[(1, 2), (3, 5), (7, 9), (2, 5), (3, 9), (5, 7)] {
+        // The full matrix: all 36 pairs i < j against all nine P_k.
+        for (i, j) in (1..=9).flat_map(|i| ((i + 1)..=9).map(move |j| (i, j))) {
             let pij = s(&p_ij(i, j));
             for k in 1..=9 {
                 let pk = s(&p_i(k));

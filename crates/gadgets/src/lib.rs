@@ -22,9 +22,10 @@
 //! machine-checked in this crate's tests with the homomorphism engine
 //! (incomparability of cores, uniqueness of homomorphisms, the extended
 //! chooser pair tables, levels and heights). The one component whose exact
-//! wiring exists only in a lost figure (the plain choosers of Figure 15)
-//! is replaced by a parameterized interface — see [`dp::choosers`] and the
-//! substitution note in `DESIGN.md`.
+//! wiring exists only in a lost figure, the plain choosers of Figure 15,
+//! is not built: it is replaced by an interface ([`dp::choosers::PairGadget`])
+//! and a harness ([`dp::choosers::pair_table`]) that computes the
+//! realizable color pairs of any candidate wiring — see [`dp::choosers`].
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
