@@ -26,8 +26,8 @@
 
 use cqapx_bench::workloads::{lcg, nine_layer_dag, regular_digraph};
 use cqapx_cq::eval::{
-    AcyclicPlan, DecomposedPlan, EvalConfig, MatCacheStats, MatSource, MaterializationCache,
-    NaivePlan, Op, PlanIr,
+    AcyclicPlan, DecomposedPlan, MatCacheStats, MatSource, MaterializationCache, NaivePlan, Op,
+    PlanIr,
 };
 use cqapx_cq::parse_cq;
 use cqapx_engine::{Engine, EngineConfig, PlanKind, Request};
@@ -163,8 +163,7 @@ fn cold_two_path_bag_requests_little_more_than_it_returns() {
     let groups: Vec<Vec<_>> = q.atoms().iter().map(|a| vec![a]).collect();
     let source = MatSource::from_groups(&groups);
     let mut stats = MatCacheStats::default();
-    let (bag, _, requested) =
-        counted(|| source.materialize(&d, None, &mut stats, EvalConfig::default()));
+    let (bag, _, requested) = counted(|| source.materialize(&d, None, &mut stats));
     assert_eq!(stats.wcoj_bag_builds, 1);
     assert_eq!(bag.len(), 16 * n as usize, "every wedge, once");
     let parts = 2 * edges.len() * 2 * std::mem::size_of::<u32>();

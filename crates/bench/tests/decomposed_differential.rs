@@ -7,32 +7,29 @@
 mod harness;
 
 use cqapx_cq::eval::eval_naive;
-use harness::{
-    check_decomposed, check_oracle, database, default_only, every_config, random_body, template,
-};
+use harness::{check_decomposed, check_oracle, database, random_body, template};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Templates: `eval_naive` agrees with the frozen seed engine and
-    /// the naive plan, and every root with it under the default config
-    /// (the lattice's other points are `kernel_config_differential.rs`'s).
+    /// the naive plan, and every root with it.
     #[test]
     fn decomposed_agrees_on_templates(q in template(), d in database()) {
         let expected = check_oracle(&q, &d);
-        check_decomposed(&q, &d, &expected, default_only);
+        check_decomposed(&q, &d, &expected);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random bodies: every root under every config. (The oracle and
+    /// Random bodies: every root. (The oracle and
     /// the acyclic tier on this family are
     /// `tests/proptest_invariants.rs`'s.)
     #[test]
     fn decomposed_agrees_on_random_queries(q in random_body(), d in database()) {
-        check_decomposed(&q, &d, &eval_naive(&q, &d), every_config);
+        check_decomposed(&q, &d, &eval_naive(&q, &d));
     }
 }

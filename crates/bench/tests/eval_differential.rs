@@ -2,8 +2,8 @@
 //! duplicates and loops — through the oracle harness
 //! (`harness/mod.rs`): the oracle triangulated by the frozen seed
 //! engine, the kernel against the reference join, and the engine's
-//! cached path. The tree tiers' answers on the same family, under every
-//! `EvalConfig`, are `kernel_config_differential.rs`'s.
+//! cached path. The tree tiers' answers on the same family, with the
+//! kernel arm that ran, are `kernel_config_differential.rs`'s.
 
 mod harness;
 
@@ -15,8 +15,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `eval_naive` agrees with the frozen seed engine and the naive
-    /// plan, and every bag and join op of both tree tiers, under every
-    /// config, with the reference join.
+    /// plan, and every bag and join op of both tree tiers with the
+    /// reference join.
     #[test]
     fn kernel_agrees_with_frozen_baseline(q in forest(), d in database()) {
         check_oracle(&q, &d);

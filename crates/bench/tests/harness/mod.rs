@@ -17,16 +17,14 @@
 //!   (`cqapx_bench::baseline::BaselineHom`), which triangulates the
 //!   oracle on every shape;
 //! - [`check_kernels`]: every multi-part bag of every tree-tier plan,
-//!   and every `Op::MultiJoin` a run reaches under every
-//!   `EvalConfig::lattice()` point, rebuilt from the same inputs by the
-//!   reference join (`cqapx_bench::reference`) — byte for byte;
+//!   and every `Op::MultiJoin` a run reaches, rebuilt from the same
+//!   inputs by the reference join (`cqapx_bench::reference`) — byte for
+//!   byte;
 //! - [`check_acyclic`] and [`check_decomposed`]: `AcyclicPlan` when the
 //!   query is acyclic, and `DecomposedPlan` at every root of the reduced
-//!   decomposition at the exact treewidth, each under the default config
-//!   and the lattice points an [`Axis`] picks — uncached, then cold and
-//!   warm through one cache, full and Boolean. Cache hits, misses and
-//!   resident bytes must not move across configs, nor across roots (the
-//!   bags are the same);
+//!   decomposition at the exact treewidth — uncached, then cold and warm
+//!   through one cache, full and Boolean. Cache hits, misses and
+//!   resident bytes must not move across roots (the bags are the same);
 //! - [`check_engine`]: the engine, cold and warm, on the query and on
 //!   its Boolean version, with unbounded caches and with both starved to
 //!   one byte.
@@ -34,6 +32,13 @@
 //! Every answer set passes [`assert_is`]: the oracle's rows as a set,
 //! in its order, with `contains` agreeing. [`serve_batches`] runs the
 //! engine's batches at 1, 2 and 8 threads.
+//!
+//! The kernel has one configuration: a column bitmap answers whenever
+//! the relation is eligible, and rows that pack into one word are
+//! radix-sorted at any size. Which arm ran is read off a run's
+//! `MatCacheStats` ([`kernel_stats`]); [`bitmap_ineligible`] pads a
+//! database until no relation a plan writes is eligible, and
+//! [`scans_unsorted`] tells when a plan must sort a scan.
 //!
 //! Each test binary compiles this module for itself and uses a part of
 //! it, hence `dead_code` is allowed.
@@ -44,13 +49,13 @@ use cqapx_bench::baseline::BaselineHom;
 use cqapx_bench::reference::assert_join;
 use cqapx_bench::workloads::{lcg, skewed_digraph, zipf_db};
 use cqapx_cq::eval::{
-    eval_naive, AcyclicPlan, Answers, DecomposedPlan, EvalConfig, FlatRelation, MatCacheStats,
-    MatSource, MaterializationCache, NaivePlan, Op, PackedMode, PlanIr,
+    eval_naive, AcyclicPlan, Answers, AtomBinder, DecomposedPlan, EvalProfile, FlatRelation,
+    MatCacheStats, MatSource, MaterializationCache, NaivePlan, Op, PlanIr,
 };
 use cqapx_cq::{parse_cq, query_graph, tableau_of, treewidth_of_query, ConjunctiveQuery};
 use cqapx_engine::{Engine, EngineConfig, MetricsLevel, Request, ResponseStatus, StatsSnapshot};
 use cqapx_graphs::treewidth::treewidth_at_most;
-use cqapx_structures::{Element, Structure};
+use cqapx_structures::{Element, Structure, StructureBuilder, Vocabulary};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::ops::{ControlFlow, Range, RangeInclusive};
@@ -332,7 +337,7 @@ pub fn check_bags(ir: &PlanIr, d: &Structure, what: &str) -> (u64, u64) {
     let (mut rows, mut advances) = (0u64, 0u64);
     for source in ir.materialize_sources().filter(|s| s.parts.len() > 1) {
         let mut stats = MatCacheStats::default();
-        let got = source.materialize(d, None, &mut stats, EvalConfig::default());
+        let got = source.materialize(d, None, &mut stats);
         let parts: Vec<FlatRelation> = (source.parts.iter())
             .map(|part| {
                 let alone = MatSource {
@@ -341,7 +346,7 @@ pub fn check_bags(ir: &PlanIr, d: &Structure, what: &str) -> (u64, u64) {
                     parts: vec![part.clone()],
                 };
                 let mut stats = MatCacheStats::default();
-                alone.materialize(d, None, &mut stats, EvalConfig::default())
+                alone.materialize(d, None, &mut stats)
             })
             .collect();
         let refs: Vec<&FlatRelation> = parts.iter().collect();
@@ -379,123 +384,81 @@ pub fn check_joins(ir: &PlanIr, d: &Structure, what: &str) -> usize {
     wide
 }
 
-/// The kernel against the reference join: every multi-part bag of
-/// every tree-tier plan of `q`, and every join op their runs reach
-/// under every [`EvalConfig`].
-pub fn check_kernels(q: &ConjunctiveQuery, d: &Structure) {
+/// Every tree-tier plan of `q`, named: `AcyclicPlan` when `q` is
+/// acyclic, then `DecomposedPlan` at every root.
+fn tree_plans(q: &ConjunctiveQuery) -> Vec<(String, PlanIr)> {
     let acyclic = AcyclicPlan::compile(q).ok();
-    let acyclic = acyclic
-        .iter()
-        .map(|plan| ("yannakakis".to_string(), plan.ir()));
+    let acyclic = (acyclic.iter()).map(|plan| ("yannakakis".to_string(), plan.ir().clone()));
     let roots = decomposed_roots(q);
-    let roots = (roots.iter().enumerate()).map(|(root, plan)| (format!("root {root}"), plan.ir()));
-    for (tier, ir) in acyclic.chain(roots) {
-        check_bags(ir, d, &format!("{tier}, {q}"));
-        for config in EvalConfig::lattice() {
-            let ir = ir.clone().with_eval_config(config);
-            check_joins(&ir, d, &format!("{tier}, {config:?}, {q}"));
-        }
+    let roots =
+        (roots.iter().enumerate()).map(|(root, plan)| (format!("root {root}"), plan.ir().clone()));
+    acyclic.chain(roots).collect()
+}
+
+/// The kernel against the reference join: every multi-part bag of
+/// every tree-tier plan of `q`, and every join op their runs reach.
+pub fn check_kernels(q: &ConjunctiveQuery, d: &Structure) {
+    for (tier, ir) in tree_plans(q) {
+        check_bags(&ir, d, &format!("{tier}, {q}"));
+        check_joins(&ir, d, &format!("{tier}, {q}"));
     }
-}
-
-/// A lattice axis: which [`EvalConfig`] points besides the default a
-/// tree-tier check covers.
-pub type Axis = fn(EvalConfig) -> bool;
-
-/// The default config alone.
-pub fn default_only(_: EvalConfig) -> bool {
-    false
-}
-
-/// The whole lattice.
-pub fn every_config(_: EvalConfig) -> bool {
-    true
-}
-
-/// The lattice's probe-only points: bitmaps never read, under every
-/// packed mode.
-pub fn probe_axis(config: EvalConfig) -> bool {
-    !config.bitmaps
-}
-
-/// The lattice's forced packed points: radix sorts always or never,
-/// bitmaps read as by default. With [`probe_axis`] and the default this
-/// covers the whole lattice.
-pub fn packed_axis(config: EvalConfig) -> bool {
-    config.bitmaps && config.packed != PackedMode::Auto
 }
 
 /// Hits and misses of a cold and then a warm run through one fresh
 /// cache, and the bytes resident after them.
 type Traffic = (u32, u32, u32, u32, usize);
 
-/// One plan of a tree tier under the default [`EvalConfig`] and every
-/// config on `axis`: its answers — uncached, then cold and warm through
-/// one cache, full and Boolean — are the oracle's. A warm run
-/// materializes nothing, and the cache traffic, returned, is the same
-/// under every config.
+/// One plan of a tree tier: its answers — uncached, then cold and warm
+/// through one cache, full and Boolean — are the oracle's, and a warm
+/// run materializes nothing. Returns the cache traffic.
 fn check_plan(
     ir: &PlanIr,
     q: &ConjunctiveQuery,
     d: &Structure,
     expected: &Rows,
     tier: &str,
-    axis: Axis,
 ) -> Traffic {
     let (head, arity, holds) = (q.free_vars(), q.arity(), !expected.is_empty());
-    let default = EvalConfig::default();
-    let mut traffic = BTreeSet::new();
-    for config in EvalConfig::lattice().filter(|&c| c == default || axis(c)) {
-        let ir = ir.clone().with_eval_config(config);
-        let what = format!("{tier}, {config:?}, {q}");
-        let (uncached, _) = ir.run_answers(head, d, None, None);
-        assert_is(&uncached, expected, arity, &format!("uncached, {what}"));
-        let (boolean, _) = ir.run_boolean(d, None, None);
-        assert_eq!(boolean, holds, "Boolean, uncached, {what}");
-        let cache = MaterializationCache::new();
-        let (cold, sc) = ir.run_answers(head, d, Some(&cache), None);
-        let (warm, sw) = ir.run_answers(head, d, Some(&cache), None);
-        assert_is(&cold, expected, arity, &format!("cold, {what}"));
-        assert_is(&warm, expected, arity, &format!("warm, {what}"));
-        assert!(sc.misses > 0, "cold run must materialize, {what}");
-        assert_eq!(sw.misses, 0, "warm run re-materialized, {what}");
-        let (boolean, sb) = ir.run_boolean(d, Some(&cache), None);
-        assert_eq!((boolean, sb.misses), (holds, 0), "Boolean, warm, {what}");
-        traffic.insert((
-            sc.hits,
-            sc.misses,
-            sw.hits,
-            sw.misses,
-            cache.resident_bytes(),
-        ));
-    }
-    assert_eq!(
-        traffic.len(),
-        1,
-        "cache accounting moved across configs: {tier}, {q}: {traffic:?}"
-    );
-    traffic.pop_first().expect("the lattice has the default")
+    let what = format!("{tier}, {q}");
+    let (uncached, _) = ir.run_answers(head, d, None, None);
+    assert_is(&uncached, expected, arity, &format!("uncached, {what}"));
+    let (boolean, _) = ir.run_boolean(d, None, None);
+    assert_eq!(boolean, holds, "Boolean, uncached, {what}");
+    let cache = MaterializationCache::new();
+    let (cold, sc) = ir.run_answers(head, d, Some(&cache), None);
+    let (warm, sw) = ir.run_answers(head, d, Some(&cache), None);
+    assert_is(&cold, expected, arity, &format!("cold, {what}"));
+    assert_is(&warm, expected, arity, &format!("warm, {what}"));
+    assert!(sc.misses > 0, "cold run must materialize, {what}");
+    assert_eq!(sw.misses, 0, "warm run re-materialized, {what}");
+    let (boolean, sb) = ir.run_boolean(d, Some(&cache), None);
+    assert_eq!((boolean, sb.misses), (holds, 0), "Boolean, warm, {what}");
+    (
+        sc.hits,
+        sc.misses,
+        sw.hits,
+        sw.misses,
+        cache.resident_bytes(),
+    )
 }
 
-/// `AcyclicPlan`, when `q` is acyclic, under the default config and the
-/// points on `axis` (see [`check_plan`]). One single-part source per
-/// hyperedge: the warm run hits every lookup the cold run made.
-pub fn check_acyclic(q: &ConjunctiveQuery, d: &Structure, expected: &Rows, axis: Axis) {
+/// `AcyclicPlan`, when `q` is acyclic (see [`check_plan`]). One
+/// single-part source per hyperedge: the warm run hits every lookup the
+/// cold run made.
+pub fn check_acyclic(q: &ConjunctiveQuery, d: &Structure, expected: &Rows) {
     if let Ok(plan) = AcyclicPlan::compile(q) {
-        let (hits, misses, warm_hits, _, _) =
-            check_plan(plan.ir(), q, d, expected, "yannakakis", axis);
+        let (hits, misses, warm_hits, _, _) = check_plan(plan.ir(), q, d, expected, "yannakakis");
         assert_eq!(warm_hits, hits + misses, "warm lookups, yannakakis, {q}");
     }
 }
 
-/// `DecomposedPlan` at every root, under the default config and the
-/// points on `axis` (see [`check_plan`]); the cache traffic is the same
-/// at every root.
-pub fn check_decomposed(q: &ConjunctiveQuery, d: &Structure, expected: &Rows, axis: Axis) {
+/// `DecomposedPlan` at every root (see [`check_plan`]); the cache
+/// traffic is the same at every root.
+pub fn check_decomposed(q: &ConjunctiveQuery, d: &Structure, expected: &Rows) {
     let traffic: BTreeSet<Traffic> = (decomposed_roots(q).iter().enumerate())
         .map(|(root, plan)| {
             let tier = format!("decomposed at root {root}");
-            check_plan(plan.ir(), q, d, expected, &tier, axis)
+            check_plan(plan.ir(), q, d, expected, &tier)
         })
         .collect();
     assert_eq!(
@@ -505,10 +468,65 @@ pub fn check_decomposed(q: &ConjunctiveQuery, d: &Structure, expected: &Rows, ax
     );
 }
 
-/// Both tree tiers, under the default config and the points on `axis`.
-pub fn check_tiers(q: &ConjunctiveQuery, d: &Structure, expected: &Rows, axis: Axis) {
-    check_acyclic(q, d, expected, axis);
-    check_decomposed(q, d, expected, axis);
+/// Both tree tiers.
+pub fn check_tiers(q: &ConjunctiveQuery, d: &Structure, expected: &Rows) {
+    check_acyclic(q, d, expected);
+    check_decomposed(q, d, expected);
+}
+
+/// The kernel counters of one uncached full run of every tree-tier
+/// plan of `q` over `d`, each with whether the plan semijoins on one
+/// column — the op a column bitmap answers. A run to a nonempty answer
+/// reaches every such op.
+pub fn kernel_stats(q: &ConjunctiveQuery, d: &Structure) -> Vec<(bool, MatCacheStats)> {
+    let one_column =
+        |op: &Op| matches!(op, Op::Semijoin { target_pos, .. } if target_pos.len() == 1);
+    (tree_plans(q).iter())
+        .map(|(_, ir)| (ir.ops().iter().any(one_column), ir.run(d, None, None).1))
+        .collect()
+}
+
+/// `q` and `d` over the vocabulary `E/2, P/1`, with `P` holding the
+/// elements `0..w`: `w` exceeds 64 codes a row of the largest relation
+/// (at least 16 rows) that a run of a tree-tier plan of `q` writes on
+/// `d`, so every dense bound is too sparse for a column bitmap. The
+/// rows of every relation, and the answers over `d`'s own elements,
+/// stay as they were.
+pub fn bitmap_ineligible(q: &ConjunctiveQuery, d: &Structure) -> (ConjunctiveQuery, Structure) {
+    let largest = (tree_plans(q).iter())
+        .flat_map(|(_, ir)| {
+            let mut profile = EvalProfile::default();
+            ir.run(d, None, Some(&mut profile));
+            profile.ops.into_iter().map(|op| op.rows)
+        })
+        .fold(16, usize::max);
+    let w = 64 * largest + 1;
+    let vocab = Vocabulary::new(vec![("E", 2), ("P", 1)]);
+    let (e, p) = (vocab.rel("E").unwrap(), vocab.rel("P").unwrap());
+    let (names, head) = (q.var_names().to_vec(), q.free_vars().to_vec());
+    let pq = ConjunctiveQuery::new(vocab.clone(), names, head, q.atoms().to_vec());
+    let mut b = StructureBuilder::new(vocab, w.max(d.universe_size()));
+    for t in d.tuples(d.vocabulary().rel("E").expect("digraph vocabulary")) {
+        b.add(e, t);
+    }
+    for v in 0..w as Element {
+        b.add(p, &[v]);
+    }
+    (pq, b.finish())
+}
+
+/// Whether some atom of `q`, scanned from `d` into its variables in
+/// ascending order, comes out unsorted. Every tree-tier plan then sorts
+/// that scan: its rows fit a word whenever `d` has an edge.
+pub fn scans_unsorted(q: &ConjunctiveQuery, d: &Structure) -> bool {
+    q.atoms().iter().any(|atom| {
+        let mut vars = atom.args.clone();
+        vars.sort_unstable();
+        vars.dedup();
+        let mut scan = FlatRelation::empty(vars.clone());
+        AtomBinder::compile(atom, &vars).materialize_into(d, &mut scan);
+        !scan.iter_rows().is_sorted_by(|x, y| x < y)
+    })
 }
 
 /// The engine, cold, warm and once more, on `q` and on its Boolean
@@ -548,12 +566,11 @@ pub fn check_engine(q: &ConjunctiveQuery, d: &Structure, expected: &Rows) {
     }
 }
 
-/// The whole contract on `q` over `d`: every part above, every tier
-/// under every config.
+/// The whole contract on `q` over `d`: every part above, every tier.
 pub fn check(q: &ConjunctiveQuery, d: &Structure) {
     let expected = check_oracle(q, d);
     check_kernels(q, d);
-    check_tiers(q, d, &expected, every_config);
+    check_tiers(q, d, &expected);
     check_engine(q, d, &expected);
 }
 

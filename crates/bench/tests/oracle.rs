@@ -24,8 +24,8 @@ mod harness;
 use cqapx_bench::workloads::{self, random_dag, regular_digraph, skewed_digraph};
 use cqapx_core::{all_approximations, Acyclic, ApproxOptions};
 use cqapx_cq::eval::{
-    eval_naive, AcyclicPlan, AnswersBuilder, AtomBinder, DecomposedPlan, EvalConfig, FlatRelation,
-    MatCacheStats, MaterializationCache, NaivePlan, PackedMode,
+    eval_naive, AcyclicPlan, AnswersBuilder, AtomBinder, DecomposedPlan, FlatRelation,
+    MatCacheStats, MaterializationCache, NaivePlan,
 };
 use cqapx_cq::{parse_cq, query_graph, treewidth_of_query, Atom, ConjunctiveQuery};
 use cqapx_engine::{
@@ -235,16 +235,13 @@ fn boolean_cycles_with_and_without_a_witness() {
 /// already canonical, and the boundary only checks: so whatever the
 /// head order — every permutation, a repeated variable, a Cartesian
 /// product of two components — every tier must pass [`check`]. The
-/// larger database puts `two_hop` and `wedge3` above the 512 rows from
-/// which `PackedMode::Auto` sorts by radix.
+/// smaller database keeps `two_hop` and `wedge3` below 512 rows, the
+/// larger one puts them above.
 #[test]
 fn every_head_order_is_the_oracles() {
     let small = workloads::random_db(30, 3.0, 11);
     let large = workloads::random_db(110, 5.0, 5);
-    assert!(
-        large.total_tuples() >= 512,
-        "Auto sorts by radix from 512 rows"
-    );
+    assert!(large.total_tuples() >= 512, "the larger database is large");
     // A sparser graph for the star, whose head takes a cube of each
     // centre's out-degree.
     let sparse = workloads::random_db(24, 2.0, 11);
@@ -295,7 +292,8 @@ proptest! {
     /// elements below `width` pack into `arity · b` bits. Either side
     /// of 32 bits (`u32` ↔ `u64` words) and of 64 (`u64` words ↔
     /// comparison sort), streamed and unioned through `AnswersBuilder`,
-    /// both arms — `PackedMode::Auto`'s radix one from 512 rows — must
+    /// both arms — radix wherever a word holds a row, at any row count,
+    /// and the comparison sort past 64 bits or with no bound — must
     /// leave the oracle's bytes.
     #[test]
     fn packing_boundary_is_byte_identical(
@@ -345,12 +343,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `sort_dedup` on binder-materialized relations must be
-    /// **byte-identical** — same rows in the same buffer order, same
-    /// width bound — between the radix arm (`PackedMode::On`, which the
-    /// call's own counters show ran once) and the comparison sort
-    /// (`Off`). The fixture unions a straight and a reversed scan of the
-    /// edge relation, so the input is unsorted and duplicate-heavy.
+    /// `sort_dedup` on binder-materialized relations must leave the
+    /// oracle's rows — the distinct input rows in ascending order —
+    /// byte for byte in the buffer, with the width bound kept, and the
+    /// call's own counters show the radix arm ran once, on fewer than
+    /// 512 rows: small sorts run on words too. The fixture
+    /// unions a straight and a reversed scan of the edge relation, so
+    /// the input is unsorted and duplicate-heavy.
     #[test]
     fn sort_dedup_radix_is_byte_identical(d in database()) {
         let q = parse_cq("Q(x, y) :- E(x, y), E(y, x)").unwrap();
@@ -365,21 +364,17 @@ proptest! {
         base.union_rows(&reversed);
         base.union_rows(&reversed);
         prop_assume!(!base.is_empty());
+        prop_assert!(base.len() < 512);
 
-        let sorted = |packed| {
-            let mut rel = base.clone();
-            let mut stats = MatCacheStats::default();
-            let config = EvalConfig { packed, ..EvalConfig::default() };
-            rel.sort_dedup(config, &mut stats);
-            (rel, stats.packed_sorts)
-        };
-        let ((radix, words), (cmp, none)) = (sorted(PackedMode::On), sorted(PackedMode::Off));
-        prop_assert_eq!((words, none), (1, 0), "the arms that ran");
-        prop_assert_eq!(radix.len(), cmp.len(), "row counts differ");
-        prop_assert_eq!(radix.domain_width(), cmp.domain_width(), "width differs");
-        let radix_rows: Vec<Vec<u32>> = radix.iter_rows().map(|r| r.to_vec()).collect();
-        let cmp_rows: Vec<Vec<u32>> = cmp.iter_rows().map(|r| r.to_vec()).collect();
-        prop_assert_eq!(radix_rows, cmp_rows, "buffer order differs");
+        let oracle: Rows = base.iter_rows().map(<[u32]>::to_vec).collect();
+        let mut radix = base.clone();
+        let mut stats = MatCacheStats::default();
+        radix.sort_dedup(&mut stats);
+        prop_assert_eq!(stats.packed_sorts, 1, "the radix arm ran");
+        prop_assert_eq!(radix.domain_width(), base.domain_width(), "width differs");
+        let radix_rows: Vec<Vec<u32>> = radix.iter_rows().map(<[u32]>::to_vec).collect();
+        let oracle_rows: Vec<Vec<u32>> = oracle.into_iter().collect();
+        prop_assert_eq!(radix_rows, oracle_rows, "buffer order differs");
     }
 }
 
@@ -483,8 +478,8 @@ fn cached_rows_are_never_written_through_a_sharing_slot() {
                 let what = format!("{text}, budget {budget}, run {run}");
                 assert_is(&answers, &expected, q.arity(), &what);
                 for source in plan.materialize_sources() {
-                    let (mut stats, config) = (MatCacheStats::default(), EvalConfig::default());
-                    let rel = source.materialize(&d, Some(&cache), &mut stats, config);
+                    let mut stats = MatCacheStats::default();
+                    let rel = source.materialize(&d, Some(&cache), &mut stats);
                     let rows: Vec<Vec<u32>> = rel.iter_rows().map(<[u32]>::to_vec).collect();
                     let key = format!("{:?}", source.key);
                     match landed.iter().find(|(k, _)| *k == key) {

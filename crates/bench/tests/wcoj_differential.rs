@@ -1,7 +1,7 @@
 //! The multiway-join kernel through the oracle harness
 //! (`harness/mod.rs`): every multi-part bag of every tree-tier plan —
 //! the decomposed tier at every root — and every `Op::MultiJoin` a run
-//! reaches under every `EvalConfig` equal the reference join
+//! reaches equal the reference join
 //! (`cqapx_bench::reference`) byte for byte, on cyclic templates and on
 //! random digraph bodies, over uniform databases and over Zipf or
 //! hub-skewed ones, where a few hubs hold most edges. The sweeps that

@@ -15,7 +15,7 @@
 //! roots, the naive tier — and nothing here allocates per row.
 
 use crate::ast::VarId;
-use crate::eval::flat::{EvalConfig, FlatRelation, MatCacheStats};
+use crate::eval::flat::{FlatRelation, MatCacheStats};
 use cqapx_structures::{DomainDict, Element};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -113,7 +113,7 @@ impl Answers {
     /// a gather over distinct head variables in head order keeps them
     /// so), then decode through `dict` in place — the encoding is
     /// monotone, so the decoded rows are still strictly increasing.
-    /// The sort takes `config`'s arm and is counted into `stats`.
+    /// The sort is counted into `stats`.
     ///
     /// # Panics
     ///
@@ -122,7 +122,6 @@ impl Answers {
         rel: FlatRelation,
         head: &[VarId],
         dict: &DomainDict,
-        config: EvalConfig,
         stats: &mut MatCacheStats,
     ) -> Answers {
         if head.is_empty() {
@@ -147,7 +146,7 @@ impl Answers {
             }
             FlatRelation::from_raw(positions.len(), rel.len(), data, rel.domain_width())
         };
-        rel.sort_dedup(config, stats);
+        rel.sort_dedup(stats);
         let (rows, mut data) = rel.into_raw();
         if !dict.is_identity() {
             for e in &mut data {
@@ -363,8 +362,7 @@ impl AnswersBuilder {
     }
 
     fn canonicalize(&mut self) {
-        let (config, mut stats) = (EvalConfig::default(), MatCacheStats::default());
-        self.flat.sort_dedup(config, &mut stats);
+        self.flat.sort_dedup(&mut MatCacheStats::default());
         self.canonical = true;
     }
 

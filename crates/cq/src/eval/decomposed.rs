@@ -44,7 +44,7 @@
 use crate::ast::{Atom, ConjunctiveQuery, VarId};
 use crate::classes::query_graph;
 use crate::eval::answers::Answers;
-use crate::eval::flat::{EvalConfig, MatCacheStats, MaterializationCache};
+use crate::eval::flat::{MatCacheStats, MaterializationCache};
 use crate::eval::ir::{compile_tree, MatSource, NodeSpec, PlanIr};
 use cqapx_graphs::treewidth::{treewidth_at_most, TreeDecomposition};
 use cqapx_structures::Structure;
@@ -185,12 +185,6 @@ impl DecomposedPlan {
         &self.ir
     }
 
-    /// The plan with every run taking the kernel arms of `config`.
-    pub fn with_eval_config(mut self, config: EvalConfig) -> DecomposedPlan {
-        self.ir = self.ir.with_eval_config(config);
-        self
-    }
-
     /// Per-bag cost-model inputs, in bag order: the bag's size and the
     /// source materialized for it, whose parts carry their relations
     /// and cache keys.
@@ -311,86 +305,65 @@ mod tests {
         );
     }
 
-    /// The cyclic tier must give identical answers and cache traffic
-    /// with bitmaps read and unread — the bitmap path reaches it
-    /// through the bag semijoin sweeps.
+    /// A dense database, three edges a node on `n` nodes: every bag
+    /// relation is bitmap-eligible.
+    fn dense(n: u32) -> Structure {
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for u in 0..n {
+            edges.push((u, (u * 11 + 5) % n));
+            edges.push((u, (u * 17 + 2) % n));
+            edges.push(((u * 3) % n, u));
+        }
+        Structure::digraph(n as usize, &edges)
+    }
+
+    /// The cyclic tier reads column bitmaps in its bag semijoin sweeps,
+    /// and its stats count them (the triangle is one bag and sweeps
+    /// nothing); the answers and the Boolean answer are
+    /// the naive reference's, the output relation is the reference
+    /// join's over the materialized bags, which reads no bitmap, and a
+    /// warm run adopts every bag the cold run built.
     #[test]
     fn bitmap_kernels_identical_on_cyclic_tier() {
-        let probe = EvalConfig {
-            bitmaps: false,
-            ..EvalConfig::default()
-        };
         let q6 = "Q() :- E(a,p), E(p,b), E(b,q), E(q,c), E(c,r), E(r,a)";
         let qtri = "Q(x) :- E(x,y), E(y,z), E(z,x)";
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for u in 0..60u32 {
-            edges.push((u, (u * 11 + 5) % 60));
-            edges.push((u, (u * 17 + 2) % 60));
-            edges.push(((u * 3) % 60, u));
-        }
-        let d = Structure::digraph(60, &edges);
-        for qs in [q6, qtri] {
+        let d = dense(60);
+        for (qs, sweeps) in [(q6, true), (qtri, false)] {
             let q = parse_cq(qs).unwrap();
             let plan = DecomposedPlan::compile(&q, 2).unwrap();
-            let off = plan.clone().with_eval_config(probe);
-            let cache_on = MaterializationCache::new();
-            let (rows_on, s_on) = plan.eval_cached(&d, Some(&cache_on));
-            let on_bool = plan.eval_boolean(&d);
-            let cache_off = MaterializationCache::new();
-            let (rows_off, s_off) = off.eval_cached(&d, Some(&cache_off));
-            let off_bool = off.eval_boolean(&d);
-            assert_eq!(s_off.bitmap_probes, 0, "bitmaps unread on {qs}");
-            assert_eq!(rows_on, rows_off, "answers differ on {qs}");
-            assert_eq!(on_bool, off_bool, "boolean differs on {qs}");
-            assert_eq!(rows_on, eval_naive(&q, &d), "naive disagrees on {qs}");
-            assert_eq!(
-                (s_on.hits, s_on.misses),
-                (s_off.hits, s_off.misses),
-                "cache traffic must not depend on the kernel ({qs})"
-            );
+            let cache = MaterializationCache::new();
+            let (rows, s_cold) = plan.eval_cached(&d, Some(&cache));
+            let (_, s_warm) = plan.eval_cached(&d, Some(&cache));
+            assert_eq!(s_cold.bitmap_probes > 0, sweeps, "bitmaps read on {qs}");
+            assert_eq!(rows, eval_naive(&q, &d), "naive disagrees on {qs}");
+            assert_eq!(plan.eval_boolean(&d), !rows.is_empty(), "boolean on {qs}");
+            plan.ir().assert_output_is_reference_join(&d, qs);
+            assert_eq!(s_warm.misses, 0, "warm run re-materialized on {qs}");
         }
     }
 
-    /// The cyclic tier must give identical answers and cache traffic
-    /// under both packed kernel settings — forcing the packed word
-    /// kernels onto every eligible two-column interface (cross-bag
-    /// semijoins, bag joins, dedups) must not move a byte.
+    /// The cyclic tier sorts on packed code words at every eligible
+    /// interface (cross-bag semijoins, bag joins, dedups) over 60
+    /// edges, where every sort is of fewer than 512 rows: the answers
+    /// and the Boolean answer are the naive reference's, the output
+    /// relation is byte for byte the reference join's, which sorts no
+    /// word, and a warm run adopts every bag.
     #[test]
     fn packed_kernels_identical_on_cyclic_tier() {
-        use crate::eval::flat::PackedMode;
-        let packed = |packed| EvalConfig {
-            packed,
-            ..EvalConfig::default()
-        };
         let q6 = "Q() :- E(a,p), E(p,b), E(b,q), E(q,c), E(c,r), E(r,a)";
         let qpair = "Q(x, y) :- E(x, z), E(z, y), E(x, w), E(w, y)";
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for u in 0..60u32 {
-            edges.push((u, (u * 11 + 5) % 60));
-            edges.push((u, (u * 17 + 2) % 60));
-            edges.push(((u * 3) % 60, u));
-        }
-        let d = Structure::digraph(60, &edges);
+        let d = dense(20);
         for qs in [q6, qpair] {
             let q = parse_cq(qs).unwrap();
             let plan = DecomposedPlan::compile(&q, 2).unwrap();
-            let on = plan.clone().with_eval_config(packed(PackedMode::On));
-            let off = plan.with_eval_config(packed(PackedMode::Off));
-            let cache_on = MaterializationCache::new();
-            let (rows_on, s_on) = on.eval_cached(&d, Some(&cache_on));
-            let on_bool = on.eval_boolean(&d);
-            let cache_off = MaterializationCache::new();
-            let (rows_off, s_off) = off.eval_cached(&d, Some(&cache_off));
-            let off_bool = off.eval_boolean(&d);
-            assert_eq!(s_off.packed_sorts, 0, "comparison sorts only on {qs}");
-            assert_eq!(rows_on, rows_off, "answers differ on {qs}");
-            assert_eq!(on_bool, off_bool, "boolean differs on {qs}");
-            assert_eq!(rows_on, eval_naive(&q, &d), "naive disagrees on {qs}");
-            assert_eq!(
-                (s_on.hits, s_on.misses),
-                (s_off.hits, s_off.misses),
-                "cache traffic must not depend on the kernel ({qs})"
-            );
+            let cache = MaterializationCache::new();
+            let (rows, s_cold) = plan.eval_cached(&d, Some(&cache));
+            let (_, s_warm) = plan.eval_cached(&d, Some(&cache));
+            assert!(s_cold.packed_sorts > 0, "radix sorts on {qs}");
+            assert_eq!(rows, eval_naive(&q, &d), "naive disagrees on {qs}");
+            assert_eq!(plan.eval_boolean(&d), !rows.is_empty(), "boolean on {qs}");
+            plan.ir().assert_output_is_reference_join(&d, qs);
+            assert_eq!(s_warm.misses, 0, "warm run re-materialized on {qs}");
         }
     }
 

@@ -44,61 +44,6 @@ use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-/// Minimum rows before [`PackedMode::Auto`] routes a relation through
-/// the packed code-word kernels: below this the comparison sort is
-/// already a handful of microseconds and the radix passes' fixed costs
-/// (histograms, scratch buffer) dominate.
-const PACKED_MIN_ROWS: usize = 512;
-
-/// When a sort runs on rows packed into single code words: the radix
-/// arm of `sort_dedup`, which is also the form the join kernel writes
-/// rows it has to sort in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PackedMode {
-    /// Radix sorts wherever packing is legal and the relation has at
-    /// least 512 rows.
-    Auto,
-    /// Radix sorts wherever packing is legal, ignoring the row
-    /// threshold.
-    On,
-    /// No packing: comparison sorts only.
-    Off,
-}
-
-/// The kernel arms a run may take, carried by the compiled plan (see
-/// `PlanIr::with_eval_config`) to every kernel call that dispatches on
-/// it. Every setting yields byte-identical answers and cache accounting
-/// — bitmaps only answer existence, and packing is monotone — so the
-/// value exists for tests that compare the arms in one process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalConfig {
-    /// Whether one-column semijoins and the Boolean sweep read column
-    /// bitmaps. Eligible relations build them either way.
-    pub bitmaps: bool,
-    /// When sorts run on packed code words.
-    pub packed: PackedMode,
-}
-
-impl Default for EvalConfig {
-    /// Bitmaps on, packed sorts by row count: what the engine runs.
-    fn default() -> Self {
-        EvalConfig {
-            bitmaps: true,
-            packed: PackedMode::Auto,
-        }
-    }
-}
-
-impl EvalConfig {
-    /// Every setting, the default first.
-    pub fn lattice() -> impl Iterator<Item = EvalConfig> {
-        [true, false].into_iter().flat_map(|bitmaps| {
-            [PackedMode::Auto, PackedMode::On, PackedMode::Off]
-                .map(|packed| EvalConfig { bitmaps, packed })
-        })
-    }
-}
-
 static BITMAP_PROBES: AtomicU64 = AtomicU64::new(0);
 static PACKED_ROWS: AtomicU64 = AtomicU64::new(0);
 
@@ -388,7 +333,10 @@ impl FlatRelation {
     /// dense bound is known and the word table stays within ~8 bytes
     /// per row (beyond that the bitmap is mostly empty words and a
     /// sorted search is cheaper per cache line). A pure function of the
-    /// relation, so every kernel dispatch agrees on eligibility.
+    /// relation, so every kernel dispatch agrees on eligibility. Eligible
+    /// bitmaps are always read: answering every semijoin with the
+    /// multiway kernel instead took `cqbench`'s `bool_probe_warm` p50
+    /// from 0.34 to 5.37 ms.
     fn bitmap_eligible(&self) -> bool {
         self.domain_width > 0 && (self.domain_width as usize) <= 64 * self.rows.max(16)
     }
@@ -397,19 +345,16 @@ impl FlatRelation {
     /// path: every row packs into one `u64` code word. Legal only when
     /// the dense-domain bound's bit width `b` gives `arity · b ≤ 64` —
     /// wider rows do not fit a word, and without `domain_width > 0` the
-    /// radix passes lose the bounded-digit guarantee the `Auto` cost
-    /// model relies on (see `cqapx_structures::packed`). A pure function
-    /// of the relation and the mode, so every dispatch site agrees.
-    fn packed_sort_wanted(&self, packed: PackedMode) -> bool {
+    /// radix passes lose their bounded digits (see
+    /// `cqapx_structures::packed`). A pure function of the relation, so
+    /// every dispatch site agrees. Legal rows are always packed, at any
+    /// row count: against radix sorts from 512 rows only, every
+    /// `cqbench` workload and metric stayed within bound, and with no
+    /// radix sorts `free_big_answers` was 51 % and `cyclic_bags_cold`
+    /// 28 % slower.
+    fn packed_sort_wanted(&self) -> bool {
         let a = self.schema.len();
-        if self.domain_width == 0 || a == 0 || a * code_bits(self.domain_width) as usize > 64 {
-            return false;
-        }
-        match packed {
-            PackedMode::Off => false,
-            PackedMode::On => true,
-            PackedMode::Auto => self.rows >= PACKED_MIN_ROWS,
-        }
+        self.domain_width > 0 && a > 0 && a * code_bits(self.domain_width) as usize <= 64
     }
 
     /// The existence bitmap of one column, built lazily and shared by
@@ -573,33 +518,25 @@ impl FlatRelation {
     }
 
     /// Sorts rows lexicographically and removes duplicates, leaving the
-    /// canonical form all set-level comparisons rely on, under
-    /// `config`'s arm, its packed sorts counted into `stats`. Nothing
-    /// beyond one sequential pass when the rows already are canonical
-    /// (scans, cache entries, kernel outputs and a plan's head-ordered
-    /// root are) — whichever arm would have run, and a shared buffer
-    /// stays shared.
-    ///
-    /// Narrow relations (arity ≤ 8 — every bag and join-phase
-    /// intermediate of practical plans) take a packed fast path: rows
-    /// are copied into fixed-size arrays and sorted by value, which
-    /// beats the index-indirect comparison sort by avoiding a random
-    /// data-buffer read per comparison. `[Element; A]` orders
-    /// lexicographically, i.e. exactly the canonical row order, so the
-    /// output is bit-identical to the generic path's.
+    /// canonical form all set-level comparisons rely on, its packed
+    /// sorts counted into `stats`. Nothing beyond one sequential pass
+    /// when the rows already are canonical (scans, cache entries, kernel
+    /// outputs and a plan's head-ordered root are) — whichever arm would
+    /// have run, and a shared buffer stays shared.
     ///
     /// When the rows pack into single `u64` code words
     /// (`packed_sort_wanted`: `arity · b ≤ 64` over a `b`-bit dense
-    /// domain), the comparison sort is replaced by an
-    /// LSB **radix sort** over the words. Packing is monotone —
-    /// numeric word order is lexicographic row order — so this too is
-    /// bit-identical, while a relation of `n` dense codes sorts in
-    /// `O(n · passes)` with at most four byte passes under 64 K codes.
+    /// domain) they are sorted by an LSB **radix sort** over the words.
+    /// Packing is monotone — numeric word order is lexicographic row
+    /// order — so this is bit-identical to a comparison sort, while a
+    /// relation of `n` dense codes sorts in `O(n · passes)` with at most
+    /// four byte passes under 64 K codes. Rows with no width bound, or
+    /// too wide for a word, take the comparison sort.
     ///
     /// Built bitmaps stay valid across this call: reordering rows and
     /// dropping whole-row duplicates never changes a column's value
     /// *set*, which is all a bitmap records.
-    pub fn sort_dedup(&mut self, config: EvalConfig, stats: &mut MatCacheStats) {
+    pub fn sort_dedup(&mut self, stats: &mut MatCacheStats) {
         let a = self.schema.len();
         if a == 0 {
             self.rows = self.rows.min(1);
@@ -608,7 +545,7 @@ impl FlatRelation {
         if self.data.chunks_exact(a).is_sorted_by(|x, y| x < y) {
             return;
         }
-        if self.packed_sort_wanted(config.packed) {
+        if self.packed_sort_wanted() {
             return self.sort_dedup_radix(stats);
         }
         self.sort_dedup_cmp()
@@ -699,68 +636,40 @@ impl FlatRelation {
             .collect()
     }
 
-    /// The comparison arm of [`FlatRelation::sort_dedup`] (also
-    /// what [`PackedMode::Off`] pins, for the differential suites to
-    /// compare the radix arm against).
+    /// The comparison arm of [`FlatRelation::sort_dedup`], for rows no
+    /// word holds: an index sort, then one gather into a fresh buffer.
     fn sort_dedup_cmp(&mut self) {
-        fn packed<const A: usize>(rows: usize, data: &mut Vec<Element>) -> usize {
-            let mut packed: Vec<[Element; A]> = Vec::with_capacity(rows);
-            for i in 0..rows {
-                let mut r = [0; A];
-                r.copy_from_slice(&data[i * A..(i + 1) * A]);
-                packed.push(r);
-            }
-            packed.sort_unstable();
-            packed.dedup();
-            data.clear();
-            for r in &packed {
-                data.extend_from_slice(r);
-            }
-            packed.len()
-        }
         let a = self.schema.len();
-        match a {
-            1 => self.rows = packed::<1>(self.rows, self.data.make_mut()),
-            2 => self.rows = packed::<2>(self.rows, self.data.make_mut()),
-            3 => self.rows = packed::<3>(self.rows, self.data.make_mut()),
-            4 => self.rows = packed::<4>(self.rows, self.data.make_mut()),
-            5 => self.rows = packed::<5>(self.rows, self.data.make_mut()),
-            6 => self.rows = packed::<6>(self.rows, self.data.make_mut()),
-            7 => self.rows = packed::<7>(self.rows, self.data.make_mut()),
-            8 => self.rows = packed::<8>(self.rows, self.data.make_mut()),
-            _ => {
-                let data = &self.data;
-                let mut idx: Vec<u32> = (0..self.rows as u32).collect();
-                idx.sort_unstable_by(|&x, &y| {
-                    let (x, y) = (x as usize * a, y as usize * a);
-                    data[x..x + a].cmp(&data[y..y + a])
-                });
-                idx.dedup_by(|&mut x, &mut y| {
-                    let (x, y) = (x as usize * a, y as usize * a);
-                    data[x..x + a] == data[y..y + a]
-                });
-                let mut out = Vec::with_capacity(idx.len() * a);
-                for &i in &idx {
-                    out.extend_from_slice(&data[i as usize * a..][..a]);
-                }
-                self.rows = idx.len();
-                self.data = Rows::Owned(out);
-            }
+        let data = &self.data;
+        let mut idx: Vec<u32> = (0..self.rows as u32).collect();
+        idx.sort_unstable_by(|&x, &y| {
+            let (x, y) = (x as usize * a, y as usize * a);
+            data[x..x + a].cmp(&data[y..y + a])
+        });
+        idx.dedup_by(|&mut x, &mut y| {
+            let (x, y) = (x as usize * a, y as usize * a);
+            data[x..x + a] == data[y..y + a]
+        });
+        let mut out = Vec::with_capacity(idx.len() * a);
+        for &i in &idx {
+            out.extend_from_slice(&data[i as usize * a..][..a]);
         }
+        self.rows = idx.len();
+        self.data = Rows::Owned(out);
     }
 
     /// Semijoin `self ⋉ other` on aligned key columns: keeps the rows of
     /// `self` whose `my_pos` columns match some row of `other` on its
-    /// `their_pos` columns (distinct positions on each side), under
-    /// `config`'s arms, its kernel work counted into `stats`. With empty
-    /// key positions this is the cartesian-semantics degenerate case:
-    /// all rows survive iff `other` is nonempty. Both operands must be
-    /// canonical (rows sorted in their own column order, duplicate-free),
-    /// as every plan slot is. Two arms, one survivor set in one order:
+    /// `their_pos` columns (distinct positions on each side), its kernel
+    /// work counted into `stats`. With empty key positions this is the
+    /// cartesian-semantics degenerate case: all rows survive iff `other`
+    /// is nonempty. Both operands must be canonical (rows sorted in
+    /// their own column order, duplicate-free), as every plan slot is.
+    /// Two arms, one survivor set in one order:
     ///
-    /// * a single-column key against a source with a column bitmap,
-    ///   when `config` reads bitmaps — the bitmap answers "does my code
-    ///   occur in the other column?" for each row (`retain_where`);
+    /// * a single-column key against a source with a column bitmap
+    ///   (`bitmap_eligible`) — the bitmap answers "does my code occur
+    ///   in the other column?" for each row (`retain_where`);
     /// * anything else — the multiway kernel over `self` and `π_K(other)`
     ///   keeping every column of `self`. `π_K(other)` lists the key in
     ///   `self`'s column order under `self`'s variables, so the kernel
@@ -774,7 +683,6 @@ impl FlatRelation {
         my_pos: &[usize],
         other: &FlatRelation,
         their_pos: &[usize],
-        config: EvalConfig,
         stats: &mut MatCacheStats,
     ) {
         debug_assert_eq!(my_pos.len(), their_pos.len(), "key positions must align");
@@ -789,7 +697,7 @@ impl FlatRelation {
             }
             return;
         }
-        if config.bitmaps && my_pos.len() == 1 {
+        if my_pos.len() == 1 {
             if let Some(bm) = other.column_bitmap(their_pos[0]) {
                 stats.note_bitmap_probe();
                 let c = my_pos[0];
@@ -799,12 +707,12 @@ impl FlatRelation {
         let mut key: Vec<(&usize, &usize)> = std::iter::zip(my_pos, their_pos).collect();
         key.sort_unstable();
         let theirs: Vec<VarId> = key.iter().map(|&(_, &j)| other.schema[j]).collect();
-        let mut filter = other.project(&theirs, config, stats);
+        let mut filter = other.project(&theirs, stats);
         let distinct = key.windows(2).all(|w| w[0].0 < w[1].0) && filter.schema.len() == key.len();
         debug_assert!(distinct, "key positions must be distinct on each side");
         filter.schema = key.iter().map(|&(&i, _)| self.schema[i]).collect();
         let parts = [&*self, &filter].into_iter();
-        let kept = multiway_join(parts, &self.schema, config, stats);
+        let kept = multiway_join(parts, &self.schema, stats);
         if kept.rows < self.rows {
             self.rows = kept.rows;
             self.data = kept.data;
@@ -863,19 +771,14 @@ impl FlatRelation {
     /// Projection of a canonical relation (rows sorted, duplicate-free,
     /// as every plan slot is) onto a sub-schema (variables must be
     /// present; duplicates collapse to their first occurrence), its
-    /// sort taking `config`'s arm and counted into `stats`: the kept
+    /// sort counted into `stats`: the kept
     /// columns gathered in this relation's own row order, then
     /// canonicalized — when they lead the schema in order, by dropping
     /// repeats in place, and otherwise by one
     /// [`FlatRelation::sort_dedup`], which meets short runs when a
     /// dropped column separates kept ones. Nothing is joined and no copy
     /// is re-sorted. The width bound is this relation's.
-    pub fn project(
-        &self,
-        vars: &[VarId],
-        config: EvalConfig,
-        stats: &mut MatCacheStats,
-    ) -> FlatRelation {
+    pub fn project(&self, vars: &[VarId], stats: &mut MatCacheStats) -> FlatRelation {
         let mut schema: Vec<VarId> = Vec::with_capacity(vars.len());
         for v in vars {
             if !schema.contains(v) {
@@ -905,14 +808,14 @@ impl FlatRelation {
             debug_assert!(self.iter_rows().is_sorted(), "a canonical relation");
             out.dedup_sorted();
         } else {
-            out.sort_dedup(config, stats);
+            out.sort_dedup(stats);
         }
         out
     }
 
     /// The decoded answer set for `head` as a tree of row vectors — a
-    /// view of [`Answers::from_relation`] under the default
-    /// [`EvalConfig`], kept for callers that measure or inspect the
+    /// view of [`Answers::from_relation`], kept for callers that measure
+    /// or inspect the
     /// boundary per row. Evaluation itself returns [`Answers`] and never
     /// builds the tree.
     pub fn rows_in_head_order_decoded(
@@ -920,8 +823,8 @@ impl FlatRelation {
         head: &[VarId],
         dict: &DomainDict,
     ) -> BTreeSet<Vec<Element>> {
-        let (config, mut stats) = (EvalConfig::default(), MatCacheStats::default());
-        Answers::from_relation(self.clone(), head, dict, config, &mut stats).to_btree_set()
+        let mut stats = MatCacheStats::default();
+        Answers::from_relation(self.clone(), head, dict, &mut stats).to_btree_set()
     }
 }
 
@@ -1119,7 +1022,10 @@ struct Trie<'a> {
 }
 
 impl<'a> Trie<'a> {
-    /// Length of the offsets array over `rel` (`0`: none).
+    /// Length of the offsets array over `rel` (`0`: none). The arrays
+    /// pay rent end to end: with none at all, `cqbench`'s
+    /// `free_big_answers` p50 went 3.27 → 10.19 ms and
+    /// `cyclic_bags_cold` 4.33 → 10.86 ms.
     fn offsets_len(rel: &FlatRelation) -> usize {
         let width = rel.domain_width as usize;
         if width > 0 && width <= 8 * rel.rows {
@@ -1392,6 +1298,9 @@ impl<'p, 'a> WcojRun<'p, 'a> {
                 // no data-dependent branch per step, at a cost linear
                 // in both; of a lopsided pair the short range is walked
                 // and each of its values looked up in the long one.
+                // Both sides pay rent on `cqbench`'s `cyclic_bags_cold`:
+                // merging every pair cost 21 % of its throughput, and
+                // looking up every pair 6 % on its p50.
                 if ie - i > 8 * (je - j) || je - j > 8 * (ie - i) {
                     let (s, l) = if ie - i < je - j { (a, b) } else { (b, a) };
                     let ((mut i, ie), (lo, hi)) = (s.range, l.range);
@@ -1597,7 +1506,6 @@ impl<'p, 'a> WcojRun<'p, 'a> {
 fn reordered(
     part: &FlatRelation,
     level: impl Fn(&VarId) -> usize,
-    config: EvalConfig,
     stats: &mut MatCacheStats,
 ) -> Option<FlatRelation> {
     let arity = part.schema.len();
@@ -1611,7 +1519,7 @@ fn reordered(
         data.extend(perm.iter().map(|&c| row[c]));
     }
     let mut copy = FlatRelation::from_raw(arity, part.rows, data, part.domain_width);
-    copy.sort_dedup(config, stats);
+    copy.sort_dedup(stats);
     Some(copy)
 }
 
@@ -1670,12 +1578,10 @@ fn reordered(
 /// A 0-ary part binds nothing: the true one drops out, and the false
 /// one, like any empty part, makes the result empty. The width bound is
 /// the largest of the parts' when every part with a column has one.
-/// `config` decides the sorts' arms and whether rows are written as
-/// words; cursor moves and packed sorts are added to `stats`.
+/// Cursor moves and packed sorts are added to `stats`.
 pub(crate) fn multiway_join<'a>(
     parts: impl Iterator<Item = &'a FlatRelation> + Clone,
     keep: &[VarId],
-    config: EvalConfig,
     stats: &mut MatCacheStats,
 ) -> FlatRelation {
     let mut out = FlatRelation::empty(keep.to_vec());
@@ -1713,10 +1619,7 @@ pub(crate) fn multiway_join<'a>(
         if parts.clone().all(|p| p.schema.is_sorted_by_key(level)) {
             Vec::new()
         } else {
-            parts
-                .clone()
-                .map(|p| reordered(p, level, config, stats))
-                .collect()
+            parts.clone().map(|p| reordered(p, level, stats)).collect()
         }
     };
     let read = |i: usize, p: &'a FlatRelation| copies.get(i).and_then(Option::as_ref).unwrap_or(p);
@@ -1794,7 +1697,7 @@ pub(crate) fn multiway_join<'a>(
         st.descend(0);
         out.rows = st.rows;
         let b = code_bits(out.domain_width);
-        if !canonical && k > 1 && k as u32 * b <= 32 && out.packed_sort_wanted(config.packed) {
+        if !canonical && k > 1 && k as u32 * b <= 32 && out.packed_sort_wanted() {
             st.word = Some(b);
         }
         st.presize();
@@ -1811,7 +1714,7 @@ pub(crate) fn multiway_join<'a>(
     let Some(b) = st.word else {
         out.data = Rows::Owned(st.out);
         if !canonical {
-            out.sort_dedup(config, stats);
+            out.sort_dedup(stats);
         }
         return out;
     };
@@ -2333,10 +2236,10 @@ mod tests {
         }
     }
 
-    /// The canonical form under the default configuration, counters
+    /// The canonical form, counters
     /// dropped.
     fn canon(r: &mut FlatRelation) {
-        r.sort_dedup(EvalConfig::default(), &mut MatCacheStats::default());
+        r.sort_dedup(&mut MatCacheStats::default());
     }
 
     fn rel(schema: &[VarId], rows: &[&[Element]]) -> FlatRelation {
@@ -2397,13 +2300,7 @@ mod tests {
         let mut a = rel(&[0, 1], &[&[1, 2], &[3, 4], &[5, 6]]);
         let b = rel(&[1, 2], &[&[2, 9], &[6, 9]]);
         // shared var 1: position 1 in a, position 0 in b.
-        a.semijoin_on(
-            &[1],
-            &b,
-            &[0],
-            EvalConfig::default(),
-            &mut MatCacheStats::default(),
-        );
+        a.semijoin_on(&[1], &b, &[0], &mut MatCacheStats::default());
         assert_eq!(a.len(), 2);
         assert_eq!(a.row(0), &[1, 2]);
         assert_eq!(a.row(1), &[5, 6]);
@@ -2413,22 +2310,10 @@ mod tests {
     fn semijoin_disjoint_schemas() {
         let mut a = rel(&[0], &[&[1], &[2]]);
         let b = rel(&[1], &[&[7]]);
-        a.semijoin_on(
-            &[],
-            &b,
-            &[],
-            EvalConfig::default(),
-            &mut MatCacheStats::default(),
-        );
+        a.semijoin_on(&[], &b, &[], &mut MatCacheStats::default());
         assert_eq!(a.len(), 2); // nonempty other: keep all
         let empty = FlatRelation::empty(vec![1]);
-        a.semijoin_on(
-            &[],
-            &empty,
-            &[],
-            EvalConfig::default(),
-            &mut MatCacheStats::default(),
-        );
+        a.semijoin_on(&[], &empty, &[], &mut MatCacheStats::default());
         assert!(a.is_empty()); // empty other: cartesian semantics drop all
     }
 
@@ -2461,11 +2346,7 @@ mod tests {
     #[test]
     fn project_collapses_duplicates_and_dedups() {
         let a = rel(&[0, 1], &[&[1, 2], &[3, 2]]);
-        let p = a.project(
-            &[1, 1],
-            EvalConfig::default(),
-            &mut MatCacheStats::default(),
-        );
+        let p = a.project(&[1, 1], &mut MatCacheStats::default());
         assert_eq!(p.schema(), &[1]);
         assert_eq!(p.len(), 1);
         assert_eq!(p.row(0), &[2]);
@@ -2605,15 +2486,9 @@ mod tests {
         assert!(got.iter_rows().eq(want.iter_rows()), "rows differ: {ctx}");
     }
 
-    /// The kernel under the default configuration, its stats dropped.
+    /// The kernel, its stats dropped.
     fn kernel(parts: &[&FlatRelation], keep: &[VarId]) -> FlatRelation {
-        let parts = parts.iter().copied();
-        multiway_join(
-            parts,
-            keep,
-            EvalConfig::default(),
-            &mut MatCacheStats::default(),
-        )
+        multiway_join(parts.iter().copied(), keep, &mut MatCacheStats::default())
     }
 
     /// [`enumeration_order`] over `schema`, the union of the part
@@ -2797,8 +2672,7 @@ mod tests {
                 }
                 let mut stats = MatCacheStats::default();
                 let parts = [&rels[0], &rels[1]].into_iter();
-                let cfg = EvalConfig::default();
-                let out = multiway_join(parts, &[0, 1, 2], cfg, &mut stats);
+                let out = multiway_join(parts, &[0, 1, 2], &mut stats);
                 let linear = (rels[0].len() + rels[1].len() + out.len()) as u64;
                 assert!(
                     stats.cursor_advances <= 4 * linear,
@@ -3031,16 +2905,13 @@ mod tests {
 
     // ── bitmap existence kernels ────────────────────────────────────
 
-    /// The bitmap semijoin (branch-free selection vector) must be
-    /// byte-identical to the kernel arm — same survivors, same order,
-    /// same width bound.
+    /// The bitmap semijoin (branch-free selection vector) is the arm
+    /// that runs on a dense source, and it must be byte-identical to the
+    /// semijoin by its definition — the reference join keeping the
+    /// target's columns: same survivors, same order; the target keeps
+    /// its width bound.
     #[test]
     fn bitmap_semijoin_is_bit_identical_to_probe() {
-        let on = EvalConfig::default();
-        let off = EvalConfig {
-            bitmaps: false,
-            ..on
-        };
         for &(n, m, width) in &[
             (500usize, 300usize, 64u32),
             (3000, 2500, 900),
@@ -3050,17 +2921,12 @@ mod tests {
             let b = dense_rel(&[1, 2], m, width, 32);
             let mut stats = MatCacheStats::default();
             let mut via_bitmap = a.clone();
-            via_bitmap.semijoin_on(&[1], &b, &[0], on, &mut stats);
+            via_bitmap.semijoin_on(&[1], &b, &[0], &mut stats);
             assert_eq!(stats.bitmap_probes, 1, "dense fixture takes the bitmap");
-            let mut via_probe = a.clone();
-            via_probe.semijoin_on(&[1], &b, &[0], off, &mut stats);
-            assert_eq!(stats.bitmap_probes, 1, "bitmaps off: the kernel");
-            assert_eq!(
-                via_bitmap.data, via_probe.data,
-                "semijoin bytes differ (n={n})"
-            );
-            assert_eq!(via_bitmap.rows, via_probe.rows);
-            assert_eq!(via_bitmap.domain_width, via_probe.domain_width);
+            let want = reference_join(&[&a, &b], &a.schema);
+            assert_eq!(via_bitmap.data, want.data, "semijoin bytes differ (n={n})");
+            assert_eq!(via_bitmap.rows, want.rows);
+            assert_eq!(via_bitmap.domain_width, a.domain_width);
         }
     }
 
@@ -3126,25 +2992,18 @@ mod tests {
 
     // ── packed code-word sorts ──────────────────────────────────────
 
-    /// The default configuration with the sorts' arm set to `mode`.
-    fn packed(mode: PackedMode) -> EvalConfig {
-        EvalConfig {
-            packed: mode,
-            ..EvalConfig::default()
-        }
-    }
-
-    /// The radix `sort_dedup` fast path must leave exactly the bytes
-    /// the comparison sort leaves, for every arity whose rows fit a
-    /// word (`u32` and `u64` words, up to exactly 64 bits), including
-    /// the duplicate-heavy, already-sorted-width-1 and empty cases —
-    /// and the radix arm is the one that ran, once per unsorted input.
+    /// `sort_dedup` on rows that fit a word must leave exactly the
+    /// bytes the comparison arm (`sort_dedup_cmp`, called directly)
+    /// leaves, for every arity whose rows fit a word (`u32` and `u64`
+    /// words, up to exactly 64 bits), including the duplicate-heavy,
+    /// already-sorted-width-1 and empty cases — and the radix arm is
+    /// the one that ran, once per unsorted input at any row count.
     #[test]
     fn packed_sort_dedup_is_byte_identical_to_comparison() {
-        let (on, off) = (packed(PackedMode::On), packed(PackedMode::Off));
         for &(schema, n, width) in &[
             (&[0][..], 900usize, 40u32),
             (&[0, 1][..], 2000, 64),
+            (&[0, 1][..], 100, 64),
             (&[0, 1][..], 1500, 3), // duplicate-heavy
             (&[0, 1][..], 0, 16),
             (&[0, 1][..], 700, 1),                    // b = 0: one possible row
@@ -3162,8 +3021,8 @@ mod tests {
             radix.domain_width = width;
             let mut cmp = radix.clone();
             let mut stats = MatCacheStats::default();
-            radix.sort_dedup(on, &mut stats);
-            cmp.sort_dedup(off, &mut stats);
+            radix.sort_dedup(&mut stats);
+            cmp.sort_dedup_cmp();
             let sorted = u64::from(n > 0);
             assert_eq!((stats.packed_sorts, stats.packed_rows), (sorted, n as u64));
             assert_eq!(radix.schema, cmp.schema);
@@ -3171,34 +3030,34 @@ mod tests {
             assert_eq!(radix.data, cmp.data, "bytes differ (n={n} width={width})");
             assert_eq!(radix.domain_width, cmp.domain_width);
         }
-        // Unbounded or wide relations must never take the radix path
-        // even when forced on: the mode selects among eligible
-        // representations, it does not create eligibility.
+        // Unbounded or wide relations never take the radix path: no
+        // word holds their rows.
         let unbounded = big_random_rel(&[0, 1], 600, 50, 23);
         let mut wide = big_random_rel(&[0, 1, 2, 3, 4], 600, 50, 23);
         wide.domain_width = 1 << 13; // 5 × 13 = 65 bits
-        assert!(!unbounded.packed_sort_wanted(PackedMode::On));
-        assert!(!wide.packed_sort_wanted(PackedMode::On));
+        assert!(!unbounded.packed_sort_wanted());
+        assert!(!wide.packed_sort_wanted());
         let mut stats = MatCacheStats::default();
-        unbounded.clone().sort_dedup(on, &mut stats);
-        wide.clone().sort_dedup(on, &mut stats);
+        unbounded.clone().sort_dedup(&mut stats);
+        wide.clone().sort_dedup(&mut stats);
         assert_eq!(stats.packed_sorts, 0, "ineligible inputs skip the counter");
     }
 
-    /// A canonical relation costs `sort_dedup` one pass on every arm —
-    /// radix or comparison — and a buffer shared with a cache entry
-    /// stays shared.
+    /// A canonical relation costs `sort_dedup` one pass on either arm —
+    /// radix under a width bound, comparison with none — sorts nothing,
+    /// and a buffer shared with a cache entry stays shared.
     #[test]
     fn canonical_rows_stay_shared_on_every_sort_arm() {
         let data: Vec<Element> = (0..100_000u32).flat_map(|i| [i / 300, i % 300]).collect();
-        let mut cached = FlatRelation::from_raw(2, 100_000, data, 400);
-        cached.share_rows();
-        for mode in [PackedMode::On, PackedMode::Off] {
+        for width in [400, 0] {
+            let mut cached = FlatRelation::from_raw(2, 100_000, data.clone(), width);
+            cached.share_rows();
+            assert_eq!(cached.packed_sort_wanted(), width > 0);
             let mut slot = cached.clone();
             let mut stats = MatCacheStats::default();
-            slot.sort_dedup(packed(mode), &mut stats);
-            assert!(slot.shares_rows_with(&cached), "{mode:?}");
-            assert_eq!(slot.rows, 100_000);
+            slot.sort_dedup(&mut stats);
+            assert!(slot.shares_rows_with(&cached), "width {width}");
+            assert_eq!((slot.rows, stats.packed_sorts), (100_000, 0));
         }
     }
 
@@ -3236,28 +3095,26 @@ mod tests {
                 schema.iter().rev().copied().collect(),
                 schema.iter().cycle().skip(1).take(arity).copied().collect(),
             ];
-            for mode in [PackedMode::On, PackedMode::Off] {
-                let (cfg, mut stats) = (packed(mode), MatCacheStats::default());
-                let what = format!("arity {arity}, width {width}, {mode:?}");
-                let mut rel = FlatRelation::from_raw(arity, rows.len(), flat.clone(), width);
-                rel.sort_dedup(cfg, &mut stats);
-                let want: BTreeSet<&[Element]> = rows.iter().map(Vec::as_slice).collect();
-                assert!(rel.iter_rows().eq(want.iter().copied()), "sort: {what}");
-                // Every value of column 0, so the join drops nothing.
-                let all = FlatRelation::from_raw(1, 5, values.to_vec(), width);
-                for head in &heads {
-                    let want: BTreeSet<Vec<Element>> = rows
-                        .iter()
-                        .map(|r| head.iter().map(|&v| r[v as usize]).collect())
-                        .collect();
-                    let gathered = rel.project(head, cfg, &mut stats);
-                    let parts = [&rel, &all].into_iter();
-                    let joined = multiway_join(parts, head, cfg, &mut stats);
-                    for got in [gathered, joined] {
-                        assert_eq!(got.rows, want.len(), "project: {what}");
-                        let want = want.iter().map(Vec::as_slice);
-                        assert!(got.iter_rows().eq(want), "project: {what}");
-                    }
+            let mut stats = MatCacheStats::default();
+            let what = format!("arity {arity}, width {width}");
+            let mut rel = FlatRelation::from_raw(arity, rows.len(), flat.clone(), width);
+            rel.sort_dedup(&mut stats);
+            let want: BTreeSet<&[Element]> = rows.iter().map(Vec::as_slice).collect();
+            assert!(rel.iter_rows().eq(want.iter().copied()), "sort: {what}");
+            // Every value of column 0, so the join drops nothing.
+            let all = FlatRelation::from_raw(1, 5, values.to_vec(), width);
+            for head in &heads {
+                let want: BTreeSet<Vec<Element>> = rows
+                    .iter()
+                    .map(|r| head.iter().map(|&v| r[v as usize]).collect())
+                    .collect();
+                let gathered = rel.project(head, &mut stats);
+                let parts = [&rel, &all].into_iter();
+                let joined = multiway_join(parts, head, &mut stats);
+                for got in [gathered, joined] {
+                    assert_eq!(got.rows, want.len(), "project: {what}");
+                    let want = want.iter().map(Vec::as_slice);
+                    assert!(got.iter_rows().eq(want), "project: {what}");
                 }
             }
         }
@@ -3273,7 +3130,7 @@ mod tests {
     fn projection_keeps_domain_width_on_surviving_columns() {
         let r = dense_rel(&[0, 1], 300, 24, 9);
         for vars in [&[0][..], &[1][..], &[1, 0][..]] {
-            let p = r.project(vars, EvalConfig::default(), &mut MatCacheStats::default());
+            let p = r.project(vars, &mut MatCacheStats::default());
             assert_eq!(p.domain_width(), 24, "project {vars:?}");
             assert_eq!(kernel(&[&r], vars).domain_width(), 24, "kernel {vars:?}");
         }
@@ -3322,7 +3179,8 @@ mod tests {
 
     /// Shared-target and owned-target semijoins must leave the reference
     /// bytes, and the shared original untouched, on both arms (one key
-    /// column with bitmaps on: bitmap; anything else: the kernel), with
+    /// column against a bounded source: the bitmap, which is counted;
+    /// against the same rows with no bound, or a wider key: the kernel), with
     /// the key leading and trailing each schema, for each outcome. A
     /// shared target stays shared exactly when nothing drops.
     #[test]
@@ -3361,18 +3219,20 @@ mod tests {
                     (3 - keys..3).collect()
                 };
                 let want = semijoin_reference(&target, &pos, source, &pos);
-                for bitmaps in [true, false] {
-                    let cfg = EvalConfig {
-                        bitmaps,
-                        ..EvalConfig::default()
-                    };
+                for bounded in [true, false] {
+                    let mut source = source.clone();
+                    if !bounded {
+                        source.domain_width = 0;
+                    }
                     let mut stats = MatCacheStats::default();
                     let mut owned = target.clone();
-                    owned.semijoin_on(&pos, source, &pos, cfg, &mut stats);
+                    owned.semijoin_on(&pos, &source, &pos, &mut stats);
                     let mut shared = cached.clone();
                     assert!(shared.shares_rows_with(&cached));
-                    shared.semijoin_on(&pos, source, &pos, cfg, &mut stats);
-                    let ctx = format!("{what} source, key {pos:?}, bitmaps {bitmaps}");
+                    shared.semijoin_on(&pos, &source, &pos, &mut stats);
+                    let ctx = format!("{what} source, key {pos:?}, bounded {bounded}");
+                    let bitmap = u64::from(keys == 1 && bounded);
+                    assert_eq!(stats.bitmap_probes, 2 * bitmap, "{ctx}");
                     assert_eq!(*owned.data, want, "{ctx}");
                     assert_eq!(owned.rows, shared.rows, "{ctx}");
                     assert_eq!(owned.data, shared.data, "{ctx}");
@@ -3396,15 +3256,13 @@ mod tests {
     /// and three columns at every placement in a four-column target and
     /// in a four-column source (leading, trailing, interleaved, out of
     /// order across the two), dense bounds and none, an empty source and
-    /// an empty target; then a large two-column case. Bitmaps stay
-    /// unread throughout.
+    /// an empty target; then a large two-column case. A bounded source's
+    /// bound is padded past 64 codes a row, so no column bitmap answers
+    /// a one-column key: bitmaps stay unread throughout.
     #[test]
     fn semijoin_kernel_matches_reference_filter() {
         let mut stats = MatCacheStats::default();
-        let off = EvalConfig {
-            bitmaps: false,
-            ..EvalConfig::default()
-        };
+        let sparse = |width: u32| if width == 0 { 0 } else { 64 * 200 + 1 };
         let mut seed = 61;
         let placements = |k: usize| -> Vec<Vec<usize>> {
             (0..16usize)
@@ -3416,8 +3274,8 @@ mod tests {
             // The source draws from fewer codes, so every key filters.
             let target = bounded_rel(&[0, 1, 2, 3], 500, width, &mut seed);
             let mut source = bounded_rel(&[10, 11, 12, 13], 200, 4, &mut seed);
-            source.domain_width = width;
-            let empty = bounded_rel(&[10, 11, 12, 13], 0, width, &mut seed);
+            source.domain_width = sparse(width);
+            let empty = bounded_rel(&[10, 11, 12, 13], 0, sparse(width), &mut seed);
             let none = bounded_rel(&[0, 1, 2, 3], 0, width, &mut seed);
             for k in 1..=3 {
                 for mine in placements(k) {
@@ -3428,7 +3286,7 @@ mod tests {
                             for (t, s) in [(&target, &source), (&target, &empty), (&none, &source)]
                             {
                                 let mut got = t.clone();
-                                got.semijoin_on(&mine, s, &theirs, off, &mut stats);
+                                got.semijoin_on(&mine, s, &theirs, &mut stats);
                                 let want = semijoin_reference(t, &mine, s, &theirs);
                                 let ctx = format!("width {width}, {mine:?} ⋉ {theirs:?}");
                                 assert_eq!(*got.data, want, "{ctx}");
@@ -3445,7 +3303,7 @@ mod tests {
         let want = semijoin_reference(&target, &[1, 2], &source, &[2, 1]);
         assert!(!want.is_empty() && want.len() < target.data.len());
         let mut got = target.clone();
-        got.semijoin_on(&[1, 2], &source, &[2, 1], off, &mut stats);
+        got.semijoin_on(&[1, 2], &source, &[2, 1], &mut stats);
         assert_eq!(*got.data, want, "large two-column key");
         assert_eq!(stats.bitmap_probes, 0);
     }
@@ -3497,18 +3355,13 @@ mod tests {
     }
 
     /// `π_vars(l ⋈ r)` by the kernel against the reference join —
-    /// schema, rows in order, bound — under every packed mode (`On` and
-    /// `Auto` write rows that need the sort as code words when they fit
-    /// a `u32` one, `Off` writes them as rows for the comparison sort).
+    /// schema, rows in order, bound. Rows that need the sort are written
+    /// as code words when they fit a `u32` one, and as rows otherwise.
     fn check_word_join(l: &FlatRelation, r: &FlatRelation, vars: &[VarId], ctx: &str) {
         let want = reference_join(&[l, r], vars);
-        for mode in [PackedMode::On, PackedMode::Auto, PackedMode::Off] {
-            let mut stats = MatCacheStats::default();
-            let got = multiway_join([l, r].into_iter(), vars, packed(mode), &mut stats);
-            let ctx = format!("{ctx}, {mode:?}");
-            assert_identical(&got, &want, &ctx);
-            assert_eq!(got.domain_width, want.domain_width, "{ctx}");
-        }
+        let got = multiway_join([l, r].into_iter(), vars, &mut MatCacheStats::default());
+        assert_identical(&got, &want, ctx);
+        assert_eq!(got.domain_width, want.domain_width, "{ctx}");
     }
 
     /// Two-part joins whose kept columns need the sort — a key
@@ -3586,7 +3439,7 @@ mod tests {
         for (vars, sorted) in [(&[0, 1, 2][..], 0), (&[0, 2], u64::from(8 * 8 * n))] {
             let mut stats = MatCacheStats::default();
             let parts = [&yz, &xy].into_iter();
-            let got = multiway_join(parts, vars, EvalConfig::default(), &mut stats);
+            let got = multiway_join(parts, vars, &mut stats);
             assert_identical(&got, &reference_join(&[&xy, &yz], vars), "wedge");
             let words = (stats.packed_sorts, stats.packed_rows);
             assert_eq!(words, (u64::from(sorted > 0), sorted), "vars {vars:?}");
@@ -3608,7 +3461,7 @@ mod tests {
         (1 << 31) + 1,
         u32::MAX,
     ];
-    /// Row counts around `PACKED_MIN_ROWS`, where `Auto` flips.
+    /// Row counts from none to several hundred.
     const SIZES: [usize; 7] = [0, 1, 9, 200, 511, 512, 700];
 
     use proptest::prelude::*;
@@ -3656,15 +3509,15 @@ mod tests {
                 }
             }
             let want = reference_join(&[&l, &r], &vars);
-            let (cfg, mut stats) = (EvalConfig::default(), MatCacheStats::default());
+            let mut stats = MatCacheStats::default();
             let parts = [&l, &r].into_iter();
-            let got = multiway_join(parts, &vars, cfg, &mut stats);
+            let got = multiway_join(parts, &vars, &mut stats);
             prop_assert_eq!(&got.schema, &want.schema);
             prop_assert_eq!(got.domain_width, want.domain_width);
             prop_assert_eq!(got.rows, want.rows);
             prop_assert_eq!(&got.data, &want.data);
             // The gather over the whole join keeps the same set.
-            let alone = reference_join(&[&l, &r], &schema).project(&vars, cfg, &mut stats);
+            let alone = reference_join(&[&l, &r], &schema).project(&vars, &mut stats);
             prop_assert_eq!(&alone.data, &want.data);
         }
     }

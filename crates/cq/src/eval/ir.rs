@@ -33,8 +33,7 @@
 use crate::ast::{Atom, VarId};
 use crate::eval::answers::Answers;
 use crate::eval::flat::{
-    multiway_join, AtomBinder, EvalConfig, FlatRelation, MatCacheStats, MatKey,
-    MaterializationCache,
+    multiway_join, AtomBinder, FlatRelation, MatCacheStats, MatKey, MaterializationCache,
 };
 use cqapx_par::ThreadBudget;
 use cqapx_structures::{DomainBitmap, Structure};
@@ -169,24 +168,22 @@ impl MatSource {
     /// into `cache` when given. Multi-part sources are cached at both
     /// levels: the joined source under its own key and, on a source
     /// miss, each part under its key (so single-atom parts are shared
-    /// with the plans that use them as whole hyperedges). The part
-    /// joins and canonicalization take `config`'s arms.
+    /// with the plans that use them as whole hyperedges).
     pub fn materialize(
         &self,
         d: &Structure,
         cache: Option<&MaterializationCache>,
         stats: &mut MatCacheStats,
-        config: EvalConfig,
     ) -> FlatRelation {
         if self.parts.is_empty() {
             return FlatRelation::unit();
         }
         match cache {
-            None => self.materialize_fresh(d, None, stats, config),
+            None => self.materialize_fresh(d, None, stats),
             Some(c) => {
                 let mut inner = MatCacheStats::default();
                 let (rel, hit) = c.get_or_materialize(&self.key, || {
-                    self.materialize_fresh(d, Some(c), &mut inner, config)
+                    self.materialize_fresh(d, Some(c), &mut inner)
                 });
                 if hit {
                     stats.hits += 1;
@@ -205,16 +202,15 @@ impl MatSource {
         d: &Structure,
         cache: Option<&MaterializationCache>,
         stats: &mut MatCacheStats,
-        config: EvalConfig,
     ) -> FlatRelation {
         if self.parts.len() == 1 && self.parts[0].schema == self.schema {
             // The source *is* its single part; its key equals the part
             // key, so the caller's lookup already covered it.
-            return self.parts[0].materialize_fresh(d, config, stats);
+            return self.parts[0].materialize_fresh(d, stats);
         }
         let mut rels: Vec<FlatRelation> = Vec::with_capacity(self.parts.len());
         for part in &self.parts {
-            let fresh = |s: &mut MatCacheStats| part.materialize_fresh(d, config, s);
+            let fresh = |s: &mut MatCacheStats| part.materialize_fresh(d, s);
             rels.push(match cache {
                 None => fresh(stats),
                 Some(c) => {
@@ -232,7 +228,7 @@ impl MatSource {
         // canonical on the sorted source schema (column order and row
         // order), so cache entries are label-independent.
         let t0 = std::time::Instant::now();
-        let out = multiway_join(rels.iter(), &self.schema, config, stats);
+        let out = multiway_join(rels.iter(), &self.schema, stats);
         stats.wcoj_bag_builds += 1;
         stats.wcoj_bag_us += t0.elapsed().as_micros() as u64;
         out
@@ -243,22 +239,17 @@ impl MatPart {
     /// Scans the part's atoms, each into its canonical relation, and
     /// intersects them (they share a schema) one at a time by the join
     /// kernel, keeping the whole schema.
-    fn materialize_fresh(
-        &self,
-        d: &Structure,
-        config: EvalConfig,
-        stats: &mut MatCacheStats,
-    ) -> FlatRelation {
+    fn materialize_fresh(&self, d: &Structure, stats: &mut MatCacheStats) -> FlatRelation {
         let scan = |binder: &AtomBinder, stats: &mut MatCacheStats| {
             let mut rel = FlatRelation::empty(self.schema.clone());
             binder.materialize_into(d, &mut rel);
-            rel.sort_dedup(config, stats);
+            rel.sort_dedup(stats);
             rel
         };
         let mut acc = scan(&self.binders[0], stats);
         for binder in &self.binders[1..] {
             let next = scan(binder, stats);
-            acc = multiway_join([&acc, &next].into_iter(), &self.schema, config, stats);
+            acc = multiway_join([&acc, &next].into_iter(), &self.schema, stats);
         }
         acc
     }
@@ -375,8 +366,6 @@ pub struct PlanIr {
     reduction_decides: bool,
     /// Slot holding the final relation after a full run.
     output: Slot,
-    /// The kernel arms every run of the program takes.
-    config: EvalConfig,
 }
 
 /// Disjoint `(&mut xs[a], &xs[b])` access for `a ≠ b`: the borrow split
@@ -394,13 +383,6 @@ fn pair_mut<T>(xs: &mut [T], a: usize, b: usize) -> (&mut T, &T) {
 }
 
 impl PlanIr {
-    /// The program with every run taking the kernel arms of `config`
-    /// (compiled programs take [`EvalConfig::default`]).
-    pub fn with_eval_config(mut self, config: EvalConfig) -> PlanIr {
-        self.config = config;
-        self
-    }
-
     /// The operators, in execution order.
     pub fn ops(&self) -> &[Op] {
         &self.ops
@@ -446,12 +428,11 @@ impl PlanIr {
                 Op::Union { .. } => "union",
             }
         }
-        let config = self.config;
         for op in &self.ops[range] {
             let t0 = profile.is_some().then(std::time::Instant::now);
             match op {
                 Op::Materialize { dst, source } => {
-                    slots[*dst] = Some(source.materialize(d, cache, stats, config));
+                    slots[*dst] = Some(source.materialize(d, cache, stats));
                 }
                 Op::Semijoin {
                     target,
@@ -461,7 +442,7 @@ impl PlanIr {
                 } => {
                     let (t, s) = pair_mut(slots, *target, *source);
                     let t = t.as_mut().expect("slot written before use");
-                    t.semijoin_on(target_pos, rel(s), source_pos, config, stats);
+                    t.semijoin_on(target_pos, rel(s), source_pos, stats);
                 }
                 Op::AssertNonempty { slot } => {
                     if rel(&slots[*slot]).is_empty() {
@@ -477,7 +458,7 @@ impl PlanIr {
                 }
                 Op::MultiJoin { dst, inputs, vars } => {
                     let parts = inputs.iter().map(|s| rel(&slots[*s]));
-                    slots[*dst] = Some(multiway_join(parts, vars, config, stats));
+                    slots[*dst] = Some(multiway_join(parts, vars, stats));
                 }
                 Op::Project { dst, src, vars } => {
                     // Every slot of a compiled tree is duplicate-free
@@ -490,7 +471,7 @@ impl PlanIr {
                         source.share_rows();
                         source.relabel(vars.clone())
                     } else {
-                        source.project(vars, config, stats)
+                        source.project(vars, stats)
                     };
                     slots[*dst] = Some(out);
                 }
@@ -498,7 +479,7 @@ impl PlanIr {
                     slots[*slot]
                         .as_mut()
                         .expect("slot written before use")
-                        .sort_dedup(config, stats);
+                        .sort_dedup(stats);
                 }
                 Op::Union { dst, src } => {
                     let (t, s) = pair_mut(slots, *dst, *src);
@@ -598,10 +579,9 @@ impl PlanIr {
             return (Answers::boolean(nonempty), stats);
         }
         let (result, mut stats) = self.run(d, cache, profile);
-        let (dict, config) = (d.domain_dict(), self.config);
         let answers = match result {
             None => Answers::empty(head.len()),
-            Some(rel) => Answers::from_relation(rel, head, dict, config, &mut stats),
+            Some(rel) => Answers::from_relation(rel, head, d.domain_dict(), &mut stats),
         };
         (answers, stats)
     }
@@ -675,8 +655,8 @@ impl PlanIr {
     /// the outcome — and every profiled row count — is identical to
     /// the kernel path. Slots are never mutated.
     ///
-    /// Returns `None` (before emitting any profile entry) when the
-    /// plan's config reads no bitmaps or any sweep op is ineligible — a
+    /// Returns `None` (before emitting any profile entry) when any
+    /// sweep op is ineligible — a
     /// multi-column key, a fused root edge, or a source without a dense
     /// bound; the caller then runs the same ops through the semijoin
     /// and multiway kernels. Each bitmap test is counted into `stats`.
@@ -687,9 +667,6 @@ impl PlanIr {
         stats: &mut MatCacheStats,
         mut profile: Option<&mut EvalProfile>,
     ) -> Option<bool> {
-        if !self.config.bitmaps {
-            return None;
-        }
         let sweep = &self.ops[mat_len..self.bool_len];
         let rel = |s: Slot| slots[s].as_ref().expect("slot written before use");
         // Validate every op up front — warming the source bitmaps from
@@ -1120,7 +1097,6 @@ pub fn compile_tree(
             ops: with_materializations(nodes, ops),
             bool_len,
             reduction_decides,
-            config: EvalConfig::default(),
         };
     }
 
@@ -1177,7 +1153,6 @@ pub fn compile_tree(
         bool_len,
         reduction_decides,
         output: out,
-        config: EvalConfig::default(),
     }
 }
 
@@ -1190,6 +1165,34 @@ fn with_materializations(nodes: Vec<NodeSpec>, mut ops: Vec<Op>) -> Vec<Op> {
         sources.map(|(dst, source)| Op::Materialize { dst, source }),
     );
     ops
+}
+
+#[cfg(test)]
+impl PlanIr {
+    /// Checks a full uncached run's output against the reference join
+    /// of the program's materialized sources — which sorts no row as a
+    /// code word and reads no bitmap — on the output's schema: the same
+    /// rows in the same order, or nothing when an emptiness assertion
+    /// stopped the run.
+    pub(crate) fn assert_output_is_reference_join(&self, d: &Structure, what: &str) {
+        let mats = self.materialize_sources().count();
+        let mut slots = vec![None; self.slots];
+        self.run_ops(0..mats, &mut slots, d, None);
+        let parts: Vec<&FlatRelation> = slots.iter().flatten().collect();
+        match self.run(d, None, None).0 {
+            Some(out) => {
+                let want = crate::eval::flat::reference_join(&parts, out.schema());
+                assert!(out.iter_rows().eq(want.iter_rows()), "output rows: {what}");
+            }
+            None => {
+                let want = crate::eval::flat::reference_join(&parts, &[]);
+                assert!(
+                    want.is_empty(),
+                    "the run stopped on a nonempty join: {what}"
+                );
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1221,7 +1224,7 @@ mod tests {
         };
         let d = Structure::digraph(2, &[]);
         let mut stats = MatCacheStats::default();
-        let r = src.materialize(&d, None, &mut stats, EvalConfig::default());
+        let r = src.materialize(&d, None, &mut stats);
         assert_eq!(r.len(), 1);
         assert_eq!(r.arity(), 0);
         assert_eq!(stats, MatCacheStats::default());
@@ -1233,7 +1236,7 @@ mod tests {
         let d = Structure::digraph(4, &[(0, 1), (1, 2), (2, 3)]);
         let cache = MaterializationCache::new();
         let mut stats = MatCacheStats::default();
-        let r = src.materialize(&d, Some(&cache), &mut stats, EvalConfig::default());
+        let r = src.materialize(&d, Some(&cache), &mut stats);
         assert_eq!(r.schema(), &[0, 1, 2]);
         assert_eq!(r.len(), 2); // 0-1-2 and 1-2-3
                                 // Cold: source miss + two part misses, all inserted.
@@ -1241,7 +1244,7 @@ mod tests {
         assert_eq!(cache.len(), 2); // the part shape + the joined source
                                     // Warm: a single source-level hit.
         let mut warm = MatCacheStats::default();
-        let r2 = src.materialize(&d, Some(&cache), &mut warm, EvalConfig::default());
+        let r2 = src.materialize(&d, Some(&cache), &mut warm);
         assert_eq!((warm.hits, warm.misses), (1, 0));
         assert_eq!(
             r.rows_in_head_order(&[0, 1, 2]),
@@ -1271,7 +1274,7 @@ mod tests {
         let src = MatSource::from_groups(&[q.atoms().iter().collect()]);
         assert_eq!((src.parts.len(), src.parts[0].binders.len()), (1, 4));
         let mut stats = MatCacheStats::default();
-        let got = src.materialize(&d, None, &mut stats, EvalConfig::default());
+        let got = src.materialize(&d, None, &mut stats);
         assert_eq!(got.schema(), &[0, 1]);
         assert_eq!(got.domain_width(), d.domain_dict().len() as u32);
         let rows: Vec<&[u32]> = got.iter_rows().collect();
@@ -1293,7 +1296,7 @@ mod tests {
     /// reference join onto its schema.
     fn reference(src: &MatSource, d: &Structure) -> FlatRelation {
         let mut stats = MatCacheStats::default();
-        let scan = |p: &MatPart| p.materialize_fresh(d, EvalConfig::default(), &mut stats);
+        let scan = |p: &MatPart| p.materialize_fresh(d, &mut stats);
         let parts: Vec<FlatRelation> = src.parts.iter().map(scan).collect();
         crate::eval::flat::reference_join(&parts.iter().collect::<Vec<_>>(), &src.schema)
     }
@@ -1324,7 +1327,7 @@ mod tests {
         ] {
             let src = source_of(q);
             let mut stats = MatCacheStats::default();
-            let got = src.materialize(&d, None, &mut stats, EvalConfig::default());
+            let got = src.materialize(&d, None, &mut stats);
             let want = reference(&src, &d);
             assert!(!want.is_empty(), "fixture must produce rows on {q}");
             assert_eq!(got.schema(), want.schema(), "{q}");
@@ -1369,7 +1372,6 @@ mod tests {
             bool_len: 5,
             reduction_decides: true,
             output: 2,
-            config: EvalConfig::default(),
         };
         let d = Structure::digraph(3, &[(0, 1), (1, 0), (1, 2)]);
         let (out, _) = ir.run(&d, None, None);
@@ -1622,12 +1624,11 @@ mod tests {
     /// A head-ordered root is one kernel join under the one label
     /// `join`, whatever it writes: `wedge3`'s binds the head in order
     /// and writes its rows with no sort, `two_hop`'s drops `y` before
-    /// `z` and sorts its matches — as code words when the plan's packed
-    /// sorts are on, so the root's packed counters count one sort of the
-    /// matches then, and nothing otherwise.
+    /// `z` and sorts its matches as code words, as small sorts are too
+    /// — 240 of them — so the root's packed counters count one sort of
+    /// the matches there, and nothing for `wedge3`.
     #[test]
     fn head_ordered_root_is_labelled_as_it_dispatches() {
-        use crate::eval::flat::PackedMode;
         use crate::eval::yannakakis::AcyclicPlan;
         let edges: Vec<(u32, u32)> = (0..60u32)
             .flat_map(|u| [(u, (u * 7 + 3) % 60), (u, (u + 1) % 60)])
@@ -1638,34 +1639,24 @@ mod tests {
             ("Q(x, z) :- E(x,y), E(y,z)", true),
         ] {
             let q = parse_cq(rule).unwrap();
-            for mode in [PackedMode::On, PackedMode::Off] {
-                let config = EvalConfig {
-                    packed: mode,
-                    ..EvalConfig::default()
-                };
-                let plan = AcyclicPlan::compile(&q).unwrap().with_eval_config(config);
-                let ir = plan.ir();
-                let root = ir.ops.len() - 1;
-                assert!(matches!(
-                    &ir.ops[root],
-                    Op::MultiJoin { inputs, vars, .. } if inputs.len() == 2 && vars == q.free_vars()
-                ));
-                let mut stats = MatCacheStats::default();
-                let mut slots: Vec<Option<FlatRelation>> = vec![None; ir.slots];
-                assert!(ir.exec(0..root, &mut slots, &d, None, &mut stats, None));
-                let (mut stats, mut profile) = (MatCacheStats::default(), EvalProfile::default());
-                let (s, profiled) = (&mut stats, Some(&mut profile));
-                assert!(ir.exec(root..root + 1, &mut slots, &d, None, s, profiled));
-                assert_eq!(profile.ops[0].op, "join");
-                assert_eq!(profile.ops[0].rows, plan.eval(&d).len(), "{rule}");
-                let words = sorts && mode == PackedMode::On;
-                let want = if words { (1, 240) } else { (0, 0) };
-                assert_eq!(
-                    (stats.packed_sorts, stats.packed_rows),
-                    want,
-                    "{rule}, {mode:?}"
-                );
-            }
+            let plan = AcyclicPlan::compile(&q).unwrap();
+            let ir = plan.ir();
+            let root = ir.ops.len() - 1;
+            assert!(matches!(
+                &ir.ops[root],
+                Op::MultiJoin { inputs, vars, .. } if inputs.len() == 2 && vars == q.free_vars()
+            ));
+            let mut stats = MatCacheStats::default();
+            let mut slots: Vec<Option<FlatRelation>> = vec![None; ir.slots];
+            assert!(ir.exec(0..root, &mut slots, &d, None, &mut stats, None));
+            let (mut stats, mut profile) = (MatCacheStats::default(), EvalProfile::default());
+            let (s, profiled) = (&mut stats, Some(&mut profile));
+            assert!(ir.exec(root..root + 1, &mut slots, &d, None, s, profiled));
+            assert_eq!(profile.ops[0].op, "join");
+            assert_eq!(profile.ops[0].rows, plan.eval(&d).len(), "{rule}");
+            let want = if sorts { (1, 240) } else { (0, 0) };
+            let got = (stats.packed_sorts, stats.packed_rows);
+            assert_eq!(got, want, "{rule}");
         }
         // `Q(a) :- C6`: the root has two children and is the multiway
         // op over the head; its rows are the answers and its cursor
@@ -1873,7 +1864,6 @@ mod tests {
             bool_len: 4,
             reduction_decides: true,
             output: 2,
-            config: EvalConfig::default(),
         };
         let d = Structure::digraph(4, &[(0, 1), (1, 2), (3, 3)]);
         let (out, _) = ir.run(&d, None, None);

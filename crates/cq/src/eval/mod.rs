@@ -16,8 +16,8 @@ pub use answers::{AnswerRow, Answers, AnswersBuilder, AnswersIter};
 pub use decomposed::{DecomposedPlan, NotDecomposable};
 pub use evaluator::{Evaluator, NaiveEvaluator};
 pub use flat::{
-    bitmap_stats, packed_stats, AtomBinder, BitmapStats, EvalConfig, FlatRelation, MatCacheStats,
-    MatKey, MaterializationCache, PackedMode, PackedStats,
+    bitmap_stats, packed_stats, AtomBinder, BitmapStats, FlatRelation, MatCacheStats, MatKey,
+    MaterializationCache, PackedStats,
 };
 pub use ir::{EvalProfile, MatPart, MatSource, NodeSpec, Op, OpProfile, PlanIr, Slot};
 pub use naive::{eval_boolean_naive, eval_naive, NaivePlan};

@@ -24,7 +24,7 @@
 
 use crate::ast::{Atom, ConjunctiveQuery, VarId};
 use crate::eval::answers::Answers;
-use crate::eval::flat::{EvalConfig, MatCacheStats, MaterializationCache};
+use crate::eval::flat::{MatCacheStats, MaterializationCache};
 use crate::eval::ir::{compile_tree, MatSource, NodeSpec, PlanIr};
 use cqapx_hypergraphs::{gyo, Hypergraph};
 use cqapx_structures::Structure;
@@ -112,12 +112,6 @@ impl AcyclicPlan {
         &self.ir
     }
 
-    /// The plan with every run taking the kernel arms of `config`.
-    pub fn with_eval_config(mut self, config: EvalConfig) -> AcyclicPlan {
-        self.ir = self.ir.with_eval_config(config);
-        self
-    }
-
     /// Boolean evaluation: `Q(D) ≠ ∅`.
     pub fn eval_boolean(&self, d: &Structure) -> bool {
         self.eval_boolean_cached(d, None).0
@@ -203,16 +197,13 @@ mod tests {
     }
 
     /// A `reduction_decides` Boolean plan collapses its semijoin sweep
-    /// to bitmap intersections when its config reads bitmaps; the
-    /// decision, the naive reference, and the cache traffic must all be
-    /// identical to the plan without them, which probes nothing — on
-    /// both satisfied and unsatisfied instances, cold and warm.
+    /// to bitmap intersections, and its stats count them; the decision
+    /// must be the naive reference's and, cold or warm, agree with the
+    /// reference join of the plan's materialized nodes, which reads no
+    /// bitmap, with cache traffic equal to the full run's — on both
+    /// satisfied and unsatisfied instances.
     #[test]
     fn bitmap_boolean_sweep_matches_probe_sweep() {
-        let probe = EvalConfig {
-            bitmaps: false,
-            ..EvalConfig::default()
-        };
         let mut edges = Vec::new();
         for u in 0..40u32 {
             edges.push((u, (u * 7 + 3) % 40));
@@ -227,68 +218,55 @@ mod tests {
         ] {
             let q = parse_cq(qs).unwrap();
             let plan = AcyclicPlan::compile(&q).unwrap();
-            let off = plan.clone().with_eval_config(probe);
             assert!(plan.ir().reduction_decides(), "{qs} must be sweep-shaped");
             for d in [&yes, &no] {
                 let naive = eval_boolean_naive(&q, d);
-                let cache_on = MaterializationCache::new();
-                let (on_cold, s_on) = plan.eval_boolean_cached(d, Some(&cache_on));
-                let (on_warm, _) = plan.eval_boolean_cached(d, Some(&cache_on));
-                let cache_off = MaterializationCache::new();
-                let (off_cold, s_off) = off.eval_boolean_cached(d, Some(&cache_off));
-                assert_eq!(s_off.bitmap_probes, 0, "bitmaps unread on {qs}");
-                assert_eq!(on_cold, naive, "bitmap sweep wrong on {qs}");
-                assert_eq!(on_warm, naive, "warm bitmap sweep wrong on {qs}");
-                assert_eq!(off_cold, naive, "probe sweep wrong on {qs}");
+                let cache = MaterializationCache::new();
+                let (cold, s_cold) = plan.eval_boolean_cached(d, Some(&cache));
+                let (warm, _) = plan.eval_boolean_cached(d, Some(&cache));
+                assert!(s_cold.bitmap_probes > 0, "the sweep reads bitmaps on {qs}");
+                assert_eq!(cold, naive, "bitmap sweep wrong on {qs}");
+                assert_eq!(warm, naive, "warm bitmap sweep wrong on {qs}");
+                plan.ir().assert_output_is_reference_join(d, qs);
+                let (_, s_full) = plan.ir().run(d, Some(&MaterializationCache::new()), None);
                 assert_eq!(
-                    (s_on.hits, s_on.misses),
-                    (s_off.hits, s_off.misses),
+                    (s_cold.hits, s_cold.misses),
+                    (s_full.hits, s_full.misses),
                     "cache traffic must not depend on the kernel ({qs})"
                 );
             }
         }
     }
 
-    /// Forcing the packed kernels onto the acyclic tier — the reducer
-    /// semijoins and the final projection dedup — must leave answers,
-    /// the naive reference, and cache traffic untouched.
+    /// The acyclic tier's sorts — the reducer semijoins' filters and
+    /// the final projection — run on packed code words over 80 edges,
+    /// as they do at any row count: the answers are the naive reference's, the output relation is the
+    /// reference join's, byte for byte, and a warm run adopts every
+    /// relation the cold run built.
     #[test]
     fn packed_kernels_identical_on_acyclic_tier() {
-        use crate::eval::flat::PackedMode;
-        let packed = |packed| EvalConfig {
-            packed,
-            ..EvalConfig::default()
-        };
         let mut edges = Vec::new();
         for u in 0..40u32 {
             edges.push((u, (u * 7 + 3) % 40));
             edges.push((u, (u * 13 + 1) % 40));
         }
         let d = Structure::digraph(40, &edges);
-        for qs in [
-            "Q(x, w) :- E(x, y), E(y, z), E(z, w)",
-            "Q(x, y) :- E(x, y), E(y, z)",
-            "Q() :- E(x, y), E(y, z), E(z, w)",
+        for (qs, sorts) in [
+            ("Q(x, w) :- E(x, y), E(y, z), E(z, w)", true),
+            ("Q(x, y) :- E(x, y), E(y, z)", false),
+            ("Q() :- E(x, y), E(y, z), E(z, w)", false),
         ] {
             let q = parse_cq(qs).unwrap();
             let plan = AcyclicPlan::compile(&q).unwrap();
-            let on = plan.clone().with_eval_config(packed(PackedMode::On));
-            let off = plan.with_eval_config(packed(PackedMode::Off));
             let naive = eval_naive(&q, &d);
-            let cache_on = MaterializationCache::new();
-            let (rows_on, s_on) = on.eval_cached(&d, Some(&cache_on));
-            let bool_on = on.eval_boolean_cached(&d, Some(&cache_on)).0;
-            let cache_off = MaterializationCache::new();
-            let (rows_off, s_off) = off.eval_cached(&d, Some(&cache_off));
-            assert_eq!(s_off.packed_sorts, 0, "comparison sorts only on {qs}");
-            assert_eq!(rows_on, rows_off, "answers differ on {qs}");
-            assert_eq!(rows_on, naive, "naive disagrees on {qs}");
-            assert_eq!(bool_on, !naive.is_empty(), "boolean wrong on {qs}");
-            assert_eq!(
-                (s_on.hits, s_on.misses),
-                (s_off.hits, s_off.misses),
-                "cache traffic must not depend on the kernel ({qs})"
-            );
+            let cache = MaterializationCache::new();
+            let (rows, s_cold) = plan.eval_cached(&d, Some(&cache));
+            let (boolean, s_warm) = plan.eval_boolean_cached(&d, Some(&cache));
+            assert_eq!(s_cold.packed_sorts > 0, sorts, "radix sorts on {qs}");
+            assert_eq!(rows, naive, "naive disagrees on {qs}");
+            assert_eq!(boolean, !naive.is_empty(), "boolean wrong on {qs}");
+            plan.ir().assert_output_is_reference_join(&d, qs);
+            assert_eq!(s_warm.misses, 0, "warm run re-materialized on {qs}");
         }
     }
 

@@ -15,8 +15,8 @@ use cqapx_structures::{
     quotient::quotient_pointed,
 };
 use harness::{
-    check_acyclic, check_engine, check_oracle, database, database_of, every_config, random_body,
-    serve_batches, ANY_KIND, THREADS,
+    check_acyclic, check_engine, check_oracle, database, database_of, random_body, serve_batches,
+    ANY_KIND, THREADS,
 };
 use proptest::prelude::*;
 use std::ops::ControlFlow;
@@ -188,12 +188,12 @@ proptest! {
 
     /// Random bodies: `eval_naive` agrees with the frozen seed engine
     /// and the naive plan, and Yannakakis, whenever the body is
-    /// acyclic, returns its rows under every `EvalConfig` — uncached,
-    /// cold and warm, full and Boolean.
+    /// acyclic, returns its rows — uncached, cold and warm, full and
+    /// Boolean.
     #[test]
     fn yannakakis_equals_naive(q in random_body(), d in database()) {
         let expected = check_oracle(&q, &d);
-        check_acyclic(&q, &d, &expected, every_config);
+        check_acyclic(&q, &d, &expected);
     }
 
     /// The engine's chosen plan returns the oracle's rows, cold, warm
