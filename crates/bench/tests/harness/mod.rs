@@ -48,11 +48,14 @@
 use cqapx_bench::baseline::BaselineHom;
 use cqapx_bench::reference::assert_join;
 use cqapx_bench::workloads::{lcg, skewed_digraph, zipf_db};
+use cqapx_cq::eval::ir::compile_tree;
 use cqapx_cq::eval::{
-    eval_naive, AcyclicPlan, Answers, AtomBinder, DecomposedPlan, EvalProfile, FlatRelation,
-    MatCacheStats, MatSource, MaterializationCache, NaivePlan, Op, PlanIr,
+    eval_boolean_naive, eval_naive, AcyclicPlan, Answers, AtomBinder, DecomposedPlan, EvalProfile,
+    FlatRelation, MatCacheStats, MatSource, MaterializationCache, NaivePlan, NodeSpec, Op, PlanIr,
 };
-use cqapx_cq::{parse_cq, query_graph, tableau_of, treewidth_of_query, ConjunctiveQuery};
+use cqapx_cq::{
+    parse_cq, parse_cq_with_vocab, query_graph, tableau_of, treewidth_of_query, ConjunctiveQuery,
+};
 use cqapx_engine::{Engine, EngineConfig, MetricsLevel, Request, ResponseStatus, StatsSnapshot};
 use cqapx_graphs::treewidth::treewidth_at_most;
 use cqapx_structures::{Element, Structure, StructureBuilder, Vocabulary};
@@ -621,4 +624,236 @@ pub fn serve_batches(d: &Structure, budget: usize, dup: usize) -> [StatsSnapshot
         }
         e.snapshot()
     })
+}
+
+// ---------------------------------------------------------------------
+// The Boolean sweep.
+// ---------------------------------------------------------------------
+
+/// The vocabulary of the sweep's queries: `E/2` and `R/3`.
+fn sweep_vocabulary() -> Vocabulary {
+    Vocabulary::new(vec![("E", 2), ("R", 3)])
+}
+
+/// `atoms` (over `E/2` and `R/3`) as a Boolean query, and its plan
+/// compiled over the rooted forest `parent` (one node per atom, `None`
+/// for a root) — no re-rooting: Boolean plans keep the roots given.
+/// `parent` must describe a join forest: each atom shares only
+/// variables of its parent.
+pub fn sweep_plan(atoms: &[String], parent: &[Option<usize>]) -> (ConjunctiveQuery, PlanIr) {
+    let text = format!("Q() :- {}", atoms.join(", "));
+    let q = parse_cq_with_vocab(&text, &sweep_vocabulary()).expect("generated query must parse");
+    let nodes: Vec<NodeSpec> = (q.atoms().iter())
+        .map(|atom| {
+            let source = MatSource::from_groups(&[vec![atom]]);
+            NodeSpec {
+                label: source.schema.clone(),
+                source,
+            }
+        })
+        .collect();
+    // Children before parents: the reverse of a preorder from the roots.
+    let mut order = Vec::with_capacity(parent.len());
+    let mut stack: Vec<usize> = (0..parent.len()).filter(|&u| parent[u].is_none()).collect();
+    while let Some(u) = stack.pop() {
+        order.push(u);
+        stack.extend((0..parent.len()).filter(|&c| parent[c] == Some(u)));
+    }
+    order.reverse();
+    let ir = compile_tree(nodes, parent, &order, &[]);
+    (q, ir)
+}
+
+/// Boolean join forests of two to seven atoms over `E/2` and `R/3`,
+/// compiled at the root drawn, in four shapes: a directed `E`-path and
+/// a path of drawn atoms, each rooted mid-way (the root filtered on two
+/// columns); a star whose children mostly share the root's first
+/// variable (several filters on one column); and a random forest
+/// (sometimes several roots). Outside the directed path an atom shares one
+/// variable with its parent, or none (an empty key, another
+/// component), or now and then two (a multi-column key, which sends the
+/// plan to the kernel sweep); its other places hold fresh variables or
+/// repeat its own (`E(y, y)`, `R(x, x, y)`), and a third of the atoms
+/// are ternary.
+pub fn sweep_forest() -> impl Strategy<Value = (ConjunctiveQuery, PlanIr)> {
+    (0..4u8, 2..=7usize, any::<u64>()).prop_map(|(shape, n, seed)| {
+        let mut s = seed;
+        let mut draw = |k: u64| (lcg(&mut s) % k) as usize;
+        let parent: Vec<Option<usize>> = match shape {
+            0 | 3 => {
+                // Path 0 - 1 - … - (n-1), rooted at `r`.
+                let r = draw(n as u64);
+                (0..n)
+                    .map(|i| match i.cmp(&r) {
+                        std::cmp::Ordering::Less => Some(i + 1),
+                        std::cmp::Ordering::Equal => None,
+                        std::cmp::Ordering::Greater => Some(i - 1),
+                    })
+                    .collect()
+            }
+            1 => (0..n).map(|i| (i > 0).then_some(0)).collect(),
+            2 => (0..n)
+                .map(|i| (i > 0 && draw(8) > 0).then(|| draw(i as u64)))
+                .collect(),
+            _ => unreachable!("four shapes"),
+        };
+        if shape == 3 {
+            let atoms: Vec<String> = (0..n).map(|i| format!("E(x{i}, x{})", i + 1)).collect();
+            return sweep_plan(&atoms, &parent);
+        }
+        // Variables top-down, so each atom can draw from its parent's.
+        let mut vars: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut atoms = vec![String::new(); n];
+        let mut fresh = 0usize;
+        let mut todo: Vec<usize> = (0..n).filter(|&u| parent[u].is_none()).collect();
+        while let Some(u) = todo.pop() {
+            todo.extend((0..n).filter(|&c| parent[c] == Some(u)));
+            let arity = if draw(3) == 0 { 3 } else { 2 };
+            let mut args: Vec<usize> = Vec::with_capacity(arity);
+            if let Some(p) = parent[u] {
+                let from = &vars[p];
+                let shared = match draw(24) {
+                    0..=2 => 0,
+                    3 => 2.min(from.len()).min(arity),
+                    _ => 1,
+                };
+                if shape == 1 && shared == 1 && draw(4) > 0 {
+                    args.push(from[0]);
+                } else {
+                    while args.len() < shared {
+                        let v = from[draw(from.len() as u64)];
+                        if !args.contains(&v) {
+                            args.push(v);
+                        }
+                    }
+                }
+            }
+            while args.len() < arity {
+                if !args.is_empty() && draw(5) == 0 {
+                    args.push(args[draw(args.len() as u64)]);
+                } else {
+                    args.push(fresh);
+                    fresh += 1;
+                }
+            }
+            for i in (1..arity).rev() {
+                args.swap(i, draw(i as u64 + 1));
+            }
+            let names: Vec<String> = args.iter().map(|v| format!("x{v}")).collect();
+            let rel = if arity == 3 { "R" } else { "E" };
+            atoms[u] = format!("{rel}({})", names.join(", "));
+            args.sort_unstable();
+            args.dedup();
+            vars[u] = args;
+        }
+        sweep_plan(&atoms, &parent)
+    })
+}
+
+/// `d`'s edges as `E`, and as `R` every two-edge walk `(a, b, c)` and
+/// every edge as `(a, a, b)`: the kinds of [`database_of`] carry over.
+pub fn with_ternary(d: &Structure) -> Structure {
+    let vocab = sweep_vocabulary();
+    let (e, r) = (vocab.rel("E").unwrap(), vocab.rel("R").unwrap());
+    let edges = d.tuples(d.vocabulary().rel("E").expect("digraph vocabulary"));
+    let mut b = StructureBuilder::new(vocab, d.universe_size());
+    for t in edges {
+        b.add(e, t).add(r, &[t[0], t[0], t[1]]);
+        for u in edges.iter().filter(|u| u[0] == t[1]) {
+            b.add(r, &[t[0], t[1], u[1]]);
+        }
+    }
+    b.finish()
+}
+
+/// Whether `run_boolean` takes the live-value sweep on `ir`, given the
+/// materialized `slots`: every op after the materializations is an
+/// assertion or a semijoin on at most one column whose source has a
+/// column bitmap. Eligibility mirrors `FlatRelation`'s own rule: a
+/// dense bound of at most 64 codes per row (of at least 16 rows).
+fn sweep_runs(ir: &PlanIr, slots: &[Option<FlatRelation>], mats: usize) -> bool {
+    let eligible = |r: &FlatRelation| {
+        r.domain_width() > 0 && r.domain_width() as usize <= 64 * r.len().max(16)
+    };
+    ir.ops()[mats..].iter().all(|op| match op {
+        Op::AssertNonempty { .. } => true,
+        Op::Semijoin {
+            source, target_pos, ..
+        } => match target_pos.len() {
+            0 => true,
+            1 => eligible(slots[*source].as_ref().expect("materialized")),
+            _ => false,
+        },
+        _ => false,
+    })
+}
+
+/// The Boolean sweep of `ir` (a Boolean join-forest plan of `q`) on
+/// `d`: `run_boolean`'s verdict — uncached, cold and warm — equals the
+/// kernel sweep's over the same materialized slots and
+/// `eval_boolean_naive`'s, with the kernel path's counters. When the
+/// live-value sweep ran, each of its profiled entries is what the
+/// kernel sweep's slots hold at that op, and if its first op is a
+/// one-column semijoin it counted bitmap probes. Returns whether the
+/// live-value sweep ran.
+pub fn check_sweep(q: &ConjunctiveQuery, ir: &PlanIr, d: &Structure) -> bool {
+    assert!(ir.reduction_decides(), "a join forest: {q}");
+    let want = eval_boolean_naive(q, d);
+    let (got, stats) = ir.run_boolean(d, None, None);
+    let width = (ir.ops().iter())
+        .flat_map(|op| op.reads().into_iter().chain(op.dst()))
+        .max()
+        .map_or(0, |s| s + 1);
+    let mut slots = vec![None; width];
+    let mats = ir.materialize_sources().count();
+    let (_, mut kernel_stats) = ir.run_ops(0..mats, &mut slots, d, None);
+    let runs = sweep_runs(ir, &slots, mats);
+    let (kernel, sweep_stats) = ir.run_ops(mats..ir.ops().len(), &mut slots, d, None);
+    kernel_stats.add(sweep_stats);
+    let what = format!("{q}, {:?}", ir.ops()[mats..].to_vec());
+    assert_eq!(kernel, want, "kernel sweep vs naive: {what}");
+    assert_eq!(got, want, "live-value sweep vs naive: {what}");
+    assert_eq!(stats, kernel_stats, "counters: {what}");
+    let probes_first = matches!(
+        ir.ops().get(mats),
+        Some(Op::Semijoin { target_pos, .. }) if target_pos.len() == 1
+    );
+    if runs && probes_first {
+        assert!(
+            stats.bitmap_probes > 0,
+            "the sweep counted no probe: {what}"
+        );
+    }
+    if runs {
+        // Op by op: each profiled entry is what the kernel sweep's slots
+        // say at that op — a semijoin hands on its source's distinct
+        // key values (with an empty key, 1 for a source with a row), an
+        // assertion reads 1 for a slot with a row.
+        let mut profile = EvalProfile::default();
+        ir.run_boolean(d, None, Some(&mut profile));
+        let mut slots = vec![None; width];
+        ir.run_ops(0..mats, &mut slots, d, None);
+        for (i, entry) in (mats..).zip(&profile.ops[mats..]) {
+            let rel = |s: usize| slots[s].as_ref().expect("materialized");
+            let rows = match &ir.ops()[i] {
+                Op::Semijoin {
+                    source, source_pos, ..
+                } => match source_pos[..] {
+                    [c] => (rel(*source).iter_rows().map(|r| r[c]))
+                        .collect::<BTreeSet<_>>()
+                        .len(),
+                    _ => usize::from(!rel(*source).is_empty()),
+                },
+                _ => usize::from(!rel(ir.ops()[i].reads()[0]).is_empty()),
+            };
+            assert_eq!(entry.rows, rows, "op {i}: {what}");
+            ir.run_ops(i..i + 1, &mut slots, d, None);
+        }
+    }
+    let cache = MaterializationCache::new();
+    for run in ["cold", "warm"] {
+        let (cached, _) = ir.run_boolean(d, Some(&cache), None);
+        assert_eq!(cached, want, "{run}: {what}");
+    }
+    runs
 }

@@ -8,7 +8,10 @@
 //! clock-free cost bound), wide nodes, Boolean cycles with and without
 //! a witness, head orders, the packing boundary, radix against
 //! comparison `sort_dedup`, the sandwich union, and cached rows never
-//! written through. The engine section keeps shed, degraded, sandwich
+//! written through. The Boolean sweep's differential runs generated
+//! join forests and two fixed cases; its `#[ignore]`d deep variant,
+//! ten times the cases:
+//! `cargo test --release -p cqapx-bench --test oracle -- --ignored`. The engine section keeps shed, degraded, sandwich
 //! and certain-only responses sound.
 //!
 //! The other families run the harness's parts from their own files:
@@ -24,8 +27,8 @@ mod harness;
 use cqapx_bench::workloads::{self, random_dag, regular_digraph, skewed_digraph};
 use cqapx_core::{all_approximations, Acyclic, ApproxOptions};
 use cqapx_cq::eval::{
-    eval_naive, AcyclicPlan, AnswersBuilder, AtomBinder, DecomposedPlan, FlatRelation,
-    MatCacheStats, MaterializationCache, NaivePlan,
+    eval_naive, AcyclicPlan, AnswersBuilder, AtomBinder, DecomposedPlan, EvalProfile, FlatRelation,
+    MatCacheStats, MaterializationCache, NaivePlan, PlanIr,
 };
 use cqapx_cq::{parse_cq, query_graph, treewidth_of_query, Atom, ConjunctiveQuery};
 use cqapx_engine::{
@@ -35,7 +38,9 @@ use cqapx_engine::{
 use cqapx_graphs::treewidth::TreeDecomposition;
 use cqapx_structures::{Element, Structure, Vocabulary};
 use harness::{
-    assert_is, build_query, check, check_bags, check_joins, database, random_body, two_cycles, Rows,
+    assert_is, build_query, check, check_bags, check_joins, check_sweep, database, database_of,
+    random_body, sweep_forest, sweep_plan, two_cycles, with_ternary, Rows, ANY_GAP, SKEWED,
+    UNIFORM,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -348,8 +353,8 @@ proptest! {
     /// byte for byte in the buffer, with the width bound kept, and the
     /// call's own counters show the radix arm ran once, on fewer than
     /// 512 rows: small sorts run on words too. The fixture
-    /// unions a straight and a reversed scan of the edge relation, so
-    /// the input is unsorted and duplicate-heavy.
+    /// appends a reversed scan of the edge relation, twice, to a
+    /// straight one, so the input is unsorted and duplicate-heavy.
     #[test]
     fn sort_dedup_radix_is_byte_identical(d in database()) {
         let q = parse_cq("Q(x, y) :- E(x, y), E(y, x)").unwrap();
@@ -359,10 +364,9 @@ proptest! {
         schema.dedup();
         let mut base = FlatRelation::empty(schema.clone());
         AtomBinder::compile(&atoms[0], &schema).materialize_into(&d, &mut base);
-        let mut reversed = FlatRelation::empty(schema.clone());
-        AtomBinder::compile(&atoms[1], &schema).materialize_into(&d, &mut reversed);
-        base.union_rows(&reversed);
-        base.union_rows(&reversed);
+        let reversed = AtomBinder::compile(&atoms[1], &schema);
+        reversed.materialize_into(&d, &mut base);
+        reversed.materialize_into(&d, &mut base);
         prop_assume!(!base.is_empty());
         prop_assert!(base.len() < 512);
 
@@ -502,6 +506,98 @@ fn cached_rows_are_never_written_through_a_sharing_slot() {
         );
     }
     assert!(connector_bags > 0, "no plan had a 0-ary connector bag");
+}
+
+// ---------------------------------------------------------------------
+// The Boolean sweep.
+// ---------------------------------------------------------------------
+
+/// Generated Boolean join forests (`harness::sweep_forest`) against
+/// uniform, Zipf and hub-skewed databases, half of them cut down to a
+/// DAG (edges `u < v` only) so long directed paths fail, with a ternary
+/// relation derived from their edges.
+fn sweep_case() -> impl Strategy<Value = ((ConjunctiveQuery, PlanIr), Structure)> {
+    let d = (database_of(UNIFORM, ANY_GAP), database_of(SKEWED, ANY_GAP));
+    let d = (any::<bool>(), any::<bool>(), d).prop_map(|(skewed, dag, (u, s))| {
+        let d = if skewed { s } else { u };
+        let e = d.vocabulary().rel("E").expect("digraph vocabulary");
+        let edges = (d.tuples(e).iter()).map(|t| (t[0], t[1]));
+        let edges: Vec<(u32, u32)> = edges.filter(|&(a, b)| !dag || a < b).collect();
+        with_ternary(&Structure::digraph(d.universe_size(), &edges))
+    });
+    (sweep_forest(), d)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The live-value sweep decides every generated Boolean join forest
+    /// as the kernel sweep and the naive evaluator do — paths rooted
+    /// mid-way, stars with several filters on the root's column,
+    /// repeated variables, ternary atoms and empty keys among them —
+    /// with the kernel path's counters (see `harness::check_sweep`).
+    #[test]
+    fn bool_sweep_matches_kernel_and_naive(case in sweep_case()) {
+        let ((q, ir), d) = case;
+        check_sweep(&q, &ir, &d);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_560))]
+
+    /// Ten times the cases of `bool_sweep_matches_kernel_and_naive`.
+    #[test]
+    #[ignore = "deep sweep differential: run with --ignored"]
+    fn deep_bool_sweep_differential(case in sweep_case()) {
+        let ((q, ir), d) = case;
+        check_sweep(&q, &ir, &d);
+    }
+}
+
+/// `E` as a structure over the sweep's vocabulary.
+fn sweep_db(edges: &[(u32, u32)]) -> Structure {
+    let n = edges
+        .iter()
+        .map(|&(a, b)| a.max(b) as usize + 1)
+        .max()
+        .unwrap_or(0);
+    with_ternary(&Structure::digraph(n, edges))
+}
+
+/// A filter that empties a middle node: on the path `E(c, d) ←
+/// E(b, c) ← E(a, b)`, no edge into `b` meets an edge out of it, so
+/// the middle node's live row is gone at its own assertion — the sweep
+/// stops there, as the kernel sweep does, with no two-edge walk.
+#[test]
+fn bool_sweep_filter_empties_a_middle_node() {
+    let atoms = ["E(x2, x3)", "E(x1, x2)", "E(x0, x1)"].map(String::from);
+    let (q, ir) = sweep_plan(&atoms, &[None, Some(0), Some(1)]);
+    let d = sweep_db(&[(0, 1), (2, 3)]);
+    assert!(check_sweep(&q, &ir, &d), "the live-value sweep ran");
+    let mut profile = EvalProfile::default();
+    assert!(!ir.run_boolean(&d, None, Some(&mut profile)).0);
+    let sweep: Vec<(&str, usize)> = profile.ops[3..].iter().map(|o| (o.op, o.rows)).collect();
+    let want = [
+        ("semijoin", 2),
+        ("assert_nonempty", 1),
+        ("semijoin", 0),
+        ("assert_nonempty", 0),
+    ];
+    assert_eq!(sweep, want);
+}
+
+/// A run whose first row fails a filter on a non-leading column while
+/// a later row of the same run passes: `E(x, y)` holds `(0, 1)` and
+/// `(0, 2)`, and only `y = 2` continues. `x = 0` must stay live, or
+/// the one witness `5 → 0 → 2 → 3` is lost.
+#[test]
+fn bool_sweep_keeps_a_run_past_its_failing_first_row() {
+    let atoms = ["E(w, x)", "E(x, y)", "E(y, z)"].map(String::from);
+    let (q, ir) = sweep_plan(&atoms, &[None, Some(0), Some(1)]);
+    let d = sweep_db(&[(5, 0), (0, 1), (0, 2), (2, 3)]);
+    assert!(check_sweep(&q, &ir, &d), "the live-value sweep ran");
+    assert!(ir.run_boolean(&d, None, None).0);
 }
 
 // ---------------------------------------------------------------------

@@ -298,23 +298,6 @@ impl FlatRelation {
         self.domain_width
     }
 
-    /// The width bound of data drawn from both operands of a binary
-    /// operator: a 0-ary or **empty** operand contributes no elements
-    /// (an unbounded constant/unit side must not erase the other
-    /// side's known bound); otherwise both bounds must be known for
-    /// the combination to be known.
-    fn combine_widths(&self, other: &FlatRelation) -> u32 {
-        if self.schema.is_empty() || self.rows == 0 {
-            other.domain_width
-        } else if other.schema.is_empty() || other.rows == 0 {
-            self.domain_width
-        } else if self.domain_width > 0 && other.domain_width > 0 {
-            self.domain_width.max(other.domain_width)
-        } else {
-            0
-        }
-    }
-
     /// Heap bytes held by this relation (buffer + schema + built
     /// column bitmaps), the unit of cache byte accounting. Cached
     /// relations build every eligible bitmap at landing (in
@@ -360,7 +343,7 @@ impl FlatRelation {
     /// The existence bitmap of one column, built lazily and shared by
     /// clones. `None` when the relation is ineligible — callers fall
     /// back to the multiway kernel, which answers identically.
-    pub(crate) fn column_bitmap(&self, col: usize) -> Option<Arc<DomainBitmap>> {
+    pub(crate) fn column_bitmap(&self, col: usize) -> Option<&DomainBitmap> {
         if !self.bitmap_eligible() {
             return None;
         }
@@ -376,7 +359,7 @@ impl FlatRelation {
             }
             Arc::new(bm)
         });
-        Some(Arc::clone(bm))
+        Some(bm)
     }
 
     /// The column labels.
@@ -420,6 +403,11 @@ impl FlatRelation {
     pub fn row(&self, i: usize) -> &[Element] {
         let a = self.schema.len();
         &self.data[i * a..(i + 1) * a]
+    }
+
+    /// The row-major buffer: `len() · arity()` elements.
+    pub(crate) fn data(&self) -> &[Element] {
+        &self.data
     }
 
     /// Iterates the rows (empty slices for 0-ary relations).
@@ -472,49 +460,6 @@ impl FlatRelation {
             (Rows::Shared(a), Rows::Shared(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
-    }
-
-    /// Appends every row of `other` (whose schema must cover the same
-    /// variable set, in any column order), remapping columns by name.
-    /// May introduce duplicates; callers finish with
-    /// [`FlatRelation::sort_dedup`] — this is the buffer-level half of a
-    /// set union.
-    pub fn union_rows(&mut self, other: &FlatRelation) {
-        assert_eq!(
-            {
-                let mut a = self.schema.clone();
-                a.sort_unstable();
-                a
-            },
-            {
-                let mut b = other.schema.clone();
-                b.sort_unstable();
-                b
-            },
-            "union operands must range over the same variables"
-        );
-        self.domain_width = self.combine_widths(other);
-        let data = self.data.make_mut();
-        if self.schema == other.schema {
-            data.extend_from_slice(&other.data);
-            self.rows += other.rows;
-            self.invalidate_bitmaps();
-            return;
-        }
-        // Column remap: for each of my columns, its position in `other`.
-        let from: Vec<usize> = self
-            .schema
-            .iter()
-            .map(|v| other.schema.iter().position(|w| w == v).expect("same vars"))
-            .collect();
-        data.reserve(other.rows * self.schema.len());
-        for row in other.iter_rows() {
-            for &p in &from {
-                data.push(row[p]);
-            }
-        }
-        self.rows += other.rows;
-        self.invalidate_bitmaps();
     }
 
     /// Sorts rows lexicographically and removes duplicates, leaving the
@@ -2285,17 +2230,6 @@ mod tests {
     }
 
     #[test]
-    fn union_rows_remaps_columns() {
-        let mut a = rel(&[0, 1], &[&[1, 2]]);
-        let b = rel(&[1, 0], &[&[2, 1], &[9, 8]]);
-        a.union_rows(&b);
-        canon(&mut a);
-        assert_eq!(a.len(), 2); // (1,2) deduplicated, (8,9) added
-        assert_eq!(a.row(0), &[1, 2]);
-        assert_eq!(a.row(1), &[8, 9]);
-    }
-
-    #[test]
     fn semijoin_filters_and_compacts() {
         let mut a = rel(&[0, 1], &[&[1, 2], &[3, 4], &[5, 6]]);
         let b = rel(&[1, 2], &[&[2, 9], &[6, 9]]);
@@ -2936,34 +2870,28 @@ mod tests {
     #[test]
     fn bitmaps_invalidate_on_mutation_and_survive_sort() {
         let mut r = dense_rel(&[0, 1], 200, 32, 77);
-        let bm = r.column_bitmap(0).expect("dense fixture is eligible");
+        let bm: *const DomainBitmap = r.column_bitmap(0).expect("dense fixture is eligible");
         canon(&mut r);
         assert!(
-            Arc::ptr_eq(&bm, &r.column_bitmap(0).unwrap()),
+            std::ptr::eq(bm, r.column_bitmap(0).unwrap()),
             "sort_dedup keeps the cached cell"
         );
         // A clone taken before the mutation keeps the old (valid) cell.
         let snapshot = r.clone();
         r.push_row(&[31, 31]);
         let rebuilt = r.column_bitmap(0).expect("rebuilt after push_row");
-        assert!(!Arc::ptr_eq(&bm, &rebuilt), "mutation must drop the cell");
+        assert!(!std::ptr::eq(bm, rebuilt), "mutation must drop the cell");
         assert!(rebuilt.contains(31));
-        assert!(Arc::ptr_eq(&bm, &snapshot.column_bitmap(0).unwrap()));
+        assert!(std::ptr::eq(bm, snapshot.column_bitmap(0).unwrap()));
     }
 
-    /// Regression: unioning with the unit (or an empty) relation must
-    /// keep the other side's known bound instead of clearing it; the
-    /// join kernel keeps the bound through a unit part and takes the
-    /// largest when every part with a column carries one.
+    /// The join kernel keeps a known bound through a unit part, takes
+    /// the largest when every part with a column carries one, and has
+    /// none when a part's bound is unknown.
     #[test]
-    fn combine_widths_keeps_bound_through_unit_and_empty() {
+    fn join_keeps_domain_width_through_unit_and_unknown() {
         let unit = FlatRelation::unit();
         let dense = dense_rel(&[0, 1], 50, 16, 3);
-        assert_eq!(unit.combine_widths(&dense), 16);
-        assert_eq!(dense.combine_widths(&unit), 16);
-        let empty = FlatRelation::empty(vec![2]);
-        assert_eq!(dense.combine_widths(&empty), 16);
-
         let joined = kernel(&[&unit, &dense], &[0, 1]);
         assert_eq!(joined.domain_width, 16, "unit ⋈ dense keeps the bound");
         let mut wider = dense_rel(&[1, 3], 50, 24, 4);
@@ -3134,33 +3062,6 @@ mod tests {
             assert_eq!(p.domain_width(), 24, "project {vars:?}");
             assert_eq!(kernel(&[&r], vars).domain_width(), 24, "kernel {vars:?}");
         }
-    }
-
-    /// Regression: unioning into a fresh (empty) accumulator must adopt
-    /// the incoming bound, and a union of two bounded sides keeps the
-    /// max; one unknown side poisons the bound conservatively.
-    #[test]
-    fn union_rows_propagates_domain_width_conservatively() {
-        let dense = dense_rel(&[0, 1], 100, 16, 2);
-        let mut scratch = FlatRelation::empty(vec![0, 1]);
-        assert_eq!(scratch.domain_width(), 0, "a fresh relation has none");
-        scratch.union_rows(&dense);
-        assert_eq!(
-            scratch.domain_width(),
-            16,
-            "empty accumulator adopts the bound"
-        );
-        let wider = dense_rel(&[0, 1], 100, 32, 7);
-        scratch.union_rows(&wider);
-        assert_eq!(
-            scratch.domain_width(),
-            32,
-            "bounded ∪ bounded keeps the max"
-        );
-        let mut unknown = big_random_rel(&[0, 1], 50, 16, 8);
-        canon(&mut unknown);
-        scratch.union_rows(&unknown);
-        assert_eq!(scratch.domain_width(), 0, "unknown side poisons the bound");
     }
 
     /// A duplicate-free relation over `schema` whose codes stay below

@@ -8,12 +8,10 @@
 //! | operator             | effect                                                |
 //! |----------------------|-------------------------------------------------------|
 //! | [`Op::Materialize`]  | scan/adopt a [`MatSource`] into a slot (cache-aware: a hit shares the cached rows, it does not copy them); a multi-part bag is the worst-case-optimal multiway join of its parts, the one bag kernel |
-//! | [`Op::Semijoin`]     | `target ⋉ source` on aligned key columns: a one-column key against a source column bitmap filters row by row, any other key is the multiway kernel over the target and the source's key projection; nothing is touched when every row survives |
-//! | [`Op::AssertNonempty`] | abort with the empty answer when a slot ran dry     |
+//! | [`Op::Semijoin`]     | `target ⋉ source` on aligned key columns: a one-column key against a source column bitmap filters row by row, any other key is the multiway kernel over the target and the source's key projection; nothing is touched when every row survives. In a Boolean sweep of one-column keys: the source's live key values, recorded as a filter on the target |
+//! | [`Op::AssertNonempty`] | abort with the empty answer when a slot ran dry; in a Boolean sweep, when no row passes the slot's filters |
 //! | [`Op::MultiJoin`]    | the join: `π_vars(⋈ inputs)` by the one kernel bags are built with — kept variables are enumerated first, what follows them is an existence check, no intermediate exists, and the rows come out canonical; a tree node with its children's partials (one or several), two roots combined, or a Boolean root with one child (`vars` empty: the first witness decides) |
 //! | [`Op::Project`]      | distinct projection of one slot: the kept columns gathered in the slot's row order, then canonicalized; the identity projection shares the slot's rows |
-//! | [`Op::Dedup`]        | in-place sort + duplicate elimination                 |
-//! | [`Op::Union`]        | append a same-variable slot (column-remapped)         |
 //!
 //! Both `AcyclicPlan` (Yannakakis over a GYO join tree) and
 //! `DecomposedPlan` (Yannakakis over the bags of a tree decomposition)
@@ -24,7 +22,9 @@
 //! [`compile_tree`] takes per-node [`NodeSpec`]s — a relation source
 //! plus a *connectivity label* — and a rooted tree. For join trees the
 //! label **is** the node's schema and the semijoin sweeps alone decide
-//! Boolean answers (classical Yannakakis). For tree decompositions the
+//! Boolean answers (classical Yannakakis), on live-value filters when
+//! every key has one column ([`PlanIr::run_boolean`]; the sweep reads
+//! each slot once and mutates none). For tree decompositions the
 //! label is the bag, which may strictly contain the schema of the
 //! atoms materialized in it; the sweeps are then only a sound prefilter
 //! and the bottom-up join phase decides everything (the compiler
@@ -36,7 +36,8 @@ use crate::eval::flat::{
     multiway_join, AtomBinder, FlatRelation, MatCacheStats, MatKey, MaterializationCache,
 };
 use cqapx_par::ThreadBudget;
-use cqapx_structures::{DomainBitmap, Structure};
+use cqapx_structures::{DomainBitmap, Element, Structure};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// Index of a relation slot in a [`PlanIr`] program.
@@ -50,7 +51,12 @@ pub struct OpProfile {
     pub op: &'static str,
     /// Wall-clock microseconds spent in the operator.
     pub micros: u64,
-    /// Rows in the operator's output slot when it finished.
+    /// Rows in the operator's output slot when it finished; an
+    /// assertion's, the rows of the slot it checked. Entries of the
+    /// Boolean sweep (see [`PlanIr::run_boolean`]) report what the op
+    /// decided instead: a semijoin, the number of live values it hands
+    /// to its target; an assertion, whether the slot still has a live
+    /// row (1 or 0).
     pub rows: usize,
 }
 
@@ -304,20 +310,6 @@ pub enum Op {
         /// Variables kept (must occur in the source schema).
         vars: Vec<VarId>,
     },
-    /// In-place sort + duplicate elimination of a slot.
-    Dedup {
-        /// Slot canonicalized.
-        slot: Slot,
-    },
-    /// Append the rows of `src` to `dst` (same variable set, columns
-    /// remapped by name). Follow with [`Op::Dedup`] to restore set
-    /// semantics.
-    Union {
-        /// Destination slot (grows).
-        dst: Slot,
-        /// Source slot (kept).
-        src: Slot,
-    },
 }
 
 impl Op {
@@ -326,10 +318,21 @@ impl Op {
         match self {
             Op::Materialize { .. } => vec![],
             Op::Semijoin { target, source, .. } => vec![*source, *target],
-            Op::AssertNonempty { slot } | Op::Dedup { slot } => vec![*slot],
+            Op::AssertNonempty { slot } => vec![*slot],
             Op::MultiJoin { inputs, .. } => inputs.clone(),
             Op::Project { src, .. } => vec![*src],
-            Op::Union { dst, src } => vec![*src, *dst],
+        }
+    }
+
+    /// Metrics label of the operator: one per variant. `cqbench` sums
+    /// the `join` and `project` prefixes.
+    fn label(&self) -> &'static str {
+        match self {
+            Op::Materialize { .. } => "materialize",
+            Op::Semijoin { .. } => "semijoin",
+            Op::AssertNonempty { .. } => "assert_nonempty",
+            Op::MultiJoin { .. } => "join",
+            Op::Project { .. } => "project",
         }
     }
 
@@ -338,11 +341,9 @@ impl Op {
         match self {
             Op::AssertNonempty { .. } => None,
             Op::Semijoin { target: dst, .. }
-            | Op::Dedup { slot: dst }
             | Op::Materialize { dst, .. }
             | Op::MultiJoin { dst, .. }
-            | Op::Project { dst, .. }
-            | Op::Union { dst, .. } => Some(*dst),
+            | Op::Project { dst, .. } => Some(*dst),
         }
     }
 }
@@ -415,19 +416,6 @@ impl PlanIr {
         fn rel(s: &Option<FlatRelation>) -> &FlatRelation {
             s.as_ref().expect("slot written before use")
         }
-        /// Metrics label of one op: one per variant. `cqbench` sums the
-        /// `join` and `project` prefixes.
-        fn op_label(op: &Op) -> &'static str {
-            match op {
-                Op::Materialize { .. } => "materialize",
-                Op::Semijoin { .. } => "semijoin",
-                Op::AssertNonempty { .. } => "assert_nonempty",
-                Op::MultiJoin { .. } => "join",
-                Op::Project { .. } => "project",
-                Op::Dedup { .. } => "dedup",
-                Op::Union { .. } => "union",
-            }
-        }
         for op in &self.ops[range] {
             let t0 = profile.is_some().then(std::time::Instant::now);
             match op {
@@ -475,22 +463,10 @@ impl PlanIr {
                     };
                     slots[*dst] = Some(out);
                 }
-                Op::Dedup { slot } => {
-                    slots[*slot]
-                        .as_mut()
-                        .expect("slot written before use")
-                        .sort_dedup(stats);
-                }
-                Op::Union { dst, src } => {
-                    let (t, s) = pair_mut(slots, *dst, *src);
-                    t.as_mut()
-                        .expect("slot written before use")
-                        .union_rows(rel(s));
-                }
             }
             if let Some(p) = profile.as_deref_mut() {
                 p.ops.push(OpProfile {
-                    op: op_label(op),
+                    op: op.label(),
                     micros: t0.map_or(0, |t| t.elapsed().as_micros() as u64),
                     // The slot written; an assertion's, the one checked.
                     rows: slots[op.dst().unwrap_or_else(|| op.reads()[0])]
@@ -588,7 +564,9 @@ impl PlanIr {
 
     /// Decides whether the answer is nonempty, running only as much of
     /// the program as the plan shape requires, optionally collecting a
-    /// per-operator [`EvalProfile`].
+    /// per-operator [`EvalProfile`]. A `reduction_decides` plan whose
+    /// keys have one column each is swept on live-value filters, whose
+    /// profile entries report what each op decided (see [`OpProfile`]).
     pub fn run_boolean(
         &self,
         d: &Structure,
@@ -640,26 +618,34 @@ impl PlanIr {
         self.run_boolean(d, cache, profile)
     }
 
-    /// The full-reducer sweep `ops[mat_len..bool_len]` collapsed onto
-    /// existence bitmaps and per-slot **live-row masks**: each semijoin
-    /// tests the target's live rows against the source's live-value
-    /// bitmap and clears misses in the mask; each emptiness assertion
-    /// reads a popcount. No key index is built and no row is compacted
-    /// — for `reduction_decides` plans the Boolean answer is exactly
-    /// "did every mask stay nonempty", which is the bitmap-intersection
-    /// collapse of the sweep.
+    /// The full-reducer sweep `ops[mat_len..bool_len]` over **live-value
+    /// filters**: a semijoin reads its source's live values on the key
+    /// column and records them as a filter on the target's key column;
+    /// an assertion asks whether the slot still has a live row. A slot
+    /// is read once — when it next serves as a source or is asserted —
+    /// under every filter recorded on it so far, by one pass over its
+    /// rows ([`scan`]), or by none when each filter contains the slot's
+    /// own cached bitmap of its column: a source then hands that bitmap
+    /// on. Slots are never mutated.
     ///
-    /// Exactness: a live mask *is* the survivor set the in-place
-    /// semijoin would have compacted (same membership predicate per
-    /// row, applied to the same live rows in the same op order), so
-    /// the outcome — and every profiled row count — is identical to
-    /// the kernel path. Slots are never mutated.
+    /// Exactness: the kernel path keeps a row of a target exactly when
+    /// its key value is among the source's surviving values, so a row
+    /// survives a slot's semijoins exactly when it passes each of their
+    /// tests. The filters recorded on a slot are those values, each read
+    /// under the filters its source had by then: they are the live-row
+    /// mask's row predicate, and every assertion and every verdict is
+    /// the kernel path's. An empty key kills its target exactly when
+    /// the source has no live row, as there.
     ///
-    /// Returns `None` (before emitting any profile entry) when any
-    /// sweep op is ineligible — a
-    /// multi-column key, a fused root edge, or a source without a dense
-    /// bound; the caller then runs the same ops through the semijoin
-    /// and multiway kernels. Each bitmap test is counted into `stats`.
+    /// Profiled entries carry the kernel path's labels. A semijoin
+    /// reports the number of live values it hands to its target (with
+    /// an empty key, 1 or 0), an assertion whether the slot still has a
+    /// live row (1 or 0).
+    ///
+    /// Returns `None` (before any profile entry) when a sweep op is
+    /// ineligible — a multi-column key, a fused root edge, or a source
+    /// without a dense bound; the caller then runs the kernel path. Each
+    /// one-column semijoin counts one bitmap probe into `stats`.
     fn bitmap_bool_sweep(
         &self,
         mat_len: usize,
@@ -691,146 +677,183 @@ impl PlanIr {
                 _ => return None,
             }
         }
-        /// Live rows of one slot: a row-indexed bitset plus popcount.
-        /// `dirty` marks slots whose mask has cleared bits, i.e. whose
-        /// cached column bitmaps no longer describe the live rows.
-        struct Mask {
-            words: Vec<u64>,
-            live: usize,
-            dirty: bool,
-        }
-        let mut masks: Vec<Option<Mask>> = (0..self.slots).map(|_| None).collect();
-        fn ensure(masks: &mut [Option<Mask>], rows: usize, s: Slot) {
-            if masks[s].is_none() {
-                let mut words = vec![u64::MAX; rows.div_ceil(64)];
-                if !rows.is_multiple_of(64) {
-                    *words.last_mut().expect("rows > 0") = (1u64 << (rows % 64)) - 1;
-                }
-                masks[s] = Some(Mask {
-                    words,
-                    live: rows,
-                    dirty: false,
-                });
-            }
-        }
+        // Every filter recorded so far, at most one per slot and column
+        // (a second one is intersected in); and per slot, `Some(false)`
+        // once it has no live row (for good: filters only remove rows),
+        // `Some(true)` when a read found one and no filter came since.
+        let mut filters: Vec<Filter> = Vec::with_capacity(sweep.len());
+        let mut alive: Vec<Option<bool>> = vec![None; self.slots];
         for op in sweep {
             let t0 = profile.is_some().then(std::time::Instant::now);
-            match op {
+            let rows = match *op {
                 Op::AssertNonempty { slot } => {
-                    ensure(&mut masks, rel(*slot).len(), *slot);
-                    let live = masks[*slot].as_ref().expect("ensured").live;
-                    if let Some(p) = profile.as_deref_mut() {
-                        p.ops.push(OpProfile {
-                            op: "assert_nonempty",
-                            micros: t0.map_or(0, |t| t.elapsed().as_micros() as u64),
-                            rows: live,
-                        });
-                    }
-                    if live == 0 {
-                        return Some(false);
-                    }
+                    usize::from(has_live_row(rel(slot), slot, &filters, &mut alive))
                 }
                 Op::Semijoin {
                     target,
                     source,
-                    target_pos,
-                    source_pos,
+                    ref target_pos,
+                    ref source_pos,
                 } => {
-                    ensure(&mut masks, rel(*source).len(), *source);
-                    ensure(&mut masks, rel(*target).len(), *target);
-                    if target_pos.is_empty() {
-                        // Cartesian degenerate case: the target dies
-                        // iff the source has no live row.
-                        if masks[*source].as_ref().expect("ensured").live == 0 {
-                            let m = masks[*target].as_mut().expect("ensured");
-                            m.words.fill(0);
-                            m.live = 0;
-                            m.dirty = true;
+                    let handed = match source_pos.first() {
+                        None => {
+                            usize::from(has_live_row(rel(source), source, &filters, &mut alive))
                         }
+                        Some(&col) => {
+                            stats.note_bitmap_probe();
+                            let values =
+                                live_values(rel(source), source, col, &filters, &mut alive);
+                            let handed = values.as_ref().map_or(0, |v| v.ones() as usize);
+                            // Values that contain the target's own bitmap
+                            // of the column remove no row: not recorded.
+                            let own = rel(target).column_bitmap(target_pos[0]);
+                            let values = values.filter(|v| !own.is_some_and(|o| o.subset_of(v)));
+                            let key = (target, target_pos[0]);
+                            match (values, filters.iter_mut().find(|f| (f.0, f.1) == key)) {
+                                (Some(v), Some(f)) => f.2 = Cow::Owned(f.2.and(&v)),
+                                (Some(v), None) => filters.push((key.0, key.1, v)),
+                                (None, _) => {}
+                            }
+                            handed
+                        }
+                    };
+                    // No live value kills the target; a new filter may
+                    // remove its rows.
+                    alive[target] = if handed == 0 {
+                        Some(false)
                     } else {
-                        stats.note_bitmap_probe();
-                        let srel = rel(*source);
-                        let scol = source_pos[0];
-                        let smask = masks[*source].as_ref().expect("ensured");
-                        // The source's live-value bitmap: the cached
-                        // column bitmap while every source row is
-                        // live, a one-pass rebuild over the live rows
-                        // once the sweep has filtered it.
-                        let rebuilt;
-                        let cached;
-                        let sbm: &DomainBitmap = if smask.dirty {
-                            let mut bm = DomainBitmap::new(srel.domain_width());
-                            for (wi, &w) in smask.words.iter().enumerate() {
-                                let mut bits = w;
-                                while bits != 0 {
-                                    let i = (wi << 6) + bits.trailing_zeros() as usize;
-                                    bm.set(srel.row(i)[scol]);
-                                    bits &= bits - 1;
-                                }
-                            }
-                            rebuilt = bm;
-                            &rebuilt
-                        } else {
-                            cached = srel
-                                .column_bitmap(scol)
-                                .expect("validated before the sweep");
-                            &cached
-                        };
-                        let trel = rel(*target);
-                        let tcol = target_pos[0];
-                        // Word-wise collapse: the target's cached column
-                        // bitmap covers every row (dead ones included),
-                        // so if it is a subset of the source's live
-                        // values, no live row can miss — the op is a
-                        // subset test over two word tables and the row
-                        // scan never runs. On fully-reducing data the
-                        // entire sweep settles in these tests.
-                        let covered = trel
-                            .column_bitmap(tcol)
-                            .is_some_and(|tbm| tbm.subset_of(sbm));
-                        let m = masks[*target].as_mut().expect("ensured");
-                        if covered {
-                            if let Some(p) = profile.as_deref_mut() {
-                                p.ops.push(OpProfile {
-                                    op: "semijoin",
-                                    micros: t0.map_or(0, |t| t.elapsed().as_micros() as u64),
-                                    rows: m.live,
-                                });
-                            }
-                            continue;
-                        }
-                        let mut live = 0usize;
-                        for (wi, w) in m.words.iter_mut().enumerate() {
-                            let mut keep = 0u64;
-                            let mut bits = *w;
-                            while bits != 0 {
-                                let b = bits & bits.wrapping_neg();
-                                let i = (wi << 6) + b.trailing_zeros() as usize;
-                                let hit = sbm.contains(trel.row(i)[tcol]) as u64;
-                                keep |= b & hit.wrapping_neg();
-                                bits ^= b;
-                            }
-                            *w = keep;
-                            live += keep.count_ones() as usize;
-                        }
-                        if live != m.live {
-                            m.dirty = true;
-                        }
-                        m.live = live;
-                    }
-                    if let Some(p) = profile.as_deref_mut() {
-                        p.ops.push(OpProfile {
-                            op: "semijoin",
-                            micros: t0.map_or(0, |t| t.elapsed().as_micros() as u64),
-                            rows: masks[*target].as_ref().expect("ensured").live,
-                        });
-                    }
+                        alive[target].filter(|&a| !a)
+                    };
+                    handed
                 }
                 _ => unreachable!("validated before the sweep"),
+            };
+            if let Some(p) = profile.as_deref_mut() {
+                p.ops.push(OpProfile {
+                    op: op.label(),
+                    micros: t0.map_or(0, |t| t.elapsed().as_micros() as u64),
+                    rows,
+                });
+            }
+            if matches!(op, Op::AssertNonempty { .. }) && rows == 0 {
+                return Some(false);
             }
         }
         Some(true)
     }
+}
+
+/// One filter of the Boolean sweep: `(slot, column, live values)` — the
+/// live values a semijoin source handed on: its cached column bitmap
+/// when no filter removed a row of it, else the bitmap a read built.
+type Filter<'a> = (Slot, usize, Cow<'a, DomainBitmap>);
+
+/// Whether slot `s` (relation `rel`) still has a live row, read at most
+/// once per filter it receives.
+fn has_live_row(
+    rel: &FlatRelation,
+    s: Slot,
+    filters: &[Filter],
+    alive: &mut [Option<bool>],
+) -> bool {
+    *alive[s].get_or_insert_with(|| match binding(s, filters).next() {
+        None => !rel.is_empty(),
+        Some(_) => scan(rel, binding(s, filters), None),
+    })
+}
+
+/// The live values of slot `s` (relation `rel`) on column `col`, `None`
+/// when no row is live.
+fn live_values<'a>(
+    rel: &'a FlatRelation,
+    s: Slot,
+    col: usize,
+    filters: &[Filter],
+    alive: &mut [Option<bool>],
+) -> Option<Cow<'a, DomainBitmap>> {
+    if alive[s] == Some(false) {
+        return None;
+    }
+    let values = match binding(s, filters).next() {
+        None => Cow::Borrowed(rel.column_bitmap(col).expect("validated before the sweep")),
+        Some(_) => {
+            // A plain word table: the row loop keeps no count per bit.
+            let mut words = vec![0u64; (rel.domain_width() as usize).div_ceil(64)];
+            scan(rel, binding(s, filters), Some((col, &mut words)));
+            Cow::Owned(DomainBitmap::from_words(rel.domain_width(), words))
+        }
+    };
+    alive[s] = Some(!values.is_empty());
+    (!values.is_empty()).then_some(values)
+}
+
+/// The filters recorded on slot `s`, as `(column, live values)`.
+fn binding<'f>(
+    s: Slot,
+    filters: &'f [Filter<'_>],
+) -> impl Iterator<Item = (usize, &'f DomainBitmap)> {
+    (filters.iter().filter(move |f| f.0 == s)).map(|(_, col, values)| (*col, &**values))
+}
+
+/// One pass over `rel`'s rows under the filters `binding` (not empty,
+/// one per column), hoisted out of the row loop, with binary rows in
+/// their own loop: each live row's value on column `c` is set in `out`,
+/// or with `out = None` the pass stops at the first live row. Returns
+/// whether a row is live.
+fn scan<'f>(
+    rel: &FlatRelation,
+    binding: impl Iterator<Item = (usize, &'f DomainBitmap)>,
+    out: Option<(usize, &mut [u64])>,
+) -> bool {
+    let (mut lead, mut second, mut rest) = (None, None, Vec::new());
+    for (col, values) in binding {
+        match col {
+            0 => lead = Some(values),
+            1 if rel.arity() == 2 => second = Some(values),
+            _ => rest.push((col, values)),
+        }
+    }
+    if rel.arity() == 2 {
+        let second = |row: &[Element]| second.is_none_or(|f| f.contains(row[1]));
+        return scan_rows(rel.data(), 2, lead, second, out);
+    }
+    let rest = |row: &[Element]| rest.iter().all(|&(c, f)| f.contains(row[c]));
+    scan_rows(rel.data(), rel.arity(), lead, rest, out)
+}
+
+/// [`scan`]'s row loop over `arity`-wide rows, with the leading
+/// column's filter `lead` and the other columns' test `rest`. Slots
+/// are canonical, so the rows of one leading value are consecutive:
+/// once that value is filtered out — or set, when `c` is the leading
+/// column — the rest of its run is skipped.
+#[inline(always)]
+fn scan_rows(
+    data: &[Element],
+    arity: usize,
+    lead: Option<&DomainBitmap>,
+    rest: impl Fn(&[Element]) -> bool,
+    mut out: Option<(usize, &mut [u64])>,
+) -> bool {
+    let Some(&first) = data.first() else {
+        return false;
+    };
+    // `open`: the current leading value is neither filtered out nor set.
+    let (mut value, mut open, mut found) = (!first, false, false);
+    for row in data.chunks_exact(arity) {
+        if row[0] != value {
+            value = row[0];
+            open = lead.is_none_or(|f| f.contains(value));
+        }
+        if open && rest(row) {
+            let Some((c, words)) = out.as_mut() else {
+                return true;
+            };
+            let v = row[*c];
+            words[(v >> 6) as usize] |= 1 << (v & 63);
+            (open, found) = (*c != 0, true);
+        }
+    }
+    found
 }
 
 /// One node of the tree a plan is compiled from.
@@ -1343,42 +1366,32 @@ mod tests {
 
     #[test]
     fn ops_union_dedup_project_roundtrip() {
-        // A hand-built program: materialize E forwards and reversed
-        // (over the same two variables), union them, dedup, project to
-        // column 0.
-        let q = parse_cq("Q() :- E(x, y), E(y, x)").unwrap();
-        let fwd = MatSource::from_groups(&[vec![&q.atoms()[0]]]);
-        let rev = MatSource::from_groups(&[vec![&q.atoms()[1]]]);
+        // A hand-built program: materialize E, assert it nonempty,
+        // project it to its first column.
+        let q = parse_cq("Q() :- E(x, y)").unwrap();
         let ir = PlanIr {
-            slots: 3,
+            slots: 2,
             ops: vec![
                 Op::Materialize {
                     dst: 0,
-                    source: fwd,
+                    source: MatSource::from_groups(&[vec![&q.atoms()[0]]]),
                 },
-                Op::Materialize {
-                    dst: 1,
-                    source: rev,
-                },
-                Op::Union { dst: 0, src: 1 },
-                Op::Dedup { slot: 0 },
                 Op::AssertNonempty { slot: 0 },
                 Op::Project {
-                    dst: 2,
+                    dst: 1,
                     src: 0,
                     vars: vec![0],
                 },
             ],
-            bool_len: 5,
+            bool_len: 2,
             reduction_decides: true,
-            output: 2,
+            output: 1,
         };
         let d = Structure::digraph(3, &[(0, 1), (1, 0), (1, 2)]);
         let (out, _) = ir.run(&d, None, None);
+        // The sources of E, each once: {0, 1}.
         let out = out.unwrap();
-        // Union of E and E-reversed, projected to the first column:
-        // sources {0, 1} ∪ targets {1, 0, 2} = {0, 1, 2}.
-        assert_eq!(out.len(), 3);
+        assert_eq!(out.iter_rows().collect::<Vec<_>>(), [[0], [1]]);
         let (b, _) = ir.run_boolean(&d, None, None);
         assert!(b);
         // Empty database: the assertion aborts both runs.
@@ -1438,6 +1451,72 @@ mod tests {
         assert_eq!((root.op, root.rows), ("join", 6));
     }
 
+    /// A profiled Boolean sweep records one entry per op it ran, under
+    /// the kernel path's labels and in its order, stopping at the same
+    /// assertion; an assertion reports 1 or 0, a semijoin the live
+    /// values it hands on. Profiling changes neither the verdict nor the
+    /// counters.
+    #[test]
+    fn profiled_bool_sweep_records_each_op_it_ran() {
+        use crate::eval::yannakakis::AcyclicPlan;
+        let [cyclic, dag] = cyclic_and_acyclic();
+        // Three edges: the two-edge path holds, and its semijoin hands
+        // on a known number of values (below).
+        let tiny = Structure::digraph(3, &[(0, 1), (1, 2), (2, 2)]);
+        for rule in [
+            "Q() :- E(a0,a1), E(a1,a2), E(a2,a3), E(a3,a4), E(a4,a5), E(a5,a6)",
+            "Q() :- E(c,a1), E(c,a2), E(a3,c), E(c,a4)",
+            "Q() :- E(x,y), E(y,z)",
+        ] {
+            let q = parse_cq(rule).unwrap();
+            let plan = AcyclicPlan::compile(&q).unwrap();
+            let ir = plan.ir();
+            assert!(ir.reduction_decides() && ir.bool_len == ir.ops.len());
+            for d in [&cyclic, &dag, &tiny] {
+                let (verdict, stats) = ir.run_boolean(d, None, None);
+                let mut profile = EvalProfile::default();
+                let (profiled, profiled_stats) = ir.run_boolean(d, None, Some(&mut profile));
+                assert_eq!((profiled, profiled_stats), (verdict, stats), "{rule}");
+                assert!(stats.bitmap_probes > 0, "the bitmap sweep ran: {rule}");
+                let mut kernel = EvalProfile::default();
+                let (alive, _, _) = ir.run_slots(d, None, Some(&mut kernel));
+                assert_eq!(alive, verdict, "{rule}");
+                let labels = |p: &EvalProfile| p.ops.iter().map(|o| o.op).collect::<Vec<_>>();
+                assert_eq!(labels(&profile), labels(&kernel), "{rule}");
+                let sweep = &profile.ops[ir.materialize_sources().count()..];
+                for (entry, op) in sweep
+                    .iter()
+                    .zip(&ir.ops[ir.materialize_sources().count()..])
+                {
+                    if let Op::AssertNonempty { .. } = op {
+                        assert!(entry.rows <= 1, "{rule}: {entry:?}");
+                    }
+                }
+                let last = profile.ops.last().unwrap();
+                assert_eq!(last.rows == 0, !verdict, "{rule}: {last:?}");
+            }
+        }
+        let q = parse_cq("Q() :- E(x,y), E(y,z)").unwrap();
+        let plan = AcyclicPlan::compile(&q).unwrap();
+        let mut profile = EvalProfile::default();
+        plan.ir().run_boolean(&tiny, None, Some(&mut profile));
+        let sweep: Vec<(&str, usize)> = profile.ops[2..].iter().map(|o| (o.op, o.rows)).collect();
+        // The leaf hands on its live values, then both slots are
+        // asserted: `{1, 2}` from `E(x, y)` on `y`, or `{0, 1, 2}` from
+        // `E(y, z)` on `y`, whichever the plan has for its leaf.
+        assert!(
+            matches!(
+                sweep[..],
+                [
+                    ("semijoin", 2 | 3),
+                    ("assert_nonempty", 1),
+                    ("assert_nonempty", 1)
+                ]
+            ),
+            "{sweep:?}"
+        );
+    }
+
     #[test]
     fn warm_boolean_run_copies_no_cached_row() {
         use crate::eval::yannakakis::AcyclicPlan;
@@ -1457,8 +1536,8 @@ mod tests {
         let mat_len = ir.materialize_sources().count();
         assert!(ir.exec(0..mat_len, &mut slots, &d, Some(&cache), &mut stats, None));
         assert_eq!((stats.hits as usize, stats.misses), (mat_len, 0));
-        // Both sweep paths: the bitmap collapse (when bitmaps are on)
-        // and the semijoin kernels.
+        // Both sweep paths: the live-value sweep and the semijoin
+        // kernels.
         let sweep = ir.bitmap_bool_sweep(mat_len, &slots, &mut stats, None);
         assert_ne!(sweep, Some(false));
         let sweep = mat_len..ir.bool_len;

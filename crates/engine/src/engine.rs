@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// Which tractable class the sandwich plan approximates into.
@@ -562,6 +562,8 @@ pub struct Engine {
     config: EngineConfig,
     catalog: RwLock<Catalog>,
     cache: ApproxCache,
+    /// Read through a poisoned lock too: a panic under it leaves the
+    /// counters at worst one request behind.
     stats: Mutex<EngineStats>,
     /// The engine-wide worker budget ([`EngineConfig::threads`] total
     /// workers), from which batch execution claims its workers.
@@ -671,7 +673,10 @@ impl Engine {
 
     /// A snapshot of the aggregate statistics.
     pub fn stats(&self) -> EngineStats {
-        self.stats.lock().expect("stats lock poisoned").clone()
+        self.stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// The level the engine records at.
@@ -733,7 +738,7 @@ impl Engine {
     /// concurrent recorders loses those increments, and a degrading
     /// engine forgets the p99 it predicts from.
     pub fn reset_stats(&self) {
-        *self.stats.lock().expect("stats lock poisoned") = EngineStats::default();
+        *self.stats.lock().unwrap_or_else(PoisonError::into_inner) = EngineStats::default();
         self.metrics.reset();
     }
 
@@ -891,7 +896,7 @@ impl Engine {
     }
 
     fn record(&self, r: &Response) {
-        let mut s = self.stats.lock().expect("stats lock poisoned");
+        let mut s = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
         s.requests += 1;
         match r.status {
             ResponseStatus::Complete => s.complete += 1,
@@ -1284,6 +1289,25 @@ mod tests {
         assert_eq!(r.status, ResponseStatus::Complete);
         assert_eq!(r.answers.len(), 2);
         assert_eq!(e.stats().plan_yannakakis, 1);
+    }
+
+    /// A panic while the statistics lock is held poisons it; the engine
+    /// still answers, and still counts what it serves.
+    #[test]
+    fn poisoned_stats_lock_still_counts_requests() {
+        let e = engine();
+        let db = e.register_database("p", Structure::digraph(4, &[(0, 1), (1, 2), (2, 3)]));
+        let q = e.prepare_query("ends", parse_cq("Q(x, z) :- E(x, y), E(y, z)").unwrap());
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = e.stats.lock().unwrap();
+            panic!("a recorder panics while holding the statistics lock");
+        }));
+        assert!(poisoned.is_err() && e.stats.is_poisoned());
+        let r = e.execute(&Request::new(q, db));
+        assert_eq!((r.status, r.answers.len()), (ResponseStatus::Complete, 2));
+        assert_eq!((e.stats().requests, e.stats().complete), (1, 1));
+        e.reset_stats();
+        assert_eq!(e.stats().requests, 0);
     }
 
     /// A registration and a preparation hold the catalog's write lock

@@ -45,6 +45,14 @@ impl DomainBitmap {
         bm
     }
 
+    /// The bitmap over `[0, width)` with word table `words`
+    /// (`width.div_ceil(64)` words, no bit at or past `width`), counted.
+    pub fn from_words(width: u32, words: Vec<u64>) -> Self {
+        debug_assert_eq!(words.len(), (width as usize).div_ceil(64));
+        let ones = words.iter().map(|w| w.count_ones()).sum();
+        DomainBitmap { words, width, ones }
+    }
+
     /// Sets code `v`. Codes `>= width` are ignored.
     #[inline]
     pub fn set(&mut self, v: u32) {
