@@ -15,7 +15,8 @@
 //! allocator no more often than the hash-index join it replaced.
 //!
 //! A warm request allocates alike whether or not the data has a
-//! dangling tuple and whatever the engine's thread count, and preparing
+//! dangling tuple, whatever the engine's thread count and whether or not
+//! the engine records metrics, and preparing
 //! a query twice calls the allocator less often than one approximation
 //! search.
 //!
@@ -30,7 +31,7 @@ use cqapx_cq::eval::{
     PlanIr,
 };
 use cqapx_cq::parse_cq;
-use cqapx_engine::{Engine, EngineConfig, PlanKind, Request};
+use cqapx_engine::{Engine, EngineConfig, EvalMode, MetricsLevel, PlanKind, Request};
 use cqapx_structures::Structure;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -259,6 +260,8 @@ fn boolean_six_cycle_stops_at_the_first_witness() {
 }
 
 const C4: &str = "Q() :- E(a,b), E(b,c), E(c,d), E(d,a)";
+const TWO_HOP: &str = "Q(x,z) :- E(x,y), E(y,z)";
+const TRIANGLE: &str = "Q(x) :- E(x,y), E(y,z), E(z,x)";
 
 /// The Boolean `C₄` plan's root edge is one existence call over the two
 /// bags (80,000 rows each on 5000 × 4, as the benchmark builds them).
@@ -398,45 +401,71 @@ fn warm_wedge_allocations_ignore_a_dangling_tuple() {
 }
 
 /// One request runs start to finish on the thread that executes it,
-/// whatever the engine's thread count: engines at 1 and 2 threads serve
-/// the same warm requests — `two_hop`'s free join on a 3,000-vertex
-/// graph of out-degree 8, and a Boolean C4 on the decomposed tier —
-/// with byte-identical answers and the same number of allocator calls
-/// on the calling thread.
+/// whatever the engine's thread count, and recording it allocates
+/// nothing: engines at 1 and 2 threads, each at `MetricsLevel::None`
+/// and at `Counters`, serve the same warm requests — `two_hop`'s free
+/// join on a 3,000-vertex graph of out-degree 8, a Boolean C4 on the
+/// decomposed tier, and a certain-only triangle on the sandwich tier
+/// (an approximation-cache hit) — with byte-identical answers and the
+/// same number of allocator calls on the calling thread.
 #[test]
 fn one_request_allocates_the_same_at_any_thread_count() {
     let n = 3_000u32;
-    let edges: Vec<(u32, u32)> = (0..n)
+    let mut edges: Vec<(u32, u32)> = (0..n)
         .flat_map(|u| (1..=8).map(move |k| (u, (u * 31 + k * 379) % n)))
         .collect();
+    // Loops, so the triangle's approximations have certain answers.
+    edges.extend((0..n).step_by(100).map(|u| (u, u)));
     let d = Structure::digraph(n as usize, &edges);
+    // The naive budgets send only the triangle to the sandwich.
     let cells = [
-        ("Q(x,z) :- E(x,y), E(y,z)", PlanKind::Yannakakis),
-        (C4, PlanKind::Decomposed),
+        (TWO_HOP, EvalMode::Exact, 1e18, PlanKind::Yannakakis),
+        (C4, EvalMode::Exact, 1e18, PlanKind::Decomposed),
+        (TRIANGLE, EvalMode::CertainOnly, 0.0, PlanKind::Sandwich),
     ];
-    let served = [1, 2].map(|threads| {
-        let engine = Engine::new(EngineConfig {
-            threads,
-            naive_cost_budget: 1e18,
-            ..EngineConfig::default()
-        });
-        let db = engine.register_database("g", d.clone());
-        cells.map(|(text, tier)| {
-            let req = Request::new(engine.prepare_query(text, parse_cq(text).unwrap()), db);
+    let engines = [
+        (1, MetricsLevel::Counters),
+        (2, MetricsLevel::Counters),
+        (1, MetricsLevel::None),
+        (2, MetricsLevel::None),
+    ];
+    let served = engines.map(|(threads, metrics)| {
+        cells.map(|(text, mode, naive_cost_budget, tier)| {
+            let engine = Engine::new(EngineConfig {
+                threads,
+                metrics,
+                naive_cost_budget,
+                ..EngineConfig::default()
+            });
+            let db = engine.register_database("g", d.clone());
+            let req = Request {
+                mode,
+                ..Request::new(engine.prepare_query(text, parse_cq(text).unwrap()), db)
+            };
+            // A miss, then a first hit: the first hit of the test makes
+            // two one-off allocator calls that no later hit repeats.
+            engine.execute(&req);
             engine.execute(&req);
             let (warm, count, _) = counted(|| engine.execute(&req));
-            assert_eq!(warm.plan, tier, "{text} at {threads} thread(s)");
-            assert!(!warm.answers.is_empty(), "{text} at {threads} thread(s)");
+            let what = format!("{text} at {threads} thread(s), {metrics}");
+            assert_eq!(warm.plan, tier, "{what}");
+            assert!(!warm.answers.is_empty(), "{what}");
             (warm.answers, count)
         })
     });
-    for (i, (text, _)) in cells.iter().enumerate() {
-        let ((one, one_allocs), (two, two_allocs)) = (&served[0][i], &served[1][i]);
-        assert!(one == two, "{text}: answers differ between 1 and 2 threads");
-        assert_eq!(
-            one_allocs, two_allocs,
-            "{text}: allocator calls, 1 vs 2 threads"
-        );
+    for (i, (text, ..)) in cells.iter().enumerate() {
+        let (first, first_allocs) = &served[0][i];
+        for ((threads, metrics), cells) in engines.iter().zip(&served).skip(1) {
+            let (answers, allocs) = &cells[i];
+            assert!(
+                answers == first,
+                "{text}: answers differ at {threads} thread(s), {metrics}"
+            );
+            assert_eq!(
+                allocs, first_allocs,
+                "{text}: allocator calls at {threads} thread(s), {metrics} vs 1 thread, counters"
+            );
+        }
     }
 }
 

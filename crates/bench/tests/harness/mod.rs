@@ -31,7 +31,8 @@
 //!
 //! Every answer set passes [`assert_is`]: the oracle's rows as a set,
 //! in its order, with `contains` agreeing. [`serve_batches`] runs the
-//! engine's batches at 1, 2 and 8 threads.
+//! engine's batches at 1, 2 and 8 threads, and
+//! [`serve_sandwich_batches`] the same on the approximation sandwich.
 //!
 //! The kernel has one configuration: a column bitmap answers whenever
 //! the relation is eligible, and rows that pack into one word are
@@ -48,6 +49,7 @@
 use cqapx_bench::baseline::BaselineHom;
 use cqapx_bench::reference::assert_join;
 use cqapx_bench::workloads::{lcg, skewed_digraph, zipf_db};
+use cqapx_core::{all_approximations, ApproxOptions, TwK};
 use cqapx_cq::eval::ir::compile_tree;
 use cqapx_cq::eval::{
     eval_boolean_naive, eval_naive, AcyclicPlan, Answers, AtomBinder, DecomposedPlan, EvalProfile,
@@ -56,7 +58,9 @@ use cqapx_cq::eval::{
 use cqapx_cq::{
     parse_cq, parse_cq_with_vocab, query_graph, tableau_of, treewidth_of_query, ConjunctiveQuery,
 };
-use cqapx_engine::{Engine, EngineConfig, MetricsLevel, Request, ResponseStatus, StatsSnapshot};
+use cqapx_engine::{
+    Engine, EngineConfig, EvalMode, MetricsLevel, QueryId, Request, ResponseStatus, StatsSnapshot,
+};
 use cqapx_graphs::treewidth::treewidth_at_most;
 use cqapx_structures::{Element, Structure, StructureBuilder, Vocabulary};
 use proptest::prelude::*;
@@ -600,27 +604,90 @@ const BATCH: [&str; 3] = [
 /// be the oracle's; returns each engine's snapshot, in [`THREADS`]
 /// order.
 pub fn serve_batches(d: &Structure, budget: usize, dup: usize) -> [StatsSnapshot; 3] {
+    let config = EngineConfig {
+        mat_cache_budget_bytes: Some(budget),
+        approx_cache_budget_bytes: Some(budget),
+        ..EngineConfig::default()
+    };
+    serve(d, &config, &[EvalMode::Exact], dup)
+}
+
+/// [`serve_batches`] on the approximation sandwich: a naive budget of
+/// zero sends the two cyclic queries there, and each query is served
+/// `dup` times exact and `dup` times certain-only, so both caches see
+/// traffic — the materialization cache at `mat` bytes and the
+/// approximation cache at `approx` (`0`: unbounded). A certain-only
+/// answer must be the union of `Q'(D)` over the `TW(1)`-approximations
+/// `Q'` of `Q` (for the acyclic query, `Q` itself).
+pub fn serve_sandwich_batches(
+    d: &Structure,
+    mat: usize,
+    approx: usize,
+    dup: usize,
+) -> [StatsSnapshot; 3] {
+    let config = EngineConfig {
+        naive_cost_budget: 0.0,
+        mat_cache_budget_bytes: Some(mat),
+        approx_cache_budget_bytes: Some(approx),
+        ..EngineConfig::default()
+    };
+    serve(d, &config, &[EvalMode::Exact, EvalMode::CertainOnly], dup)
+}
+
+/// Serves every batch query in every mode of `modes`, each `dup` times,
+/// as one batch on a fresh engine per thread count, configured as
+/// `config` but for its thread count, with metrics at `Counters`.
+fn serve(
+    d: &Structure,
+    config: &EngineConfig,
+    modes: &[EvalMode],
+    dup: usize,
+) -> [StatsSnapshot; 3] {
     let queries: Vec<ConjunctiveQuery> = BATCH.iter().map(|q| parse_cq(q).unwrap()).collect();
-    let exact: Vec<Rows> = queries.iter().map(|q| eval_naive(q, d)).collect();
+    let certain = |q: &ConjunctiveQuery| -> Rows {
+        let options = ApproxOptions::default();
+        let approximations = all_approximations(q, &TwK(1), &options).approximations;
+        approximations
+            .iter()
+            .flat_map(|a| eval_naive(a, d))
+            .collect()
+    };
+    let cells: Vec<(usize, EvalMode, Rows)> = (queries.iter().enumerate())
+        .flat_map(|(i, q)| {
+            modes.iter().map(move |&mode| match mode {
+                EvalMode::Exact => (i, mode, eval_naive(q, d)),
+                EvalMode::CertainOnly => (i, mode, certain(q)),
+            })
+        })
+        .collect();
+    let budgets = (
+        config.mat_cache_budget_bytes,
+        config.approx_cache_budget_bytes,
+    );
     THREADS.map(|threads| {
         let e = Engine::new(EngineConfig {
             threads,
             metrics: MetricsLevel::Counters,
-            mat_cache_budget_bytes: Some(budget),
-            approx_cache_budget_bytes: Some(budget),
-            ..EngineConfig::default()
+            ..config.clone()
         });
         let db = e.register_database("d", d.clone());
-        let reqs: Vec<Request> = (queries.iter().enumerate())
-            .flat_map(|(i, q)| {
-                let qid = e.prepare_query(format!("q{i}"), q.clone());
-                (0..dup).map(move |_| Request::new(qid, db))
+        let ids: Vec<QueryId> = (queries.iter().enumerate())
+            .map(|(i, q)| e.prepare_query(format!("q{i}"), q.clone()))
+            .collect();
+        let reqs: Vec<Request> = (cells.iter())
+            .flat_map(|&(i, mode, _)| {
+                let req = Request {
+                    mode,
+                    ..Request::new(ids[i], db)
+                };
+                std::iter::repeat_n(req, dup)
             })
             .collect();
-        for (i, r) in e.execute_batch(&reqs).iter().enumerate() {
-            let q = &queries[i / dup];
-            let what = format!("{threads} threads, budget {budget}, {q}");
-            assert_is(&r.answers, &exact[i / dup], q.arity(), &what);
+        for (k, r) in e.execute_batch(&reqs).iter().enumerate() {
+            let (i, mode, rows) = &cells[k / dup];
+            let q = &queries[*i];
+            let what = format!("{threads} threads, budgets {budgets:?}, {mode:?}, {q}");
+            assert_is(&r.answers, rows, q.arity(), &what);
         }
         e.snapshot()
     })

@@ -1,15 +1,114 @@
 //! The engine's thread count against its accounting, through the oracle
 //! harness (`harness/mod.rs`): batches spread over 1, 2 or 8 workers
 //! return the oracle's answers, and single-flight materialization makes
-//! the accounting independent of the schedule. The starved-cache
+//! the accounting independent of the schedule. The metrics agree with
+//! the counters they break down. Under budgets that evict some cache
+//! entries but not all, the answers stay the oracle's. The starved-cache
 //! variant is `tests/proptest_invariants.rs`'s.
 
 mod harness;
 
+use cqapx_bench::workloads::zipf_db;
 use cqapx_engine::{EngineStats, StatsSnapshot};
-use harness::{database, serve_batches, THREADS};
+use harness::{database, serve_batches, serve_sandwich_batches, THREADS};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::time::Duration;
+
+/// The metrics summed back up — the classes' request counts, then each
+/// cache's per-database hits and misses — next to the counters they
+/// break down, which they must equal.
+fn breakdown(s: &StatsSnapshot) -> ([u64; 5], [u64; 5]) {
+    let sum = |by_db: &BTreeMap<String, u64>, what: &str| -> u64 {
+        let suffix = format!("/{what}");
+        (by_db.iter())
+            .filter(|(label, _)| label.ends_with(&suffix))
+            .map(|(_, n)| n)
+            .sum()
+    };
+    let (approx, mat) = (&s.approx_cache_by_db, &s.mat_cache_by_db);
+    let metrics = [
+        s.class_latency.values().map(|h| h.count).sum(),
+        sum(approx, "hits"),
+        sum(approx, "misses"),
+        sum(mat, "hits"),
+        sum(mat, "misses"),
+    ];
+    let c = &s.counters;
+    let counters = [
+        c.requests,
+        c.cache_hits,
+        c.cache_misses,
+        c.mat_hits,
+        c.mat_misses,
+    ];
+    (metrics, counters)
+}
+
+/// The counters without wall time, and without what a schedule decides
+/// once a cache evicts: whether a lookup found its entry (each cache's
+/// hits and misses are summed into its hits) and the sorts that rebuild
+/// an evicted relation.
+fn schedule_free(s: &StatsSnapshot) -> String {
+    let c = &s.counters;
+    format!(
+        "{:?}",
+        EngineStats {
+            cache_hits: c.cache_hits + c.cache_misses,
+            cache_misses: 0,
+            mat_hits: c.mat_hits + c.mat_misses,
+            mat_misses: 0,
+            packed_sorts: 0,
+            packed_rows: 0,
+            busy: Duration::ZERO,
+            ..c.clone()
+        }
+    )
+}
+
+/// Both caches at half the bytes an unbounded run leaves resident, on
+/// one fixed Zipf database: at 1, 2 and 8 threads each cache evicts and
+/// keeps something, every answer is the oracle's (the harness checks
+/// each response), and the metrics add up to the counters. The approximation cache computes two racing
+/// misses twice and an evicting schedule decides what a later lookup
+/// finds, so beyond that the counters agree across thread counts as
+/// [`schedule_free`] reads them.
+#[test]
+fn partial_eviction_keeps_answers_and_accounting() {
+    let d = zipf_db(10, 40, 1.1, 5);
+    let unbounded = &serve_sandwich_batches(&d, 0, 0, 2)[0];
+    let mat = unbounded.mat_cache_bytes_by_db["d"] as usize / 2;
+    let approx = unbounded.approx_cache_bytes as usize / 2;
+    assert!(
+        mat > 0 && approx > 0,
+        "both caches hold something unbounded"
+    );
+    let snaps = serve_sandwich_batches(&d, mat, approx, 2);
+    for (snap, threads) in snaps.iter().zip(THREADS) {
+        let resident = snap.mat_cache_bytes_by_db["d"];
+        assert!(
+            snap.mat_cache_evictions_by_db["d"] >= 1,
+            "at {threads} threads"
+        );
+        assert!(
+            resident > 0 && resident <= mat as u64,
+            "{resident} at {threads} threads"
+        );
+        assert!(snap.approx_cache_evictions >= 1, "at {threads} threads");
+        assert!(snap.approx_cache_bytes > 0, "at {threads} threads");
+        assert_eq!(
+            schedule_free(snap),
+            schedule_free(&snaps[0]),
+            "at {threads} threads"
+        );
+        let (metrics, counters) = breakdown(snap);
+        assert_eq!(metrics, counters, "at {threads} threads");
+        assert!(
+            counters[1] + counters[2] > 0,
+            "approximation-cache lookups at {threads} threads"
+        );
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -30,6 +129,9 @@ proptest! {
     /// The per-class and per-database histogram counts (latencies vary)
     /// and the per-database cache counters are the sequential run's:
     /// every request is recorded exactly once, whatever schedules it.
+    /// At every thread count they add up to the counters: the classes'
+    /// counts to `requests`, each cache's per-database hits and misses
+    /// to its hits and misses.
     #[test]
     fn engine_metrics_accounting_identical_across_thread_counts(
         d in database(),
@@ -41,8 +143,10 @@ proptest! {
             format!("{class:?} {db:?} {:?} {:?}", s.approx_cache_by_db, s.mat_cache_by_db)
         };
         let snaps = serve_batches(&d, 0, dup);
-        for (snap, threads) in snaps.iter().zip(THREADS).skip(1) {
+        for (snap, threads) in snaps.iter().zip(THREADS) {
             prop_assert_eq!(accounting(&snaps[0]), accounting(snap), "at {} threads", threads);
+            let (metrics, counters) = breakdown(snap);
+            prop_assert_eq!(metrics, counters, "at {} threads", threads);
         }
     }
 }

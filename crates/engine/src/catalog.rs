@@ -10,6 +10,7 @@
 
 use cqapx_cq::eval::{AcyclicPlan, DecomposedPlan, MaterializationCache, NaivePlan};
 use cqapx_cq::{ConjunctiveQuery, QueryShape};
+use cqapx_metrics::{Counter, Histogram};
 use cqapx_structures::{Pointed, RelId, Structure};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -51,6 +52,41 @@ pub struct DatabaseEntry {
     /// this entry: re-registering a database name creates a fresh entry
     /// with an empty cache, so entries can never serve a stale snapshot.
     pub materialized: MaterializationCache,
+    /// What the engine records about requests against this name. Unlike
+    /// the cache, these outlive a re-registration: the new entry shares
+    /// its predecessor's ([`Catalog::insert_database`]).
+    pub(crate) counters: Arc<DbCounters>,
+}
+
+/// Per-database instruments, created once per registration name, so
+/// recording a response needs neither a lookup nor a label.
+#[derive(Debug, Default)]
+pub(crate) struct DbCounters {
+    /// Request latency in microseconds.
+    pub latency: Histogram,
+    /// Approximation-cache hits.
+    pub approx_hits: Counter,
+    /// Approximation-cache misses.
+    pub approx_misses: Counter,
+    /// Materialization-cache hits.
+    pub mat_hits: Counter,
+    /// Materialization-cache misses.
+    pub mat_misses: Counter,
+}
+
+impl DbCounters {
+    /// Zeroes every instrument.
+    pub fn reset(&self) {
+        self.latency.reset();
+        for c in [
+            &self.approx_hits,
+            &self.approx_misses,
+            &self.mat_hits,
+            &self.mat_misses,
+        ] {
+            c.reset();
+        }
+    }
 }
 
 impl DatabaseEntry {
@@ -68,6 +104,7 @@ impl DatabaseEntry {
             stats,
             structure: Arc::new(s),
             materialized: MaterializationCache::new(),
+            counters: Arc::default(),
         }
     }
 
@@ -192,9 +229,13 @@ impl Catalog {
 
     /// Adds a built entry and points its name at it: a push and a map
     /// insert, the only part of a registration that needs the catalog.
-    pub fn insert_database(&mut self, entry: DatabaseEntry) -> DbId {
+    /// An entry that replaces a name takes over its predecessor's
+    /// counters.
+    pub fn insert_database(&mut self, mut entry: DatabaseEntry) -> DbId {
         let id = DbId(self.dbs.len());
-        self.db_names.insert(entry.name.clone(), id);
+        if let Some(old) = self.db_names.insert(entry.name.clone(), id) {
+            entry.counters = Arc::clone(&self.dbs[old.0].counters);
+        }
         self.dbs.push(Arc::new(entry));
         id
     }

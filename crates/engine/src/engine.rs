@@ -4,13 +4,10 @@ use crate::cache::{ApproxCache, CachedApproximation};
 use crate::catalog::{Catalog, DatabaseEntry, DbId, PreparedQuery, QueryId};
 use crate::planner::{choose_plan, PlanDecision, PlanKind, PlanReason};
 use cqapx_core::{Acyclic, ApproxOptions, HtwK, QueryClass, TwK};
-use cqapx_cq::eval::{Answers, AnswersBuilder, EvalProfile, MatCacheStats, NaivePlan};
-use cqapx_metrics::{
-    Counter, CounterFamily, EventLog, Gauge, HistogramFamily, HistogramSnapshot, MetricsLevel,
-    MetricsSink, TraceEvent,
-};
+use cqapx_cq::eval::{Answers, AnswersBuilder, MatCacheStats, NaivePlan};
+use cqapx_metrics::{Histogram, HistogramSnapshot, MetricsLevel};
 use cqapx_par::{default_threads, parallel_map, ThreadBudget};
-use cqapx_structures::{Element, HomSearchStats, SearchBudget, Structure};
+use cqapx_structures::{Element, SearchBudget, Structure};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::ControlFlow;
@@ -71,12 +68,11 @@ pub struct EngineConfig {
     /// (converts wall timeouts into hom-search node budgets, so even
     /// fruitless searches stop near the deadline).
     pub nodes_per_ms: u64,
-    /// How much the engine instruments itself (see [`MetricsLevel`]).
-    /// The default reads `CQAPX_METRICS` (unset → `Counters`).
-    /// [`MetricsLevel::None`] reduces every instrumentation site to a
-    /// field-read branch. `Counters` is also what powers deadline-aware
-    /// degradation — without latency histograms there is no p99 to
-    /// predict from.
+    /// How much the engine instruments itself (see [`MetricsLevel`]);
+    /// `Counters` by default. [`MetricsLevel::None`] reduces every
+    /// instrumentation site to a field-read branch. `Counters` is also
+    /// what powers deadline-aware degradation — without latency
+    /// histograms there is no p99 to predict from.
     pub metrics: MetricsLevel,
     /// Admission control: the maximum number of requests that may be
     /// outstanding (admitted and not yet finished) at once. Requests
@@ -85,18 +81,14 @@ pub struct EngineConfig {
     /// (vacuously sound) answers. `None` disables shedding.
     pub max_queue_depth: Option<usize>,
     /// Byte budget for **each** registered database's relation-
-    /// materialization cache. `None` falls back to the
-    /// `CQAPX_CACHE_BUDGET` environment variable (plain bytes or
-    /// `k`/`m`/`g` suffixes); unset means unbounded, and `Some(0)`
-    /// forces unbounded regardless of the environment. Over-budget
-    /// caches evict clock-wise with second chances; evicted relations
-    /// are rebuilt byte-identically on the next request.
+    /// materialization cache; `None` and `Some(0)` both mean unbounded.
+    /// Over-budget caches evict clock-wise with second chances; evicted
+    /// relations are rebuilt byte-identically on the next request.
     pub mat_cache_budget_bytes: Option<usize>,
-    /// Byte budget for the shared approximation cache, with the same
-    /// `None` → `CQAPX_CACHE_BUDGET` → unbounded fallback. Eviction
-    /// prefers entries with the lowest measured rebuild cost per
-    /// resident byte, so expensive single-exponential searches stay
-    /// amortized the longest.
+    /// Byte budget for the shared approximation cache; `None` and
+    /// `Some(0)` both mean unbounded. Eviction prefers entries with the
+    /// lowest measured rebuild cost per resident byte, so expensive
+    /// single-exponential searches stay amortized the longest.
     pub approx_cache_budget_bytes: Option<usize>,
 }
 
@@ -109,7 +101,7 @@ impl Default for EngineConfig {
             approx_options: ApproxOptions::default(),
             default_timeout: None,
             nodes_per_ms: 50_000,
-            metrics: MetricsLevel::from_env(),
+            metrics: MetricsLevel::Counters,
             max_queue_depth: None,
             mat_cache_budget_bytes: None,
             approx_cache_budget_bytes: None,
@@ -369,120 +361,37 @@ impl fmt::Display for EngineStats {
     }
 }
 
-/// The engine's tiered instrumentation (see [`MetricsLevel`] for what
-/// each level records). Recording is lock-free: histograms and counters
-/// are atomics, label handles intern through a read-mostly registry.
-#[derive(Debug)]
-struct EngineMetrics {
-    /// Copied out of the config: every instrumentation site gates on
-    /// this one field, so `None` costs a single predictable branch.
-    level: MetricsLevel,
-    /// Construction instant; trace timestamps are relative to it.
-    epoch: Instant,
-    /// Request latency by query class: one histogram per plan tier,
-    /// plus `"degraded"` and `"shed"` (kept out of the tier histograms
-    /// so a degrading engine does not poison the p99 it predicts from).
-    class_latency: HistogramFamily,
-    /// Request latency by tenant database (registration name).
-    db_latency: HistogramFamily,
-    /// Approximation-cache outcomes by database: `"<db>/hits"`,
-    /// `"<db>/misses"`.
-    approx_cache_by_db: CounterFamily,
-    /// Materialization-cache outcomes by database, same label scheme.
-    mat_cache_by_db: CounterFamily,
-    /// Queue depth (outstanding admitted requests) sampled at each
-    /// admission decision.
-    queue_depth: Gauge,
-    /// Resident bytes of the served database's materialization cache,
-    /// sampled at each response.
-    mat_cache_bytes: Gauge,
-    /// Estimated resident bytes of the approximation cache, sampled at
-    /// each response.
-    approx_cache_bytes: Gauge,
-    /// Unclaimed workers in the [`ThreadBudget`] sampled at each
-    /// request start (capacity minus claimed).
-    workers_available: Gauge,
-    /// `Debug`: solver branching decisions across requests.
-    solver_nodes: Counter,
-    /// `Debug`: solver AC-3 constraint revisions across requests.
-    solver_revisions: Counter,
-    /// `Debug`: searches stopped by an exhausted step budget.
-    solver_budget_exhaustions: Counter,
-    /// `Debug`: plan-IR operator wall time by operator kind (µs).
-    op_micros: CounterFamily,
-    /// `Debug`: plan-IR operator output rows by operator kind.
-    op_rows: CounterFamily,
-    /// `Debug`: bag-build time by join strategy (`"binary"`/`"wcoj"`),
-    /// recorded as per-response totals in µs.
-    bag_build: HistogramFamily,
-    /// `Trace`: per-request structured event spans, bounded ring.
-    trace: EventLog,
-}
+/// The classes request latency is recorded under, in index order: the
+/// four plan tiers, then degraded and shed requests. Those two get
+/// their own classes because their latencies describe the degraded
+/// path, not the tier the planner picked, and must not feed back into
+/// its p99.
+const CLASSES: [&str; 6] = [
+    "yannakakis",
+    "decomposed",
+    "naive",
+    "sandwich",
+    "degraded",
+    "shed",
+];
 
-/// Buffered trace events an [`EventLog`] may hold before dropping the
-/// oldest.
-const TRACE_CAPACITY: usize = 4096;
-
-impl EngineMetrics {
-    fn new(level: MetricsLevel) -> EngineMetrics {
-        EngineMetrics {
-            level,
-            epoch: Instant::now(),
-            class_latency: HistogramFamily::new(),
-            db_latency: HistogramFamily::new(),
-            approx_cache_by_db: CounterFamily::new(),
-            mat_cache_by_db: CounterFamily::new(),
-            queue_depth: Gauge::new(),
-            mat_cache_bytes: Gauge::new(),
-            approx_cache_bytes: Gauge::new(),
-            workers_available: Gauge::new(),
-            solver_nodes: Counter::new(),
-            solver_revisions: Counter::new(),
-            solver_budget_exhaustions: Counter::new(),
-            op_micros: CounterFamily::new(),
-            op_rows: CounterFamily::new(),
-            bag_build: HistogramFamily::new(),
-            trace: EventLog::new(level, TRACE_CAPACITY),
-        }
-    }
-
-    fn reset(&self) {
-        self.class_latency.reset();
-        self.db_latency.reset();
-        self.approx_cache_by_db.reset();
-        self.mat_cache_by_db.reset();
-        self.solver_nodes.reset();
-        self.solver_revisions.reset();
-        self.solver_budget_exhaustions.reset();
-        self.op_micros.reset();
-        self.op_rows.reset();
-        self.bag_build.reset();
-    }
-}
-
-/// The label a response's latency is recorded under: the plan tier,
-/// except that degraded and shed requests get their own classes (their
-/// latencies describe the *degraded* path, not the tier the planner
-/// picked, and must not feed back into its p99).
-fn class_label(r: &Response) -> &'static str {
-    match r.status {
-        ResponseStatus::Shed => "shed",
-        ResponseStatus::Degraded => "degraded",
-        _ => match r.plan {
-            PlanKind::Yannakakis => "yannakakis",
-            PlanKind::Decomposed => "decomposed",
-            PlanKind::Naive => "naive",
-            PlanKind::Sandwich => "sandwich",
-            PlanKind::Shed => "shed",
-        },
+/// The index in [`CLASSES`] of a response with this status and plan.
+fn class_of(status: ResponseStatus, plan: PlanKind) -> usize {
+    match (status, plan) {
+        (ResponseStatus::Shed, _) | (_, PlanKind::Shed) => 5,
+        (ResponseStatus::Degraded, _) => 4,
+        (_, PlanKind::Yannakakis) => 0,
+        (_, PlanKind::Decomposed) => 1,
+        (_, PlanKind::Naive) => 2,
+        (_, PlanKind::Sandwich) => 3,
     }
 }
 
 /// A point-in-time copy of everything the engine measures: the
-/// aggregate counters plus, when the metrics level records them, the
-/// latency distributions, per-database cache outcomes, solver and
-/// operator activity, and occupancy gauges. Taken by
-/// [`Engine::snapshot`]; [`Engine::reset_stats`] zeroes the underlying
+/// aggregate counters, cache memory and occupancy, plus, when the
+/// metrics level records them, the latency distributions and the
+/// per-database cache outcomes. Taken by [`Engine::snapshot`];
+/// [`Engine::reset_stats`] zeroes the counters and the recorded
 /// instruments so serving epochs (warmup vs measurement) don't
 /// accumulate into each other.
 #[derive(Debug, Clone)]
@@ -492,15 +401,18 @@ pub struct StatsSnapshot {
     pub counters: EngineStats,
     /// The level the engine records at.
     pub level: MetricsLevel,
-    /// Latency quantiles by query class (plan tier, `"degraded"`,
-    /// `"shed"`); values in microseconds. Empty below `Counters`.
+    /// Latency quantiles of every query class (the four plan tiers,
+    /// `"degraded"`, `"shed"`); values in microseconds. Empty below
+    /// `Counters`.
     pub class_latency: BTreeMap<String, HistogramSnapshot>,
-    /// Latency quantiles by tenant database. Empty below `Counters`.
+    /// Latency quantiles by database registration name. Empty below
+    /// `Counters`.
     pub db_latency: BTreeMap<String, HistogramSnapshot>,
     /// Approximation-cache outcomes by database (`"<db>/hits"`,
     /// `"<db>/misses"`). Empty below `Counters`.
     pub approx_cache_by_db: BTreeMap<String, u64>,
     /// Materialization-cache outcomes by database, same label scheme.
+    /// Empty below `Counters`.
     pub mat_cache_by_db: BTreeMap<String, u64>,
     /// Resident bytes of each database's materialization cache, by
     /// registration name (on re-registration the live entry wins).
@@ -521,24 +433,11 @@ pub struct StatsSnapshot {
     pub approx_cache_budget_bytes: u64,
     /// Approximation-cache entries evicted by the byte budget.
     pub approx_cache_evictions: u64,
-    /// `Debug`: total solver branching decisions.
-    pub solver_nodes: u64,
-    /// `Debug`: total solver AC-3 revisions.
-    pub solver_revisions: u64,
-    /// `Debug`: searches stopped by an exhausted step budget.
-    pub solver_budget_exhaustions: u64,
-    /// `Debug`: plan-IR wall time by operator kind (µs).
-    pub op_micros: BTreeMap<String, u64>,
-    /// `Debug`: plan-IR output rows by operator kind.
-    pub op_rows: BTreeMap<String, u64>,
-    /// `Debug`: bag-build time quantiles under the one label `"wcoj"`
-    /// (the multiway kernel), per-response totals in µs.
-    pub bag_build_latency: BTreeMap<String, HistogramSnapshot>,
     /// Outstanding admitted requests at snapshot time.
     pub queue_depth: i64,
     /// Total claimable extra workers (threads − 1).
     pub workers_capacity: usize,
-    /// Unclaimed workers sampled at the last request start.
+    /// Unclaimed workers at snapshot time.
     pub workers_available: i64,
 }
 
@@ -568,13 +467,9 @@ pub struct Engine {
     /// The engine-wide worker budget ([`EngineConfig::threads`] total
     /// workers), from which batch execution claims its workers.
     budget: ThreadBudget,
-    /// Tiered instrumentation (level copied from the config).
-    metrics: EngineMetrics,
-    /// Resolved per-database materialization-cache byte budget
-    /// ([`EngineConfig::mat_cache_budget_bytes`] else
-    /// `CQAPX_CACHE_BUDGET`; `0` = unbounded), applied to every
-    /// database at registration.
-    mat_budget: usize,
+    /// Request latency by class, indexed as [`CLASSES`]; recorded at
+    /// [`MetricsLevel::Counters`].
+    class_latency: [Histogram; CLASSES.len()],
     /// Outstanding admitted requests — the queue depth admission
     /// control compares against [`EngineConfig::max_queue_depth`].
     /// Incremented at submission (before any planning), decremented
@@ -590,20 +485,15 @@ impl Engine {
         } else {
             config.threads
         };
-        let metrics = EngineMetrics::new(config.metrics);
-        let env_budget = crate::memory::env_cache_budget();
-        let mat_budget = config.mat_cache_budget_bytes.or(env_budget).unwrap_or(0);
-        let approx_budget = config.approx_cache_budget_bytes.or(env_budget).unwrap_or(0);
         let cache = ApproxCache::new();
-        cache.set_budget_bytes(approx_budget);
+        cache.set_budget_bytes(config.approx_cache_budget_bytes.unwrap_or(0));
         Engine {
             config,
             catalog: RwLock::new(Catalog::new()),
             cache,
             stats: Mutex::new(EngineStats::default()),
             budget: ThreadBudget::new(threads),
-            metrics,
-            mat_budget,
+            class_latency: Default::default(),
             inflight: AtomicUsize::new(0),
         }
     }
@@ -614,16 +504,15 @@ impl Engine {
     }
 
     /// Registers a database: scans statistics and builds the domain
-    /// dictionary ([`DatabaseEntry::build`]), applies the resolved
+    /// dictionary ([`DatabaseEntry::build`]), applies the
     /// materialization-cache byte budget (see
     /// [`EngineConfig::mat_cache_budget_bytes`]), and only then takes
     /// the catalog's write lock, for the push — requests resolving
-    /// other databases never wait for a snapshot's scan.
+    /// other databases never wait for a snapshot's scan. A name
+    /// registered again keeps its per-database counters.
     pub fn register_database(&self, name: impl Into<String>, s: Structure) -> DbId {
         let entry = DatabaseEntry::build(name, s);
-        if self.mat_budget > 0 {
-            entry.materialized.set_budget_bytes(self.mat_budget);
-        }
+        entry.materialized.set_budget_bytes(self.mat_budget());
         self.catalog
             .write()
             .expect("catalog lock poisoned")
@@ -681,71 +570,95 @@ impl Engine {
 
     /// The level the engine records at.
     pub fn metrics_level(&self) -> MetricsLevel {
-        self.metrics.level
+        self.config.metrics
     }
 
-    /// A consistent point-in-time copy of everything measured: counters
-    /// plus latency quantiles, per-database cache outcomes, solver and
-    /// operator activity, and occupancy.
+    /// Whether the engine records latencies and per-database cache
+    /// outcomes.
+    fn counting(&self) -> bool {
+        self.config.metrics.at_least(MetricsLevel::Counters)
+    }
+
+    /// The per-database materialization-cache byte budget (`0` =
+    /// unbounded).
+    fn mat_budget(&self) -> usize {
+        self.config.mat_cache_budget_bytes.unwrap_or(0)
+    }
+
+    /// A consistent point-in-time copy of everything measured: counters,
+    /// latency quantiles, per-database cache outcomes, cache memory and
+    /// occupancy.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let m = &self.metrics;
-        // Memory occupancy comes from the caches themselves (not the
-        // sampled gauges), so it is authoritative at every metrics
-        // level. Superseded registrations of a name are folded into
-        // the live entry's slot last, so the live entry wins.
+        let counting = self.counting();
+        let mut class_latency = BTreeMap::new();
+        if counting {
+            for (class, h) in CLASSES.iter().zip(&self.class_latency) {
+                class_latency.insert(class.to_string(), h.snapshot());
+            }
+        }
+        // Memory and dictionaries come from the caches themselves, at
+        // every metrics level. Superseded registrations of a name come
+        // first in id order, so the live entry wins; the per-database
+        // counters are shared by every registration of a name.
         let mut mat_bytes = BTreeMap::new();
         let mut mat_evictions = BTreeMap::new();
         let mut dict_sizes = BTreeMap::new();
+        let mut db_latency = BTreeMap::new();
+        let mut approx_by_db = BTreeMap::new();
+        let mut mat_by_db = BTreeMap::new();
         {
             let catalog = self.catalog.read().expect("catalog lock poisoned");
             for d in catalog.databases() {
                 mat_bytes.insert(d.name.clone(), d.materialized.resident_bytes() as u64);
                 mat_evictions.insert(d.name.clone(), d.materialized.evictions());
                 dict_sizes.insert(d.name.clone(), d.structure.domain_dict().len() as u64);
+                if counting {
+                    let c = &d.counters;
+                    db_latency.insert(d.name.clone(), c.latency.snapshot());
+                    approx_by_db.insert(format!("{}/hits", d.name), c.approx_hits.get());
+                    approx_by_db.insert(format!("{}/misses", d.name), c.approx_misses.get());
+                    mat_by_db.insert(format!("{}/hits", d.name), c.mat_hits.get());
+                    mat_by_db.insert(format!("{}/misses", d.name), c.mat_misses.get());
+                }
             }
         }
         StatsSnapshot {
             counters: self.stats(),
-            level: m.level,
-            class_latency: m.class_latency.snapshot(),
-            db_latency: m.db_latency.snapshot(),
-            approx_cache_by_db: m.approx_cache_by_db.snapshot(),
-            mat_cache_by_db: m.mat_cache_by_db.snapshot(),
+            level: self.config.metrics,
+            class_latency,
+            db_latency,
+            approx_cache_by_db: approx_by_db,
+            mat_cache_by_db: mat_by_db,
             mat_cache_bytes_by_db: mat_bytes,
             mat_cache_evictions_by_db: mat_evictions,
             dict_size_by_db: dict_sizes,
-            mat_cache_budget_bytes: self.mat_budget as u64,
+            mat_cache_budget_bytes: self.mat_budget() as u64,
             approx_cache_bytes: self.cache.resident_bytes() as u64,
             approx_cache_budget_bytes: self.cache.budget_bytes() as u64,
             approx_cache_evictions: self.cache.evictions(),
-            solver_nodes: m.solver_nodes.get(),
-            solver_revisions: m.solver_revisions.get(),
-            solver_budget_exhaustions: m.solver_budget_exhaustions.get(),
-            op_micros: m.op_micros.snapshot(),
-            op_rows: m.op_rows.snapshot(),
-            bag_build_latency: m.bag_build.snapshot(),
             queue_depth: self.inflight.load(Ordering::Relaxed) as i64,
             workers_capacity: self.budget.capacity(),
-            workers_available: m.workers_available.get(),
+            workers_available: self.budget.available() as i64,
         }
     }
 
-    /// Zeroes the aggregate counters and every histogram/counter the
-    /// metrics layer holds (labels stay interned; buffered trace events
-    /// stay until drained). Serving epochs — warmup vs measurement —
-    /// call this between phases so distributions don't accumulate
-    /// across them. Quiesce in-flight batches first: resetting under
-    /// concurrent recorders loses those increments, and a degrading
-    /// engine forgets the p99 it predicts from.
+    /// Zeroes the aggregate counters, the class latency histograms and
+    /// every database's counters (those of a name registered twice
+    /// included). Cache contents, memory and eviction counts stay.
+    /// Serving epochs — warmup vs measurement — call this between
+    /// phases so distributions don't accumulate across them. Quiesce
+    /// in-flight batches first: resetting under concurrent recorders
+    /// loses those increments, and a degrading engine forgets the p99
+    /// it predicts from.
     pub fn reset_stats(&self) {
         *self.stats.lock().unwrap_or_else(PoisonError::into_inner) = EngineStats::default();
-        self.metrics.reset();
-    }
-
-    /// Takes every buffered `Trace`-level event, oldest first (empty
-    /// below [`MetricsLevel::Trace`]).
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.metrics.trace.drain()
+        for h in &self.class_latency {
+            h.reset();
+        }
+        let catalog = self.catalog.read().expect("catalog lock poisoned");
+        for d in catalog.databases() {
+            d.counters.reset();
+        }
     }
 
     /// Admission control at submission time: count this request against
@@ -753,9 +666,6 @@ impl Engine {
     /// means it must be shed (and it no longer counts).
     fn admit(&self) -> Result<(), (usize, usize)> {
         let depth = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.metrics.level.at_least(MetricsLevel::Counters) {
-            self.metrics.queue_depth.set(depth as i64);
-        }
         match self.config.max_queue_depth {
             Some(limit) if depth > limit => {
                 self.inflight.fetch_sub(1, Ordering::Relaxed);
@@ -797,7 +707,7 @@ impl Engine {
             },
             note: ReasonNote::None,
         };
-        self.note_response(q, d, &r, None, None);
+        self.note_response(d, &r);
         r
     }
 
@@ -929,12 +839,6 @@ impl Engine {
 
     fn run(&self, req: &Request, q: &PreparedQuery, d: &DatabaseEntry) -> Response {
         let start = Instant::now();
-        let level = self.metrics.level;
-        if level.at_least(MetricsLevel::Counters) {
-            self.metrics
-                .workers_available
-                .set(self.budget.available() as i64);
-        }
         let deadline = req
             .timeout
             .or(self.config.default_timeout)
@@ -960,10 +864,6 @@ impl Engine {
         );
         let mut note = ReasonNote::None;
         let mut mat_cache = MatCacheStats::default();
-        let mut solver: Option<HomSearchStats> = None;
-        let mut profile: Option<EvalProfile> = level
-            .at_least(MetricsLevel::Debug)
-            .then(EvalProfile::default);
 
         // Deadline-aware degradation: when the measured p99 of this
         // query class says the exact plan will blow the deadline anyway,
@@ -980,13 +880,9 @@ impl Engine {
                 PlanKind::Sandwich => req.mode == EvalMode::Exact,
                 _ => false,
             };
-            if threatened && level.at_least(MetricsLevel::Counters) {
-                let label = if decision.kind == PlanKind::Naive {
-                    "naive"
-                } else {
-                    "sandwich"
-                };
-                let h = self.metrics.class_latency.with(label).snapshot();
+            if threatened && self.counting() {
+                let class = class_of(ResponseStatus::Complete, decision.kind);
+                let h = self.class_latency[class].snapshot();
                 let headroom_us = dl.saturating_duration_since(Instant::now()).as_micros() as u64;
                 if h.count >= DEGRADE_MIN_SAMPLES && h.p99 > headroom_us {
                     degrade = Some((h.p99, headroom_us));
@@ -1009,11 +905,7 @@ impl Engine {
                         .yannakakis
                         .as_ref()
                         .expect("acyclic prepared queries carry a Yannakakis plan");
-                    let (answers, mstats) = plan.eval_cached_profiled(
-                        &d.structure,
-                        Some(&d.materialized),
-                        profile.as_mut(),
-                    );
+                    let (answers, mstats) = plan.eval_cached(&d.structure, Some(&d.materialized));
                     mat_cache.add(mstats);
                     (answers, ResponseStatus::Complete, None)
                 }
@@ -1024,19 +916,14 @@ impl Engine {
                         .decomposed
                         .as_ref()
                         .expect("decomposed tier requires a compiled decomposition");
-                    let (answers, mstats) = plan.eval_cached_profiled(
-                        &d.structure,
-                        Some(&d.materialized),
-                        profile.as_mut(),
-                    );
+                    let (answers, mstats) = plan.eval_cached(&d.structure, Some(&d.materialized));
                     mat_cache.add(mstats);
                     (answers, ResponseStatus::Complete, None)
                 }
                 PlanKind::Shed => unreachable!("the planner never sheds; admission control does"),
                 PlanKind::Naive => {
-                    let (answers, timed_out, stats) =
+                    let (answers, timed_out) =
                         self.eval_naive_bounded(&q.naive, &d.structure, deadline, budget.as_ref());
-                    solver = Some(stats);
                     let status = if timed_out {
                         ResponseStatus::TimedOut
                     } else {
@@ -1058,13 +945,12 @@ impl Engine {
                         // under the deadline first; the approximation rescues
                         // a cut-short join with its certain answers.
                         note = ReasonNote::ExactFallback;
-                        let (exact, timed_out, stats) = self.eval_naive_bounded(
+                        let (exact, timed_out) = self.eval_naive_bounded(
                             &q.naive,
                             &d.structure,
                             deadline,
                             budget.as_ref(),
                         );
-                        solver = Some(stats);
                         if timed_out {
                             // Already over the deadline: only a *cached*
                             // approximation may be consulted — starting the
@@ -1107,82 +993,29 @@ impl Engine {
             decision,
             note,
         };
-        self.note_response(q, d, &r, solver, profile);
+        self.note_response(d, &r);
         r
     }
 
-    /// Fold one finished response into the metrics registries, honoring
-    /// the configured [`MetricsLevel`] tier by tier: latency histograms
-    /// and cache counters at `Counters`, solver/operator internals at
-    /// `Debug`, a structured per-request event at `Trace`.
-    fn note_response(
-        &self,
-        q: &PreparedQuery,
-        d: &DatabaseEntry,
-        r: &Response,
-        solver: Option<HomSearchStats>,
-        profile: Option<EvalProfile>,
-    ) {
-        let m = &self.metrics;
-        if !m.level.at_least(MetricsLevel::Counters) {
+    /// Records one finished response at `Counters`: its latency under
+    /// its class and its database, and its cache outcomes. Every
+    /// instrument is an atomic reached without a lookup, so this takes
+    /// no lock and allocates nothing.
+    fn note_response(&self, d: &DatabaseEntry, r: &Response) {
+        if !self.counting() {
             return;
         }
         let us = r.wall.as_micros() as u64;
-        m.class_latency.with(class_label(r)).record(us);
-        m.db_latency.with(&d.name).record(us);
-        m.mat_cache_bytes
-            .set(d.materialized.resident_bytes() as i64);
-        m.approx_cache_bytes.set(self.cache.resident_bytes() as i64);
+        let c = &d.counters;
+        self.class_latency[class_of(r.status, r.plan)].record(us);
+        c.latency.record(us);
         match r.cache_hit {
-            Some(true) => m.approx_cache_by_db.with(&format!("{}/hits", d.name)).inc(),
-            Some(false) => m
-                .approx_cache_by_db
-                .with(&format!("{}/misses", d.name))
-                .inc(),
+            Some(true) => c.approx_hits.inc(),
+            Some(false) => c.approx_misses.inc(),
             None => {}
         }
-        if r.mat_cache.hits > 0 {
-            m.mat_cache_by_db
-                .with(&format!("{}/hits", d.name))
-                .add(r.mat_cache.hits as u64);
-        }
-        if r.mat_cache.misses > 0 {
-            m.mat_cache_by_db
-                .with(&format!("{}/misses", d.name))
-                .add(r.mat_cache.misses as u64);
-        }
-        if m.level.at_least(MetricsLevel::Debug) {
-            if let Some(s) = solver {
-                m.solver_nodes.add(s.nodes);
-                m.solver_revisions.add(s.revisions);
-                if s.budget_exhausted {
-                    m.solver_budget_exhaustions.inc();
-                }
-            }
-            if let Some(p) = &profile {
-                for (op, micros, rows) in p.by_op() {
-                    m.op_micros.with(op).add(micros);
-                    m.op_rows.with(op).add(rows as u64);
-                }
-            }
-            if r.mat_cache.wcoj_bag_builds > 0 {
-                m.bag_build.with("wcoj").record(r.mat_cache.wcoj_bag_us);
-            }
-        }
-        if m.level.at_least(MetricsLevel::Trace) {
-            m.trace.emit(TraceEvent {
-                at_us: m.epoch.elapsed().as_micros() as u64,
-                name: "request",
-                fields: vec![
-                    ("query", q.name.clone()),
-                    ("db", d.name.clone()),
-                    ("class", class_label(r).to_string()),
-                    ("status", format!("{:?}", r.status)),
-                    ("answers", r.answers.len().to_string()),
-                    ("wall_us", us.to_string()),
-                ],
-            });
-        }
+        c.mat_hits.add(r.mat_cache.hits as u64);
+        c.mat_misses.add(r.mat_cache.misses as u64);
     }
 
     /// The cached approximation for a prepared query, from the
@@ -1237,15 +1070,14 @@ impl Engine {
     /// at every found answer, and the request's shared [`SearchBudget`]
     /// (the remaining wall time converted into solver steps) stops even
     /// answer-free subtrees near the deadline. Returns
-    /// `(answers, timed_out, solver_stats)`; answers are sound either
-    /// way.
+    /// `(answers, timed_out)`; answers are sound either way.
     fn eval_naive_bounded(
         &self,
         plan: &NaivePlan,
         d: &Structure,
         deadline: Option<Instant>,
         budget: Option<&SearchBudget>,
-    ) -> (Answers, bool, HomSearchStats) {
+    ) -> (Answers, bool) {
         let mut answers = answers_builder(plan.query().arity(), d);
         let mut timed_out = false;
         let stats = plan.for_each_answer(d, budget, |a| {
@@ -1256,8 +1088,7 @@ impl Engine {
             answers.push_row(a);
             ControlFlow::Continue(())
         });
-        let timed_out = timed_out || stats.budget_exhausted;
-        (answers.finish(), timed_out, stats)
+        (answers.finish(), timed_out || stats.budget_exhausted)
     }
 }
 
@@ -1370,14 +1201,7 @@ mod tests {
 
     #[test]
     fn snapshot_reports_cache_memory_and_dictionaries() {
-        // `Some(0)` pins both caches unbounded even when the test
-        // process runs under a `CQAPX_CACHE_BUDGET` (the CI budget job
-        // runs the whole suite that way).
-        let e = Engine::new(EngineConfig {
-            mat_cache_budget_bytes: Some(0),
-            approx_cache_budget_bytes: Some(0),
-            ..EngineConfig::default()
-        });
+        let e = engine();
         let db = e.register_database("p", Structure::digraph(4, &[(0, 1), (1, 2), (2, 3)]));
         let q = e.prepare_query("ends", parse_cq("Q(x, z) :- E(x, y), E(y, z)").unwrap());
         e.execute(&Request::new(q, db));
@@ -1770,47 +1594,8 @@ mod tests {
         assert!(snap.class_latency.is_empty());
         assert!(snap.db_latency.is_empty());
         assert!(snap.mat_cache_by_db.is_empty());
-        assert_eq!(snap.solver_nodes, 0);
-        assert!(e.trace_events().is_empty());
         // Aggregate counters still work — they predate the metrics layer.
         assert_eq!(snap.counters.requests, 1);
-    }
-
-    #[test]
-    fn debug_level_records_solver_and_operator_internals() {
-        let e = engine_at(MetricsLevel::Debug);
-        let (q, db, _) = k5_on_dense(&e);
-        e.execute(&Request::new(q, db)); // naive tier → solver stats
-        let hop = e.prepare_query("hop2", parse_cq("Q(x, z) :- E(x, y), E(y, z)").unwrap());
-        e.execute(&Request::new(hop, db)); // Yannakakis → operator profile
-        let snap = e.snapshot();
-        assert!(snap.solver_nodes > 0);
-        assert!(snap.solver_revisions > 0);
-        assert!(
-            snap.op_rows.contains_key("semijoin"),
-            "Yannakakis profile should count semijoin rows, got {:?}",
-            snap.op_rows.keys().collect::<Vec<_>>()
-        );
-        assert!(snap.op_micros.contains_key("materialize"));
-    }
-
-    #[test]
-    fn trace_level_buffers_one_event_per_request() {
-        let e = engine_at(MetricsLevel::Trace);
-        let db = e.register_database("p", Structure::digraph(3, &[(0, 1), (1, 2)]));
-        let q = e.prepare_query("hop2", parse_cq("Q(x, z) :- E(x, y), E(y, z)").unwrap());
-        for _ in 0..3 {
-            e.execute(&Request::new(q, db));
-        }
-        let events = e.trace_events();
-        assert_eq!(events.len(), 3);
-        for ev in &events {
-            assert_eq!(ev.name, "request");
-            let rendered = ev.to_string();
-            assert!(rendered.contains("query=hop2"));
-            assert!(rendered.contains("class=yannakakis"));
-        }
-        assert!(e.trace_events().is_empty(), "drain consumes the buffer");
     }
 
     #[test]
@@ -1832,5 +1617,20 @@ mod tests {
         assert!(fresh.class_latency.values().all(|h| h.count == 0));
         assert!(fresh.db_latency.values().all(|h| h.count == 0));
         assert!(fresh.mat_cache_by_db.values().all(|&c| c == 0));
+
+        // A name registered again shares its predecessor's counters:
+        // both entries' requests count under the name, and one reset
+        // zeroes them.
+        let again = e.register_database("p", Structure::digraph(3, &[(0, 1), (1, 2)]));
+        e.execute(&Request::new(q, db));
+        e.execute(&Request::new(q, again));
+        let both = e.snapshot();
+        assert_eq!(both.db_latency["p"].count, 2);
+        assert!(both.mat_cache_by_db["p/misses"] > 0);
+        e.reset_stats();
+        let fresh = e.snapshot();
+        assert_eq!(fresh.db_latency["p"].count, 0);
+        assert!(fresh.mat_cache_by_db.values().all(|&c| c == 0));
+        assert!(fresh.approx_cache_by_db.values().all(|&c| c == 0));
     }
 }

@@ -52,12 +52,11 @@ pub mod planner;
 pub use cache::{ApproxCache, CachedApproximation};
 pub use catalog::{Catalog, DatabaseEntry, DbId, PreparedQuery, QueryId, RelationStats};
 pub use cqapx_cq::eval::{AnswerRow, Answers};
-pub use cqapx_metrics::{HistogramSnapshot, MetricsLevel, TraceEvent};
+pub use cqapx_metrics::{HistogramSnapshot, MetricsLevel};
 pub use engine::{
     ApproxClassChoice, Engine, EngineConfig, EngineStats, EvalMode, Request, Response,
     ResponseStatus, StatsSnapshot, DEGRADE_MIN_SAMPLES,
 };
-pub use memory::parse_budget_bytes;
 pub use planner::{
     choose_plan, estimate_decomposed_cost, estimate_naive_cost, PlanDecision, PlanKind, PlanReason,
 };

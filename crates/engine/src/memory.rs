@@ -1,5 +1,5 @@
-//! Cache-budget plumbing: parsing the `CQAPX_CACHE_BUDGET` environment
-//! variable and estimating the resident bytes of cached objects.
+//! Byte accounting for the cache budgets: the estimated resident bytes
+//! of cached objects.
 //!
 //! Both engine caches are byte-accounted: the per-database
 //! [`MaterializationCache`](cqapx_cq::eval::MaterializationCache)
@@ -12,36 +12,6 @@
 
 use cqapx_structures::{Pointed, Structure};
 use std::mem::size_of;
-
-/// Parses a byte budget: a plain integer, optionally suffixed with
-/// `k`/`m`/`g` (case-insensitive, powers of 1024, an optional trailing
-/// `b` is tolerated: `64k`, `512KB`, `2m`, `1g`). Returns `None` for
-/// anything unparsable; `Some(0)` means explicitly unbounded.
-pub fn parse_budget_bytes(s: &str) -> Option<usize> {
-    let t = s.trim().to_ascii_lowercase();
-    if t.is_empty() {
-        return None;
-    }
-    let t = t.strip_suffix('b').unwrap_or(&t);
-    let (digits, unit): (&str, usize) = match t.as_bytes().last()? {
-        b'k' => (&t[..t.len() - 1], 1 << 10),
-        b'm' => (&t[..t.len() - 1], 1 << 20),
-        b'g' => (&t[..t.len() - 1], 1 << 30),
-        _ => (t, 1),
-    };
-    let n: usize = digits.trim().parse().ok()?;
-    n.checked_mul(unit)
-}
-
-/// The shared cache budget from the `CQAPX_CACHE_BUDGET` environment
-/// variable, when set and parsable. Applies to **each** cache the
-/// config leaves unbounded (it is a per-cache ceiling, not a global
-/// pool). Read once per [`Engine`](crate::Engine) construction.
-pub fn env_cache_budget() -> Option<usize> {
-    std::env::var("CQAPX_CACHE_BUDGET")
-        .ok()
-        .and_then(|v| parse_budget_bytes(&v))
-}
 
 /// Estimated resident bytes of a structure: its tuple storage plus
 /// per-element bookkeeping (indexes, names) and a fixed allocation
@@ -66,27 +36,6 @@ pub fn pointed_bytes(p: &Pointed) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_plain_and_suffixed() {
-        assert_eq!(parse_budget_bytes("0"), Some(0));
-        assert_eq!(parse_budget_bytes("65536"), Some(65536));
-        assert_eq!(parse_budget_bytes("64k"), Some(64 << 10));
-        assert_eq!(parse_budget_bytes("64K"), Some(64 << 10));
-        assert_eq!(parse_budget_bytes("512kb"), Some(512 << 10));
-        assert_eq!(parse_budget_bytes(" 2m "), Some(2 << 20));
-        assert_eq!(parse_budget_bytes("1g"), Some(1 << 30));
-        assert_eq!(parse_budget_bytes("1GB"), Some(1 << 30));
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert_eq!(parse_budget_bytes(""), None);
-        assert_eq!(parse_budget_bytes("k"), None);
-        assert_eq!(parse_budget_bytes("12q"), None);
-        assert_eq!(parse_budget_bytes("-5"), None);
-        assert_eq!(parse_budget_bytes("1.5m"), None);
-    }
 
     #[test]
     fn structure_estimate_scales_with_tuples() {

@@ -1,14 +1,14 @@
-//! **cqapx-metrics** — tiered, zero-dependency observability primitives.
+//! **cqapx-metrics** — zero-dependency observability primitives.
 //!
 //! The serving stack needs to answer "where did the time go" without
 //! slowing down the path that produces the answer. Everything here is
-//! hand-rolled on atomics (no external crates, like the rest of the
-//! workspace's bottom layer):
+//! hand-rolled on atomics (no external crates and no locks, like the
+//! rest of the workspace's bottom layer):
 //!
-//! - [`MetricsLevel`] — an ordered opt-in ladder
-//!   (`None < Counters < Debug < Trace`). Instrumented code gates on
-//!   [`MetricsLevel::at_least`], a single integer compare on a copied
-//!   field, so `None` costs one predictable branch per call site.
+//! - [`MetricsLevel`] — whether to record at all (`None < Counters`).
+//!   Instrumented code gates on [`MetricsLevel::at_least`], a single
+//!   integer compare on a copied field, so `None` costs one predictable
+//!   branch per call site.
 //! - [`Histogram`] — an HDR-style log-bucketed latency histogram:
 //!   power-of-two buckets (`value → 64 - leading_zeros`), lock-free
 //!   recording on relaxed atomics, quantile estimates
@@ -16,12 +16,7 @@
 //!   bucket. Relative quantile error is bounded by the bucket ratio
 //!   (a factor of 2), which is what latency SLO math needs; exact
 //!   `count`, `sum`, and `max` are kept on the side.
-//! - [`Counter`] / [`Gauge`] — relaxed atomic scalars.
-//! - [`HistogramFamily`] / [`CounterFamily`] — label → instrument
-//!   registries behind an `RwLock` (read-mostly: the engine interns a
-//!   handle per label once, then records lock-free).
-//! - [`MetricsSink`] / [`EventLog`] — structured [`TraceEvent`] spans
-//!   for `Trace` level, kept in a bounded ring buffer.
+//! - [`Counter`] — a relaxed atomic event counter.
 //!
 //! # Examples
 //!
@@ -41,9 +36,7 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// How much instrumentation the stack records.
@@ -55,15 +48,9 @@ use std::time::Duration;
 pub enum MetricsLevel {
     /// Record nothing beyond what the caller computes anyway.
     None,
-    /// Latency histograms, per-tier counters, cache hit rates,
-    /// queue/worker occupancy. The production default.
+    /// Latency histograms and per-database cache outcomes. The default.
     #[default]
     Counters,
-    /// Everything above plus per-operator plan timings and solver
-    /// search internals (nodes, AC-3 revisions, budget exhaustions).
-    Debug,
-    /// Everything above plus per-request structured event spans.
-    Trace,
 }
 
 impl MetricsLevel {
@@ -73,35 +60,11 @@ impl MetricsLevel {
         self >= gate
     }
 
-    /// Parses a level name: `none`/`off`/`0`, `counters`, `debug`,
-    /// `trace` (case-insensitive). Unknown names parse to `None`: a
-    /// typo in an env var must not silently enable overhead.
-    pub fn parse(s: &str) -> MetricsLevel {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "counters" | "1" => MetricsLevel::Counters,
-            "debug" | "2" => MetricsLevel::Debug,
-            "trace" | "3" => MetricsLevel::Trace,
-            _ => MetricsLevel::None,
-        }
-    }
-
-    /// The level selected by the `CQAPX_METRICS` environment variable,
-    /// or `Counters` when unset (counters are cheap enough to be on by
-    /// default; `CQAPX_METRICS=none` turns them off).
-    pub fn from_env() -> MetricsLevel {
-        match std::env::var("CQAPX_METRICS") {
-            Ok(v) => MetricsLevel::parse(&v),
-            Err(_) => MetricsLevel::Counters,
-        }
-    }
-
     /// The level's canonical name.
     pub fn name(self) -> &'static str {
         match self {
             MetricsLevel::None => "none",
             MetricsLevel::Counters => "counters",
-            MetricsLevel::Debug => "debug",
-            MetricsLevel::Trace => "trace",
         }
     }
 }
@@ -235,11 +198,8 @@ impl Histogram {
 
     /// A point-in-time snapshot with interpolated `p50/p90/p99`.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        let buckets: [u64; BUCKETS] =
+            std::array::from_fn(|b| self.buckets[b].load(Ordering::Relaxed));
         // Derive the totals from the bucket snapshot so quantiles are
         // internally consistent even if recorders race the scalars.
         let count: u64 = buckets.iter().sum();
@@ -322,225 +282,18 @@ impl Counter {
     }
 }
 
-/// A relaxed atomic level gauge (signed: occupancy deltas may
-/// transiently race below zero under concurrent update).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Sets the level.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Shifts the level by `delta`.
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A label → [`Histogram`] registry. Read-mostly: callers intern an
-/// `Arc` handle per label once (write lock on first sight only), then
-/// record through it lock-free.
-#[derive(Debug, Default)]
-pub struct HistogramFamily {
-    members: RwLock<BTreeMap<String, Arc<Histogram>>>,
-}
-
-impl HistogramFamily {
-    /// An empty family.
-    pub fn new() -> HistogramFamily {
-        HistogramFamily::default()
-    }
-
-    /// The histogram for `label`, created on first sight.
-    pub fn with(&self, label: &str) -> Arc<Histogram> {
-        if let Some(h) = self.members.read().unwrap().get(label) {
-            return Arc::clone(h);
-        }
-        let mut members = self.members.write().unwrap();
-        Arc::clone(members.entry(label.to_string()).or_default())
-    }
-
-    /// Snapshots every member, in label order.
-    pub fn snapshot(&self) -> BTreeMap<String, HistogramSnapshot> {
-        self.members
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(k, h)| (k.clone(), h.snapshot()))
-            .collect()
-    }
-
-    /// Resets every member (labels stay interned).
-    pub fn reset(&self) {
-        for h in self.members.read().unwrap().values() {
-            h.reset();
-        }
-    }
-}
-
-/// A label → [`Counter`] registry (same interning discipline as
-/// [`HistogramFamily`]).
-#[derive(Debug, Default)]
-pub struct CounterFamily {
-    members: RwLock<BTreeMap<String, Arc<Counter>>>,
-}
-
-impl CounterFamily {
-    /// An empty family.
-    pub fn new() -> CounterFamily {
-        CounterFamily::default()
-    }
-
-    /// The counter for `label`, created on first sight.
-    pub fn with(&self, label: &str) -> Arc<Counter> {
-        if let Some(c) = self.members.read().unwrap().get(label) {
-            return Arc::clone(c);
-        }
-        let mut members = self.members.write().unwrap();
-        Arc::clone(members.entry(label.to_string()).or_default())
-    }
-
-    /// Adds `n` to the counter for `label`.
-    pub fn add(&self, label: &str, n: u64) {
-        self.with(label).add(n);
-    }
-
-    /// Current values, in label order.
-    pub fn snapshot(&self) -> BTreeMap<String, u64> {
-        self.members
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(k, c)| (k.clone(), c.get()))
-            .collect()
-    }
-
-    /// Resets every member (labels stay interned).
-    pub fn reset(&self) {
-        for c in self.members.read().unwrap().values() {
-            c.reset();
-        }
-    }
-}
-
-/// One structured event span: a name plus key/value fields, stamped by
-/// the producer (the engine stamps wall-clock microseconds since its
-/// construction).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Producer-relative timestamp in microseconds.
-    pub at_us: u64,
-    /// Event name (e.g. `"request"`).
-    pub name: &'static str,
-    /// Key/value payload, in emission order.
-    pub fields: Vec<(&'static str, String)>,
-}
-
-impl std::fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{:>10}µs] {}", self.at_us, self.name)?;
-        for (k, v) in &self.fields {
-            write!(f, " {k}={v}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Where `Trace`-level spans go. The engine owns an [`EventLog`];
-/// alternative sinks (stderr, test collectors) implement this.
-pub trait MetricsSink: Send + Sync {
-    /// The level this sink wants; producers gate on it.
-    fn level(&self) -> MetricsLevel;
-    /// Accepts one event. Only called when `level() ≥ Trace`.
-    fn emit(&self, event: TraceEvent);
-}
-
-/// A bounded in-memory ring of [`TraceEvent`]s: the default
-/// [`MetricsSink`]. Oldest events are dropped first; `dropped` counts
-/// them so a reader knows the window slid.
-#[derive(Debug)]
-pub struct EventLog {
-    level: MetricsLevel,
-    capacity: usize,
-    ring: Mutex<std::collections::VecDeque<TraceEvent>>,
-    dropped: Counter,
-}
-
-impl EventLog {
-    /// A ring holding at most `capacity` events, emitting at `level`.
-    pub fn new(level: MetricsLevel, capacity: usize) -> EventLog {
-        EventLog {
-            level,
-            capacity: capacity.max(1),
-            ring: Mutex::new(std::collections::VecDeque::new()),
-            dropped: Counter::new(),
-        }
-    }
-
-    /// Takes every buffered event, oldest first.
-    pub fn drain(&self) -> Vec<TraceEvent> {
-        self.ring.lock().unwrap().drain(..).collect()
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.ring.lock().unwrap().len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events evicted to make room since construction.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.get()
-    }
-}
-
-impl MetricsSink for EventLog {
-    fn level(&self) -> MetricsLevel {
-        self.level
-    }
-
-    fn emit(&self, event: TraceEvent) {
-        let mut ring = self.ring.lock().unwrap();
-        if ring.len() == self.capacity {
-            ring.pop_front();
-            self.dropped.inc();
-        }
-        ring.push_back(event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn levels_are_ordered_and_parse() {
-        assert!(MetricsLevel::Trace.at_least(MetricsLevel::Debug));
+        assert!(MetricsLevel::Counters.at_least(MetricsLevel::None));
         assert!(MetricsLevel::Counters.at_least(MetricsLevel::Counters));
         assert!(!MetricsLevel::None.at_least(MetricsLevel::Counters));
-        assert_eq!(MetricsLevel::parse("TRACE"), MetricsLevel::Trace);
-        assert_eq!(MetricsLevel::parse(" debug "), MetricsLevel::Debug);
-        assert_eq!(MetricsLevel::parse("counters"), MetricsLevel::Counters);
-        assert_eq!(MetricsLevel::parse("off"), MetricsLevel::None);
-        assert_eq!(MetricsLevel::parse("bogus"), MetricsLevel::None);
+        assert_eq!(MetricsLevel::default(), MetricsLevel::Counters);
+        assert_eq!(MetricsLevel::None.to_string(), "none");
+        assert_eq!(MetricsLevel::Counters.to_string(), "counters");
     }
 
     #[test]
@@ -628,55 +381,12 @@ mod tests {
     }
 
     #[test]
-    fn families_intern_and_reset() {
-        let f = HistogramFamily::new();
-        f.with("acyclic").record(10);
-        f.with("acyclic").record(20);
-        f.with("naive").record(30);
-        let snap = f.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap["acyclic"].count, 2);
-        assert_eq!(snap["naive"].count, 1);
-        f.reset();
-        assert_eq!(f.snapshot()["acyclic"].count, 0);
-
-        let c = CounterFamily::new();
-        c.add("hit", 3);
-        c.with("hit").inc();
-        assert_eq!(c.snapshot()["hit"], 4);
-        c.reset();
-        assert_eq!(c.snapshot()["hit"], 0);
-    }
-
-    #[test]
-    fn event_log_bounds_and_counts_drops() {
-        let log = EventLog::new(MetricsLevel::Trace, 2);
-        for i in 0..5u64 {
-            log.emit(TraceEvent {
-                at_us: i,
-                name: "request",
-                fields: vec![("i", i.to_string())],
-            });
-        }
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.dropped(), 3);
-        let events = log.drain();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].at_us, 3);
-        assert_eq!(events[1].at_us, 4);
-        assert!(log.is_empty());
-        assert!(events[1].to_string().contains("request"));
-    }
-
-    #[test]
     fn counters_and_gauges() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        g.set(3);
-        g.add(-1);
-        assert_eq!(g.get(), 2);
+        c.reset();
+        assert_eq!(c.get(), 0);
     }
 }

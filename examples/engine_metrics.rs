@@ -1,7 +1,7 @@
 //! Observability and admission control with `cqapx-metrics`: latency
-//! histograms per query class, solver/operator internals at `Debug`,
-//! per-request trace events, queue-depth shedding, and deadline-aware
-//! degradation — the whole metrics tier in one tour.
+//! histograms per query class and per database, per-database cache
+//! outcomes, queue-depth shedding, and deadline-aware degradation — the
+//! whole metrics layer in one tour.
 //!
 //! Run with:
 //!
@@ -14,13 +14,11 @@ use cqapx_engine::{EngineConfig, MetricsLevel, ResponseStatus, DEGRADE_MIN_SAMPL
 use std::time::Duration;
 
 fn main() {
-    // Trace is the most expensive tier: histograms + cache counters
-    // (Counters), solver nodes and per-operator timings (Debug), and a
-    // bounded ring of structured per-request events (Trace). A
-    // production engine would usually run at Counters; `None` compiles
-    // the whole layer down to one field compare per request.
+    // Counters (the default) records latency histograms and cache
+    // outcomes without a lock or an allocation per request; `None`
+    // compiles the whole layer down to one field compare per request.
     let engine = Engine::new(EngineConfig {
-        metrics: MetricsLevel::Trace,
+        metrics: MetricsLevel::Counters,
         max_queue_depth: Some(4),
         naive_cost_budget: 1e12, // keep the clique on the naive tier
         ..EngineConfig::default()
@@ -45,8 +43,7 @@ fn main() {
     );
 
     // A cyclic query lands on the decomposed tier, whose bags the
-    // multiway (WCOJ) kernel joins — the Debug tier histograms their
-    // build time.
+    // multiway (WCOJ) kernel joins.
     let c4 = engine.prepare_query(
         "c4",
         parse_cq("Q(a, c) :- E(a,b), E(b,c), E(c,d), E(d,a)").unwrap(),
@@ -100,33 +97,29 @@ fn main() {
             h.count, h.p50, h.p90, h.p99, h.max
         );
     }
-    println!("\n── solver / operators (Debug tier) ──");
-    println!(
-        "  solver: {} search nodes, {} AC-3 revisions, {} budget exhaustions",
-        snap.solver_nodes, snap.solver_revisions, snap.solver_budget_exhaustions
-    );
-    for (op, us) in &snap.op_micros {
-        let rows = snap.op_rows.get(op).copied().unwrap_or(0);
-        println!("  {op:<15} {us:>8}µs {rows:>8} rows");
-    }
-    println!("\n── bag builds (Debug tier) ──");
-    println!("  counter: {}", snap.counters.bag_builds);
-    for (kernel, h) in &snap.bag_build_latency {
-        if h.count == 0 {
-            continue;
-        }
+    println!("\n── per-database latency and cache outcomes ──");
+    for (db, h) in &snap.db_latency {
+        let count = |by_db: &std::collections::BTreeMap<String, u64>, what: &str| {
+            by_db.get(&format!("{db}/{what}")).copied().unwrap_or(0)
+        };
         println!(
-            "  {kernel:<12} n={:<4} p50={}µs p99={}µs max={}µs (per-response totals)",
-            h.count, h.p50, h.p99, h.max
+            "  {db:<12} n={:<4} p99={}µs mat hits={} misses={} approx hits={} misses={}",
+            h.count,
+            h.p99,
+            count(&snap.mat_cache_by_db, "hits"),
+            count(&snap.mat_cache_by_db, "misses"),
+            count(&snap.approx_cache_by_db, "hits"),
+            count(&snap.approx_cache_by_db, "misses"),
         );
     }
+    println!("  bag builds: {}", snap.counters.bag_builds);
 
-    println!("\n── cache memory (any tier — read from the caches) ──");
+    println!("\n── cache memory (any level — read from the caches) ──");
     println!(
         "  mat cache     budget={} bytes ({})",
         snap.mat_cache_budget_bytes,
         if snap.mat_cache_budget_bytes == 0 {
-            "unbounded; set CQAPX_CACHE_BUDGET, e.g. 64k, to bound it"
+            "unbounded; set EngineConfig::mat_cache_budget_bytes to bound it"
         } else {
             "evicting when over"
         }
@@ -148,12 +141,6 @@ fn main() {
         "\n── kernels (this engine's runs) ──\n  bitmap probes={} packed sorts={} ({} rows)",
         snap.counters.bitmap_probes, snap.counters.packed_sorts, snap.counters.packed_rows
     );
-
-    println!("\n── trace ring (Trace tier, last few) ──");
-    let events = engine.trace_events();
-    for ev in events.iter().rev().take(3).rev() {
-        println!("  {ev}");
-    }
 
     // ── Epochs: reset, measure clean ─────────────────────────────────
     engine.reset_stats();
