@@ -12,7 +12,10 @@
 //! Boolean plan's witness — it stops at; so does the existence call
 //! that decides a Boolean root's multi-column edge. Every join and
 //! projection of the benchmark's plans, run on its own, calls the
-//! allocator no more often than the hash-index join it replaced.
+//! allocator no more often than the hash-index join it replaced. A
+//! one-column head read off the live-value sweep copies no cached row:
+//! it asks for little more than its answers, and calls the allocator no
+//! more often than the kernel path.
 //!
 //! A warm request allocates alike whether or not the data has a
 //! dangling tuple, whatever the engine's thread count and whether or not
@@ -27,8 +30,8 @@
 
 use cqapx_bench::workloads::{lcg, nine_layer_dag, regular_digraph};
 use cqapx_cq::eval::{
-    AcyclicPlan, DecomposedPlan, MatCacheStats, MatSource, MaterializationCache, NaivePlan, Op,
-    PlanIr,
+    AcyclicPlan, Answers, DecomposedPlan, MatCacheStats, MatSource, MaterializationCache,
+    NaivePlan, Op, PlanIr,
 };
 use cqapx_cq::parse_cq;
 use cqapx_engine::{Engine, EngineConfig, EvalMode, MetricsLevel, PlanKind, Request};
@@ -262,6 +265,7 @@ fn boolean_six_cycle_stops_at_the_first_witness() {
 const C4: &str = "Q() :- E(a,b), E(b,c), E(c,d), E(d,a)";
 const TWO_HOP: &str = "Q(x,z) :- E(x,y), E(y,z)";
 const TRIANGLE: &str = "Q(x) :- E(x,y), E(y,z), E(z,x)";
+const THREE_HOP_HEAD: &str = "Q(x) :- E(x,y), E(y,z), E(z,w)";
 
 /// The Boolean `C₄` plan's root edge is one existence call over the two
 /// bags (80,000 rows each on 5000 × 4, as the benchmark builds them).
@@ -338,7 +342,7 @@ fn warm_joins_and_projections_allocate_no_more_than_the_hash_path() {
     let root = |ir: &PlanIr| ir.ops().len() - 1;
     let two_hop = acyclic("Q(x, z) :- E(x,y), E(y,z)");
     let wedge3 = acyclic("Q(x, y, z) :- E(x,y), E(y,z)");
-    let three_hop = acyclic("Q(x) :- E(x,y), E(y,z), E(z,w)");
+    let three_hop = acyclic(THREE_HOP_HEAD);
     let c6_join = at(
         c6.ir(),
         &|op| matches!(op, Op::MultiJoin { inputs, .. } if inputs.len() == 2),
@@ -364,6 +368,88 @@ fn warm_joins_and_projections_allocate_no_more_than_the_hash_path() {
         assert!(
             calls <= parent,
             "{name}: {calls} allocator calls, {parent} before"
+        );
+    }
+}
+
+/// `three_hop_head` warm on a nine-layer DAG, where the first sweep
+/// removes rows from both inner slots: its join phase is one
+/// projection of the root onto `x`, read off the live-value sweep, so
+/// no cached row is copied. The request calls the allocator as often at
+/// 10,000 as at 20,000 vertices, and asks for less than twice the
+/// answer buffer plus three bitmap word tables. Filtering the shared
+/// slots by the kernels, as the full run does, copies them: about 20
+/// times the answer buffer.
+#[test]
+fn warm_one_column_head_copies_no_cached_row() {
+    let q = parse_cq(THREE_HOP_HEAD).unwrap();
+    let plan = AcyclicPlan::compile(&q).unwrap();
+    let counts = [10_000, 20_000].map(|n| {
+        let d = nine_layer_dag(n, 0x3B);
+        let cache = MaterializationCache::new();
+        let (cold, _) = plan.ir().run_answers(q.free_vars(), &d, Some(&cache), None);
+        let ((warm, stats), calls, requested) =
+            counted(|| plan.ir().run_answers(q.free_vars(), &d, Some(&cache), None));
+        assert_eq!((warm == cold, stats.misses), (true, 0));
+        // `x` starts a three-edge walk in the six lowest layers.
+        assert_eq!(warm.len(), (0..n).filter(|v| v % 9 < 6).count());
+        let answers = (warm.len() * std::mem::size_of::<u32>()) as u64;
+        let table = (d.domain_dict().len().div_ceil(64) * 8) as u64;
+        assert!(
+            requested < 2 * answers + 3 * table,
+            "{requested} bytes requested for {answers} bytes of answers"
+        );
+        calls
+    });
+    assert_eq!(counts[0], counts[1], "allocator calls at two sizes");
+}
+
+/// A one-column head read off the live-value sweep calls the allocator
+/// no more often than the kernel path (`run_slots`, then the answer
+/// boundary) on the same warm cache: fewer times for `three_hop_head`
+/// on a nine-layer DAG, whose semijoins there copy cached rows, and as
+/// often for `triangle_members` on disjoint directed triangles — one
+/// bag, no semijoin, dense enough for a column bitmap — where the
+/// sweep's liveness flags sit on the stack.
+#[test]
+fn swept_one_column_head_allocates_no_more_than_the_kernel_path() {
+    let dag = nine_layer_dag(10_000, 0x3B);
+    let triangles: Vec<(u32, u32)> = (0..600).map(|v| (v, v - v % 3 + (v + 1) % 3)).collect();
+    let triangles = Structure::digraph(600, &triangles);
+    let (three_hop, triangle) = (
+        parse_cq(THREE_HOP_HEAD).unwrap(),
+        parse_cq(TRIANGLE).unwrap(),
+    );
+    let three_hop_plan = AcyclicPlan::compile(&three_hop).unwrap();
+    let triangle_plan = DecomposedPlan::compile(&triangle, 2).unwrap();
+    for (q, ir, d, fewer) in [
+        (&three_hop, three_hop_plan.ir(), &dag, true),
+        (&triangle, triangle_plan.ir(), &triangles, false),
+    ] {
+        let head = q.free_vars();
+        let cache = MaterializationCache::new();
+        ir.run_answers(head, d, Some(&cache), None);
+        let ((swept, _), swept_calls, _) = counted(|| ir.run_answers(head, d, Some(&cache), None));
+        let (kernel, kernel_calls, _) = counted(|| {
+            let (alive, mut slots, mut stats) = ir.run_slots(d, Some(&cache), None);
+            let out = ir
+                .ops()
+                .last()
+                .and_then(Op::dst)
+                .and_then(|s| slots[s].take());
+            let out = out.filter(|_| alive).expect("the graph answers");
+            Answers::from_relation(out, head, d.domain_dict(), &mut stats)
+        });
+        assert!(swept == kernel && !swept.is_empty(), "{q}");
+        let calls = (swept_calls, kernel_calls);
+        let holds = if fewer {
+            calls.0 < calls.1
+        } else {
+            calls.0 == calls.1
+        };
+        assert!(
+            holds,
+            "{q}: {calls:?} allocator calls read off the sweep and by the kernels"
         );
     }
 }
@@ -404,7 +490,8 @@ fn warm_wedge_allocations_ignore_a_dangling_tuple() {
 /// whatever the engine's thread count, and recording it allocates
 /// nothing: engines at 1 and 2 threads, each at `MetricsLevel::None`
 /// and at `Counters`, serve the same warm requests — `two_hop`'s free
-/// join on a 3,000-vertex graph of out-degree 8, a Boolean C4 on the
+/// join on a 3,000-vertex graph of out-degree 8, `three_hop_head`'s
+/// projection read off the live-value sweep, a Boolean C4 on the
 /// decomposed tier, and a certain-only triangle on the sandwich tier
 /// (an approximation-cache hit) — with byte-identical answers and the
 /// same number of allocator calls on the calling thread.
@@ -420,6 +507,7 @@ fn one_request_allocates_the_same_at_any_thread_count() {
     // The naive budgets send only the triangle to the sandwich.
     let cells = [
         (TWO_HOP, EvalMode::Exact, 1e18, PlanKind::Yannakakis),
+        (THREE_HOP_HEAD, EvalMode::Exact, 1e18, PlanKind::Yannakakis),
         (C4, EvalMode::Exact, 1e18, PlanKind::Decomposed),
         (TRIANGLE, EvalMode::CertainOnly, 0.0, PlanKind::Sandwich),
     ];

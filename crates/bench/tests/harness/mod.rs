@@ -698,17 +698,22 @@ fn serve(
 // ---------------------------------------------------------------------
 
 /// The vocabulary of the sweep's queries: `E/2` and `R/3`.
-fn sweep_vocabulary() -> Vocabulary {
+pub fn sweep_vocabulary() -> Vocabulary {
     Vocabulary::new(vec![("E", 2), ("R", 3)])
 }
 
-/// `atoms` (over `E/2` and `R/3`) as a Boolean query, and its plan
-/// compiled over the rooted forest `parent` (one node per atom, `None`
-/// for a root) — no re-rooting: Boolean plans keep the roots given.
-/// `parent` must describe a join forest: each atom shares only
-/// variables of its parent.
-pub fn sweep_plan(atoms: &[String], parent: &[Option<usize>]) -> (ConjunctiveQuery, PlanIr) {
-    let text = format!("Q() :- {}", atoms.join(", "));
+/// `atoms` (over `E/2` and `R/3`) as a query — Boolean, or with the
+/// one head variable `head` — and its plan compiled over the rooted
+/// forest `parent` (one node per atom, `None` for a root). `parent`
+/// must describe a join forest: each atom shares only variables of its
+/// parent. The plan keeps the roots given when `head` is a variable of
+/// a root: no node holds more head variables, and ties keep the root.
+pub fn sweep_plan(
+    atoms: &[String],
+    parent: &[Option<usize>],
+    head: Option<&str>,
+) -> (ConjunctiveQuery, PlanIr) {
+    let text = format!("Q({}) :- {}", head.unwrap_or_default(), atoms.join(", "));
     let q = parse_cq_with_vocab(&text, &sweep_vocabulary()).expect("generated query must parse");
     let nodes: Vec<NodeSpec> = (q.atoms().iter())
         .map(|atom| {
@@ -727,12 +732,13 @@ pub fn sweep_plan(atoms: &[String], parent: &[Option<usize>]) -> (ConjunctiveQue
         stack.extend((0..parent.len()).filter(|&c| parent[c] == Some(u)));
     }
     order.reverse();
-    let ir = compile_tree(nodes, parent, &order, &[]);
+    let ir = compile_tree(nodes, parent, &order, q.free_vars());
     (q, ir)
 }
 
-/// Boolean join forests of two to seven atoms over `E/2` and `R/3`,
-/// compiled at the root drawn, in four shapes: a directed `E`-path and
+/// Join forests of two to seven atoms over `E/2` and `R/3`, Boolean
+/// or, about half the time, with a head of one variable of the first
+/// root, compiled at the root drawn, in four shapes: a directed `E`-path and
 /// a path of drawn atoms, each rooted mid-way (the root filtered on two
 /// columns); a star whose children mostly share the root's first
 /// variable (several filters on one column); and a random forest
@@ -764,9 +770,11 @@ pub fn sweep_forest() -> impl Strategy<Value = (ConjunctiveQuery, PlanIr)> {
                 .collect(),
             _ => unreachable!("four shapes"),
         };
+        let root = parent.iter().position(Option::is_none).expect("a root");
         if shape == 3 {
             let atoms: Vec<String> = (0..n).map(|i| format!("E(x{i}, x{})", i + 1)).collect();
-            return sweep_plan(&atoms, &parent);
+            let head = (draw(2) == 0).then(|| format!("x{}", root + draw(2)));
+            return sweep_plan(&atoms, &parent, head.as_deref());
         }
         // Variables top-down, so each atom can draw from its parent's.
         let mut vars: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -813,7 +821,9 @@ pub fn sweep_forest() -> impl Strategy<Value = (ConjunctiveQuery, PlanIr)> {
             args.dedup();
             vars[u] = args;
         }
-        sweep_plan(&atoms, &parent)
+        let head =
+            (draw(2) == 0).then(|| format!("x{}", vars[root][draw(vars[root].len() as u64)]));
+        sweep_plan(&atoms, &parent, head.as_deref())
     })
 }
 
@@ -833,36 +843,45 @@ pub fn with_ternary(d: &Structure) -> Structure {
     b.finish()
 }
 
-/// Whether `run_boolean` takes the live-value sweep on `ir`, given the
-/// materialized `slots`: every op after the materializations is an
-/// assertion or a semijoin on at most one column whose source has a
-/// column bitmap. Eligibility mirrors `FlatRelation`'s own rule: a
-/// dense bound of at most 64 codes per row (of at least 16 rows).
-fn sweep_runs(ir: &PlanIr, slots: &[Option<FlatRelation>], mats: usize) -> bool {
-    let eligible = |r: &FlatRelation| {
-        r.domain_width() > 0 && r.domain_width() as usize <= 64 * r.len().max(16)
-    };
-    ir.ops()[mats..].iter().all(|op| match op {
+/// Whether the live-value sweep runs the reduction `ops[mats..end]`
+/// of `ir`, given the materialized `slots`: every op is an assertion or
+/// a semijoin on at most one column whose source has a column bitmap.
+fn sweep_runs(ir: &PlanIr, slots: &[Option<FlatRelation>], mats: usize, end: usize) -> bool {
+    let rel = |s: &usize| slots[*s].as_ref().expect("materialized");
+    ir.ops()[mats..end].iter().all(|op| match op {
         Op::AssertNonempty { .. } => true,
         Op::Semijoin {
             source, target_pos, ..
         } => match target_pos.len() {
             0 => true,
-            1 => eligible(slots[*source].as_ref().expect("materialized")),
+            1 => bitmap_eligible(rel(source)),
             _ => false,
         },
         _ => false,
     })
 }
 
-/// The Boolean sweep of `ir` (a Boolean join-forest plan of `q`) on
-/// `d`: `run_boolean`'s verdict — uncached, cold and warm — equals the
-/// kernel sweep's over the same materialized slots and
-/// `eval_boolean_naive`'s, with the kernel path's counters. When the
-/// live-value sweep ran, each of its profiled entries is what the
-/// kernel sweep's slots hold at that op, and if its first op is a
-/// one-column semijoin it counted bitmap probes. Returns whether the
-/// live-value sweep ran.
+/// `FlatRelation`'s own rule for a column bitmap: a dense bound of at
+/// most 64 codes per row (of at least 16 rows).
+fn bitmap_eligible(r: &FlatRelation) -> bool {
+    r.domain_width() > 0 && r.domain_width() as usize <= 64 * r.len().max(16)
+}
+
+/// The live-value sweep of `ir` (a join-forest plan of `q`, Boolean or
+/// with one head variable) on `d`. `run_boolean`'s verdict — uncached,
+/// cold and warm — equals the kernel sweep's over the same materialized
+/// slots and `eval_boolean_naive`'s, with the kernel path's counters.
+/// When the sweep ran, each of its profiled entries is what the kernel
+/// sweep's slots hold at that op, and if its first op is a one-column
+/// semijoin it counted bitmap probes. With a head, `run` outputs the
+/// kernel path's relation byte for byte (schema, width, rows) — the
+/// output slot of the join phase run over the reduced slots — with the
+/// kernel path's counters up to its projection when the root's
+/// projection was read off the sweep, and all of them otherwise; its
+/// profile has the kernel path's labels (read off the sweep, the last
+/// is a `project` entry reporting the answers); and `run_answers` —
+/// uncached, cold and warm — is the naive evaluator's. Returns whether
+/// the answers were read off the live-value sweep.
 pub fn check_sweep(q: &ConjunctiveQuery, ir: &PlanIr, d: &Structure) -> bool {
     assert!(ir.reduction_decides(), "a join forest: {q}");
     let want = eval_boolean_naive(q, d);
@@ -873,9 +892,25 @@ pub fn check_sweep(q: &ConjunctiveQuery, ir: &PlanIr, d: &Structure) -> bool {
         .map_or(0, |s| s + 1);
     let mut slots = vec![None; width];
     let mats = ir.materialize_sources().count();
+    // A plan with a head joins nothing below its roots (each holds the
+    // head or shares nothing with it): its join phase starts at the
+    // first root's projection.
+    let len = ir.ops().len();
+    let project = |op: &Op| matches!(op, Op::Project { .. });
+    let reduced = ir.ops().iter().position(project).unwrap_or(len);
     let (_, mut kernel_stats) = ir.run_ops(0..mats, &mut slots, d, None);
-    let runs = sweep_runs(ir, &slots, mats);
-    let (kernel, sweep_stats) = ir.run_ops(mats..ir.ops().len(), &mut slots, d, None);
+    let runs = sweep_runs(ir, &slots, mats, reduced);
+    // The projection read off the sweep: the plan's one root onto one
+    // column that has a bitmap.
+    let swept = runs
+        && match &ir.ops()[reduced..] {
+            [Op::Project { src, vars, .. }] => {
+                let rel = slots[*src].as_ref().expect("materialized");
+                vars.len() == 1 && bitmap_eligible(rel)
+            }
+            _ => q.free_vars().is_empty(),
+        };
+    let (kernel, sweep_stats) = ir.run_ops(mats..reduced, &mut slots, d, None);
     kernel_stats.add(sweep_stats);
     let what = format!("{q}, {:?}", ir.ops()[mats..].to_vec());
     assert_eq!(kernel, want, "kernel sweep vs naive: {what}");
@@ -890,6 +925,9 @@ pub fn check_sweep(q: &ConjunctiveQuery, ir: &PlanIr, d: &Structure) -> bool {
             stats.bitmap_probes > 0,
             "the sweep counted no probe: {what}"
         );
+    }
+    if !q.free_vars().is_empty() {
+        check_swept_head(q, ir, d, (slots, kernel, kernel_stats), reduced, swept);
     }
     if runs {
         // Op by op: each profiled entry is what the kernel sweep's slots
@@ -922,5 +960,63 @@ pub fn check_sweep(q: &ConjunctiveQuery, ir: &PlanIr, d: &Structure) -> bool {
         let (cached, _) = ir.run_boolean(d, Some(&cache), None);
         assert_eq!(cached, want, "{run}: {what}");
     }
-    runs
+    swept
+}
+
+/// [`check_sweep`]'s checks of a plan with a head, given the slots,
+/// verdict and counters the kernel reduction `ops[..reduced]` left.
+fn check_swept_head(
+    q: &ConjunctiveQuery,
+    ir: &PlanIr,
+    d: &Structure,
+    (mut slots, alive, mut kernel_stats): (Vec<Option<FlatRelation>>, bool, MatCacheStats),
+    reduced: usize,
+    swept: bool,
+) {
+    let what = format!("{q}, {:?}", ir.ops()[reduced..].to_vec());
+    let len = ir.ops().len();
+    let (alive, join_stats) = match alive {
+        true => ir.run_ops(reduced..len, &mut slots, d, None),
+        false => (false, MatCacheStats::default()),
+    };
+    let output = ir.ops().last().and_then(Op::dst).expect("a join phase");
+    let kernel = slots[output].take().filter(|_| alive);
+    if !swept {
+        kernel_stats.add(join_stats);
+    }
+    let (out, stats) = ir.run(d, None, None);
+    assert_eq!(stats, kernel_stats, "run's counters: {what}");
+    match (&out, &kernel) {
+        (Some(a), Some(b)) => {
+            assert_eq!(a.schema(), b.schema(), "schema: {what}");
+            assert_eq!(a.domain_width(), b.domain_width(), "width: {what}");
+            assert!(a.iter_rows().eq(b.iter_rows()), "rows: {what}");
+        }
+        (a, b) => assert_eq!(a.is_some(), b.is_some(), "output: {what}"),
+    }
+    let mut profile = EvalProfile::default();
+    ir.run(d, None, Some(&mut profile));
+    let mut kernel_profile = EvalProfile::default();
+    ir.run_slots(d, None, Some(&mut kernel_profile));
+    let labels = |p: &EvalProfile| p.ops.iter().map(|o| o.op).collect::<Vec<_>>();
+    assert_eq!(labels(&profile), labels(&kernel_profile), "labels: {what}");
+    if let Some(out) = out.as_ref().filter(|_| swept) {
+        let last = profile.ops.last().map(|o| (o.op, o.rows));
+        assert_eq!(last, Some(("project", out.len())), "last entry: {what}");
+    }
+    // The naive evaluator's answers, one pinned existence check per
+    // element: enumerating every homomorphism of a seven-atom star over
+    // the ternary walks takes minutes.
+    let naive = NaivePlan::compile(q.clone());
+    let expected: Rows = (0..d.universe_size() as Element)
+        .map(|a| vec![a])
+        .filter(|a| naive.contains_answer(d, a))
+        .collect();
+    let (uncached, _) = ir.run_answers(q.free_vars(), d, None, None);
+    assert_is(&uncached, &expected, 1, &format!("uncached, {what}"));
+    let cache = MaterializationCache::new();
+    for run in ["cold", "warm"] {
+        let (cached, _) = ir.run_answers(q.free_vars(), d, Some(&cache), None);
+        assert_is(&cached, &expected, 1, &format!("{run}, {what}"));
+    }
 }

@@ -8,9 +8,9 @@
 //! clock-free cost bound), wide nodes, Boolean cycles with and without
 //! a witness, head orders, the packing boundary, radix against
 //! comparison `sort_dedup`, the sandwich union, and cached rows never
-//! written through. The Boolean sweep's differential runs generated
-//! join forests and two fixed cases; its `#[ignore]`d deep variant,
-//! ten times the cases:
+//! written through. The live-value sweep's differential runs generated
+//! join forests, Boolean or with a one-variable head, and five fixed
+//! cases; its `#[ignore]`d deep variant, ten times the generated cases:
 //! `cargo test --release -p cqapx-bench --test oracle -- --ignored`. The engine section keeps shed, degraded, sandwich
 //! and certain-only responses sound.
 //!
@@ -39,8 +39,8 @@ use cqapx_graphs::treewidth::TreeDecomposition;
 use cqapx_structures::{Element, Structure, Vocabulary};
 use harness::{
     assert_is, build_query, check, check_bags, check_joins, check_sweep, database, database_of,
-    random_body, sweep_forest, sweep_plan, two_cycles, with_ternary, Rows, ANY_GAP, SKEWED,
-    UNIFORM,
+    random_body, sweep_forest, sweep_plan, sweep_vocabulary, two_cycles, with_ternary, Rows,
+    ANY_GAP, SKEWED, UNIFORM,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -531,11 +531,13 @@ fn sweep_case() -> impl Strategy<Value = ((ConjunctiveQuery, PlanIr), Structure)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The live-value sweep decides every generated Boolean join forest
-    /// as the kernel sweep and the naive evaluator do — paths rooted
-    /// mid-way, stars with several filters on the root's column,
-    /// repeated variables, ternary atoms and empty keys among them —
-    /// with the kernel path's counters (see `harness::check_sweep`).
+    /// The live-value sweep decides every generated join forest as the
+    /// kernel sweep and the naive evaluator do — paths rooted mid-way,
+    /// stars with several filters on the root's column, repeated
+    /// variables, ternary atoms and empty keys among them — with the
+    /// kernel path's counters, and a one-variable head the root covers
+    /// is read off it as the kernel path's projection, byte for byte
+    /// (see `harness::check_sweep`).
     #[test]
     fn bool_sweep_matches_kernel_and_naive(case in sweep_case()) {
         let ((q, ir), d) = case;
@@ -572,7 +574,7 @@ fn sweep_db(edges: &[(u32, u32)]) -> Structure {
 #[test]
 fn bool_sweep_filter_empties_a_middle_node() {
     let atoms = ["E(x2, x3)", "E(x1, x2)", "E(x0, x1)"].map(String::from);
-    let (q, ir) = sweep_plan(&atoms, &[None, Some(0), Some(1)]);
+    let (q, ir) = sweep_plan(&atoms, &[None, Some(0), Some(1)], None);
     let d = sweep_db(&[(0, 1), (2, 3)]);
     assert!(check_sweep(&q, &ir, &d), "the live-value sweep ran");
     let mut profile = EvalProfile::default();
@@ -594,10 +596,77 @@ fn bool_sweep_filter_empties_a_middle_node() {
 #[test]
 fn bool_sweep_keeps_a_run_past_its_failing_first_row() {
     let atoms = ["E(w, x)", "E(x, y)", "E(y, z)"].map(String::from);
-    let (q, ir) = sweep_plan(&atoms, &[None, Some(0), Some(1)]);
+    let (q, ir) = sweep_plan(&atoms, &[None, Some(0), Some(1)], None);
     let d = sweep_db(&[(5, 0), (0, 1), (0, 2), (2, 3)]);
     assert!(check_sweep(&q, &ir, &d), "the live-value sweep ran");
     assert!(ir.run_boolean(&d, None, None).0);
+}
+
+/// A head column with no bitmap: the root `E(y, x)` has two rows over
+/// 2,000 codes — far more than 64 a row — while its child `R` has a row
+/// per code. The reduction is swept, but `x` has no column bitmap, so
+/// `run` falls back to the kernels, whose projection sorts `x`'s
+/// column `[5, 3]`, and answers as they do.
+#[test]
+fn one_column_head_without_a_bitmap_falls_back() {
+    let vocab = sweep_vocabulary();
+    let (e, r) = (vocab.rel("E").unwrap(), vocab.rel("R").unwrap());
+    let mut b = cqapx_structures::StructureBuilder::new(vocab, 2000);
+    b.add(e, &[0, 5]).add(e, &[1, 3]);
+    for v in 0..2000 {
+        b.add(r, &[v, v, v]);
+    }
+    let d = b.finish();
+    let atoms = ["E(y, x)", "R(y, z, w)"].map(String::from);
+    let (q, ir) = sweep_plan(&atoms, &[None, Some(0)], Some("x"));
+    assert!(!check_sweep(&q, &ir, &d), "no bitmap on the head column");
+    assert!(ir.run_boolean(&d, None, None).1.bitmap_probes > 0);
+    assert_eq!(ir.run(&d, None, None).1.packed_sorts, 1);
+    let (answers, _) = ir.run_answers(q.free_vars(), &d, None, None);
+    assert_is(&answers, &[vec![3], vec![5]].into(), 1, "E's targets");
+}
+
+/// A root killed mid-sweep: on the path `E(x0, x1) ← E(x1, x2) ←
+/// E(x2, x3)` rooted at the head's atom, over the edges `0 → 1 → 2`,
+/// the root's filter leaves no row, so the sweep stops at its
+/// assertion and the answer is the empty one of arity 1.
+#[test]
+fn one_column_head_of_a_killed_root_is_empty() {
+    let atoms = ["E(x0, x1)", "E(x1, x2)", "E(x2, x3)"].map(String::from);
+    let (q, ir) = sweep_plan(&atoms, &[None, Some(0), Some(1)], Some("x0"));
+    let d = sweep_db(&[(0, 1), (1, 2)]);
+    assert!(check_sweep(&q, &ir, &d), "read off the sweep");
+    let mut profile = EvalProfile::default();
+    assert!(ir.run(&d, None, Some(&mut profile)).0.is_none());
+    let last = profile.ops.last().map(|o| (o.op, o.rows));
+    assert_eq!(last, Some(("assert_nonempty", 0)));
+    let (answers, _) = ir.run_answers(q.free_vars(), &d, None, None);
+    assert_is(&answers, &Rows::new(), 1, "no three-edge walk");
+}
+
+/// A star rooted at its head `c` with two filters on `c`: `c` has an
+/// edge in (`{1, 2, 3, 5}`) and starts a two-edge walk (`{0, 1}`). Both
+/// hand on their values, neither contains the root's own `{0, 1, 2,
+/// 4}`, and the answer is their intersection.
+#[test]
+fn one_column_head_intersects_two_filters_on_the_root() {
+    let atoms = ["E(c, a0)", "E(a1, c)", "E(c, a2)", "E(a2, a3)"].map(String::from);
+    let (q, ir) = sweep_plan(&atoms, &[None, Some(0), Some(0), Some(2)], Some("c"));
+    let d = sweep_db(&[(0, 1), (1, 2), (2, 3), (4, 5)]);
+    assert!(check_sweep(&q, &ir, &d), "read off the sweep");
+    let mut profile = EvalProfile::default();
+    let out = ir.run(&d, None, Some(&mut profile)).0.expect("an answer");
+    // The in-edge child, the walk's leaf into its middle, the middle.
+    let handed: Vec<usize> = (profile.ops.iter())
+        .filter(|o| o.op == "semijoin")
+        .map(|o| o.rows)
+        .collect();
+    assert_eq!(handed, [4, 4, 2]);
+    let last = profile.ops.last().map(|o| (o.op, o.rows));
+    assert_eq!(last, Some(("project", 1)));
+    assert_eq!(out.iter_rows().collect::<Vec<_>>(), [[1]]);
+    let (answers, _) = ir.run_answers(q.free_vars(), &d, None, None);
+    assert_is(&answers, &[vec![1]].into(), 1, "in-edge and two-edge walk");
 }
 
 // ---------------------------------------------------------------------

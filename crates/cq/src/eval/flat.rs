@@ -278,6 +278,19 @@ impl FlatRelation {
         }
     }
 
+    /// The one-column relation over `var` holding `codes`, which must be
+    /// ascending and distinct (canonical) and `< domain_width`.
+    pub(crate) fn from_codes(var: VarId, codes: Vec<Element>, domain_width: u32) -> Self {
+        debug_assert!(codes.is_sorted_by(|a, b| a < b), "canonical codes");
+        FlatRelation {
+            schema: vec![var],
+            rows: codes.len(),
+            data: Rows::Owned(codes),
+            domain_width,
+            bitmaps: BitmapCell::default(),
+        }
+    }
+
     /// The row count and the row-major buffer (copied out if it is
     /// shared), schema dropped.
     pub(crate) fn into_raw(mut self) -> (usize, Vec<Element>) {

@@ -11,7 +11,7 @@
 //! | [`Op::Semijoin`]     | `target ⋉ source` on aligned key columns: a one-column key against a source column bitmap filters row by row, any other key is the multiway kernel over the target and the source's key projection; nothing is touched when every row survives. In a Boolean sweep of one-column keys: the source's live key values, recorded as a filter on the target |
 //! | [`Op::AssertNonempty`] | abort with the empty answer when a slot ran dry; in a Boolean sweep, when no row passes the slot's filters |
 //! | [`Op::MultiJoin`]    | the join: `π_vars(⋈ inputs)` by the one kernel bags are built with — kept variables are enumerated first, what follows them is an existence check, no intermediate exists, and the rows come out canonical; a tree node with its children's partials (one or several), two roots combined, or a Boolean root with one child (`vars` empty: the first witness decides) |
-//! | [`Op::Project`]      | distinct projection of one slot: the kept columns gathered in the slot's row order, then canonicalized; the identity projection shares the slot's rows |
+//! | [`Op::Project`]      | distinct projection of one slot: the kept columns gathered in the slot's row order, then canonicalized; the identity projection shares the slot's rows. As a join tree's whole join phase onto one column: the slot's live values after the live-value sweep, no row copied |
 //!
 //! Both `AcyclicPlan` (Yannakakis over a GYO join tree) and
 //! `DecomposedPlan` (Yannakakis over the bags of a tree decomposition)
@@ -24,7 +24,8 @@
 //! label **is** the node's schema and the semijoin sweeps alone decide
 //! Boolean answers (classical Yannakakis), on live-value filters when
 //! every key has one column ([`PlanIr::run_boolean`]; the sweep reads
-//! each slot once and mutates none). For tree decompositions the
+//! each slot once and mutates none) — and a one-column head the root
+//! covers is that root's live values ([`PlanIr::run`]). For tree decompositions the
 //! label is the bag, which may strictly contain the schema of the
 //! atoms materialized in it; the sweeps are then only a sound prefilter
 //! and the bottom-up join phase decides everything (the compiler
@@ -53,45 +54,23 @@ pub struct OpProfile {
     pub micros: u64,
     /// Rows in the operator's output slot when it finished; an
     /// assertion's, the rows of the slot it checked. Entries of the
-    /// Boolean sweep (see [`PlanIr::run_boolean`]) report what the op
-    /// decided instead: a semijoin, the number of live values it hands
-    /// to its target; an assertion, whether the slot still has a live
-    /// row (1 or 0).
+    /// live-value sweep (see [`PlanIr::run_boolean`]) report what the
+    /// op decided instead: a semijoin, the number of live values it
+    /// hands to its target; an assertion, whether the slot still has a
+    /// live row (1 or 0). A projection read off the sweep reports its
+    /// answers.
     pub rows: usize,
 }
 
 /// A per-operator execution profile of one [`PlanIr`] run, collected
-/// only when the caller asks for it (the `Debug` metrics level): the
-/// hot path pays a single `Option` branch per operator. Entries appear
-/// in execution order; an aborted run (emptiness assertion fired)
-/// profiles the prefix that ran.
+/// only when the caller passes one (the benchmark's layer ledger; the
+/// engine never does): the hot path pays a single `Option` branch per
+/// operator. Entries appear in execution order; an aborted run
+/// (emptiness assertion fired) profiles the prefix that ran.
 #[derive(Debug, Clone, Default)]
 pub struct EvalProfile {
     /// Per-operator timings/row counts, in execution order.
     pub ops: Vec<OpProfile>,
-}
-
-impl EvalProfile {
-    /// Total microseconds across operators.
-    pub fn total_micros(&self) -> u64 {
-        self.ops.iter().map(|o| o.micros).sum()
-    }
-
-    /// Sums `micros` and `rows` per operator kind, in kind order.
-    pub fn by_op(&self) -> Vec<(&'static str, u64, usize)> {
-        let mut agg: Vec<(&'static str, u64, usize)> = Vec::new();
-        for o in &self.ops {
-            match agg.iter_mut().find(|(k, _, _)| *k == o.op) {
-                Some((_, us, rows)) => {
-                    *us += o.micros;
-                    *rows += o.rows;
-                }
-                None => agg.push((o.op, o.micros, o.rows)),
-            }
-        }
-        agg.sort_unstable_by_key(|&(k, _, _)| k);
-        agg
-    }
 }
 
 /// One sub-hyperedge of a [`MatSource`]: the atoms sharing one variable
@@ -157,10 +136,7 @@ impl MatSource {
                 }
             })
             .collect();
-        let mut schema: Vec<VarId> = parts
-            .iter()
-            .flat_map(|p| p.schema.iter().copied())
-            .collect();
+        let mut schema: Vec<VarId> = parts.iter().flat_map(|p| &p.schema).copied().collect();
         sorted(&mut schema);
         let key = match &parts[..] {
             // A single part is the whole source.
@@ -187,16 +163,10 @@ impl MatSource {
         match cache {
             None => self.materialize_fresh(d, None, stats),
             Some(c) => {
-                let mut inner = MatCacheStats::default();
-                let (rel, hit) = c.get_or_materialize(&self.key, || {
-                    self.materialize_fresh(d, Some(c), &mut inner)
-                });
-                if hit {
-                    stats.hits += 1;
-                } else {
-                    stats.misses += 1;
-                }
-                stats.add(inner);
+                let build = || self.materialize_fresh(d, Some(c), stats);
+                let (rel, hit) = c.get_or_materialize(&self.key, build);
+                stats.hits += u32::from(hit);
+                stats.misses += u32::from(!hit);
                 rel.relabel(self.schema.clone())
             }
         }
@@ -221,11 +191,8 @@ impl MatSource {
                 None => fresh(stats),
                 Some(c) => {
                     let (rel, hit) = c.get_or_materialize(&part.key, || fresh(stats));
-                    if hit {
-                        stats.hits += 1;
-                    } else {
-                        stats.misses += 1;
-                    }
+                    stats.hits += u32::from(hit);
+                    stats.misses += u32::from(!hit);
                     rel.relabel(part.schema.clone())
                 }
             });
@@ -369,20 +336,6 @@ pub struct PlanIr {
     output: Slot,
 }
 
-/// Disjoint `(&mut xs[a], &xs[b])` access for `a ≠ b`: the borrow split
-/// in-place semijoins need to filter one slot against another without
-/// cloning either relation.
-fn pair_mut<T>(xs: &mut [T], a: usize, b: usize) -> (&mut T, &T) {
-    debug_assert_ne!(a, b, "semijoin target and source must differ");
-    if a < b {
-        let (lo, hi) = xs.split_at_mut(b);
-        (&mut lo[a], &hi[0])
-    } else {
-        let (lo, hi) = xs.split_at_mut(a);
-        (&mut hi[0], &lo[b])
-    }
-}
-
 impl PlanIr {
     /// The operators, in execution order.
     pub fn ops(&self) -> &[Op] {
@@ -418,6 +371,7 @@ impl PlanIr {
         }
         for op in &self.ops[range] {
             let t0 = profile.is_some().then(std::time::Instant::now);
+            let mut alive = true;
             match op {
                 Op::Materialize { dst, source } => {
                     slots[*dst] = Some(source.materialize(d, cache, stats));
@@ -428,22 +382,14 @@ impl PlanIr {
                     target_pos,
                     source_pos,
                 } => {
-                    let (t, s) = pair_mut(slots, *target, *source);
+                    // In place: the target is filtered against the source,
+                    // neither relation cloned.
+                    let [t, s] = (slots.get_disjoint_mut([*target, *source]))
+                        .expect("semijoin target and source differ");
                     let t = t.as_mut().expect("slot written before use");
                     t.semijoin_on(target_pos, rel(s), source_pos, stats);
                 }
-                Op::AssertNonempty { slot } => {
-                    if rel(&slots[*slot]).is_empty() {
-                        if let Some(p) = profile.as_deref_mut() {
-                            p.ops.push(OpProfile {
-                                op: "assert_nonempty",
-                                micros: t0.map_or(0, |t| t.elapsed().as_micros() as u64),
-                                rows: 0,
-                            });
-                        }
-                        return false;
-                    }
-                }
+                Op::AssertNonempty { slot } => alive = !rel(&slots[*slot]).is_empty(),
                 Op::MultiJoin { dst, inputs, vars } => {
                     let parts = inputs.iter().map(|s| rel(&slots[*s]));
                     slots[*dst] = Some(multiway_join(parts, vars, stats));
@@ -464,30 +410,39 @@ impl PlanIr {
                     slots[*dst] = Some(out);
                 }
             }
-            if let Some(p) = profile.as_deref_mut() {
-                p.ops.push(OpProfile {
-                    op: op.label(),
-                    micros: t0.map_or(0, |t| t.elapsed().as_micros() as u64),
-                    // The slot written; an assertion's, the one checked.
-                    rows: slots[op.dst().unwrap_or_else(|| op.reads()[0])]
-                        .as_ref()
-                        .map_or(0, |r| r.len()),
-                });
+            // The slot written; an assertion's, the one checked.
+            let written = || rel(&slots[op.dst().unwrap_or_else(|| op.reads()[0])]).len();
+            record(profile.as_deref_mut(), op.label(), t0, written);
+            if !alive {
+                return false;
             }
         }
         true
     }
 
-    /// Runs the full program, optionally collecting a per-operator
-    /// [`EvalProfile`] (pass `None` on the hot path: the only cost is
-    /// one branch per operator). `None` means the answer is empty (an
-    /// emptiness assertion fired); otherwise the output relation.
+    /// Runs the program to its output relation, optionally collecting a
+    /// per-operator [`EvalProfile`] (`None` costs one branch per
+    /// operator). `None` means the answer is empty (an emptiness
+    /// assertion fired). A join tree whose join phase is one
+    /// [`Op::Project`] onto one column — the root covers the head — is
+    /// answered off the live-value sweep of [`PlanIr::run_boolean`]: the
+    /// root's live values on that column, when it has a column bitmap.
+    /// Every other plan runs op by op, as [`PlanIr::run_slots`] does.
     pub fn run(
         &self,
         d: &Structure,
         cache: Option<&MaterializationCache>,
         profile: Option<&mut EvalProfile>,
     ) -> (Option<FlatRelation>, MatCacheStats) {
+        if let (true, [Op::Project { src, vars, .. }]) =
+            (self.reduction_decides, &self.ops[self.bool_len..])
+        {
+            if let [var] = vars[..] {
+                let (alive, out, stats) =
+                    self.run_reduced(self.ops.len(), Some((*src, var)), d, cache, profile);
+                return (out.filter(|_| alive), stats);
+            }
+        }
         let (alive, mut slots, stats) = self.run_slots(d, cache, profile);
         (slots[self.output].take().filter(|_| alive), stats)
     }
@@ -564,46 +519,85 @@ impl PlanIr {
 
     /// Decides whether the answer is nonempty, running only as much of
     /// the program as the plan shape requires, optionally collecting a
-    /// per-operator [`EvalProfile`]. A `reduction_decides` plan whose
-    /// keys have one column each is swept on live-value filters, whose
-    /// profile entries report what each op decided (see [`OpProfile`]).
+    /// per-operator [`EvalProfile`]. A `reduction_decides` plan runs its
+    /// reduction alone, swept on live-value filters when every key has
+    /// one column, whose profile entries report what each op decided
+    /// (see [`OpProfile`]).
     pub fn run_boolean(
         &self,
         d: &Structure,
         cache: Option<&MaterializationCache>,
-        mut profile: Option<&mut EvalProfile>,
+        profile: Option<&mut EvalProfile>,
     ) -> (bool, MatCacheStats) {
         if self.reduction_decides {
-            let mut stats = MatCacheStats::default();
-            let mut slots: Vec<Option<FlatRelation>> = vec![None; self.slots];
-            // Materialize first (cache accounting identical to the full
-            // run), then decide the sweep path.
-            let mat_len = self
-                .ops
-                .iter()
-                .take_while(|op| matches!(op, Op::Materialize { .. }))
-                .count()
-                .min(self.bool_len);
-            let mats = 0..mat_len;
-            let alive = self.exec(
-                mats,
-                &mut slots,
-                d,
-                cache,
-                &mut stats,
-                profile.as_deref_mut(),
-            );
-            debug_assert!(alive, "materializations assert nothing");
-            let sweep = self.bitmap_bool_sweep(mat_len, &slots, &mut stats, profile.as_deref_mut());
-            if let Some(alive) = sweep {
-                return (alive, stats);
-            }
-            let rest = mat_len..self.bool_len;
-            let alive = self.exec(rest, &mut slots, d, cache, &mut stats, profile);
+            let (alive, _, stats) = self.run_reduced(self.bool_len, None, d, cache, profile);
             return (alive, stats);
         }
         let (out, stats) = self.run(d, cache, profile);
         (out.is_some_and(|r| !r.is_empty()), stats)
+    }
+
+    /// The one orchestration of a plan the reduction decides: every
+    /// source materialized once (cache accounting identical to the full
+    /// run), then the reduction swept on live-value filters
+    /// ([`PlanIr::bitmap_bool_sweep`]). With `head = (slot, variable)`
+    /// the output is that slot's live values on the variable's column,
+    /// ascending — sorted and distinct, so canonical — under the slot's
+    /// width bound, profiled as one `project` entry reporting the
+    /// answers. When the sweep is ineligible, or the head's column has
+    /// no bitmap, `ops[mat_len..end]` run by the kernels over the same
+    /// slots instead and the output is the output slot. Returns whether
+    /// no assertion fired, the output, and the counters.
+    fn run_reduced(
+        &self,
+        end: usize,
+        head: Option<(Slot, VarId)>,
+        d: &Structure,
+        cache: Option<&MaterializationCache>,
+        mut profile: Option<&mut EvalProfile>,
+    ) -> (bool, Option<FlatRelation>, MatCacheStats) {
+        let mut stats = MatCacheStats::default();
+        let mut slots: Vec<Option<FlatRelation>> = vec![None; self.slots];
+        // Every materialization comes first.
+        let mat_len = self.materialize_sources().count().min(self.bool_len);
+        let p = profile.as_deref_mut();
+        let alive = self.exec(0..mat_len, &mut slots, d, cache, &mut stats, p);
+        debug_assert!(alive, "materializations assert nothing");
+        let rel = |s: Slot| slots[s].as_ref().expect("slot written before use");
+        let head = head.map(|(s, v)| {
+            let col = rel(s).schema().iter().position(|&w| w == v);
+            (s, v, col.expect("projected variable must be in the schema"))
+        });
+        let readable = head.is_none_or(|(s, _, col)| rel(s).column_bitmap(col).is_some());
+        // Per slot, `Some(false)` once it has no live row (for good:
+        // filters only remove rows), `Some(true)` when a read found one
+        // and no filter came since; on the stack up to 16 slots.
+        let (mut inline, mut heap) = ([None; 16], None);
+        let live = match self.slots {
+            k if k <= inline.len() => &mut inline[..k],
+            k => &mut heap.insert(vec![None; k])[..],
+        };
+        let p = profile.as_deref_mut();
+        let swept = readable.then(|| self.bitmap_bool_sweep(mat_len, &slots, live, &mut stats, p));
+        let Some(swept) = swept.flatten() else {
+            let alive = self.exec(mat_len..end, &mut slots, d, cache, &mut stats, profile);
+            return (alive, slots[self.output].take(), stats);
+        };
+        match (swept, head) {
+            (None, _) => (false, None, stats),
+            (Some(_), None) => (true, None, stats),
+            (Some(filters), Some((s, var, col))) => {
+                let t0 = profile.is_some().then(std::time::Instant::now);
+                let values = live_values(rel(s), s, col, &filters, live);
+                // One allocation, of the answers' size.
+                let mut codes =
+                    Vec::with_capacity(values.as_ref().map_or(0, |v| v.ones()) as usize);
+                codes.extend(values.iter().flat_map(|v| v.iter_ones()));
+                record(profile, "project", t0, || codes.len());
+                let out = FlatRelation::from_codes(var, codes, rel(s).domain_width());
+                (true, Some(out), stats)
+            }
+        }
     }
 
     /// [`PlanIr::run_boolean`]. The budget is unused, as in
@@ -644,50 +638,47 @@ impl PlanIr {
     ///
     /// Returns `None` (before any profile entry) when a sweep op is
     /// ineligible — a multi-column key, a fused root edge, or a source
-    /// without a dense bound; the caller then runs the kernel path. Each
+    /// without a dense bound; the caller then runs the kernel path.
+    /// Otherwise the filters the sweep recorded, with `alive` (one flag
+    /// per slot, all `None` on entry) for the caller to read any slot's
+    /// live values off — or `None` when an assertion fired. Each
     /// one-column semijoin counts one bitmap probe into `stats`.
-    fn bitmap_bool_sweep(
+    fn bitmap_bool_sweep<'a>(
         &self,
         mat_len: usize,
-        slots: &[Option<FlatRelation>],
+        slots: &'a [Option<FlatRelation>],
+        alive: &mut [Option<bool>],
         stats: &mut MatCacheStats,
         mut profile: Option<&mut EvalProfile>,
-    ) -> Option<bool> {
+    ) -> Option<Option<Vec<Filter<'a>>>> {
         let sweep = &self.ops[mat_len..self.bool_len];
         let rel = |s: Slot| slots[s].as_ref().expect("slot written before use");
         // Validate every op up front — warming the source bitmaps from
         // the relation caches — so an ineligible sweep falls back
         // before any profile entry or counter moves.
-        for op in sweep {
-            match op {
-                Op::AssertNonempty { .. } => {}
-                Op::Semijoin {
-                    source,
-                    target_pos,
-                    source_pos,
-                    ..
-                } => {
-                    if target_pos.len() > 1
-                        || (target_pos.len() == 1
-                            && rel(*source).column_bitmap(source_pos[0]).is_none())
-                    {
-                        return None;
-                    }
-                }
-                _ => return None,
-            }
+        let eligible = |op: &Op| match op {
+            Op::AssertNonempty { .. } => true,
+            Op::Semijoin {
+                source, source_pos, ..
+            } => match source_pos[..] {
+                [] => true,
+                [col] => rel(*source).column_bitmap(col).is_some(),
+                _ => false,
+            },
+            _ => false,
+        };
+        if !sweep.iter().all(eligible) {
+            return None;
         }
         // Every filter recorded so far, at most one per slot and column
-        // (a second one is intersected in); and per slot, `Some(false)`
-        // once it has no live row (for good: filters only remove rows),
-        // `Some(true)` when a read found one and no filter came since.
-        let mut filters: Vec<Filter> = Vec::with_capacity(sweep.len());
-        let mut alive: Vec<Option<bool>> = vec![None; self.slots];
+        // (a second one is intersected in).
+        let semijoins = sweep.iter().filter(|op| matches!(op, Op::Semijoin { .. }));
+        let mut filters: Vec<Filter> = Vec::with_capacity(semijoins.count());
         for op in sweep {
             let t0 = profile.is_some().then(std::time::Instant::now);
             let rows = match *op {
                 Op::AssertNonempty { slot } => {
-                    usize::from(has_live_row(rel(slot), slot, &filters, &mut alive))
+                    usize::from(has_live_row(rel(slot), slot, &filters, alive))
                 }
                 Op::Semijoin {
                     target,
@@ -696,13 +687,10 @@ impl PlanIr {
                     ref source_pos,
                 } => {
                     let handed = match source_pos.first() {
-                        None => {
-                            usize::from(has_live_row(rel(source), source, &filters, &mut alive))
-                        }
+                        None => usize::from(has_live_row(rel(source), source, &filters, alive)),
                         Some(&col) => {
                             stats.note_bitmap_probe();
-                            let values =
-                                live_values(rel(source), source, col, &filters, &mut alive);
+                            let values = live_values(rel(source), source, col, &filters, alive);
                             let handed = values.as_ref().map_or(0, |v| v.ones() as usize);
                             // Values that contain the target's own bitmap
                             // of the column remove no row: not recorded.
@@ -728,18 +716,30 @@ impl PlanIr {
                 }
                 _ => unreachable!("validated before the sweep"),
             };
-            if let Some(p) = profile.as_deref_mut() {
-                p.ops.push(OpProfile {
-                    op: op.label(),
-                    micros: t0.map_or(0, |t| t.elapsed().as_micros() as u64),
-                    rows,
-                });
-            }
+            record(profile.as_deref_mut(), op.label(), t0, || rows);
             if matches!(op, Op::AssertNonempty { .. }) && rows == 0 {
-                return Some(false);
+                return Some(None);
             }
         }
-        Some(true)
+        Some(Some(filters))
+    }
+}
+
+/// Appends `op`'s entry to `profile`, if there is one: the time since
+/// `t0` and the row count `rows` reports.
+fn record(
+    profile: Option<&mut EvalProfile>,
+    op: &'static str,
+    t0: Option<std::time::Instant>,
+    rows: impl FnOnce() -> usize,
+) {
+    if let Some(p) = profile {
+        let micros = t0.map_or(0, |t| t.elapsed().as_micros() as u64);
+        p.ops.push(OpProfile {
+            op,
+            micros,
+            rows: rows(),
+        });
     }
 }
 
@@ -909,7 +909,9 @@ pub struct NodeSpec {
 /// join tree (every label equal to its schema) with free variables is
 /// re-rooted at the node holding most of them, and its join phase
 /// skips every subtree whose join would be the identity after the full
-/// reducer: `Q(x) :- E(x,y), E(y,z), E(z,w)` runs no join at all.
+/// reducer: `Q(x) :- E(x,y), E(y,z), E(z,w)` runs no join at all, and
+/// its one projection, of the root onto `x`, is read off the live-value
+/// sweep ([`PlanIr::run`]).
 ///
 /// The nodes' sources move into the program's [`Op::Materialize`]s.
 pub fn compile_tree(
@@ -955,10 +957,8 @@ pub fn compile_tree(
         }
     }
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (u, p) in parent.iter().enumerate() {
-        if let Some(p) = p {
-            children[*p].push(u);
-        }
+    for (u, p) in (parent.iter().enumerate()).filter_map(|(u, p)| Some((u, (*p)?))) {
+        children[p].push(u);
     }
     if reroot {
         // Children-first order of the new forest: a reversed preorder.
@@ -980,27 +980,16 @@ pub fn compile_tree(
     let mut slots = n; // slots 0..n hold the node relations
 
     // Shared *schema* column positions of the edge above `u`, for the
-    // semijoin sweeps (both schemas are sorted: one merge walk). The
-    // first sweep copies them, the second takes them.
+    // semijoin sweeps (schemas are sorted). The first sweep copies them,
+    // the second takes them.
     let mut edge_pos: Vec<Option<(Vec<usize>, Vec<usize>)>> = (0..n)
         .map(|u| {
             parent[u].map(|p| {
                 let (cs, ps) = (&nodes[u].source.schema, &nodes[p].source.schema);
-                let (mut child_pos, mut parent_pos) = (Vec::new(), Vec::new());
-                let (mut i, mut j) = (0, 0);
-                while i < cs.len() && j < ps.len() {
-                    match cs[i].cmp(&ps[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            child_pos.push(i);
-                            parent_pos.push(j);
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                (child_pos, parent_pos)
+                let shared = cs.iter().enumerate();
+                shared
+                    .filter_map(|(i, v)| Some((i, ps.binary_search(v).ok()?)))
+                    .unzip()
             })
         })
         .collect();
@@ -1018,21 +1007,16 @@ pub fn compile_tree(
     let mut keep: Vec<Vec<VarId>> = vec![Vec::new(); n];
     let (mut whole, mut dead) = (vec![false; n], vec![false; n]);
     let one_root = parent.iter().filter(|p| p.is_none()).count() == 1;
-    let mut head: Vec<VarId> = Vec::new();
-    for v in free {
-        if !head.contains(v) {
-            head.push(*v);
-        }
-    }
+    let head: Vec<VarId> = (free.iter().enumerate())
+        .filter_map(|(i, v)| (!free[..i].contains(v)).then_some(*v))
+        .collect();
     for &u in order {
         let below = children[u].iter().map(|&c| keep[c].len()).sum::<usize>();
         let mut schema = Vec::with_capacity(nodes[u].source.schema.len() + below);
         schema.extend_from_slice(&nodes[u].source.schema);
-        for &c in &children[u] {
-            for &v in &keep[c] {
-                if !schema.contains(&v) {
-                    schema.push(v);
-                }
+        for &v in children[u].iter().flat_map(|&c| &keep[c]) {
+            if !schema.contains(&v) {
+                schema.push(v);
             }
         }
         let joined = schema.len();
@@ -1058,10 +1042,8 @@ pub fn compile_tree(
     // `fused[r]`: the child whose edge a Boolean root `r` checks with
     // one existence call — the last in `order` with a multi-column key.
     let mut fused: Vec<Option<usize>> = vec![None; n];
-    for &u in order
-        .iter()
-        .filter(|_| free.is_empty() && reduction_decides)
-    {
+    let boolean = free.is_empty() && reduction_decides;
+    for &u in order.iter().filter(|_| boolean) {
         let key = edge_pos[u].as_ref().map_or(0, |(k, _)| k.len());
         match parent[u] {
             Some(p) if parent[p].is_none() && key > 1 => fused[p] = Some(u),
@@ -1110,7 +1092,7 @@ pub fn compile_tree(
     }
     let bool_len = n + ops.len();
 
-    if free.is_empty() && reduction_decides {
+    if boolean {
         // Boolean join tree: the prefix is the whole program. The output
         // slot is unused by Boolean callers; point it at the last node
         // in `order` (the root of the last-compiled tree).
@@ -1418,13 +1400,6 @@ mod tests {
         assert_eq!(profile.ops.len(), plan.ir().ops().len());
         assert!(profile.ops.iter().any(|o| o.op == "materialize"));
         assert!(profile.ops.iter().any(|o| o.op == "semijoin"));
-        let agg = profile.by_op();
-        assert_eq!(agg.iter().map(|&(k, _, _)| k).collect::<Vec<_>>(), {
-            let mut kinds: Vec<&str> = profile.ops.iter().map(|o| o.op).collect();
-            kinds.sort_unstable();
-            kinds.dedup();
-            kinds
-        });
         // An aborted run profiles the prefix, ending at the assertion.
         let empty = Structure::digraph(5, &[]);
         let mut aborted = EvalProfile::default();
@@ -1517,6 +1492,53 @@ mod tests {
         );
     }
 
+    /// `three_hop_head`'s join phase is one projection of the root onto
+    /// `x`, read off the live-value sweep whether or not the run is
+    /// profiled: the same output and counters either way, uncached and
+    /// warm. The profile has one entry per entry of the kernel path's
+    /// (`run_slots`), under the same labels: the sweep's entries are the
+    /// Boolean run's, and the last is `("project", answers)`. The output
+    /// is the kernel path's, byte for byte, and so are the counters —
+    /// its projection of the leading column sorts nothing.
+    #[test]
+    fn profiled_swept_projection_matches_unprofiled() {
+        use crate::eval::yannakakis::AcyclicPlan;
+        let q = parse_cq("Q(x) :- E(x,y), E(y,z), E(z,w)").unwrap();
+        let plan = AcyclicPlan::compile(&q).unwrap();
+        let ir = plan.ir();
+        assert!(matches!(&ir.ops[ir.bool_len..], [Op::Project { vars, .. }] if vars == &[0]));
+        let labels = |p: &EvalProfile| p.ops.iter().map(|o| o.op).collect::<Vec<_>>();
+        let [cyclic, dag] = cyclic_and_acyclic();
+        let warm = MaterializationCache::new();
+        for d in [&cyclic, &dag] {
+            ir.run(d, Some(&warm), None);
+            for cache in [None, Some(&warm)] {
+                let (plain, stats) = ir.run(d, cache, None);
+                let mut profile = EvalProfile::default();
+                let (profiled, profiled_stats) = ir.run(d, cache, Some(&mut profile));
+                let (plain, profiled) = (plain.unwrap(), profiled.unwrap());
+                assert!(plain.iter_rows().eq(profiled.iter_rows()));
+                assert_eq!(stats, profiled_stats);
+                let mut kernel = EvalProfile::default();
+                let (alive, mut slots, kernel_stats) = ir.run_slots(d, cache, Some(&mut kernel));
+                let want = slots[ir.output].take().filter(|_| alive).unwrap();
+                assert_eq!(plain.schema(), want.schema());
+                assert_eq!(plain.domain_width(), want.domain_width());
+                assert!(plain.iter_rows().eq(want.iter_rows()));
+                assert_eq!(stats, kernel_stats);
+                assert_eq!(labels(&profile), labels(&kernel));
+                let mut boolean = EvalProfile::default();
+                ir.run_boolean(d, cache, Some(&mut boolean));
+                let entries =
+                    |ops: &[OpProfile]| ops.iter().map(|o| (o.op, o.rows)).collect::<Vec<_>>();
+                let (last, swept) = profile.ops.split_last().unwrap();
+                assert_eq!(entries(swept), entries(&boolean.ops));
+                assert_eq!((last.op, last.rows), ("project", plain.len()));
+                assert!(plain.len() > 1);
+            }
+        }
+    }
+
     #[test]
     fn warm_boolean_run_copies_no_cached_row() {
         use crate::eval::yannakakis::AcyclicPlan;
@@ -1538,8 +1560,9 @@ mod tests {
         assert_eq!((stats.hits as usize, stats.misses), (mat_len, 0));
         // Both sweep paths: the live-value sweep and the semijoin
         // kernels.
-        let sweep = ir.bitmap_bool_sweep(mat_len, &slots, &mut stats, None);
-        assert_ne!(sweep, Some(false));
+        let alive = &mut vec![None; ir.slots];
+        let sweep = ir.bitmap_bool_sweep(mat_len, &slots, alive, &mut stats, None);
+        assert!(matches!(sweep, Some(Some(_))));
         let sweep = mat_len..ir.bool_len;
         assert!(ir.exec(sweep, &mut slots, &d, Some(&cache), &mut stats, None));
         for (dst, source) in ir.materialize_sources().enumerate() {
