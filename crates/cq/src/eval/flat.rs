@@ -42,7 +42,7 @@ use cqapx_structures::packed::{radix_dedup, radix_dedup_u32};
 use cqapx_structures::{DomainBitmap, DomainDict, Element, RelId, Structure};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 static BITMAP_PROBES: AtomicU64 = AtomicU64::new(0);
 static PACKED_ROWS: AtomicU64 = AtomicU64::new(0);
@@ -1917,8 +1917,8 @@ impl MatCacheStats {
 /// compiled plans of prepared queries — the population is bounded by
 /// the distinct hyperedge shapes of the queries actually served, and
 /// each entry is at most one relation's worth of elements. Dropping the
-/// snapshot (or re-registering its name and dropping the old handle)
-/// releases everything.
+/// snapshot releases everything; a database name registered again
+/// drops its old snapshot once no request holds it.
 ///
 /// Concurrency: materialization is **single-flight** — the map holds
 /// one [`OnceLock`] flight per key, so when parallel batch requests
@@ -1927,6 +1927,10 @@ impl MatCacheStats {
 /// hit. This keeps the hit/miss accounting identical to a sequential
 /// run of the same requests (one miss, the rest hits) and never burns
 /// budgeted worker threads on duplicate scans.
+///
+/// Both locks are read through poison: no caller code runs under them
+/// (`materialize` runs inside the flight), so their state is valid
+/// after any panic.
 #[derive(Debug, Default)]
 pub struct MaterializationCache {
     /// `RwLock`, not `Mutex`: at serving-time hit rates nearly every
@@ -1990,7 +1994,7 @@ impl MaterializationCache {
         // Bound scope for the read guard: a `match` scrutinee would
         // keep it alive into the write-locking arm and self-deadlock.
         let existing = {
-            let map = self.map.read().expect("cache lock poisoned");
+            let map = self.map.read().unwrap_or_else(PoisonError::into_inner);
             map.get(key).cloned()
         };
         let flight = match existing {
@@ -1999,7 +2003,7 @@ impl MaterializationCache {
                 // Re-check before inserting: a racing caller may have
                 // created the flight between the two lock acquisitions,
                 // and only a true insert needs to clone the key.
-                let mut map = self.map.write().expect("cache lock poisoned");
+                let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
                 match map.get(key) {
                     Some(f) => Arc::clone(f),
                     None => {
@@ -2012,7 +2016,7 @@ impl MaterializationCache {
                         // quiescence.
                         self.clock
                             .lock()
-                            .expect("clock lock poisoned")
+                            .unwrap_or_else(PoisonError::into_inner)
                             .push_back(key.clone());
                         f
                     }
@@ -2072,8 +2076,8 @@ impl MaterializationCache {
         if budget == 0 || self.resident.load(Ordering::Relaxed) <= budget {
             return;
         }
-        let mut map = self.map.write().expect("cache lock poisoned");
-        let mut clock = self.clock.lock().expect("clock lock poisoned");
+        let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
+        let mut clock = self.clock.lock().unwrap_or_else(PoisonError::into_inner);
         // Bounded sweep: the first revolution honors second chance; on
         // the second, pressure overrides recency and any landed entry
         // is fair game. The hand is FIFO and survivors re-enter at the
@@ -2138,7 +2142,7 @@ impl MaterializationCache {
     pub fn peek_cardinality(&self, key: &MatKey) -> Option<usize> {
         self.map
             .read()
-            .expect("cache lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .get(key)
             .and_then(|f| f.cell.get())
             .map(|r| r.len())
@@ -2151,7 +2155,7 @@ impl MaterializationCache {
         &self,
         keys: impl IntoIterator<Item = &'k MatKey>,
     ) -> Vec<Option<usize>> {
-        let map = self.map.read().expect("cache lock poisoned");
+        let map = self.map.read().unwrap_or_else(PoisonError::into_inner);
         keys.into_iter()
             .map(|k| map.get(k).and_then(|f| f.cell.get()).map(|r| r.len()))
             .collect()
@@ -2171,7 +2175,7 @@ impl MaterializationCache {
     pub fn len(&self) -> usize {
         self.map
             .read()
-            .expect("cache lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .values()
             .filter(|f| f.cell.get().is_some())
             .count()
@@ -2848,6 +2852,33 @@ mod tests {
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.resident_bytes(), total);
+    }
+
+    /// A panic under the map and clock locks poisons both; the cache
+    /// still hits, misses, evicts and accounts its bytes as before.
+    #[test]
+    fn poisoned_locks_still_hit_miss_and_evict() {
+        let cache = MaterializationCache::new();
+        let one = wide_rel(512, 0).heap_bytes();
+        let [a, b, c] = three_keys();
+        cache.get_or_materialize(&a, || wide_rel(512, 0));
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _map = cache.map.write().unwrap();
+            let _clock = cache.clock.lock().unwrap();
+            panic!("a panic while both cache locks are held");
+        }));
+        assert!(poisoned.is_err() && cache.map.is_poisoned() && cache.clock.is_poisoned());
+        let (_, hit) = cache.get_or_materialize(&a, || unreachable!("must hit"));
+        let (_, missed) = cache.get_or_materialize(&b, || wide_rel(512, 1));
+        assert!(hit && !missed);
+        cache.set_budget_bytes(2 * one + one / 2); // room for two entries
+        let (kept, _) = cache.get_or_materialize(&c, || wide_rel(512, 2));
+        assert_eq!((cache.hits(), cache.misses(), cache.evictions()), (1, 3, 1));
+        assert_eq!(
+            cache.peek_cardinalities([&a, &b, &c]),
+            [Some(512), None, Some(512)]
+        );
+        assert_eq!(cache.resident_bytes(), 2 * kept.heap_bytes());
     }
 
     // ── bitmap existence kernels ────────────────────────────────────

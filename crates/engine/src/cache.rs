@@ -22,8 +22,7 @@ use cqapx_structures::iso::isomorphic_pointed;
 use cqapx_structures::Pointed;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A cached approximation result: the report plus one ready evaluator per
@@ -82,6 +81,9 @@ impl Entry {
 /// until the cache fits again — the just-inserted entry is exempt, so
 /// one oversized entry is admitted rather than thrashed. Budget `0`
 /// (the default) means unbounded, preserving exact legacy behavior.
+///
+/// The bucket lock is read through poison: no caller code runs under
+/// it, so the map is valid after any panic.
 #[derive(Default)]
 pub struct ApproxCache {
     buckets: Mutex<HashMap<ApproxCacheKey, Vec<Entry>>>,
@@ -155,7 +157,7 @@ impl ApproxCache {
         }
         let representative = Arc::new(t.clone());
         let bytes = value.estimated_bytes(&representative);
-        let mut buckets = self.buckets.lock().expect("cache lock poisoned");
+        let mut buckets = self.buckets();
         buckets.entry(key).or_default().push(Entry {
             representative,
             value: Arc::clone(&value),
@@ -245,9 +247,14 @@ impl ApproxCache {
         found
     }
 
+    /// The bucket map, through poison.
+    fn buckets(&self) -> MutexGuard<'_, HashMap<ApproxCacheKey, Vec<Entry>>> {
+        self.buckets.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Clones a bucket's entries under the lock (Arc bumps only).
     fn snapshot(&self, key: &ApproxCacheKey) -> Vec<(Arc<Pointed>, Arc<CachedApproximation>)> {
-        let buckets = self.buckets.lock().expect("cache lock poisoned");
+        let buckets = self.buckets();
         buckets
             .get(key)
             .map(|entries| {
@@ -283,12 +290,7 @@ impl ApproxCache {
 
     /// Number of distinct cached isomorphism classes.
     pub fn len(&self) -> usize {
-        self.buckets
-            .lock()
-            .expect("cache lock poisoned")
-            .values()
-            .map(|v| v.len())
-            .sum()
+        self.buckets().values().map(|v| v.len()).sum()
     }
 
     /// `true` when nothing is cached yet.
@@ -299,7 +301,7 @@ impl ApproxCache {
     /// Drops every entry (counters keep their values; resident bytes
     /// return to zero).
     pub fn clear(&self) {
-        self.buckets.lock().expect("cache lock poisoned").clear();
+        self.buckets().clear();
         self.resident.store(0, Ordering::Relaxed);
     }
 }
@@ -382,6 +384,32 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(b.report.approximations.len(), a.report.approximations.len());
         assert_eq!(cache.misses(), 3);
+    }
+
+    /// A panic under the bucket lock poisons it; the cache still hits,
+    /// misses and evicts as before.
+    #[test]
+    fn poisoned_lock_still_hits_misses_and_evicts() {
+        let cache = ApproxCache::new();
+        let opts = ApproxOptions::default();
+        let q1 = parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap();
+        let q2 = parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,a)").unwrap();
+        cache.get_or_compute(&tableau_of(&q1), &TwK(1), &opts);
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _buckets = cache.buckets.lock().unwrap();
+            panic!("a panic while the bucket lock is held");
+        }));
+        assert!(poisoned.is_err() && cache.buckets.is_poisoned());
+        assert!(cache.get_or_compute(&tableau_of(&q1), &TwK(1), &opts).1);
+        cache.set_budget_bytes(1); // the next insert evicts q1
+        assert!(!cache.get_or_compute(&tableau_of(&q2), &TwK(1), &opts).1);
+        assert_eq!((cache.hits(), cache.misses(), cache.evictions()), (1, 2, 1));
+        assert_eq!(cache.len(), 1);
+        assert!(cache
+            .lookup_only(&tableau_of(&q1), &TwK(1), &opts)
+            .is_none());
+        cache.clear();
+        assert!(cache.is_empty() && cache.resident_bytes() == 0);
     }
 
     #[test]

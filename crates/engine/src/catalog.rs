@@ -13,6 +13,7 @@ use cqapx_cq::{ConjunctiveQuery, QueryShape};
 use cqapx_metrics::{Counter, Histogram};
 use cqapx_structures::{Pointed, RelId, Structure};
 use std::collections::HashMap;
+use std::mem;
 use std::sync::Arc;
 
 /// Handle of a registered database.
@@ -49,12 +50,14 @@ pub struct DatabaseEntry {
     /// Materialized hyperedge relations of this database, shared by
     /// every prepared query and batch request that evaluates against it
     /// (see [`MaterializationCache`]). The cache lives and dies with
-    /// this entry: re-registering a database name creates a fresh entry
-    /// with an empty cache, so entries can never serve a stale snapshot.
+    /// this entry: re-registering a database name replaces the entry
+    /// with one whose cache is empty, so no entry serves a stale
+    /// snapshot, and the old cache is freed with the old entry's last
+    /// holder.
     pub materialized: MaterializationCache,
     /// What the engine records about requests against this name. Unlike
-    /// the cache, these outlive a re-registration: the new entry shares
-    /// its predecessor's ([`Catalog::insert_database`]).
+    /// the cache, these outlive a re-registration: the replacing entry
+    /// takes them over ([`Catalog::insert_database`]).
     pub(crate) counters: Arc<DbCounters>,
 }
 
@@ -203,10 +206,11 @@ impl PreparedQuery {
     }
 }
 
-/// Named databases and prepared queries.
+/// Named databases and prepared queries, one entry per name.
 ///
-/// Ids are append-only: re-registering a name points the name at a new
-/// entry but keeps old ids valid (in-flight requests keep their snapshot).
+/// Re-registering a name replaces the entry behind its id. A request in
+/// flight keeps the `Arc`s it resolved (its snapshot), so a replaced
+/// entry is freed with its last holder.
 #[derive(Debug, Default)]
 pub struct Catalog {
     dbs: Vec<Arc<DatabaseEntry>>,
@@ -221,37 +225,38 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Registers a database under a name: [`DatabaseEntry::build`], then
-    /// [`Catalog::insert_database`].
-    pub fn register_database(&mut self, name: impl Into<String>, s: Structure) -> DbId {
-        self.insert_database(DatabaseEntry::build(name, s))
-    }
-
-    /// Adds a built entry and points its name at it: a push and a map
-    /// insert, the only part of a registration that needs the catalog.
-    /// An entry that replaces a name takes over its predecessor's
-    /// counters.
-    pub fn insert_database(&mut self, mut entry: DatabaseEntry) -> DbId {
-        let id = DbId(self.dbs.len());
-        if let Some(old) = self.db_names.insert(entry.name.clone(), id) {
-            entry.counters = Arc::clone(&self.dbs[old.0].counters);
+    /// Puts a built entry behind its name: a push or a swap, the only
+    /// part of a registration that needs the catalog. A name registered
+    /// again keeps its id, and the new entry takes over its
+    /// predecessor's counters. Returns the id and the replaced entry,
+    /// for the caller to drop once it has let go of the catalog.
+    pub fn insert_database(
+        &mut self,
+        mut entry: DatabaseEntry,
+    ) -> (DbId, Option<Arc<DatabaseEntry>>) {
+        if let Some(id) = self.database_by_name(&entry.name) {
+            entry.counters = Arc::clone(&self.dbs[id.0].counters);
+            return (id, Some(mem::replace(&mut self.dbs[id.0], Arc::new(entry))));
         }
+        let id = DbId(self.dbs.len());
+        self.db_names.insert(entry.name.clone(), id);
         self.dbs.push(Arc::new(entry));
-        id
+        (id, None)
     }
 
-    /// Prepares a query under a name: [`PreparedQuery::build`], then
-    /// [`Catalog::insert_query`].
-    pub fn prepare_query(&mut self, name: impl Into<String>, q: ConjunctiveQuery) -> QueryId {
-        self.insert_query(PreparedQuery::build(name, q))
-    }
-
-    /// Adds a built query and points its name at it.
-    pub fn insert_query(&mut self, entry: PreparedQuery) -> QueryId {
+    /// Puts a built query behind its name, as
+    /// [`Catalog::insert_database`] does.
+    pub fn insert_query(&mut self, entry: PreparedQuery) -> (QueryId, Option<Arc<PreparedQuery>>) {
+        if let Some(id) = self.query_by_name(&entry.name) {
+            return (
+                id,
+                Some(mem::replace(&mut self.queries[id.0], Arc::new(entry))),
+            );
+        }
         let id = QueryId(self.queries.len());
         self.query_names.insert(entry.name.clone(), id);
         self.queries.push(Arc::new(entry));
-        id
+        (id, None)
     }
 
     /// The database behind an id.
@@ -259,8 +264,7 @@ impl Catalog {
         self.dbs.get(id.0).cloned()
     }
 
-    /// Iterates every registered database entry in id order (including
-    /// entries superseded by a later registration under the same name).
+    /// Iterates the registered databases in id order, one per name.
     pub fn databases(&self) -> impl Iterator<Item = &Arc<DatabaseEntry>> {
         self.dbs.iter()
     }
@@ -278,16 +282,6 @@ impl Catalog {
     /// Looks a prepared query up by name.
     pub fn query_by_name(&self, name: &str) -> Option<QueryId> {
         self.query_names.get(name).copied()
-    }
-
-    /// Number of registered databases (including superseded entries).
-    pub fn database_count(&self) -> usize {
-        self.dbs.len()
-    }
-
-    /// Number of prepared queries (including superseded entries).
-    pub fn query_count(&self) -> usize {
-        self.queries.len()
     }
 }
 
@@ -351,8 +345,18 @@ mod tests {
     #[test]
     fn prepare_compiles_acyclic_plans() {
         let mut c = Catalog::new();
-        let path = c.prepare_query("path", parse_cq("Q(x) :- E(x,y), E(y,z)").unwrap());
-        let tri = c.prepare_query("tri", parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap());
+        let path = c
+            .insert_query(PreparedQuery::build(
+                "path",
+                parse_cq("Q(x) :- E(x,y), E(y,z)").unwrap(),
+            ))
+            .0;
+        let tri = c
+            .insert_query(PreparedQuery::build(
+                "tri",
+                parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap(),
+            ))
+            .0;
         assert!(c.query(path).unwrap().yannakakis.is_some());
         assert!(c.query(path).unwrap().decomposed.is_none());
         assert!(c.query(tri).unwrap().yannakakis.is_none());
@@ -363,26 +367,43 @@ mod tests {
     #[test]
     fn prepare_compiles_decomposed_plans_up_to_width_limit() {
         let mut c = Catalog::new();
-        let tri = c.prepare_query("tri", parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap());
+        let tri = c
+            .insert_query(PreparedQuery::build(
+                "tri",
+                parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap(),
+            ))
+            .0;
         let entry = c.query(tri).unwrap();
         let plan = entry.decomposed.as_ref().expect("tw 2 ≤ limit");
         assert_eq!(plan.width(), 2);
         // K5 has treewidth 4 > MAX_DECOMPOSED_WIDTH: no plan.
         let k5 =
             "Q() :- E(a,b), E(a,c), E(a,d), E(a,e), E(b,c), E(b,d), E(b,e), E(c,d), E(c,e), E(d,e)";
-        let wide = c.prepare_query("k5", parse_cq(k5).unwrap());
+        let wide = c
+            .insert_query(PreparedQuery::build("k5", parse_cq(k5).unwrap()))
+            .0;
         assert_eq!(c.query(wide).unwrap().shape.treewidth, 4);
         assert!(c.query(wide).unwrap().decomposed.is_none());
     }
 
     #[test]
-    fn reregistering_keeps_old_ids() {
+    fn reregistering_replaces_the_entry_behind_its_id() {
         let mut c = Catalog::new();
-        let a = c.register_database("g", Structure::digraph(2, &[(0, 1)]));
-        let b = c.register_database("g", Structure::digraph(3, &[(0, 1), (1, 2)]));
-        assert_ne!(a, b);
-        assert_eq!(c.database_by_name("g"), Some(b));
-        assert_eq!(c.database(a).unwrap().total_tuples(), 1);
-        assert_eq!(c.database(b).unwrap().total_tuples(), 2);
+        let (a, none) =
+            c.insert_database(DatabaseEntry::build("g", Structure::digraph(2, &[(0, 1)])));
+        let before = c.database(a).unwrap();
+        let (b, old) = c.insert_database(DatabaseEntry::build(
+            "g",
+            Structure::digraph(3, &[(0, 1), (1, 2)]),
+        ));
+        assert!(none.is_none() && Arc::ptr_eq(&old.unwrap(), &before));
+        assert_eq!((a, c.database_by_name("g")), (b, Some(b)));
+        assert_eq!(c.databases().count(), 1);
+        assert_eq!(before.total_tuples(), 1);
+        assert_eq!(c.database(a).unwrap().total_tuples(), 2);
+        assert!(Arc::ptr_eq(
+            &before.counters,
+            &c.database(a).unwrap().counters
+        ));
     }
 }

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// Which tractable class the sandwich plan approximates into.
@@ -415,7 +415,7 @@ pub struct StatsSnapshot {
     /// Empty below `Counters`.
     pub mat_cache_by_db: BTreeMap<String, u64>,
     /// Resident bytes of each database's materialization cache, by
-    /// registration name (on re-registration the live entry wins).
+    /// registration name: the cache of the entry registered last.
     /// Authoritative — read from the caches at snapshot time, at every
     /// metrics level.
     pub mat_cache_bytes_by_db: BTreeMap<String, u64>,
@@ -459,6 +459,8 @@ pub struct StatsSnapshot {
 /// ```
 pub struct Engine {
     config: EngineConfig,
+    /// Read through poison: only catalog code runs under the lock, so a
+    /// panic under it leaves the catalog whole.
     catalog: RwLock<Catalog>,
     cache: ApproxCache,
     /// Read through a poisoned lock too: a panic under it leaves the
@@ -473,8 +475,18 @@ pub struct Engine {
     /// Outstanding admitted requests — the queue depth admission
     /// control compares against [`EngineConfig::max_queue_depth`].
     /// Incremented at submission (before any planning), decremented
-    /// when the request finishes.
+    /// when the request's [`Admission`] drops, unwinding included.
     inflight: AtomicUsize,
+}
+
+/// An admitted request's place in the queue, given back on drop — also
+/// when the request unwinds.
+struct Admission<'e>(&'e AtomicUsize);
+
+impl Drop for Admission<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 impl Engine {
@@ -507,52 +519,54 @@ impl Engine {
     /// dictionary ([`DatabaseEntry::build`]), applies the
     /// materialization-cache byte budget (see
     /// [`EngineConfig::mat_cache_budget_bytes`]), and only then takes
-    /// the catalog's write lock, for the push — requests resolving
-    /// other databases never wait for a snapshot's scan. A name
-    /// registered again keeps its per-database counters.
+    /// the catalog's write lock, for a push or a swap — requests
+    /// resolving other databases never wait for a snapshot's scan. A name
+    /// registered again keeps its id and counters; its old snapshot is
+    /// freed here, after the lock is released, or with the last request
+    /// in flight that still holds it.
     pub fn register_database(&self, name: impl Into<String>, s: Structure) -> DbId {
         let entry = DatabaseEntry::build(name, s);
         entry.materialized.set_budget_bytes(self.mat_budget());
-        self.catalog
-            .write()
-            .expect("catalog lock poisoned")
-            .insert_database(entry)
+        let (id, replaced) = self.write_catalog().insert_database(entry);
+        drop(replaced);
+        id
     }
 
     /// Prepares a query (shape and plans, [`PreparedQuery::build`]) and
-    /// takes the catalog's write lock only for the push, as
-    /// [`Engine::register_database`] does.
+    /// takes the catalog's write lock only for the push or swap, as
+    /// [`Engine::register_database`] does, with the same rule for a
+    /// name prepared again.
     pub fn prepare_query(&self, name: impl Into<String>, q: cqapx_cq::ConjunctiveQuery) -> QueryId {
         let entry = PreparedQuery::build(name, q);
-        self.catalog
-            .write()
-            .expect("catalog lock poisoned")
-            .insert_query(entry)
+        let (id, replaced) = self.write_catalog().insert_query(entry);
+        drop(replaced);
+        id
     }
 
     /// The catalog entry behind a database id: the immutable snapshot,
     /// its statistics, and its materialization cache.
     pub fn database(&self, id: DbId) -> Option<Arc<DatabaseEntry>> {
-        self.catalog
-            .read()
-            .expect("catalog lock poisoned")
-            .database(id)
+        self.read_catalog().database(id)
     }
 
     /// Looks up a registered database by name.
     pub fn database_by_name(&self, name: &str) -> Option<DbId> {
-        self.catalog
-            .read()
-            .expect("catalog lock poisoned")
-            .database_by_name(name)
+        self.read_catalog().database_by_name(name)
     }
 
     /// Looks up a prepared query by name.
     pub fn query_by_name(&self, name: &str) -> Option<QueryId> {
-        self.catalog
-            .read()
-            .expect("catalog lock poisoned")
-            .query_by_name(name)
+        self.read_catalog().query_by_name(name)
+    }
+
+    /// The catalog, for reading, through poison.
+    fn read_catalog(&self) -> RwLockReadGuard<'_, Catalog> {
+        self.catalog.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The catalog, for writing, through poison.
+    fn write_catalog(&self) -> RwLockWriteGuard<'_, Catalog> {
+        self.catalog.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The approximation cache (hit/miss counters, size).
@@ -597,29 +611,24 @@ impl Engine {
             }
         }
         // Memory and dictionaries come from the caches themselves, at
-        // every metrics level. Superseded registrations of a name come
-        // first in id order, so the live entry wins; the per-database
-        // counters are shared by every registration of a name.
+        // every metrics level.
         let mut mat_bytes = BTreeMap::new();
         let mut mat_evictions = BTreeMap::new();
         let mut dict_sizes = BTreeMap::new();
         let mut db_latency = BTreeMap::new();
         let mut approx_by_db = BTreeMap::new();
         let mut mat_by_db = BTreeMap::new();
-        {
-            let catalog = self.catalog.read().expect("catalog lock poisoned");
-            for d in catalog.databases() {
-                mat_bytes.insert(d.name.clone(), d.materialized.resident_bytes() as u64);
-                mat_evictions.insert(d.name.clone(), d.materialized.evictions());
-                dict_sizes.insert(d.name.clone(), d.structure.domain_dict().len() as u64);
-                if counting {
-                    let c = &d.counters;
-                    db_latency.insert(d.name.clone(), c.latency.snapshot());
-                    approx_by_db.insert(format!("{}/hits", d.name), c.approx_hits.get());
-                    approx_by_db.insert(format!("{}/misses", d.name), c.approx_misses.get());
-                    mat_by_db.insert(format!("{}/hits", d.name), c.mat_hits.get());
-                    mat_by_db.insert(format!("{}/misses", d.name), c.mat_misses.get());
-                }
+        for d in self.read_catalog().databases() {
+            mat_bytes.insert(d.name.clone(), d.materialized.resident_bytes() as u64);
+            mat_evictions.insert(d.name.clone(), d.materialized.evictions());
+            dict_sizes.insert(d.name.clone(), d.structure.domain_dict().len() as u64);
+            if counting {
+                let c = &d.counters;
+                db_latency.insert(d.name.clone(), c.latency.snapshot());
+                approx_by_db.insert(format!("{}/hits", d.name), c.approx_hits.get());
+                approx_by_db.insert(format!("{}/misses", d.name), c.approx_misses.get());
+                mat_by_db.insert(format!("{}/hits", d.name), c.mat_hits.get());
+                mat_by_db.insert(format!("{}/misses", d.name), c.mat_misses.get());
             }
         }
         StatsSnapshot {
@@ -643,8 +652,8 @@ impl Engine {
     }
 
     /// Zeroes the aggregate counters, the class latency histograms and
-    /// every database's counters (those of a name registered twice
-    /// included). Cache contents, memory and eviction counts stay.
+    /// every database's counters. Cache contents, memory and eviction
+    /// counts stay.
     /// Serving epochs — warmup vs measurement — call this between
     /// phases so distributions don't accumulate across them. Quiesce
     /// in-flight batches first: resetting under concurrent recorders
@@ -655,29 +664,22 @@ impl Engine {
         for h in &self.class_latency {
             h.reset();
         }
-        let catalog = self.catalog.read().expect("catalog lock poisoned");
-        for d in catalog.databases() {
+        for d in self.read_catalog().databases() {
             d.counters.reset();
         }
     }
 
     /// Admission control at submission time: count this request against
-    /// the queue and decide whether it may run. `Err((depth, limit))`
-    /// means it must be shed (and it no longer counts).
-    fn admit(&self) -> Result<(), (usize, usize)> {
+    /// the queue and decide whether it may run. The request counts for
+    /// as long as the [`Admission`] lives; `Err((depth, limit))` means
+    /// it must be shed (and it no longer counts).
+    fn admit(&self) -> Result<Admission<'_>, (usize, usize)> {
         let depth = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
+        let admitted = Admission(&self.inflight);
         match self.config.max_queue_depth {
-            Some(limit) if depth > limit => {
-                self.inflight.fetch_sub(1, Ordering::Relaxed);
-                Err((depth, limit))
-            }
-            _ => Ok(()),
+            Some(limit) if depth > limit => Err((depth, limit)),
+            _ => Ok(admitted),
         }
-    }
-
-    /// Marks an admitted request finished.
-    fn depart(&self) {
-        self.inflight.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// The response of a request rejected at admission: nothing was
@@ -712,14 +714,18 @@ impl Engine {
     }
 
     /// Executes one request synchronously.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown id and on a (query, database) pair over
+    /// different vocabularies: planning with another vocabulary's
+    /// statistics would silently mis-cost, and evaluation would fail deep
+    /// inside the join. The engine keeps serving afterwards: the request
+    /// gives back its place in the queue, and no lock stays poisoned.
     pub fn execute(&self, req: &Request) -> Response {
         let (q, d) = self.resolve(req);
         let resp = match self.admit() {
-            Ok(()) => {
-                let r = self.run(req, &q, &d);
-                self.depart();
-                r
-            }
+            Ok(_admitted) => self.run(req, &q, &d),
             Err((depth, limit)) => self.shed_response(&q, &d, depth, limit),
         };
         self.record(&resp);
@@ -739,30 +745,25 @@ impl Engine {
     /// remaining headroom has its tail shed deterministically — those
     /// responses come back [`ResponseStatus::Shed`] without planning or
     /// evaluation.
+    ///
+    /// # Panics
+    ///
+    /// As [`Engine::execute`], when any request in the batch would. The
+    /// whole batch unwinds, and every request it admitted gives back its
+    /// place in the queue.
     pub fn execute_batch(&self, reqs: &[Request]) -> Vec<Response> {
-        // A resolved request plus its admission verdict: `Some((depth,
-        // limit))` marks it shed at submission.
-        type Admitted = (
-            Request,
-            Arc<PreparedQuery>,
-            Arc<DatabaseEntry>,
-            Option<(usize, usize)>,
-        );
-        let work: Vec<Admitted> = reqs
+        // Each admission rides in its work item, so an unwinding batch drops it.
+        let work: Vec<_> = reqs
             .iter()
             .map(|r| {
                 let (q, d) = self.resolve(r);
-                (r.clone(), q, d, self.admit().err())
+                (r.clone(), q, d, self.admit())
             })
             .collect();
         let lease = self.budget.claim(work.len().saturating_sub(1));
-        let responses = parallel_map(work, lease.workers(), |(req, q, d, shed)| match shed {
-            Some((depth, limit)) => self.shed_response(&q, &d, depth, limit),
-            None => {
-                let r = self.run(&req, &q, &d);
-                self.depart();
-                r
-            }
+        let responses = parallel_map(work, lease.workers(), |(req, q, d, slot)| match slot {
+            Ok(_admitted) => self.run(&req, &q, &d),
+            Err((depth, limit)) => self.shed_response(&q, &d, depth, limit),
         });
         drop(lease);
         for r in &responses {
@@ -780,15 +781,10 @@ impl Engine {
         q.naive.contains_answer(&d.structure, answer)
     }
 
-    /// # Panics
-    ///
-    /// Panics on unknown ids and on a (query, database) pair over
-    /// different vocabularies — planning with another vocabulary's
-    /// relation statistics would silently mis-cost, and evaluation would
-    /// fail deep inside the join; a serving API should reject the pair
-    /// at the door with a clear message.
+    /// The request's snapshot: its prepared query and database entry.
+    /// Panics as [`Engine::execute`] documents.
     fn resolve(&self, req: &Request) -> (Arc<PreparedQuery>, Arc<DatabaseEntry>) {
-        let catalog = self.catalog.read().expect("catalog lock poisoned");
+        let catalog = self.read_catalog();
         let q = catalog
             .query(req.query)
             .unwrap_or_else(|| panic!("unknown query id {:?}", req.query));
@@ -842,13 +838,13 @@ impl Engine {
         let deadline = req
             .timeout
             .or(self.config.default_timeout)
-            .map(|t| start + t);
-        // One shared step budget per request: the naive-join searches a
-        // request fans into all charge the same counter, so the join
-        // phase as a whole — not each sub-search — honors the deadline.
-        // (As documented on `EngineConfig::default_timeout`, the
-        // deadline bounds join evaluation; in-class approximation
-        // evaluators are tractable by construction and run unbudgeted.)
+            .and_then(|t| start.checked_add(t)); // past `Instant`'s range: none
+                                                 // One shared step budget per request: the naive-join searches a
+                                                 // request fans into all charge the same counter, so the join
+                                                 // phase as a whole — not each sub-search — honors the deadline.
+                                                 // (As documented on `EngineConfig::default_timeout`, the
+                                                 // deadline bounds join evaluation; in-class approximation
+                                                 // evaluators are tractable by construction and run unbudgeted.)
         let budget = deadline.map(|dl| {
             let remaining_ms = dl
                 .saturating_duration_since(Instant::now())
@@ -1155,7 +1151,10 @@ mod tests {
         assert!(held.database_by_name("big").is_none() && held.query_by_name("c4").is_none());
         drop(held);
         let mut catalog = e.catalog.write().expect("catalog lock");
-        let (db, q) = (catalog.insert_database(entry), catalog.insert_query(query));
+        let (db, q) = (
+            catalog.insert_database(entry).0,
+            catalog.insert_query(query).0,
+        );
         drop(catalog);
         assert_eq!(
             e.execute(&Request::new(q, db)).status,
@@ -1618,11 +1617,10 @@ mod tests {
         assert!(fresh.db_latency.values().all(|h| h.count == 0));
         assert!(fresh.mat_cache_by_db.values().all(|&c| c == 0));
 
-        // A name registered again shares its predecessor's counters:
-        // both entries' requests count under the name, and one reset
-        // zeroes them.
-        let again = e.register_database("p", Structure::digraph(3, &[(0, 1), (1, 2)]));
+        // A name registered again keeps its counters: requests before
+        // and after count under the name, and one reset zeroes them.
         e.execute(&Request::new(q, db));
+        let again = e.register_database("p", Structure::digraph(3, &[(0, 1), (1, 2)]));
         e.execute(&Request::new(q, again));
         let both = e.snapshot();
         assert_eq!(both.db_latency["p"].count, 2);
@@ -1632,5 +1630,150 @@ mod tests {
         assert_eq!(fresh.db_latency["p"].count, 0);
         assert!(fresh.mat_cache_by_db.values().all(|&c| c == 0));
         assert!(fresh.approx_cache_by_db.values().all(|&c| c == 0));
+    }
+
+    /// A timeout past `Instant`'s range is no deadline: the request is
+    /// answered in full, as without one, and leaves the queue.
+    #[test]
+    fn huge_timeout_is_no_deadline() {
+        let e = Engine::new(EngineConfig {
+            max_queue_depth: Some(1),
+            ..EngineConfig::default()
+        });
+        let (q, db, _) = k5_on_dense(&e);
+        let huge = Request {
+            timeout: Some(Duration::MAX),
+            ..Request::new(q, db)
+        };
+        let answers: Vec<Answers> = (0..2)
+            .map(|_| {
+                let r = e.execute(&huge);
+                assert_eq!(
+                    (r.status, r.plan),
+                    (ResponseStatus::Complete, PlanKind::Naive)
+                );
+                r.answers
+            })
+            .collect();
+        let plain = e.execute(&Request::new(q, db));
+        assert_eq!(plain.status, ResponseStatus::Complete);
+        assert!(answers.iter().all(|a| *a == plain.answers));
+    }
+
+    /// A batch that panics on an unknown id gives back the places its
+    /// earlier requests took in the queue, at one thread and at two.
+    #[test]
+    fn a_panicking_batch_releases_its_admissions() {
+        for threads in [1, 2] {
+            let e = Engine::new(EngineConfig {
+                threads,
+                max_queue_depth: Some(2),
+                ..EngineConfig::default()
+            });
+            let db = e.register_database("p", Structure::digraph(3, &[(0, 1), (1, 2)]));
+            let q = e.prepare_query("hop2", parse_cq("Q(x, z) :- E(x, y), E(y, z)").unwrap());
+            let batch = [Request::new(q, db), Request::new(q, DbId(7))];
+            for _ in 0..2 {
+                let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    e.execute_batch(&batch)
+                }));
+                assert!(unwound.is_err(), "unknown database id");
+                assert_eq!(e.snapshot().queue_depth, 0, "threads {threads}");
+            }
+            let r = e.execute(&batch[0]);
+            assert_eq!((r.status, r.answers.len()), (ResponseStatus::Complete, 1));
+        }
+    }
+
+    /// An admission is given back when its holder unwinds, also when the
+    /// holder is a work item that a batch worker panics on.
+    #[test]
+    fn an_unwinding_request_leaves_the_queue() {
+        let e = engine();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _admitted = e.admit().unwrap();
+            panic!("a request panics while admitted");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(e.inflight.load(Ordering::Relaxed), 0);
+        let work: Vec<_> = (0..4).map(|_| e.admit()).collect();
+        assert_eq!(e.inflight.load(Ordering::Relaxed), 4);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_map(work, 2, |admission| {
+                assert!(admission.is_ok());
+                panic!("a batch worker panics");
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(e.inflight.load(Ordering::Relaxed), 0);
+    }
+
+    /// A panic under the catalog's write lock poisons it; registration,
+    /// preparation, execution and the statistics go on as before.
+    #[test]
+    fn poisoned_locks_do_not_stop_the_engine() {
+        let e = engine();
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _catalog = e.catalog.write().unwrap();
+            panic!("a panic while the catalog's write lock is held");
+        }));
+        assert!(poisoned.is_err() && e.catalog.is_poisoned());
+        let db = e.register_database("p", Structure::digraph(3, &[(0, 1), (1, 2)]));
+        let q = e.prepare_query("hop2", parse_cq("Q(x, z) :- E(x, y), E(y, z)").unwrap());
+        let r = e.execute(&Request::new(q, db));
+        assert_eq!((r.status, r.answers.len()), (ResponseStatus::Complete, 1));
+        assert_eq!(
+            e.execute_batch(&[Request::new(q, db)])[0].answers,
+            r.answers
+        );
+        assert_eq!(
+            (e.database_by_name("p"), e.query_by_name("hop2")),
+            (Some(db), Some(q))
+        );
+        assert!(e.snapshot().dict_size_by_db["p"] == 3);
+        e.reset_stats();
+        assert_eq!(e.stats().requests, 0);
+    }
+
+    /// Registering a name again keeps its id and swaps the entry behind
+    /// it: a holder of the old entry still reads the old data, requests
+    /// read the new, and the old entry is freed with its last holder.
+    /// The same holds for a query name prepared again.
+    #[test]
+    fn a_superseded_snapshot_is_freed_with_its_last_holder() {
+        let e = engine();
+        let db = e.register_database("g", Structure::digraph(3, &[(0, 1), (1, 2)]));
+        let other = e.register_database("h", Structure::digraph(2, &[(0, 1)]));
+        let q = e.prepare_query("hop2", parse_cq("Q(x, z) :- E(x, y), E(y, z)").unwrap());
+        assert_eq!(e.execute(&Request::new(q, db)).answers.len(), 1);
+        let held = e.database(db).unwrap();
+        let path4 = Structure::digraph(4, &[(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(e.register_database("g", path4), db);
+        assert_eq!(held.total_tuples(), 2);
+        assert_eq!(e.execute(&Request::new(q, db)).answers.len(), 2);
+        let weak = Arc::downgrade(&held);
+        drop(held);
+        assert!(weak.upgrade().is_none(), "the old snapshot is freed");
+
+        let held = e.read_catalog().query(q).unwrap();
+        let edges = parse_cq("Q(x, y) :- E(x, y)").unwrap();
+        assert_eq!(e.prepare_query("hop2", edges), q);
+        assert_eq!(held.query().atoms().len(), 2);
+        assert_eq!(e.execute(&Request::new(q, db)).answers.len(), 3);
+        let weak = Arc::downgrade(&held);
+        drop(held);
+        assert!(weak.upgrade().is_none(), "the old preparation is freed");
+
+        let snap = e.snapshot();
+        let names = |m: &BTreeMap<String, u64>| m.keys().cloned().collect::<Vec<_>>();
+        assert_eq!(names(&snap.mat_cache_bytes_by_db), ["g", "h"]);
+        assert_eq!(names(&snap.dict_size_by_db), ["g", "h"]);
+        assert_eq!(names(&snap.mat_cache_evictions_by_db), ["g", "h"]);
+        assert_eq!(snap.db_latency.keys().collect::<Vec<_>>(), ["g", "h"]);
+        assert_eq!(snap.mat_cache_by_db.len(), 4);
+        let live = e.database(db).unwrap().materialized.resident_bytes() as u64;
+        assert_eq!(snap.mat_cache_bytes_by_db["g"], live);
+        assert_eq!(snap.db_latency["g"].count, 3);
+        assert_ne!(db, other);
     }
 }

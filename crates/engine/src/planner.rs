@@ -278,7 +278,6 @@ pub fn choose_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::Catalog;
     use cqapx_cq::parse_cq;
     use cqapx_structures::Structure;
 
@@ -292,10 +291,8 @@ mod tests {
         DecomposedPlan::compile(&q, k).unwrap()
     }
 
-    fn db(n: usize, edges: &[(u32, u32)]) -> std::sync::Arc<crate::catalog::DatabaseEntry> {
-        let mut c = Catalog::new();
-        let id = c.register_database("d", Structure::digraph(n, edges));
-        c.database(id).unwrap()
+    fn db(n: usize, edges: &[(u32, u32)]) -> DatabaseEntry {
+        DatabaseEntry::build("d", Structure::digraph(n, edges))
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Engine-level tests of the per-database relation-materialization
 //! cache: identical answers before/after a cache hit, correct behavior
-//! across database re-registration (a fresh snapshot gets a fresh
+//! across database re-registration (the replacing snapshot gets a fresh
 //! cache), sharing across prepared queries, and hit-rate reporting in
 //! `EngineStats` — with the kernel counters the same runs report.
 
@@ -61,10 +61,11 @@ fn reregistration_invalidates_and_recomputes() {
     assert_eq!(r1a.answers, r1b.answers);
     assert_eq!(r1a.answers.len(), 2);
 
-    // Re-register the same name with different data: new id, fresh
+    // Re-register the same name with different data: same id, fresh
     // cache — answers must reflect the new snapshot, not a stale entry.
+    let held = e.database(db1).expect("registered");
     let db2 = e.register_database("g", path_db(6));
-    assert_ne!(db1, db2);
+    assert_eq!(db1, db2);
     let r2a = e.execute(&Request::new(q, db2));
     assert!(
         r2a.mat_cache.misses > 0,
@@ -75,10 +76,13 @@ fn reregistration_invalidates_and_recomputes() {
     assert_eq!(r2a.answers, r2b.answers);
     assert_eq!(r2b.mat_cache.misses, 0);
 
-    // The superseded snapshot still serves (append-only ids) and still
-    // answers from its own data.
-    let r1c = e.execute(&Request::new(q, db1));
-    assert_eq!(r1c.answers, r1a.answers);
+    // A holder of the superseded snapshot still reads its own data and
+    // cache; once it lets go, the snapshot is freed.
+    assert_eq!(held.total_tuples(), 3);
+    assert!(held.materialized.resident_bytes() > 0);
+    let weak = std::sync::Arc::downgrade(&held);
+    drop(held);
+    assert!(weak.upgrade().is_none());
 }
 
 #[test]
