@@ -23,9 +23,12 @@
 //! Do not "improve" this module: its value is being exactly the engine
 //! and the pipeline the live code is checked against.
 
-use cqapx_structures::{Element, Pointed, RelId, Structure, Tuple};
+use cqapx_structures::{Element, Pointed, RelId, Structure};
 use std::collections::HashSet;
 use std::ops::ControlFlow;
+
+/// A tuple of elements, boxed one per fact as the seed stored them.
+type Tuple = Box<[Element]>;
 
 /// The seed engine's search problem (pre-refactor `HomProblem`).
 pub struct BaselineHom<'a> {
@@ -193,7 +196,7 @@ struct TargetRelIndex {
 
 impl TargetRelIndex {
     fn new(target: &Structure, rel: RelId) -> Self {
-        let tuples: Vec<Tuple> = target.tuples(rel).to_vec();
+        let tuples: Vec<Tuple> = target.tuples(rel).map(Into::into).collect();
         let arity = target.vocabulary().arity(rel);
         let n = target.universe_size();
         let mut by_pos_val = vec![vec![Vec::new(); n]; arity];

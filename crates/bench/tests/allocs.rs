@@ -21,7 +21,9 @@
 //! dangling tuple, whatever the engine's thread count and whether or not
 //! the engine records metrics, and preparing
 //! a query twice calls the allocator less often than one approximation
-//! search.
+//! search. A snapshot keeps each relation in one buffer: cloning and
+//! dropping it, or superseding it under its name, calls the allocator
+//! as often at twice the tuples.
 //!
 //! Its own test binary because it installs a counting
 //! `#[global_allocator]`. The counters are thread-local, so the
@@ -45,6 +47,8 @@ thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
     /// Bytes those calls asked for (a `realloc` counts its new size).
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Blocks this thread handed back (`dealloc`).
+    static FREES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
@@ -79,6 +83,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = FREES.try_with(|c| c.set(c.get() + 1));
         // SAFETY: `ptr` was allocated by `System` with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -94,6 +99,14 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     let out = f();
     let calls = CALLS.with(Cell::get) - calls;
     (out, calls, BYTES.with(Cell::get) - bytes)
+}
+
+/// `f`'s result and the allocator calls this thread made while it ran,
+/// frees included.
+fn counted_with_frees<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let frees = FREES.with(Cell::get);
+    let (out, calls, _) = counted(f);
+    (out, calls + FREES.with(Cell::get) - frees)
 }
 
 const UNIVERSE: u32 = 5000;
@@ -119,8 +132,8 @@ fn graph(edges: usize) -> Structure {
     Structure::digraph(UNIVERSE as usize, &list)
 }
 
-/// Allocator calls of one cold evaluation: fresh cache, dictionary and
-/// flat image built beforehand (as registration leaves them).
+/// Allocator calls of one cold evaluation: fresh cache, dictionary
+/// built beforehand (as registration leaves it).
 fn cold_eval_calls(plan: &DecomposedPlan, d: &Structure) -> (u64, usize) {
     d.distinct_per_column();
     let cache = MaterializationCache::new();
@@ -588,5 +601,41 @@ fn preparing_twice_allocates_less_than_one_approximation_search() {
     assert!(
         2 * prepare < search,
         "{prepare} allocator calls per preparation, {search} for the search"
+    );
+}
+
+/// A snapshot stores each relation as one buffer, so cloning one and
+/// dropping the clone calls the allocator as often at 20,000 edges as at
+/// 10,000: per relation, never per tuple.
+#[test]
+fn cloning_a_snapshot_allocates_per_relation_not_per_tuple() {
+    let calls = [10_000, 20_000].map(|edges| {
+        let d = graph(edges);
+        counted_with_frees(|| drop(d.clone())).1
+    });
+    assert_eq!(
+        calls[0], calls[1],
+        "allocator calls to clone and drop 10k vs 20k edges"
+    );
+}
+
+/// Re-registering a name frees the superseded snapshot inside the call
+/// (with its last holder), so replacing a 20,000-edge snapshot calls the
+/// allocator no more often than replacing a 10,000-edge one.
+#[test]
+fn re_registering_a_bigger_snapshot_allocates_no_more() {
+    let calls = [10_000, 20_000].map(|edges| {
+        let engine = Engine::new(EngineConfig::default());
+        let db = engine.register_database("g", graph(edges));
+        let fresh = graph(edges);
+        let (id, calls) = counted_with_frees(|| engine.register_database("g", fresh));
+        assert_eq!(id, db, "a name keeps its id");
+        calls
+    });
+    assert!(
+        calls[1] <= calls[0],
+        "{} allocator calls to re-register 20k edges, {} for 10k",
+        calls[1],
+        calls[0]
     );
 }

@@ -216,7 +216,8 @@ pub fn database_of(
                 _ => skewed_digraph(n, edges, seed),
             };
             let e = base.vocabulary().rel("E").expect("digraph vocabulary");
-            let spaced: Vec<(Element, Element)> = (base.tuples(e).iter())
+            let spaced: Vec<(Element, Element)> = base
+                .tuples(e)
                 .map(|t| (t[0] * gap + gap - 1, t[1] * gap + gap - 1))
                 .collect();
             Structure::digraph(n * gap as usize + 2, &spaced)
@@ -834,9 +835,9 @@ pub fn with_ternary(d: &Structure) -> Structure {
     let (e, r) = (vocab.rel("E").unwrap(), vocab.rel("R").unwrap());
     let edges = d.tuples(d.vocabulary().rel("E").expect("digraph vocabulary"));
     let mut b = StructureBuilder::new(vocab, d.universe_size());
-    for t in edges {
+    for t in edges.clone() {
         b.add(e, t).add(r, &[t[0], t[0], t[1]]);
-        for u in edges.iter().filter(|u| u[0] == t[1]) {
+        for u in edges.clone().filter(|u| u[0] == t[1]) {
             b.add(r, &[t[0], t[1], u[1]]);
         }
     }

@@ -466,7 +466,6 @@ fn check_order_robustness(name: &str, cases: usize) {
         let pairs: Vec<(u32, u32)> = t
             .structure
             .tuples(t.structure.vocabulary().rel("E").unwrap())
-            .iter()
             .map(|a| (a[0], a[1]))
             .collect();
         for _ in 0..cases {

@@ -521,7 +521,7 @@ fn sweep_case() -> impl Strategy<Value = ((ConjunctiveQuery, PlanIr), Structure)
     let d = (any::<bool>(), any::<bool>(), d).prop_map(|(skewed, dag, (u, s))| {
         let d = if skewed { s } else { u };
         let e = d.vocabulary().rel("E").expect("digraph vocabulary");
-        let edges = (d.tuples(e).iter()).map(|t| (t[0], t[1]));
+        let edges = d.tuples(e).map(|t| (t[0], t[1]));
         let edges: Vec<(u32, u32)> = edges.filter(|&(a, b)| !dag || a < b).collect();
         with_ternary(&Structure::digraph(d.universe_size(), &edges))
     });

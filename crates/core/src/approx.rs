@@ -213,8 +213,8 @@ impl<'a> PrefixGraphs<'a> {
         let mut atoms: Vec<(usize, &[u32])> = Vec::new();
         let mut relations = 0;
         for rel in s.vocabulary().rel_ids() {
-            if s.vocabulary().arity(rel) > 0 && !s.tuples(rel).is_empty() {
-                atoms.extend(s.tuples(rel).iter().map(|a| (relations, &a[..])));
+            if !s.flat_tuples(rel).is_empty() {
+                atoms.extend(s.tuples(rel).map(|a| (relations, a)));
                 relations += 1;
             }
         }
@@ -532,7 +532,6 @@ fn candidates(
         let mut tuples = rels
             .iter()
             .zip(mapped_rel.iter())
-            .filter(|((_, w, _), _)| *w > 0)
             .flat_map(|((_, w, _), buf)| buf.chunks_exact(*w));
         let verdict = match known_in_class {
             true => Some(true),
@@ -545,9 +544,6 @@ fn candidates(
 
         let mut b = StructureBuilder::new(vocab.clone(), n_blocks);
         for ((rel, w, _), buf) in rels.iter().zip(mapped_rel.iter()) {
-            if *w == 0 {
-                continue;
-            }
             for tup in buf.chunks_exact(*w) {
                 b.add(*rel, tup);
             }
@@ -826,7 +822,7 @@ mod tests {
     use cqapx_structures::iso::isomorphic_pointed;
     use cqapx_structures::partition::for_each_partition;
     use cqapx_structures::quotient::quotient_pointed;
-    use cqapx_structures::{order, Structure, Tuple, Vocabulary};
+    use cqapx_structures::{order, Structure, Vocabulary};
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
     use std::collections::HashSet;
@@ -1133,8 +1129,8 @@ mod tests {
         let (t, ordered) = (tableau_of(&q), in_walk_order(&tableau_of(&q)));
         assert!(isomorphic_pointed(&t, &ordered));
         let e = ordered.structure.vocabulary().rel("E").unwrap();
-        let closes_at = |a: &Tuple| a.iter().max().copied();
-        let mut depths: Vec<_> = ordered.structure.tuples(e).iter().map(closes_at).collect();
+        let closes_at = |a: &[u32]| a.iter().max().copied();
+        let mut depths: Vec<_> = ordered.structure.tuples(e).map(closes_at).collect();
         depths.sort_unstable();
         assert_eq!(depths, [1, 2, 2, 3, 4, 5].map(Some));
     }
@@ -1144,8 +1140,8 @@ mod tests {
         let s = &t.structure;
         let mut b = StructureBuilder::new(s.vocabulary().clone(), p.n_blocks());
         for rel in s.vocabulary().rel_ids() {
-            let inside = |a: &&Tuple| a.iter().all(|&e| (e as usize) < p.len());
-            for a in s.tuples(rel).iter().filter(inside) {
+            let inside = |a: &&[u32]| a.iter().all(|&e| (e as usize) < p.len());
+            for a in s.tuples(rel).filter(inside) {
                 let image: Vec<u32> = a.iter().map(|&e| p.block_of(e as usize)).collect();
                 b.add(rel, &image);
             }

@@ -1742,8 +1742,8 @@ impl AtomBinder {
         let dict = d.domain_dict();
         out.domain_width = dict.len() as u32;
         out.invalidate_bitmaps();
-        // Scans stream the flat row-major image (one sequential pass)
-        // instead of chasing a heap allocation per tuple.
+        // Scans stream the relation's row-major buffer in one
+        // sequential pass.
         let arity = d.vocabulary().arity(self.rel);
         let flat = d.flat_tuples(self.rel);
         let data = out.data.make_mut();

@@ -93,10 +93,9 @@ impl DbCounters {
 }
 
 impl DatabaseEntry {
-    /// Builds the entry of one snapshot: the flat tuple image, the
-    /// statistics and the domain dictionary every evaluation encodes
-    /// through, all from one scan ([`compute_stats`]), ready before the
-    /// first request. This is the expensive half of a registration and
+    /// Builds the entry of one snapshot: the statistics and the domain
+    /// dictionary every evaluation encodes through, both from one scan
+    /// ([`compute_stats`]), ready before the first request. This is the expensive half of a registration and
     /// needs no catalog: a caller that keeps the catalog behind a lock
     /// builds first and locks only for [`Catalog::insert_database`].
     pub fn build(name: impl Into<String>, s: Structure) -> DatabaseEntry {
@@ -124,9 +123,9 @@ impl DatabaseEntry {
 
 /// Per-relation statistics: cardinalities are read off the relations,
 /// distinct counts come from [`Structure::distinct_per_column`] — one
-/// sequential pass over the flat tuple image with a universe-sized
-/// bitset per column, which also leaves the structure's domain
-/// dictionary built (the two share the pass).
+/// sequential pass over the row-major tuple buffers with a
+/// universe-sized bitset per column, which also leaves the structure's
+/// domain dictionary built (the two share the pass).
 pub fn compute_stats(s: &Structure) -> Vec<RelationStats> {
     s.vocabulary()
         .rel_ids()
@@ -328,13 +327,7 @@ mod tests {
                     assert_eq!(stats.rel, rel);
                     assert_eq!(stats.cardinality, s.tuples(rel).len());
                     let naive: Vec<usize> = (0..v.arity(rel))
-                        .map(|c| {
-                            s.tuples(rel)
-                                .iter()
-                                .map(|t| t[c])
-                                .collect::<HashSet<_>>()
-                                .len()
-                        })
+                        .map(|c| s.tuples(rel).map(|t| t[c]).collect::<HashSet<_>>().len())
                         .collect();
                     assert_eq!(stats.distinct_per_column, naive, "universe {universe}");
                 }

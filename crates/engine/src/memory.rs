@@ -20,7 +20,7 @@ pub fn structure_bytes(s: &Structure) -> usize {
     let tuple_elems: usize = s
         .vocabulary()
         .rel_ids()
-        .map(|r| s.tuples(r).len() * s.vocabulary().arity(r))
+        .map(|r| s.flat_tuples(r).len())
         .sum();
     // Tuples are stored once and indexed once (the lazy per-structure
     // inverted index roughly doubles them); elements carry id-sized

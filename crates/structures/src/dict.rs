@@ -50,12 +50,12 @@ impl DomainDict {
     /// Builds the dictionary and, from the same pass, the number of
     /// distinct values in every column of every relation
     /// (`distinct[rel][col]`, relations in `RelId` order): one
-    /// sequential pass over the flat tuple image sets a bit per value in
-    /// a universe-sized bitset per column; a column's distinct count is
+    /// sequential pass over each relation's row-major buffer
+    /// ([`Structure::flat_tuples`]) sets a bit per value in a
+    /// universe-sized bitset per column; a column's distinct count is
     /// its popcount, the active domain is the union of the columns, and
     /// its set bits in ascending order are the codes. No hashing, no
-    /// tree, no pointer chase per tuple: `O(tuples · arity + columns ·
-    /// universe / 64)`.
+    /// tree: `O(tuples · arity + columns · universe / 64)`.
     pub fn build_with_distinct(s: &Structure) -> (Self, Vec<Vec<usize>>) {
         let width = u32::try_from(s.universe_size()).expect("elements are u32");
         let mut active = DomainBitmap::new(width);
@@ -63,8 +63,7 @@ impl DomainDict {
         for rel in s.vocabulary().rel_ids() {
             let arity = s.vocabulary().arity(rel);
             let mut columns = vec![DomainBitmap::new(width); arity];
-            // (A 0-ary relation has an empty image: no chunk at all.)
-            for row in s.flat_tuples(rel).chunks_exact(arity.max(1)) {
+            for row in s.tuples(rel) {
                 for (column, &v) in columns.iter_mut().zip(row) {
                     column.set(v);
                 }
@@ -253,7 +252,7 @@ mod tests {
                 let naive: Vec<usize> = (0..s.vocabulary().arity(rel))
                     .map(|col| {
                         let values: std::collections::HashSet<Element> =
-                            s.tuples(rel).iter().map(|t| t[col]).collect();
+                            s.tuples(rel).map(|t| t[col]).collect();
                         values.len()
                     })
                     .collect();

@@ -113,8 +113,8 @@ impl ElemSet {
 pub struct RelIndex {
     arity: usize,
     n_values: usize,
-    /// `lists[pos * n_values + val]` = indices (into the relation's sorted
-    /// tuple slice) of tuples with `val` at `pos`.
+    /// `lists[pos * n_values + val]` = ids ([`Structure::tuple`]) of the
+    /// tuples with `val` at `pos`.
     lists: Vec<Vec<u32>>,
     /// `occurs[pos]` = the set of values occurring at `pos`.
     occurs: Vec<ElemSet>,
@@ -129,7 +129,7 @@ impl RelIndex {
         for o in occurs.iter_mut() {
             o.reset_empty(n_values);
         }
-        for (ti, t) in s.tuples(rel).iter().enumerate() {
+        for (ti, t) in s.tuples(rel).enumerate() {
             for (p, &v) in t.iter().enumerate() {
                 lists[p * n_values + v as usize].push(ti as u32);
                 occurs[p].insert(v);
@@ -148,8 +148,8 @@ impl RelIndex {
         self.arity
     }
 
-    /// Indices of the tuples holding `val` at position `pos` (indices into
-    /// the slice returned by [`Structure::tuples`](crate::Structure::tuples)).
+    /// Ids of the tuples holding `val` at position `pos`, each readable
+    /// with [`Structure::tuple`](crate::Structure::tuple).
     #[inline]
     pub fn matches(&self, pos: usize, val: Element) -> &[u32] {
         &self.lists[pos * self.n_values + val as usize]
@@ -238,9 +238,9 @@ mod tests {
         assert!(idx.matches(1, 0).is_empty());
         assert!(idx.occurs_at(0, 2));
         assert!(!idx.occurs_at(2, 1));
-        // Lists point back at the sorted tuple slice.
+        // Lists hold tuple ids, in the sorted order of `tuples`.
         for &ti in idx.matches(0, 1) {
-            assert_eq!(s.tuples(r)[ti as usize][0], 1);
+            assert_eq!(s.tuple(r, ti as usize)[0], 1);
         }
     }
 

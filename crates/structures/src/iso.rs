@@ -132,10 +132,9 @@ pub fn signature_pointed(p: &Pointed) -> IsoSignature {
     // plus loop-degree (repetitions inside one tuple).
     let mut occ: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); n];
     for r in s.vocabulary().rel_ids() {
-        let arity = s.vocabulary().arity(r);
         for t in s.tuples(r) {
-            for pos in 0..arity {
-                let e = t[pos] as usize;
+            for (pos, &e) in t.iter().enumerate() {
+                let e = e as usize;
                 let key = (r.0, pos as u32);
                 match occ[e].iter_mut().find(|(rr, pp, _)| (*rr, *pp) == key) {
                     Some((_, _, c)) => *c += 1,

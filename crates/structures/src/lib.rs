@@ -65,5 +65,5 @@ pub use partition::Partition;
 pub use pointed::Pointed;
 pub use quotient::quotient;
 pub use solver::{HomRun, HomSolver, SearchBudget};
-pub use structure::{Element, Structure, StructureBuilder, Tuple};
+pub use structure::{Element, Structure, StructureBuilder};
 pub use vocabulary::{RelId, Vocabulary};

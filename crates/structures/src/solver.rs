@@ -147,7 +147,7 @@ impl HomSolver {
         for rel in vocab.rel_ids() {
             for t in source.tuples(rel) {
                 let ci = constraints.len() as u32;
-                let vars: Box<[Element]> = t.to_vec().into();
+                let vars: Box<[Element]> = t.into();
                 let mut distinct: Vec<Element> = Vec::with_capacity(vars.len());
                 for &v in vars.iter() {
                     if !distinct.contains(&v) {
@@ -584,15 +584,14 @@ impl Search<'_> {
                     }
                 }
             };
-            let tuples = self.target.tuples(rel);
             match best {
                 Some(list) => {
                     for &ti in list {
-                        consider(&tuples[ti as usize]);
+                        consider(self.target.tuple(rel, ti as usize));
                     }
                 }
                 None => {
-                    for t in tuples {
+                    for t in self.target.tuples(rel) {
                         consider(t);
                     }
                 }

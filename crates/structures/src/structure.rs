@@ -4,16 +4,15 @@ use crate::dict::{DictCell, DomainDict};
 use crate::index::{IndexCell, StructureIndex};
 use crate::vocabulary::{RelId, Vocabulary};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::slice::ChunksExact;
+use std::sync::Arc;
 
 /// An element of a structure's universe. Elements are dense indices
 /// `0..structure.universe_size()`.
 pub type Element = u32;
-
-/// A tuple of elements, i.e. one fact of a relation.
-pub type Tuple = Box<[Element]>;
 
 /// A finite relational structure (a database) over a [`Vocabulary`].
 ///
@@ -22,8 +21,12 @@ pub type Tuple = Box<[Element]>;
 /// domain* — every element should occur in some tuple; structures with
 /// isolated elements can be normalized with [`Structure::restrict_to_adom`].
 ///
-/// Tuples of each relation are kept sorted and deduplicated, so structural
-/// equality of `Structure` values is set equality of their relations.
+/// Each relation is stored as one row-major buffer: `arity` consecutive
+/// elements per tuple, rows sorted lexicographically and deduplicated, so
+/// structural equality of `Structure` values is set equality of their
+/// relations, and tuple id `i` names the `i`-th row. Every arity is at
+/// least 1 ([`Vocabulary::new`] asserts it), so a relation's buffer
+/// always splits into whole rows.
 ///
 /// # Examples
 ///
@@ -42,8 +45,8 @@ pub type Tuple = Box<[Element]>;
 pub struct Structure {
     vocab: Vocabulary,
     universe_size: usize,
-    /// Per relation: sorted, deduplicated list of tuples.
-    relations: Vec<Vec<Tuple>>,
+    /// Per relation: sorted, deduplicated rows, row-major.
+    relations: Vec<Vec<Element>>,
     /// Optional display names of elements (same length as the universe).
     names: Option<Vec<String>>,
     /// Lazily-built inverted indexes (derived data: ignored by equality
@@ -52,9 +55,6 @@ pub struct Structure {
     /// Lazily-built active-domain dictionary (derived data, same
     /// contract as `index`; see [`crate::dict`]).
     dict: DictCell,
-    /// Lazily-built flat row-major tuple images (derived data, same
-    /// contract as `index`; see [`Structure::flat_tuples`]).
-    flat: FlatCell,
 }
 
 impl Structure {
@@ -68,7 +68,6 @@ impl Structure {
             names: None,
             index: IndexCell::default(),
             dict: DictCell::default(),
-            flat: FlatCell::default(),
         }
     }
 
@@ -100,9 +99,16 @@ impl Structure {
         0..self.universe_size as Element
     }
 
-    /// The tuples of a relation (sorted, deduplicated).
-    pub fn tuples(&self, rel: RelId) -> &[Tuple] {
-        &self.relations[rel.index()]
+    /// The tuples of a relation (sorted, deduplicated), one slice per
+    /// row of [`Self::flat_tuples`].
+    pub fn tuples(&self, rel: RelId) -> ChunksExact<'_, Element> {
+        self.relations[rel.index()].chunks_exact(self.vocab.arity(rel))
+    }
+
+    /// Tuple `i` of a relation, the `i`-th of [`Self::tuples`].
+    pub fn tuple(&self, rel: RelId, i: usize) -> &[Element] {
+        let arity = self.vocab.arity(rel);
+        &self.relations[rel.index()][i * arity..(i + 1) * arity]
     }
 
     /// The inverted indexes of this structure's relations, built lazily on
@@ -125,42 +131,48 @@ impl Structure {
             .get_or_init(|| Arc::new(DomainDict::build(self)))
     }
 
-    /// The tuples of `rel` as one flat row-major buffer: `arity`
-    /// consecutive elements per tuple, tuples in the same sorted order
-    /// as [`Self::tuples`]. Built lazily on first use and cached;
-    /// clones share it (same contract as [`Self::index`]). Scan
-    /// kernels stream this image sequentially instead of chasing one
-    /// heap allocation per tuple.
+    /// The stored tuples of `rel`: one row-major buffer, `arity`
+    /// consecutive elements per tuple, tuples in the sorted order of
+    /// [`Self::tuples`].
     pub fn flat_tuples(&self, rel: RelId) -> &[Element] {
-        let all = self.flat.0.get_or_init(|| {
-            // `concat` sizes each image exactly before copying.
-            Arc::new(self.relations.iter().map(|ts| ts.concat()).collect())
-        });
-        &all[rel.index()]
+        &self.relations[rel.index()]
     }
 
     /// The number of distinct values in every column of every relation
     /// (`[rel][col]`, relations in `RelId` order), counted in the pass
     /// that builds the domain dictionary
     /// ([`DomainDict::build_with_distinct`]) — so this leaves
-    /// [`Self::flat_tuples`] and [`Self::domain_dict`] built: it is the
-    /// whole once-per-snapshot scan of a registration.
+    /// [`Self::domain_dict`] built: it is the whole once-per-snapshot
+    /// scan of a registration.
     pub fn distinct_per_column(&self) -> Vec<Vec<usize>> {
         let (dict, distinct) = DomainDict::build_with_distinct(self);
         self.dict.0.get_or_init(|| Arc::new(dict));
         distinct
     }
 
-    /// Checks whether a tuple is a fact of the relation.
+    /// Checks whether a tuple is a fact of the relation: a binary search
+    /// over whole rows, so a probe of the wrong length is never one.
     pub fn contains(&self, rel: RelId, tuple: &[Element]) -> bool {
-        self.relations[rel.index()]
-            .binary_search_by(|t| t.as_ref().cmp(tuple))
-            .is_ok()
+        let arity = self.vocab.arity(rel);
+        let rows = &self.relations[rel.index()];
+        if tuple.len() != arity {
+            return false;
+        }
+        let (mut lo, mut hi) = (0, rows.len() / arity);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match rows[mid * arity..(mid + 1) * arity].cmp(tuple) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return true,
+            }
+        }
+        false
     }
 
     /// Total number of tuples across all relations (`|D|` up to a constant).
     pub fn total_tuples(&self) -> usize {
-        self.relations.iter().map(|r| r.len()).sum()
+        self.vocab.rel_ids().map(|rel| self.tuples(rel).len()).sum()
     }
 
     /// `true` when every relation is empty.
@@ -170,13 +182,7 @@ impl Structure {
 
     /// The set of elements that occur in at least one tuple (active domain).
     pub fn active_domain(&self) -> BTreeSet<Element> {
-        let mut adom = BTreeSet::new();
-        for rel in &self.relations {
-            for t in rel {
-                adom.extend(t.iter().copied());
-            }
-        }
-        adom
+        self.relations.iter().flatten().copied().collect()
     }
 
     /// `true` when the universe equals the active domain.
@@ -308,7 +314,7 @@ impl Structure {
         }
         self.vocab
             .rel_ids()
-            .all(|rel| self.tuples(rel).iter().all(|t| other.contains(rel, t)))
+            .all(|rel| self.tuples(rel).all(|t| other.contains(rel, t)))
     }
 
     /// `true` when `self ⊆ other` and some relation of `other` has a tuple
@@ -317,28 +323,24 @@ impl Structure {
         self.contained_in(other) && self.total_tuples() < other.total_tuples()
     }
 
-    /// Checks basic well-formedness: arities match and elements are in range.
+    /// Checks basic well-formedness: every relation splits into whole
+    /// rows of its arity and elements are in range.
     pub fn validate(&self) -> Result<(), String> {
         for rel in self.vocab.rel_ids() {
-            let arity = self.vocab.arity(rel);
-            for t in self.tuples(rel) {
-                if t.len() != arity {
-                    return Err(format!(
-                        "tuple {:?} of {} has length {}, expected {}",
-                        t,
-                        self.vocab.name(rel),
-                        t.len(),
-                        arity
-                    ));
-                }
-                for &x in t.iter() {
-                    if (x as usize) >= self.universe_size {
-                        return Err(format!(
-                            "element {} out of universe 0..{}",
-                            x, self.universe_size
-                        ));
-                    }
-                }
+            let (arity, rows) = (self.vocab.arity(rel), &self.relations[rel.index()]);
+            if rows.len() % arity != 0 {
+                return Err(format!(
+                    "{} holds {} elements, not whole rows of arity {}",
+                    self.vocab.name(rel),
+                    rows.len(),
+                    arity
+                ));
+            }
+            if let Some(&x) = rows.iter().find(|&&x| x as usize >= self.universe_size) {
+                return Err(format!(
+                    "element {} out of universe 0..{}",
+                    x, self.universe_size
+                ));
             }
         }
         Ok(())
@@ -354,7 +356,7 @@ impl fmt::Debug for Structure {
         )?;
         for rel in self.vocab.rel_ids() {
             write!(f, "  {} = {{", self.vocab.name(rel))?;
-            for (i, t) in self.tuples(rel).iter().enumerate() {
+            for (i, t) in self.tuples(rel).enumerate() {
                 if i > 0 {
                     write!(f, ", ")?;
                 }
@@ -375,13 +377,13 @@ impl fmt::Debug for Structure {
 
 /// Incremental builder of a [`Structure`].
 ///
-/// Collects tuples in any order; [`StructureBuilder::finish`] sorts and
-/// deduplicates each relation.
+/// Collects tuples in any order, row-major per relation;
+/// [`StructureBuilder::finish`] sorts and deduplicates each relation.
 #[derive(Debug, Clone)]
 pub struct StructureBuilder {
     vocab: Vocabulary,
     universe_size: usize,
-    relations: Vec<Vec<Tuple>>,
+    relations: Vec<Vec<Element>>,
 }
 
 impl StructureBuilder {
@@ -411,7 +413,7 @@ impl StructureBuilder {
                 self.universe_size
             );
         }
-        self.relations[rel.index()].push(tuple.into());
+        self.relations[rel.index()].extend_from_slice(tuple);
         self
     }
 
@@ -433,9 +435,8 @@ impl StructureBuilder {
     /// Finalizes the structure (sorting + deduplicating each relation).
     pub fn finish(self) -> Structure {
         let mut relations = self.relations;
-        for rel in &mut relations {
-            rel.sort_unstable();
-            rel.dedup();
+        for (rel, rows) in self.vocab.rel_ids().zip(&mut relations) {
+            sort_dedup_rows(rows, self.vocab.arity(rel));
         }
         Structure {
             vocab: self.vocab,
@@ -444,35 +445,21 @@ impl StructureBuilder {
             names: None,
             index: IndexCell::default(),
             dict: DictCell::default(),
-            flat: FlatCell::default(),
         }
     }
 }
 
-/// The lazily-initialized flat-tuple-image slot carried by every
-/// [`Structure`]: one row-major `Vec<Element>` per relation. Mirrors
-/// [`IndexCell`]: derived data, invisible to equality/hash/serde,
-/// shared by clones (relations are immutable after construction, so a
-/// shared image can never go stale).
-#[derive(Debug, Default)]
-struct FlatCell(OnceLock<Arc<Vec<Vec<Element>>>>);
-
-impl Clone for FlatCell {
-    fn clone(&self) -> Self {
-        FlatCell(self.0.clone())
+/// Sorts the rows of a row-major buffer lexicographically and drops
+/// repeated rows, gathering them into an exactly sized buffer. Rows that
+/// are already strictly increasing are left where they are.
+fn sort_dedup_rows(rows: &mut Vec<Element>, arity: usize) {
+    if rows.chunks_exact(arity).is_sorted_by(|a, b| a < b) {
+        return;
     }
-}
-
-impl PartialEq for FlatCell {
-    fn eq(&self, _other: &Self) -> bool {
-        true // the cache is derived data, invisible to equality
-    }
-}
-
-impl Eq for FlatCell {}
-
-impl std::hash::Hash for FlatCell {
-    fn hash<H: std::hash::Hasher>(&self, _state: &mut H) {}
+    let mut sorted: Vec<&[Element]> = rows.chunks_exact(arity).collect();
+    sorted.sort_unstable();
+    sorted.dedup();
+    *rows = sorted.concat();
 }
 
 #[cfg(test)]
@@ -483,27 +470,83 @@ mod tests {
         Structure::digraph(3, &[(0, 1), (1, 2), (2, 0)])
     }
 
-    #[test]
-    fn flat_tuples_matches_tuples() {
-        let v = Vocabulary::new(vec![("E", 2), ("T", 3)]);
-        let (e, t) = (v.rel("E").unwrap(), v.rel("T").unwrap());
-        let mut b = StructureBuilder::new(v, 5);
-        b.add(e, &[3, 1]);
-        b.add(e, &[0, 4]);
-        b.add(e, &[3, 1]); // duplicate
-        b.add(t, &[2, 2, 0]);
-        let s = b.finish();
-        for rel in [e, t] {
-            let expect: Vec<Element> = s
-                .tuples(rel)
-                .iter()
-                .flat_map(|t| t.iter().copied())
-                .collect();
-            assert_eq!(s.flat_tuples(rel), expect.as_slice());
+    /// Builder inputs over a unary, a binary and a ternary relation on a
+    /// four-element universe: values in drawn order, so rows repeat and
+    /// arrive unsorted.
+    fn builder_inputs() -> impl proptest::strategy::Strategy<Value = [Vec<Element>; 3]> {
+        use proptest::prelude::*;
+        let values = |arity: usize| proptest::collection::vec(0..4u32, 0..=arity * 16);
+        (values(1), values(2), values(3)).prop_map(|(u, e, t)| [u, e, t])
+    }
+
+    fn hash_of(s: &Structure) -> u64 {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let mut h = DefaultHasher::new();
+        s.hash(&mut h);
+        h.finish()
+    }
+
+    proptest::proptest! {
+        /// The flat store against a `BTreeSet` of rows per relation:
+        /// tuple order and count, membership of every row, of every
+        /// other row over the universe, of every window straddling two
+        /// stored rows, and of probes one element short or long; and two
+        /// builds of one set in other orders are equal and hash alike.
+        #[test]
+        fn flat_store_matches_a_set_of_rows(inputs in builder_inputs()) {
+            let v = Vocabulary::new(vec![("U", 1), ("E", 2), ("T", 3)]);
+            let mut b = StructureBuilder::new(v.clone(), 4);
+            let mut sets = Vec::new();
+            for (rel, values) in v.rel_ids().zip(&inputs) {
+                let rows = values.chunks_exact(v.arity(rel));
+                for t in rows.clone() {
+                    b.add(rel, t);
+                }
+                sets.push(rows.map(<[Element]>::to_vec).collect::<BTreeSet<_>>());
+            }
+            let s = b.finish();
+            s.validate().unwrap();
+            let total: usize = sets.iter().map(BTreeSet::len).sum();
+            proptest::prop_assert_eq!(s.total_tuples(), total);
+            for (rel, set) in v.rel_ids().zip(&sets) {
+                let arity = v.arity(rel);
+                let rows: Vec<Vec<Element>> = s.tuples(rel).map(<[Element]>::to_vec).collect();
+                proptest::prop_assert_eq!(&rows, &set.iter().cloned().collect::<Vec<_>>());
+                proptest::prop_assert_eq!(s.tuples(rel).len(), set.len());
+                for (i, t) in rows.iter().enumerate() {
+                    proptest::prop_assert_eq!(s.tuple(rel, i), t.as_slice());
+                    proptest::prop_assert!(s.contains(rel, t));
+                    proptest::prop_assert!(!s.contains(rel, &t[1..]));
+                    proptest::prop_assert!(!s.contains(rel, &[t.as_slice(), &[0]].concat()));
+                }
+                for code in 0..4u32.pow(arity as u32) {
+                    let probe: Vec<Element> = (0..arity).map(|p| code / 4u32.pow(p as u32) % 4).collect();
+                    proptest::prop_assert_eq!(s.contains(rel, &probe), set.contains(&probe));
+                }
+                for (start, window) in s.flat_tuples(rel).windows(arity).enumerate() {
+                    if start % arity != 0 {
+                        proptest::prop_assert_eq!(s.contains(rel, window), set.contains(window));
+                    }
+                }
+            }
+            // The same sets added backwards (the sort path) and in
+            // ascending order (already sorted, kept as built).
+            for backwards in [true, false] {
+                let mut b = StructureBuilder::new(v.clone(), 4);
+                for (rel, set) in v.rel_ids().zip(&sets) {
+                    let mut rows: Vec<&Vec<Element>> = set.iter().collect();
+                    if backwards {
+                        rows.reverse();
+                    }
+                    for t in rows {
+                        b.add(rel, t);
+                    }
+                }
+                let other = b.finish();
+                proptest::prop_assert_eq!(&other, &s);
+                proptest::prop_assert_eq!(hash_of(&other), hash_of(&s));
+            }
         }
-        // Clones share the already-built image.
-        let c = s.clone();
-        assert!(std::ptr::eq(c.flat_tuples(e), s.flat_tuples(e)));
     }
 
     #[test]
