@@ -137,7 +137,7 @@ fn graph(edges: usize) -> Structure {
 fn cold_eval_calls(plan: &DecomposedPlan, d: &Structure) -> (u64, usize) {
     d.distinct_per_column();
     let cache = MaterializationCache::new();
-    let ((answers, stats), calls, _) = counted(|| plan.eval_cached(d, Some(&cache)));
+    let ((answers, stats), calls, _) = counted(|| plan.ir().answers(d, Some(&cache)));
     assert!(stats.misses > 0, "a cold run materializes");
     assert_eq!(stats.wcoj_bag_builds, 1, "the triangle is one multiway bag");
     (calls, answers.len())
@@ -299,7 +299,7 @@ fn boolean_four_cycle_root_is_one_existence_call() {
         (nine_layer_dag(5000, 0xC4), false),
     ] {
         let cache = MaterializationCache::new();
-        plan.eval_boolean_cached(&d, Some(&cache));
+        plan.ir().run_boolean(&d, Some(&cache), None);
         let (alive, slots, stats) = plan.ir().run_slots(&d, Some(&cache), None);
         assert_eq!((alive, stats.misses), (witness, 0));
         let parts: u64 = (inputs.iter())
@@ -400,9 +400,8 @@ fn warm_one_column_head_copies_no_cached_row() {
     let counts = [10_000, 20_000].map(|n| {
         let d = nine_layer_dag(n, 0x3B);
         let cache = MaterializationCache::new();
-        let (cold, _) = plan.ir().run_answers(q.free_vars(), &d, Some(&cache), None);
-        let ((warm, stats), calls, requested) =
-            counted(|| plan.ir().run_answers(q.free_vars(), &d, Some(&cache), None));
+        let (cold, _) = plan.ir().answers(&d, Some(&cache));
+        let ((warm, stats), calls, requested) = counted(|| plan.ir().answers(&d, Some(&cache)));
         assert_eq!((warm == cold, stats.misses), (true, 0));
         // `x` starts a three-edge walk in the six lowest layers.
         assert_eq!(warm.len(), (0..n).filter(|v| v % 9 < 6).count());
@@ -441,8 +440,8 @@ fn swept_one_column_head_allocates_no_more_than_the_kernel_path() {
     ] {
         let head = q.free_vars();
         let cache = MaterializationCache::new();
-        ir.run_answers(head, d, Some(&cache), None);
-        let ((swept, _), swept_calls, _) = counted(|| ir.run_answers(head, d, Some(&cache), None));
+        ir.answers(d, Some(&cache));
+        let ((swept, _), swept_calls, _) = counted(|| ir.answers(d, Some(&cache)));
         let (kernel, kernel_calls, _) = counted(|| {
             let (alive, mut slots, mut stats) = ir.run_slots(d, Some(&cache), None);
             let out = ir
@@ -488,10 +487,9 @@ fn warm_wedge_allocations_ignore_a_dangling_tuple() {
         let plan = AcyclicPlan::compile(&q).unwrap();
         let counts = [&full, &dangling].map(|d| {
             let cache = MaterializationCache::new();
-            let warm = plan.ir().run_answers(q.free_vars(), d, Some(&cache), None);
+            let warm = plan.ir().answers(d, Some(&cache));
             assert_eq!(warm.0, NaivePlan::compile(q.clone()).eval(d), "{text}");
-            let (again, count, _) =
-                counted(|| plan.ir().run_answers(q.free_vars(), d, Some(&cache), None));
+            let (again, count, _) = counted(|| plan.ir().answers(d, Some(&cache)));
             assert_eq!(again.0, warm.0, "{text}");
             count
         });

@@ -426,15 +426,15 @@ fn check_plan(
     expected: &Rows,
     tier: &str,
 ) -> Traffic {
-    let (head, arity, holds) = (q.free_vars(), q.arity(), !expected.is_empty());
+    let (arity, holds) = (q.arity(), !expected.is_empty());
     let what = format!("{tier}, {q}");
-    let (uncached, _) = ir.run_answers(head, d, None, None);
+    let (uncached, _) = ir.answers(d, None);
     assert_is(&uncached, expected, arity, &format!("uncached, {what}"));
     let (boolean, _) = ir.run_boolean(d, None, None);
     assert_eq!(boolean, holds, "Boolean, uncached, {what}");
     let cache = MaterializationCache::new();
-    let (cold, sc) = ir.run_answers(head, d, Some(&cache), None);
-    let (warm, sw) = ir.run_answers(head, d, Some(&cache), None);
+    let (cold, sc) = ir.answers(d, Some(&cache));
+    let (warm, sw) = ir.answers(d, Some(&cache));
     assert_is(&cold, expected, arity, &format!("cold, {what}"));
     assert_is(&warm, expected, arity, &format!("warm, {what}"));
     assert!(sc.misses > 0, "cold run must materialize, {what}");
@@ -880,7 +880,7 @@ fn bitmap_eligible(r: &FlatRelation) -> bool {
 /// kernel path's counters up to its projection when the root's
 /// projection was read off the sweep, and all of them otherwise; its
 /// profile has the kernel path's labels (read off the sweep, the last
-/// is a `project` entry reporting the answers); and `run_answers` —
+/// is a `project` entry reporting the answers); and `answers` —
 /// uncached, cold and warm — is the naive evaluator's. Returns whether
 /// the answers were read off the live-value sweep.
 pub fn check_sweep(q: &ConjunctiveQuery, ir: &PlanIr, d: &Structure) -> bool {
@@ -1013,11 +1013,11 @@ fn check_swept_head(
         .map(|a| vec![a])
         .filter(|a| naive.contains_answer(d, a))
         .collect();
-    let (uncached, _) = ir.run_answers(q.free_vars(), d, None, None);
+    let (uncached, _) = ir.answers(d, None);
     assert_is(&uncached, &expected, 1, &format!("uncached, {what}"));
     let cache = MaterializationCache::new();
     for run in ["cold", "warm"] {
-        let (cached, _) = ir.run_answers(q.free_vars(), d, Some(&cache), None);
+        let (cached, _) = ir.answers(d, Some(&cache));
         assert_is(&cached, &expected, 1, &format!("{run}, {what}"));
     }
 }

@@ -86,7 +86,11 @@ const ADVANCES_PER_ROW: u64 = 2;
 /// returns its plan.
 fn check_spelling(q: &ConjunctiveQuery, d: &Structure, expected: bool) -> DecomposedPlan {
     let plan = DecomposedPlan::compile(q, 2).expect("a cycle has treewidth 2");
-    assert_eq!(plan.eval_boolean(d), expected, "answer differs on {q}");
+    assert_eq!(
+        plan.ir().run_boolean(d, None, None).0,
+        expected,
+        "answer differs on {q}"
+    );
     let (rows, advances) = check_bags(plan.ir(), d, &q.to_string());
     assert!(
         rows > 0,
@@ -135,7 +139,7 @@ fn every_numbering_of_a_cycle_costs_the_same() {
                 *acyclic.get_or_insert_with(|| NaivePlan::compile(q.clone()).eval_boolean(&dag));
             assert!(expected && !acyclic, "C{n} must be decided both ways");
             assert_eq!(
-                plan.eval_boolean(&dag),
+                plan.ir().run_boolean(&dag, None, None).0,
                 acyclic,
                 "answer on the DAG differs on {q}"
             );
@@ -201,7 +205,7 @@ fn wide_nodes_on_cycles() {
                     for root in 0..td.bags.len() {
                         let plan = DecomposedPlan::compile_rooted(&q, td, root);
                         let what = format!("root {root} of {td:?} on {q}");
-                        assert_is(&plan.eval(d), &expected, q.arity(), &what);
+                        assert_is(&plan.ir().answers(d, None).0, &expected, q.arity(), &what);
                         reached += check_joins(plan.ir(), d, &what);
                     }
                     assert!(reached > 0, "no wide node ran on {q} over {td:?}");
@@ -228,7 +232,7 @@ fn boolean_cycles_with_and_without_a_witness() {
             for d in &dbs {
                 let expected = NaivePlan::compile(q.clone()).eval_boolean(d);
                 answers.insert(expected);
-                assert_eq!(plan.eval_boolean(d), expected, "{q}");
+                assert_eq!(plan.ir().run_boolean(d, None, None).0, expected, "{q}");
                 check_joins(plan.ir(), d, &q.to_string());
             }
         }
@@ -478,7 +482,7 @@ fn cached_rows_are_never_written_through_a_sharing_slot() {
             // (evictions, resident bytes) once the previous run was over.
             let mut quiescent: Option<(u64, usize)> = None;
             for run in 0..3 {
-                let (answers, _) = plan.run_answers(q.free_vars(), &d, Some(&cache), None);
+                let (answers, _) = plan.answers(&d, Some(&cache));
                 let what = format!("{text}, budget {budget}, run {run}");
                 assert_is(&answers, &expected, q.arity(), &what);
                 for source in plan.materialize_sources() {
@@ -622,7 +626,7 @@ fn one_column_head_without_a_bitmap_falls_back() {
     assert!(!check_sweep(&q, &ir, &d), "no bitmap on the head column");
     assert!(ir.run_boolean(&d, None, None).1.bitmap_probes > 0);
     assert_eq!(ir.run(&d, None, None).1.packed_sorts, 1);
-    let (answers, _) = ir.run_answers(q.free_vars(), &d, None, None);
+    let (answers, _) = ir.answers(&d, None);
     assert_is(&answers, &[vec![3], vec![5]].into(), 1, "E's targets");
 }
 
@@ -640,7 +644,7 @@ fn one_column_head_of_a_killed_root_is_empty() {
     assert!(ir.run(&d, None, Some(&mut profile)).0.is_none());
     let last = profile.ops.last().map(|o| (o.op, o.rows));
     assert_eq!(last, Some(("assert_nonempty", 0)));
-    let (answers, _) = ir.run_answers(q.free_vars(), &d, None, None);
+    let (answers, _) = ir.answers(&d, None);
     assert_is(&answers, &Rows::new(), 1, "no three-edge walk");
 }
 
@@ -665,7 +669,7 @@ fn one_column_head_intersects_two_filters_on_the_root() {
     let last = profile.ops.last().map(|o| (o.op, o.rows));
     assert_eq!(last, Some(("project", 1)));
     assert_eq!(out.iter_rows().collect::<Vec<_>>(), [[1]]);
-    let (answers, _) = ir.run_answers(q.free_vars(), &d, None, None);
+    let (answers, _) = ir.answers(&d, None);
     assert_is(&answers, &[vec![1]].into(), 1, "in-edge and two-edge walk");
 }
 

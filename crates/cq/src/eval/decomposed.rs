@@ -39,15 +39,15 @@
 //! included. Intermediate relations stay inside `bag ∪ free` variables,
 //! keeping evaluation polynomial for fixed `k`.
 //!
+//! The plan answers through its program: [`PlanIr::answers`] and
+//! [`PlanIr::run_boolean`] on [`DecomposedPlan::ir`].
+//!
 //! [`TreeDecomposition`]: cqapx_graphs::treewidth::TreeDecomposition
 
 use crate::ast::{Atom, ConjunctiveQuery, VarId};
 use crate::classes::query_graph;
-use crate::eval::answers::Answers;
-use crate::eval::flat::{MatCacheStats, MaterializationCache};
 use crate::eval::ir::{compile_tree, MatSource, NodeSpec, PlanIr};
 use cqapx_graphs::treewidth::{treewidth_at_most, TreeDecomposition};
-use cqapx_structures::Structure;
 use std::cmp::Reverse;
 use std::fmt;
 
@@ -84,12 +84,11 @@ impl std::error::Error for NotDecomposable {}
 /// let plan = DecomposedPlan::compile(&q, 2).unwrap();
 /// assert_eq!(plan.width(), 2);
 /// let d = Structure::digraph(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
-/// assert_eq!(plan.eval(&d).len(), 3); // x ∈ {0, 1, 2}
+/// let (answers, _) = plan.ir().answers(&d, None);
+/// assert_eq!(answers.len(), 3); // x ∈ {0, 1, 2}
 /// ```
 #[derive(Debug, Clone)]
 pub struct DecomposedPlan {
-    /// The query's head, the order answers come out in.
-    head: Vec<VarId>,
     ir: PlanIr,
     width: usize,
     /// Each bag's size, in bag order.
@@ -168,7 +167,6 @@ impl DecomposedPlan {
             "every atom's variable clique must lie in some bag"
         );
         DecomposedPlan {
-            head: query.free_vars().to_vec(),
             ir: compile_tree(nodes, &rooted.parent, &rooted.order, query.free_vars()),
             width: td.width(),
             bag_sizes: td.bags.iter().map(Vec::len).collect(),
@@ -192,74 +190,41 @@ impl DecomposedPlan {
         // The program materializes bag `i` first, into slot `i`.
         (self.bag_sizes.iter().copied()).zip(self.ir.materialize_sources())
     }
+}
 
-    /// Boolean evaluation: `Q(D) ≠ ∅`.
-    pub fn eval_boolean(&self, d: &Structure) -> bool {
-        self.eval_boolean_cached(d, None).0
-    }
-
-    /// Boolean evaluation through an optional per-database
-    /// materialization cache; also reports the cache outcome.
-    pub fn eval_boolean_cached(
-        &self,
-        d: &Structure,
-        cache: Option<&MaterializationCache>,
-    ) -> (bool, MatCacheStats) {
-        self.ir.run_boolean(d, cache, None)
-    }
-
-    /// Full evaluation: the set of answer tuples in head order.
-    pub fn eval(&self, d: &Structure) -> Answers {
-        self.eval_cached(d, None).0
-    }
-
-    /// Full evaluation through an optional per-database materialization
-    /// cache; also reports the cache outcome.
-    pub fn eval_cached(
-        &self,
-        d: &Structure,
-        cache: Option<&MaterializationCache>,
-    ) -> (Answers, MatCacheStats) {
-        self.eval_cached_profiled(d, cache, None)
-    }
-
-    /// [`DecomposedPlan::eval_cached`], optionally collecting a per-operator
-    /// [`EvalProfile`](crate::eval::EvalProfile) (`None` keeps the hot
-    /// path at one branch per operator).
-    pub fn eval_cached_profiled(
-        &self,
-        d: &Structure,
-        cache: Option<&MaterializationCache>,
-        profile: Option<&mut crate::eval::EvalProfile>,
-    ) -> (Answers, MatCacheStats) {
-        self.ir.run_answers(&self.head, d, cache, profile)
+/// The compiled program, moved out of its plan.
+impl From<DecomposedPlan> for PlanIr {
+    fn from(plan: DecomposedPlan) -> PlanIr {
+        plan.ir
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::flat::MaterializationCache;
     use crate::eval::naive::{eval_boolean_naive, eval_naive};
     use crate::parser::parse_cq;
+    use cqapx_structures::Structure;
 
     fn check_agrees(q: &str, k: usize, d: &Structure) {
         let q = parse_cq(q).unwrap();
         let plan = DecomposedPlan::compile(&q, k).unwrap();
         assert_eq!(
-            plan.eval(d),
+            plan.ir().answers(d, None).0,
             eval_naive(&q, d),
             "decomposed must agree with naive on {q}"
         );
         assert_eq!(
-            plan.eval_boolean(d),
+            plan.ir().run_boolean(d, None, None).0,
             eval_boolean_naive(&q, d),
             "boolean disagrees on {q}"
         );
         // Through a fresh cache, cold then warm: identical answers, and
         // the warm run adopts every bag.
         let cache = MaterializationCache::new();
-        let (cold, s1) = plan.eval_cached(d, Some(&cache));
-        let (warm, s2) = plan.eval_cached(d, Some(&cache));
+        let (cold, s1) = plan.ir().answers(d, Some(&cache));
+        let (warm, s2) = plan.ir().answers(d, Some(&cache));
         assert_eq!(cold, eval_naive(&q, d), "cold cache run on {q}");
         assert_eq!(warm, cold, "warm cache run on {q}");
         assert!(s1.misses > 0, "cold run must materialize on {q}");
@@ -332,11 +297,15 @@ mod tests {
             let q = parse_cq(qs).unwrap();
             let plan = DecomposedPlan::compile(&q, 2).unwrap();
             let cache = MaterializationCache::new();
-            let (rows, s_cold) = plan.eval_cached(&d, Some(&cache));
-            let (_, s_warm) = plan.eval_cached(&d, Some(&cache));
+            let (rows, s_cold) = plan.ir().answers(&d, Some(&cache));
+            let (_, s_warm) = plan.ir().answers(&d, Some(&cache));
             assert_eq!(s_cold.bitmap_probes > 0, sweeps, "bitmaps read on {qs}");
             assert_eq!(rows, eval_naive(&q, &d), "naive disagrees on {qs}");
-            assert_eq!(plan.eval_boolean(&d), !rows.is_empty(), "boolean on {qs}");
+            assert_eq!(
+                plan.ir().run_boolean(&d, None, None).0,
+                !rows.is_empty(),
+                "boolean on {qs}"
+            );
             plan.ir().assert_output_is_reference_join(&d, qs);
             assert_eq!(s_warm.misses, 0, "warm run re-materialized on {qs}");
         }
@@ -357,11 +326,15 @@ mod tests {
             let q = parse_cq(qs).unwrap();
             let plan = DecomposedPlan::compile(&q, 2).unwrap();
             let cache = MaterializationCache::new();
-            let (rows, s_cold) = plan.eval_cached(&d, Some(&cache));
-            let (_, s_warm) = plan.eval_cached(&d, Some(&cache));
+            let (rows, s_cold) = plan.ir().answers(&d, Some(&cache));
+            let (_, s_warm) = plan.ir().answers(&d, Some(&cache));
             assert!(s_cold.packed_sorts > 0, "radix sorts on {qs}");
             assert_eq!(rows, eval_naive(&q, &d), "naive disagrees on {qs}");
-            assert_eq!(plan.eval_boolean(&d), !rows.is_empty(), "boolean on {qs}");
+            assert_eq!(
+                plan.ir().run_boolean(&d, None, None).0,
+                !rows.is_empty(),
+                "boolean on {qs}"
+            );
             plan.ir().assert_output_is_reference_join(&d, qs);
             assert_eq!(s_warm.misses, 0, "warm run re-materialized on {qs}");
         }
@@ -398,7 +371,7 @@ mod tests {
             assert_eq!(plan.width(), 2);
             let centre = plan.bags().nth(2).unwrap().1;
             assert_eq!(centre.parts.len(), 0, "the centre covers no atom");
-            assert_eq!(plan.eval(&d), expected, "root {root}");
+            assert_eq!(plan.ir().answers(&d, None).0, expected, "root {root}");
         }
     }
 
@@ -490,13 +463,13 @@ mod tests {
         let cache = MaterializationCache::new();
         let tri = DecomposedPlan::compile(&parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap(), 2)
             .unwrap();
-        let (_, s1) = tri.eval_cached(&d, Some(&cache));
+        let (_, s1) = tri.ir().answers(&d, Some(&cache));
         // Cold: the triangle bag (and its parts) materialize; the two
         // forward-edge-shaped parts share one key.
         assert!(s1.misses > 0);
         assert!(s1.hits > 0, "same-shape parts within the plan must share");
         let edge = AcyclicPlan::compile(&parse_cq("Q(a, b) :- E(a, b)").unwrap()).unwrap();
-        let (ans, s2) = edge.eval_cached(&d, Some(&cache));
+        let (ans, s2) = edge.ir().answers(&d, Some(&cache));
         assert_eq!(ans.len(), 4);
         assert_eq!(
             (s2.hits, s2.misses),

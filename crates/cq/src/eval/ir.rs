@@ -15,9 +15,12 @@
 //!
 //! Both `AcyclicPlan` (Yannakakis over a GYO join tree) and
 //! `DecomposedPlan` (Yannakakis over the bags of a tree decomposition)
-//! compile to this IR through [`compile_tree`]; evaluation is a single
-//! interpreter loop, so cache adoption, statistics, and kernel
-//! improvements land in one place.
+//! compile to this IR through [`compile_tree`], which keeps the query's
+//! head. A compiled plan answers through one entry point,
+//! [`PlanIr::answers`], and decides `Q(D) ≠ ∅` through
+//! [`PlanIr::run_boolean`]; evaluation is a single interpreter loop, so
+//! cache adoption, statistics, and kernel improvements land in one
+//! place.
 //!
 //! [`compile_tree`] takes per-node [`NodeSpec`]s — a relation source
 //! plus a *connectivity label* — and a rooted tree. For join trees the
@@ -334,6 +337,9 @@ pub struct PlanIr {
     reduction_decides: bool,
     /// Slot holding the final relation after a full run.
     output: Slot,
+    /// The compiled query's free variables, in head order: the columns
+    /// answers come out in.
+    head: Vec<VarId>,
 }
 
 impl PlanIr {
@@ -492,27 +498,24 @@ impl PlanIr {
         (alive, stats)
     }
 
-    /// Runs the program to the answer set for `head` — the compiled
-    /// query's free variables, in head order: the Boolean short-cut
-    /// ([`PlanIr::run_boolean`]) when the head is empty, otherwise the
-    /// full run read out through the answer boundary, where the dense
-    /// codes plan intermediates hold are decoded back to the
-    /// structure's elements.
-    pub fn run_answers(
+    /// The answer set of the compiled query, in head order: the Boolean
+    /// short-cut ([`PlanIr::run_boolean`]) when the head is empty,
+    /// otherwise the full run read out through the answer boundary,
+    /// where the dense codes plan intermediates hold are decoded back to
+    /// the structure's elements. Also reports the cache outcome.
+    pub fn answers(
         &self,
-        head: &[VarId],
         d: &Structure,
         cache: Option<&MaterializationCache>,
-        profile: Option<&mut EvalProfile>,
     ) -> (Answers, MatCacheStats) {
-        if head.is_empty() {
-            let (nonempty, stats) = self.run_boolean(d, cache, profile);
+        if self.head.is_empty() {
+            let (nonempty, stats) = self.run_boolean(d, cache, None);
             return (Answers::boolean(nonempty), stats);
         }
-        let (result, mut stats) = self.run(d, cache, profile);
+        let (result, mut stats) = self.run(d, cache, None);
         let answers = match result {
-            None => Answers::empty(head.len()),
-            Some(rel) => Answers::from_relation(rel, head, d.domain_dict(), &mut stats),
+            None => Answers::empty(self.head.len()),
+            Some(rel) => Answers::from_relation(rel, &self.head, d.domain_dict(), &mut stats),
         };
         (answers, stats)
     }
@@ -905,7 +908,8 @@ pub struct NodeSpec {
 ///    sort.
 ///
 /// `parent`/`order` describe the rooted tree (children before parents
-/// in `order`); `free` lists the query's free variables. A genuine
+/// in `order`); `free` lists the query's free variables, the head the
+/// program keeps for [`PlanIr::answers`]. A genuine
 /// join tree (every label equal to its schema) with free variables is
 /// re-rooted at the node holding most of them, and its join phase
 /// skips every subtree whose join would be the identity after the full
@@ -1102,6 +1106,7 @@ pub fn compile_tree(
             ops: with_materializations(nodes, ops),
             bool_len,
             reduction_decides,
+            head: free.to_vec(),
         };
     }
 
@@ -1158,6 +1163,7 @@ pub fn compile_tree(
         bool_len,
         reduction_decides,
         output: out,
+        head: free.to_vec(),
     }
 }
 
@@ -1368,6 +1374,7 @@ mod tests {
             bool_len: 2,
             reduction_decides: true,
             output: 1,
+            head: Vec::new(),
         };
         let d = Structure::digraph(3, &[(0, 1), (1, 0), (1, 2)]);
         let (out, _) = ir.run(&d, None, None);
@@ -1642,9 +1649,9 @@ mod tests {
         // before it is joined (the leaf loses `w`).
         assert_eq!((semijoins_in(&tree), semijoins_in(&decomp)), (2, 4));
         let d = Structure::digraph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (5, 5), (4, 0)]);
-        let want = plan.eval(&d);
+        let want = plan.ir().answers(&d, None).0;
         for ir in [&tree, &decomp] {
-            let (got, _) = ir.run_answers(q.free_vars(), &d, None, None);
+            let (got, _) = ir.answers(&d, None);
             assert_eq!(got, want);
         }
     }
@@ -1718,7 +1725,7 @@ mod tests {
         );
         let ring: Vec<(u32, u32)> = (0..75).map(|u| (u, (u + 1) % 75)).collect();
         let d = Structure::digraph(75, &ring);
-        let (answers, _) = ir.run_answers(q.free_vars(), &d, None, None);
+        let (answers, _) = ir.answers(&d, None);
         assert_eq!(answers.len(), 75);
         assert_eq!(answers, eval_naive(&q, &d));
     }
@@ -1755,7 +1762,11 @@ mod tests {
             let (s, profiled) = (&mut stats, Some(&mut profile));
             assert!(ir.exec(root..root + 1, &mut slots, &d, None, s, profiled));
             assert_eq!(profile.ops[0].op, "join");
-            assert_eq!(profile.ops[0].rows, plan.eval(&d).len(), "{rule}");
+            assert_eq!(
+                profile.ops[0].rows,
+                plan.ir().answers(&d, None).0.len(),
+                "{rule}"
+            );
             let want = if sorts { (1, 240) } else { (0, 0) };
             let got = (stats.packed_sorts, stats.packed_rows);
             assert_eq!(got, want, "{rule}");
@@ -1778,7 +1789,7 @@ mod tests {
         let profiled = Some(&mut profile);
         assert!(ir.exec(root..root + 1, &mut slots, &d, None, &mut stats, profiled));
         assert_eq!(profile.ops[0].op, "join");
-        assert_eq!(profile.ops[0].rows, plan.eval(&d).len());
+        assert_eq!(profile.ops[0].rows, plan.ir().answers(&d, None).0.len());
         assert!(profile.ops[0].rows > 0 && stats.cursor_advances > before);
     }
 
@@ -1824,7 +1835,10 @@ mod tests {
             Some(Op::MultiJoin { inputs, .. }) if inputs.len() == 4
         ));
         let d = Structure::digraph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 1)]);
-        for (q, got) in [(&star, plan.eval(&d)), (&c6, centred.eval(&d))] {
+        for (q, got) in [
+            (&star, plan.ir().answers(&d, None).0),
+            (&c6, centred.ir().answers(&d, None).0),
+        ] {
             assert_eq!(got, crate::eval::naive::eval_naive(q, &d), "{q}");
         }
     }
@@ -1860,7 +1874,7 @@ mod tests {
         assert_eq!((semijoins_in(ir), ir.bool_len), (0, ir.ops.len()));
         for (d, witness) in cyclic_and_acyclic().iter().zip([true, false]) {
             assert_eq!(eval_boolean_naive(&c4, d), witness);
-            assert_eq!(plan.eval_boolean(d), witness);
+            assert_eq!(plan.ir().run_boolean(d, None, None).0, witness);
         }
     }
 
@@ -1966,6 +1980,7 @@ mod tests {
             bool_len: 4,
             reduction_decides: true,
             output: 2,
+            head: Vec::new(),
         };
         let d = Structure::digraph(4, &[(0, 1), (1, 2), (3, 3)]);
         let (out, _) = ir.run(&d, None, None);

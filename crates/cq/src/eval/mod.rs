@@ -2,11 +2,12 @@
 //! and the bounded-treewidth decomposition tier — the latter two
 //! compiled to the shared physical plan IR of [`ir`], executing on the
 //! columnar join kernel of [`flat`] and handing results out as the
-//! flat sorted [`Answers`] of [`answers`].
+//! flat sorted [`Answers`] of [`answers`]. A compiled plan answers
+//! through its program alone: [`PlanIr::answers`] for the answer set,
+//! [`PlanIr::run_boolean`] for `Q(D) ≠ ∅`.
 
 pub mod answers;
 pub mod decomposed;
-pub mod evaluator;
 pub mod flat;
 pub mod ir;
 pub mod naive;
@@ -14,7 +15,6 @@ pub mod yannakakis;
 
 pub use answers::{AnswerRow, Answers, AnswersBuilder, AnswersIter};
 pub use decomposed::{DecomposedPlan, NotDecomposable};
-pub use evaluator::{Evaluator, NaiveEvaluator};
 pub use flat::{
     bitmap_stats, packed_stats, AtomBinder, BitmapStats, FlatRelation, MatCacheStats, MatKey,
     MaterializationCache, PackedStats,

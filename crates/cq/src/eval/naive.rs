@@ -110,11 +110,13 @@ impl NaivePlan {
     }
 
     /// Membership check `ā ∈ Q(D)` without materializing the answer set.
-    /// Answers mentioning elements outside `D`'s universe are simply not
-    /// answers (`false`), not an error.
+    /// A tuple whose length is not the query's arity, or that mentions an
+    /// element outside `D`'s universe, is simply not an answer (`false`),
+    /// not an error.
     pub fn contains_answer(&self, d: &Structure, answer: &[Element]) -> bool {
-        assert_eq!(answer.len(), self.query.arity(), "answer arity mismatch");
-        if answer.iter().any(|&a| (a as usize) >= d.universe_size()) {
+        if answer.len() != self.query.arity()
+            || answer.iter().any(|&a| (a as usize) >= d.universe_size())
+        {
             return false;
         }
         self.solver
@@ -147,7 +149,9 @@ pub fn eval_boolean_naive(q: &ConjunctiveQuery, d: &Structure) -> bool {
     NaivePlan::compile(q.clone()).eval_boolean(d)
 }
 
-/// Membership check `ā ∈ Q(D)` without materializing the answer set.
+/// Membership check `ā ∈ Q(D)` without materializing the answer set;
+/// `false` for a tuple of the wrong length (see
+/// [`NaivePlan::contains_answer`]).
 pub fn contains_answer(q: &ConjunctiveQuery, d: &Structure, answer: &[Element]) -> bool {
     NaivePlan::compile(q.clone()).contains_answer(d, answer)
 }
@@ -207,6 +211,15 @@ mod tests {
         assert!(plan.eval_boolean(&d2));
         assert!(plan.contains_answer(&d2, &[1, 3]));
         assert!(!plan.contains_answer(&d1, &[1, 3]));
+    }
+
+    #[test]
+    fn wrong_length_answers_are_not_answers() {
+        let plan = NaivePlan::compile(parse_cq("Q(x, z) :- E(x, y), E(y, z)").unwrap());
+        let d = Structure::digraph(3, &[(0, 1), (1, 2)]);
+        assert!(plan.contains_answer(&d, &[0, 2]));
+        assert!(!plan.contains_answer(&d, &[0]), "too short");
+        assert!(!plan.contains_answer(&d, &[0, 2, 1]), "too long");
     }
 
     #[test]

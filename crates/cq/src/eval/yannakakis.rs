@@ -16,18 +16,16 @@
 //!
 //! Everything shape-dependent is computed once in
 //! [`AcyclicPlan::compile`]; evaluation is one interpreter pass of
-//! [`PlanIr`] over flat row buffers. Because the join tree's node
+//! [`PlanIr`] over flat row buffers, through [`PlanIr::answers`] or
+//! [`PlanIr::run_boolean`] on [`AcyclicPlan::ir`]. Because the join tree's node
 //! labels *are* the hyperedge schemas, surviving the reducer prefix
 //! alone decides Boolean queries (`PlanIr::reduction_decides`).
 //!
 //! [`compile_tree`]: crate::eval::ir::compile_tree
 
-use crate::ast::{Atom, ConjunctiveQuery, VarId};
-use crate::eval::answers::Answers;
-use crate::eval::flat::{MatCacheStats, MaterializationCache};
+use crate::ast::{Atom, ConjunctiveQuery};
 use crate::eval::ir::{compile_tree, MatSource, NodeSpec, PlanIr};
 use cqapx_hypergraphs::{gyo, Hypergraph};
-use cqapx_structures::Structure;
 use std::fmt;
 
 /// Error: the query is not acyclic, so no join tree exists.
@@ -53,14 +51,12 @@ impl std::error::Error for NotAcyclic {}
 /// let q = parse_cq("Q(x, w) :- E(x, y), E(y, z), E(z, w)").unwrap();
 /// let plan = AcyclicPlan::compile(&q).unwrap();
 /// let d = Structure::digraph(4, &[(0, 1), (1, 2), (2, 3)]);
-/// let answers = plan.eval(&d);
+/// let (answers, _) = plan.ir().answers(&d, None);
 /// assert_eq!(answers.len(), 1);
 /// assert!(answers.contains(&vec![0, 3]));
 /// ```
 #[derive(Debug, Clone)]
 pub struct AcyclicPlan {
-    /// The query's head, the order answers come out in.
-    head: Vec<VarId>,
     ir: PlanIr,
 }
 
@@ -101,79 +97,46 @@ impl AcyclicPlan {
             &join_tree.bottom_up_order(),
             query.free_vars(),
         );
-        Ok(AcyclicPlan {
-            head: query.free_vars().to_vec(),
-            ir,
-        })
+        Ok(AcyclicPlan { ir })
     }
 
     /// The compiled IR program.
     pub fn ir(&self) -> &PlanIr {
         &self.ir
     }
+}
 
-    /// Boolean evaluation: `Q(D) ≠ ∅`.
-    pub fn eval_boolean(&self, d: &Structure) -> bool {
-        self.eval_boolean_cached(d, None).0
-    }
-
-    /// Boolean evaluation through an optional per-database
-    /// materialization cache; also reports the cache outcome.
-    pub fn eval_boolean_cached(
-        &self,
-        d: &Structure,
-        cache: Option<&MaterializationCache>,
-    ) -> (bool, MatCacheStats) {
-        self.ir.run_boolean(d, cache, None)
-    }
-
-    /// Full evaluation: the set of answer tuples in head order.
-    pub fn eval(&self, d: &Structure) -> Answers {
-        self.eval_cached(d, None).0
-    }
-
-    /// Full evaluation through an optional per-database materialization
-    /// cache; also reports the cache outcome.
-    pub fn eval_cached(
-        &self,
-        d: &Structure,
-        cache: Option<&MaterializationCache>,
-    ) -> (Answers, MatCacheStats) {
-        self.eval_cached_profiled(d, cache, None)
-    }
-
-    /// [`AcyclicPlan::eval_cached`], optionally collecting a per-operator
-    /// [`EvalProfile`](crate::eval::EvalProfile) (`None` keeps the hot
-    /// path at one branch per operator).
-    pub fn eval_cached_profiled(
-        &self,
-        d: &Structure,
-        cache: Option<&MaterializationCache>,
-        profile: Option<&mut crate::eval::EvalProfile>,
-    ) -> (Answers, MatCacheStats) {
-        self.ir.run_answers(&self.head, d, cache, profile)
+/// The compiled program, moved out of its plan.
+impl From<AcyclicPlan> for PlanIr {
+    fn from(plan: AcyclicPlan) -> PlanIr {
+        plan.ir
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::flat::MaterializationCache;
     use crate::eval::naive::{eval_boolean_naive, eval_naive};
     use crate::parser::parse_cq;
+    use cqapx_structures::Structure;
 
     fn check_agrees(q: &str, d: &Structure) {
         let q = parse_cq(q).unwrap();
         let plan = AcyclicPlan::compile(&q).unwrap();
         assert_eq!(
-            plan.eval(d),
+            plan.ir().answers(d, None).0,
             eval_naive(&q, d),
             "Yannakakis must agree with naive on {q}"
         );
-        assert_eq!(plan.eval_boolean(d), eval_boolean_naive(&q, d));
+        assert_eq!(
+            plan.ir().run_boolean(d, None, None).0,
+            eval_boolean_naive(&q, d)
+        );
         // And through a fresh cache, twice (cold then warm).
         let cache = MaterializationCache::new();
-        let (cold, s1) = plan.eval_cached(d, Some(&cache));
-        let (warm, s2) = plan.eval_cached(d, Some(&cache));
+        let (cold, s1) = plan.ir().answers(d, Some(&cache));
+        let (warm, s2) = plan.ir().answers(d, Some(&cache));
         assert_eq!(cold, eval_naive(&q, d), "cold cache run on {q}");
         assert_eq!(warm, cold, "warm cache run on {q}");
         // The cold run materializes at least once (same-key hyperedges
@@ -222,8 +185,8 @@ mod tests {
             for d in [&yes, &no] {
                 let naive = eval_boolean_naive(&q, d);
                 let cache = MaterializationCache::new();
-                let (cold, s_cold) = plan.eval_boolean_cached(d, Some(&cache));
-                let (warm, _) = plan.eval_boolean_cached(d, Some(&cache));
+                let (cold, s_cold) = plan.ir().run_boolean(d, Some(&cache), None);
+                let (warm, _) = plan.ir().run_boolean(d, Some(&cache), None);
                 assert!(s_cold.bitmap_probes > 0, "the sweep reads bitmaps on {qs}");
                 assert_eq!(cold, naive, "bitmap sweep wrong on {qs}");
                 assert_eq!(warm, naive, "warm bitmap sweep wrong on {qs}");
@@ -260,8 +223,8 @@ mod tests {
             let plan = AcyclicPlan::compile(&q).unwrap();
             let naive = eval_naive(&q, &d);
             let cache = MaterializationCache::new();
-            let (rows, s_cold) = plan.eval_cached(&d, Some(&cache));
-            let (boolean, s_warm) = plan.eval_boolean_cached(&d, Some(&cache));
+            let (rows, s_cold) = plan.ir().answers(&d, Some(&cache));
+            let (boolean, s_warm) = plan.ir().run_boolean(&d, Some(&cache), None);
             assert_eq!(s_cold.packed_sorts > 0, sorts, "radix sorts on {qs}");
             assert_eq!(rows, naive, "naive disagrees on {qs}");
             assert_eq!(boolean, !naive.is_empty(), "boolean wrong on {qs}");
@@ -318,7 +281,7 @@ mod tests {
         let d = b.finish();
         let q = crate::parser::parse_cq_with_vocab("Q(a, c) :- R(a, b, c), S(c, d)", &v).unwrap();
         let plan = AcyclicPlan::compile(&q).unwrap();
-        assert_eq!(plan.eval(&d), eval_naive(&q, &d));
+        assert_eq!(plan.ir().answers(&d, None).0, eval_naive(&q, &d));
     }
 
     #[test]
@@ -326,8 +289,8 @@ mod tests {
         let q = parse_cq("Q() :- E(x, y), E(y, z)").unwrap();
         let plan = AcyclicPlan::compile(&q).unwrap();
         let d = Structure::digraph(2, &[(0, 1)]);
-        assert!(!plan.eval_boolean(&d));
-        assert!(plan.eval(&d).is_empty());
+        assert!(!plan.ir().run_boolean(&d, None, None).0);
+        assert!(plan.ir().answers(&d, None).0.is_empty());
     }
 
     #[test]
@@ -337,7 +300,7 @@ mod tests {
         let plan = AcyclicPlan::compile(&q).unwrap();
         // A long "comb" with dead ends.
         let d = Structure::digraph(7, &[(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (1, 6)]);
-        assert_eq!(plan.eval(&d), eval_naive(&q, &d));
+        assert_eq!(plan.ir().answers(&d, None).0, eval_naive(&q, &d));
     }
 
     #[test]
@@ -348,8 +311,8 @@ mod tests {
         let p1 = AcyclicPlan::compile(&parse_cq("Q(x, z) :- E(x, y), E(y, z)").unwrap()).unwrap();
         let p2 = AcyclicPlan::compile(&parse_cq("Q(a) :- E(a, b)").unwrap()).unwrap();
         let cache = MaterializationCache::new();
-        let (a1, s1) = p1.eval_cached(&d, Some(&cache));
-        let (a2, s2) = p2.eval_cached(&d, Some(&cache));
+        let (a1, s1) = p1.ir().answers(&d, Some(&cache));
+        let (a2, s2) = p2.ir().answers(&d, Some(&cache));
         assert_eq!(a1.len(), 3);
         assert_eq!(a2.len(), 4);
         assert_eq!(s1.misses, 1); // E(x,y) and E(y,z) are one hyperedge key

@@ -37,7 +37,6 @@ pub mod tableau;
 pub use ast::{Atom, ConjunctiveQuery, VarId};
 pub use classes::{hypergraph_of, query_graph, treewidth_of_query};
 pub use containment::{contained_in, equivalent, is_minimized, minimize, strictly_contained_in};
-pub use eval::{Evaluator, NaiveEvaluator};
 pub use parser::{parse_cq, parse_cq_with_vocab};
 pub use shape::QueryShape;
 pub use tableau::{query_from_tableau, tableau_of};

@@ -69,8 +69,9 @@ pub struct EngineConfig {
     /// fruitless searches stop near the deadline).
     pub nodes_per_ms: u64,
     /// How much the engine instruments itself (see [`MetricsLevel`]);
-    /// `Counters` by default. [`MetricsLevel::None`] reduces every
-    /// instrumentation site to a field-read branch. `Counters` is also
+    /// `Counters` by default. [`MetricsLevel::None`] skips the latency
+    /// histograms and the per-database counters; [`EngineStats`] is
+    /// counted on every request at every level. `Counters` is also
     /// what powers deadline-aware degradation — without latency
     /// histograms there is no p99 to predict from.
     pub metrics: MetricsLevel,
@@ -775,7 +776,9 @@ impl Engine {
     /// Exact membership check `ā ∈ Q(D)` — the on-demand refinement for
     /// answers not already certain: a single pinned homomorphism search
     /// on the prepared query's compiled plan, far cheaper than
-    /// materializing `Q(D)`.
+    /// materializing `Q(D)`. A tuple whose length is not the query's
+    /// arity, or that mentions an element outside the database's
+    /// universe, is not an answer: `false`, never a panic.
     pub fn refine_contains(&self, query: QueryId, db: DbId, answer: &[Element]) -> bool {
         let (q, d) = self.resolve(&Request::new(query, db));
         q.naive.contains_answer(&d.structure, answer)
@@ -896,23 +899,17 @@ impl Engine {
             (certain, ResponseStatus::Degraded, Some(hit))
         } else {
             match decision.kind {
-                PlanKind::Yannakakis => {
-                    let plan = q
-                        .yannakakis
-                        .as_ref()
-                        .expect("acyclic prepared queries carry a Yannakakis plan");
-                    let (answers, mstats) = plan.eval_cached(&d.structure, Some(&d.materialized));
-                    mat_cache.add(mstats);
-                    (answers, ResponseStatus::Complete, None)
-                }
-                PlanKind::Decomposed => {
-                    // Polynomial for the prepared width, like Yannakakis:
-                    // runs unbudgeted under the deadline policy.
-                    let plan = q
-                        .decomposed
-                        .as_ref()
-                        .expect("decomposed tier requires a compiled decomposition");
-                    let (answers, mstats) = plan.eval_cached(&d.structure, Some(&d.materialized));
+                PlanKind::Yannakakis | PlanKind::Decomposed => {
+                    // A prepared query carries at most one tree plan: the
+                    // join tree when acyclic, else the decomposition.
+                    // Polynomial for the prepared shape, so it runs
+                    // unbudgeted under the deadline policy.
+                    let ir = match (&q.yannakakis, &q.decomposed) {
+                        (Some(plan), _) => plan.ir(),
+                        (_, Some(plan)) => plan.ir(),
+                        _ => unreachable!("the tree tiers require a compiled tree plan"),
+                    };
+                    let (answers, mstats) = ir.answers(&d.structure, Some(&d.materialized));
                     mat_cache.add(mstats);
                     (answers, ResponseStatus::Complete, None)
                 }
@@ -1039,7 +1036,7 @@ impl Engine {
         (answers, hit, mat)
     }
 
-    /// `seed ∪ ⋃ Q'(D)` over the approximation's evaluators: every
+    /// `seed ∪ ⋃ Q'(D)` over the approximation's plans: every
     /// set lands in one flat buffer, canonicalized once at the end (a
     /// lone non-empty set is passed through untouched).
     fn union_certain(
@@ -1052,9 +1049,9 @@ impl Engine {
         let mut union = answers_builder(q.query().arity(), &d.structure);
         union.append(seed);
         let mut mat = MatCacheStats::default();
-        for e in &cached.evaluators {
+        for plan in &cached.evaluators {
             let (certain, mstats) =
-                e.eval_with_cache(&d.structure, &d.materialized, &ThreadBudget::sequential());
+                plan.eval_with_cache(&d.structure, &d.materialized, &ThreadBudget::sequential());
             union.append(certain);
             mat.add(mstats);
         }
@@ -1465,6 +1462,8 @@ mod tests {
         let q = e.prepare_query("tri-x", parse_cq("Q(x) :- E(x,y), E(y,z), E(z,x)").unwrap());
         assert!(e.refine_contains(q, db, &[0]));
         assert!(!e.refine_contains(q, db, &[3]));
+        assert!(!e.refine_contains(q, db, &[]), "too short");
+        assert!(!e.refine_contains(q, db, &[0, 1]), "too long");
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod engine;
 pub mod memory;
 pub mod planner;
 
-pub use cache::{ApproxCache, CachedApproximation};
+pub use cache::{ApproxCache, ApproxPlan, CachedApproximation};
 pub use catalog::{Catalog, DatabaseEntry, DbId, PreparedQuery, QueryId, RelationStats};
 pub use cqapx_cq::eval::{AnswerRow, Answers};
 pub use cqapx_metrics::{HistogramSnapshot, MetricsLevel};

@@ -388,7 +388,7 @@ mod tests {
         let d = db(20, &edges);
         // Warm the cache (materializes every bag and part, including
         // the empty loop part).
-        let (answers, stats) = plan.eval_cached(&d.structure, Some(&d.materialized));
+        let (answers, stats) = plan.ir().answers(&d.structure, Some(&d.materialized));
         assert!(answers.is_empty() && stats.misses > 0);
         let est = estimate_decomposed_cost(&plan, &d);
         // Independent recomputation from the same public inputs, one

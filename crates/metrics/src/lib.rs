@@ -5,10 +5,12 @@
 //! hand-rolled on atomics (no external crates and no locks, like the
 //! rest of the workspace's bottom layer):
 //!
-//! - [`MetricsLevel`] — whether to record at all (`None < Counters`).
-//!   Instrumented code gates on [`MetricsLevel::at_least`], a single
-//!   integer compare on a copied field, so `None` costs one predictable
-//!   branch per call site.
+//! - [`MetricsLevel`] — whether to record the instruments of this crate
+//!   (`None < Counters`). Instrumented code gates on
+//!   [`MetricsLevel::at_least`], a single integer compare on a copied
+//!   field. At `None` the engine skips its latency histograms and its
+//!   per-database counters; its aggregate `EngineStats` are counted at
+//!   every level.
 //! - [`Histogram`] — an HDR-style log-bucketed latency histogram:
 //!   power-of-two buckets (`value → 64 - leading_zeros`), lock-free
 //!   recording on relaxed atomics, quantile estimates
@@ -46,7 +48,9 @@ use std::time::Duration;
 /// compare — so the `None` path costs a single predictable branch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum MetricsLevel {
-    /// Record nothing beyond what the caller computes anyway.
+    /// Skip the latency histograms and the per-database counters. The
+    /// engine's aggregate `EngineStats` are still counted: they are kept
+    /// at every level.
     None,
     /// Latency histograms and per-database cache outcomes. The default.
     #[default]

@@ -44,9 +44,9 @@ fn main() {
     );
     let plan_under = AcyclicPlan::compile(&under).unwrap();
     let plan_over = AcyclicPlan::compile(&over).unwrap();
-    let certain = plan_under.eval(&d);
+    let certain = plan_under.ir().answers(&d, None).0;
     let exact = eval_naive(&q, &d);
-    let candidates = plan_over.eval(&d);
+    let candidates = plan_over.ir().answers(&d, None).0;
 
     println!("certain answers   (Q⁻, Yannakakis): {certain:?}");
     println!("exact answers     (Q,  naive):      {exact:?}");

@@ -44,7 +44,10 @@ fn main() {
     let d = Structure::digraph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
     let plan = AcyclicPlan::compile(q_prime).expect("approximation is acyclic");
     println!("\ndatabase: directed path with 6 nodes");
-    println!("  Q' (Yannakakis): {}", plan.eval_boolean(&d));
+    println!(
+        "  Q' (Yannakakis): {}",
+        plan.ir().run_boolean(&d, None, None).0
+    );
     println!("  Q  (naive):      {}", !eval_naive(&q, &d).is_empty());
 
     // The price of the approximation is possible incompleteness: on the
@@ -55,14 +58,14 @@ fn main() {
     println!("\ndatabase: the tableau of Q itself (canonical database)");
     println!(
         "  Q' (Yannakakis): {}  <- may miss answers…",
-        plan.eval_boolean(&d2)
+        plan.ir().run_boolean(&d2, None, None).0
     );
     println!(
         "  Q  (naive):      {}   <- …that the exact query has",
         !eval_naive(&q, &d2).is_empty()
     );
     assert!(
-        !plan.eval_boolean(&d2) || !eval_naive(&q, &d2).is_empty(),
+        !plan.ir().run_boolean(&d2, None, None).0 || !eval_naive(&q, &d2).is_empty(),
         "soundness: whenever Q' answers true, so does Q"
     );
 }

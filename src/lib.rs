@@ -26,7 +26,8 @@
 //!
 //! let plan = AcyclicPlan::compile(q_prime).unwrap();
 //! let d = Structure::digraph(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-//! assert!(plan.eval_boolean(&d));
+//! let (nonempty, _) = plan.ir().run_boolean(&d, None, None);
+//! assert!(nonempty);
 //! ```
 //!
 //! ## Crate map
@@ -60,7 +61,7 @@ pub mod prelude {
     };
     pub use cqapx_cq::{
         contained_in, equivalent, eval::naive::eval_naive, eval::AcyclicPlan, minimize, parse_cq,
-        query_from_tableau, tableau_of, ConjunctiveQuery, Evaluator, QueryShape,
+        query_from_tableau, tableau_of, ConjunctiveQuery, QueryShape,
     };
     pub use cqapx_engine::{
         Engine, EngineConfig, EngineStats, EvalMode, PlanKind, Request, Response, ResponseStatus,
