@@ -279,6 +279,9 @@ const C4: &str = "Q() :- E(a,b), E(b,c), E(c,d), E(d,a)";
 const TWO_HOP: &str = "Q(x,z) :- E(x,y), E(y,z)";
 const TRIANGLE: &str = "Q(x) :- E(x,y), E(y,z), E(z,x)";
 const THREE_HOP_HEAD: &str = "Q(x) :- E(x,y), E(y,z), E(z,w)";
+const PATH8: &str =
+    "Q() :- E(a0,a1), E(a1,a2), E(a2,a3), E(a3,a4), E(a4,a5), E(a5,a6), E(a6,a7), E(a7,a8)";
+const STAR8: &str = "Q() :- E(c,a1), E(c,a2), E(c,a3), E(c,a4), E(c,a5), E(c,a6), E(c,a7), E(c,a8)";
 
 /// The Boolean `C₄` plan's root edge is one existence call over the two
 /// bags (80,000 rows each on 5000 × 4, as the benchmark builds them).
@@ -464,6 +467,33 @@ fn swept_one_column_head_allocates_no_more_than_the_kernel_path() {
             "{q}: {calls:?} allocator calls read off the sweep and by the kernels"
         );
     }
+}
+
+/// On a graph where every vertex has an out-edge, a warm Boolean
+/// eight-edge path is rooted at its first atom, so each atom hands its
+/// parent column 0. A child's cached bitmap of that column holds every
+/// vertex, so it contains its parent's second column: the sweep records
+/// no filter, scans no row and allocates no word table. The request
+/// calls the allocator exactly as often as a warm eight-edge star, whose
+/// children hand the root its own first column. (Each node's cache hit
+/// makes one call, so the two queries have as many atoms.)
+#[test]
+fn warm_boolean_path_reads_no_row_where_every_vertex_has_an_out_edge() {
+    let engine = Engine::new(EngineConfig::default());
+    let db = engine.register_database("g", regular_digraph(2_000, 4, 0x5EED));
+    let calls = [PATH8, STAR8].map(|text| {
+        let req = Request::new(engine.prepare_query(text, parse_cq(text).unwrap()), db);
+        engine.execute(&req);
+        engine.execute(&req);
+        let (warm, calls, _) = counted(|| engine.execute(&req));
+        assert_eq!(warm.plan, PlanKind::Yannakakis, "{text}");
+        assert!(!warm.answers.is_empty(), "{text} holds");
+        calls
+    });
+    assert_eq!(
+        calls[0], calls[1],
+        "allocator calls of a warm 8-path vs a warm 8-star"
+    );
 }
 
 /// A warm two-atom request allocates the same number of times whether

@@ -707,8 +707,9 @@ pub fn sweep_vocabulary() -> Vocabulary {
 /// one head variable `head` — and its plan compiled over the rooted
 /// forest `parent` (one node per atom, `None` for a root). `parent`
 /// must describe a join forest: each atom shares only variables of its
-/// parent. The plan keeps the roots given when `head` is a variable of
-/// a root: no node holds more head variables, and ties keep the root.
+/// parent. `compile_tree` compiles the roots given, mid-way ones
+/// included, so scans that hand on a non-leading column stay covered;
+/// `AcyclicPlan::compile` chooses its own (see [`check_sweep`]).
 pub fn sweep_plan(
     atoms: &[String],
     parent: &[Option<usize>],
@@ -881,8 +882,10 @@ fn bitmap_eligible(r: &FlatRelation) -> bool {
 /// projection was read off the sweep, and all of them otherwise; its
 /// profile has the kernel path's labels (read off the sweep, the last
 /// is a `project` entry reporting the answers); and `answers` —
-/// uncached, cold and warm — is the naive evaluator's. Returns whether
-/// the answers were read off the live-value sweep.
+/// uncached, cold and warm — is the naive evaluator's. The plan
+/// `AcyclicPlan::compile` roots by its own rule agrees with `ir`
+/// ([`check_chosen_root`]). Returns whether the answers were read off
+/// the live-value sweep.
 pub fn check_sweep(q: &ConjunctiveQuery, ir: &PlanIr, d: &Structure) -> bool {
     assert!(ir.reduction_decides(), "a join forest: {q}");
     let want = eval_boolean_naive(q, d);
@@ -961,7 +964,40 @@ pub fn check_sweep(q: &ConjunctiveQuery, ir: &PlanIr, d: &Structure) -> bool {
         let (cached, _) = ir.run_boolean(d, Some(&cache), None);
         assert_eq!(cached, want, "{run}: {what}");
     }
+    check_chosen_root(q, ir, d, want);
     swept
+}
+
+/// `q` compiled by `AcyclicPlan::compile`, which picks its own roots,
+/// against the drawn-root plan `ir` whose verdict `want` the kernel
+/// sweep and `eval_boolean_naive` gave: cold, then warm through a cache
+/// of its own, the same verdict, the same answers when `q` has a head,
+/// and the same cache hits and misses. (Atoms with one variable set are
+/// one node there, materialized once: their traffic may differ.)
+fn check_chosen_root(q: &ConjunctiveQuery, ir: &PlanIr, d: &Structure, want: bool) {
+    let plan = AcyclicPlan::compile(q).expect("a join forest is acyclic");
+    let chosen = plan.ir();
+    let what = format!("{q}, {:?}", chosen.ops().to_vec());
+    let nodes = |ir: &PlanIr| ir.materialize_sources().count();
+    let same_nodes = nodes(chosen) == nodes(ir);
+    let traffic = |s: MatCacheStats| (s.hits, s.misses);
+    let caches = [MaterializationCache::new(), MaterializationCache::new()];
+    for run in ["cold", "warm"] {
+        let (drawn, drawn_stats) = ir.run_boolean(d, Some(&caches[0]), None);
+        let (got, stats) = chosen.run_boolean(d, Some(&caches[1]), None);
+        assert_eq!((got, drawn), (want, want), "{run} verdict: {what}");
+        if same_nodes {
+            assert_eq!(traffic(stats), traffic(drawn_stats), "{run}: {what}");
+        }
+        if !q.free_vars().is_empty() {
+            let (drawn, drawn_stats) = ir.answers(d, Some(&caches[0]));
+            let (got, stats) = chosen.answers(d, Some(&caches[1]));
+            assert!(got == drawn, "{run} answers: {what}");
+            if same_nodes {
+                assert_eq!(traffic(stats), traffic(drawn_stats), "{run}: {what}");
+            }
+        }
+    }
 }
 
 /// [`check_sweep`]'s checks of a plan with a head, given the slots,

@@ -540,8 +540,9 @@ proptest! {
     /// stars with several filters on the root's column, repeated
     /// variables, ternary atoms and empty keys among them — with the
     /// kernel path's counters, and a one-variable head the root covers
-    /// is read off it as the kernel path's projection, byte for byte
-    /// (see `harness::check_sweep`).
+    /// is read off it as the kernel path's projection, byte for byte;
+    /// the root `AcyclicPlan::compile` chooses answers alike, with the
+    /// same cache traffic (see `harness::check_sweep`).
     #[test]
     fn bool_sweep_matches_kernel_and_naive(case in sweep_case()) {
         let ((q, ir), d) = case;

@@ -11,7 +11,7 @@
 //! hypergraph-based notions are incomparable (Flum, Frick & Grohe).
 
 use crate::ast::ConjunctiveQuery;
-use cqapx_graphs::{treewidth, treewidth_at_most, UGraph};
+use cqapx_graphs::{treewidth, UGraph};
 use cqapx_hypergraphs::{gyo, htw, Hypergraph};
 
 /// The graph `G(Q)`: variables as nodes, co-occurrence edges.
@@ -48,21 +48,6 @@ pub fn treewidth_of_query(q: &ConjunctiveQuery) -> usize {
     treewidth(&query_graph(q))
 }
 
-/// `Q ∈ TW(k)`: the query graph has treewidth at most `k`.
-///
-/// # Examples
-///
-/// ```
-/// use cqapx_cq::{classes, parse_cq};
-///
-/// let tri = parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap();
-/// assert!(!classes::is_tw_at_most(&tri, 1));
-/// assert!(classes::is_tw_at_most(&tri, 2));
-/// ```
-pub fn is_tw_at_most(q: &ConjunctiveQuery, k: usize) -> bool {
-    treewidth_at_most(&query_graph(q), k).is_some()
-}
-
 /// `Q ∈ AC`: the query hypergraph is α-acyclic.
 ///
 /// For queries over graphs this coincides with `TW(1)` (the paper,
@@ -70,11 +55,6 @@ pub fn is_tw_at_most(q: &ConjunctiveQuery, k: usize) -> bool {
 /// cycle of length ≥ 3 once loops are set aside.
 pub fn is_acyclic_query(q: &ConjunctiveQuery) -> bool {
     gyo::is_acyclic(&hypergraph_of(q))
-}
-
-/// `Q ∈ HTW(k)`: the query hypergraph has hypertree width at most `k`.
-pub fn is_htw_at_most(q: &ConjunctiveQuery, k: usize) -> bool {
-    htw::htw_at_most(&hypergraph_of(q), k).is_some()
 }
 
 /// The hypertree width of `H(Q)`.
@@ -92,7 +72,6 @@ mod tests {
         let q = parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap();
         assert_eq!(treewidth_of_query(&q), 2);
         assert!(!is_acyclic_query(&q));
-        assert!(!is_tw_at_most(&q, 1));
         assert_eq!(hypertree_width_of_query(&q), 2);
     }
 
@@ -100,7 +79,6 @@ mod tests {
     fn path_query_acyclic() {
         let q = parse_cq("Q(x) :- E(x,y), E(y,z), E(z,w)").unwrap();
         assert!(is_acyclic_query(&q));
-        assert!(is_tw_at_most(&q, 1));
         assert_eq!(treewidth_of_query(&q), 1);
     }
 
@@ -114,7 +92,7 @@ mod tests {
         // triangle with free variables, §5.1.2) is acyclic too.
         let q = parse_cq("Q(x,y) :- E(x,y), E(y,x), E(x,x)").unwrap();
         assert!(is_acyclic_query(&q));
-        assert!(is_tw_at_most(&q, 1));
+        assert_eq!(treewidth_of_query(&q), 1);
     }
 
     #[test]
@@ -130,7 +108,7 @@ mod tests {
         // A long binary cycle: tw 2, but α-cyclic.
         let q = parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,a)").unwrap();
         assert!(!is_acyclic_query(&q));
-        assert!(is_tw_at_most(&q, 2));
+        assert_eq!(treewidth_of_query(&q), 2);
     }
 
     #[test]
@@ -147,7 +125,7 @@ mod tests {
     fn example_66_query_classes() {
         let q = parse_cq("Q() :- R(x1,x2,x3), R(x3,x4,x5), R(x5,x6,x1)").unwrap();
         assert!(!is_acyclic_query(&q));
-        assert!(is_htw_at_most(&q, 2));
+        assert_eq!(hypertree_width_of_query(&q), 2);
         let q1 = parse_cq("Q() :- R(x, y, x)").unwrap();
         assert!(is_acyclic_query(&q1));
     }

@@ -908,14 +908,14 @@ pub struct NodeSpec {
 ///    sort.
 ///
 /// `parent`/`order` describe the rooted tree (children before parents
-/// in `order`); `free` lists the query's free variables, the head the
-/// program keeps for [`PlanIr::answers`]. A genuine
-/// join tree (every label equal to its schema) with free variables is
-/// re-rooted at the node holding most of them, and its join phase
+/// in `order`), compiled as rooted; `free` lists the query's free
+/// variables, the head the program keeps for [`PlanIr::answers`]. On a
+/// genuine join tree (every label equal to its schema) the join phase
 /// skips every subtree whose join would be the identity after the full
-/// reducer: `Q(x) :- E(x,y), E(y,z), E(z,w)` runs no join at all, and
-/// its one projection, of the root onto `x`, is read off the live-value
-/// sweep ([`PlanIr::run`]).
+/// reducer: `Q(x) :- E(x,y), E(y,z), E(z,w)` rooted at `E(x,y)` (as
+/// `AcyclicPlan::compile` roots it) runs no join at all, and its one
+/// projection, of the root onto `x`, is read off the live-value sweep
+/// ([`PlanIr::run`]).
 ///
 /// The nodes' sources move into the program's [`Op::Materialize`]s.
 pub fn compile_tree(
@@ -930,51 +930,10 @@ pub fn compile_tree(
     let reduction_decides = nodes.iter().all(|s| s.label == s.source.schema);
     let free_set: BTreeSet<VarId> = free.iter().copied().collect();
 
-    // A join tree may be rooted at any node. Root each at the node
-    // holding the most free variables (ties keep the caller's root):
-    // what the root covers needs no join from below — see the join
-    // phase — and a root covering the whole head makes that phase one
-    // projection.
-    let reroot = reduction_decides && !free.is_empty();
-    let (mut parent, mut order) = (parent.to_vec(), order.to_vec());
-    if reroot {
-        let held = |u: usize| {
-            let schema = &nodes[u].source.schema;
-            schema.iter().filter(|v| free_set.contains(v)).count()
-        };
-        // Children come first in `order`: every node hands the best
-        // candidate of its subtree up to its parent.
-        let mut best: Vec<usize> = (0..n).collect();
-        for &u in &order {
-            match parent[u] {
-                Some(p) if held(best[u]) > held(best[p]) => best[p] = best[u],
-                _ => {}
-            }
-        }
-        for r in (0..n).filter(|&r| parent[r].is_none()).collect::<Vec<_>>() {
-            // Reverse the parent pointers on the path up to `r`.
-            let (mut prev, mut cur) = (None, Some(best[r]));
-            while let Some(c) = cur {
-                cur = std::mem::replace(&mut parent[c], prev);
-                prev = Some(c);
-            }
-        }
-    }
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (u, p) in (parent.iter().enumerate()).filter_map(|(u, p)| Some((u, (*p)?))) {
         children[p].push(u);
     }
-    if reroot {
-        // Children-first order of the new forest: a reversed preorder.
-        let mut stack: Vec<usize> = (0..n).filter(|&r| parent[r].is_none()).collect();
-        order.clear();
-        while let Some(u) = stack.pop() {
-            order.push(u);
-            stack.extend(&children[u]);
-        }
-        order.reverse();
-    }
-    let (parent, order) = (&parent[..], &order[..]);
 
     // Everything after the materializations, which go first once the
     // specs are no longer read (`with_materializations`). Room for all:

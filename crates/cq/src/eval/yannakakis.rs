@@ -7,7 +7,12 @@
 //!
 //! 1. group atoms by variable set — one hyperedge of `H(Q)` per group,
 //!    each a single-part [`MatSource`] with its cache key;
-//! 2. build a **join tree** via GYO reduction;
+//! 2. build a **join tree** via GYO reduction, and root it at the node
+//!    holding most head variables or, for a Boolean query, where the
+//!    fewest children hand their parent anything but column 0 of their
+//!    schema, ties keeping GYO's root. A Boolean directed path is so
+//!    rooted at an end, and where every vertex has an out-edge each
+//!    node hands on its cached column bitmap unread;
 //! 3. hand the tree to [`compile_tree`], which emits the IR program:
 //!    materializations, the full-reducer semijoin sweeps (leaves→root→
 //!    leaves, with emptiness assertions), and — for queries with free
@@ -23,7 +28,7 @@
 //!
 //! [`compile_tree`]: crate::eval::ir::compile_tree
 
-use crate::ast::{Atom, ConjunctiveQuery};
+use crate::ast::{Atom, ConjunctiveQuery, VarId};
 use crate::eval::ir::{compile_tree, MatSource, NodeSpec, PlanIr};
 use cqapx_hypergraphs::{gyo, Hypergraph};
 use std::fmt;
@@ -91,12 +96,9 @@ impl AcyclicPlan {
             })
             .collect();
 
-        let ir = compile_tree(
-            nodes,
-            &join_tree.parent_indices(),
-            &join_tree.bottom_up_order(),
-            query.free_vars(),
-        );
+        let (mut parent, mut order) = (join_tree.parent_indices(), join_tree.bottom_up_order());
+        choose_roots(&nodes, &mut parent, &mut order, query.free_vars());
+        let ir = compile_tree(nodes, &parent, &order, query.free_vars());
         Ok(AcyclicPlan { ir })
     }
 
@@ -113,10 +115,77 @@ impl From<AcyclicPlan> for PlanIr {
     }
 }
 
+/// Re-roots each tree of the join forest `parent` (`order` lists
+/// children before parents) at the node holding the most head variables
+/// `free` or, on a Boolean tree, at the node with the fewest *off-lead*
+/// edges; ties keep the given root. An edge is off-lead when the child
+/// hands its parent anything but exactly column 0 of its schema: the
+/// live-value sweep closes a run at its first live row only on column
+/// 0, and a child with no filter hands on its cached column-0 bitmap
+/// unread. Walks the parent pointers and allocates nothing; when a root
+/// moves, the nodes on the reversed path go to the end of `order`, old
+/// root first.
+fn choose_roots(
+    nodes: &[NodeSpec],
+    parent: &mut [Option<usize>],
+    order: &mut Vec<usize>,
+    free: &[VarId],
+) {
+    let schema = |u: usize| &nodes[u].source.schema[..];
+    let off_lead = |child: usize, parent: usize| {
+        let (c, p) = (schema(child), schema(parent));
+        let shared = c.iter().filter(|v| p.binary_search(v).is_ok()).count();
+        shared != 1 || p.binary_search(&c[0]).is_err()
+    };
+    // `u`'s root, and the cost of rooting at `u`: the head variables it
+    // holds, negated, or the off-lead edges it adds to the root's.
+    let walk = |parent: &[Option<usize>], u: usize| {
+        let (mut c, mut more) = (u, 0isize);
+        while let Some(p) = parent[c] {
+            more += off_lead(p, c) as isize - off_lead(c, p) as isize;
+            c = p;
+        }
+        let held = schema(u).iter().filter(|v| free.contains(v)).count();
+        (
+            c,
+            if free.is_empty() {
+                more
+            } else {
+                -(held as isize)
+            },
+        )
+    };
+    for r in 0..parent.len() {
+        if parent[r].is_some() {
+            continue;
+        }
+        let (mut best, mut least) = (r, walk(parent, r).1);
+        for &u in order.iter() {
+            match walk(parent, u) {
+                (root, cost) if root == r && cost < least => (best, least) = (u, cost),
+                _ => {}
+            }
+        }
+        if best == r {
+            continue;
+        }
+        order.retain(|&u| std::iter::successors(Some(best), |&c| parent[c]).all(|c| c != u));
+        let moved = order.len();
+        let (mut prev, mut cur) = (None, Some(best));
+        while let Some(c) = cur {
+            cur = std::mem::replace(&mut parent[c], prev);
+            prev = Some(c);
+            order.push(c);
+        }
+        order[moved..].reverse();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::flat::MaterializationCache;
+    use crate::eval::ir::Op;
     use crate::eval::naive::{eval_boolean_naive, eval_naive};
     use crate::parser::parse_cq;
     use cqapx_structures::Structure;
@@ -144,6 +213,93 @@ mod tests {
         assert!(s1.misses > 0);
         assert_eq!(s2.misses, 0);
         assert_eq!(s2.hits, s1.hits + s1.misses);
+    }
+
+    /// The slots the plan's semijoins hand on from, with the columns.
+    fn handed(plan: &AcyclicPlan) -> Vec<(usize, Vec<usize>)> {
+        (plan.ir().ops().iter())
+            .filter_map(|op| match op {
+                Op::Semijoin {
+                    source, source_pos, ..
+                } => Some((*source, source_pos.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// An eight-edge directed path, spelled forwards or backwards, is
+    /// rooted at the end whose atoms each hand their parent column 0.
+    #[test]
+    fn boolean_path_is_rooted_where_every_key_leads() {
+        let edges: Vec<String> = (0..8).map(|i| format!("E(a{i}, a{})", i + 1)).collect();
+        let forwards = edges.join(", ");
+        let backwards = edges.iter().rev().cloned().collect::<Vec<_>>().join(", ");
+        for body in [forwards, backwards] {
+            let plan = AcyclicPlan::compile(&parse_cq(&format!("Q() :- {body}")).unwrap()).unwrap();
+            let keys = handed(&plan);
+            assert_eq!(keys.len(), 7, "{body}");
+            assert!(keys.iter().all(|(_, pos)| pos == &[0]), "{body}: {keys:?}");
+        }
+    }
+
+    /// The head picks the root: `E(x, y)` for the head `x`, and
+    /// `E(z, w)` for `w`, though both edges below it then hand on
+    /// column 1. The one projection reads the root.
+    #[test]
+    fn the_head_still_picks_the_root() {
+        for (head, root) in [("x", 0), ("w", 2)] {
+            let q = parse_cq(&format!("Q({head}) :- E(x, y), E(y, z), E(z, w)")).unwrap();
+            let plan = AcyclicPlan::compile(&q).unwrap();
+            let last = plan.ir().ops().last();
+            assert!(
+                matches!(last, Some(Op::Project { src, .. }) if *src == root),
+                "Q({head}): {last:?}"
+            );
+        }
+    }
+
+    /// A tie keeps GYO's root: in `E(x, y), E(x, z)` either atom hands
+    /// the other `x`, its column 0, and GYO roots at `E(x, z)`.
+    #[test]
+    fn a_tie_keeps_the_given_root() {
+        let q = parse_cq("Q() :- E(x, y), E(x, z)").unwrap();
+        let mut h = Hypergraph::new(q.var_count());
+        for atom in q.atoms() {
+            h.add_edge(&atom.args);
+        }
+        let gyo = gyo::gyo_reduce(&h).join_tree.unwrap().parent_indices();
+        assert_eq!(gyo, [Some(1), None]);
+        let plan = AcyclicPlan::compile(&q).unwrap();
+        assert_eq!(handed(&plan), [(0, vec![0])]);
+    }
+
+    /// Each tree of a forest gets its own root. GYO hands `compile`
+    /// one tree (an atom sharing nothing hangs off another by an empty
+    /// key), so the forest is given here: two forward paths, one rooted
+    /// mid-way and one at its last atom, are rooted at their first
+    /// atoms, and the order still lists children before parents.
+    #[test]
+    fn a_forest_is_rooted_per_tree() {
+        let q = parse_cq("Q() :- E(a0, a1), E(a1, a2), E(a2, a3), E(b0, b1), E(b1, b2), E(b2, b3)")
+            .unwrap();
+        let nodes: Vec<NodeSpec> = (q.atoms().iter())
+            .map(|atom| {
+                let source = MatSource::from_groups(&[vec![atom]]);
+                NodeSpec {
+                    label: source.schema.clone(),
+                    source,
+                }
+            })
+            .collect();
+        let mut parent = vec![Some(1), None, Some(1), Some(4), Some(5), None];
+        let mut order = vec![0, 2, 1, 3, 4, 5];
+        choose_roots(&nodes, &mut parent, &mut order, &[]);
+        assert_eq!(parent, [None, Some(0), Some(1), None, Some(3), Some(4)]);
+        let position = |u: usize| order.iter().position(|&v| v == u).unwrap();
+        assert_eq!(order.len(), 6);
+        for (u, p) in parent.iter().enumerate() {
+            assert!(p.is_none_or(|p| position(u) < position(p)), "{order:?}");
+        }
     }
 
     #[test]

@@ -303,7 +303,7 @@ pub struct EngineStats {
 
 impl EngineStats {
     /// Cache hit rate in `[0, 1]` (0 when no sandwich request ran yet).
-    pub fn cache_hit_rate(&self) -> f64 {
+    fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
             0.0
@@ -581,11 +581,6 @@ impl Engine {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
-    }
-
-    /// The level the engine records at.
-    pub fn metrics_level(&self) -> MetricsLevel {
-        self.config.metrics
     }
 
     /// Whether the engine records latencies and per-database cache

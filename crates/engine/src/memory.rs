@@ -16,7 +16,7 @@ use std::mem::size_of;
 /// Estimated resident bytes of a structure: its tuple storage plus
 /// per-element bookkeeping (indexes, names) and a fixed allocation
 /// overhead.
-pub fn structure_bytes(s: &Structure) -> usize {
+fn structure_bytes(s: &Structure) -> usize {
     let tuple_elems: usize = s
         .vocabulary()
         .rel_ids()

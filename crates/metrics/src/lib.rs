@@ -39,7 +39,6 @@
 #![warn(clippy::all)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// How much instrumentation the stack records.
 ///
@@ -87,13 +86,13 @@ pub const BUCKETS: usize = 64;
 /// The bucket index a value lands in (`0` for `0`, else
 /// `64 - leading_zeros`, clamped to the last bucket).
 #[inline]
-pub fn bucket_of(value: u64) -> usize {
+fn bucket_of(value: u64) -> usize {
     (64 - value.leading_zeros() as usize).min(BUCKETS - 1)
 }
 
 /// The inclusive `[lo, hi]` range of values a bucket holds (the last
 /// bucket's `hi` is `u64::MAX`).
-pub fn bucket_bounds(bucket: usize) -> (u64, u64) {
+fn bucket_bounds(bucket: usize) -> (u64, u64) {
     assert!(bucket < BUCKETS, "bucket out of range");
     match bucket {
         0 => (0, 0),
@@ -174,12 +173,6 @@ impl Histogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.min.fetch_min(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Records a duration in microseconds.
-    #[inline]
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_micros() as u64);
     }
 
     /// Number of recorded values.

@@ -15,7 +15,7 @@
 use crate::hom::Homomorphism;
 use crate::pointed::Pointed;
 use crate::solver::HomSolver;
-use crate::structure::{Element, Structure};
+use crate::structure::Element;
 
 /// The result of a core computation.
 #[derive(Debug, Clone)]
@@ -190,11 +190,6 @@ pub fn core_of(p: &Pointed) -> CoreResult {
         retraction,
         iterations,
     }
-}
-
-/// Convenience: core of a plain (Boolean) structure.
-pub fn core_of_structure(s: &Structure) -> Structure {
-    core_of(&Pointed::boolean(s.clone())).core.structure
 }
 
 #[cfg(test)]

@@ -94,11 +94,6 @@ impl Homomorphism {
         })
     }
 
-    /// `true` when every element of `target_universe` is hit.
-    pub fn is_surjective_onto(&self, target_universe: usize) -> bool {
-        self.image_size() == target_universe
-    }
-
     /// Composes two homomorphisms: `(g ∘ self)(x) = g(self(x))`.
     pub fn then(&self, g: &Homomorphism) -> Homomorphism {
         Homomorphism {
@@ -453,7 +448,6 @@ mod tests {
         let inj = Homomorphism { map: vec![2, 0, 1] };
         assert!(!inj.is_non_injective());
         assert_eq!(inj.image_size(), 3);
-        assert!(inj.is_surjective_onto(3));
 
         let collapse = Homomorphism {
             map: vec![5, 5, 5, 5],

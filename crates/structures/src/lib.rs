@@ -40,7 +40,6 @@
 pub mod bitmap;
 pub mod core_ops;
 pub mod dict;
-pub mod dot;
 pub mod fxhash;
 pub mod hom;
 pub mod index;

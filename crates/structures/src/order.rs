@@ -41,7 +41,7 @@ pub fn hom_exists_compiled(solver: &HomSolver, a: &Pointed, b: &Pointed) -> bool
 ///
 /// Each member's solver is compiled once and each member's target index is
 /// built once, so the `n²` searches pay no per-pair setup.
-pub fn hom_matrix(family: &[Pointed]) -> Vec<Vec<bool>> {
+fn hom_matrix(family: &[Pointed]) -> Vec<Vec<bool>> {
     let n = family.len();
     let mut below = vec![vec![false; n]; n];
     for (i, a) in family.iter().enumerate() {
@@ -83,15 +83,6 @@ pub fn minimal_elements(family: &[Pointed]) -> Vec<usize> {
             // minimal iff no j with j -> i but i -/-> j
             !(0..n).any(|j| j != i && below[j][i] && !below[i][j])
         })
-        .collect()
-}
-
-/// Indices of →-maximal elements (nothing strictly above).
-pub fn maximal_elements(family: &[Pointed]) -> Vec<usize> {
-    let n = family.len();
-    let below = hom_matrix(family);
-    (0..n)
-        .filter(|&i| !(0..n).any(|j| j != i && below[i][j] && !below[j][i]))
         .collect()
 }
 
@@ -241,8 +232,6 @@ mod tests {
         let family = vec![cycle(3), cycle(6), lp(), cycle(4)];
         let mins = minimal_elements(&family);
         assert_eq!(mins, vec![1, 3]); // C6 and C4
-        let maxs = maximal_elements(&family);
-        assert_eq!(maxs, vec![2]); // the loop
     }
 
     #[test]

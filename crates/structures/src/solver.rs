@@ -74,11 +74,6 @@ impl SearchBudget {
         self.steps.load(Ordering::Relaxed)
     }
 
-    /// `true` once the counter has reached zero.
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
-    }
-
     /// Cooperatively cancels every search sharing this budget (zeroes the
     /// counter; they stop at their next branching decision).
     pub fn cancel(&self) {
@@ -182,11 +177,6 @@ impl HomSolver {
     /// The vocabulary the source (and any target) must live over.
     pub fn vocabulary(&self) -> &Vocabulary {
         &self.vocab
-    }
-
-    /// Universe size of the compiled source.
-    pub fn source_size(&self) -> usize {
-        self.n_source
     }
 
     /// Starts a search against a target; configure the returned run with
@@ -751,7 +741,7 @@ mod tests {
                 exhausted += 1;
             }
         }
-        assert!(budget.is_exhausted());
+        assert_eq!(budget.remaining(), 0);
         assert!(exhausted >= 1, "the shared budget ran dry");
         // A cancelled budget stops a fresh search immediately.
         let b2 = SearchBudget::new(u64::MAX);
@@ -771,7 +761,7 @@ mod tests {
         assert!(b.charge(5)); // partial final charge allowed
         assert_eq!(b.remaining(), 0);
         assert!(!b.charge(1));
-        assert!(b.is_exhausted());
+        assert_eq!(b.remaining(), 0);
     }
 
     #[test]

@@ -417,14 +417,6 @@ impl StructureBuilder {
         self
     }
 
-    /// Grows the universe to at least `n` elements.
-    pub fn ensure_universe(&mut self, n: usize) -> &mut Self {
-        if n > self.universe_size {
-            self.universe_size = n;
-        }
-        self
-    }
-
     /// Allocates and returns a fresh element.
     pub fn fresh(&mut self) -> Element {
         let e = self.universe_size as Element;

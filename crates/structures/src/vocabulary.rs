@@ -136,11 +136,6 @@ impl Vocabulary {
     pub fn max_arity(&self) -> usize {
         self.symbols.iter().map(|s| s.arity).max().unwrap_or(0)
     }
-
-    /// All relation symbols.
-    pub fn symbols(&self) -> &[RelationSymbol] {
-        &self.symbols
-    }
 }
 
 impl fmt::Display for Vocabulary {
