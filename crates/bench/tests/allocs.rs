@@ -23,7 +23,8 @@
 //! a query twice calls the allocator less often than one approximation
 //! search. A snapshot keeps each relation in one buffer: cloning and
 //! dropping it, or superseding it under its name, calls the allocator
-//! as often at twice the tuples.
+//! as often at twice the tuples. A hom search that only asks whether a
+//! homomorphism exists stops at the first one without copying it.
 //!
 //! Its own test binary because it installs a counting
 //! `#[global_allocator]`. The counters are thread-local, so the
@@ -37,7 +38,7 @@ use cqapx_cq::eval::{
 };
 use cqapx_cq::parse_cq;
 use cqapx_engine::{Engine, EngineConfig, EvalMode, MetricsLevel, PlanKind, Request};
-use cqapx_structures::Structure;
+use cqapx_structures::{HomSolver, Structure};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -665,5 +666,30 @@ fn re_registering_a_bigger_snapshot_allocates_no_more() {
         "{} allocator calls to re-register 20k edges, {} for 10k",
         calls[1],
         calls[0]
+    );
+}
+
+/// `exists` stops at the first homomorphism without cloning the witness
+/// `find` hands back: on the same pinned search, warmed so the target
+/// index and the solver's scratch are built, it calls the allocator at
+/// least once fewer. (An optimized build may also elide the witness the
+/// search assembles for a callback that ignores it.)
+#[test]
+fn hom_exists_copies_no_witness() {
+    let cycle = |n: u32| {
+        let edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        Structure::digraph(n as usize, &edges)
+    };
+    let (c6, c3) = (cycle(6), cycle(3));
+    let solver = HomSolver::compile(&c6);
+    let run = || solver.run(&c3).pin(0, 1);
+    assert!(run().find().is_some());
+    let (found, exists_calls, _) = counted(|| run().exists());
+    let (witness, find_calls, _) = counted(|| run().find());
+    assert!(found);
+    assert_eq!(witness.map(|h| h.map), Some(vec![1, 2, 0, 1, 2, 0]));
+    assert!(
+        exists_calls < find_calls,
+        "allocator calls: {exists_calls} for exists, {find_calls} for find"
     );
 }

@@ -17,8 +17,8 @@ use cqapx_cq::{parse_cq, query_from_tableau, tableau_of};
 use cqapx_structures::partition::{bell, for_each_partition};
 use cqapx_structures::quotient::quotient_pointed;
 use cqapx_structures::{
-    core_of, hom_exists, is_core, order, Element, HomProblem, HomSolver, Homomorphism, Partition,
-    Pointed, Structure, StructureBuilder, Vocabulary,
+    core_of, hom_exists, is_core, order, Element, HomSolver, Homomorphism, Partition, Pointed,
+    Structure, StructureBuilder, Vocabulary,
 };
 use proptest::prelude::*;
 use proptest::strategy::Just;
@@ -49,7 +49,7 @@ proptest! {
         b in digraph_structure(5),
     ) {
         let old = baseline::BaselineHom::new(&a, &b).exists();
-        let new = HomProblem::new(&a, &b).find();
+        let new = HomSolver::compile(&a).run(&b).find();
         prop_assert_eq!(old, new.is_some());
         if let Some(h) = new {
             prop_assert!(h.verify(&a, &b));
@@ -75,7 +75,8 @@ proptest! {
             .pin(ps as Element, pt as Element)
             .exclude_target(ex as Element)
             .exists();
-        let new = HomProblem::new(&a, &b)
+        let new = HomSolver::compile(&a)
+            .run(&b)
             .pin(ps as Element, pt as Element)
             .exclude_target(ex as Element)
             .find();
@@ -87,7 +88,7 @@ proptest! {
         }
 
         let old_inj = baseline::BaselineHom::new(&a, &b).injective().exists();
-        let new_inj = HomProblem::new(&a, &b).injective().find();
+        let new_inj = HomSolver::compile(&a).run(&b).injective().find();
         prop_assert_eq!(old_inj, new_inj.is_some());
         if let Some(h) = new_inj {
             prop_assert!(h.verify(&a, &b));

@@ -17,8 +17,9 @@
 //!              │        │       RelationStats (|R|, distinct)   │
 //!              │        ▼                                       │
 //!  execute /   │   ┌─────────┐  acyclic       → Yannakakis      │
-//!  batch ─────►│   │ Planner │  cheap here    → naive join      │
-//!              │   └────┬────┘  else          → sandwich        │
+//!  batch ─────►│   │ Planner │  bounded tw    → decomposed      │
+//!              │   └────┬────┘  cheap here    → naive join      │
+//!              │        │       else          → sandwich        │
 //!              │        │ (sandwich)                            │
 //!              │        ▼                                       │
 //!              │   ┌─────────────┐ key: canonical tableau       │

@@ -16,7 +16,7 @@
 
 use cqapx_graphs::{coloring, Digraph, UGraph};
 use cqapx_structures::{
-    partition::for_each_partition, quotient, HomProblem, SearchBudget, Structure,
+    partition::for_each_partition, quotient, HomSolver, SearchBudget, Structure,
 };
 use std::ops::ControlFlow;
 
@@ -45,9 +45,8 @@ pub fn exact_acyclic_homomorphism(g: &Digraph, t: &Digraph) -> bool {
         UGraph::underlying(t).is_forest(),
         "T must be an acyclic digraph"
     );
-    let gs = g.to_structure();
-    let ts = t.to_structure();
-    if !HomProblem::new(&gs, &ts).exists() {
+    let from_g = HomSolver::compile(&g.to_structure());
+    if !from_g.run(&t.to_structure()).exists() {
         return false;
     }
     for (u, v) in t.edges() {
@@ -57,7 +56,7 @@ pub fn exact_acyclic_homomorphism(g: &Digraph, t: &Digraph) -> bool {
                 sub.add_edge(a, b);
             }
         }
-        if HomProblem::new(&gs, &sub.to_structure()).exists() {
+        if from_g.run(&sub.to_structure()).exists() {
             return false;
         }
     }
@@ -79,9 +78,10 @@ pub fn graph_acyclic_approximation(g: &Digraph, t: &Digraph, max_partitions: u64
     );
     let gs = g.to_structure();
     let ts = t.to_structure();
-    if !HomProblem::new(&gs, &ts).exists() {
+    if !HomSolver::compile(&gs).run(&ts).exists() {
         return Some(false);
     }
+    let from_t = HomSolver::compile(&ts);
     let mut budget = max_partitions;
     let mut beaten = false;
     let complete = for_each_partition(g.n(), |p| {
@@ -94,7 +94,7 @@ pub fn graph_acyclic_approximation(g: &Digraph, t: &Digraph, max_partitions: u64
         if !UGraph::underlying(&qd).is_forest() {
             return ControlFlow::Continue(());
         }
-        if HomProblem::new(&q, &ts).exists() && !HomProblem::new(&ts, &q).exists() {
+        if HomSolver::compile(&q).run(&ts).exists() && !from_t.run(&q).exists() {
             beaten = true;
             return ControlFlow::Break(());
         }
@@ -113,10 +113,13 @@ pub fn graph_acyclic_approximation(g: &Digraph, t: &Digraph, max_partitions: u64
 /// search finished, `None` when the budget ran dry first.
 fn exists_budgeted(src: &Structure, tgt: &Structure, budget: &SearchBudget) -> Option<bool> {
     let mut found = false;
-    let stats = HomProblem::new(src, tgt).budget(budget).for_each(|_| {
-        found = true;
-        ControlFlow::Break(())
-    });
+    let stats = HomSolver::compile(src)
+        .run(tgt)
+        .budget(budget)
+        .for_each(|_| {
+            found = true;
+            ControlFlow::Break(())
+        });
     if found {
         Some(true)
     } else if stats.budget_exhausted {
@@ -285,7 +288,7 @@ mod tests {
         assert_eq!(s.universe_size(), 6);
         // G 3-colorable ⇔ the instance is hom-equivalent to K3: here yes.
         let k3 = generators::complete_digraph(3).to_structure();
-        assert!(HomProblem::new(&s, &k3).exists());
-        assert!(HomProblem::new(&k3, &s).exists());
+        assert!(HomSolver::compile(&s).run(&k3).exists());
+        assert!(HomSolver::compile(&k3).run(&s).exists());
     }
 }

@@ -24,7 +24,7 @@
 use crate::dp::anchored::Anchored;
 use crate::dp::big_t::BigT;
 use crate::dp::connectors::{t_ij, t_ijk};
-use cqapx_structures::{Element, HomProblem};
+use cqapx_structures::{Element, HomSolver};
 
 /// A digraph with two distinguished level-25 nodes `a`, `b` meant to be
 /// glued onto color nodes of `T`.
@@ -77,16 +77,17 @@ pub fn extended_chooser_34() -> PairGadget {
 /// maps `a` and `b` onto level-25 nodes of `T`, which are exactly
 /// `t₁ … t₄`; the 16 pinned searches below therefore cover all cases.
 pub fn pair_table(gadget: &PairGadget, t: &BigT) -> [[bool; 4]; 4] {
-    let src = gadget.g.to_structure();
+    let solver = HomSolver::compile(&gadget.g.to_structure());
     let tgt = t.g.to_structure();
     let mut table = [[false; 4]; 4];
     for (i, &ti) in t.t.iter().enumerate() {
         // Quick reject: can a land on t_i at all?
-        if !HomProblem::new(&src, &tgt).pin(gadget.a, ti).exists() {
+        if !solver.run(&tgt).pin(gadget.a, ti).exists() {
             continue;
         }
         for (j, &tj) in t.t.iter().enumerate() {
-            table[i][j] = HomProblem::new(&src, &tgt)
+            table[i][j] = solver
+                .run(&tgt)
                 .pin(gadget.a, ti)
                 .pin(gadget.b, tj)
                 .exists();

@@ -90,7 +90,7 @@ pub fn targets() -> Vec<cqapx_structures::Structure> {
 mod tests {
     use super::*;
     use cqapx_graphs::{balance, UGraph};
-    use cqapx_structures::HomProblem;
+    use cqapx_structures::HomSolver;
 
     #[test]
     fn connector_shapes() {
@@ -118,7 +118,7 @@ mod tests {
             for k in 1..=5usize {
                 let expected = k == i || k == j;
                 assert_eq!(
-                    HomProblem::new(&tij, &tg[k - 1]).exists(),
+                    HomSolver::compile(&tij).run(&tg[k - 1]).exists(),
                     expected,
                     "T_{{{i}{j}}} → T_{k} should be {expected}"
                 );
@@ -134,7 +134,7 @@ mod tests {
             for l in 1..=5usize {
                 let expected = l == i || l == j || l == k;
                 assert_eq!(
-                    HomProblem::new(&tijk, &tg[l - 1]).exists(),
+                    HomSolver::compile(&tijk).run(&tg[l - 1]).exists(),
                     expected,
                     "T_{{{i}{j}{k}}} → T_{l} should be {expected}"
                 );

@@ -63,7 +63,7 @@ pub fn w_n_k(n: usize, k: usize) -> WPath {
 mod tests {
     use super::*;
     use cqapx_graphs::balance;
-    use cqapx_structures::{core_ops, HomProblem, Pointed};
+    use cqapx_structures::{core_ops, HomSolver, Pointed};
 
     #[test]
     fn w_n_shape() {
@@ -108,7 +108,7 @@ mod tests {
                 for (j, b) in family.iter().enumerate() {
                     if i != j {
                         assert!(
-                            !HomProblem::new(a, b).exists(),
+                            !HomSolver::compile(a).run(b).exists(),
                             "W_{n}^{} ↛ W_{n}^{}",
                             i + 1,
                             j + 1
@@ -124,6 +124,6 @@ mod tests {
         // W_n without a marker folds: W_n → W_1 (all teeth collapse).
         let w5 = w_n(5).g.to_structure();
         let w1 = w_n(1).g.to_structure();
-        assert!(HomProblem::new(&w5, &w1).exists());
+        assert!(HomSolver::compile(&w5).run(&w1).exists());
     }
 }

@@ -50,7 +50,7 @@ pub fn p_ijk(i: usize, j: usize, k: usize) -> OrientedPath {
 mod tests {
     use super::*;
     use cqapx_graphs::balance;
-    use cqapx_structures::{core_ops, HomProblem, Pointed, Structure};
+    use cqapx_structures::{core_ops, HomSolver, Pointed, Structure};
 
     fn s(p: &OrientedPath) -> Structure {
         p.to_digraph().to_structure()
@@ -79,7 +79,12 @@ mod tests {
             );
             for (j, b) in paths.iter().enumerate() {
                 if i != j {
-                    assert!(!HomProblem::new(a, b).exists(), "P_{} ↛ P_{}", i + 1, j + 1);
+                    assert!(
+                        !HomSolver::compile(a).run(b).exists(),
+                        "P_{} ↛ P_{}",
+                        i + 1,
+                        j + 1
+                    );
                 }
             }
         }
@@ -94,7 +99,7 @@ mod tests {
                 let pk = s(&p_i(k));
                 let expected = k == i || k == j;
                 assert_eq!(
-                    HomProblem::new(&pij, &pk).exists(),
+                    HomSolver::compile(&pij).run(&pk).exists(),
                     expected,
                     "P_{{{i},{j}}} → P_{k} should be {expected}"
                 );
@@ -110,7 +115,7 @@ mod tests {
                 let pl = s(&p_i(l));
                 let expected = l == i || l == j || l == k;
                 assert_eq!(
-                    HomProblem::new(&pijk, &pl).exists(),
+                    HomSolver::compile(&pijk).run(&pl).exists(),
                     expected,
                     "P_{{{i},{j},{k}}} → P_{l} should be {expected}"
                 );

@@ -126,7 +126,7 @@ pub fn t_5() -> Anchored {
 mod tests {
     use super::*;
     use cqapx_graphs::{balance, UGraph};
-    use cqapx_structures::{core_ops, HomProblem, Pointed};
+    use cqapx_structures::{core_ops, HomSolver, Pointed};
     use std::ops::ControlFlow;
 
     #[test]
@@ -171,7 +171,7 @@ mod tests {
         let q = q_star().g.to_structure();
         for i in 1..=4 {
             let t = t_i(i).g.to_structure();
-            assert!(HomProblem::new(&q, &t).exists(), "Q* → T_{i}");
+            assert!(HomSolver::compile(&q).run(&t).exists(), "Q* → T_{i}");
         }
     }
 
@@ -182,7 +182,7 @@ mod tests {
         for i in 1..=4 {
             let t = t_i(i).g.to_structure();
             let mut count = 0u32;
-            HomProblem::new(&q, &t).for_each(|_| {
+            HomSolver::compile(&q).run(&t).for_each(|_| {
                 count += 1;
                 if count > 1 {
                     ControlFlow::Break(())
@@ -208,7 +208,12 @@ mod tests {
         for (i, a) in ts.iter().enumerate() {
             for (j, b) in ts.iter().enumerate() {
                 if i != j {
-                    assert!(!HomProblem::new(a, b).exists(), "T_{} ↛ T_{}", i + 1, j + 1);
+                    assert!(
+                        !HomSolver::compile(a).run(b).exists(),
+                        "T_{} ↛ T_{}",
+                        i + 1,
+                        j + 1
+                    );
                 }
             }
         }
@@ -226,6 +231,6 @@ mod tests {
     fn q_star_does_not_map_to_t5() {
         let q = q_star().g.to_structure();
         let t5 = t_5().g.to_structure();
-        assert!(!HomProblem::new(&q, &t5).exists(), "Q* ↛ T₅");
+        assert!(!HomSolver::compile(&q).run(&t5).exists(), "Q* ↛ T₅");
     }
 }

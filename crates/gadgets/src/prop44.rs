@@ -170,7 +170,7 @@ pub fn all_words(n: usize) -> Vec<Vec<Fold>> {
 mod tests {
     use super::*;
     use cqapx_graphs::{balance, UGraph};
-    use cqapx_structures::{core_ops, HomProblem, Pointed};
+    use cqapx_structures::{core_ops, HomSolver, Pointed};
 
     #[test]
     fn d_shape() {
@@ -188,8 +188,8 @@ mod tests {
         // Claim 4.6.
         let dac = digraph_d_ac().to_structure();
         let dbd = digraph_d_bd().to_structure();
-        assert!(!HomProblem::new(&dac, &dbd).exists(), "D_ac ↛ D_bd");
-        assert!(!HomProblem::new(&dbd, &dac).exists(), "D_bd ↛ D_ac");
+        assert!(!HomSolver::compile(&dac).run(&dbd).exists(), "D_ac ↛ D_bd");
+        assert!(!HomSolver::compile(&dbd).run(&dac).exists(), "D_bd ↛ D_ac");
         assert!(core_ops::is_core(&Pointed::boolean(dac)));
         assert!(core_ops::is_core(&Pointed::boolean(dbd)));
     }
@@ -211,7 +211,9 @@ mod tests {
         // G_n → G_n^s via the quotient map (Claim 4.8 direction).
         let (g2, _) = g_n(2);
         let g2s = g_n_s(&[Fold::V, Fold::H]);
-        assert!(HomProblem::new(&g2.to_structure(), &g2s.to_structure()).exists());
+        assert!(HomSolver::compile(&g2.to_structure())
+            .run(&g2s.to_structure())
+            .exists());
         assert!(UGraph::underlying(&g2s).is_forest(), "G_n^s ∈ TW(1)");
     }
 
@@ -227,7 +229,10 @@ mod tests {
             );
             for (j, b) in folds.iter().enumerate() {
                 if i != j {
-                    assert!(!HomProblem::new(a, b).exists(), "fold {i} ↛ fold {j}");
+                    assert!(
+                        !HomSolver::compile(a).run(b).exists(),
+                        "fold {i} ↛ fold {j}"
+                    );
                 }
             }
         }

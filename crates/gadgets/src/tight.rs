@@ -54,7 +54,7 @@ mod tests {
     use cqapx_core::{all_approximations, ApproxOptions, TwK};
     use cqapx_cq::{equivalent, parse_cq, query_from_tableau};
     use cqapx_graphs::{balance, coloring};
-    use cqapx_structures::{HomProblem, Pointed};
+    use cqapx_structures::{HomSolver, Pointed};
 
     #[test]
     fn gk_maps_to_path() {
@@ -62,11 +62,15 @@ mod tests {
         for k in 3..=6 {
             let g = g_k(k).to_structure();
             let p = Digraph::directed_path(k + 1).to_structure();
-            assert!(HomProblem::new(&g, &p).exists(), "G_{k} → P_{}", k + 1);
+            assert!(
+                HomSolver::compile(&g).run(&p).exists(),
+                "G_{k} → P_{}",
+                k + 1
+            );
             // And not to the shorter path (G_k has a directed k-path and
             // rungs that stretch it).
             let shorter = Digraph::directed_path(k).to_structure();
-            assert!(!HomProblem::new(&g, &shorter).exists());
+            assert!(!HomSolver::compile(&g).run(&shorter).exists());
         }
     }
 

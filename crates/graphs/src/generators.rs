@@ -135,11 +135,11 @@ mod tests {
 
     #[test]
     fn zigzag_equivalent_to_edge() {
-        use cqapx_structures::HomProblem;
+        use cqapx_structures::HomSolver;
         let z = zigzag(3).to_structure();
         let e = Digraph::directed_path(1).to_structure();
-        assert!(HomProblem::new(&z, &e).exists());
-        assert!(HomProblem::new(&e, &z).exists());
+        assert!(HomSolver::compile(&z).run(&e).exists());
+        assert!(HomSolver::compile(&e).run(&z).exists());
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl fmt::Display for OrientedPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqapx_structures::HomProblem;
+    use cqapx_structures::HomSolver;
 
     #[test]
     fn parse_and_display() {
@@ -213,8 +213,8 @@ mod tests {
         // are incomparable cores. Verify with the hom engine.
         let p1 = OrientedPath::parse("001000").to_digraph().to_structure();
         let p2 = OrientedPath::parse("000100").to_digraph().to_structure();
-        assert!(!HomProblem::new(&p1, &p2).exists());
-        assert!(!HomProblem::new(&p2, &p1).exists());
+        assert!(!HomSolver::compile(&p1).run(&p2).exists());
+        assert!(!HomSolver::compile(&p2).run(&p1).exists());
         use cqapx_structures::{core_ops, Pointed};
         assert!(core_ops::is_core(&Pointed::boolean(p1)));
         assert!(core_ops::is_core(&Pointed::boolean(p2)));

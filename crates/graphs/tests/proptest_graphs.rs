@@ -104,10 +104,10 @@ proptest! {
     /// the paper uses).
     #[test]
     fn coloring_agrees_with_hom(g in digraph_strategy(6, 10), k in 1usize..4) {
-        use cqapx_structures::HomProblem;
+        use cqapx_structures::HomSolver;
         let colorable = coloring::is_k_colorable(&g, k);
         let kk = cqapx_graphs::generators::complete_digraph(k).to_structure();
-        let via_hom = HomProblem::new(&g.to_structure(), &kk).exists();
+        let via_hom = HomSolver::compile(&g.to_structure()).run(&kk).exists();
         prop_assert_eq!(colorable, via_hom);
     }
 
@@ -132,10 +132,10 @@ proptest! {
     /// level differences match edge orientation.
     #[test]
     fn balanced_iff_hom_to_path(g in digraph_strategy(6, 8)) {
-        use cqapx_structures::HomProblem;
+        use cqapx_structures::HomSolver;
         let info = balance::levels(&g);
         let long_path = Digraph::directed_path(12).to_structure();
-        let maps = HomProblem::new(&g.to_structure(), &long_path).exists();
+        let maps = HomSolver::compile(&g.to_structure()).run(&long_path).exists();
         prop_assert_eq!(info.balanced, maps, "balanced ⇔ hom to long path");
         if info.balanced {
             for (u, v) in g.edges() {
@@ -151,11 +151,11 @@ proptest! {
     /// Bipartiteness ⇔ hom to K⃗₂.
     #[test]
     fn bipartite_iff_hom_to_k2(g in digraph_strategy(6, 10)) {
-        use cqapx_structures::HomProblem;
+        use cqapx_structures::HomSolver;
         let k2 = Digraph::from_edges(2, &[(0, 1), (1, 0)]).to_structure();
         prop_assert_eq!(
             coloring::is_bipartite(&g),
-            HomProblem::new(&g.to_structure(), &k2).exists()
+            HomSolver::compile(&g.to_structure()).run(&k2).exists()
         );
     }
 }

@@ -195,7 +195,7 @@ pub fn core_of(p: &Pointed) -> CoreResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hom::HomProblem;
+    use crate::solver::HomSolver;
     use crate::structure::Structure;
 
     fn cycle(n: usize) -> Structure {
@@ -237,8 +237,8 @@ mod tests {
         assert_eq!(r.core.structure.universe_size(), 3);
         assert!(is_core(&r.core));
         // Core is hom-equivalent to the original.
-        assert!(HomProblem::new(&g, &r.core.structure).exists());
-        assert!(HomProblem::new(&r.core.structure, &g).exists());
+        assert!(HomSolver::compile(&g).run(&r.core.structure).exists());
+        assert!(HomSolver::compile(&r.core.structure).run(&g).exists());
     }
 
     #[test]

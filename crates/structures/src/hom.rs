@@ -1,16 +1,15 @@
-//! The homomorphism facade: [`Homomorphism`] witnesses and the one-shot
-//! [`HomProblem`] builder.
+//! The homomorphism facade: [`Homomorphism`] witnesses and
+//! [`HomSearchStats`].
 //!
 //! Finding a homomorphism `D₁ → D₂` between relational structures is
 //! exactly solving a constraint satisfaction problem (Kolaitis & Vardi):
 //! variables are the elements of `D₁`, domains are the elements of `D₂`,
 //! and every tuple of `D₁` is a table constraint over the corresponding
-//! tuples of `D₂`. The search itself lives in [`crate::solver`]: a
-//! propagation solver (AC-3 over table constraints, MRV branching) running
-//! on the per-structure inverted indexes of [`crate::index`].
-//! `HomProblem` is the convenience wrapper for one-shot questions; when
-//! one source is solved against many targets or variants, compile it once
-//! with [`HomSolver::compile`](crate::HomSolver) instead.
+//! tuples of `D₂`. The search itself lives in [`crate::solver`], and it
+//! has one builder: [`HomSolver::compile`](crate::HomSolver) compiles a
+//! source once, and each [`HomSolver::run`](crate::HomSolver::run)
+//! against a target returns a [`HomRun`](crate::HomRun) to configure
+//! (pins, exclusions, injectivity, a shared budget) and execute.
 //!
 //! The same engine serves the whole workspace:
 //!
@@ -21,12 +20,25 @@
 //! * verification of the paper's gadget claims (incomparability of oriented
 //!   paths, chooser properties, …).
 
-use crate::solver::{HomRun, HomSolver, SearchBudget};
 use crate::structure::{Element, Structure};
 use std::cell::RefCell;
-use std::ops::ControlFlow;
 
 /// A homomorphism, stored as the image of each source element.
+///
+/// # Examples
+///
+/// ```
+/// use cqapx_structures::{HomSolver, Structure};
+///
+/// let c3 = Structure::digraph(3, &[(0, 1), (1, 2), (2, 0)]);
+/// let c6 = Structure::digraph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
+/// // A directed 6-cycle maps onto a directed 3-cycle…
+/// let h = HomSolver::compile(&c6).run(&c3).pin(0, 0).find().unwrap();
+/// assert_eq!(h.map, vec![0, 1, 2, 0, 1, 2]);
+/// assert!(h.verify(&c6, &c3));
+/// // …but not the other way around.
+/// assert!(!HomSolver::compile(&c3).run(&c6).exists());
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Homomorphism {
     /// `map[e]` is the image of source element `e`.
@@ -139,142 +151,13 @@ pub struct HomSearchStats {
     pub budget_exhausted: bool,
 }
 
-/// A one-shot homomorphism search problem `source → target` with optional
-/// constraints.
-///
-/// This is sugar over [`HomSolver`]: each execution compiles the source
-/// and runs once. Prefer compiling a [`HomSolver`] directly when solving
-/// one source against many targets or variants.
-///
-/// # Examples
-///
-/// ```
-/// use cqapx_structures::{HomProblem, Structure};
-///
-/// let c3 = Structure::digraph(3, &[(0, 1), (1, 2), (2, 0)]);
-/// let c6 = Structure::digraph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-/// // A directed 6-cycle maps onto a directed 3-cycle…
-/// assert!(HomProblem::new(&c6, &c3).exists());
-/// // …but not the other way around.
-/// assert!(!HomProblem::new(&c3, &c6).exists());
-/// ```
-pub struct HomProblem<'a> {
-    source: &'a Structure,
-    target: &'a Structure,
-    pins: Vec<(Element, Element)>,
-    excluded: Vec<Element>,
-    injective: bool,
-    budget: Option<SearchBudget>,
-}
-
-impl<'a> HomProblem<'a> {
-    /// Creates a search problem for homomorphisms `source → target`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the vocabularies differ.
-    pub fn new(source: &'a Structure, target: &'a Structure) -> Self {
-        assert_eq!(
-            source.vocabulary(),
-            target.vocabulary(),
-            "homomorphisms need a common vocabulary"
-        );
-        HomProblem {
-            source,
-            target,
-            pins: Vec::new(),
-            excluded: Vec::new(),
-            injective: false,
-            budget: None,
-        }
-    }
-
-    /// Forces `h(src) = tgt` (used for distinguished tuples).
-    pub fn pin(mut self, src: Element, tgt: Element) -> Self {
-        self.pins.push((src, tgt));
-        self
-    }
-
-    /// Forces `h(src[i]) = tgt[i]` for every position.
-    pub fn pin_tuple(mut self, src: &[Element], tgt: &[Element]) -> Self {
-        assert_eq!(src.len(), tgt.len(), "pinned tuples must align");
-        self.pins
-            .extend(src.iter().copied().zip(tgt.iter().copied()));
-        self
-    }
-
-    /// Forbids a target element from appearing in the image.
-    pub fn exclude_target(mut self, t: Element) -> Self {
-        self.excluded.push(t);
-        self
-    }
-
-    /// Requires the homomorphism to be injective on elements.
-    pub fn injective(mut self) -> Self {
-        self.injective = true;
-        self
-    }
-
-    /// Caps the number of search nodes (for anytime / bounded uses).
-    pub fn node_budget(mut self, budget: u64) -> Self {
-        self.budget = Some(SearchBudget::new(budget));
-        self
-    }
-
-    /// Shares an existing step budget with this search (cooperative
-    /// cancellation across searches; see [`SearchBudget`]).
-    pub fn budget(mut self, budget: &SearchBudget) -> Self {
-        self.budget = Some(budget.clone());
-        self
-    }
-
-    fn configure<'s>(&self, solver: &'s HomSolver) -> HomRun<'s, 'a> {
-        let mut run = solver.run(self.target);
-        for &(s, t) in &self.pins {
-            run = run.pin(s, t);
-        }
-        for &e in &self.excluded {
-            run = run.exclude_target(e);
-        }
-        if self.injective {
-            run = run.injective();
-        }
-        if let Some(b) = &self.budget {
-            run = run.budget(b);
-        }
-        run
-    }
-
-    /// Finds one homomorphism, if any.
-    pub fn find(&self) -> Option<Homomorphism> {
-        let solver = HomSolver::compile(self.source);
-        self.configure(&solver).find()
-    }
-
-    /// `true` when a homomorphism exists.
-    pub fn exists(&self) -> bool {
-        self.find().is_some()
-    }
-
-    /// Enumerates all homomorphisms, stopping early when the callback
-    /// breaks. Returns the search statistics.
-    pub fn for_each<F: FnMut(&Homomorphism) -> ControlFlow<()>>(&self, f: F) -> HomSearchStats {
-        let solver = HomSolver::compile(self.source);
-        self.configure(&solver).for_each(f)
-    }
-
-    /// Counts homomorphisms, up to an optional limit.
-    pub fn count(&self, limit: Option<u64>) -> u64 {
-        let solver = HomSolver::compile(self.source);
-        self.configure(&solver).count(limit)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::{HomSolver, SearchBudget};
     use crate::structure::StructureBuilder;
     use crate::vocabulary::Vocabulary;
+    use std::ops::ControlFlow;
 
     fn cycle(n: usize) -> Structure {
         let edges: Vec<(Element, Element)> = (0..n)
@@ -292,35 +175,35 @@ mod tests {
     #[test]
     fn cycle_homomorphisms() {
         // C6 -> C3 exists (wrap twice), C3 -> C6 does not.
-        assert!(HomProblem::new(&cycle(6), &cycle(3)).exists());
-        assert!(!HomProblem::new(&cycle(3), &cycle(6)).exists());
+        assert!(HomSolver::compile(&cycle(6)).run(&cycle(3)).exists());
+        assert!(!HomSolver::compile(&cycle(3)).run(&cycle(6)).exists());
         // C4 -> C2 exists.
-        assert!(HomProblem::new(&cycle(4), &cycle(2)).exists());
+        assert!(HomSolver::compile(&cycle(4)).run(&cycle(2)).exists());
         // C3 -> C3 exists (rotations): exactly 3 of them.
-        assert_eq!(HomProblem::new(&cycle(3), &cycle(3)).count(None), 3);
+        assert_eq!(HomSolver::compile(&cycle(3)).run(&cycle(3)).count(), 3);
     }
 
     #[test]
     fn path_to_path() {
         // P2 -> P4 (slide along), P4 -> P2 impossible (too long).
-        assert!(HomProblem::new(&path(2), &path(4)).exists());
-        assert!(!HomProblem::new(&path(4), &path(2)).exists());
+        assert!(HomSolver::compile(&path(2)).run(&path(4)).exists());
+        assert!(!HomSolver::compile(&path(4)).run(&path(2)).exists());
     }
 
     #[test]
     fn loop_absorbs_everything() {
         let lp = Structure::digraph(1, &[(0, 0)]);
-        assert!(HomProblem::new(&cycle(3), &lp).exists());
-        assert!(HomProblem::new(&cycle(5), &lp).exists());
-        assert!(!HomProblem::new(&lp, &cycle(3)).exists());
+        assert!(HomSolver::compile(&cycle(3)).run(&lp).exists());
+        assert!(HomSolver::compile(&cycle(5)).run(&lp).exists());
+        assert!(!HomSolver::compile(&lp).run(&cycle(3)).exists());
     }
 
     #[test]
     fn k2_bidirectional() {
         // K2^<-> (edges both ways) receives every bipartite digraph.
         let k2 = Structure::digraph(2, &[(0, 1), (1, 0)]);
-        assert!(HomProblem::new(&cycle(4), &k2).exists());
-        assert!(!HomProblem::new(&cycle(3), &k2).exists());
+        assert!(HomSolver::compile(&cycle(4)).run(&k2).exists());
+        assert!(!HomSolver::compile(&cycle(3)).run(&k2).exists());
     }
 
     #[test]
@@ -328,7 +211,7 @@ mod tests {
         let p = path(2); // 0 -> 1 -> 2
         let c = cycle(3);
         // pin 0 -> 0: forced 1 -> 1, 2 -> 2.
-        let h = HomProblem::new(&p, &c).pin(0, 0).find().unwrap();
+        let h = HomSolver::compile(&p).run(&c).pin(0, 0).find().unwrap();
         assert_eq!(h.map, vec![0, 1, 2]);
         assert!(h.verify(&p, &c));
     }
@@ -338,7 +221,11 @@ mod tests {
         let p = path(1);
         let c = cycle(3);
         // Excluding all of 0,1 leaves only the image {2 -> 0} edge (2,0):
-        let h = HomProblem::new(&p, &c).exclude_target(1).find().unwrap();
+        let h = HomSolver::compile(&p)
+            .run(&c)
+            .exclude_target(1)
+            .find()
+            .unwrap();
         assert!(h.verify(&p, &c));
         assert!(!h.map.contains(&1));
     }
@@ -347,21 +234,24 @@ mod tests {
     fn injective_search() {
         let p = path(2);
         let c = cycle(3);
-        let h = HomProblem::new(&p, &c).injective().find().unwrap();
+        let h = HomSolver::compile(&p).run(&c).injective().find().unwrap();
         assert_eq!(h.image_size(), 3);
         // Injective C3 -> P2 impossible.
-        assert!(!HomProblem::new(&cycle(3), &path(2)).injective().exists());
+        assert!(!HomSolver::compile(&cycle(3))
+            .run(&path(2))
+            .injective()
+            .exists());
     }
 
     #[test]
     fn count_all() {
         // homs from a single edge into C3: the 3 edges.
         let e1 = path(1);
-        assert_eq!(HomProblem::new(&e1, &cycle(3)).count(None), 3);
+        assert_eq!(HomSolver::compile(&e1).run(&cycle(3)).count(), 3);
         // homs from a single vertex-with-no-edges? Universe must be active
         // normally; test isolated-node behaviour anyway.
         let isolated = Structure::digraph(1, &[]);
-        assert_eq!(HomProblem::new(&isolated, &cycle(3)).count(None), 3);
+        assert_eq!(HomSolver::compile(&isolated).run(&cycle(3)).count(), 3);
     }
 
     #[test]
@@ -369,9 +259,9 @@ mod tests {
         // Source demands a loop: tuple (x, x).
         let lp = Structure::digraph(1, &[(0, 0)]);
         let c3 = cycle(3);
-        assert!(!HomProblem::new(&lp, &c3).exists());
+        assert!(!HomSolver::compile(&lp).run(&c3).exists());
         let c3_with_loop = Structure::digraph(3, &[(0, 1), (1, 2), (2, 0), (1, 1)]);
-        let h = HomProblem::new(&lp, &c3_with_loop).find().unwrap();
+        let h = HomSolver::compile(&lp).run(&c3_with_loop).find().unwrap();
         assert_eq!(h.map, vec![1]);
     }
 
@@ -388,7 +278,7 @@ mod tests {
         let tgt = b.finish();
         let sols: Vec<_> = {
             let mut v = Vec::new();
-            HomProblem::new(&src, &tgt).for_each(|h| {
+            HomSolver::compile(&src).run(&tgt).for_each(|h| {
                 v.push(h.map.clone());
                 ControlFlow::Continue(())
             });
@@ -401,8 +291,9 @@ mod tests {
     #[test]
     fn budget_exhaustion_reported() {
         let big = cycle(12);
-        let stats = HomProblem::new(&big, &cycle(3))
-            .node_budget(1)
+        let stats = HomSolver::compile(&big)
+            .run(&cycle(3))
+            .budget(&SearchBudget::new(1))
             .for_each(|_| ControlFlow::Continue(()));
         assert!(stats.budget_exhausted || stats.nodes <= 1);
     }
@@ -421,8 +312,8 @@ mod tests {
         let c6 = cycle(6);
         let c3 = cycle(3);
         let lp = Structure::digraph(1, &[(0, 0)]);
-        let h1 = HomProblem::new(&c6, &c3).find().unwrap();
-        let h2 = HomProblem::new(&c3, &lp).find().unwrap();
+        let h1 = HomSolver::compile(&c6).run(&c3).find().unwrap();
+        let h2 = HomSolver::compile(&c3).run(&lp).find().unwrap();
         let h = h1.then(&h2);
         assert!(h.verify(&c6, &lp));
     }
@@ -432,12 +323,14 @@ mod tests {
         let v = Vocabulary::graphs();
         let empty = Structure::empty(v, 0);
         let c3 = cycle(3);
-        assert!(HomProblem::new(&empty, &c3).exists());
+        assert!(HomSolver::compile(&empty).run(&c3).exists());
     }
 
     #[test]
     fn stats_nodes_counted() {
-        let stats = HomProblem::new(&cycle(4), &cycle(2)).for_each(|_| ControlFlow::Continue(()));
+        let stats = HomSolver::compile(&cycle(4))
+            .run(&cycle(2))
+            .for_each(|_| ControlFlow::Continue(()));
         assert!(stats.nodes > 0);
     }
 

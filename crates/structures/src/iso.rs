@@ -2,9 +2,9 @@
 //! signatures for hashing structures up to isomorphism.
 
 use crate::fxhash::FxHasher;
-use crate::hom::HomProblem;
 use crate::pointed::Pointed;
-use crate::structure::Structure;
+use crate::solver::HomSolver;
+use crate::structure::{Element, Structure};
 use std::hash::{Hash, Hasher};
 
 /// `true` when the two structures are isomorphic.
@@ -27,41 +27,36 @@ use std::hash::{Hash, Hasher};
 /// assert!(!isomorphic(&a, &p));
 /// ```
 pub fn isomorphic(a: &Structure, b: &Structure) -> bool {
-    if a.vocabulary() != b.vocabulary() {
-        return false;
-    }
-    if a.universe_size() != b.universe_size() {
-        return false;
-    }
-    for rel in a.vocabulary().rel_ids() {
-        if a.tuples(rel).len() != b.tuples(rel).len() {
-            return false;
-        }
-    }
-    HomProblem::new(a, b).injective().exists()
+    bijection_exists(a, &[], b, &[])
 }
 
 /// Isomorphism of pointed structures: a structure isomorphism mapping the
 /// distinguished tuple of `a` to that of `b` pointwise.
 pub fn isomorphic_pointed(a: &Pointed, b: &Pointed) -> bool {
-    if a.structure.vocabulary() != b.structure.vocabulary() {
-        return false;
-    }
-    if a.structure.universe_size() != b.structure.universe_size() {
-        return false;
-    }
-    if a.distinguished().len() != b.distinguished().len() {
-        return false;
-    }
-    for rel in a.structure.vocabulary().rel_ids() {
-        if a.structure.tuples(rel).len() != b.structure.tuples(rel).len() {
-            return false;
-        }
-    }
-    HomProblem::new(&a.structure, &b.structure)
-        .pin_tuple(a.distinguished(), b.distinguished())
-        .injective()
-        .exists()
+    bijection_exists(
+        &a.structure,
+        a.distinguished(),
+        &b.structure,
+        b.distinguished(),
+    )
+}
+
+/// An injective homomorphism `a → b` with `ā ↦ b̄` pointwise, once the
+/// sizes and per-relation tuple counts agree: with equal counts it is an
+/// isomorphism.
+fn bijection_exists(a: &Structure, at: &[Element], b: &Structure, bt: &[Element]) -> bool {
+    let counts_agree = a.vocabulary() == b.vocabulary()
+        && a.universe_size() == b.universe_size()
+        && at.len() == bt.len()
+        && a.vocabulary()
+            .rel_ids()
+            .all(|rel| a.tuples(rel).len() == b.tuples(rel).len());
+    counts_agree
+        && HomSolver::compile(a)
+            .run(b)
+            .pin_tuple(at, bt)
+            .injective()
+            .exists()
 }
 
 /// A cheap isomorphism invariant of a pointed structure, usable as a hash
@@ -197,7 +192,6 @@ pub fn signature_pointed(p: &Pointed) -> IsoSignature {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::structure::Element;
 
     fn cycle(n: usize) -> Structure {
         let edges: Vec<(Element, Element)> = (0..n)
@@ -236,6 +230,25 @@ mod tests {
         let p1 = Pointed::new(Structure::digraph(2, &[(0, 1)]), vec![0]);
         let p2 = Pointed::new(Structure::digraph(2, &[(0, 1)]), vec![1]);
         assert!(!isomorphic_pointed(&p1, &p2));
+    }
+
+    #[test]
+    fn pointed_isomorphism_on_the_directed_triangle() {
+        let at = |t: Vec<Element>| Pointed::new(cycle(3), t);
+        // One way the pins conflict (0 ↦ 0 and 0 ↦ 1); the other way two
+        // pinned elements share an image (0 ↦ 0 and 1 ↦ 0).
+        assert!(!isomorphic_pointed(&at(vec![0, 0]), &at(vec![0, 1])));
+        assert!(!isomorphic_pointed(&at(vec![0, 1]), &at(vec![0, 0])));
+        // The rotation 0 ↦ 1 carries (0, 0) onto (1, 1).
+        assert!(isomorphic_pointed(&at(vec![0, 0]), &at(vec![1, 1])));
+        // Tuples of different lengths never correspond.
+        assert!(!isomorphic_pointed(&at(vec![0]), &at(vec![0, 1])));
+        assert!(!isomorphic_pointed(&at(vec![0, 1]), &at(vec![0])));
+        // With two loops every map is a homomorphism: injectivity alone
+        // keeps the pinned 0 and 1 apart.
+        let loops = Structure::digraph(2, &[(0, 0), (1, 1)]);
+        let a = Pointed::new(loops.clone(), vec![0, 1]);
+        assert!(!isomorphic_pointed(&a, &Pointed::new(loops, vec![0, 0])));
     }
 
     #[test]

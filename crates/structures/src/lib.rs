@@ -17,15 +17,14 @@
 //! * [`index`] — per-structure inverted indexes over tuples, built once
 //!   per [`Structure`] (lazily, shared by clones) and consumed by every
 //!   hom search against it.
-//! * [`solver`] — the propagation-based homomorphism engine:
-//!   [`HomSolver`] compiles a source once for reuse against many targets
-//!   and variants, maintains generalized arc consistency with an AC-3
-//!   worklist over table constraints, and honors shared [`SearchBudget`]
-//!   step counters for cooperative cancellation.
-//! * [`hom`] — the facade: [`Homomorphism`] witnesses and the one-shot
-//!   [`HomProblem`] builder (pinned elements, injectivity, excluded
-//!   target elements, all-solutions enumeration), all routed through the
-//!   solver.
+//! * [`solver`] — the propagation-based homomorphism engine and its one
+//!   builder: [`HomSolver::compile`] compiles a source once, and each
+//!   [`HomSolver::run`] against a target returns a [`HomRun`] to
+//!   configure (pinned elements, excluded target elements, injectivity,
+//!   a shared [`SearchBudget`]) and execute (`find`, `exists`,
+//!   `for_each`, `count`). It maintains generalized arc consistency with
+//!   an AC-3 worklist over table constraints.
+//! * [`hom`] — [`Homomorphism`] witnesses and [`HomSearchStats`].
 //! * [`core_ops`] — cores and retracts (`core(D)` — every structure has a
 //!   unique core up to isomorphism).
 //! * [`mod@quotient`] + [`partition`] — homomorphic images of a structure are
@@ -56,7 +55,7 @@ pub mod vocabulary;
 pub use bitmap::DomainBitmap;
 pub use core_ops::{core_of, is_core, CoreResult};
 pub use dict::DomainDict;
-pub use hom::{HomProblem, HomSearchStats, Homomorphism};
+pub use hom::{HomSearchStats, Homomorphism};
 pub use index::{RelIndex, StructureIndex};
 pub use iso::{isomorphic, signature_pointed, IsoSignature};
 pub use order::{hom_equivalent, hom_exists, strictly_below};

@@ -7,7 +7,6 @@
 //! `T_{Q'} → T_Q`.
 
 use crate::core_ops::core_of;
-use crate::hom::HomProblem;
 use crate::pointed::Pointed;
 use crate::solver::HomSolver;
 use std::time::{Duration, Instant};
@@ -15,12 +14,7 @@ use std::time::{Duration, Instant};
 /// `true` when a homomorphism `a → b` respecting distinguished tuples
 /// exists.
 pub fn hom_exists(a: &Pointed, b: &Pointed) -> bool {
-    if a.distinguished().len() != b.distinguished().len() {
-        return false;
-    }
-    HomProblem::new(&a.structure, &b.structure)
-        .pin_tuple(a.distinguished(), b.distinguished())
-        .exists()
+    hom_exists_compiled(&HomSolver::compile(&a.structure), a, b)
 }
 
 /// Like [`hom_exists`], against a pre-compiled source solver (`solver`
@@ -73,8 +67,10 @@ pub fn incomparable(a: &Pointed, b: &Pointed) -> bool {
 /// Indices of the →-minimal elements of a family of pointed structures
 /// (elements with nothing strictly below them in the family).
 ///
-/// Used by Theorem 4.1: the minimal elements of the quotient family
-/// `H_C(Q)` under `→` are exactly the `C`-approximations.
+/// Theorem 4.1: the minimal elements of the quotient family `H_C(Q)`
+/// under `→` are exactly the `C`-approximations. This pairwise matrix is
+/// the exhaustive reference [`MinimalAntichain`] is checked against; the
+/// approximation search itself streams through the antichain.
 pub fn minimal_elements(family: &[Pointed]) -> Vec<usize> {
     let n = family.len();
     let below = hom_matrix(family);
@@ -87,7 +83,8 @@ pub fn minimal_elements(family: &[Pointed]) -> Vec<usize> {
 }
 
 /// Deduplicates a family up to homomorphic equivalence, keeping the first
-/// representative of each class. Returns the kept indices.
+/// representative of each class. Returns the kept indices. With
+/// [`minimal_elements`], the reference [`MinimalAntichain`] is tested on.
 pub fn dedupe_hom_equivalent(family: &[Pointed]) -> Vec<usize> {
     // Compile each candidate's solver lazily, once; equivalence checks
     // between i and a kept k then reuse both compiled sides.

@@ -55,8 +55,8 @@ pub fn kernel(map: &[u32]) -> Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hom::HomProblem;
     use crate::partition::for_each_partition;
+    use crate::solver::HomSolver;
     use crate::structure::Element;
     use std::ops::ControlFlow;
 
@@ -99,12 +99,12 @@ mod tests {
         // For each hom h: C6 -> C3, quotient by ker(h) must map into C3.
         let c6 = cycle(6);
         let c3 = cycle(3);
-        HomProblem::new(&c6, &c3).for_each(|h| {
+        HomSolver::compile(&c6).run(&c3).for_each(|h| {
             let p = kernel(&h.map);
             let (q, proj) = quotient(&c6, &p);
             assert!(proj.verify(&c6, &q));
             // q embeds into c3 (it is isomorphic to Im(h)).
-            assert!(HomProblem::new(&q, &c3).exists());
+            assert!(HomSolver::compile(&q).run(&c3).exists());
             ControlFlow::Continue(())
         });
     }

@@ -255,13 +255,6 @@ impl<'s, 't> HomRun<'s, 't> {
         self
     }
 
-    /// Caps this search alone at `nodes` branching decisions (a private,
-    /// unshared [`SearchBudget`]).
-    pub fn node_budget(mut self, nodes: u64) -> Self {
-        self.budget = Some(SearchBudget::new(nodes));
-        self
-    }
-
     /// Finds one homomorphism, if any.
     pub fn find(self) -> Option<Homomorphism> {
         let mut result = None;
@@ -272,9 +265,15 @@ impl<'s, 't> HomRun<'s, 't> {
         result
     }
 
-    /// `true` when a homomorphism exists.
+    /// `true` when a homomorphism exists; stops at the first one without
+    /// copying it.
     pub fn exists(self) -> bool {
-        self.find().is_some()
+        let mut found = false;
+        self.solve(|_| {
+            found = true;
+            ControlFlow::Break(())
+        });
+        found
     }
 
     /// Enumerates homomorphisms until the callback breaks; returns the
@@ -283,15 +282,12 @@ impl<'s, 't> HomRun<'s, 't> {
         self.solve(f)
     }
 
-    /// Counts homomorphisms, up to an optional limit.
-    pub fn count(self, limit: Option<u64>) -> u64 {
+    /// Counts all homomorphisms.
+    pub fn count(self) -> u64 {
         let mut n = 0u64;
         self.solve(|_| {
             n += 1;
-            match limit {
-                Some(l) if n >= l => ControlFlow::Break(()),
-                _ => ControlFlow::Continue(()),
-            }
+            ControlFlow::Continue(())
         });
         n
     }
@@ -722,7 +718,7 @@ mod tests {
         assert!(!solver.run(&cycle(5)).exists());
         // Reuse with variants against the same target.
         let c3 = cycle(3);
-        assert_eq!(solver.run(&c3).count(None), 3);
+        assert_eq!(solver.run(&c3).count(), 3);
         assert!(solver.run(&c3).pin(0, 1).exists());
         assert!(!solver.run(&c3).injective().exists()); // 6 > 3 elements
     }

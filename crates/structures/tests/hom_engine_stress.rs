@@ -2,7 +2,7 @@
 //! property-based cross-validation against brute force.
 
 use cqapx_structures::{
-    core_of, hom_exists, isomorphic, HomProblem, Pointed, Structure, StructureBuilder, Vocabulary,
+    core_of, hom_exists, isomorphic, HomSolver, Pointed, Structure, StructureBuilder, Vocabulary,
 };
 use proptest::prelude::*;
 use std::ops::ControlFlow;
@@ -56,7 +56,7 @@ proptest! {
         tgt in digraph_strategy(4, 6),
     ) {
         prop_assert_eq!(
-            HomProblem::new(&src, &tgt).exists(),
+            HomSolver::compile(&src).run(&tgt).exists(),
             brute_force_hom(&src, &tgt)
         );
     }
@@ -68,7 +68,7 @@ proptest! {
         tgt in digraph_strategy(3, 5),
     ) {
         let mut engine_count = 0u64;
-        HomProblem::new(&src, &tgt).for_each(|h| {
+        HomSolver::compile(&src).run(&tgt).for_each(|h| {
             assert!(h.verify(&src, &tgt));
             engine_count += 1;
             ControlFlow::Continue(())
@@ -134,9 +134,9 @@ fn pinned_conflicts_are_unsatisfiable() {
     let p = Structure::digraph(2, &[(0, 1)]);
     let c = Structure::digraph(3, &[(0, 1), (1, 2), (2, 0)]);
     // pin both endpoints to the same node: E(x,y) cannot map to a loop.
-    assert!(!HomProblem::new(&p, &c).pin(0, 1).pin(1, 1).exists());
+    assert!(!HomSolver::compile(&p).run(&c).pin(0, 1).pin(1, 1).exists());
     // consistent pins work
-    assert!(HomProblem::new(&p, &c).pin(0, 1).pin(1, 2).exists());
+    assert!(HomSolver::compile(&p).run(&c).pin(0, 1).pin(1, 2).exists());
 }
 
 #[test]
@@ -151,7 +151,7 @@ fn higher_arity_mixed_vocabulary() {
     let mut b = StructureBuilder::new(v, 3);
     b.add(r, &[0, 1, 2]).add(e, &[2, 0]).add(r, &[1, 1, 1]);
     let tgt = b.finish();
-    assert_eq!(HomProblem::new(&src, &tgt).count(None), 1);
+    assert_eq!(HomSolver::compile(&src).run(&tgt).count(), 1);
 }
 
 #[test]
@@ -183,7 +183,7 @@ fn big_tree_into_tree_is_fast() {
     // Counted, not timed: the search branches once per source element
     // and never backtracks.
     let mut found = false;
-    let stats = HomProblem::new(&big, &path).for_each(|_| {
+    let stats = HomSolver::compile(&big).run(&path).for_each(|_| {
         found = true;
         ControlFlow::Break(())
     });

@@ -6,7 +6,7 @@
 use cq_approx::gadgets::decision;
 use cq_approx::gadgets::dp;
 use cq_approx::graphs::{balance, generators, Digraph, UGraph};
-use cq_approx::structures::HomProblem;
+use cq_approx::structures::HomSolver;
 use std::time::Instant;
 
 fn main() {
@@ -31,7 +31,9 @@ fn main() {
             "T_{i}: {} nodes, acyclic = {}, Q* → T_{i}: {}",
             t.g.n(),
             UGraph::underlying(&t.g).is_forest(),
-            HomProblem::new(&q.g.to_structure(), &t.g.to_structure()).exists()
+            HomSolver::compile(&q.g.to_structure())
+                .run(&t.g.to_structure())
+                .exists()
         );
     }
 

@@ -67,5 +67,5 @@ pub mod prelude {
         Engine, EngineConfig, EngineStats, EvalMode, PlanKind, Request, Response, ResponseStatus,
     };
     pub use cqapx_graphs::Digraph;
-    pub use cqapx_structures::{HomProblem, Pointed, Structure, Vocabulary};
+    pub use cqapx_structures::{Pointed, Structure, Vocabulary};
 }

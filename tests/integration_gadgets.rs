@@ -4,6 +4,7 @@
 use cq_approx::gadgets::{decision, dp, paper_examples, prop44};
 use cq_approx::prelude::*;
 use cqapx_graphs::{balance, UGraph};
+use cqapx_structures::HomSolver;
 
 /// Prop 4.4 pipeline: the fold queries are sound in-class under-
 /// approximations of Q_n, pairwise non-equivalent, and minimized.
@@ -40,13 +41,13 @@ fn qstar_fold_observable_consequences() {
         let ti = dp::t_i(i);
         let ts = ti.g.to_structure();
         // Q* → T_i and T_i is acyclic.
-        assert!(HomProblem::new(&qs, &ts).exists());
+        assert!(HomSolver::compile(&qs).run(&ts).exists());
         assert!(UGraph::underlying(&ti.g).is_forest());
         // The other folds cannot sit between: T_j → T_i fails for j ≠ i.
         for j in 1..=4 {
             if j != i {
                 let tj = dp::t_i(j).g.to_structure();
-                assert!(!HomProblem::new(&tj, &ts).exists());
+                assert!(!HomSolver::compile(&tj).run(&ts).exists());
             }
         }
     }

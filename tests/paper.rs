@@ -18,7 +18,7 @@ use cqapx_gadgets::paper_examples::{
 use cqapx_gadgets::{decision, prop44, tight};
 use cqapx_graphs::{coloring, generators, Digraph};
 use cqapx_structures::partition::bell;
-use cqapx_structures::{HomProblem, Pointed};
+use cqapx_structures::{HomSolver, Pointed};
 
 /// Theorem 5.1's prediction for the `TW(1)`-approximations of a Boolean
 /// graph query, against the search: only `Q^triv` when `T_Q` is not
@@ -160,7 +160,7 @@ fn prop_4_4_folds_incomparable_and_receive_g_n() {
             for (j, b) in folds.iter().enumerate() {
                 if i != j {
                     assert!(
-                        !HomProblem::new(a, b).exists(),
+                        !HomSolver::compile(a).run(b).exists(),
                         "n = {n}: fold {i} ↛ fold {j}"
                     );
                 }
@@ -168,7 +168,7 @@ fn prop_4_4_folds_incomparable_and_receive_g_n() {
         }
         let g_n = prop44::g_n(n).0.to_structure();
         for (i, f) in folds.iter().enumerate() {
-            assert!(HomProblem::new(&g_n, f).exists(), "G_{n} → fold {i}");
+            assert!(HomSolver::compile(&g_n).run(f).exists(), "G_{n} → fold {i}");
         }
     }
 }
@@ -177,11 +177,11 @@ fn prop_4_4_folds_incomparable_and_receive_g_n() {
 #[test]
 fn prop_5_6_tight_at_k7_and_k8() {
     for k in [7, 8] {
-        let g = tight::g_k(k).to_structure();
+        let g = HomSolver::compile(&tight::g_k(k).to_structure());
         let longer = Digraph::directed_path(k + 1).to_structure();
         let shorter = Digraph::directed_path(k).to_structure();
-        assert!(HomProblem::new(&g, &longer).exists(), "G_{k} → P_{}", k + 1);
-        assert!(!HomProblem::new(&g, &shorter).exists(), "G_{k} ↛ P_{k}");
+        assert!(g.run(&longer).exists(), "G_{k} → P_{}", k + 1);
+        assert!(!g.run(&shorter).exists(), "G_{k} ↛ P_{k}");
     }
 }
 
