@@ -15,7 +15,10 @@
 //! allocator no more often than the hash-index join it replaced. A
 //! one-column head read off the live-value sweep copies no cached row:
 //! it asks for little more than its answers, and calls the allocator no
-//! more often than the kernel path.
+//! more often than the kernel path. The answer boundary adopts a plan's
+//! head-ordered output without a call, and a warm two-atom request
+//! calls the allocator only in the ops that materialize, project and
+//! join: no semijoin copies its cached root.
 //!
 //! A warm request allocates alike whether or not the data has a
 //! dangling tuple, whatever the engine's thread count and whether or not
@@ -526,6 +529,71 @@ fn warm_wedge_allocations_ignore_a_dangling_tuple() {
         });
         assert_eq!(counts[0], counts[1], "{text}: full vs dangling");
     }
+}
+
+/// The answer boundary takes a plan's output as it comes — columns in
+/// head order, rows canonical — as the answer's buffer: reading a warm
+/// `two_hop` run out, codes decoded in place, calls the allocator not
+/// once.
+#[test]
+fn boundary_adopts_a_head_ordered_relation_without_allocating() {
+    let d = regular_digraph(2_000, 4, 0x5EED);
+    let q = parse_cq(TWO_HOP).unwrap();
+    let plan = AcyclicPlan::compile(&q).unwrap();
+    let cache = MaterializationCache::new();
+    let (want, _) = plan.ir().answers(&d, Some(&cache));
+    let (out, _) = plan.ir().run(&d, Some(&cache), None);
+    let out = out.expect("the graph has two-edge walks");
+    assert_eq!(out.schema(), q.free_vars());
+    let (got, calls, _) = counted(|| {
+        Answers::from_relation(
+            out,
+            q.free_vars(),
+            d.domain_dict(),
+            &mut MatCacheStats::default(),
+        )
+    });
+    assert_eq!((got == want, calls), (true, 0));
+}
+
+/// A warm `two_hop` calls the allocator as often on a graph where a
+/// vertex has out-edges and no in-edge as on one where every vertex has
+/// an in-edge, and on both exactly as often as its materializations,
+/// projection and join run one at a time, plus its slot table: its
+/// root's only child is joined into it, and that join drops the root
+/// rows whose `y` has no in-edge, so no semijoin copies the cached root
+/// to drop them, and the answer boundary adopts the join's buffer.
+#[test]
+fn warm_two_hop_allocations_ignore_a_vertex_with_no_in_edge() {
+    let n = 1_000u32;
+    let mut edges: Vec<(u32, u32)> = (0..n)
+        .flat_map(|u| (1..=4).map(move |k| (u, (u * 31 + k * 379) % n)))
+        .collect();
+    let full = Structure::digraph(n as usize + 1, &edges);
+    // Vertex `n` points at four vertices and nothing points at it.
+    edges.extend((1..=4).map(|k| (n, k * 7)));
+    let sourced = Structure::digraph(n as usize + 1, &edges);
+    let plan = AcyclicPlan::compile(&parse_cq(TWO_HOP).unwrap()).unwrap();
+    let ir = plan.ir();
+    let counts = [&full, &sourced].map(|d| {
+        let cache = MaterializationCache::new();
+        let (cold, _) = ir.answers(d, Some(&cache));
+        let ((warm, stats), calls, _) = counted(|| ir.answers(d, Some(&cache)));
+        assert_eq!((warm == cold, stats.misses), (true, 0));
+        let ops = (ir.ops().iter().enumerate())
+            .filter(|(_, op)| !matches!(op, Op::Semijoin { .. }))
+            .map(|(pc, _)| op_calls(ir, pc, d));
+        assert_eq!(
+            calls,
+            ops.sum::<u64>() + 1,
+            "allocator calls of the request vs its ops"
+        );
+        calls
+    });
+    assert_eq!(
+        counts[0], counts[1],
+        "allocator calls: every vertex has an in-edge vs one has none"
+    );
 }
 
 /// One request runs start to finish on the thread that executes it,

@@ -241,8 +241,8 @@ fn boolean_cycles_with_and_without_a_witness() {
 }
 
 /// The plan's root operator emits the answer columns in head order,
-/// already canonical, and the boundary only checks: so whatever the
-/// head order — every permutation, a repeated variable, a Cartesian
+/// already canonical, and the boundary adopts them unchecked (debug
+/// builds assert the order): so whatever the head order — every permutation, a repeated variable, a Cartesian
 /// product of two components — every tier must pass [`check`]. The
 /// smaller database keeps `two_hop` and `wedge3` below 512 rows, the
 /// larger one puts them above.

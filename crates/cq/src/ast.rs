@@ -161,18 +161,6 @@ impl ConjunctiveQuery {
     pub fn size(&self) -> usize {
         self.var_count()
     }
-
-    /// Renames variables to fresh canonical names (`v0, v1, …`), preserving
-    /// structure. Useful before comparing printed forms.
-    pub fn canonical_names(&self) -> ConjunctiveQuery {
-        let var_names = (0..self.var_count()).map(|i| format!("v{i}")).collect();
-        ConjunctiveQuery {
-            vocab: self.vocab.clone(),
-            var_names,
-            free: self.free.clone(),
-            atoms: self.atoms.clone(),
-        }
-    }
 }
 
 impl fmt::Display for ConjunctiveQuery {

@@ -4,15 +4,14 @@
 //! Plans compute over dense dictionary codes in a [`FlatRelation`];
 //! callers want the structure's elements, in head order, as a set.
 //! [`Answers::from_relation`] is the one place that turns the first
-//! into the second, and for a compiled plan it has little left to do:
-//! the plan's last operator already emits the columns in head order
-//! and the rows in canonical order (it *is* the answer set's one
-//! sort — see `compile_tree`), so the boundary checks that order in
-//! one sequential pass ([`FlatRelation::sort_dedup`]'s
-//! early-out) and decodes in place. Gathering columns and sorting are
-//! kept for what still needs them — repeated head variables, a root
-//! join that needs no projection, cartesian products of several
-//! roots, the naive tier — and nothing here allocates per row.
+//! into the second, and for a compiled plan it has nothing left to do
+//! but decode: the plan's last operator already emits the columns in
+//! head order and the rows in canonical order (it *is* the answer
+//! set's one sort — see `compile_tree`), so its buffer becomes the
+//! answer's, unchecked outside debug builds, and is decoded in place.
+//! Gathering columns, and sorting when the gather reorders them, are
+//! kept for a head that repeats a variable; nothing here allocates per
+//! row.
 
 use crate::ast::VarId;
 use crate::eval::flat::{FlatRelation, MatCacheStats};
@@ -103,17 +102,18 @@ impl Answers {
     }
 
     /// The answer boundary: reads a plan's output relation (dense
-    /// codes, columns in schema order, rows in any order) out as the
-    /// answer set for `head` (duplicate head variables allowed).
+    /// codes, columns in schema order) out as the answer set for `head`
+    /// (duplicate head variables allowed). The rows must be canonical
+    /// (strictly increasing), as every [`PlanIr`](crate::eval::PlanIr)
+    /// slot's are; debug builds check it.
     ///
-    /// One pipeline over one buffer: gather the columns into head
-    /// order (skipped when the schema already *is* the head, as a
-    /// single-root plan's is), canonicalize on the codes (one order
-    /// check when the rows already are canonical, as that plan's are;
-    /// a gather over distinct head variables in head order keeps them
-    /// so), then decode through `dict` in place — the encoding is
-    /// monotone, so the decoded rows are still strictly increasing.
-    /// The sort is counted into `stats`.
+    /// When the schema is the head, as a plan's output is unless the
+    /// head repeats a variable, the relation's buffer becomes the
+    /// answer's with no pass and no allocation. Otherwise the columns
+    /// are gathered into head order and sorted only if that reordered
+    /// them (counted into `stats`). Then the codes are decoded through
+    /// `dict` in place: the encoding is monotone, so the rows stay
+    /// strictly increasing.
     ///
     /// # Panics
     ///
@@ -127,27 +127,25 @@ impl Answers {
         if head.is_empty() {
             return Answers::boolean(!rel.is_empty());
         }
-        let schema = rel.schema();
-        let positions: Vec<usize> = head
-            .iter()
-            .map(|v| {
-                schema
-                    .iter()
-                    .position(|w| w == v)
-                    .expect("head variable must be in schema")
-            })
-            .collect();
-        let mut rel = if positions.iter().copied().eq(0..schema.len()) {
-            rel
+        debug_assert!(
+            rel.iter_rows().is_sorted_by(|x, y| x < y),
+            "the answer boundary reads canonical rows"
+        );
+        let (rows, mut data) = if rel.schema() == head {
+            rel.into_raw()
         } else {
+            let at = |v| rel.schema().iter().position(|w| w == v);
+            let positions: Vec<usize> = (head.iter().map(at))
+                .map(|p| p.expect("head variable must be in schema"))
+                .collect();
             let mut data = Vec::with_capacity(rel.len() * positions.len());
             for row in rel.iter_rows() {
                 data.extend(positions.iter().map(|&p| row[p]));
             }
-            FlatRelation::from_raw(positions.len(), rel.len(), data, rel.domain_width())
+            let mut out = FlatRelation::from_raw(head.len(), rel.len(), data, rel.domain_width());
+            out.sort_dedup(stats);
+            out.into_raw()
         };
-        rel.sort_dedup(stats);
-        let (rows, mut data) = rel.into_raw();
         if !dict.is_identity() {
             for e in &mut data {
                 *e = dict.decode(*e);
@@ -445,6 +443,46 @@ mod tests {
         // Empty sets are equal whatever arity they were declared with.
         assert_eq!(Answers::empty(2), Answers::empty(3));
         assert_eq!(Answers::empty(2), BTreeSet::new());
+    }
+
+    fn canonical_pairs() -> FlatRelation {
+        let mut rel = FlatRelation::empty(vec![0, 1]);
+        for row in [[0, 5], [0, 7], [2, 1], [9, 9]] {
+            rel.push_row(&row);
+        }
+        rel
+    }
+
+    fn identity() -> DomainDict {
+        DomainDict::build(&cqapx_structures::Structure::digraph(0, &[]))
+    }
+
+    /// A head in schema order takes the relation's buffer as it is; a
+    /// permuted or repeated one is gathered, and the answer is the set
+    /// of gathered rows whether or not the gather reordered columns.
+    #[test]
+    fn boundary_gathers_permuted_and_repeated_heads() {
+        let rows: Vec<Vec<Element>> = canonical_pairs().iter_rows().map(<[_]>::to_vec).collect();
+        for head in [&[0, 1][..], &[1, 0], &[0, 0, 1], &[1, 0, 1], &[1]] {
+            let want: BTreeSet<Vec<Element>> = (rows.iter())
+                .map(|r| head.iter().map(|&v| r[v as usize]).collect())
+                .collect();
+            let mut stats = MatCacheStats::default();
+            let got = Answers::from_relation(canonical_pairs(), head, &identity(), &mut stats);
+            assert_eq!(got, want, "{head:?}");
+        }
+    }
+
+    /// The boundary trusts its input's order outside debug builds, and
+    /// checks it inside them.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "canonical rows")]
+    fn boundary_rejects_rows_out_of_order() {
+        let mut rel = FlatRelation::empty(vec![0, 1]);
+        rel.push_row(&[2, 1]);
+        rel.push_row(&[0, 5]);
+        Answers::from_relation(rel, &[0, 1], &identity(), &mut MatCacheStats::default());
     }
 
     #[test]

@@ -771,11 +771,10 @@ impl FlatRelation {
         out
     }
 
-    /// The decoded answer set for `head` as a tree of row vectors — a
-    /// view of [`Answers::from_relation`], kept for callers that measure
-    /// or inspect the
-    /// boundary per row. Evaluation itself returns [`Answers`] and never
-    /// builds the tree.
+    /// The decoded answer set for `head` of this canonical relation as a
+    /// tree of row vectors — a view of [`Answers::from_relation`], kept
+    /// for callers that measure or inspect the boundary per row.
+    /// Evaluation itself returns [`Answers`] and never builds the tree.
     pub fn rows_in_head_order_decoded(
         &self,
         head: &[VarId],

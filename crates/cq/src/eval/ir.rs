@@ -332,8 +332,8 @@ pub struct PlanIr {
     /// `true` when surviving the reduction prefix alone proves the
     /// answer nonempty (labels equal schemas: a genuine join tree, where
     /// the full reducer establishes global consistency). When `false`
-    /// (decomposition bags with connector-only variables), Boolean
-    /// evaluation must run the join phase too.
+    /// (decomposition bags with connector-only variables, or a root edge
+    /// only the join reads), Boolean evaluation runs the join phase too.
     reduction_decides: bool,
     /// Slot holding the final relation after a full run.
     output: Slot,
@@ -879,7 +879,12 @@ pub struct NodeSpec {
 ///    columns the adjacent *schemas* share, with emptiness assertions
 ///    (the second sweep skips the nodes the join phase never reads
 ///    again and those it joins into their parent unchanged — that join
-///    is their semijoin — so a Boolean join tree is one sweep). There
+///    is their semijoin — so a Boolean join tree is one sweep). When the
+///    join phase runs, the first sweep skips the edge into a root from
+///    its only live child: the root's join with it drops the same root
+///    rows, and the second sweep leaves the child the same rows. If
+///    that sweep skips the child too, only the join decides emptiness
+///    ([`PlanIr::reduction_decides`]). In a Boolean join tree
 ///    a root's emptiness check is all that reads the root, so its last
 ///    incoming edge with a key of two or more columns (its semijoins
 ///    commute) is not a semijoin: it is one [`Op::MultiJoin`] of the
@@ -1013,9 +1018,15 @@ pub fn compile_tree(
             _ => {}
         }
     }
+    // A root's only live child is joined into it, which drops the root
+    // rows a leaves → root semijoin would: none on that edge.
+    let joined = |u: usize| {
+        let only_child = |p: usize| parent[p].is_none() && children[p].len() == 1;
+        !boolean && !dead[u] && parent[u].is_some_and(only_child)
+    };
     // Full reducer: leaves → root …
     for &u in order {
-        if let Some(p) = parent[u].filter(|&p| fused[p] != Some(u)) {
+        if let Some(p) = parent[u].filter(|&p| fused[p] != Some(u) && !joined(u)) {
             let (child_pos, parent_pos) = edge_pos[u].as_ref().expect("non-root has an edge");
             ops.push(Op::Semijoin {
                 target: p,
@@ -1041,6 +1052,8 @@ pub fn compile_tree(
     // as it is, and that join drops exactly the rows the semijoin would
     // have, at the same probe per row.
     let as_is = |u: usize| (dead[u] || whole[u]) && children[u].iter().all(|&c| dead[c]);
+    // A root edge that no sweep reads leaves the verdict to the join.
+    let reduction_decides = reduction_decides && !(0..n).any(|u| joined(u) && as_is(u));
     for &u in order.iter().rev() {
         if parent[u].is_some() && !as_is(u) {
             let (child_pos, parent_pos) = edge_pos[u].take().expect("non-root has an edge");
@@ -1553,6 +1566,17 @@ mod tests {
         ir.ops.iter().filter(semijoin).count()
     }
 
+    /// One join-tree node per atom of `q`, in body order.
+    fn atom_nodes(q: &crate::ast::ConjunctiveQuery) -> Vec<NodeSpec> {
+        (q.atoms().iter())
+            .map(|a| {
+                let source = MatSource::from_groups(&[vec![a]]);
+                let label = source.schema.clone();
+                NodeSpec { source, label }
+            })
+            .collect()
+    }
+
     #[test]
     fn join_tree_elides_identity_joins_but_decomposition_keeps_them() {
         use crate::eval::yannakakis::AcyclicPlan;
@@ -1566,13 +1590,15 @@ mod tests {
         // The second sweep reaches only what the join phase computes
         // on: nothing when the root covers the head or is joined with
         // unchanged leaves (that join drops the same rows), the inner
-        // node of a path whose ends are both free.
+        // node of a path whose ends are both free. The first skips a
+        // root's only live child, whose join with the root is that
+        // semijoin too: a two-atom free query has none at all.
         assert_eq!((semijoins_in(plan.ir()), semijoins_in(ir2.ir())), (2, 2));
         for (rule, semijoins) in [
             ("Q() :- E(x,y), E(y,z), E(z,w)", 2),
-            ("Q(x, y, z) :- E(x,y), E(y,z)", 1),
-            ("Q(x, z) :- E(x,y), E(y,z)", 1),
-            ("Q(x, w) :- E(x,y), E(y,z), E(z,w)", 3),
+            ("Q(x, y, z) :- E(x,y), E(y,z)", 0),
+            ("Q(x, z) :- E(x,y), E(y,z)", 0),
+            ("Q(x, w) :- E(x,y), E(y,z), E(z,w)", 2),
         ] {
             let q = parse_cq(rule).unwrap();
             let ir = AcyclicPlan::compile(&q).unwrap();
@@ -1586,17 +1612,7 @@ mod tests {
         // The same three atoms as bags, the middle one also carrying
         // `x` as a connector-only variable: the sweeps no longer decide
         // and every join is back.
-        let nodes: Vec<NodeSpec> = q
-            .atoms()
-            .iter()
-            .map(|a| {
-                let source = MatSource::from_groups(&[vec![a]]);
-                NodeSpec {
-                    label: source.schema.clone(),
-                    source,
-                }
-            })
-            .collect();
+        let nodes = atom_nodes(&q);
         let mut bags = nodes.clone();
         bags[1].label = vec![0, 1, 2];
         let (parent, order) = ([None, Some(0), Some(1)], [2, 1, 0]);
@@ -1605,14 +1621,83 @@ mod tests {
         assert!(tree.reduction_decides() && !decomp.reduction_decides());
         assert_eq!((joins_in(&tree), joins_in(&decomp)), (0, 2));
         // … and so is the second sweep into every bag that is projected
-        // before it is joined (the leaf loses `w`).
-        assert_eq!((semijoins_in(&tree), semijoins_in(&decomp)), (2, 4));
+        // before it is joined (the leaf loses `w`), while the root, whose
+        // only child is now live, is no longer semijoined.
+        assert_eq!((semijoins_in(&tree), semijoins_in(&decomp)), (2, 3));
         let d = Structure::digraph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (5, 5), (4, 0)]);
         let want = plan.ir().answers(&d, None).0;
         for ir in [&tree, &decomp] {
             let (got, _) = ir.answers(&d, None);
             assert_eq!(got, want);
         }
+    }
+
+    /// The leaves → root semijoin stays wherever the join phase does
+    /// not read the edge or the root has more than one child: into a
+    /// root whose only child is dead (`Q(x)` is answered off the
+    /// live-value sweep), into a root with two children, and throughout
+    /// a Boolean join tree, whose sweep is the whole program.
+    #[test]
+    fn root_semijoins_stay_where_no_join_reads_the_edge() {
+        use crate::eval::yannakakis::AcyclicPlan;
+        let into_root = |ir: &PlanIr, root: Slot| {
+            (ir.ops.iter())
+                .filter(|op| matches!(op, Op::Semijoin { target, .. } if *target == root))
+                .count()
+        };
+        let root = |ir: &PlanIr| match ir.ops.last() {
+            Some(Op::Project { src, .. }) => *src,
+            Some(Op::MultiJoin { inputs, .. }) => inputs[0],
+            op => panic!("no root op: {op:?}"),
+        };
+        let plan = AcyclicPlan::compile(&parse_cq("Q(x) :- E(x,y), E(y,z)").unwrap()).unwrap();
+        let ir = plan.ir();
+        assert_eq!(into_root(ir, root(ir)), 1, "{:?}", ir.ops);
+        assert!(ir.reduction_decides());
+        // Rooted at the middle atom: two children, both semijoined.
+        let q = parse_cq("Q(x, w) :- E(x,y), E(y,z), E(z,w)").unwrap();
+        let (parent, order) = ([Some(1), None, Some(1)], [0, 2, 1]);
+        let ir = compile_tree(atom_nodes(&q), &parent, &order, q.free_vars());
+        assert_eq!(into_root(&ir, 1), 2, "{:?}", ir.ops);
+        // A Boolean join tree keeps its whole sweep.
+        for rule in ["Q() :- E(x,y), E(y,z)", "Q() :- E(x,y), E(y,z), E(z,w)"] {
+            let plan = AcyclicPlan::compile(&parse_cq(rule).unwrap()).unwrap();
+            let ir = plan.ir();
+            assert_eq!(semijoins_in(ir), ir.materialize_sources().count() - 1);
+            assert_eq!(ir.bool_len, ir.ops.len(), "{rule}");
+        }
+    }
+
+    /// A free query whose root–child edge empties the answer stops at
+    /// the child's assertion when the child is semijoined from the root,
+    /// though no semijoin went into the root: on a graph with two-edge
+    /// paths and no three-edge one, `Q(x, w)` over a three-edge path
+    /// rooted at an end profiles no `join`. Where no sweep reads that
+    /// edge (`Q(x, z)` over two edges), the reduction no longer decides,
+    /// so Boolean evaluation runs the join and gets the verdict right.
+    #[test]
+    fn an_edge_that_empties_the_answer_stops_at_the_childs_assertion() {
+        use crate::eval::yannakakis::AcyclicPlan;
+        let d = Structure::digraph(4, &[(0, 1), (1, 2), (3, 1)]);
+        let q = parse_cq("Q(x, w) :- E(x,y), E(y,z), E(z,w)").unwrap();
+        let (parent, order) = ([None, Some(0), Some(1)], [2, 1, 0]);
+        let ir = compile_tree(atom_nodes(&q), &parent, &order, q.free_vars());
+        assert!(ir.reduction_decides());
+        assert!(!(ir.ops.iter()).any(|op| matches!(op, Op::Semijoin { target: 0, .. })));
+        let mut profile = EvalProfile::default();
+        assert!(ir.run(&d, None, Some(&mut profile)).0.is_none());
+        let labels: Vec<&str> = profile.ops.iter().map(|p| p.op).collect();
+        assert_eq!(labels.last(), Some(&"assert_nonempty"), "{labels:?}");
+        assert!(!labels.contains(&"join"), "{labels:?}");
+        assert!(ir.answers(&d, None).0.is_empty());
+        assert!(!ir.run_boolean(&d, None, None).0);
+        // Two disjoint edges: both atoms hold rows, and none joins.
+        let q = parse_cq("Q(x, z) :- E(x,y), E(y,z)").unwrap();
+        let plan = AcyclicPlan::compile(&q).unwrap();
+        assert!(!plan.ir().reduction_decides(), "{:?}", plan.ir().ops);
+        let d = Structure::digraph(4, &[(0, 1), (2, 3)]);
+        assert!(!plan.ir().run_boolean(&d, None, None).0);
+        assert!(plan.ir().answers(&d, None).0.is_empty());
     }
 
     /// A plan with one root hands the answer boundary its columns in
@@ -1665,16 +1750,9 @@ mod tests {
         let head: Vec<String> = (0..70).map(|i| format!("x{i}")).collect();
         let atoms: Vec<String> = (1..70).map(|i| format!("E(x{}, x{i})", i - 1)).collect();
         let q = parse_cq(&format!("Q({}) :- {}", head.join(", "), atoms.join(", "))).unwrap();
-        let nodes: Vec<NodeSpec> = (q.atoms().iter())
-            .map(|a| {
-                let source = MatSource::from_groups(&[vec![a]]);
-                let label = source.schema.clone();
-                NodeSpec { source, label }
-            })
-            .collect();
         let parent: Vec<Option<usize>> = (0..69usize).map(|i| i.checked_sub(1)).collect();
         let order: Vec<usize> = (0..69).rev().collect();
-        let ir = compile_tree(nodes, &parent, &order, q.free_vars());
+        let ir = compile_tree(atom_nodes(&q), &parent, &order, q.free_vars());
         let one_child = |op: &Op| matches!(op, Op::MultiJoin { inputs, .. } if inputs.len() == 2);
         assert_eq!(ir.ops.iter().filter(|op| one_child(op)).count(), 68);
         let root = ir.ops.last();

@@ -511,11 +511,6 @@ impl Engine {
         }
     }
 
-    /// The engine-wide thread budget (total workers = capacity + 1).
-    pub fn thread_budget(&self) -> &ThreadBudget {
-        &self.budget
-    }
-
     /// Registers a database: scans statistics and builds the domain
     /// dictionary ([`DatabaseEntry::build`]), applies the
     /// materialization-cache byte budget (see
