@@ -188,7 +188,9 @@ fn cold_two_path_bag_requests_little_more_than_it_returns() {
     assert_eq!(stats.wcoj_bag_builds, 1);
     assert_eq!(bag.len(), 16 * n as usize, "every wedge, once");
     let parts = 2 * edges.len() * 2 * std::mem::size_of::<u32>();
-    let held = (bag.heap_bytes() + parts) as u64;
+    // What the build returns: rows and schema, no bitmap word table.
+    let returned = bag.len() * bag.arity() * std::mem::size_of::<u32>();
+    let held = (returned + std::mem::size_of_val(bag.schema()) + parts) as u64;
     assert!(
         requested * 4 <= held * 5,
         "{requested} bytes requested to build {held}"

@@ -79,44 +79,20 @@ pub fn packed_stats() -> PackedStats {
     }
 }
 
-/// The lazily-built per-column existence bitmaps of one relation,
-/// shared by clones through an `Arc` (the [`cqapx_structures::dict`]
-/// `DictCell` pattern). Derived data: invisible to the relation's
-/// logical value, rebuilt from scratch after any mutation.
+/// The per-column existence bitmaps of one relation, each built by its
+/// first reader and shared by clones through an `Arc` (the
+/// [`cqapx_structures::dict`] `DictCell` pattern). Derived data:
+/// invisible to the relation's logical value, rebuilt from scratch
+/// after any mutation.
 #[derive(Debug)]
-struct ColumnBitmaps {
-    cols: Vec<OnceLock<Arc<DomainBitmap>>>,
-}
-
-impl ColumnBitmaps {
-    fn new(arity: usize) -> Self {
-        ColumnBitmaps {
-            cols: (0..arity).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    /// Word-table bytes of the columns built so far.
-    fn heap_bytes(&self) -> usize {
-        self.cols
-            .iter()
-            .filter_map(|c| c.get())
-            .map(|b| b.heap_bytes())
-            .sum()
-    }
-}
+struct ColumnBitmaps(Vec<OnceLock<DomainBitmap>>);
 
 /// The clone-shared slot holding a relation's [`ColumnBitmaps`].
 /// Mutating operations replace the whole cell with a fresh one
 /// (clones keep the old, still-valid bitmaps); `relabel` and `clone`
 /// share it — same rows, same bitmaps.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct BitmapCell(OnceLock<Arc<ColumnBitmaps>>);
-
-impl Clone for BitmapCell {
-    fn clone(&self) -> Self {
-        BitmapCell(self.0.clone())
-    }
-}
 
 /// Bits covering every dense code under a width bound: codes are
 /// `< width ≤ 2^b`.
@@ -228,7 +204,7 @@ pub struct FlatRelation {
     /// materialized from a [`Structure`] carry the dictionary width;
     /// operators propagate it conservatively.
     domain_width: u32,
-    /// Lazily-built per-column existence bitmaps (derived data; see
+    /// Per-column existence bitmaps, built by their first readers (see
     /// [`BitmapCell`]). Invalidated by every mutating operation.
     bitmaps: BitmapCell,
 }
@@ -311,28 +287,31 @@ impl FlatRelation {
         self.domain_width
     }
 
-    /// Heap bytes held by this relation (buffer + schema + built
-    /// column bitmaps), the unit of cache byte accounting. Cached
-    /// relations build every eligible bitmap at landing (in
-    /// [`MaterializationCache::get_or_materialize`]) so the bytes
-    /// stored with the cache entry — and subtracted at eviction —
-    /// include them. A shared buffer counts in full for every holder:
-    /// the cache charges an entry once, at landing, and the slots that
+    /// Heap bytes of this relation (buffer + schema + the word table of
+    /// every eligible column, built or not), the unit of cache byte
+    /// accounting. The tables are charged whether or not a run ever
+    /// builds them, so the bytes stored with a cache entry — and
+    /// subtracted at eviction — do not depend on which columns were
+    /// read. A shared buffer counts in full for every holder: the
+    /// cache charges an entry once, at landing, and the slots that
     /// adopt it are never charged.
     pub fn heap_bytes(&self) -> usize {
+        let words = self.arity() * (self.domain_width as usize).div_ceil(64);
+        let tables = if self.bitmap_eligible() { words } else { 0 };
         self.data.capacity() * std::mem::size_of::<Element>()
             + self.schema.capacity() * std::mem::size_of::<VarId>()
-            + self.bitmaps.0.get().map_or(0, |c| c.heap_bytes())
+            + tables * std::mem::size_of::<u64>()
     }
 
     /// Whether column bitmaps may be built over this relation: the
     /// dense bound is known and the word table stays within ~8 bytes
     /// per row (beyond that the bitmap is mostly empty words and a
     /// sorted search is cheaper per cache line). A pure function of the
-    /// relation, so every kernel dispatch agrees on eligibility. Eligible
-    /// bitmaps are always read: answering every semijoin with the
-    /// multiway kernel instead took `cqbench`'s `bool_probe_warm` p50
-    /// from 0.34 to 5.37 ms.
+    /// relation, so every kernel dispatch agrees on eligibility. An
+    /// eligible column's bitmap is read wherever a kernel dispatch can
+    /// use it, and built by its first reader: answering every semijoin
+    /// with the multiway kernel instead took `cqbench`'s
+    /// `bool_probe_warm` p50 from 0.34 to 5.37 ms.
     fn bitmap_eligible(&self) -> bool {
         self.domain_width > 0 && (self.domain_width as usize) <= 64 * self.rows.max(16)
     }
@@ -353,24 +332,32 @@ impl FlatRelation {
         self.domain_width > 0 && a > 0 && a * code_bits(self.domain_width) as usize <= 64
     }
 
-    /// The existence bitmap of one column, built lazily and shared by
-    /// clones. `None` when the relation is ineligible — callers fall
-    /// back to the multiway kernel, which answers identically.
+    /// The relation's per-column bitmap container, created empty on
+    /// first use.
+    fn column_bitmaps(&self) -> &ColumnBitmaps {
+        let new = || ColumnBitmaps((0..self.arity()).map(|_| OnceLock::new()).collect());
+        self.bitmaps.0.get_or_init(|| Arc::new(new()))
+    }
+
+    /// The existence bitmap of one column, built by its first reader in
+    /// one pass over the rows (codes at or above `domain_width` are
+    /// ignored) and shared by clones and relabels. `None` when the
+    /// relation is ineligible — callers fall back to the multiway
+    /// kernel, which answers identically.
     pub(crate) fn column_bitmap(&self, col: usize) -> Option<&DomainBitmap> {
         if !self.bitmap_eligible() {
             return None;
         }
-        let cols = self
-            .bitmaps
-            .0
-            .get_or_init(|| Arc::new(ColumnBitmaps::new(self.schema.len())));
-        let a = self.schema.len();
-        let bm = cols.cols[col].get_or_init(|| {
-            let mut bm = DomainBitmap::new(self.domain_width);
-            for i in 0..self.rows {
-                bm.set(self.data[i * a + col]);
+        let bm = self.column_bitmaps().0[col].get_or_init(|| {
+            let width = self.domain_width;
+            let mut words = vec![0u64; (width as usize).div_ceil(64)];
+            for row in self.data.chunks_exact(self.arity()) {
+                let v = row[col];
+                if v < width {
+                    words[(v >> 6) as usize] |= 1 << (v & 63);
+                }
             }
-            Arc::new(bm)
+            DomainBitmap::from_words(width, words)
         });
         Some(bm)
     }
@@ -2030,15 +2017,16 @@ impl MaterializationCache {
             // that never reach a cache never pay for sharing.
             let mut rel = materialize();
             rel.share_rows();
-            let rel = Arc::new(rel);
-            // Build the entry's column bitmaps before taking its byte
-            // size: the stored bytes — what eviction later subtracts —
-            // then include the bitmap words, keeping the budget honest.
-            // Eligibility alone decides, so the bytes do not depend on
-            // whether a run reads them.
-            for c in 0..rel.arity() {
-                let _ = rel.column_bitmap(c);
+            // No bitmap is built here, only the entry's empty column
+            // container, before the flight publishes: every relabel then
+            // shares it, and each column is built by its first reader,
+            // once for all adopters. The charge below counts every
+            // eligible column's word table, so it does not depend on
+            // which columns are ever read.
+            if rel.bitmap_eligible() {
+                rel.column_bitmaps();
             }
+            let rel = Arc::new(rel);
             // Byte accounting must happen *inside* the flight, before
             // the `OnceLock` publishes the cell: the sweep treats a
             // landed cell as evictable and subtracts `flight.bytes`,
@@ -2944,21 +2932,185 @@ mod tests {
         assert_eq!(unknown.domain_width, 0, "an unknown bound is none");
     }
 
-    /// Cached materializations prebuild their bitmaps, whether or not
-    /// a run reads them, and the bytes stored with the entry — hence
-    /// resident accounting and eviction — include the word tables.
+    /// The columns of `r` whose bitmap has been built.
+    fn built_columns(r: &FlatRelation) -> Vec<usize> {
+        let cols = r.bitmaps.0.get().map_or(&[][..], |c| &c.0[..]);
+        (0..cols.len())
+            .filter(|&i| cols[i].get().is_some())
+            .collect()
+    }
+
+    /// Every landed entry of `cache`, with its key.
+    fn landed(cache: &MaterializationCache) -> Vec<(MatKey, Arc<FlatRelation>)> {
+        let map = cache.map.read().unwrap();
+        let entry =
+            |(k, f): (&MatKey, &Arc<MatFlight>)| Some((k.clone(), Arc::clone(f.cell.get()?)));
+        map.iter().filter_map(entry).collect()
+    }
+
+    /// A landed entry is charged its rows, its schema and the word
+    /// table of every eligible column before any bitmap exists; reading
+    /// a column through one relabel changes no charge, and a second
+    /// relabel reads the same bitmap. An ineligible relation is charged
+    /// no table.
     #[test]
     fn cache_accounts_bitmap_bytes() {
         let cache = MaterializationCache::new();
-        let [key, _, _] = three_keys();
-        let bare = dense_rel(&[0, 1], 512, 256, 8);
-        let raw = bare.heap_bytes(); // no bitmaps built yet
+        let [key, other, _] = three_keys();
         let (landed, _) = cache.get_or_materialize(&key, || dense_rel(&[0, 1], 512, 256, 8));
-        assert!(
-            landed.heap_bytes() > raw,
-            "landed entry carries bitmap words"
+        assert!(landed.bitmap_eligible() && built_columns(&landed).is_empty());
+        let raw = landed.data.capacity() * 4 + landed.schema.capacity() * 4;
+        let tables = 2 * (256 / 64) * std::mem::size_of::<u64>();
+        assert_eq!(cache.resident_bytes(), raw + tables);
+        assert_eq!(landed.heap_bytes(), raw + tables);
+        let first: *const DomainBitmap = landed.relabel(vec![5, 6]).column_bitmap(1).unwrap();
+        assert_eq!(
+            cache.resident_bytes(),
+            raw + tables,
+            "a read is not charged"
         );
-        assert_eq!(cache.resident_bytes(), landed.heap_bytes());
+        let second = landed.relabel(vec![7, 8]);
+        assert!(std::ptr::eq(first, second.column_bitmap(1).unwrap()));
+        assert_eq!(built_columns(&landed), [1]);
+        // Codes under 2048 over 16 rows: past 64 codes a row.
+        let (wide, _) = cache.get_or_materialize(&other, || dense_rel(&[0, 1], 16, 2048, 9));
+        assert!(!wide.bitmap_eligible());
+        let wide_raw = wide.data.capacity() * 4 + wide.schema.capacity() * 4;
+        assert_eq!(wide.heap_bytes(), wide_raw);
+        assert_eq!(cache.resident_bytes(), raw + tables + wide_raw);
+    }
+
+    /// No column is built at landing. A cold Boolean `C4` over bags,
+    /// whose program has no semijoin, leaves every landed entry without
+    /// a bitmap; a warm Boolean path sweep builds exactly the columns
+    /// its semijoins read, each source's and each target's key column.
+    #[test]
+    fn landed_entries_build_only_the_columns_a_run_reads() {
+        use crate::eval::{AcyclicPlan, DecomposedPlan, Op};
+        use cqapx_structures::{StructureBuilder, Vocabulary};
+        use std::collections::BTreeMap;
+        // `u → u + 1` and `u → u − 3`: every vertex is on a 4-cycle.
+        let edges: Vec<(u32, u32)> = (0..300u32)
+            .flat_map(|u| [(u, (u + 1) % 300), (u, (u + 297) % 300)])
+            .collect();
+        let d = Structure::digraph(300, &edges);
+        let c4 = crate::parser::parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,a)").unwrap();
+        let plan = DecomposedPlan::compile(&c4, 2).unwrap();
+        let semijoin = |op: &Op| matches!(op, Op::Semijoin { .. });
+        assert!(!plan.ir().ops().iter().any(semijoin));
+        let cache = MaterializationCache::new();
+        assert!(plan.ir().run_boolean(&d, Some(&cache), None).0);
+        let entries = landed(&cache);
+        assert!(entries.len() >= 2, "the edge relation and a bag");
+        for (_, e) in &entries {
+            assert!(e.bitmap_eligible(), "every entry could build bitmaps");
+            assert_eq!(built_columns(e), [0usize; 0], "{:?}", e.schema());
+        }
+
+        let v = Vocabulary::new(vec![("R", 2), ("S", 2), ("T", 2)]);
+        let mut b = StructureBuilder::new(v.clone(), 64);
+        for (i, name) in ["R", "S", "T"].into_iter().enumerate() {
+            for u in 0..64u32 {
+                b.add(v.rel(name).unwrap(), &[u, (u * 5 + i as u32 + 1) % 64]);
+            }
+        }
+        let d = b.finish();
+        let rule = "Q() :- R(x, y), S(y, z), T(z, w)";
+        let q = crate::parser::parse_cq_with_vocab(rule, &v).unwrap();
+        let plan = AcyclicPlan::compile(&q).unwrap();
+        let ir = plan.ir();
+        assert!(ir.reduction_decides());
+        let cache = MaterializationCache::new();
+        assert!(ir.run_boolean(&d, Some(&cache), None).0);
+        let (holds, stats) = ir.run_boolean(&d, Some(&cache), None);
+        assert!(holds && stats.hits == 3 && stats.bitmap_probes > 0);
+        let key_of: BTreeMap<usize, &MatKey> = (ir.ops().iter())
+            .filter_map(|op| match op {
+                Op::Materialize { dst, source } => Some((*dst, &source.key)),
+                _ => None,
+            })
+            .collect();
+        let mut read = BTreeSet::new();
+        for op in ir.ops() {
+            if let Op::Semijoin {
+                target,
+                source,
+                target_pos,
+                source_pos,
+            } = op
+            {
+                read.insert((key_of[source].clone(), source_pos[0]));
+                read.insert((key_of[target].clone(), target_pos[0]));
+            }
+        }
+        let built: BTreeSet<(MatKey, usize)> = (landed(&cache).into_iter())
+            .flat_map(|(k, e)| built_columns(&e).into_iter().map(move |c| (k.clone(), c)))
+            .collect();
+        assert_eq!(built, read);
+        assert!(built.len() < 6, "some column is never read");
+    }
+
+    /// Readers adopting one entry, each through its own relabel, read
+    /// one column while other threads land and evict other keys under a
+    /// budget of about two entries (the shared one among them). Every
+    /// reader sees one bitmap, and at quiescence resident bytes are the
+    /// charges of the entries still in the map.
+    #[test]
+    fn concurrent_first_reads_share_one_bitmap_under_eviction() {
+        use std::sync::Barrier;
+        let q = crate::parser::parse_cq("Q() :- A(x, y), B(x, y), C(x, y), D(x, y)").unwrap();
+        let keys: Vec<MatKey> = q.atoms().iter().map(MatKey::of_atom).collect();
+        let (shared, others) = keys.split_first().unwrap();
+        let one = dense_rel(&[0, 1], 256, 256, 0).heap_bytes();
+        let (readers, churners) = (3, 2);
+        for seed in 0..300u64 {
+            let cache = MaterializationCache::new();
+            cache.set_budget_bytes(2 * one + one / 2);
+            let col = (seed % 2) as usize;
+            // The churn starts once every reader has adopted the entry,
+            // so they share it; it may evict the entry while they read.
+            let go = Barrier::new(readers + churners);
+            let seen: Vec<(FlatRelation, usize)> = std::thread::scope(|s| {
+                let (cache, go) = (&cache, &go);
+                let read: Vec<_> = (0..readers as VarId)
+                    .map(|r| {
+                        s.spawn(move || {
+                            let build = || dense_rel(&[0, 1], 256, 256, seed);
+                            let (entry, _) = cache.get_or_materialize(shared, build);
+                            go.wait();
+                            let mine = entry.relabel(vec![10 + r, 20 + r]);
+                            let at = mine.column_bitmap(col).unwrap() as *const _ as usize;
+                            (mine, at)
+                        })
+                    })
+                    .collect();
+                for c in 0..churners as u64 {
+                    s.spawn(move || {
+                        go.wait();
+                        for i in 0..4 {
+                            let k = &others[((seed + c + i) % 3) as usize];
+                            let build = || dense_rel(&[0, 1], 256, 256, seed ^ i);
+                            let (entry, _) = cache.get_or_materialize(k, build);
+                            entry.column_bitmap(((c + i) % 2) as usize);
+                        }
+                    });
+                }
+                read.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            let at = seen[0].1;
+            assert!(seen.iter().all(|(_, a)| *a == at), "seed {seed}");
+            assert_eq!(
+                seen[0].0.column_bitmap(col).unwrap() as *const _ as usize,
+                at
+            );
+            let map = cache.map.read().unwrap();
+            let charged: usize = map.values().map(|f| f.bytes.load(Ordering::Relaxed)).sum();
+            assert_eq!(cache.resident_bytes(), charged, "seed {seed}");
+            assert!(
+                cache.resident_bytes() <= cache.budget_bytes(),
+                "seed {seed}"
+            );
+        }
     }
 
     // ── packed code-word sorts ──────────────────────────────────────

@@ -140,11 +140,6 @@ impl DomainBitmap {
             .map(move |w| (i as u32) << 6 | w.trailing_zeros())
         })
     }
-
-    /// Heap bytes held by the word table (for cache accounting).
-    pub fn heap_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u64>()
-    }
 }
 
 #[cfg(test)]
@@ -216,6 +211,6 @@ mod tests {
         bm.set(0);
         assert!(!bm.contains(0));
         assert!(bm.is_empty());
-        assert_eq!(bm.heap_bytes(), 0);
+        assert!(bm.words().is_empty());
     }
 }
