@@ -22,12 +22,14 @@
 //!
 //! A warm request allocates alike whether or not the data has a
 //! dangling tuple, whatever the engine's thread count and whether or not
-//! the engine records metrics, and preparing
-//! a query twice calls the allocator less often than one approximation
-//! search. A snapshot keeps each relation in one buffer: cloning and
-//! dropping it, or superseding it under its name, calls the allocator
-//! as often at twice the tuples. A hom search that only asks whether a
-//! homomorphism exists stops at the first one without copying it.
+//! the engine records metrics. Preparing the introduction's `Q2` and
+//! approximating it into `TW(1)` stay under fixed allocator-call counts.
+//! A snapshot keeps each relation in one buffer: cloning and dropping
+//! it, or superseding it under its name, calls the allocator as often at
+//! twice the tuples. The hom kernel allocates per search: compiling a
+//! source and indexing a target call the allocator as often at eight
+//! times the atoms, a warm `exists` calls it at most once, and it stops
+//! at the first homomorphism without assembling it.
 //!
 //! Its own test binary because it installs a counting
 //! `#[global_allocator]`. The counters are thread-local, so the
@@ -669,22 +671,19 @@ fn one_request_allocates_the_same_at_any_thread_count() {
     }
 }
 
-/// Preparing a query costs less than approximating it. A request that
-/// misses the approximation cache after its query and an isomorphic
-/// twin were prepared (`cqbench`'s `approx_cold`) prepares twice and
-/// searches once, so on the introduction's `Q2` two preparations must
-/// call the allocator less often than one search into `TW(1)`: the
-/// shape's treewidth search hands its decomposition to the decomposed
-/// plan, which no second search rebuilds, and the plan's sources move
-/// into it rather than being copied. The plan is the one a search at
-/// that width compiles to.
+/// The introduction's `Q2`, which `cqbench`'s `q2_tw1` cell prepares
+/// and approximates into `TW(1)`.
+const Q2: &str = "Q() :- E(x,y), E(y,z), E(z,u), E(x1,y1), E(y1,z1), E(z1,u1), E(x,z1), E(y,u1)";
+
+/// Preparing `Q2` calls the allocator at most 215 times: the shape's
+/// treewidth search hands its decomposition to the decomposed plan,
+/// which no second search rebuilds, and the plan's sources move into it
+/// rather than being copied. The plan is the one a search at that width
+/// compiles to.
 #[test]
-fn preparing_twice_allocates_less_than_one_approximation_search() {
-    use cqapx_core::{all_approximations_tableaux, ApproxOptions, TwK};
+fn preparing_q2_allocates_no_more_than_it_did() {
     use cqapx_engine::PreparedQuery;
-    let q2 =
-        parse_cq("Q() :- E(x,y), E(y,z), E(z,u), E(x1,y1), E(y1,z1), E(z1,u1), E(x,z1), E(y,u1)")
-            .unwrap();
+    let q2 = parse_cq(Q2).unwrap();
     let copy = q2.clone();
     let (prepared, prepare, _) = counted(|| PreparedQuery::build("q2", copy));
     let plan = prepared
@@ -693,14 +692,23 @@ fn preparing_twice_allocates_less_than_one_approximation_search() {
         .expect("treewidth 2 is within the limit");
     let searched = DecomposedPlan::compile(&q2, prepared.shape.treewidth).unwrap();
     assert_eq!(format!("{:?}", plan.ir()), format!("{:?}", searched.ir()));
+    assert!(prepare <= 215, "{prepare} allocator calls to prepare Q2");
+}
+
+/// One approximation search of `Q2` into `TW(1)` calls the allocator at
+/// most 300 times for its 57 walk nodes, 3 candidates and one result:
+/// each core is computed by restriction on one compiled source, and a
+/// compile allocates per search, never per atom.
+#[test]
+fn approximating_q2_allocates_per_candidate_not_per_node() {
+    use cqapx_core::{all_approximations_tableaux, ApproxOptions, TwK};
+    let t = cqapx_cq::tableau_of(&parse_cq(Q2).unwrap());
     let options = ApproxOptions::default();
-    let ((approximations, _), search, _) =
-        counted(|| all_approximations_tableaux(prepared.tableau(), &TwK(1), &options));
-    assert!(!approximations.is_empty());
-    assert!(
-        2 * prepare < search,
-        "{prepare} allocator calls per preparation, {search} for the search"
-    );
+    let ((approximations, meta), search, _) =
+        counted(|| all_approximations_tableaux(&t, &TwK(1), &options));
+    assert_eq!(approximations.len(), 1);
+    assert_eq!((meta.nodes, meta.candidates), (57, 3));
+    assert!(search <= 300, "{search} allocator calls for the search");
 }
 
 /// A snapshot stores each relation as one buffer, so cloning one and
@@ -739,18 +747,52 @@ fn re_registering_a_bigger_snapshot_allocates_no_more() {
     );
 }
 
-/// `exists` stops at the first homomorphism without cloning the witness
-/// `find` hands back: on the same pinned search, warmed so the target
+/// The directed cycle on `n` vertices.
+fn directed_cycle(n: u32) -> Structure {
+    let edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+    Structure::digraph(n as usize, &edges)
+}
+
+/// A compiled source and a target index each keep their lists in flat
+/// buffers: compiling and indexing the directed `C64` call the allocator
+/// exactly as often as the directed `C8`.
+#[test]
+fn compiling_and_indexing_allocate_per_structure_not_per_atom() {
+    let [small, big] = [8, 64].map(|n| {
+        let c = directed_cycle(n);
+        let compile = counted(|| HomSolver::compile(&c)).1;
+        let index = counted(|| {
+            c.index();
+        })
+        .1;
+        (compile, index)
+    });
+    assert_eq!(small, big, "(compile, index) allocator calls, C8 vs C64");
+}
+
+/// A warm search hands its root-level domains back to the thread's
+/// scratch pool and `exists` assembles no witness, so asking again on
+/// the same target calls the allocator at most once (the pin).
+#[test]
+fn repeated_warm_exists_allocates_at_most_once() {
+    let (c12, c4) = (directed_cycle(12), directed_cycle(4));
+    let solver = HomSolver::compile(&c12);
+    let run = || solver.run(&c4).pin(0, 1).exists();
+    assert!(run() && run());
+    for _ in 0..3 {
+        let (found, calls, _) = counted(run);
+        assert!(found);
+        assert!(calls <= 1, "{calls} allocator calls for a warm exists");
+    }
+}
+
+/// `exists` stops at the first homomorphism without assembling the
+/// witness `find` hands back: on the same pinned search, warmed so the target
 /// index and the solver's scratch are built, it calls the allocator at
-/// least once fewer. (An optimized build may also elide the witness the
-/// search assembles for a callback that ignores it.)
+/// least once fewer.
 #[test]
 fn hom_exists_copies_no_witness() {
-    let cycle = |n: u32| {
-        let edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-        Structure::digraph(n as usize, &edges)
-    };
-    let (c6, c3) = (cycle(6), cycle(3));
+    let (c6, c3) = (directed_cycle(6), directed_cycle(3));
     let solver = HomSolver::compile(&c6);
     let run = || solver.run(&c3).pin(0, 1);
     assert!(run().find().is_some());

@@ -38,6 +38,59 @@ fn digraph_structure(max_n: usize) -> impl Strategy<Value = Structure> {
     })
 }
 
+/// A random small structure over a binary `E` and a ternary `T` (maybe
+/// empty) with an active universe, and a head of one or two of its
+/// elements.
+fn pointed_structure(max_n: usize) -> impl Strategy<Value = Pointed> {
+    (2..=max_n).prop_flat_map(move |n| {
+        let v = n as u32;
+        (
+            proptest::collection::vec((0..v, 0..v), 1..=(2 * n)),
+            proptest::collection::vec((0..v, 0..v, 0..v), 0..=n),
+            proptest::collection::vec(0..v, 1..=2),
+        )
+            .prop_map(move |(edges, triples, head)| {
+                let vocab = Vocabulary::new(vec![("E", 2), ("T", 3)]);
+                let (e, t) = (vocab.rel("E").unwrap(), vocab.rel("T").unwrap());
+                let mut b = StructureBuilder::new(vocab, n);
+                for (x, y) in edges {
+                    b.add(e, &[x, y]);
+                }
+                for (x, y, z) in triples {
+                    b.add(t, &[x, y, z]);
+                }
+                let (s, _) = b.finish().restrict_to_adom();
+                let m = s.universe_size() as u32;
+                Pointed::new(s, head.iter().map(|&x| x % m).collect())
+            })
+    })
+}
+
+/// `core_of(p)` against the seed engine's core: the same size and
+/// hom-equivalent (head to head); the retraction a homomorphism onto the
+/// core that maps the head onto the core's head; idempotent, and
+/// certified a core by both engines.
+fn check_core(p: &Pointed) {
+    let old_core = baseline::baseline_core_of(p);
+    let r = core_of(p);
+    prop_assert_eq!(
+        old_core.structure.universe_size(),
+        r.core.structure.universe_size()
+    );
+    prop_assert!(hom_exists(&r.core, &old_core));
+    prop_assert!(hom_exists(&old_core, &r.core));
+    let h = Homomorphism {
+        map: r.retraction.clone(),
+    };
+    prop_assert!(h.verify(&p.structure, &r.core.structure));
+    let head: Vec<Element> = p.distinguished().iter().map(|&x| h.apply(x)).collect();
+    prop_assert_eq!(head.as_slice(), r.core.distinguished());
+    let r2 = core_of(&r.core);
+    prop_assert_eq!(r2.iterations, 0);
+    prop_assert!(is_core(&r.core));
+    prop_assert!(baseline::baseline_is_core(&r.core));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -100,23 +153,15 @@ proptest! {
     /// is idempotent, and its result is certified by both engines.
     #[test]
     fn cores_agree_and_are_idempotent(s in digraph_structure(6)) {
-        let p = Pointed::boolean(s);
-        let old_core = baseline::baseline_core_of(&p);
-        let r = core_of(&p);
-        prop_assert_eq!(
-            old_core.structure.universe_size(),
-            r.core.structure.universe_size()
-        );
-        prop_assert!(hom_exists(&r.core, &old_core));
-        prop_assert!(hom_exists(&old_core, &r.core));
-        // Retraction witness is a real homomorphism onto the core.
-        let h = Homomorphism { map: r.retraction.clone() };
-        prop_assert!(h.verify(&p.structure, &r.core.structure));
-        // Idempotence + certification by both engines.
-        let r2 = core_of(&r.core);
-        prop_assert_eq!(r2.iterations, 0);
-        prop_assert!(is_core(&r.core));
-        prop_assert!(baseline::baseline_is_core(&r.core));
+        check_core(&Pointed::boolean(s));
+    }
+
+    /// The same on structures with a head of one or two elements (which
+    /// may repeat) over a binary and a ternary relation: the retraction
+    /// fixes the head as well.
+    #[test]
+    fn pinned_cores_agree_and_are_idempotent(p in pointed_structure(6)) {
+        check_core(&p);
     }
 
     /// The streaming antichain keeps exactly the →-minimal first

@@ -772,88 +772,6 @@ impl FlatRelation {
     }
 }
 
-#[cfg(test)]
-/// The reference join: `π_keep(⋈ parts)` by its definition, sharing
-/// no code with the kernel — a nested loop over `BTreeSet` rows,
-/// each part's rows keyed by the columns it shares with the parts
-/// before it, so that the inner loop of a partial binding is a range
-/// of the ordered set — written out as the relation the kernel must
-/// produce: canonical rows, and the largest part bound when every
-/// part with a column has one.
-pub(crate) fn reference_join(parts: &[&FlatRelation], keep: &[VarId]) -> FlatRelation {
-    struct Loop {
-        shared: Vec<usize>,
-        rows: BTreeSet<Vec<Element>>,
-    }
-    fn extend(
-        loops: &[Loop],
-        binding: &mut Vec<Element>,
-        kept: &[usize],
-        out: &mut BTreeSet<Vec<Element>>,
-    ) {
-        let Some((first, rest)) = loops.split_first() else {
-            out.insert(kept.iter().map(|&i| binding[i]).collect());
-            return;
-        };
-        let key: Vec<Element> = first.shared.iter().map(|&i| binding[i]).collect();
-        for row in first.rows.range(key.clone()..) {
-            if !row.starts_with(&key) {
-                break;
-            }
-            let len = binding.len();
-            binding.extend_from_slice(&row[key.len()..]);
-            extend(rest, binding, kept, out);
-            binding.truncate(len);
-        }
-    }
-    let mut bound: Vec<VarId> = Vec::new();
-    let mut loops = Vec::new();
-    for p in parts {
-        let at = |v: &VarId| bound.iter().position(|b| b == v);
-        let arity = p.schema.len();
-        let shared: Vec<usize> = (0..arity).filter(|&c| at(&p.schema[c]).is_some()).collect();
-        let own: Vec<usize> = (0..arity).filter(|&c| at(&p.schema[c]).is_none()).collect();
-        let rows = (p.iter_rows())
-            .map(|r| shared.iter().chain(&own).map(|&c| r[c]).collect())
-            .collect();
-        let shared = shared
-            .iter()
-            .map(|&c| at(&p.schema[c]).expect("shared"))
-            .collect();
-        bound.extend(own.iter().map(|&c| p.schema[c]));
-        loops.push(Loop { shared, rows });
-    }
-    let at = |v: &VarId| {
-        bound
-            .iter()
-            .position(|b| b == v)
-            .expect("kept var in a part")
-    };
-    let kept: Vec<usize> = keep.iter().map(at).collect();
-    let mut rows = BTreeSet::new();
-    extend(&loops, &mut Vec::new(), &kept, &mut rows);
-    let mut out = FlatRelation::empty(keep.to_vec());
-    for row in &rows {
-        out.push_row(row);
-    }
-    if parts
-        .iter()
-        .all(|p| p.domain_width > 0 || p.schema.is_empty())
-    {
-        out.domain_width = parts.iter().map(|p| p.domain_width).max().unwrap_or(0);
-    }
-    out
-}
-
-#[cfg(test)]
-impl FlatRelation {
-    /// The rows in head order, codes left as they are.
-    pub(crate) fn rows_in_head_order(&self, head: &[VarId]) -> BTreeSet<Vec<Element>> {
-        let identity = DomainDict::build(&Structure::digraph(0, &[]));
-        self.rows_in_head_order_decoded(head, &identity)
-    }
-}
-
 /// First row in `lo..hi` whose value is `>= v` (`> v` when `strict`),
 /// in a column stored every `stride` elements of `col`: galloping
 /// search — exponential probe from `lo`, then binary search inside the
@@ -2185,6 +2103,87 @@ mod tests {
         }
     }
 
+    impl FlatRelation {
+        /// The reference join: `π_keep(⋈ parts)` by its definition, sharing
+        /// no code with the kernel — a nested loop over `BTreeSet` rows,
+        /// each part's rows keyed by the columns it shares with the parts
+        /// before it, so that the inner loop of a partial binding is a range
+        /// of the ordered set — written out as the relation the kernel must
+        /// produce: canonical rows, and the largest part bound when every
+        /// part with a column has one.
+        pub(crate) fn reference_join(parts: &[&FlatRelation], keep: &[VarId]) -> FlatRelation {
+            struct Loop {
+                shared: Vec<usize>,
+                rows: BTreeSet<Vec<Element>>,
+            }
+            fn extend(
+                loops: &[Loop],
+                binding: &mut Vec<Element>,
+                kept: &[usize],
+                out: &mut BTreeSet<Vec<Element>>,
+            ) {
+                let Some((first, rest)) = loops.split_first() else {
+                    out.insert(kept.iter().map(|&i| binding[i]).collect());
+                    return;
+                };
+                let key: Vec<Element> = first.shared.iter().map(|&i| binding[i]).collect();
+                for row in first.rows.range(key.clone()..) {
+                    if !row.starts_with(&key) {
+                        break;
+                    }
+                    let len = binding.len();
+                    binding.extend_from_slice(&row[key.len()..]);
+                    extend(rest, binding, kept, out);
+                    binding.truncate(len);
+                }
+            }
+            let mut bound: Vec<VarId> = Vec::new();
+            let mut loops = Vec::new();
+            for p in parts {
+                let at = |v: &VarId| bound.iter().position(|b| b == v);
+                let arity = p.schema.len();
+                let shared: Vec<usize> =
+                    (0..arity).filter(|&c| at(&p.schema[c]).is_some()).collect();
+                let own: Vec<usize> = (0..arity).filter(|&c| at(&p.schema[c]).is_none()).collect();
+                let rows = (p.iter_rows())
+                    .map(|r| shared.iter().chain(&own).map(|&c| r[c]).collect())
+                    .collect();
+                let shared = shared
+                    .iter()
+                    .map(|&c| at(&p.schema[c]).expect("shared"))
+                    .collect();
+                bound.extend(own.iter().map(|&c| p.schema[c]));
+                loops.push(Loop { shared, rows });
+            }
+            let at = |v: &VarId| {
+                bound
+                    .iter()
+                    .position(|b| b == v)
+                    .expect("kept var in a part")
+            };
+            let kept: Vec<usize> = keep.iter().map(at).collect();
+            let mut rows = BTreeSet::new();
+            extend(&loops, &mut Vec::new(), &kept, &mut rows);
+            let mut out = FlatRelation::empty(keep.to_vec());
+            for row in &rows {
+                out.push_row(row);
+            }
+            if parts
+                .iter()
+                .all(|p| p.domain_width > 0 || p.schema.is_empty())
+            {
+                out.domain_width = parts.iter().map(|p| p.domain_width).max().unwrap_or(0);
+            }
+            out
+        }
+
+        /// The rows in head order, codes left as they are.
+        pub(crate) fn rows_in_head_order(&self, head: &[VarId]) -> BTreeSet<Vec<Element>> {
+            let identity = DomainDict::build(&Structure::digraph(0, &[]));
+            self.rows_in_head_order_decoded(head, &identity)
+        }
+    }
+
     /// The canonical form, counters
     /// dropped.
     fn canon(r: &mut FlatRelation) {
@@ -2481,7 +2480,7 @@ mod tests {
                 let parts: Vec<&FlatRelation> = rels.iter().collect();
                 for keep in keep_lists(&schema) {
                     let got = kernel(&parts, &keep);
-                    let want = reference_join(&parts, &keep);
+                    let want = FlatRelation::reference_join(&parts, &keep);
                     let ctx =
                         format!("{schemas:?} keep {keep:?} dom {dom} rows {rows} dense {dense}");
                     assert_identical(&got, &want, &ctx);
@@ -2580,7 +2579,7 @@ mod tests {
         let a = rel(&[0, 1], &[&[1, 2], &[2, 3]]);
         let b = rel(&[1, 2], &[&[2, 4], &[3, 1], &[3, 9]]);
         let (yes, no) = (FlatRelation::unit(), FlatRelation::empty(Vec::new()));
-        let want = reference_join(&[&a, &b], &[0, 1, 2]);
+        let want = FlatRelation::reference_join(&[&a, &b], &[0, 1, 2]);
         assert_eq!(want.len(), 3);
         for parts in [[&yes, &a, &b], [&a, &yes, &b], [&a, &b, &yes]] {
             assert_identical(&kernel(&parts, &[0, 1, 2]), &want, "true part");
@@ -2668,7 +2667,7 @@ mod tests {
             let dense = Trie::offsets_len(parts[1]) > 0;
             assert_eq!(dense, widths[1] == 60);
             let got = kernel(&parts, &[0, 1, 2]);
-            let want = reference_join(&parts, &[0, 1, 2]);
+            let want = FlatRelation::reference_join(&parts, &[0, 1, 2]);
             assert!(!want.is_empty());
             assert_identical(&got, &want, &format!("widths {widths:?}"));
         }
@@ -2703,7 +2702,7 @@ mod tests {
             b.domain_width = width;
             assert_eq!(Trie::offsets_len(&b) > 0, indexed, "width {width}");
             for keep in [&[0, 1, 2, 3][..], &[3, 0], &[2]] {
-                let want = reference_join(&[&a, &b], keep);
+                let want = FlatRelation::reference_join(&[&a, &b], keep);
                 assert!(!want.is_empty());
                 let ctx = format!("width {width}, keep {keep:?}");
                 assert_identical(&kernel(&[&a, &b], keep), &want, &ctx);
@@ -2888,7 +2887,7 @@ mod tests {
             let mut via_bitmap = a.clone();
             via_bitmap.semijoin_on(&[1], &b, &[0], &mut stats);
             assert_eq!(stats.bitmap_probes, 1, "dense fixture takes the bitmap");
-            let want = reference_join(&[&a, &b], &a.schema);
+            let want = FlatRelation::reference_join(&[&a, &b], &a.schema);
             assert_eq!(via_bitmap.data, want.data, "semijoin bytes differ (n={n})");
             assert_eq!(via_bitmap.rows, want.rows);
             assert_eq!(via_bitmap.domain_width, a.domain_width);
@@ -3413,7 +3412,7 @@ mod tests {
         let l = bounded_rel(&[0, 1, 2], 9000, 300, &mut seed);
         let r = bounded_rel(&[1, 3], 7000, 300, &mut seed);
         for vars in [&[0, 3][..], &[3, 2, 0, 1], &[2], &[]] {
-            let want = reference_join(&[&l, &r], vars);
+            let want = FlatRelation::reference_join(&[&l, &r], vars);
             assert_identical(&kernel(&[&l, &r], vars), &want, &format!("vars {vars:?}"));
         }
     }
@@ -3454,7 +3453,7 @@ mod tests {
     /// schema, rows in order, bound. Rows that need the sort are written
     /// as code words when they fit a `u32` one, and as rows otherwise.
     fn check_word_join(l: &FlatRelation, r: &FlatRelation, vars: &[VarId], ctx: &str) {
-        let want = reference_join(&[l, r], vars);
+        let want = FlatRelation::reference_join(&[l, r], vars);
         let got = multiway_join([l, r].into_iter(), vars, &mut MatCacheStats::default());
         assert_identical(&got, &want, ctx);
         assert_eq!(got.domain_width, want.domain_width, "{ctx}");
@@ -3536,7 +3535,11 @@ mod tests {
             let mut stats = MatCacheStats::default();
             let parts = [&yz, &xy].into_iter();
             let got = multiway_join(parts, vars, &mut stats);
-            assert_identical(&got, &reference_join(&[&xy, &yz], vars), "wedge");
+            assert_identical(
+                &got,
+                &FlatRelation::reference_join(&[&xy, &yz], vars),
+                "wedge",
+            );
             let words = (stats.packed_sorts, stats.packed_rows);
             assert_eq!(words, (u64::from(sorted > 0), sorted), "vars {vars:?}");
         }
@@ -3604,7 +3607,7 @@ mod tests {
                     vars.push(v);
                 }
             }
-            let want = reference_join(&[&l, &r], &vars);
+            let want = FlatRelation::reference_join(&[&l, &r], &vars);
             let mut stats = MatCacheStats::default();
             let parts = [&l, &r].into_iter();
             let got = multiway_join(parts, &vars, &mut stats);
@@ -3613,7 +3616,7 @@ mod tests {
             prop_assert_eq!(got.rows, want.rows);
             prop_assert_eq!(&got.data, &want.data);
             // The gather over the whole join keeps the same set.
-            let alone = reference_join(&[&l, &r], &schema).project(&vars, &mut stats);
+            let alone = FlatRelation::reference_join(&[&l, &r], &schema).project(&vars, &mut stats);
             prop_assert_eq!(&alone.data, &want.data);
         }
     }

@@ -1151,37 +1151,36 @@ fn with_materializations(nodes: Vec<NodeSpec>, mut ops: Vec<Op>) -> Vec<Op> {
 }
 
 #[cfg(test)]
-impl PlanIr {
-    /// Checks a full uncached run's output against the reference join
-    /// of the program's materialized sources — which sorts no row as a
-    /// code word and reads no bitmap — on the output's schema: the same
-    /// rows in the same order, or nothing when an emptiness assertion
-    /// stopped the run.
-    pub(crate) fn assert_output_is_reference_join(&self, d: &Structure, what: &str) {
-        let mats = self.materialize_sources().count();
-        let mut slots = vec![None; self.slots];
-        self.run_ops(0..mats, &mut slots, d, None);
-        let parts: Vec<&FlatRelation> = slots.iter().flatten().collect();
-        match self.run(d, None, None).0 {
-            Some(out) => {
-                let want = crate::eval::flat::reference_join(&parts, out.schema());
-                assert!(out.iter_rows().eq(want.iter_rows()), "output rows: {what}");
-            }
-            None => {
-                let want = crate::eval::flat::reference_join(&parts, &[]);
-                assert!(
-                    want.is_empty(),
-                    "the run stopped on a nonempty join: {what}"
-                );
-            }
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_cq;
+
+    impl PlanIr {
+        /// Checks a full uncached run's output against the reference join
+        /// of the program's materialized sources — which sorts no row as a
+        /// code word and reads no bitmap — on the output's schema: the same
+        /// rows in the same order, or nothing when an emptiness assertion
+        /// stopped the run.
+        pub(crate) fn assert_output_is_reference_join(&self, d: &Structure, what: &str) {
+            let mats = self.materialize_sources().count();
+            let mut slots = vec![None; self.slots];
+            self.run_ops(0..mats, &mut slots, d, None);
+            let parts: Vec<&FlatRelation> = slots.iter().flatten().collect();
+            match self.run(d, None, None).0 {
+                Some(out) => {
+                    let want = FlatRelation::reference_join(&parts, out.schema());
+                    assert!(out.iter_rows().eq(want.iter_rows()), "output rows: {what}");
+                }
+                None => {
+                    let want = FlatRelation::reference_join(&parts, &[]);
+                    assert!(
+                        want.is_empty(),
+                        "the run stopped on a nonempty join: {what}"
+                    );
+                }
+            }
+        }
+    }
 
     fn source_of(q: &str) -> MatSource {
         let q = parse_cq(q).unwrap();
@@ -1281,7 +1280,7 @@ mod tests {
         let mut stats = MatCacheStats::default();
         let scan = |p: &MatPart| p.materialize_fresh(d, &mut stats);
         let parts: Vec<FlatRelation> = src.parts.iter().map(scan).collect();
-        crate::eval::flat::reference_join(&parts.iter().collect::<Vec<_>>(), &src.schema)
+        FlatRelation::reference_join(&parts.iter().collect::<Vec<_>>(), &src.schema)
     }
 
     #[test]

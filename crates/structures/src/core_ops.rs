@@ -11,10 +11,23 @@
 //! For pointed structures `(D, ā)` the distinguished elements are pinned:
 //! an endomorphism must fix `ā` pointwise, matching CQ minimization in the
 //! presence of free variables.
+//!
+//! # Cores by restriction
+//!
+//! A retract of `D` is an induced substructure `D[S]`, `S` the image of
+//! an idempotent endomorphism. The retraction loop never builds one
+//! before the end, by this lemma: *when `D → D[S]` (fixing `ā`), `D[S]`
+//! has an endomorphism fixing `ā` whose image misses `y` iff
+//! `D → D[S ∖ {y}]` (fixing `ā`).* One way, compose the retraction
+//! `D → D[S]` with the endomorphism; the other, restrict the homomorphism
+//! to `S`. So [`core_of`] compiles `D` once and searches `D → D[S ∖ {y}]`
+//! against `D`'s own index with the image confined to `S ∖ {y}`; a probe
+//! that fails stays failed for every smaller `S`, whose target is smaller.
 
 use crate::hom::Homomorphism;
+use crate::index::ElemSet;
 use crate::pointed::Pointed;
-use crate::solver::HomSolver;
+use crate::solver::{HomRun, HomSolver};
 use crate::structure::Element;
 
 /// The result of a core computation.
@@ -29,34 +42,27 @@ pub struct CoreResult {
     pub iterations: usize,
 }
 
-/// Searches for an endomorphism of `p` whose image misses at least one
-/// element, i.e. a witness that `p` is not a core.
-///
-/// Distinguished elements are pinned to themselves. The endomorphism
-/// source is compiled once and reused across all `n` exclusion probes
-/// (and the target-side index is the structure's cached one), so each
-/// probe pays only for its search.
-fn non_surjective_endomorphism(p: &Pointed) -> Option<Homomorphism> {
-    let s = &p.structure;
-    let n = s.universe_size();
-    let solver = HomSolver::compile(s);
-    for avoid in 0..n as Element {
-        if p.distinguished().contains(&avoid) {
-            continue; // pinned elements are always in the image
-        }
-        let mut run = solver.run(s).exclude_target(avoid);
-        for &d in p.distinguished() {
-            run = run.pin(d, d);
-        }
-        if let Some(h) = run.find() {
-            return Some(h);
-        }
-    }
-    None
+/// A search for a homomorphism `D → D[S]` fixing the distinguished tuple,
+/// `S` = `allowed`: `p`'s compiled structure into the substructure it
+/// induces on `S`.
+fn into_restriction<'s, 't>(
+    solver: &'s HomSolver,
+    p: &'t Pointed,
+    allowed: &'t ElemSet,
+) -> HomRun<'s, 't> {
+    let head = p.distinguished();
+    solver
+        .run(&p.structure)
+        .pin_tuple(head, head)
+        .within(allowed)
 }
 
 /// `true` when the pointed structure is a core (every endomorphism fixing
 /// the distinguished tuple is surjective).
+///
+/// One compiled source and the structure's own index serve every probe:
+/// `D` is a core iff no `D → D[V ∖ {y}]` exists for an undistinguished
+/// `y`.
 ///
 /// # Examples
 ///
@@ -71,14 +77,35 @@ fn non_surjective_endomorphism(p: &Pointed) -> Option<Homomorphism> {
 /// assert!(!core_ops::is_core(&p));
 /// ```
 pub fn is_core(p: &Pointed) -> bool {
-    non_surjective_endomorphism(p).is_none()
+    let n = p.structure.universe_size();
+    let solver = HomSolver::compile(&p.structure);
+    let mut allowed = ElemSet::default();
+    allowed.reset_full(n);
+    (0..n as Element)
+        .filter(|y| !p.distinguished().contains(y))
+        .all(|y| {
+            allowed.remove(y);
+            let avoids = into_restriction(&solver, p, &allowed).exists();
+            allowed.insert(y);
+            !avoids
+        })
 }
 
-/// Computes the core of a pointed structure.
+/// Computes the core of a pointed structure, by restriction.
 ///
-/// Repeatedly finds a non-surjective endomorphism and replaces the
-/// structure by its image, until no such endomorphism exists. The result is
-/// the unique core up to isomorphism.
+/// The input `D` is compiled once, and every probe searches for a
+/// homomorphism `D → D[S ∖ {y}]` fixing the distinguished tuple, over the
+/// structure's own index, for a shrinking allowed set `S` (at first the
+/// whole universe). The module's lemma makes this the classical
+/// retraction loop: `D[S]` is always a retract of `D`, and it has an
+/// endomorphism avoiding `y` iff `D → D[S ∖ {y}]`. A found witness is
+/// squared while its image shrinks — every power fixes the head — and `S`
+/// becomes that image; a failed probe settles `y` for the whole run, since
+/// a smaller `S` only shrinks the target. So the elements are probed once
+/// each, in ascending order, and the core `D[S]` — a retract is an induced
+/// substructure — is built once, at the end. It is the unique core up to
+/// isomorphism; the distinguished tuple and the surviving elements' names
+/// carry over.
 ///
 /// # Panics
 ///
@@ -97,97 +124,61 @@ pub fn is_core(p: &Pointed) -> bool {
 /// assert_eq!(r.core.structure.universe_size(), 2);
 /// ```
 pub fn core_of(p: &Pointed) -> CoreResult {
+    let n = p.structure.universe_size();
+    let solver = HomSolver::compile(&p.structure);
     assert!(
-        p.structure.universe_is_active(),
+        solver.constrains_every_element(),
         "core_of needs an active universe (every element in some tuple)"
     );
-    let mut current = p.restrict_to_adom();
-    // retraction from original universe into current universe
-    let mut retraction: Vec<Element> = (0..p.structure.universe_size() as Element).collect();
+    let mut allowed = ElemSet::default();
+    allowed.reset_full(n);
+    // The last witness, squeezed: a homomorphism from `D` onto `D[S]`.
+    let mut witness: Option<Homomorphism> = None;
     let mut iterations = 0;
-
-    // Monotonicity of unavoidability under retraction: if the current
-    // structure `D` has no endomorphism (fixing ā) avoiding `y`, then no
-    // retract `D'` of `D` containing `y` has one either — an endomorphism
-    // `g` of `D'` avoiding `y` would compose with the projection and the
-    // inclusion into `π;g;ι`, an endomorphism of `D` avoiding `y`. So a
-    // failed probe settles its element for the *entire* run: the flag is
-    // carried through each retraction's renumbering and the element is
-    // never probed again, bounding the total number of failed probes by
-    // the universe size (the seed engine restarted every probe from
-    // scratch after each retraction).
-    let mut proven: Vec<bool> = vec![false; current.structure.universe_size()];
-
-    loop {
-        let s = &current.structure;
-        let n = s.universe_size();
-        let solver = HomSolver::compile(s);
-        let mut witness: Option<Homomorphism> = None;
-        for avoid in 0..n as Element {
-            if proven[avoid as usize] || current.distinguished().contains(&avoid) {
-                continue;
-            }
-            let mut run = solver.run(s).exclude_target(avoid);
-            for &d in current.distinguished() {
-                run = run.pin(d, d);
-            }
-            match run.find() {
-                Some(h) => {
-                    witness = Some(h);
-                    break;
-                }
-                None => proven[avoid as usize] = true,
-            }
+    let mut squared = Homomorphism { map: Vec::new() };
+    for y in 0..n as Element {
+        if !allowed.contains(y) || p.distinguished().contains(&y) {
+            continue;
         }
-        match witness {
-            None => break,
-            Some(mut h) => {
-                iterations += 1;
-                // Iterate the witness to its eventual image (h², h⁴, …):
-                // every power of an endomorphism fixing ā is again one,
-                // and the image chain shrinks until h is injective on it.
-                // One cheap O(n log n) squeeze per *search* often saves
-                // whole search-and-rebuild iterations.
-                let mut image = h.image_size();
-                loop {
-                    let h2 = h.then(&h);
-                    let next_image = h2.image_size();
-                    if next_image < image {
-                        h = h2;
-                        image = next_image;
-                    } else {
-                        break;
-                    }
-                }
-                // Build the image as a pointed structure, tracking renaming.
-                let next = current.map_image(&h.map);
-                // Track where each original element goes: through h, then
-                // through the dense renumbering done by map_image. Recompute
-                // the renumbering: elements of Im(h) sorted.
-                let raw = current.structure.map_image_raw(&h.map);
-                let (_, remap) = raw.restrict_to_adom();
-                for r in retraction.iter_mut() {
-                    let via_h = h.map[*r as usize];
-                    *r = remap[via_h as usize].expect("image elements are active");
-                }
-                // Carry the settled flags through the renumbering
-                // (collapsed elements drop out; surviving ones keep their
-                // verdict by the monotonicity argument above).
-                let mut next_proven = vec![false; next.structure.universe_size()];
-                for (old, new) in remap.iter().enumerate() {
-                    if let Some(new) = new {
-                        next_proven[*new as usize] = proven[old];
-                    }
-                }
-                proven = next_proven;
-                current = next;
+        allowed.remove(y);
+        let Some(mut h) = into_restriction(&solver, p, &allowed).find() else {
+            allowed.insert(y);
+            continue;
+        };
+        iterations += 1;
+        // Iterate the witness to its eventual image (h², h⁴, …): the image
+        // chain shrinks until `h` is injective on it. One cheap pass per
+        // squaring often saves whole probes.
+        let mut image = h.image_size();
+        loop {
+            squared.map.clear();
+            squared.map.extend(h.map.iter().map(|&x| h.map[x as usize]));
+            let next_image = squared.image_size();
+            if next_image >= image {
+                break;
             }
+            std::mem::swap(&mut h, &mut squared);
+            image = next_image;
         }
+        allowed.reset_empty(n);
+        for &x in &h.map {
+            allowed.insert(x);
+        }
+        witness = Some(h);
     }
-
+    let Some(h) = witness else {
+        return CoreResult {
+            core: p.clone(),
+            retraction: (0..n as Element).collect(),
+            iterations,
+        };
+    };
+    let (core, remap) = p.structure.induced(|x| allowed.contains(x));
+    let rank = |x: Element| remap[x as usize].expect("the image is the core's universe");
+    let distinguished = p.distinguished().iter().map(|&x| rank(x)).collect();
     CoreResult {
-        core: current,
-        retraction,
+        core: Pointed::new(core, distinguished),
+        retraction: h.map.iter().map(|&x| rank(x)).collect(),
         iterations,
     }
 }

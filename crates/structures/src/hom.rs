@@ -15,7 +15,8 @@
 //!
 //! * CQ **evaluation** — `ā ∈ Q(D)` iff `(T_Q, x̄) → (D, ā)`;
 //! * CQ **containment** — `Q ⊆ Q'` iff `(T_{Q'}, x̄') → (T_Q, x̄)`;
-//! * **cores** — search for non-injective endomorphisms;
+//! * **cores** — homomorphisms of a structure into its own induced
+//!   substructures ([`crate::core_ops`]);
 //! * **colorability** — `G` is `k`-colorable iff `G → K⃗_k`;
 //! * verification of the paper's gadget claims (incomparability of oriented
 //!   paths, chooser properties, …).
@@ -104,13 +105,6 @@ impl Homomorphism {
             }
             count
         })
-    }
-
-    /// Composes two homomorphisms: `(g ∘ self)(x) = g(self(x))`.
-    pub fn then(&self, g: &Homomorphism) -> Homomorphism {
-        Homomorphism {
-            map: self.map.iter().map(|&x| g.map[x as usize]).collect(),
-        }
     }
 
     /// Verifies that this map really is a homomorphism `source → target`.
@@ -305,17 +299,6 @@ mod tests {
         assert!(!bad.verify(&c3, &c3));
         let good = Homomorphism { map: vec![1, 2, 0] };
         assert!(good.verify(&c3, &c3));
-    }
-
-    #[test]
-    fn composition() {
-        let c6 = cycle(6);
-        let c3 = cycle(3);
-        let lp = Structure::digraph(1, &[(0, 0)]);
-        let h1 = HomSolver::compile(&c6).run(&c3).find().unwrap();
-        let h2 = HomSolver::compile(&c3).run(&lp).find().unwrap();
-        let h = h1.then(&h2);
-        assert!(h.verify(&c6, &lp));
     }
 
     #[test]

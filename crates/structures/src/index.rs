@@ -6,15 +6,18 @@
 //! have value `v` at position `p`?* (the support scan of a table
 //! constraint) and *which values occur at position `p` at all?* (the unary
 //! pruning of candidate domains). [`StructureIndex`] answers both in O(1)
-//! from inverted lists built in one pass over the tuples.
+//! from inverted lists in compressed sparse rows — per relation one
+//! offsets array over every (position, value), one flat array of tuple
+//! ids and one of occurrence words — built in two passes over the tuples,
+//! with three allocations per relation whatever its size.
 //!
 //! The index is built **lazily, once per [`Structure`]**, by
 //! [`Structure::index`](crate::Structure::index), and cached behind an
 //! `Arc`: clones of a structure share the built index, and repeated
 //! searches against the same target (the `O(candidates²)` regime of the
-//! minimality filter, or a core computation's `n` exclusion probes per
-//! retract) pay the build cost exactly once. The cache never goes stale
-//! because a `Structure`'s relations are immutable after
+//! minimality filter, or a core computation's probes, every one against
+//! the structure itself) pay the build cost exactly once. The cache never
+//! goes stale because a `Structure`'s relations are immutable after
 //! [`StructureBuilder::finish`](crate::StructureBuilder::finish) — the
 //! only mutators (`set_names`/`clear_names`) touch display names, not
 //! tuples. Any future tuple-level mutator must go through the builder,
@@ -25,7 +28,7 @@ use crate::vocabulary::RelId;
 use std::sync::{Arc, OnceLock};
 
 /// A dense bitset over elements `0..n`, the solver's domain
-/// representation and the index's occurrence sets.
+/// representation.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct ElemSet {
     words: Vec<u64>,
@@ -55,6 +58,11 @@ impl ElemSet {
         self.words.extend_from_slice(&other.words);
     }
 
+    /// The set's words, `64 · w + b` for bit `b` of word `w`.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     #[inline]
     pub(crate) fn contains(&self, i: Element) -> bool {
         (self.words[(i / 64) as usize] >> (i % 64)) & 1 == 1
@@ -73,12 +81,13 @@ impl ElemSet {
         }
     }
 
-    pub(crate) fn intersect_with(&mut self, other: &ElemSet) {
-        for (w, o) in self.words.iter_mut().zip(other.words.iter()) {
+    /// Intersects with the set whose words are `other`.
+    pub(crate) fn intersect_with(&mut self, other: &[u64]) {
+        for (w, o) in self.words.iter_mut().zip(other) {
             *w &= o;
         }
         // `other` may cover fewer words; anything beyond it is gone.
-        for w in self.words.iter_mut().skip(other.words.len()) {
+        for w in self.words.iter_mut().skip(other.len()) {
             *w = 0;
         }
     }
@@ -107,38 +116,60 @@ impl ElemSet {
     }
 }
 
-/// The inverted index of one relation: per-(position, value) tuple lists
-/// plus per-position occurrence sets.
+/// The inverted index of one relation, in compressed sparse rows: one
+/// offsets array over every (position, value) and one flat array of
+/// tuple ids, plus one flat array of occurrence words. So a relation's
+/// index is three allocations whatever its size.
 #[derive(Debug)]
 pub struct RelIndex {
     arity: usize,
     n_values: usize,
-    /// `lists[pos * n_values + val]` = ids ([`Structure::tuple`]) of the
-    /// tuples with `val` at `pos`.
-    lists: Vec<Vec<u32>>,
-    /// `occurs[pos]` = the set of values occurring at `pos`.
-    occurs: Vec<ElemSet>,
+    /// `ids[starts[k]..starts[k + 1]]` with `k = pos * n_values + val`:
+    /// ids ([`Structure::tuple`]) of the tuples with `val` at `pos`, in
+    /// ascending order.
+    starts: Vec<u32>,
+    ids: Vec<u32>,
+    /// `arity` bitsets of `n_values.div_ceil(64)` words each: the values
+    /// occurring at each position.
+    occurs: Vec<u64>,
 }
 
 impl RelIndex {
     fn build(s: &Structure, rel: RelId) -> RelIndex {
         let arity = s.vocabulary().arity(rel);
         let n_values = s.universe_size();
-        let mut lists = vec![Vec::new(); arity * n_values];
-        let mut occurs = vec![ElemSet::default(); arity];
-        for o in occurs.iter_mut() {
-            o.reset_empty(n_values);
-        }
-        for (ti, t) in s.tuples(rel).enumerate() {
+        let words = n_values.div_ceil(64);
+        let rows = s.flat_tuples(rel);
+        // Count each (position, value) one slot ahead, prefix-sum into
+        // start offsets, then place every id at its list's cursor; the
+        // cursors end one list ahead, so shifting them back restores the
+        // starts.
+        let mut starts = vec![0u32; arity * n_values + 1];
+        let mut occurs = vec![0u64; arity * words];
+        for t in rows.chunks_exact(arity) {
             for (p, &v) in t.iter().enumerate() {
-                lists[p * n_values + v as usize].push(ti as u32);
-                occurs[p].insert(v);
+                starts[p * n_values + v as usize + 1] += 1;
+                occurs[p * words + (v / 64) as usize] |= 1 << (v % 64);
             }
         }
+        for k in 1..starts.len() {
+            starts[k] += starts[k - 1];
+        }
+        let mut ids = vec![0u32; rows.len()];
+        for (ti, t) in rows.chunks_exact(arity).enumerate() {
+            for (p, &v) in t.iter().enumerate() {
+                let cursor = &mut starts[p * n_values + v as usize];
+                ids[*cursor as usize] = ti as u32;
+                *cursor += 1;
+            }
+        }
+        starts.copy_within(..arity * n_values, 1);
+        starts[0] = 0;
         RelIndex {
             arity,
             n_values,
-            lists,
+            starts,
+            ids,
             occurs,
         }
     }
@@ -152,18 +183,20 @@ impl RelIndex {
     /// with [`Structure::tuple`](crate::Structure::tuple).
     #[inline]
     pub fn matches(&self, pos: usize, val: Element) -> &[u32] {
-        &self.lists[pos * self.n_values + val as usize]
+        let k = pos * self.n_values + val as usize;
+        &self.ids[self.starts[k] as usize..self.starts[k + 1] as usize]
     }
 
-    /// The set of values occurring at `pos` of any tuple.
+    /// The words of the set of values occurring at `pos` of any tuple.
     #[inline]
-    pub(crate) fn occurs(&self, pos: usize) -> &ElemSet {
-        &self.occurs[pos]
+    pub(crate) fn occurs(&self, pos: usize) -> &[u64] {
+        let words = self.n_values.div_ceil(64);
+        &self.occurs[pos * words..(pos + 1) * words]
     }
 
     /// `true` when some tuple has `val` at position `pos`.
     pub fn occurs_at(&self, pos: usize, val: Element) -> bool {
-        self.occurs[pos].contains(val)
+        !self.matches(pos, val).is_empty()
     }
 }
 
@@ -282,7 +315,7 @@ mod tests {
         t.reset_empty(70);
         t.insert(3);
         t.insert(64);
-        s.intersect_with(&t);
+        s.intersect_with(&t.words);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 64]);
         assert!(!s.is_empty());
     }

@@ -124,23 +124,6 @@ impl fmt::Debug for Pointed {
     }
 }
 
-impl Structure {
-    /// The raw image of this structure under a map, *without* restricting
-    /// to the active domain (universe is `0..=max(map)`).
-    pub(crate) fn map_image_raw(&self, map: &[Element]) -> Structure {
-        assert_eq!(map.len(), self.universe_size(), "one image per element");
-        let max = map.iter().copied().max().map_or(0, |m| m as usize + 1);
-        let mut b = crate::structure::StructureBuilder::new(self.vocabulary().clone(), max);
-        for rel in self.vocabulary().rel_ids() {
-            for t in self.tuples(rel) {
-                let mapped: Vec<Element> = t.iter().map(|&x| map[x as usize]).collect();
-                b.add(rel, &mapped);
-            }
-        }
-        b.finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,9 +25,24 @@
 //! re-enqueue their incident constraints; a domain wipe-out fails the
 //! current branch. Search interleaves this propagation with
 //! minimum-remaining-values branching (domain size, then degree), undoing
-//! domain shrinks through a trail on backtrack. Scratch buffers (domains,
-//! trail, queue, value stacks) live in a thread-local pool, so steady-state
-//! solving allocates only for reported solutions.
+//! domain shrinks through a trail on backtrack.
+//!
+//! # Allocation
+//!
+//! A compiled source keeps its lists in flat buffers, compressed sparse
+//! rows (one offsets array plus one flat array): every constraint's
+//! tuple and its repetition pattern are spans of two buffers, and the
+//! incidence lists of the source variables sit behind one offsets array. So [`HomSolver::compile`] calls the allocator
+//! a fixed number of times, whatever the number of atoms, and a target's
+//! [`StructureIndex`] is laid out the same way per relation. Search
+//! buffers (domains, trail, queue, value stacks, spare bitsets) live in a
+//! thread-local pool, and a run hands its root level's saved domains back
+//! to it. So a warm run — on sources and targets no larger than earlier
+//! runs on its thread — calls the allocator only for its pins and its
+//! exclusions (one buffer each, when set), for the witness
+//! [`HomRun::find`] returns, and once for the witness
+//! [`HomRun::for_each`] refills per solution; [`HomRun::exists`] and
+//! [`HomRun::count`] assemble none.
 //!
 //! # Budget semantics
 //!
@@ -92,19 +107,16 @@ impl SearchBudget {
     }
 }
 
-/// One table constraint of the compiled source: a source tuple, with its
-/// repeated-position pattern and distinct variables precomputed.
-#[derive(Clone)]
+/// One table constraint of the compiled source: a source tuple, as a span
+/// of the solver's flat buffers.
+#[derive(Clone, Copy)]
 struct Constraint {
     /// Relation index (into `Vocabulary::rel_ids` order).
     rel: u32,
-    /// The source tuple: `vars[p]` must map to the target tuple's `p`-th
-    /// value.
-    vars: Box<[Element]>,
-    /// Position pairs `(p, q)`, `p < q`, with `vars[p] == vars[q]`.
-    repeats: Box<[(u32, u32)]>,
-    /// The distinct variables of the tuple.
-    distinct: Box<[Element]>,
+    /// The tuple is `HomSolver::vars[start..end]`, its repetition pattern
+    /// `HomSolver::first[start..end]`.
+    start: u32,
+    end: u32,
 }
 
 /// A source structure compiled for homomorphism search: reusable across
@@ -127,51 +139,98 @@ pub struct HomSolver {
     vocab: Vocabulary,
     n_source: usize,
     constraints: Vec<Constraint>,
-    /// Constraints incident to each source variable.
-    incident: Vec<Vec<u32>>,
+    /// Every constraint's source tuple, back to back: `vars[p]` must map
+    /// to the target tuple's `p`-th value.
+    vars: Vec<Element>,
+    /// Parallel to `vars`: per position of a tuple, the first position of
+    /// that tuple holding the same variable (positions counted within the
+    /// tuple), so the variable occurs first at `p` iff `first[p] == p`.
+    first: Vec<u32>,
+    /// `incident[incident_at[v]..incident_at[v + 1]]`: the constraints
+    /// incident to source variable `v`, ascending.
+    incident_at: Vec<u32>,
+    incident: Vec<u32>,
 }
 
 impl HomSolver {
     /// Compiles the source side of the CSP: constraints, incidence lists,
-    /// repeated-variable patterns.
+    /// repeated-variable patterns. Every list lands in a flat buffer, so
+    /// a compile calls the allocator a fixed number of times, whatever
+    /// the number of atoms.
     pub fn compile(source: &Structure) -> HomSolver {
         let vocab = source.vocabulary().clone();
         let n_source = source.universe_size();
-        let mut constraints = Vec::new();
-        let mut incident = vec![Vec::new(); n_source];
+        let n_vars = vocab
+            .rel_ids()
+            .map(|rel| source.flat_tuples(rel).len())
+            .sum();
+        let mut constraints = Vec::with_capacity(source.total_tuples());
+        let (mut vars, mut first) = (Vec::with_capacity(n_vars), Vec::with_capacity(n_vars));
+        let mut incident_at = vec![0u32; n_source + 1];
         for rel in vocab.rel_ids() {
             for t in source.tuples(rel) {
-                let ci = constraints.len() as u32;
-                let vars: Box<[Element]> = t.into();
-                let mut distinct: Vec<Element> = Vec::with_capacity(vars.len());
-                for &v in vars.iter() {
-                    if !distinct.contains(&v) {
-                        distinct.push(v);
-                        incident[v as usize].push(ci);
-                    }
+                for (p, &v) in t.iter().enumerate() {
+                    let f = t.iter().position(|&u| u == v).expect("`v` is at `p`");
+                    incident_at[v as usize + 1] += u32::from(f == p);
+                    first.push(f as u32);
                 }
-                let mut repeats = Vec::new();
-                for p in 0..vars.len() {
-                    for q in (p + 1)..vars.len() {
-                        if vars[p] == vars[q] {
-                            repeats.push((p as u32, q as u32));
-                        }
-                    }
-                }
+                let start = vars.len() as u32;
+                vars.extend_from_slice(t);
+                let end = vars.len() as u32;
                 constraints.push(Constraint {
                     rel: rel.0,
-                    vars,
-                    repeats: repeats.into(),
-                    distinct: distinct.into(),
+                    start,
+                    end,
                 });
             }
         }
+        // Prefix sums make each variable's count its start, which serves
+        // as its cursor while the constraints are placed; each cursor ends
+        // at the next variable's start, so a shift restores the starts.
+        for v in 1..incident_at.len() {
+            incident_at[v] += incident_at[v - 1];
+        }
+        let mut incident = vec![0u32; incident_at[n_source] as usize];
+        for (ci, c) in constraints.iter().enumerate() {
+            for p in c.start..c.end {
+                if first[p as usize] == p - c.start {
+                    let cursor = &mut incident_at[vars[p as usize] as usize];
+                    incident[*cursor as usize] = ci as u32;
+                    *cursor += 1;
+                }
+            }
+        }
+        incident_at.copy_within(..n_source, 1);
+        incident_at[0] = 0;
         HomSolver {
             vocab,
             n_source,
             constraints,
+            vars,
+            first,
+            incident_at,
             incident,
         }
+    }
+
+    /// A constraint's source tuple and its repetition pattern.
+    #[inline]
+    fn tuple(&self, c: Constraint) -> (&[Element], &[u32]) {
+        let span = c.start as usize..c.end as usize;
+        (&self.vars[span.clone()], &self.first[span])
+    }
+
+    /// The constraints incident to source variable `v`.
+    #[inline]
+    fn incident(&self, v: Element) -> &[u32] {
+        let at = &self.incident_at[v as usize..v as usize + 2];
+        &self.incident[at[0] as usize..at[1] as usize]
+    }
+
+    /// `true` when every source element occurs in some tuple: the source's
+    /// universe is its active domain.
+    pub(crate) fn constrains_every_element(&self) -> bool {
+        self.incident_at.windows(2).all(|w| w[0] < w[1])
     }
 
     /// The vocabulary the source (and any target) must live over.
@@ -196,6 +255,7 @@ impl HomSolver {
             target,
             pins: Vec::new(),
             excluded: Vec::new(),
+            within: None,
             injective: false,
             budget: None,
         }
@@ -217,6 +277,8 @@ pub struct HomRun<'s, 't> {
     target: &'t Structure,
     pins: Vec<(Element, Element)>,
     excluded: Vec<Element>,
+    /// The target elements the image may use, when not all of them.
+    within: Option<&'t ElemSet>,
     injective: bool,
     budget: Option<SearchBudget>,
 }
@@ -242,6 +304,14 @@ impl<'s, 't> HomRun<'s, 't> {
         self
     }
 
+    /// Confines the image to the target elements in `allowed`: a search
+    /// into the substructure the target induces on them, over the
+    /// target's own index.
+    pub(crate) fn within(mut self, allowed: &'t ElemSet) -> Self {
+        self.within = Some(allowed);
+        self
+    }
+
     /// Requires the homomorphism to be injective on elements.
     pub fn injective(mut self) -> Self {
         self.injective = true;
@@ -255,18 +325,21 @@ impl<'s, 't> HomRun<'s, 't> {
         self
     }
 
-    /// Finds one homomorphism, if any.
+    /// Finds one homomorphism, if any: the one witness the search
+    /// assembles, moved out.
     pub fn find(self) -> Option<Homomorphism> {
         let mut result = None;
-        self.solve(|h| {
-            result = Some(h.clone());
+        self.solve(|a| {
+            result = Some(Homomorphism {
+                map: a.iter().map(|x| x.expect("complete assignment")).collect(),
+            });
             ControlFlow::Break(())
         });
         result
     }
 
     /// `true` when a homomorphism exists; stops at the first one without
-    /// copying it.
+    /// assembling it.
     pub fn exists(self) -> bool {
         let mut found = false;
         self.solve(|_| {
@@ -277,9 +350,16 @@ impl<'s, 't> HomRun<'s, 't> {
     }
 
     /// Enumerates homomorphisms until the callback breaks; returns the
-    /// search statistics.
-    pub fn for_each<F: FnMut(&Homomorphism) -> ControlFlow<()>>(self, f: F) -> HomSearchStats {
-        self.solve(f)
+    /// search statistics. Every solution is written into one reused
+    /// witness.
+    pub fn for_each<F: FnMut(&Homomorphism) -> ControlFlow<()>>(self, mut f: F) -> HomSearchStats {
+        let mut h = Homomorphism { map: Vec::new() };
+        self.solve(|a| {
+            h.map.clear();
+            h.map
+                .extend(a.iter().map(|x| x.expect("complete assignment")));
+            f(&h)
+        })
     }
 
     /// Counts all homomorphisms.
@@ -292,7 +372,11 @@ impl<'s, 't> HomRun<'s, 't> {
         n
     }
 
-    fn solve<F: FnMut(&Homomorphism) -> ControlFlow<()>>(&self, mut f: F) -> HomSearchStats {
+    /// Runs the search, handing each complete assignment to `leaf`.
+    fn solve<F: FnMut(&[Option<Element>]) -> ControlFlow<()>>(
+        &self,
+        mut leaf: F,
+    ) -> HomSearchStats {
         let mut sc = take_scratch();
         let mut stats = HomSearchStats::default();
         {
@@ -306,16 +390,20 @@ impl<'s, 't> HomRun<'s, 't> {
                 sc: &mut sc,
                 revisions: 0,
             };
-            if search.setup(&self.pins, &self.excluded) {
+            if search.setup(&self.pins, &self.excluded, self.within) {
                 // Root-level arc consistency (its trail level is never
                 // undone).
                 search.new_level();
                 if search.propagate_all() {
-                    let _ = search.search(&mut f, &mut stats, 0);
+                    let _ = search.search(&mut leaf, &mut stats, 0);
                 }
             }
             stats.revisions = search.revisions;
         }
+        // The root level is never undone: its saved domains go back to
+        // the pool, so the next run on this thread shrinks its root
+        // domains without allocating.
+        sc.pool.extend(sc.trail.drain(..).map(|(_, saved)| saved));
         put_scratch(sc);
         stats
     }
@@ -335,7 +423,9 @@ struct Scratch {
     queue: Vec<u32>,
     queued: Vec<bool>,
     shrunk: Vec<Element>,
-    support: Vec<(Element, ElemSet)>,
+    /// Per distinct unassigned variable of the constraint under revision:
+    /// its first position and the values some supporting tuple gives it.
+    support: Vec<(u32, ElemSet)>,
     tuple_buf: Vec<Element>,
     /// Per-depth candidate-value buffers.
     vals: Vec<Vec<Element>>,
@@ -376,9 +466,15 @@ struct Search<'a> {
 }
 
 impl Search<'_> {
-    /// Initializes domains from the index's occurrence sets, pins and
-    /// exclusions. Returns `false` on an immediate wipe-out.
-    fn setup(&mut self, pins: &[(Element, Element)], excluded: &[Element]) -> bool {
+    /// Initializes domains from the index's occurrence sets, pins,
+    /// exclusions and the allowed image. Returns `false` on an immediate
+    /// wipe-out.
+    fn setup(
+        &mut self,
+        pins: &[(Element, Element)],
+        excluded: &[Element],
+        within: Option<&ElemSet>,
+    ) -> bool {
         let n_s = self.solver.n_source;
         let n_t = self.n_target;
         let sc = &mut *self.sc;
@@ -407,8 +503,13 @@ impl Search<'_> {
         // occur at the right (relation, position).
         for c in &self.solver.constraints {
             let ridx = self.idx.rel(RelId(c.rel));
-            for (p, &v) in c.vars.iter().enumerate() {
+            for (p, &v) in self.solver.tuple(*c).0.iter().enumerate() {
                 sc.domains[v as usize].intersect_with(ridx.occurs(p));
+            }
+        }
+        if let Some(allowed) = within {
+            for d in sc.domains[..n_s].iter_mut() {
+                d.intersect_with(allowed.words());
             }
         }
         for &e in excluded {
@@ -459,7 +560,7 @@ impl Search<'_> {
     fn propagate_from(&mut self, var: Element) -> bool {
         let sc = &mut *self.sc;
         sc.queue.clear();
-        for &ci in &self.solver.incident[var as usize] {
+        for &ci in self.solver.incident(var) {
             if !sc.queued[ci as usize] {
                 sc.queued[ci as usize] = true;
                 sc.queue.push(ci);
@@ -486,7 +587,7 @@ impl Search<'_> {
             }
             let mut shrunk = std::mem::take(&mut self.sc.shrunk);
             for &v in &shrunk {
-                for &cj in &self.solver.incident[v as usize] {
+                for &cj in self.solver.incident(v) {
                     if cj != ci && !self.sc.queued[cj as usize] {
                         self.sc.queued[cj as usize] = true;
                         self.sc.queue.push(cj);
@@ -505,23 +606,24 @@ impl Search<'_> {
     /// `sc.shrunk`; returns `false` on a wipe-out.
     fn revise(&mut self, ci: usize) -> bool {
         self.revisions += 1;
-        let c = &self.solver.constraints[ci];
+        let c = self.solver.constraints[ci];
+        let (vars, first) = self.solver.tuple(c);
         let rel = RelId(c.rel);
         let ridx = self.idx.rel(rel);
         let sc = &mut *self.sc;
 
         // Fully assigned: a membership test.
-        if c.vars.iter().all(|&v| sc.assignment[v as usize].is_some()) {
+        if vars.iter().all(|&v| sc.assignment[v as usize].is_some()) {
             sc.tuple_buf.clear();
             sc.tuple_buf
-                .extend(c.vars.iter().map(|&v| sc.assignment[v as usize].unwrap()));
+                .extend(vars.iter().map(|&v| sc.assignment[v as usize].unwrap()));
             return self.target.contains(rel, &sc.tuple_buf);
         }
 
         // Seed the support scan from the shortest inverted list of an
         // assigned position; fall back to the full relation.
         let mut best: Option<&[u32]> = None;
-        for (p, &v) in c.vars.iter().enumerate() {
+        for (p, &v) in vars.iter().enumerate() {
             if let Some(val) = sc.assignment[v as usize] {
                 let list = ridx.matches(p, val);
                 if best.is_none_or(|b| list.len() < b.len()) {
@@ -530,44 +632,31 @@ impl Search<'_> {
             }
         }
 
-        // One support set per distinct unassigned variable.
+        // One support set per distinct unassigned variable, kept with its
+        // first position.
         debug_assert!(sc.support.is_empty());
-        for &v in c.distinct.iter() {
-            if sc.assignment[v as usize].is_none() {
+        for (p, &v) in vars.iter().enumerate() {
+            if first[p] as usize == p && sc.assignment[v as usize].is_none() {
                 let mut s = sc.pool.pop().unwrap_or_default();
                 s.reset_empty(self.n_target);
-                sc.support.push((v, s));
+                sc.support.push((p as u32, s));
             }
         }
 
         {
             let (assignment, domains, support) = (&sc.assignment, &sc.domains, &mut sc.support);
             let mut consider = |t: &[Element]| {
-                for (p, &v) in c.vars.iter().enumerate() {
-                    match assignment[v as usize] {
-                        Some(val) => {
-                            if t[p] != val {
-                                return;
-                            }
-                        }
-                        None => {
-                            if !domains[v as usize].contains(t[p]) {
-                                return;
-                            }
-                        }
-                    }
-                }
-                for &(p, q) in c.repeats.iter() {
-                    if t[p as usize] != t[q as usize] {
+                for (p, &v) in vars.iter().enumerate() {
+                    let fits = match assignment[v as usize] {
+                        Some(val) => t[p] == val,
+                        None => domains[v as usize].contains(t[p]),
+                    };
+                    if !fits || t[p] != t[first[p] as usize] {
                         return;
                     }
                 }
-                for (u, sup) in support.iter_mut() {
-                    for (p, &v) in c.vars.iter().enumerate() {
-                        if v == *u {
-                            sup.insert(t[p]);
-                        }
-                    }
+                for (p, sup) in support.iter_mut() {
+                    sup.insert(t[*p as usize]);
                 }
             };
             match best {
@@ -587,11 +676,12 @@ impl Search<'_> {
         // Apply the supports as new domains (they are subsets of the old
         // domains by construction).
         let mut wiped = false;
-        while let Some((u, sup)) = sc.support.pop() {
+        while let Some((p, sup)) = sc.support.pop() {
             if wiped {
                 sc.pool.push(sup);
                 continue;
             }
+            let u = vars[p as usize];
             let du = &mut sc.domains[u as usize];
             if sup.count() < du.count() {
                 if sup.is_empty() {
@@ -612,7 +702,7 @@ impl Search<'_> {
         for v in 0..self.solver.n_source {
             if self.sc.assignment[v].is_none() {
                 let dom = self.sc.domains[v].count();
-                let deg = self.solver.incident[v].len();
+                let deg = self.solver.incident(v as Element).len();
                 let key = (dom, usize::MAX - deg, v as Element);
                 if best.is_none_or(|b| key < b) {
                     best = Some(key);
@@ -622,24 +712,14 @@ impl Search<'_> {
         best.map(|(_, _, v)| v)
     }
 
-    fn search<F: FnMut(&Homomorphism) -> ControlFlow<()>>(
+    fn search<F: FnMut(&[Option<Element>]) -> ControlFlow<()>>(
         &mut self,
         f: &mut F,
         stats: &mut HomSearchStats,
         depth: usize,
     ) -> ControlFlow<()> {
-        let var = match self.select_var() {
-            Some(v) => v,
-            None => {
-                let map = self
-                    .sc
-                    .assignment
-                    .iter()
-                    .map(|a| a.expect("complete assignment"))
-                    .collect();
-                let h = Homomorphism { map };
-                return f(&h);
-            }
+        let Some(var) = self.select_var() else {
+            return f(&self.sc.assignment);
         };
         let mut vals = std::mem::take(&mut self.sc.vals[depth]);
         vals.clear();

@@ -194,30 +194,7 @@ impl Structure {
     /// dense. Returns the restricted structure and, for each old element,
     /// its new name (or `None` when dropped).
     pub fn restrict_to_adom(&self) -> (Structure, Vec<Option<Element>>) {
-        let adom = self.active_domain();
-        let mut remap: Vec<Option<Element>> = vec![None; self.universe_size];
-        for (new, &old) in adom.iter().enumerate() {
-            remap[old as usize] = Some(new as Element);
-        }
-        let mut b = StructureBuilder::new(self.vocab.clone(), adom.len());
-        for rel in self.vocab.rel_ids() {
-            for t in self.tuples(rel) {
-                let mapped: Vec<Element> = t
-                    .iter()
-                    .map(|&x| remap[x as usize].expect("active element"))
-                    .collect();
-                b.add(rel, &mapped);
-            }
-        }
-        let mut out = b.finish();
-        if let Some(names) = &self.names {
-            let new_names = adom
-                .iter()
-                .map(|&old| names[old as usize].clone())
-                .collect();
-            out.names = Some(new_names);
-        }
-        (out, remap)
+        self.induced(|_| true)
     }
 
     /// Sets display names for elements.
@@ -277,33 +254,74 @@ impl Structure {
     /// domain of the image; every map is a homomorphism *onto its image*, so
     /// this realizes `Im(h)` from the paper.
     pub fn map_image(&self, map: &[Element]) -> Structure {
+        self.map_image_raw(map).restrict_to_adom().0
+    }
+
+    /// The raw image of this structure under a map, *without* restricting
+    /// to the active domain (universe is `0..=max(map)`): each relation
+    /// mapped into one buffer, then sorted and deduplicated.
+    pub(crate) fn map_image_raw(&self, map: &[Element]) -> Structure {
         assert_eq!(map.len(), self.universe_size, "one image per element");
         let max = map.iter().copied().max().map_or(0, |m| m as usize + 1);
-        let mut b = StructureBuilder::new(self.vocab.clone(), max);
-        for rel in self.vocab.rel_ids() {
-            for t in self.tuples(rel) {
-                let mapped: Vec<Element> = t.iter().map(|&x| map[x as usize]).collect();
-                b.add(rel, &mapped);
-            }
+        let relations = self
+            .relations
+            .iter()
+            .map(|rows| rows.iter().map(|&x| map[x as usize]).collect())
+            .collect();
+        StructureBuilder {
+            vocab: self.vocab.clone(),
+            universe_size: max,
+            relations,
         }
-        let (img, _) = b.finish().restrict_to_adom();
-        img
+        .finish()
     }
 
     /// The substructure induced by keeping only tuples all of whose elements
-    /// satisfy `keep`, then restricting to the active domain.
+    /// satisfy `keep`, then restricting to the active domain; the
+    /// surviving elements keep their names.
     ///
-    /// Returns the substructure and the old→new element mapping.
+    /// Returns the substructure and the old→new element mapping. The
+    /// renumbering keeps the elements' order, so the kept rows stay
+    /// sorted and distinct: each relation is one buffer of exact size.
     pub fn induced<F: Fn(Element) -> bool>(&self, keep: F) -> (Structure, Vec<Option<Element>>) {
-        let mut b = StructureBuilder::new(self.vocab.clone(), self.universe_size);
+        let kept = |t: &&[Element]| t.iter().all(|&x| keep(x));
+        let mut remap: Vec<Option<Element>> = vec![None; self.universe_size];
         for rel in self.vocab.rel_ids() {
-            for t in self.tuples(rel) {
-                if t.iter().all(|&x| keep(x)) {
-                    b.add(rel, t);
-                }
+            for &x in self.tuples(rel).filter(kept).flatten() {
+                remap[x as usize] = Some(0);
             }
         }
-        b.finish().restrict_to_adom()
+        let mut universe_size = 0;
+        for slot in remap.iter_mut().flatten() {
+            *slot = universe_size;
+            universe_size += 1;
+        }
+        let relations = self
+            .vocab
+            .rel_ids()
+            .map(|rel| {
+                let rows = self.tuples(rel).filter(kept);
+                let mut out = Vec::with_capacity(rows.clone().count() * self.vocab.arity(rel));
+                out.extend(
+                    rows.flatten()
+                        .map(|&x| remap[x as usize].expect("marked above")),
+                );
+                out
+            })
+            .collect();
+        let names = self.names.as_ref().map(|names| {
+            let survivors = remap.iter().zip(names).filter(|(r, _)| r.is_some());
+            survivors.map(|(_, name)| name.clone()).collect()
+        });
+        let out = Structure {
+            vocab: self.vocab.clone(),
+            universe_size: universe_size as usize,
+            relations,
+            names,
+            index: IndexCell::default(),
+            dict: DictCell::default(),
+        };
+        (out, remap)
     }
 
     /// `true` when every tuple of every relation of `self` is a tuple of
