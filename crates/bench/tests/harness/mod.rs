@@ -329,7 +329,7 @@ fn decomposed_roots(q: &ConjunctiveQuery) -> Vec<DecomposedPlan> {
     assert!(td.width() <= tw, "width above the treewidth on {q}");
     (0..td.bags.len())
         .map(|root| {
-            let plan = DecomposedPlan::compile_rooted(q, &td, root);
+            let plan = DecomposedPlan::compile_rooted(q, td.clone(), root);
             assert_eq!(plan.width(), td.width());
             plan
         })
@@ -719,7 +719,7 @@ pub fn sweep_plan(
     let q = parse_cq_with_vocab(&text, &sweep_vocabulary()).expect("generated query must parse");
     let nodes: Vec<NodeSpec> = (q.atoms().iter())
         .map(|atom| {
-            let source = MatSource::from_groups(&[vec![atom]]);
+            let source = MatSource::from_groups(&[atom]);
             NodeSpec {
                 label: source.schema.clone(),
                 source,

@@ -203,7 +203,7 @@ fn wide_nodes_on_cycles() {
                         .unwrap_or_else(|e| panic!("C{n}: {e:?}"));
                     let mut reached = 0;
                     for root in 0..td.bags.len() {
-                        let plan = DecomposedPlan::compile_rooted(&q, td, root);
+                        let plan = DecomposedPlan::compile_rooted(&q, td.clone(), root);
                         let what = format!("root {root} of {td:?} on {q}");
                         assert_is(&plan.ir().answers(d, None).0, &expected, q.arity(), &what);
                         reached += check_joins(plan.ir(), d, &what);
@@ -471,7 +471,9 @@ fn cached_rows_are_never_written_through_a_sharing_slot() {
             let expected = eval_naive(&q, &d);
             let plan = match (AcyclicPlan::compile(&q), text) {
                 (Ok(p), _) => p.ir().clone(),
-                (_, C6) => DecomposedPlan::compile_rooted(&q, &star, 0).ir().clone(),
+                (_, C6) => DecomposedPlan::compile_rooted(&q, star.clone(), 0)
+                    .ir()
+                    .clone(),
                 _ => (DecomposedPlan::compile(&q, treewidth_of_query(&q)).unwrap())
                     .ir()
                     .clone(),

@@ -158,11 +158,12 @@ impl ApproxCacheKey {
 /// the co-occurrence graph). Atoms complete, and cycles close, as early
 /// as the query allows, however the caller numbered its variables. The
 /// search and [`crate::identify::is_approximation`] walk this tableau:
-/// their partitions and quotients are over its numbering.
+/// their partitions and quotients are over its numbering. `t` is a
+/// tableau: every element occurs in some atom.
 pub fn in_walk_order(t: &Pointed) -> Pointed {
     let g = structure_graph(&t.structure);
     let degree = |v: usize| (0..g.n()).filter(|&u| g.has_edge(v, u)).count();
-    let mut order: Vec<usize> = Vec::new();
+    let mut order: Vec<usize> = Vec::with_capacity(g.n());
     let mut position = vec![0u32; g.n()];
     while order.len() < g.n() {
         let placed = |v: usize| order.iter().filter(|&&u| g.has_edge(v, u)).count();
@@ -172,7 +173,12 @@ pub fn in_walk_order(t: &Pointed) -> Pointed {
         position[v] = order.len() as u32;
         order.push(v);
     }
-    t.map_image(&position)
+    // A permutation of a tableau's active universe: nothing to restrict.
+    let distinguished = t.distinguished().iter().map(|&x| position[x as usize]);
+    Pointed::new(
+        t.structure.map_image_raw(&position),
+        distinguished.collect(),
+    )
 }
 
 /// What the walk knows of the prefix quotients along its current branch,
@@ -184,7 +190,8 @@ pub fn in_walk_order(t: &Pointed) -> Pointed {
 ///   vertices; the vertices no block uses yet stay isolated) and the
 ///   class's verdict on it, asked again only when an edge was actually
 ///   new. Level `d` is level `d − 1` plus the new atoms' pairs: a copy of
-///   the parent's rows and a bit per pair;
+///   the parent's rows and a bit per pair. One graph is derived and
+///   asked; each level's state is kept in one flat buffer;
 /// * for every class, which loops `R(b, …, b)` the block `b` of variable
 ///   `d − 1` holds, a bit per relation `Q` uses. An atom completed at
 ///   depth `d` can loop only on that block, so level `d` is the level at
@@ -195,8 +202,13 @@ struct PrefixGraphs<'a> {
     /// `atoms[done[d - 1]..done[d]]` have largest variable `d − 1`.
     atoms: Vec<(usize, &'a [u32])>,
     done: Vec<usize>,
-    /// Empty for a class that does not read graphs.
-    levels: Vec<(BitGraph, Option<bool>)>,
+    /// The graph of the level derived last.
+    graph: BitGraph,
+    /// Per depth, the [`BitGraph::state`] of that level's graph.
+    saved: Vec<u64>,
+    /// The class's verdict per depth; empty for a class that does not
+    /// read graphs.
+    verdicts: Vec<Option<bool>>,
     /// `all.len()` words per depth: the loop bits of that depth's block.
     loops: Vec<u64>,
     /// A bit for every relation of arity ≥ 1 that `Q` uses: arity-0 atoms
@@ -222,15 +234,18 @@ impl<'a> PrefixGraphs<'a> {
         let done = |d| atoms.partition_point(|(_, a)| a.iter().all(|&e| (e as usize) < d));
         let mut all = vec![0u64; relations.div_ceil(64)];
         (0..relations).for_each(|r| all[r / 64] |= 1 << (r % 64));
-        let mut empty = BitGraph::new(n);
-        let levels = match class.contains_graph(&mut empty) {
-            None => Vec::new(),
-            verdict => vec![(empty, verdict); n + 1],
-        };
+        let mut graph = BitGraph::new(n);
+        let (mut saved, mut verdicts) = (Vec::new(), Vec::new());
+        if let verdict @ Some(_) = class.contains_graph(&mut graph) {
+            saved = graph.state().repeat(n + 1);
+            verdicts = vec![verdict; n + 1];
+        }
         PrefixGraphs {
+            graph,
+            saved,
+            verdicts,
             done: (0..=n).map(done).collect(),
             atoms,
-            levels,
             loops: vec![0; (n + 1) * all.len()],
             all,
             head: t.distinguished(),
@@ -272,15 +287,12 @@ impl<'a> PrefixGraphs<'a> {
     /// every quotient below; `None` for a class that does not read graphs.
     fn enter(&mut self, p: &Partition, class: &dyn QueryClass) -> Option<bool> {
         let (d, labels) = (p.len(), p.labels());
-        if self.levels.is_empty() {
-            return None;
+        if self.verdicts.is_empty() || d == 0 {
+            return self.verdicts.first().copied().flatten();
         }
-        let (parents, here) = self.levels.split_at_mut(d);
-        let Some((parent, inherited)) = parents.last() else {
-            return here[0].1;
-        };
-        let (g, verdict) = &mut here[0];
-        g.copy_from(parent);
+        let len = self.graph.state().len();
+        self.graph.set_state(&self.saved[(d - 1) * len..][..len]);
+        let g = &mut self.graph;
         let mut grew = false;
         for (_, a) in &self.atoms[self.done[d - 1]..self.done[d]] {
             for (i, &x) in a.iter().enumerate() {
@@ -289,12 +301,13 @@ impl<'a> PrefixGraphs<'a> {
                 }
             }
         }
-        *verdict = if grew {
+        self.verdicts[d] = if grew {
             class.contains_graph(g)
         } else {
-            *inherited
+            self.verdicts[d - 1]
         };
-        *verdict
+        self.saved[d * len..][..len].copy_from_slice(g.state());
+        self.verdicts[d]
     }
 }
 

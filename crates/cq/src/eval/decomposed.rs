@@ -127,7 +127,7 @@ impl DecomposedPlan {
         let root = (0..td.bags.len())
             .min_by_key(|&b| (heights[b], Reverse(head(&td.bags[b])), b))
             .expect("a decomposition has at least one bag");
-        Self::compile_rooted(query, &td, root)
+        Self::compile_rooted(query, td, root)
     }
 
     /// Compiles a plan over a given tree decomposition of `G(Q)` rooted
@@ -136,40 +136,41 @@ impl DecomposedPlan {
     /// `root` is not one of them, or some atom's variables lie in no bag.
     pub fn compile_rooted(
         query: &ConjunctiveQuery,
-        td: &TreeDecomposition,
+        td: TreeDecomposition,
         root: usize,
     ) -> DecomposedPlan {
         let rooted = td.rooted_at(root);
+        let (width, bag_sizes) = (td.width(), td.bags.iter().map(Vec::len).collect());
         // Assign each atom to every bag covering its variable set, and
         // group the atoms of a bag by variable set: one part each. A
-        // connector bag covering no atom gets the "true" relation.
+        // connector bag covering no atom gets the "true" relation. One
+        // buffer holds each bag's atoms in turn, and the bags become the
+        // labels.
         let mut covered = vec![false; query.atoms().len()];
-        let nodes: Vec<NodeSpec> = (td.bags.iter())
-            .map(|bag| {
-                let mut groups: Vec<Vec<&Atom>> = Vec::new();
-                for (atom, covered) in query.atoms().iter().zip(&mut covered) {
-                    if atom.args.iter().all(|v| bag.binary_search(v).is_ok()) {
-                        *covered = true;
-                        match groups.iter_mut().find(|g| g[0].same_vars(atom)) {
-                            Some(group) => group.push(atom),
-                            None => groups.push(vec![atom]),
-                        }
-                    }
+        let mut atoms: Vec<&Atom> = Vec::with_capacity(query.atoms().len());
+        let mut nodes: Vec<NodeSpec> = Vec::with_capacity(td.bags.len());
+        for bag in td.bags {
+            atoms.clear();
+            for (atom, covered) in query.atoms().iter().zip(&mut covered) {
+                if atom.args.iter().all(|v| bag.binary_search(v).is_ok()) {
+                    *covered = true;
+                    atoms.push(atom);
                 }
-                NodeSpec {
-                    source: MatSource::from_groups(&groups),
-                    label: bag.clone(),
-                }
-            })
-            .collect();
+            }
+            atoms.sort_by_key(|a| query.atoms().iter().position(|b| b.same_vars(a)));
+            nodes.push(NodeSpec {
+                source: MatSource::from_groups(&atoms),
+                label: bag,
+            });
+        }
         assert!(
             covered.iter().all(|&c| c),
             "every atom's variable clique must lie in some bag"
         );
         DecomposedPlan {
             ir: compile_tree(nodes, &rooted.parent, &rooted.order, query.free_vars()),
-            width: td.width(),
-            bag_sizes: td.bags.iter().map(Vec::len).collect(),
+            width,
+            bag_sizes,
         }
     }
 
@@ -367,7 +368,7 @@ mod tests {
         let expected = eval_naive(&q, &d);
         assert!(!expected.is_empty());
         for root in 0..star.bags.len() {
-            let plan = DecomposedPlan::compile_rooted(&q, &star, root);
+            let plan = DecomposedPlan::compile_rooted(&q, star.clone(), root);
             assert_eq!(plan.width(), 2);
             let centre = plan.bags().nth(2).unwrap().1;
             assert_eq!(centre.parts.len(), 0, "the centre covers no atom");
@@ -391,7 +392,7 @@ mod tests {
         let centre = (0..4).filter(|&b| heights[b] == 2).collect::<Vec<_>>();
         assert_eq!(centre.len(), 2);
         let same_ops = |root: usize| {
-            let rooted = DecomposedPlan::compile_rooted(&c6, &td, root);
+            let rooted = DecomposedPlan::compile_rooted(&c6, td.clone(), root);
             format!("{:?}", rooted.ir()) == format!("{:?}", plan.ir())
         };
         assert!(

@@ -42,7 +42,6 @@ use crate::eval::flat::{
 use cqapx_par::ThreadBudget;
 use cqapx_structures::{DomainBitmap, Element, Structure};
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 
 /// Index of a relation slot in a [`PlanIr`] program.
 pub type Slot = usize;
@@ -115,36 +114,39 @@ pub struct MatSource {
 }
 
 impl MatSource {
-    /// Compiles a source from atom groups (each group: the atoms sharing
-    /// one variable set) over the union of their variables. No groups
-    /// give the 0-ary "true" source.
-    pub fn from_groups(groups: &[Vec<&Atom>]) -> MatSource {
+    /// Compiles a source from atom groups — the atoms sharing one
+    /// variable set, adjacent in `atoms` — over the union of their
+    /// variables. No atoms give the 0-ary "true" source. Every buffer is
+    /// sized before it is filled: the source keeps all it allocates.
+    pub fn from_groups(atoms: &[&Atom]) -> MatSource {
+        let groups = || atoms.chunk_by(|a, b| a.same_vars(b));
         let sorted = |vars: &mut Vec<VarId>| {
             vars.sort_unstable();
             vars.dedup();
         };
-        let parts: Vec<MatPart> = groups
+        let mut parts: Vec<MatPart> = Vec::with_capacity(groups().count());
+        parts.extend(groups().map(|g| {
+            let mut vars = g[0].args.clone();
+            sorted(&mut vars);
+            let key = match g {
+                [atom] => MatKey::of_atom(atom),
+                _ => MatKey::of_group(g.iter().copied(), &vars),
+            };
+            MatPart {
+                key,
+                binders: g.iter().map(|a| AtomBinder::compile(a, &vars)).collect(),
+                schema: vars,
+            }
+        }));
+        let mut schema = Vec::with_capacity(parts.iter().map(|p| p.schema.len()).sum());
+        parts
             .iter()
-            .map(|g| {
-                let mut vars: Vec<VarId> = g.iter().flat_map(|a| a.args.iter().copied()).collect();
-                sorted(&mut vars);
-                let key = match g[..] {
-                    [atom] => MatKey::of_atom(atom),
-                    _ => MatKey::of_group(g.iter().copied(), &vars),
-                };
-                MatPart {
-                    key,
-                    binders: g.iter().map(|a| AtomBinder::compile(a, &vars)).collect(),
-                    schema: vars,
-                }
-            })
-            .collect();
-        let mut schema: Vec<VarId> = parts.iter().flat_map(|p| &p.schema).copied().collect();
+            .for_each(|p| schema.extend_from_slice(&p.schema));
         sorted(&mut schema);
         let key = match &parts[..] {
             // A single part is the whole source.
             [part] => part.key.clone(),
-            _ => MatKey::of_group(groups.iter().flatten().copied(), &schema),
+            _ => MatKey::of_group(atoms.iter().copied(), &schema),
         };
         MatSource { schema, key, parts }
     }
@@ -933,11 +935,13 @@ pub fn compile_tree(
     assert_eq!(parent.len(), n);
     assert_eq!(order.len(), n);
     let reduction_decides = nodes.iter().all(|s| s.label == s.source.schema);
-    let free_set: BTreeSet<VarId> = free.iter().copied().collect();
 
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (u, p) in (parent.iter().enumerate()).filter_map(|(u, p)| Some((u, (*p)?))) {
-        children[p].push(u);
+    // Each node's children, ascending, linked through the node states.
+    let mut at = vec![NodeState::default(); n];
+    for (u, p) in parent.iter().enumerate().rev() {
+        if let Some(p) = *p {
+            (at[u].next, at[p].first) = (at[p].first, Some(u));
+        }
     }
 
     // Everything after the materializations, which go first once the
@@ -965,68 +969,67 @@ pub fn compile_tree(
     // The join phase, statically first (children before parents):
     // `keep[u]` is the schema of `u`'s projected subtree join — the
     // free variables plus the variables the parent's label retains —
-    // and `whole[u]` says that projection drops nothing.
+    // and `at[u].whole` says that projection drops nothing.
     //
-    // `dead[u]`: the join phase needs nothing from `u`'s subtree. On a
+    // `at[u].dead`: the join phase needs nothing from `u`'s subtree. On a
     // genuine join tree the first sweep already leaves every row of a
     // node with a match all the way down each child's subtree, so
     // joining a child whose kept variables the node already has is the
     // identity: no op for it, and none for anything below it.
     let mut keep: Vec<Vec<VarId>> = vec![Vec::new(); n];
-    let (mut whole, mut dead) = (vec![false; n], vec![false; n]);
     let one_root = parent.iter().filter(|p| p.is_none()).count() == 1;
     let head: Vec<VarId> = (free.iter().enumerate())
         .filter_map(|(i, v)| (!free[..i].contains(v)).then_some(*v))
         .collect();
     for &u in order {
-        let below = children[u].iter().map(|&c| keep[c].len()).sum::<usize>();
+        let below = children(&at, u).map(|c| keep[c].len()).sum::<usize>();
         let mut schema = Vec::with_capacity(nodes[u].source.schema.len() + below);
         schema.extend_from_slice(&nodes[u].source.schema);
-        for &v in children[u].iter().flat_map(|&c| &keep[c]) {
+        for &v in children(&at, u).flat_map(|c| &keep[c]) {
             if !schema.contains(&v) {
                 schema.push(v);
             }
         }
         let joined = schema.len();
         let label = parent[u].map(|p| &nodes[p].label);
-        schema
-            .retain(|v| free_set.contains(v) || label.is_some_and(|l| l.binary_search(v).is_ok()));
-        whole[u] = schema.len() == joined;
+        schema.retain(|v| free.contains(v) || label.is_some_and(|l| l.binary_search(v).is_ok()));
+        at[u].whole = schema.len() == joined;
         if parent[u].is_none() && one_root {
             // The one root's output is the answer set: its columns go
             // out in head order, and anything short of that is a
             // projection, which orders the rows as well.
-            whole[u] &= schema == head;
+            at[u].whole &= schema == head;
             schema.clone_from(&head);
         }
         let above = parent[u].map(|p| &nodes[p].source.schema);
-        dead[u] = reduction_decides && above.is_some_and(|s| schema.iter().all(|v| s.contains(v)));
+        at[u].dead =
+            reduction_decides && above.is_some_and(|s| schema.iter().all(|v| s.contains(v)));
         keep[u] = schema;
     }
     for &u in order.iter().rev() {
-        dead[u] |= parent[u].is_some_and(|p| dead[p]);
+        at[u].dead |= parent[u].is_some_and(|p| at[p].dead);
     }
 
-    // `fused[r]`: the child whose edge a Boolean root `r` checks with
-    // one existence call — the last in `order` with a multi-column key.
-    let mut fused: Vec<Option<usize>> = vec![None; n];
+    // `fused`: the child whose edge a Boolean root checks with one
+    // existence call — the last in `order` with a multi-column key.
     let boolean = free.is_empty() && reduction_decides;
     for &u in order.iter().filter(|_| boolean) {
         let key = edge_pos[u].as_ref().map_or(0, |(k, _)| k.len());
         match parent[u] {
-            Some(p) if parent[p].is_none() && key > 1 => fused[p] = Some(u),
+            Some(p) if parent[p].is_none() && key > 1 => at[p].fused = Some(u),
             _ => {}
         }
     }
+    let dead = |u: usize| at[u].dead;
     // A root's only live child is joined into it, which drops the root
     // rows a leaves → root semijoin would: none on that edge.
     let joined = |u: usize| {
-        let only_child = |p: usize| parent[p].is_none() && children[p].len() == 1;
-        !boolean && !dead[u] && parent[u].is_some_and(only_child)
+        let only_child = |p: usize| parent[p].is_none() && children(&at, p).count() == 1;
+        !boolean && !dead(u) && parent[u].is_some_and(only_child)
     };
     // Full reducer: leaves → root …
     for &u in order {
-        if let Some(p) = parent[u].filter(|&p| fused[p] != Some(u) && !joined(u)) {
+        if let Some(p) = parent[u].filter(|&p| at[p].fused != Some(u) && !joined(u)) {
             let (child_pos, parent_pos) = edge_pos[u].as_ref().expect("non-root has an edge");
             ops.push(Op::Semijoin {
                 target: p,
@@ -1036,7 +1039,7 @@ pub fn compile_tree(
             });
         }
         let mut slot = u;
-        if let Some(c) = fused[u] {
+        if let Some(c) = at[u].fused {
             (slot, slots) = (slots, slots + 1);
             ops.push(Op::MultiJoin {
                 dst: slot,
@@ -1051,7 +1054,7 @@ pub fn compile_tree(
     // child to join and nothing to project away is handed to its parent
     // as it is, and that join drops exactly the rows the semijoin would
     // have, at the same probe per row.
-    let as_is = |u: usize| (dead[u] || whole[u]) && children[u].iter().all(|&c| dead[c]);
+    let as_is = |u: usize| (dead(u) || at[u].whole) && children(&at, u).all(dead);
     // A root edge that no sweep reads leaves the verdict to the join.
     let reduction_decides = reduction_decides && !(0..n).any(|u| joined(u) && as_is(u));
     for &u in order.iter().rev() {
@@ -1084,11 +1087,12 @@ pub fn compile_tree(
 
     // Then the ops, one per live node over its live children's partials:
     // a projection of a node with none, the join kernel over the node
-    // and its partials otherwise. `partial[u]` is the slot holding the
-    // projected join of `u`'s subtree; every one is canonical.
-    let mut partial: Vec<Slot> = vec![0; n];
-    for &u in order.iter().filter(|&&u| !dead[u]) {
-        let mut live = children[u].iter().filter(|&&c| !dead[c]).peekable();
+    // and its partials otherwise. `partial` is the slot holding the
+    // projected join of the node's subtree; every one is canonical.
+    for &u in order {
+        if at[u].dead {
+            continue;
+        }
         // Only the roots of a forest are read again, to combine them.
         let vars = match parent[u] {
             None if !one_root => keep[u].clone(),
@@ -1096,24 +1100,27 @@ pub fn compile_tree(
         };
         let dst = slots;
         slots += 1;
-        ops.push(match live.peek() {
-            None => Op::Project { dst, src: u, vars },
-            Some(_) => Op::MultiJoin {
-                dst,
-                inputs: std::iter::once(u)
-                    .chain(live.map(|&c| partial[c]))
-                    .collect(),
-                vars,
-            },
+        ops.push({
+            let mut live = children(&at, u).filter(|&c| !at[c].dead).peekable();
+            match live.peek() {
+                None => Op::Project { dst, src: u, vars },
+                Some(_) => Op::MultiJoin {
+                    dst,
+                    inputs: std::iter::once(u)
+                        .chain(live.map(|c| at[c].partial))
+                        .collect(),
+                    vars,
+                },
+            }
         });
-        partial[u] = dst;
+        at[u].partial = dst;
     }
 
     // Combine the roots (cartesian join across components), the last
     // combination in head order.
     let mut roots = (0..n).filter(|&u| parent[u].is_none());
     let first = roots.next().expect("at least one root");
-    let (mut out, mut vars) = (partial[first], None);
+    let (mut out, mut vars) = (at[first].partial, None);
     let mut roots = roots.peekable();
     while let Some(r) = roots.next() {
         let vars = vars.get_or_insert_with(|| keep[first].clone());
@@ -1123,7 +1130,7 @@ pub fn compile_tree(
         }
         ops.push(Op::MultiJoin {
             dst: slots,
-            inputs: vec![out, partial[r]],
+            inputs: vec![out, at[r].partial],
             vars: vars.clone(),
         });
         (out, slots) = (slots, slots + 1);
@@ -1137,6 +1144,26 @@ pub fn compile_tree(
         output: out,
         head: free.to_vec(),
     }
+}
+
+/// What [`compile_tree`] knows and decides per node.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeState {
+    /// The node's first child and its next sibling, ascending.
+    first: Option<usize>,
+    next: Option<usize>,
+    /// The node's projected subtree join drops no column.
+    whole: bool,
+    /// The join phase needs nothing from the node's subtree.
+    dead: bool,
+    /// A Boolean root's child checked with one existence call.
+    fused: Option<usize>,
+    /// The slot holding the projected join of the node's subtree.
+    partial: Slot,
+}
+
+fn children(at: &[NodeState], u: usize) -> impl Iterator<Item = usize> + '_ {
+    std::iter::successors(at[u].first, |&c| at[c].next)
 }
 
 /// The program of [`compile_tree`]: node `u`'s source materialized into
@@ -1184,8 +1211,8 @@ mod tests {
 
     fn source_of(q: &str) -> MatSource {
         let q = parse_cq(q).unwrap();
-        let groups: Vec<Vec<&Atom>> = q.atoms().iter().map(|a| vec![a]).collect();
-        MatSource::from_groups(&groups)
+        let atoms: Vec<&Atom> = q.atoms().iter().collect();
+        MatSource::from_groups(&atoms)
     }
 
     #[test]
@@ -1253,7 +1280,7 @@ mod tests {
         let d = b.finish();
         let rule = "Q(x, y) :- E(x, y), F(x, y), E(x, y), F(y, x)";
         let q = crate::parser::parse_cq_with_vocab(rule, &v).unwrap();
-        let src = MatSource::from_groups(&[q.atoms().iter().collect()]);
+        let src = MatSource::from_groups(&q.atoms().iter().collect::<Vec<_>>());
         assert_eq!((src.parts.len(), src.parts[0].binders.len()), (1, 4));
         let mut stats = MatCacheStats::default();
         let got = src.materialize(&d, None, &mut stats);
@@ -1333,7 +1360,7 @@ mod tests {
             ops: vec![
                 Op::Materialize {
                     dst: 0,
-                    source: MatSource::from_groups(&[vec![&q.atoms()[0]]]),
+                    source: MatSource::from_groups(&[&q.atoms()[0]]),
                 },
                 Op::AssertNonempty { slot: 0 },
                 Op::Project {
@@ -1569,7 +1596,7 @@ mod tests {
     fn atom_nodes(q: &crate::ast::ConjunctiveQuery) -> Vec<NodeSpec> {
         (q.atoms().iter())
             .map(|a| {
-                let source = MatSource::from_groups(&[vec![a]]);
+                let source = MatSource::from_groups(&[a]);
                 let label = source.schema.clone();
                 NodeSpec { source, label }
             })
@@ -1864,7 +1891,7 @@ mod tests {
             bags: vec![vec![0, 1, 5], vec![1, 2, 3], vec![1, 3, 5], vec![3, 4, 5]],
             tree_edges: vec![(0, 2), (1, 2), (2, 3)],
         };
-        let centred = DecomposedPlan::compile_rooted(&c6, &td, 2);
+        let centred = DecomposedPlan::compile_rooted(&c6, td, 2);
         assert_eq!((multiway(centred.ir()), joins_in(centred.ir())), (1, 0));
         assert!(matches!(
             centred.ir().ops.last(),
@@ -1954,8 +1981,8 @@ mod tests {
         )
         .unwrap();
         let node = |atoms: &[usize]| {
-            let groups: Vec<Vec<&Atom>> = atoms.iter().map(|&i| vec![&q.atoms()[i]]).collect();
-            let source = MatSource::from_groups(&groups);
+            let atoms: Vec<&Atom> = atoms.iter().map(|&i| &q.atoms()[i]).collect();
+            let source = MatSource::from_groups(&atoms);
             NodeSpec {
                 label: source.schema.clone(),
                 source,
@@ -1992,8 +2019,8 @@ mod tests {
     #[test]
     fn join_and_semijoin_ops() {
         let q = parse_cq("Q() :- E(x, y), E(y, z)").unwrap();
-        let e = MatSource::from_groups(&[vec![&q.atoms()[0]]]);
-        let e2 = MatSource::from_groups(&[vec![&q.atoms()[1]]]);
+        let e = MatSource::from_groups(&[&q.atoms()[0]]);
+        let e2 = MatSource::from_groups(&[&q.atoms()[1]]);
         let ir = PlanIr {
             slots: 3,
             ops: vec![

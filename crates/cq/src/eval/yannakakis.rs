@@ -71,32 +71,27 @@ impl AcyclicPlan {
         // Group atoms by variable set, preserving first-occurrence order so
         // that group indices equal hyperedge indices of `Hypergraph` (which
         // deduplicates in insertion order too).
-        let mut groups: Vec<Vec<&Atom>> = Vec::new();
-        for atom in query.atoms() {
-            match groups.iter_mut().find(|g| g[0].same_vars(atom)) {
-                Some(group) => group.push(atom),
-                None => groups.push(vec![atom]),
-            }
-        }
+        let mut atoms: Vec<&Atom> = query.atoms().iter().collect();
+        atoms.sort_by_key(|a| query.atoms().iter().position(|b| b.same_vars(a)));
+        let groups = || atoms.chunk_by(|a, b| a.same_vars(b));
         let mut h = Hypergraph::new(query.var_count());
-        for group in &groups {
+        for group in groups() {
             h.add_edge(&group[0].args);
         }
-        debug_assert_eq!(h.edge_count(), groups.len());
         let join_tree = gyo::gyo_reduce(&h).join_tree.ok_or(NotAcyclic)?;
 
-        let nodes: Vec<NodeSpec> = groups
-            .into_iter()
-            .map(|group| {
-                let source = MatSource::from_groups(&[group]);
-                NodeSpec {
-                    label: source.schema.clone(),
-                    source,
-                }
-            })
-            .collect();
+        let mut nodes: Vec<NodeSpec> = Vec::with_capacity(h.edge_count());
+        nodes.extend(groups().map(|group| {
+            let source = MatSource::from_groups(group);
+            NodeSpec {
+                label: source.schema.clone(),
+                source,
+            }
+        }));
+        debug_assert_eq!(h.edge_count(), nodes.len());
 
-        let (mut parent, mut order) = (join_tree.parent_indices(), join_tree.bottom_up_order());
+        let mut order = join_tree.bottom_up_order();
+        let mut parent = join_tree.parent;
         choose_roots(&nodes, &mut parent, &mut order, query.free_vars());
         let ir = compile_tree(nodes, &parent, &order, query.free_vars());
         Ok(AcyclicPlan { ir })
@@ -267,7 +262,7 @@ mod tests {
         for atom in q.atoms() {
             h.add_edge(&atom.args);
         }
-        let gyo = gyo::gyo_reduce(&h).join_tree.unwrap().parent_indices();
+        let gyo = gyo::gyo_reduce(&h).join_tree.unwrap().parent;
         assert_eq!(gyo, [Some(1), None]);
         let plan = AcyclicPlan::compile(&q).unwrap();
         assert_eq!(handed(&plan), [(0, vec![0])]);
@@ -284,7 +279,7 @@ mod tests {
             .unwrap();
         let nodes: Vec<NodeSpec> = (q.atoms().iter())
             .map(|atom| {
-                let source = MatSource::from_groups(&[vec![atom]]);
+                let source = MatSource::from_groups(&[atom]);
                 NodeSpec {
                     label: source.schema.clone(),
                     source,

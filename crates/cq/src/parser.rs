@@ -13,9 +13,15 @@
 //!
 //! The vocabulary is inferred from the body (relation names with their
 //! arities) unless one is supplied via [`parse_cq_with_vocab`].
+//!
+//! Tokens borrow the input: an identifier is a `&str` slice of it, and
+//! a variable is looked up by that slice. One pass reads the head and
+//! then each body atom, resolving its relation and interning its
+//! variables as it goes, so a parse allocates per query, per atom (its
+//! argument list) and per distinct variable (its name), never per token.
 
 use crate::ast::{Atom, ConjunctiveQuery, VarId};
-use cqapx_structures::Vocabulary;
+use cqapx_structures::{RelId, Vocabulary};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -45,9 +51,9 @@ struct Lexer<'a> {
     pos: usize,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Token {
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Token<'a> {
+    Ident(&'a str),
     LParen,
     RParen,
     Comma,
@@ -56,113 +62,122 @@ enum Token {
 }
 
 impl<'a> Lexer<'a> {
-    fn new(input: &'a str) -> Self {
-        Lexer { input, pos: 0 }
+    fn next_token(&mut self) -> Result<Token<'a>, ParseError> {
+        let rest = self.input[self.pos..].trim_start_matches(|c: char| c.is_ascii_whitespace());
+        self.pos = self.input.len() - rest.len();
+        let ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_' || b == b'\'';
+        let (token, len) = match rest.as_bytes().first() {
+            None => (Token::End, 0),
+            Some(b'(') => (Token::LParen, 1),
+            Some(b')') => (Token::RParen, 1),
+            Some(b',') => (Token::Comma, 1),
+            Some(b':') if rest.starts_with(":-") => (Token::Implies, 2),
+            Some(b':') => return err(format!("expected ':-' at byte {}", self.pos)),
+            Some(&c) if c.is_ascii_alphabetic() || c == b'_' => {
+                let len = rest.bytes().position(|b| !ident(b)).unwrap_or(rest.len());
+                (Token::Ident(&rest[..len]), len)
+            }
+            Some(&c) => {
+                let at = self.pos;
+                return err(format!("unexpected character {:?} at byte {at}", c as char));
+            }
+        };
+        self.pos += len;
+        Ok(token)
     }
 
-    fn next_token(&mut self) -> Result<Token, ParseError> {
-        let bytes = self.input.as_bytes();
-        while self.pos < bytes.len() && bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
+    /// Parses `name "(" vars? ")"` into `name` and the variables in
+    /// `args` (cleared first). Only a head may have no variables.
+    fn atom(&mut self, args: &mut Vec<&'a str>) -> Result<&'a str, ParseError> {
+        args.clear();
+        let name = match self.next_token()? {
+            Token::Ident(s) => s,
+            other => return err(format!("expected a relation name, found {other:?}")),
+        };
+        match self.next_token()? {
+            Token::LParen => {}
+            other => return err(format!("expected '(' after {name}, found {other:?}")),
         }
-        if self.pos >= bytes.len() {
-            return Ok(Token::End);
+        // Allow empty head Q().
+        let save = self.pos;
+        match self.next_token()? {
+            Token::RParen => return Ok(name),
+            _ => self.pos = save,
         }
-        let c = bytes[self.pos];
-        match c {
-            b'(' => {
-                self.pos += 1;
-                Ok(Token::LParen)
+        loop {
+            match self.next_token()? {
+                Token::Ident(s) => args.push(s),
+                other => return err(format!("expected a variable, found {other:?}")),
             }
-            b')' => {
-                self.pos += 1;
-                Ok(Token::RParen)
+            match self.next_token()? {
+                Token::Comma => continue,
+                Token::RParen => return Ok(name),
+                other => return err(format!("expected ',' or ')', found {other:?}")),
             }
-            b',' => {
-                self.pos += 1;
-                Ok(Token::Comma)
-            }
-            b':' => {
-                if self.input[self.pos..].starts_with(":-") {
-                    self.pos += 2;
-                    Ok(Token::Implies)
-                } else {
-                    err(format!("expected ':-' at byte {}", self.pos))
-                }
-            }
-            c if c.is_ascii_alphabetic() || c == b'_' => {
-                let start = self.pos;
-                while self.pos < bytes.len()
-                    && (bytes[self.pos].is_ascii_alphanumeric()
-                        || bytes[self.pos] == b'_'
-                        || bytes[self.pos] == b'\'')
-                {
-                    self.pos += 1;
-                }
-                Ok(Token::Ident(self.input[start..self.pos].to_string()))
-            }
-            other => err(format!(
-                "unexpected character {:?} at byte {}",
-                other as char, self.pos
-            )),
         }
     }
 }
 
-struct RawAtom {
-    name: String,
-    args: Vec<String>,
-}
+/// The most atoms, and variables, a parse sizes its buffers for before
+/// reading them.
+const PRESIZED: usize = 256;
 
-fn parse_raw(input: &str) -> Result<(Vec<String>, Vec<RawAtom>), ParseError> {
-    let mut lx = Lexer::new(input);
-    // Head.
-    let head = parse_atom(&mut lx)?;
+/// A query's variable names, head and body, as [`ConjunctiveQuery::new`]
+/// takes them.
+type Parsed = (Vec<String>, Vec<VarId>, Vec<Atom>);
+
+/// The one pass both entry points share: the head, then every body atom
+/// resolved by `relation(name, arity)` and interned as it is read.
+/// Variables are looked up by the borrowed name; a name is copied once,
+/// when it is first seen. Every buffer is sized up front from the
+/// input's parentheses and commas (each atom opens one, each variable
+/// follows one), so none grows — up to [`PRESIZED`] entries, so that a
+/// malformed input is not handed a buffer its length alone asks for.
+fn parse<'a>(
+    input: &'a str,
+    mut relation: impl FnMut(&'a str, usize) -> Result<RelId, ParseError>,
+) -> Result<Parsed, ParseError> {
+    let count = |c: u8| input.bytes().filter(|&b| b == c).count().min(PRESIZED);
+    let (opens, commas) = (count(b'('), count(b','));
+    let mut lx = Lexer { input, pos: 0 };
+    let mut head = Vec::new();
+    lx.atom(&mut head)?;
     match lx.next_token()? {
         Token::Implies => {}
         other => return err(format!("expected ':-' after head, found {other:?}")),
     }
-    // Body.
-    let mut atoms = Vec::new();
+    let mut var_ids: HashMap<&str, VarId> = HashMap::with_capacity(opens + commas);
+    let mut var_names: Vec<String> = Vec::with_capacity(opens + commas);
+    let mut atoms = Vec::with_capacity(opens);
+    let (mut names, mut args) = (Vec::new(), Vec::new());
     loop {
-        atoms.push(parse_atom(&mut lx)?);
+        let name = lx.atom(&mut names)?;
+        let rel = relation(name, names.len())?;
+        args.clear();
+        args.extend(names.iter().map(|&v| {
+            *var_ids.entry(v).or_insert_with(|| {
+                var_names.push(v.to_string());
+                var_names.len() as VarId - 1
+            })
+        }));
+        atoms.push(Atom {
+            rel,
+            args: args.as_slice().into(),
+        });
         match lx.next_token()? {
             Token::Comma => continue,
             Token::End => break,
             other => return err(format!("expected ',' or end of input, found {other:?}")),
         }
     }
-    Ok((head.args, atoms))
-}
-
-fn parse_atom(lx: &mut Lexer<'_>) -> Result<RawAtom, ParseError> {
-    let name = match lx.next_token()? {
-        Token::Ident(s) => s,
-        other => return err(format!("expected a relation name, found {other:?}")),
-    };
-    match lx.next_token()? {
-        Token::LParen => {}
-        other => return err(format!("expected '(' after {name}, found {other:?}")),
-    }
-    let mut args = Vec::new();
-    // Allow empty head Q().
-    let save = lx.pos;
-    match lx.next_token()? {
-        Token::RParen => return Ok(RawAtom { name, args }),
-        _ => lx.pos = save,
-    }
-    loop {
-        match lx.next_token()? {
-            Token::Ident(s) => args.push(s),
-            other => return err(format!("expected a variable, found {other:?}")),
-        }
-        match lx.next_token()? {
-            Token::Comma => continue,
-            Token::RParen => break,
-            other => return err(format!("expected ',' or ')', found {other:?}")),
-        }
-    }
-    Ok(RawAtom { name, args })
+    // Head variables must occur in the body (safety).
+    let free = head.iter().map(|h| match var_ids.get(h) {
+        Some(&v) => Ok(v),
+        None => err(format!(
+            "head variable {h} does not occur in the body (unsafe query)"
+        )),
+    });
+    Ok((var_names, free.collect::<Result<_, _>>()?, atoms))
 }
 
 /// Parses a rule-notation CQ, inferring the vocabulary from the body.
@@ -178,30 +193,24 @@ fn parse_atom(lx: &mut Lexer<'_>) -> Result<RawAtom, ParseError> {
 /// assert_eq!(q.vocabulary().to_string(), "{E/2}");
 /// ```
 pub fn parse_cq(input: &str) -> Result<ConjunctiveQuery, ParseError> {
-    let (head, raw) = parse_raw(input)?;
-    // Infer vocabulary.
-    let mut rels: Vec<(String, usize)> = Vec::new();
-    for a in &raw {
-        match rels.iter().find(|(n, _)| *n == a.name) {
-            Some((_, arity)) => {
-                if *arity != a.args.len() {
-                    return err(format!(
-                        "relation {} used with arities {} and {}",
-                        a.name,
-                        arity,
-                        a.args.len()
-                    ));
-                }
-            }
+    let mut rels: Vec<(&str, usize)> = Vec::new();
+    let (var_names, free, atoms) = parse(input, |name, arity| {
+        match rels.iter().position(|&(n, _)| n == name) {
+            Some(i) if rels[i].1 == arity => Ok(RelId(i as u32)),
+            Some(i) => err(format!(
+                "relation {name} used with arities {} and {arity}",
+                rels[i].1
+            )),
             // `Vocabulary::new` takes no 0-ary symbol (it panics).
-            None if a.args.is_empty() => {
-                return err(format!("relation {} has no arguments", a.name));
+            None if arity == 0 => err(format!("relation {name} has no arguments")),
+            None => {
+                rels.push((name, arity));
+                Ok(RelId(rels.len() as u32 - 1))
             }
-            None => rels.push((a.name.clone(), a.args.len())),
         }
-    }
+    })?;
     let vocab = Vocabulary::new(rels);
-    assemble(vocab, head, raw)
+    Ok(ConjunctiveQuery::new(vocab, var_names, free, atoms))
 }
 
 /// Parses against a fixed vocabulary (arities checked).
@@ -209,61 +218,15 @@ pub fn parse_cq_with_vocab(
     input: &str,
     vocab: &Vocabulary,
 ) -> Result<ConjunctiveQuery, ParseError> {
-    let (head, raw) = parse_raw(input)?;
-    for a in &raw {
-        match vocab.rel(&a.name) {
-            None => return err(format!("unknown relation {}", a.name)),
-            Some(r) => {
-                if vocab.arity(r) != a.args.len() {
-                    return err(format!(
-                        "relation {} has arity {}, used with {} arguments",
-                        a.name,
-                        vocab.arity(r),
-                        a.args.len()
-                    ));
-                }
-            }
-        }
-    }
-    assemble(vocab.clone(), head, raw)
-}
-
-fn assemble(
-    vocab: Vocabulary,
-    head: Vec<String>,
-    raw: Vec<RawAtom>,
-) -> Result<ConjunctiveQuery, ParseError> {
-    let mut var_ids: HashMap<String, VarId> = HashMap::new();
-    let mut var_names: Vec<String> = Vec::new();
-    let mut intern = |name: &str, var_ids: &mut HashMap<String, VarId>| -> VarId {
-        *var_ids.entry(name.to_string()).or_insert_with(|| {
-            let id = var_names.len() as VarId;
-            var_names.push(name.to_string());
-            id
-        })
-    };
-    let mut atoms = Vec::with_capacity(raw.len());
-    for a in &raw {
-        let rel = vocab.rel(&a.name).expect("checked above");
-        let args = a.args.iter().map(|s| intern(s, &mut var_ids)).collect();
-        atoms.push(Atom { rel, args });
-    }
-    // Head variables must occur in the body (safety).
-    let mut free = Vec::with_capacity(head.len());
-    for h in &head {
-        match var_ids.get(h) {
-            Some(&v) => free.push(v),
-            None => {
-                return err(format!(
-                    "head variable {h} does not occur in the body (unsafe query)"
-                ))
-            }
-        }
-    }
-    if raw.is_empty() {
-        return err("query body is empty");
-    }
-    Ok(ConjunctiveQuery::new(vocab, var_names, free, atoms))
+    let (var_names, free, atoms) = parse(input, |name, arity| match vocab.rel(name) {
+        None => err(format!("unknown relation {name}")),
+        Some(r) if vocab.arity(r) != arity => err(format!(
+            "relation {name} has arity {}, used with {arity} arguments",
+            vocab.arity(r)
+        )),
+        Some(r) => Ok(r),
+    })?;
+    Ok(ConjunctiveQuery::new(vocab.clone(), var_names, free, atoms))
 }
 
 #[cfg(test)]

@@ -78,13 +78,6 @@ impl Digraph {
         v
     }
 
-    /// Adds `count` nodes, returning the first new index.
-    pub fn add_nodes(&mut self, count: usize) -> Element {
-        let v = self.n as Element;
-        self.n += count;
-        v
-    }
-
     /// Adds a directed edge (idempotent).
     ///
     /// # Panics

@@ -58,11 +58,6 @@ impl OrientedPath {
         }
     }
 
-    /// Builds from explicit step directions (`false` = forward).
-    pub fn from_steps(steps: Vec<bool>) -> Self {
-        OrientedPath { steps }
-    }
-
     /// Number of edges.
     pub fn len(&self) -> usize {
         self.steps.len()

@@ -72,12 +72,13 @@ impl TreeDecomposition {
             adj[from..].iter().take_while(move |&&(a, _)| a == v)
         };
         let mut parent: Vec<Option<usize>> = vec![None; n];
-        let mut seen = vec![false; n];
+        // Only the root is reached without getting a parent.
+        let seen = |parent: &[Option<usize>], w: usize| w == root || parent[w].is_some();
         // Iterative DFS from the root; `order` collects the post-order,
         // which is exactly a bottom-up (children-before-parents) order.
         let mut order = Vec::with_capacity(n);
-        let mut stack: Vec<(usize, bool)> = vec![(root, false)];
-        seen[root] = true;
+        let mut stack: Vec<(usize, bool)> = Vec::with_capacity(2 * n);
+        stack.push((root, false));
         while let Some((v, expanded)) = stack.pop() {
             if expanded {
                 order.push(v);
@@ -85,8 +86,7 @@ impl TreeDecomposition {
             }
             stack.push((v, true));
             for &(_, w) in neighbours(v) {
-                if !seen[w] {
-                    seen[w] = true;
+                if !seen(&parent, w) {
                     parent[w] = Some(v);
                     stack.push((w, false));
                 }
@@ -106,10 +106,12 @@ impl TreeDecomposition {
         if n == 0 {
             return Vec::new();
         }
-        let distances = |from: usize| {
-            let mut dist = vec![usize::MAX; n];
+        // Three sweeps side by side in one buffer, over one queue.
+        let mut dist = vec![usize::MAX; 3 * n];
+        let mut queue = Vec::with_capacity(n);
+        let mut sweep = |dist: &mut [usize], from: usize| {
             dist[from] = 0;
-            let mut queue = Vec::with_capacity(n);
+            queue.clear();
             queue.push(from);
             let mut next = 0;
             while let Some(&u) = queue.get(next) {
@@ -126,16 +128,18 @@ impl TreeDecomposition {
                     }
                 }
             }
-            dist
         };
         let farthest = |dist: &[usize]| (0..n).max_by_key(|&b| dist[b]).expect("a bag");
-        let from_one_end = distances(farthest(&distances(0)));
-        let from_other = distances(farthest(&from_one_end));
-        from_one_end
-            .iter()
-            .zip(&from_other)
-            .map(|(&a, &b)| a.max(b))
-            .collect()
+        let (first, ends) = dist.split_at_mut(n);
+        let (one_end, other) = ends.split_at_mut(n);
+        sweep(first, 0);
+        sweep(one_end, farthest(first));
+        sweep(other, farthest(one_end));
+        for ((height, &a), &b) in first.iter_mut().zip(&*one_end).zip(&*other) {
+            *height = a.max(b);
+        }
+        dist.truncate(n);
+        dist
     }
 
     /// The decomposition with every bag that is contained in a tree
@@ -277,10 +281,11 @@ impl TreeDecomposition {
 /// Loops are ignored.
 #[derive(Debug, Clone, Default)]
 pub struct BitGraph {
+    n: usize,
     words: usize,
-    rows: Vec<u64>,
-    comp: Vec<u32>,
-    cyclic: bool,
+    /// The rows, then a component label per vertex, then the cycle flag:
+    /// the whole graph in one buffer.
+    state: Vec<u64>,
     scratch: Vec<u64>,
 }
 
@@ -288,22 +293,24 @@ impl BitGraph {
     /// The edgeless graph on `n` vertices.
     pub fn new(n: usize) -> BitGraph {
         let words = n.div_ceil(64);
+        let mut state = vec![0; n * words + n + 1];
+        (state[n * words..][..n].iter_mut().zip(0..)).for_each(|(label, v)| *label = v);
         BitGraph {
+            n,
             words,
-            rows: vec![0; n * words],
-            comp: (0..n as u32).collect(),
-            ..BitGraph::default()
+            state,
+            scratch: Vec::new(),
         }
     }
 
     /// Number of vertices.
     pub fn n(&self) -> usize {
-        self.comp.len()
+        self.n
     }
 
     /// `true` when `{x, y}` is an edge.
     pub fn has_edge(&self, x: usize, y: usize) -> bool {
-        self.rows[x * self.words + y / 64] >> (y % 64) & 1 == 1
+        self.state[x * self.words + y / 64] >> (y % 64) & 1 == 1
     }
 
     /// Adds the edge `{x, y}`; `false` when it is a loop or already there.
@@ -312,32 +319,37 @@ impl BitGraph {
         if x == y || self.has_edge(x, y) {
             return false;
         }
-        self.rows[x * self.words + y / 64] |= 1 << (y % 64);
-        self.rows[y * self.words + x / 64] |= 1 << (x % 64);
-        let (cx, cy) = (self.comp[x], self.comp[y]);
-        self.cyclic |= cx == cy;
-        let merged = self.comp.iter_mut().filter(|c| **c == cy);
-        merged.for_each(|c| *c = cx);
+        self.state[x * self.words + y / 64] |= 1 << (y % 64);
+        self.state[y * self.words + x / 64] |= 1 << (x % 64);
+        let (comp, cyclic) = self.state[self.n * self.words..].split_at_mut(self.n);
+        let (cx, cy) = (comp[x], comp[y]);
+        cyclic[0] |= u64::from(cx == cy);
+        comp.iter_mut().filter(|c| **c == cy).for_each(|c| *c = cx);
         true
     }
 
-    /// Makes `self` a copy of `other` in its own buffers: a search that
-    /// keeps one graph per depth allocates nothing per node.
-    pub fn copy_from(&mut self, other: &BitGraph) {
-        self.words = other.words;
-        self.rows.clone_from(&other.rows);
-        self.comp.clone_from(&other.comp);
-        self.cyclic = other.cyclic;
+    /// The graph as words: a search that keeps one graph per depth keeps
+    /// their states in one buffer.
+    pub fn state(&self) -> &[u64] {
+        &self.state
+    }
+
+    /// Makes `self` the graph whose [`BitGraph::state`] `from` is, one on
+    /// as many vertices.
+    pub fn set_state(&mut self, from: &[u64]) {
+        self.state.copy_from_slice(from);
     }
 
     /// Decides `tw ≤ k`, or `None` (module docs). The edges stay as they
     /// are: the reductions run on a copy in the graph's scratch space.
     pub fn treewidth_at_most(&mut self, k: usize) -> Option<bool> {
+        let rows = &self.state[..self.n * self.words];
         match k {
-            0 => Some(self.rows.iter().all(|&w| w == 0)),
-            1 => Some(!self.cyclic),
+            0 => Some(rows.iter().all(|&w| w == 0)),
+            1 => Some(self.state[rows.len() + self.n] == 0),
             _ => {
-                self.scratch.clone_from(&self.rows);
+                self.scratch.clear();
+                self.scratch.extend_from_slice(rows);
                 kernel_tw_at_most(&mut self.scratch, self.words, k)
             }
         }
@@ -429,6 +441,8 @@ fn component_tw_at_most(g: &MaskGraph, k: usize) -> Option<Vec<usize>> {
     let full: u64 = if g.n == 64 { !0 } else { (1u64 << g.n) - 1 };
     let mut dead: HashSet<u64> = HashSet::new();
     let mut order = Vec::with_capacity(g.n);
+    // Every level's candidates, one run per level of the recursion.
+    let mut candidates: Vec<(usize, usize)> = Vec::new();
 
     fn rec(
         g: &MaskGraph,
@@ -437,6 +451,7 @@ fn component_tw_at_most(g: &MaskGraph, k: usize) -> Option<Vec<usize>> {
         full: u64,
         dead: &mut HashSet<u64>,
         order: &mut Vec<usize>,
+        candidates: &mut Vec<(usize, usize)>,
     ) -> bool {
         if elim == full {
             return true;
@@ -448,7 +463,7 @@ fn component_tw_at_most(g: &MaskGraph, k: usize) -> Option<Vec<usize>> {
         // Gather candidates with fill-degree ≤ k; eliminate simplicial
         // vertices (fill-neighbourhood already a clique) greedily — always
         // safe.
-        let mut candidates: Vec<(usize, usize, u64)> = Vec::new();
+        let from = candidates.len();
         while remaining != 0 {
             let v = remaining.trailing_zeros() as usize;
             remaining &= remaining - 1;
@@ -469,30 +484,33 @@ fn component_tw_at_most(g: &MaskGraph, k: usize) -> Option<Vec<usize>> {
                     }
                 }
                 if simplicial {
+                    candidates.truncate(from);
                     order.push(v);
-                    if rec(g, k, elim | (1u64 << v), full, dead, order) {
+                    if rec(g, k, elim | (1u64 << v), full, dead, order, candidates) {
                         return true;
                     }
                     order.pop();
                     dead.insert(elim);
                     return false;
                 }
-                candidates.push((deg, v, nb));
+                candidates.push((deg, v));
             }
         }
-        candidates.sort_unstable();
-        for (_, v, _) in candidates {
+        candidates[from..].sort_unstable();
+        for i in from..candidates.len() {
+            let v = candidates[i].1;
             order.push(v);
-            if rec(g, k, elim | (1u64 << v), full, dead, order) {
+            if rec(g, k, elim | (1u64 << v), full, dead, order, candidates) {
                 return true;
             }
             order.pop();
         }
+        candidates.truncate(from);
         dead.insert(elim);
         false
     }
 
-    if rec(g, k, 0, full, &mut dead, &mut order) {
+    if rec(g, k, 0, full, &mut dead, &mut order, &mut candidates) {
         Some(order)
     } else {
         None
@@ -543,19 +561,20 @@ fn append_decomposition(
 /// vertices in ascending order; `None` when one has more than 64.
 fn component_masks(g: &UGraph) -> Option<Vec<(Vec<Element>, MaskGraph)>> {
     let (count, comp) = g.components();
-    let mut parts: Vec<(Vec<Element>, MaskGraph)> =
-        (0..count).map(|_| Default::default()).collect();
-    // Each vertex's index within its component.
+    // First each component's size, then each vertex's index within its
+    // component.
     let mut index = vec![0usize; g.n()];
+    comp.iter().for_each(|&c| index[c as usize] += 1);
+    if index[..count].iter().any(|&size| size > 64) {
+        return None;
+    }
+    let mut parts: Vec<(Vec<Element>, MaskGraph)> = (index[..count].iter())
+        .map(|&n| (Vec::with_capacity(n), MaskGraph { adj: vec![0; n], n }))
+        .collect();
     for (v, &c) in comp.iter().enumerate() {
-        let (names, mg) = &mut parts[c as usize];
-        if names.len() == 64 {
-            return None;
-        }
+        let names = &mut parts[c as usize].0;
         index[v] = names.len();
         names.push(v as Element);
-        mg.adj.push(0);
-        mg.n += 1;
     }
     for (u, v) in g.edges() {
         let adj = &mut parts[comp[u as usize] as usize].1.adj;
@@ -574,9 +593,14 @@ fn decompose(
     g: &UGraph,
     mut order_of: impl FnMut(&MaskGraph) -> Option<Vec<usize>>,
 ) -> Option<TreeDecomposition> {
-    let mut td = TreeDecomposition::default();
-    let mut roots = Vec::new();
-    for (names, mg) in component_masks(g)? {
+    let parts = component_masks(g)?;
+    // A bag per vertex (one for the empty graph), a tree edge fewer.
+    let mut td = TreeDecomposition {
+        bags: Vec::with_capacity(g.n().max(1)),
+        tree_edges: Vec::with_capacity(g.n().saturating_sub(1)),
+    };
+    let mut roots = Vec::with_capacity(parts.len());
+    for (names, mg) in parts {
         let order = order_of(&mg)?;
         roots.push(td.bags.len());
         append_decomposition(&mut td, &mg, &order, &names);

@@ -85,20 +85,11 @@ pub fn gyo_reduce(h: &Hypergraph) -> GyoResult {
         }
     }
 
-    let residual: Vec<usize> = (0..m).filter(|&i| alive[i]).collect();
-    if residual.len() <= 1 {
-        GyoResult {
-            join_tree: Some(JoinTree {
-                n_edges: m,
-                parent: parent.iter().map(|p| p.map(|x| x as u32)).collect(),
-            }),
-            residual_edges: Vec::new(),
-        }
-    } else {
-        GyoResult {
-            join_tree: None,
-            residual_edges: residual,
-        }
+    // At most one edge left: acyclic, and no residual list to allocate.
+    let acyclic = alive.iter().filter(|&&a| a).count() <= 1;
+    GyoResult {
+        join_tree: acyclic.then_some(JoinTree { n_edges: m, parent }),
+        residual_edges: (0..m).filter(|&i| !acyclic && alive[i]).collect(),
     }
 }
 

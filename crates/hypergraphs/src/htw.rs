@@ -308,7 +308,7 @@ pub fn htw_at_most(h: &Hypergraph, k: usize) -> Option<HypertreeDecomposition> {
             .parent
             .iter()
             .enumerate()
-            .filter_map(|(i, p)| p.map(|p| (i, p as usize)))
+            .filter_map(|(i, p)| p.map(|p| (i, p)))
             .collect();
         // Connect forest roots into one tree.
         let roots = jt.roots();

@@ -11,7 +11,7 @@ pub struct JoinTree {
     /// Number of hyperedges covered (tree nodes).
     pub n_edges: usize,
     /// Parent of each hyperedge (`None` for roots).
-    pub parent: Vec<Option<u32>>,
+    pub parent: Vec<Option<usize>>,
 }
 
 impl JoinTree {
@@ -22,26 +22,15 @@ impl JoinTree {
             .collect()
     }
 
-    /// Parent links as node indices — the form rooted-tree plan
-    /// compilers (`cqapx-cq`'s `eval::ir::compile_tree`) consume.
-    pub fn parent_indices(&self) -> Vec<Option<usize>> {
-        self.parent.iter().map(|p| p.map(|p| p as usize)).collect()
-    }
-
-    /// Children lists.
-    pub fn children(&self) -> Vec<Vec<usize>> {
-        let mut ch = vec![Vec::new(); self.n_edges];
-        for (i, p) in self.parent.iter().enumerate() {
-            if let Some(p) = p {
-                ch[*p as usize].push(i);
-            }
-        }
-        ch
-    }
-
     /// A bottom-up ordering (children before parents).
     pub fn bottom_up_order(&self) -> Vec<usize> {
-        let ch = self.children();
+        // Each edge's first child and next sibling, ascending.
+        let mut links: Vec<(Option<usize>, Option<usize>)> = vec![(None, None); self.n_edges];
+        for (u, p) in self.parent.iter().enumerate().rev() {
+            if let Some(p) = *p {
+                (links[u].1, links[p].0) = (links[p].0, Some(u));
+            }
+        }
         let mut order = Vec::with_capacity(self.n_edges);
         let mut stack: Vec<(usize, bool)> = self.roots().into_iter().map(|r| (r, false)).collect();
         while let Some((v, expanded)) = stack.pop() {
@@ -49,9 +38,8 @@ impl JoinTree {
                 order.push(v);
             } else {
                 stack.push((v, true));
-                for &c in &ch[v] {
-                    stack.push((c, false));
-                }
+                let children = std::iter::successors(links[v].0, |&c| links[c].1);
+                stack.extend(children.map(|c| (c, false)));
             }
         }
         order
@@ -78,7 +66,7 @@ impl JoinTree {
                 seen[cur] = true;
                 match self.parent[cur] {
                     None => break,
-                    Some(p) => cur = p as usize,
+                    Some(p) => cur = p,
                 }
             }
         }
@@ -105,7 +93,7 @@ impl JoinTree {
             }
             for (ai, &a) in occ.iter().enumerate() {
                 if let Some(p) = self.parent[a] {
-                    if let Some(bi) = occ.iter().position(|&b| b == p as usize) {
+                    if let Some(bi) = occ.iter().position(|&b| b == p) {
                         let ra = find(&mut comp, ai);
                         let rb = find(&mut comp, bi);
                         comp[ra] = rb;

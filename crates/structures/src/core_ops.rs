@@ -40,6 +40,9 @@ pub struct CoreResult {
     pub retraction: Vec<Element>,
     /// Number of retract iterations performed.
     pub iterations: usize,
+    /// The solver compiled on the input, when the input is its own core:
+    /// a caller that keeps the core compiled need not compile it again.
+    pub solver: Option<HomSolver>,
 }
 
 /// A search for a homomorphism `D → D[S]` fixing the distinguished tuple,
@@ -171,6 +174,7 @@ pub fn core_of(p: &Pointed) -> CoreResult {
             core: p.clone(),
             retraction: (0..n as Element).collect(),
             iterations,
+            solver: Some(solver),
         };
     };
     let (core, remap) = p.structure.induced(|x| allowed.contains(x));
@@ -180,6 +184,7 @@ pub fn core_of(p: &Pointed) -> CoreResult {
         core: Pointed::new(core, distinguished),
         retraction: h.map.iter().map(|&x| rank(x)).collect(),
         iterations,
+        solver: None,
     }
 }
 

@@ -5,6 +5,7 @@ use crate::fxhash::FxHasher;
 use crate::pointed::Pointed;
 use crate::solver::HomSolver;
 use crate::structure::{Element, Structure};
+use crate::vocabulary::Vocabulary;
 use std::hash::{Hash, Hasher};
 
 /// `true` when the two structures are isomorphic.
@@ -87,7 +88,7 @@ fn bijection_exists(a: &Structure, at: &[Element], b: &Structure, bt: &[Element]
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IsoSignature {
     /// Relation names and arities, in `RelId` order.
-    vocab: Vec<(String, usize)>,
+    vocab: Vocabulary,
     /// Universe size.
     universe: usize,
     /// Tuples per relation, in `RelId` order.
@@ -98,93 +99,88 @@ pub struct IsoSignature {
     distinguished: Vec<u64>,
 }
 
-fn hash_of(h: &impl Hash) -> u64 {
-    // Deterministic and fast; signature values are compared only against
-    // other signatures computed by this same function, and collisions are
-    // harmless (signature equality is a bucket key, never a proof).
-    let mut hasher = FxHasher::default();
-    h.hash(&mut hasher);
-    hasher.finish()
+/// Rehashes each element's colour with its run of `entries` (sorted by
+/// element, the first field); an element with no entry hashes the empty
+/// run. Deterministic and fast; colours are compared only against
+/// others computed here, and collisions are harmless (signature
+/// equality is a bucket key, never a proof).
+fn refine<T: Hash>(color: &mut [u64], entries: &[(Element, T)]) {
+    let mut rest = entries;
+    for (e, c) in color.iter_mut().enumerate() {
+        let len = rest.iter().take_while(|(x, _)| *x as usize == e).count();
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        let mut hasher = FxHasher::default();
+        c.hash(&mut hasher);
+        hasher.write_usize(len);
+        run.iter().for_each(|(_, t)| t.hash(&mut hasher));
+        *c = hasher.finish();
+    }
 }
 
 /// Computes the [`IsoSignature`] of a pointed structure in time roughly
-/// `O(total tuples × max arity)` (plus sorting).
+/// `O(total tuples × max arity²)` plus two sorts.
+///
+/// The refinement is flat: round 0 writes one `(element, relation,
+/// position)` entry per tuple position into a single exactly sized
+/// buffer, sorts it once and hashes each element's run — the multiset
+/// of places it occurs at, repetitions inside a tuple included. Round 1
+/// writes one `(element, relation, own position, other position,
+/// other's round-0 colour)` entry per ordered pair of positions of a
+/// tuple into a second such buffer, sorts it and hashes each element's
+/// run together with its own colour. So a signature costs a fixed
+/// number of allocations, whatever the structure's size.
 pub fn signature_pointed(p: &Pointed) -> IsoSignature {
     let s = &p.structure;
-    let n = s.universe_size();
-    let vocab: Vec<(String, usize)> = s
-        .vocabulary()
-        .rel_ids()
-        .map(|r| (s.vocabulary().name(r).to_string(), s.vocabulary().arity(r)))
-        .collect();
-    let rel_counts: Vec<usize> = s
-        .vocabulary()
-        .rel_ids()
-        .map(|r| s.tuples(r).len())
-        .collect();
+    let (n, vocab) = (s.universe_size(), s.vocabulary());
+    let rel_counts: Vec<usize> = vocab.rel_ids().map(|r| s.tuples(r).len()).collect();
+    // Entries per tuple: a position each in round 0, an ordered pair of
+    // positions each in round 1.
+    let slots = |round: u32| -> usize {
+        let per_tuple = |a: usize| a * (a - 1).pow(round);
+        (vocab.rel_ids())
+            .map(|r| s.tuples(r).len() * per_tuple(vocab.arity(r)))
+            .sum()
+    };
 
-    // Round 0: per-element occurrence counts by (relation, position),
-    // plus loop-degree (repetitions inside one tuple).
-    let mut occ: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); n];
-    for r in s.vocabulary().rel_ids() {
+    // Round 0: where each element occurs, by (relation, position).
+    let mut occ: Vec<(Element, (u32, u32))> = Vec::with_capacity(slots(0));
+    for r in vocab.rel_ids() {
         for t in s.tuples(r) {
-            for (pos, &e) in t.iter().enumerate() {
-                let e = e as usize;
-                let key = (r.0, pos as u32);
-                match occ[e].iter_mut().find(|(rr, pp, _)| (*rr, *pp) == key) {
-                    Some((_, _, c)) => *c += 1,
-                    None => occ[e].push((key.0, key.1, 1)),
-                }
-            }
+            occ.extend((t.iter().enumerate()).map(|(pos, &e)| (e, (r.0, pos as u32))));
         }
     }
-    let mut color: Vec<u64> = occ
-        .iter_mut()
-        .map(|o| {
-            o.sort_unstable();
-            hash_of(o)
-        })
-        .collect();
+    occ.sort_unstable();
+    let mut color = vec![0u64; n];
+    refine(&mut color, &occ);
+    drop(occ);
 
     // One refinement round: rehash each element with the sorted multiset
     // of colors it co-occurs with, per (relation, own position, other
     // position). Distinguishes e.g. path-ends from star-centers that
     // round 0 conflates.
-    let mut neigh: Vec<Vec<(u32, u32, u32, u64)>> = vec![Vec::new(); n];
-    for r in s.vocabulary().rel_ids() {
-        let arity = s.vocabulary().arity(r);
+    let mut neigh: Vec<(Element, (u32, u32, u32, u64))> = Vec::with_capacity(slots(1));
+    for r in vocab.rel_ids() {
         for t in s.tuples(r) {
-            for pos in 0..arity {
-                for pos2 in 0..arity {
-                    if pos2 != pos {
-                        neigh[t[pos] as usize].push((
-                            r.0,
-                            pos as u32,
-                            pos2 as u32,
-                            color[t[pos2] as usize],
-                        ));
-                    }
-                }
+            for (pos, &e) in t.iter().enumerate() {
+                let others = (t.iter().enumerate()).filter(|&(pos2, _)| pos2 != pos);
+                neigh.extend(
+                    others.map(|(pos2, &f)| (e, (r.0, pos as u32, pos2 as u32, color[f as usize]))),
+                );
             }
         }
     }
-    for e in 0..n {
-        neigh[e].sort_unstable();
-        color[e] = hash_of(&(color[e], &neigh[e]));
-    }
-
-    let mut element_profile = color.clone();
-    element_profile.sort_unstable();
-    let distinguished = p
-        .distinguished()
-        .iter()
+    neigh.sort_unstable();
+    refine(&mut color, &neigh);
+    let distinguished = (p.distinguished().iter())
         .map(|&e| color[e as usize])
         .collect();
+    color.sort_unstable();
     IsoSignature {
-        vocab,
+        vocab: vocab.clone(),
         universe: n,
         rel_counts,
-        element_profile,
+        element_profile: color,
         distinguished,
     }
 }

@@ -155,9 +155,10 @@ impl MinimalAntichain {
             return false;
         }
         let start = Instant::now();
-        let core = core_of(&c).core;
+        let found = core_of(&c);
         self.core_time += start.elapsed();
-        let solver = HomSolver::compile(&core.structure);
+        let core = found.core;
+        let solver = (found.solver).unwrap_or_else(|| HomSolver::compile(&core.structure));
         self.members
             .retain(|(_, m, _)| !hom_exists_compiled(&solver, &core, m));
         self.members.push((solver, core, c));

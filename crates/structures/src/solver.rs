@@ -35,12 +35,12 @@
 //! incidence lists of the source variables sit behind one offsets array. So [`HomSolver::compile`] calls the allocator
 //! a fixed number of times, whatever the number of atoms, and a target's
 //! [`StructureIndex`] is laid out the same way per relation. Search
-//! buffers (domains, trail, queue, value stacks, spare bitsets) live in a
-//! thread-local pool, and a run hands its root level's saved domains back
-//! to it. So a warm run — on sources and targets no larger than earlier
-//! runs on its thread — calls the allocator only for its pins and its
-//! exclusions (one buffer each, when set), for the witness
-//! [`HomRun::find`] returns, and once for the witness
+//! buffers (domains, trail, queue, value stacks, spare bitsets, and the
+//! run's pins and exclusions) live in a thread-local pool, and a run
+//! hands its root level's saved domains back to it. So a warm run — on
+//! sources and targets no larger than earlier runs on its thread — calls
+//! the allocator only for the witness [`HomRun::find`] returns, and once
+//! for the witness
 //! [`HomRun::for_each`] refills per solution; [`HomRun::exists`] and
 //! [`HomRun::count`] assemble none.
 //!
@@ -250,11 +250,13 @@ impl HomSolver {
             target.vocabulary(),
             "homomorphisms need a common vocabulary"
         );
+        let mut sc = take_scratch();
+        sc.pins.clear();
+        sc.excluded.clear();
         HomRun {
             solver: self,
             target,
-            pins: Vec::new(),
-            excluded: Vec::new(),
+            sc,
             within: None,
             injective: false,
             budget: None,
@@ -271,12 +273,13 @@ impl std::fmt::Debug for HomSolver {
     }
 }
 
-/// One configured search of a compiled source against a target.
+/// One configured search of a compiled source against a target. Its pins
+/// and exclusions are staged in a search scratch taken from the thread's
+/// pool, which the search hands back: a warm run allocates nothing.
 pub struct HomRun<'s, 't> {
     solver: &'s HomSolver,
     target: &'t Structure,
-    pins: Vec<(Element, Element)>,
-    excluded: Vec<Element>,
+    sc: Scratch,
     /// The target elements the image may use, when not all of them.
     within: Option<&'t ElemSet>,
     injective: bool,
@@ -286,21 +289,20 @@ pub struct HomRun<'s, 't> {
 impl<'s, 't> HomRun<'s, 't> {
     /// Forces `h(src) = tgt`.
     pub fn pin(mut self, src: Element, tgt: Element) -> Self {
-        self.pins.push((src, tgt));
+        self.sc.pins.push((src, tgt));
         self
     }
 
     /// Forces `h(src[i]) = tgt[i]` for every position.
     pub fn pin_tuple(mut self, src: &[Element], tgt: &[Element]) -> Self {
         assert_eq!(src.len(), tgt.len(), "pinned tuples must align");
-        self.pins
-            .extend(src.iter().copied().zip(tgt.iter().copied()));
+        (self.sc.pins).extend(src.iter().copied().zip(tgt.iter().copied()));
         self
     }
 
     /// Forbids a target element from appearing in the image.
     pub fn exclude_target(mut self, t: Element) -> Self {
-        self.excluded.push(t);
+        self.sc.excluded.push(t);
         self
     }
 
@@ -373,11 +375,8 @@ impl<'s, 't> HomRun<'s, 't> {
     }
 
     /// Runs the search, handing each complete assignment to `leaf`.
-    fn solve<F: FnMut(&[Option<Element>]) -> ControlFlow<()>>(
-        &self,
-        mut leaf: F,
-    ) -> HomSearchStats {
-        let mut sc = take_scratch();
+    fn solve<F: FnMut(&[Option<Element>]) -> ControlFlow<()>>(self, mut leaf: F) -> HomSearchStats {
+        let mut sc = self.sc;
         let mut stats = HomSearchStats::default();
         {
             let mut search = Search {
@@ -390,7 +389,7 @@ impl<'s, 't> HomRun<'s, 't> {
                 sc: &mut sc,
                 revisions: 0,
             };
-            if search.setup(&self.pins, &self.excluded, self.within) {
+            if search.setup(self.within) {
                 // Root-level arc consistency (its trail level is never
                 // undone).
                 search.new_level();
@@ -431,6 +430,9 @@ struct Scratch {
     vals: Vec<Vec<Element>>,
     /// Spare bitsets.
     pool: Vec<ElemSet>,
+    /// The run's pins and excluded target elements.
+    pins: Vec<(Element, Element)>,
+    excluded: Vec<Element>,
 }
 
 thread_local! {
@@ -469,12 +471,7 @@ impl Search<'_> {
     /// Initializes domains from the index's occurrence sets, pins,
     /// exclusions and the allowed image. Returns `false` on an immediate
     /// wipe-out.
-    fn setup(
-        &mut self,
-        pins: &[(Element, Element)],
-        excluded: &[Element],
-        within: Option<&ElemSet>,
-    ) -> bool {
+    fn setup(&mut self, within: Option<&ElemSet>) -> bool {
         let n_s = self.solver.n_source;
         let n_t = self.n_target;
         let sc = &mut *self.sc;
@@ -512,12 +509,12 @@ impl Search<'_> {
                 d.intersect_with(allowed.words());
             }
         }
-        for &e in excluded {
+        for &e in &sc.excluded {
             for d in sc.domains[..n_s].iter_mut() {
                 d.remove(e);
             }
         }
-        for &(s, t) in pins {
+        for &(s, t) in &sc.pins {
             assert!((s as usize) < n_s, "pinned source element out of range");
             assert!((t as usize) < n_t, "pinned target element out of range");
             let keep = sc.domains[s as usize].contains(t);

@@ -260,7 +260,7 @@ impl Structure {
     /// The raw image of this structure under a map, *without* restricting
     /// to the active domain (universe is `0..=max(map)`): each relation
     /// mapped into one buffer, then sorted and deduplicated.
-    pub(crate) fn map_image_raw(&self, map: &[Element]) -> Structure {
+    pub fn map_image_raw(&self, map: &[Element]) -> Structure {
         assert_eq!(map.len(), self.universe_size, "one image per element");
         let max = map.iter().copied().max().map_or(0, |m| m as usize + 1);
         let relations = self
