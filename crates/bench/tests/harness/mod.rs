@@ -350,7 +350,7 @@ pub fn check_bags(ir: &PlanIr, d: &Structure, what: &str) -> (u64, u64) {
             .map(|part| {
                 let alone = MatSource {
                     schema: part.schema.clone(),
-                    key: part.key.clone(),
+                    group_key: None,
                     parts: vec![part.clone()],
                 };
                 let mut stats = MatCacheStats::default();

@@ -491,7 +491,7 @@ fn cached_rows_are_never_written_through_a_sharing_slot() {
                     let mut stats = MatCacheStats::default();
                     let rel = source.materialize(&d, Some(&cache), &mut stats);
                     let rows: Vec<Vec<u32>> = rel.iter_rows().map(<[u32]>::to_vec).collect();
-                    let key = format!("{:?}", source.key);
+                    let key = format!("{:?}", source.key());
                     match landed.iter().find(|(k, _)| *k == key) {
                         Some((_, first)) => assert_eq!(&rows, first, "{what}: {key}"),
                         None => landed.push((key, rows)),

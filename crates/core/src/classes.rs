@@ -85,7 +85,7 @@ pub trait QueryClass {
 
 /// The co-occurrence (Gaifman) graph of a structure: elements as
 /// vertices, an edge per pair of distinct elements sharing a tuple.
-pub fn structure_graph(s: &Structure) -> BitGraph {
+pub(crate) fn structure_graph(s: &Structure) -> BitGraph {
     let mut g = BitGraph::new(s.universe_size());
     for t in s.vocabulary().rel_ids().flat_map(|rel| s.tuples(rel)) {
         for (i, &x) in t.iter().enumerate() {
@@ -98,7 +98,7 @@ pub fn structure_graph(s: &Structure) -> BitGraph {
 }
 
 /// The hypergraph of a structure: one hyperedge per tuple's element set.
-pub fn structure_hypergraph(s: &Structure) -> Hypergraph {
+pub(crate) fn structure_hypergraph(s: &Structure) -> Hypergraph {
     let mut h = Hypergraph::new(s.universe_size());
     for rel in s.vocabulary().rel_ids() {
         for t in s.tuples(rel) {

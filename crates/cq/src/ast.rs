@@ -19,7 +19,7 @@ pub struct Atom {
 impl Atom {
     /// `true` when both atoms mention the same set of variables: they
     /// are one hyperedge of `H(Q)`.
-    pub fn same_vars(&self, other: &Atom) -> bool {
+    pub(crate) fn same_vars(&self, other: &Atom) -> bool {
         let within = |a: &Atom, b: &Atom| a.args.iter().all(|v| b.args.contains(v));
         within(self, other) && within(other, self)
     }

@@ -35,7 +35,7 @@ pub fn query_graph(q: &ConjunctiveQuery) -> UGraph {
 
 /// The hypergraph `H(Q)`: variables as nodes, one hyperedge per atom's
 /// variable set.
-pub fn hypergraph_of(q: &ConjunctiveQuery) -> Hypergraph {
+pub(crate) fn hypergraph_of(q: &ConjunctiveQuery) -> Hypergraph {
     let mut h = Hypergraph::new(q.var_count());
     for a in q.atoms() {
         h.add_edge(&a.args);

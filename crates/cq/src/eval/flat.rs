@@ -14,7 +14,7 @@
 //! column bitmap cannot answer — is one call of the trie kernel below.
 //! Rows that landed in a [`MaterializationCache`] are shared, not
 //! copied, by every plan slot that adopts them (see
-//! [`FlatRelation::relabel`]).
+//! `FlatRelation::relabel`).
 //!
 //! Layout of a relation over schema `(x, y)` with rows `(1,2)`, `(3,4)`:
 //!
@@ -138,7 +138,7 @@ fn unpack_words_in_place(buf: &mut Vec<u32>, arity: usize, b: u32) {
 
 /// Row storage of a [`FlatRelation`]: a plain owned buffer, or the
 /// bytes of a [`MaterializationCache`] entry shared by every plan slot
-/// that adopted it (clone and [`FlatRelation::relabel`] are then O(1)).
+/// that adopted it (clone and `FlatRelation::relabel` are then O(1)).
 /// Reads deref to the buffer either way; writers ask for
 /// [`Rows::make_mut`] once, outside their row loops, and only then is
 /// a shared buffer copied.
@@ -431,7 +431,7 @@ impl FlatRelation {
     /// variable space: cache entries hold shared rows, so adoption is
     /// a new schema over the *same bytes* and the same bitmaps, O(1)
     /// whatever the row count (an owned buffer is copied).
-    pub fn relabel(&self, schema: Vec<VarId>) -> FlatRelation {
+    pub(crate) fn relabel(&self, schema: Vec<VarId>) -> FlatRelation {
         assert_eq!(schema.len(), self.schema.len(), "relabel arity mismatch");
         FlatRelation {
             schema,
@@ -623,7 +623,7 @@ impl FlatRelation {
     ///
     /// When every row survives nothing is touched: rows, order, bitmaps
     /// and sharing all stay. `self` keeps its own width bound.
-    pub fn semijoin_on(
+    pub(crate) fn semijoin_on(
         &mut self,
         my_pos: &[usize],
         other: &FlatRelation,
@@ -1708,7 +1708,10 @@ pub struct MatKey {
 impl MatKey {
     /// The key of a hyperedge: `vars` are the sorted distinct variables,
     /// `atoms` every atom whose variable set equals `vars`.
-    pub fn of_group<'a>(atoms: impl IntoIterator<Item = &'a Atom>, vars: &[VarId]) -> MatKey {
+    pub(crate) fn of_group<'a>(
+        atoms: impl IntoIterator<Item = &'a Atom>,
+        vars: &[VarId],
+    ) -> MatKey {
         debug_assert!(vars.windows(2).all(|w| w[0] < w[1]), "vars must be sorted");
         let col = |v: &VarId| vars.binary_search(v).expect("atom var must be in vars") as u32;
         // Column indexes rise with the variables, so sorting and
@@ -1732,7 +1735,7 @@ impl MatKey {
     /// planner to look up real cardinalities of cached materializations):
     /// `of_group([atom], its sorted distinct variables)`, where a
     /// variable's column is the number of distinct smaller ones.
-    pub fn of_atom(atom: &Atom) -> MatKey {
+    pub(crate) fn of_atom(atom: &Atom) -> MatKey {
         let args = &atom.args;
         let col = |v: &VarId| {
             let smaller = args.iter().enumerate();
@@ -1809,7 +1812,7 @@ impl MatCacheStats {
 /// A per-database cache of materialized hyperedge relations, keyed by
 /// [`MatKey`] and shared across prepared queries and concurrent batch
 /// requests. Entries are stored under the materializing plan's own
-/// column labels and adopted elsewhere via [`FlatRelation::relabel`]
+/// column labels and adopted elsewhere via `FlatRelation::relabel`
 /// (label-independent by construction of the key).
 ///
 /// Invalidation: the cache is owned by one immutable database snapshot
@@ -1883,14 +1886,14 @@ impl MaterializationCache {
     /// and count hits, exactly as if they had arrived after it.
     ///
     /// The entry's rows are shared: callers adopt them with
-    /// [`FlatRelation::relabel`], which copies nothing, and no operator
+    /// `FlatRelation::relabel`, which copies nothing, and no operator
     /// writes through a shared buffer, so an entry reads the same for
     /// as long as it lives. The cache owns an entry's bytes only in the
     /// accounting sense: eviction subtracts them from
     /// [`MaterializationCache::resident_bytes`] at once, while the
     /// memory itself is freed when the last request still reading the
     /// rows drops its slot.
-    pub fn get_or_materialize(
+    pub(crate) fn get_or_materialize(
         &self,
         key: &MatKey,
         materialize: impl FnOnce() -> FlatRelation,
@@ -3025,7 +3028,7 @@ mod tests {
         assert!(holds && stats.hits == 3 && stats.bitmap_probes > 0);
         let key_of: BTreeMap<usize, &MatKey> = (ir.ops().iter())
             .filter_map(|op| match op {
-                Op::Materialize { dst, source } => Some((*dst, &source.key)),
+                Op::Materialize { dst, source } => Some((*dst, source.key())),
                 _ => None,
             })
             .collect();

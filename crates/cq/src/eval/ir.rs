@@ -44,7 +44,7 @@ use cqapx_structures::{DomainBitmap, Element, Structure};
 use std::borrow::Cow;
 
 /// Index of a relation slot in a [`PlanIr`] program.
-pub type Slot = usize;
+pub(crate) type Slot = usize;
 
 /// One operator's share of a profiled run: wall time and the row count
 /// of its primary output slot after execution.
@@ -107,13 +107,23 @@ pub struct MatSource {
     /// Sorted distinct variables of the whole source (the union of the
     /// part schemas).
     pub schema: Vec<VarId>,
-    /// Cache identity of the joined source.
-    pub key: MatKey,
+    /// Cache identity of the joined source, `None` exactly when there is
+    /// one part: that part is the whole source, and [`MatSource::key`]
+    /// reads its key.
+    pub group_key: Option<MatKey>,
     /// The sub-hyperedges joined to form the relation.
     pub parts: Vec<MatPart>,
 }
 
 impl MatSource {
+    /// Cache identity of the joined source: its single part's key when
+    /// it has one part.
+    pub fn key(&self) -> &MatKey {
+        self.group_key
+            .as_ref()
+            .unwrap_or_else(|| &self.parts[0].key)
+    }
+
     /// Compiles a source from atom groups — the atoms sharing one
     /// variable set, adjacent in `atoms` — over the union of their
     /// variables. No atoms give the 0-ary "true" source. Every buffer is
@@ -143,12 +153,14 @@ impl MatSource {
             .iter()
             .for_each(|p| schema.extend_from_slice(&p.schema));
         sorted(&mut schema);
-        let key = match &parts[..] {
-            // A single part is the whole source.
-            [part] => part.key.clone(),
-            _ => MatKey::of_group(atoms.iter().copied(), &schema),
-        };
-        MatSource { schema, key, parts }
+        // A single part is the whole source and keeps the only key.
+        let group_key =
+            (parts.len() != 1).then(|| MatKey::of_group(atoms.iter().copied(), &schema));
+        MatSource {
+            schema,
+            group_key,
+            parts,
+        }
     }
 
     /// Materializes the source against `d`, adopting from / inserting
@@ -169,7 +181,7 @@ impl MatSource {
             None => self.materialize_fresh(d, None, stats),
             Some(c) => {
                 let build = || self.materialize_fresh(d, Some(c), stats);
-                let (rel, hit) = c.get_or_materialize(&self.key, build);
+                let (rel, hit) = c.get_or_materialize(self.key(), build);
                 stats.hits += u32::from(hit);
                 stats.misses += u32::from(!hit);
                 rel.relabel(self.schema.clone())
@@ -184,10 +196,10 @@ impl MatSource {
         cache: Option<&MaterializationCache>,
         stats: &mut MatCacheStats,
     ) -> FlatRelation {
-        if self.parts.len() == 1 && self.parts[0].schema == self.schema {
-            // The source *is* its single part; its key equals the part
-            // key, so the caller's lookup already covered it.
-            return self.parts[0].materialize_fresh(d, stats);
+        if let [part] = &self.parts[..] {
+            // The source *is* its single part; its key is the part key,
+            // so the caller's lookup already covered it.
+            return part.materialize_fresh(d, stats);
         }
         let mut rels: Vec<FlatRelation> = Vec::with_capacity(self.parts.len());
         for part in &self.parts {
@@ -1228,7 +1240,7 @@ mod tests {
     fn empty_source_materializes_true() {
         let src = MatSource {
             schema: vec![],
-            key: MatKey::of_group(&[], &[]),
+            group_key: Some(MatKey::of_group(&[], &[])),
             parts: vec![],
         };
         let d = Structure::digraph(2, &[]);
@@ -1571,7 +1583,7 @@ mod tests {
         let sweep = mat_len..ir.bool_len;
         assert!(ir.exec(sweep, &mut slots, &d, Some(&cache), &mut stats, None));
         for (dst, source) in ir.materialize_sources().enumerate() {
-            let (entry, hit) = cache.get_or_materialize(&source.key, || unreachable!("warm"));
+            let (entry, hit) = cache.get_or_materialize(source.key(), || unreachable!("warm"));
             assert!(hit);
             let slot = slots[dst].as_ref().unwrap();
             assert!(slot.shares_rows_with(&entry), "slot {dst} copied its rows");

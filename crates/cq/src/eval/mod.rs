@@ -19,6 +19,6 @@ pub use flat::{
     bitmap_stats, packed_stats, AtomBinder, BitmapStats, FlatRelation, MatCacheStats, MatKey,
     MaterializationCache, PackedStats,
 };
-pub use ir::{EvalProfile, MatPart, MatSource, NodeSpec, Op, OpProfile, PlanIr, Slot};
+pub use ir::{EvalProfile, MatPart, MatSource, NodeSpec, Op, OpProfile, PlanIr};
 pub use naive::{eval_boolean_naive, eval_naive, NaivePlan};
 pub use yannakakis::{AcyclicPlan, NotAcyclic};

@@ -149,13 +149,6 @@ pub fn eval_boolean_naive(q: &ConjunctiveQuery, d: &Structure) -> bool {
     NaivePlan::compile(q.clone()).eval_boolean(d)
 }
 
-/// Membership check `ā ∈ Q(D)` without materializing the answer set;
-/// `false` for a tuple of the wrong length (see
-/// [`NaivePlan::contains_answer`]).
-pub fn contains_answer(q: &ConjunctiveQuery, d: &Structure, answer: &[Element]) -> bool {
-    NaivePlan::compile(q.clone()).contains_answer(d, answer)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,8 +174,9 @@ mod tests {
                 .into_iter()
                 .collect::<BTreeSet<_>>()
         );
-        assert!(contains_answer(&q, &d, &[0, 2]));
-        assert!(!contains_answer(&q, &d, &[0, 3]));
+        let plan = NaivePlan::compile(q);
+        assert!(plan.contains_answer(&d, &[0, 2]));
+        assert!(!plan.contains_answer(&d, &[0, 3]));
     }
 
     #[test]

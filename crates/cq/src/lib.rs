@@ -35,7 +35,7 @@ pub mod shape;
 pub mod tableau;
 
 pub use ast::{Atom, ConjunctiveQuery, VarId};
-pub use classes::{hypergraph_of, query_graph, treewidth_of_query};
+pub use classes::{query_graph, treewidth_of_query};
 pub use containment::{contained_in, equivalent, is_minimized, minimize, strictly_contained_in};
 pub use parser::{parse_cq, parse_cq_with_vocab};
 pub use shape::QueryShape;

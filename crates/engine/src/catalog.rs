@@ -57,7 +57,7 @@ pub struct DatabaseEntry {
     pub materialized: MaterializationCache,
     /// What the engine records about requests against this name. Unlike
     /// the cache, these outlive a re-registration: the replacing entry
-    /// takes them over ([`Catalog::insert_database`]).
+    /// takes them over (`Catalog::insert_database`).
     pub(crate) counters: Arc<DbCounters>,
 }
 
@@ -95,9 +95,9 @@ impl DbCounters {
 impl DatabaseEntry {
     /// Builds the entry of one snapshot: the statistics and the domain
     /// dictionary every evaluation encodes through, both from one scan
-    /// ([`compute_stats`]), ready before the first request. This is the expensive half of a registration and
+    /// (`compute_stats`), ready before the first request. This is the expensive half of a registration and
     /// needs no catalog: a caller that keeps the catalog behind a lock
-    /// builds first and locks only for [`Catalog::insert_database`].
+    /// builds first and locks only for `Catalog::insert_database`.
     pub fn build(name: impl Into<String>, s: Structure) -> DatabaseEntry {
         let stats = compute_stats(&s);
         DatabaseEntry {
@@ -111,7 +111,7 @@ impl DatabaseEntry {
     }
 
     /// The statistics of one relation.
-    pub fn rel_stats(&self, rel: RelId) -> &RelationStats {
+    pub(crate) fn rel_stats(&self, rel: RelId) -> &RelationStats {
         &self.stats[rel.index()]
     }
 
@@ -126,7 +126,7 @@ impl DatabaseEntry {
 /// sequential pass over the row-major tuple buffers with a
 /// universe-sized bitset per column, which also leaves the structure's
 /// domain dictionary built (the two share the pass).
-pub fn compute_stats(s: &Structure) -> Vec<RelationStats> {
+pub(crate) fn compute_stats(s: &Structure) -> Vec<RelationStats> {
     s.vocabulary()
         .rel_ids()
         .zip(s.distinct_per_column())
@@ -144,7 +144,7 @@ pub fn compute_stats(s: &Structure) -> Vec<RelationStats> {
 /// regime where the decomposed tier is plausibly competitive; cyclic
 /// queries above it fall back to the naive join or the approximation
 /// sandwich.
-pub const MAX_DECOMPOSED_WIDTH: usize = 3;
+pub(crate) const MAX_DECOMPOSED_WIDTH: usize = 3;
 
 /// A query prepared for serving.
 #[derive(Debug)]
@@ -160,14 +160,14 @@ pub struct PreparedQuery {
     /// Compiled Yannakakis plan, when the query is acyclic.
     pub yannakakis: Option<Arc<AcyclicPlan>>,
     /// Compiled bounded-treewidth plan, when the query is cyclic with
-    /// treewidth at most [`MAX_DECOMPOSED_WIDTH`].
+    /// treewidth at most `MAX_DECOMPOSED_WIDTH`.
     pub decomposed: Option<Arc<DecomposedPlan>>,
 }
 
 impl PreparedQuery {
     /// Prepares `q`: its shape and the plans it admits. Like
     /// [`DatabaseEntry::build`], the expensive half and no catalog needed:
-    /// build first, lock only for [`Catalog::insert_query`].
+    /// build first, lock only for `Catalog::insert_query`.
     pub fn build(name: impl Into<String>, q: ConjunctiveQuery) -> PreparedQuery {
         // One treewidth search: the width comes with the decomposition
         // it was read from, and the decomposed plan is compiled from it.
@@ -229,7 +229,7 @@ impl Catalog {
     /// again keeps its id, and the new entry takes over its
     /// predecessor's counters. Returns the id and the replaced entry,
     /// for the caller to drop once it has let go of the catalog.
-    pub fn insert_database(
+    pub(crate) fn insert_database(
         &mut self,
         mut entry: DatabaseEntry,
     ) -> (DbId, Option<Arc<DatabaseEntry>>) {
@@ -244,8 +244,11 @@ impl Catalog {
     }
 
     /// Puts a built query behind its name, as
-    /// [`Catalog::insert_database`] does.
-    pub fn insert_query(&mut self, entry: PreparedQuery) -> (QueryId, Option<Arc<PreparedQuery>>) {
+    /// `Catalog::insert_database` does.
+    pub(crate) fn insert_query(
+        &mut self,
+        entry: PreparedQuery,
+    ) -> (QueryId, Option<Arc<PreparedQuery>>) {
         if let Some(id) = self.query_by_name(&entry.name) {
             return (
                 id,
@@ -274,12 +277,12 @@ impl Catalog {
     }
 
     /// Looks a database up by name.
-    pub fn database_by_name(&self, name: &str) -> Option<DbId> {
+    pub(crate) fn database_by_name(&self, name: &str) -> Option<DbId> {
         self.db_names.get(name).copied()
     }
 
     /// Looks a prepared query up by name.
-    pub fn query_by_name(&self, name: &str) -> Option<QueryId> {
+    pub(crate) fn query_by_name(&self, name: &str) -> Option<QueryId> {
         self.query_names.get(name).copied()
     }
 }

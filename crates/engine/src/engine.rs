@@ -7,7 +7,7 @@ use cqapx_core::{Acyclic, ApproxOptions, HtwK, QueryClass, TwK};
 use cqapx_cq::eval::{Answers, AnswersBuilder, MatCacheStats, NaivePlan};
 use cqapx_metrics::{Histogram, HistogramSnapshot, MetricsLevel};
 use cqapx_par::{default_threads, parallel_map, ThreadBudget};
-use cqapx_structures::{Element, SearchBudget, Structure};
+use cqapx_structures::{SearchBudget, Structure};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::ControlFlow;
@@ -545,16 +545,6 @@ impl Engine {
         self.read_catalog().database(id)
     }
 
-    /// Looks up a registered database by name.
-    pub fn database_by_name(&self, name: &str) -> Option<DbId> {
-        self.read_catalog().database_by_name(name)
-    }
-
-    /// Looks up a prepared query by name.
-    pub fn query_by_name(&self, name: &str) -> Option<QueryId> {
-        self.read_catalog().query_by_name(name)
-    }
-
     /// The catalog, for reading, through poison.
     fn read_catalog(&self) -> RwLockReadGuard<'_, Catalog> {
         self.catalog.read().unwrap_or_else(PoisonError::into_inner)
@@ -761,17 +751,6 @@ impl Engine {
             self.record(r);
         }
         responses
-    }
-
-    /// Exact membership check `ā ∈ Q(D)` — the on-demand refinement for
-    /// answers not already certain: a single pinned homomorphism search
-    /// on the prepared query's compiled plan, far cheaper than
-    /// materializing `Q(D)`. A tuple whose length is not the query's
-    /// arity, or that mentions an element outside the database's
-    /// universe, is not an answer: `false`, never a panic.
-    pub fn refine_contains(&self, query: QueryId, db: DbId, answer: &[Element]) -> bool {
-        let (q, d) = self.resolve(&Request::new(query, db));
-        q.naive.contains_answer(&d.structure, answer)
     }
 
     /// The request's snapshot: its prepared query and database entry.
@@ -1181,7 +1160,7 @@ mod tests {
             assert_eq!(r.answers.len(), 1, "{name}");
             assert_eq!(r.answers, eval_naive(&q, &d), "{name}");
             let after = e.prepare_query("c4", parse_cq(C4).unwrap());
-            assert_eq!(e.query_by_name("c4"), Some(after));
+            assert_eq!(e.read_catalog().query_by_name("c4"), Some(after));
         }
     }
 
@@ -1217,8 +1196,8 @@ mod tests {
             e.prepare_query("ends", parse_cq("Q(x, z) :- E(x, y), E(y, z)").unwrap());
         }
         let run = |e: &Engine| {
-            let q = e.query_by_name("ends").unwrap();
-            let db = e.database_by_name("p").unwrap();
+            let q = e.read_catalog().query_by_name("ends").unwrap();
+            let db = e.read_catalog().database_by_name("p").unwrap();
             (0..3)
                 .map(|_| e.execute(&Request::new(q, db)).answers)
                 .collect::<Vec<_>>()
@@ -1442,18 +1421,6 @@ mod tests {
         } else {
             assert_eq!(r.answers, full);
         }
-    }
-
-    #[test]
-    fn refine_contains_checks_membership_on_demand() {
-        let e = engine();
-        let s = Structure::digraph(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
-        let db = e.register_database("d", s);
-        let q = e.prepare_query("tri-x", parse_cq("Q(x) :- E(x,y), E(y,z), E(z,x)").unwrap());
-        assert!(e.refine_contains(q, db, &[0]));
-        assert!(!e.refine_contains(q, db, &[3]));
-        assert!(!e.refine_contains(q, db, &[]), "too short");
-        assert!(!e.refine_contains(q, db, &[0, 1]), "too long");
     }
 
     #[test]
@@ -1716,7 +1683,10 @@ mod tests {
             r.answers
         );
         assert_eq!(
-            (e.database_by_name("p"), e.query_by_name("hop2")),
+            (
+                e.read_catalog().database_by_name("p"),
+                e.read_catalog().query_by_name("hop2")
+            ),
             (Some(db), Some(q))
         );
         assert!(e.snapshot().dict_size_by_db["p"] == 3);

@@ -34,8 +34,7 @@
 //! The **sandwich** plan is the paper's program: serve the *certain*
 //! answers `Q'(D) ⊆ Q(D)` of the cached in-class approximation `Q'`
 //! immediately (tractable to evaluate), and refine to exact answers only
-//! on demand — either a full bounded join ([`EvalMode::Exact`]) or
-//! per-tuple membership checks ([`Engine::refine_contains`]).
+//! on demand, by a full bounded join ([`EvalMode::Exact`]).
 //!
 //! Entry points: [`Engine`], [`Request`], [`EngineConfig`]; the pieces
 //! ([`catalog::Catalog`], [`cache::ApproxCache`], [`planner`]) are public
@@ -58,6 +57,4 @@ pub use engine::{
     ApproxClassChoice, Engine, EngineConfig, EngineStats, EvalMode, Request, Response,
     ResponseStatus, StatsSnapshot, DEGRADE_MIN_SAMPLES,
 };
-pub use planner::{
-    choose_plan, estimate_decomposed_cost, estimate_naive_cost, PlanDecision, PlanKind, PlanReason,
-};
+pub use planner::{choose_plan, PlanDecision, PlanKind, PlanReason};

@@ -29,7 +29,7 @@ fn structure_bytes(s: &Structure) -> usize {
 }
 
 /// Estimated resident bytes of a pointed structure (tableau).
-pub fn pointed_bytes(p: &Pointed) -> usize {
+pub(crate) fn pointed_bytes(p: &Pointed) -> usize {
     structure_bytes(&p.structure) + std::mem::size_of_val(p.distinguished())
 }
 

@@ -146,7 +146,7 @@ impl PlanDecision {
 /// clamped upward and skew the tier comparison.
 ///
 /// [`MaterializationCache`]: cqapx_cq::eval::MaterializationCache
-pub fn estimate_naive_cost(shape: &QueryShape, db: &DatabaseEntry) -> f64 {
+pub(crate) fn estimate_naive_cost(shape: &QueryShape, db: &DatabaseEntry) -> f64 {
     let adom = db.adom_size.max(1) as f64;
     let assignment_bound = adom.powi(shape.var_count.min(1_000) as i32);
     let mut atom_bound = 1.0_f64;
@@ -173,7 +173,7 @@ pub fn estimate_naive_cost(shape: &QueryShape, db: &DatabaseEntry) -> f64 {
 /// cached materialization over raw relation statistics, so the estimate
 /// tightens as the cache warms. An empty part makes its bag free (the
 /// whole answer is provably empty).
-pub fn estimate_decomposed_cost(plan: &DecomposedPlan, db: &DatabaseEntry) -> f64 {
+pub(crate) fn estimate_decomposed_cost(plan: &DecomposedPlan, db: &DatabaseEntry) -> f64 {
     let adom = db.adom_size.max(1) as f64;
     let keys = plan
         .bags()
@@ -207,7 +207,7 @@ pub fn estimate_decomposed_cost(plan: &DecomposedPlan, db: &DatabaseEntry) -> f6
 /// is a contiguous hash-join emit. Within this factor of each other,
 /// the decomposed tier (whose worst case is *certain*, not estimated)
 /// wins the tie.
-pub const NAIVE_NODE_COST_FACTOR: f64 = 8.0;
+pub(crate) const NAIVE_NODE_COST_FACTOR: f64 = 8.0;
 
 /// Chooses the strategy for `shape` against `db`, with `naive_budget`
 /// bounding the estimated cost either join tier may incur.

@@ -106,7 +106,7 @@ fn batch_requests_share_the_cache() {
 
 #[test]
 fn planner_reads_cached_cardinalities() {
-    use cqapx_engine::{choose_plan, estimate_naive_cost};
+    use cqapx_engine::choose_plan;
     // A query whose only atom is the loop E(x, x): the raw relation
     // statistic counts every edge, the materialized hyperedge only the
     // loops — so a warm cache must tighten the estimate.
@@ -117,16 +117,14 @@ fn planner_reads_cached_cardinalities() {
     let q = e.prepare_query("loops_path", parse_cq("Q(x) :- E(x, x), E(x, y)").unwrap());
     let shape = cqapx_cq::QueryShape::of(&parse_cq("Q(x) :- E(x, x), E(x, y)").unwrap());
     let entry = e.database(db).expect("registered");
-    let cold = estimate_naive_cost(&shape, &entry);
+    let cold = choose_plan(&shape, None, &entry, 1e6).est_naive_cost;
     // Warm the cache through a served request.
     e.execute(&Request::new(q, db));
-    let warm = estimate_naive_cost(&shape, &entry);
+    let warm = choose_plan(&shape, None, &entry, 1e6).est_naive_cost;
     assert!(
         warm < cold,
         "warm estimate {warm} should beat cold estimate {cold}"
     );
-    let decision = choose_plan(&shape, None, &entry, 1e6);
-    assert_eq!(decision.est_naive_cost, warm);
 }
 
 /// The kernel counters an engine reports are its own runs': beside a

@@ -15,9 +15,7 @@
 //! hierarchy collapses).
 
 use cqapx_graphs::{coloring, Digraph, UGraph};
-use cqapx_structures::{
-    partition::for_each_partition, quotient, HomSolver, SearchBudget, Structure,
-};
+use cqapx_structures::{partition::for_each_partition, quotient, HomSolver, Structure};
 use std::ops::ControlFlow;
 
 /// `Exact Four Colorability`: `G` is 4-colorable but not 3-colorable.
@@ -109,86 +107,6 @@ pub fn graph_acyclic_approximation(g: &Digraph, t: &Digraph, max_partitions: u64
     }
 }
 
-/// A hom-existence probe under a shared budget: `Some(answer)` when the
-/// search finished, `None` when the budget ran dry first.
-fn exists_budgeted(src: &Structure, tgt: &Structure, budget: &SearchBudget) -> Option<bool> {
-    let mut found = false;
-    let stats = HomSolver::compile(src)
-        .run(tgt)
-        .budget(budget)
-        .for_each(|_| {
-            found = true;
-            ControlFlow::Break(())
-        });
-    if found {
-        Some(true)
-    } else if stats.budget_exhausted {
-        None
-    } else {
-        Some(false)
-    }
-}
-
-/// [`graph_acyclic_approximation`] under a shared [`SearchBudget`]: the
-/// cooperative-cancellation variant. Every enumerated partition costs one
-/// step and every inner hom search charges the same counter, so one
-/// budget bounds the *whole* decision procedure — the same mechanism the
-/// serving engine uses. Returns `None` when
-/// the budget runs dry before a definitive answer.
-pub fn graph_acyclic_approximation_budgeted(
-    g: &Digraph,
-    t: &Digraph,
-    budget: &SearchBudget,
-) -> Option<bool> {
-    assert!(
-        UGraph::underlying(t).is_forest(),
-        "T must be an acyclic digraph"
-    );
-    let gs = g.to_structure();
-    let ts = t.to_structure();
-    if !exists_budgeted(&gs, &ts, budget)? {
-        return Some(false);
-    }
-    let mut beaten = false;
-    let mut unknown = false;
-    let complete = for_each_partition(g.n(), |p| {
-        if !budget.charge(1) {
-            unknown = true;
-            return ControlFlow::Break(());
-        }
-        let (q, _) = quotient::quotient(&gs, p);
-        let qd = Digraph::from_structure(&q);
-        if !UGraph::underlying(&qd).is_forest() {
-            return ControlFlow::Continue(());
-        }
-        match exists_budgeted(&q, &ts, budget) {
-            None => {
-                unknown = true;
-                ControlFlow::Break(())
-            }
-            Some(false) => ControlFlow::Continue(()),
-            Some(true) => match exists_budgeted(&ts, &q, budget) {
-                None => {
-                    unknown = true;
-                    ControlFlow::Break(())
-                }
-                Some(true) => ControlFlow::Continue(()),
-                Some(false) => {
-                    beaten = true;
-                    ControlFlow::Break(())
-                }
-            },
-        }
-    });
-    if beaten {
-        Some(false)
-    } else if complete && !unknown {
-        Some(true)
-    } else {
-        None
-    }
-}
-
 /// Convenience: the structure of the disjoint union `G + H` used by the
 /// Proposition 5.12 reduction (`G ↦ G^↔ + K⃗_{k+1}`).
 pub fn prop_5_12_instance(undirected_edges: &[(u32, u32)], n: usize, k: usize) -> Structure {
@@ -255,30 +173,6 @@ mod tests {
         let g3 = crate::tight::g_k(3);
         let p4 = Digraph::directed_path(4);
         assert_eq!(graph_acyclic_approximation(&g3, &p4, 3), None);
-    }
-
-    #[test]
-    fn shared_budget_variant_agrees_and_cancels() {
-        let c4 = Digraph::cycle(4);
-        let k2 = Digraph::from_edges(2, &[(0, 1), (1, 0)]);
-        let roomy = SearchBudget::new(1 << 20);
-        assert_eq!(
-            graph_acyclic_approximation_budgeted(&c4, &k2, &roomy),
-            Some(true)
-        );
-        let lp = Digraph::from_edges(1, &[(0, 0)]);
-        assert_eq!(
-            graph_acyclic_approximation_budgeted(&c4, &lp, &SearchBudget::new(1 << 20)),
-            Some(false)
-        );
-        // A cancelled budget yields an inconclusive (but never wrong)
-        // verdict.
-        let cancelled = SearchBudget::new(1 << 20);
-        cancelled.cancel();
-        assert_eq!(
-            graph_acyclic_approximation_budgeted(&c4, &k2, &cancelled),
-            None
-        );
     }
 
     #[test]

@@ -27,7 +27,7 @@ impl Anchored {
     }
 
     /// `G⁻¹`: same digraph, anchors swapped.
-    pub fn inverse(&self) -> Anchored {
+    pub(crate) fn inverse(&self) -> Anchored {
         Anchored {
             g: self.g.clone(),
             initial: self.terminal,

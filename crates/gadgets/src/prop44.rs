@@ -48,7 +48,7 @@ pub struct DAnchors {
 /// Per Figure 3: base edges `(a,b), (a,d), (c,b), (c,d)`; copies of `P₁`
 /// and `P₂` *starting* at `b` and `d`; copies of `P₁` and `P₂` *ending*
 /// at `a` and `c`.
-pub fn glue_d(g: &mut Digraph) -> DAnchors {
+pub(crate) fn glue_d(g: &mut Digraph) -> DAnchors {
     let a = g.add_node();
     let b = g.add_node();
     let c = g.add_node();

@@ -17,7 +17,7 @@ use cqapx_structures::Element;
 
 /// 2-colors the underlying graph; returns the color classes, or `None`
 /// when not bipartite (or a loop is present).
-pub fn bipartition(g: &Digraph) -> Option<Vec<u8>> {
+pub(crate) fn bipartition(g: &Digraph) -> Option<Vec<u8>> {
     if g.has_loop() {
         return None;
     }
@@ -63,7 +63,7 @@ pub fn is_bipartite(g: &Digraph) -> bool {
 /// the digraph uncolorable). Returns a witness coloring.
 ///
 /// Backtracking with MRV on the saturation degree (DSATUR-style), exact.
-pub fn k_coloring(g: &Digraph, k: usize) -> Option<Vec<u32>> {
+pub(crate) fn k_coloring(g: &Digraph, k: usize) -> Option<Vec<u32>> {
     if g.has_loop() {
         return None;
     }
@@ -72,7 +72,7 @@ pub fn k_coloring(g: &Digraph, k: usize) -> Option<Vec<u32>> {
 }
 
 /// Exact `k`-coloring of a loop-free undirected graph.
-pub fn k_coloring_ugraph(u: &UGraph, k: usize) -> Option<Vec<u32>> {
+pub(crate) fn k_coloring_ugraph(u: &UGraph, k: usize) -> Option<Vec<u32>> {
     if u.has_any_loop() {
         return None;
     }

@@ -115,15 +115,6 @@ impl Digraph {
             .collect()
     }
 
-    /// In-neighbours of a node (linear scan).
-    pub fn predecessors(&self, u: Element) -> Vec<Element> {
-        self.edges
-            .iter()
-            .filter(|&&(_, v)| v == u)
-            .map(|&(w, _)| w)
-            .collect()
-    }
-
     /// The disjoint union; nodes of `other` are shifted by `self.n()`.
     pub fn disjoint_union(&self, other: &Digraph) -> Digraph {
         let off = self.n as Element;
@@ -306,7 +297,8 @@ mod tests {
     fn successors_predecessors() {
         let g = Digraph::from_edges(3, &[(0, 1), (0, 2), (1, 2)]);
         assert_eq!(g.successors(0), vec![1, 2]);
-        assert_eq!(g.predecessors(2), vec![0, 1]);
+        assert_eq!(g.successors(1), vec![2]);
+        assert!(g.successors(2).is_empty());
     }
 
     #[test]

@@ -101,17 +101,6 @@ pub fn zigzag(k: usize) -> Digraph {
     g
 }
 
-/// The transitive tournament on `n` nodes: edge `(i, j)` for every `i < j`.
-pub fn transitive_tournament(n: usize) -> Digraph {
-    let mut g = Digraph::new(n);
-    for i in 0..n as Element {
-        for j in (i + 1)..n as Element {
-            g.add_edge(i, j);
-        }
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,7 +142,8 @@ mod tests {
 
     #[test]
     fn tournament_acyclic_direction() {
-        let t = transitive_tournament(4);
+        // The transitive tournament on 4 nodes: (i, j) for every i < j.
+        let t = Digraph::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
         assert_eq!(t.edge_count(), 6);
         assert!(balance::is_balanced(&Digraph::directed_path(1)));
         // tournaments have directed triangles? transitive ones do not have

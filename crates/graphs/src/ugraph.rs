@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 /// let d = Digraph::from_edges(3, &[(0, 1), (1, 0), (1, 2), (2, 2)]);
 /// let u = UGraph::underlying(&d);
 /// assert_eq!(u.edge_count(), 2); // {0,1} and {1,2}
-/// assert!(u.has_self_loop(2));
+/// assert!(u.has_edge(1, 2) && !u.has_edge(0, 2));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct UGraph {
@@ -98,13 +98,8 @@ impl UGraph {
         u != v && self.edges.contains(&(u.min(v), u.max(v)))
     }
 
-    /// `true` when node `v` has a loop.
-    pub fn has_self_loop(&self, v: Element) -> bool {
-        self.loops.contains(&v)
-    }
-
     /// `true` when some node has a loop.
-    pub fn has_any_loop(&self) -> bool {
+    pub(crate) fn has_any_loop(&self) -> bool {
         !self.loops.is_empty()
     }
 

@@ -21,8 +21,6 @@ use crate::jointree::JoinTree;
 pub struct GyoResult {
     /// `Some(join tree)` when acyclic, `None` otherwise.
     pub join_tree: Option<JoinTree>,
-    /// Hyperedge indices that survived reduction (empty iff acyclic).
-    pub residual_edges: Vec<usize>,
 }
 
 /// Runs the GYO reduction.
@@ -85,11 +83,10 @@ pub fn gyo_reduce(h: &Hypergraph) -> GyoResult {
         }
     }
 
-    // At most one edge left: acyclic, and no residual list to allocate.
+    // At most one edge left: acyclic.
     let acyclic = alive.iter().filter(|&&a| a).count() <= 1;
     GyoResult {
         join_tree: acyclic.then_some(JoinTree { n_edges: m, parent }),
-        residual_edges: (0..m).filter(|&i| !acyclic && alive[i]).collect(),
     }
 }
 
@@ -139,7 +136,6 @@ mod tests {
         let h = Hypergraph::from_edges(3, &[vec![0, 1], vec![1, 2], vec![2, 0]]);
         let r = gyo_reduce(&h);
         assert!(r.join_tree.is_none());
-        assert_eq!(r.residual_edges.len(), 3);
     }
 
     #[test]

@@ -354,19 +354,6 @@ pub fn hypertree_width(h: &Hypergraph) -> usize {
     h.edge_count()
 }
 
-/// Bounds on the generalized hypertree width: `ghw ≤ htw ≤ 3·ghw + 1`
-/// (Adler, Gottlob & Grohe), so `ghw ∈ [⌈(htw−1)/3⌉, htw]`. Deciding
-/// `ghw ≤ k` exactly is NP-complete for every fixed `k ≥ 3` (the paper's
-/// reference \[22\]); the approximation algorithms only need a sound class
-/// membership test, for which `htw ≤ k ⇒ ghw ≤ k` suffices.
-pub fn ghw_bounds(h: &Hypergraph) -> (usize, usize) {
-    let htw = hypertree_width(h);
-    (
-        htw.saturating_sub(1).div_ceil(3).max(usize::from(htw > 0)),
-        htw,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,11 +427,11 @@ mod tests {
     #[test]
     fn closure_under_edge_extension() {
         // Lemma 6.4: extending an edge with fresh vertices preserves htw≤k.
-        let tri = Hypergraph::from_edges(3, &[vec![0, 1], vec![1, 2], vec![2, 0]]);
-        let ext = tri.extend_edge(0, 3);
+        // The triangle with its edge {0,1} extended by 3, 4, 5.
+        let ext = Hypergraph::from_edges(6, &[vec![0, 1, 3, 4, 5], vec![1, 2], vec![2, 0]]);
         assert_eq!(hypertree_width(&ext), 2);
-        let acyclic = Hypergraph::from_edges(3, &[vec![0, 1], vec![1, 2]]);
-        let ext = acyclic.extend_edge(1, 2);
+        // The path 0-1-2 with its edge {1,2} extended by 3, 4.
+        let ext = Hypergraph::from_edges(5, &[vec![0, 1], vec![1, 2, 3, 4]]);
         assert!(gyo::is_acyclic(&ext));
     }
 
@@ -456,14 +443,6 @@ mod tests {
         let keep: BTreeSet<Vertex> = [0, 2, 3].into_iter().collect();
         let (ind, _) = h.induced(&keep);
         assert!(hypertree_width(&ind) <= w);
-    }
-
-    #[test]
-    fn ghw_bounds_sane() {
-        let tri = Hypergraph::from_edges(3, &[vec![0, 1], vec![1, 2], vec![2, 0]]);
-        let (lo, hi) = ghw_bounds(&tri);
-        assert!(lo >= 1 && lo <= hi);
-        assert_eq!(hi, 2);
     }
 
     #[test]

@@ -105,73 +105,9 @@ impl Hypergraph {
         (h, remap)
     }
 
-    /// The **edge extension** of hyperedge `i` by `extra` fresh vertices:
-    /// new vertices are appended to the universe and added to that single
-    /// hyperedge. The other closure operation of Lemma 6.4.
-    pub fn extend_edge(&self, i: usize, extra: usize) -> Hypergraph {
-        assert!(i < self.edges.len(), "edge index out of range");
-        let mut h = self.clone();
-        let first_new = h.n as Vertex;
-        h.n += extra;
-        let mut e = h.edges[i].clone();
-        for j in 0..extra {
-            e.insert(first_new + j as Vertex);
-        }
-        h.edges[i] = e;
-        h
-    }
-
-    /// The primal (Gaifman) graph: vertices of `H`, an undirected edge
-    /// between every two distinct vertices sharing a hyperedge. Returned as
-    /// an edge list; single-vertex hyperedges contribute a loop marker
-    /// `(v, v)` so downstream treewidth code can see the vertex is covered.
-    pub fn primal_edges(&self) -> Vec<(Vertex, Vertex)> {
-        let mut out = BTreeSet::new();
-        for e in &self.edges {
-            let vs: Vec<Vertex> = e.iter().copied().collect();
-            if vs.len() == 1 {
-                out.insert((vs[0], vs[0]));
-            }
-            for (i, &a) in vs.iter().enumerate() {
-                for &b in vs.iter().skip(i + 1) {
-                    out.insert((a.min(b), a.max(b)));
-                }
-            }
-        }
-        out.into_iter().collect()
-    }
-
     /// Vertices that occur in at least one hyperedge.
-    pub fn covered_vertices(&self) -> BTreeSet<Vertex> {
+    pub(crate) fn covered_vertices(&self) -> BTreeSet<Vertex> {
         self.edges.iter().flat_map(|e| e.iter().copied()).collect()
-    }
-
-    /// Connected components of the sub-hypergraph induced by `vertices`
-    /// (two vertices are connected when some hyperedge contains both and
-    /// both are in `vertices`). Returns the vertex sets of the components.
-    pub fn components_within(&self, vertices: &BTreeSet<Vertex>) -> Vec<BTreeSet<Vertex>> {
-        let mut unvisited: BTreeSet<Vertex> = vertices.clone();
-        let mut out = Vec::new();
-        while let Some(&start) = unvisited.iter().next() {
-            let mut comp = BTreeSet::new();
-            let mut stack = vec![start];
-            unvisited.remove(&start);
-            comp.insert(start);
-            while let Some(v) = stack.pop() {
-                for e in &self.edges {
-                    if e.contains(&v) {
-                        for &w in e {
-                            if unvisited.remove(&w) {
-                                comp.insert(w);
-                                stack.push(w);
-                            }
-                        }
-                    }
-                }
-            }
-            out.push(comp);
-        }
-        out
     }
 }
 
@@ -194,40 +130,6 @@ mod tests {
         assert_eq!(ind.n(), 2);
         assert_eq!(ind.edge_count(), 3); // {0,1}, {1}, {0}
         assert_eq!(remap[2], None);
-    }
-
-    #[test]
-    fn edge_extension() {
-        let h = Hypergraph::from_edges(3, &[vec![0, 1], vec![1, 2]]);
-        let e = h.extend_edge(0, 2);
-        assert_eq!(e.n(), 5);
-        assert_eq!(e.edge(0).len(), 4);
-        assert!(e.edge(0).contains(&3));
-        assert!(e.edge(0).contains(&4));
-        assert_eq!(e.edge(1).len(), 2);
-    }
-
-    #[test]
-    fn primal_graph() {
-        let h = Hypergraph::from_edges(4, &[vec![0, 1, 2], vec![2, 3]]);
-        let primal = h.primal_edges();
-        assert!(primal.contains(&(0, 1)));
-        assert!(primal.contains(&(0, 2)));
-        assert!(primal.contains(&(1, 2)));
-        assert!(primal.contains(&(2, 3)));
-        assert_eq!(primal.len(), 4);
-    }
-
-    #[test]
-    fn components() {
-        let h = Hypergraph::from_edges(5, &[vec![0, 1], vec![1, 2], vec![3, 4]]);
-        let all: BTreeSet<Vertex> = (0..5).collect();
-        let comps = h.components_within(&all);
-        assert_eq!(comps.len(), 2);
-        // Remove vertex 1: {0}, {2}, {3,4}.
-        let without1: BTreeSet<Vertex> = [0, 2, 3, 4].into_iter().collect();
-        let comps = h.components_within(&without1);
-        assert_eq!(comps.len(), 3);
     }
 
     #[test]

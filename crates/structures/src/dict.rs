@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::sync::OnceLock;
 
 /// Sentinel in the reverse map for elements outside the active domain.
-pub const NO_CODE: u32 = u32::MAX;
+pub(crate) const NO_CODE: u32 = u32::MAX;
 
 /// The interned active domain of one structure snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,7 +42,7 @@ pub struct DomainDict {
 
 impl DomainDict {
     /// Builds the dictionary of a structure's active domain (the
-    /// dictionary half of [`DomainDict::build_with_distinct`]).
+    /// dictionary half of `DomainDict::build_with_distinct`).
     pub fn build(s: &Structure) -> Self {
         Self::build_with_distinct(s).0
     }
@@ -56,7 +56,7 @@ impl DomainDict {
     /// its popcount, the active domain is the union of the columns, and
     /// its set bits in ascending order are the codes. No hashing, no
     /// tree: `O(tuples · arity + columns · universe / 64)`.
-    pub fn build_with_distinct(s: &Structure) -> (Self, Vec<Vec<usize>>) {
+    pub(crate) fn build_with_distinct(s: &Structure) -> (Self, Vec<Vec<usize>>) {
         let width = u32::try_from(s.universe_size()).expect("elements are u32");
         let mut active = DomainBitmap::new(width);
         let mut distinct = Vec::with_capacity(s.vocabulary().len());

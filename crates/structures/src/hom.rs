@@ -95,7 +95,7 @@ impl Homomorphism {
     }
 
     /// Number of distinct image elements (allocation-free: no clone/sort).
-    pub fn image_size(&self) -> usize {
+    pub(crate) fn image_size(&self) -> usize {
         self.with_image_marks(|map, marks| {
             let mut count = 0;
             for &x in map {

@@ -19,9 +19,9 @@
 //! the structure itself) pay the build cost exactly once. The cache never
 //! goes stale because a `Structure`'s relations are immutable after
 //! [`StructureBuilder::finish`](crate::StructureBuilder::finish) — the
-//! only mutators (`set_names`/`clear_names`) touch display names, not
-//! tuples. Any future tuple-level mutator must go through the builder,
-//! which starts with a fresh, empty cache cell.
+//! only mutator (`set_names`) touches display names, not tuples. Any
+//! future tuple-level mutator must go through the builder, which starts
+//! with a fresh, empty cache cell.
 
 use crate::structure::{Element, Structure};
 use crate::vocabulary::RelId;
@@ -122,7 +122,6 @@ impl ElemSet {
 /// index is three allocations whatever its size.
 #[derive(Debug)]
 pub struct RelIndex {
-    arity: usize,
     n_values: usize,
     /// `ids[starts[k]..starts[k + 1]]` with `k = pos * n_values + val`:
     /// ids ([`Structure::tuple`]) of the tuples with `val` at `pos`, in
@@ -166,17 +165,11 @@ impl RelIndex {
         starts.copy_within(..arity * n_values, 1);
         starts[0] = 0;
         RelIndex {
-            arity,
             n_values,
             starts,
             ids,
             occurs,
         }
-    }
-
-    /// The arity of the indexed relation.
-    pub fn arity(&self) -> usize {
-        self.arity
     }
 
     /// Ids of the tuples holding `val` at position `pos`, each readable
@@ -192,11 +185,6 @@ impl RelIndex {
     pub(crate) fn occurs(&self, pos: usize) -> &[u64] {
         let words = self.n_values.div_ceil(64);
         &self.occurs[pos * words..(pos + 1) * words]
-    }
-
-    /// `true` when some tuple has `val` at position `pos`.
-    pub fn occurs_at(&self, pos: usize, val: Element) -> bool {
-        !self.matches(pos, val).is_empty()
     }
 }
 
@@ -265,12 +253,11 @@ mod tests {
         b.add(r, &[0, 1, 2]).add(r, &[1, 1, 3]).add(r, &[2, 1, 0]);
         let s = b.finish();
         let idx = s.index().rel(r);
-        assert_eq!(idx.arity(), 3);
         // position 1 is constantly 1.
         assert_eq!(idx.matches(1, 1).len(), 3);
         assert!(idx.matches(1, 0).is_empty());
-        assert!(idx.occurs_at(0, 2));
-        assert!(!idx.occurs_at(2, 1));
+        assert!(!idx.matches(0, 2).is_empty());
+        assert!(idx.matches(2, 1).is_empty());
         // Lists hold tuple ids, in the sorted order of `tuples`.
         for &ti in idx.matches(0, 1) {
             assert_eq!(s.tuple(r, ti as usize)[0], 1);

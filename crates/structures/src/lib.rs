@@ -58,7 +58,7 @@ pub use dict::DomainDict;
 pub use hom::{HomSearchStats, Homomorphism};
 pub use index::{RelIndex, StructureIndex};
 pub use iso::{isomorphic, signature_pointed, IsoSignature};
-pub use order::{hom_equivalent, hom_exists, strictly_below};
+pub use order::{hom_equivalent, hom_exists};
 pub use partition::Partition;
 pub use pointed::Pointed;
 pub use quotient::quotient;

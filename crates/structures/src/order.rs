@@ -54,11 +54,6 @@ pub fn hom_equivalent(a: &Pointed, b: &Pointed) -> bool {
     hom_exists(a, b) && hom_exists(b, a)
 }
 
-/// `true` when `a → b` but `b ↛ a` (the paper's strict `⥛`).
-pub fn strictly_below(a: &Pointed, b: &Pointed) -> bool {
-    hom_exists(a, b) && !hom_exists(b, a)
-}
-
 /// `true` when `a` and `b` are incomparable (no homomorphism either way).
 pub fn incomparable(a: &Pointed, b: &Pointed) -> bool {
     !hom_exists(a, b) && !hom_exists(b, a)
@@ -198,6 +193,11 @@ mod tests {
 
     fn lp() -> Pointed {
         Pointed::boolean(Structure::digraph(1, &[(0, 0)]))
+    }
+
+    /// `a → b` but `b ↛ a` (the paper's strict `⥛`).
+    fn strictly_below(a: &Pointed, b: &Pointed) -> bool {
+        hom_exists(a, b) && !hom_exists(b, a)
     }
 
     #[test]

@@ -53,9 +53,8 @@
 //! Because the counter is shared (cheaply cloneable, atomically
 //! decremented), one budget can bound the *total* hom work of a composite
 //! computation — an engine request fanning out into several searches, a
-//! decision procedure — giving every layer the
-//! same cooperative-cancellation mechanism. [`SearchBudget::cancel`]
-//! zeroes the counter, stopping all sharing searches at their next node.
+//! decision procedure — giving every layer the same cooperative
+//! cancellation mechanism.
 
 use crate::hom::{HomSearchStats, Homomorphism};
 use crate::index::{ElemSet, StructureIndex};
@@ -84,21 +83,10 @@ impl SearchBudget {
         }
     }
 
-    /// Steps left before exhaustion.
-    pub fn remaining(&self) -> u64 {
-        self.steps.load(Ordering::Relaxed)
-    }
-
-    /// Cooperatively cancels every search sharing this budget (zeroes the
-    /// counter; they stop at their next branching decision).
-    pub fn cancel(&self) {
-        self.steps.store(0, Ordering::Relaxed);
-    }
-
     /// Spends `n` steps. Returns `false` — without charging — when the
     /// budget was already exhausted; a final partial charge saturates to
     /// zero.
-    pub fn charge(&self, n: u64) -> bool {
+    pub(crate) fn charge(&self, n: u64) -> bool {
         self.steps
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
                 (cur > 0).then(|| cur.saturating_sub(n))
@@ -814,11 +802,10 @@ mod tests {
                 exhausted += 1;
             }
         }
-        assert_eq!(budget.remaining(), 0);
+        assert_eq!(budget.steps.load(Ordering::Relaxed), 0);
         assert!(exhausted >= 1, "the shared budget ran dry");
-        // A cancelled budget stops a fresh search immediately.
-        let b2 = SearchBudget::new(u64::MAX);
-        b2.cancel();
+        // An exhausted budget stops a fresh search immediately.
+        let b2 = SearchBudget::new(0);
         let stats = solver
             .run(&cycle(4))
             .budget(&b2)
@@ -832,9 +819,9 @@ mod tests {
         let b = SearchBudget::new(3);
         assert!(b.charge(2));
         assert!(b.charge(5)); // partial final charge allowed
-        assert_eq!(b.remaining(), 0);
+        assert_eq!(b.steps.load(Ordering::Relaxed), 0);
         assert!(!b.charge(1));
-        assert_eq!(b.remaining(), 0);
+        assert_eq!(b.steps.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -141,7 +141,7 @@ impl Structure {
     /// The number of distinct values in every column of every relation
     /// (`[rel][col]`, relations in `RelId` order), counted in the pass
     /// that builds the domain dictionary
-    /// ([`DomainDict::build_with_distinct`]) — so this leaves
+    /// (`DomainDict::build_with_distinct`) — so this leaves
     /// [`Self::domain_dict`] built: it is the whole once-per-snapshot
     /// scan of a registration.
     pub fn distinct_per_column(&self) -> Vec<Vec<usize>> {
@@ -218,11 +218,6 @@ impl Structure {
     /// Optional display names of all elements.
     pub fn names(&self) -> Option<&[String]> {
         self.names.as_deref()
-    }
-
-    /// Drops display names (useful before comparing structures for equality).
-    pub fn clear_names(&mut self) {
-        self.names = None;
     }
 
     /// The disjoint union of two structures over the same vocabulary.
@@ -642,8 +637,7 @@ mod tests {
         g.set_names(vec!["x", "y"]);
         assert_eq!(g.element_name(0), "x");
         assert_eq!(g.element_name(1), "y");
-        g.clear_names();
-        assert_eq!(g.element_name(0), "e0");
+        assert_eq!(Structure::digraph(2, &[(0, 1)]).element_name(0), "e0");
     }
 
     #[test]

@@ -27,7 +27,7 @@ impl fmt::Display for RelId {
 
 /// One relation symbol: a name and an arity.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct RelationSymbol {
+pub(crate) struct RelationSymbol {
     /// Human-readable name (e.g. `"E"` for the edge relation of a digraph).
     pub name: String,
     /// Number of positions of the relation (must be at least 1).
