@@ -32,12 +32,11 @@ use std::time::{Duration, Instant};
 /// How one cached approximation is evaluated: one arm per algorithm.
 #[derive(Debug)]
 pub enum ApproxPlan {
-    /// Yannakakis over a join tree: the approximation is acyclic.
-    Acyclic(PlanIr),
-    /// Yannakakis over the bags of a tree decomposition: the class
+    /// Yannakakis over a tree: a join tree when the approximation is
+    /// acyclic, else the bags of a tree decomposition when the class
     /// certifies a width (`QueryClass::decomposition_width`, e.g.
-    /// `TW(k)`) and the approximation is cyclic.
-    Decomposed(PlanIr),
+    /// `TW(k)`).
+    Tree(PlanIr),
     /// Backtracking, the last resort (still cheap, the approximation is
     /// in-class). Boxed: the arm would otherwise size every entry.
     Naive(Box<NaivePlan>),
@@ -49,10 +48,10 @@ impl ApproxPlan {
     /// moved out of it, not cloned.
     fn compile(q: &ConjunctiveQuery, width: Option<usize>) -> ApproxPlan {
         if let Ok(plan) = AcyclicPlan::compile(q) {
-            return ApproxPlan::Acyclic(plan.into());
+            return ApproxPlan::Tree(plan.into());
         }
         match width.map(|k| DecomposedPlan::compile(q, k)) {
-            Some(Ok(plan)) => ApproxPlan::Decomposed(plan.into()),
+            Some(Ok(plan)) => ApproxPlan::Tree(plan.into()),
             _ => ApproxPlan::Naive(Box::new(NaivePlan::compile(q.clone()))),
         }
     }
@@ -69,7 +68,7 @@ impl ApproxPlan {
         _budget: &ThreadBudget,
     ) -> (Answers, MatCacheStats) {
         match self {
-            ApproxPlan::Acyclic(ir) | ApproxPlan::Decomposed(ir) => ir.answers(d, Some(cache)),
+            ApproxPlan::Tree(ir) => ir.answers(d, Some(cache)),
             ApproxPlan::Naive(plan) => (plan.eval_answers(d), MatCacheStats::default()),
         }
     }
@@ -331,13 +330,6 @@ impl ApproxCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drops every entry (counters keep their values; resident bytes
-    /// return to zero).
-    pub fn clear(&self) {
-        self.buckets().clear();
-        self.resident.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -442,19 +434,6 @@ mod tests {
         assert!(cache
             .lookup_only(&tableau_of(&q1), &TwK(1), &opts)
             .is_none());
-        cache.clear();
-        assert!(cache.is_empty() && cache.resident_bytes() == 0);
-    }
-
-    #[test]
-    fn clear_resets_resident_bytes() {
-        let cache = ApproxCache::new();
-        let q = parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap();
-        cache.get_or_compute(&tableau_of(&q), &TwK(1), &ApproxOptions::default());
-        assert!(cache.resident_bytes() > 0);
-        cache.clear();
-        assert_eq!(cache.resident_bytes(), 0);
-        assert!(cache.is_empty());
     }
 
     #[test]
@@ -480,25 +459,25 @@ mod tests {
 
     /// Every arm of [`ApproxPlan`] answers as the naive oracle does on
     /// its approximation. `T4`, the transitive tournament, reaches each
-    /// arm: into `TW(1)` with one head variable (one acyclic
-    /// approximation), into `TW(2)` with all four (six cyclic ones, all
-    /// decomposed) and Boolean into `HTW(2)` (one, naive: the class
-    /// certifies no decomposition width). Each plan runs on a database
-    /// where its answer is empty and one where it is not, cold and then
-    /// warm through one cache; the warm run misses nothing.
+    /// arm, and the tree arm both ways: into `TW(1)` with one head
+    /// variable (one acyclic approximation, a join tree), into `TW(2)`
+    /// with all four (six cyclic ones, each over a decomposition's bags)
+    /// and Boolean into `HTW(2)` (one, naive: the class certifies no
+    /// decomposition width). Each plan runs on a database where its
+    /// answer is empty and one where it is not, cold and then warm
+    /// through one cache; the warm run misses nothing.
     #[test]
     fn every_arm_answers_as_the_naive_oracle() {
         use cqapx_core::HtwK;
         use cqapx_cq::eval::eval_naive;
         const T4: &str = "E(a,b), E(a,c), E(a,d), E(b,c), E(b,d), E(c,d)";
         let arm_of = |p: &ApproxPlan| match p {
-            ApproxPlan::Acyclic(_) => "acyclic",
-            ApproxPlan::Decomposed(_) => "decomposed",
+            ApproxPlan::Tree(_) => "tree",
             ApproxPlan::Naive(_) => "naive",
         };
         let cases: [(&str, &dyn QueryClass, usize, &str); 3] = [
-            ("Q(a)", &TwK(1), 1, "acyclic"),
-            ("Q(a,b,c,d)", &TwK(2), 6, "decomposed"),
+            ("Q(a)", &TwK(1), 1, "tree"),
+            ("Q(a,b,c,d)", &TwK(2), 6, "tree"),
             ("Q()", &HtwK(2), 1, "naive"),
         ];
         // A proper quotient of a tournament has a loop, and T4 itself

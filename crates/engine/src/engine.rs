@@ -83,8 +83,9 @@ pub struct EngineConfig {
     pub max_queue_depth: Option<usize>,
     /// Byte budget for **each** registered database's relation-
     /// materialization cache; `None` and `Some(0)` both mean unbounded.
-    /// Over-budget caches evict clock-wise with second chances; evicted
-    /// relations are rebuilt byte-identically on the next request.
+    /// An over-budget cache evicts its least recently used relations
+    /// (landed or hit) under its one lock; evicted relations are rebuilt
+    /// byte-identically on the next request.
     pub mat_cache_budget_bytes: Option<usize>,
     /// Byte budget for the shared approximation cache; `None` and
     /// `Some(0)` both mean unbounded. Eviction prefers entries with the

@@ -20,7 +20,7 @@
 #![warn(clippy::all)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// The default worker count: the machine's available parallelism.
 pub fn default_threads() -> usize {
@@ -122,11 +122,6 @@ pub struct Lease<'a> {
 }
 
 impl Lease<'_> {
-    /// Extra workers granted (0 = run sequentially).
-    pub fn extra(&self) -> usize {
-        self.extra
-    }
-
     /// Total workers the holder may run: the claimed extras plus the
     /// calling thread itself.
     pub fn workers(&self) -> usize {
@@ -169,9 +164,11 @@ where
     let worker = || {
         let mut done: Vec<(usize, R)> = Vec::new();
         loop {
+            // Read through poison: `f` never runs under the lock, so a
+            // panicking worker leaves the queue valid for the others.
             let claimed: Vec<(usize, T)> = queue
                 .lock()
-                .expect("the queue lock is never held across `f`")
+                .unwrap_or_else(PoisonError::into_inner)
                 .by_ref()
                 .take(chunk)
                 .collect();
@@ -246,12 +243,11 @@ mod tests {
         let b = ThreadBudget::new(4);
         assert_eq!(b.capacity(), 3);
         let l1 = b.claim(2);
-        assert_eq!(l1.extra(), 2);
         assert_eq!(l1.workers(), 3);
         let l2 = b.claim(5);
-        assert_eq!(l2.extra(), 1, "only one permit left");
+        assert_eq!(l2.workers() - 1, 1, "only one permit left");
         let l3 = b.claim(1);
-        assert_eq!(l3.extra(), 0, "exhausted: sequential fallback");
+        assert_eq!(l3.workers() - 1, 0, "exhausted: sequential fallback");
         drop(l1);
         drop(l2);
         drop(l3);
@@ -262,7 +258,7 @@ mod tests {
     fn sequential_budget_never_grants() {
         let b = ThreadBudget::sequential();
         assert_eq!(b.capacity(), 0);
-        assert_eq!(b.claim(8).extra(), 0);
+        assert_eq!(b.claim(8).workers() - 1, 0);
         assert_eq!(ThreadBudget::new(0).capacity(), 0, "0 threads = 1 worker");
     }
 
@@ -274,7 +270,7 @@ mod tests {
                 s.spawn(|| {
                     for _ in 0..100 {
                         let l = b.claim(3);
-                        assert!(l.extra() <= 3);
+                        assert!(l.workers() - 1 <= 3);
                         std::hint::black_box(&l);
                     }
                 });
