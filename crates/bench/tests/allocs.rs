@@ -23,7 +23,11 @@
 //! A warm request allocates alike whether or not the data has a
 //! dangling tuple, whatever the engine's thread count and whether or not
 //! the engine records metrics. Preparing the introduction's `Q2` and
-//! approximating it into `TW(1)` stay under fixed allocator-call counts;
+//! approximating it into `TW(1)` stay under fixed allocator-call counts,
+//! and its cold certain-answers request is pinned phase by phase. A
+//! compiled plan allocates per plan, not per atom — the same calls for
+//! `C6` as for `C12` — and a warm cache hit borrows its key, allocating
+//! nothing;
 //! parsing a query allocates per atom and per distinct variable, never
 //! per token, and its isomorphism signature per structure, never per
 //! element.
@@ -40,9 +44,10 @@
 //! kernel on the calling thread.
 
 use cqapx_bench::workloads::{lcg, nine_layer_dag, regular_digraph};
+use cqapx_cq::eval::ir::compile_tree;
 use cqapx_cq::eval::{
-    AcyclicPlan, Answers, DecomposedPlan, MatCacheStats, MatSource, MaterializationCache,
-    NaivePlan, Op, PlanIr,
+    AcyclicPlan, Answers, DecomposedPlan, MatCacheStats, MaterializationCache, NaivePlan, NodeSpec,
+    Op, PlanIr,
 };
 use cqapx_cq::parse_cq;
 use cqapx_engine::{Engine, EngineConfig, EvalMode, MetricsLevel, PlanKind, Request};
@@ -187,9 +192,14 @@ fn cold_two_path_bag_requests_little_more_than_it_returns() {
     d.distinct_per_column();
     let q = parse_cq("Q(a, b, c) :- E(a, b), E(b, c)").unwrap();
     let atoms: Vec<_> = q.atoms().iter().collect();
-    let source = MatSource::from_groups(&atoms);
+    let node = NodeSpec {
+        atoms: &atoms,
+        label: None,
+    };
+    let plan = compile_tree(&[node], &[None], &[0], &[]);
+    let source = plan.materialize_sources().next().expect("one node");
     let mut stats = MatCacheStats::default();
-    let (bag, _, requested) = counted(|| source.materialize(&d, None, &mut stats));
+    let (bag, _, requested) = counted(|| plan.materialize(source, &d, None, &mut stats));
     assert_eq!(stats.wcoj_bag_builds, 1);
     assert_eq!(bag.len(), 16 * n as usize, "every wedge, once");
     let parts = 2 * edges.len() * 2 * std::mem::size_of::<u32>();
@@ -268,13 +278,14 @@ fn boolean_six_cycle_stops_at_the_first_witness() {
         (stats.cursor_advances, slots)
     };
     let (with_head, slots) = root(&head);
-    let rows = |s: &usize| slots[*s].as_ref().map_or(0, |r| r.len()) as u64;
-    let Some(Op::MultiJoin { dst, inputs, .. }) = head.ir().ops().last() else {
+    let rows = |s: usize| slots[s].as_ref().map_or(0, |r| r.len()) as u64;
+    let Some(&Op::MultiJoin { dst, inputs, .. }) = head.ir().ops().last() else {
         panic!("the root of the path of four bags joins");
     };
+    let inputs = head.ir().words(inputs);
     assert_eq!(inputs.len(), 3, "the root has two children");
     assert_eq!(rows(dst), u64::from(n), "every vertex answers");
-    let touched = inputs.iter().map(rows).sum::<u64>() + rows(dst);
+    let touched = inputs.iter().map(|&s| rows(s as usize)).sum::<u64>() + rows(dst);
     assert!(
         with_head <= C6_ADVANCES_PER_ROW * touched,
         "{with_head} advances for {touched} rows"
@@ -316,8 +327,8 @@ fn boolean_four_cycle_root_is_one_existence_call() {
         plan.ir().run_boolean(&d, Some(&cache), None);
         let (alive, slots, stats) = plan.ir().run_slots(&d, Some(&cache), None);
         assert_eq!((alive, stats.misses), (witness, 0));
-        let parts: u64 = (inputs.iter())
-            .map(|s| slots[*s].as_ref().map_or(0, |r| r.len()) as u64)
+        let parts: u64 = (plan.ir().words(*inputs).iter())
+            .map(|&s| slots[s as usize].as_ref().map_or(0, |r| r.len()) as u64)
             .sum();
         let advances = stats.cursor_advances;
         assert!(parts > 100_000, "{parts} rows in the two bags");
@@ -715,6 +726,132 @@ fn approximating_q2_allocates_per_candidate_not_per_node() {
     assert_eq!(approximations.len(), 1);
     assert_eq!((meta.nodes, meta.candidates), (57, 3));
     assert!(search <= 159, "{search} allocator calls for the search");
+}
+
+/// The rule text of the directed path of `n` edges, with the head `x0`.
+fn path_text(n: u32) -> String {
+    let atoms: Vec<String> = (0..n).map(|i| format!("E(x{i}, x{})", i + 1)).collect();
+    format!("Q(x0) :- {}", atoms.join(", "))
+}
+
+/// A compiled plan allocates per plan, not per atom: every schema, key,
+/// binder list and operand list is a span of one word buffer, and the
+/// parts and binders live in one buffer each. Compiling the
+/// `DecomposedPlan` of the directed `C6` and of the `C12` from their
+/// decompositions, and the tree plan `AcyclicPlan` compiles over the
+/// join tree of a 4-path and of a 16-path, calls the allocator exactly
+/// as often at both sizes.
+#[test]
+fn compiling_a_plan_allocates_per_plan_not_per_atom() {
+    use cqapx_cq::{query_graph, Atom};
+    use cqapx_graphs::treewidth::treewidth_at_most;
+    let cycles = [6, 12].map(|n| {
+        let q = parse_cq(&cycle_text(n)).unwrap();
+        let td = treewidth_at_most(&query_graph(&q), 2).unwrap();
+        counted(|| DecomposedPlan::from_decomposition(&q, td)).1
+    });
+    assert_eq!(cycles[0], cycles[1], "allocator calls to compile C6 vs C12");
+    let paths = [4, 16].map(|n: usize| {
+        let q = parse_cq(&path_text(n as u32)).unwrap();
+        let atoms: Vec<&Atom> = q.atoms().iter().collect();
+        let nodes: Vec<NodeSpec> = (atoms.chunks(1))
+            .map(|atoms| NodeSpec { atoms, label: None })
+            .collect();
+        // Rooted at the head's atom: each atom hangs off the one before.
+        let parent: Vec<Option<usize>> = (0..n).map(|i| i.checked_sub(1)).collect();
+        let order: Vec<usize> = (0..n).rev().collect();
+        counted(|| compile_tree(&nodes, &parent, &order, q.free_vars())).1
+    });
+    assert_eq!(
+        paths[0], paths[1],
+        "allocator calls to compile a 4-path vs a 16-path"
+    );
+}
+
+/// A cache lookup borrows the key's words from the plan: a warm hit
+/// calls the allocator not at all.
+#[test]
+fn a_warm_cache_hit_allocates_nothing() {
+    let plan = AcyclicPlan::compile(&parse_cq(TWO_HOP).unwrap()).unwrap();
+    let d = regular_digraph(100, 2, 0x2B);
+    let cache = MaterializationCache::new();
+    plan.ir().answers(&d, Some(&cache));
+    for source in plan.ir().materialize_sources() {
+        let key = plan.ir().words(source.key);
+        let ((_, hit), calls, _) =
+            counted(|| cache.get_or_materialize(key, || unreachable!("warm")));
+        assert_eq!((hit, calls), (true, 0));
+    }
+}
+/// [`q2_cold_certain_request_allocates_by_phase_as_pinned`]'s counts:
+/// parse, prepare, search, compile, miss, hit. A release build skips
+/// the decomposition's validation when preparing.
+const PINNED: [u64; 6] = match cfg!(debug_assertions) {
+    true => [27, 85, 155, 28, 193, 36],
+    false => [27, 53, 155, 28, 193, 36],
+};
+
+/// The introduction's `Q2` renamed, its atoms reordered: isomorphic.
+const Q2_TWIN: &str =
+    "Q() :- E(b1,c1), E(a,b), E(c1,d1), E(b,c), E(a1,b1), E(c,d), E(a,c1), E(b,d1)";
+
+/// `Q2`'s cold certain-answers request into `TW(1)` on a fresh engine,
+/// phase by phase, pinned to the allocator call: parsing `Q2`,
+/// preparing it, the approximation search, compiling the plans of its
+/// approximations, the request that misses the approximation cache
+/// (search and compile included), and a renamed copy's request, an
+/// isomorphic hit. A change that moves a phase commits its new count
+/// here, and says so: this is the ledger of allocations by layer.
+#[test]
+fn q2_cold_certain_request_allocates_by_phase_as_pinned() {
+    use cqapx_core::{all_approximations_tableaux, ApproxOptions, ApproxReport, TwK};
+    use cqapx_engine::ApproxClassChoice;
+    let engine = Engine::new(EngineConfig {
+        threads: 1,
+        naive_cost_budget: 0.0,
+        approx_class: ApproxClassChoice::TwK(1),
+        ..EngineConfig::default()
+    });
+    let d = Structure::digraph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 2)]);
+    let db = engine.register_database("g", d);
+    let (q2, parse, _) = counted(|| parse_cq(Q2).unwrap());
+    let t = cqapx_cq::tableau_of(&q2);
+    let (id, prepare, _) = counted(|| engine.prepare_query("q2", q2));
+    let options = ApproxOptions::default();
+    let ((tableaux, meta), search, _) =
+        counted(|| all_approximations_tableaux(&t, &TwK(1), &options));
+    let report = ApproxReport::from_tableaux(tableaux, meta);
+    let compile_one = |q: &cqapx_cq::ConjunctiveQuery| match AcyclicPlan::compile(q) {
+        Ok(plan) => PlanIr::from(plan),
+        Err(_) => DecomposedPlan::compile(q, 1).unwrap().into(),
+    };
+    let (_, compile, _) = counted(|| {
+        report
+            .approximations
+            .iter()
+            .map(compile_one)
+            .collect::<Vec<_>>()
+    });
+    let request = |id| Request {
+        mode: EvalMode::CertainOnly,
+        ..Request::new(id, db)
+    };
+    let (miss, cold, _) = counted(|| engine.execute(&request(id)));
+    assert_eq!(
+        (miss.plan, miss.cache_hit),
+        (PlanKind::Sandwich, Some(false))
+    );
+    let twin = engine.prepare_query("twin", parse_cq(Q2_TWIN).unwrap());
+    let (hit, iso_hit, _) = counted(|| engine.execute(&request(twin)));
+    assert_eq!(
+        (hit.cache_hit, hit.answers == miss.answers),
+        (Some(true), true)
+    );
+    let phases = [parse, prepare, search, compile, cold, iso_hit];
+    assert_eq!(
+        phases, PINNED,
+        "(parse, prepare, search, compile, miss, hit)"
+    );
 }
 
 /// The rule text of the directed cycle on `n` vertices.

@@ -53,10 +53,11 @@ use cqapx_core::{all_approximations, ApproxOptions, TwK};
 use cqapx_cq::eval::ir::compile_tree;
 use cqapx_cq::eval::{
     eval_boolean_naive, eval_naive, AcyclicPlan, Answers, AtomBinder, DecomposedPlan, EvalProfile,
-    FlatRelation, MatCacheStats, MatSource, MaterializationCache, NaivePlan, NodeSpec, Op, PlanIr,
+    FlatRelation, MatCacheStats, MaterializationCache, NaivePlan, NodeSpec, Op, PlanIr,
 };
 use cqapx_cq::{
-    parse_cq, parse_cq_with_vocab, query_graph, tableau_of, treewidth_of_query, ConjunctiveQuery,
+    parse_cq, parse_cq_with_vocab, query_graph, tableau_of, treewidth_of_query, Atom,
+    ConjunctiveQuery,
 };
 use cqapx_engine::{
     Engine, EngineConfig, EvalMode, MetricsLevel, QueryId, Request, ResponseStatus, StatsSnapshot,
@@ -345,20 +346,13 @@ pub fn check_bags(ir: &PlanIr, d: &Structure, what: &str) -> (u64, u64) {
     let (mut rows, mut advances) = (0u64, 0u64);
     for source in ir.materialize_sources().filter(|s| s.parts.len() > 1) {
         let mut stats = MatCacheStats::default();
-        let got = source.materialize(d, None, &mut stats);
-        let parts: Vec<FlatRelation> = (source.parts.iter())
-            .map(|part| {
-                let alone = MatSource {
-                    schema: part.schema.clone(),
-                    group_key: None,
-                    parts: vec![part.clone()],
-                };
-                let mut stats = MatCacheStats::default();
-                alone.materialize(d, None, &mut stats)
-            })
+        let got = ir.materialize(source, d, None, &mut stats);
+        let parts: Vec<FlatRelation> = (ir.parts(source).iter())
+            .map(|part| ir.materialize_part(part, d, &mut MatCacheStats::default()))
             .collect();
         let refs: Vec<&FlatRelation> = parts.iter().collect();
-        assert_join(&got, &refs, &source.schema, &format!("bag of {what}"));
+        let schema = ir.words(source.schema);
+        assert_join(&got, &refs, schema, &format!("bag of {what}"));
         assert_eq!(
             (stats.binary_bag_builds, stats.wcoj_bag_builds),
             (0, 1),
@@ -379,14 +373,24 @@ pub fn check_joins(ir: &PlanIr, d: &Structure, what: &str) -> usize {
     let (_, slots, _) = ir.run_slots(d, None, None);
     let mut wide = 0;
     for op in ir.ops() {
-        let Op::MultiJoin { dst, inputs, vars } = op else {
+        let Op::MultiJoin { dst, inputs, vars } = *op else {
             continue;
         };
         // An emptiness assertion may have stopped the run before it.
-        let Some(got) = &slots[*dst] else { continue };
-        let input = |s: &usize| slots[*s].as_ref().expect("operands are written first");
-        let parts: Vec<&FlatRelation> = inputs.iter().map(input).collect();
-        assert_join(got, &parts, vars, &format!("{op:?}, {what}"));
+        let Some(got) = &slots[dst] else { continue };
+        let input = |&s: &u32| {
+            slots[s as usize]
+                .as_ref()
+                .expect("operands are written first")
+        };
+        let parts: Vec<&FlatRelation> = ir.words(inputs).iter().map(input).collect();
+        let vars = ir.words(vars);
+        assert_join(
+            got,
+            &parts,
+            vars,
+            &format!("{vars:?} of {inputs:?}, {what}"),
+        );
         wide += usize::from(inputs.len() > 2);
     }
     wide
@@ -394,7 +398,7 @@ pub fn check_joins(ir: &PlanIr, d: &Structure, what: &str) -> usize {
 
 /// Every tree-tier plan of `q`, named: `AcyclicPlan` when `q` is
 /// acyclic, then `DecomposedPlan` at every root.
-fn tree_plans(q: &ConjunctiveQuery) -> Vec<(String, PlanIr)> {
+pub fn tree_plans(q: &ConjunctiveQuery) -> Vec<(String, PlanIr)> {
     let acyclic = AcyclicPlan::compile(q).ok();
     let acyclic = (acyclic.iter()).map(|plan| ("yannakakis".to_string(), plan.ir().clone()));
     let roots = decomposed_roots(q);
@@ -532,7 +536,8 @@ pub fn scans_unsorted(q: &ConjunctiveQuery, d: &Structure) -> bool {
         vars.sort_unstable();
         vars.dedup();
         let mut scan = FlatRelation::empty(vars.clone());
-        AtomBinder::compile(atom, &vars).materialize_into(d, &mut scan);
+        let mut words = Vec::new();
+        AtomBinder::compile(atom, &mut words).materialize_into(&words, d, &mut scan);
         !scan.iter_rows().is_sorted_by(|x, y| x < y)
     })
 }
@@ -717,14 +722,9 @@ pub fn sweep_plan(
 ) -> (ConjunctiveQuery, PlanIr) {
     let text = format!("Q({}) :- {}", head.unwrap_or_default(), atoms.join(", "));
     let q = parse_cq_with_vocab(&text, &sweep_vocabulary()).expect("generated query must parse");
-    let nodes: Vec<NodeSpec> = (q.atoms().iter())
-        .map(|atom| {
-            let source = MatSource::from_groups(&[atom]);
-            NodeSpec {
-                label: source.schema.clone(),
-                source,
-            }
-        })
+    let atoms: Vec<&Atom> = q.atoms().iter().collect();
+    let nodes: Vec<NodeSpec> = (atoms.chunks(1))
+        .map(|atoms| NodeSpec { atoms, label: None })
         .collect();
     // Children before parents: the reverse of a preorder from the roots.
     let mut order = Vec::with_capacity(parent.len());
@@ -734,7 +734,7 @@ pub fn sweep_plan(
         stack.extend((0..parent.len()).filter(|&c| parent[c] == Some(u)));
     }
     order.reverse();
-    let ir = compile_tree(nodes, parent, &order, q.free_vars());
+    let ir = compile_tree(&nodes, parent, &order, q.free_vars());
     (q, ir)
 }
 
@@ -891,7 +891,7 @@ pub fn check_sweep(q: &ConjunctiveQuery, ir: &PlanIr, d: &Structure) -> bool {
     let want = eval_boolean_naive(q, d);
     let (got, stats) = ir.run_boolean(d, None, None);
     let width = (ir.ops().iter())
-        .flat_map(|op| op.reads().into_iter().chain(op.dst()))
+        .flat_map(Op::dst) // every slot read was written first
         .max()
         .map_or(0, |s| s + 1);
     let mut slots = vec![None; width];
@@ -944,16 +944,17 @@ pub fn check_sweep(q: &ConjunctiveQuery, ir: &PlanIr, d: &Structure) -> bool {
         ir.run_ops(0..mats, &mut slots, d, None);
         for (i, entry) in (mats..).zip(&profile.ops[mats..]) {
             let rel = |s: usize| slots[s].as_ref().expect("materialized");
-            let rows = match &ir.ops()[i] {
+            let rows = match ir.ops()[i] {
                 Op::Semijoin {
                     source, source_pos, ..
-                } => match source_pos[..] {
-                    [c] => (rel(*source).iter_rows().map(|r| r[c]))
+                } => match ir.words(source_pos)[..] {
+                    [c] => (rel(source).iter_rows().map(|r| r[c as usize]))
                         .collect::<BTreeSet<_>>()
                         .len(),
-                    _ => usize::from(!rel(*source).is_empty()),
+                    _ => usize::from(!rel(source).is_empty()),
                 },
-                _ => usize::from(!rel(ir.ops()[i].reads()[0]).is_empty()),
+                Op::AssertNonempty { slot } => usize::from(!rel(slot).is_empty()),
+                ref op => unreachable!("the sweep runs semijoins and assertions: {op:?}"),
             };
             assert_eq!(entry.rows, rows, "op {i}: {what}");
             ir.run_ops(i..i + 1, &mut slots, d, None);

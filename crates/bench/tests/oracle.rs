@@ -28,7 +28,7 @@ use cqapx_bench::workloads::{self, random_dag, regular_digraph, skewed_digraph};
 use cqapx_core::{all_approximations, Acyclic, ApproxOptions};
 use cqapx_cq::eval::{
     eval_naive, AcyclicPlan, AnswersBuilder, AtomBinder, DecomposedPlan, EvalProfile, FlatRelation,
-    MatCacheStats, MaterializationCache, NaivePlan, PlanIr,
+    MatCacheStats, MaterializationCache, NaivePlan, Op, PlanIr,
 };
 use cqapx_cq::{parse_cq, query_graph, treewidth_of_query, Atom, ConjunctiveQuery};
 use cqapx_engine::{
@@ -367,10 +367,12 @@ proptest! {
         schema.sort_unstable();
         schema.dedup();
         let mut base = FlatRelation::empty(schema.clone());
-        AtomBinder::compile(&atoms[0], &schema).materialize_into(&d, &mut base);
-        let reversed = AtomBinder::compile(&atoms[1], &schema);
-        reversed.materialize_into(&d, &mut base);
-        reversed.materialize_into(&d, &mut base);
+        let mut words = Vec::new();
+        let straight = AtomBinder::compile(&atoms[0], &mut words);
+        let reversed = AtomBinder::compile(&atoms[1], &mut words);
+        straight.materialize_into(&words, &d, &mut base);
+        reversed.materialize_into(&words, &d, &mut base);
+        reversed.materialize_into(&words, &d, &mut base);
         prop_assume!(!base.is_empty());
         prop_assert!(base.len() < 512);
 
@@ -489,9 +491,9 @@ fn cached_rows_are_never_written_through_a_sharing_slot() {
                 assert_is(&answers, &expected, q.arity(), &what);
                 for source in plan.materialize_sources() {
                     let mut stats = MatCacheStats::default();
-                    let rel = source.materialize(&d, Some(&cache), &mut stats);
+                    let rel = plan.materialize(source, &d, Some(&cache), &mut stats);
                     let rows: Vec<Vec<u32>> = rel.iter_rows().map(<[u32]>::to_vec).collect();
-                    let key = format!("{:?}", source.key());
+                    let key = format!("{:?}", plan.words(source.key));
                     match landed.iter().find(|(k, _)| *k == key) {
                         Some((_, first)) => assert_eq!(&rows, first, "{what}: {key}"),
                         None => landed.push((key, rows)),
@@ -512,6 +514,155 @@ fn cached_rows_are_never_written_through_a_sharing_slot() {
         );
     }
     assert!(connector_bags > 0, "no plan had a 0-ary connector bag");
+}
+
+// ---------------------------------------------------------------------
+// Plan shapes.
+// ---------------------------------------------------------------------
+
+/// The queries of the benchmark's fourteen cells, in rule syntax (the
+/// three random shapes as the benchmark draws them).
+const CELL_QUERIES: [&str; 14] = [
+    "Q(x, z) :- E(x, y), E(y, z)",
+    "Q(x, y, z) :- E(x, y), E(y, z)",
+    "Q() :- E(a0,a1), E(a1,a2), E(a2,a3), E(a3,a4), E(a4,a5), E(a5,a6), E(a6,a7), E(a7,a8)",
+    "Q() :- E(c,a1), E(c,a2), E(c,a3), E(c,a4), E(c,a5)",
+    "Q() :- E(a0,a1), E(a1,a2), E(a2,a3), E(a3,a4), E(a4,a5), E(a5,a6), E(a6,a7), E(a7,a8), E(a8,a9), E(a9,a10)",
+    "Q(x) :- E(x,y), E(y,z), E(z,w)",
+    "Q(x) :- E(x,y), E(y,z), E(z,x)",
+    "Q() :- E(a,b), E(b,c), E(c,d), E(d,a)",
+    "Q(a) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)",
+    "Q(x) :- E(x,y), F(y,z), E(z,x)",
+    Q2,
+    "Q() :- E(v1, v0), E(v2, v1), E(v1, v3), E(v4, v0), E(v5, v4), E(v5, v6), E(v7, v1), E(v7, v3), E(v6, v2)",
+    "Q() :- E(v1, v0), E(v2, v1), E(v1, v3), E(v4, v0), E(v5, v4), E(v5, v6), E(v7, v1), E(v8, v7), E(v7, v6), E(v3, v4)",
+    "Q() :- E(v1, v0), E(v2, v1), E(v1, v3), E(v4, v0), E(v5, v4), E(v5, v6), E(v7, v1), E(v7, v3), E(v6, v2), E(v5, v0), E(v2, v0), E(v1, v6), E(v5, v1), E(v5, v2)",
+];
+
+/// The introduction's `Q2`.
+const Q2: &str = "Q() :- E(x,y), E(y,z), E(z,u), E(x1,y1), E(y1,z1), E(z1,u1), E(x,z1), E(y,u1)";
+
+/// One line per op of `ir`: its kind, its slots, its operand lists and,
+/// for a materialization, its schema, cache key words and parts.
+fn render_plan(ir: &PlanIr) -> String {
+    let mut out = format!("reduction_decides {}\n", ir.reduction_decides());
+    for op in ir.ops() {
+        let line = match op {
+            Op::Materialize { dst, source } => {
+                let parts: Vec<String> = (ir.parts(source).iter())
+                    .map(|p| {
+                        let rels: Vec<u32> = ir.binders(p).iter().map(|b| b.rel().0).collect();
+                        let (schema, key) = (ir.words(p.schema), ir.words(p.key));
+                        format!("{schema:?} key {key:?} rels {rels:?}")
+                    })
+                    .collect();
+                let (schema, key) = (ir.words(source.schema), ir.words(source.key));
+                let parts = parts.join("; ");
+                format!("materialize {dst} schema {schema:?} key {key:?} parts [{parts}]")
+            }
+            Op::Semijoin {
+                target,
+                source,
+                target_pos,
+                source_pos,
+            } => {
+                let (mine, theirs) = (ir.words(*target_pos), ir.words(*source_pos));
+                format!("semijoin {target} {mine:?} by {source} {theirs:?}")
+            }
+            Op::AssertNonempty { slot } => format!("assert {slot}"),
+            Op::MultiJoin { dst, inputs, vars } => {
+                let (inputs, vars) = (ir.words(*inputs), ir.words(*vars));
+                format!("join {dst} of {inputs:?} keep {vars:?}")
+            }
+            Op::Project { dst, src, vars } => {
+                format!("project {dst} of {src} keep {:?}", ir.words(*vars))
+            }
+        };
+        out.push_str("  ");
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out
+}
+
+/// Every plan the golden rendering covers, named: the benchmark cells'
+/// prepared plans and every tree-tier plan of theirs, those of `Q2`'s
+/// `TW(1)` approximations, and those of the cyclic templates — cycles
+/// `C₃..C₆`, wheels, `K₄` and two triangles sharing a vertex — at two
+/// orientations, Boolean and with a two-variable head.
+fn golden_plans() -> Vec<(String, PlanIr)> {
+    use cqapx_core::TwK;
+    use cqapx_engine::PreparedQuery;
+    fn tiers(plans: &mut Vec<(String, PlanIr)>, what: &str, q: &ConjunctiveQuery) {
+        let named = harness::tree_plans(q).into_iter();
+        plans.extend(named.map(|(tier, ir)| (format!("{what}, {tier}"), ir)));
+    }
+    let mut plans = Vec::new();
+    for text in CELL_QUERIES {
+        let q = parse_cq(text).unwrap();
+        let prepared = PreparedQuery::build(text, q.clone());
+        let yannakakis = prepared.yannakakis.as_ref().map(|p| p.ir().clone());
+        let decomposed = prepared.decomposed.as_ref().map(|p| p.ir().clone());
+        tiers(&mut plans, text, &q);
+        for (tier, ir) in [
+            ("prepared yannakakis", yannakakis),
+            ("prepared decomposed", decomposed),
+        ] {
+            if let Some(ir) = ir {
+                plans.push((format!("{text}, {tier}"), ir));
+            }
+        }
+    }
+    let options = ApproxOptions::default();
+    let report = all_approximations(&parse_cq(Q2).unwrap(), &TwK(1), &options);
+    for (i, a) in report.approximations.iter().enumerate() {
+        tiers(&mut plans, &format!("Q2 approximation {i}: {a}"), a);
+    }
+    let cycle = |n: u32| -> Vec<(u32, u32)> { (0..n).map(|i| (i, (i + 1) % n)).collect() };
+    let wheel =
+        |m: u32| -> Vec<(u32, u32)> { (1..=m).flat_map(|i| [(0, i), (i, i % m + 1)]).collect() };
+    let k4: Vec<(u32, u32)> = (0..4)
+        .flat_map(|a| (a + 1..4).map(move |b| (a, b)))
+        .collect();
+    let bowtie = vec![(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)];
+    let shapes = [
+        cycle(3),
+        cycle(4),
+        cycle(5),
+        cycle(6),
+        wheel(3),
+        wheel(4),
+        wheel(5),
+        k4,
+        bowtie,
+    ];
+    for edges in &shapes {
+        for flips in [0, 0x55] {
+            for head in [&[][..], &[1, 0]] {
+                let q = build_query(edges, flips, head);
+                tiers(&mut plans, &format!("{q}"), &q);
+            }
+        }
+    }
+    plans
+}
+
+/// Every compiled plan the golden rendering covers renders byte for
+/// byte as `golden/plan_shapes.txt` records: the same ops in the same
+/// order, over the same slots, operand lists and cache keys.
+#[test]
+fn plan_shapes_match_the_golden_rendering() {
+    let mut got = String::new();
+    for (name, ir) in golden_plans() {
+        got.push_str(&format!("{name}\n{}", render_plan(&ir)));
+    }
+    let want = include_str!("golden/plan_shapes.txt");
+    let first = (got.lines().zip(want.lines())).position(|(a, b)| a != b);
+    assert!(
+        got == want,
+        "first differing line: {:?}",
+        first.map(|i| (i + 1, got.lines().nth(i), want.lines().nth(i)))
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -557,6 +557,7 @@ fn candidates(
 
         let mut b = StructureBuilder::new(vocab.clone(), n_blocks);
         for ((rel, w, _), buf) in rels.iter().zip(mapped_rel.iter()) {
+            b.reserve(*rel, buf.len() / w);
             for tup in buf.chunks_exact(*w) {
                 b.add(*rel, tup);
             }

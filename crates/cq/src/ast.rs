@@ -3,6 +3,7 @@
 use cqapx_structures::{RelId, Vocabulary};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A query variable, as a dense index into the query's variable table.
 pub type VarId = u32;
@@ -45,7 +46,8 @@ impl Atom {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ConjunctiveQuery {
     vocab: Vocabulary,
-    var_names: Vec<String>,
+    /// Shared with the query's tableau: cloning either copies no name.
+    pub(crate) var_names: Arc<[String]>,
     free: Vec<VarId>,
     atoms: Vec<Atom>,
 }
@@ -61,6 +63,16 @@ impl ConjunctiveQuery {
     pub fn new(
         vocab: Vocabulary,
         var_names: Vec<String>,
+        free: Vec<VarId>,
+        atoms: Vec<Atom>,
+    ) -> Self {
+        Self::with_names(vocab, var_names.into(), free, atoms)
+    }
+
+    /// [`ConjunctiveQuery::new`] over names shared with their holder.
+    pub(crate) fn with_names(
+        vocab: Vocabulary,
+        var_names: Arc<[String]>,
         free: Vec<VarId>,
         atoms: Vec<Atom>,
     ) -> Self {
@@ -154,12 +166,6 @@ impl ConjunctiveQuery {
     /// The number of joins, `m − 1` (the paper's cost measure).
     pub fn join_count(&self) -> usize {
         self.atoms.len().saturating_sub(1)
-    }
-
-    /// `|Q|`: the number of variables, the paper's size measure for
-    /// queries.
-    pub fn size(&self) -> usize {
-        self.var_count()
     }
 }
 

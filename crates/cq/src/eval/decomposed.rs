@@ -16,7 +16,7 @@
 //!    groups — at most `adom^(k+1)` rows, the tractability bound —
 //!    by the one bag kernel, a worst-case-optimal multiway join whose
 //!    cost does not depend on how the query numbers its variables. Bag
-//!    materializations are [`MatKey`](crate::eval::MatKey)-cached exactly like hyperedges
+//!    materializations are `MatKey`-cached exactly like hyperedges
 //!    and shared across plans (see [`MatSource`]);
 //! 3. run the acyclic pipeline over the rooted bag tree: full-reducer
 //!    semijoin sweeps as a prefilter, then one join per bag, bottom-up,
@@ -144,31 +144,33 @@ impl DecomposedPlan {
         // Assign each atom to every bag covering its variable set, and
         // group the atoms of a bag by variable set: one part each. A
         // connector bag covering no atom gets the "true" relation. One
-        // buffer holds each bag's atoms in turn, and the bags become the
+        // buffer holds every bag's atoms in turn, and the bags are the
         // labels.
-        let mut covered = vec![false; query.atoms().len()];
-        let mut atoms: Vec<&Atom> = Vec::with_capacity(query.atoms().len());
-        let mut nodes: Vec<NodeSpec> = Vec::with_capacity(td.bags.len());
-        for bag in td.bags {
-            atoms.clear();
-            for (atom, covered) in query.atoms().iter().zip(&mut covered) {
-                if atom.args.iter().all(|v| bag.binary_search(v).is_ok()) {
-                    *covered = true;
-                    atoms.push(atom);
-                }
-            }
-            atoms.sort_by_key(|a| query.atoms().iter().position(|b| b.same_vars(a)));
-            nodes.push(NodeSpec {
-                source: MatSource::from_groups(&atoms),
-                label: bag,
-            });
-        }
+        let covers = |bag: &[VarId], a: &Atom| a.args.iter().all(|v| bag.binary_search(v).is_ok());
+        let in_bag = |bag: &[VarId]| query.atoms().iter().filter(|a| covers(bag, a)).count();
         assert!(
-            covered.iter().all(|&c| c),
+            (query.atoms().iter()).all(|a| td.bags.iter().any(|bag| covers(bag, a))),
             "every atom's variable clique must lie in some bag"
         );
+        let mut atoms: Vec<&Atom> = Vec::with_capacity(td.bags.iter().map(|b| in_bag(b)).sum());
+        for bag in &td.bags {
+            let start = atoms.len();
+            atoms.extend(query.atoms().iter().filter(|a| covers(bag, a)));
+            atoms[start..].sort_by_key(|a| query.atoms().iter().position(|b| b.same_vars(a)));
+        }
+        let mut rest = &atoms[..];
+        let nodes: Vec<NodeSpec> = (td.bags.iter())
+            .map(|bag| {
+                let (atoms, tail) = rest.split_at(in_bag(bag));
+                rest = tail;
+                NodeSpec {
+                    atoms,
+                    label: Some(bag),
+                }
+            })
+            .collect();
         DecomposedPlan {
-            ir: compile_tree(nodes, &rooted.parent, &rooted.order, query.free_vars()),
+            ir: compile_tree(&nodes, &rooted.parent, &rooted.order, query.free_vars()),
             width,
             bag_sizes,
         }

@@ -1,6 +1,9 @@
 //! The columnar join kernel: flat row-buffer relations and the
-//! compile-once machinery ([`AtomBinder`], [`MatKey`],
-//! [`MaterializationCache`]) the Yannakakis pipeline runs on.
+//! compile-once machinery ([`AtomBinder`], `MatKey`,
+//! [`MaterializationCache`]) the Yannakakis pipeline runs on. Binders
+//! and keys are written into their plan's word buffer; the cache owns
+//! a copy of a key only once it inserts it, and looks keys up by their
+//! borrowed words.
 //!
 //! The seed pipeline kept relations as `HashSet<Vec<Element>>`: every
 //! semijoin/join/projection allocated a fresh key `Vec` per row and paid
@@ -37,9 +40,11 @@
 
 use crate::ast::{Atom, VarId};
 use crate::eval::answers::Answers;
+use crate::eval::ir::Span;
 use cqapx_structures::fxhash::FxHashMap;
 use cqapx_structures::packed::{radix_dedup, radix_dedup_u32};
 use cqapx_structures::{DomainBitmap, DomainDict, Element, RelId, Structure};
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
@@ -399,12 +404,6 @@ impl FlatRelation {
         }
     }
 
-    /// The `i`-th row.
-    pub fn row(&self, i: usize) -> &[Element] {
-        let a = self.schema.len();
-        &self.data[i * a..(i + 1) * a]
-    }
-
     /// The row-major buffer: `len() · arity()` elements.
     pub(crate) fn data(&self) -> &[Element] {
         &self.data
@@ -625,9 +624,9 @@ impl FlatRelation {
     /// and sharing all stay. `self` keeps its own width bound.
     pub(crate) fn semijoin_on(
         &mut self,
-        my_pos: &[usize],
+        my_pos: &[u32],
         other: &FlatRelation,
-        their_pos: &[usize],
+        their_pos: &[u32],
         stats: &mut MatCacheStats,
     ) {
         debug_assert_eq!(my_pos.len(), their_pos.len(), "key positions must align");
@@ -643,19 +642,22 @@ impl FlatRelation {
             return;
         }
         if my_pos.len() == 1 {
-            if let Some(bm) = other.column_bitmap(their_pos[0]) {
+            if let Some(bm) = other.column_bitmap(their_pos[0] as usize) {
                 stats.note_bitmap_probe();
-                let c = my_pos[0];
+                let c = my_pos[0] as usize;
                 return self.retain_where(|row| bm.contains(row[c]));
             }
         }
-        let mut key: Vec<(&usize, &usize)> = std::iter::zip(my_pos, their_pos).collect();
+        let mut key: Vec<(&u32, &u32)> = std::iter::zip(my_pos, their_pos).collect();
         key.sort_unstable();
-        let theirs: Vec<VarId> = key.iter().map(|&(_, &j)| other.schema[j]).collect();
+        let theirs: Vec<VarId> = key
+            .iter()
+            .map(|&(_, &j)| other.schema[j as usize])
+            .collect();
         let mut filter = other.project(&theirs, stats);
         let distinct = key.windows(2).all(|w| w[0].0 < w[1].0) && filter.schema.len() == key.len();
         debug_assert!(distinct, "key positions must be distinct on each side");
-        filter.schema = key.iter().map(|&(&i, _)| self.schema[i]).collect();
+        filter.schema = key.iter().map(|&(&i, _)| self.schema[i as usize]).collect();
         let parts = [&*self, &filter].into_iter();
         let kept = multiway_join(parts, &self.schema, stats);
         if kept.rows < self.rows {
@@ -1592,36 +1594,38 @@ pub(crate) fn multiway_join<'a>(
 /// A compiled tuple→row mapping for one atom: which tuple positions must
 /// agree (repeated variables) and which tuple position feeds each output
 /// column. Compiling this once per plan removes the `var_count`-sized
-/// binding scratch the seed materializer allocated **per tuple**.
-#[derive(Debug, Clone)]
+/// binding scratch the seed materializer allocated **per tuple**. Both
+/// lists are spans of the word buffer the binder was compiled into.
+#[derive(Debug, Clone, Copy)]
 pub struct AtomBinder {
     rel: RelId,
     /// `(i, j)` pairs of tuple positions that must hold equal values
-    /// (the atom repeats a variable at both).
-    eq_checks: Vec<(usize, usize)>,
-    /// For each output column (schema order), the tuple position that
-    /// supplies its value.
-    out_pos: Vec<usize>,
+    /// (the atom repeats a variable at both), flat.
+    eq_checks: Span,
+    /// For each output column, the tuple position that supplies its
+    /// value.
+    out_pos: Span,
 }
 
 impl AtomBinder {
-    /// Compiles the binder of `atom` for an output schema (the sorted
-    /// distinct variables of the atom's hyperedge; every schema variable
-    /// must occur in the atom).
-    pub fn compile(atom: &Atom, schema: &[VarId]) -> AtomBinder {
+    /// Compiles the binder of `atom` onto `words`, whose output columns
+    /// are the atom's distinct variables, ascending.
+    pub fn compile(atom: &Atom, words: &mut Vec<u32>) -> AtomBinder {
         let args = &atom.args;
-        let first = |v: &VarId| args.iter().position(|u| u == v);
-        let eq_checks = (0..args.len())
-            .filter_map(|j| first(&args[j]).filter(|&i| i < j).map(|i| (i, j)))
-            .collect();
-        let out_pos = schema
-            .iter()
-            .map(|v| first(v).expect("schema variable must occur in atom"))
-            .collect();
+        let first = |v: VarId| args.iter().position(|&u| u == v).expect("an argument") as u32;
+        let start = words.len();
+        for (j, &v) in args.iter().enumerate() {
+            if first(v) < j as u32 {
+                words.extend([first(v), j as u32]);
+            }
+        }
+        let eq_checks = Span::since(start, words);
+        let start = words.len();
+        words.extend(ascending(args.iter().copied()).map(first));
         AtomBinder {
             rel: atom.rel,
             eq_checks,
-            out_pos,
+            out_pos: Span::since(start, words),
         }
     }
 
@@ -1631,11 +1635,13 @@ impl AtomBinder {
     }
 
     /// Scans the atom's relation in `d` and appends one row per
-    /// consistent tuple to `out` (arity must match the compiled schema).
-    /// Rows are appended unnormalized; callers finish with
-    /// [`FlatRelation::sort_dedup`].
-    pub fn materialize_into(&self, d: &Structure, out: &mut FlatRelation) {
-        debug_assert_eq!(out.arity(), self.out_pos.len(), "binder arity mismatch");
+    /// consistent tuple to `out` (arity must match the compiled schema),
+    /// reading the binder's lists from `words`, the buffer it was
+    /// compiled into. Rows are appended unnormalized; callers finish
+    /// with [`FlatRelation::sort_dedup`].
+    pub fn materialize_into(&self, words: &[u32], d: &Structure, out: &mut FlatRelation) {
+        let (eq_checks, out_pos) = (&words[self.eq_checks.range()], &words[self.out_pos.range()]);
+        debug_assert_eq!(out.arity(), out_pos.len(), "binder arity mismatch");
         // Materialization is the dictionary-encode boundary: rows are
         // stored as dense domain codes, and the relation carries the
         // code width, which the kernel's offsets arrays, the bitmaps and
@@ -1651,43 +1657,41 @@ impl AtomBinder {
         let arity = d.vocabulary().arity(self.rel);
         let flat = d.flat_tuples(self.rel);
         let data = out.data.make_mut();
-        data.reserve((flat.len() / arity) * self.out_pos.len());
+        data.reserve((flat.len() / arity) * out_pos.len());
+        let consistent = |t: &[Element]| {
+            eq_checks
+                .chunks_exact(2)
+                .all(|e| t[e[0] as usize] == t[e[1] as usize])
+        };
         if dict.is_identity() {
             // Whole-tuple scans (no filter, columns in tuple order) are
             // one bulk copy of the image.
-            if self.eq_checks.is_empty()
-                && arity == self.out_pos.len()
-                && self.out_pos.iter().enumerate().all(|(i, &p)| i == p)
+            if eq_checks.is_empty()
+                && arity == out_pos.len()
+                && out_pos.iter().enumerate().all(|(i, &p)| i == p as usize)
             {
                 data.extend_from_slice(flat);
                 out.rows += flat.len() / arity;
                 return;
             }
-            'rows: for t in flat.chunks_exact(arity) {
-                for &(i, j) in &self.eq_checks {
-                    if t[i] != t[j] {
-                        continue 'rows;
-                    }
-                }
-                for &p in &self.out_pos {
-                    data.push(t[p]);
-                }
+            for t in flat.chunks_exact(arity).filter(|t| consistent(t)) {
+                data.extend(out_pos.iter().map(|&p| t[p as usize]));
                 out.rows += 1;
             }
             return;
         }
-        'rows2: for t in flat.chunks_exact(arity) {
-            for &(i, j) in &self.eq_checks {
-                if t[i] != t[j] {
-                    continue 'rows2;
-                }
-            }
-            for &p in &self.out_pos {
-                data.push(dict.encode(t[p]));
-            }
+        for t in flat.chunks_exact(arity).filter(|t| consistent(t)) {
+            data.extend(out_pos.iter().map(|&p| dict.encode(t[p as usize])));
             out.rows += 1;
         }
     }
+}
+
+/// Each distinct variable of `vars`, ascending: a hyperedge's schema,
+/// written without a sort buffer.
+pub(crate) fn ascending(vars: impl Iterator<Item = VarId> + Clone) -> impl Iterator<Item = VarId> {
+    let first = vars.clone().min();
+    std::iter::successors(first, move |&low| vars.clone().filter(|&v| v > low).min())
 }
 
 /// The canonical identity of a materialized hyperedge relation,
@@ -1698,57 +1702,39 @@ impl AtomBinder {
 /// row sets over any database — which is what lets a
 /// [`MaterializationCache`] share work across prepared queries.
 ///
-/// Stored flat, in one buffer: per atom its relation, its arity and its
-/// column indexes.
+/// A key is written flat, into the word buffer of the plan or shape
+/// that uses it: per atom its relation, its arity and its column
+/// indexes. `MatKey` is the cache's own copy of those words, made when
+/// an entry is inserted; lookups borrow the words (`Borrow<[u32]>`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct MatKey {
+pub(crate) struct MatKey {
     atoms: Box<[u32]>,
 }
 
-impl MatKey {
-    /// The key of a hyperedge: `vars` are the sorted distinct variables,
-    /// `atoms` every atom whose variable set equals `vars`.
-    pub(crate) fn of_group<'a>(
-        atoms: impl IntoIterator<Item = &'a Atom>,
-        vars: &[VarId],
-    ) -> MatKey {
-        debug_assert!(vars.windows(2).all(|w| w[0] < w[1]), "vars must be sorted");
-        let col = |v: &VarId| vars.binary_search(v).expect("atom var must be in vars") as u32;
-        // Column indexes rise with the variables, so sorting and
-        // deduplicating by the arguments orders the atoms by their
-        // columns too.
-        let mut keyed: Vec<(RelId, &[VarId])> =
-            atoms.into_iter().map(|a| (a.rel, &a.args[..])).collect();
-        keyed.sort_unstable();
-        keyed.dedup();
-        let mut flat = Vec::with_capacity(keyed.iter().map(|(_, args)| 2 + args.len()).sum());
-        for (rel, args) in keyed {
-            flat.extend([rel.0, args.len() as u32]);
-            flat.extend(args.iter().map(col));
-        }
-        MatKey {
-            atoms: flat.into_boxed_slice(),
-        }
+impl Borrow<[u32]> for MatKey {
+    fn borrow(&self) -> &[u32] {
+        &self.atoms
     }
+}
 
-    /// The key of a single atom taken as its own hyperedge (used by the
-    /// planner to look up real cardinalities of cached materializations):
-    /// `of_group([atom], its sorted distinct variables)`, where a
+impl MatKey {
+    /// Writes the key of a hyperedge onto `words`: `atoms` are every
+    /// atom of it, each over all of its variables. The atoms go in
+    /// ascending `(relation, arguments)` order without repeats; a
     /// variable's column is the number of distinct smaller ones.
-    pub(crate) fn of_atom(atom: &Atom) -> MatKey {
-        let args = &atom.args;
-        let col = |v: &VarId| {
-            let smaller = args.iter().enumerate();
-            smaller
-                .filter(|&(i, u)| u < v && !args[..i].contains(u))
-                .count() as u32
-        };
-        let mut flat = Vec::with_capacity(2 + args.len());
-        flat.extend([atom.rel.0, args.len() as u32]);
-        flat.extend(args.iter().map(col));
-        MatKey {
-            atoms: flat.into_boxed_slice(),
+    pub(crate) fn write(atoms: &[&Atom], words: &mut Vec<u32>) -> Span {
+        let start = words.len();
+        let vars = atoms.iter().flat_map(|a| a.args.iter().copied());
+        let col = |v: VarId| ascending(vars.clone()).take_while(|&u| u < v).count() as u32;
+        // Column indexes rise with the variables, so ordering by the
+        // arguments orders the atoms by their columns too.
+        let keyed = atoms.iter().map(|a| (a.rel, &a.args[..]));
+        let above = |low: Option<(RelId, &[VarId])>| keyed.clone().filter(|k| low < Some(*k)).min();
+        for (rel, args) in std::iter::successors(above(None), |&k| above(Some(k))) {
+            words.extend([rel.0, args.len() as u32]);
+            words.extend(args.iter().map(|&v| col(v)));
         }
+        Span::since(start, words)
     }
 }
 
@@ -1810,7 +1796,7 @@ impl MatCacheStats {
 }
 
 /// A per-database cache of materialized hyperedge relations, keyed by
-/// [`MatKey`] and shared across prepared queries and concurrent batch
+/// `MatKey` and shared across prepared queries and concurrent batch
 /// requests. Entries are stored under the materializing plan's own
 /// column labels and adopted elsewhere via `FlatRelation::relabel`
 /// (label-independent by construction of the key).
@@ -1897,9 +1883,9 @@ impl MaterializationCache {
     /// [`MaterializationCache::resident_bytes`] at once, while the
     /// memory itself is freed when the last request still reading the
     /// rows drops its slot.
-    pub(crate) fn get_or_materialize(
+    pub fn get_or_materialize(
         &self,
-        key: &MatKey,
+        key: &[u32],
         materialize: impl FnOnce() -> FlatRelation,
     ) -> (Arc<FlatRelation>, bool) {
         // Bound scope for the read guard: a `match` scrutinee would
@@ -1917,7 +1903,7 @@ impl MaterializationCache {
                 let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
                 match map.get(key) {
                     Some(f) => Arc::clone(f),
-                    None => Arc::clone(map.entry(key.clone()).or_default()),
+                    None => Arc::clone(map.entry(MatKey { atoms: key.into() }).or_default()),
                 }
             }
         };
@@ -2001,11 +1987,6 @@ impl MaterializationCache {
         self.maybe_evict();
     }
 
-    /// The configured byte budget (`0` = unbounded).
-    pub fn budget_bytes(&self) -> usize {
-        self.budget.load(Ordering::Relaxed)
-    }
-
     /// Bytes currently held by landed entries.
     pub fn resident_bytes(&self) -> usize {
         self.resident.load(Ordering::Relaxed)
@@ -2016,11 +1997,12 @@ impl MaterializationCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// The cardinality of a cached materialization, if present (and
+    /// The cardinality of the cached materialization under `key` (a
+    /// `MatKey`'s words), if present (and
     /// landed — an in-flight scan is not peeked, matching "not yet
     /// materialized"). Does not count as a hit or miss — this is the
     /// planner's peek at real cardinalities.
-    pub fn peek_cardinality(&self, key: &MatKey) -> Option<usize> {
+    pub fn peek_cardinality(&self, key: &[u32]) -> Option<usize> {
         self.map
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -2034,33 +2016,63 @@ impl MaterializationCache {
     /// in one critical section). `None` per key not yet materialized.
     pub fn peek_cardinalities<'k>(
         &self,
-        keys: impl IntoIterator<Item = &'k MatKey>,
+        keys: impl IntoIterator<Item = &'k [u32]>,
     ) -> Vec<Option<usize>> {
         let map = self.map.read().unwrap_or_else(PoisonError::into_inner);
         keys.into_iter()
             .map(|k| map.get(k).and_then(|f| f.cell.get()).map(|r| r.len()))
             .collect()
     }
-
-    /// Number of cached hyperedge relations (landed flights only).
-    pub fn len(&self) -> usize {
-        self.map
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .filter(|f| f.cell.get().is_some())
-            .count()
-    }
-
-    /// `true` when nothing has been materialized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FlatRelation {
+        /// The `i`-th row.
+        pub(crate) fn row(&self, i: usize) -> &[Element] {
+            let a = self.schema.len();
+            &self.data[i * a..(i + 1) * a]
+        }
+    }
+
+    impl MaterializationCache {
+        /// The configured byte budget (`0` = unbounded).
+        pub(crate) fn budget_bytes(&self) -> usize {
+            self.budget.load(Ordering::Relaxed)
+        }
+
+        /// Number of cached hyperedge relations (landed flights only).
+        pub(crate) fn len(&self) -> usize {
+            self.map
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .values()
+                .filter(|f| f.cell.get().is_some())
+                .count()
+        }
+    }
+
+    impl MatKey {
+        /// The key of `atom` taken as its own hyperedge.
+        fn of_atom(atom: &Atom) -> MatKey {
+            let mut words = Vec::new();
+            MatKey::write(&[atom], &mut words);
+            MatKey {
+                atoms: words.into(),
+            }
+        }
+    }
+
+    /// A key's words, where a lookup borrows them.
+    impl std::ops::Deref for MatKey {
+        type Target = [u32];
+
+        fn deref(&self) -> &[u32] {
+            &self.atoms
+        }
+    }
 
     /// Byte equality of row buffers, shared or owned.
     impl PartialEq for Rows {
@@ -2259,10 +2271,11 @@ mod tests {
     fn binder_rejects_inconsistent_repetitions() {
         use crate::parser::parse_cq;
         let q = parse_cq("Q(x) :- E(x, x)").unwrap();
-        let binder = AtomBinder::compile(&q.atoms()[0], &[0]);
+        let mut words = Vec::new();
+        let binder = AtomBinder::compile(&q.atoms()[0], &mut words);
         let d = Structure::digraph(3, &[(0, 0), (0, 1), (2, 2)]);
         let mut out = FlatRelation::empty(vec![0]);
-        binder.materialize_into(&d, &mut out);
+        binder.materialize_into(&words, &d, &mut out);
         canon(&mut out);
         assert_eq!(out.len(), 2); // loops at 0 and 2 only
         assert_eq!(out.row(0), &[0]);
@@ -2603,11 +2616,11 @@ mod tests {
     /// row-major buffer.
     fn semijoin_reference(
         target: &FlatRelation,
-        my_pos: &[usize],
+        my_pos: &[u32],
         source: &FlatRelation,
-        their_pos: &[usize],
+        their_pos: &[u32],
     ) -> Vec<Element> {
-        let key = |row: &[Element], pos: &[usize]| pos.iter().map(|&i| row[i]).collect();
+        let key = |row: &[Element], pos: &[u32]| pos.iter().map(|&i| row[i as usize]).collect();
         let keys: BTreeSet<Vec<Element>> = source.iter_rows().map(|r| key(r, their_pos)).collect();
         let hit = |row: &&[Element]| keys.contains(&key(row, my_pos));
         target.iter_rows().filter(hit).flatten().copied().collect()
@@ -2689,7 +2702,8 @@ mod tests {
         assert!(!dict.is_identity());
         let q = parse_cq("Q(x, y) :- E(x, y)").unwrap();
         let mut out = FlatRelation::empty(vec![0, 1]);
-        AtomBinder::compile(&q.atoms()[0], &[0, 1]).materialize_into(&d, &mut out);
+        let mut words = Vec::new();
+        AtomBinder::compile(&q.atoms()[0], &mut words).materialize_into(&words, &d, &mut out);
         canon(&mut out);
         assert_eq!(out.domain_width(), 3);
         assert_eq!(out.row(0), &[0, 1]); // (1,3) encoded
@@ -2800,7 +2814,7 @@ mod tests {
         cache.get_or_materialize(&a, || unreachable!("must hit"));
         cache.get_or_materialize(&c, || wide_rel(512, 2));
         assert_eq!(
-            cache.peek_cardinalities([&a, &b, &c]),
+            cache.peek_cardinalities([&*a, &*b, &*c]),
             [Some(512), None, Some(512)]
         );
     }
@@ -2840,7 +2854,7 @@ mod tests {
         let (kept, hit) = cache.get_or_materialize(&c, || wide_rel(512, 2));
         assert_eq!((hit, cache.evictions()), (false, 1));
         assert_eq!(
-            cache.peek_cardinalities([&a, &b, &c]),
+            cache.peek_cardinalities([&*a, &*b, &*c]),
             [Some(512), None, Some(512)]
         );
         assert_eq!(cache.resident_bytes(), 2 * kept.heap_bytes());
@@ -3002,9 +3016,9 @@ mod tests {
         assert!(ir.run_boolean(&d, Some(&cache), None).0);
         let (holds, stats) = ir.run_boolean(&d, Some(&cache), None);
         assert!(holds && stats.hits == 3 && stats.bitmap_probes > 0);
-        let key_of: BTreeMap<usize, &MatKey> = (ir.ops().iter())
+        let key_of: BTreeMap<usize, &[u32]> = (ir.ops().iter())
             .filter_map(|op| match op {
-                Op::Materialize { dst, source } => Some((*dst, source.key())),
+                Op::Materialize { dst, source } => Some((*dst, ir.words(source.key))),
                 _ => None,
             })
             .collect();
@@ -3015,14 +3029,14 @@ mod tests {
                 source,
                 target_pos,
                 source_pos,
-            } = op
+            } = *op
             {
-                read.insert((key_of[source].clone(), source_pos[0]));
-                read.insert((key_of[target].clone(), target_pos[0]));
+                read.insert((key_of[&source].to_vec(), ir.words(source_pos)[0] as usize));
+                read.insert((key_of[&target].to_vec(), ir.words(target_pos)[0] as usize));
             }
         }
-        let built: BTreeSet<(MatKey, usize)> = (landed(&cache).into_iter())
-            .flat_map(|(k, e)| built_columns(&e).into_iter().map(move |c| (k.clone(), c)))
+        let built: BTreeSet<(Vec<u32>, usize)> = (landed(&cache).into_iter())
+            .flat_map(|(k, e)| built_columns(&e).into_iter().map(move |c| (k.to_vec(), c)))
             .collect();
         assert_eq!(built, read);
         assert!(built.len() < 6, "some column is never read");
@@ -3286,8 +3300,8 @@ mod tests {
             (&none, "none"),
             (&empty, "empty"),
         ] {
-            for (keys, lead) in (0..=3usize).flat_map(|k| [(k, true), (k, false)]) {
-                let pos: Vec<usize> = if lead {
+            for (keys, lead) in (0..=3u32).flat_map(|k| [(k, true), (k, false)]) {
+                let pos: Vec<u32> = if lead {
                     (0..keys).collect()
                 } else {
                     (3 - keys..3).collect()
@@ -3338,10 +3352,10 @@ mod tests {
         let mut stats = MatCacheStats::default();
         let sparse = |width: u32| if width == 0 { 0 } else { 64 * 200 + 1 };
         let mut seed = 61;
-        let placements = |k: usize| -> Vec<Vec<usize>> {
+        let placements = |k: usize| -> Vec<Vec<u32>> {
             (0..16usize)
                 .map(|m| (0..4).filter(|i| m >> i & 1 == 1).collect())
-                .filter(|p: &Vec<usize>| p.len() == k)
+                .filter(|p: &Vec<u32>| p.len() == k)
                 .collect()
         };
         for width in [7u32, 0] {
@@ -3355,7 +3369,7 @@ mod tests {
                 for mine in placements(k) {
                     for theirs in placements(k) {
                         // Also pair the key columns in reverse.
-                        let reversed: Vec<usize> = theirs.iter().rev().copied().collect();
+                        let reversed: Vec<u32> = theirs.iter().rev().copied().collect();
                         for theirs in [theirs.clone(), reversed] {
                             for (t, s) in [(&target, &source), (&target, &empty), (&none, &source)]
                             {

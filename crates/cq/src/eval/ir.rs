@@ -20,10 +20,11 @@
 //! [`PlanIr::answers`], and decides `Q(D) ≠ ∅` through
 //! [`PlanIr::run_boolean`]; evaluation is a single interpreter loop, so
 //! cache adoption, statistics, and kernel improvements land in one
-//! place.
+//! place. A plan is flat: every operand list, schema, cache key and
+//! binder list is a [`Span`] of one word buffer ([`PlanIr::words`]).
 //!
-//! [`compile_tree`] takes per-node [`NodeSpec`]s — a relation source
-//! plus a *connectivity label* — and a rooted tree. For join trees the
+//! [`compile_tree`] takes per-node [`NodeSpec`]s — the atoms of a
+//! relation source plus a *connectivity label* — and a rooted tree. For join trees the
 //! label **is** the node's schema and the semijoin sweeps alone decide
 //! Boolean answers (classical Yannakakis), on live-value filters when
 //! every key has one column ([`PlanIr::run_boolean`]; the sweep reads
@@ -37,11 +38,12 @@
 use crate::ast::{Atom, VarId};
 use crate::eval::answers::Answers;
 use crate::eval::flat::{
-    multiway_join, AtomBinder, FlatRelation, MatCacheStats, MatKey, MaterializationCache,
+    ascending, multiway_join, AtomBinder, FlatRelation, MatCacheStats, MatKey, MaterializationCache,
 };
 use cqapx_par::ThreadBudget;
 use cqapx_structures::{DomainBitmap, Element, Structure};
 use std::borrow::Cow;
+use std::ops::Range;
 
 /// Index of a relation slot in a [`PlanIr`] program.
 pub(crate) type Slot = usize;
@@ -75,16 +77,48 @@ pub struct EvalProfile {
     pub ops: Vec<OpProfile>,
 }
 
+/// A run of one of a plan's buffers: `len` entries from `start` — of
+/// its words for a schema, a cache key or an operand list, of its parts
+/// for a source's parts, of its binders for a part's binders. `Copy`:
+/// every variable-length field of a plan is one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    /// The entries of `buf` from `start` to its end.
+    pub(crate) fn since<T>(start: usize, buf: &[T]) -> Span {
+        let (start, len) = (start as u32, (buf.len() - start) as u32);
+        Span { start, len }
+    }
+
+    /// Number of entries.
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// `true` for a run of no entries.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    pub(crate) fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
 /// One sub-hyperedge of a [`MatSource`]: the atoms sharing one variable
 /// set, compiled to binders, with its own cache identity.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct MatPart {
-    /// Sorted distinct variables of the sub-hyperedge.
-    pub schema: Vec<VarId>,
-    /// Cache identity of this sub-hyperedge alone.
-    pub key: MatKey,
-    /// Compiled binders, one per atom with this variable set.
-    pub binders: Vec<AtomBinder>,
+    /// Sorted distinct variables of the sub-hyperedge (words).
+    pub schema: Span,
+    /// Cache identity of this sub-hyperedge alone: a `MatKey`'s words.
+    pub key: Span,
+    /// Compiled binders, one per atom with this variable set (binders).
+    pub binders: Span,
 }
 
 /// The relation source of one plan node: a group of sub-hyperedges whose
@@ -99,154 +133,24 @@ pub struct MatPart {
 ///   (a connector bag none of whose atoms it covers).
 ///
 /// Sources (and, on a miss, their individual parts) go through the
-/// per-database [`MaterializationCache`] keyed by [`MatKey`], so a bag
+/// per-database [`MaterializationCache`] keyed by `MatKey`, so a bag
 /// is cached exactly like a hyperedge and either can adopt the other's
-/// entry when the keys coincide.
-#[derive(Debug, Clone)]
+/// entry when the keys coincide. Read through its plan:
+/// [`PlanIr::words`], [`PlanIr::parts`], [`PlanIr::materialize`].
+#[derive(Debug, Clone, Copy)]
 pub struct MatSource {
-    /// Sorted distinct variables of the whole source (the union of the
-    /// part schemas).
-    pub schema: Vec<VarId>,
-    /// Cache identity of the joined source, `None` exactly when there is
-    /// one part: that part is the whole source, and [`MatSource::key`]
-    /// reads its key.
-    pub group_key: Option<MatKey>,
-    /// The sub-hyperedges joined to form the relation.
-    pub parts: Vec<MatPart>,
+    /// Sorted distinct variables of the whole source, the union of the
+    /// part schemas (words): a single part's own.
+    pub schema: Span,
+    /// Cache identity of the joined source (words): a single part's own.
+    pub key: Span,
+    /// The sub-hyperedges joined to form the relation (parts).
+    pub parts: Span,
 }
 
-impl MatSource {
-    /// Cache identity of the joined source: its single part's key when
-    /// it has one part.
-    pub fn key(&self) -> &MatKey {
-        self.group_key
-            .as_ref()
-            .unwrap_or_else(|| &self.parts[0].key)
-    }
-
-    /// Compiles a source from atom groups — the atoms sharing one
-    /// variable set, adjacent in `atoms` — over the union of their
-    /// variables. No atoms give the 0-ary "true" source. Every buffer is
-    /// sized before it is filled: the source keeps all it allocates.
-    pub fn from_groups(atoms: &[&Atom]) -> MatSource {
-        let groups = || atoms.chunk_by(|a, b| a.same_vars(b));
-        let sorted = |vars: &mut Vec<VarId>| {
-            vars.sort_unstable();
-            vars.dedup();
-        };
-        let mut parts: Vec<MatPart> = Vec::with_capacity(groups().count());
-        parts.extend(groups().map(|g| {
-            let mut vars = g[0].args.clone();
-            sorted(&mut vars);
-            let key = match g {
-                [atom] => MatKey::of_atom(atom),
-                _ => MatKey::of_group(g.iter().copied(), &vars),
-            };
-            MatPart {
-                key,
-                binders: g.iter().map(|a| AtomBinder::compile(a, &vars)).collect(),
-                schema: vars,
-            }
-        }));
-        let mut schema = Vec::with_capacity(parts.iter().map(|p| p.schema.len()).sum());
-        parts
-            .iter()
-            .for_each(|p| schema.extend_from_slice(&p.schema));
-        sorted(&mut schema);
-        // A single part is the whole source and keeps the only key.
-        let group_key =
-            (parts.len() != 1).then(|| MatKey::of_group(atoms.iter().copied(), &schema));
-        MatSource {
-            schema,
-            group_key,
-            parts,
-        }
-    }
-
-    /// Materializes the source against `d`, adopting from / inserting
-    /// into `cache` when given. Multi-part sources are cached at both
-    /// levels: the joined source under its own key and, on a source
-    /// miss, each part under its key (so single-atom parts are shared
-    /// with the plans that use them as whole hyperedges).
-    pub fn materialize(
-        &self,
-        d: &Structure,
-        cache: Option<&MaterializationCache>,
-        stats: &mut MatCacheStats,
-    ) -> FlatRelation {
-        if self.parts.is_empty() {
-            return FlatRelation::unit();
-        }
-        match cache {
-            None => self.materialize_fresh(d, None, stats),
-            Some(c) => {
-                let build = || self.materialize_fresh(d, Some(c), stats);
-                let (rel, hit) = c.get_or_materialize(self.key(), build);
-                stats.hits += u32::from(hit);
-                stats.misses += u32::from(!hit);
-                rel.relabel(self.schema.clone())
-            }
-        }
-    }
-
-    /// Scans and joins the parts (no lookup of the source key itself).
-    fn materialize_fresh(
-        &self,
-        d: &Structure,
-        cache: Option<&MaterializationCache>,
-        stats: &mut MatCacheStats,
-    ) -> FlatRelation {
-        if let [part] = &self.parts[..] {
-            // The source *is* its single part; its key is the part key,
-            // so the caller's lookup already covered it.
-            return part.materialize_fresh(d, stats);
-        }
-        let mut rels: Vec<FlatRelation> = Vec::with_capacity(self.parts.len());
-        for part in &self.parts {
-            let fresh = |s: &mut MatCacheStats| part.materialize_fresh(d, s);
-            rels.push(match cache {
-                None => fresh(stats),
-                Some(c) => {
-                    let (rel, hit) = c.get_or_materialize(&part.key, || fresh(stats));
-                    stats.hits += u32::from(hit);
-                    stats.misses += u32::from(!hit);
-                    rel.relabel(part.schema.clone())
-                }
-            });
-        }
-        // One build path: the multiway kernel, which leaves the rows
-        // canonical on the sorted source schema (column order and row
-        // order), so cache entries are label-independent.
-        let t0 = std::time::Instant::now();
-        let out = multiway_join(rels.iter(), &self.schema, stats);
-        stats.wcoj_bag_builds += 1;
-        stats.wcoj_bag_us += t0.elapsed().as_micros() as u64;
-        out
-    }
-}
-
-impl MatPart {
-    /// Scans the part's atoms, each into its canonical relation, and
-    /// intersects them (they share a schema) one at a time by the join
-    /// kernel, keeping the whole schema.
-    fn materialize_fresh(&self, d: &Structure, stats: &mut MatCacheStats) -> FlatRelation {
-        let scan = |binder: &AtomBinder, stats: &mut MatCacheStats| {
-            let mut rel = FlatRelation::empty(self.schema.clone());
-            binder.materialize_into(d, &mut rel);
-            rel.sort_dedup(stats);
-            rel
-        };
-        let mut acc = scan(&self.binders[0], stats);
-        for binder in &self.binders[1..] {
-            let next = scan(binder, stats);
-            acc = multiway_join([&acc, &next].into_iter(), &self.schema, stats);
-        }
-        acc
-    }
-}
-
-/// One instruction of a [`PlanIr`] program.
-#[derive(Debug, Clone)]
+/// One instruction of a [`PlanIr`] program. Its operand lists are
+/// spans of the plan's words ([`PlanIr::words`]).
+#[derive(Debug, Clone, Copy)]
 pub enum Op {
     /// Materialize (or adopt from the cache) a source into `dst`.
     Materialize {
@@ -262,9 +166,9 @@ pub enum Op {
         /// Slot probed for matches.
         source: Slot,
         /// Key column positions in the target's schema.
-        target_pos: Vec<usize>,
+        target_pos: Span,
         /// Key column positions in the source's schema.
-        source_pos: Vec<usize>,
+        source_pos: Span,
     },
     /// Abort the program (empty answer) when the slot has no rows.
     AssertNonempty {
@@ -280,9 +184,9 @@ pub enum Op {
         /// Destination slot.
         dst: Slot,
         /// Operand slots.
-        inputs: Vec<Slot>,
+        inputs: Span,
         /// Variables kept (each must occur in an operand's schema).
-        vars: Vec<VarId>,
+        vars: Span,
     },
     /// Projection of `src` onto `vars` into `dst` (canonical): the kept
     /// columns gathered in `src`'s row order, then canonicalized.
@@ -292,22 +196,11 @@ pub enum Op {
         /// Source slot.
         src: Slot,
         /// Variables kept (must occur in the source schema).
-        vars: Vec<VarId>,
+        vars: Span,
     },
 }
 
 impl Op {
-    /// The slots the operator reads (one it filters in place included).
-    pub fn reads(&self) -> Vec<Slot> {
-        match self {
-            Op::Materialize { .. } => vec![],
-            Op::Semijoin { target, source, .. } => vec![*source, *target],
-            Op::AssertNonempty { slot } => vec![*slot],
-            Op::MultiJoin { inputs, .. } => inputs.clone(),
-            Op::Project { src, .. } => vec![*src],
-        }
-    }
-
     /// Metrics label of the operator: one per variant. `cqbench` sums
     /// the `join` and `project` prefixes.
     fn label(&self) -> &'static str {
@@ -334,12 +227,24 @@ impl Op {
 
 /// A compiled physical plan: a straight-line operator program over
 /// relation slots, with a designated output slot.
-#[derive(Debug, Clone)]
+///
+/// A plan allocates per plan, not per atom: every variable-length field
+/// — schemas, cache keys, binder lists, semijoin key positions, join
+/// and projection operands, the head — is a [`Span`] of one exactly
+/// sized word buffer, and the sources' parts and the parts' binders
+/// each live in one buffer of their own.
+#[derive(Debug, Clone, Default)]
 pub struct PlanIr {
     /// Number of relation slots the program uses.
     slots: usize,
     /// The instructions, executed in order.
     ops: Vec<Op>,
+    /// Every variable-length field of the program.
+    words: Vec<u32>,
+    /// Every source's parts, in op order.
+    parts: Vec<MatPart>,
+    /// Every part's binders, in part order.
+    binders: Vec<AtomBinder>,
     /// Length of the materialize-and-reduce prefix (see
     /// [`PlanIr::reduction_decides`]).
     bool_len: usize,
@@ -353,13 +258,34 @@ pub struct PlanIr {
     output: Slot,
     /// The compiled query's free variables, in head order: the columns
     /// answers come out in.
-    head: Vec<VarId>,
+    head: Span,
 }
 
 impl PlanIr {
     /// The operators, in execution order.
     pub fn ops(&self) -> &[Op] {
         &self.ops
+    }
+
+    /// The words of `span`: a schema, a cache key or an operand list.
+    pub fn words(&self, span: Span) -> &[u32] {
+        &self.words[span.range()]
+    }
+
+    /// The parts of `source`.
+    pub fn parts(&self, source: &MatSource) -> &[MatPart] {
+        &self.parts[source.parts.range()]
+    }
+
+    /// The binders of `part`, which read their lists off the plan's
+    /// words.
+    pub fn binders(&self, part: &MatPart) -> &[AtomBinder] {
+        &self.binders[part.binders.range()]
+    }
+
+    /// The slots a span of operand words names.
+    fn slots_of(&self, inputs: Span) -> impl Iterator<Item = Slot> + Clone + '_ {
+        self.words(inputs).iter().map(|&s| s as Slot)
     }
 
     /// Whether the reduction prefix alone decides Boolean answers.
@@ -373,6 +299,92 @@ impl PlanIr {
             Op::Materialize { source, .. } => Some(source),
             _ => None,
         })
+    }
+
+    /// Materializes `source`, one of the plan's, against `d`, adopting
+    /// from / inserting into `cache` when given. Multi-part sources are
+    /// cached at both levels: the joined source under its own key and,
+    /// on a source miss, each part under its key (so single-atom parts
+    /// are shared with the plans that use them as whole hyperedges). A
+    /// lookup borrows the key's words: only an insert copies them.
+    pub fn materialize(
+        &self,
+        source: &MatSource,
+        d: &Structure,
+        cache: Option<&MaterializationCache>,
+        stats: &mut MatCacheStats,
+    ) -> FlatRelation {
+        if source.parts.is_empty() {
+            return FlatRelation::unit();
+        }
+        let fresh = |stats: &mut MatCacheStats| match self.parts(source) {
+            // The source *is* its single part, under the part's key.
+            [part] => self.materialize_part(part, d, stats),
+            parts => {
+                let mut rels: Vec<FlatRelation> = Vec::with_capacity(parts.len());
+                for part in parts {
+                    let fresh = |s: &mut MatCacheStats| self.materialize_part(part, d, s);
+                    rels.push(self.adopt(cache, part.key, part.schema, stats, fresh));
+                }
+                // One build path: the multiway kernel, which leaves the
+                // rows canonical on the sorted source schema (column
+                // order and row order), so cache entries are
+                // label-independent.
+                let t0 = std::time::Instant::now();
+                let out = multiway_join(rels.iter(), self.words(source.schema), stats);
+                stats.wcoj_bag_builds += 1;
+                stats.wcoj_bag_us += t0.elapsed().as_micros() as u64;
+                out
+            }
+        };
+        self.adopt(cache, source.key, source.schema, stats, fresh)
+    }
+
+    /// `build`'s relation, or with a cache the entry under `key` (built
+    /// on a miss), counted and adopted on `schema`.
+    fn adopt(
+        &self,
+        cache: Option<&MaterializationCache>,
+        key: Span,
+        schema: Span,
+        stats: &mut MatCacheStats,
+        build: impl FnOnce(&mut MatCacheStats) -> FlatRelation,
+    ) -> FlatRelation {
+        let Some(c) = cache else {
+            return build(stats);
+        };
+        let (rel, hit) = c.get_or_materialize(self.words(key), || build(stats));
+        stats.hits += u32::from(hit);
+        stats.misses += u32::from(!hit);
+        rel.relabel(self.words(schema).to_vec())
+    }
+
+    /// Scans `part`'s atoms, each into its canonical relation, and
+    /// intersects them (they share a schema) one at a time by the join
+    /// kernel, keeping the whole schema. Uncached.
+    pub fn materialize_part(
+        &self,
+        part: &MatPart,
+        d: &Structure,
+        stats: &mut MatCacheStats,
+    ) -> FlatRelation {
+        let schema = self.words(part.schema);
+        let scan = |binder: &AtomBinder, stats: &mut MatCacheStats| {
+            let mut rel = FlatRelation::empty(schema.to_vec());
+            binder.materialize_into(&self.words, d, &mut rel);
+            rel.sort_dedup(stats);
+            rel
+        };
+        let (first, rest) = self
+            .binders(part)
+            .split_first()
+            .expect("a part has an atom");
+        let mut acc = scan(first, stats);
+        for binder in rest {
+            let next = scan(binder, stats);
+            acc = multiway_join([&acc, &next].into_iter(), schema, stats);
+        }
+        acc
     }
 
     /// Executes `self.ops[range]` in op order. Returns `false` when an
@@ -391,10 +403,12 @@ impl PlanIr {
         }
         for op in &self.ops[range] {
             let t0 = profile.is_some().then(std::time::Instant::now);
-            let mut alive = true;
-            match op {
+            // The slot written, an assertion's the one checked, and
+            // whether the run goes on.
+            let (written, alive) = match *op {
                 Op::Materialize { dst, source } => {
-                    slots[*dst] = Some(source.materialize(d, cache, stats));
+                    slots[dst] = Some(self.materialize(&source, d, cache, stats));
+                    (dst, true)
                 }
                 Op::Semijoin {
                     target,
@@ -404,15 +418,18 @@ impl PlanIr {
                 } => {
                     // In place: the target is filtered against the source,
                     // neither relation cloned.
-                    let [t, s] = (slots.get_disjoint_mut([*target, *source]))
+                    let [t, s] = (slots.get_disjoint_mut([target, source]))
                         .expect("semijoin target and source differ");
                     let t = t.as_mut().expect("slot written before use");
-                    t.semijoin_on(target_pos, rel(s), source_pos, stats);
+                    let (tp, sp) = (self.words(target_pos), self.words(source_pos));
+                    t.semijoin_on(tp, rel(s), sp, stats);
+                    (target, true)
                 }
-                Op::AssertNonempty { slot } => alive = !rel(&slots[*slot]).is_empty(),
+                Op::AssertNonempty { slot } => (slot, !rel(&slots[slot]).is_empty()),
                 Op::MultiJoin { dst, inputs, vars } => {
-                    let parts = inputs.iter().map(|s| rel(&slots[*s]));
-                    slots[*dst] = Some(multiway_join(parts, vars, stats));
+                    let parts = self.slots_of(inputs).map(|s| rel(&slots[s]));
+                    slots[dst] = Some(multiway_join(parts, self.words(vars), stats));
+                    (dst, true)
                 }
                 Op::Project { dst, src, vars } => {
                     // Every slot of a compiled tree is duplicate-free
@@ -420,19 +437,21 @@ impl PlanIr {
                     // duplicate-free inputs are duplicate-free), so a
                     // keep-list equal to the full schema is the
                     // identity: both slots then share one buffer.
-                    let source = slots[*src].as_mut().expect("slot written before use");
+                    let (vars, source) = (self.words(vars), slots[src].as_mut());
+                    let source = source.expect("slot written before use");
                     let out = if vars == source.schema() {
                         source.share_rows();
-                        source.relabel(vars.clone())
+                        source.relabel(vars.to_vec())
                     } else {
                         source.project(vars, stats)
                     };
-                    slots[*dst] = Some(out);
+                    slots[dst] = Some(out);
+                    (dst, true)
                 }
-            }
-            // The slot written; an assertion's, the one checked.
-            let written = || rel(&slots[op.dst().unwrap_or_else(|| op.reads()[0])]).len();
-            record(profile.as_deref_mut(), op.label(), t0, written);
+            };
+            record(profile.as_deref_mut(), op.label(), t0, || {
+                rel(&slots[written]).len()
+            });
             if !alive {
                 return false;
             }
@@ -454,12 +473,12 @@ impl PlanIr {
         cache: Option<&MaterializationCache>,
         profile: Option<&mut EvalProfile>,
     ) -> (Option<FlatRelation>, MatCacheStats) {
-        if let (true, [Op::Project { src, vars, .. }]) =
+        if let (true, &[Op::Project { src, vars, .. }]) =
             (self.reduction_decides, &self.ops[self.bool_len..])
         {
-            if let [var] = vars[..] {
+            if let [var] = self.words(vars)[..] {
                 let (alive, out, stats) =
-                    self.run_reduced(self.ops.len(), Some((*src, var)), d, cache, profile);
+                    self.run_reduced(self.ops.len(), Some((src, var)), d, cache, profile);
                 return (out.filter(|_| alive), stats);
             }
         }
@@ -527,9 +546,10 @@ impl PlanIr {
             return (Answers::boolean(nonempty), stats);
         }
         let (result, mut stats) = self.run(d, cache, None);
+        let head = self.words(self.head);
         let answers = match result {
-            None => Answers::empty(self.head.len()),
-            Some(rel) => Answers::from_relation(rel, &self.head, d.domain_dict(), &mut stats),
+            None => Answers::empty(head.len()),
+            Some(rel) => Answers::from_relation(rel, head, d.domain_dict(), &mut stats),
         };
         (answers, stats)
     }
@@ -673,13 +693,13 @@ impl PlanIr {
         // Validate every op up front — warming the source bitmaps from
         // the relation caches — so an ineligible sweep falls back
         // before any profile entry or counter moves.
-        let eligible = |op: &Op| match op {
+        let eligible = |op: &Op| match *op {
             Op::AssertNonempty { .. } => true,
             Op::Semijoin {
                 source, source_pos, ..
-            } => match source_pos[..] {
+            } => match self.words(source_pos)[..] {
                 [] => true,
-                [col] => rel(*source).column_bitmap(col).is_some(),
+                [col] => rel(source).column_bitmap(col as usize).is_some(),
                 _ => false,
             },
             _ => false,
@@ -700,20 +720,21 @@ impl PlanIr {
                 Op::Semijoin {
                     target,
                     source,
-                    ref target_pos,
-                    ref source_pos,
+                    target_pos,
+                    source_pos,
                 } => {
-                    let handed = match source_pos.first() {
+                    let handed = match self.words(source_pos).first() {
                         None => usize::from(has_live_row(rel(source), source, &filters, alive)),
                         Some(&col) => {
                             stats.note_bitmap_probe();
+                            let col = col as usize;
                             let values = live_values(rel(source), source, col, &filters, alive);
                             let handed = values.as_ref().map_or(0, |v| v.ones() as usize);
                             // Values that contain the target's own bitmap
                             // of the column remove no row: not recorded.
-                            let own = rel(target).column_bitmap(target_pos[0]);
+                            let key = (target, self.words(target_pos)[0] as usize);
+                            let own = rel(target).column_bitmap(key.1);
                             let values = values.filter(|v| !own.is_some_and(|o| o.subset_of(v)));
-                            let key = (target, target_pos[0]);
                             match (values, filters.iter_mut().find(|f| (f.0, f.1) == key)) {
                                 (Some(v), Some(f)) => f.2 = Cow::Owned(f.2.and(&v)),
                                 (Some(v), None) => filters.push((key.0, key.1, v)),
@@ -874,15 +895,17 @@ fn scan_rows(
 }
 
 /// One node of the tree a plan is compiled from.
-#[derive(Debug, Clone)]
-pub struct NodeSpec {
-    /// The node's relation source.
-    pub source: MatSource,
+#[derive(Debug, Clone, Copy)]
+pub struct NodeSpec<'a> {
+    /// The atoms the node's source materializes, those sharing one
+    /// variable set adjacent: one part each. None give the 0-ary "true"
+    /// relation (a connector bag).
+    pub atoms: &'a [&'a Atom],
     /// Sorted connectivity label: the variable set guaranteed to satisfy
-    /// the running-intersection property over the tree. Equals
-    /// `source.schema` for join-tree nodes; the whole bag for
-    /// tree-decomposition nodes.
-    pub label: Vec<VarId>,
+    /// the running-intersection property over the tree — the whole bag
+    /// of a tree-decomposition node. `None` for a join-tree node, whose
+    /// label is its schema.
+    pub label: Option<&'a [VarId]>,
 }
 
 /// Compiles the Yannakakis pipeline over a rooted tree (or forest) of
@@ -936,9 +959,13 @@ pub struct NodeSpec {
 /// projection, of the root onto `x`, is read off the live-value sweep
 /// ([`PlanIr::run`]).
 ///
-/// The nodes' sources move into the program's [`Op::Materialize`]s.
+/// Node `u`'s source is written into the plan and materialized into
+/// slot `u`, first. Every buffer the plan keeps is sized before it is
+/// filled — the word buffer from a bound, then cut to its length — and
+/// the join phase's keep-lists are worked out in one scratch buffer, so
+/// a compile allocates per plan, not per node or atom.
 pub fn compile_tree(
-    nodes: Vec<NodeSpec>,
+    nodes: &[NodeSpec],
     parent: &[Option<usize>],
     order: &[usize],
     free: &[VarId],
@@ -946,77 +973,78 @@ pub fn compile_tree(
     let n = nodes.len();
     assert_eq!(parent.len(), n);
     assert_eq!(order.len(), n);
-    let reduction_decides = nodes.iter().all(|s| s.label == s.source.schema);
+    let mut plan = PlanIr::with_room(nodes, parent, free);
+    let words = &mut plan.words;
+    plan.head = push(words, free.iter().copied());
 
-    // Each node's children, ascending, linked through the node states.
+    // Node `u`'s source goes to slot `u`; each node's children,
+    // ascending, are linked through the node states.
     let mut at = vec![NodeState::default(); n];
+    for (u, node) in nodes.iter().enumerate() {
+        let source = write_source(node.atoms, words, &mut plan.parts, &mut plan.binders);
+        at[u].schema = source.schema;
+        plan.ops.push(Op::Materialize { dst: u, source });
+    }
     for (u, p) in parent.iter().enumerate().rev() {
         if let Some(p) = *p {
             (at[u].next, at[p].first) = (at[p].first, Some(u));
         }
     }
-
-    // Everything after the materializations, which go first once the
-    // specs are no longer read (`with_materializations`). Room for all:
-    // per node a materialization, two semijoins, two assertions, a join
-    // and a root combination at most.
-    let mut ops: Vec<Op> = Vec::with_capacity(7 * n);
+    let schema = |at: &[NodeState], u: usize| at[u].schema.range();
+    let own = |u: usize| nodes[u].label.is_none_or(|l| *l == words[schema(&at, u)]);
+    let reduction_decides = (0..n).all(own);
+    let ops = &mut plan.ops;
     let mut slots = n; // slots 0..n hold the node relations
 
-    // Shared *schema* column positions of the edge above `u`, for the
-    // semijoin sweeps (schemas are sorted). The first sweep copies them,
-    // the second takes them.
-    let mut edge_pos: Vec<Option<(Vec<usize>, Vec<usize>)>> = (0..n)
-        .map(|u| {
-            parent[u].map(|p| {
-                let (cs, ps) = (&nodes[u].source.schema, &nodes[p].source.schema);
-                let shared = cs.iter().enumerate();
-                shared
-                    .filter_map(|(i, v)| Some((i, ps.binary_search(v).ok()?)))
-                    .unzip()
-            })
-        })
-        .collect();
-
-    // The join phase, statically first (children before parents):
-    // `keep[u]` is the schema of `u`'s projected subtree join — the
-    // free variables plus the variables the parent's label retains —
-    // and `at[u].whole` says that projection drops nothing.
+    // The join phase, statically first (children before parents): the
+    // keep-list of `u` is the schema of `u`'s projected subtree join —
+    // the free variables plus the variables the parent's label retains
+    // — and `at[u].whole` says that projection drops nothing. The lists
+    // go to `scratch`, after the head's distinct variables.
     //
     // `at[u].dead`: the join phase needs nothing from `u`'s subtree. On a
     // genuine join tree the first sweep already leaves every row of a
     // node with a match all the way down each child's subtree, so
     // joining a child whose kept variables the node already has is the
     // identity: no op for it, and none for anything below it.
-    let mut keep: Vec<Vec<VarId>> = vec![Vec::new(); n];
+    let mut scratch: Vec<u32> = Vec::with_capacity(room(nodes, parent, free)[1]);
+    let distinct = (free.iter().enumerate()).filter(|&(i, v)| !free[..i].contains(v));
+    scratch.extend(distinct.map(|(_, &v)| v));
+    let head = Span::since(0, &scratch);
     let one_root = parent.iter().filter(|p| p.is_none()).count() == 1;
-    let head: Vec<VarId> = (free.iter().enumerate())
-        .filter_map(|(i, v)| (!free[..i].contains(v)).then_some(*v))
-        .collect();
     for &u in order {
-        let below = children(&at, u).map(|c| keep[c].len()).sum::<usize>();
-        let mut schema = Vec::with_capacity(nodes[u].source.schema.len() + below);
-        schema.extend_from_slice(&nodes[u].source.schema);
-        for &v in children(&at, u).flat_map(|c| &keep[c]) {
-            if !schema.contains(&v) {
-                schema.push(v);
+        let start = scratch.len();
+        scratch.extend_from_slice(&words[schema(&at, u)]);
+        for c in children(&at, u) {
+            for i in at[c].keep.range() {
+                if !scratch[start..].contains(&scratch[i]) {
+                    scratch.push(scratch[i]);
+                }
             }
         }
-        let joined = schema.len();
-        let label = parent[u].map(|p| &nodes[p].label);
-        schema.retain(|v| free.contains(v) || label.is_some_and(|l| l.binary_search(v).is_ok()));
-        at[u].whole = schema.len() == joined;
+        let joined = scratch.len();
+        let above = parent[u].map(|p| nodes[p].label.unwrap_or(&words[schema(&at, p)]));
+        let mut kept = start;
+        for i in start..joined {
+            let v = scratch[i];
+            if free.contains(&v) || above.is_some_and(|l| l.binary_search(&v).is_ok()) {
+                (scratch[kept], kept) = (v, kept + 1);
+            }
+        }
+        scratch.truncate(kept);
+        at[u].whole = kept == joined;
+        at[u].keep = Span::since(start, &scratch);
         if parent[u].is_none() && one_root {
             // The one root's output is the answer set: its columns go
             // out in head order, and anything short of that is a
             // projection, which orders the rows as well.
-            at[u].whole &= schema == head;
-            schema.clone_from(&head);
+            at[u].whole &= scratch[start..] == scratch[head.range()];
+            scratch.truncate(start);
+            at[u].keep = head;
         }
-        let above = parent[u].map(|p| &nodes[p].source.schema);
-        at[u].dead =
-            reduction_decides && above.is_some_and(|s| schema.iter().all(|v| s.contains(v)));
-        keep[u] = schema;
+        let above = parent[u].map(|p| &words[schema(&at, p)]);
+        let keep = &scratch[at[u].keep.range()];
+        at[u].dead = reduction_decides && above.is_some_and(|s| keep.iter().all(|v| s.contains(v)));
     }
     for &u in order.iter().rev() {
         at[u].dead |= parent[u].is_some_and(|p| at[p].dead);
@@ -1026,75 +1054,78 @@ pub fn compile_tree(
     // existence call — the last in `order` with a multi-column key.
     let boolean = free.is_empty() && reduction_decides;
     for &u in order.iter().filter(|_| boolean) {
-        let key = edge_pos[u].as_ref().map_or(0, |(k, _)| k.len());
+        let child = &words[schema(&at, u)];
+        let shared = |p: usize| {
+            child
+                .iter()
+                .filter(|v| words[schema(&at, p)].contains(v))
+                .count()
+        };
         match parent[u] {
-            Some(p) if parent[p].is_none() && key > 1 => at[p].fused = Some(u),
+            Some(p) if parent[p].is_none() && shared(p) > 1 => at[p].fused = Some(u),
             _ => {}
         }
     }
-    let dead = |u: usize| at[u].dead;
     // A root's only live child is joined into it, which drops the root
-    // rows a leaves → root semijoin would: none on that edge.
-    let joined = |u: usize| {
+    // rows a leaves → root semijoin would: none on that edge. A dead
+    // node is never read again; a live one with no live child to join
+    // and nothing to project away is handed to its parent `as_is`, and
+    // that join drops exactly the rows the semijoin would have, at the
+    // same probe per row.
+    for u in 0..n {
         let only_child = |p: usize| parent[p].is_none() && children(&at, p).count() == 1;
-        !boolean && !dead(u) && parent[u].is_some_and(only_child)
-    };
+        let joined = !boolean && !at[u].dead && parent[u].is_some_and(only_child);
+        let as_is = (at[u].dead || at[u].whole) && children(&at, u).all(|c| at[c].dead);
+        (at[u].joined, at[u].as_is) = (joined, as_is);
+    }
     // Full reducer: leaves → root …
     for &u in order {
-        if let Some(p) = parent[u].filter(|&p| at[p].fused != Some(u) && !joined(u)) {
-            let (child_pos, parent_pos) = edge_pos[u].as_ref().expect("non-root has an edge");
+        if let Some(p) = parent[u].filter(|&p| at[p].fused != Some(u) && !at[u].joined) {
+            let (child_pos, parent_pos) = edge_key(words, &mut at, u, p);
             ops.push(Op::Semijoin {
                 target: p,
                 source: u,
-                target_pos: parent_pos.clone(),
-                source_pos: child_pos.clone(),
+                target_pos: parent_pos,
+                source_pos: child_pos,
             });
         }
         let mut slot = u;
         if let Some(c) = at[u].fused {
             (slot, slots) = (slots, slots + 1);
+            let inputs = push(words, [u, c].map(|s| s as u32));
+            let vars = Span::default();
             ops.push(Op::MultiJoin {
                 dst: slot,
-                inputs: vec![u, c],
-                vars: Vec::new(),
+                inputs,
+                vars,
             });
         }
         ops.push(Op::AssertNonempty { slot });
     }
     // … then root → leaves, but only into nodes the join phase computes
-    // on. A dead node is never read again; a live one with no live
-    // child to join and nothing to project away is handed to its parent
-    // as it is, and that join drops exactly the rows the semijoin would
-    // have, at the same probe per row.
-    let as_is = |u: usize| (dead(u) || at[u].whole) && children(&at, u).all(dead);
-    // A root edge that no sweep reads leaves the verdict to the join.
-    let reduction_decides = reduction_decides && !(0..n).any(|u| joined(u) && as_is(u));
+    // on. A root edge that no sweep reads leaves the verdict to the join.
+    let reduction_decides = reduction_decides && !at.iter().any(|s| s.joined && s.as_is);
     for &u in order.iter().rev() {
-        if parent[u].is_some() && !as_is(u) {
-            let (child_pos, parent_pos) = edge_pos[u].take().expect("non-root has an edge");
+        if let Some(p) = parent[u].filter(|_| !at[u].as_is) {
+            let (child_pos, parent_pos) = edge_key(words, &mut at, u, p);
             ops.push(Op::Semijoin {
                 target: u,
-                source: parent[u].unwrap(),
+                source: p,
                 target_pos: child_pos,
                 source_pos: parent_pos,
             });
             ops.push(Op::AssertNonempty { slot: u });
         }
     }
-    let bool_len = n + ops.len();
-
+    (plan.bool_len, plan.reduction_decides) = (ops.len(), reduction_decides);
+    // A Boolean join tree's prefix is the whole program. Its output slot
+    // is unused by Boolean callers: the last node in `order` (the root
+    // of the last-compiled tree).
+    plan.output = *order.last().expect("at least one node");
     if boolean {
-        // Boolean join tree: the prefix is the whole program. The output
-        // slot is unused by Boolean callers; point it at the last node
-        // in `order` (the root of the last-compiled tree).
-        return PlanIr {
-            slots,
-            output: *order.last().expect("at least one node"),
-            ops: with_materializations(nodes, ops),
-            bool_len,
-            reduction_decides,
-            head: free.to_vec(),
-        };
+        plan.slots = slots;
+        plan.words.shrink_to_fit();
+        return plan;
     }
 
     // Then the ops, one per live node over its live children's partials:
@@ -1105,57 +1136,57 @@ pub fn compile_tree(
         if at[u].dead {
             continue;
         }
-        // Only the roots of a forest are read again, to combine them.
-        let vars = match parent[u] {
-            None if !one_root => keep[u].clone(),
-            _ => std::mem::take(&mut keep[u]),
-        };
-        let dst = slots;
+        let (dst, vars) = (
+            slots,
+            push(words, scratch[at[u].keep.range()].iter().copied()),
+        );
         slots += 1;
         ops.push({
             let mut live = children(&at, u).filter(|&c| !at[c].dead).peekable();
             match live.peek() {
                 None => Op::Project { dst, src: u, vars },
-                Some(_) => Op::MultiJoin {
-                    dst,
-                    inputs: std::iter::once(u)
-                        .chain(live.map(|c| at[c].partial))
-                        .collect(),
-                    vars,
-                },
+                Some(_) => {
+                    let partials = live.map(|c| at[c].partial as u32);
+                    let inputs = push(words, std::iter::once(u as u32).chain(partials));
+                    Op::MultiJoin { dst, inputs, vars }
+                }
             }
         });
         at[u].partial = dst;
     }
 
     // Combine the roots (cartesian join across components), the last
-    // combination in head order.
-    let mut roots = (0..n).filter(|&u| parent[u].is_none());
-    let first = roots.next().expect("at least one root");
-    let (mut out, mut vars) = (at[first].partial, None);
-    let mut roots = roots.peekable();
-    while let Some(r) = roots.next() {
-        let vars = vars.get_or_insert_with(|| keep[first].clone());
-        vars.extend_from_slice(&keep[r]);
-        if roots.peek().is_none() {
-            vars.clone_from(&head);
+    // combination in head order. The others keep a prefix of one run of
+    // the roots' kept variables, laid down first.
+    let roots = || (0..n).filter(|&u| parent[u].is_none());
+    let (first, last) = (roots().next(), roots().next_back());
+    let run = roots().filter(|&r| Some(r) != last);
+    let mut kept = push(
+        words,
+        run.flat_map(|r| &scratch[at[r].keep.range()]).copied(),
+    );
+    kept.len = 0;
+    for r in roots() {
+        kept.len += at[r].keep.len;
+        if Some(r) == first {
+            plan.output = at[r].partial;
+            continue;
         }
+        let vars = match Some(r) == last {
+            true => push(words, scratch[head.range()].iter().copied()),
+            false => kept,
+        };
+        let inputs = push(words, [plan.output, at[r].partial].map(|s| s as u32));
         ops.push(Op::MultiJoin {
             dst: slots,
-            inputs: vec![out, at[r].partial],
-            vars: vars.clone(),
+            inputs,
+            vars,
         });
-        (out, slots) = (slots, slots + 1);
+        (plan.output, slots) = (slots, slots + 1);
     }
-
-    PlanIr {
-        slots,
-        ops: with_materializations(nodes, ops),
-        bool_len,
-        reduction_decides,
-        output: out,
-        head: free.to_vec(),
-    }
+    plan.slots = slots;
+    plan.words.shrink_to_fit();
+    plan
 }
 
 /// What [`compile_tree`] knows and decides per node.
@@ -1164,10 +1195,22 @@ struct NodeState {
     /// The node's first child and its next sibling, ascending.
     first: Option<usize>,
     next: Option<usize>,
+    /// The node's schema (words).
+    schema: Span,
+    /// The schema of the node's projected subtree join (scratch).
+    keep: Span,
+    /// The key of the edge above the node: its column positions in the
+    /// node's schema and in its parent's (words), once written.
+    key: Option<(Span, Span)>,
     /// The node's projected subtree join drops no column.
     whole: bool,
     /// The join phase needs nothing from the node's subtree.
     dead: bool,
+    /// The only child of a root, joined into it: no leaves → root
+    /// semijoin.
+    joined: bool,
+    /// Handed to its parent's join as it is: no root → leaves semijoin.
+    as_is: bool,
     /// A Boolean root's child checked with one existence call.
     fused: Option<usize>,
     /// The slot holding the projected join of the node's subtree.
@@ -1178,15 +1221,112 @@ fn children(at: &[NodeState], u: usize) -> impl Iterator<Item = usize> + '_ {
     std::iter::successors(at[u].first, |&c| at[c].next)
 }
 
-/// The program of [`compile_tree`]: node `u`'s source materialized into
-/// slot `u`, for every node in order, then the rest, in `ops`' own room.
-fn with_materializations(nodes: Vec<NodeSpec>, mut ops: Vec<Op>) -> Vec<Op> {
-    let sources = nodes.into_iter().map(|spec| spec.source).enumerate();
-    ops.splice(
-        0..0,
-        sources.map(|(dst, source)| Op::Materialize { dst, source }),
+/// Appends `items` to `words`, as a span.
+fn push(words: &mut Vec<u32>, items: impl IntoIterator<Item = u32>) -> Span {
+    let start = words.len();
+    words.extend(items);
+    Span::since(start, words)
+}
+
+/// The key of the edge from `u` up to `p` — the positions, in `u`'s
+/// schema and in `p`'s (both sorted), of the variables they share —
+/// written to `words` the first time, shared by both sweeps.
+fn edge_key(words: &mut Vec<u32>, at: &mut [NodeState], u: usize, p: usize) -> (Span, Span) {
+    if let Some(key) = at[u].key {
+        return key;
+    }
+    let (child, parent) = (at[u].schema.range(), at[p].schema.range());
+    let position = |words: &[u32], i: usize| words[parent.clone()].binary_search(&words[i]).ok();
+    let start = words.len();
+    for i in child.clone() {
+        if position(words, i).is_some() {
+            words.push((i - child.start) as u32);
+        }
+    }
+    let child_pos = Span::since(start, words);
+    let start = words.len();
+    for i in child {
+        if let Some(j) = position(words, i) {
+            words.push(j as u32);
+        }
+    }
+    let key = (child_pos, Span::since(start, words));
+    at[u].key = Some(key);
+    key
+}
+
+/// Writes the source of `atoms` — atoms sharing one variable set
+/// adjacent — into a plan's buffers: per group a part with its schema,
+/// key and binders, then, when there is not exactly one part, the
+/// union schema and the key of the whole group.
+fn write_source(
+    atoms: &[&Atom],
+    words: &mut Vec<u32>,
+    parts: &mut Vec<MatPart>,
+    binders: &mut Vec<AtomBinder>,
+) -> MatSource {
+    let first = parts.len();
+    for group in atoms.chunk_by(|a, b| a.same_vars(b)) {
+        let schema = push(words, ascending(group[0].args.iter().copied()));
+        let key = MatKey::write(group, words);
+        let start = binders.len();
+        binders.extend(group.iter().map(|a| AtomBinder::compile(a, words)));
+        let binders = Span::since(start, binders);
+        parts.push(MatPart {
+            schema,
+            key,
+            binders,
+        });
+    }
+    let own = Span::since(first, parts);
+    if let [part] = parts[own.range()] {
+        // A single part is the whole source and keeps the only key.
+        return MatSource {
+            schema: part.schema,
+            key: part.key,
+            parts: own,
+        };
+    }
+    let schema = push(
+        words,
+        ascending(atoms.iter().flat_map(|a| a.args.iter().copied())),
     );
-    ops
+    MatSource {
+        schema,
+        key: MatKey::write(atoms, words),
+        parts: own,
+    }
+}
+
+/// Bounds on the words a plan over `nodes` keeps — per argument of an
+/// atom, part and source schemas one each, keys one each plus two per
+/// atom, binders two and the edge above the node two; per node, its
+/// op's kept variables (free or in the parent's label) and operands,
+/// one fused or root combination's, and the head twice — and on the
+/// keep-lists [`compile_tree`] works out: per node its schema and its
+/// children's lists, then its own.
+fn room(nodes: &[NodeSpec], parent: &[Option<usize>], free: &[VarId]) -> [usize; 2] {
+    let arguments = |u: usize| nodes[u].atoms.iter().map(|a| a.args.len()).sum::<usize>();
+    let label = |u: usize| nodes[u].label.map_or(arguments(u), <[VarId]>::len);
+    let kept = |u: usize| free.len() + parent[u].map_or(0, label);
+    let words = |u: usize| 4 * nodes[u].atoms.len() + 8 * arguments(u) + kept(u) + free.len() + 6;
+    let scratch = |u: usize| arguments(u) + 2 * kept(u);
+    let room = |[w, s]: [usize; 2], u: usize| [w + words(u), s + scratch(u)];
+    (0..nodes.len()).fold([2 * free.len(), free.len()], room)
+}
+
+impl PlanIr {
+    /// An empty program over `nodes` with room for all it will hold.
+    fn with_room(nodes: &[NodeSpec], parent: &[Option<usize>], free: &[VarId]) -> PlanIr {
+        let groups = |node: &NodeSpec| node.atoms.chunk_by(|a, b| a.same_vars(b)).count();
+        PlanIr {
+            ops: Vec::with_capacity(7 * nodes.len()),
+            words: Vec::with_capacity(room(nodes, parent, free)[0]),
+            parts: Vec::with_capacity(nodes.iter().map(groups).sum()),
+            binders: Vec::with_capacity(nodes.iter().map(|node| node.atoms.len()).sum()),
+            ..PlanIr::default()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1221,31 +1361,35 @@ mod tests {
         }
     }
 
-    fn source_of(q: &str) -> MatSource {
+    /// The plan of one node over `atoms`, and its source.
+    fn one_node(atoms: &[&Atom]) -> (PlanIr, MatSource) {
+        let node = NodeSpec { atoms, label: None };
+        let ir = compile_tree(&[node], &[None], &[0], &[]);
+        let source = *ir.materialize_sources().next().expect("one node");
+        (ir, source)
+    }
+
+    fn source_of(q: &str) -> (PlanIr, MatSource) {
         let q = parse_cq(q).unwrap();
-        let atoms: Vec<&Atom> = q.atoms().iter().collect();
-        MatSource::from_groups(&atoms)
+        one_node(&q.atoms().iter().collect::<Vec<_>>())
     }
 
     #[test]
     fn source_from_groups_unions_schemas() {
-        let s = source_of("Q() :- E(x, y), E(y, z)");
-        assert_eq!(s.schema, vec![0, 1, 2]);
-        assert_eq!(s.parts.len(), 2);
-        assert_eq!(s.parts[0].schema, vec![0, 1]);
-        assert_eq!(s.parts[1].schema, vec![1, 2]);
+        let (ir, s) = source_of("Q() :- E(x, y), E(y, z)");
+        assert_eq!(ir.words(s.schema), [0, 1, 2]);
+        assert_eq!(ir.parts(&s).len(), 2);
+        assert_eq!(ir.words(ir.parts(&s)[0].schema), [0, 1]);
+        assert_eq!(ir.words(ir.parts(&s)[1].schema), [1, 2]);
     }
 
     #[test]
     fn empty_source_materializes_true() {
-        let src = MatSource {
-            schema: vec![],
-            group_key: Some(MatKey::of_group(&[], &[])),
-            parts: vec![],
-        };
+        let (ir, src) = one_node(&[]);
+        assert!(src.schema.is_empty() && src.key.is_empty());
         let d = Structure::digraph(2, &[]);
         let mut stats = MatCacheStats::default();
-        let r = src.materialize(&d, None, &mut stats);
+        let r = ir.materialize(&src, &d, None, &mut stats);
         assert_eq!(r.len(), 1);
         assert_eq!(r.arity(), 0);
         assert_eq!(stats, MatCacheStats::default());
@@ -1253,11 +1397,11 @@ mod tests {
 
     #[test]
     fn multipart_source_joins_and_caches_both_levels() {
-        let src = source_of("Q() :- E(x, y), E(y, z)");
+        let (ir, src) = source_of("Q() :- E(x, y), E(y, z)");
         let d = Structure::digraph(4, &[(0, 1), (1, 2), (2, 3)]);
         let cache = MaterializationCache::new();
         let mut stats = MatCacheStats::default();
-        let r = src.materialize(&d, Some(&cache), &mut stats);
+        let r = ir.materialize(&src, &d, Some(&cache), &mut stats);
         assert_eq!(r.schema(), &[0, 1, 2]);
         assert_eq!(r.len(), 2); // 0-1-2 and 1-2-3
                                 // Cold: source miss + two part misses, all inserted.
@@ -1265,7 +1409,7 @@ mod tests {
         assert_eq!(cache.len(), 2); // the part shape + the joined source
                                     // Warm: a single source-level hit.
         let mut warm = MatCacheStats::default();
-        let r2 = src.materialize(&d, Some(&cache), &mut warm);
+        let r2 = ir.materialize(&src, &d, Some(&cache), &mut warm);
         assert_eq!((warm.hits, warm.misses), (1, 0));
         assert_eq!(
             r.rows_in_head_order(&[0, 1, 2]),
@@ -1292,10 +1436,11 @@ mod tests {
         let d = b.finish();
         let rule = "Q(x, y) :- E(x, y), F(x, y), E(x, y), F(y, x)";
         let q = crate::parser::parse_cq_with_vocab(rule, &v).unwrap();
-        let src = MatSource::from_groups(&q.atoms().iter().collect::<Vec<_>>());
-        assert_eq!((src.parts.len(), src.parts[0].binders.len()), (1, 4));
+        let (ir, src) = one_node(&q.atoms().iter().collect::<Vec<_>>());
+        let parts = ir.parts(&src);
+        assert_eq!((parts.len(), ir.binders(&parts[0]).len()), (1, 4));
         let mut stats = MatCacheStats::default();
-        let got = src.materialize(&d, None, &mut stats);
+        let got = ir.materialize(&src, &d, None, &mut stats);
         assert_eq!(got.schema(), &[0, 1]);
         assert_eq!(got.domain_width(), d.domain_dict().len() as u32);
         let rows: Vec<&[u32]> = got.iter_rows().collect();
@@ -1315,11 +1460,11 @@ mod tests {
 
     /// The reference build of a source: its parts scanned, then the
     /// reference join onto its schema.
-    fn reference(src: &MatSource, d: &Structure) -> FlatRelation {
+    fn reference(ir: &PlanIr, src: &MatSource, d: &Structure) -> FlatRelation {
         let mut stats = MatCacheStats::default();
-        let scan = |p: &MatPart| p.materialize_fresh(d, &mut stats);
-        let parts: Vec<FlatRelation> = src.parts.iter().map(scan).collect();
-        FlatRelation::reference_join(&parts.iter().collect::<Vec<_>>(), &src.schema)
+        let scan = |p: &MatPart| ir.materialize_part(p, d, &mut stats);
+        let parts: Vec<FlatRelation> = ir.parts(src).iter().map(scan).collect();
+        FlatRelation::reference_join(&parts.iter().collect::<Vec<_>>(), ir.words(src.schema))
     }
 
     #[test]
@@ -1346,10 +1491,10 @@ mod tests {
             "Q(a,c,b) :- E(a,b), E(b,c)",
             "Q(b,a,c) :- E(a,b), E(b,c)",
         ] {
-            let src = source_of(q);
+            let (ir, src) = source_of(q);
             let mut stats = MatCacheStats::default();
-            let got = src.materialize(&d, None, &mut stats);
-            let want = reference(&src, &d);
+            let got = ir.materialize(&src, &d, None, &mut stats);
+            let want = reference(&ir, &src, &d);
             assert!(!want.is_empty(), "fixture must produce rows on {q}");
             assert_eq!(got.schema(), want.schema(), "{q}");
             assert_eq!(got.domain_width(), want.domain_width(), "{q}");
@@ -1366,26 +1511,18 @@ mod tests {
     fn ops_union_dedup_project_roundtrip() {
         // A hand-built program: materialize E, assert it nonempty,
         // project it to its first column.
-        let q = parse_cq("Q() :- E(x, y)").unwrap();
-        let ir = PlanIr {
-            slots: 2,
-            ops: vec![
-                Op::Materialize {
-                    dst: 0,
-                    source: MatSource::from_groups(&[&q.atoms()[0]]),
-                },
-                Op::AssertNonempty { slot: 0 },
-                Op::Project {
-                    dst: 1,
-                    src: 0,
-                    vars: vec![0],
-                },
-            ],
-            bool_len: 2,
-            reduction_decides: true,
-            output: 1,
-            head: Vec::new(),
-        };
+        let (mut ir, source) = source_of("Q() :- E(x, y)");
+        let vars = push(&mut ir.words, [0]);
+        ir.ops = vec![
+            Op::Materialize { dst: 0, source },
+            Op::AssertNonempty { slot: 0 },
+            Op::Project {
+                dst: 1,
+                src: 0,
+                vars,
+            },
+        ];
+        (ir.slots, ir.bool_len, ir.reduction_decides, ir.output) = (2, 2, true, 1);
         let d = Structure::digraph(3, &[(0, 1), (1, 0), (1, 2)]);
         let (out, _) = ir.run(&d, None, None);
         // The sources of E, each once: {0, 1}.
@@ -1523,7 +1660,9 @@ mod tests {
         let q = parse_cq("Q(x) :- E(x,y), E(y,z), E(z,w)").unwrap();
         let plan = AcyclicPlan::compile(&q).unwrap();
         let ir = plan.ir();
-        assert!(matches!(&ir.ops[ir.bool_len..], [Op::Project { vars, .. }] if vars == &[0]));
+        assert!(
+            matches!(ir.ops[ir.bool_len..], [Op::Project { vars, .. }] if ir.words(vars) == [0])
+        );
         let labels = |p: &EvalProfile| p.ops.iter().map(|o| o.op).collect::<Vec<_>>();
         let [cyclic, dag] = cyclic_and_acyclic();
         let warm = MaterializationCache::new();
@@ -1583,11 +1722,12 @@ mod tests {
         let sweep = mat_len..ir.bool_len;
         assert!(ir.exec(sweep, &mut slots, &d, Some(&cache), &mut stats, None));
         for (dst, source) in ir.materialize_sources().enumerate() {
-            let (entry, hit) = cache.get_or_materialize(source.key(), || unreachable!("warm"));
+            let key = ir.words(source.key);
+            let (entry, hit) = cache.get_or_materialize(key, || unreachable!("warm"));
             assert!(hit);
             let slot = slots[dst].as_ref().unwrap();
             assert!(slot.shares_rows_with(&entry), "slot {dst} copied its rows");
-            assert_eq!(slot.schema(), &source.schema[..]);
+            assert_eq!(slot.schema(), ir.words(source.schema));
         }
         assert_eq!(cache.resident_bytes(), resident);
     }
@@ -1604,15 +1744,16 @@ mod tests {
         ir.ops.iter().filter(semijoin).count()
     }
 
-    /// One join-tree node per atom of `q`, in body order.
-    fn atom_nodes(q: &crate::ast::ConjunctiveQuery) -> Vec<NodeSpec> {
-        (q.atoms().iter())
-            .map(|a| {
-                let source = MatSource::from_groups(&[a]);
-                let label = source.schema.clone();
-                NodeSpec { source, label }
-            })
+    /// One join-tree node per atom of `atoms`, in order.
+    fn atom_nodes<'a>(atoms: &'a [&'a Atom]) -> Vec<NodeSpec<'a>> {
+        (atoms.chunks(1))
+            .map(|atoms| NodeSpec { atoms, label: None })
             .collect()
+    }
+
+    /// The atoms of `q`, in body order.
+    fn atoms_of(q: &crate::ast::ConjunctiveQuery) -> Vec<&Atom> {
+        q.atoms().iter().collect()
     }
 
     #[test]
@@ -1650,12 +1791,13 @@ mod tests {
         // The same three atoms as bags, the middle one also carrying
         // `x` as a connector-only variable: the sweeps no longer decide
         // and every join is back.
-        let nodes = atom_nodes(&q);
+        let atoms = atoms_of(&q);
+        let nodes = atom_nodes(&atoms);
         let mut bags = nodes.clone();
-        bags[1].label = vec![0, 1, 2];
+        bags[1].label = Some(&[0, 1, 2]);
         let (parent, order) = ([None, Some(0), Some(1)], [2, 1, 0]);
-        let tree = compile_tree(nodes, &parent, &order, q.free_vars());
-        let decomp = compile_tree(bags, &parent, &order, q.free_vars());
+        let tree = compile_tree(&nodes, &parent, &order, q.free_vars());
+        let decomp = compile_tree(&bags, &parent, &order, q.free_vars());
         assert!(tree.reduction_decides() && !decomp.reduction_decides());
         assert_eq!((joins_in(&tree), joins_in(&decomp)), (0, 2));
         // … and so is the second sweep into every bag that is projected
@@ -1685,7 +1827,7 @@ mod tests {
         };
         let root = |ir: &PlanIr| match ir.ops.last() {
             Some(Op::Project { src, .. }) => *src,
-            Some(Op::MultiJoin { inputs, .. }) => inputs[0],
+            Some(Op::MultiJoin { inputs, .. }) => ir.words(*inputs)[0] as Slot,
             op => panic!("no root op: {op:?}"),
         };
         let plan = AcyclicPlan::compile(&parse_cq("Q(x) :- E(x,y), E(y,z)").unwrap()).unwrap();
@@ -1695,7 +1837,7 @@ mod tests {
         // Rooted at the middle atom: two children, both semijoined.
         let q = parse_cq("Q(x, w) :- E(x,y), E(y,z), E(z,w)").unwrap();
         let (parent, order) = ([Some(1), None, Some(1)], [0, 2, 1]);
-        let ir = compile_tree(atom_nodes(&q), &parent, &order, q.free_vars());
+        let ir = compile_tree(&atom_nodes(&atoms_of(&q)), &parent, &order, q.free_vars());
         assert_eq!(into_root(&ir, 1), 2, "{:?}", ir.ops);
         // A Boolean join tree keeps its whole sweep.
         for rule in ["Q() :- E(x,y), E(y,z)", "Q() :- E(x,y), E(y,z), E(z,w)"] {
@@ -1719,7 +1861,7 @@ mod tests {
         let d = Structure::digraph(4, &[(0, 1), (1, 2), (3, 1)]);
         let q = parse_cq("Q(x, w) :- E(x,y), E(y,z), E(z,w)").unwrap();
         let (parent, order) = ([None, Some(0), Some(1)], [2, 1, 0]);
-        let ir = compile_tree(atom_nodes(&q), &parent, &order, q.free_vars());
+        let ir = compile_tree(&atom_nodes(&atoms_of(&q)), &parent, &order, q.free_vars());
         assert!(ir.reduction_decides());
         assert!(!(ir.ops.iter()).any(|op| matches!(op, Op::Semijoin { target: 0, .. })));
         let mut profile = EvalProfile::default();
@@ -1790,7 +1932,7 @@ mod tests {
         let q = parse_cq(&format!("Q({}) :- {}", head.join(", "), atoms.join(", "))).unwrap();
         let parent: Vec<Option<usize>> = (0..69usize).map(|i| i.checked_sub(1)).collect();
         let order: Vec<usize> = (0..69).rev().collect();
-        let ir = compile_tree(atom_nodes(&q), &parent, &order, q.free_vars());
+        let ir = compile_tree(&atom_nodes(&atoms_of(&q)), &parent, &order, q.free_vars());
         let one_child = |op: &Op| matches!(op, Op::MultiJoin { inputs, .. } if inputs.len() == 2);
         assert_eq!(ir.ops.iter().filter(|op| one_child(op)).count(), 68);
         let root = ir.ops.last();
@@ -1827,8 +1969,8 @@ mod tests {
             let ir = plan.ir();
             let root = ir.ops.len() - 1;
             assert!(matches!(
-                &ir.ops[root],
-                Op::MultiJoin { inputs, vars, .. } if inputs.len() == 2 && vars == q.free_vars()
+                ir.ops[root],
+                Op::MultiJoin { inputs, vars, .. } if inputs.len() == 2 && ir.words(vars) == q.free_vars()
             ));
             let mut stats = MatCacheStats::default();
             let mut slots: Vec<Option<FlatRelation>> = vec![None; ir.slots];
@@ -1854,7 +1996,7 @@ mod tests {
         let ir = plan.ir();
         let root = ir.ops.len() - 1;
         assert!(
-            matches!(&ir.ops[root], Op::MultiJoin { inputs, vars, .. } if inputs.len() == 3 && vars == q.free_vars())
+            matches!(ir.ops[root], Op::MultiJoin { inputs, vars, .. } if inputs.len() == 3 && ir.words(vars) == q.free_vars())
         );
         let mut stats = MatCacheStats::default();
         let mut slots: Vec<Option<FlatRelation>> = vec![None; ir.slots];
@@ -1992,30 +2134,20 @@ mod tests {
              E(f,g), E(i,f), E(g,h), E(h,i)",
         )
         .unwrap();
-        let node = |atoms: &[usize]| {
-            let atoms: Vec<&Atom> = atoms.iter().map(|&i| &q.atoms()[i]).collect();
-            let source = MatSource::from_groups(&atoms);
-            NodeSpec {
-                label: source.schema.clone(),
-                source,
-            }
-        };
-        let nodes = vec![
-            node(&[0, 1]),
-            node(&[2, 3]),
-            node(&[4, 5]),
-            node(&[6, 7]),
-            node(&[8, 9]),
-        ];
+        // Two atoms a node: `E(a,b), E(d,a)`, then `E(b,c), E(c,d)`, …
+        let atoms = atoms_of(&q);
+        let nodes: Vec<NodeSpec> = (atoms.chunks(2))
+            .map(|atoms| NodeSpec { atoms, label: None })
+            .collect();
         let parent = [None, Some(0), Some(0), None, Some(3)];
-        let ir = compile_tree(nodes, &parent, &[1, 2, 0, 4, 3], &[]);
-        let fused: Vec<&Vec<Slot>> = (ir.ops.iter())
-            .filter_map(|op| match op {
-                Op::MultiJoin { inputs, vars, .. } if vars.is_empty() => Some(inputs),
+        let ir = compile_tree(&nodes, &parent, &[1, 2, 0, 4, 3], &[]);
+        let fused: Vec<&[u32]> = (ir.ops.iter())
+            .filter_map(|op| match *op {
+                Op::MultiJoin { inputs, vars, .. } if vars.is_empty() => Some(ir.words(inputs)),
                 _ => None,
             })
             .collect();
-        assert_eq!(fused, [&vec![0, 2], &vec![3, 4]]);
+        assert_eq!(fused, [[0, 2], [3, 4]]);
         let semijoins: Vec<(Slot, Slot)> = (ir.ops.iter())
             .filter_map(|op| match op {
                 Op::Semijoin { target, source, .. } => Some((*target, *source)),
@@ -2031,32 +2163,31 @@ mod tests {
     #[test]
     fn join_and_semijoin_ops() {
         let q = parse_cq("Q() :- E(x, y), E(y, z)").unwrap();
-        let e = MatSource::from_groups(&[&q.atoms()[0]]);
-        let e2 = MatSource::from_groups(&[&q.atoms()[1]]);
-        let ir = PlanIr {
-            slots: 3,
-            ops: vec![
-                Op::Materialize { dst: 0, source: e },
-                Op::Materialize { dst: 1, source: e2 },
-                // Keep only edges with an outgoing continuation …
-                Op::Semijoin {
-                    target: 0,
-                    source: 1,
-                    target_pos: vec![1],
-                    source_pos: vec![0],
-                },
-                // … then build the 2-hop join.
-                Op::MultiJoin {
-                    dst: 2,
-                    inputs: vec![0, 1],
-                    vars: vec![0, 1, 2],
-                },
-            ],
-            bool_len: 4,
-            reduction_decides: true,
-            output: 2,
-            head: Vec::new(),
-        };
+        let atoms = atoms_of(&q);
+        let mut ir = PlanIr::with_room(&[], &[], &[]);
+        let (words, parts, binders) = (&mut ir.words, &mut ir.parts, &mut ir.binders);
+        let e = write_source(&atoms[..1], words, parts, binders);
+        let e2 = write_source(&atoms[1..], words, parts, binders);
+        let [target_pos, source_pos] = [[1], [0]].map(|pos| push(words, pos));
+        let (inputs, vars) = (push(words, [0, 1]), push(words, [0, 1, 2]));
+        ir.ops = vec![
+            Op::Materialize { dst: 0, source: e },
+            Op::Materialize { dst: 1, source: e2 },
+            // Keep only edges with an outgoing continuation …
+            Op::Semijoin {
+                target: 0,
+                source: 1,
+                target_pos,
+                source_pos,
+            },
+            // … then build the 2-hop join.
+            Op::MultiJoin {
+                dst: 2,
+                inputs,
+                vars,
+            },
+        ];
+        (ir.slots, ir.bool_len, ir.reduction_decides, ir.output) = (3, 4, true, 2);
         let d = Structure::digraph(4, &[(0, 1), (1, 2), (3, 3)]);
         let (out, _) = ir.run(&d, None, None);
         let out = out.unwrap();

@@ -16,7 +16,7 @@ pub mod yannakakis;
 pub use answers::{AnswerRow, Answers, AnswersBuilder, AnswersIter};
 pub use decomposed::{DecomposedPlan, NotDecomposable};
 pub use flat::{
-    bitmap_stats, packed_stats, AtomBinder, BitmapStats, FlatRelation, MatCacheStats, MatKey,
+    bitmap_stats, packed_stats, AtomBinder, BitmapStats, FlatRelation, MatCacheStats,
     MaterializationCache, PackedStats,
 };
 pub use ir::{EvalProfile, MatPart, MatSource, NodeSpec, Op, OpProfile, PlanIr};

@@ -6,7 +6,8 @@
 //! approximations target. Compilation:
 //!
 //! 1. group atoms by variable set — one hyperedge of `H(Q)` per group,
-//!    each a single-part [`MatSource`] with its cache key;
+//!    each a single-part [`MatSource`](crate::eval::MatSource) with its
+//!    cache key;
 //! 2. build a **join tree** via GYO reduction, and root it at the node
 //!    holding most head variables or, for a Boolean query, where the
 //!    fewest children hand their parent anything but column 0 of their
@@ -29,7 +30,8 @@
 //! [`compile_tree`]: crate::eval::ir::compile_tree
 
 use crate::ast::{Atom, ConjunctiveQuery, VarId};
-use crate::eval::ir::{compile_tree, MatSource, NodeSpec, PlanIr};
+use crate::eval::flat::ascending;
+use crate::eval::ir::{compile_tree, NodeSpec, PlanIr};
 use cqapx_hypergraphs::{gyo, Hypergraph};
 use std::fmt;
 
@@ -81,19 +83,13 @@ impl AcyclicPlan {
         let join_tree = gyo::gyo_reduce(&h).join_tree.ok_or(NotAcyclic)?;
 
         let mut nodes: Vec<NodeSpec> = Vec::with_capacity(h.edge_count());
-        nodes.extend(groups().map(|group| {
-            let source = MatSource::from_groups(group);
-            NodeSpec {
-                label: source.schema.clone(),
-                source,
-            }
-        }));
+        nodes.extend(groups().map(|atoms| NodeSpec { atoms, label: None }));
         debug_assert_eq!(h.edge_count(), nodes.len());
 
         let mut order = join_tree.bottom_up_order();
         let mut parent = join_tree.parent;
         choose_roots(&nodes, &mut parent, &mut order, query.free_vars());
-        let ir = compile_tree(nodes, &parent, &order, query.free_vars());
+        let ir = compile_tree(&nodes, &parent, &order, query.free_vars());
         Ok(AcyclicPlan { ir })
     }
 
@@ -126,11 +122,13 @@ fn choose_roots(
     order: &mut Vec<usize>,
     free: &[VarId],
 ) {
-    let schema = |u: usize| &nodes[u].source.schema[..];
+    // A node's schema: the distinct arguments of its first atom (its
+    // atoms share one variable set), ascending.
+    let schema = |u: usize| ascending(nodes[u].atoms[0].args.iter().copied());
     let off_lead = |child: usize, parent: usize| {
-        let (c, p) = (schema(child), schema(parent));
-        let shared = c.iter().filter(|v| p.binary_search(v).is_ok()).count();
-        shared != 1 || p.binary_search(&c[0]).is_err()
+        let p = &nodes[parent].atoms[0].args;
+        let shared = schema(child).filter(|v| p.contains(v)).count();
+        shared != 1 || schema(child).next().is_none_or(|lead| !p.contains(&lead))
     };
     // `u`'s root, and the cost of rooting at `u`: the head variables it
     // holds, negated, or the off-lead edges it adds to the root's.
@@ -140,7 +138,7 @@ fn choose_roots(
             more += off_lead(p, c) as isize - off_lead(c, p) as isize;
             c = p;
         }
-        let held = schema(u).iter().filter(|v| free.contains(v)).count();
+        let held = schema(u).filter(|v| free.contains(v)).count();
         (
             c,
             if free.is_empty() {
@@ -211,12 +209,12 @@ mod tests {
     }
 
     /// The slots the plan's semijoins hand on from, with the columns.
-    fn handed(plan: &AcyclicPlan) -> Vec<(usize, Vec<usize>)> {
+    fn handed(plan: &AcyclicPlan) -> Vec<(usize, Vec<u32>)> {
         (plan.ir().ops().iter())
-            .filter_map(|op| match op {
+            .filter_map(|op| match *op {
                 Op::Semijoin {
                     source, source_pos, ..
-                } => Some((*source, source_pos.clone())),
+                } => Some((source, plan.ir().words(source_pos).to_vec())),
                 _ => None,
             })
             .collect()
@@ -277,14 +275,9 @@ mod tests {
     fn a_forest_is_rooted_per_tree() {
         let q = parse_cq("Q() :- E(a0, a1), E(a1, a2), E(a2, a3), E(b0, b1), E(b1, b2), E(b2, b3)")
             .unwrap();
-        let nodes: Vec<NodeSpec> = (q.atoms().iter())
-            .map(|atom| {
-                let source = MatSource::from_groups(&[atom]);
-                NodeSpec {
-                    label: source.schema.clone(),
-                    source,
-                }
-            })
+        let atoms: Vec<&Atom> = q.atoms().iter().collect();
+        let nodes: Vec<NodeSpec> = (atoms.chunks(1))
+            .map(|atoms| NodeSpec { atoms, label: None })
             .collect();
         let mut parent = vec![Some(1), None, Some(1), Some(4), Some(5), None];
         let mut order = vec![0, 2, 1, 3, 4, 5];

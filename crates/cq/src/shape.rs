@@ -32,12 +32,10 @@ pub struct QueryShape {
     /// Treewidth of `G(Q)`; small width keeps even the naive join cheap
     /// (`|D|^(tw+1)`-flavored instead of `|D|^|Q|`).
     pub treewidth: usize,
-    /// Per body atom: its relation and its materialization-cache key
-    /// (the atom taken as its own hyperedge). Lets the planner read
-    /// **real** cached cardinalities — repeated-variable filtering
-    /// included — where a materialization exists, instead of raw
-    /// relation statistics.
-    pub atom_keys: Vec<(RelId, MatKey)>,
+    /// Every body atom's materialization-cache key (the atom taken as
+    /// its own hyperedge), in body order, in one word buffer: see
+    /// [`QueryShape::atom_keys`].
+    keys: Vec<u32>,
 }
 
 impl QueryShape {
@@ -76,11 +74,29 @@ impl QueryShape {
             max_atom_arity,
             acyclic,
             treewidth,
-            atom_keys: (q.atoms().iter())
-                .map(|a| (a.rel, MatKey::of_atom(a)))
-                .collect(),
+            keys: Vec::with_capacity(q.atoms().iter().map(|a| 2 + a.args.len()).sum()),
         };
+        let mut shape = shape;
+        for atom in q.atoms() {
+            MatKey::write(&[atom], &mut shape.keys);
+        }
         (shape, decomposition)
+    }
+
+    /// Per body atom: its relation and the words of its
+    /// materialization-cache key (the atom taken as its own hyperedge).
+    /// Lets the planner read **real** cached cardinalities —
+    /// repeated-variable filtering included — where a materialization
+    /// exists, instead of raw relation statistics.
+    pub fn atom_keys(&self) -> impl ExactSizeIterator<Item = (RelId, &[u32])> + Clone {
+        // A one-atom key is its relation, its arity and a column per
+        // argument.
+        let mut rest = &self.keys[..];
+        (0..self.atom_count).map(move |_| {
+            let (key, tail) = rest.split_at(2 + rest[1] as usize);
+            rest = tail;
+            (RelId(key[0]), key)
+        })
     }
 }
 
@@ -100,8 +116,8 @@ mod tests {
         assert_eq!(s.max_atom_arity, 2);
         assert!(!s.acyclic);
         assert_eq!(s.treewidth, 2);
-        assert_eq!(s.atom_keys.len(), 3);
-        assert!(s.atom_keys.iter().all(|(r, _)| *r == s.atom_keys[0].0));
+        assert_eq!(s.atom_keys().count(), 3);
+        assert!(s.atom_keys().all(|(r, _)| r == RelId(0)));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::ast::{Atom, ConjunctiveQuery, VarId};
 use cqapx_structures::{Pointed, Structure, StructureBuilder};
+use std::sync::Arc;
 
 /// The tableau `(T_Q, x̄)` of a query.
 ///
@@ -26,11 +27,14 @@ use cqapx_structures::{Pointed, Structure, StructureBuilder};
 /// ```
 pub fn tableau_of(q: &ConjunctiveQuery) -> Pointed {
     let mut b = StructureBuilder::new(q.vocabulary().clone(), q.var_count());
+    for rel in q.vocabulary().rel_ids() {
+        b.reserve(rel, q.atoms().iter().filter(|a| a.rel == rel).count());
+    }
     for a in q.atoms() {
         b.add(a.rel, &a.args);
     }
     let mut s = b.finish();
-    s.set_names(q.var_names().to_vec());
+    s.set_names(Arc::clone(&q.var_names));
     Pointed::new(s, q.free_vars().to_vec())
 }
 
@@ -53,8 +57,8 @@ pub fn query_from_tableau(t: &Pointed) -> ConjunctiveQuery {
         s.universe_is_active(),
         "tableau universes must be active (every variable in some atom)"
     );
-    let var_names: Vec<String> = match s.names() {
-        Some(names) => names.to_vec(),
+    let var_names: Arc<[String]> = match s.names() {
+        Some(names) => Arc::clone(names),
         None => s.elements().map(|e| format!("x{e}")).collect(),
     };
     let mut atoms = Vec::new();
@@ -66,7 +70,7 @@ pub fn query_from_tableau(t: &Pointed) -> ConjunctiveQuery {
             });
         }
     }
-    ConjunctiveQuery::new(
+    ConjunctiveQuery::with_names(
         s.vocabulary().clone(),
         var_names,
         t.distinguished().to_vec(),

@@ -175,6 +175,10 @@ pub enum ResponseStatus {
     /// over [`EngineConfig::max_queue_depth`]): nothing was planned or
     /// evaluated; `answers` is empty (vacuously sound).
     Shed,
+    /// The request could not be served — an unknown id, a query and a
+    /// database over different vocabularies, or a panic while planning
+    /// or evaluating: `answers` is empty.
+    Failed,
 }
 
 /// The outcome of one request.
@@ -267,6 +271,8 @@ pub struct EngineStats {
     pub degraded: u64,
     /// Requests rejected by queue-depth admission control.
     pub shed: u64,
+    /// Requests answered [`ResponseStatus::Failed`].
+    pub failed: u64,
     /// Plan counts.
     pub plan_yannakakis: u64,
     /// Plan counts.
@@ -664,18 +670,12 @@ impl Engine {
         }
     }
 
-    /// The response of a request rejected at admission: nothing was
-    /// planned or evaluated, the answer set is empty (vacuously sound).
-    fn shed_response(
-        &self,
-        q: &PreparedQuery,
-        d: &DatabaseEntry,
-        depth: usize,
-        limit: usize,
-    ) -> Response {
-        let r = Response {
-            answers: Answers::empty(q.query().arity()),
-            status: ResponseStatus::Shed,
+    /// The response of a request nothing was evaluated for: shed at
+    /// admission, or failed. The answer set is empty (vacuously sound).
+    fn unserved(&self, arity: usize, status: ResponseStatus, reason: PlanReason) -> Response {
+        Response {
+            answers: Answers::empty(arity),
+            status,
             plan: PlanKind::Shed,
             decomposition_width: None,
             cache_hit: None,
@@ -687,29 +687,23 @@ impl Engine {
                 est_decomposed_cost: None,
                 decomposition_width: None,
                 naive_budget: self.config.naive_cost_budget,
-                reason: PlanReason::QueueFull(depth, limit),
+                reason,
             },
             note: ReasonNote::None,
-        };
-        self.note_response(d, &r);
-        r
+        }
     }
 
     /// Executes one request synchronously.
     ///
-    /// # Panics
-    ///
-    /// Panics on an unknown id and on a (query, database) pair over
-    /// different vocabularies: planning with another vocabulary's
-    /// statistics would silently mis-cost, and evaluation would fail deep
-    /// inside the join. The engine keeps serving afterwards: the request
-    /// gives back its place in the queue, and no lock stays poisoned.
+    /// A request that cannot be served is answered
+    /// [`ResponseStatus::Failed`]: an unknown id, a (query, database)
+    /// pair over different vocabularies — planning with another
+    /// vocabulary's statistics would silently mis-cost, and evaluation
+    /// would fail deep inside the join — or a panic while planning or
+    /// evaluating. The engine keeps serving: the request gives back its
+    /// place in the queue, and no lock stays poisoned.
     pub fn execute(&self, req: &Request) -> Response {
-        let (q, d) = self.resolve(req);
-        let resp = match self.admit() {
-            Ok(_admitted) => self.run(req, &q, &d),
-            Err((depth, limit)) => self.shed_response(&q, &d, depth, limit),
-        };
+        let resp = self.serve(req, self.admit());
         self.record(&resp);
         resp
     }
@@ -726,26 +720,15 @@ impl Engine {
     /// [`EngineConfig::max_queue_depth`] set, a batch deeper than the
     /// remaining headroom has its tail shed deterministically — those
     /// responses come back [`ResponseStatus::Shed`] without planning or
-    /// evaluation.
-    ///
-    /// # Panics
-    ///
-    /// As [`Engine::execute`], when any request in the batch would. The
-    /// whole batch unwinds, and every request it admitted gives back its
-    /// place in the queue.
+    /// evaluation. A request that cannot be served is answered
+    /// [`ResponseStatus::Failed`], as [`Engine::execute`] says, and the
+    /// others are answered as ever.
     pub fn execute_batch(&self, reqs: &[Request]) -> Vec<Response> {
-        // Each admission rides in its work item, so an unwinding batch drops it.
-        let work: Vec<_> = reqs
-            .iter()
-            .map(|r| {
-                let (q, d) = self.resolve(r);
-                (r.clone(), q, d, self.admit())
-            })
-            .collect();
+        // Each admission rides in its work item, given back when served.
+        let work: Vec<_> = reqs.iter().map(|r| (r, self.admit())).collect();
         let lease = self.budget.claim(work.len().saturating_sub(1));
-        let responses = parallel_map(work, lease.workers(), |(req, q, d, slot)| match slot {
-            Ok(_admitted) => self.run(&req, &q, &d),
-            Err((depth, limit)) => self.shed_response(&q, &d, depth, limit),
+        let responses = parallel_map(work, lease.workers(), |(req, admission)| {
+            self.serve(req, admission)
         });
         drop(lease);
         for r in &responses {
@@ -754,8 +737,39 @@ impl Engine {
         responses
     }
 
+    /// The response to `req` under its admission: shed when refused,
+    /// otherwise planned and evaluated — [`ResponseStatus::Failed`] when
+    /// that panics.
+    fn serve(&self, req: &Request, admission: Result<Admission<'_>, (usize, usize)>) -> Response {
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let (q, d) = self.resolve(req);
+            let Err((depth, limit)) = admission else {
+                return self.run(req, &q, &d);
+            };
+            let r = self.unserved(
+                q.query().arity(),
+                ResponseStatus::Shed,
+                PlanReason::QueueFull(depth, limit),
+            );
+            self.note_response(&d, &r);
+            r
+        }));
+        served.unwrap_or_else(|_| {
+            let arity = self
+                .read_catalog()
+                .query(req.query)
+                .map(|q| q.query().arity());
+            self.unserved(
+                arity.unwrap_or(0),
+                ResponseStatus::Failed,
+                PlanReason::Failed,
+            )
+        })
+    }
+
     /// The request's snapshot: its prepared query and database entry.
-    /// Panics as [`Engine::execute`] documents.
+    /// Panics on an unknown id and on a vocabulary mismatch, which
+    /// [`Engine::execute`] answers as failed.
     fn resolve(&self, req: &Request) -> (Arc<PreparedQuery>, Arc<DatabaseEntry>) {
         let catalog = self.read_catalog();
         let q = catalog
@@ -783,13 +797,14 @@ impl Engine {
             ResponseStatus::TimedOut => s.timed_out += 1,
             ResponseStatus::Degraded => s.degraded += 1,
             ResponseStatus::Shed => s.shed += 1,
+            ResponseStatus::Failed => s.failed += 1,
         }
         match r.plan {
             PlanKind::Yannakakis => s.plan_yannakakis += 1,
             PlanKind::Decomposed => s.plan_decomposed += 1,
             PlanKind::Naive => s.plan_naive += 1,
             PlanKind::Sandwich => s.plan_sandwich += 1,
-            PlanKind::Shed => {} // not a plan; counted via `shed`
+            PlanKind::Shed => {} // not a plan; counted via `shed` or `failed`
         }
         match r.cache_hit {
             Some(true) => s.cache_hits += 1,
@@ -807,6 +822,8 @@ impl Engine {
     }
 
     fn run(&self, req: &Request, q: &PreparedQuery, d: &DatabaseEntry) -> Response {
+        #[cfg(test)]
+        tests::panics_when_asked(q);
         let start = Instant::now();
         let deadline = req
             .timeout
@@ -1073,6 +1090,43 @@ mod tests {
         Engine::new(EngineConfig::default())
     }
 
+    /// The name that makes a prepared query's request panic in
+    /// evaluation: an injected fault.
+    const PANICS: &str = "panics when run";
+
+    /// The evaluation hook: panics on a query prepared as [`PANICS`].
+    pub(super) fn panics_when_asked(q: &PreparedQuery) {
+        assert_ne!(q.name, PANICS, "an injected panic in evaluation");
+    }
+
+    /// A batch with one request that panics in evaluation answers it
+    /// `Failed`, with no answers, and every other request as a batch
+    /// without it does, at one thread and at two; the statistics count
+    /// the failure, and the queue is empty afterwards.
+    #[test]
+    fn a_panicking_request_is_answered_failed_and_the_batch_served() {
+        for threads in [1, 2] {
+            let e = Engine::new(EngineConfig {
+                threads,
+                ..EngineConfig::default()
+            });
+            let db = e.register_database("p", Structure::digraph(4, &[(0, 1), (1, 2), (2, 3)]));
+            let ends = e.prepare_query("ends", parse_cq("Q(x, z) :- E(x, y), E(y, z)").unwrap());
+            let bad = e.prepare_query(PANICS, parse_cq("Q(x) :- E(x, y)").unwrap());
+            let c4 = e.prepare_query("c4", parse_cq(C4).unwrap());
+            let [ends, bad, c4] = [ends, bad, c4].map(|q| Request::new(q, db));
+            let good = e.execute_batch(&[ends.clone(), c4.clone()]);
+            let got = e.execute_batch(&[ends, bad, c4]);
+            assert_eq!(got[1].status, ResponseStatus::Failed, "threads {threads}");
+            assert!(got[1].answers.is_empty());
+            for (r, want) in [&got[0], &got[2]].into_iter().zip(&good) {
+                assert_eq!((r.status, &r.answers), (want.status, &want.answers));
+            }
+            assert_eq!((e.stats().requests, e.stats().failed), (5, 1));
+            assert_eq!(e.snapshot().queue_depth, 0, "threads {threads}");
+        }
+    }
+
     #[test]
     fn acyclic_query_served_by_yannakakis() {
         let e = engine();
@@ -1210,19 +1264,37 @@ mod tests {
         assert!(snap.mat_cache_bytes_by_db["p"] <= 1);
     }
 
-    #[test]
-    #[should_panic(expected = "different vocabularies")]
-    fn vocabulary_mismatch_rejected_at_the_door() {
+    /// A graph-vocabulary query and a ternary-vocabulary database.
+    fn mismatched(e: &Engine) -> Request {
         use cqapx_structures::{StructureBuilder, Vocabulary};
-        let e = engine();
         let v = Vocabulary::new(vec![("R", 3)]);
         let r = v.rel("R").unwrap();
         let mut b = StructureBuilder::new(v, 3);
         b.add(r, &[0, 1, 2]);
         let db = e.register_database("ternary", b.finish());
-        // Graph-vocabulary query against a ternary-vocabulary database.
         let q = e.prepare_query("edge", parse_cq("Q(x, y) :- E(x, y)").unwrap());
-        e.execute(&Request::new(q, db));
+        Request::new(q, db)
+    }
+
+    /// The door refuses a pair over different vocabularies …
+    #[test]
+    #[should_panic(expected = "different vocabularies")]
+    fn vocabulary_mismatch_rejected_at_the_door() {
+        let e = engine();
+        e.resolve(&mismatched(&e));
+    }
+
+    /// … and the request is answered `Failed`, with no answers.
+    #[test]
+    fn a_vocabulary_mismatch_is_answered_failed() {
+        let e = engine();
+        let r = e.execute(&mismatched(&e));
+        assert_eq!((r.status, r.answers.len()), (ResponseStatus::Failed, 0));
+        assert_eq!(
+            (r.answers.arity(), r.decision.reason),
+            (2, PlanReason::Failed)
+        );
+        assert_eq!(e.stats().failed, 1);
     }
 
     #[test]
@@ -1617,8 +1689,8 @@ mod tests {
         assert!(answers.iter().all(|a| *a == plain.answers));
     }
 
-    /// A batch that panics on an unknown id gives back the places its
-    /// earlier requests took in the queue, at one thread and at two.
+    /// A batch with an unknown id answers it `Failed` and gives back the
+    /// places its requests took in the queue, at one thread and at two.
     #[test]
     fn a_panicking_batch_releases_its_admissions() {
         for threads in [1, 2] {
@@ -1631,10 +1703,13 @@ mod tests {
             let q = e.prepare_query("hop2", parse_cq("Q(x, z) :- E(x, y), E(y, z)").unwrap());
             let batch = [Request::new(q, db), Request::new(q, DbId(7))];
             for _ in 0..2 {
-                let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    e.execute_batch(&batch)
-                }));
-                assert!(unwound.is_err(), "unknown database id");
+                let answered = e.execute_batch(&batch);
+                assert_eq!(answered[0].status, ResponseStatus::Complete);
+                assert_eq!(
+                    answered[1].status,
+                    ResponseStatus::Failed,
+                    "unknown database id"
+                );
                 assert_eq!(e.snapshot().queue_depth, 0, "threads {threads}");
             }
             let r = e.execute(&batch[0]);

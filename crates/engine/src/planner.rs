@@ -33,10 +33,10 @@ pub enum PlanKind {
     Naive,
     /// Certain answers from the cached in-class approximation.
     Sandwich,
-    /// Not an evaluation strategy: admission control rejected the
-    /// request before planning (see
-    /// [`ResponseStatus::Shed`](crate::engine::ResponseStatus::Shed)).
-    /// Never returned by [`choose_plan`].
+    /// Not an evaluation strategy: nothing was served — admission
+    /// control rejected the request before planning (see
+    /// [`ResponseStatus::Shed`](crate::engine::ResponseStatus::Shed)),
+    /// or it failed. Never returned by [`choose_plan`].
     Shed,
 }
 
@@ -76,6 +76,9 @@ pub enum PlanReason {
     /// queue depth of `.0` against a configured limit of `.1`. (Built
     /// by the engine, never returned by [`choose_plan`].)
     QueueFull(usize, usize),
+    /// Not planned to the end: the request failed (see
+    /// [`ResponseStatus::Failed`](crate::engine::ResponseStatus::Failed)).
+    Failed,
 }
 
 /// A plan choice with its cost rationale.
@@ -127,6 +130,7 @@ impl PlanDecision {
             PlanReason::QueueFull(depth, limit) => format!(
                 "admission control: queue depth {depth} over limit {limit}; request shed unplanned"
             ),
+            PlanReason::Failed => "the request failed: nothing was served".into(),
         }
     }
 }
@@ -152,9 +156,9 @@ pub(crate) fn estimate_naive_cost(shape: &QueryShape, db: &DatabaseEntry) -> f64
     let mut atom_bound = 1.0_f64;
     let cached = db
         .materialized
-        .peek_cardinalities(shape.atom_keys.iter().map(|(_, k)| k));
-    for ((rel, _), peeked) in shape.atom_keys.iter().zip(cached) {
-        let card = peeked.unwrap_or_else(|| db.rel_stats(*rel).cardinality);
+        .peek_cardinalities(shape.atom_keys().map(|(_, k)| k));
+    for ((rel, _), peeked) in shape.atom_keys().zip(cached) {
+        let card = peeked.unwrap_or_else(|| db.rel_stats(rel).cardinality);
         if card == 0 {
             return 0.0;
         }
@@ -174,19 +178,17 @@ pub(crate) fn estimate_naive_cost(shape: &QueryShape, db: &DatabaseEntry) -> f64
 /// tightens as the cache warms. An empty part makes its bag free (the
 /// whole answer is provably empty).
 pub(crate) fn estimate_decomposed_cost(plan: &DecomposedPlan, db: &DatabaseEntry) -> f64 {
-    let adom = db.adom_size.max(1) as f64;
-    let keys = plan
-        .bags()
-        .flat_map(|(_, bag)| bag.parts.iter().map(|p| &p.key));
+    let (adom, ir) = (db.adom_size.max(1) as f64, plan.ir());
+    let keys = (plan.bags()).flat_map(|(_, bag)| ir.parts(bag).iter().map(|p| ir.words(p.key)));
     let cached = db.materialized.peek_cardinalities(keys);
     let mut total = 0.0_f64;
     let mut base = 0usize; // this bag's first entry in `cached`
     for (size, bag) in plan.bags() {
         let bound = adom.powi(size.min(1_000) as i32);
         let mut rows = 1.0_f64;
-        for (pi, part) in bag.parts.iter().enumerate() {
+        for (pi, part) in ir.parts(bag).iter().enumerate() {
             // Raw statistics: the relation of the part's first atom.
-            let raw = || db.rel_stats(part.binders[0].rel()).cardinality;
+            let raw = || db.rel_stats(ir.binders(part)[0].rel()).cardinality;
             rows *= cached[base + pi].unwrap_or_else(raw) as f64;
             if rows == 0.0 || !rows.is_finite() {
                 break;
@@ -397,11 +399,12 @@ mod tests {
         let mut expected = 0.0_f64;
         for (size, bag) in plan.bags() {
             let mut rows = 1.0_f64;
-            for part in &bag.parts {
+            let ir = plan.ir();
+            for part in ir.parts(bag) {
                 let card = d
                     .materialized
-                    .peek_cardinality(&part.key)
-                    .unwrap_or_else(|| d.rel_stats(part.binders[0].rel()).cardinality);
+                    .peek_cardinality(ir.words(part.key))
+                    .unwrap_or_else(|| d.rel_stats(ir.binders(part)[0].rel()).cardinality);
                 rows *= card as f64;
             }
             expected += rows.min(adom.powi(size as i32));

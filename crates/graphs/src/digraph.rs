@@ -107,14 +107,6 @@ impl Digraph {
         self.edges.iter().copied()
     }
 
-    /// Out-neighbours of a node.
-    pub fn successors(&self, u: Element) -> Vec<Element> {
-        self.edges
-            .range((u, 0)..=(u, Element::MAX))
-            .map(|&(_, v)| v)
-            .collect()
-    }
-
     /// The disjoint union; nodes of `other` are shifted by `self.n()`.
     pub fn disjoint_union(&self, other: &Digraph) -> Digraph {
         let off = self.n as Element;
@@ -168,15 +160,6 @@ impl Digraph {
         }
         let full_map: Vec<Element> = (0..self.n as Element).map(compact).collect();
         (g, full_map)
-    }
-
-    /// Reverses every edge.
-    pub fn reverse(&self) -> Digraph {
-        let mut g = Digraph::new(self.n);
-        for (u, v) in self.edges() {
-            g.add_edge(v, u);
-        }
-        g
     }
 
     /// Weakly connected components; returns the component id of each node.
@@ -241,6 +224,25 @@ impl Digraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Digraph {
+        /// Out-neighbours of a node.
+        pub(crate) fn successors(&self, u: Element) -> Vec<Element> {
+            self.edges
+                .range((u, 0)..=(u, Element::MAX))
+                .map(|&(_, v)| v)
+                .collect()
+        }
+
+        /// Reverses every edge.
+        pub(crate) fn reverse(&self) -> Digraph {
+            let mut g = Digraph::new(self.n);
+            for (u, v) in self.edges() {
+                g.add_edge(v, u);
+            }
+            g
+        }
+    }
 
     #[test]
     fn cycle_and_path() {

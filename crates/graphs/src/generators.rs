@@ -87,25 +87,25 @@ pub fn random_digraph(n: usize, p: f64, seed: u64) -> Digraph {
     g
 }
 
-/// The "zig-zag" balanced digraph of net length 0 with `2k` edges:
-/// `0 → 1 ← 2 → 3 ← … `. Homomorphically equivalent to a single edge.
-pub fn zigzag(k: usize) -> Digraph {
-    let mut g = Digraph::new(2 * k + 1);
-    for i in 0..2 * k {
-        if i % 2 == 0 {
-            g.add_edge(i as Element, (i + 1) as Element);
-        } else {
-            g.add_edge((i + 1) as Element, i as Element);
-        }
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::balance;
     use crate::coloring;
+
+    /// The "zig-zag" balanced digraph of net length 0 with `2k` edges:
+    /// `0 → 1 ← 2 → 3 ← … `. Homomorphically equivalent to a single edge.
+    pub(crate) fn zigzag(k: usize) -> Digraph {
+        let mut g = Digraph::new(2 * k + 1);
+        for i in 0..2 * k {
+            if i % 2 == 0 {
+                g.add_edge(i as Element, (i + 1) as Element);
+            } else {
+                g.add_edge((i + 1) as Element, i as Element);
+            }
+        }
+        g
+    }
 
     #[test]
     fn complete_digraph_shape() {

@@ -51,13 +51,6 @@ impl OrientedPath {
         OrientedPath { steps }
     }
 
-    /// The directed path `0^k` of length `k`.
-    pub fn forward(k: usize) -> Self {
-        OrientedPath {
-            steps: vec![false; k],
-        }
-    }
-
     /// Number of edges.
     pub fn len(&self) -> usize {
         self.steps.len()
@@ -71,26 +64,6 @@ impl OrientedPath {
     /// Net length: forward edges minus backward edges.
     pub fn net_length(&self) -> i64 {
         self.steps.iter().map(|&b| if b { -1i64 } else { 1 }).sum()
-    }
-
-    /// The step directions.
-    pub fn steps(&self) -> &[bool] {
-        &self.steps
-    }
-
-    /// The reversed path walked from the terminal node (swaps the roles of
-    /// initial and terminal node; each step flips direction).
-    pub fn reversed(&self) -> OrientedPath {
-        OrientedPath {
-            steps: self.steps.iter().rev().map(|&b| !b).collect(),
-        }
-    }
-
-    /// Concatenation: walk `self`, then `other` from `self`'s terminal node.
-    pub fn concat(&self, other: &OrientedPath) -> OrientedPath {
-        let mut steps = self.steps.clone();
-        steps.extend_from_slice(&other.steps);
-        OrientedPath { steps }
     }
 
     /// Materializes the path as a digraph on nodes `0..=len()`, with the
@@ -150,6 +123,30 @@ impl fmt::Display for OrientedPath {
 mod tests {
     use super::*;
     use cqapx_structures::HomSolver;
+
+    impl OrientedPath {
+        /// The directed path `0^k` of length `k`.
+        pub(crate) fn forward(k: usize) -> Self {
+            OrientedPath {
+                steps: vec![false; k],
+            }
+        }
+
+        /// The reversed path walked from the terminal node (swaps the roles of
+        /// initial and terminal node; each step flips direction).
+        pub(crate) fn reversed(&self) -> OrientedPath {
+            OrientedPath {
+                steps: self.steps.iter().rev().map(|&b| !b).collect(),
+            }
+        }
+
+        /// Concatenation: walk `self`, then `other` from `self`'s terminal node.
+        pub(crate) fn concat(&self, other: &OrientedPath) -> OrientedPath {
+            let mut steps = self.steps.clone();
+            steps.extend_from_slice(&other.steps);
+            OrientedPath { steps }
+        }
+    }
 
     #[test]
     fn parse_and_display() {

@@ -59,17 +59,6 @@ impl UGraph {
         g
     }
 
-    /// The complete graph `K_m`.
-    pub fn complete(m: usize) -> Self {
-        let mut g = UGraph::new(m);
-        for u in 0..m as Element {
-            for v in (u + 1)..m as Element {
-                g.add_edge(u, v);
-            }
-        }
-        g
-    }
-
     /// Number of nodes.
     pub fn n(&self) -> usize {
         self.n
@@ -170,6 +159,19 @@ impl UGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl UGraph {
+        /// The complete graph `K_m`.
+        pub(crate) fn complete(m: usize) -> Self {
+            let mut g = UGraph::new(m);
+            for u in 0..m as Element {
+                for v in (u + 1)..m as Element {
+                    g.add_edge(u, v);
+                }
+            }
+            g
+        }
+    }
 
     #[test]
     fn underlying_discards_orientation() {

@@ -148,17 +148,6 @@ pub struct HistogramSnapshot {
     pub p99: u64,
 }
 
-impl HistogramSnapshot {
-    /// Exact mean of recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
 impl Histogram {
     /// An empty histogram.
     pub fn new() -> Histogram {
@@ -173,11 +162,6 @@ impl Histogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.min.fetch_min(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// Clears every bucket and scalar. Not atomic with respect to
@@ -251,11 +235,6 @@ fn quantile_from_buckets(buckets: &[u64], count: u64, q: f64) -> u64 {
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
@@ -282,6 +261,13 @@ impl Counter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Counter {
+        /// A zeroed counter.
+        pub(crate) fn new() -> Counter {
+            Counter::default()
+        }
+    }
 
     #[test]
     fn levels_are_ordered_and_parse() {

@@ -34,17 +34,6 @@ impl DomainBitmap {
         }
     }
 
-    /// Builds a bitmap over `[0, width)` with the given codes set.
-    /// Codes `>= width` are ignored (they cannot occur in a column
-    /// whose `domain_width` bound is honest).
-    pub fn from_codes(width: u32, codes: impl IntoIterator<Item = u32>) -> Self {
-        let mut bm = DomainBitmap::new(width);
-        for v in codes {
-            bm.set(v);
-        }
-        bm
-    }
-
     /// The bitmap over `[0, width)` with word table `words`
     /// (`width.div_ceil(64)` words, no bit at or past `width`), counted.
     pub fn from_words(width: u32, words: Vec<u64>) -> Self {
@@ -93,15 +82,6 @@ impl DomainBitmap {
         &self.words
     }
 
-    /// Word-wise ANY-of-AND: `true` iff some code is present in both
-    /// bitmaps. Widths may differ; only the shared prefix can overlap.
-    pub fn intersects(&self, other: &DomainBitmap) -> bool {
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .any(|(a, b)| a & b != 0)
-    }
-
     /// Word-wise AND into a fresh bitmap of the narrower width.
     pub fn and(&self, other: &DomainBitmap) -> DomainBitmap {
         let width = self.width.min(other.width);
@@ -145,6 +125,28 @@ impl DomainBitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DomainBitmap {
+        /// Builds a bitmap over `[0, width)` with the given codes set.
+        /// Codes `>= width` are ignored (they cannot occur in a column
+        /// whose `domain_width` bound is honest).
+        pub(crate) fn from_codes(width: u32, codes: impl IntoIterator<Item = u32>) -> Self {
+            let mut bm = DomainBitmap::new(width);
+            for v in codes {
+                bm.set(v);
+            }
+            bm
+        }
+
+        /// Word-wise ANY-of-AND: `true` iff some code is present in both
+        /// bitmaps. Widths may differ; only the shared prefix can overlap.
+        pub(crate) fn intersects(&self, other: &DomainBitmap) -> bool {
+            self.words
+                .iter()
+                .zip(other.words.iter())
+                .any(|(a, b)| a & b != 0)
+        }
+    }
 
     #[test]
     fn set_contains_roundtrip() {

@@ -54,11 +54,6 @@ pub fn hom_equivalent(a: &Pointed, b: &Pointed) -> bool {
     hom_exists(a, b) && hom_exists(b, a)
 }
 
-/// `true` when `a` and `b` are incomparable (no homomorphism either way).
-pub fn incomparable(a: &Pointed, b: &Pointed) -> bool {
-    !hom_exists(a, b) && !hom_exists(b, a)
-}
-
 /// Indices of the →-minimal elements of a family of pointed structures
 /// (elements with nothing strictly below them in the family).
 ///
@@ -183,6 +178,11 @@ impl MinimalAntichain {
 mod tests {
     use super::*;
     use crate::structure::{Element, Structure};
+
+    /// `true` when `a` and `b` are incomparable (no homomorphism either way).
+    pub(crate) fn incomparable(a: &Pointed, b: &Pointed) -> bool {
+        !hom_exists(a, b) && !hom_exists(b, a)
+    }
 
     fn cycle(n: usize) -> Pointed {
         let edges: Vec<(Element, Element)> = (0..n)

@@ -28,14 +28,6 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// The identity partition (every element its own block).
-    pub fn identity(n: usize) -> Self {
-        Partition {
-            blocks: (0..n as u32).collect(),
-            n_blocks: n as u32,
-        }
-    }
-
     /// The coarsest partition (all elements in one block). For `n = 0`
     /// there are no blocks.
     pub fn coarsest(n: usize) -> Self {
@@ -115,21 +107,6 @@ impl Partition {
             }
         }
         true
-    }
-
-    /// The partition obtained by additionally merging elements `a` and `b`.
-    pub fn merge(&self, a: usize, b: usize) -> Partition {
-        let ba = self.blocks[a];
-        let bb = self.blocks[b];
-        if ba == bb {
-            return self.clone();
-        }
-        let labels: Vec<u32> = self
-            .blocks
-            .iter()
-            .map(|&x| if x == bb { ba } else { x })
-            .collect();
-        Partition::from_labels(&labels)
     }
 }
 
@@ -257,6 +234,31 @@ pub fn bell(n: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Partition {
+        /// The identity partition (every element its own block).
+        pub(crate) fn identity(n: usize) -> Self {
+            Partition {
+                blocks: (0..n as u32).collect(),
+                n_blocks: n as u32,
+            }
+        }
+
+        /// The partition obtained by additionally merging elements `a` and `b`.
+        pub(crate) fn merge(&self, a: usize, b: usize) -> Partition {
+            let ba = self.blocks[a];
+            let bb = self.blocks[b];
+            if ba == bb {
+                return self.clone();
+            }
+            let labels: Vec<u32> = self
+                .blocks
+                .iter()
+                .map(|&x| if x == bb { ba } else { x })
+                .collect();
+            Partition::from_labels(&labels)
+        }
+    }
 
     #[test]
     fn bell_numbers() {

@@ -47,8 +47,9 @@ pub struct Structure {
     universe_size: usize,
     /// Per relation: sorted, deduplicated rows, row-major.
     relations: Vec<Vec<Element>>,
-    /// Optional display names of elements (same length as the universe).
-    names: Option<Vec<String>>,
+    /// Optional display names of elements (same length as the universe),
+    /// shared: a clone copies no name.
+    names: Option<Arc<[String]>>,
     /// Lazily-built inverted indexes (derived data: ignored by equality
     /// and hashing, shared by clones; see [`crate::index`]).
     index: IndexCell,
@@ -58,19 +59,6 @@ pub struct Structure {
 }
 
 impl Structure {
-    /// Creates an empty structure with the given universe size.
-    pub fn empty(vocab: Vocabulary, universe_size: usize) -> Self {
-        let relations = vec![Vec::new(); vocab.len()];
-        Structure {
-            vocab,
-            universe_size,
-            relations,
-            names: None,
-            index: IndexCell::default(),
-            dict: DictCell::default(),
-        }
-    }
-
     /// Builds a digraph structure over [`Vocabulary::graphs`].
     ///
     /// `n` is the number of nodes, `edges` the directed edges.
@@ -202,9 +190,10 @@ impl Structure {
     /// # Panics
     ///
     /// Panics when the number of names differs from the universe size.
-    pub fn set_names<S: Into<String>>(&mut self, names: Vec<S>) {
+    pub fn set_names(&mut self, names: impl Into<Arc<[String]>>) {
+        let names = names.into();
         assert_eq!(names.len(), self.universe_size, "one name per element");
-        self.names = Some(names.into_iter().map(Into::into).collect());
+        self.names = Some(names);
     }
 
     /// The display name of an element (falls back to `e{index}`).
@@ -215,9 +204,9 @@ impl Structure {
         }
     }
 
-    /// Optional display names of all elements.
-    pub fn names(&self) -> Option<&[String]> {
-        self.names.as_deref()
+    /// Optional display names of all elements, shared.
+    pub fn names(&self) -> Option<&Arc<[String]>> {
+        self.names.as_ref()
     }
 
     /// The disjoint union of two structures over the same vocabulary.
@@ -241,15 +230,6 @@ impl Structure {
             }
         }
         b.finish()
-    }
-
-    /// The image of this structure under an arbitrary map of elements.
-    ///
-    /// The result's universe is `0..=max(map)` restricted to the active
-    /// domain of the image; every map is a homomorphism *onto its image*, so
-    /// this realizes `Im(h)` from the paper.
-    pub fn map_image(&self, map: &[Element]) -> Structure {
-        self.map_image_raw(map).restrict_to_adom().0
     }
 
     /// The raw image of this structure under a map, *without* restricting
@@ -304,10 +284,18 @@ impl Structure {
                 out
             })
             .collect();
-        let names = self.names.as_ref().map(|names| {
-            let survivors = remap.iter().zip(names).filter(|(r, _)| r.is_some());
-            survivors.map(|(_, name)| name.clone()).collect()
-        });
+        let names = self
+            .names
+            .as_ref()
+            .map(|names| match universe_size as usize {
+                n if n == names.len() => Arc::clone(names),
+                n => {
+                    let mut kept = remap.iter().zip(names.iter()).filter(|(r, _)| r.is_some());
+                    (0..n)
+                        .map(|_| kept.next().expect("a survivor").1.clone())
+                        .collect()
+                }
+            });
         let out = Structure {
             vocab: self.vocab.clone(),
             universe_size: universe_size as usize,
@@ -317,46 +305,6 @@ impl Structure {
             dict: DictCell::default(),
         };
         (out, remap)
-    }
-
-    /// `true` when every tuple of every relation of `self` is a tuple of
-    /// `other` (containment of databases, `D₁ ⊆ D₂` in the paper).
-    pub fn contained_in(&self, other: &Structure) -> bool {
-        if self.vocab != other.vocab {
-            return false;
-        }
-        self.vocab
-            .rel_ids()
-            .all(|rel| self.tuples(rel).all(|t| other.contains(rel, t)))
-    }
-
-    /// `true` when `self ⊆ other` and some relation of `other` has a tuple
-    /// missing from `self` (strict containment of databases).
-    pub fn strictly_contained_in(&self, other: &Structure) -> bool {
-        self.contained_in(other) && self.total_tuples() < other.total_tuples()
-    }
-
-    /// Checks basic well-formedness: every relation splits into whole
-    /// rows of its arity and elements are in range.
-    pub fn validate(&self) -> Result<(), String> {
-        for rel in self.vocab.rel_ids() {
-            let (arity, rows) = (self.vocab.arity(rel), &self.relations[rel.index()]);
-            if rows.len() % arity != 0 {
-                return Err(format!(
-                    "{} holds {} elements, not whole rows of arity {}",
-                    self.vocab.name(rel),
-                    rows.len(),
-                    arity
-                ));
-            }
-            if let Some(&x) = rows.iter().find(|&&x| x as usize >= self.universe_size) {
-                return Err(format!(
-                    "element {} out of universe 0..{}",
-                    x, self.universe_size
-                ));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -430,11 +378,11 @@ impl StructureBuilder {
         self
     }
 
-    /// Allocates and returns a fresh element.
-    pub fn fresh(&mut self) -> Element {
-        let e = self.universe_size as Element;
-        self.universe_size += 1;
-        e
+    /// Makes room for `rows` more facts of `rel`, so that adding them
+    /// grows no buffer.
+    pub fn reserve(&mut self, rel: RelId, rows: usize) -> &mut Self {
+        self.relations[rel.index()].reserve_exact(rows * self.vocab.arity(rel));
+        self
     }
 
     /// Finalizes the structure (sorting + deduplicating each relation).
@@ -470,6 +418,70 @@ fn sort_dedup_rows(rows: &mut Vec<Element>, arity: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Structure {
+        /// Creates an empty structure with the given universe size.
+        pub(crate) fn empty(vocab: Vocabulary, universe_size: usize) -> Self {
+            let relations = vec![Vec::new(); vocab.len()];
+            Structure {
+                vocab,
+                universe_size,
+                relations,
+                names: None,
+                index: IndexCell::default(),
+                dict: DictCell::default(),
+            }
+        }
+
+        /// The image of this structure under an arbitrary map of elements.
+        ///
+        /// The result's universe is `0..=max(map)` restricted to the active
+        /// domain of the image; every map is a homomorphism *onto its image*, so
+        /// this realizes `Im(h)` from the paper.
+        pub(crate) fn map_image(&self, map: &[Element]) -> Structure {
+            self.map_image_raw(map).restrict_to_adom().0
+        }
+
+        /// `true` when every tuple of every relation of `self` is a tuple of
+        /// `other` (containment of databases, `D₁ ⊆ D₂` in the paper).
+        pub(crate) fn contained_in(&self, other: &Structure) -> bool {
+            if self.vocab != other.vocab {
+                return false;
+            }
+            self.vocab
+                .rel_ids()
+                .all(|rel| self.tuples(rel).all(|t| other.contains(rel, t)))
+        }
+
+        /// `true` when `self ⊆ other` and some relation of `other` has a tuple
+        /// missing from `self` (strict containment of databases).
+        pub(crate) fn strictly_contained_in(&self, other: &Structure) -> bool {
+            self.contained_in(other) && self.total_tuples() < other.total_tuples()
+        }
+
+        /// Checks basic well-formedness: every relation splits into whole
+        /// rows of its arity and elements are in range.
+        pub(crate) fn validate(&self) -> Result<(), String> {
+            for rel in self.vocab.rel_ids() {
+                let (arity, rows) = (self.vocab.arity(rel), &self.relations[rel.index()]);
+                if rows.len() % arity != 0 {
+                    return Err(format!(
+                        "{} holds {} elements, not whole rows of arity {}",
+                        self.vocab.name(rel),
+                        rows.len(),
+                        arity
+                    ));
+                }
+                if let Some(&x) = rows.iter().find(|&&x| x as usize >= self.universe_size) {
+                    return Err(format!(
+                        "element {} out of universe 0..{}",
+                        x, self.universe_size
+                    ));
+                }
+            }
+            Ok(())
+        }
+    }
 
     fn c3() -> Structure {
         Structure::digraph(3, &[(0, 1), (1, 2), (2, 0)])
@@ -634,7 +646,7 @@ mod tests {
     #[test]
     fn names_roundtrip() {
         let mut g = Structure::digraph(2, &[(0, 1)]);
-        g.set_names(vec!["x", "y"]);
+        g.set_names(["x", "y"].map(String::from));
         assert_eq!(g.element_name(0), "x");
         assert_eq!(g.element_name(1), "y");
         assert_eq!(Structure::digraph(2, &[(0, 1)]).element_name(0), "e0");
