@@ -1,18 +1,27 @@
 //! The engine's thread count against its accounting, through the oracle
 //! harness (`harness/mod.rs`): batches spread over 1, 2 or 8 workers
-//! return the oracle's answers, and single-flight materialization makes
-//! the accounting independent of the schedule. The metrics agree with
-//! the counters they break down. Under budgets that evict some cache
-//! entries but not all, the answers stay the oracle's. The starved-cache
-//! variant is `tests/proptest_invariants.rs`'s.
+//! return the oracle's answers, and both caches' single-flight entries
+//! make the accounting independent of the schedule: a relation is
+//! materialized once, and an approximation searched once per
+//! isomorphism class. The metrics agree with the counters they break
+//! down. Under budgets that evict some cache entries but not all, the
+//! answers stay the oracle's. The starved-cache variant is
+//! `tests/proptest_invariants.rs`'s.
 
 mod harness;
 
 use cqapx_bench::workloads::zipf_db;
-use cqapx_engine::{EngineStats, StatsSnapshot};
+use cqapx_core::{ApproxOptions, TwK};
+use cqapx_cq::{parse_cq, tableau_of, ConjunctiveQuery};
+use cqapx_engine::{
+    Engine, EngineConfig, EngineStats, EvalMode, PlanKind, Request, ResponseStatus, StatsSnapshot,
+};
+use cqapx_structures::iso::isomorphic_pointed;
+use cqapx_structures::{Pointed, Structure};
 use harness::{database, serve_batches, serve_sandwich_batches, THREADS};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The metrics summed back up — the classes' request counts, then each
@@ -46,9 +55,9 @@ fn breakdown(s: &StatsSnapshot) -> ([u64; 5], [u64; 5]) {
 }
 
 /// The counters without wall time, and without what a schedule decides
-/// once a cache evicts: whether a lookup found its entry (each cache's
-/// hits and misses are summed into its hits) and the sorts that rebuild
-/// an evicted relation.
+/// once a cache evicts: whether a lookup found its entry or an evicted
+/// one must be rebuilt (each cache's hits and misses are summed into
+/// its hits), and the sorts that rebuild an evicted relation.
 fn schedule_free(s: &StatsSnapshot) -> String {
     let c = &s.counters;
     format!(
@@ -69,10 +78,9 @@ fn schedule_free(s: &StatsSnapshot) -> String {
 /// Both caches at half the bytes an unbounded run leaves resident, on
 /// one fixed Zipf database: at 1, 2 and 8 threads each cache evicts and
 /// keeps something, every answer is the oracle's (the harness checks
-/// each response), and the metrics add up to the counters. The approximation cache computes two racing
-/// misses twice and an evicting schedule decides what a later lookup
-/// finds, so beyond that the counters agree across thread counts as
-/// [`schedule_free`] reads them.
+/// each response), and the metrics add up to the counters. An evicting
+/// schedule decides what a later lookup finds, so beyond that the
+/// counters agree across thread counts as [`schedule_free`] reads them.
 #[test]
 fn partial_eviction_keeps_answers_and_accounting() {
     let d = zipf_db(10, 40, 1.1, 5);
@@ -114,15 +122,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every `EngineStats` counter but `busy` (wall time varies) is the
-    /// sequential run's.
+    /// sequential run's, on the exact batch and on the approximation
+    /// sandwich, both caches unbounded.
     #[test]
     fn engine_batch_stats_identical_across_thread_counts(d in database(), dup in 2..4usize) {
         let counters = |s: &StatsSnapshot| {
             format!("{:?}", EngineStats { busy: Duration::ZERO, ..s.counters.clone() })
         };
-        let snaps = serve_batches(&d, 0, dup);
-        for (snap, threads) in snaps.iter().zip(THREADS).skip(1) {
-            prop_assert_eq!(counters(&snaps[0]), counters(snap), "at {} threads", threads);
+        for snaps in [serve_batches(&d, 0, dup), serve_sandwich_batches(&d, 0, 0, dup)] {
+            for (snap, threads) in snaps.iter().zip(THREADS).skip(1) {
+                prop_assert_eq!(counters(&snaps[0]), counters(snap), "at {} threads", threads);
+            }
         }
     }
 
@@ -148,5 +158,105 @@ proptest! {
             let (metrics, counters) = breakdown(snap);
             prop_assert_eq!(metrics, counters, "at {} threads", threads);
         }
+    }
+}
+
+/// Eight renamings of a directed 10-cycle with one head variable: the
+/// `k`-th names variable `i` `v{(3i + k) mod 10}` and starts its body at
+/// atom `k`. Its cold `TW(1)` search takes about 30 ms in a debug
+/// build, so parallel workers that start together meet inside it.
+fn renamings() -> Vec<ConjunctiveQuery> {
+    let cycle = |k: usize| {
+        let v = |i: usize| format!("v{}", (3 * i + k) % 10);
+        let atom = |j: usize| format!("E({},{})", v((j + k) % 10), v((j + k + 1) % 10));
+        let body: Vec<String> = (0..10).map(atom).collect();
+        parse_cq(&format!("Q({}) :- {}", v(0), body.join(", "))).unwrap()
+    };
+    (0..8).map(cycle).collect()
+}
+
+/// Serves every renaming certain-only, as one batch on a fresh engine
+/// with `threads` workers, both caches unbounded. Every response is a
+/// sandwich with the first one's answers, and every renaming's
+/// approximation is one cache entry. Returns the cache's hits and
+/// misses, what the sequential run must match — those, the answers, the
+/// cache's bytes and the report's counts that do not depend on which
+/// renaming was searched — and the report's tableaux.
+fn serve_renamings(d: &Structure, threads: usize) -> ((u64, u64), String, Vec<Pointed>) {
+    let e = Engine::new(EngineConfig {
+        threads,
+        naive_cost_budget: 0.0,
+        ..EngineConfig::default()
+    });
+    let db = e.register_database("d", d.clone());
+    let queries = renamings();
+    let reqs: Vec<Request> = (queries.iter().enumerate())
+        .map(|(i, q)| Request {
+            mode: EvalMode::CertainOnly,
+            ..Request::new(e.prepare_query(format!("r{i}"), q.clone()), db)
+        })
+        .collect();
+    let responses = e.execute_batch(&reqs);
+    let counts = (e.cache().hits(), e.cache().misses());
+    for r in &responses {
+        assert_eq!(
+            r.status,
+            ResponseStatus::CertainOnly,
+            "at {threads} threads"
+        );
+        assert_eq!(r.plan, PlanKind::Sandwich, "at {threads} threads");
+        assert_eq!(r.answers, responses[0].answers, "at {threads} threads");
+    }
+    let options = ApproxOptions::default();
+    let lookup = |q| e.cache().lookup_only(&tableau_of(q), &TwK(1), &options);
+    let entries: Vec<_> = queries.iter().map(|q| lookup(q).unwrap()).collect();
+    assert!(
+        entries.iter().all(|c| Arc::ptr_eq(c, &entries[0])),
+        "one entry at {threads} threads"
+    );
+    let report = &entries[0].report;
+    let seen = format!(
+        "{counts:?} {:?} {} bytes, {} approximations, {} partitions",
+        responses[0].answers.to_btree_set(),
+        e.snapshot().approx_cache_bytes,
+        report.approximations.len(),
+        report.partitions,
+    );
+    (counts, seen, report.tableaux.clone())
+}
+
+/// Eight isomorphic renamings of one cold certain-only query in one
+/// batch: at 1, 2 and 8 workers the approximation search runs once —
+/// 1 miss and 7 hits — and the answers, the cache's bytes and the
+/// report, up to isomorphism, are the sequential run's.
+#[test]
+fn isomorphic_renamings_in_one_batch_search_once() {
+    let d = zipf_db(10, 40, 1.1, 5);
+    let sequential = serve_renamings(&d, 1);
+    for threads in THREADS {
+        let (counts, seen, tableaux) = serve_renamings(&d, threads);
+        assert_eq!(counts, (7, 1), "at {threads} threads");
+        assert_eq!(seen, sequential.1, "at {threads} threads");
+        assert!(
+            tableaux
+                .iter()
+                .all(|t| sequential.2.iter().any(|s| isomorphic_pointed(s, t))),
+            "at {threads} threads"
+        );
+    }
+}
+
+/// [`isomorphic_renamings_in_one_batch_search_once`]'s 8-worker batch,
+/// 100 times, for the interleavings one run rarely meets. CI runs it in
+/// release.
+#[test]
+#[ignore]
+fn deep_isomorphic_renamings_in_one_batch_search_once() {
+    let d = zipf_db(10, 40, 1.1, 5);
+    let (_, sequential, _) = serve_renamings(&d, 1);
+    for round in 0..100 {
+        let (counts, seen, _) = serve_renamings(&d, 8);
+        assert_eq!(counts, (7, 1), "round {round}");
+        assert_eq!(seen, sequential, "round {round}");
     }
 }

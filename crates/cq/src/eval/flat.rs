@@ -40,13 +40,14 @@
 
 use crate::ast::{Atom, VarId};
 use crate::eval::answers::Answers;
+use crate::eval::flight::{lru, Flight, Ledger};
 use crate::eval::ir::Span;
 use cqapx_structures::fxhash::FxHashMap;
 use cqapx_structures::packed::{radix_dedup, radix_dedup_u32};
 use cqapx_structures::{DomainBitmap, DomainDict, Element, RelId, Structure};
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 static BITMAP_PROBES: AtomicU64 = AtomicU64::new(0);
@@ -1795,71 +1796,22 @@ impl MatCacheStats {
     }
 }
 
-/// A per-database cache of materialized hyperedge relations, keyed by
-/// `MatKey` and shared across prepared queries and concurrent batch
-/// requests. Entries are stored under the materializing plan's own
-/// column labels and adopted elsewhere via `FlatRelation::relabel`
-/// (label-independent by construction of the key).
+/// A per-database cache of materialized hyperedge relations, shared
+/// across prepared queries and concurrent batch requests: one
+/// single-flight [`Flight`] per `MatKey` in a map under one read-write
+/// lock (nearly every access is a read), read through poison, budgeted
+/// by a [`Ledger`]. An entry keeps the materializing plan's column
+/// labels; other plans adopt it with `FlatRelation::relabel`.
 ///
-/// Invalidation: the cache is owned by one immutable database snapshot
-/// (structures are immutable post-builder), so entries never go stale;
-/// re-registering a database creates a fresh snapshot with a fresh,
-/// empty cache.
-///
-/// Retention: entries are kept for the snapshot's lifetime, like the
-/// compiled plans of prepared queries — the population is bounded by
-/// the distinct hyperedge shapes of the queries actually served, and
-/// each entry is at most one relation's worth of elements. Dropping the
-/// snapshot releases everything; a database name registered again
-/// drops its old snapshot once no request holds it. Under a byte
-/// budget, the least recently used landed entry goes first
-/// ([`MaterializationCache::set_budget_bytes`]).
-///
-/// Concurrency: materialization is **single-flight** — the map holds
-/// one [`OnceLock`] flight per key, so when parallel batch requests
-/// miss on the same `MatKey` simultaneously, exactly one scans the
-/// database and the rest block on the flight and adopt the result as a
-/// hit. This keeps the hit/miss accounting identical to a sequential
-/// run of the same requests (one miss, the rest hits) and never burns
-/// budgeted worker threads on duplicate scans. The cache keeps no hit
-/// or miss count of its own: each lookup returns whether it hit, and
-/// every run adds that to its [`MatCacheStats`].
-///
-/// The cache holds one lock, the map's, read through poison: no caller
-/// code runs under it (`materialize` runs inside the flight), so the
-/// map is valid after any panic.
+/// The cache belongs to one immutable database snapshot, so entries
+/// never go stale: re-registering a database makes a fresh snapshot
+/// with a fresh cache. Unbounded (the default), entries live as long as
+/// the snapshot. The cache counts no hits or misses: each lookup
+/// returns whether it hit, for the run's [`MatCacheStats`].
 #[derive(Debug, Default)]
 pub struct MaterializationCache {
-    /// A read-write lock: at serving-time hit rates nearly every access
-    /// is a read (hits, planner peeks), and parallel batch workers must
-    /// not serialize on the warm path.
-    map: RwLock<FxHashMap<MatKey, Arc<MatFlight>>>,
-    /// Byte budget for resident entries; `0` = unbounded (the default,
-    /// under which behavior — including exact hit/miss accounting — is
-    /// identical to the pre-budget cache).
-    budget: AtomicUsize,
-    /// Bytes held by landed entries ([`FlatRelation::heap_bytes`]).
-    resident: AtomicUsize,
-    /// Entries evicted to stay under budget, since creation.
-    evictions: AtomicU64,
-    /// The recency counter each landing and hit draws its stamp from.
-    /// Relaxed throughout: a stamp only ranks eviction victims and
-    /// publishes no data, and a landing's stamp is ordered by its
-    /// flight's publication.
-    tick: AtomicU64,
-}
-
-/// One single-flight materialization slot: the first claimant runs the
-/// scan inside [`OnceLock::get_or_init`]; concurrent claimants block
-/// and share the result.
-#[derive(Debug, Default)]
-struct MatFlight {
-    cell: OnceLock<Arc<FlatRelation>>,
-    /// Heap bytes of the landed relation (0 until landing).
-    bytes: AtomicUsize,
-    /// The cache's `tick` at the landing or the latest hit: eviction
-    /// removes the landed flight with the smallest.
-    last: AtomicU64,
+    map: RwLock<FxHashMap<MatKey, Arc<Flight<Arc<FlatRelation>>>>>,
+    ledger: Ledger,
 }
 
 impl MaterializationCache {
@@ -1869,158 +1821,87 @@ impl MaterializationCache {
     }
 
     /// The cached relation for `key`, or the result of `materialize`
-    /// (inserted for later calls). Returns the relation and whether it
-    /// was a hit. No lock is held while materializing; concurrent
-    /// misses on the same key are single-flight — one caller runs
-    /// `materialize` (a miss), the rest wait on the flight and return
-    /// hits, exactly as if they had arrived after it.
-    ///
-    /// The entry's rows are shared: callers adopt them with
-    /// `FlatRelation::relabel`, which copies nothing, and no operator
+    /// (inserted for later calls), and whether it was a hit. No lock is
+    /// held while materializing. The rows are shared, and no operator
     /// writes through a shared buffer, so an entry reads the same for
-    /// as long as it lives. The cache owns an entry's bytes only in the
-    /// accounting sense: eviction subtracts them from
-    /// [`MaterializationCache::resident_bytes`] at once, while the
-    /// memory itself is freed when the last request still reading the
-    /// rows drops its slot.
+    /// as long as it lives; an evicted entry's memory is freed when the
+    /// last request reading its rows drops them.
     pub fn get_or_materialize(
         &self,
         key: &[u32],
         materialize: impl FnOnce() -> FlatRelation,
     ) -> (Arc<FlatRelation>, bool) {
-        // Bound scope for the read guard: a `match` scrutinee would
-        // keep it alive into the write-locking arm and self-deadlock.
-        let existing = {
-            let map = self.map.read().unwrap_or_else(PoisonError::into_inner);
-            map.get(key).cloned()
-        };
-        let flight = match existing {
-            Some(f) => f,
-            None => {
-                // Re-check before inserting: a racing caller may have
-                // created the flight between the two lock acquisitions,
-                // and only a true insert needs to clone the key.
-                let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
-                match map.get(key) {
-                    Some(f) => Arc::clone(f),
-                    None => Arc::clone(map.entry(MatKey { atoms: key.into() }).or_default()),
-                }
+        let read = self.map.read().unwrap_or_else(PoisonError::into_inner);
+        let found = read.get(key).cloned();
+        drop(read);
+        let flight = found.unwrap_or_else(|| {
+            // A racing miss may have inserted the flight since the read:
+            // only a true insert copies the key.
+            let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
+            match map.get(key) {
+                Some(f) => Arc::clone(f),
+                None => Arc::clone(map.entry(MatKey { atoms: key.into() }).or_default()),
             }
-        };
-        let mut ran = false;
-        let rel = flight.cell.get_or_init(|| {
-            ran = true;
+        });
+        let (rel, ran) = self.ledger.claim(&flight, || {
             // Rows go behind their `Arc` here, once per landing, so
             // that every later hit adopts them without a copy; buffers
             // that never reach a cache never pay for sharing.
             let mut rel = materialize();
             rel.share_rows();
-            // No bitmap is built here, only the entry's empty column
-            // container, before the flight publishes: every relabel then
-            // shares it, and each column is built by its first reader,
-            // once for all adopters. The charge below counts every
-            // eligible column's word table, so it does not depend on
-            // which columns are ever read.
+            // Only the empty column container, shared by every relabel:
+            // each bitmap is built by its first reader. The charge counts
+            // every eligible column's table, read or not.
             if rel.bitmap_eligible() {
                 rel.column_bitmaps();
             }
-            let rel = Arc::new(rel);
-            // Byte charge and recency stamp are stored *inside* the
-            // flight, before the `OnceLock` publishes the cell: eviction
-            // treats a landed cell as evictable, ranks it by `last` and
-            // subtracts `flight.bytes`, so an evictor racing ahead of a
-            // post-landing store would subtract 0 while the lander's
-            // later `fetch_add` leaks phantom resident bytes that
-            // nothing ever reclaims. The `OnceLock`'s release-publication
-            // orders these stores before any observer can see the cell
-            // as landed.
             let bytes = rel.heap_bytes();
-            flight.bytes.store(bytes, Ordering::Relaxed);
-            let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
-            flight.last.store(stamp, Ordering::Relaxed);
-            self.resident.fetch_add(bytes, Ordering::Relaxed);
-            rel
+            (Arc::new(rel), bytes)
         });
         let rel = Arc::clone(rel);
         if ran {
-            self.maybe_evict();
-        } else {
-            let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
-            flight.last.store(stamp, Ordering::Relaxed);
+            self.sweep();
         }
         (rel, !ran)
     }
 
-    /// Least-recently-used eviction, run after a landing pushes resident
-    /// bytes past the budget: under the one lock, removes the landed
-    /// flight with the smallest stamp until the resident bytes fit.
-    /// Un-landed flights are never evicted (a waiter may be blocked on
-    /// them), so an overage that only in-flight work holds stays until
-    /// that work lands. Eviction removes the **whole flight** from the
-    /// map — including its single-flight `OnceLock` slot — so a later
-    /// request for the key starts a fresh flight and rebuilds; waiters
-    /// still holding the old `Arc` land normally on it.
-    fn maybe_evict(&self) {
-        let budget = self.budget.load(Ordering::Relaxed);
-        if budget == 0 || self.resident.load(Ordering::Relaxed) <= budget {
-            return;
-        }
-        let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
-        while self.resident.load(Ordering::Relaxed) > budget {
-            let victim = (map.iter())
-                .filter(|(_, f)| f.cell.get().is_some())
-                .min_by_key(|(_, f)| f.last.load(Ordering::Relaxed))
-                .map(|(k, _)| k.clone());
-            let Some(flight) = victim.and_then(|k| map.remove(&k)) else {
-                break;
-            };
-            self.resident
-                .fetch_sub(flight.bytes.load(Ordering::Relaxed), Ordering::Relaxed);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Evicts least recently used entries until the budget holds.
+    fn sweep(&self) {
+        let lock = || self.map.write().unwrap_or_else(PoisonError::into_inner);
+        self.ledger.sweep(lock, |map| {
+            let key = lru(map.iter().map(|(k, f)| (k, &**f)), None)?.clone();
+            map.remove(&key).map(|f| f.charge())
+        });
     }
 
     /// Sets the byte budget (`0` = unbounded) and applies it
     /// immediately if the cache is already over.
     pub fn set_budget_bytes(&self, bytes: usize) {
-        self.budget.store(bytes, Ordering::Relaxed);
-        self.maybe_evict();
+        self.ledger.set_budget_bytes(bytes);
+        self.sweep();
     }
 
     /// Bytes currently held by landed entries.
     pub fn resident_bytes(&self) -> usize {
-        self.resident.load(Ordering::Relaxed)
+        self.ledger.resident_bytes()
     }
 
     /// Entries evicted since creation.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.ledger.evictions()
     }
 
-    /// The cardinality of the cached materialization under `key` (a
-    /// `MatKey`'s words), if present (and
-    /// landed — an in-flight scan is not peeked, matching "not yet
-    /// materialized"). Does not count as a hit or miss — this is the
-    /// planner's peek at real cardinalities.
-    pub fn peek_cardinality(&self, key: &[u32]) -> Option<usize> {
-        self.map
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-            .and_then(|f| f.cell.get())
-            .map(|r| r.len())
-    }
-
-    /// The cardinalities of several cached materializations under one
-    /// read-lock acquisition (the planner resolves every atom of a query
-    /// in one critical section). `None` per key not yet materialized.
+    /// The cardinalities of landed materializations under `keys` (each a
+    /// `MatKey`'s words), under one read-lock acquisition: the planner's
+    /// peek at real cardinalities, neither a hit nor a miss. `None` per
+    /// key not yet materialized, an in-flight scan included.
     pub fn peek_cardinalities<'k>(
         &self,
         keys: impl IntoIterator<Item = &'k [u32]>,
     ) -> Vec<Option<usize>> {
         let map = self.map.read().unwrap_or_else(PoisonError::into_inner);
         keys.into_iter()
-            .map(|k| map.get(k).and_then(|f| f.cell.get()).map(|r| r.len()))
+            .map(|k| map.get(k).and_then(|f| f.landed()).map(|r| r.len()))
             .collect()
     }
 }
@@ -2040,7 +1921,12 @@ mod tests {
     impl MaterializationCache {
         /// The configured byte budget (`0` = unbounded).
         pub(crate) fn budget_bytes(&self) -> usize {
-            self.budget.load(Ordering::Relaxed)
+            self.ledger.budget_bytes()
+        }
+
+        /// [`MaterializationCache::peek_cardinalities`] of one key.
+        pub(crate) fn peek_cardinality(&self, key: &[u32]) -> Option<usize> {
+            self.peek_cardinalities([key])[0]
         }
 
         /// Number of cached hyperedge relations (landed flights only).
@@ -2049,7 +1935,7 @@ mod tests {
                 .read()
                 .unwrap_or_else(PoisonError::into_inner)
                 .values()
-                .filter(|f| f.cell.get().is_some())
+                .filter(|f| f.landed().is_some())
                 .count()
         }
     }
@@ -2935,8 +2821,7 @@ mod tests {
     /// Every landed entry of `cache`, with its key.
     fn landed(cache: &MaterializationCache) -> Vec<(MatKey, Arc<FlatRelation>)> {
         let map = cache.map.read().unwrap();
-        let entry =
-            |(k, f): (&MatKey, &Arc<MatFlight>)| Some((k.clone(), Arc::clone(f.cell.get()?)));
+        let entry = |(k, f): (&MatKey, &Arc<Flight<_>>)| Some((k.clone(), Arc::clone(f.landed()?)));
         map.iter().filter_map(entry).collect()
     }
 
@@ -3096,7 +2981,7 @@ mod tests {
                 at
             );
             let map = cache.map.read().unwrap();
-            let charged: usize = map.values().map(|f| f.bytes.load(Ordering::Relaxed)).sum();
+            let charged: usize = map.values().map(|f| f.charge()).sum();
             assert_eq!(cache.resident_bytes(), charged, "seed {seed}");
             assert!(
                 cache.resident_bytes() <= cache.budget_bytes(),

@@ -9,6 +9,7 @@
 pub mod answers;
 pub mod decomposed;
 pub mod flat;
+pub mod flight;
 pub mod ir;
 pub mod naive;
 pub mod yannakakis;

@@ -7,27 +7,35 @@
 //! Keying is two-level, reusing `cqapx_structures::iso`:
 //!
 //! 1. an [`ApproxCacheKey`] — the tableau's isomorphism-*invariant*
-//!    signature plus class name and option fingerprint — buckets
-//!    candidates in a hash map;
-//! 2. within a bucket, [`isomorphic_pointed`] against each entry's stored
-//!    representative tableau confirms the hit exactly (signatures can
-//!    collide; isomorphism cannot).
+//!    signature plus class name and option fingerprint — names a bucket;
+//! 2. within a bucket, each isomorphism class met so far is one member:
+//!    its first tableau, compiled once ([`CompiledPointed`]), and one
+//!    [`Flight`] for its approximations. A lookup confirms a member by
+//!    exact isomorphism (signatures can collide; isomorphism cannot).
+//!
+//! The search runs inside the member's flight, so a parallel batch of
+//! isomorphic queries runs it once: one miss, and the rest wait and
+//! hit. The bucket map's lock, read through poison, is held only for
+//! snapshots (one `Arc` clone) and inserts; confirmations and searches
+//! run outside it. A [`Ledger`] charges entries estimated bytes and
+//! evicts them least recently used first, as in the materialization
+//! cache.
 
-use crate::memory::pointed_bytes;
 use cqapx_core::{
     all_approximations_tableaux, ApproxCacheKey, ApproxOptions, ApproxReport, QueryClass,
 };
+use cqapx_cq::eval::flight::{lru, Flight, Ledger};
 use cqapx_cq::eval::{
     AcyclicPlan, Answers, DecomposedPlan, MatCacheStats, MaterializationCache, NaivePlan, PlanIr,
 };
 use cqapx_cq::ConjunctiveQuery;
 use cqapx_par::ThreadBudget;
-use cqapx_structures::iso::isomorphic_pointed;
+use cqapx_structures::iso::CompiledPointed;
 use cqapx_structures::{Pointed, Structure};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::mem::size_of;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
 
 /// How one cached approximation is evaluated: one arm per algorithm.
 #[derive(Debug)]
@@ -82,64 +90,50 @@ pub struct CachedApproximation {
     pub report: ApproxReport,
     /// One plan per `report.approximations[i]`.
     pub evaluators: Vec<ApproxPlan>,
-    /// Wall time of the (single) computation this entry amortizes.
-    pub compute_time: Duration,
 }
 
 impl CachedApproximation {
     /// Estimated resident bytes of this entry: the retained tableaux
     /// (the dominant allocations) plus a fixed overhead per compiled
-    /// plan. An estimate — it steers eviction and budget
-    /// comparisons, never answers.
+    /// plan. It steers eviction and budget comparisons, never answers.
     fn estimated_bytes(&self, representative: &Pointed) -> usize {
         let tableaux: usize = self.report.tableaux.iter().map(pointed_bytes).sum();
         tableaux + pointed_bytes(representative) + self.evaluators.len() * 256 + 128
     }
 }
 
-struct Entry {
-    representative: Arc<Pointed>,
-    value: Arc<CachedApproximation>,
-    /// Estimated bytes this entry pins (accounted into `resident`).
-    bytes: usize,
+/// Estimated resident bytes of a tableau: its tuple storage, stored once
+/// and indexed once (the lazy inverted index roughly doubles it), plus
+/// id-sized bookkeeping per element and a fixed allocation overhead.
+fn pointed_bytes(p: &Pointed) -> usize {
+    let s = &p.structure;
+    let tuple_elems: usize = (s.vocabulary().rel_ids())
+        .map(|r| s.flat_tuples(r).len())
+        .sum();
+    let structure =
+        tuple_elems * 2 * size_of::<u32>() + s.universe_size() * size_of::<usize>() + 64;
+    structure + std::mem::size_of_val(p.distinguished())
 }
 
-impl Entry {
-    /// Eviction score: measured rebuild cost per resident byte. Low
-    /// scores (cheap searches pinning many bytes) evict first, so the
-    /// budget preferentially retains the entries whose
-    /// single-exponential searches were most expensive to amortize.
-    fn cost_per_byte(&self) -> f64 {
-        self.value.compute_time.as_nanos() as f64 / self.bytes.max(1) as f64
-    }
+/// One isomorphism class: the tableau it was first met as, and the
+/// flight its approximations land in.
+struct Member {
+    representative: CompiledPointed,
+    flight: Flight<Arc<CachedApproximation>>,
 }
 
-/// A concurrent map from canonicalized tableaux to shared
-/// [`CachedApproximation`]s.
-///
-/// The bucket map's lock is held only for pointer-sized snapshots and
-/// inserts; the isomorphism confirmations (worst-case exponential
-/// backtracking) run outside it, so one pathological pair never stalls
-/// unrelated requests.
-/// When a budget is set ([`ApproxCache::set_budget_bytes`]), inserts
-/// that push the estimated resident bytes over it evict entries in
-/// ascending rebuild-cost-per-byte order (compute time / bytes)
-/// until the cache fits again — the just-inserted entry is exempt, so
-/// one oversized entry is admitted rather than thrashed. Budget `0`
-/// (the default) means unbounded, preserving exact legacy behavior.
-///
-/// The bucket lock is read through poison: no caller code runs under
-/// it, so the map is valid after any panic.
+/// A bucket's members. Inserting one replaces the whole list, so a
+/// snapshot is one `Arc` clone, and a changed bucket is a new pointer.
+type Bucket = Arc<[Arc<Member>]>;
+
+/// A concurrent map from tableaux, up to isomorphism, to shared
+/// [`CachedApproximation`]s (see the module documentation).
 #[derive(Default)]
 pub struct ApproxCache {
-    buckets: Mutex<HashMap<ApproxCacheKey, Vec<Entry>>>,
+    buckets: Mutex<HashMap<ApproxCacheKey, Bucket>>,
+    ledger: Ledger,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Byte ceiling; `0` = unbounded.
-    budget: AtomicUsize,
-    /// Estimated bytes of all retained entries.
-    resident: AtomicUsize,
-    evictions: AtomicU64,
 }
 
 impl ApproxCache {
@@ -150,122 +144,95 @@ impl ApproxCache {
 
     /// Returns the cached approximation of `t` within `class` under
     /// `opts`, computing and inserting it on a miss. The `bool` is `true`
-    /// on a hit.
-    ///
-    /// The expensive computation runs outside the cache lock; two racing
-    /// misses on the same tableau both compute, and the loser either
-    /// adopts the incumbent or (if the insert interleaves) adds a benign
-    /// duplicate entry — both values are correct for every isomorphic
-    /// tableau, so duplicates cost memory, never answers.
+    /// on a hit. A request isomorphic to one still searching waits for
+    /// that search and hits.
     pub fn get_or_compute(
         &self,
         t: &Pointed,
         class: &dyn QueryClass,
         opts: &ApproxOptions,
     ) -> (Arc<CachedApproximation>, bool) {
-        let key = ApproxCacheKey::new(t, class, opts);
-        if let Some(v) = self.confirm(self.snapshot(&key), t) {
+        let member = self.member(ApproxCacheKey::new(t, class, opts), t);
+        let (value, ran) = self.ledger.claim(&member.flight, || {
+            let (tableaux, meta) = all_approximations_tableaux(t, class, opts);
+            let report = ApproxReport::from_tableaux(tableaux, meta);
+            let width = class.decomposition_width();
+            let evaluators = (report.approximations.iter())
+                .map(|q| ApproxPlan::compile(q, width))
+                .collect();
+            let value = CachedApproximation { report, evaluators };
+            let bytes = value.estimated_bytes(member.representative.pointed());
+            (Arc::new(value), bytes)
+        });
+        let value = Arc::clone(value);
+        if ran {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            let keep = Some(&member.flight);
+            self.ledger.sweep(|| self.buckets(), |b| evict_lru(b, keep));
+        } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return (v, true);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-
-        let start = Instant::now();
-        let (tableaux, meta) = all_approximations_tableaux(t, class, opts);
-        let report = ApproxReport::from_tableaux(tableaux, meta);
-        let width = class.decomposition_width();
-        let evaluators = (report.approximations.iter())
-            .map(|q| ApproxPlan::compile(q, width))
-            .collect();
-        let value = Arc::new(CachedApproximation {
-            report,
-            evaluators,
-            compute_time: start.elapsed(),
-        });
-
-        // Racing computation may have landed first; adopt the incumbent
-        // (isomorphism checked outside the lock on a snapshot).
-        if let Some(v) = self.confirm(self.snapshot(&key), t) {
-            return (v, false);
-        }
-        let representative = Arc::new(t.clone());
-        let bytes = value.estimated_bytes(&representative);
-        let mut buckets = self.buckets();
-        buckets.entry(key).or_default().push(Entry {
-            representative,
-            value: Arc::clone(&value),
-            bytes,
-        });
-        self.resident.fetch_add(bytes, Ordering::Relaxed);
-        self.maybe_evict(&mut buckets, &value);
-        drop(buckets);
-        (value, false)
+        (value, !ran)
     }
 
-    /// Evicts entries (cheapest rebuild cost per byte first) until the
-    /// estimated resident bytes fit the budget again. `keep` — the
-    /// entry whose insert triggered the sweep — is exempt, so an entry
-    /// larger than the whole budget is admitted once instead of being
-    /// rebuilt on every request.
-    fn maybe_evict(
-        &self,
-        buckets: &mut HashMap<ApproxCacheKey, Vec<Entry>>,
-        keep: &Arc<CachedApproximation>,
-    ) {
-        let budget = self.budget.load(Ordering::Relaxed);
-        if budget == 0 {
-            return;
-        }
-        while self.resident.load(Ordering::Relaxed) > budget {
-            let victim = buckets
-                .iter()
-                .flat_map(|(k, entries)| {
-                    entries
-                        .iter()
-                        .enumerate()
-                        .map(move |(i, e)| (k.clone(), i, e))
-                })
-                .filter(|(_, _, e)| !Arc::ptr_eq(&e.value, keep))
-                .min_by(|a, b| a.2.cost_per_byte().total_cmp(&b.2.cost_per_byte()))
-                .map(|(k, i, _)| (k, i));
-            let Some((key, i)) = victim else {
-                break; // only the protected entry is left
-            };
-            let entries = buckets.get_mut(&key).expect("victim bucket exists");
-            let evicted = entries.remove(i);
-            if entries.is_empty() {
-                buckets.remove(&key);
+    /// The member of `key`'s bucket isomorphic to `t`, inserted
+    /// un-landed when there is none. An insert that finds the bucket
+    /// changed since its snapshot confirms only the members it has not
+    /// seen, outside the lock, and tries again.
+    fn member(&self, key: ApproxCacheKey, t: &Pointed) -> Arc<Member> {
+        let (mut seen, mut fresh) = (None::<Bucket>, None);
+        loop {
+            let mut buckets = self.buckets();
+            let now = buckets.get(&key).cloned();
+            let unchanged = now.as_deref().map(<[_]>::as_ptr) == seen.as_deref().map(<[_]>::as_ptr);
+            if let (true, Some(fresh)) = (unchanged, &fresh) {
+                let grown = members(&now).iter().cloned().chain([Arc::clone(fresh)]);
+                buckets.insert(key, grown.collect());
+                return Arc::clone(fresh);
             }
-            self.resident.fetch_sub(evicted.bytes, Ordering::Relaxed);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            drop(buckets);
+            let old = members(&seen);
+            let mut unseen =
+                (members(&now).iter()).filter(|m| !old.iter().any(|o| Arc::ptr_eq(o, m)));
+            if let Some(m) = unseen.find(|m| m.representative.isomorphic_to(t)) {
+                return Arc::clone(m);
+            }
+            seen = now;
+            fresh.get_or_insert_with(|| {
+                let representative = CompiledPointed::new(t.clone());
+                Arc::new(Member {
+                    representative,
+                    flight: Flight::default(),
+                })
+            });
         }
     }
 
-    /// Sets the byte budget (`0` = unbounded). Takes effect at the next
-    /// insert; already-resident entries are not swept eagerly.
+    /// Sets the byte budget (`0` = unbounded) and applies it
+    /// immediately if the cache is already over.
     pub fn set_budget_bytes(&self, bytes: usize) {
-        self.budget.store(bytes, Ordering::Relaxed);
+        self.ledger.set_budget_bytes(bytes);
+        self.ledger.sweep(|| self.buckets(), |b| evict_lru(b, None));
     }
 
     /// The configured byte budget (`0` = unbounded).
     pub fn budget_bytes(&self) -> usize {
-        self.budget.load(Ordering::Relaxed)
+        self.ledger.budget_bytes()
     }
 
     /// Estimated bytes of all retained entries.
     pub fn resident_bytes(&self) -> usize {
-        self.resident.load(Ordering::Relaxed)
+        self.ledger.resident_bytes()
     }
 
     /// Entries evicted by the byte budget so far.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.ledger.evictions()
     }
 
-    /// Peeks for a cached approximation without ever computing one —
-    /// the safe probe for paths that are already over a deadline.
-    /// Counts as a hit when it finds an entry; a fruitless peek is not
-    /// counted as a miss (no computation was skipped or run).
+    /// Peeks for a cached approximation without ever computing one or
+    /// waiting for one being computed — the probe for paths already over
+    /// a deadline. Finding one is a hit; finding none is not a miss.
     pub fn lookup_only(
         &self,
         t: &Pointed,
@@ -273,42 +240,18 @@ impl ApproxCache {
         opts: &ApproxOptions,
     ) -> Option<Arc<CachedApproximation>> {
         let key = ApproxCacheKey::new(t, class, opts);
-        let found = self.confirm(self.snapshot(&key), t);
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
+        let bucket = self.buckets().get(&key).cloned()?;
+        let landed = |m: &&Arc<Member>| m.flight.landed().is_some();
+        let member = (bucket.iter().filter(landed)).find(|m| m.representative.isomorphic_to(t))?;
+        // Landed, so the claim returns at once, and stamps a hit.
+        let (value, _) = self.ledger.claim(&member.flight, || unreachable!("landed"));
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(Arc::clone(value))
     }
 
     /// The bucket map, through poison.
-    fn buckets(&self) -> MutexGuard<'_, HashMap<ApproxCacheKey, Vec<Entry>>> {
+    fn buckets(&self) -> MutexGuard<'_, HashMap<ApproxCacheKey, Bucket>> {
         self.buckets.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Clones a bucket's entries under the lock (Arc bumps only).
-    fn snapshot(&self, key: &ApproxCacheKey) -> Vec<(Arc<Pointed>, Arc<CachedApproximation>)> {
-        let buckets = self.buckets();
-        buckets
-            .get(key)
-            .map(|entries| {
-                entries
-                    .iter()
-                    .map(|e| (Arc::clone(&e.representative), Arc::clone(&e.value)))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Confirms a bucket hit by exact isomorphism, outside any lock.
-    fn confirm(
-        &self,
-        entries: Vec<(Arc<Pointed>, Arc<CachedApproximation>)>,
-        t: &Pointed,
-    ) -> Option<Arc<CachedApproximation>> {
-        entries
-            .into_iter()
-            .find(|(rep, _)| isomorphic_pointed(rep, t))
-            .map(|(_, v)| v)
     }
 
     /// Cache hits so far.
@@ -320,16 +263,29 @@ impl ApproxCache {
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
+}
 
-    /// Number of distinct cached isomorphism classes.
-    pub fn len(&self) -> usize {
-        self.buckets().values().map(|v| v.len()).sum()
-    }
+/// Removes the least recently used landed member other than `keep`
+/// from its bucket, and the bucket once empty; returns its charge.
+fn evict_lru(
+    buckets: &mut HashMap<ApproxCacheKey, Bucket>,
+    keep: Option<&Flight<Arc<CachedApproximation>>>,
+) -> Option<usize> {
+    let all = (buckets.values()).flat_map(|b| b.iter().map(|m| (m, &m.flight)));
+    let victim = Arc::clone(lru(all, keep)?);
+    let other = |m: &&Arc<Member>| !Arc::ptr_eq(m, &victim);
+    buckets.retain(|_, b| {
+        if b.iter().any(|m| Arc::ptr_eq(m, &victim)) {
+            *b = b.iter().filter(other).cloned().collect();
+        }
+        !b.is_empty()
+    });
+    Some(victim.flight.charge())
+}
 
-    /// `true` when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+/// The members of a bucket snapshot (none when there was no bucket).
+fn members(bucket: &Option<Bucket>) -> &[Arc<Member>] {
+    bucket.as_deref().unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -337,6 +293,56 @@ mod tests {
     use super::*;
     use cqapx_core::TwK;
     use cqapx_cq::{parse_cq, tableau_of};
+    use std::sync::Barrier;
+
+    impl ApproxCache {
+        /// Number of cached isomorphism classes (landed members only).
+        fn len(&self) -> usize {
+            let buckets = self.buckets();
+            let members = buckets.values().flat_map(|b| b.iter());
+            members.filter(|m| m.flight.landed().is_some()).count()
+        }
+    }
+
+    /// `lookup_only` never waits on a search: while the flight of an
+    /// isomorphic tableau is un-landed it finds nothing, and once that
+    /// flight lands it hits, as does `get_or_compute`.
+    #[test]
+    fn lookup_only_skips_an_unlanded_flight() {
+        let cache = ApproxCache::new();
+        let opts = ApproxOptions::default();
+        let t = tableau_of(&parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap());
+        let renamed = tableau_of(&parse_cq("Q() :- E(b,c), E(c,a), E(a,b)").unwrap());
+        let member = cache.member(ApproxCacheKey::new(&t, &TwK(1), &opts), &t);
+        let (inside, release) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|s| {
+            let search = s.spawn(|| {
+                let make = || {
+                    inside.wait();
+                    release.wait();
+                    (ApproxCache::new().get_or_compute(&t, &TwK(1), &opts).0, 1)
+                };
+                cache.ledger.claim(&member.flight, make).1
+            });
+            inside.wait();
+            assert!(cache.lookup_only(&renamed, &TwK(1), &opts).is_none());
+            release.wait();
+            assert!(search.join().unwrap(), "the search ran in the flight");
+        });
+        assert!(cache.lookup_only(&renamed, &TwK(1), &opts).is_some());
+        assert!(cache.get_or_compute(&renamed, &TwK(1), &opts).1);
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (2, 0, 1));
+    }
+
+    #[test]
+    fn structure_estimate_scales_with_tuples() {
+        let boolean = |edges: &[(u32, u32)]| Pointed::boolean(Structure::digraph(4, edges));
+        let small = boolean(&[(0, 1)]);
+        let big = boolean(&[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        assert!(pointed_bytes(&big) > pointed_bytes(&small));
+        let p = Pointed::new(Structure::digraph(4, &[(0, 1)]), vec![0, 1]);
+        assert!(pointed_bytes(&p) > pointed_bytes(&small));
+    }
 
     #[test]
     fn second_lookup_hits() {

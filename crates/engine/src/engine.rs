@@ -88,9 +88,8 @@ pub struct EngineConfig {
     /// byte-identically on the next request.
     pub mat_cache_budget_bytes: Option<usize>,
     /// Byte budget for the shared approximation cache; `None` and
-    /// `Some(0)` both mean unbounded. Eviction prefers entries with the
-    /// lowest measured rebuild cost per resident byte, so expensive
-    /// single-exponential searches stay amortized the longest.
+    /// `Some(0)` both mean unbounded. An over-budget cache evicts its
+    /// least recently used approximations, never the one just landed.
     pub approx_cache_budget_bytes: Option<usize>,
 }
 

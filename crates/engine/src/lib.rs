@@ -22,8 +22,8 @@
 //!              │        │       else          → sandwich        │
 //!              │        │ (sandwich)                            │
 //!              │        ▼                                       │
-//!              │   ┌─────────────┐ key: canonical tableau       │
-//!              │   │ ApproxCache │ (iso signature + class)      │
+//!              │   ┌─────────────┐ key: iso signature + class,  │
+//!              │   │ ApproxCache │ one flight per iso class     │
 //!              │   └────┬────────┘ value: ApproxReport + plans  │
 //!              │        ▼                                       │
 //!              │   scoped worker threads, per-request deadline  │
@@ -46,7 +46,6 @@
 pub mod cache;
 pub mod catalog;
 pub mod engine;
-pub mod memory;
 pub mod planner;
 
 pub use cache::{ApproxCache, ApproxPlan, CachedApproximation};

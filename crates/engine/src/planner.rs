@@ -401,9 +401,7 @@ mod tests {
             let mut rows = 1.0_f64;
             let ir = plan.ir();
             for part in ir.parts(bag) {
-                let card = d
-                    .materialized
-                    .peek_cardinality(ir.words(part.key))
+                let card = d.materialized.peek_cardinalities([ir.words(part.key)])[0]
                     .unwrap_or_else(|| d.rel_stats(ir.binders(part)[0].rel()).cardinality);
                 rows *= card as f64;
             }

@@ -28,36 +28,64 @@ use std::hash::{Hash, Hasher};
 /// assert!(!isomorphic(&a, &p));
 /// ```
 pub fn isomorphic(a: &Structure, b: &Structure) -> bool {
-    bijection_exists(a, &[], b, &[])
+    counts_agree(a, &[], b, &[]) && bijection_exists(&HomSolver::compile(a), &[], b, &[])
 }
 
 /// Isomorphism of pointed structures: a structure isomorphism mapping the
 /// distinguished tuple of `a` to that of `b` pointwise.
 pub fn isomorphic_pointed(a: &Pointed, b: &Pointed) -> bool {
-    bijection_exists(
-        &a.structure,
-        a.distinguished(),
-        &b.structure,
-        b.distinguished(),
-    )
+    let (at, bt) = (a.distinguished(), b.distinguished());
+    counts_agree(&a.structure, at, &b.structure, bt)
+        && bijection_exists(&HomSolver::compile(&a.structure), at, &b.structure, bt)
 }
 
-/// An injective homomorphism `a → b` with `ā ↦ b̄` pointwise, once the
-/// sizes and per-relation tuple counts agree: with equal counts it is an
-/// isomorphism.
-fn bijection_exists(a: &Structure, at: &[Element], b: &Structure, bt: &[Element]) -> bool {
-    let counts_agree = a.vocabulary() == b.vocabulary()
+/// A pointed structure compiled once to be tested against many:
+/// [`isomorphic_pointed`] with its first argument fixed, whose
+/// [`HomSolver`] is compiled here and not on every test.
+pub struct CompiledPointed {
+    pointed: Pointed,
+    solver: HomSolver,
+}
+
+impl CompiledPointed {
+    /// Compiles `pointed`.
+    pub fn new(pointed: Pointed) -> CompiledPointed {
+        let solver = HomSolver::compile(&pointed.structure);
+        CompiledPointed { pointed, solver }
+    }
+
+    /// The structure compiled.
+    pub fn pointed(&self) -> &Pointed {
+        &self.pointed
+    }
+
+    /// `isomorphic_pointed(self.pointed(), b)`.
+    pub fn isomorphic_to(&self, b: &Pointed) -> bool {
+        let (a, at, bt) = (
+            &self.pointed.structure,
+            self.pointed.distinguished(),
+            b.distinguished(),
+        );
+        counts_agree(a, at, &b.structure, bt)
+            && bijection_exists(&self.solver, at, &b.structure, bt)
+    }
+}
+
+/// Whether the sizes, tuple lengths and per-relation tuple counts agree,
+/// which an isomorphism needs and [`bijection_exists`] assumes.
+fn counts_agree(a: &Structure, at: &[Element], b: &Structure, bt: &[Element]) -> bool {
+    a.vocabulary() == b.vocabulary()
         && a.universe_size() == b.universe_size()
         && at.len() == bt.len()
         && a.vocabulary()
             .rel_ids()
-            .all(|rel| a.tuples(rel).len() == b.tuples(rel).len());
-    counts_agree
-        && HomSolver::compile(a)
-            .run(b)
-            .pin_tuple(at, bt)
-            .injective()
-            .exists()
+            .all(|rel| a.tuples(rel).len() == b.tuples(rel).len())
+}
+
+/// An injective homomorphism from `a` (compiled as `solver`) to `b`
+/// with `ā ↦ b̄` pointwise: once [`counts_agree`], an isomorphism.
+fn bijection_exists(solver: &HomSolver, at: &[Element], b: &Structure, bt: &[Element]) -> bool {
+    solver.run(b).pin_tuple(at, bt).injective().exists()
 }
 
 /// A cheap isomorphism invariant of a pointed structure, usable as a hash
@@ -188,6 +216,14 @@ pub fn signature_pointed(p: &Pointed) -> IsoSignature {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`super::isomorphic_pointed`], asserted to agree with the test of
+    /// `a` compiled once.
+    fn isomorphic_pointed(a: &Pointed, b: &Pointed) -> bool {
+        let plain = super::isomorphic_pointed(a, b);
+        assert_eq!(CompiledPointed::new(a.clone()).isomorphic_to(b), plain);
+        plain
+    }
 
     fn cycle(n: usize) -> Structure {
         let edges: Vec<(Element, Element)> = (0..n)
