@@ -1,17 +1,10 @@
-//! Fixtures and test oracles of the workspace.
-//!
-//! * [`workloads`] — query suites and seeded database generators, shared by
-//!   the tests of this crate and the root package's tests;
-//! * [`baseline`] — the frozen seed homomorphism engine and the exhaustive
-//!   approximation pipeline on top of it, the oracles of
-//!   `tests/hom_differential.rs` and the evaluation harness;
-//! * [`reference`](mod@reference) — the nested-loop reference join the kernel
-//!   differentials compare `multiway_join` with.
-//!
-//! The paper's results are asserted by `cargo test` (the root package's
-//! `tests/paper.rs` and the crates' own tests); timing them, and the
-//! serving stack end to end, is `cqbench`'s job.
+//! Fixtures and test oracles: [`workloads`] (query suites and seeded
+//! databases), [`definitions`] (homomorphisms, cores and approximations
+//! from their definitions) and [`reference`](mod@reference) (the
+//! reference join). Timing is `cqbench`'s job.
 
-pub mod baseline;
+pub mod definitions;
+/// The workspace's one reference join. The file is std-only, so that
+/// `cqapx-cq`'s unit tests `include!` it too.
 pub mod reference;
 pub mod workloads;

@@ -13,8 +13,8 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Templates: `eval_naive` agrees with the frozen seed engine and
-    /// the naive plan, and every root with it.
+    /// Templates: `eval_naive` agrees with homomorphisms by definition
+    /// and the naive plan, and every root with it.
     #[test]
     fn decomposed_agrees_on_templates(q in template(), d in database()) {
         let expected = check_oracle(&q, &d);

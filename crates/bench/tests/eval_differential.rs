@@ -1,7 +1,7 @@
 //! The forest family — random acyclic queries with reversed twins,
 //! duplicates and loops — through the oracle harness
-//! (`harness/mod.rs`): the oracle triangulated by the frozen seed
-//! engine, the kernel against the reference join, and the engine's
+//! (`harness/mod.rs`): the oracle triangulated by homomorphisms by
+//! definition, the kernel against the reference join, and the engine's
 //! cached path. The tree tiers' answers on the same family, with the
 //! kernel arm that ran, are `kernel_config_differential.rs`'s.
 
@@ -14,7 +14,7 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `eval_naive` agrees with the frozen seed engine and the naive
+    /// `eval_naive` agrees with homomorphisms by definition and the naive
     /// plan, and every bag and join op of both tree tiers with the
     /// reference join.
     #[test]

@@ -13,9 +13,9 @@
 //! optionally re-spaced into a larger universe so the `DomainDict` is
 //! not the identity. The check has four parts, which the test files run
 //! family by family:
-//! - [`check_oracle`]: the naive plan, and the frozen seed hom engine
-//!   (`cqapx_bench::baseline::BaselineHom`), which triangulates the
-//!   oracle on every shape;
+//! - [`check_oracle`]: the naive plan, and homomorphisms by their
+//!   definition (`cqapx_bench::definitions::Hom`, plain backtracking),
+//!   which triangulate the oracle on every shape;
 //! - [`check_kernels`]: every multi-part bag of every tree-tier plan,
 //!   and every `Op::MultiJoin` a run reaches, rebuilt from the same
 //!   inputs by the reference join (`cqapx_bench::reference`) — byte for
@@ -46,8 +46,8 @@
 
 #![allow(dead_code)]
 
-use cqapx_bench::baseline::BaselineHom;
-use cqapx_bench::reference::assert_join;
+use cqapx_bench::definitions::Hom;
+use cqapx_bench::reference::reference_join;
 use cqapx_bench::workloads::{lcg, skewed_digraph, zipf_db};
 use cqapx_core::{all_approximations, ApproxOptions, TwK};
 use cqapx_cq::eval::ir::compile_tree;
@@ -287,24 +287,29 @@ pub fn assert_is(got: &Answers, expected: &Rows, arity: usize, what: &str) {
     assert!(!got.contains(&vec![0; arity + 1]), "{what}: wrong arity");
 }
 
-/// The frozen seed engine's answers: every tableau → database
-/// homomorphism, read off at the head.
-fn frozen_eval(q: &ConjunctiveQuery, d: &Structure) -> Rows {
+/// The answers by definition: every tableau → database homomorphism,
+/// read off at the head.
+fn eval_by_definition(q: &ConjunctiveQuery, d: &Structure) -> Rows {
     let t = tableau_of(q);
     let mut out = BTreeSet::new();
-    BaselineHom::new(&t.structure, d).for_each(|h| {
+    Hom::new(&t.structure, d).for_each(|h| {
         out.insert(t.distinguished().iter().map(|&v| h[v as usize]).collect());
         ControlFlow::Continue(())
     });
     out
 }
 
-/// The oracle, `eval_naive`, triangulated by the frozen seed engine;
+/// The oracle, `eval_naive`, triangulated by homomorphisms by
+/// definition;
 /// the compiled naive plan returns its rows, full and Boolean. Returns
 /// the oracle's rows.
 pub fn check_oracle(q: &ConjunctiveQuery, d: &Structure) -> Rows {
     let expected = eval_naive(q, d);
-    assert_eq!(frozen_eval(q, d), expected, "frozen engine vs naive, {q}");
+    assert_eq!(
+        eval_by_definition(q, d),
+        expected,
+        "definition vs naive, {q}"
+    );
     let naive = NaivePlan::compile(q.clone());
     assert_is(
         &naive.eval_answers(d),
@@ -335,6 +340,21 @@ fn decomposed_roots(q: &ConjunctiveQuery) -> Vec<DecomposedPlan> {
             plan
         })
         .collect()
+}
+
+/// Asserts that `got` is what the kernel must write for
+/// `π_keep(⋈ parts)`: schema `keep`, the reference join's rows in order,
+/// and its width bound.
+pub fn assert_join(got: &FlatRelation, parts: &[&FlatRelation], keep: &[u32], ctx: &str) {
+    let parts: Vec<_> = (parts.iter())
+        .map(|p| (p.schema(), p.iter_rows().collect(), p.domain_width()))
+        .collect();
+    let (want, width) = reference_join(&parts, keep);
+    assert_eq!(got.schema(), keep, "schema: {ctx}");
+    assert_eq!(got.len(), want.len(), "row count: {ctx}");
+    let want = want.iter().map(Vec::as_slice);
+    assert!(got.iter_rows().eq(want), "rows: {ctx}");
+    assert_eq!(got.domain_width(), width, "width: {ctx}");
 }
 
 /// Every multi-part bag of `ir`, built by the kernel alone and checked

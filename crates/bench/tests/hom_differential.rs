@@ -1,14 +1,14 @@
-//! Differential property tests: the refactored hom engine
-//! (`HomSolver` + cached indexes + streaming antichain) and the pruned
-//! approximation search against the frozen seed engine
-//! (`cqapx_bench::baseline`) on random structures.
+//! Differential property tests: the hom engine (`HomSolver`, cached
+//! indexes, the streaming antichain) and the pruned approximation search
+//! against the oracles written from the definitions
+//! (`cqapx_bench::definitions`) on random structures.
 //!
-//! The refactor must change *time*, never *answers*: existence verdicts,
-//! witness validity under pins/exclusions/injectivity, core idempotence,
-//! the order filters and the approximations themselves must all agree
-//! with the pre-refactor engine.
+//! The engine's speed comes from its indexes, propagation and pruning;
+//! its answers must be the definitions': existence verdicts, witness
+//! validity under pins, exclusions and injectivity, core size and
+//! idempotence, the order filters and the approximations themselves.
 
-use cqapx_bench::baseline;
+use cqapx_bench::definitions::{self, Hom};
 use cqapx_core::approx::{in_walk_order, repairs_public};
 use cqapx_core::{
     all_approximations_tableaux, is_approximation, Acyclic, ApproxOptions, HtwK, QueryClass, TwK,
@@ -66,19 +66,19 @@ fn pointed_structure(max_n: usize) -> impl Strategy<Value = Pointed> {
     })
 }
 
-/// `core_of(p)` against the seed engine's core: the same size and
+/// `core_of(p)` against the core by definition: the same size and
 /// hom-equivalent (head to head); the retraction a homomorphism onto the
 /// core that maps the head onto the core's head; idempotent, and
-/// certified a core by both engines.
+/// certified a core by the engine and by the definition.
 fn check_core(p: &Pointed) {
-    let old_core = baseline::baseline_core_of(p);
+    let def_core = definitions::core(p);
     let r = core_of(p);
     prop_assert_eq!(
-        old_core.structure.universe_size(),
+        def_core.structure.universe_size(),
         r.core.structure.universe_size()
     );
-    prop_assert!(hom_exists(&r.core, &old_core));
-    prop_assert!(hom_exists(&old_core, &r.core));
+    prop_assert!(hom_exists(&r.core, &def_core));
+    prop_assert!(hom_exists(&def_core, &r.core));
     let h = Homomorphism {
         map: r.retraction.clone(),
     };
@@ -88,31 +88,31 @@ fn check_core(p: &Pointed) {
     let r2 = core_of(&r.core);
     prop_assert_eq!(r2.iterations, 0);
     prop_assert!(is_core(&r.core));
-    prop_assert!(baseline::baseline_is_core(&r.core));
+    prop_assert_eq!(&definitions::core(&r.core), &r.core);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Existence verdicts agree with the seed engine, and every witness
+    /// Existence verdicts agree with the definition, and every witness
     /// the new engine returns verifies.
     #[test]
     fn existence_and_witnesses_agree(
         a in digraph_structure(5),
         b in digraph_structure(5),
     ) {
-        let old = baseline::BaselineHom::new(&a, &b).exists();
+        let want = Hom::new(&a, &b).exists();
         let new = HomSolver::compile(&a).run(&b).find();
-        prop_assert_eq!(old, new.is_some());
+        prop_assert_eq!(want, new.is_some());
         if let Some(h) = new {
             prop_assert!(h.verify(&a, &b));
         }
         // And through the compiled-solver API.
         let solver = HomSolver::compile(&a);
-        prop_assert_eq!(old, solver.run(&b).exists());
+        prop_assert_eq!(want, solver.run(&b).exists());
     }
 
-    /// Pins, exclusions and injectivity agree with the seed engine.
+    /// Pins, exclusions and injectivity agree with the definition.
     #[test]
     fn constrained_searches_agree(
         a in digraph_structure(4),
@@ -124,7 +124,7 @@ proptest! {
         let pt = (pin_seed as usize / 4) % b.universe_size();
         let ex = (excl_seed as usize) % b.universe_size();
 
-        let old = baseline::BaselineHom::new(&a, &b)
+        let want = Hom::new(&a, &b)
             .pin(ps as Element, pt as Element)
             .exclude_target(ex as Element)
             .exists();
@@ -133,24 +133,24 @@ proptest! {
             .pin(ps as Element, pt as Element)
             .exclude_target(ex as Element)
             .find();
-        prop_assert_eq!(old, new.is_some());
+        prop_assert_eq!(want, new.is_some());
         if let Some(h) = new {
             prop_assert!(h.verify(&a, &b));
             prop_assert_eq!(h.apply(ps as Element), pt as Element);
             prop_assert!(!h.map.contains(&(ex as Element)));
         }
 
-        let old_inj = baseline::BaselineHom::new(&a, &b).injective().exists();
+        let want_inj = Hom::new(&a, &b).injective().exists();
         let new_inj = HomSolver::compile(&a).run(&b).injective().find();
-        prop_assert_eq!(old_inj, new_inj.is_some());
+        prop_assert_eq!(want_inj, new_inj.is_some());
         if let Some(h) = new_inj {
             prop_assert!(h.verify(&a, &b));
             prop_assert!(!h.is_non_injective());
         }
     }
 
-    /// `core_of` agrees with the seed core (same size, hom-equivalent),
-    /// is idempotent, and its result is certified by both engines.
+    /// `core_of` agrees with the core by definition (same size,
+    /// hom-equivalent), is idempotent, and its result is certified by both.
     #[test]
     fn cores_agree_and_are_idempotent(s in digraph_structure(6)) {
         check_core(&Pointed::boolean(s));
@@ -191,8 +191,8 @@ proptest! {
         prop_assert_eq!(expected, chain.into_members());
     }
 
-    /// The order functions (matrix-backed) agree with the seed engine's
-    /// pairwise filters on small families.
+    /// The order functions (matrix-backed) agree with the pairwise filters
+    /// by definition on small families.
     #[test]
     fn order_filters_agree(
         a in digraph_structure(4),
@@ -205,11 +205,11 @@ proptest! {
             Pointed::boolean(c),
         ];
         prop_assert_eq!(
-            baseline::baseline_minimal_elements(&family),
+            definitions::minimal_elements(&family),
             order::minimal_elements(&family)
         );
         prop_assert_eq!(
-            baseline::baseline_dedupe_hom_equivalent(&family),
+            definitions::dedupe_hom_equivalent(&family),
             order::dedupe_hom_equivalent(&family)
         );
     }
@@ -285,15 +285,17 @@ fn assert_same_approximations(
     }
 }
 
-/// The search against the exhaustive scan: `baseline` for the results,
-/// a full partition enumeration for the candidate count — the distinct
+/// The search in `class` against the exhaustive scan: the
+/// `TW(k)`-approximations by definition for the results (`class` must be
+/// `TW(k)` on `t`'s vocabulary), a full partition enumeration for the
+/// candidate count — the distinct
 /// quotients of the in-class partitions that no strictly finer in-class
 /// partition refines and into which `Q^triv` does not map (none of their
 /// blocks holds every relation's loop and the whole head), plus one for
 /// `Q^triv` itself, under the numbering the search walks (which
 /// partitions' *labelled* quotients coincide depends on the numbering).
 /// Returns how many partitions the search reached.
-fn assert_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass) -> u64 {
+fn assert_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass, k: usize) -> u64 {
     let n = t.structure.universe_size();
     let ordered = in_walk_order(t);
     let (trivial, _) = quotient_pointed(&ordered, &Partition::coarsest(n));
@@ -312,11 +314,7 @@ fn assert_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass) -> u64 
         .map(|(_, qt)| qt)
         .filter(|qt| !hom_exists(&trivial, qt))
         .collect();
-    let expected = baseline::baseline_all_approximations_tableaux(
-        t,
-        &|qt: &Pointed| class.contains_tableau(qt),
-        u64::MAX,
-    );
+    let expected = definitions::approximations(t, k);
     let (got, meta) = all_approximations_tableaux(t, class, &ApproxOptions::default());
     let name = class.name();
     assert!(meta.complete, "{name}");
@@ -336,21 +334,22 @@ fn assert_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass) -> u64 
 /// scan finds and returns the same approximations up to equivalence.
 fn check_pruned_search(name: &str, cases: u32, max_n: usize) {
     for_cases(name, cases, query_tableau(max_n), |t| {
-        assert_search_matches_exhaustive(&t, &TwK(1));
-        assert_search_matches_exhaustive(&t, &TwK(2));
+        assert_search_matches_exhaustive(&t, &TwK(1), 1);
+        assert_search_matches_exhaustive(&t, &TwK(2), 2);
     });
 }
 
 /// Hypergraph-based classes have no prefix cut, only the domination
 /// bound — which must bite on some case. Over binary vocabularies no
-/// repair can succeed (an extra edge never removes a cycle), so the
-/// exhaustive baseline without repairs is still the oracle.
+/// repair can succeed (an extra edge never removes a cycle), and
+/// `AC = HTW(1) = TW(1)`, so the `TW(1)`-approximations by definition
+/// are still the oracle.
 fn check_unpruned_search(name: &str, cases: u32, max_n: usize) {
     let mut some_case_reached_fewer = false;
     for_cases(name, cases, query_tableau(max_n), |t| {
         let all = bell(t.structure.universe_size());
-        some_case_reached_fewer |= assert_search_matches_exhaustive(&t, &Acyclic) < all;
-        some_case_reached_fewer |= assert_search_matches_exhaustive(&t, &HtwK(1)) < all;
+        some_case_reached_fewer |= assert_search_matches_exhaustive(&t, &Acyclic, 1) < all;
+        some_case_reached_fewer |= assert_search_matches_exhaustive(&t, &HtwK(1), 1) < all;
     });
     assert!(some_case_reached_fewer, "domination never cut anything");
 }

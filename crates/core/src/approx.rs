@@ -770,6 +770,12 @@ pub struct ApproxReportMeta {
     /// partition refines and no block of which holds every relation's
     /// loop and the whole head, the repaired out-of-class ones, and
     /// `Q^triv` (the coarsest partition's quotient), offered last.
+    ///
+    /// The count belongs to the spelling that was searched: the walk's
+    /// order (`in_walk_order`) breaks ties by input index, so isomorphic
+    /// renamings of one query can offer different numbers of candidates
+    /// for the same partitions, and a report the engine's cache shares
+    /// keeps the count of whichever request searched first.
     pub candidates: usize,
     /// Number of partitions reached (leaves of the walk; pruned subtrees
     /// and dominated leaves are not counted).

@@ -93,7 +93,7 @@ impl Answers {
 
     /// A Boolean query's answer: the single empty row when `holds`,
     /// no row otherwise.
-    pub fn boolean(holds: bool) -> Answers {
+    pub(crate) fn boolean(holds: bool) -> Answers {
         Answers {
             arity: 0,
             rows: usize::from(holds),

@@ -191,7 +191,7 @@ impl Rows {
 ///
 /// Invariants: `data.len() == rows * schema.len()`; the schema lists
 /// distinct variables. Operations that can produce duplicate rows
-/// ([`FlatRelation::push_row`], [`FlatRelation::project`]) are paired
+/// (`FlatRelation::push_row`, `FlatRelation::project`) are paired
 /// with [`FlatRelation::sort_dedup`]; the plan-level operations
 /// (materialization, semijoin, join) keep relations duplicate-free.
 #[derive(Debug, Clone)]
@@ -230,7 +230,7 @@ impl FlatRelation {
     /// The 0-ary relation holding the single empty row — the join
     /// identity ("true"). Joining against it is a no-op; semijoining
     /// against it keeps every row.
-    pub fn unit() -> Self {
+    pub(crate) fn unit() -> Self {
         FlatRelation {
             schema: Vec::new(),
             rows: 1,
@@ -301,7 +301,7 @@ impl FlatRelation {
     /// read. A shared buffer counts in full for every holder: the
     /// cache charges an entry once, at landing, and the slots that
     /// adopt it are never charged.
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         let words = self.arity() * (self.domain_width as usize).div_ceil(64);
         let tables = if self.bitmap_eligible() { words } else { 0 };
         self.data.capacity() * std::mem::size_of::<Element>()
@@ -389,7 +389,7 @@ impl FlatRelation {
     }
 
     /// Drops all rows.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.rows = 0;
         let mut data = self.data.take_scratch();
         data.clear();
@@ -418,7 +418,7 @@ impl FlatRelation {
 
     /// Appends a row (must match the arity). May introduce duplicates;
     /// call [`FlatRelation::sort_dedup`] to normalize.
-    pub fn push_row(&mut self, row: &[Element]) {
+    pub(crate) fn push_row(&mut self, row: &[Element]) {
         debug_assert_eq!(row.len(), self.schema.len(), "row arity mismatch");
         self.data.make_mut().extend_from_slice(row);
         self.rows += 1;
@@ -726,7 +726,7 @@ impl FlatRelation {
     /// [`FlatRelation::sort_dedup`], which meets short runs when a
     /// dropped column separates kept ones. Nothing is joined and no copy
     /// is re-sorted. The width bound is this relation's.
-    pub fn project(&self, vars: &[VarId], stats: &mut MatCacheStats) -> FlatRelation {
+    pub(crate) fn project(&self, vars: &[VarId], stats: &mut MatCacheStats) -> FlatRelation {
         let mut schema: Vec<VarId> = Vec::with_capacity(vars.len());
         for v in vars {
             if !schema.contains(v) {
@@ -1910,6 +1910,11 @@ impl MaterializationCache {
 mod tests {
     use super::*;
 
+    /// The workspace's one reference join, shared with `cqapx-bench`.
+    mod reference {
+        include!("../../../bench/src/reference.rs");
+    }
+
     impl FlatRelation {
         /// The `i`-th row.
         pub(crate) fn row(&self, i: usize) -> &[Element] {
@@ -1968,76 +1973,18 @@ mod tests {
     }
 
     impl FlatRelation {
-        /// The reference join: `π_keep(⋈ parts)` by its definition, sharing
-        /// no code with the kernel — a nested loop over `BTreeSet` rows,
-        /// each part's rows keyed by the columns it shares with the parts
-        /// before it, so that the inner loop of a partial binding is a range
-        /// of the ordered set — written out as the relation the kernel must
-        /// produce: canonical rows, and the largest part bound when every
-        /// part with a column has one.
-        pub(crate) fn reference_join(parts: &[&FlatRelation], keep: &[VarId]) -> FlatRelation {
-            struct Loop {
-                shared: Vec<usize>,
-                rows: BTreeSet<Vec<Element>>,
-            }
-            fn extend(
-                loops: &[Loop],
-                binding: &mut Vec<Element>,
-                kept: &[usize],
-                out: &mut BTreeSet<Vec<Element>>,
-            ) {
-                let Some((first, rest)) = loops.split_first() else {
-                    out.insert(kept.iter().map(|&i| binding[i]).collect());
-                    return;
-                };
-                let key: Vec<Element> = first.shared.iter().map(|&i| binding[i]).collect();
-                for row in first.rows.range(key.clone()..) {
-                    if !row.starts_with(&key) {
-                        break;
-                    }
-                    let len = binding.len();
-                    binding.extend_from_slice(&row[key.len()..]);
-                    extend(rest, binding, kept, out);
-                    binding.truncate(len);
-                }
-            }
-            let mut bound: Vec<VarId> = Vec::new();
-            let mut loops = Vec::new();
-            for p in parts {
-                let at = |v: &VarId| bound.iter().position(|b| b == v);
-                let arity = p.schema.len();
-                let shared: Vec<usize> =
-                    (0..arity).filter(|&c| at(&p.schema[c]).is_some()).collect();
-                let own: Vec<usize> = (0..arity).filter(|&c| at(&p.schema[c]).is_none()).collect();
-                let rows = (p.iter_rows())
-                    .map(|r| shared.iter().chain(&own).map(|&c| r[c]).collect())
-                    .collect();
-                let shared = shared
-                    .iter()
-                    .map(|&c| at(&p.schema[c]).expect("shared"))
-                    .collect();
-                bound.extend(own.iter().map(|&c| p.schema[c]));
-                loops.push(Loop { shared, rows });
-            }
-            let at = |v: &VarId| {
-                bound
-                    .iter()
-                    .position(|b| b == v)
-                    .expect("kept var in a part")
-            };
-            let kept: Vec<usize> = keep.iter().map(at).collect();
-            let mut rows = BTreeSet::new();
-            extend(&loops, &mut Vec::new(), &kept, &mut rows);
+        /// The reference join of `parts` onto `keep`, written out as the
+        /// relation the kernel must produce.
+        pub(crate) fn reference_of(parts: &[&FlatRelation], keep: &[VarId]) -> FlatRelation {
+            let parts: Vec<reference::Part> = (parts.iter())
+                .map(|p| (&p.schema[..], p.iter_rows().collect(), p.domain_width))
+                .collect();
+            let (rows, width) = reference::reference_join(&parts, keep);
             let mut out = FlatRelation::empty(keep.to_vec());
             for row in &rows {
                 out.push_row(row);
             }
-            if parts
-                .iter()
-                .all(|p| p.domain_width > 0 || p.schema.is_empty())
-            {
-                out.domain_width = parts.iter().map(|p| p.domain_width).max().unwrap_or(0);
-            }
+            out.domain_width = width;
             out
         }
 
@@ -2345,7 +2292,7 @@ mod tests {
                 let parts: Vec<&FlatRelation> = rels.iter().collect();
                 for keep in keep_lists(&schema) {
                     let got = kernel(&parts, &keep);
-                    let want = FlatRelation::reference_join(&parts, &keep);
+                    let want = FlatRelation::reference_of(&parts, &keep);
                     let ctx =
                         format!("{schemas:?} keep {keep:?} dom {dom} rows {rows} dense {dense}");
                     assert_identical(&got, &want, &ctx);
@@ -2444,7 +2391,7 @@ mod tests {
         let a = rel(&[0, 1], &[&[1, 2], &[2, 3]]);
         let b = rel(&[1, 2], &[&[2, 4], &[3, 1], &[3, 9]]);
         let (yes, no) = (FlatRelation::unit(), FlatRelation::empty(Vec::new()));
-        let want = FlatRelation::reference_join(&[&a, &b], &[0, 1, 2]);
+        let want = FlatRelation::reference_of(&[&a, &b], &[0, 1, 2]);
         assert_eq!(want.len(), 3);
         for parts in [[&yes, &a, &b], [&a, &yes, &b], [&a, &b, &yes]] {
             assert_identical(&kernel(&parts, &[0, 1, 2]), &want, "true part");
@@ -2532,7 +2479,7 @@ mod tests {
             let dense = Trie::offsets_len(parts[1]) > 0;
             assert_eq!(dense, widths[1] == 60);
             let got = kernel(&parts, &[0, 1, 2]);
-            let want = FlatRelation::reference_join(&parts, &[0, 1, 2]);
+            let want = FlatRelation::reference_of(&parts, &[0, 1, 2]);
             assert!(!want.is_empty());
             assert_identical(&got, &want, &format!("widths {widths:?}"));
         }
@@ -2567,7 +2514,7 @@ mod tests {
             b.domain_width = width;
             assert_eq!(Trie::offsets_len(&b) > 0, indexed, "width {width}");
             for keep in [&[0, 1, 2, 3][..], &[3, 0], &[2]] {
-                let want = FlatRelation::reference_join(&[&a, &b], keep);
+                let want = FlatRelation::reference_of(&[&a, &b], keep);
                 assert!(!want.is_empty());
                 let ctx = format!("width {width}, keep {keep:?}");
                 assert_identical(&kernel(&[&a, &b], keep), &want, &ctx);
@@ -2766,7 +2713,7 @@ mod tests {
             let mut via_bitmap = a.clone();
             via_bitmap.semijoin_on(&[1], &b, &[0], &mut stats);
             assert_eq!(stats.bitmap_probes, 1, "dense fixture takes the bitmap");
-            let want = FlatRelation::reference_join(&[&a, &b], &a.schema);
+            let want = FlatRelation::reference_of(&[&a, &b], &a.schema);
             assert_eq!(via_bitmap.data, want.data, "semijoin bytes differ (n={n})");
             assert_eq!(via_bitmap.rows, want.rows);
             assert_eq!(via_bitmap.domain_width, a.domain_width);
@@ -3290,7 +3237,7 @@ mod tests {
         let l = bounded_rel(&[0, 1, 2], 9000, 300, &mut seed);
         let r = bounded_rel(&[1, 3], 7000, 300, &mut seed);
         for vars in [&[0, 3][..], &[3, 2, 0, 1], &[2], &[]] {
-            let want = FlatRelation::reference_join(&[&l, &r], vars);
+            let want = FlatRelation::reference_of(&[&l, &r], vars);
             assert_identical(&kernel(&[&l, &r], vars), &want, &format!("vars {vars:?}"));
         }
     }
@@ -3331,7 +3278,7 @@ mod tests {
     /// schema, rows in order, bound. Rows that need the sort are written
     /// as code words when they fit a `u32` one, and as rows otherwise.
     fn check_word_join(l: &FlatRelation, r: &FlatRelation, vars: &[VarId], ctx: &str) {
-        let want = FlatRelation::reference_join(&[l, r], vars);
+        let want = FlatRelation::reference_of(&[l, r], vars);
         let got = multiway_join([l, r].into_iter(), vars, &mut MatCacheStats::default());
         assert_identical(&got, &want, ctx);
         assert_eq!(got.domain_width, want.domain_width, "{ctx}");
@@ -3415,7 +3362,7 @@ mod tests {
             let got = multiway_join(parts, vars, &mut stats);
             assert_identical(
                 &got,
-                &FlatRelation::reference_join(&[&xy, &yz], vars),
+                &FlatRelation::reference_of(&[&xy, &yz], vars),
                 "wedge",
             );
             let words = (stats.packed_sorts, stats.packed_rows);
@@ -3485,7 +3432,7 @@ mod tests {
                     vars.push(v);
                 }
             }
-            let want = FlatRelation::reference_join(&[&l, &r], &vars);
+            let want = FlatRelation::reference_of(&[&l, &r], &vars);
             let mut stats = MatCacheStats::default();
             let parts = [&l, &r].into_iter();
             let got = multiway_join(parts, &vars, &mut stats);
@@ -3494,7 +3441,7 @@ mod tests {
             prop_assert_eq!(got.rows, want.rows);
             prop_assert_eq!(&got.data, &want.data);
             // The gather over the whole join keeps the same set.
-            let alone = FlatRelation::reference_join(&[&l, &r], &schema).project(&vars, &mut stats);
+            let alone = FlatRelation::reference_of(&[&l, &r], &schema).project(&vars, &mut stats);
             prop_assert_eq!(&alone.data, &want.data);
         }
     }

@@ -1347,11 +1347,11 @@ mod tests {
             let parts: Vec<&FlatRelation> = slots.iter().flatten().collect();
             match self.run(d, None, None).0 {
                 Some(out) => {
-                    let want = FlatRelation::reference_join(&parts, out.schema());
+                    let want = FlatRelation::reference_of(&parts, out.schema());
                     assert!(out.iter_rows().eq(want.iter_rows()), "output rows: {what}");
                 }
                 None => {
-                    let want = FlatRelation::reference_join(&parts, &[]);
+                    let want = FlatRelation::reference_of(&parts, &[]);
                     assert!(
                         want.is_empty(),
                         "the run stopped on a nonempty join: {what}"
@@ -1464,7 +1464,7 @@ mod tests {
         let mut stats = MatCacheStats::default();
         let scan = |p: &MatPart| ir.materialize_part(p, d, &mut stats);
         let parts: Vec<FlatRelation> = ir.parts(src).iter().map(scan).collect();
-        FlatRelation::reference_join(&parts.iter().collect::<Vec<_>>(), ir.words(src.schema))
+        FlatRelation::reference_of(&parts.iter().collect::<Vec<_>>(), ir.words(src.schema))
     }
 
     #[test]

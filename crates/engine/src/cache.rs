@@ -210,23 +210,23 @@ impl ApproxCache {
 
     /// Sets the byte budget (`0` = unbounded) and applies it
     /// immediately if the cache is already over.
-    pub fn set_budget_bytes(&self, bytes: usize) {
+    pub(crate) fn set_budget_bytes(&self, bytes: usize) {
         self.ledger.set_budget_bytes(bytes);
         self.ledger.sweep(|| self.buckets(), |b| evict_lru(b, None));
     }
 
     /// The configured byte budget (`0` = unbounded).
-    pub fn budget_bytes(&self) -> usize {
+    pub(crate) fn budget_bytes(&self) -> usize {
         self.ledger.budget_bytes()
     }
 
     /// Estimated bytes of all retained entries.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.ledger.resident_bytes()
     }
 
     /// Entries evicted by the byte budget so far.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.ledger.evictions()
     }
 

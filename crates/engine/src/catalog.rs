@@ -79,7 +79,7 @@ pub(crate) struct DbCounters {
 
 impl DbCounters {
     /// Zeroes every instrument.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.latency.reset();
         for c in [
             &self.approx_hits,
@@ -98,7 +98,7 @@ impl DatabaseEntry {
     /// (`compute_stats`), ready before the first request. This is the expensive half of a registration and
     /// needs no catalog: a caller that keeps the catalog behind a lock
     /// builds first and locks only for `Catalog::insert_database`.
-    pub fn build(name: impl Into<String>, s: Structure) -> DatabaseEntry {
+    pub(crate) fn build(name: impl Into<String>, s: Structure) -> DatabaseEntry {
         let stats = compute_stats(&s);
         DatabaseEntry {
             name: name.into(),
@@ -166,7 +166,7 @@ pub struct PreparedQuery {
 
 impl PreparedQuery {
     /// Prepares `q`: its shape and the plans it admits. Like
-    /// [`DatabaseEntry::build`], the expensive half and no catalog needed:
+    /// `DatabaseEntry::build`, the expensive half and no catalog needed:
     /// build first, lock only for `Catalog::insert_query`.
     pub fn build(name: impl Into<String>, q: ConjunctiveQuery) -> PreparedQuery {
         // One treewidth search: the width comes with the decomposition
@@ -195,12 +195,12 @@ impl PreparedQuery {
     }
 
     /// The prepared query itself.
-    pub fn query(&self) -> &ConjunctiveQuery {
+    pub(crate) fn query(&self) -> &ConjunctiveQuery {
         self.naive.query()
     }
 
     /// The tableau `(T_Q, x̄)`, shared with the approximation cache.
-    pub fn tableau(&self) -> &Pointed {
+    pub(crate) fn tableau(&self) -> &Pointed {
         self.naive.tableau()
     }
 }
@@ -262,17 +262,17 @@ impl Catalog {
     }
 
     /// The database behind an id.
-    pub fn database(&self, id: DbId) -> Option<Arc<DatabaseEntry>> {
+    pub(crate) fn database(&self, id: DbId) -> Option<Arc<DatabaseEntry>> {
         self.dbs.get(id.0).cloned()
     }
 
     /// Iterates the registered databases in id order, one per name.
-    pub fn databases(&self) -> impl Iterator<Item = &Arc<DatabaseEntry>> {
+    pub(crate) fn databases(&self) -> impl Iterator<Item = &Arc<DatabaseEntry>> {
         self.dbs.iter()
     }
 
     /// The prepared query behind an id.
-    pub fn query(&self, id: QueryId) -> Option<Arc<PreparedQuery>> {
+    pub(crate) fn query(&self, id: QueryId) -> Option<Arc<PreparedQuery>> {
         self.queries.get(id.0).cloned()
     }
 

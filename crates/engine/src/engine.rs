@@ -246,12 +246,6 @@ impl Response {
         }
         text
     }
-
-    /// The planner's full decision: estimates, the budget they were
-    /// compared against, and the machine-readable rationale.
-    pub fn decision(&self) -> &PlanDecision {
-        &self.decision
-    }
 }
 
 /// Aggregate serving statistics.
@@ -518,7 +512,7 @@ impl Engine {
     }
 
     /// Registers a database: scans statistics and builds the domain
-    /// dictionary ([`DatabaseEntry::build`]), applies the
+    /// dictionary (`DatabaseEntry::build`), applies the
     /// materialization-cache byte budget (see
     /// [`EngineConfig::mat_cache_budget_bytes`]), and only then takes
     /// the catalog's write lock, for a push or a swap — requests

@@ -54,7 +54,7 @@ impl fmt::Display for PlanKind {
 
 /// Why the planner picked its tier. The variant is the decision; the
 /// numbers it cites live in the surrounding [`PlanDecision`], so
-/// rendering the human-readable rationale ([`PlanDecision::describe`])
+/// rendering the human-readable rationale (`PlanDecision::describe`)
 /// is deferred until somebody asks — the serving hot path never
 /// formats a `String`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,7 +98,7 @@ pub struct PlanDecision {
     pub decomposition_width: Option<usize>,
     /// The budget the estimates were compared against.
     pub naive_budget: f64,
-    /// The decision, cheap to copy; see [`PlanDecision::describe`] for
+    /// The decision, cheap to copy; see `PlanDecision::describe` for
     /// the rendered rationale.
     pub reason: PlanReason,
 }
@@ -107,7 +107,7 @@ impl PlanDecision {
     /// Renders the one-line human-readable rationale. Deliberately a
     /// method, not a stored `String`: requests that nobody inspects
     /// never pay for formatting.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self.reason {
             PlanReason::Acyclic => "query is acyclic: Yannakakis is O(|D|·|Q|)".into(),
             PlanReason::ProvablyEmpty => {

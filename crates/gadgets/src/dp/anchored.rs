@@ -38,7 +38,7 @@ impl Anchored {
     /// Concatenation `G · H`: disjoint union identifying `G`'s terminal
     /// with `H`'s initial. Returns the composite (anchors: `G`'s initial,
     /// `H`'s terminal) together with the placement of `H`'s nodes.
-    pub fn concat(&self, other: &Anchored) -> (Anchored, Vec<Element>) {
+    pub(crate) fn concat(&self, other: &Anchored) -> (Anchored, Vec<Element>) {
         let mut g = self.g.clone();
         let identify: Vec<Option<Element>> = (0..other.g.n() as Element)
             .map(|v| {
@@ -62,7 +62,7 @@ impl Anchored {
     /// Returns the composite plus, for each stage, the junction node
     /// (where stage `i`'s terminal = stage `i+1`'s initial landed) — these
     /// are the `x₁, x₂, …` of Figures 16 and 17.
-    pub fn chain(parts: &[&Anchored]) -> (Anchored, Vec<Element>) {
+    pub(crate) fn chain(parts: &[&Anchored]) -> (Anchored, Vec<Element>) {
         assert!(!parts.is_empty());
         let mut acc = parts[0].clone();
         let mut junctions = Vec::new();

@@ -73,24 +73,24 @@ pub fn t_ijk(i: usize, j: usize, k: usize) -> Anchored {
     a
 }
 
-/// The five targets `T₁ … T₅` as structures (test/verification helper).
-pub fn targets() -> Vec<cqapx_structures::Structure> {
-    (1..=5)
-        .map(|i| {
-            if i == 5 {
-                crate::dp::qstar::t_5().g.to_structure()
-            } else {
-                crate::dp::qstar::t_i(i).g.to_structure()
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cqapx_graphs::{balance, UGraph};
     use cqapx_structures::HomSolver;
+
+    /// The five targets `T₁ … T₅` as structures.
+    fn targets() -> Vec<cqapx_structures::Structure> {
+        (1..=5)
+            .map(|i| {
+                if i == 5 {
+                    crate::dp::qstar::t_5().g.to_structure()
+                } else {
+                    crate::dp::qstar::t_i(i).g.to_structure()
+                }
+            })
+            .collect()
+    }
 
     #[test]
     fn connector_shapes() {

@@ -15,12 +15,12 @@ use cqapx_graphs::{Digraph, OrientedPath};
 use cqapx_structures::Element;
 
 /// `P₁ = 001000`.
-pub fn p1() -> OrientedPath {
+pub(crate) fn p1() -> OrientedPath {
     OrientedPath::parse("001000")
 }
 
 /// `P₂ = 000100`.
-pub fn p2() -> OrientedPath {
+pub(crate) fn p2() -> OrientedPath {
     OrientedPath::parse("000100")
 }
 

@@ -98,7 +98,7 @@ impl Digraph {
     }
 
     /// `true` when some node has a loop.
-    pub fn has_loop(&self) -> bool {
+    pub(crate) fn has_loop(&self) -> bool {
         self.edges.iter().any(|&(u, v)| u == v)
     }
 

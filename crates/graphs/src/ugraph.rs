@@ -93,12 +93,12 @@ impl UGraph {
     }
 
     /// Iterates over the non-loop edges as `(min, max)` pairs.
-    pub fn edges(&self) -> impl Iterator<Item = (Element, Element)> + '_ {
+    pub(crate) fn edges(&self) -> impl Iterator<Item = (Element, Element)> + '_ {
         self.edges.iter().copied()
     }
 
     /// Neighbour lists (loops excluded).
-    pub fn adjacency(&self) -> Vec<Vec<Element>> {
+    pub(crate) fn adjacency(&self) -> Vec<Vec<Element>> {
         let mut adj = vec![Vec::new(); self.n];
         for &(u, v) in &self.edges {
             adj[u as usize].push(v);
@@ -114,7 +114,7 @@ impl UGraph {
 
     /// Connected components: `(count, component id per node)`, ids in
     /// the order of each component's least node.
-    pub fn components(&self) -> (usize, Vec<u32>) {
+    pub(crate) fn components(&self) -> (usize, Vec<u32>) {
         let mut comp = self.union_find().0;
         let mut count = 0;
         for v in 0..self.n {

@@ -16,7 +16,7 @@ pub struct JoinTree {
 
 impl JoinTree {
     /// Roots of the forest.
-    pub fn roots(&self) -> Vec<usize> {
+    pub(crate) fn roots(&self) -> Vec<usize> {
         (0..self.n_edges)
             .filter(|&i| self.parent[i].is_none())
             .collect()

@@ -64,7 +64,7 @@ impl MetricsLevel {
     }
 
     /// The level's canonical name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             MetricsLevel::None => "none",
             MetricsLevel::Counters => "counters",

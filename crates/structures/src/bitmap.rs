@@ -44,7 +44,7 @@ impl DomainBitmap {
 
     /// Sets code `v`. Codes `>= width` are ignored.
     #[inline]
-    pub fn set(&mut self, v: u32) {
+    pub(crate) fn set(&mut self, v: u32) {
         if let Some(w) = self.words.get_mut((v >> 6) as usize) {
             let bit = 1u64 << (v & 63);
             self.ones += ((*w & bit) == 0) as u32;
@@ -59,12 +59,6 @@ impl DomainBitmap {
         (w >> (v & 63)) & 1 != 0
     }
 
-    /// The exclusive upper bound on representable codes.
-    #[inline]
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
     /// Number of distinct codes present.
     #[inline]
     pub fn ones(&self) -> u32 {
@@ -74,12 +68,6 @@ impl DomainBitmap {
     /// `true` when no code is present.
     pub fn is_empty(&self) -> bool {
         self.ones == 0
-    }
-
-    /// The backing word table (read-only; for word-wise kernels).
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
     }
 
     /// Word-wise AND into a fresh bitmap of the narrower width.
@@ -178,7 +166,7 @@ mod tests {
         assert!(a.intersects(&b));
         assert!(b.intersects(&a));
         let c = a.and(&b);
-        assert_eq!(c.width(), 100);
+        assert_eq!(c.width, 100);
         assert_eq!(c.iter_ones().collect::<Vec<_>>(), vec![64]);
         let d = DomainBitmap::from_codes(200, [5]);
         assert!(!a.intersects(&d));
@@ -213,6 +201,6 @@ mod tests {
         bm.set(0);
         assert!(!bm.contains(0));
         assert!(bm.is_empty());
-        assert!(bm.words().is_empty());
+        assert!(bm.words.is_empty());
     }
 }

@@ -114,7 +114,8 @@ pub fn is_core(p: &Pointed) -> bool {
 ///
 /// Panics when the universe is not the active domain (tableaux of
 /// conjunctive queries always have active universes; normalize with
-/// [`Pointed::restrict_to_adom`] first otherwise).
+/// [`Structure::restrict_to_adom`](crate::Structure::restrict_to_adom)
+/// first otherwise).
 ///
 /// # Examples
 ///

@@ -122,12 +122,6 @@ impl DomainDict {
     pub fn decode(&self, c: u32) -> Element {
         self.elems[c as usize]
     }
-
-    /// Heap bytes held by the dictionary (for cache accounting).
-    pub fn heap_bytes(&self) -> usize {
-        self.elems.capacity() * std::mem::size_of::<Element>()
-            + self.codes.capacity() * std::mem::size_of::<u32>()
-    }
 }
 
 /// The lazily-initialized, clone-shared dictionary slot embedded in

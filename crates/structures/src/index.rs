@@ -121,7 +121,7 @@ impl ElemSet {
 /// tuple ids, plus one flat array of occurrence words. So a relation's
 /// index is three allocations whatever its size.
 #[derive(Debug)]
-pub struct RelIndex {
+pub(crate) struct RelIndex {
     n_values: usize,
     /// `ids[starts[k]..starts[k + 1]]` with `k = pos * n_values + val`:
     /// ids ([`Structure::tuple`]) of the tuples with `val` at `pos`, in
@@ -175,7 +175,7 @@ impl RelIndex {
     /// Ids of the tuples holding `val` at position `pos`, each readable
     /// with [`Structure::tuple`](crate::Structure::tuple).
     #[inline]
-    pub fn matches(&self, pos: usize, val: Element) -> &[u32] {
+    pub(crate) fn matches(&self, pos: usize, val: Element) -> &[u32] {
         let k = pos * self.n_values + val as usize;
         &self.ids[self.starts[k] as usize..self.starts[k + 1] as usize]
     }
@@ -208,7 +208,7 @@ impl StructureIndex {
 
     /// The index of one relation.
     #[inline]
-    pub fn rel(&self, rel: RelId) -> &RelIndex {
+    pub(crate) fn rel(&self, rel: RelId) -> &RelIndex {
         &self.rels[rel.index()]
     }
 }

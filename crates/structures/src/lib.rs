@@ -56,7 +56,7 @@ pub use bitmap::DomainBitmap;
 pub use core_ops::{core_of, is_core, CoreResult};
 pub use dict::DomainDict;
 pub use hom::{HomSearchStats, Homomorphism};
-pub use index::{RelIndex, StructureIndex};
+pub use index::StructureIndex;
 pub use iso::{isomorphic, signature_pointed, IsoSignature};
 pub use order::{hom_equivalent, hom_exists};
 pub use partition::Partition;

@@ -70,44 +70,6 @@ impl Pointed {
     pub fn is_boolean(&self) -> bool {
         self.distinguished.is_empty()
     }
-
-    /// Applies a map to both the structure (image) and the tuple.
-    ///
-    /// Realizes `(Im(h), h(ā))` from the paper for a total map `h`.
-    pub fn map_image(&self, map: &[Element]) -> Pointed {
-        // `map_image` renumbers to the active domain of the image; rebuild
-        // the same renumbering here so distinguished elements stay aligned.
-        let raw = self.structure.map_image_raw(map);
-        let (img, remap) = raw.restrict_to_adom();
-        let distinguished = self
-            .distinguished
-            .iter()
-            .map(|&x| {
-                remap[map[x as usize] as usize]
-                    .expect("distinguished elements occur in some atom, so they survive")
-            })
-            .collect();
-        Pointed {
-            structure: img,
-            distinguished,
-        }
-    }
-
-    /// Restricts the universe to the active domain (distinguished elements
-    /// must occur in tuples, as they do for tableaux of queries whose free
-    /// variables all occur in atoms).
-    pub fn restrict_to_adom(&self) -> Pointed {
-        let (s, remap) = self.structure.restrict_to_adom();
-        let distinguished = self
-            .distinguished
-            .iter()
-            .map(|&x| remap[x as usize].expect("distinguished element must be active"))
-            .collect();
-        Pointed {
-            structure: s,
-            distinguished,
-        }
-    }
 }
 
 impl fmt::Debug for Pointed {
@@ -133,31 +95,6 @@ mod tests {
         let p = Pointed::boolean(Structure::digraph(2, &[(0, 1)]));
         assert!(p.is_boolean());
         assert_eq!(p.arity(), 0);
-    }
-
-    #[test]
-    fn map_image_tracks_distinguished() {
-        // 4-cycle with distinguished (0,1,2); collapse 3 onto 1.
-        let g = Structure::digraph(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let p = Pointed::new(g, vec![0, 1, 2]);
-        let q = p.map_image(&[0, 1, 2, 1]);
-        assert_eq!(q.structure.universe_size(), 3);
-        assert_eq!(q.distinguished(), &[0, 1, 2]);
-        let e = q.structure.vocabulary().rel("E").unwrap();
-        // edges (0,1),(1,2),(2,1),(1,0)
-        assert!(q.structure.contains(e, &[2, 1]));
-        assert!(q.structure.contains(e, &[1, 0]));
-    }
-
-    #[test]
-    fn map_image_renumbers_consistently() {
-        // Map onto non-dense labels: elements {0,1,2} -> {5,7,5}
-        let g = Structure::digraph(3, &[(0, 1), (1, 2)]);
-        let p = Pointed::new(g, vec![2]);
-        let q = p.map_image(&[5, 7, 5]);
-        assert_eq!(q.structure.universe_size(), 2);
-        // element 2 mapped to 5, which is renumbered to 0
-        assert_eq!(q.distinguished(), &[0]);
     }
 
     #[test]

@@ -47,11 +47,6 @@ pub fn quotient_pointed(p: &Pointed, part: &Partition) -> (Pointed, Homomorphism
     (Pointed::new(q, distinguished), h)
 }
 
-/// The partition induced by an arbitrary map (kernel of the map).
-pub fn kernel(map: &[u32]) -> Partition {
-    Partition::from_labels(map)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,7 +95,7 @@ mod tests {
         let c6 = cycle(6);
         let c3 = cycle(3);
         HomSolver::compile(&c6).run(&c3).for_each(|h| {
-            let p = kernel(&h.map);
+            let p = Partition::from_labels(&h.map);
             let (q, proj) = quotient(&c6, &p);
             assert!(proj.verify(&c6, &q));
             // q embeds into c3 (it is isomorphic to Im(h)).

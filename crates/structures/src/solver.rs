@@ -221,11 +221,6 @@ impl HomSolver {
         self.incident_at.windows(2).all(|w| w[0] < w[1])
     }
 
-    /// The vocabulary the source (and any target) must live over.
-    pub fn vocabulary(&self) -> &Vocabulary {
-        &self.vocab
-    }
-
     /// Starts a search against a target; configure the returned run with
     /// pins / exclusions / injectivity / a budget, then execute it.
     ///

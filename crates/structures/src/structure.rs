@@ -94,7 +94,7 @@ impl Structure {
     }
 
     /// Tuple `i` of a relation, the `i`-th of [`Self::tuples`].
-    pub fn tuple(&self, rel: RelId, i: usize) -> &[Element] {
+    pub(crate) fn tuple(&self, rel: RelId, i: usize) -> &[Element] {
         let arity = self.vocab.arity(rel);
         &self.relations[rel.index()][i * arity..(i + 1) * arity]
     }

@@ -186,8 +186,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random bodies: `eval_naive` agrees with the frozen seed engine
-    /// and the naive plan, and Yannakakis, whenever the body is
+    /// Random bodies: `eval_naive` agrees with homomorphisms by
+    /// definition and the naive plan, and Yannakakis, whenever the body is
     /// acyclic, returns its rows — uncached, cold and warm, full and
     /// Boolean.
     #[test]
