@@ -787,8 +787,8 @@ fn a_warm_cache_hit_allocates_nothing() {
 /// parse, prepare, search, compile, miss, hit. A release build skips
 /// the decomposition's validation when preparing.
 const PINNED: [u64; 6] = match cfg!(debug_assertions) {
-    true => [27, 85, 155, 28, 198, 30],
-    false => [27, 53, 155, 28, 198, 30],
+    true => [26, 85, 156, 28, 199, 30],
+    false => [26, 53, 156, 28, 199, 30],
 };
 
 /// The introduction's `Q2` renamed, its atoms reordered: isomorphic.
@@ -940,6 +940,48 @@ fn re_registering_a_bigger_snapshot_allocates_no_more() {
 fn directed_cycle(n: u32) -> Structure {
     let edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
     Structure::digraph(n as usize, &edges)
+}
+
+/// A search that §5 decides (`cqapx_core::trichotomy`) allocates per
+/// query, not per atom: one buffer holds the tableau's graph, and the
+/// one approximation is built directly. Into `TW(1)`, the directed `C8`
+/// and `C64` (bipartite, unbalanced: `Q^triv₂`) and `C9` and `C63` (not
+/// bipartite: `Q^triv`); into `TW(2)`, `K4↔` and `K6↔` (not
+/// 3-colourable: `Q^triv`). Each pair calls the allocator equally often,
+/// at most 12 times, result included (four: the graph's buffer, the
+/// structure's two lists and the result's).
+#[test]
+fn a_decided_search_allocates_per_query_not_per_atom() {
+    use cqapx_core::{all_approximations_tableaux, ApproxOptions, TwK};
+    use cqapx_structures::Pointed;
+    let complete = |m: u32| {
+        let edges = (0..m).flat_map(|a| (0..m).filter(move |&b| b != a).map(move |b| (a, b)));
+        Structure::digraph(m as usize, &edges.collect::<Vec<_>>())
+    };
+    let pairs = [
+        (directed_cycle(8), directed_cycle(64), 1),
+        (directed_cycle(9), directed_cycle(63), 1),
+        (complete(4), complete(6), 2),
+    ];
+    let options = ApproxOptions::default();
+    for (small, large, k) in pairs {
+        let calls = [small, large].map(|s| {
+            let t = Pointed::boolean(s);
+            let ((got, meta), calls, _) =
+                counted(|| all_approximations_tableaux(&t, &TwK(k), &options));
+            assert_eq!((got.len(), meta.nodes), (1, 0), "decided");
+            calls
+        });
+        assert_eq!(
+            calls[0], calls[1],
+            "TW({k}): allocator calls, small vs large"
+        );
+        assert!(
+            calls[0] <= 12,
+            "{} allocator calls for a decided search",
+            calls[0]
+        );
+    }
 }
 
 /// A compiled source and a target index each keep their lists in flat

@@ -11,9 +11,11 @@
 use cqapx_bench::definitions::{self, Hom};
 use cqapx_core::approx::{in_walk_order, repairs_public};
 use cqapx_core::{
-    all_approximations_tableaux, is_approximation, Acyclic, ApproxOptions, HtwK, QueryClass, TwK,
+    all_approximations_tableaux, is_approximation, walk_approximations_tableaux, Acyclic,
+    ApproxOptions, HtwK, QueryClass, TwK,
 };
 use cqapx_cq::{parse_cq, query_from_tableau, tableau_of};
+use cqapx_structures::iso::isomorphic_pointed;
 use cqapx_structures::partition::{bell, for_each_partition};
 use cqapx_structures::quotient::quotient_pointed;
 use cqapx_structures::{
@@ -294,8 +296,11 @@ fn assert_same_approximations(
 /// blocks holds every relation's loop and the whole head), plus one for
 /// `Q^triv` itself, under the numbering the search walks (which
 /// partitions' *labelled* quotients coincide depends on the numbering).
-/// Returns how many partitions the search reached.
-fn assert_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass, k: usize) -> u64 {
+/// The count is the walk's ([`walk_approximations_tableaux`]); the full
+/// search must return the same approximations, and where §5 decided it
+/// (no node walked) ones isomorphic to the walk's. Returns how many
+/// partitions the walk reached, and whether the search was decided.
+fn assert_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass, k: usize) -> (u64, bool) {
     let n = t.structure.universe_size();
     let ordered = in_walk_order(t);
     let (trivial, _) = quotient_pointed(&ordered, &Partition::coarsest(n));
@@ -315,7 +320,7 @@ fn assert_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass, k: usiz
         .filter(|qt| !hom_exists(&trivial, qt))
         .collect();
     let expected = definitions::approximations(t, k);
-    let (got, meta) = all_approximations_tableaux(t, class, &ApproxOptions::default());
+    let (got, meta) = walk_approximations_tableaux(t, class, &ApproxOptions::default());
     let name = class.name();
     assert!(meta.complete, "{name}");
     assert_eq!(
@@ -325,18 +330,52 @@ fn assert_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass, k: usiz
     );
     assert!(meta.partitions <= bell(n), "{name}");
     assert_same_approximations(t, class, &got, &expected);
-    meta.partitions
+    let (searched, search) = all_approximations_tableaux(t, class, &ApproxOptions::default());
+    assert_same_approximations(t, class, &searched, &expected);
+    let decided = search.nodes == 0;
+    if decided {
+        let isomorphic = isomorphic_pointed(&searched[0], &got[0]);
+        assert!(got.len() == 1 && isomorphic, "{name}: decided {t:?}");
+        assert!(search.complete && (search.partitions, search.candidates) == (0, 1));
+    }
+    (meta.partitions, decided)
+}
+
+/// `t` over its vocabulary plus a ternary relation no atom uses.
+fn with_unused_relation(t: &Pointed) -> Pointed {
+    let vocab = t.structure.vocabulary();
+    let mut rels: Vec<(&str, usize)> = vocab
+        .rel_ids()
+        .map(|r| (vocab.name(r), vocab.arity(r)))
+        .collect();
+    rels.push(("T", 3));
+    let wider = Vocabulary::new(rels);
+    let mut b = StructureBuilder::new(wider.clone(), t.structure.universe_size());
+    for r in vocab.rel_ids() {
+        let same = wider.rel(vocab.name(r)).unwrap();
+        t.structure.tuples(r).for_each(|a| _ = b.add(same, a));
+    }
+    Pointed::new(b.finish(), t.distinguished().to_vec())
 }
 
 /// Prefix pruning, the domination bound and the antichain pass change
-/// nothing but time: for classes closed under subgraphs the search
-/// offers every quotient of a finest in-class partition the exhaustive
-/// scan finds and returns the same approximations up to equivalence.
+/// nothing but time: for classes closed under subgraphs the walk offers
+/// every quotient of a finest in-class partition the exhaustive scan
+/// finds and returns the same approximations up to equivalence. So does
+/// the full search, §5's decision included: over `{E}`, over `{E, F}`,
+/// and, for a Boolean query, with an unused ternary relation beside
+/// them; it must decide some cases in each class.
 fn check_pruned_search(name: &str, cases: u32, max_n: usize) {
+    let mut decided = [0; 2];
     for_cases(name, cases, query_tableau(max_n), |t| {
-        assert_search_matches_exhaustive(&t, &TwK(1), 1);
-        assert_search_matches_exhaustive(&t, &TwK(2), 2);
+        let wider = t.is_boolean().then(|| with_unused_relation(&t));
+        for (k, class) in [(1, TwK(1)), (2, TwK(2))] {
+            for t in std::iter::once(&t).chain(&wider) {
+                decided[k - 1] += assert_search_matches_exhaustive(t, &class, k).1 as u32;
+            }
+        }
     });
+    assert!(decided.iter().all(|&d| d > 0), "decided {decided:?}");
 }
 
 /// Hypergraph-based classes have no prefix cut, only the domination
@@ -348,8 +387,8 @@ fn check_unpruned_search(name: &str, cases: u32, max_n: usize) {
     let mut some_case_reached_fewer = false;
     for_cases(name, cases, query_tableau(max_n), |t| {
         let all = bell(t.structure.universe_size());
-        some_case_reached_fewer |= assert_search_matches_exhaustive(&t, &Acyclic, 1) < all;
-        some_case_reached_fewer |= assert_search_matches_exhaustive(&t, &HtwK(1), 1) < all;
+        some_case_reached_fewer |= assert_search_matches_exhaustive(&t, &Acyclic, 1).0 < all;
+        some_case_reached_fewer |= assert_search_matches_exhaustive(&t, &HtwK(1), 1).0 < all;
     });
     assert!(some_case_reached_fewer, "domination never cut anything");
 }
@@ -491,7 +530,10 @@ const COLD_SHAPES: [(&str, usize, u64); 4] = [
 /// bound on the work: over `cases` scramblings of each shape (variables
 /// renamed, atoms shuffled — the parser numbers variables by first
 /// occurrence) the approximations stay the same up to equivalence and the
-/// prefixes the walk visits stay under the shape's ceiling. (Not within a
+/// prefixes the walk visits stay under the shape's ceiling. The full
+/// search returns the same approximations, and §5 decides the last three
+/// shapes (not bipartite, bipartite but unbalanced, not 3-colourable)
+/// under every spelling: it visits no prefix. (Not within a
 /// factor of each other: with the trivial-quotient cut removing most of
 /// the tree, what is left depends on where the walk's order first closes
 /// a cycle, so the second shape visits 6 to 269 prefixes over its
@@ -503,10 +545,10 @@ fn check_order_robustness(name: &str, cases: usize) {
             items.swap(i, rng.below(i as u64 + 1) as usize);
         }
     };
-    for (body, k, ceiling) in COLD_SHAPES {
+    for (shape, (body, k, ceiling)) in COLD_SHAPES.into_iter().enumerate() {
         let class = TwK(k);
         let t = tableau_of(&parse_cq(&format!("Q() :- {body}")).unwrap());
-        let (expected, meta) = all_approximations_tableaux(&t, &class, &ApproxOptions::default());
+        let (expected, meta) = walk_approximations_tableaux(&t, &class, &ApproxOptions::default());
         let mut most = meta.nodes;
         let pairs: Vec<(u32, u32)> = t
             .structure
@@ -524,10 +566,14 @@ fn check_order_robustness(name: &str, cases: usize) {
             shuffle(&mut atoms);
             let scrambled = tableau_of(&parse_cq(&format!("Q() :- {}", atoms.join(", "))).unwrap());
             let (got, meta) =
-                all_approximations_tableaux(&scrambled, &class, &ApproxOptions::default());
+                walk_approximations_tableaux(&scrambled, &class, &ApproxOptions::default());
             assert!(meta.complete);
             assert_same_approximations(&scrambled, &class, &got, &expected);
             most = most.max(meta.nodes);
+            let (got, meta) =
+                all_approximations_tableaux(&scrambled, &class, &ApproxOptions::default());
+            assert_same_approximations(&scrambled, &class, &got, &expected);
+            assert_eq!(meta.nodes == 0, shape > 0, "{body}: decided");
         }
         assert!(most <= ceiling, "{body}: up to {most} prefixes visited");
     }

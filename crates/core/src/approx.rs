@@ -19,12 +19,23 @@
 //!   enough for every example in the paper; raise it for exhaustiveness on
 //!   wilder vocabularies).
 //!
-//! The exact pipeline is `put the variables in an atom-completing order
-//! (`[`in_walk_order`]`) → walk the partition tree finest first →
-//! fingerprint each in-class quotient reached (and class-check the ones a
-//! hypergraph-based class leaves open) → stream the candidates through a
-//! →-minimal antichain of cores`. The walk is a branch-and-bound with
-//! three cuts (`for_each_class_partition`) that carries what it knows of
+//! The exact pipeline is `decide → walk → restart on the core`. *Decide*
+//! (§5, `crate::trichotomy`): in `TW(k)`, a Boolean query whose atoms use
+//! one binary relation has only `Q^triv` when its tableau is not
+//! `(k+1)`-colourable (Corollary 5.11), and for `k = 1` only `Q^triv₂`
+//! when it is bipartite but unbalanced (Theorem 5.1); one pass over the
+//! tuples says so, and nothing is walked. *Walk*: put the variables in
+//! an atom-completing order ([`in_walk_order`]) → walk the partition
+//! tree finest first → fingerprint each in-class quotient reached (and
+//! class-check the ones a hypergraph-based class leaves open) → stream
+//! the candidates through a →-minimal antichain of cores. *Restart*:
+//! equivalent queries have the same approximations (Chandra & Merlin),
+//! so a graph-based walk that minimizes computes the tableau's core once
+//! it has visited [`RESTART_NODES`] prefixes, and walks the core instead
+//! if it is smaller; no query that walks less pays for a core.
+//!
+//! The walk is a branch-and-bound with three cuts
+//! (`for_each_class_partition`) that carries what it knows of
 //! the prefix quotient, one level per depth (`PrefixGraphs`): a node
 //! reads only the atoms its newest variable completes. A graph-based
 //! class reads its verdict — for prefixes and leaves alike — off the
@@ -57,13 +68,15 @@
 //! P = NP.
 
 use crate::classes::{structure_graph, ClassKind, QueryClass};
+use crate::trichotomy::{decide, Decision};
 use cqapx_cq::{query_from_tableau, tableau_of, ConjunctiveQuery};
+use cqapx_graphs::coloring::Adjacency;
 use cqapx_graphs::BitGraph;
 use cqapx_structures::fxhash::{FxHashMap, FxHashSet};
 use cqapx_structures::iso::{signature_pointed, IsoSignature};
 use cqapx_structures::order::MinimalAntichain;
 use cqapx_structures::partition::{walk_partitions, Walk};
-use cqapx_structures::{Partition, Pointed, StructureBuilder};
+use cqapx_structures::{core_of, Partition, Pointed, RelId, StructureBuilder};
 use std::cmp::Reverse;
 use std::ops::ControlFlow;
 use std::time::Instant;
@@ -316,10 +329,10 @@ impl<'a> PrefixGraphs<'a> {
 /// `max_partitions` of them. A leaf is reached when no cut removes it;
 /// `leaf` sees each one, with whether the class's graph verdict already
 /// says "in the class", and answers whether the plain quotient is in the
-/// class. (`leaf` breaking, or the cap, ends the walk.) The coarsest
-/// partition of `n ≥ 1` variables is never reached (the third cut
-/// removes it), so callers
-/// consider `Q^triv` themselves. Returns the walk's part of the report;
+/// class. (`leaf` breaking, the cap, or `keep_walking` answering `false`
+/// when the walk visits its [`RESTART_NODES`]-th prefix, ends the walk.)
+/// The coarsest partition of `n ≥ 1` variables is never reached (the
+/// third cut removes it), so callers consider `Q^triv` themselves. Returns the walk's part of the report;
 /// the rest is left at zero.
 ///
 /// **Domination** (module docs). A partition arrives after all of its
@@ -348,6 +361,7 @@ pub(crate) fn for_each_class_partition(
     t: &Pointed,
     class: &dyn QueryClass,
     max_partitions: u64,
+    mut keep_walking: impl FnMut() -> bool,
     mut leaf: impl FnMut(&Partition, bool) -> ControlFlow<(), bool>,
 ) -> ApproxReportMeta {
     let n = t.structure.universe_size();
@@ -363,6 +377,9 @@ pub(crate) fn for_each_class_partition(
     let (mut nodes, mut reached, mut dominated) = (0u64, 0u64, 0u64);
     let complete = walk_partitions(n, |p| {
         nodes += 1;
+        if nodes == RESTART_NODES && !keep_walking() {
+            return Walk::Stop;
+        }
         let (d, labels) = (p.len(), p.labels());
         if d > 0 {
             // A kept leaf stays alive iff element `d-1` opens a block in
@@ -439,12 +456,13 @@ fn candidates(
     t: &Pointed,
     class: &dyn QueryClass,
     opts: &ApproxOptions,
+    keep_walking: impl FnMut() -> bool,
     mut emit: impl FnMut(Pointed),
 ) -> ApproxReportMeta {
     let s = &t.structure;
     let vocab = s.vocabulary().clone();
     // Per relation: (id, arity, concatenated source tuple elements).
-    let rels: Vec<(cqapx_structures::RelId, usize, &[u32])> = vocab
+    let rels: Vec<(RelId, usize, &[u32])> = vocab
         .rel_ids()
         .map(|rel| (rel, vocab.arity(rel), s.flat_tuples(rel)))
         .collect();
@@ -580,8 +598,8 @@ fn candidates(
         }
         in_class
     };
-    let counts = for_each_class_partition(t, class, opts.max_partitions, |p, known| {
-        ControlFlow::Continue(visit(p, known))
+    let counts = for_each_class_partition(t, class, opts.max_partitions, keep_walking, |p, k| {
+        ControlFlow::Continue(visit(p, k))
     });
     visit(&Partition::coarsest(s.universe_size()), false);
     counts
@@ -595,76 +613,44 @@ pub fn repairs_public(qt: &Pointed, class: &dyn QueryClass, opts: &ApproxOptions
     let vocab = s.vocabulary().clone();
     let u = s.universe_size();
     // Candidate extra atoms: every missing tuple over the quotient's
-    // elements; optionally, tuples with exactly one fresh padding element.
-    #[derive(Clone)]
+    // elements; optionally, tuples with exactly one fresh padding element
+    // (the marker `u`) in each position, the others over the quotient's.
     struct Extra {
-        rel: cqapx_structures::RelId,
+        rel: RelId,
         tuple: Vec<u32>,
         padded: bool,
     }
+    // Steps a tuple over `0..u` to the next, its first position fastest;
+    // `false` once it wraps around to all zeros.
+    let next = |tuple: &mut [u32]| {
+        (tuple.iter_mut()).any(|x| {
+            *x = (*x + 1) % u as u32;
+            *x != 0
+        })
+    };
     let mut extras: Vec<Extra> = Vec::new();
     for rel in vocab.rel_ids() {
         let arity = vocab.arity(rel);
         let mut tuple = vec![0u32; arity];
         loop {
             if !s.contains(rel, &tuple) {
-                extras.push(Extra {
-                    rel,
-                    tuple: tuple.clone(),
-                    padded: false,
-                });
+                let (tuple, padded) = (tuple.clone(), false);
+                extras.push(Extra { rel, tuple, padded });
             }
-            // increment base-u counter
-            let mut pos = 0;
-            loop {
-                if pos == arity {
-                    break;
-                }
-                tuple[pos] += 1;
-                if (tuple[pos] as usize) < u {
-                    break;
-                }
-                tuple[pos] = 0;
-                pos += 1;
-            }
-            if pos == arity {
+            if !next(&mut tuple) {
                 break;
             }
         }
         if opts.padded_repairs && arity >= 2 {
-            // One fresh element (marker u) in each position, others over U.
             let mut base = vec![0u32; arity - 1];
             loop {
-                for pad_pos in 0..arity {
-                    let mut tuple = Vec::with_capacity(arity);
-                    let mut bi = 0;
-                    for p in 0..arity {
-                        if p == pad_pos {
-                            tuple.push(u as u32); // fresh marker
-                        } else {
-                            tuple.push(base[bi]);
-                            bi += 1;
-                        }
-                    }
-                    extras.push(Extra {
-                        rel,
-                        tuple,
-                        padded: true,
-                    });
+                for pad in 0..arity {
+                    let mut tuple = base.clone();
+                    tuple.insert(pad, u as u32);
+                    let padded = true;
+                    extras.push(Extra { rel, tuple, padded });
                 }
-                let mut pos = 0;
-                loop {
-                    if pos == arity - 1 {
-                        break;
-                    }
-                    base[pos] += 1;
-                    if (base[pos] as usize) < u {
-                        break;
-                    }
-                    base[pos] = 0;
-                    pos += 1;
-                }
-                if pos == arity - 1 || arity == 1 {
+                if !next(&mut base) {
                     break;
                 }
             }
@@ -726,24 +712,101 @@ pub fn repairs_public(qt: &Pointed, class: &dyn QueryClass, opts: &ApproxOptions
     out
 }
 
+/// The prefixes a graph-based walk that minimizes visits before the
+/// search computes the tableau's core and restarts on it if it is smaller
+/// (module docs): above every `approx_cold` walk of the benchmark under
+/// any spelling (at most 300, `hom_differential.rs`), and low enough that
+/// a restart on a small core stays within 10³ nodes.
+pub const RESTART_NODES: u64 = 512;
+
 /// Computes all `C`-approximations of a tableau, as tableaux.
 ///
 /// This is Theorem 4.1's (resp. 6.1's) procedure run to completion:
-/// candidates, filtered by class, →-minimal elements, cores. The returned
-/// tableaux are pairwise non-equivalent, and over the variable numbering
-/// of [`in_walk_order`] — cores of quotients of `t` up to a renaming, or
-/// with `minimize` off the quotients themselves.
+/// candidates, filtered by class, →-minimal elements, cores, after §5's
+/// decision and with a restart on the core (module docs). The returned
+/// tableaux are pairwise non-equivalent: cores of quotients of `t` (or
+/// of its core) up to a renaming, or with `minimize` off the quotients
+/// themselves, over the numbering [`in_walk_order`] gives what was walked.
 pub fn all_approximations_tableaux(
     t: &Pointed,
     class: &dyn QueryClass,
     opts: &ApproxOptions,
+) -> (Vec<Pointed>, ApproxReportMeta) {
+    if let Some(decided) = decided(t, class, opts) {
+        return decided;
+    }
+    let restarts = opts.minimize && class.kind() == ClassKind::SubgraphClosed;
+    let mut smaller = None;
+    let (found, first) = search(t, class, opts, || {
+        let core = restarts.then(|| core_of(t).core);
+        smaller = core.filter(|c| c.structure.universe_size() < t.structure.universe_size());
+        smaller.is_none()
+    });
+    let Some(core) = smaller else {
+        return (found, first);
+    };
+    let (found, mut meta) = search(&core, class, opts, || true);
+    meta.nodes += first.nodes;
+    meta.walk_us += first.walk_us + first.antichain_us + first.core_us;
+    (found, meta)
+}
+
+/// The walk alone: [`all_approximations_tableaux`] with neither §5's
+/// decision nor the restart, over `t` as given. Its counts are the walk's
+/// on `t`, which the tests that pin the walk read.
+pub fn walk_approximations_tableaux(
+    t: &Pointed,
+    class: &dyn QueryClass,
+    opts: &ApproxOptions,
+) -> (Vec<Pointed>, ApproxReportMeta) {
+    search(t, class, opts, || true)
+}
+
+/// The search's report when §5 names the one approximation of `t` in
+/// `class` as the walk would return it: `Q^triv`, the quotient by the
+/// coarsest partition, or `Q^triv₂`, which the walk returns only cored.
+/// `class` is `TW(k)` when it is graph-based of decomposition width `k`.
+fn decided(
+    t: &Pointed,
+    class: &dyn QueryClass,
+    opts: &ApproxOptions,
+) -> Option<(Vec<Pointed>, ApproxReportMeta)> {
+    let (s, graph_based) = (&t.structure, class.kind() == ClassKind::SubgraphClosed);
+    let k = class.decomposition_width().filter(|_| graph_based)?;
+    // A Boolean tableau whose atoms use one relation, a binary one.
+    let mut used = (s.vocabulary().rel_ids()).filter(|&r| !s.flat_tuples(r).is_empty());
+    let binary = |e: &RelId| t.is_boolean() && s.vocabulary().arity(*e) == 2;
+    let e = used.next().filter(|e| binary(e) && used.next().is_none())?;
+    let edges = s.flat_tuples(e).chunks_exact(2).map(|a| (a[0], a[1]));
+    let (n, atoms): (usize, &[u32]) = match decide(Adjacency::new(s.universe_size(), edges), k) {
+        Decision::Trivial => (1, &[0, 0]),
+        Decision::TrivialBipartite if opts.minimize => (2, &[0, 1, 1, 0]),
+        _ => return None,
+    };
+    let mut b = StructureBuilder::new(s.vocabulary().clone(), n);
+    b.reserve(e, n);
+    atoms.chunks_exact(2).for_each(|a| _ = b.add(e, a));
+    let meta = ApproxReportMeta {
+        candidates: 1,
+        complete: true,
+        ..ApproxReportMeta::default()
+    };
+    Some((vec![Pointed::boolean(b.finish())], meta))
+}
+
+/// One walk of `t`, its candidates streamed through the antichain.
+fn search(
+    t: &Pointed,
+    class: &dyn QueryClass,
+    opts: &ApproxOptions,
+    keep_walking: impl FnMut() -> bool,
 ) -> (Vec<Pointed>, ApproxReportMeta) {
     // One pass: a candidate with a current minimal element below it is
     // dropped after that hom test; any other evicts what it maps into.
     let mut minimal = MinimalAntichain::new();
     let (mut n_candidates, mut offers) = (0usize, std::time::Duration::ZERO);
     let start = Instant::now();
-    let mut meta = candidates(&in_walk_order(t), class, opts, |c| {
+    let mut meta = candidates(&in_walk_order(t), class, opts, keep_walking, |c| {
         n_candidates += 1;
         let offered = Instant::now();
         minimal.offer(c);
@@ -763,6 +826,11 @@ pub fn all_approximations_tableaux(
 }
 
 /// Counts and times of a tableau-level approximation run.
+///
+/// A search that §5 decided (module docs) walked nothing: it reports
+/// 1 candidate (the one approximation), 0 partitions, 0 dominated, 0
+/// nodes, zero times, and `complete`. A search that restarted on the
+/// core reports the walk of the core, with both walks' nodes and times.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ApproxReportMeta {
     /// Number of candidates offered to the →-minimal antichain: the
@@ -788,12 +856,14 @@ pub struct ApproxReportMeta {
     /// approximations or return non-minimal ones.
     pub complete: bool,
     /// Number of prefixes the walk visited, cut ones included: its work.
+    /// After a restart on the core, both walks' prefixes.
     pub nodes: u64,
     /// Microseconds in the walk (fingerprints, quotients, repairs), …
     pub walk_us: u64,
     /// … in the antichain's hom tests, …
     pub antichain_us: u64,
     /// … and in its members' core computations: together, the search.
+    /// (A first walk that a restart abandoned counts as walk.)
     pub core_us: u64,
 }
 
@@ -849,6 +919,12 @@ mod tests {
 
     fn opts() -> ApproxOptions {
         ApproxOptions::default()
+    }
+
+    /// The walk's report on `q` as written: no decision, no restart.
+    fn walk(q: &ConjunctiveQuery, class: &dyn QueryClass, opts: &ApproxOptions) -> ApproxReport {
+        let (tableaux, meta) = walk_approximations_tableaux(&tableau_of(q), class, opts);
+        ApproxReport::from_tableaux(tableaux, meta)
     }
 
     #[test]
@@ -1009,7 +1085,7 @@ mod tests {
         let trivial = parse_cq("Q() :- E(x, x)").unwrap();
         for (body, k) in cases {
             let q = parse_cq(&format!("Q() :- {body}")).unwrap();
-            let rep = all_approximations(&q, &TwK(k), &opts());
+            let rep = walk(&q, &TwK(k), &opts());
             assert!(rep.complete, "{body}");
             assert_eq!((rep.partitions, rep.candidates), (0, 1), "{body}");
             assert_eq!(rep.approximations.len(), 1, "{body}");
@@ -1090,12 +1166,12 @@ mod tests {
         // it reaches more, and offers the same ones.
         let c6 = parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
         let expected = exhaustive_candidates(&tableau_of(&c6), &TwK(1));
-        let rep = all_approximations(&c6, &TwK(1), &opts());
+        let rep = walk(&c6, &TwK(1), &opts());
         assert!(rep.complete);
         assert_eq!((rep.partitions, rep.candidates, rep.nodes), (5, 6, 66));
         assert_eq!(rep.candidates, expected);
         assert!(rep.dominated > 0);
-        let ac = all_approximations(&c6, &Acyclic, &opts());
+        let ac = walk(&c6, &Acyclic, &opts());
         assert_eq!((ac.partitions, ac.nodes), (31, 97));
         assert_eq!(ac.candidates, expected);
         assert!(ac.dominated > rep.dominated);
@@ -1111,7 +1187,7 @@ mod tests {
         for max_partitions in [10, 1] {
             let mut o = opts();
             o.max_partitions = max_partitions;
-            let rep = all_approximations(&q, &TwK(1), &o);
+            let rep = walk(&q, &TwK(1), &o);
             assert!(!rep.complete);
             assert_eq!(rep.partitions, max_partitions);
             assert!(!rep.approximations.is_empty());
@@ -1119,6 +1195,50 @@ mod tests {
                 assert!(contained_in(a, &q));
                 assert!(TwK(1).contains_tableau(&tableau_of(a)));
             }
+            // Bipartite but unbalanced: §5 decides it, whatever the cap.
+            let (got, meta) = all_approximations_tableaux(&tableau_of(&q), &TwK(1), &o);
+            assert!(meta.complete && got.len() == 1);
+        }
+    }
+
+    #[test]
+    fn section_5_decides_before_walking() {
+        // Directed C8 (unbalanced), and a triangle over a binary relation
+        // of another name beside a ternary one no atom uses (not
+        // bipartite): one approximation each, the walk's, and no node.
+        let v = Vocabulary::new(vec![("R", 2), ("T", 3)]);
+        let r = v.rel("R").unwrap();
+        let mut b = StructureBuilder::new(v, 3);
+        b.add(r, &[0, 1]).add(r, &[1, 2]).add(r, &[2, 0]);
+        let c8 = (0..8).map(|i| (i, (i + 1) % 8)).collect::<Vec<_>>();
+        let cases = [
+            Pointed::boolean(Structure::digraph(8, &c8)),
+            Pointed::boolean(b.finish()),
+        ];
+        for t in &cases {
+            let (got, meta) = all_approximations_tableaux(t, &TwK(1), &opts());
+            let (walked, by_walk) = walk_approximations_tableaux(t, &TwK(1), &opts());
+            assert!(meta.complete && by_walk.nodes > 0);
+            let counts = (meta.nodes, meta.partitions, meta.candidates);
+            assert_eq!(counts, (0, 0, 1));
+            assert!(got.len() == 1 && walked.len() == 1);
+            assert!(isomorphic_pointed(&got[0], &walked[0]));
+        }
+        // Unminimized, the walk's answer for C8 is a quotient, not
+        // `Q^triv₂`: it walks. A head, or a second relation, walks too.
+        let unminimized = ApproxOptions {
+            minimize: false,
+            ..opts()
+        };
+        let (_, meta) = all_approximations_tableaux(&cases[0], &TwK(1), &unminimized);
+        assert!(meta.nodes > 0);
+        for q in [
+            "Q(x) :- E(x,y), E(y,z), E(z,x)",
+            "Q() :- E(x,y), F(y,x), E(y,z)",
+        ] {
+            let (_, meta) =
+                all_approximations_tableaux(&tableau_of(&parse_cq(q).unwrap()), &TwK(1), &opts());
+            assert!(meta.nodes > 0, "{q}");
         }
     }
 

@@ -77,7 +77,9 @@ pub trait QueryClass {
     /// when one exists. Engines use it to compile a `DecomposedPlan`
     /// for in-class queries that are not acyclic; `None` means the
     /// class gives no width guarantee (the acyclic tier or the naive
-    /// join must serve instead).
+    /// join must serve instead). A graph-based class that answers
+    /// `Some(k)` is `TW(k)`: the approximation search answers §5's
+    /// Boolean graph queries from it without a walk (`crate::approx`).
     fn decomposition_width(&self) -> Option<usize> {
         None
     }

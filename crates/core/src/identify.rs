@@ -91,11 +91,12 @@ pub fn is_approximation(
     // `Q^triv` first: the walk never reaches it.
     let coarsest = Partition::coarsest(t.structure.universe_size());
     let mut found_witness = visit(&coarsest, false).is_break();
-    let walk = for_each_class_partition(&t, class, opts.max_partitions, |p, known_in_class| {
-        let step = visit(p, known_in_class);
+    let leaf = |p: &Partition, known| {
+        let step = visit(p, known);
         found_witness |= step.is_break();
         step
-    });
+    };
+    let walk = for_each_class_partition(&t, class, opts.max_partitions, || true, leaf);
     if found_witness {
         return Some(false);
     }

@@ -36,7 +36,8 @@ pub mod trichotomy;
 pub mod trivial;
 
 pub use approx::{
-    all_approximations, all_approximations_tableaux, ApproxCacheKey, ApproxOptions, ApproxReport,
+    all_approximations, all_approximations_tableaux, walk_approximations_tableaux, ApproxCacheKey,
+    ApproxOptions, ApproxReport,
 };
 pub use classes::{Acyclic, HtwK, QueryClass, TwK};
 pub use identify::is_approximation;

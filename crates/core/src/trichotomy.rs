@@ -24,9 +24,18 @@
 //! quotient is a `(k+1)`-colouring of `T_Q`: the walk into `TW(k)`
 //! reaches an in-class leaf exactly when Corollary 5.11 promises a
 //! nontrivial approximation, and otherwise returns `Q^triv` alone.
+//!
+//! The search uses these forms, not only mirrors them in that cut: for
+//! a Boolean tableau over one binary relation it decides first —
+//! {`Q^triv`} when the tableau is not `(k+1)`-colourable, {`Q^triv₂`} for
+//! `k = 1` when it is bipartite but unbalanced — and walks only what the
+//! decision leaves open. The decision is one pass over the tableau's
+//! tuples into one [`Adjacency`] buffer; the public decision forms below
+//! read queries the same way.
 
-use cqapx_cq::{tableau_of, ConjunctiveQuery};
-use cqapx_graphs::{balance, coloring, Digraph};
+use cqapx_cq::ConjunctiveQuery;
+use cqapx_graphs::coloring::Adjacency;
+use cqapx_structures::Vocabulary;
 
 /// The three cases of Theorem 5.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,14 +51,43 @@ pub enum BooleanTrichotomy {
     BipartiteBalanced,
 }
 
-/// Asserts that the query is Boolean and over the graphs vocabulary.
-fn tableau_digraph(q: &ConjunctiveQuery) -> Digraph {
+/// What §5 says of a Boolean graph query's `TW(k)`-approximations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Decision {
+    /// The tableau is not `(k+1)`-colourable: {`Q^triv`} (Corollary 5.11,
+    /// and Theorem 5.1's first case at `k = 1`).
+    Trivial,
+    /// `k = 1`, bipartite but unbalanced: {`Q^triv₂`} (Theorem 5.1).
+    TrivialBipartite,
+    /// Every approximation is nontrivial: only the walk finds them.
+    Walk,
+}
+
+/// §5 on `g`, the underlying graph of a Boolean graph query's tableau:
+/// one breadth-first pass for `k = 1` (bipartite, balanced), an exact
+/// `(k+1)`-colouring otherwise.
+pub(crate) fn decide(mut g: Adjacency, k: usize) -> Decision {
+    let (colourable, balanced) = match k {
+        1 => g.levels(),
+        _ => (g.colorable(k + 1), true),
+    };
+    match (colourable, balanced) {
+        (false, _) => Decision::Trivial,
+        (true, false) => Decision::TrivialBipartite,
+        (true, true) => Decision::Walk,
+    }
+}
+
+/// The underlying graph of a graph CQ's tableau. Asserts that the query
+/// is over the graphs vocabulary.
+fn tableau_graph(q: &ConjunctiveQuery) -> Adjacency {
     assert_eq!(
         q.vocabulary(),
-        &cqapx_structures::Vocabulary::graphs(),
+        &Vocabulary::graphs(),
         "theorem applies to queries over graphs"
     );
-    Digraph::from_structure(&tableau_of(q).structure)
+    let edges = q.atoms().iter().map(|a| (a.args[0], a.args[1]));
+    Adjacency::new(q.var_count(), edges)
 }
 
 /// Classifies a Boolean graph CQ per Theorem 5.1 (polynomial time).
@@ -74,13 +112,10 @@ fn tableau_digraph(q: &ConjunctiveQuery) -> Digraph {
 /// ```
 pub fn classify_boolean_graph_query(q: &ConjunctiveQuery) -> BooleanTrichotomy {
     assert!(q.is_boolean(), "Theorem 5.1 is about Boolean queries");
-    let g = tableau_digraph(q);
-    if !coloring::is_bipartite(&g) {
-        BooleanTrichotomy::NotBipartite
-    } else if !balance::is_balanced(&g) {
-        BooleanTrichotomy::BipartiteUnbalanced
-    } else {
-        BooleanTrichotomy::BipartiteBalanced
+    match decide(tableau_graph(q), 1) {
+        Decision::Trivial => BooleanTrichotomy::NotBipartite,
+        Decision::TrivialBipartite => BooleanTrichotomy::BipartiteUnbalanced,
+        Decision::Walk => BooleanTrichotomy::BipartiteBalanced,
     }
 }
 
@@ -89,7 +124,7 @@ pub fn classify_boolean_graph_query(q: &ConjunctiveQuery) -> BooleanTrichotomy {
 ///
 /// `true` iff `T_Q` is not bipartite.
 pub fn approximations_need_loop(q: &ConjunctiveQuery) -> bool {
-    !coloring::is_bipartite(&tableau_digraph(q))
+    !tableau_graph(q).colorable(2)
 }
 
 /// Theorem 5.10, decision form: do the `TW(k)`-approximations of the graph
@@ -99,14 +134,14 @@ pub fn approximations_need_loop(q: &ConjunctiveQuery) -> bool {
 /// bipartiteness (polynomial), for `k ≥ 2` it is `(k+1)`-colorability
 /// (NP-complete).
 pub fn twk_approximations_need_loop(q: &ConjunctiveQuery, k: usize) -> bool {
-    !coloring::is_k_colorable(&tableau_digraph(q), k + 1)
+    !tableau_graph(q).colorable(k + 1)
 }
 
 /// Corollary 5.11: a Boolean graph CQ has a nontrivial
 /// `TW(k)`-approximation iff its tableau is `(k+1)`-colorable.
 pub fn has_nontrivial_twk_approximation(q: &ConjunctiveQuery, k: usize) -> bool {
     assert!(q.is_boolean(), "Corollary 5.11 is about Boolean queries");
-    coloring::is_k_colorable(&tableau_digraph(q), k + 1)
+    decide(tableau_graph(q), k) != Decision::Trivial
 }
 
 /// `true` when the graph CQ is cyclic (its tableau, viewed as a digraph,
@@ -121,7 +156,8 @@ mod tests {
     use super::*;
     use crate::approx::{all_approximations, ApproxOptions};
     use crate::classes::TwK;
-    use cqapx_cq::{equivalent, parse_cq};
+    use cqapx_cq::{equivalent, parse_cq, tableau_of};
+    use cqapx_graphs::Digraph;
 
     #[test]
     fn trichotomy_classification() {

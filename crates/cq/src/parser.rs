@@ -24,6 +24,7 @@ use crate::ast::{Atom, ConjunctiveQuery, VarId};
 use cqapx_structures::{RelId, Vocabulary};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A parse error with a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,14 +123,15 @@ impl<'a> Lexer<'a> {
 /// reading them.
 const PRESIZED: usize = 256;
 
-/// A query's variable names, head and body, as [`ConjunctiveQuery::new`]
-/// takes them.
-type Parsed = (Vec<String>, Vec<VarId>, Vec<Atom>);
+/// A query's variable names, head and body, as
+/// [`ConjunctiveQuery::with_names`] takes them.
+type Parsed = (Arc<[String]>, Vec<VarId>, Vec<Atom>);
 
 /// The one pass both entry points share: the head, then every body atom
 /// resolved by `relation(name, arity)` and interned as it is read.
-/// Variables are looked up by the borrowed name; a name is copied once,
-/// when it is first seen. Every buffer is sized up front from the
+/// Variables are interned by the borrowed name; once the body is read,
+/// the shared list of names is built at its exact size and each name
+/// copied into its slot once. Every buffer is sized up front from the
 /// input's parentheses and commas (each atom opens one, each variable
 /// follows one), so none grows — up to [`PRESIZED`] entries, so that a
 /// malformed input is not handed a buffer its length alone asks for.
@@ -147,7 +149,6 @@ fn parse<'a>(
         other => return err(format!("expected ':-' after head, found {other:?}")),
     }
     let mut var_ids: HashMap<&str, VarId> = HashMap::with_capacity(opens + commas);
-    let mut var_names: Vec<String> = Vec::with_capacity(opens + commas);
     let mut atoms = Vec::with_capacity(opens);
     let (mut names, mut args) = (Vec::new(), Vec::new());
     loop {
@@ -155,10 +156,8 @@ fn parse<'a>(
         let rel = relation(name, names.len())?;
         args.clear();
         args.extend(names.iter().map(|&v| {
-            *var_ids.entry(v).or_insert_with(|| {
-                var_names.push(v.to_string());
-                var_names.len() as VarId - 1
-            })
+            let next = var_ids.len() as VarId;
+            *var_ids.entry(v).or_insert(next)
         }));
         atoms.push(Atom {
             rel,
@@ -177,7 +176,13 @@ fn parse<'a>(
             "head variable {h} does not occur in the body (unsafe query)"
         )),
     });
-    Ok((var_names, free.collect::<Result<_, _>>()?, atoms))
+    let free = free.collect::<Result<_, _>>()?;
+    let mut var_names: Arc<[String]> = (0..var_ids.len()).map(|_| String::new()).collect();
+    let slots = Arc::get_mut(&mut var_names).expect("the list was just built");
+    var_ids
+        .into_iter()
+        .for_each(|(v, id)| slots[id as usize] = v.into());
+    Ok((var_names, free, atoms))
 }
 
 /// Parses a rule-notation CQ, inferring the vocabulary from the body.
@@ -210,7 +215,7 @@ pub fn parse_cq(input: &str) -> Result<ConjunctiveQuery, ParseError> {
         }
     })?;
     let vocab = Vocabulary::new(rels);
-    Ok(ConjunctiveQuery::new(vocab, var_names, free, atoms))
+    Ok(ConjunctiveQuery::with_names(vocab, var_names, free, atoms))
 }
 
 /// Parses against a fixed vocabulary (arities checked).
@@ -226,7 +231,8 @@ pub fn parse_cq_with_vocab(
         )),
         Some(r) => Ok(r),
     })?;
-    Ok(ConjunctiveQuery::new(vocab.clone(), var_names, free, atoms))
+    let vocab = vocab.clone();
+    Ok(ConjunctiveQuery::with_names(vocab, var_names, free, atoms))
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //! — drives the lower-bound constructions (Prop 4.4 and Theorem 4.12); the
 //! level computations here let the test-suite machine-check those gadgets.
 
+use crate::coloring::Adjacency;
 use crate::digraph::Digraph;
-use cqapx_structures::Element;
 
 /// Balance information for a digraph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,7 +29,8 @@ pub struct BalanceInfo {
 /// function (`pot(v) = pot(u) + 1` along every edge `(u, v)`); the digraph
 /// is balanced iff the potential is consistent. The level of a node is its
 /// potential normalized so that each component's minimum is 0, which equals
-/// the maximum net length of an oriented path ending there.
+/// the maximum net length of an oriented path ending there
+/// ([`Adjacency::levels`]).
 ///
 /// # Examples
 ///
@@ -45,58 +46,12 @@ pub struct BalanceInfo {
 /// assert!(!balance::levels(&c3).balanced);
 /// ```
 pub fn levels(g: &Digraph) -> BalanceInfo {
-    let n = g.n();
-    let mut pot = vec![i64::MIN; n];
-    let mut balanced = true;
-
-    // Build symmetric adjacency with direction info.
-    let mut adj: Vec<Vec<(Element, i64)>> = vec![Vec::new(); n];
-    for (u, v) in g.edges() {
-        if u == v {
-            balanced = false; // a loop is an unbalanced oriented cycle
-            continue;
-        }
-        adj[u as usize].push((v, 1));
-        adj[v as usize].push((u, -1));
-    }
-
-    let mut comp_nodes: Vec<Element> = Vec::new();
-    for start in 0..n {
-        if pot[start] != i64::MIN {
-            continue;
-        }
-        comp_nodes.clear();
-        pot[start] = 0;
-        comp_nodes.push(start as Element);
-        let mut stack = vec![start as Element];
-        while let Some(u) = stack.pop() {
-            let pu = pot[u as usize];
-            for &(v, d) in &adj[u as usize] {
-                let expect = pu + d;
-                if pot[v as usize] == i64::MIN {
-                    pot[v as usize] = expect;
-                    comp_nodes.push(v);
-                    stack.push(v);
-                } else if pot[v as usize] != expect {
-                    balanced = false;
-                }
-            }
-        }
-        // Normalize component minimum to 0.
-        let min = comp_nodes
-            .iter()
-            .map(|&v| pot[v as usize])
-            .min()
-            .unwrap_or(0);
-        for &v in &comp_nodes {
-            pot[v as usize] -= min;
-        }
-    }
-
-    let height = pot.iter().copied().max().unwrap_or(0);
+    let mut a = Adjacency::of(g);
+    let balanced = a.levels().1;
+    let levels: Vec<i64> = a.labels().iter().map(|&level| level.into()).collect();
     BalanceInfo {
-        levels: pot,
-        height,
+        height: levels.iter().copied().max().unwrap_or(0),
+        levels,
         balanced,
     }
 }

@@ -1,5 +1,6 @@
 //! Directed graphs with conversions to/from relational structures.
 
+use crate::ugraph::UGraph;
 use cqapx_structures::{Element, Structure, StructureBuilder, Vocabulary};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -97,13 +98,8 @@ impl Digraph {
         self.edges.contains(&(u, v))
     }
 
-    /// `true` when some node has a loop.
-    pub(crate) fn has_loop(&self) -> bool {
-        self.edges.iter().any(|&(u, v)| u == v)
-    }
-
     /// Iterates over the edges in sorted order.
-    pub fn edges(&self) -> impl Iterator<Item = (Element, Element)> + '_ {
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = (Element, Element)> + Clone + '_ {
         self.edges.iter().copied()
     }
 
@@ -162,33 +158,10 @@ impl Digraph {
         (g, full_map)
     }
 
-    /// Weakly connected components; returns the component id of each node.
+    /// Weakly connected components: `(count, component id per node)`,
+    /// ids in the order of each component's least node.
     pub fn weak_components(&self) -> (usize, Vec<u32>) {
-        let mut comp = vec![u32::MAX; self.n];
-        let mut adj: Vec<Vec<Element>> = vec![Vec::new(); self.n];
-        for (u, v) in self.edges() {
-            adj[u as usize].push(v);
-            adj[v as usize].push(u);
-        }
-        let mut n_comp = 0;
-        for start in 0..self.n {
-            if comp[start] != u32::MAX {
-                continue;
-            }
-            let id = n_comp as u32;
-            n_comp += 1;
-            let mut stack = vec![start as Element];
-            comp[start] = id;
-            while let Some(u) = stack.pop() {
-                for &v in &adj[u as usize] {
-                    if comp[v as usize] == u32::MAX {
-                        comp[v as usize] = id;
-                        stack.push(v);
-                    }
-                }
-            }
-        }
-        (n_comp, comp)
+        UGraph::underlying(self).components()
     }
 
     /// Converts to a relational structure over the graphs vocabulary.

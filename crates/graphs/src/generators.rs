@@ -111,7 +111,7 @@ mod tests {
     fn complete_digraph_shape() {
         let k3 = complete_digraph(3);
         assert_eq!(k3.edge_count(), 6);
-        assert!(!k3.has_loop());
+        assert!(k3.edges().all(|(u, v)| u != v));
     }
 
     #[test]

@@ -87,24 +87,9 @@ impl UGraph {
         u != v && self.edges.contains(&(u.min(v), u.max(v)))
     }
 
-    /// `true` when some node has a loop.
-    pub(crate) fn has_any_loop(&self) -> bool {
-        !self.loops.is_empty()
-    }
-
     /// Iterates over the non-loop edges as `(min, max)` pairs.
     pub(crate) fn edges(&self) -> impl Iterator<Item = (Element, Element)> + '_ {
         self.edges.iter().copied()
-    }
-
-    /// Neighbour lists (loops excluded).
-    pub(crate) fn adjacency(&self) -> Vec<Vec<Element>> {
-        let mut adj = vec![Vec::new(); self.n];
-        for &(u, v) in &self.edges {
-            adj[u as usize].push(v);
-            adj[v as usize].push(u);
-        }
-        adj
     }
 
     /// `true` when the graph (ignoring loops) is a forest.

@@ -8,8 +8,8 @@ use cqapx_bench::workloads::{cycle_query, fig1_suite, graph_query, random_relati
 use cqapx_core::classes::ClassKind;
 use cqapx_core::{
     all_approximations, classify_boolean_graph_query, is_approximation, trichotomy,
-    trivial_bipartite_query, trivial_k_query, trivial_query, Acyclic, ApproxOptions,
-    BooleanTrichotomy, HtwK, QueryClass, TwK,
+    trivial_bipartite_query, trivial_k_query, trivial_query, walk_approximations_tableaux, Acyclic,
+    ApproxOptions, ApproxReport, BooleanTrichotomy, HtwK, QueryClass, TwK,
 };
 use cqapx_cq::{contained_in, equivalent, query_from_tableau, tableau_of, ConjunctiveQuery};
 use cqapx_gadgets::paper_examples::{
@@ -20,12 +20,20 @@ use cqapx_graphs::{coloring, generators, Digraph};
 use cqapx_structures::partition::bell;
 use cqapx_structures::{HomSolver, Pointed};
 
+/// The walk's report on `q` in `class`: the search without §5's
+/// decision, which would otherwise answer the classifier's cases itself.
+fn walk(q: &ConjunctiveQuery, class: &dyn QueryClass) -> ApproxReport {
+    let (tableaux, meta) =
+        walk_approximations_tableaux(&tableau_of(q), class, &ApproxOptions::default());
+    ApproxReport::from_tableaux(tableaux, meta)
+}
+
 /// Theorem 5.1's prediction for the `TW(1)`-approximations of a Boolean
-/// graph query, against the search: only `Q^triv` when `T_Q` is not
+/// graph query, against the walk: only `Q^triv` when `T_Q` is not
 /// bipartite, only `Q^triv₂` when it is bipartite but unbalanced, and
 /// loop-free approximations when it is balanced.
 fn trichotomy_agrees(q: &ConjunctiveQuery) -> bool {
-    let rep = all_approximations(q, &TwK(1), &ApproxOptions::default());
+    let rep = walk(q, &TwK(1));
     match classify_boolean_graph_query(q) {
         BooleanTrichotomy::NotBipartite => {
             rep.approximations.len() == 1 && rep.approximations[0].atom_count() == 1
@@ -185,7 +193,7 @@ fn prop_5_6_tight_at_k7_and_k8() {
     }
 }
 
-/// Corollary 5.11 on W5, W6, K4 and C5 for k = 1..3: the search finds a
+/// Corollary 5.11 on W5, W6, K4 and C5 for k = 1..3: the walk finds a
 /// `TW(k)`-approximation other than `Q^triv` exactly when the tableau is
 /// `(k+1)`-colorable, and the decision form agrees.
 #[test]
@@ -201,7 +209,7 @@ fn cor_5_11_nontrivial_iff_colorable() {
         let q = graph_query(&g);
         for k in 1..=3 {
             let colorable = k + 1 >= chi;
-            let rep = all_approximations(&q, &TwK(k), &ApproxOptions::default());
+            let rep = walk(&q, &TwK(k));
             let nontrivial = rep.approximations.iter().any(|a| !equivalent(a, &trivial));
             assert_eq!(nontrivial, colorable, "{name}, TW({k})");
             assert_eq!(

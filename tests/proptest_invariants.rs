@@ -9,6 +9,7 @@
 mod harness;
 
 use cq_approx::prelude::*;
+use cqapx_core::{walk_approximations_tableaux, ApproxReport};
 use cqapx_cq::eval::naive::eval_naive;
 use cqapx_structures::{
     core_of, hom_exists, iso::isomorphic_pointed, order, partition::for_each_partition,
@@ -108,11 +109,14 @@ proptest! {
     }
 
     /// Theorem 5.1 consistency: the polynomial classifier predicts the
-    /// computed acyclic approximations.
+    /// acyclic approximations the walk computes (the search itself
+    /// answers the first two cases from the same decision).
     #[test]
     fn trichotomy_consistent(s in digraph_structure(5)) {
-        let q = query_from_tableau(&Pointed::boolean(s));
-        let rep = all_approximations(&q, &TwK(1), &ApproxOptions::default());
+        let t = Pointed::boolean(s);
+        let q = query_from_tableau(&t);
+        let (tableaux, meta) = walk_approximations_tableaux(&t, &TwK(1), &ApproxOptions::default());
+        let rep = ApproxReport::from_tableaux(tableaux, meta);
         match classify_boolean_graph_query(&q) {
             BooleanTrichotomy::NotBipartite => {
                 prop_assert_eq!(rep.approximations.len(), 1);
