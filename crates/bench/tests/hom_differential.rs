@@ -258,7 +258,7 @@ fn for_cases<S: Strategy>(name: &str, cases: u32, strategy: S, mut check: impl F
 /// contained in `Q`.
 fn assert_same_approximations(
     t: &Pointed,
-    class: &dyn QueryClass,
+    class: &QueryClass,
     got: &[Pointed],
     expected: &[Pointed],
 ) {
@@ -300,7 +300,7 @@ fn assert_same_approximations(
 /// search must return the same approximations, and where §5 decided it
 /// (no node walked) ones isomorphic to the walk's. Returns how many
 /// partitions the walk reached, and whether the search was decided.
-fn assert_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass, k: usize) -> (u64, bool) {
+fn assert_search_matches_exhaustive(t: &Pointed, class: &QueryClass, k: usize) -> (u64, bool) {
     let n = t.structure.universe_size();
     let ordered = in_walk_order(t);
     let (trivial, _) = quotient_pointed(&ordered, &Partition::coarsest(n));
@@ -427,7 +427,7 @@ fn ternary_tableau(max_n: usize) -> impl Strategy<Value = Pointed> {
 /// The repairing search against a walk-free pipeline: every partition's
 /// quotient, or its repairs when it is outside the class, deduplicated
 /// up to equivalence and filtered to the →-minimal ones.
-fn assert_repairing_search_matches_exhaustive(t: &Pointed, class: &dyn QueryClass) {
+fn assert_repairing_search_matches_exhaustive(t: &Pointed, class: &QueryClass) {
     let opts = ApproxOptions {
         minimize: false,
         ..ApproxOptions::default()
@@ -485,7 +485,7 @@ fn check_identification(name: &str, cases: u32, max_n: usize) {
     for_cases(name, cases, strategy, |(t, labels)| {
         let (tp, _) = quotient_pointed(&t, &Partition::from_labels(&labels));
         let (q, q_prime) = (query_from_tableau(&t), query_from_tableau(&tp));
-        for class in [&TwK(1) as &dyn QueryClass, &Acyclic] {
+        for class in [&TwK(1), &Acyclic] {
             let mut beaten = false;
             for_each_partition(t.structure.universe_size(), |p| {
                 let (qt, _) = quotient_pointed(&t, p);

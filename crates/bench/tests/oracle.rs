@@ -32,8 +32,8 @@ use cqapx_cq::eval::{
 };
 use cqapx_cq::{parse_cq, query_graph, treewidth_of_query, Atom, ConjunctiveQuery};
 use cqapx_engine::{
-    ApproxClassChoice, Engine, EngineConfig, EvalMode, MetricsLevel, PlanKind, Request,
-    ResponseStatus, DEGRADE_MIN_SAMPLES,
+    Engine, EngineConfig, EvalMode, MetricsLevel, PlanKind, Request, ResponseStatus,
+    DEGRADE_MIN_SAMPLES,
 };
 use cqapx_graphs::treewidth::TreeDecomposition;
 use cqapx_structures::{Element, Structure, Vocabulary};
@@ -408,7 +408,7 @@ fn sandwich_union_of_overlapping_evaluators_is_duplicate_free() {
     let engine = Engine::new(EngineConfig {
         threads: 1,
         naive_cost_budget: 0.0, // force the sandwich
-        approx_class: ApproxClassChoice::Acyclic,
+        approx_class: Acyclic,
         ..EngineConfig::default()
     });
     let db = engine.register_database("d", d.clone());

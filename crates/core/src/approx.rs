@@ -39,7 +39,7 @@
 //! the prefix quotient, one level per depth (`PrefixGraphs`): a node
 //! reads only the atoms its newest variable completes. A graph-based
 //! class reads its verdict — for prefixes and leaves alike — off the
-//! carried co-occurrence graph ([`QueryClass::contains_graph`]).
+//! carried co-occurrence graph (`QueryClass::contains_graph`).
 //! *Domination*, for every class: the canonical map `T_Q/π → T_Q/π′` of a
 //! refinement `π ≤ π′` is a homomorphism, so once `T_Q/π` is in the
 //! class, no coarsening of `π` — nor any repair built on one — can be
@@ -67,7 +67,7 @@
 //! and Proposition 4.11 shows no polynomial algorithm exists unless
 //! P = NP.
 
-use crate::classes::{structure_graph, ClassKind, QueryClass};
+use crate::classes::{ClassKind, QueryClass, TwK};
 use crate::trichotomy::{decide, Decision};
 use cqapx_cq::{query_from_tableau, tableau_of, ConjunctiveQuery};
 use cqapx_graphs::coloring::Adjacency;
@@ -134,8 +134,7 @@ impl std::ops::Deref for ApproxReport {
 }
 
 /// A stable, hashable cache key for approximation results: the tableau's
-/// isomorphism-invariant signature plus the class name and an options
-/// fingerprint.
+/// isomorphism-invariant signature plus the class and the options.
 ///
 /// Two queries whose tableaux are isomorphic (same query up to variable
 /// renaming) produce equal keys, so a cache keyed by `ApproxCacheKey` can
@@ -147,8 +146,8 @@ impl std::ops::Deref for ApproxReport {
 pub struct ApproxCacheKey {
     /// Isomorphism-invariant signature of the query tableau.
     pub signature: IsoSignature,
-    /// The class name, e.g. `"TW(1)"` (classes are identified by name).
-    pub class: String,
+    /// The class approximated into.
+    pub class: QueryClass,
     /// The [`ApproxOptions`] the result was computed under.
     pub options: ApproxOptions,
 }
@@ -156,10 +155,10 @@ pub struct ApproxCacheKey {
 impl ApproxCacheKey {
     /// Builds the key for approximating tableau `t` within `class` under
     /// `opts`.
-    pub fn new(t: &Pointed, class: &dyn QueryClass, opts: &ApproxOptions) -> ApproxCacheKey {
+    pub fn new(t: &Pointed, class: &QueryClass, opts: &ApproxOptions) -> ApproxCacheKey {
         ApproxCacheKey {
             signature: signature_pointed(t),
-            class: class.name(),
+            class: *class,
             options: opts.clone(),
         }
     }
@@ -174,7 +173,11 @@ impl ApproxCacheKey {
 /// their partitions and quotients are over its numbering. `t` is a
 /// tableau: every element occurs in some atom.
 pub fn in_walk_order(t: &Pointed) -> Pointed {
-    let g = structure_graph(&t.structure);
+    let s = &t.structure;
+    let g = BitGraph::gaifman(
+        s.universe_size(),
+        s.vocabulary().rel_ids().flat_map(|r| s.tuples(r)),
+    );
     let degree = |v: usize| (0..g.n()).filter(|&u| g.has_edge(v, u)).count();
     let mut order: Vec<usize> = Vec::with_capacity(g.n());
     let mut position = vec![0u32; g.n()];
@@ -199,7 +202,7 @@ pub fn in_walk_order(t: &Pointed) -> Pointed {
 /// entered last at a smaller depth and the atoms that variable `d − 1`
 /// completes, so backtracking costs nothing. Two things are carried:
 ///
-/// * for a class that reads graphs, the co-occurrence graph (blocks as
+/// * for a graph-based class, the co-occurrence graph (blocks as
 ///   vertices; the vertices no block uses yet stay isolated) and the
 ///   class's verdict on it, asked again only when an edge was actually
 ///   new. Level `d` is level `d − 1` plus the new atoms' pairs: a copy of
@@ -219,9 +222,9 @@ struct PrefixGraphs<'a> {
     graph: BitGraph,
     /// Per depth, the [`BitGraph::state`] of that level's graph.
     saved: Vec<u64>,
-    /// The class's verdict per depth; empty for a class that does not
-    /// read graphs.
-    verdicts: Vec<Option<bool>>,
+    /// The class's verdict per depth; empty for a hypergraph-based class,
+    /// which reads no graph.
+    verdicts: Vec<bool>,
     /// `all.len()` words per depth: the loop bits of that depth's block.
     loops: Vec<u64>,
     /// A bit for every relation of arity ≥ 1 that `Q` uses: arity-0 atoms
@@ -232,7 +235,7 @@ struct PrefixGraphs<'a> {
 
 impl<'a> PrefixGraphs<'a> {
     /// Over the atoms and the head of `t`.
-    fn new(t: &'a Pointed, class: &dyn QueryClass) -> Self {
+    fn new(t: &'a Pointed, class: &QueryClass) -> Self {
         let s = &t.structure;
         let n = s.universe_size();
         let mut atoms: Vec<(usize, &[u32])> = Vec::new();
@@ -249,9 +252,9 @@ impl<'a> PrefixGraphs<'a> {
         (0..relations).for_each(|r| all[r / 64] |= 1 << (r % 64));
         let mut graph = BitGraph::new(n);
         let (mut saved, mut verdicts) = (Vec::new(), Vec::new());
-        if let verdict @ Some(_) = class.contains_graph(&mut graph) {
+        if class.kind() == ClassKind::SubgraphClosed {
+            verdicts = vec![class.contains_graph(&mut graph); n + 1];
             saved = graph.state().repeat(n + 1);
-            verdicts = vec![verdict; n + 1];
         }
         PrefixGraphs {
             graph,
@@ -296,12 +299,15 @@ impl<'a> PrefixGraphs<'a> {
     }
 
     /// Derives the graph of prefix `p` from its parent's and returns the
-    /// class's verdict on the prefix quotient: `Some(false)` rules out
-    /// every quotient below; `None` for a class that does not read graphs.
-    fn enter(&mut self, p: &Partition, class: &dyn QueryClass) -> Option<bool> {
+    /// class's verdict on the prefix quotient: `false` rules out every
+    /// quotient below. A hypergraph-based class rules out nothing here.
+    fn enter(&mut self, p: &Partition, class: &QueryClass) -> bool {
         let (d, labels) = (p.len(), p.labels());
-        if self.verdicts.is_empty() || d == 0 {
-            return self.verdicts.first().copied().flatten();
+        if self.verdicts.is_empty() {
+            return true;
+        }
+        if d == 0 {
+            return self.verdicts[0];
         }
         let len = self.graph.state().len();
         self.graph.set_state(&self.saved[(d - 1) * len..][..len]);
@@ -328,9 +334,10 @@ impl<'a> PrefixGraphs<'a> {
 /// candidates for `class`, finest first, reaching at most
 /// `max_partitions` of them. A leaf is reached when no cut removes it;
 /// `leaf` sees each one, with whether the class's graph verdict already
-/// says "in the class", and answers whether the plain quotient is in the
-/// class. (`leaf` breaking, the cap, or `keep_walking` answering `false`
-/// when the walk visits its [`RESTART_NODES`]-th prefix, ends the walk.)
+/// says "in the class" (for a graph-based class a leaf is reached only
+/// then), and answers whether the plain quotient is in the class.
+/// (`leaf` breaking, the cap, or `keep_walking` answering `false` when
+/// the walk visits its [`RESTART_NODES`]-th prefix, ends the walk.)
 /// The coarsest partition of `n ≥ 1` variables is never reached (the
 /// third cut removes it), so callers consider `Q^triv` themselves. Returns the walk's part of the report;
 /// the rest is left at zero.
@@ -342,7 +349,7 @@ impl<'a> PrefixGraphs<'a> {
 /// **Subgraph closure.** For a [`ClassKind::SubgraphClosed`] class a
 /// prefix of length `d` fixes the images of the atoms over the first
 /// `d` variables, and those form a subgraph of every quotient below the
-/// prefix; so once [`QueryClass::contains_graph`] rejects their graph
+/// prefix; so once `QueryClass::contains_graph` rejects their graph
 /// (`PrefixGraphs`), no quotient below is in the class and the subtree
 /// is cut — the leaf itself included, which is never fingerprinted.
 /// [`ClassKind::HypergraphClosed`] classes do not have this bound: a
@@ -359,13 +366,14 @@ impl<'a> PrefixGraphs<'a> {
 /// coarsening of such a quotient has one too.
 pub(crate) fn for_each_class_partition(
     t: &Pointed,
-    class: &dyn QueryClass,
+    class: &QueryClass,
     max_partitions: u64,
     mut keep_walking: impl FnMut() -> bool,
     mut leaf: impl FnMut(&Partition, bool) -> ControlFlow<(), bool>,
 ) -> ApproxReportMeta {
     let n = t.structure.universe_size();
     let mut graphs = PrefixGraphs::new(t, class);
+    let known_in_class = class.kind() == ClassKind::SubgraphClosed;
     // The in-class leaves kept so far, `n + 1` words each: per element
     // the previous element of its block (`NONE` for a block's first),
     // then `tail`, the least index from which all elements are
@@ -400,8 +408,7 @@ pub(crate) fn for_each_class_partition(
         if graphs.holds_trivial(p) {
             return Walk::Prune;
         }
-        let verdict = graphs.enter(p, class);
-        if verdict == Some(false) {
+        if !graphs.enter(p, class) {
             return Walk::Prune;
         }
         if d < n {
@@ -411,7 +418,7 @@ pub(crate) fn for_each_class_partition(
             return Walk::Stop;
         }
         reached += 1;
-        let ControlFlow::Continue(in_class) = leaf(p, verdict == Some(true)) else {
+        let ControlFlow::Continue(in_class) = leaf(p, known_in_class) else {
             return Walk::Stop;
         };
         if in_class {
@@ -444,8 +451,9 @@ pub(crate) fn for_each_class_partition(
 /// — is fingerprinted first: block count, mapped distinguished tuple
 /// and the per-relation sorted mapped tuples, computed into reusable
 /// scratch buffers with no structure built. Only unseen fingerprints get
-/// materialized (and class-checked, where the walk's graph did not
-/// already say). The fingerprint determines the pointed quotient, so
+/// class-checked from those buffers, where the walk's graph did not
+/// already say, and materialized when in the class or repaired. The
+/// fingerprint determines the pointed quotient, so
 /// in-class quotients need no second dedup among themselves.
 ///
 /// The walk never reaches the coarsest partition, so its quotient,
@@ -454,7 +462,7 @@ pub(crate) fn for_each_class_partition(
 /// rejects it after one hom test whenever a member maps into it.
 fn candidates(
     t: &Pointed,
-    class: &dyn QueryClass,
+    class: &QueryClass,
     opts: &ApproxOptions,
     keep_walking: impl FnMut() -> bool,
     mut emit: impl FnMut(Pointed),
@@ -556,19 +564,14 @@ fn candidates(
         }
 
         // First sighting of this quotient: unless the walk knows it,
-        // class-check it from the raw buffers when the class supports
-        // that; materialize a `Pointed` only when it is actually a
-        // candidate (or feeds the repair search).
+        // class-check it from the raw buffers; materialize a `Pointed`
+        // only when it is actually a candidate (or feeds the repair
+        // search).
         let n_blocks = p.n_blocks();
-        let mut tuples = rels
-            .iter()
-            .zip(mapped_rel.iter())
-            .flat_map(|((_, w, _), buf)| buf.chunks_exact(*w));
-        let verdict = match known_in_class {
-            true => Some(true),
-            false => class.contains_quotient(n_blocks, &mut tuples),
-        };
-        if verdict == Some(false) && !wants_repairs {
+        let tuples =
+            (rels.iter().zip(mapped_rel.iter())).flat_map(|((_, w, _), buf)| buf.chunks_exact(*w));
+        let in_class = known_in_class || class.contains_quotient(n_blocks, tuples);
+        if !in_class && !wants_repairs {
             seen_fp.insert(fp.as_slice().into(), false);
             return false;
         }
@@ -583,7 +586,6 @@ fn candidates(
         // After the block count, `fp` opens with the mapped distinguished tuple.
         let qt = Pointed::new(b.finish(), fp[1..=t.distinguished().len()].to_vec());
 
-        let in_class = verdict.unwrap_or_else(|| class.contains_tableau(&qt));
         seen_fp.insert(fp.as_slice().into(), in_class);
         if in_class {
             if !wants_repairs || seen_structs.insert(qt.clone()) {
@@ -608,7 +610,7 @@ fn candidates(
 /// Inclusion-minimal augmentations of `qt` with up to
 /// `opts.repair_extra_atoms` extra atoms that land in the class (the
 /// Claim 6.2 move). Exposed for the `identify` decision procedure.
-pub fn repairs_public(qt: &Pointed, class: &dyn QueryClass, opts: &ApproxOptions) -> Vec<Pointed> {
+pub fn repairs_public(qt: &Pointed, class: &QueryClass, opts: &ApproxOptions) -> Vec<Pointed> {
     let s = &qt.structure;
     let vocab = s.vocabulary().clone();
     let u = s.universe_size();
@@ -729,7 +731,7 @@ pub const RESTART_NODES: u64 = 512;
 /// themselves, over the numbering [`in_walk_order`] gives what was walked.
 pub fn all_approximations_tableaux(
     t: &Pointed,
-    class: &dyn QueryClass,
+    class: &QueryClass,
     opts: &ApproxOptions,
 ) -> (Vec<Pointed>, ApproxReportMeta) {
     if let Some(decided) = decided(t, class, opts) {
@@ -756,23 +758,25 @@ pub fn all_approximations_tableaux(
 /// on `t`, which the tests that pin the walk read.
 pub fn walk_approximations_tableaux(
     t: &Pointed,
-    class: &dyn QueryClass,
+    class: &QueryClass,
     opts: &ApproxOptions,
 ) -> (Vec<Pointed>, ApproxReportMeta) {
     search(t, class, opts, || true)
 }
 
 /// The search's report when §5 names the one approximation of `t` in
-/// `class` as the walk would return it: `Q^triv`, the quotient by the
-/// coarsest partition, or `Q^triv₂`, which the walk returns only cored.
-/// `class` is `TW(k)` when it is graph-based of decomposition width `k`.
+/// `class`, a `TW(k)`, as the walk would return it: `Q^triv`, the
+/// quotient by the coarsest partition, or `Q^triv₂`, which the walk
+/// returns only cored.
 fn decided(
     t: &Pointed,
-    class: &dyn QueryClass,
+    class: &QueryClass,
     opts: &ApproxOptions,
 ) -> Option<(Vec<Pointed>, ApproxReportMeta)> {
-    let (s, graph_based) = (&t.structure, class.kind() == ClassKind::SubgraphClosed);
-    let k = class.decomposition_width().filter(|_| graph_based)?;
+    let TwK(k) = *class else {
+        return None;
+    };
+    let s = &t.structure;
     // A Boolean tableau whose atoms use one relation, a binary one.
     let mut used = (s.vocabulary().rel_ids()).filter(|&r| !s.flat_tuples(r).is_empty());
     let binary = |e: &RelId| t.is_boolean() && s.vocabulary().arity(*e) == 2;
@@ -797,7 +801,7 @@ fn decided(
 /// One walk of `t`, its candidates streamed through the antichain.
 fn search(
     t: &Pointed,
-    class: &dyn QueryClass,
+    class: &QueryClass,
     opts: &ApproxOptions,
     keep_walking: impl FnMut() -> bool,
 ) -> (Vec<Pointed>, ApproxReportMeta) {
@@ -896,7 +900,7 @@ impl ApproxReport {
 /// ```
 pub fn all_approximations(
     q: &ConjunctiveQuery,
-    class: &dyn QueryClass,
+    class: &QueryClass,
     opts: &ApproxOptions,
 ) -> ApproxReport {
     let t = tableau_of(q);
@@ -907,7 +911,7 @@ pub fn all_approximations(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classes::{Acyclic, TwK};
+    use crate::classes::Acyclic;
     use cqapx_cq::{contained_in, equivalent, parse_cq};
     use cqapx_structures::iso::isomorphic_pointed;
     use cqapx_structures::partition::for_each_partition;
@@ -922,7 +926,7 @@ mod tests {
     }
 
     /// The walk's report on `q` as written: no decision, no restart.
-    fn walk(q: &ConjunctiveQuery, class: &dyn QueryClass, opts: &ApproxOptions) -> ApproxReport {
+    fn walk(q: &ConjunctiveQuery, class: &QueryClass, opts: &ApproxOptions) -> ApproxReport {
         let (tableaux, meta) = walk_approximations_tableaux(&tableau_of(q), class, opts);
         ApproxReport::from_tableaux(tableaux, meta)
     }
@@ -931,7 +935,7 @@ mod tests {
     fn triangle_trivial_approximation() {
         // Theorem 5.1 first case: non-bipartite tableau → only Q^triv.
         let tri = parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap();
-        for class in [&TwK(1) as &dyn QueryClass, &Acyclic] {
+        for class in [&TwK(1), &Acyclic] {
             let rep = all_approximations(&tri, class, &opts());
             assert_eq!(rep.approximations.len(), 1, "{}", class.name());
             let a = &rep.approximations[0];
@@ -972,7 +976,7 @@ mod tests {
     #[test]
     fn every_approximation_is_sound() {
         let q = parse_cq("Q(x) :- E(x,y), E(y,z), E(z,x), E(x,w), E(w,x)").unwrap();
-        for class in [&TwK(1) as &dyn QueryClass, &TwK(2), &Acyclic] {
+        for class in [&TwK(1), &TwK(2), &Acyclic] {
             let rep = all_approximations(&q, class, &opts());
             assert!(!rep.approximations.is_empty(), "{}", class.name());
             for a in &rep.approximations {
@@ -1113,7 +1117,7 @@ mod tests {
     /// over all Bell(n) partitions, each fully materialized, plus one for
     /// `Q^triv` — under the walk's own numbering: which partitions'
     /// *labelled* quotients coincide depends on it.
-    fn exhaustive_candidates(t: &Pointed, class: &dyn QueryClass) -> usize {
+    fn exhaustive_candidates(t: &Pointed, class: &QueryClass) -> usize {
         let t = &in_walk_order(t);
         let (trivial, _) = quotient_pointed(t, &Partition::coarsest(t.structure.universe_size()));
         let mut in_class: Vec<(Partition, Pointed)> = Vec::new();
@@ -1319,7 +1323,7 @@ mod tests {
                 cut[d] = graphs.holds_trivial(p) || cut[d - 1];
                 assert_eq!(cut[d], trivial_maps_into_prefix(t, p), "{p:?} of {t:?}");
                 let expected = class.contains_tableau(&prefix_quotient(t, p));
-                assert_eq!(graphs.enter(p, &class), Some(expected), "{p:?} of {t:?}");
+                assert_eq!(graphs.enter(p, &class), expected, "{p:?} of {t:?}");
                 match descend(p) {
                     true => Walk::Descend,
                     false => Walk::Prune,

@@ -54,7 +54,7 @@ use std::ops::ControlFlow;
 pub fn is_approximation(
     q: &ConjunctiveQuery,
     q_prime: &ConjunctiveQuery,
-    class: &dyn QueryClass,
+    class: &QueryClass,
     opts: &ApproxOptions,
 ) -> Option<bool> {
     let tp = tableau_of(q_prime);

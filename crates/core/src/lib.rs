@@ -7,9 +7,10 @@
 //! (Definition 3.1): the best guaranteed-correct under-approximation of `Q`
 //! within a tractable class `C`. This crate computes them:
 //!
-//! * [`classes`] — the tractable classes as first-class values:
-//!   [`classes::TwK`] (`TW(k)`, graph-based), [`classes::Acyclic`] (`AC`,
-//!   hypergraph-based), [`classes::HtwK`] (`HTW(k)`, hypergraph-based);
+//! * [`classes`] — the tractable classes as one enum, [`QueryClass`]:
+//!   [`QueryClass::TwK`] (`TW(k)`, graph-based), [`QueryClass::Acyclic`]
+//!   (`AC`, hypergraph-based), [`QueryClass::HtwK`] (`HTW(k)`,
+//!   hypergraph-based), each variant also exported by itself;
 //! * [`approx`] — the approximation algorithms. Graph-based classes follow
 //!   Theorem 4.1 (approximations live among the **quotients** of the
 //!   tableau; enumerate, filter by class, keep the →-minimal ones);

@@ -99,7 +99,7 @@ fn subquery(q: &ConjunctiveQuery, keep: &[bool]) -> Option<ConjunctiveQuery> {
 /// ```
 pub fn sound_overapproximation(
     q: &ConjunctiveQuery,
-    class: &dyn QueryClass,
+    class: &QueryClass,
 ) -> Option<ConjunctiveQuery> {
     let m = q.atom_count();
     let in_class = |keep: &[bool]| -> Option<ConjunctiveQuery> {
@@ -155,7 +155,7 @@ pub fn sound_overapproximation(
 /// overapproximation, both in `C`.
 pub fn sandwich(
     q: &ConjunctiveQuery,
-    class: &dyn QueryClass,
+    class: &QueryClass,
     opts: &crate::approx::ApproxOptions,
 ) -> (ConjunctiveQuery, Option<ConjunctiveQuery>) {
     let rep = crate::approx::all_approximations(q, class, opts);

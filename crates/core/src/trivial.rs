@@ -64,7 +64,7 @@ pub fn trivial_k_query(k: usize) -> ConjunctiveQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classes::{Acyclic, HtwK, QueryClass, TwK};
+    use crate::classes::{Acyclic, HtwK, TwK};
     use cqapx_cq::{contained_in, parse_cq, tableau_of};
 
     #[test]
@@ -72,7 +72,7 @@ mod tests {
         let v = Vocabulary::new(vec![("R", 3), ("E", 2)]);
         let t = trivial_query(&v, 0);
         let tab = tableau_of(&t);
-        for class in [&TwK(1) as &dyn QueryClass, &TwK(2), &Acyclic, &HtwK(1)] {
+        for class in [&TwK(1), &TwK(2), &Acyclic, &HtwK(1)] {
             assert!(class.contains_tableau(&tab), "{}", class.name());
         }
     }

@@ -11,7 +11,7 @@
 //! hypergraph-based notions are incomparable (Flum, Frick & Grohe).
 
 use crate::ast::ConjunctiveQuery;
-use cqapx_graphs::{treewidth, UGraph};
+use cqapx_graphs::{treewidth, BitGraph};
 use cqapx_hypergraphs::{gyo, htw, Hypergraph};
 
 /// The graph `G(Q)`: variables as nodes, co-occurrence edges.
@@ -19,28 +19,14 @@ use cqapx_hypergraphs::{gyo, htw, Hypergraph};
 /// Self-loops are *not* recorded (a loop atom `E(x,x)` contributes no
 /// clique edge); this matches tree decompositions of the query hypergraph,
 /// under which `E(x,x)` is acyclic.
-pub fn query_graph(q: &ConjunctiveQuery) -> UGraph {
-    let mut g = UGraph::new(q.var_count());
-    for a in q.atoms() {
-        for (i, &x) in a.args.iter().enumerate() {
-            for &y in a.args.iter().skip(i + 1) {
-                if x != y {
-                    g.add_edge(x, y);
-                }
-            }
-        }
-    }
-    g
+pub fn query_graph(q: &ConjunctiveQuery) -> BitGraph {
+    BitGraph::gaifman(q.var_count(), q.atoms().iter().map(|a| &a.args))
 }
 
 /// The hypergraph `H(Q)`: variables as nodes, one hyperedge per atom's
 /// variable set.
 pub(crate) fn hypergraph_of(q: &ConjunctiveQuery) -> Hypergraph {
-    let mut h = Hypergraph::new(q.var_count());
-    for a in q.atoms() {
-        h.add_edge(&a.args);
-    }
-    h
+    Hypergraph::from_edges(q.var_count(), q.atoms().iter().map(|a| &a.args))
 }
 
 /// The treewidth of `Q` (treewidth of `G(Q)`, equivalently of `H(Q)`).

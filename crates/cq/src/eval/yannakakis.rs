@@ -76,10 +76,7 @@ impl AcyclicPlan {
         let mut atoms: Vec<&Atom> = query.atoms().iter().collect();
         atoms.sort_by_key(|a| query.atoms().iter().position(|b| b.same_vars(a)));
         let groups = || atoms.chunk_by(|a, b| a.same_vars(b));
-        let mut h = Hypergraph::new(query.var_count());
-        for group in groups() {
-            h.add_edge(&group[0].args);
-        }
+        let h = Hypergraph::from_edges(query.var_count(), groups().map(|g| &g[0].args));
         let join_tree = gyo::gyo_reduce(&h).join_tree.ok_or(NotAcyclic)?;
 
         let mut nodes: Vec<NodeSpec> = Vec::with_capacity(h.edge_count());

@@ -149,7 +149,7 @@ impl ApproxCache {
     pub fn get_or_compute(
         &self,
         t: &Pointed,
-        class: &dyn QueryClass,
+        class: &QueryClass,
         opts: &ApproxOptions,
     ) -> (Arc<CachedApproximation>, bool) {
         let member = self.member(ApproxCacheKey::new(t, class, opts), t);
@@ -236,7 +236,7 @@ impl ApproxCache {
     pub fn lookup_only(
         &self,
         t: &Pointed,
-        class: &dyn QueryClass,
+        class: &QueryClass,
         opts: &ApproxOptions,
     ) -> Option<Arc<CachedApproximation>> {
         let key = ApproxCacheKey::new(t, class, opts);
@@ -372,16 +372,23 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
     }
 
+    /// The class is part of the key: one tableau under three classes
+    /// lands as three members, and each hits only under its own class.
     #[test]
     fn different_class_is_a_different_entry() {
+        use cqapx_core::Acyclic;
         let cache = ApproxCache::new();
         let q = parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap();
         let t = tableau_of(&q);
         let opts = ApproxOptions::default();
-        cache.get_or_compute(&t, &TwK(1), &opts);
-        let (_, hit) = cache.get_or_compute(&t, &TwK(2), &opts);
-        assert!(!hit);
-        assert_eq!(cache.len(), 2);
+        for class in [TwK(1), TwK(2), Acyclic] {
+            assert!(!cache.get_or_compute(&t, &class, &opts).1, "{class:?}");
+        }
+        assert_eq!(cache.len(), 3);
+        for class in [TwK(1), TwK(2), Acyclic] {
+            assert!(cache.get_or_compute(&t, &class, &opts).1, "{class:?}");
+        }
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (3, 3, 3));
     }
 
     #[test]
@@ -481,10 +488,10 @@ mod tests {
             ApproxPlan::Tree(_) => "tree",
             ApproxPlan::Naive(_) => "naive",
         };
-        let cases: [(&str, &dyn QueryClass, usize, &str); 3] = [
-            ("Q(a)", &TwK(1), 1, "tree"),
-            ("Q(a,b,c,d)", &TwK(2), 6, "tree"),
-            ("Q()", &HtwK(2), 1, "naive"),
+        let cases = [
+            ("Q(a)", TwK(1), 1, "tree"),
+            ("Q(a,b,c,d)", TwK(2), 6, "tree"),
+            ("Q()", HtwK(2), 1, "naive"),
         ];
         // A proper quotient of a tournament has a loop, and T4 itself
         // needs a transitive 4-tournament, so the loop-free database
@@ -496,7 +503,7 @@ mod tests {
         for (head, class, count, arm) in cases {
             let q = parse_cq(&format!("{head} :- {T4}")).unwrap();
             let cache = ApproxCache::new();
-            let (c, _) = cache.get_or_compute(&tableau_of(&q), class, &ApproxOptions::default());
+            let (c, _) = cache.get_or_compute(&tableau_of(&q), &class, &ApproxOptions::default());
             assert_eq!(c.evaluators.len(), count, "{head} into {}", class.name());
             for (plan, approx) in c.evaluators.iter().zip(&c.report.approximations) {
                 assert_eq!(arm_of(plan), arm, "{approx}");

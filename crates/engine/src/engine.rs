@@ -3,7 +3,7 @@
 use crate::cache::{ApproxCache, CachedApproximation};
 use crate::catalog::{Catalog, DatabaseEntry, DbId, PreparedQuery, QueryId};
 use crate::planner::{choose_plan, PlanDecision, PlanKind, PlanReason};
-use cqapx_core::{Acyclic, ApproxOptions, HtwK, QueryClass, TwK};
+use cqapx_core::{ApproxOptions, QueryClass};
 use cqapx_cq::eval::{Answers, AnswersBuilder, MatCacheStats, NaivePlan};
 use cqapx_metrics::{Histogram, HistogramSnapshot, MetricsLevel};
 use cqapx_par::{default_threads, parallel_map, ThreadBudget};
@@ -15,27 +15,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-/// Which tractable class the sandwich plan approximates into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ApproxClassChoice {
-    /// `AC` (α-acyclic queries; evaluators use Yannakakis).
-    Acyclic,
-    /// `TW(k)`.
-    TwK(usize),
-    /// `HTW(k)`.
-    HtwK(usize),
-}
-
-impl ApproxClassChoice {
-    /// The class as a membership oracle.
-    pub fn as_class(&self) -> Box<dyn QueryClass + Send + Sync> {
-        match *self {
-            ApproxClassChoice::Acyclic => Box::new(Acyclic),
-            ApproxClassChoice::TwK(k) => Box::new(TwK(k)),
-            ApproxClassChoice::HtwK(k) => Box::new(HtwK(k)),
-        }
-    }
-}
+/// The class the sandwich plan approximates into, under the name
+/// `cqbench` imports it by; goes with the next change to `cqbench`.
+pub use cqapx_core::QueryClass as ApproxClassChoice;
 
 /// Engine-wide tuning knobs.
 #[derive(Debug, Clone)]
@@ -50,7 +32,7 @@ pub struct EngineConfig {
     /// before the planner switches to the approximation sandwich.
     pub naive_cost_budget: f64,
     /// Class for sandwich approximations.
-    pub approx_class: ApproxClassChoice,
+    pub approx_class: QueryClass,
     /// Options for the (cached) approximation search.
     pub approx_options: ApproxOptions,
     /// Default per-request timeout (individual requests may override).
@@ -98,7 +80,7 @@ impl Default for EngineConfig {
         EngineConfig {
             threads: 0,
             naive_cost_budget: 5e7,
-            approx_class: ApproxClassChoice::TwK(1),
+            approx_class: QueryClass::TwK(1),
             approx_options: ApproxOptions::default(),
             default_timeout: None,
             nodes_per_ms: 50_000,
@@ -929,10 +911,9 @@ impl Engine {
                             // approximation may be consulted — starting the
                             // single-exponential search here would blow the
                             // timeout by orders of magnitude.
-                            let class = self.config.approx_class.as_class();
                             match self.cache.lookup_only(
                                 q.tableau(),
-                                class.as_ref(),
+                                &self.config.approx_class,
                                 &self.config.approx_options,
                             ) {
                                 Some(cached) => {
@@ -996,9 +977,8 @@ impl Engine {
     /// engine holds no other reference to it, so the cache's byte budget
     /// bounds what stays resident.
     fn approximation_of(&self, q: &PreparedQuery) -> (Arc<CachedApproximation>, bool) {
-        let class = self.config.approx_class.as_class();
-        self.cache
-            .get_or_compute(q.tableau(), class.as_ref(), &self.config.approx_options)
+        let (class, opts) = (&self.config.approx_class, &self.config.approx_options);
+        self.cache.get_or_compute(q.tableau(), class, opts)
     }
 
     /// The certain answers of the cached approximation: the union of

@@ -14,7 +14,7 @@
 //! says nothing fundamentally faster exists (unless the polynomial
 //! hierarchy collapses).
 
-use cqapx_graphs::{coloring, Digraph, UGraph};
+use cqapx_graphs::{coloring, BitGraph, Digraph};
 use cqapx_structures::{partition::for_each_partition, quotient, HomSolver, Structure};
 use std::ops::ControlFlow;
 
@@ -40,7 +40,7 @@ pub fn exact_k_colorability(g: &Digraph, k: usize) -> bool {
 /// Panics when `T` is not acyclic (underlying forest).
 pub fn exact_acyclic_homomorphism(g: &Digraph, t: &Digraph) -> bool {
     assert!(
-        UGraph::underlying(t).is_forest(),
+        BitGraph::underlying(t).is_forest(),
         "T must be an acyclic digraph"
     );
     let from_g = HomSolver::compile(&g.to_structure());
@@ -71,7 +71,7 @@ pub fn exact_acyclic_homomorphism(g: &Digraph, t: &Digraph) -> bool {
 /// Returns `None` when the partition budget is exhausted first.
 pub fn graph_acyclic_approximation(g: &Digraph, t: &Digraph, max_partitions: u64) -> Option<bool> {
     assert!(
-        UGraph::underlying(t).is_forest(),
+        BitGraph::underlying(t).is_forest(),
         "T must be an acyclic digraph"
     );
     let gs = g.to_structure();
@@ -89,7 +89,7 @@ pub fn graph_acyclic_approximation(g: &Digraph, t: &Digraph, max_partitions: u64
         budget -= 1;
         let (q, _) = quotient::quotient(&gs, p);
         let qd = Digraph::from_structure(&q);
-        if !UGraph::underlying(&qd).is_forest() {
+        if !BitGraph::underlying(&qd).is_forest() {
             return ControlFlow::Continue(());
         }
         if HomSolver::compile(&q).run(&ts).exists() && !from_t.run(&q).exists() {

@@ -63,12 +63,12 @@ pub fn big_t() -> BigT {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqapx_graphs::{balance, UGraph};
+    use cqapx_graphs::{balance, BitGraph};
 
     #[test]
     fn big_t_shape() {
         let t = big_t();
-        assert!(UGraph::underlying(&t.g).is_forest(), "T is a tree");
+        assert!(BitGraph::underlying(&t.g).is_forest(), "T is a tree");
         let info = balance::levels(&t.g);
         assert!(info.balanced);
         assert_eq!(info.height, 25);

@@ -76,7 +76,7 @@ pub fn t_ijk(i: usize, j: usize, k: usize) -> Anchored {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqapx_graphs::{balance, UGraph};
+    use cqapx_graphs::{balance, BitGraph};
     use cqapx_structures::HomSolver;
 
     /// The five targets `T₁ … T₅` as structures.
@@ -96,7 +96,7 @@ mod tests {
     fn connector_shapes() {
         for &(i, j) in &[(1, 5), (2, 5), (3, 5), (1, 2), (1, 3), (2, 3)] {
             let t = t_ij(i, j);
-            assert!(UGraph::underlying(&t.g).is_forest());
+            assert!(BitGraph::underlying(&t.g).is_forest());
             let info = balance::levels(&t.g);
             assert!(info.balanced);
             assert_eq!(info.height, 25);
@@ -105,7 +105,7 @@ mod tests {
         }
         for &(i, j, k) in &[(1, 2, 5), (2, 4, 5), (3, 4, 5)] {
             let t = t_ijk(i, j, k);
-            assert!(UGraph::underlying(&t.g).is_forest());
+            assert!(BitGraph::underlying(&t.g).is_forest());
             assert_eq!(balance::height(&t.g), 25);
         }
     }

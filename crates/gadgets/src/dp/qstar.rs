@@ -125,7 +125,7 @@ pub fn t_5() -> Anchored {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqapx_graphs::{balance, UGraph};
+    use cqapx_graphs::{balance, BitGraph};
     use cqapx_structures::{core_ops, HomSolver, Pointed};
     use std::ops::ControlFlow;
 
@@ -143,7 +143,7 @@ mod tests {
         let tops = info.levels.iter().filter(|&&l| l == 25).count();
         assert_eq!((zeros, tops), (1, 1));
         // Q* itself is cyclic (the 8-cycle survives).
-        assert!(!UGraph::underlying(&q.g).is_forest());
+        assert!(!BitGraph::underlying(&q.g).is_forest());
     }
 
     #[test]
@@ -151,7 +151,7 @@ mod tests {
         for i in 1..=4 {
             let t = t_i(i);
             assert!(
-                UGraph::underlying(&t.g).is_forest(),
+                BitGraph::underlying(&t.g).is_forest(),
                 "T_{i} must be acyclic"
             );
             let info = balance::levels(&t.g);
@@ -161,7 +161,7 @@ mod tests {
             assert_eq!(info.levels[t.terminal as usize], 25);
         }
         let t5 = t_5();
-        assert!(UGraph::underlying(&t5.g).is_forest());
+        assert!(BitGraph::underlying(&t5.g).is_forest());
         let info = balance::levels(&t5.g);
         assert_eq!(info.height, 25);
     }

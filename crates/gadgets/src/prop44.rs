@@ -169,7 +169,7 @@ pub fn all_words(n: usize) -> Vec<Vec<Fold>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqapx_graphs::{balance, UGraph};
+    use cqapx_graphs::{balance, BitGraph};
     use cqapx_structures::{core_ops, HomSolver, Pointed};
 
     #[test]
@@ -198,8 +198,8 @@ mod tests {
     fn folds_are_acyclic_and_balanced() {
         let dac = digraph_d_ac();
         let dbd = digraph_d_bd();
-        assert!(UGraph::underlying(&dac).is_forest(), "D_ac is acyclic");
-        assert!(UGraph::underlying(&dbd).is_forest(), "D_bd is acyclic");
+        assert!(BitGraph::underlying(&dac).is_forest(), "D_ac is acyclic");
+        assert!(BitGraph::underlying(&dbd).is_forest(), "D_bd is acyclic");
         assert!(balance::is_balanced(&dac));
         assert!(balance::is_balanced(&dbd));
         assert_eq!(balance::height(&dac), 9, "Figure 4: height 9");
@@ -214,7 +214,7 @@ mod tests {
         assert!(HomSolver::compile(&g2.to_structure())
             .run(&g2s.to_structure())
             .exists());
-        assert!(UGraph::underlying(&g2s).is_forest(), "G_n^s ∈ TW(1)");
+        assert!(BitGraph::underlying(&g2s).is_forest(), "G_n^s ∈ TW(1)");
     }
 
     #[test]

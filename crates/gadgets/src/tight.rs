@@ -80,7 +80,7 @@ mod tests {
             let g = g_k(k);
             assert!(coloring::is_bipartite(&g));
             assert!(balance::is_balanced(&g));
-            assert!(!cqapx_graphs::UGraph::underlying(&g).is_forest());
+            assert!(!cqapx_graphs::BitGraph::underlying(&g).is_forest());
         }
     }
 

@@ -205,14 +205,14 @@ pub fn chromatic_number(g: &Digraph) -> usize {
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::ugraph::UGraph;
+    use crate::treewidth::BitGraph;
 
     /// The labels `colorable(k)` leaves on `g` color every edge's ends
     /// apart, with colors below `k`.
     fn assert_proper(g: &Digraph, k: usize) {
         let mut a = Adjacency::of(g);
         assert!(a.colorable(k));
-        for (x, y) in UGraph::underlying(g).edges() {
+        for (x, y) in BitGraph::underlying(g).edges() {
             assert_ne!(a.labels()[x as usize], a.labels()[y as usize]);
         }
         assert!(a.labels().iter().all(|&c| (c as usize) < k));

@@ -1,6 +1,6 @@
 //! Directed graphs with conversions to/from relational structures.
 
-use crate::ugraph::UGraph;
+use crate::treewidth::BitGraph;
 use cqapx_structures::{Element, Structure, StructureBuilder, Vocabulary};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -161,7 +161,7 @@ impl Digraph {
     /// Weakly connected components: `(count, component id per node)`,
     /// ids in the order of each component's least node.
     pub fn weak_components(&self) -> (usize, Vec<u32>) {
-        UGraph::underlying(self).components()
+        BitGraph::underlying(self).components()
     }
 
     /// Converts to a relational structure over the graphs vocabulary.

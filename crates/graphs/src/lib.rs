@@ -23,7 +23,6 @@ pub mod digraph;
 pub mod generators;
 pub mod oriented;
 pub mod treewidth;
-pub mod ugraph;
 
 pub use balance::{height, is_balanced, levels, BalanceInfo};
 pub use coloring::{chromatic_number, is_bipartite, is_k_colorable};
@@ -32,4 +31,3 @@ pub use oriented::OrientedPath;
 pub use treewidth::{
     min_width_decomposition, treewidth, treewidth_at_most, BitGraph, TreeDecomposition,
 };
-pub use ugraph::UGraph;

@@ -16,7 +16,8 @@
 //! The exact search is exponential in the worst case but instantaneous on
 //! query-sized graphs (approximation candidates never exceed `|Q|` nodes).
 //!
-//! Three entries: [`treewidth_at_most`] returns a witness decomposition;
+//! One graph type, [`BitGraph`], and three entries over it:
+//! [`treewidth_at_most`] returns a witness decomposition;
 //! [`min_width_decomposition`] returns one of the exact width, found in
 //! the same search that finds the width;
 //! [`BitGraph::treewidth_at_most`] only decides, after removing vertices
@@ -25,7 +26,7 @@
 //! component — for the decision, what the reductions leave — of more than
 //! 64 vertices is *not certified*: the answer is `None`, never a panic.
 
-use crate::ugraph::UGraph;
+use crate::digraph::Digraph;
 use cqapx_structures::Element;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -196,7 +197,7 @@ impl TreeDecomposition {
     /// Validates the three tree-decomposition conditions against a graph:
     /// every vertex covered, every (non-loop) edge inside a bag, and the
     /// bags containing each vertex forming a connected subtree.
-    pub fn validate(&self, g: &UGraph) -> Result<(), String> {
+    pub fn validate(&self, g: &BitGraph) -> Result<(), String> {
         let nb = self.bags.len();
         // Tree shape: connected and acyclic on bag indices.
         if nb > 0 {
@@ -207,14 +208,11 @@ impl TreeDecomposition {
                     nb
                 ));
             }
-            let tree = UGraph::from_edges(
-                nb,
-                &self
-                    .tree_edges
-                    .iter()
-                    .map(|&(a, b)| (a as Element, b as Element))
-                    .collect::<Vec<_>>(),
-            );
+            if let Some(&(a, b)) = self.tree_edges.iter().find(|&&(a, b)| a.max(b) >= nb) {
+                return Err(format!("tree edge ({a},{b}) names no bag"));
+            }
+            let edges = self.tree_edges.iter();
+            let tree = BitGraph::gaifman(nb, edges.map(|&(a, b)| [a as Element, b as Element]));
             if !tree.is_forest() {
                 return Err("decomposition tree contains a cycle".into());
             }
@@ -275,16 +273,32 @@ impl TreeDecomposition {
     }
 }
 
-/// A simple graph on a fixed vertex set as adjacency bit-rows (`⌈n/64⌉`
-/// words per vertex) whose edge set only grows, with a component label
-/// per vertex, so an edge that closes a cycle is noticed as it is added.
-/// Loops are ignored.
+/// A simple undirected graph on the vertices `0..n`: adjacency bit-rows
+/// (`⌈n/64⌉` words per vertex) whose edge set only grows, with the least
+/// vertex of its component per vertex, so an edge that closes a cycle is
+/// noticed as it is added. Loops are ignored: the hypergraph of a loop
+/// atom `E(x,x)` is one hyperedge, so a loop neither raises the width
+/// nor makes a cycle (module docs). The graph `G(Q)` of a query or a
+/// tableau ([`BitGraph::gaifman`]), the underlying graph of a digraph
+/// ([`BitGraph::underlying`]) and the approximation search's prefix
+/// graphs are all this type.
+///
+/// # Examples
+///
+/// ```
+/// use cqapx_graphs::{BitGraph, Digraph};
+///
+/// let d = Digraph::from_edges(3, &[(0, 1), (1, 0), (1, 2), (2, 2)]);
+/// let u = BitGraph::underlying(&d); // {0,1} and {1,2}
+/// assert!(u.has_edge(1, 2) && !u.has_edge(0, 2) && !u.has_edge(2, 2));
+/// assert!(u.is_forest());
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct BitGraph {
     n: usize,
     words: usize,
-    /// The rows, then a component label per vertex, then the cycle flag:
-    /// the whole graph in one buffer.
+    /// The rows, then per vertex the least vertex of its component, then
+    /// the cycle flag: the whole graph in one buffer.
     state: Vec<u64>,
     scratch: Vec<u64>,
 }
@@ -294,13 +308,36 @@ impl BitGraph {
     pub fn new(n: usize) -> BitGraph {
         let words = n.div_ceil(64);
         let mut state = vec![0; n * words + n + 1];
-        (state[n * words..][..n].iter_mut().zip(0..)).for_each(|(label, v)| *label = v);
+        (state[n * words..][..n].iter_mut().zip(0..)).for_each(|(least, v)| *least = v);
         BitGraph {
             n,
             words,
             state,
             scratch: Vec::new(),
         }
+    }
+
+    /// The Gaifman graph on `0..n` of `tuples`: an edge between every two
+    /// distinct elements of one tuple. A tableau's element `i` is the
+    /// query's variable `i`, so this is `G(Q)` of a query and of its
+    /// tableau alike.
+    pub fn gaifman<T: AsRef<[Element]>>(n: usize, tuples: impl IntoIterator<Item = T>) -> BitGraph {
+        let mut g = BitGraph::new(n);
+        for t in tuples {
+            let t = t.as_ref();
+            for (i, &x) in t.iter().enumerate() {
+                for &y in &t[i + 1..] {
+                    g.add_edge(x, y);
+                }
+            }
+        }
+        g
+    }
+
+    /// The underlying graph `Gᵘ` of a digraph: orientations and loops
+    /// dropped.
+    pub fn underlying(d: &Digraph) -> BitGraph {
+        BitGraph::gaifman(d.n(), d.edges().map(|(u, v)| [u, v]))
     }
 
     /// Number of vertices.
@@ -321,11 +358,48 @@ impl BitGraph {
         }
         self.state[x * self.words + y / 64] |= 1 << (y % 64);
         self.state[y * self.words + x / 64] |= 1 << (x % 64);
-        let (comp, cyclic) = self.state[self.n * self.words..].split_at_mut(self.n);
-        let (cx, cy) = (comp[x], comp[y]);
-        cyclic[0] |= u64::from(cx == cy);
-        comp.iter_mut().filter(|c| **c == cy).for_each(|c| *c = cx);
+        let (least, cyclic) = self.state[self.n * self.words..].split_at_mut(self.n);
+        let (keep, gone) = (least[x].min(least[y]), least[x].max(least[y]));
+        cyclic[0] |= u64::from(keep == gone);
+        least
+            .iter_mut()
+            .filter(|c| **c == gone)
+            .for_each(|c| *c = keep);
         true
+    }
+
+    /// The edges as `(x, y)` pairs with `x < y`, in ascending order.
+    pub(crate) fn edges(&self) -> impl Iterator<Item = (Element, Element)> + '_ {
+        (0..self.n).flat_map(move |x| {
+            let ys = (x + 1..self.n).filter(move |&y| self.has_edge(x, y));
+            ys.map(move |y| (x as Element, y as Element))
+        })
+    }
+
+    /// `true` when the graph is a forest (loops ignored): no edge closed
+    /// a cycle.
+    pub fn is_forest(&self) -> bool {
+        self.state[self.n * self.words + self.n] == 0
+    }
+
+    /// Connected components: `(count, component id per vertex)`, ids in
+    /// the order of each component's least vertex.
+    pub(crate) fn components(&self) -> (usize, Vec<u32>) {
+        let least = &self.state[self.n * self.words..][..self.n];
+        let mut comp: Vec<u32> = Vec::with_capacity(self.n);
+        let mut count = 0;
+        for (v, &l) in least.iter().enumerate() {
+            // A component's least vertex is numbered before any other
+            // member reads its id.
+            let id = if l as usize == v {
+                count += 1;
+                count - 1
+            } else {
+                comp[l as usize]
+            };
+            comp.push(id);
+        }
+        (count as usize, comp)
     }
 
     /// The graph as words: a search that keeps one graph per depth keeps
@@ -346,7 +420,7 @@ impl BitGraph {
         let rows = &self.state[..self.n * self.words];
         match k {
             0 => Some(rows.iter().all(|&w| w == 0)),
-            1 => Some(self.state[rows.len() + self.n] == 0),
+            1 => Some(self.is_forest()),
             _ => {
                 self.scratch.clear();
                 self.scratch.extend_from_slice(rows);
@@ -559,7 +633,7 @@ fn append_decomposition(
 
 /// The connected components of `g` as mask graphs, each with its
 /// vertices in ascending order; `None` when one has more than 64.
-fn component_masks(g: &UGraph) -> Option<Vec<(Vec<Element>, MaskGraph)>> {
+fn component_masks(g: &BitGraph) -> Option<Vec<(Vec<Element>, MaskGraph)>> {
     let (count, comp) = g.components();
     // First each component's size, then each vertex's index within its
     // component.
@@ -590,7 +664,7 @@ fn component_masks(g: &UGraph) -> Option<Vec<(Vec<Element>, MaskGraph)>> {
 /// component order, each joined to the next at its first bag. An empty
 /// graph gets one empty bag.
 fn decompose(
-    g: &UGraph,
+    g: &BitGraph,
     mut order_of: impl FnMut(&MaskGraph) -> Option<Vec<usize>>,
 ) -> Option<TreeDecomposition> {
     let parts = component_masks(g)?;
@@ -628,13 +702,13 @@ fn decompose(
 /// # Examples
 ///
 /// ```
-/// use cqapx_graphs::{treewidth, UGraph};
+/// use cqapx_graphs::{treewidth, BitGraph};
 ///
-/// let c4 = UGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+/// let c4 = BitGraph::gaifman(4, [[0, 1], [1, 2], [2, 3], [3, 0]]);
 /// assert!(treewidth::treewidth_at_most(&c4, 2).is_some());
 /// assert!(treewidth::treewidth_at_most(&c4, 1).is_none());
 /// ```
-pub fn treewidth_at_most(g: &UGraph, k: usize) -> Option<TreeDecomposition> {
+pub fn treewidth_at_most(g: &BitGraph, k: usize) -> Option<TreeDecomposition> {
     decompose(g, |mg| component_tw_at_most(mg, k))
 }
 
@@ -647,7 +721,7 @@ pub fn treewidth_at_most(g: &UGraph, k: usize) -> Option<TreeDecomposition> {
 /// a tree, from 2 up otherwise. So on a connected graph the result is
 /// exactly `treewidth_at_most(g, tw(g))`; a component narrower than the
 /// widest keeps its own narrower bags.
-pub fn min_width_decomposition(g: &UGraph) -> Option<TreeDecomposition> {
+pub fn min_width_decomposition(g: &BitGraph) -> Option<TreeDecomposition> {
     decompose(g, |mg| {
         let degrees: u32 = mg.adj.iter().map(|a| a.count_ones()).sum();
         let least = match mg.n {
@@ -661,7 +735,7 @@ pub fn min_width_decomposition(g: &UGraph) -> Option<TreeDecomposition> {
 
 /// The exact treewidth of `g` (0 for edgeless graphs; loops ignored); the
 /// upper bound `n − 1` for a graph [`treewidth_at_most`] cannot certify.
-pub fn treewidth(g: &UGraph) -> usize {
+pub fn treewidth(g: &BitGraph) -> usize {
     min_width_decomposition(g).map_or(g.n().saturating_sub(1), |td| td.width())
 }
 
@@ -669,9 +743,19 @@ pub fn treewidth(g: &UGraph) -> usize {
 mod tests {
     use super::*;
 
+    /// The graph on `0..n` with `edges` (`(v, v)` a loop, ignored).
+    fn from_edges(n: usize, edges: &[(Element, Element)]) -> BitGraph {
+        BitGraph::gaifman(n, edges.iter().map(|&(u, v)| [u, v]))
+    }
+
+    /// The complete graph `K_m`: one tuple over every vertex.
+    fn complete(m: usize) -> BitGraph {
+        BitGraph::gaifman(m, [(0..m as Element).collect::<Vec<_>>()])
+    }
+
     #[test]
     fn trees_have_width_1() {
-        let t = UGraph::from_edges(5, &[(0, 1), (1, 2), (1, 3), (3, 4)]);
+        let t = from_edges(5, &[(0, 1), (1, 2), (1, 3), (3, 4)]);
         assert_eq!(treewidth(&t), 1);
         let td = treewidth_at_most(&t, 1).unwrap();
         td.validate(&t).unwrap();
@@ -684,7 +768,7 @@ mod tests {
             let edges: Vec<(Element, Element)> = (0..n)
                 .map(|i| (i as Element, ((i + 1) % n) as Element))
                 .collect();
-            let c = UGraph::from_edges(n, &edges);
+            let c = from_edges(n, &edges);
             assert_eq!(treewidth(&c), 2, "C{n}");
             let td = treewidth_at_most(&c, 2).unwrap();
             td.validate(&c).unwrap();
@@ -694,7 +778,7 @@ mod tests {
     #[test]
     fn complete_graphs() {
         for m in 1..=7 {
-            let k = UGraph::complete(m);
+            let k = complete(m);
             assert_eq!(treewidth(&k), m - 1, "K{m}");
         }
     }
@@ -703,7 +787,7 @@ mod tests {
     fn grid_treewidth() {
         // tw(P3 x P3) = 3.
         let g = crate::generators::grid(3, 3);
-        let u = UGraph::underlying(&g);
+        let u = BitGraph::underlying(&g);
         assert_eq!(treewidth(&u), 3);
         let td = treewidth_at_most(&u, 3).unwrap();
         td.validate(&u).unwrap();
@@ -711,13 +795,13 @@ mod tests {
 
     #[test]
     fn loops_ignored() {
-        let g = UGraph::from_edges(2, &[(0, 1), (0, 0)]);
+        let g = from_edges(2, &[(0, 1), (0, 0)]);
         assert_eq!(treewidth(&g), 1);
     }
 
     #[test]
     fn edgeless() {
-        let g = UGraph::new(4);
+        let g = BitGraph::new(4);
         assert_eq!(treewidth(&g), 0);
         let td = treewidth_at_most(&g, 0).unwrap();
         td.validate(&g).unwrap();
@@ -733,7 +817,7 @@ mod tests {
             }
         }
         edges.extend([(4, 5), (5, 6), (6, 4)]);
-        let g = UGraph::from_edges(7, &edges);
+        let g = from_edges(7, &edges);
         assert_eq!(treewidth(&g), 3);
         let td = treewidth_at_most(&g, 3).unwrap();
         td.validate(&g).unwrap();
@@ -742,38 +826,33 @@ mod tests {
     #[test]
     fn wheel_width_3() {
         let g = crate::generators::wheel(5);
-        let u = UGraph::underlying(&g);
+        let u = BitGraph::underlying(&g);
         assert_eq!(treewidth(&u), 3);
     }
 
     #[test]
     fn wide_components_are_not_certified_instead_of_fatal() {
-        let bits = |g: &UGraph| {
-            let mut b = BitGraph::new(g.n());
-            g.edges().for_each(|(u, v)| assert!(b.add_edge(u, v)));
-            b
-        };
         // A 70-cycle: no decomposition is built for a component the mask
         // search cannot hold, but the reductions need no search.
         let ring: Vec<(Element, Element)> = (0..70).map(|i| (i, (i + 1) % 70)).collect();
-        let c70 = UGraph::from_edges(70, &ring);
+        let c70 = from_edges(70, &ring);
         assert!(treewidth_at_most(&c70, 2).is_none());
         assert_eq!(treewidth(&c70), 69, "the documented upper bound");
-        let mut b = bits(&c70);
+        let mut b = c70.clone();
         assert_eq!(b.treewidth_at_most(1), Some(false));
         assert_eq!(b.treewidth_at_most(2), Some(true));
         assert_eq!(b.treewidth_at_most(3), Some(true));
         // A 9×9 grid keeps a 77-vertex kernel: "no" at 2, unknown above.
-        let grid = UGraph::underlying(&crate::generators::grid(9, 9));
+        let grid = BitGraph::underlying(&crate::generators::grid(9, 9));
         assert!(treewidth_at_most(&grid, 9).is_none());
-        let mut b = bits(&grid);
+        let mut b = grid.clone();
         assert_eq!(b.treewidth_at_most(2), Some(false));
         assert_eq!(b.treewidth_at_most(9), None);
     }
 
     #[test]
     fn validate_catches_bad_decompositions() {
-        let c3 = UGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+        let c3 = from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
         // Missing edge coverage.
         let bad = TreeDecomposition {
             bags: vec![vec![0, 1], vec![1, 2]],
@@ -781,7 +860,7 @@ mod tests {
         };
         assert!(bad.validate(&c3).is_err());
         // Disconnected occurrences.
-        let p3 = UGraph::from_edges(3, &[(0, 1), (1, 2)]);
+        let p3 = from_edges(3, &[(0, 1), (1, 2)]);
         let bad2 = TreeDecomposition {
             bags: vec![vec![0, 1], vec![1, 2], vec![0]],
             tree_edges: vec![(0, 1), (1, 2)],
@@ -791,7 +870,7 @@ mod tests {
 
     #[test]
     fn k_minus_one_rejected_for_clique() {
-        let k5 = UGraph::complete(5);
+        let k5 = complete(5);
         assert!(treewidth_at_most(&k5, 3).is_none());
         assert!(treewidth_at_most(&k5, 4).is_some());
     }
@@ -803,7 +882,7 @@ mod tests {
         let build = || {
             let mut edges = vec![(0u32, 1), (1, 2), (2, 3), (3, 0), (1, 3)];
             edges.extend([(4, 5), (5, 6), (6, 4), (2, 4)]);
-            UGraph::from_edges(7, &edges)
+            from_edges(7, &edges)
         };
         for k in 2..=4 {
             let a = treewidth_at_most(&build(), k).unwrap();
@@ -817,7 +896,7 @@ mod tests {
     #[test]
     fn rooted_orients_and_orders() {
         let c5: Vec<(Element, Element)> = (0..5).map(|i| (i, (i + 1) % 5)).collect();
-        let g = UGraph::from_edges(5, &c5);
+        let g = from_edges(5, &c5);
         let td = treewidth_at_most(&g, 2).unwrap();
         for root in 0..td.bags.len() {
             let r = td.rooted_at(root);
@@ -839,7 +918,7 @@ mod tests {
 
     #[test]
     fn rooted_on_single_bag() {
-        let g = UGraph::new(1);
+        let g = BitGraph::new(1);
         let td = treewidth_at_most(&g, 1).unwrap();
         assert_eq!(td.bags.len(), 1);
         let r = td.rooted_at(0);
@@ -852,7 +931,7 @@ mod tests {
     fn reduced_contracts_contained_bags() {
         // One bag per eliminated vertex: the triangle's two trailing
         // bags sit inside the first.
-        let c3 = UGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+        let c3 = from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
         let td = treewidth_at_most(&c3, 2).unwrap();
         assert_eq!(td.bags.len(), 3);
         let red = td.reduced();
@@ -861,7 +940,7 @@ mod tests {
         red.validate(&c3).unwrap();
         // C6 at width 2 needs four triangles in a path.
         let c6: Vec<(Element, Element)> = (0..6).map(|i| (i, (i + 1) % 6)).collect();
-        let g = UGraph::from_edges(6, &c6);
+        let g = from_edges(6, &c6);
         let red = treewidth_at_most(&g, 2).unwrap().reduced();
         red.validate(&g).unwrap();
         assert_eq!(red.bags.len(), 4);
@@ -871,7 +950,7 @@ mod tests {
         assert_eq!(heights, vec![2, 2, 3, 3], "a path of four bags");
         assert_eq!(red.clone().reduced(), red, "idempotent");
         // Components glued with empty overlaps stay glued.
-        let two = UGraph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
+        let two = from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
         let red = treewidth_at_most(&two, 2).unwrap().reduced();
         red.validate(&two).unwrap();
         assert_eq!(red.bags, vec![vec![0, 1, 2], vec![3, 4, 5]]);
@@ -881,13 +960,13 @@ mod tests {
     fn min_width_decomposition_is_the_exact_witness() {
         // Connected: exactly what the search at the exact width builds.
         let c6: Vec<(Element, Element)> = (0..6).map(|i| (i, (i + 1) % 6)).collect();
-        let g = UGraph::from_edges(6, &c6);
+        let g = from_edges(6, &c6);
         assert_eq!(min_width_decomposition(&g), treewidth_at_most(&g, 2));
         // K4 beside a triangle beside a path: width 3, and each component
         // decomposed at its own width.
         let mut edges = vec![(0u32, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)];
         edges.extend([(4, 5), (5, 6), (6, 4), (7, 8), (8, 9)]);
-        let g = UGraph::from_edges(11, &edges);
+        let g = from_edges(11, &edges);
         let td = min_width_decomposition(&g).unwrap();
         td.validate(&g).unwrap();
         assert_eq!(td.width(), 3);
@@ -897,21 +976,58 @@ mod tests {
         };
         assert_eq!([0, 4, 7, 10].map(width_of), [3, 2, 1, 0]);
         // The empty graph has one empty bag; a 70-cycle is not certified.
-        assert_eq!(min_width_decomposition(&UGraph::new(0)).unwrap().bags, [[]]);
-        let ring: Vec<(Element, Element)> = (0..70).map(|i| (i, (i + 1) % 70)).collect();
         assert_eq!(
-            min_width_decomposition(&UGraph::from_edges(70, &ring)),
-            None
+            min_width_decomposition(&BitGraph::new(0)).unwrap().bags,
+            [[]]
         );
+        let ring: Vec<(Element, Element)> = (0..70).map(|i| (i, (i + 1) % 70)).collect();
+        assert_eq!(min_width_decomposition(&from_edges(70, &ring)), None);
+    }
+
+    #[test]
+    fn underlying_discards_orientation() {
+        let d = Digraph::from_edges(3, &[(0, 1), (1, 0), (1, 2)]);
+        let u = BitGraph::underlying(&d);
+        assert_eq!(u.edges().collect::<Vec<_>>(), [(0, 1), (1, 2)]);
+        assert!(u.has_edge(1, 0));
+    }
+
+    #[test]
+    fn forest_detection() {
+        assert!(from_edges(4, &[(0, 1), (1, 2), (1, 3)]).is_forest());
+        assert!(!from_edges(3, &[(0, 1), (1, 2), (2, 0)]).is_forest());
+        // A two-node double edge collapses in a simple graph: a forest.
+        assert!(from_edges(2, &[(0, 1), (1, 0)]).is_forest());
+        // Loops do not affect forest-ness (the hypergraph convention).
+        assert!(from_edges(2, &[(0, 1), (1, 1)]).is_forest());
+        assert!(from_edges(1, &[(0, 0)]).is_forest());
+        assert!(BitGraph::new(5).is_forest());
+    }
+
+    #[test]
+    fn complete_graph() {
+        let k4 = complete(4);
+        assert_eq!(k4.edges().count(), 6);
+        assert!(!k4.is_forest());
+    }
+
+    #[test]
+    fn components() {
+        // Ids follow each component's least vertex, whatever order the
+        // edges came in.
+        let g = from_edges(5, &[(3, 2), (1, 0)]);
+        assert_eq!(g.components(), (3, vec![0, 0, 1, 1, 2]));
+        let g = from_edges(5, &[(4, 2), (3, 1)]);
+        assert_eq!(g.components(), (3, vec![0, 1, 2, 1, 2]));
     }
 
     #[test]
     fn components_and_forests_by_union_find() {
         // Components are numbered by their least vertex.
-        let g = UGraph::from_edges(6, &[(4, 1), (5, 3), (3, 0)]);
+        let g = from_edges(6, &[(4, 1), (5, 3), (3, 0)]);
         assert_eq!(g.components(), (3, vec![0, 1, 2, 0, 1, 0]));
         assert!(g.is_forest());
-        let closed = UGraph::from_edges(6, &[(4, 1), (5, 3), (3, 0), (0, 5)]);
+        let closed = from_edges(6, &[(4, 1), (5, 3), (3, 0), (0, 5)]);
         assert!(!closed.is_forest());
         assert_eq!(closed.components(), g.components());
     }

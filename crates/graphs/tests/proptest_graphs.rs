@@ -1,6 +1,6 @@
 //! Property-based tests for the graph algorithms.
 
-use cqapx_graphs::{balance, coloring, treewidth, BitGraph, Digraph, UGraph};
+use cqapx_graphs::{balance, coloring, treewidth, BitGraph, Digraph};
 use proptest::prelude::*;
 
 fn digraph_strategy(max_n: usize, max_e: usize) -> impl Strategy<Value = Digraph> {
@@ -16,7 +16,7 @@ proptest! {
     /// Treewidth is monotone under edge addition and bounded by n−1.
     #[test]
     fn treewidth_monotone_and_bounded(g in digraph_strategy(7, 10)) {
-        let u = UGraph::underlying(&g);
+        let u = BitGraph::underlying(&g);
         let tw = treewidth::treewidth(&u);
         prop_assert!(tw <= u.n().saturating_sub(1));
         // adding an edge can only increase treewidth
@@ -30,7 +30,7 @@ proptest! {
     /// A witness decomposition validates and has the claimed width.
     #[test]
     fn decompositions_validate(g in digraph_strategy(7, 12)) {
-        let u = UGraph::underlying(&g);
+        let u = BitGraph::underlying(&g);
         let tw = treewidth::treewidth(&u);
         let td = treewidth::treewidth_at_most(&u, tw).expect("witness at exact width");
         td.validate(&u).unwrap();
@@ -48,19 +48,15 @@ proptest! {
     /// the graph it was asked about as it found it.
     #[test]
     fn bit_row_decision_agrees_with_decompositions(g in digraph_strategy(12, 30)) {
-        let u = UGraph::underlying(&g);
-        let mut bits = BitGraph::new(u.n());
-        for (x, y) in g.edges() {
-            bits.add_edge(x, y);
-        }
+        let u = BitGraph::underlying(&g);
+        let mut bits = u.clone();
         let tw = treewidth::treewidth(&u);
         for k in 0..=4 {
             let expected = treewidth::treewidth_at_most(&u, k).is_some();
             prop_assert_eq!(bits.treewidth_at_most(k), Some(expected), "k = {}", k);
             prop_assert_eq!(tw <= k, expected, "k = {}", k);
         }
-        let degree = |v: usize| (0..u.n()).filter(|&w| bits.has_edge(v, w)).count();
-        prop_assert_eq!((0..u.n()).map(degree).sum::<usize>(), 2 * u.edge_count());
+        prop_assert_eq!(bits.state(), u.state());
     }
 
     /// `reduced()` keeps a witness decomposition valid and as wide, leaves
@@ -68,7 +64,7 @@ proptest! {
     /// deterministic; every root orients the reduced tree.
     #[test]
     fn reduced_decompositions(g in digraph_strategy(9, 14), extra in 0usize..2) {
-        let u = UGraph::underlying(&g);
+        let u = BitGraph::underlying(&g);
         // At the exact width and, one above it, on a looser witness.
         let k = treewidth::treewidth(&u) + extra;
         let td = treewidth::treewidth_at_most(&u, k).expect("witness at or above the width");
@@ -121,7 +117,7 @@ proptest! {
             edges.push(((i / 2) as u32, i as u32));
         }
         let g = Digraph::from_edges(n, &edges);
-        let u = UGraph::underlying(&g);
+        let u = BitGraph::underlying(&g);
         prop_assert!(u.is_forest());
         prop_assert!(treewidth::treewidth(&u) <= 1);
         prop_assert!(coloring::is_bipartite(&g));

@@ -37,15 +37,16 @@ impl Hypergraph {
         }
     }
 
-    /// Builds from an edge list (each edge a list of vertices).
+    /// Builds from an edge list (each edge a list of vertices): the
+    /// hypergraph `H(Q)` of a query's atoms or of a tableau's tuples.
     ///
     /// # Panics
     ///
     /// Panics on empty edges or out-of-range vertices.
-    pub fn from_edges(n: usize, edges: &[Vec<Vertex>]) -> Self {
+    pub fn from_edges<E: AsRef<[Vertex]>>(n: usize, edges: impl IntoIterator<Item = E>) -> Self {
         let mut h = Hypergraph::new(n);
         for e in edges {
-            h.add_edge(e);
+            h.add_edge(e.as_ref());
         }
         h
     }

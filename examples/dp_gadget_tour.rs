@@ -5,7 +5,7 @@
 
 use cq_approx::gadgets::decision;
 use cq_approx::gadgets::dp;
-use cq_approx::graphs::{balance, generators, Digraph, UGraph};
+use cq_approx::graphs::{balance, generators, BitGraph, Digraph};
 use cq_approx::structures::HomSolver;
 use std::time::Instant;
 
@@ -30,7 +30,7 @@ fn main() {
         println!(
             "T_{i}: {} nodes, acyclic = {}, Q* → T_{i}: {}",
             t.g.n(),
-            UGraph::underlying(&t.g).is_forest(),
+            BitGraph::underlying(&t.g).is_forest(),
             HomSolver::compile(&q.g.to_structure())
                 .run(&t.g.to_structure())
                 .exists()
@@ -42,7 +42,7 @@ fn main() {
     println!(
         "T: {} nodes, tree = {}, colors t1..t4 at level 25",
         t.g.n(),
-        UGraph::underlying(&t.g).is_forest()
+        BitGraph::underlying(&t.g).is_forest()
     );
 
     println!("\n== extended chooser pair tables (Claim 8.9) ==");

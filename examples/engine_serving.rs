@@ -8,7 +8,7 @@
 //! ```
 
 use cq_approx::prelude::*;
-use cqapx_engine::{ApproxClassChoice, EngineConfig};
+use cqapx_engine::EngineConfig;
 
 fn main() {
     // An engine with a deliberately small naive budget, so the cyclic
@@ -16,7 +16,7 @@ fn main() {
     // watch the cache amortize the expensive search.
     let config = EngineConfig {
         naive_cost_budget: 1e4,
-        approx_class: ApproxClassChoice::TwK(1),
+        approx_class: TwK(1),
         ..EngineConfig::default()
     };
     let engine = Engine::new(config);

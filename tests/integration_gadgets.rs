@@ -3,7 +3,7 @@
 
 use cq_approx::gadgets::{decision, dp, paper_examples, prop44};
 use cq_approx::prelude::*;
-use cqapx_graphs::{balance, UGraph};
+use cqapx_graphs::{balance, BitGraph};
 use cqapx_structures::HomSolver;
 
 /// Prop 4.4 pipeline: the fold queries are sound in-class under-
@@ -42,7 +42,7 @@ fn qstar_fold_observable_consequences() {
         let ts = ti.g.to_structure();
         // Q* → T_i and T_i is acyclic.
         assert!(HomSolver::compile(&qs).run(&ts).exists());
-        assert!(UGraph::underlying(&ti.g).is_forest());
+        assert!(BitGraph::underlying(&ti.g).is_forest());
         // The other folds cannot sit between: T_j → T_i fails for j ≠ i.
         for j in 1..=4 {
             if j != i {

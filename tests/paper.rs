@@ -22,7 +22,7 @@ use cqapx_structures::{HomSolver, Pointed};
 
 /// The walk's report on `q` in `class`: the search without §5's
 /// decision, which would otherwise answer the classifier's cases itself.
-fn walk(q: &ConjunctiveQuery, class: &dyn QueryClass) -> ApproxReport {
+fn walk(q: &ConjunctiveQuery, class: &QueryClass) -> ApproxReport {
     let (tableaux, meta) =
         walk_approximations_tableaux(&tableau_of(q), class, &ApproxOptions::default());
     ApproxReport::from_tableaux(tableaux, meta)
@@ -68,14 +68,14 @@ fn fig1_every_query_has_sound_in_class_approximations() {
         ("ternary triangle (intro)", [1, 1, 3, 1]),
         ("free-variable triangle", [2, 1, 2, 1]),
     ];
-    let classes: [&dyn QueryClass; 4] = [&TwK(1), &TwK(2), &Acyclic, &HtwK(2)];
+    let classes = [TwK(1), TwK(2), Acyclic, HtwK(2)];
     let suite = fig1_suite();
     assert_eq!(suite.len(), expected.len());
     for ((name, q), (want_name, counts)) in suite.iter().zip(expected) {
         assert_eq!(*name, want_name);
         for (class, count) in classes.iter().zip(counts) {
             let ctx = format!("{name} into {}", class.name());
-            let rep = all_approximations(q, *class, &ApproxOptions::default());
+            let rep = all_approximations(q, class, &ApproxOptions::default());
             assert!(rep.complete, "{ctx}: search complete");
             assert_eq!(rep.approximations.len(), count, "{ctx}: approximations");
             for a in &rep.approximations {

@@ -50,7 +50,7 @@ fn ring(n: Element) -> Pointed {
 /// the search was complete, walked exactly `nodes` prefixes, and
 /// returned pairwise non-equivalent queries in the class, each
 /// contained in `t`'s query.
-fn search(name: &str, t: &Pointed, class: &dyn QueryClass, nodes: u64) -> Vec<Pointed> {
+fn search(name: &str, t: &Pointed, class: &QueryClass, nodes: u64) -> Vec<Pointed> {
     let (got, meta) = all_approximations_tableaux(t, class, &ApproxOptions::default());
     assert!(meta.complete, "{name}");
     assert_eq!(meta.nodes, nodes, "{name}: prefixes walked");
