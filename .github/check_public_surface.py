@@ -23,7 +23,13 @@ Prints every listed item that is neither and the count; fails on such an
 item, and on an allow-list entry that is stale or that the table does
 not name.
 
-    python3 .github/check_public_surface.py
+`cqbench` is frozen between benchmark changes, so the library surface it
+calls is listed too: `.github/cqbench_surface.txt` holds `crate-dir
+name` for every `pub` item of the crates `cqbench/Cargo.toml` depends on
+whose name `cqbench/src` mentions as a whole word. The script fails on a
+missing or a stale entry; `--write` rewrites the file.
+
+    python3 .github/check_public_surface.py [--write]
 """
 
 import pathlib
@@ -33,6 +39,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SKIP = {"bench", "compat"}
 OUTSIDE = ["src", "tests", "examples", "cqbench/src", "cqbench/tests"]
+SURFACE = ROOT / ".github/cqbench_surface.txt"
 
 ITEM = re.compile(
     r"^(\s*)pub\s+(?:(?:const|async|unsafe|extern\s+\"C\")\s+)*"
@@ -121,6 +128,28 @@ def results_table():
     return words("\n".join(l for l in section.splitlines() if l.startswith("|")))
 
 
+def cqbench_surface(crates):
+    """Problems with `SURFACE` against the items `cqbench/src` names,
+    after rewriting it first when asked to."""
+    named = words("".join(f.read_text() for f in (ROOT / "cqbench/src").rglob("*.rs")))
+    deps = set(re.findall(r'path = "\.\./crates/(\w+)"', (ROOT / "cqbench/Cargo.toml").read_text()))
+    want = sorted({
+        f"{c.name} {it[3]}"
+        for c in crates
+        if c.name in deps
+        for it in public_items(c)
+        if it[3] in named
+    })
+    if "--write" in sys.argv[1:]:
+        head = "# `crate-dir name` of every `crates/*/src` item `cqbench/src` names;\n"
+        head += "# rewrite with `python3 .github/check_public_surface.py --write`.\n"
+        SURFACE.write_text(head + "".join(f"{w}\n" for w in want))
+    have = [l.strip() for l in SURFACE.read_text().splitlines()]
+    have = {l for l in have if l and not l.startswith("#")}
+    problems = [f"{SURFACE.name}: missing `{w}`" for w in want if w not in have]
+    return problems + [f"{SURFACE.name}: stale `{h}`" for h in sorted(have - set(want))]
+
+
 def main():
     crates = sorted(p for p in (ROOT / "crates").iterdir() if p.is_dir())
     rust = {c: list(c.rglob("*.rs")) for c in crates}
@@ -161,6 +190,7 @@ def main():
         for c, n in sorted(allowed)
         if n not in table
     ]
+    problems += cqbench_surface(crates)
     print(
         f"{len(paper) + len(signature) + len(unused)} public items named nowhere outside "
         f"their crate: {len(paper)} of the paper's constructions, {len(signature)} in a "

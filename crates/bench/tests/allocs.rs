@@ -46,8 +46,7 @@
 use cqapx_bench::workloads::{lcg, nine_layer_dag, regular_digraph};
 use cqapx_cq::eval::ir::compile_tree;
 use cqapx_cq::eval::{
-    AcyclicPlan, Answers, DecomposedPlan, MatCacheStats, MaterializationCache, NaivePlan, NodeSpec,
-    Op, PlanIr,
+    Answers, MatCacheStats, MaterializationCache, NaivePlan, NodeSpec, Op, PlanIr, TreePlan,
 };
 use cqapx_cq::parse_cq;
 use cqapx_engine::{Engine, EngineConfig, EvalMode, MetricsLevel, PlanKind, Request};
@@ -148,7 +147,7 @@ fn graph(edges: usize) -> Structure {
 
 /// Allocator calls of one cold evaluation: fresh cache, dictionary
 /// built beforehand (as registration leaves it).
-fn cold_eval_calls(plan: &DecomposedPlan, d: &Structure) -> (u64, usize) {
+fn cold_eval_calls(plan: &TreePlan, d: &Structure) -> (u64, usize) {
     d.distinct_per_column();
     let cache = MaterializationCache::new();
     let ((answers, stats), calls, _) = counted(|| plan.ir().answers(d, Some(&cache)));
@@ -160,7 +159,7 @@ fn cold_eval_calls(plan: &DecomposedPlan, d: &Structure) -> (u64, usize) {
 #[test]
 fn cold_triangle_allocations_do_not_grow_with_the_graph() {
     let q = parse_cq("Q(x) :- E(x,y), E(y,z), E(z,x)").unwrap();
-    let plan = DecomposedPlan::compile(&q, 2).unwrap();
+    let plan = TreePlan::within_width(&q, 2).unwrap();
     let (small, big) = (graph(2_000), graph(20_000));
     let (small_calls, small_answers) = cold_eval_calls(&plan, &small);
     let (big_calls, big_answers) = cold_eval_calls(&plan, &big);
@@ -227,7 +226,7 @@ const C6_HEAD: &str = "Q(a) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)";
 fn cold_six_cycle_head_requests_a_small_multiple_of_what_its_ops_return() {
     let d = regular_digraph(2000, 4, 0xC6);
     d.distinct_per_column();
-    let plan = DecomposedPlan::compile(&parse_cq(C6_HEAD).unwrap(), 2).unwrap();
+    let plan = TreePlan::within_width(&parse_cq(C6_HEAD).unwrap(), 2).unwrap();
     let wide = |op: &&Op| matches!(op, Op::MultiJoin { inputs, .. } if inputs.len() > 2);
     assert_eq!(plan.ir().ops().iter().filter(wide).count(), 1);
     let cache = MaterializationCache::new();
@@ -264,11 +263,11 @@ fn boolean_six_cycle_stops_at_the_first_witness() {
         .collect();
     let d = Structure::digraph(n as usize, &edges);
     let cache = MaterializationCache::new();
-    let head = DecomposedPlan::compile(&parse_cq(C6_HEAD).unwrap(), 2).unwrap();
+    let head = TreePlan::within_width(&parse_cq(C6_HEAD).unwrap(), 2).unwrap();
     let boolean = C6_HEAD.replace("Q(a)", "Q()");
-    let boolean = DecomposedPlan::compile(&parse_cq(&boolean).unwrap(), 2).unwrap();
+    let boolean = TreePlan::within_width(&parse_cq(&boolean).unwrap(), 2).unwrap();
     // The root's advances, and the slots it read and wrote.
-    let root = |plan: &DecomposedPlan| {
+    let root = |plan: &TreePlan| {
         let ir = plan.ir();
         let (alive, mut slots, _) = ir.run_slots(&d, Some(&cache), None);
         assert!(alive, "the graph has 6-cycles");
@@ -313,7 +312,7 @@ const STAR8: &str = "Q() :- E(c,a1), E(c,a2), E(c,a3), E(c,a4), E(c,a5), E(c,a6)
 /// at most 3 advances per row.
 #[test]
 fn boolean_four_cycle_root_is_one_existence_call() {
-    let plan = DecomposedPlan::compile(&parse_cq(C4).unwrap(), 2).unwrap();
+    let plan = TreePlan::within_width(&parse_cq(C4).unwrap(), 2).unwrap();
     let [.., Op::MultiJoin { inputs, vars, .. }, Op::AssertNonempty { .. }] = plan.ir().ops()
     else {
         panic!("the Boolean C4 root ends in its existence call");
@@ -369,8 +368,8 @@ fn op_calls(ir: &PlanIr, pc: usize, d: &Structure) -> u64 {
 fn warm_joins_and_projections_allocate_no_more_than_the_hash_path() {
     let wide = regular_digraph(3000, 8, 0x2B);
     let narrow = regular_digraph(5000, 4, 0xC6);
-    let acyclic = |rule: &str| AcyclicPlan::compile(&parse_cq(rule).unwrap()).unwrap();
-    let c6 = DecomposedPlan::compile(&parse_cq(C6_HEAD).unwrap(), 2).unwrap();
+    let acyclic = |rule: &str| TreePlan::join_tree(&parse_cq(rule).unwrap()).unwrap();
+    let c6 = TreePlan::within_width(&parse_cq(C6_HEAD).unwrap(), 2).unwrap();
     let at = |ir: &PlanIr, pick: &dyn Fn(&Op) -> bool| {
         let mut found = (ir.ops().iter().enumerate()).filter(|(_, op)| pick(op));
         let (pc, _) = found.next().expect("the plan has the op");
@@ -421,7 +420,7 @@ fn warm_joins_and_projections_allocate_no_more_than_the_hash_path() {
 #[test]
 fn warm_one_column_head_copies_no_cached_row() {
     let q = parse_cq(THREE_HOP_HEAD).unwrap();
-    let plan = AcyclicPlan::compile(&q).unwrap();
+    let plan = TreePlan::join_tree(&q).unwrap();
     let counts = [10_000, 20_000].map(|n| {
         let d = nine_layer_dag(n, 0x3B);
         let cache = MaterializationCache::new();
@@ -457,8 +456,8 @@ fn swept_one_column_head_allocates_no_more_than_the_kernel_path() {
         parse_cq(THREE_HOP_HEAD).unwrap(),
         parse_cq(TRIANGLE).unwrap(),
     );
-    let three_hop_plan = AcyclicPlan::compile(&three_hop).unwrap();
-    let triangle_plan = DecomposedPlan::compile(&triangle, 2).unwrap();
+    let three_hop_plan = TreePlan::join_tree(&three_hop).unwrap();
+    let triangle_plan = TreePlan::within_width(&triangle, 2).unwrap();
     for (q, ir, d, fewer) in [
         (&three_hop, three_hop_plan.ir(), &dag, true),
         (&triangle, triangle_plan.ir(), &triangles, false),
@@ -536,7 +535,7 @@ fn warm_wedge_allocations_ignore_a_dangling_tuple() {
     let dangling = Structure::digraph(402, &edges);
     for text in ["Q(x,y,z) :- E(x,y), E(y,z)", "Q(x,z) :- E(x,y), E(y,z)"] {
         let q = parse_cq(text).unwrap();
-        let plan = AcyclicPlan::compile(&q).unwrap();
+        let plan = TreePlan::join_tree(&q).unwrap();
         let counts = [&full, &dangling].map(|d| {
             let cache = MaterializationCache::new();
             let warm = plan.ir().answers(d, Some(&cache));
@@ -557,7 +556,7 @@ fn warm_wedge_allocations_ignore_a_dangling_tuple() {
 fn boundary_adopts_a_head_ordered_relation_without_allocating() {
     let d = regular_digraph(2_000, 4, 0x5EED);
     let q = parse_cq(TWO_HOP).unwrap();
-    let plan = AcyclicPlan::compile(&q).unwrap();
+    let plan = TreePlan::join_tree(&q).unwrap();
     let cache = MaterializationCache::new();
     let (want, _) = plan.ir().answers(&d, Some(&cache));
     let (out, _) = plan.ir().run(&d, Some(&cache), None);
@@ -591,7 +590,7 @@ fn warm_two_hop_allocations_ignore_a_vertex_with_no_in_edge() {
     // Vertex `n` points at four vertices and nothing points at it.
     edges.extend((1..=4).map(|k| (n, k * 7)));
     let sourced = Structure::digraph(n as usize + 1, &edges);
-    let plan = AcyclicPlan::compile(&parse_cq(TWO_HOP).unwrap()).unwrap();
+    let plan = TreePlan::join_tree(&parse_cq(TWO_HOP).unwrap()).unwrap();
     let ir = plan.ir();
     let counts = [&full, &sourced].map(|d| {
         let cache = MaterializationCache::new();
@@ -703,10 +702,10 @@ fn preparing_q2_allocates_no_more_than_it_did() {
     let copy = q2.clone();
     let (prepared, prepare, _) = counted(|| PreparedQuery::build("q2", copy));
     let plan = prepared
-        .decomposed
+        .tree
         .as_ref()
         .expect("treewidth 2 is within the limit");
-    let searched = DecomposedPlan::compile(&q2, prepared.shape.treewidth).unwrap();
+    let searched = TreePlan::within_width(&q2, prepared.shape.treewidth).unwrap();
     assert_eq!(format!("{:?}", plan.ir()), format!("{:?}", searched.ir()));
     assert!(prepare <= 171, "{prepare} allocator calls to prepare Q2");
 }
@@ -751,8 +750,8 @@ fn path_text(n: u32) -> String {
 /// A compiled plan allocates per plan, not per atom: every schema, key,
 /// binder list and operand list is a span of one word buffer, and the
 /// parts and binders live in one buffer each. Compiling the
-/// `DecomposedPlan` of the directed `C6` and of the `C12` from their
-/// decompositions, and the tree plan `AcyclicPlan` compiles over the
+/// `TreePlan` of the directed `C6` and of the `C12` from their
+/// decompositions, and the plan `TreePlan::join_tree` compiles over the
 /// join tree of a 4-path and of a 16-path, calls the allocator exactly
 /// as often at both sizes.
 #[test]
@@ -762,7 +761,7 @@ fn compiling_a_plan_allocates_per_plan_not_per_atom() {
     let cycles = [6, 12].map(|n| {
         let q = parse_cq(&cycle_text(n)).unwrap();
         let td = treewidth_at_most(&query_graph(&q), 2).unwrap();
-        counted(|| DecomposedPlan::from_decomposition(&q, td)).1
+        counted(|| TreePlan::from_decomposition(&q, td)).1
     });
     assert_eq!(cycles[0], cycles[1], "allocator calls to compile C6 vs C12");
     let paths = [4, 16].map(|n: usize| {
@@ -786,7 +785,7 @@ fn compiling_a_plan_allocates_per_plan_not_per_atom() {
 /// calls the allocator not at all.
 #[test]
 fn a_warm_cache_hit_allocates_nothing() {
-    let plan = AcyclicPlan::compile(&parse_cq(TWO_HOP).unwrap()).unwrap();
+    let plan = TreePlan::join_tree(&parse_cq(TWO_HOP).unwrap()).unwrap();
     let d = regular_digraph(100, 2, 0x2B);
     let cache = MaterializationCache::new();
     plan.ir().answers(&d, Some(&cache));
@@ -834,9 +833,9 @@ fn q2_cold_certain_request_allocates_by_phase_as_pinned() {
     let ((tableaux, meta), search, _) =
         counted(|| all_approximations_tableaux(&t, &TwK(1), &options));
     let report = ApproxReport::from_tableaux(tableaux, meta);
-    let compile_one = |q: &cqapx_cq::ConjunctiveQuery| match AcyclicPlan::compile(q) {
-        Ok(plan) => PlanIr::from(plan),
-        Err(_) => DecomposedPlan::compile(q, 1).unwrap().into(),
+    let compile_one = |q: &cqapx_cq::ConjunctiveQuery| match TreePlan::join_tree(q) {
+        Some(plan) => PlanIr::from(plan),
+        None => TreePlan::within_width(q, 1).unwrap().into(),
     };
     let (_, compile, _) = counted(|| {
         report

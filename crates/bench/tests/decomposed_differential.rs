@@ -1,5 +1,5 @@
 //! The decomposed tier through the oracle harness (`harness/mod.rs`):
-//! `DecomposedPlan` at every root of the reduced decomposition, at the
+//! The decomposition `TreePlan` at every root of the reduced decomposition, at the
 //! exact treewidth, returns the oracle's rows on cyclic templates
 //! (cycles, wheels, `K₄`, double triangles) and on random digraph
 //! bodies of any treewidth.

@@ -20,11 +20,12 @@
 //!   and every `Op::MultiJoin` a run reaches, rebuilt from the same
 //!   inputs by the reference join (`cqapx_bench::reference`) — byte for
 //!   byte;
-//! - [`check_acyclic`] and [`check_decomposed`]: `AcyclicPlan` when the
-//!   query is acyclic, and `DecomposedPlan` at every root of the reduced
-//!   decomposition at the exact treewidth — uncached, then cold and warm
-//!   through one cache, full and Boolean. Cache hits, misses and
-//!   resident bytes must not move across roots (the bags are the same);
+//! - [`check_acyclic`] and [`check_decomposed`]: the join-tree `TreePlan`
+//!   when the query is acyclic, and the decomposition `TreePlan` at every
+//!   root of the reduced decomposition at the exact treewidth —
+//!   uncached, then cold and warm through one cache, full and Boolean.
+//!   Cache hits, misses and resident bytes must not move across roots
+//!   (the bags are the same);
 //! - [`check_engine`]: the engine, cold and warm, on the query and on
 //!   its Boolean version, with unbounded caches and with both starved to
 //!   one byte.
@@ -52,8 +53,8 @@ use cqapx_bench::workloads::{lcg, skewed_digraph, zipf_db};
 use cqapx_core::{all_approximations, ApproxOptions, TwK};
 use cqapx_cq::eval::ir::compile_tree;
 use cqapx_cq::eval::{
-    eval_boolean_naive, eval_naive, AcyclicPlan, Answers, AtomBinder, DecomposedPlan, EvalProfile,
-    FlatRelation, MatCacheStats, MaterializationCache, NaivePlan, NodeSpec, Op, PlanIr,
+    eval_boolean_naive, eval_naive, Answers, AtomBinder, EvalProfile, FlatRelation, MatCacheStats,
+    MaterializationCache, NaivePlan, NodeSpec, Op, PlanIr, TreePlan,
 };
 use cqapx_cq::{
     parse_cq, parse_cq_with_vocab, query_graph, tableau_of, treewidth_of_query, Atom,
@@ -325,9 +326,9 @@ pub fn check_oracle(q: &ConjunctiveQuery, d: &Structure) -> Rows {
     expected
 }
 
-/// `DecomposedPlan` at every root of the reduced decomposition of `q`
-/// at its exact treewidth.
-fn decomposed_roots(q: &ConjunctiveQuery) -> Vec<DecomposedPlan> {
+/// The decomposition `TreePlan` at every root of the reduced
+/// decomposition of `q` at its exact treewidth.
+fn decomposed_roots(q: &ConjunctiveQuery) -> Vec<TreePlan> {
     let tw = treewidth_of_query(q);
     let td = treewidth_at_most(&query_graph(q), tw)
         .expect("decomposes at the exact treewidth")
@@ -335,8 +336,8 @@ fn decomposed_roots(q: &ConjunctiveQuery) -> Vec<DecomposedPlan> {
     assert!(td.width() <= tw, "width above the treewidth on {q}");
     (0..td.bags.len())
         .map(|root| {
-            let plan = DecomposedPlan::compile_rooted(q, td.clone(), root);
-            assert_eq!(plan.width(), td.width());
+            let plan = TreePlan::rooted(q, td.clone(), root);
+            assert_eq!(plan.width(), Some(td.width()));
             plan
         })
         .collect()
@@ -416,10 +417,10 @@ pub fn check_joins(ir: &PlanIr, d: &Structure, what: &str) -> usize {
     wide
 }
 
-/// Every tree-tier plan of `q`, named: `AcyclicPlan` when `q` is
-/// acyclic, then `DecomposedPlan` at every root.
+/// Every tree-tier plan of `q`, named: the join tree when `q` is
+/// acyclic, then the decomposition at every root.
 pub fn tree_plans(q: &ConjunctiveQuery) -> Vec<(String, PlanIr)> {
-    let acyclic = AcyclicPlan::compile(q).ok();
+    let acyclic = TreePlan::join_tree(q);
     let acyclic = (acyclic.iter()).map(|plan| ("yannakakis".to_string(), plan.ir().clone()));
     let roots = decomposed_roots(q);
     let roots =
@@ -474,17 +475,17 @@ fn check_plan(
     )
 }
 
-/// `AcyclicPlan`, when `q` is acyclic (see [`check_plan`]). One
+/// The join-tree `TreePlan`, when `q` is acyclic (see [`check_plan`]). One
 /// single-part source per hyperedge: the warm run hits every lookup the
 /// cold run made.
 pub fn check_acyclic(q: &ConjunctiveQuery, d: &Structure, expected: &Rows) {
-    if let Ok(plan) = AcyclicPlan::compile(q) {
+    if let Some(plan) = TreePlan::join_tree(q) {
         let (hits, misses, warm_hits, _, _) = check_plan(plan.ir(), q, d, expected, "yannakakis");
         assert_eq!(warm_hits, hits + misses, "warm lookups, yannakakis, {q}");
     }
 }
 
-/// `DecomposedPlan` at every root (see [`check_plan`]); the cache
+/// The decomposition `TreePlan` at every root (see [`check_plan`]); the cache
 /// traffic is the same at every root.
 pub fn check_decomposed(q: &ConjunctiveQuery, d: &Structure, expected: &Rows) {
     let traffic: BTreeSet<Traffic> = (decomposed_roots(q).iter().enumerate())
@@ -734,7 +735,7 @@ pub fn sweep_vocabulary() -> Vocabulary {
 /// must describe a join forest: each atom shares only variables of its
 /// parent. `compile_tree` compiles the roots given, mid-way ones
 /// included, so scans that hand on a non-leading column stay covered;
-/// `AcyclicPlan::compile` chooses its own (see [`check_sweep`]).
+/// `TreePlan::join_tree` chooses its own (see [`check_sweep`]).
 pub fn sweep_plan(
     atoms: &[String],
     parent: &[Option<usize>],
@@ -903,7 +904,7 @@ fn bitmap_eligible(r: &FlatRelation) -> bool {
 /// profile has the kernel path's labels (read off the sweep, the last
 /// is a `project` entry reporting the answers); and `answers` —
 /// uncached, cold and warm — is the naive evaluator's. The plan
-/// `AcyclicPlan::compile` roots by its own rule agrees with `ir`
+/// `TreePlan::join_tree` roots by its own rule agrees with `ir`
 /// ([`check_chosen_root`]). Returns whether the answers were read off
 /// the live-value sweep.
 pub fn check_sweep(q: &ConjunctiveQuery, ir: &PlanIr, d: &Structure) -> bool {
@@ -989,14 +990,14 @@ pub fn check_sweep(q: &ConjunctiveQuery, ir: &PlanIr, d: &Structure) -> bool {
     swept
 }
 
-/// `q` compiled by `AcyclicPlan::compile`, which picks its own roots,
+/// `q` compiled by `TreePlan::join_tree`, which picks its own roots,
 /// against the drawn-root plan `ir` whose verdict `want` the kernel
 /// sweep and `eval_boolean_naive` gave: cold, then warm through a cache
 /// of its own, the same verdict, the same answers when `q` has a head,
 /// and the same cache hits and misses. (Atoms with one variable set are
 /// one node there, materialized once: their traffic may differ.)
 fn check_chosen_root(q: &ConjunctiveQuery, ir: &PlanIr, d: &Structure, want: bool) {
-    let plan = AcyclicPlan::compile(q).expect("a join forest is acyclic");
+    let plan = TreePlan::join_tree(q).expect("a join forest is acyclic");
     let chosen = plan.ir();
     let what = format!("{q}, {:?}", chosen.ops().to_vec());
     let nodes = |ir: &PlanIr| ir.materialize_sources().count();

@@ -27,8 +27,8 @@ mod harness;
 use cqapx_bench::workloads::{self, random_dag, regular_digraph, skewed_digraph};
 use cqapx_core::{all_approximations, Acyclic, ApproxOptions};
 use cqapx_cq::eval::{
-    eval_naive, AcyclicPlan, AnswersBuilder, AtomBinder, DecomposedPlan, EvalProfile, FlatRelation,
-    MatCacheStats, MaterializationCache, NaivePlan, Op, PlanIr,
+    eval_naive, AnswersBuilder, AtomBinder, EvalProfile, FlatRelation, MatCacheStats,
+    MaterializationCache, NaivePlan, Op, PlanIr, TreePlan,
 };
 use cqapx_cq::{parse_cq, query_graph, treewidth_of_query, Atom, ConjunctiveQuery};
 use cqapx_engine::{
@@ -84,8 +84,8 @@ const ADVANCES_PER_ROW: u64 = 2;
 
 /// Answers, bag bytes and the linear cost bound for one spelling;
 /// returns its plan.
-fn check_spelling(q: &ConjunctiveQuery, d: &Structure, expected: bool) -> DecomposedPlan {
-    let plan = DecomposedPlan::compile(q, 2).expect("a cycle has treewidth 2");
+fn check_spelling(q: &ConjunctiveQuery, d: &Structure, expected: bool) -> TreePlan {
+    let plan = TreePlan::within_width(q, 2).expect("a cycle has treewidth 2");
     assert_eq!(
         plan.ir().run_boolean(d, None, None).0,
         expected,
@@ -203,7 +203,7 @@ fn wide_nodes_on_cycles() {
                         .unwrap_or_else(|e| panic!("C{n}: {e:?}"));
                     let mut reached = 0;
                     for root in 0..td.bags.len() {
-                        let plan = DecomposedPlan::compile_rooted(&q, td.clone(), root);
+                        let plan = TreePlan::rooted(&q, td.clone(), root);
                         let what = format!("root {root} of {td:?} on {q}");
                         assert_is(&plan.ir().answers(d, None).0, &expected, q.arity(), &what);
                         reached += check_joins(plan.ir(), d, &what);
@@ -228,7 +228,7 @@ fn boolean_cycles_with_and_without_a_witness() {
         let mut answers = BTreeSet::new();
         for flips in 0..1u32 << n {
             let q = build_query(&ring, flips, &[]);
-            let plan = DecomposedPlan::compile(&q, 2).expect("a cycle has treewidth 2");
+            let plan = TreePlan::within_width(&q, 2).expect("a cycle has treewidth 2");
             for d in &dbs {
                 let expected = NaivePlan::compile(q.clone()).eval_boolean(d);
                 answers.insert(expected);
@@ -471,12 +471,10 @@ fn cached_rows_are_never_written_through_a_sharing_slot() {
         for text in texts {
             let q = parse_cq(text).unwrap();
             let expected = eval_naive(&q, &d);
-            let plan = match (AcyclicPlan::compile(&q), text) {
-                (Ok(p), _) => p.ir().clone(),
-                (_, C6) => DecomposedPlan::compile_rooted(&q, star.clone(), 0)
-                    .ir()
-                    .clone(),
-                _ => (DecomposedPlan::compile(&q, treewidth_of_query(&q)).unwrap())
+            let plan = match (TreePlan::join_tree(&q), text) {
+                (Some(p), _) => p.ir().clone(),
+                (_, C6) => TreePlan::rooted(&q, star.clone(), 0).ir().clone(),
+                _ => (TreePlan::within_width(&q, treewidth_of_query(&q)).unwrap())
                     .ir()
                     .clone(),
             };
@@ -601,16 +599,13 @@ fn golden_plans() -> Vec<(String, PlanIr)> {
     for text in CELL_QUERIES {
         let q = parse_cq(text).unwrap();
         let prepared = PreparedQuery::build(text, q.clone());
-        let yannakakis = prepared.yannakakis.as_ref().map(|p| p.ir().clone());
-        let decomposed = prepared.decomposed.as_ref().map(|p| p.ir().clone());
         tiers(&mut plans, text, &q);
-        for (tier, ir) in [
-            ("prepared yannakakis", yannakakis),
-            ("prepared decomposed", decomposed),
-        ] {
-            if let Some(ir) = ir {
-                plans.push((format!("{text}, {tier}"), ir));
-            }
+        if let Some(plan) = &prepared.tree {
+            let tier = match plan.width() {
+                None => "prepared yannakakis",
+                Some(_) => "prepared decomposed",
+            };
+            plans.push((format!("{text}, {tier}"), plan.ir().clone()));
         }
     }
     let options = ApproxOptions::default();
@@ -694,7 +689,7 @@ proptest! {
     /// variables, ternary atoms and empty keys among them — with the
     /// kernel path's counters, and a one-variable head the root covers
     /// is read off it as the kernel path's projection, byte for byte;
-    /// the root `AcyclicPlan::compile` chooses answers alike, with the
+    /// the root `TreePlan::join_tree` chooses answers alike, with the
     /// same cache traffic (see `harness::check_sweep`).
     #[test]
     fn bool_sweep_matches_kernel_and_naive(case in sweep_case()) {

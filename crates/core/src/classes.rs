@@ -132,9 +132,10 @@ impl QueryClass {
     /// The treewidth bound under which every member of the class can be
     /// evaluated by a decomposition-based (Yannakakis-over-bags) plan,
     /// when one exists: `Some(k)` for `TW(k)`. Engines use it to compile a
-    /// `DecomposedPlan` for in-class queries that are not acyclic; `None`
-    /// means the class gives no width guarantee (the acyclic tier or the
-    /// naive join must serve instead). The approximation search answers
+    /// `TreePlan` over a tree decomposition of width `≤ k` for in-class
+    /// queries that are not acyclic; `None` means the class gives no width
+    /// guarantee (a join-tree `TreePlan` or the naive join must serve
+    /// instead). The approximation search answers
     /// §5's Boolean graph queries into `TW(k)` from it without a walk
     /// (`crate::approx`).
     pub fn decomposition_width(&self) -> Option<usize> {
@@ -142,14 +143,6 @@ impl QueryClass {
             TwK(k) => Some(k),
             Acyclic | HtwK(_) => None,
         }
-    }
-
-    /// A boxed copy of the class. Every library function takes
-    /// `&QueryClass`; this stays only because `cqbench` spells that
-    /// argument `choice.as_class().as_ref()`, and goes with the next
-    /// change to `cqbench`.
-    pub fn as_class(&self) -> Box<QueryClass> {
-        Box::new(*self)
     }
 }
 

@@ -30,6 +30,8 @@
 
 pub mod approx;
 pub mod classes;
+#[doc(hidden)]
+pub mod frozen;
 pub mod identify;
 pub mod over;
 pub mod strong;

@@ -2810,7 +2810,7 @@ mod tests {
     /// its semijoins read, each source's and each target's key column.
     #[test]
     fn landed_entries_build_only_the_columns_a_run_reads() {
-        use crate::eval::{AcyclicPlan, DecomposedPlan, Op};
+        use crate::eval::{Op, TreePlan};
         use cqapx_structures::{StructureBuilder, Vocabulary};
         use std::collections::BTreeMap;
         // `u → u + 1` and `u → u − 3`: every vertex is on a 4-cycle.
@@ -2819,7 +2819,7 @@ mod tests {
             .collect();
         let d = Structure::digraph(300, &edges);
         let c4 = crate::parser::parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,a)").unwrap();
-        let plan = DecomposedPlan::compile(&c4, 2).unwrap();
+        let plan = TreePlan::within_width(&c4, 2).unwrap();
         let semijoin = |op: &Op| matches!(op, Op::Semijoin { .. });
         assert!(!plan.ir().ops().iter().any(semijoin));
         let cache = MaterializationCache::new();
@@ -2841,7 +2841,7 @@ mod tests {
         let d = b.finish();
         let rule = "Q() :- R(x, y), S(y, z), T(z, w)";
         let q = crate::parser::parse_cq_with_vocab(rule, &v).unwrap();
-        let plan = AcyclicPlan::compile(&q).unwrap();
+        let plan = TreePlan::join_tree(&q).unwrap();
         let ir = plan.ir();
         assert!(ir.reduction_decides());
         let cache = MaterializationCache::new();

@@ -122,10 +122,18 @@ impl Ledger {
 }
 
 /// The victim rule: the name of the least recently used landed flight
-/// among `flights`, other than `keep`. The approximation cache keeps
-/// the flight whose landing started the sweep, so an entry larger than
-/// the budget is admitted once, not recomputed on every request; the
-/// materialization cache keeps none, and rebuilds such an entry.
+/// among `flights`, other than `keep`.
+///
+/// The approximation cache keeps the flight whose landing started the
+/// sweep, so an entry larger than the budget is admitted once, not
+/// recomputed on every request. Landings charge outside the map's lock,
+/// so another sweep may evict that flight first; a sweep whose kept
+/// flight has left the map then evicts nothing, and whichever order the
+/// sweeps run in, the entry the last effective sweep kept stays. After
+/// its sweeps that cache is within budget, or holds one entry. The
+/// materialization cache keeps none: after a sweep it is within budget,
+/// and an entry larger than the budget is evicted at once and rebuilt on
+/// every use.
 pub fn lru<'a, I, V: 'a>(
     flights: impl IntoIterator<Item = (I, &'a Flight<V>)>,
     keep: Option<&Flight<V>>,

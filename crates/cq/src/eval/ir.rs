@@ -13,14 +13,13 @@
 //! | [`Op::MultiJoin`]    | the join: `π_vars(⋈ inputs)` by the one kernel bags are built with — kept variables are enumerated first, what follows them is an existence check, no intermediate exists, and the rows come out canonical; a tree node with its children's partials (one or several), two roots combined, or a Boolean root with one child (`vars` empty: the first witness decides) |
 //! | [`Op::Project`]      | distinct projection of one slot: the kept columns gathered in the slot's row order, then canonicalized; the identity projection shares the slot's rows. As a join tree's whole join phase onto one column: the slot's live values after the live-value sweep, no row copied |
 //!
-//! Both `AcyclicPlan` (Yannakakis over a GYO join tree) and
-//! `DecomposedPlan` (Yannakakis over the bags of a tree decomposition)
-//! compile to this IR through [`compile_tree`], which keeps the query's
-//! head. A compiled plan answers through one entry point,
-//! [`PlanIr::answers`], and decides `Q(D) ≠ ∅` through
-//! [`PlanIr::run_boolean`]; evaluation is a single interpreter loop, so
-//! cache adoption, statistics, and kernel improvements land in one
-//! place. A plan is flat: every operand list, schema, cache key and
+//! A [`TreePlan`](crate::eval::TreePlan) — Yannakakis over a GYO join
+//! tree or over the bags of a tree decomposition — compiles to this IR
+//! through [`compile_tree`], which keeps the query's head. A compiled
+//! plan answers through one entry point, [`PlanIr::answers`], and
+//! decides `Q(D) ≠ ∅` through [`PlanIr::run_boolean`]; evaluation is a
+//! single interpreter loop, so cache adoption, statistics, and kernel
+//! improvements land in one place. A plan is flat: every operand list, schema, cache key and
 //! binder list is a [`Span`] of one word buffer ([`PlanIr::words`]).
 //!
 //! [`compile_tree`] takes per-node [`NodeSpec`]s — the atoms of a
@@ -40,7 +39,6 @@ use crate::eval::answers::Answers;
 use crate::eval::flat::{
     ascending, multiway_join, AtomBinder, FlatRelation, MatCacheStats, MatKey, MaterializationCache,
 };
-use cqapx_par::ThreadBudget;
 use cqapx_structures::{DomainBitmap, Element, Structure};
 use std::borrow::Cow;
 use std::ops::Range;
@@ -486,19 +484,6 @@ impl PlanIr {
         (slots[self.output].take().filter(|_| alive), stats)
     }
 
-    /// [`PlanIr::run`]. The budget is unused: it stays only because
-    /// the frozen `cqbench` calls this signature, and goes with the
-    /// next change to `cqbench`.
-    pub fn run_budget_profiled(
-        &self,
-        d: &Structure,
-        cache: Option<&MaterializationCache>,
-        _budget: &ThreadBudget,
-        profile: Option<&mut EvalProfile>,
-    ) -> (Option<FlatRelation>, MatCacheStats) {
-        self.run(d, cache, profile)
-    }
-
     /// The full run with every slot handed back as the program left it
     /// (`None`: never written) and whether it ran to the end (`false`:
     /// an emptiness assertion fired) — what it takes to check one
@@ -635,18 +620,6 @@ impl PlanIr {
                 (true, Some(out), stats)
             }
         }
-    }
-
-    /// [`PlanIr::run_boolean`]. The budget is unused, as in
-    /// [`PlanIr::run_budget_profiled`].
-    pub fn run_boolean_budget_profiled(
-        &self,
-        d: &Structure,
-        cache: Option<&MaterializationCache>,
-        _budget: &ThreadBudget,
-        profile: Option<&mut EvalProfile>,
-    ) -> (bool, MatCacheStats) {
-        self.run_boolean(d, cache, profile)
     }
 
     /// The full-reducer sweep `ops[mat_len..bool_len]` over **live-value
@@ -955,7 +928,7 @@ pub struct NodeSpec<'a> {
 /// genuine join tree (every label equal to its schema) the join phase
 /// skips every subtree whose join would be the identity after the full
 /// reducer: `Q(x) :- E(x,y), E(y,z), E(z,w)` rooted at `E(x,y)` (as
-/// `AcyclicPlan::compile` roots it) runs no join at all, and its one
+/// `TreePlan::join_tree` roots it) runs no join at all, and its one
 /// projection, of the root onto `x`, is read off the live-value sweep
 /// ([`PlanIr::run`]).
 ///
@@ -1538,9 +1511,9 @@ mod tests {
 
     #[test]
     fn profiled_run_records_every_op_and_matches_unprofiled() {
-        use crate::eval::yannakakis::AcyclicPlan;
+        use crate::eval::TreePlan;
         let q = parse_cq("Q(x1, x4) :- E(x1,x2), E(x2,x3), E(x3,x4)").unwrap();
-        let plan = AcyclicPlan::compile(&q).unwrap();
+        let plan = TreePlan::join_tree(&q).unwrap();
         let d = Structure::digraph(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let (plain, _) = plan.ir().run(&d, None, None);
         let mut profile = EvalProfile::default();
@@ -1565,7 +1538,7 @@ mod tests {
         // benchmark's `join` prefix catches; the root, a node with two
         // children, writes the answers.
         let c6 = parse_cq("Q(a) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
-        let plan = crate::eval::decomposed::DecomposedPlan::compile(&c6, 2).unwrap();
+        let plan = crate::eval::TreePlan::within_width(&c6, 2).unwrap();
         let ring = Structure::digraph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
         let (plain, _) = plan.ir().run(&ring, None, None);
         let mut profile = EvalProfile::default();
@@ -1587,7 +1560,7 @@ mod tests {
     /// counters.
     #[test]
     fn profiled_bool_sweep_records_each_op_it_ran() {
-        use crate::eval::yannakakis::AcyclicPlan;
+        use crate::eval::TreePlan;
         let [cyclic, dag] = cyclic_and_acyclic();
         // Three edges: the two-edge path holds, and its semijoin hands
         // on a known number of values (below).
@@ -1598,7 +1571,7 @@ mod tests {
             "Q() :- E(x,y), E(y,z)",
         ] {
             let q = parse_cq(rule).unwrap();
-            let plan = AcyclicPlan::compile(&q).unwrap();
+            let plan = TreePlan::join_tree(&q).unwrap();
             let ir = plan.ir();
             assert!(ir.reduction_decides() && ir.bool_len == ir.ops.len());
             for d in [&cyclic, &dag, &tiny] {
@@ -1626,7 +1599,7 @@ mod tests {
             }
         }
         let q = parse_cq("Q() :- E(x,y), E(y,z)").unwrap();
-        let plan = AcyclicPlan::compile(&q).unwrap();
+        let plan = TreePlan::join_tree(&q).unwrap();
         let mut profile = EvalProfile::default();
         plan.ir().run_boolean(&tiny, None, Some(&mut profile));
         let sweep: Vec<(&str, usize)> = profile.ops[2..].iter().map(|o| (o.op, o.rows)).collect();
@@ -1656,9 +1629,9 @@ mod tests {
     /// its projection of the leading column sorts nothing.
     #[test]
     fn profiled_swept_projection_matches_unprofiled() {
-        use crate::eval::yannakakis::AcyclicPlan;
+        use crate::eval::TreePlan;
         let q = parse_cq("Q(x) :- E(x,y), E(y,z), E(z,w)").unwrap();
-        let plan = AcyclicPlan::compile(&q).unwrap();
+        let plan = TreePlan::join_tree(&q).unwrap();
         let ir = plan.ir();
         assert!(
             matches!(ir.ops[ir.bool_len..], [Op::Project { vars, .. }] if ir.words(vars) == [0])
@@ -1697,13 +1670,13 @@ mod tests {
 
     #[test]
     fn warm_boolean_run_copies_no_cached_row() {
-        use crate::eval::yannakakis::AcyclicPlan;
+        use crate::eval::TreePlan;
         // A directed cycle reduces nothing: every semijoin keeps every
         // row, so even the kernel sweep must leave the slots alone.
         let edges: Vec<(u32, u32)> = (0..700u32).map(|u| (u, (u + 1) % 700)).collect();
         let d = Structure::digraph(700, &edges);
         let q = parse_cq("Q() :- E(x,y), E(y,z), E(z,w), E(y,u)").unwrap();
-        let plan = AcyclicPlan::compile(&q).unwrap();
+        let plan = TreePlan::join_tree(&q).unwrap();
         let ir = plan.ir();
         assert!(ir.reduction_decides());
         let cache = MaterializationCache::new();
@@ -1758,13 +1731,13 @@ mod tests {
 
     #[test]
     fn join_tree_elides_identity_joins_but_decomposition_keeps_them() {
-        use crate::eval::yannakakis::AcyclicPlan;
+        use crate::eval::TreePlan;
         let q = parse_cq("Q(x) :- E(x,y), E(y,z), E(z,w)").unwrap();
-        let plan = AcyclicPlan::compile(&q).unwrap();
+        let plan = TreePlan::join_tree(&q).unwrap();
         assert_eq!(joins_in(plan.ir()), 0, "{:?}", plan.ir().ops);
         // Two free variables two hops apart: one join must stay.
         let q2 = parse_cq("Q(x, z) :- E(x,y), E(y,z), E(z,w)").unwrap();
-        let ir2 = AcyclicPlan::compile(&q2).unwrap();
+        let ir2 = TreePlan::join_tree(&q2).unwrap();
         assert_eq!(joins_in(ir2.ir()), 1);
         // The second sweep reaches only what the join phase computes
         // on: nothing when the root covers the head or is joined with
@@ -1780,7 +1753,7 @@ mod tests {
             ("Q(x, w) :- E(x,y), E(y,z), E(z,w)", 2),
         ] {
             let q = parse_cq(rule).unwrap();
-            let ir = AcyclicPlan::compile(&q).unwrap();
+            let ir = TreePlan::join_tree(&q).unwrap();
             assert_eq!(
                 semijoins_in(ir.ir()),
                 semijoins,
@@ -1819,7 +1792,7 @@ mod tests {
     /// a Boolean join tree, whose sweep is the whole program.
     #[test]
     fn root_semijoins_stay_where_no_join_reads_the_edge() {
-        use crate::eval::yannakakis::AcyclicPlan;
+        use crate::eval::TreePlan;
         let into_root = |ir: &PlanIr, root: Slot| {
             (ir.ops.iter())
                 .filter(|op| matches!(op, Op::Semijoin { target, .. } if *target == root))
@@ -1830,7 +1803,7 @@ mod tests {
             Some(Op::MultiJoin { inputs, .. }) => ir.words(*inputs)[0] as Slot,
             op => panic!("no root op: {op:?}"),
         };
-        let plan = AcyclicPlan::compile(&parse_cq("Q(x) :- E(x,y), E(y,z)").unwrap()).unwrap();
+        let plan = TreePlan::join_tree(&parse_cq("Q(x) :- E(x,y), E(y,z)").unwrap()).unwrap();
         let ir = plan.ir();
         assert_eq!(into_root(ir, root(ir)), 1, "{:?}", ir.ops);
         assert!(ir.reduction_decides());
@@ -1841,7 +1814,7 @@ mod tests {
         assert_eq!(into_root(&ir, 1), 2, "{:?}", ir.ops);
         // A Boolean join tree keeps its whole sweep.
         for rule in ["Q() :- E(x,y), E(y,z)", "Q() :- E(x,y), E(y,z), E(z,w)"] {
-            let plan = AcyclicPlan::compile(&parse_cq(rule).unwrap()).unwrap();
+            let plan = TreePlan::join_tree(&parse_cq(rule).unwrap()).unwrap();
             let ir = plan.ir();
             assert_eq!(semijoins_in(ir), ir.materialize_sources().count() - 1);
             assert_eq!(ir.bool_len, ir.ops.len(), "{rule}");
@@ -1857,7 +1830,7 @@ mod tests {
     /// so Boolean evaluation runs the join and gets the verdict right.
     #[test]
     fn an_edge_that_empties_the_answer_stops_at_the_childs_assertion() {
-        use crate::eval::yannakakis::AcyclicPlan;
+        use crate::eval::TreePlan;
         let d = Structure::digraph(4, &[(0, 1), (1, 2), (3, 1)]);
         let q = parse_cq("Q(x, w) :- E(x,y), E(y,z), E(z,w)").unwrap();
         let (parent, order) = ([None, Some(0), Some(1)], [2, 1, 0]);
@@ -1873,7 +1846,7 @@ mod tests {
         assert!(!ir.run_boolean(&d, None, None).0);
         // Two disjoint edges: both atoms hold rows, and none joins.
         let q = parse_cq("Q(x, z) :- E(x,y), E(y,z)").unwrap();
-        let plan = AcyclicPlan::compile(&q).unwrap();
+        let plan = TreePlan::join_tree(&q).unwrap();
         assert!(!plan.ir().reduction_decides(), "{:?}", plan.ir().ops);
         let d = Structure::digraph(4, &[(0, 1), (2, 3)]);
         assert!(!plan.ir().run_boolean(&d, None, None).0);
@@ -1886,8 +1859,7 @@ mod tests {
     /// root is a projection or a kernel join.
     #[test]
     fn single_root_output_is_head_ordered_and_canonical() {
-        use crate::eval::decomposed::DecomposedPlan;
-        use crate::eval::yannakakis::AcyclicPlan;
+        use crate::eval::TreePlan;
         let edges: Vec<(u32, u32)> = (0..40u32)
             .flat_map(|u| [(u, (u * 7 + 3) % 40), (u, (u + 1) % 40), ((u * 5) % 40, u)])
             .collect();
@@ -1904,9 +1876,9 @@ mod tests {
             ("Q(z, x) :- E(x,y), E(y,z), E(z,x)", &[2, 0]),
         ] {
             let q = parse_cq(rule).unwrap();
-            let ir = match AcyclicPlan::compile(&q) {
-                Ok(plan) => plan.ir().clone(),
-                Err(_) => DecomposedPlan::compile(&q, 2).unwrap().ir().clone(),
+            let ir = match TreePlan::join_tree(&q) {
+                Some(plan) => plan.ir().clone(),
+                None => TreePlan::within_width(&q, 2).unwrap().ir().clone(),
             };
             let (out, _) = ir.run(&d, None, None);
             let out = out.expect("nonempty on this graph");
@@ -1916,7 +1888,7 @@ mod tests {
         }
         // Covering the head from the root still costs no join at all.
         let q = parse_cq("Q(x) :- E(x,y), E(y,z), E(z,w)").unwrap();
-        assert_eq!(joins_in(AcyclicPlan::compile(&q).unwrap().ir()), 0);
+        assert_eq!(joins_in(TreePlan::join_tree(&q).unwrap().ir()), 0);
     }
 
     /// The kernel has no fixed limit on variables per op: a path of 69
@@ -1955,7 +1927,7 @@ mod tests {
     /// the matches there, and nothing for `wedge3`.
     #[test]
     fn head_ordered_root_is_labelled_as_it_dispatches() {
-        use crate::eval::yannakakis::AcyclicPlan;
+        use crate::eval::TreePlan;
         let edges: Vec<(u32, u32)> = (0..60u32)
             .flat_map(|u| [(u, (u * 7 + 3) % 60), (u, (u + 1) % 60)])
             .collect();
@@ -1965,7 +1937,7 @@ mod tests {
             ("Q(x, z) :- E(x,y), E(y,z)", true),
         ] {
             let q = parse_cq(rule).unwrap();
-            let plan = AcyclicPlan::compile(&q).unwrap();
+            let plan = TreePlan::join_tree(&q).unwrap();
             let ir = plan.ir();
             let root = ir.ops.len() - 1;
             assert!(matches!(
@@ -1992,7 +1964,7 @@ mod tests {
         // op over the head; its rows are the answers and its cursor
         // moves land in the run's own stats.
         let q = parse_cq("Q(a) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
-        let plan = crate::eval::decomposed::DecomposedPlan::compile(&q, 2).unwrap();
+        let plan = crate::eval::TreePlan::within_width(&q, 2).unwrap();
         let ir = plan.ir();
         let root = ir.ops.len() - 1;
         assert!(
@@ -2016,8 +1988,7 @@ mod tests {
     /// benchmark's warm workloads have no such node.
     #[test]
     fn wide_nodes_are_one_multiway_join() {
-        use crate::eval::decomposed::DecomposedPlan;
-        use crate::eval::yannakakis::AcyclicPlan;
+        use crate::eval::TreePlan;
         let multiway = |ir: &PlanIr| {
             let wide = |op: &&Op| matches!(op, Op::MultiJoin { inputs, .. } if inputs.len() > 2);
             ir.ops.iter().filter(wide).count()
@@ -2030,13 +2001,13 @@ mod tests {
             "Q() :- E(a0,a1), E(a1,a2), E(a2,a3), E(a3,a4), E(a4,a5), E(a5,a6), E(a6,a7), E(a7,a8), E(a8,a9), E(a9,a10)",
             "Q(x) :- E(x,y), E(y,z), E(z,w)",
         ] {
-            let plan = AcyclicPlan::compile(&parse_cq(rule).unwrap()).unwrap();
+            let plan = TreePlan::join_tree(&parse_cq(rule).unwrap()).unwrap();
             assert_eq!(multiway(plan.ir()), 0, "{rule}");
         }
         // An edge with a free pendant at either end, every variable in
         // the head: both pendants hang off the edge.
         let star = parse_cq("Q(a, b, x, y) :- E(a,b), E(a,x), E(b,y)").unwrap();
-        let plan = AcyclicPlan::compile(&star).unwrap();
+        let plan = TreePlan::join_tree(&star).unwrap();
         assert_eq!((multiway(plan.ir()), joins_in(plan.ir())), (1, 0));
         // The star decomposition of C6 around a centre covering no
         // atom, rooted there: three children, one op.
@@ -2045,7 +2016,7 @@ mod tests {
             bags: vec![vec![0, 1, 5], vec![1, 2, 3], vec![1, 3, 5], vec![3, 4, 5]],
             tree_edges: vec![(0, 2), (1, 2), (2, 3)],
         };
-        let centred = DecomposedPlan::compile_rooted(&c6, td, 2);
+        let centred = TreePlan::rooted(&c6, td, 2);
         assert_eq!((multiway(centred.ir()), joins_in(centred.ir())), (1, 0));
         assert!(matches!(
             centred.ir().ops.last(),
@@ -2077,10 +2048,10 @@ mod tests {
     /// naive answer on data with and without a witness.
     #[test]
     fn boolean_c4_root_is_one_existence_call() {
-        use crate::eval::decomposed::DecomposedPlan;
         use crate::eval::naive::eval_boolean_naive;
+        use crate::eval::TreePlan;
         let c4 = parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,a)").unwrap();
-        let plan = DecomposedPlan::compile(&c4, 2).unwrap();
+        let plan = TreePlan::within_width(&c4, 2).unwrap();
         let ir = plan.ir();
         assert!(ir.reduction_decides());
         let [.., Op::MultiJoin { dst, inputs, vars }, Op::AssertNonempty { slot }] = &ir.ops[..]
@@ -2100,14 +2071,14 @@ mod tests {
     /// node after the scans, no existence call, no extra slot.
     #[test]
     fn boolean_paths_and_stars_keep_their_semijoins() {
-        use crate::eval::yannakakis::AcyclicPlan;
+        use crate::eval::TreePlan;
         for rule in [
             "Q() :- E(a0,a1), E(a1,a2), E(a2,a3), E(a3,a4), E(a4,a5), E(a5,a6), E(a6,a7), E(a7,a8)",
             "Q() :- E(c,a1), E(c,a2), E(c,a3), E(c,a4), E(c,a5)",
             "Q() :- E(x,y), E(y,z), E(z,w)",
         ] {
             let q = parse_cq(rule).unwrap();
-            let plan = AcyclicPlan::compile(&q).unwrap();
+            let plan = TreePlan::join_tree(&q).unwrap();
             let (ir, n) = (plan.ir(), q.atoms().len());
             let sweep = &ir.ops[n..];
             assert!(ir.ops[..n]

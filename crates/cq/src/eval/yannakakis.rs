@@ -1,188 +1,21 @@
-//! Yannakakis' algorithm for acyclic conjunctive queries, compiled to
-//! the shared plan IR over the columnar join kernel.
-//!
-//! For acyclic `Q`, `ā ∈ Q(D)` is decidable in time `O(|D| · |Q|)`
-//! (Yannakakis, VLDB'81) — the tractable class the paper's acyclic
-//! approximations target. Compilation:
-//!
-//! 1. group atoms by variable set — one hyperedge of `H(Q)` per group,
-//!    each a single-part [`MatSource`](crate::eval::MatSource) with its
-//!    cache key;
-//! 2. build a **join tree** via GYO reduction, and root it at the node
-//!    holding most head variables or, for a Boolean query, where the
-//!    fewest children hand their parent anything but column 0 of their
-//!    schema, ties keeping GYO's root. A Boolean directed path is so
-//!    rooted at an end, and where every vertex has an out-edge each
-//!    node hands on its cached column bitmap unread;
-//! 3. hand the tree to [`compile_tree`], which emits the IR program:
-//!    materializations, the full-reducer semijoin sweeps (leaves→root→
-//!    leaves, with emptiness assertions), and — for queries with free
-//!    variables — the bottom-up joins projected onto (free ∪ connector)
-//!    variables.
-//!
-//! Everything shape-dependent is computed once in
-//! [`AcyclicPlan::compile`]; evaluation is one interpreter pass of
-//! [`PlanIr`] over flat row buffers, through [`PlanIr::answers`] or
-//! [`PlanIr::run_boolean`] on [`AcyclicPlan::ir`]. Because the join tree's node
-//! labels *are* the hyperedge schemas, surviving the reducer prefix
-//! alone decides Boolean queries (`PlanIr::reduction_decides`).
-//!
-//! [`compile_tree`]: crate::eval::ir::compile_tree
-
-use crate::ast::{Atom, ConjunctiveQuery, VarId};
-use crate::eval::flat::ascending;
-use crate::eval::ir::{compile_tree, NodeSpec, PlanIr};
-use cqapx_hypergraphs::{gyo, Hypergraph};
-use std::fmt;
-
-/// Error: the query is not acyclic, so no join tree exists.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NotAcyclic;
-
-impl fmt::Display for NotAcyclic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "query is not acyclic: no join tree exists")
-    }
-}
-
-impl std::error::Error for NotAcyclic {}
-
-/// A compiled evaluation plan for an acyclic CQ.
-///
-/// # Examples
-///
-/// ```
-/// use cqapx_cq::{eval::AcyclicPlan, parse_cq};
-/// use cqapx_structures::Structure;
-///
-/// let q = parse_cq("Q(x, w) :- E(x, y), E(y, z), E(z, w)").unwrap();
-/// let plan = AcyclicPlan::compile(&q).unwrap();
-/// let d = Structure::digraph(4, &[(0, 1), (1, 2), (2, 3)]);
-/// let (answers, _) = plan.ir().answers(&d, None);
-/// assert_eq!(answers.len(), 1);
-/// assert!(answers.contains(&vec![0, 3]));
-/// ```
-#[derive(Debug, Clone)]
-pub struct AcyclicPlan {
-    ir: PlanIr,
-}
-
-impl AcyclicPlan {
-    /// Compiles a plan; fails when the query hypergraph is cyclic.
-    pub fn compile(query: &ConjunctiveQuery) -> Result<AcyclicPlan, NotAcyclic> {
-        // Group atoms by variable set, preserving first-occurrence order so
-        // that group indices equal hyperedge indices of `Hypergraph` (which
-        // deduplicates in insertion order too).
-        let mut atoms: Vec<&Atom> = query.atoms().iter().collect();
-        atoms.sort_by_key(|a| query.atoms().iter().position(|b| b.same_vars(a)));
-        let groups = || atoms.chunk_by(|a, b| a.same_vars(b));
-        let h = Hypergraph::from_edges(query.var_count(), groups().map(|g| &g[0].args));
-        let join_tree = gyo::gyo_reduce(&h).join_tree.ok_or(NotAcyclic)?;
-
-        let mut nodes: Vec<NodeSpec> = Vec::with_capacity(h.edge_count());
-        nodes.extend(groups().map(|atoms| NodeSpec { atoms, label: None }));
-        debug_assert_eq!(h.edge_count(), nodes.len());
-
-        let mut order = join_tree.bottom_up_order();
-        let mut parent = join_tree.parent;
-        choose_roots(&nodes, &mut parent, &mut order, query.free_vars());
-        let ir = compile_tree(&nodes, &parent, &order, query.free_vars());
-        Ok(AcyclicPlan { ir })
-    }
-
-    /// The compiled IR program.
-    pub fn ir(&self) -> &PlanIr {
-        &self.ir
-    }
-}
-
-/// The compiled program, moved out of its plan.
-impl From<AcyclicPlan> for PlanIr {
-    fn from(plan: AcyclicPlan) -> PlanIr {
-        plan.ir
-    }
-}
-
-/// Re-roots each tree of the join forest `parent` (`order` lists
-/// children before parents) at the node holding the most head variables
-/// `free` or, on a Boolean tree, at the node with the fewest *off-lead*
-/// edges; ties keep the given root. An edge is off-lead when the child
-/// hands its parent anything but exactly column 0 of its schema: the
-/// live-value sweep closes a run at its first live row only on column
-/// 0, and a child with no filter hands on its cached column-0 bitmap
-/// unread. Walks the parent pointers and allocates nothing; when a root
-/// moves, the nodes on the reversed path go to the end of `order`, old
-/// root first.
-fn choose_roots(
-    nodes: &[NodeSpec],
-    parent: &mut [Option<usize>],
-    order: &mut Vec<usize>,
-    free: &[VarId],
-) {
-    // A node's schema: the distinct arguments of its first atom (its
-    // atoms share one variable set), ascending.
-    let schema = |u: usize| ascending(nodes[u].atoms[0].args.iter().copied());
-    let off_lead = |child: usize, parent: usize| {
-        let p = &nodes[parent].atoms[0].args;
-        let shared = schema(child).filter(|v| p.contains(v)).count();
-        shared != 1 || schema(child).next().is_none_or(|lead| !p.contains(&lead))
-    };
-    // `u`'s root, and the cost of rooting at `u`: the head variables it
-    // holds, negated, or the off-lead edges it adds to the root's.
-    let walk = |parent: &[Option<usize>], u: usize| {
-        let (mut c, mut more) = (u, 0isize);
-        while let Some(p) = parent[c] {
-            more += off_lead(p, c) as isize - off_lead(c, p) as isize;
-            c = p;
-        }
-        let held = schema(u).filter(|v| free.contains(v)).count();
-        (
-            c,
-            if free.is_empty() {
-                more
-            } else {
-                -(held as isize)
-            },
-        )
-    };
-    for r in 0..parent.len() {
-        if parent[r].is_some() {
-            continue;
-        }
-        let (mut best, mut least) = (r, walk(parent, r).1);
-        for &u in order.iter() {
-            match walk(parent, u) {
-                (root, cost) if root == r && cost < least => (best, least) = (u, cost),
-                _ => {}
-            }
-        }
-        if best == r {
-            continue;
-        }
-        order.retain(|&u| std::iter::successors(Some(best), |&c| parent[c]).all(|c| c != u));
-        let moved = order.len();
-        let (mut prev, mut cur) = (None, Some(best));
-        while let Some(c) = cur {
-            cur = std::mem::replace(&mut parent[c], prev);
-            prev = Some(c);
-            order.push(c);
-        }
-        order[moved..].reverse();
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    //! The join-tree tests of [`TreePlan`](crate::eval::TreePlan): rooting,
+    //! Boolean sweeps and answers against the naive reference.
+
+    use crate::ast::Atom;
     use crate::eval::flat::MaterializationCache;
     use crate::eval::ir::Op;
     use crate::eval::naive::{eval_boolean_naive, eval_naive};
+    use crate::eval::tree::{choose_roots, TreePlan};
+    use crate::eval::NodeSpec;
     use crate::parser::parse_cq;
+    use cqapx_hypergraphs::{gyo, Hypergraph};
     use cqapx_structures::Structure;
 
     fn check_agrees(q: &str, d: &Structure) {
         let q = parse_cq(q).unwrap();
-        let plan = AcyclicPlan::compile(&q).unwrap();
+        let plan = TreePlan::join_tree(&q).unwrap();
         assert_eq!(
             plan.ir().answers(d, None).0,
             eval_naive(&q, d),
@@ -206,7 +39,7 @@ mod tests {
     }
 
     /// The slots the plan's semijoins hand on from, with the columns.
-    fn handed(plan: &AcyclicPlan) -> Vec<(usize, Vec<u32>)> {
+    fn handed(plan: &TreePlan) -> Vec<(usize, Vec<u32>)> {
         (plan.ir().ops().iter())
             .filter_map(|op| match *op {
                 Op::Semijoin {
@@ -225,7 +58,7 @@ mod tests {
         let forwards = edges.join(", ");
         let backwards = edges.iter().rev().cloned().collect::<Vec<_>>().join(", ");
         for body in [forwards, backwards] {
-            let plan = AcyclicPlan::compile(&parse_cq(&format!("Q() :- {body}")).unwrap()).unwrap();
+            let plan = TreePlan::join_tree(&parse_cq(&format!("Q() :- {body}")).unwrap()).unwrap();
             let keys = handed(&plan);
             assert_eq!(keys.len(), 7, "{body}");
             assert!(keys.iter().all(|(_, pos)| pos == &[0]), "{body}: {keys:?}");
@@ -239,7 +72,7 @@ mod tests {
     fn the_head_still_picks_the_root() {
         for (head, root) in [("x", 0), ("w", 2)] {
             let q = parse_cq(&format!("Q({head}) :- E(x, y), E(y, z), E(z, w)")).unwrap();
-            let plan = AcyclicPlan::compile(&q).unwrap();
+            let plan = TreePlan::join_tree(&q).unwrap();
             let last = plan.ir().ops().last();
             assert!(
                 matches!(last, Some(Op::Project { src, .. }) if *src == root),
@@ -259,7 +92,7 @@ mod tests {
         }
         let gyo = gyo::gyo_reduce(&h).join_tree.unwrap().parent;
         assert_eq!(gyo, [Some(1), None]);
-        let plan = AcyclicPlan::compile(&q).unwrap();
+        let plan = TreePlan::join_tree(&q).unwrap();
         assert_eq!(handed(&plan), [(0, vec![0])]);
     }
 
@@ -290,13 +123,13 @@ mod tests {
     #[test]
     fn cyclic_query_rejected() {
         let q = parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap();
-        assert!(AcyclicPlan::compile(&q).is_err());
+        assert!(TreePlan::join_tree(&q).is_none());
     }
 
     #[test]
     fn join_tree_ir_decides_boolean_by_reduction() {
         let q = parse_cq("Q() :- E(x, y), E(y, z)").unwrap();
-        let plan = AcyclicPlan::compile(&q).unwrap();
+        let plan = TreePlan::join_tree(&q).unwrap();
         assert!(plan.ir().reduction_decides());
     }
 
@@ -321,7 +154,7 @@ mod tests {
             "Q() :- E(x, y), E(y, y)",
         ] {
             let q = parse_cq(qs).unwrap();
-            let plan = AcyclicPlan::compile(&q).unwrap();
+            let plan = TreePlan::join_tree(&q).unwrap();
             assert!(plan.ir().reduction_decides(), "{qs} must be sweep-shaped");
             for d in [&yes, &no] {
                 let naive = eval_boolean_naive(&q, d);
@@ -361,7 +194,7 @@ mod tests {
             ("Q() :- E(x, y), E(y, z), E(z, w)", false),
         ] {
             let q = parse_cq(qs).unwrap();
-            let plan = AcyclicPlan::compile(&q).unwrap();
+            let plan = TreePlan::join_tree(&q).unwrap();
             let naive = eval_naive(&q, &d);
             let cache = MaterializationCache::new();
             let (rows, s_cold) = plan.ir().answers(&d, Some(&cache));
@@ -421,14 +254,14 @@ mod tests {
             .add(s, &[0, 1]);
         let d = b.finish();
         let q = crate::parser::parse_cq_with_vocab("Q(a, c) :- R(a, b, c), S(c, d)", &v).unwrap();
-        let plan = AcyclicPlan::compile(&q).unwrap();
+        let plan = TreePlan::join_tree(&q).unwrap();
         assert_eq!(plan.ir().answers(&d, None).0, eval_naive(&q, &d));
     }
 
     #[test]
     fn boolean_empty_answer() {
         let q = parse_cq("Q() :- E(x, y), E(y, z)").unwrap();
-        let plan = AcyclicPlan::compile(&q).unwrap();
+        let plan = TreePlan::join_tree(&q).unwrap();
         let d = Structure::digraph(2, &[(0, 1)]);
         assert!(!plan.ir().run_boolean(&d, None, None).0);
         assert!(plan.ir().answers(&d, None).0.is_empty());
@@ -438,7 +271,7 @@ mod tests {
     fn full_reducer_prunes_dangling() {
         // Classic: path query where early matches dangle.
         let q = parse_cq("Q(a, d) :- E(a, b), E(b, c), E(c, d)").unwrap();
-        let plan = AcyclicPlan::compile(&q).unwrap();
+        let plan = TreePlan::join_tree(&q).unwrap();
         // A long "comb" with dead ends.
         let d = Structure::digraph(7, &[(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (1, 6)]);
         assert_eq!(plan.ir().answers(&d, None).0, eval_naive(&q, &d));
@@ -449,8 +282,8 @@ mod tests {
         // Two different prepared queries over the same hyperedge shape
         // share the materialization.
         let d = Structure::digraph(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let p1 = AcyclicPlan::compile(&parse_cq("Q(x, z) :- E(x, y), E(y, z)").unwrap()).unwrap();
-        let p2 = AcyclicPlan::compile(&parse_cq("Q(a) :- E(a, b)").unwrap()).unwrap();
+        let p1 = TreePlan::join_tree(&parse_cq("Q(x, z) :- E(x, y), E(y, z)").unwrap()).unwrap();
+        let p2 = TreePlan::join_tree(&parse_cq("Q(a) :- E(a, b)").unwrap()).unwrap();
         let cache = MaterializationCache::new();
         let (a1, s1) = p1.ir().answers(&d, Some(&cache));
         let (a2, s2) = p2.ir().answers(&d, Some(&cache));

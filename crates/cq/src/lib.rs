@@ -17,9 +17,10 @@
 //!
 //! * [`eval::naive`] — backtracking join (works for every CQ; combined
 //!   complexity `|D|^O(|Q|)`);
-//! * [`eval::yannakakis`] — the `O(|D|·|Q|)`-flavored algorithm for
+//! * [`eval::tree`] — Yannakakis' `O(|D|·|Q|)`-flavored algorithm for
 //!   **acyclic** CQs (semijoin full reducer over a join tree, then
-//!   bottom-up joins with projection). This is the payoff the paper's
+//!   bottom-up joins with projection), and the same over the bags of a
+//!   tree decomposition for `TW(k)`. This is the payoff the paper's
 //!   approximations buy: replace `Q` by an acyclic `Q' ⊆ Q` and evaluate
 //!   `Q'` with Yannakakis.
 

@@ -50,9 +50,9 @@ impl QueryShape {
     /// the treewidth was read from: width exactly `treewidth`, or `None`
     /// when `G(Q)` is too wide to certify and `treewidth` is the bound
     /// `|Q| − 1`. A plan compiled from it
-    /// ([`DecomposedPlan::from_decomposition`]) costs no second search.
+    /// ([`TreePlan::from_decomposition`]) costs no second search.
     ///
-    /// [`DecomposedPlan::from_decomposition`]: crate::eval::DecomposedPlan::from_decomposition
+    /// [`TreePlan::from_decomposition`]: crate::eval::TreePlan::from_decomposition
     pub fn with_decomposition(q: &ConjunctiveQuery) -> (QueryShape, Option<TreeDecomposition>) {
         let graph = query_graph(q);
         let decomposition = min_width_decomposition(&graph);

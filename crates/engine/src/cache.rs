@@ -25,11 +25,8 @@ use cqapx_core::{
     all_approximations_tableaux, ApproxCacheKey, ApproxOptions, ApproxReport, QueryClass,
 };
 use cqapx_cq::eval::flight::{lru, Flight, Ledger};
-use cqapx_cq::eval::{
-    AcyclicPlan, Answers, DecomposedPlan, MatCacheStats, MaterializationCache, NaivePlan, PlanIr,
-};
+use cqapx_cq::eval::{Answers, MatCacheStats, MaterializationCache, NaivePlan, PlanIr, TreePlan};
 use cqapx_cq::ConjunctiveQuery;
-use cqapx_par::ThreadBudget;
 use cqapx_structures::iso::CompiledPointed;
 use cqapx_structures::{Pointed, Structure};
 use std::collections::HashMap;
@@ -55,26 +52,15 @@ impl ApproxPlan {
     /// width is `width` (if it certifies one). A tree plan's program is
     /// moved out of it, not cloned.
     fn compile(q: &ConjunctiveQuery, width: Option<usize>) -> ApproxPlan {
-        if let Ok(plan) = AcyclicPlan::compile(q) {
-            return ApproxPlan::Tree(plan.into());
-        }
-        match width.map(|k| DecomposedPlan::compile(q, k)) {
-            Some(Ok(plan)) => ApproxPlan::Tree(plan.into()),
-            _ => ApproxPlan::Naive(Box::new(NaivePlan::compile(q.clone()))),
+        match TreePlan::join_tree(q).or_else(|| TreePlan::within_width(q, width?)) {
+            Some(plan) => ApproxPlan::Tree(plan.into()),
+            None => ApproxPlan::Naive(Box::new(NaivePlan::compile(q.clone()))),
         }
     }
 
     /// Evaluates `Q'(D)` through the database's materialization cache
-    /// (the naive arm reads none) and reports the cache outcome. The
-    /// budget is unused: it stays only because the frozen `cqbench`
-    /// calls this signature, and goes with the next change to
-    /// `cqbench`.
-    pub fn eval_with_cache(
-        &self,
-        d: &Structure,
-        cache: &MaterializationCache,
-        _budget: &ThreadBudget,
-    ) -> (Answers, MatCacheStats) {
+    /// (the naive arm reads none) and reports the cache outcome.
+    pub fn answers(&self, d: &Structure, cache: &MaterializationCache) -> (Answers, MatCacheStats) {
         match self {
             ApproxPlan::Tree(ir) => ir.answers(d, Some(cache)),
             ApproxPlan::Naive(plan) => (plan.eval_answers(d), MatCacheStats::default()),
@@ -152,6 +138,22 @@ impl ApproxCache {
         class: &QueryClass,
         opts: &ApproxOptions,
     ) -> (Arc<CachedApproximation>, bool) {
+        let (member, value, ran) = self.land(t, class, opts);
+        if ran {
+            self.sweep(Some(&member.flight));
+        }
+        (value, !ran)
+    }
+
+    /// The member isomorphic to `t` and its value: landed by this call,
+    /// a counted miss (`true`), or found landed or waited for, a counted
+    /// hit. Sweeping after a miss is the caller's step.
+    fn land(
+        &self,
+        t: &Pointed,
+        class: &QueryClass,
+        opts: &ApproxOptions,
+    ) -> (Arc<Member>, Arc<CachedApproximation>, bool) {
         let member = self.member(ApproxCacheKey::new(t, class, opts), t);
         let (value, ran) = self.ledger.claim(&member.flight, || {
             let (tableaux, meta) = all_approximations_tableaux(t, class, opts);
@@ -165,14 +167,14 @@ impl ApproxCache {
             (Arc::new(value), bytes)
         });
         let value = Arc::clone(value);
-        if ran {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let keep = Some(&member.flight);
-            self.ledger.sweep(|| self.buckets(), |b| evict_lru(b, keep));
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        (value, !ran)
+        let counter = if ran { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        (member, value, ran)
+    }
+
+    /// Evicts down to the budget, never `keep` (see [`lru`]).
+    fn sweep(&self, keep: Option<&Flight<Arc<CachedApproximation>>>) {
+        self.ledger.sweep(|| self.buckets(), |b| evict_lru(b, keep));
     }
 
     /// The member of `key`'s bucket isomorphic to `t`, inserted
@@ -212,7 +214,7 @@ impl ApproxCache {
     /// immediately if the cache is already over.
     pub(crate) fn set_budget_bytes(&self, bytes: usize) {
         self.ledger.set_budget_bytes(bytes);
-        self.ledger.sweep(|| self.buckets(), |b| evict_lru(b, None));
+        self.sweep(None);
     }
 
     /// The configured byte budget (`0` = unbounded).
@@ -267,12 +269,14 @@ impl ApproxCache {
 
 /// Removes the least recently used landed member other than `keep`
 /// from its bucket, and the bucket once empty; returns its charge.
+/// Evicts nothing once `keep` has left the map (see [`lru`]).
 fn evict_lru(
     buckets: &mut HashMap<ApproxCacheKey, Bucket>,
     keep: Option<&Flight<Arc<CachedApproximation>>>,
 ) -> Option<usize> {
-    let all = (buckets.values()).flat_map(|b| b.iter().map(|m| (m, &m.flight)));
-    let victim = Arc::clone(lru(all, keep)?);
+    let all = || (buckets.values()).flat_map(|b| b.iter().map(|m| (m, &m.flight)));
+    let held = keep.is_none_or(|k| all().any(|(_, f)| std::ptr::eq(f, k)));
+    let victim = Arc::clone(lru(all(), keep).filter(|_| held)?);
     let other = |m: &&Arc<Member>| !Arc::ptr_eq(m, &victim);
     buckets.retain(|_, b| {
         if b.iter().any(|m| Arc::ptr_eq(m, &victim)) {
@@ -425,6 +429,30 @@ mod tests {
         assert_eq!(cache.misses(), 3);
     }
 
+    /// Two misses land before either sweeps, one entry within the budget
+    /// and one over it alone, and the over-budget landing sweeps first:
+    /// it evicts the other entry and stays, admitted once. The second
+    /// sweep's own entry has gone, so it evicts nothing, and the
+    /// survivor stays resident with its exact charge: evicting it would
+    /// empty the cache.
+    #[test]
+    fn a_sweep_whose_landing_was_evicted_evicts_nothing() {
+        let cache = ApproxCache::new();
+        let opts = ApproxOptions::default();
+        let tri = tableau_of(&parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap());
+        let c4 = tableau_of(&parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,a)").unwrap());
+        let landed = [&tri, &c4].map(|t| cache.land(t, &TwK(1), &opts).0);
+        let [small, large] = landed.each_ref().map(|m| m.flight.charge());
+        assert!(small < large, "{small} < {large}");
+        cache.ledger.set_budget_bytes(small);
+        cache.sweep(Some(&landed[1].flight));
+        cache.sweep(Some(&landed[0].flight));
+        assert_eq!((cache.len(), cache.evictions()), (1, 1));
+        assert_eq!(cache.resident_bytes(), large);
+        assert!(cache.lookup_only(&c4, &TwK(1), &opts).is_some());
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
+    }
+
     /// A panic under the bucket lock poisons it; the cache still hits,
     /// misses and evicts as before.
     #[test]
@@ -459,11 +487,7 @@ mod tests {
         let plain = Structure::digraph(3, &[(0, 1), (1, 2), (2, 0)]);
         assert_eq!(c.report.approximations.len(), 1);
         let eval_boolean = |d: &Structure| {
-            let (answers, _) = c.evaluators[0].eval_with_cache(
-                d,
-                &MaterializationCache::new(),
-                &ThreadBudget::sequential(),
-            );
+            let (answers, _) = c.evaluators[0].answers(d, &MaterializationCache::new());
             !answers.is_empty()
         };
         assert!(eval_boolean(&looped));
@@ -499,7 +523,6 @@ mod tests {
         // every approximation.
         let empty = Structure::digraph(4, &[(0, 1), (0, 2), (1, 2), (2, 3)]);
         let full = Structure::digraph(3, &[(0, 1), (1, 1), (1, 2), (2, 1)]);
-        let budget = ThreadBudget::sequential();
         for (head, class, count, arm) in cases {
             let q = parse_cq(&format!("{head} :- {T4}")).unwrap();
             let cache = ApproxCache::new();
@@ -511,8 +534,8 @@ mod tests {
                     let want = eval_naive(approx, d);
                     assert_eq!(!want.is_empty(), nonempty, "{approx}");
                     let materialized = MaterializationCache::new();
-                    let (cold, _) = plan.eval_with_cache(d, &materialized, &budget);
-                    let (warm, stats) = plan.eval_with_cache(d, &materialized, &budget);
+                    let (cold, _) = plan.answers(d, &materialized);
+                    let (warm, stats) = plan.answers(d, &materialized);
                     assert_eq!(cold, want, "cold, {approx}");
                     assert_eq!(warm, want, "warm, {approx}");
                     assert_eq!(stats.misses, 0, "warm run re-materialized, {approx}");

@@ -3,12 +3,12 @@
 //!
 //! Registration is the expensive, once-per-object step: databases get
 //! per-relation statistics scanned, queries get their [`QueryShape`]
-//! computed (class membership, treewidth) and — when acyclic — a
-//! Yannakakis plan compiled, or — when cyclic and narrow — a decomposed
-//! plan over the decomposition the treewidth search found. Execution
-//! then only reads `Arc`-shared entries.
+//! computed (class membership, treewidth) and a tree plan compiled —
+//! over a join tree when acyclic, or when cyclic and narrow over the
+//! decomposition the treewidth search found. Execution then only reads
+//! `Arc`-shared entries.
 
-use cqapx_cq::eval::{AcyclicPlan, DecomposedPlan, MaterializationCache, NaivePlan};
+use cqapx_cq::eval::{MaterializationCache, NaivePlan, TreePlan};
 use cqapx_cq::{ConjunctiveQuery, QueryShape};
 use cqapx_metrics::{Counter, Histogram};
 use cqapx_structures::{Pointed, RelId, Structure};
@@ -138,8 +138,8 @@ pub(crate) fn compute_stats(s: &Structure) -> Vec<RelationStats> {
         .collect()
 }
 
-/// Widest tree decomposition the catalog compiles a [`DecomposedPlan`]
-/// for at prepare time. Bag materializations cost up to
+/// Widest tree decomposition the catalog compiles a [`TreePlan`] over
+/// at prepare time. Bag materializations cost up to
 /// `adom^(width+1)` rows, so the bound keeps prepared plans inside the
 /// regime where the decomposed tier is plausibly competitive; cyclic
 /// queries above it fall back to the naive join or the approximation
@@ -157,11 +157,10 @@ pub struct PreparedQuery {
     /// prepare time and reused by every request (and by the refinement
     /// membership probes). Also owns the query and its tableau.
     pub naive: NaivePlan,
-    /// Compiled Yannakakis plan, when the query is acyclic.
-    pub yannakakis: Option<Arc<AcyclicPlan>>,
-    /// Compiled bounded-treewidth plan, when the query is cyclic with
-    /// treewidth at most `MAX_DECOMPOSED_WIDTH`.
-    pub decomposed: Option<Arc<DecomposedPlan>>,
+    /// Compiled tree plan: over a join tree when the query is acyclic,
+    /// else over a tree decomposition when its treewidth is at most
+    /// `MAX_DECOMPOSED_WIDTH`.
+    pub tree: Option<Arc<TreePlan>>,
 }
 
 impl PreparedQuery {
@@ -170,27 +169,28 @@ impl PreparedQuery {
     /// build first, lock only for `Catalog::insert_query`.
     pub fn build(name: impl Into<String>, q: ConjunctiveQuery) -> PreparedQuery {
         // One treewidth search: the width comes with the decomposition
-        // it was read from, and the decomposed plan is compiled from it.
+        // it was read from, and a cyclic query's plan is compiled from it.
         let (shape, decomposition) = QueryShape::with_decomposition(&q);
-        // GYO on H(Q) decides acyclicity and plan compilation runs the
-        // same reduction, so an acyclic shape must compile; fail loudly
-        // here (prepare time) rather than deep inside a request.
-        let yannakakis = shape.acyclic.then(|| {
-            let plan = AcyclicPlan::compile(&q);
-            Arc::new(plan.expect("acyclic query must compile to a Yannakakis plan"))
-        });
-        // A width within the limit is exact (above it the shape may carry
-        // `treewidth`'s upper bound), so it came with a decomposition.
-        let decomposed = (!shape.acyclic && shape.treewidth <= MAX_DECOMPOSED_WIDTH).then(|| {
-            let td = decomposition.expect("an exact treewidth comes with its decomposition");
-            Arc::new(DecomposedPlan::from_decomposition(&q, td))
-        });
+        let tree = if shape.acyclic {
+            // GYO on H(Q) decides acyclicity and the join tree comes from
+            // the same reduction, so an acyclic shape must compile; fail
+            // loudly here (prepare time) rather than deep inside a request.
+            let plan = TreePlan::join_tree(&q);
+            Some(plan.expect("an acyclic query has a join tree"))
+        } else {
+            // A width within the limit is exact (above it the shape may
+            // carry `treewidth`'s upper bound), so it came with a
+            // decomposition.
+            (shape.treewidth <= MAX_DECOMPOSED_WIDTH).then(|| {
+                let td = decomposition.expect("an exact treewidth comes with its decomposition");
+                TreePlan::from_decomposition(&q, td)
+            })
+        };
         PreparedQuery {
             name: name.into(),
             naive: NaivePlan::compile(q),
             shape,
-            yannakakis,
-            decomposed,
+            tree: tree.map(Arc::new),
         }
     }
 
@@ -353,9 +353,9 @@ mod tests {
                 parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap(),
             ))
             .0;
-        assert!(c.query(path).unwrap().yannakakis.is_some());
-        assert!(c.query(path).unwrap().decomposed.is_none());
-        assert!(c.query(tri).unwrap().yannakakis.is_none());
+        let width = |id| c.query(id).unwrap().tree.as_ref().map(|p| p.width());
+        assert_eq!(width(path), Some(None), "a join tree");
+        assert_eq!(width(tri), Some(Some(2)), "not a join tree");
         assert!(c.query(tri).unwrap().shape.treewidth == 2);
         assert_eq!(c.query_by_name("path"), Some(path));
     }
@@ -370,8 +370,8 @@ mod tests {
             ))
             .0;
         let entry = c.query(tri).unwrap();
-        let plan = entry.decomposed.as_ref().expect("tw 2 ≤ limit");
-        assert_eq!(plan.width(), 2);
+        let plan = entry.tree.as_ref().expect("tw 2 ≤ limit");
+        assert_eq!(plan.width(), Some(2));
         // K5 has treewidth 4 > MAX_DECOMPOSED_WIDTH: no plan.
         let k5 =
             "Q() :- E(a,b), E(a,c), E(a,d), E(a,e), E(b,c), E(b,d), E(b,e), E(c,d), E(c,e), E(d,e)";
@@ -379,7 +379,7 @@ mod tests {
             .insert_query(PreparedQuery::build("k5", parse_cq(k5).unwrap()))
             .0;
         assert_eq!(c.query(wide).unwrap().shape.treewidth, 4);
-        assert!(c.query(wide).unwrap().decomposed.is_none());
+        assert!(c.query(wide).unwrap().tree.is_none());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::cache::{ApproxCache, CachedApproximation};
 use crate::catalog::{Catalog, DatabaseEntry, DbId, PreparedQuery, QueryId};
-use crate::planner::{choose_plan, PlanDecision, PlanKind, PlanReason};
+use crate::planner::{choose, PlanDecision, PlanKind, PlanReason};
 use cqapx_core::{ApproxOptions, QueryClass};
 use cqapx_cq::eval::{Answers, AnswersBuilder, MatCacheStats, NaivePlan};
 use cqapx_metrics::{Histogram, HistogramSnapshot, MetricsLevel};
@@ -14,10 +14,6 @@ use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
-
-/// The class the sandwich plan approximates into, under the name
-/// `cqbench` imports it by; goes with the next change to `cqbench`.
-pub use cqapx_core::QueryClass as ApproxClassChoice;
 
 /// Engine-wide tuning knobs.
 #[derive(Debug, Clone)]
@@ -817,9 +813,9 @@ impl Engine {
                 .max(1) as u64;
             SearchBudget::new(remaining_ms.saturating_mul(self.config.nodes_per_ms))
         });
-        let decision: PlanDecision = choose_plan(
+        let decision: PlanDecision = choose(
             &q.shape,
-            q.decomposed.as_deref(),
+            q.tree.as_deref(),
             d,
             self.config.naive_cost_budget,
         );
@@ -862,16 +858,12 @@ impl Engine {
         } else {
             match decision.kind {
                 PlanKind::Yannakakis | PlanKind::Decomposed => {
-                    // A prepared query carries at most one tree plan: the
-                    // join tree when acyclic, else the decomposition.
-                    // Polynomial for the prepared shape, so it runs
-                    // unbudgeted under the deadline policy.
-                    let ir = match (&q.yannakakis, &q.decomposed) {
-                        (Some(plan), _) => plan.ir(),
-                        (_, Some(plan)) => plan.ir(),
-                        _ => unreachable!("the tree tiers require a compiled tree plan"),
-                    };
-                    let (answers, mstats) = ir.answers(&d.structure, Some(&d.materialized));
+                    // The prepared query's one tree plan: the join tree
+                    // when acyclic, else the decomposition. Polynomial for
+                    // the prepared shape, so it runs unbudgeted under the
+                    // deadline policy.
+                    let tree = q.tree.as_ref().expect("the tree tiers need a tree plan");
+                    let (answers, mstats) = tree.ir().answers(&d.structure, Some(&d.materialized));
                     mat_cache.add(mstats);
                     (answers, ResponseStatus::Complete, None)
                 }
@@ -1010,8 +1002,7 @@ impl Engine {
         union.append(seed);
         let mut mat = MatCacheStats::default();
         for plan in &cached.evaluators {
-            let (certain, mstats) =
-                plan.eval_with_cache(&d.structure, &d.materialized, &ThreadBudget::sequential());
+            let (certain, mstats) = plan.answers(&d.structure, &d.materialized);
             union.append(certain);
             mat.add(mstats);
         }
@@ -1182,7 +1173,7 @@ mod tests {
             let q = parse_cq(&format!("Q() :- {}", atoms.join(", "))).unwrap();
             let id = e.prepare_query(name, q.clone());
             let prepared = e.catalog.read().unwrap().query(id).unwrap();
-            assert!(prepared.decomposed.is_none() && !prepared.shape.acyclic);
+            assert!(prepared.tree.is_none() && !prepared.shape.acyclic);
             let r = e.execute(&Request::new(id, db));
             assert_eq!(r.status, ResponseStatus::Complete, "{name}");
             assert_eq!(r.answers.len(), 1, "{name}");

@@ -46,6 +46,8 @@
 pub mod cache;
 pub mod catalog;
 pub mod engine;
+#[doc(hidden)]
+pub mod frozen;
 pub mod planner;
 
 pub use cache::{ApproxCache, ApproxPlan, CachedApproximation};
@@ -53,7 +55,8 @@ pub use catalog::{Catalog, DatabaseEntry, DbId, PreparedQuery, QueryId, Relation
 pub use cqapx_cq::eval::{AnswerRow, Answers};
 pub use cqapx_metrics::{HistogramSnapshot, MetricsLevel};
 pub use engine::{
-    ApproxClassChoice, Engine, EngineConfig, EngineStats, EvalMode, Request, Response,
-    ResponseStatus, StatsSnapshot, DEGRADE_MIN_SAMPLES,
+    Engine, EngineConfig, EngineStats, EvalMode, Request, Response, ResponseStatus, StatsSnapshot,
+    DEGRADE_MIN_SAMPLES,
 };
-pub use planner::{choose_plan, PlanDecision, PlanKind, PlanReason};
+pub use frozen::*;
+pub use planner::{PlanDecision, PlanKind, PlanReason};

@@ -17,17 +17,17 @@
 //!    refining exactly only on demand.
 
 use crate::catalog::DatabaseEntry;
-use cqapx_cq::eval::DecomposedPlan;
+use cqapx_cq::eval::TreePlan;
 use cqapx_cq::QueryShape;
 use std::fmt;
 
 /// The strategy chosen for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanKind {
-    /// Semijoin full reducer + bottom-up joins on the join tree.
+    /// Yannakakis over a join tree: the prepared `TreePlan` of width `None`.
     Yannakakis,
-    /// Yannakakis over the bags of a tree decomposition (the
-    /// bounded-treewidth tier for cyclic queries).
+    /// Yannakakis over the bags of a tree decomposition, the prepared
+    /// `TreePlan` of width `Some(w)`: the bounded-treewidth tier.
     Decomposed,
     /// Backtracking join (homomorphism search from the tableau).
     Naive,
@@ -36,7 +36,7 @@ pub enum PlanKind {
     /// Not an evaluation strategy: nothing was served — admission
     /// control rejected the request before planning (see
     /// [`ResponseStatus::Shed`](crate::engine::ResponseStatus::Shed)),
-    /// or it failed. Never returned by [`choose_plan`].
+    /// or it failed. Never chosen by the planner.
     Shed,
 }
 
@@ -74,7 +74,7 @@ pub enum PlanReason {
     SandwichExpensive,
     /// Not planned at all: admission control shed the request at a
     /// queue depth of `.0` against a configured limit of `.1`. (Built
-    /// by the engine, never returned by [`choose_plan`].)
+    /// by the engine, never chosen by the planner.)
     QueueFull(usize, usize),
     /// Not planned to the end: the request failed (see
     /// [`ResponseStatus::Failed`](crate::engine::ResponseStatus::Failed)).
@@ -170,14 +170,14 @@ pub(crate) fn estimate_naive_cost(shape: &QueryShape, db: &DatabaseEntry) -> f64
     assignment_bound.min(atom_bound)
 }
 
-/// Estimated evaluation cost of a compiled [`DecomposedPlan`] on this
-/// database: the summed per-bag materialization estimates, each the
+/// Estimated evaluation cost of a compiled decomposition [`TreePlan`]
+/// on this database: the summed per-bag materialization estimates, each the
 /// minimum of the product of its parts' cardinalities and the
 /// `adom^|bag|` assignment bound. Part cardinalities prefer the real
 /// cached materialization over raw relation statistics, so the estimate
 /// tightens as the cache warms. An empty part makes its bag free (the
 /// whole answer is provably empty).
-pub(crate) fn estimate_decomposed_cost(plan: &DecomposedPlan, db: &DatabaseEntry) -> f64 {
+pub(crate) fn estimate_decomposed_cost(plan: &TreePlan, db: &DatabaseEntry) -> f64 {
     let (adom, ir) = (db.adom_size.max(1) as f64, plan.ir());
     let keys = (plan.bags()).flat_map(|(_, bag)| ir.parts(bag).iter().map(|p| ir.words(p.key)));
     let cached = db.materialized.peek_cardinalities(keys);
@@ -212,16 +212,16 @@ pub(crate) fn estimate_decomposed_cost(plan: &DecomposedPlan, db: &DatabaseEntry
 pub(crate) const NAIVE_NODE_COST_FACTOR: f64 = 8.0;
 
 /// Chooses the strategy for `shape` against `db`, with `naive_budget`
-/// bounding the estimated cost either join tier may incur.
-/// `decomposed` is the prepared query's compiled bounded-treewidth
-/// plan, when it has one.
-pub fn choose_plan(
+/// bounding the estimated cost either join tier may incur. `tree` is the
+/// prepared query's tree plan, if any: its join tree when `shape` is
+/// acyclic, else a decomposition, whose width the decision reports.
+pub(crate) fn choose(
     shape: &QueryShape,
-    decomposed: Option<&DecomposedPlan>,
+    tree: Option<&TreePlan>,
     db: &DatabaseEntry,
     naive_budget: f64,
 ) -> PlanDecision {
-    let width = decomposed.map(|p| p.width());
+    let width = tree.and_then(TreePlan::width);
     if shape.acyclic {
         return PlanDecision {
             kind: PlanKind::Yannakakis,
@@ -233,7 +233,7 @@ pub fn choose_plan(
         };
     }
     let est_naive = estimate_naive_cost(shape, db);
-    let est_dec = decomposed.map(|p| estimate_decomposed_cost(p, db));
+    let est_dec = tree.map(|p| estimate_decomposed_cost(p, db));
     if est_naive == 0.0 {
         return PlanDecision {
             kind: PlanKind::Naive,
@@ -244,7 +244,7 @@ pub fn choose_plan(
             reason: PlanReason::ProvablyEmpty,
         };
     }
-    if let (Some(_), Some(est)) = (decomposed, est_dec) {
+    if let Some(est) = est_dec {
         if est <= naive_budget && est <= est_naive * NAIVE_NODE_COST_FACTOR {
             return PlanDecision {
                 kind: PlanKind::Decomposed,
@@ -287,10 +287,10 @@ mod tests {
         QueryShape::of(&parse_cq(q).unwrap())
     }
 
-    fn dec(q: &str) -> DecomposedPlan {
+    fn dec(q: &str) -> TreePlan {
         let q = parse_cq(q).unwrap();
         let k = cqapx_cq::treewidth_of_query(&q);
-        DecomposedPlan::compile(&q, k).unwrap()
+        TreePlan::within_width(&q, k).unwrap()
     }
 
     fn db(n: usize, edges: &[(u32, u32)]) -> DatabaseEntry {
@@ -301,8 +301,14 @@ mod tests {
     fn acyclic_always_yannakakis() {
         let s = shape("Q(x) :- E(x,y), E(y,z)");
         let d = db(3, &[(0, 1), (1, 2)]);
-        assert_eq!(choose_plan(&s, None, &d, 1e6).kind, PlanKind::Yannakakis);
-        assert_eq!(choose_plan(&s, None, &d, 0.0).kind, PlanKind::Yannakakis);
+        assert_eq!(choose(&s, None, &d, 1e6).kind, PlanKind::Yannakakis);
+        assert_eq!(choose(&s, None, &d, 0.0).kind, PlanKind::Yannakakis);
+        let join_tree = TreePlan::join_tree(&parse_cq("Q(x) :- E(x,y), E(y,z)").unwrap()).unwrap();
+        let p = choose(&s, Some(&join_tree), &d, 0.0);
+        assert_eq!(
+            (p.kind, p.decomposition_width),
+            (PlanKind::Yannakakis, None)
+        );
     }
 
     #[test]
@@ -311,7 +317,7 @@ mod tests {
         let s = shape(q);
         let plan = dec(q);
         let d = db(3, &[(0, 1), (1, 2), (2, 0)]);
-        let p = choose_plan(&s, Some(&plan), &d, 1e6);
+        let p = choose(&s, Some(&plan), &d, 1e6);
         assert_eq!(p.kind, PlanKind::Decomposed);
         assert_eq!(p.decomposition_width, Some(2));
         assert!(p.est_decomposed_cost.unwrap() <= p.est_naive_cost * NAIVE_NODE_COST_FACTOR);
@@ -321,7 +327,7 @@ mod tests {
     fn cyclic_without_decomposition_goes_naive() {
         let s = shape("Q() :- E(x,y), E(y,z), E(z,x)");
         let d = db(3, &[(0, 1), (1, 2), (2, 0)]);
-        let p = choose_plan(&s, None, &d, 1e6);
+        let p = choose(&s, None, &d, 1e6);
         assert_eq!(p.kind, PlanKind::Naive);
         assert_eq!(p.decomposition_width, None);
         assert!(p.est_naive_cost <= 27.0 + 1e-9);
@@ -331,14 +337,30 @@ mod tests {
     fn cyclic_large_db_goes_sandwich() {
         let s = shape("Q() :- E(x,y), E(y,z), E(z,x)");
         let d = db(3, &[(0, 1), (1, 2), (2, 0)]);
-        let p = choose_plan(&s, None, &d, 10.0);
+        let p = choose(&s, None, &d, 10.0);
         assert_eq!(p.kind, PlanKind::Sandwich);
         // With a decomposition whose estimate also exceeds the budget,
         // still sandwich.
         let q = "Q() :- E(x,y), E(y,z), E(z,x)";
-        let p = choose_plan(&s, Some(&dec(q)), &d, 10.0);
+        let p = choose(&s, Some(&dec(q)), &d, 10.0);
         assert_eq!(p.kind, PlanKind::Sandwich);
         assert!(p.est_decomposed_cost.is_some());
+    }
+
+    /// A query whose only atom is the loop `E(x, x)` besides `E(x, y)`:
+    /// the raw relation statistic counts every edge, the materialized
+    /// hyperedge only the loops, so a warm cache tightens the estimate.
+    #[test]
+    fn planner_reads_cached_cardinalities() {
+        let mut edges: Vec<(u32, u32)> = (0..20u32).map(|i| (i, (i + 1) % 20)).collect();
+        edges.push((0, 0)); // a single loop
+        let d = db(20, &edges);
+        let q = parse_cq("Q(x) :- E(x, x), E(x, y)").unwrap();
+        let (s, tree) = (QueryShape::of(&q), TreePlan::join_tree(&q).unwrap());
+        let cold = choose(&s, Some(&tree), &d, 1e6).est_naive_cost;
+        tree.ir().answers(&d.structure, Some(&d.materialized));
+        let warm = choose(&s, Some(&tree), &d, 1e6).est_naive_cost;
+        assert!(warm < cold, "warm estimate {warm} should beat cold {cold}");
     }
 
     #[test]
@@ -357,7 +379,7 @@ mod tests {
         assert_eq!(estimate_naive_cost(&s, &d), 0.0);
         // Even with a tiny budget and a decomposition on offer, the
         // provably-empty answer goes to the (instant) naive tier.
-        let p = choose_plan(&s, Some(&dec(q)), &d, 0.0);
+        let p = choose(&s, Some(&dec(q)), &d, 0.0);
         assert_eq!(p.kind, PlanKind::Naive);
         assert_eq!(p.reason, PlanReason::ProvablyEmpty);
         assert!(p.describe().contains("provably empty"));
@@ -367,11 +389,11 @@ mod tests {
     fn describe_renders_the_cited_numbers() {
         let s = shape("Q() :- E(x,y), E(y,z), E(z,x)");
         let d = db(3, &[(0, 1), (1, 2), (2, 0)]);
-        let p = choose_plan(&s, None, &d, 10.0);
+        let p = choose(&s, None, &d, 10.0);
         assert_eq!(p.reason, PlanReason::SandwichExpensive);
         let text = p.describe();
         assert!(text.contains("budget 1.0e1"), "text: {text}");
-        let p = choose_plan(&s, None, &d, 1e6);
+        let p = choose(&s, None, &d, 1e6);
         assert_eq!(p.reason, PlanReason::NaiveCheap);
         assert!(p.describe().contains("cheap here"));
     }
@@ -385,7 +407,7 @@ mod tests {
         // (regression: an early break used to desynchronize the shared
         // peek list and pair later bags with leftover entries).
         let q = parse_cq("Q() :- E(x,x), E(x,y), E(y,z), E(z,x)").unwrap();
-        let plan = DecomposedPlan::compile(&q, cqapx_cq::treewidth_of_query(&q)).unwrap();
+        let plan = TreePlan::within_width(&q, cqapx_cq::treewidth_of_query(&q)).unwrap();
         let edges: Vec<(u32, u32)> = (0..20u32).map(|i| (i, (i + 1) % 20)).collect();
         let d = db(20, &edges);
         // Warm the cache (materializes every bag and part, including

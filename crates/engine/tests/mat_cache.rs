@@ -104,29 +104,6 @@ fn batch_requests_share_the_cache() {
     assert!(stats.mat_hit_rate() > 0.5, "rate {}", stats.mat_hit_rate());
 }
 
-#[test]
-fn planner_reads_cached_cardinalities() {
-    use cqapx_engine::choose_plan;
-    // A query whose only atom is the loop E(x, x): the raw relation
-    // statistic counts every edge, the materialized hyperedge only the
-    // loops — so a warm cache must tighten the estimate.
-    let e = Engine::new(EngineConfig::default());
-    let mut edges: Vec<(u32, u32)> = (0..20u32).map(|i| (i, (i + 1) % 20)).collect();
-    edges.push((0, 0)); // a single loop
-    let db = e.register_database("g", Structure::digraph(20, &edges));
-    let q = e.prepare_query("loops_path", parse_cq("Q(x) :- E(x, x), E(x, y)").unwrap());
-    let shape = cqapx_cq::QueryShape::of(&parse_cq("Q(x) :- E(x, x), E(x, y)").unwrap());
-    let entry = e.database(db).expect("registered");
-    let cold = choose_plan(&shape, None, &entry, 1e6).est_naive_cost;
-    // Warm the cache through a served request.
-    e.execute(&Request::new(q, db));
-    let warm = choose_plan(&shape, None, &entry, 1e6).est_naive_cost;
-    assert!(
-        warm < cold,
-        "warm estimate {warm} should beat cold estimate {cold}"
-    );
-}
-
 /// The kernel counters an engine reports are its own runs': beside a
 /// busy engine serving a batch that sorts as code words and sweeps on
 /// bitmaps, an idle engine reads zero, the busy one reads what its

@@ -42,8 +42,8 @@ fn main() {
             (6, 3),
         ],
     );
-    let plan_under = AcyclicPlan::compile(&under).unwrap();
-    let plan_over = AcyclicPlan::compile(&over).unwrap();
+    let plan_under = TreePlan::join_tree(&under).unwrap();
+    let plan_over = TreePlan::join_tree(&over).unwrap();
     let certain = plan_under.ir().answers(&d, None).0;
     let exact = eval_naive(&q, &d);
     let candidates = plan_over.ir().answers(&d, None).0;

@@ -42,7 +42,7 @@ fn main() {
     // query is FALSE here (no cross edges), the approximation is TRUE —
     // and correct whenever it says true on databases where they agree.
     let d = Structure::digraph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-    let plan = AcyclicPlan::compile(q_prime).expect("approximation is acyclic");
+    let plan = TreePlan::join_tree(q_prime).expect("approximation is acyclic");
     println!("\ndatabase: directed path with 6 nodes");
     println!(
         "  Q' (Yannakakis): {}",

@@ -33,7 +33,7 @@ fn main() {
         contained_in(&q_prime, &q)
     );
 
-    let plan = AcyclicPlan::compile(&q_prime).expect("acyclic");
+    let plan = TreePlan::join_tree(&q_prime).expect("acyclic");
 
     // Dynamic step: evaluate on growing random databases.
     println!(

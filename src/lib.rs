@@ -24,7 +24,7 @@
 //! let q_prime = &rep.approximations[0];
 //! assert!(contained_in(q_prime, &q));       // sound: only correct answers
 //!
-//! let plan = AcyclicPlan::compile(q_prime).unwrap();
+//! let plan = TreePlan::join_tree(q_prime).unwrap();
 //! let d = Structure::digraph(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
 //! let (nonempty, _) = plan.ir().run_boolean(&d, None, None);
 //! assert!(nonempty);
@@ -60,7 +60,7 @@ pub mod prelude {
         BooleanTrichotomy, HtwK, QueryClass, TwK,
     };
     pub use cqapx_cq::{
-        contained_in, equivalent, eval::naive::eval_naive, eval::AcyclicPlan, minimize, parse_cq,
+        contained_in, equivalent, eval::naive::eval_naive, eval::TreePlan, minimize, parse_cq,
         query_from_tableau, tableau_of, ConjunctiveQuery, QueryShape,
     };
     pub use cqapx_engine::{

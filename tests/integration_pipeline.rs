@@ -20,8 +20,8 @@ fn approximation_answers_are_subset_on_random_databases() {
         let rep = all_approximations(&q, &TwK(1), &ApproxOptions::default());
         assert!(!rep.approximations.is_empty(), "{qs}");
         for a in &rep.approximations {
-            let plan = AcyclicPlan::compile(a)
-                .unwrap_or_else(|_| panic!("TW(1) approximation {a} must be acyclic"));
+            let plan = TreePlan::join_tree(a)
+                .unwrap_or_else(|| panic!("TW(1) approximation {a} must be acyclic"));
             for seed in 0..5 {
                 let d = generators::random_digraph(14, 0.18, seed).to_structure();
                 let exact = naive(&q, &d);
