@@ -26,8 +26,10 @@
 //! approximating it into `TW(1)` stay under fixed allocator-call counts,
 //! and its cold certain-answers request is pinned phase by phase. A
 //! compiled plan allocates per plan, not per atom — the same calls for
-//! `C6` as for `C12` — and a warm cache hit borrows its key, allocating
-//! nothing;
+//! `C6` as for `C12`, and for a 4-path's `TreePlan::join_tree` as for a
+//! 16-path's, its hypergraph, GYO and bottom-up order included, as an
+//! `AC` check calls as often for the ternary ring of 16 as of 8 — and a
+//! warm cache hit borrows its key, allocating nothing;
 //! parsing a query allocates per atom and per distinct variable, never
 //! per token, and its isomorphism signature per structure, never per
 //! element.
@@ -711,7 +713,7 @@ fn preparing_q2_allocates_no_more_than_it_did() {
 }
 
 /// One approximation search of `Q2` into `TW(1)` calls the allocator at
-/// most 159 times for its 57 walk nodes, 3 candidates and one result:
+/// most 155 times for its 57 walk nodes, 3 candidates and one result:
 /// each core is computed by restriction on one compiled source, a
 /// compile allocates per search, never per atom, and the walk keeps its
 /// prefix graphs in one buffer.
@@ -724,7 +726,7 @@ fn approximating_q2_allocates_per_candidate_not_per_node() {
         counted(|| all_approximations_tableaux(&t, &TwK(1), &options));
     assert_eq!(approximations.len(), 1);
     assert_eq!((meta.nodes, meta.candidates), (57, 3));
-    assert!(search <= 159, "{search} allocator calls for the search");
+    assert!(search <= 155, "{search} allocator calls for the search");
 }
 
 /// An approximation-cache key holds the class as a value: building one
@@ -781,6 +783,41 @@ fn compiling_a_plan_allocates_per_plan_not_per_atom() {
     );
 }
 
+/// `TreePlan::join_tree` finds its join tree on one hypergraph's bit
+/// rows, reduces it in one scratch buffer and orders it with no stack:
+/// compiling the directed 4-path and 16-path calls the allocator exactly
+/// as often.
+#[test]
+fn a_join_tree_plan_allocates_per_plan_not_per_atom() {
+    let [small, large] = [4, 16].map(|n| {
+        let q = parse_cq(&path_text(n)).unwrap();
+        counted(|| TreePlan::join_tree(&q).unwrap()).1
+    });
+    assert_eq!(small, large, "allocator calls for a 4-path vs a 16-path");
+}
+
+/// An `AC` check builds the tableau's hypergraph in one buffer and runs
+/// GYO in one more: the ternary rings `R(vᵢ, vᵢ₊₁, vᵢ₊₃)` of 8 and of 16
+/// call the allocator exactly as often.
+#[test]
+fn an_acyclicity_check_allocates_per_query_not_per_atom() {
+    use cqapx_core::Acyclic;
+    use cqapx_structures::{Pointed, StructureBuilder, Vocabulary};
+    let [small, large] = [8, 16].map(|n: u32| {
+        let vocab = Vocabulary::new(vec![("R", 3)]);
+        let r = vocab.rel("R").unwrap();
+        let mut b = StructureBuilder::new(vocab, n as usize);
+        for i in 0..n {
+            b.add(r, &[i, (i + 1) % n, (i + 3) % n]);
+        }
+        let t = Pointed::boolean(b.finish());
+        let (acyclic, calls, _) = counted(|| Acyclic.contains_tableau(&t));
+        assert!(!acyclic, "the ring of {n} is cyclic");
+        calls
+    });
+    assert_eq!(small, large, "allocator calls for the ring of 8 vs 16");
+}
+
 /// A cache lookup borrows the key's words from the plan: a warm hit
 /// calls the allocator not at all.
 #[test]
@@ -800,8 +837,8 @@ fn a_warm_cache_hit_allocates_nothing() {
 /// parse, prepare, search, compile, miss, hit. A release build skips
 /// the decomposition's validation when preparing.
 const PINNED: [u64; 6] = match cfg!(debug_assertions) {
-    true => [26, 82, 156, 28, 197, 28],
-    false => [26, 52, 156, 28, 197, 28],
+    true => [26, 82, 155, 14, 182, 28],
+    false => [26, 52, 155, 14, 182, 28],
 };
 
 /// The introduction's `Q2` renamed, its atoms reordered: isomorphic.

@@ -17,7 +17,9 @@
 //!   by increasing size, keeping inclusion-minimal in-class repairs, with a
 //!   configurable cap ([`ApproxOptions::repair_extra_atoms`], default 1 —
 //!   enough for every example in the paper; raise it for exhaustiveness on
-//!   wilder vocabularies).
+//!   wilder vocabularies). A repair is class-checked from raw tuples, the
+//!   quotient's followed by its extra atoms, on one reused hypergraph row
+//!   buffer, and built only on a hit ([`repairs_public`]).
 //!
 //! The exact pipeline is `decide → walk → restart on the core`. *Decide*
 //! (§5, `crate::trichotomy`): in `TW(k)`, a Boolean query whose atoms use
@@ -72,6 +74,7 @@ use crate::trichotomy::{decide, Decision};
 use cqapx_cq::{query_from_tableau, tableau_of, ConjunctiveQuery};
 use cqapx_graphs::coloring::Adjacency;
 use cqapx_graphs::BitGraph;
+use cqapx_hypergraphs::Hypergraph;
 use cqapx_structures::fxhash::{FxHashMap, FxHashSet};
 use cqapx_structures::iso::{signature_pointed, IsoSignature};
 use cqapx_structures::order::MinimalAntichain;
@@ -457,7 +460,9 @@ pub(crate) fn for_each_class_partition(
 /// in-class quotients need no second dedup among themselves.
 ///
 /// The walk never reaches the coarsest partition, so its quotient,
-/// `Q^triv`, is offered last, once, whether or not the walk was capped.
+/// `Q^triv`, is offered last, once, whether or not the walk was capped,
+/// and unchecked: one element has an edgeless Gaifman graph and the
+/// hypergraph `{0}`, in `TW(k)`, `AC` and `HTW(k)` alike.
 /// It stands for every quotient the third cut removed; the antichain
 /// rejects it after one hom test whenever a member maps into it.
 fn candidates(
@@ -492,6 +497,7 @@ fn candidates(
     let mut order: Vec<usize> = Vec::new();
     let mut sorted: Vec<u32> = Vec::new();
     let mut fp: Vec<u32> = Vec::new();
+    let mut rows = Hypergraph::default();
 
     let mut visit = |p: &Partition, known_in_class: bool| -> bool {
         let labels = p.labels();
@@ -570,7 +576,7 @@ fn candidates(
         let n_blocks = p.n_blocks();
         let tuples =
             (rels.iter().zip(mapped_rel.iter())).flat_map(|((_, w, _), buf)| buf.chunks_exact(*w));
-        let in_class = known_in_class || class.contains_quotient(n_blocks, tuples);
+        let in_class = known_in_class || class.contains_quotient(n_blocks, tuples, &mut rows);
         if !in_class && !wants_repairs {
             seen_fp.insert(fp.as_slice().into(), false);
             return false;
@@ -603,64 +609,50 @@ fn candidates(
     let counts = for_each_class_partition(t, class, opts.max_partitions, keep_walking, |p, k| {
         ControlFlow::Continue(visit(p, k))
     });
-    visit(&Partition::coarsest(s.universe_size()), false);
+    visit(&Partition::coarsest(s.universe_size()), true);
     counts
 }
 
 /// Inclusion-minimal augmentations of `qt` with up to
 /// `opts.repair_extra_atoms` extra atoms that land in the class (the
-/// Claim 6.2 move). Exposed for the `identify` decision procedure.
+/// Claim 6.2 move), by size, then in the order of their extra atoms. A
+/// candidate without padding is class-checked from raw tuples in one
+/// reused row buffer and built only on a hit; a padded one is built
+/// first, which numbers its fresh elements. Exposed for the `identify`
+/// decision procedure.
 pub fn repairs_public(qt: &Pointed, class: &QueryClass, opts: &ApproxOptions) -> Vec<Pointed> {
     let s = &qt.structure;
     let vocab = s.vocabulary().clone();
     let u = s.universe_size();
-    // Candidate extra atoms: every missing tuple over the quotient's
-    // elements; optionally, tuples with exactly one fresh padding element
+    // Candidate extra atoms `(relation, start in flat, padded)`: every
+    // missing tuple over the quotient's elements (the first position
+    // fastest); optionally, tuples with exactly one fresh padding element
     // (the marker `u`) in each position, the others over the quotient's.
-    struct Extra {
-        rel: RelId,
-        tuple: Vec<u32>,
-        padded: bool,
-    }
-    // Steps a tuple over `0..u` to the next, its first position fastest;
-    // `false` once it wraps around to all zeros.
-    let next = |tuple: &mut [u32]| {
-        (tuple.iter_mut()).any(|x| {
-            *x = (*x + 1) % u as u32;
-            *x != 0
-        })
-    };
-    let mut extras: Vec<Extra> = Vec::new();
+    let digits = |code: usize, len| (0..len).map(move |p| (code / u.pow(p as u32) % u) as u32);
+    let (mut extras, mut flat): (Vec<(RelId, usize, bool)>, Vec<u32>) = (Vec::new(), Vec::new());
     for rel in vocab.rel_ids() {
         let arity = vocab.arity(rel);
-        let mut tuple = vec![0u32; arity];
-        loop {
-            if !s.contains(rel, &tuple) {
-                let (tuple, padded) = (tuple.clone(), false);
-                extras.push(Extra { rel, tuple, padded });
-            }
-            if !next(&mut tuple) {
-                break;
+        for code in 0..u.pow(arity as u32) {
+            let start = flat.len();
+            flat.extend(digits(code, arity));
+            match s.contains(rel, &flat[start..]) {
+                true => flat.truncate(start),
+                false => extras.push((rel, start, false)),
             }
         }
-        if opts.padded_repairs && arity >= 2 {
-            let mut base = vec![0u32; arity - 1];
-            loop {
-                for pad in 0..arity {
-                    let mut tuple = base.clone();
-                    tuple.insert(pad, u as u32);
-                    let padded = true;
-                    extras.push(Extra { rel, tuple, padded });
-                }
-                if !next(&mut base) {
-                    break;
-                }
-            }
+        let padded = opts.padded_repairs && arity >= 2;
+        let bases = u.pow(arity.max(1) as u32 - 1);
+        for code in 0..if padded { arity * bases } else { 0 } {
+            let start = flat.len();
+            flat.extend(digits(code / arity, arity - 1));
+            flat.insert(start + code % arity, u as u32);
+            extras.push((rel, start, true));
         }
     }
+    let tuple = |i: usize| &flat[extras[i].1..][..vocab.arity(extras[i].0)];
 
     let build = |subset: &[usize]| -> Pointed {
-        let n_pads = subset.iter().filter(|&&i| extras[i].padded).count();
+        let n_pads = subset.iter().filter(|&&i| extras[i].2).count();
         let mut b = StructureBuilder::new(vocab.clone(), u + n_pads);
         for rel in vocab.rel_ids() {
             for t in s.tuples(rel) {
@@ -669,43 +661,45 @@ pub fn repairs_public(qt: &Pointed, class: &QueryClass, opts: &ApproxOptions) ->
         }
         let mut next_pad = u as u32;
         for &i in subset {
-            let e = &extras[i];
-            if e.padded {
-                let tuple: Vec<u32> = e
-                    .tuple
-                    .iter()
-                    .map(|&x| if x == u as u32 { next_pad } else { x })
-                    .collect();
-                next_pad += 1;
-                b.add(e.rel, &tuple);
-            } else {
-                b.add(e.rel, &e.tuple);
-            }
+            let fresh = |&x: &u32| if x == u as u32 { next_pad } else { x };
+            b.add(extras[i].0, &tuple(i).iter().map(fresh).collect::<Vec<_>>());
+            next_pad += extras[i].2 as u32;
         }
         Pointed::new(b.finish(), qt.distinguished().to_vec())
     };
+    let mut rows = Hypergraph::default();
+    let mut hit = |subset: &[usize]| -> Option<Pointed> {
+        if subset.iter().any(|&i| extras[i].2) {
+            return Some(build(subset)).filter(|cand| class.contains_tableau(cand));
+        }
+        let extra = subset.iter().map(|&i| tuple(i));
+        let tuples = vocab.rel_ids().flat_map(|rel| s.tuples(rel)).chain(extra);
+        let in_class = class.contains_quotient(u, tuples, &mut rows);
+        in_class.then(|| build(subset))
+    };
 
-    // Search by increasing repair size, keeping inclusion-minimal hits.
+    // Search by increasing repair size, keeping inclusion-minimal hits;
+    // only a size below the cap keeps its misses to extend.
     let mut hits: Vec<Vec<usize>> = Vec::new();
     let mut out = Vec::new();
     let mut frontier: Vec<Vec<usize>> = vec![Vec::new()];
-    for _size in 1..=opts.repair_extra_atoms {
+    let mut subset = Vec::new();
+    for size in 1..=opts.repair_extra_atoms {
         let mut next = Vec::new();
         for base in &frontier {
             let start = base.last().map_or(0, |&l| l + 1);
             for i in start..extras.len() {
-                let mut subset = base.clone();
-                subset.push(i);
+                subset.clear();
+                subset.extend(base.iter().chain([&i]));
                 // skip supersets of known hits (inclusion-minimality)
                 if hits.iter().any(|h| h.iter().all(|x| subset.contains(x))) {
                     continue;
                 }
-                let cand = build(&subset);
-                if class.contains_tableau(&cand) {
-                    hits.push(subset);
+                if let Some(cand) = hit(&subset) {
+                    hits.push(subset.clone());
                     out.push(cand);
-                } else {
-                    next.push(subset);
+                } else if size < opts.repair_extra_atoms {
+                    next.push(subset.clone());
                 }
             }
         }
@@ -911,7 +905,7 @@ pub fn all_approximations(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classes::Acyclic;
+    use crate::classes::{Acyclic, HtwK};
     use cqapx_cq::{contained_in, equivalent, parse_cq};
     use cqapx_structures::iso::isomorphic_pointed;
     use cqapx_structures::partition::for_each_partition;
@@ -1038,6 +1032,123 @@ mod tests {
                 "missing {e}"
             );
         }
+    }
+
+    /// `repairs_public` as it was before it checked candidates from raw
+    /// tuples: every candidate built, then class-checked.
+    fn built_repairs(qt: &Pointed, class: &QueryClass, opts: &ApproxOptions) -> Vec<Pointed> {
+        let s = &qt.structure;
+        let (vocab, u) = (s.vocabulary(), s.universe_size() as u32);
+        // Every tuple of `len` elements below `u`, the first fastest.
+        let tuples = |len: usize| {
+            (0..u.pow(len as u32)).map(move |code| {
+                (0..len)
+                    .map(|p| code / u.pow(p as u32) % u)
+                    .collect::<Vec<_>>()
+            })
+        };
+        let mut extras: Vec<(RelId, Vec<u32>, bool)> = Vec::new();
+        for rel in vocab.rel_ids() {
+            let arity = vocab.arity(rel);
+            let missing = tuples(arity).filter(|t| !s.contains(rel, t));
+            extras.extend(missing.map(|t| (rel, t, false)));
+            if opts.padded_repairs && arity >= 2 {
+                for base in tuples(arity - 1) {
+                    for pad in 0..arity {
+                        let mut t = base.clone();
+                        t.insert(pad, u);
+                        extras.push((rel, t, true));
+                    }
+                }
+            }
+        }
+        let build = |subset: &[usize]| {
+            let n_pads = subset.iter().filter(|&&i| extras[i].2).count();
+            let mut b = StructureBuilder::new(vocab.clone(), u as usize + n_pads);
+            for rel in vocab.rel_ids() {
+                for t in s.tuples(rel) {
+                    b.add(rel, t);
+                }
+            }
+            let mut next_pad = u;
+            for &i in subset {
+                let (rel, t, padded) = &extras[i];
+                let t: Vec<u32> = t
+                    .iter()
+                    .map(|&x| if x == u { next_pad } else { x })
+                    .collect();
+                next_pad += *padded as u32;
+                b.add(*rel, &t);
+            }
+            Pointed::new(b.finish(), qt.distinguished().to_vec())
+        };
+        let (mut hits, mut out, mut frontier) =
+            (Vec::<Vec<usize>>::new(), Vec::new(), vec![vec![]]);
+        for _ in 0..opts.repair_extra_atoms {
+            let mut next = Vec::new();
+            for base in &frontier {
+                for i in base.last().map_or(0, |&l| l + 1)..extras.len() {
+                    let mut subset: Vec<usize> = base.clone();
+                    subset.push(i);
+                    if hits.iter().any(|h| h.iter().all(|x| subset.contains(x))) {
+                        continue;
+                    }
+                    let cand = build(&subset);
+                    if class.contains_tableau(&cand) {
+                        hits.push(subset);
+                        out.push(cand);
+                    } else {
+                        next.push(subset);
+                    }
+                }
+            }
+            frontier = next;
+        }
+        out
+    }
+
+    /// Checking a repair from raw tuples and building it only on a hit
+    /// returns what building every candidate returned, in its order:
+    /// on Example 6.6's query and on the ternary ring `R(vᵢ, vᵢ₊₁, vᵢ₊₃)`
+    /// of seven and its quotients of three elements (the only ones a
+    /// single atom repairs into `AC`), padded and not, with one extra atom
+    /// and, on every twentieth quotient, two.
+    #[test]
+    fn repairs_match_building_every_candidate() {
+        let q = parse_cq("Q() :- R(x1,x2,x3), R(x3,x4,x5), R(x5,x6,x1)").unwrap();
+        let vocab = Vocabulary::new(vec![("R", 3)]);
+        let r = vocab.rel("R").unwrap();
+        let mut b = StructureBuilder::new(vocab, 7);
+        for i in 0..7 {
+            b.add(r, &[i, (i + 1) % 7, (i + 3) % 7]);
+        }
+        let ring = Pointed::boolean(b.finish());
+        let mut cases = vec![(tableau_of(&q), 1), (ring.clone(), 1)];
+        for_each_partition(7, |p| {
+            if p.n_blocks() == 3 {
+                let most = 1 + (cases.len() % 20 == 0) as usize;
+                cases.push((quotient_pointed(&ring, p).0, most));
+            }
+            ControlFlow::Continue(())
+        });
+        let mut repaired = 0;
+        for (t, most) in &cases {
+            for (padded_repairs, repair_extra_atoms) in
+                (1..=*most).flat_map(|n| [(false, n), (true, n)])
+            {
+                let opts = ApproxOptions {
+                    padded_repairs,
+                    repair_extra_atoms,
+                    ..opts()
+                };
+                for class in [Acyclic, HtwK(1)] {
+                    let got = repairs_public(t, &class, &opts);
+                    assert_eq!(got, built_repairs(t, &class, &opts), "{opts:?}");
+                    repaired += got.len();
+                }
+            }
+        }
+        assert!(repaired > 500, "{repaired} repairs");
     }
 
     #[test]

@@ -95,22 +95,25 @@ impl QueryClass {
     pub fn contains_tableau(&self, t: &Pointed) -> bool {
         let s = &t.structure;
         let tuples = s.vocabulary().rel_ids().flat_map(|rel| s.tuples(rel));
-        self.contains_quotient(s.universe_size(), tuples)
+        self.contains_quotient(s.universe_size(), tuples, &mut Hypergraph::default())
     }
 
     /// Membership of a query given as raw data — universe size plus the
     /// tuples' element slices — so the search can reject a quotient
-    /// without materializing a `Structure`. Agrees with
-    /// [`QueryClass::contains_tableau`] on the materialized query.
+    /// without materializing a `Structure`; a hypergraph-based class
+    /// builds the hypergraph in `rows`, a buffer the caller reuses.
+    /// Agrees with [`QueryClass::contains_tableau`].
     pub(crate) fn contains_quotient<'a>(
         &self,
         universe: usize,
-        tuples: impl IntoIterator<Item = &'a [u32]>,
+        tuples: impl IntoIterator<Item = &'a [u32], IntoIter: Clone>,
+        rows: &mut Hypergraph,
     ) -> bool {
         match *self {
             TwK(_) => self.contains_graph(&mut BitGraph::gaifman(universe, tuples)),
-            Acyclic => gyo::is_acyclic(&Hypergraph::from_edges(universe, tuples)),
-            HtwK(k) => htw::htw_at_most(&Hypergraph::from_edges(universe, tuples), k).is_some(),
+            // `HTW(1) = AC`, and GYO decides it fastest.
+            Acyclic | HtwK(1) => gyo::is_acyclic(rows.refill(universe, tuples)),
+            HtwK(k) => htw::htw_at_most(rows.refill(universe, tuples), k).is_some(),
         }
     }
 

@@ -103,8 +103,8 @@ mod tests {
         let q = parse_cq("Q() :- R(x,y,z), R(x,v,v), E(v,z)").unwrap();
         let h = hypergraph_of(&q);
         assert_eq!(h.edge_count(), 3);
-        assert_eq!(h.edge(0).len(), 3);
-        assert_eq!(h.edge(1).len(), 2);
+        assert_eq!(h.edge(0).count(), 3);
+        assert_eq!(h.edge(1).count(), 2);
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl TreePlan {
         atoms.sort_by_key(|a| query.atoms().iter().position(|b| b.same_vars(a)));
         let groups = || atoms.chunk_by(|a, b| a.same_vars(b));
         let h = Hypergraph::from_edges(query.var_count(), groups().map(|g| &g[0].args));
-        let join_tree = gyo::gyo_reduce(&h).join_tree?;
+        let join_tree = gyo::gyo_reduce(&h)?;
 
         let mut nodes: Vec<NodeSpec> = Vec::with_capacity(h.edge_count());
         nodes.extend(groups().map(|atoms| NodeSpec { atoms, label: None }));

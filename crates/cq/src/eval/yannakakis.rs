@@ -86,11 +86,8 @@ mod tests {
     #[test]
     fn a_tie_keeps_the_given_root() {
         let q = parse_cq("Q() :- E(x, y), E(x, z)").unwrap();
-        let mut h = Hypergraph::new(q.var_count());
-        for atom in q.atoms() {
-            h.add_edge(&atom.args);
-        }
-        let gyo = gyo::gyo_reduce(&h).join_tree.unwrap().parent;
+        let h = Hypergraph::from_edges(q.var_count(), q.atoms().iter().map(|a| &a.args));
+        let gyo = gyo::gyo_reduce(&h).unwrap().parent;
         assert_eq!(gyo, [Some(1), None]);
         let plan = TreePlan::join_tree(&q).unwrap();
         assert_eq!(handed(&plan), [(0, vec![0])]);

@@ -12,81 +12,92 @@
 //! algorithm evaluates along. Equivalently (the paper's definition), `H`
 //! is acyclic iff it has a tree decomposition whose every bag is a
 //! hyperedge.
+//!
+//! Both rules are word operations on the bit rows, in one scratch buffer
+//! (on the stack up to 192 vertices): rule 1 ORs the live rows into
+//! *once*, and each row's overlap with *once* into *twice*, so the ears
+//! are `once & !twice`; edge `i`'s rest, its row less the deleted
+//! vertices, lies inside edge `j` when `rest & !row_j == 0`. A pass
+//! applies rule 1, then rule 2 to the edges by index, each going under
+//! the lowest live edge containing it: the join tree is a function of the
+//! edge order.
 
-use crate::hypergraph::Hypergraph;
+use crate::hypergraph::{bits, Hypergraph};
 use crate::jointree::JoinTree;
 
-/// Outcome of a GYO reduction.
-#[derive(Debug, Clone)]
-pub struct GyoResult {
-    /// `Some(join tree)` when acyclic, `None` otherwise.
-    pub join_tree: Option<JoinTree>,
+/// Runs the GYO reduction: `Some(join tree)` when `h` is acyclic.
+pub fn gyo_reduce(h: &Hypergraph) -> Option<JoinTree> {
+    let mut parent = vec![None; h.edge_count()];
+    let acyclic = reduce(h, |i, j| parent[i] = Some(j));
+    let n_edges = parent.len();
+    acyclic.then_some(JoinTree { n_edges, parent })
 }
 
-/// Runs the GYO reduction.
-///
-/// The edges are read, never copied: a vertex deleted by rule 1 occurs
-/// in no other live edge, so it is marked deleted once for all of them,
-/// and an edge's current set is its vertices not so marked.
-pub fn gyo_reduce(h: &Hypergraph) -> GyoResult {
-    let m = h.edge_count();
-    let edges = h.edges();
-    let mut alive: Vec<bool> = vec![true; m];
-    let mut parent: Vec<Option<usize>> = vec![None; m];
-    let mut deleted: Vec<bool> = vec![false; h.n()];
-    let mut occurrence: Vec<u32> = vec![0; h.n()];
-
+/// The reduction, calling `attach(i, j)` as it removes edge `i` under
+/// edge `j`; `true` when at most one edge is left.
+fn reduce(h: &Hypergraph, mut attach: impl FnMut(usize, usize)) -> bool {
+    let (m, w) = (h.edge_count(), h.words);
+    // Rows once, twice, deleted and rest, then the live edges' bits.
+    let (len, mut small, mut large) = (4 * w + m.div_ceil(64), [0u64; 16], Vec::new());
+    let scratch = match small.get_mut(..len) {
+        Some(small) => small,
+        None => {
+            large.resize(len, 0);
+            &mut large[..]
+        }
+    };
+    let (rows, alive) = scratch.split_at_mut(4 * w);
+    let (once, rows) = rows.split_at_mut(w);
+    let (twice, rows) = rows.split_at_mut(w);
+    let (deleted, rest) = rows.split_at_mut(w);
+    (0..m).for_each(|i| alive[i / 64] |= 1 << (i % 64));
+    let (mut left, mut first) = (m, true);
     loop {
+        // Rule 1: delete the vertices in at most one live edge; `once`
+        // keeps the ones this pass deleted.
+        once.fill(0);
+        twice.fill(0);
+        for i in bits(alive) {
+            for ((o, t), &r) in once.iter_mut().zip(twice.iter_mut()).zip(h.row(i)) {
+                *t |= *o & r;
+                *o |= r;
+            }
+        }
         let mut changed = false;
-
-        // Rule 1: delete vertices occurring in at most one live edge.
-        occurrence.fill(0);
-        for e in (0..m).filter(|&i| alive[i]).map(|i| &edges[i]) {
-            for &v in e {
-                occurrence[v as usize] += 1;
-            }
-        }
-        for (v, &count) in occurrence.iter().enumerate() {
-            changed |= count == 1 && !deleted[v];
-            deleted[v] |= count <= 1;
+        for ((d, o), &t) in deleted.iter_mut().zip(once.iter_mut()).zip(&*twice) {
+            changed |= *o & !t & !*d != 0;
+            (*o, *d) = (!t & !*d, *d | !t);
         }
 
-        // Rule 2: remove edges contained in another live edge (including
-        // edges emptied by rule 1, which are contained in anything).
+        // Rule 2, the edge out of the live set while its container is
+        // sought (an emptied edge is inside any). An edge that lost no
+        // vertex this pass found none before, among more live edges.
         for i in 0..m {
-            if !alive[i] {
+            let bit = 1 << (i % 64);
+            let kept = h.row(i).iter().zip(&*once).all(|(&e, &o)| e & o == 0);
+            if alive[i / 64] & bit == 0 || (kept && !first) {
                 continue;
             }
-            let mut rest = edges[i]
-                .iter()
-                .filter(|&&v| !deleted[v as usize])
-                .peekable();
-            if rest.peek().is_none() {
-                // Attach to any other live edge, or none if it is the last.
-                alive[i] = false;
-                changed = true;
-                if let Some(j) = (0..m).find(|&j| alive[j]) {
-                    parent[i] = Some(j);
+            for ((r, &e), &d) in rest.iter_mut().zip(h.row(i)).zip(&*deleted) {
+                *r = e & !d;
+            }
+            alive[i / 64] &= !bit;
+            let inside = |j: usize| rest.iter().zip(h.row(j)).all(|(&r, &e)| r & !e == 0);
+            let into = bits(alive).find(|&j| inside(j));
+            match into {
+                Some(j) => attach(i, j),
+                None if rest.iter().all(|&r| r == 0) => {}
+                None => {
+                    alive[i / 64] |= bit;
+                    continue;
                 }
-                continue;
             }
-            let inside = |j: usize| rest.clone().all(|v| edges[j].contains(v));
-            if let Some(j) = (0..m).find(|&j| j != i && alive[j] && inside(j)) {
-                alive[i] = false;
-                parent[i] = Some(j);
-                changed = true;
-            }
+            (changed, left) = (true, left - 1);
         }
-
         if !changed {
-            break;
+            return left <= 1;
         }
-    }
-
-    // At most one edge left: acyclic.
-    let acyclic = alive.iter().filter(|&&a| a).count() <= 1;
-    GyoResult {
-        join_tree: acyclic.then_some(JoinTree { n_edges: m, parent }),
+        first = false;
     }
 }
 
@@ -110,7 +121,7 @@ pub fn gyo_reduce(h: &Hypergraph) -> GyoResult {
 /// assert!(gyo::is_acyclic(&covered));
 /// ```
 pub fn is_acyclic(h: &Hypergraph) -> bool {
-    gyo_reduce(h).join_tree.is_some()
+    reduce(h, |_, _| {})
 }
 
 #[cfg(test)]
@@ -127,7 +138,7 @@ mod tests {
     fn path_of_edges_acyclic() {
         let h = Hypergraph::from_edges(4, &[vec![0, 1], vec![1, 2], vec![2, 3]]);
         let r = gyo_reduce(&h);
-        let jt = r.join_tree.expect("acyclic");
+        let jt = r.expect("acyclic");
         jt.validate(&h).unwrap();
     }
 
@@ -135,14 +146,14 @@ mod tests {
     fn triangle_cyclic() {
         let h = Hypergraph::from_edges(3, &[vec![0, 1], vec![1, 2], vec![2, 0]]);
         let r = gyo_reduce(&h);
-        assert!(r.join_tree.is_none());
+        assert!(r.is_none());
     }
 
     #[test]
     fn covered_triangle_acyclic() {
         let h = Hypergraph::from_edges(3, &[vec![0, 1, 2], vec![0, 1], vec![1, 2], vec![0, 2]]);
         let r = gyo_reduce(&h);
-        let jt = r.join_tree.expect("acyclic");
+        let jt = r.expect("acyclic");
         jt.validate(&h).unwrap();
         // All binary edges hang off the ternary edge 0.
         assert_eq!(jt.parent[1], Some(0));
@@ -167,7 +178,7 @@ mod tests {
 
     #[test]
     fn empty_hypergraph() {
-        let h = Hypergraph::new(0);
+        let h = Hypergraph::from_edges(0, Vec::<Vec<u32>>::new());
         assert!(is_acyclic(&h));
     }
 
@@ -175,7 +186,7 @@ mod tests {
     fn duplicate_containment_chain() {
         let h = Hypergraph::from_edges(4, &[vec![0, 1, 2, 3], vec![0, 1], vec![0]]);
         let r = gyo_reduce(&h);
-        let jt = r.join_tree.expect("acyclic");
+        let jt = r.expect("acyclic");
         jt.validate(&h).unwrap();
     }
 }

@@ -9,25 +9,32 @@
 //! their **det-k-decomp** backtracking scheme over edge-components, which
 //! explores decompositions in normal form (where the special condition
 //! holds by construction: every bag is `(⋃λ ∩ component) ∪ connector`).
+//! `HTW(1)` coincides with α-acyclicity, and the tests check
+//! `htw_at_most(h, 1)` against the GYO reduction.
 //!
-//! `HTW(1)` coincides with α-acyclicity; `htw_at_most(h, 1)` delegates to
-//! the GYO reduction for speed and cross-checks the two paths in tests.
+//! The search runs on words: a component is a bit row over the edges,
+//! and a bag χ, a connector and a cover's union `⋃λ` are rows over the
+//! vertices, like the hypergraph's. The memo, an `FxHashMap` keyed by a
+//! component's words and then its connector's, keeps the first cover
+//! that decomposes the pair (or that none does); the decomposition is
+//! read off it once the search succeeds.
 
-use crate::gyo;
-use crate::hypergraph::{Hypergraph, Vertex};
-use std::collections::{BTreeSet, HashMap};
+use crate::hypergraph::{bits, Hypergraph};
+use crate::jointree::split_vertex;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// One node of a hypertree decomposition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HtdNode {
-    /// The bag `f(u)`.
-    pub bag: BTreeSet<Vertex>,
+    /// The bag `f(u)`, a bit row like [`Hypergraph::row`].
+    pub bag: Vec<u64>,
     /// The covering hyperedges `c(u)` (indices into the hypergraph).
     pub cover: Vec<usize>,
 }
 
 /// A hypertree decomposition (in det-k-decomp normal form).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HypertreeDecomposition {
     /// Decomposition nodes.
     pub nodes: Vec<HtdNode>,
@@ -47,97 +54,99 @@ impl HypertreeDecomposition {
     /// is not re-checked.)
     pub fn validate(&self, h: &Hypergraph) -> Result<(), String> {
         let nb = self.nodes.len();
-        if nb == 0 {
-            return if h.edge_count() == 0 {
-                Ok(())
-            } else {
-                Err("empty decomposition for nonempty hypergraph".into())
-            };
+        if nb == 0 && h.edge_count() > 0 {
+            return Err("empty decomposition for nonempty hypergraph".into());
         }
-        if self.tree_edges.len() + 1 != nb {
+        // `nb − 1` edges that close no cycle make a tree.
+        let mut up: Vec<usize> = (0..nb).collect();
+        let root = |up: &[usize], mut i: usize| {
+            while up[i] != i {
+                i = up[i];
+            }
+            i
+        };
+        let tree = self.tree_edges.iter().all(|&(a, b)| {
+            let (a, b) = (root(&up, a), root(&up, b));
+            up[a] = b;
+            a != b
+        });
+        if nb > 0 && !(tree && self.tree_edges.len() + 1 == nb) {
             return Err("decomposition is not a tree".into());
         }
-        // f(u) ⊆ ∪ c(u)
         for (i, n) in self.nodes.iter().enumerate() {
-            let cover: BTreeSet<Vertex> = n
+            let cover = n
                 .cover
                 .iter()
-                .flat_map(|&e| h.edge(e).iter().copied())
-                .collect();
-            if !n.bag.is_subset(&cover) {
+                .fold(vec![0; h.words], |c, &e| or(c, h.row(e)));
+            if !subset(&n.bag, &cover) {
                 return Err(format!("bag {i} not covered by its edge label"));
             }
         }
-        // every hyperedge inside some bag
-        for (ei, e) in h.edges().iter().enumerate() {
-            if !self.nodes.iter().any(|n| e.is_subset(&n.bag)) {
-                return Err(format!("hyperedge {ei} not inside any bag"));
-            }
+        let inside = |e: usize| self.nodes.iter().any(|n| subset(h.row(e), &n.bag));
+        if let Some(e) = (0..h.edge_count()).find(|&e| !inside(e)) {
+            return Err(format!("hyperedge {e} not inside any bag"));
         }
-        // connectivity of vertex occurrences (in the decomposition tree)
-        let mut adj = vec![Vec::new(); nb];
-        for &(a, b) in &self.tree_edges {
-            adj[a].push(b);
-            adj[b].push(a);
+        let links = self.tree_edges.iter().copied();
+        match split_vertex(h.n(), nb, |u| &self.nodes[u].bag, links) {
+            Some(v) => Err(format!("vertex {v} occurrences disconnected")),
+            None => Ok(()),
         }
-        for v in h.covered_vertices() {
-            let occ: Vec<usize> = (0..nb)
-                .filter(|&i| self.nodes[i].bag.contains(&v))
-                .collect();
-            if occ.is_empty() {
-                return Err(format!("vertex {v} not in any bag"));
-            }
-            let mut seen = vec![false; nb];
-            let mut stack = vec![occ[0]];
-            seen[occ[0]] = true;
-            let mut reached = 1;
-            while let Some(u) = stack.pop() {
-                for &w in &adj[u] {
-                    if !seen[w] && self.nodes[w].bag.contains(&v) {
-                        seen[w] = true;
-                        reached += 1;
-                        stack.push(w);
-                    }
-                }
-            }
-            if reached != occ.len() {
-                return Err(format!("vertex {v} occurrences disconnected"));
-            }
-        }
-        Ok(())
     }
 }
 
-type EdgeSet = BTreeSet<usize>;
+fn or(mut acc: Vec<u64>, row: &[u64]) -> Vec<u64> {
+    acc.iter_mut().zip(row).for_each(|(a, &r)| *a |= r);
+    acc
+}
+
+fn and(mut acc: Vec<u64>, row: &[u64]) -> Vec<u64> {
+    acc.iter_mut().zip(row).for_each(|(a, &r)| *a &= r);
+    acc
+}
+
+/// `a ⊆ b`, as rows.
+fn subset(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(&x, &y)| x & !y == 0)
+}
+
+/// The rustc `FxHash` mix of `cqapx_structures::fxhash` (a crate this
+/// one does not depend on), for the memo's word keys.
+#[derive(Default)]
+struct Fx(u64);
+
+impl Hasher for Fx {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let word = chunk.iter().rev().fold(0, |w, &b| w << 8 | b as u64);
+            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 struct Search<'a> {
     h: &'a Hypergraph,
-    /// All candidate covers λ with 1 ≤ |λ| ≤ k, precomputed as
-    /// (edge indices, union of vertices).
-    covers: Vec<(Vec<usize>, BTreeSet<Vertex>)>,
-    /// Memo: (component edges, connector) → success subtree root or
-    /// known-failure.
-    memo: HashMap<(EdgeSet, BTreeSet<Vertex>), Option<Subtree>>,
-}
-
-#[derive(Debug, Clone)]
-struct Subtree {
-    nodes: Vec<HtdNode>,
-    edges: Vec<(usize, usize)>,
-    root: usize,
+    /// Words per edge set.
+    ew: usize,
+    /// Every cover λ with 1 ≤ |λ| ≤ k, smallest first (finds
+    /// width-minimal shapes faster), and `⋃λ` of cover `c` as row `c` of
+    /// `unions`.
+    lambdas: Vec<Vec<usize>>,
+    unions: Vec<u64>,
+    /// (component, connector) → the first cover that decomposes it.
+    memo: HashMap<Box<[u64]>, Option<usize>, BuildHasherDefault<Fx>>,
 }
 
 impl<'a> Search<'a> {
     fn new(h: &'a Hypergraph, k: usize) -> Self {
         // Enumerate subsets of edges of size 1..=k.
         let m = h.edge_count();
-        let mut covers = Vec::new();
+        let mut lambdas = Vec::new();
         let mut stack: Vec<Vec<usize>> = (0..m).map(|i| vec![i]).collect();
         while let Some(set) = stack.pop() {
-            let union: BTreeSet<Vertex> = set
-                .iter()
-                .flat_map(|&e| h.edge(e).iter().copied())
-                .collect();
             if set.len() < k {
                 for j in (set[set.len() - 1] + 1)..m {
                     let mut next = set.clone();
@@ -145,132 +154,117 @@ impl<'a> Search<'a> {
                     stack.push(next);
                 }
             }
-            covers.push((set, union));
+            lambdas.push(set);
         }
-        // Prefer small covers (finds width-minimal shapes faster).
-        covers.sort_by_key(|(s, _)| s.len());
+        lambdas.sort_by_key(|s| s.len());
+        let union = |lambda: &Vec<usize>| {
+            lambda
+                .iter()
+                .fold(vec![0; h.words], |u, &e| or(u, h.row(e)))
+        };
+        let unions = lambdas.iter().flat_map(union).collect();
+        let memo = HashMap::default();
         Search {
             h,
-            covers,
-            memo: HashMap::new(),
+            ew: m.div_ceil(64),
+            lambdas,
+            unions,
+            memo,
         }
     }
 
-    /// Edge-components of `comp_edges` relative to the bag `chi`: two edges
-    /// are connected when they share a vertex outside `chi`.
-    fn edge_components(&self, comp_edges: &EdgeSet, chi: &BTreeSet<Vertex>) -> Vec<EdgeSet> {
-        let mut remaining: EdgeSet = comp_edges
-            .iter()
-            .copied()
-            .filter(|&e| !self.h.edge(e).is_subset(chi))
-            .collect();
+    /// The vertices of the edges in `edges`.
+    fn vertices(&self, edges: &[u64]) -> Vec<u64> {
+        bits(edges).fold(vec![0; self.h.words], |u, e| or(u, self.h.row(e)))
+    }
+
+    /// The edge-components of `comp` under the bag `chi`, `ew` words
+    /// each, by lowest edge: the edges not inside `chi`, two connected
+    /// when they share a vertex outside it.
+    fn edge_components(&self, comp: &[u64], chi: &[u64]) -> Vec<u64> {
+        let h = self.h;
+        let mut left: Vec<usize> = bits(comp).filter(|&e| !subset(h.row(e), chi)).collect();
         let mut out = Vec::new();
-        while let Some(&start) = remaining.iter().next() {
-            remaining.remove(&start);
-            let mut comp: EdgeSet = [start].into_iter().collect();
-            let mut frontier = vec![start];
+        while !left.is_empty() {
+            let base = out.len();
+            out.resize(base + self.ew, 0);
+            let mut frontier = vec![left.remove(0)];
             while let Some(e) = frontier.pop() {
-                let outside: BTreeSet<Vertex> = self
-                    .h
-                    .edge(e)
-                    .iter()
-                    .copied()
-                    .filter(|v| !chi.contains(v))
-                    .collect();
-                let adjacent: Vec<usize> = remaining
-                    .iter()
-                    .copied()
-                    .filter(|&f| self.h.edge(f).iter().any(|v| outside.contains(v)))
-                    .collect();
-                for f in adjacent {
-                    remaining.remove(&f);
-                    comp.insert(f);
-                    frontier.push(f);
-                }
+                out[base + e / 64] |= 1 << (e % 64);
+                let rows = |f: &mut usize| h.row(e).iter().zip(h.row(*f)).zip(chi);
+                frontier
+                    .extend(left.extract_if(.., |f| rows(f).any(|((&a, &b), &c)| a & b & !c != 0)));
             }
-            out.push(comp);
         }
         out
     }
 
-    fn decompose(&mut self, comp_edges: &EdgeSet, connector: &BTreeSet<Vertex>) -> Option<Subtree> {
-        let key = (comp_edges.clone(), connector.clone());
-        if let Some(cached) = self.memo.get(&key) {
-            return cached.clone();
-        }
-        let comp_vertices: BTreeSet<Vertex> = comp_edges
-            .iter()
-            .flat_map(|&e| self.h.edge(e).iter().copied())
-            .collect();
-        let mut result: Option<Subtree> = None;
+    /// Cover `c`'s normal-form bag on a component with vertices
+    /// `vertices`: `(⋃λ ∩ vertices) ∪ connector`.
+    fn bag(&self, c: usize, vertices: &[u64], connector: &[u64]) -> Vec<u64> {
+        let union = &self.unions[c * self.h.words..][..self.h.words];
+        let parts = union.iter().zip(vertices).zip(connector);
+        parts.map(|((&u, &v), &x)| (u & v) | x).collect()
+    }
 
-        'covers: for ci in 0..self.covers.len() {
-            let (lambda, union) = &self.covers[ci];
+    /// Whether `comp` has a decomposition whose root bag holds
+    /// `connector`, memoized.
+    fn decompose(&mut self, comp: &[u64], connector: &[u64]) -> bool {
+        let key: Box<[u64]> = comp.iter().chain(connector).copied().collect();
+        if let Some(found) = self.memo.get(&key) {
+            return found.is_some();
+        }
+        let (vertices, edges, ew) = (self.vertices(comp), bits(comp).count(), self.ew);
+        let found = (0..self.lambdas.len()).find(|&c| {
             // The connector must be covered.
-            if !connector.is_subset(union) {
-                continue;
+            if !subset(connector, &self.unions[c * self.h.words..][..self.h.words]) {
+                return false;
             }
-            // Normal-form bag: (∪λ ∩ component vertices) ∪ connector.
-            let mut chi: BTreeSet<Vertex> = union.intersection(&comp_vertices).copied().collect();
-            chi.extend(connector.iter().copied());
-            // Progress: the bag must see into the component.
-            if !comp_vertices.is_empty()
-                && chi.intersection(&comp_vertices).count()
-                    == connector.intersection(&comp_vertices).count()
-                && !comp_edges.iter().all(|&e| self.h.edge(e).is_subset(&chi))
-            {
-                // λ adds nothing beyond the connector but does not finish
-                // the component either: no progress.
-                continue;
+            // Progress: the bag sees into the component beyond the
+            // connector, or holds all of it.
+            let chi = self.bag(c, &vertices, connector);
+            let sees =
+                (chi.iter().zip(&vertices).zip(connector)).any(|((&x, &v), &k)| x & v & !k != 0);
+            if !sees && !bits(comp).all(|e| subset(self.h.row(e), &chi)) {
+                return false;
             }
-            let lambda = lambda.clone();
-            let chi_owned = chi.clone();
-            let subcomponents = self.edge_components(comp_edges, &chi_owned);
             // Strict progress: every sub-component must be smaller.
-            if subcomponents.iter().any(|c| c.len() >= comp_edges.len()) {
-                continue;
+            let subs = self.edge_components(comp, &chi);
+            if subs.chunks(ew).any(|s| bits(s).count() >= edges) {
+                return false;
             }
-            let mut nodes = vec![HtdNode {
-                bag: chi_owned.clone(),
-                cover: lambda,
-            }];
-            let mut edges = Vec::new();
-            for sub in subcomponents {
-                let sub_vertices: BTreeSet<Vertex> = sub
-                    .iter()
-                    .flat_map(|&e| self.h.edge(e).iter().copied())
-                    .collect();
-                let sub_connector: BTreeSet<Vertex> =
-                    sub_vertices.intersection(&chi_owned).copied().collect();
-                match self.decompose(&sub, &sub_connector) {
-                    None => continue 'covers,
-                    Some(st) => {
-                        let off = nodes.len();
-                        nodes.extend(st.nodes);
-                        edges.extend(st.edges.iter().map(|&(a, b)| (a + off, b + off)));
-                        edges.push((0, st.root + off));
-                    }
-                }
-            }
-            result = Some(Subtree {
-                nodes,
-                edges,
-                root: 0,
-            });
-            break;
-        }
+            subs.chunks(ew).all(|sub| {
+                let connector = and(self.vertices(sub), &chi);
+                self.decompose(sub, &connector)
+            })
+        });
+        self.memo.insert(key, found);
+        found.is_some()
+    }
 
-        self.memo.insert(key, result.clone());
-        result
+    /// Appends the decomposition of a decomposed `comp` under
+    /// `connector` to `d`, read off the memo; returns its root node.
+    fn build(&self, comp: &[u64], connector: &[u64], d: &mut HypertreeDecomposition) -> usize {
+        let key: Box<[u64]> = comp.iter().chain(connector).copied().collect();
+        let c = self.memo[&key].expect("decomposed");
+        let bag = self.bag(c, &self.vertices(comp), connector);
+        let (root, subs) = (d.nodes.len(), self.edge_components(comp, &bag));
+        d.nodes.push(HtdNode {
+            bag,
+            cover: self.lambdas[c].clone(),
+        });
+        for sub in subs.chunks(self.ew) {
+            let connector = and(self.vertices(sub), &d.nodes[root].bag);
+            let child = self.build(sub, &connector, d);
+            d.tree_edges.push((root, child));
+        }
+        root
     }
 }
 
-/// Decides `htw(H) ≤ k`, returning a witness decomposition.
-///
-/// `k = 1` delegates to the GYO reduction (`HTW(1)` = α-acyclicity) and
-/// materializes the join tree as a decomposition. For `k ≥ 2` this runs the
-/// det-k-decomp search: polynomial for fixed `k` (the number of
-/// (component, connector) pairs and covers is `O(m^k)`-bounded).
+/// Decides `htw(H) ≤ k`, returning a witness decomposition: det-k-decomp,
+/// polynomial for fixed `k` (the number of (component, connector) pairs
+/// and covers is `O(m^k)`-bounded).
 ///
 /// # Examples
 ///
@@ -288,55 +282,25 @@ pub fn htw_at_most(h: &Hypergraph, k: usize) -> Option<HypertreeDecomposition> {
         k >= 1,
         "hypertree width is at least 1 for nonempty hypergraphs"
     );
+    let mut d = HypertreeDecomposition::default();
     if h.edge_count() == 0 {
-        return Some(HypertreeDecomposition {
-            nodes: Vec::new(),
-            tree_edges: Vec::new(),
-        });
-    }
-    if k == 1 {
-        let r = gyo::gyo_reduce(h);
-        let jt = r.join_tree?;
-        // Each hyperedge becomes a node with itself as bag and cover.
-        let nodes: Vec<HtdNode> = (0..h.edge_count())
-            .map(|i| HtdNode {
-                bag: h.edge(i).clone(),
-                cover: vec![i],
-            })
-            .collect();
-        let mut tree_edges: Vec<(usize, usize)> = jt
-            .parent
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.map(|p| (i, p)))
-            .collect();
-        // Connect forest roots into one tree.
-        let roots = jt.roots();
-        for w in roots.windows(2) {
-            tree_edges.push((w[0], w[1]));
-        }
-        let d = HypertreeDecomposition { nodes, tree_edges };
-        debug_assert!(d.validate(h).is_ok(), "{:?}", d.validate(h));
         return Some(d);
     }
-
     let mut search = Search::new(h, k);
-    let all: EdgeSet = (0..h.edge_count()).collect();
-    let components = search.edge_components(&all, &BTreeSet::new());
-    let mut nodes = Vec::new();
-    let mut tree_edges = Vec::new();
-    let mut roots = Vec::new();
-    for comp in components {
-        let st = search.decompose(&comp, &BTreeSet::new())?;
-        let off = nodes.len();
-        roots.push(st.root + off);
-        nodes.extend(st.nodes);
-        tree_edges.extend(st.edges.iter().map(|&(a, b)| (a + off, b + off)));
+    let (ew, none) = (search.ew, vec![0; h.words]);
+    let mut all = vec![u64::MAX; ew];
+    all[ew - 1] >>= (64 - h.edge_count() % 64) % 64;
+    let components = search.edge_components(&all, &none);
+    if !components
+        .chunks(ew)
+        .all(|comp| search.decompose(comp, &none))
+    {
+        return None;
     }
-    for w in roots.windows(2) {
-        tree_edges.push((w[0], w[1]));
-    }
-    let d = HypertreeDecomposition { nodes, tree_edges };
+    let roots: Vec<usize> = (components.chunks(ew))
+        .map(|comp| search.build(comp, &none, &mut d))
+        .collect();
+    d.tree_edges.extend(roots.windows(2).map(|w| (w[0], w[1])));
     debug_assert!(d.validate(h).is_ok(), "{:?}", d.validate(h));
     Some(d)
 }
@@ -357,6 +321,7 @@ pub fn hypertree_width(h: &Hypergraph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gyo;
 
     #[test]
     fn acyclic_iff_htw1() {
@@ -398,7 +363,7 @@ mod tests {
     #[test]
     fn long_cycle_width_2() {
         // Binary cycle of length 6: htw 2 (two opposite edges cover a bag).
-        let edges: Vec<Vec<Vertex>> = (0..6).map(|i| vec![i, (i + 1) % 6]).collect();
+        let edges: Vec<Vec<u32>> = (0..6).map(|i| vec![i, (i + 1) % 6]).collect();
         let h = Hypergraph::from_edges(6, &edges);
         assert_eq!(hypertree_width(&h), 2);
     }
@@ -440,14 +405,14 @@ mod tests {
         // Lemma 6.4: induced subhypergraphs preserve htw ≤ k.
         let h = Hypergraph::from_edges(4, &[vec![0, 1, 2], vec![2, 3], vec![3, 0]]);
         let w = hypertree_width(&h);
-        let keep: BTreeSet<Vertex> = [0, 2, 3].into_iter().collect();
+        let keep: std::collections::BTreeSet<u32> = [0, 2, 3].into_iter().collect();
         let (ind, _) = h.induced(&keep);
         assert!(hypertree_width(&ind) <= w);
     }
 
     #[test]
     fn empty_hypergraph_decomposition() {
-        let h = Hypergraph::new(0);
+        let h = Hypergraph::from_edges(0, Vec::<Vec<u32>>::new());
         let d = htw_at_most(&h, 1).unwrap();
         d.validate(&h).unwrap();
         assert_eq!(hypertree_width(&h), 0);

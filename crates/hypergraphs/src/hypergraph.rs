@@ -8,8 +8,10 @@ pub type Vertex = u32;
 
 /// A finite hypergraph `H = ⟨V, E⟩` on vertices `0..n`.
 ///
-/// Hyperedges are kept as sorted sets; duplicates are retained in insertion
-/// order only once (set semantics). Empty hyperedges are not allowed.
+/// Each hyperedge is a bit row of `⌈n / 64⌉` words, vertex `v` at bit
+/// `v % 64` of word `v / 64`, and the rows sit end to end in one buffer,
+/// as in `cqapx_graphs::BitGraph`. An edge equal to an earlier one is
+/// dropped; empty hyperedges are not allowed.
 ///
 /// # Examples
 ///
@@ -21,45 +23,64 @@ pub type Vertex = u32;
 /// let h = Hypergraph::from_edges(4, &[vec![0, 1, 2], vec![0, 3], vec![3, 2]]);
 /// assert_eq!(h.n(), 4);
 /// assert_eq!(h.edge_count(), 3);
+/// assert!(h.edge(1).eq([0, 3]));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Hypergraph {
     n: usize,
-    edges: Vec<BTreeSet<Vertex>>,
+    pub(crate) words: usize,
+    rows: Vec<u64>,
 }
 
 impl Hypergraph {
-    /// An edge-less hypergraph on `n` vertices.
-    pub fn new(n: usize) -> Self {
-        Hypergraph {
-            n,
-            edges: Vec::new(),
-        }
-    }
-
     /// Builds from an edge list (each edge a list of vertices): the
     /// hypergraph `H(Q)` of a query's atoms or of a tableau's tuples.
     ///
     /// # Panics
     ///
     /// Panics on empty edges or out-of-range vertices.
-    pub fn from_edges<E: AsRef<[Vertex]>>(n: usize, edges: impl IntoIterator<Item = E>) -> Self {
-        let mut h = Hypergraph::new(n);
-        for e in edges {
-            h.add_edge(e.as_ref());
-        }
+    pub fn from_edges<E: AsRef<[Vertex]>>(
+        n: usize,
+        edges: impl IntoIterator<Item = E, IntoIter: Clone>,
+    ) -> Self {
+        let mut h = Hypergraph::default();
+        h.refill(n, edges);
         h
     }
 
-    /// Adds a hyperedge (idempotent on equal vertex sets).
-    pub fn add_edge(&mut self, vertices: &[Vertex]) {
-        assert!(!vertices.is_empty(), "hyperedges must be nonempty");
-        for &v in vertices {
-            assert!((v as usize) < self.n, "vertex {v} out of range");
+    /// Makes `self` the hypergraph `from_edges(n, edges)` in its own row
+    /// buffer, sized by a first pass over `edges`, and returns it:
+    /// checking many hypergraphs in turn allocates only when one
+    /// outgrows the buffer.
+    pub fn refill<E: AsRef<[Vertex]>>(
+        &mut self,
+        n: usize,
+        edges: impl IntoIterator<Item = E, IntoIter: Clone>,
+    ) -> &Self {
+        let edges = edges.into_iter();
+        (self.n, self.words) = (n, n.div_ceil(64));
+        self.rows.clear();
+        self.rows.reserve(edges.clone().count() * self.words);
+        for e in edges {
+            assert!(!e.as_ref().is_empty(), "hyperedges must be nonempty");
+            self.push_row(e.as_ref().iter().copied());
         }
-        let set: BTreeSet<Vertex> = vertices.iter().copied().collect();
-        if !self.edges.contains(&set) {
-            self.edges.push(set);
+        self
+    }
+
+    /// Appends the row of `vertices` unless it is empty or repeats one.
+    fn push_row(&mut self, vertices: impl Iterator<Item = Vertex>) {
+        let start = self.rows.len();
+        self.rows.resize(start + self.words, 0);
+        for v in vertices {
+            assert!((v as usize) < self.n, "vertex {v} out of range");
+            self.rows[start + v as usize / 64] |= 1 << (v % 64);
+        }
+        let (earlier, row) = self.rows.split_at(start);
+        // Word by word: a slice `==` would call `memcmp` per earlier row.
+        let equal = |r: &[u64]| r.iter().zip(row).all(|(a, b)| a == b);
+        if row.iter().all(|&w| w == 0) || earlier.chunks_exact(self.words).any(equal) {
+            self.rows.truncate(start);
         }
     }
 
@@ -70,17 +91,17 @@ impl Hypergraph {
 
     /// Number of hyperedges.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.rows.len().checked_div(self.words).unwrap_or(0)
     }
 
-    /// The hyperedges.
-    pub fn edges(&self) -> &[BTreeSet<Vertex>] {
-        &self.edges
+    /// Hyperedge `i` as a bit row.
+    pub fn row(&self, i: usize) -> &[u64] {
+        &self.rows[i * self.words..][..self.words]
     }
 
-    /// One hyperedge.
-    pub fn edge(&self, i: usize) -> &BTreeSet<Vertex> {
-        &self.edges[i]
+    /// The vertices of hyperedge `i`, ascending.
+    pub fn edge(&self, i: usize) -> impl Iterator<Item = Vertex> + '_ {
+        bits(self.row(i)).map(|v| v as Vertex)
     }
 
     /// The **induced subhypergraph** on `V' ⊆ V`:
@@ -96,20 +117,31 @@ impl Hypergraph {
             assert!((old as usize) < self.n, "vertex {old} out of range");
             remap[old as usize] = Some(new as Vertex);
         }
-        let mut h = Hypergraph::new(keep.len());
-        for e in &self.edges {
-            let inter: Vec<Vertex> = e.iter().filter_map(|&v| remap[v as usize]).collect();
-            if !inter.is_empty() {
-                h.add_edge(&inter);
-            }
+        let (n, rows) = (keep.len(), Vec::new());
+        let mut h = Hypergraph {
+            n,
+            words: n.div_ceil(64),
+            rows,
+        };
+        for i in 0..self.edge_count() {
+            h.push_row(self.edge(i).filter_map(|v| remap[v as usize]));
         }
         (h, remap)
     }
+}
 
-    /// Vertices that occur in at least one hyperedge.
-    pub(crate) fn covered_vertices(&self) -> BTreeSet<Vertex> {
-        self.edges.iter().flat_map(|e| e.iter().copied()).collect()
-    }
+/// The set bits of a row, ascending.
+pub(crate) fn bits(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    let (mut k, mut word) = (0, row.first().copied().unwrap_or(0));
+    std::iter::from_fn(move || {
+        while word == 0 {
+            k += 1;
+            word = *row.get(k)?;
+        }
+        let bit = word.trailing_zeros() as usize;
+        word &= word - 1;
+        Some(k * 64 + bit)
+    })
 }
 
 #[cfg(test)]
@@ -137,6 +169,15 @@ mod tests {
     fn dedup_edges() {
         let h = Hypergraph::from_edges(2, &[vec![0, 1], vec![1, 0]]);
         assert_eq!(h.edge_count(), 1);
+    }
+
+    #[test]
+    fn rows_span_words() {
+        let h = Hypergraph::from_edges(130, &[vec![129, 0, 64], vec![63]]);
+        assert_eq!(h.words, 3);
+        assert_eq!(h.row(0), [1, 1, 2]);
+        assert!(h.edge(0).eq([0, 64, 129]));
+        assert!(h.edge(1).eq([63]));
     }
 
     #[test]

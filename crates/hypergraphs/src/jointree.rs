@@ -1,6 +1,6 @@
 //! Join trees: the acyclicity witness Yannakakis' algorithm walks.
 
-use crate::hypergraph::Hypergraph;
+use crate::hypergraph::{bits, Hypergraph};
 use serde::{Deserialize, Serialize};
 
 /// A join tree over the hyperedges `0..n_edges` of a hypergraph: a rooted
@@ -15,32 +15,31 @@ pub struct JoinTree {
 }
 
 impl JoinTree {
-    /// Roots of the forest.
-    pub(crate) fn roots(&self) -> Vec<usize> {
-        (0..self.n_edges)
-            .filter(|&i| self.parent[i].is_none())
-            .collect()
-    }
-
-    /// A bottom-up ordering (children before parents).
+    /// A bottom-up ordering (children before parents): the post-order of
+    /// a depth-first walk taking roots and children highest first. Two
+    /// allocator calls for any tree: the walk climbs back by the parent
+    /// links, so it keeps no stack.
     pub fn bottom_up_order(&self) -> Vec<usize> {
-        // Each edge's first child and next sibling, ascending.
-        let mut links: Vec<(Option<usize>, Option<usize>)> = vec![(None, None); self.n_edges];
-        for (u, p) in self.parent.iter().enumerate().rev() {
-            if let Some(p) = *p {
-                (links[u].1, links[p].0) = (links[p].0, Some(u));
-            }
+        let n = self.n_edges;
+        // Each node's highest child and next lower sibling; the roots are
+        // the children of node `n`.
+        let mut links: Vec<(Option<usize>, Option<usize>)> = vec![(None, None); n + 1];
+        for (u, p) in self.parent.iter().enumerate() {
+            let p = p.unwrap_or(n);
+            (links[u].1, links[p].0) = (links[p].0, Some(u));
         }
-        let mut order = Vec::with_capacity(self.n_edges);
-        let mut stack: Vec<(usize, bool)> = self.roots().into_iter().map(|r| (r, false)).collect();
-        while let Some((v, expanded)) = stack.pop() {
-            if expanded {
-                order.push(v);
-            } else {
-                stack.push((v, true));
-                let children = std::iter::successors(links[v].0, |&c| links[c].1);
-                stack.extend(children.map(|c| (c, false)));
+        let mut order = Vec::with_capacity(n);
+        let mut next = links[n].0;
+        while let Some(mut v) = next {
+            while let Some(child) = links[v].0 {
+                v = child;
             }
+            order.push(v);
+            while let (None, Some(p)) = (links[v].1, self.parent[v]) {
+                order.push(p);
+                v = p;
+            }
+            next = links[v].1;
         }
         order
     }
@@ -48,69 +47,47 @@ impl JoinTree {
     /// Validates the running intersection property against a hypergraph,
     /// and that the parent links are acyclic.
     pub fn validate(&self, h: &Hypergraph) -> Result<(), String> {
-        if self.n_edges != h.edge_count() {
+        let n = self.n_edges;
+        if n != h.edge_count() || self.parent.len() != n {
             return Err(format!(
-                "join tree covers {} edges, hypergraph has {}",
-                self.n_edges,
+                "join tree covers {n} edges, hypergraph has {}",
                 h.edge_count()
             ));
         }
-        // Acyclicity of parent links.
-        for start in 0..self.n_edges {
-            let mut seen = vec![false; self.n_edges];
-            let mut cur = start;
-            loop {
-                if seen[cur] {
-                    return Err(format!("parent links cycle through edge {cur}"));
-                }
-                seen[cur] = true;
-                match self.parent[cur] {
-                    None => break,
-                    Some(p) => cur = p,
-                }
-            }
+        // A chain of more than `n` parent links repeats an edge.
+        if let Some(e) = (0..n).find(|&e| {
+            std::iter::successors(Some(e), |&e| self.parent[e])
+                .nth(n)
+                .is_some()
+        }) {
+            return Err(format!("parent links cycle through edge {e}"));
         }
-        // Running intersection: for every vertex, the set of edges
-        // containing it must induce a connected subgraph of the forest.
-        for v in 0..h.n() as u32 {
-            let occ: Vec<usize> = (0..self.n_edges)
-                .filter(|&i| h.edge(i).contains(&v))
-                .collect();
-            if occ.len() <= 1 {
-                continue;
-            }
-            // Union-find style: walk each occurrence's ancestor chain and
-            // record the highest occurrence reachable through occurrences.
-            // Simpler: build adjacency among occurrences via parent links
-            // *within* the occurrence set and count components.
-            let mut comp: Vec<usize> = (0..occ.len()).collect();
-            fn find(comp: &mut Vec<usize>, i: usize) -> usize {
-                if comp[i] != i {
-                    let r = find(comp, comp[i]);
-                    comp[i] = r;
-                }
-                comp[i]
-            }
-            for (ai, &a) in occ.iter().enumerate() {
-                if let Some(p) = self.parent[a] {
-                    if let Some(bi) = occ.iter().position(|&b| b == p) {
-                        let ra = find(&mut comp, ai);
-                        let rb = find(&mut comp, bi);
-                        comp[ra] = rb;
-                    }
-                }
-            }
-            let mut roots: Vec<usize> = (0..occ.len()).map(|i| find(&mut comp, i)).collect();
-            roots.sort_unstable();
-            roots.dedup();
-            if roots.len() != 1 {
-                return Err(format!(
-                    "vertex {v} occurs in disconnected parts of the join tree"
-                ));
-            }
+        let links = (0..n).filter_map(|e| Some((e, self.parent[e]?)));
+        match split_vertex(h.n(), n, |e| h.row(e), links) {
+            Some(v) => Err(format!(
+                "vertex {v} occurs in disconnected parts of the join tree"
+            )),
+            None => Ok(()),
         }
-        Ok(())
     }
+}
+
+/// A vertex `0..n` that the forest `links` over `nodes` nodes does not
+/// keep connected: in a forest, the nodes whose bag holds a vertex, less
+/// the links between two of them, count the parts they fall in.
+pub(crate) fn split_vertex<'a>(
+    n: usize,
+    nodes: usize,
+    bag: impl Fn(usize) -> &'a [u64],
+    links: impl Iterator<Item = (usize, usize)>,
+) -> Option<usize> {
+    let mut parts = vec![0i64; n];
+    (0..nodes).for_each(|u| bits(bag(u)).for_each(|v| parts[v] += 1));
+    for (a, b) in links {
+        let both: Vec<u64> = bag(a).iter().zip(bag(b)).map(|(x, y)| x & y).collect();
+        bits(&both).for_each(|v| parts[v] -= 1);
+    }
+    parts.iter().position(|&p| p > 1)
 }
 
 #[cfg(test)]

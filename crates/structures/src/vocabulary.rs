@@ -126,7 +126,7 @@ impl Vocabulary {
     }
 
     /// Iterates over all relation identifiers in order.
-    pub fn rel_ids(&self) -> impl Iterator<Item = RelId> + '_ {
+    pub fn rel_ids(&self) -> impl Iterator<Item = RelId> + Clone + '_ {
         (0..self.symbols.len() as u32).map(RelId)
     }
 
