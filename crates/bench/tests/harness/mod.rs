@@ -334,7 +334,7 @@ fn decomposed_roots(q: &ConjunctiveQuery) -> Vec<TreePlan> {
         .expect("decomposes at the exact treewidth")
         .reduced();
     assert!(td.width() <= tw, "width above the treewidth on {q}");
-    (0..td.bags.len())
+    (0..td.bag_count())
         .map(|root| {
             let plan = TreePlan::rooted(q, td.clone(), root);
             assert_eq!(plan.width(), Some(td.width()));

@@ -172,10 +172,11 @@ fn wide_nodes_on_cycles() {
         skewed_digraph(30, 120, 0x5EED),
     ];
     for n in [5u32, 6, 7] {
-        let path = TreeDecomposition {
-            bags: (1..n - 1).map(|i| vec![0, i, i + 1]).collect(),
-            tree_edges: (0..n as usize - 3).map(|i| (i, i + 1)).collect(),
-        };
+        let path = TreeDecomposition::from_bags(
+            n as usize,
+            (1..n - 1).map(|i| [0, i, i + 1]),
+            (0..n as usize - 3).map(|i| (i, i + 1)).collect(),
+        );
         // Centre `{v0, v2, v4}` with the triangles over `v1` and `v3`
         // as leaves; the rest of the ring, `v4 → … → v0`, is a fan
         // around `v4` hanging off the centre (one more leaf for `C₆`).
@@ -189,7 +190,7 @@ fn wide_nodes_on_cycles() {
             tree_edges.push((above, bags.len() - 1));
             above = bags.len() - 1;
         }
-        let star = TreeDecomposition { bags, tree_edges };
+        let star = TreeDecomposition::from_bags(n as usize, bags, tree_edges);
         let atoms: Vec<String> = (0..n)
             .map(|i| format!("E(v{i}, v{})", (i + 1) % n))
             .collect();
@@ -202,7 +203,7 @@ fn wide_nodes_on_cycles() {
                     td.validate(&query_graph(&q))
                         .unwrap_or_else(|e| panic!("C{n}: {e:?}"));
                     let mut reached = 0;
-                    for root in 0..td.bags.len() {
+                    for root in 0..td.bag_count() {
                         let plan = TreePlan::rooted(&q, td.clone(), root);
                         let what = format!("root {root} of {td:?} on {q}");
                         assert_is(&plan.ir().answers(d, None).0, &expected, q.arity(), &what);
@@ -458,10 +459,11 @@ fn cached_rows_are_never_written_through_a_sharing_slot() {
         "Q(a) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,a)",
         C6,
     ];
-    let star = TreeDecomposition {
-        bags: vec![vec![1, 3, 5], vec![0, 1, 5], vec![1, 2, 3], vec![3, 4, 5]],
-        tree_edges: vec![(0, 1), (0, 2), (0, 3)],
-    };
+    let star = TreeDecomposition::from_bags(
+        6,
+        [[1, 3, 5], [0, 1, 5], [1, 2, 3], [3, 4, 5]],
+        vec![(0, 1), (0, 2), (0, 3)],
+    );
     star.validate(&query_graph(&parse_cq(C6).unwrap())).unwrap();
     let mut landed: Vec<(String, Vec<Vec<u32>>)> = Vec::new();
     let mut connector_bags = 0;

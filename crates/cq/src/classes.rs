@@ -5,7 +5,7 @@
 //!   the clique on its arguments. Graph-based classes: `TW(k)`.
 //! * `H(Q)` — nodes are the variables; every atom contributes the
 //!   hyperedge of its argument *set*. Hypergraph-based classes: `AC`
-//!   (α-acyclic), `HTW(k)`, `GHTW(k)`.
+//!   (α-acyclic) and `HTW(k)`; `GHTW(k)` is not implemented.
 //!
 //! For queries over graphs, `AC = TW(1)`; in general the graph-based and
 //! hypergraph-based notions are incomparable (Flum, Frick & Grohe).

@@ -149,10 +149,11 @@ mod tests {
         // A star over C6 whose centre {b, d, f} covers no atom — a shape
         // `compile` never picks — evaluated from each of its bags.
         let q = parse_cq("Q(a, d) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
-        let star = TreeDecomposition {
-            bags: vec![vec![0, 1, 5], vec![1, 2, 3], vec![1, 3, 5], vec![3, 4, 5]],
-            tree_edges: vec![(0, 2), (1, 2), (2, 3)],
-        };
+        let star = TreeDecomposition::from_bags(
+            6,
+            [[0, 1, 5], [1, 2, 3], [1, 3, 5], [3, 4, 5]],
+            vec![(0, 2), (1, 2), (2, 3)],
+        );
         star.validate(&query_graph(&q)).unwrap();
         let d = Structure::digraph(
             7,
@@ -170,7 +171,7 @@ mod tests {
         );
         let expected = eval_naive(&q, &d);
         assert!(!expected.is_empty());
-        for root in 0..star.bags.len() {
+        for root in 0..star.bag_count() {
             let plan = TreePlan::rooted(&q, star.clone(), root);
             assert_eq!(plan.width(), Some(2));
             let centre = plan.bags().nth(2).unwrap().1;

@@ -453,15 +453,6 @@ impl FlatRelation {
         }
     }
 
-    /// Whether both relations read the same shared row bytes.
-    #[cfg(test)]
-    pub(crate) fn shares_rows_with(&self, other: &FlatRelation) -> bool {
-        match (&self.data, &other.data) {
-            (Rows::Shared(a), Rows::Shared(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-
     /// Sorts rows lexicographically and removes duplicates, leaving the
     /// canonical form all set-level comparisons rely on, its packed
     /// sorts counted into `stats`. Nothing beyond one sequential pass
@@ -1621,12 +1612,14 @@ impl AtomBinder {
             }
         }
         let eq_checks = Span::since(start, words);
-        let start = words.len();
-        words.extend(ascending(args.iter().copied()).map(first));
+        let out_pos = push_ascending(words, args.iter().copied());
+        for w in &mut words[out_pos.range()] {
+            *w = first(*w);
+        }
         AtomBinder {
             rel: atom.rel,
             eq_checks,
-            out_pos: Span::since(start, words),
+            out_pos,
         }
     }
 
@@ -1688,11 +1681,21 @@ impl AtomBinder {
     }
 }
 
-/// Each distinct variable of `vars`, ascending: a hyperedge's schema,
-/// written without a sort buffer.
-pub(crate) fn ascending(vars: impl Iterator<Item = VarId> + Clone) -> impl Iterator<Item = VarId> {
-    let first = vars.clone().min();
-    std::iter::successors(first, move |&low| vars.clone().filter(|&v| v > low).min())
+/// Appends each distinct variable of `vars` to `words`, ascending — a
+/// hyperedge's schema — sorting and deduplicating them where they lie:
+/// the buffer needs room for all of them, repeats included.
+pub(crate) fn push_ascending(words: &mut Vec<u32>, vars: impl IntoIterator<Item = VarId>) -> Span {
+    let start = words.len();
+    words.extend(vars);
+    words[start..].sort_unstable();
+    let mut kept = start;
+    for i in start..words.len() {
+        if kept == start || words[i] != words[kept - 1] {
+            (words[kept], kept) = (words[i], kept + 1);
+        }
+    }
+    words.truncate(kept);
+    Span::since(start, words)
 }
 
 /// The canonical identity of a materialized hyperedge relation,
@@ -1720,22 +1723,36 @@ impl Borrow<[u32]> for MatKey {
 
 impl MatKey {
     /// Writes the key of a hyperedge onto `words`: `atoms` are every
-    /// atom of it, each over all of its variables. The atoms go in
-    /// ascending `(relation, arguments)` order without repeats; a
-    /// variable's column is the number of distinct smaller ones.
-    pub(crate) fn write(atoms: &[&Atom], words: &mut Vec<u32>) -> Span {
+    /// atom of it, each over all of its variables, and `schema` is the
+    /// span of `words` holding the hyperedge's distinct variables,
+    /// ascending ([`push_ascending`]). The atoms go in ascending
+    /// `(relation, arguments)` order without repeats; a variable's column
+    /// is its position in `schema`.
+    pub(crate) fn write(atoms: &[&Atom], schema: Span, words: &mut Vec<u32>) -> Span {
         let start = words.len();
-        let vars = atoms.iter().flat_map(|a| a.args.iter().copied());
-        let col = |v: VarId| ascending(vars.clone()).take_while(|&u| u < v).count() as u32;
         // Column indexes rise with the variables, so ordering by the
         // arguments orders the atoms by their columns too.
         let keyed = atoms.iter().map(|a| (a.rel, &a.args[..]));
         let above = |low: Option<(RelId, &[VarId])>| keyed.clone().filter(|k| low < Some(*k)).min();
         for (rel, args) in std::iter::successors(above(None), |&k| above(Some(k))) {
             words.extend([rel.0, args.len() as u32]);
-            words.extend(args.iter().map(|&v| col(v)));
+            for v in args {
+                let col = words[schema.range()]
+                    .binary_search(v)
+                    .expect("in the schema");
+                words.push(col as u32);
+            }
         }
         Span::since(start, words)
+    }
+
+    /// Writes the key of `atom` taken as its own hyperedge onto `words`,
+    /// which needs room for the atom's schema besides: the schema is
+    /// written first, and the key then moves down over it.
+    pub(crate) fn write_atom(atom: &Atom, words: &mut Vec<u32>) {
+        let schema = push_ascending(words, atom.args.iter().copied());
+        MatKey::write(&[atom], schema, words);
+        words.drain(schema.range());
     }
 }
 
@@ -1916,6 +1933,14 @@ mod tests {
     }
 
     impl FlatRelation {
+        /// Whether both relations read the same shared row bytes.
+        pub(crate) fn shares_rows_with(&self, other: &FlatRelation) -> bool {
+            match (&self.data, &other.data) {
+                (Rows::Shared(a), Rows::Shared(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            }
+        }
+
         /// The `i`-th row.
         pub(crate) fn row(&self, i: usize) -> &[Element] {
             let a = self.schema.len();
@@ -1949,7 +1974,7 @@ mod tests {
         /// The key of `atom` taken as its own hyperedge.
         fn of_atom(atom: &Atom) -> MatKey {
             let mut words = Vec::new();
-            MatKey::write(&[atom], &mut words);
+            MatKey::write_atom(atom, &mut words);
             MatKey {
                 atoms: words.into(),
             }
@@ -3443,6 +3468,71 @@ mod tests {
             // The gather over the whole join keeps the same set.
             let alone = FlatRelation::reference_of(&[&l, &r], &schema).project(&vars, &mut stats);
             prop_assert_eq!(&alone.data, &want.data);
+        }
+    }
+
+    /// Each distinct variable of `vars`, ascending, found by a rescan
+    /// per value: the schema writer before [`push_ascending`], kept as
+    /// its oracle.
+    fn ascending(vars: impl Iterator<Item = VarId> + Clone) -> impl Iterator<Item = VarId> {
+        let first = vars.clone().min();
+        std::iter::successors(first, move |&low| vars.clone().filter(|&v| v > low).min())
+    }
+
+    /// [`MatKey::write`] before it read columns from a written schema:
+    /// a column is the count of distinct smaller variables, by
+    /// [`ascending`].
+    fn key_by_rescan(atoms: &[&Atom], words: &mut Vec<u32>) {
+        let vars = atoms.iter().flat_map(|a| a.args.iter().copied());
+        let col = |v: VarId| ascending(vars.clone()).take_while(|&u| u < v).count() as u32;
+        let keyed = atoms.iter().map(|a| (a.rel, &a.args[..]));
+        let above = |low: Option<(RelId, &[VarId])>| keyed.clone().filter(|k| low < Some(*k)).min();
+        for (rel, args) in std::iter::successors(above(None), |&k| above(Some(k))) {
+            words.extend([rel.0, args.len() as u32]);
+            words.extend(args.iter().map(|&v| col(v)));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The sort-once writers put down the words the rescanning ones
+        /// did, on groups of up to four atoms over up to five variables
+        /// with ids up to 199, arguments repeated: the schema, the key of
+        /// the group and of each atom alone, and each atom's binder.
+        #[test]
+        fn sort_once_writers_match_the_rescanning_ones(
+            pool in proptest::collection::vec(0..200u32, 1..=5),
+            atoms in proptest::collection::vec(
+                (0..3u32, proptest::collection::vec(0..5usize, 1..=4)), 1..=4),
+        ) {
+            let atoms: Vec<Atom> = (atoms.iter())
+                .map(|(rel, picks)| Atom {
+                    rel: RelId(*rel),
+                    args: picks.iter().map(|&i| pool[i % pool.len()]).collect(),
+                })
+                .collect();
+            let group: Vec<&Atom> = atoms.iter().collect();
+            let vars = || atoms.iter().flat_map(|a| a.args.iter().copied());
+            let (mut words, mut want) = (vec![7], vec![7]);
+            let schema = push_ascending(&mut words, vars());
+            want.extend(ascending(vars()));
+            MatKey::write(&group, schema, &mut words);
+            key_by_rescan(&group, &mut want);
+            for atom in &atoms {
+                MatKey::write_atom(atom, &mut words);
+                key_by_rescan(&[atom], &mut want);
+                AtomBinder::compile(atom, &mut words);
+                let args = &atom.args;
+                let first = |v: VarId| args.iter().position(|&u| u == v).unwrap() as u32;
+                for (j, &v) in args.iter().enumerate() {
+                    if first(v) < j as u32 {
+                        want.extend([first(v), j as u32]);
+                    }
+                }
+                want.extend(ascending(args.iter().copied()).map(first));
+            }
+            prop_assert_eq!(words, want);
         }
     }
 }

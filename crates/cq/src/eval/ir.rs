@@ -37,7 +37,8 @@
 use crate::ast::{Atom, VarId};
 use crate::eval::answers::Answers;
 use crate::eval::flat::{
-    ascending, multiway_join, AtomBinder, FlatRelation, MatCacheStats, MatKey, MaterializationCache,
+    multiway_join, push_ascending, AtomBinder, FlatRelation, MatCacheStats, MatKey,
+    MaterializationCache,
 };
 use cqapx_structures::{DomainBitmap, Element, Structure};
 use std::borrow::Cow;
@@ -874,11 +875,17 @@ pub struct NodeSpec<'a> {
     /// variable set adjacent: one part each. None give the 0-ary "true"
     /// relation (a connector bag).
     pub atoms: &'a [&'a Atom],
-    /// Sorted connectivity label: the variable set guaranteed to satisfy
-    /// the running-intersection property over the tree — the whole bag
-    /// of a tree-decomposition node. `None` for a join-tree node, whose
-    /// label is its schema.
-    pub label: Option<&'a [VarId]>,
+    /// Connectivity label, a bit row over the query's variables holding
+    /// the node's schema: the variable set guaranteed to satisfy the
+    /// running-intersection property over the tree — the whole bag of a
+    /// tree-decomposition node. `None` for a join-tree node, whose label
+    /// is its schema.
+    pub label: Option<&'a [u64]>,
+}
+
+/// The number of variables the bit row `row` holds.
+fn row_len(row: &[u64]) -> usize {
+    row.iter().map(|w| w.count_ones() as usize).sum()
 }
 
 /// Compiles the Yannakakis pipeline over a rooted tree (or forest) of
@@ -964,7 +971,11 @@ pub fn compile_tree(
         }
     }
     let schema = |at: &[NodeState], u: usize| at[u].schema.range();
-    let own = |u: usize| nodes[u].label.is_none_or(|l| *l == words[schema(&at, u)]);
+    let own = |u: usize| {
+        nodes[u]
+            .label
+            .is_none_or(|l| row_len(l) == schema(&at, u).len())
+    };
     let reduction_decides = (0..n).all(own);
     let ops = &mut plan.ops;
     let mut slots = n; // slots 0..n hold the node relations
@@ -996,11 +1007,14 @@ pub fn compile_tree(
             }
         }
         let joined = scratch.len();
-        let above = parent[u].map(|p| nodes[p].label.unwrap_or(&words[schema(&at, p)]));
+        let above = parent[u].map(|p| (nodes[p].label, &words[schema(&at, p)]));
         let mut kept = start;
         for i in start..joined {
             let v = scratch[i];
-            if free.contains(&v) || above.is_some_and(|l| l.binary_search(&v).is_ok()) {
+            let held = |(l, s): (Option<&[u64]>, &[u32])| {
+                l.map_or(s.contains(&v), |l| l[v as usize / 64] >> (v % 64) & 1 == 1)
+            };
+            if free.contains(&v) || above.is_some_and(held) {
                 (scratch[kept], kept) = (v, kept + 1);
             }
         }
@@ -1240,8 +1254,8 @@ fn write_source(
 ) -> MatSource {
     let first = parts.len();
     for group in atoms.chunk_by(|a, b| a.same_vars(b)) {
-        let schema = push(words, ascending(group[0].args.iter().copied()));
-        let key = MatKey::write(group, words);
+        let schema = push_ascending(words, group[0].args.iter().copied());
+        let key = MatKey::write(group, schema, words);
         let start = binders.len();
         binders.extend(group.iter().map(|a| AtomBinder::compile(a, words)));
         let binders = Span::since(start, binders);
@@ -1260,13 +1274,10 @@ fn write_source(
             parts: own,
         };
     }
-    let schema = push(
-        words,
-        ascending(atoms.iter().flat_map(|a| a.args.iter().copied())),
-    );
+    let schema = push_ascending(words, atoms.iter().flat_map(|a| a.args.iter().copied()));
     MatSource {
         schema,
-        key: MatKey::write(atoms, words),
+        key: MatKey::write(atoms, schema, words),
         parts: own,
     }
 }
@@ -1280,7 +1291,7 @@ fn write_source(
 /// children's lists, then its own.
 fn room(nodes: &[NodeSpec], parent: &[Option<usize>], free: &[VarId]) -> [usize; 2] {
     let arguments = |u: usize| nodes[u].atoms.iter().map(|a| a.args.len()).sum::<usize>();
-    let label = |u: usize| nodes[u].label.map_or(arguments(u), <[VarId]>::len);
+    let label = |u: usize| nodes[u].label.map_or(arguments(u), row_len);
     let kept = |u: usize| free.len() + parent[u].map_or(0, label);
     let words = |u: usize| 4 * nodes[u].atoms.len() + 8 * arguments(u) + kept(u) + free.len() + 6;
     let scratch = |u: usize| arguments(u) + 2 * kept(u);
@@ -1767,7 +1778,7 @@ mod tests {
         let atoms = atoms_of(&q);
         let nodes = atom_nodes(&atoms);
         let mut bags = nodes.clone();
-        bags[1].label = Some(&[0, 1, 2]);
+        bags[1].label = Some(&[0b111]); // the bit row of x, y and z
         let (parent, order) = ([None, Some(0), Some(1)], [2, 1, 0]);
         let tree = compile_tree(&nodes, &parent, &order, q.free_vars());
         let decomp = compile_tree(&bags, &parent, &order, q.free_vars());
@@ -2012,10 +2023,11 @@ mod tests {
         // The star decomposition of C6 around a centre covering no
         // atom, rooted there: three children, one op.
         let c6 = parse_cq("Q(a, d) :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap();
-        let td = cqapx_graphs::treewidth::TreeDecomposition {
-            bags: vec![vec![0, 1, 5], vec![1, 2, 3], vec![1, 3, 5], vec![3, 4, 5]],
-            tree_edges: vec![(0, 2), (1, 2), (2, 3)],
-        };
+        let td = cqapx_graphs::treewidth::TreeDecomposition::from_bags(
+            6,
+            [[0, 1, 5], [1, 2, 3], [1, 3, 5], [3, 4, 5]],
+            vec![(0, 2), (1, 2), (2, 3)],
+        );
         let centred = TreePlan::rooted(&c6, td, 2);
         assert_eq!((multiway(centred.ir()), joins_in(centred.ir())), (1, 0));
         assert!(matches!(

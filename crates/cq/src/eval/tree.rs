@@ -32,7 +32,6 @@
 
 use crate::ast::{Atom, ConjunctiveQuery, VarId};
 use crate::classes::query_graph;
-use crate::eval::flat::ascending;
 use crate::eval::ir::{compile_tree, MatSource, NodeSpec, PlanIr};
 use cqapx_graphs::treewidth::{treewidth_at_most, TreeDecomposition};
 use cqapx_hypergraphs::{gyo, Hypergraph};
@@ -72,11 +71,8 @@ impl TreePlan {
     /// rooted at an end, and where every vertex has an out-edge each
     /// node hands on its cached column bitmap unread.
     pub fn join_tree(query: &ConjunctiveQuery) -> Option<TreePlan> {
-        // Group atoms by variable set, preserving first-occurrence order so
-        // that group indices equal hyperedge indices of `Hypergraph` (which
-        // deduplicates in insertion order too).
-        let mut atoms: Vec<&Atom> = query.atoms().iter().collect();
-        atoms.sort_by_key(|a| query.atoms().iter().position(|b| b.same_vars(a)));
+        // Group indices are `Hypergraph`'s edge indices: it dedups in order.
+        let atoms = grouped(query, 0);
         let groups = || atoms.chunk_by(|a, b| a.same_vars(b));
         let h = Hypergraph::from_edges(query.var_count(), groups().map(|g| &g[0].args));
         let join_tree = gyo::gyo_reduce(&h)?;
@@ -136,9 +132,10 @@ impl TreePlan {
     pub fn from_decomposition(query: &ConjunctiveQuery, td: TreeDecomposition) -> TreePlan {
         let td = td.reduced();
         let heights = td.heights();
-        let head = |bag: &[VarId]| query.free_vars().iter().filter(|v| bag.contains(v)).count();
-        let root = (0..td.bags.len())
-            .min_by_key(|&b| (heights[b], Reverse(head(&td.bags[b])), b))
+        let free = query.free_vars();
+        let head = |b: usize| free.iter().filter(|&&v| td.contains(b, v)).count();
+        let root = (0..td.bag_count())
+            .min_by_key(|&b| (heights[b], Reverse(head(b)), b))
             .expect("a decomposition has at least one bag");
         Self::rooted(query, td, root)
     }
@@ -149,32 +146,34 @@ impl TreePlan {
     /// `root` is not one of them, or some atom's variables lie in no bag.
     pub fn rooted(query: &ConjunctiveQuery, td: TreeDecomposition, root: usize) -> TreePlan {
         let rooted = td.rooted_at(root);
-        let (width, bag_sizes) = (Some(td.width()), td.bags.iter().map(Vec::len).collect());
-        // Assign each atom to every bag covering its variable set, and
-        // group the atoms of a bag by variable set: one part each. A
-        // connector bag covering no atom gets the "true" relation. One
-        // buffer holds every bag's atoms in turn, and the bags are the
-        // labels.
-        let covers = |bag: &[VarId], a: &Atom| a.args.iter().all(|v| bag.binary_search(v).is_ok());
-        let in_bag = |bag: &[VarId]| query.atoms().iter().filter(|a| covers(bag, a)).count();
+        let bags = 0..td.bag_count();
+        let width = Some(td.width());
+        let bag_sizes = bags.clone().map(|b| td.bag_len(b)).collect();
+        // Each atom goes to every bag covering its variable set, a bag's
+        // atoms grouped by variable set, one part each; a connector bag
+        // covering no atom gets the "true" relation. One buffer holds the
+        // atoms grouped once, then each bag's, filtered from them.
+        let covers = |b: usize, a: &Atom| a.args.iter().all(|&v| td.contains(b, v));
+        let in_bag = |b: usize| query.atoms().iter().filter(|a| covers(b, a)).count();
         assert!(
-            (query.atoms().iter()).all(|a| td.bags.iter().any(|bag| covers(bag, a))),
+            (query.atoms().iter()).all(|a| bags.clone().any(|b| covers(b, a))),
             "every atom's variable clique must lie in some bag"
         );
-        let mut atoms: Vec<&Atom> = Vec::with_capacity(td.bags.iter().map(|b| in_bag(b)).sum());
-        for bag in &td.bags {
-            let start = atoms.len();
-            atoms.extend(query.atoms().iter().filter(|a| covers(bag, a)));
-            atoms[start..].sort_by_key(|a| query.atoms().iter().position(|b| b.same_vars(a)));
+        let m = query.atom_count();
+        let mut atoms = grouped(query, bags.clone().map(in_bag).sum());
+        for (b, i) in bags.clone().flat_map(|b| (0..m).map(move |i| (b, i))) {
+            if covers(b, atoms[i]) {
+                atoms.push(atoms[i]);
+            }
         }
-        let mut rest = &atoms[..];
-        let nodes: Vec<NodeSpec> = (td.bags.iter())
-            .map(|bag| {
-                let (atoms, tail) = rest.split_at(in_bag(bag));
+        let mut rest = &atoms[m..];
+        let nodes: Vec<NodeSpec> = bags
+            .map(|b| {
+                let (atoms, tail) = rest.split_at(in_bag(b));
                 rest = tail;
                 NodeSpec {
                     atoms,
-                    label: Some(bag),
+                    label: Some(td.row(b)),
                 }
             })
             .collect();
@@ -212,6 +211,17 @@ impl From<TreePlan> for PlanIr {
     }
 }
 
+/// The atoms of `query` grouped by variable set, with no sort: the sets
+/// in the order of their first atoms, each in body order; the buffer has
+/// room for `more` atoms besides.
+fn grouped(query: &ConjunctiveQuery, more: usize) -> Vec<&Atom> {
+    let all = query.atoms();
+    let firsts = (0..all.len()).filter(|&i| !all[..i].iter().any(|b| b.same_vars(&all[i])));
+    let mut atoms = Vec::with_capacity(all.len() + more);
+    atoms.extend(firsts.flat_map(|i| all[i..].iter().filter(move |b| b.same_vars(&all[i]))));
+    atoms
+}
+
 /// Re-roots each tree of the join forest `parent` (`order` lists
 /// children before parents) at the node holding the most head variables
 /// `free` or, on a Boolean tree, at the node with the fewest *off-lead*
@@ -229,12 +239,15 @@ pub(super) fn choose_roots(
     free: &[VarId],
 ) {
     // A node's schema: the distinct arguments of its first atom (its
-    // atoms share one variable set), ascending.
-    let schema = |u: usize| ascending(nodes[u].atoms[0].args.iter().copied());
+    // atoms share one variable set); column 0 is the least.
+    let schema = |u: usize| {
+        let args = &nodes[u].atoms[0].args;
+        (args.iter().enumerate()).filter_map(|(i, v)| (!args[..i].contains(v)).then_some(v))
+    };
     let off_lead = |child: usize, parent: usize| {
         let p = &nodes[parent].atoms[0].args;
         let shared = schema(child).filter(|v| p.contains(v)).count();
-        shared != 1 || schema(child).next().is_none_or(|lead| !p.contains(&lead))
+        shared != 1 || schema(child).min().is_none_or(|lead| !p.contains(lead))
     };
     // `u`'s root, and the cost of rooting at `u`: the head variables it
     // holds, negated, or the off-lead edges it adds to the root's.

@@ -66,7 +66,7 @@ impl QueryShape {
             0..=2 => graph.is_forest(),
             _ => is_acyclic_query(q),
         };
-        let shape = QueryShape {
+        let mut shape = QueryShape {
             var_count: q.var_count(),
             atom_count: q.atom_count(),
             arity: q.arity(),
@@ -74,11 +74,13 @@ impl QueryShape {
             max_atom_arity,
             acyclic,
             treewidth,
-            keys: Vec::with_capacity(q.atoms().iter().map(|a| 2 + a.args.len()).sum()),
+            // Every key, and one atom's schema while its key is written.
+            keys: Vec::with_capacity(
+                q.atoms().iter().map(|a| 2 + a.args.len()).sum::<usize>() + max_atom_arity,
+            ),
         };
-        let mut shape = shape;
         for atom in q.atoms() {
-            MatKey::write(&[atom], &mut shape.keys);
+            MatKey::write_atom(atom, &mut shape.keys);
         }
         (shape, decomposition)
     }

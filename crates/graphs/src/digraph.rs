@@ -1,6 +1,5 @@
 //! Directed graphs with conversions to/from relational structures.
 
-use crate::treewidth::BitGraph;
 use cqapx_structures::{Element, Structure, StructureBuilder, Vocabulary};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -158,12 +157,6 @@ impl Digraph {
         (g, full_map)
     }
 
-    /// Weakly connected components: `(count, component id per node)`,
-    /// ids in the order of each component's least node.
-    pub fn weak_components(&self) -> (usize, Vec<u32>) {
-        BitGraph::underlying(self).components()
-    }
-
     /// Converts to a relational structure over the graphs vocabulary.
     pub fn to_structure(&self) -> Structure {
         let vocab = Vocabulary::graphs();
@@ -197,6 +190,7 @@ impl Digraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::treewidth::BitGraph;
 
     impl Digraph {
         /// Out-neighbours of a node.
@@ -260,7 +254,7 @@ mod tests {
     #[test]
     fn weak_components() {
         let g = Digraph::from_edges(5, &[(0, 1), (2, 3)]);
-        let (n, comp) = g.weak_components();
+        let (n, comp) = BitGraph::underlying(&g).components();
         assert_eq!(n, 3);
         assert_eq!(comp[0], comp[1]);
         assert_eq!(comp[2], comp[3]);

@@ -25,17 +25,24 @@
 //! 64-vertex rule:** the search keeps vertex sets in one `u64`, so a
 //! component — for the decision, what the reductions leave — of more than
 //! 64 vertices is *not certified*: the answer is `None`, never a panic.
+//! Up to 64 vertices the search runs on the graph's own rows, one word
+//! each; a [`TreeDecomposition`] keeps its bags as bit rows in one buffer.
 
 use crate::digraph::Digraph;
+use cqapx_structures::fxhash::FxHashSet;
 use cqapx_structures::Element;
-use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
-/// A tree decomposition: bags plus tree edges between bag indices.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// A tree decomposition of a graph on `0..n`: bags plus tree edges
+/// between bag indices. Each bag is one bit row over the vertices, all
+/// rows in one buffer as in `Hypergraph`; [`TreeDecomposition::bag`]
+/// reads a bag's vertices, ascending. A row has `⌈n/64⌉` words (at least
+/// one): past 64 vertices it spans several, though the search builds no
+/// component of more than 64 (the module's 64-vertex rule).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeDecomposition {
-    /// The bags (each a sorted set of vertices).
-    pub bags: Vec<Vec<Element>>,
+    n: usize,
+    words: usize,
+    rows: Vec<u64>,
     /// Edges of the decomposition tree (pairs of bag indices).
     pub tree_edges: Vec<(usize, usize)>,
 }
@@ -51,6 +58,75 @@ pub struct RootedDecomposition {
 }
 
 impl TreeDecomposition {
+    /// No bags yet over `0..n`, with room for `bags` bags in a tree.
+    fn with_room(n: usize, bags: usize) -> TreeDecomposition {
+        let words = n.div_ceil(64).max(1);
+        let rows = Vec::with_capacity(bags * words);
+        let tree_edges = Vec::with_capacity(bags.saturating_sub(1));
+        TreeDecomposition {
+            n,
+            words,
+            rows,
+            tree_edges,
+        }
+    }
+
+    /// The decomposition of a graph on `0..n` with the given bags (each
+    /// a list of vertices) and tree edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a bag vertex not below `n`.
+    pub fn from_bags<B: AsRef<[Element]>>(
+        n: usize,
+        bags: impl IntoIterator<Item = B>,
+        tree_edges: Vec<(usize, usize)>,
+    ) -> TreeDecomposition {
+        let mut td = TreeDecomposition::with_room(n, 0);
+        td.tree_edges = tree_edges;
+        for bag in bags {
+            let row = td.push_row();
+            for &v in bag.as_ref() {
+                assert!((v as usize) < n, "bag vertex {v} out of range");
+                row[v as usize / 64] |= 1 << (v % 64);
+            }
+        }
+        td
+    }
+
+    /// Appends an empty bag and returns its row.
+    fn push_row(&mut self) -> &mut [u64] {
+        let at = self.rows.len();
+        self.rows.resize(at + self.words, 0);
+        &mut self.rows[at..]
+    }
+
+    /// Number of bags.
+    pub fn bag_count(&self) -> usize {
+        self.rows.len() / self.words
+    }
+
+    /// Bag `i` as a bit row over the vertices.
+    pub fn row(&self, i: usize) -> &[u64] {
+        &self.rows[i * self.words..][..self.words]
+    }
+
+    /// The vertices of bag `i`, ascending.
+    pub fn bag(&self, i: usize) -> impl Iterator<Item = Element> + '_ {
+        let row = self.row(i);
+        (0..row.len()).flat_map(move |w| ones(row[w]).map(move |b| (w * 64 + b) as Element))
+    }
+
+    /// The number of vertices in bag `i`.
+    pub fn bag_len(&self, i: usize) -> usize {
+        self.row(i).iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// `true` when bag `i` holds vertex `v`.
+    pub fn contains(&self, i: usize, v: Element) -> bool {
+        (v as usize) < self.n && self.rows[i * self.words + v as usize / 64] >> (v % 64) & 1 == 1
+    }
+
     /// Orients the decomposition tree at `root`. Deterministic: the same
     /// decomposition and root always yield the same rooted form.
     ///
@@ -60,7 +136,7 @@ impl TreeDecomposition {
     /// over all bags (which [`treewidth_at_most`] guarantees, and
     /// `validate` checks).
     pub fn rooted_at(&self, root: usize) -> RootedDecomposition {
-        let n = self.bags.len();
+        let n = self.bag_count();
         assert!(root < n, "root {root} is not one of {n} bags");
         // Both directions of every edge, sorted: a bag's neighbours are
         // one run, in ascending order.
@@ -103,7 +179,7 @@ impl TreeDecomposition {
     /// sweep from that end finds the other, so three distance sweeps
     /// give every height: the distance to the farther end.
     pub fn heights(&self) -> Vec<usize> {
-        let n = self.bags.len();
+        let n = self.bag_count();
         if n == 0 {
             return Vec::new();
         }
@@ -153,124 +229,92 @@ impl TreeDecomposition {
     ///
     /// Deterministic and idempotent: the first such edge in list order
     /// goes first; survivors keep their relative order and edges come
-    /// out as sorted `(low, high)` pairs. Contracts in place.
-    pub fn reduced(self) -> TreeDecomposition {
-        let (mut bags, mut edges) = (self.bags, self.tree_edges);
-        let inside = |bags: &[Vec<Element>], a: usize, b: usize| {
-            bags[a].iter().all(|v| bags[b].binary_search(v).is_ok())
+    /// out as sorted `(low, high)` pairs. Contracts in place: a bag is
+    /// inside another when `row_a & !row_b` is zero in every word.
+    pub fn reduced(mut self) -> TreeDecomposition {
+        let w = self.words;
+        let inside = |rows: &[u64], a: usize, b: usize| {
+            (rows[a * w..][..w].iter().zip(&rows[b * w..][..w])).all(|(&x, &y)| x & !y == 0)
         };
+        let edges = &mut self.tree_edges;
         while let Some((gone, kept)) = edges.iter().find_map(|&(a, b)| {
-            let ab = inside(&bags, a, b).then_some((a, b));
-            ab.or(inside(&bags, b, a).then_some((b, a)))
+            let ab = inside(&self.rows, a, b).then_some((a, b));
+            ab.or(inside(&self.rows, b, a).then_some((b, a)))
         }) {
             // `gone`'s other neighbours move to `kept`; bags above it
             // shift down one index.
-            bags.remove(gone);
+            self.rows.drain(gone * w..(gone + 1) * w);
             edges.retain(|&e| e != (gone, kept) && e != (kept, gone));
             let moved = |x: usize| if x == gone { kept } else { x };
             let shifted = |x: usize| x - usize::from(x > gone);
-            for e in &mut edges {
+            for e in edges.iter_mut() {
                 *e = (shifted(moved(e.0)), shifted(moved(e.1)));
             }
         }
-        for e in &mut edges {
+        for e in edges.iter_mut() {
             *e = (e.0.min(e.1), e.0.max(e.1));
         }
         edges.sort_unstable();
-        TreeDecomposition {
-            bags,
-            tree_edges: edges,
-        }
+        self
     }
-}
 
-impl TreeDecomposition {
     /// The width: `max |bag| − 1` (−1 ≡ returns 0 for the empty graph).
     pub fn width(&self) -> usize {
-        self.bags
-            .iter()
-            .map(|b| b.len().saturating_sub(1))
+        (0..self.bag_count())
+            .map(|b| self.bag_len(b).saturating_sub(1))
             .max()
             .unwrap_or(0)
     }
 
     /// Validates the three tree-decomposition conditions against a graph:
     /// every vertex covered, every (non-loop) edge inside a bag, and the
-    /// bags containing each vertex forming a connected subtree.
+    /// bags containing each vertex forming a connected subtree. In a tree
+    /// a set of `s` bags is connected exactly when `s − 1` tree edges join
+    /// two of them, so the last condition is a count per vertex; the
+    /// check allocates one buffer, the tree's own graph.
     pub fn validate(&self, g: &BitGraph) -> Result<(), String> {
-        let nb = self.bags.len();
-        // Tree shape: connected and acyclic on bag indices.
-        if nb > 0 {
-            if self.tree_edges.len() + 1 != nb {
-                return Err(format!(
-                    "decomposition tree has {} edges for {} bags",
-                    self.tree_edges.len(),
-                    nb
-                ));
-            }
-            if let Some(&(a, b)) = self.tree_edges.iter().find(|&&(a, b)| a.max(b) >= nb) {
-                return Err(format!("tree edge ({a},{b}) names no bag"));
-            }
-            let edges = self.tree_edges.iter();
-            let tree = BitGraph::gaifman(nb, edges.map(|&(a, b)| [a as Element, b as Element]));
-            if !tree.is_forest() {
-                return Err("decomposition tree contains a cycle".into());
-            }
-            let (ncomp, _) = tree.components();
-            if ncomp != 1 {
-                return Err("decomposition tree is disconnected".into());
-            }
+        let nb = self.bag_count();
+        if self.n != g.n() {
+            return Err(format!("bags over {} vertices, not {}", self.n, g.n()));
         }
-        // Vertex coverage.
-        let mut covered = vec![false; g.n()];
-        for b in &self.bags {
-            for &v in b {
-                if (v as usize) >= g.n() {
-                    return Err(format!("bag vertex {v} out of range"));
-                }
-                covered[v as usize] = true;
+        // Tree shape: `nb − 1` distinct edges, none closing a cycle.
+        if let Some(&(a, b)) = self.tree_edges.iter().find(|&&(a, b)| a.max(b) >= nb) {
+            return Err(format!("tree edge ({a},{b}) names no bag"));
+        }
+        let (mut tree, edges) = (BitGraph::new(nb), self.tree_edges.len());
+        let added = (self.tree_edges.iter())
+            .filter(|&&(a, b)| tree.add_edge(a as Element, b as Element))
+            .count();
+        if nb > 0 && (added != edges || edges + 1 != nb || !tree.is_forest()) {
+            return Err(format!("{edges} tree edges make no tree of {nb} bags"));
+        }
+        let bags_with = |v: Element| (0..nb).filter(move |&b| self.contains(b, v));
+        for v in 0..g.n() as Element {
+            let both = |&&(a, b): &&(usize, usize)| self.contains(a, v) && self.contains(b, v);
+            let apart = |u: Element| {
+                g.has_edge(u as usize, v as usize) && !bags_with(u).any(|b| self.contains(b, v))
+            };
+            if bags_with(v).next().is_none() {
+                return Err(format!("vertex {v} not covered by any bag"));
             }
-        }
-        if let Some(v) = covered.iter().position(|&c| !c) {
-            return Err(format!("vertex {v} not covered by any bag"));
-        }
-        // Edge coverage.
-        for (u, v) in g.edges() {
-            if !self.bags.iter().any(|b| b.contains(&u) && b.contains(&v)) {
+            if let Some(u) = (0..v).find(|&u| apart(u)) {
                 return Err(format!("edge ({u},{v}) not inside any bag"));
             }
-        }
-        // Connectivity of occurrences.
-        for v in 0..g.n() as Element {
-            let occ: Vec<usize> = (0..nb).filter(|&i| self.bags[i].contains(&v)).collect();
-            if occ.is_empty() {
-                continue;
-            }
-            let mut reach: HashSet<usize> = HashSet::new();
-            reach.insert(occ[0]);
-            let mut frontier = vec![occ[0]];
-            while let Some(b) = frontier.pop() {
-                for &(x, y) in &self.tree_edges {
-                    let other = if x == b {
-                        Some(y)
-                    } else if y == b {
-                        Some(x)
-                    } else {
-                        None
-                    };
-                    if let Some(o) = other {
-                        if self.bags[o].contains(&v) && reach.insert(o) {
-                            frontier.push(o);
-                        }
-                    }
-                }
-            }
-            if reach.len() != occ.len() {
+            if self.tree_edges.iter().filter(both).count() + 1 != bags_with(v).count() {
                 return Err(format!("occurrences of vertex {v} are disconnected"));
             }
         }
         Ok(())
     }
+}
+
+/// The set bits of a word, ascending.
+fn ones(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = (word != 0).then(|| word.trailing_zeros() as usize)?;
+        word &= word - 1;
+        Some(bit)
+    })
 }
 
 /// A simple undirected graph on the vertices `0..n`: adjacency bit-rows
@@ -368,38 +412,10 @@ impl BitGraph {
         true
     }
 
-    /// The edges as `(x, y)` pairs with `x < y`, in ascending order.
-    pub(crate) fn edges(&self) -> impl Iterator<Item = (Element, Element)> + '_ {
-        (0..self.n).flat_map(move |x| {
-            let ys = (x + 1..self.n).filter(move |&y| self.has_edge(x, y));
-            ys.map(move |y| (x as Element, y as Element))
-        })
-    }
-
     /// `true` when the graph is a forest (loops ignored): no edge closed
     /// a cycle.
     pub fn is_forest(&self) -> bool {
         self.state[self.n * self.words + self.n] == 0
-    }
-
-    /// Connected components: `(count, component id per vertex)`, ids in
-    /// the order of each component's least vertex.
-    pub(crate) fn components(&self) -> (usize, Vec<u32>) {
-        let least = &self.state[self.n * self.words..][..self.n];
-        let mut comp: Vec<u32> = Vec::with_capacity(self.n);
-        let mut count = 0;
-        for (v, &l) in least.iter().enumerate() {
-            // A component's least vertex is numbered before any other
-            // member reads its id.
-            let id = if l as usize == v {
-                count += 1;
-                count - 1
-            } else {
-                comp[l as usize]
-            };
-            comp.push(id);
-        }
-        (count as usize, comp)
     }
 
     /// The graph as words: a search that keeps one graph per depth keeps
@@ -472,216 +488,161 @@ fn kernel_tw_at_most(rows: &mut [u64], words: usize, k: usize) -> Option<bool> {
     let kernel: Vec<usize> = left.collect();
     let bit = |v: usize, u: usize| rows[v * words + u / 64] >> (u % 64) & 1;
     let mask = |&v: &usize| (0..size).fold(0, |m, i| m | bit(v, kernel[i]) << i);
-    let adj = kernel.iter().map(mask).collect();
-    Some(component_tw_at_most(&MaskGraph { adj, n: size }, k).is_some())
+    let adj: Vec<u64> = kernel.iter().map(mask).collect();
+    Some(Search::default().run(&adj, !0 >> (64 - size), k))
 }
 
-/// Internal: adjacency as 64-bit masks (per-component search keeps n ≤ 64).
-#[derive(Default)]
-struct MaskGraph {
-    adj: Vec<u64>,
-    n: usize,
-}
-
-impl MaskGraph {
-    /// Neighbours of `v` *outside* the eliminated set, reachable through
-    /// eliminated vertices: the degree of `v` in the fill-in graph after
-    /// eliminating `elim`.
-    fn fill_neighbors(&self, v: usize, elim: u64) -> u64 {
-        let mut seen = 1u64 << v;
-        let mut frontier = 1u64 << v;
-        let mut result = 0u64;
-        while frontier != 0 {
-            let mut next = 0u64;
-            let mut f = frontier;
-            while f != 0 {
-                let u = f.trailing_zeros() as usize;
-                f &= f - 1;
-                let nb = self.adj[u] & !seen;
-                result |= nb & !elim;
-                next |= nb & elim;
-                seen |= nb;
-            }
-            frontier = next;
+/// The neighbourhood of `v` in the fill-in graph of adjacency masks
+/// `adj` after eliminating `elim`: vertices outside `elim` reachable
+/// through it.
+fn fill_neighbors(adj: &[u64], v: usize, elim: u64) -> u64 {
+    let (mut seen, mut frontier, mut result) = (1u64 << v, 1u64 << v, 0u64);
+    while frontier != 0 {
+        let mut next = 0u64;
+        for u in ones(frontier) {
+            let nb = adj[u] & !seen;
+            result |= nb & !elim;
+            next |= nb & elim;
+            seen |= nb;
         }
-        result
+        frontier = next;
     }
+    result
 }
 
-/// Decides `tw(component) ≤ k` by branch-and-bound over elimination
-/// orders with a memo of refuted eliminated-sets. Returns an elimination
-/// order on success.
-fn component_tw_at_most(g: &MaskGraph, k: usize) -> Option<Vec<usize>> {
-    let full: u64 = if g.n == 64 { !0 } else { (1u64 << g.n) - 1 };
-    let mut dead: HashSet<u64> = HashSet::new();
-    let mut order = Vec::with_capacity(g.n);
-    // Every level's candidates, one run per level of the recursion.
-    let mut candidates: Vec<(usize, usize)> = Vec::new();
+/// Branch-and-bound over elimination orders with a memo of refuted
+/// eliminated-sets. `scratch` holds the order, a vertex per depth, then
+/// per depth a mask per fill-degree `≤ k` of the candidates: read in
+/// turn, they come in `(fill-degree, vertex)` order.
+#[derive(Default)]
+struct Search {
+    scratch: Vec<u64>,
+    dead: FxHashSet<u64>,
+}
 
-    fn rec(
-        g: &MaskGraph,
-        k: usize,
-        elim: u64,
-        full: u64,
-        dead: &mut HashSet<u64>,
-        order: &mut Vec<usize>,
-        candidates: &mut Vec<(usize, usize)>,
-    ) -> bool {
+impl Search {
+    /// Decides `tw ≤ k` on `full`; the order then leads `scratch`.
+    fn run(&mut self, adj: &[u64], full: u64, k: usize) -> bool {
+        let size = full.count_ones() as usize;
+        self.scratch.clear();
+        self.scratch.resize(size * (k + 2), 0);
+        self.dead.clear();
+        self.step(adj, full, k, 0)
+    }
+
+    fn step(&mut self, adj: &[u64], full: u64, k: usize, elim: u64) -> bool {
         if elim == full {
             return true;
         }
-        if dead.contains(&elim) {
+        if self.dead.contains(&elim) {
             return false;
         }
-        let mut remaining = full & !elim;
-        // Gather candidates with fill-degree ≤ k; eliminate simplicial
-        // vertices (fill-neighbourhood already a clique) greedily — always
-        // safe.
-        let from = candidates.len();
-        while remaining != 0 {
-            let v = remaining.trailing_zeros() as usize;
-            remaining &= remaining - 1;
-            let nb = g.fill_neighbors(v, elim);
+        let depth = elim.count_ones() as usize;
+        let level = full.count_ones() as usize + depth * (k + 1);
+        self.scratch[level..][..k + 1].fill(0);
+        // Gather candidates with fill-degree ≤ k; a simplicial vertex
+        // (fill-neighbourhood already a clique) is the only one tried —
+        // eliminating it first is always safe.
+        for v in ones(full & !elim) {
+            let nb = fill_neighbors(adj, v, elim);
             let deg = nb.count_ones() as usize;
-            if deg <= k {
-                // simplicial check: all fill-neighbours pairwise adjacent
-                // in the fill graph.
-                let mut simplicial = true;
-                let mut rest = nb;
-                'outer: while rest != 0 {
-                    let a = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    let a_nb = g.fill_neighbors(a, elim);
-                    if nb & !a_nb & !(1u64 << a) != 0 {
-                        simplicial = false;
-                        break 'outer;
-                    }
+            if deg > k {
+                continue;
+            }
+            if ones(nb).all(|a| nb & !fill_neighbors(adj, a, elim) & !(1 << a) == 0) {
+                self.scratch[level..][..k + 1].fill(0);
+                self.scratch[level] = 1 << v;
+                break;
+            }
+            self.scratch[level + deg] |= 1 << v;
+        }
+        for deg in 0..=k {
+            for v in ones(self.scratch[level + deg]) {
+                self.scratch[depth] = v as u64;
+                if self.step(adj, full, k, elim | 1 << v) {
+                    return true;
                 }
-                if simplicial {
-                    candidates.truncate(from);
-                    order.push(v);
-                    if rec(g, k, elim | (1u64 << v), full, dead, order, candidates) {
-                        return true;
-                    }
-                    order.pop();
-                    dead.insert(elim);
-                    return false;
-                }
-                candidates.push((deg, v));
             }
         }
-        candidates[from..].sort_unstable();
-        for i in from..candidates.len() {
-            let v = candidates[i].1;
-            order.push(v);
-            if rec(g, k, elim | (1u64 << v), full, dead, order, candidates) {
-                return true;
-            }
-            order.pop();
-        }
-        candidates.truncate(from);
-        dead.insert(elim);
+        self.dead.insert(elim);
         false
-    }
-
-    if rec(g, k, 0, full, &mut dead, &mut order, &mut candidates) {
-        Some(order)
-    } else {
-        None
     }
 }
 
-/// Appends the tree decomposition of one component, from an elimination
-/// order, to `td`: bag `off + i` is the one emitted for `order[i]`.
+/// Appends the bags of one component to `td` from its elimination order
+/// (masks `adj` renamed by `name`): bag `off + i` is the one emitted for
+/// `order[i]`, hung under the bag of its first fill-neighbour in the
+/// order.
 fn append_decomposition(
     td: &mut TreeDecomposition,
-    g: &MaskGraph,
-    order: &[usize],
-    vertex_names: &[Element],
+    adj: &[u64],
+    order: &[u64],
+    name: impl Fn(usize) -> usize,
 ) {
-    let n = g.n;
-    let off = td.bags.len();
+    let off = td.bag_count();
     let mut elim = 0u64;
-    // Position in the elimination order — also the index of the
-    // vertex's bag, since bag `i` is the one emitted for `order[i]`.
-    let mut pos = vec![usize::MAX; n];
     for (i, &v) in order.iter().enumerate() {
-        pos[v] = i;
-    }
-    for (i, &v) in order.iter().enumerate() {
-        let mut rest = g.fill_neighbors(v, elim);
-        let mut bag: Vec<Element> = Vec::with_capacity(1 + rest.count_ones() as usize);
-        bag.push(vertex_names[v]);
-        let mut first_successor: Option<usize> = None;
-        while rest != 0 {
-            let u = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            bag.push(vertex_names[u]);
-            first_successor = Some(first_successor.map_or(pos[u], |f| f.min(pos[u])));
+        let rest = fill_neighbors(adj, v as usize, elim);
+        let row = td.push_row();
+        for u in ones(rest | 1 << v).map(&name) {
+            row[u / 64] |= 1 << (u % 64);
         }
-        bag.sort_unstable();
-        td.bags.push(bag);
         // A vertex isolated in the fill graph hangs under the next bag
         // to keep the tree connected (harmless: they share no vertex);
         // the last vertex is the root.
-        if let Some(above) = first_successor.or((i + 1 < n).then_some(i + 1)) {
-            td.tree_edges.push((off + i, off + above));
+        let first_successor = (order[i + 1..].iter()).position(|&u| rest >> u & 1 == 1);
+        let next = (i + 1 < order.len()).then_some(0);
+        if let Some(j) = first_successor.or(next) {
+            td.tree_edges.push((off + i, off + i + 1 + j));
         }
-        elim |= 1u64 << v;
+        elim |= 1 << v;
     }
-}
-
-/// The connected components of `g` as mask graphs, each with its
-/// vertices in ascending order; `None` when one has more than 64.
-fn component_masks(g: &BitGraph) -> Option<Vec<(Vec<Element>, MaskGraph)>> {
-    let (count, comp) = g.components();
-    // First each component's size, then each vertex's index within its
-    // component.
-    let mut index = vec![0usize; g.n()];
-    comp.iter().for_each(|&c| index[c as usize] += 1);
-    if index[..count].iter().any(|&size| size > 64) {
-        return None;
-    }
-    let mut parts: Vec<(Vec<Element>, MaskGraph)> = (index[..count].iter())
-        .map(|&n| (Vec::with_capacity(n), MaskGraph { adj: vec![0; n], n }))
-        .collect();
-    for (v, &c) in comp.iter().enumerate() {
-        let names = &mut parts[c as usize].0;
-        index[v] = names.len();
-        names.push(v as Element);
-    }
-    for (u, v) in g.edges() {
-        let adj = &mut parts[comp[u as usize] as usize].1.adj;
-        let (iu, iv) = (index[u as usize], index[v as usize]);
-        adj[iu] |= 1u64 << iv;
-        adj[iv] |= 1u64 << iu;
-    }
-    Some(parts)
 }
 
 /// One tree decomposition of `g` from an elimination order per
-/// component (`order_of`; `None` gives up): the components' trees in
-/// component order, each joined to the next at its first bag. An empty
-/// graph gets one empty bag.
+/// component, found by `search` (`false` gives up): the components'
+/// trees in the order of their least vertices, each joined to the next
+/// at its first bag. An empty graph gets one empty bag. `None` on a
+/// component of more than 64 vertices.
 fn decompose(
     g: &BitGraph,
-    mut order_of: impl FnMut(&MaskGraph) -> Option<Vec<usize>>,
+    mut search: impl FnMut(&mut Search, &[u64], u64) -> bool,
 ) -> Option<TreeDecomposition> {
-    let parts = component_masks(g)?;
+    let n = g.n;
+    let least = &g.state[n * g.words..][..n];
+    let members = |l: usize| (0..n).filter(move |&v| least[v] as usize == l);
+    let bit = |v: usize, u: usize| g.state[v * g.words + u / 64] >> (u % 64) & 1;
+    let leasts = (0..n).filter(|&v| least[v] as usize == v);
     // A bag per vertex (one for the empty graph), a tree edge fewer.
-    let mut td = TreeDecomposition {
-        bags: Vec::with_capacity(g.n().max(1)),
-        tree_edges: Vec::with_capacity(g.n().saturating_sub(1)),
-    };
-    let mut roots = Vec::with_capacity(parts.len());
-    for (names, mg) in parts {
-        let order = order_of(&mg)?;
-        roots.push(td.bags.len());
-        append_decomposition(&mut td, &mg, &order, &names);
+    let mut td = TreeDecomposition::with_room(n, n.max(1));
+    let (mut s, mut masks, mut names) = (Search::default(), Vec::new(), Vec::new());
+    for l in leasts.clone() {
+        let (adj, full) = if g.words == 1 {
+            (&g.state[..n], members(l).fold(0, |m, v| m | 1 << v))
+        } else {
+            names.clear();
+            names.extend(members(l));
+            if names.len() > 64 {
+                return None;
+            }
+            let mask = |&v: &usize| (0..names.len()).fold(0, |m, i| m | bit(v, names[i]) << i);
+            masks.clear();
+            masks.extend(names.iter().map(mask));
+            (&masks[..], !0 >> (64 - names.len()))
+        };
+        if !search(&mut s, adj, full) {
+            return None;
+        }
+        let name = |v: usize| if g.words == 1 { v } else { names[v] };
+        let order = &s.scratch[..full.count_ones() as usize];
+        append_decomposition(&mut td, adj, order, name);
     }
-    td.tree_edges.extend(roots.windows(2).map(|w| (w[0], w[1])));
-    if td.bags.is_empty() {
-        td.bags.push(Vec::new());
+    // The component of least vertex `l` starts at the bag after those of
+    // every vertex below it in a component of a lesser least vertex.
+    let roots = leasts.map(|l| least.iter().filter(|&&c| (c as usize) < l).count());
+    td.tree_edges.extend(roots.clone().zip(roots.skip(1)));
+    if n == 0 {
+        td.push_row();
     }
     debug_assert!(td.validate(g).is_ok(), "{:?}", td.validate(g));
     Some(td)
@@ -709,7 +670,7 @@ fn decompose(
 /// assert!(treewidth::treewidth_at_most(&c4, 1).is_none());
 /// ```
 pub fn treewidth_at_most(g: &BitGraph, k: usize) -> Option<TreeDecomposition> {
-    decompose(g, |mg| component_tw_at_most(mg, k))
+    decompose(g, |s, adj, full| s.run(adj, full, k))
 }
 
 /// A tree decomposition of `g` of width exactly `tw(g)`, from one search
@@ -722,14 +683,15 @@ pub fn treewidth_at_most(g: &BitGraph, k: usize) -> Option<TreeDecomposition> {
 /// exactly `treewidth_at_most(g, tw(g))`; a component narrower than the
 /// widest keeps its own narrower bags.
 pub fn min_width_decomposition(g: &BitGraph) -> Option<TreeDecomposition> {
-    decompose(g, |mg| {
-        let degrees: u32 = mg.adj.iter().map(|a| a.count_ones()).sum();
-        let least = match mg.n {
+    decompose(g, |s, adj, full| {
+        let n = full.count_ones() as usize;
+        let degrees: u32 = ones(full).map(|v| adj[v].count_ones()).sum();
+        let least = match n {
             1 => 0,
             n if degrees as usize == 2 * (n - 1) => 1,
             _ => 2,
         };
-        (least..mg.n).find_map(|k| component_tw_at_most(mg, k))
+        (least..n).any(|k| s.run(adj, full, k))
     })
 }
 
@@ -743,9 +705,44 @@ pub fn treewidth(g: &BitGraph) -> usize {
 mod tests {
     use super::*;
 
+    impl BitGraph {
+        /// The edges as `(x, y)` pairs with `x < y`, in ascending order.
+        pub(crate) fn edges(&self) -> impl Iterator<Item = (Element, Element)> + '_ {
+            (0..self.n).flat_map(move |x| {
+                let ys = (x + 1..self.n).filter(move |&y| self.has_edge(x, y));
+                ys.map(move |y| (x as Element, y as Element))
+            })
+        }
+
+        /// Connected components: `(count, component id per vertex)`, ids in
+        /// the order of each component's least vertex.
+        pub(crate) fn components(&self) -> (usize, Vec<u32>) {
+            let least = &self.state[self.n * self.words..][..self.n];
+            let mut comp: Vec<u32> = Vec::with_capacity(self.n);
+            let mut count = 0;
+            for (v, &l) in least.iter().enumerate() {
+                // A component's least vertex is numbered before any other
+                // member reads its id.
+                let id = if l as usize == v {
+                    count += 1;
+                    count - 1
+                } else {
+                    comp[l as usize]
+                };
+                comp.push(id);
+            }
+            (count as usize, comp)
+        }
+    }
+
     /// The graph on `0..n` with `edges` (`(v, v)` a loop, ignored).
     fn from_edges(n: usize, edges: &[(Element, Element)]) -> BitGraph {
         BitGraph::gaifman(n, edges.iter().map(|&(u, v)| [u, v]))
+    }
+
+    /// Every bag's vertices, in bag order.
+    fn bags(td: &TreeDecomposition) -> Vec<Vec<Element>> {
+        (0..td.bag_count()).map(|b| td.bag(b).collect()).collect()
     }
 
     /// The complete graph `K_m`: one tuple over every vertex.
@@ -854,17 +851,12 @@ mod tests {
     fn validate_catches_bad_decompositions() {
         let c3 = from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
         // Missing edge coverage.
-        let bad = TreeDecomposition {
-            bags: vec![vec![0, 1], vec![1, 2]],
-            tree_edges: vec![(0, 1)],
-        };
+        let bad = TreeDecomposition::from_bags(3, [[0, 1], [1, 2]], vec![(0, 1)]);
         assert!(bad.validate(&c3).is_err());
         // Disconnected occurrences.
         let p3 = from_edges(3, &[(0, 1), (1, 2)]);
-        let bad2 = TreeDecomposition {
-            bags: vec![vec![0, 1], vec![1, 2], vec![0]],
-            tree_edges: vec![(0, 1), (1, 2)],
-        };
+        let bad2 =
+            TreeDecomposition::from_bags(3, [&[0, 1][..], &[1, 2], &[0]], vec![(0, 1), (1, 2)]);
         assert!(bad2.validate(&p3).is_err());
     }
 
@@ -898,13 +890,13 @@ mod tests {
         let c5: Vec<(Element, Element)> = (0..5).map(|i| (i, (i + 1) % 5)).collect();
         let g = from_edges(5, &c5);
         let td = treewidth_at_most(&g, 2).unwrap();
-        for root in 0..td.bags.len() {
+        for root in 0..td.bag_count() {
             let r = td.rooted_at(root);
-            assert_eq!(r.order.len(), td.bags.len());
+            assert_eq!(r.order.len(), td.bag_count());
             assert_eq!(*r.order.last().unwrap(), root);
             // Children before parents, along tree edges only.
             let pos = |x: usize| r.order.iter().position(|&y| y == x).unwrap();
-            for u in 0..td.bags.len() {
+            for u in 0..td.bag_count() {
                 match r.parent[u] {
                     Some(p) => {
                         assert!(pos(u) < pos(p), "child {u} must precede parent {p}");
@@ -920,7 +912,7 @@ mod tests {
     fn rooted_on_single_bag() {
         let g = BitGraph::new(1);
         let td = treewidth_at_most(&g, 1).unwrap();
-        assert_eq!(td.bags.len(), 1);
+        assert_eq!(td.bag_count(), 1);
         let r = td.rooted_at(0);
         assert_eq!(r.order, vec![0]);
         assert_eq!(r.parent, vec![None]);
@@ -933,9 +925,9 @@ mod tests {
         // bags sit inside the first.
         let c3 = from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
         let td = treewidth_at_most(&c3, 2).unwrap();
-        assert_eq!(td.bags.len(), 3);
+        assert_eq!(td.bag_count(), 3);
         let red = td.reduced();
-        assert_eq!(red.bags, vec![vec![0, 1, 2]]);
+        assert_eq!(bags(&red), [[0, 1, 2]]);
         assert!(red.tree_edges.is_empty());
         red.validate(&c3).unwrap();
         // C6 at width 2 needs four triangles in a path.
@@ -943,7 +935,7 @@ mod tests {
         let g = from_edges(6, &c6);
         let red = treewidth_at_most(&g, 2).unwrap().reduced();
         red.validate(&g).unwrap();
-        assert_eq!(red.bags.len(), 4);
+        assert_eq!(red.bag_count(), 4);
         assert_eq!(red.width(), 2);
         let mut heights = red.heights();
         heights.sort_unstable();
@@ -953,7 +945,7 @@ mod tests {
         let two = from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
         let red = treewidth_at_most(&two, 2).unwrap().reduced();
         red.validate(&two).unwrap();
-        assert_eq!(red.bags, vec![vec![0, 1, 2], vec![3, 4, 5]]);
+        assert_eq!(bags(&red), [[0, 1, 2], [3, 4, 5]]);
     }
 
     #[test]
@@ -971,15 +963,13 @@ mod tests {
         td.validate(&g).unwrap();
         assert_eq!(td.width(), 3);
         let width_of = |vertex: Element| {
-            let bags = td.bags.iter().filter(|b| b.contains(&vertex));
-            bags.map(|b| b.len() - 1).max().unwrap()
+            let bags = (0..td.bag_count()).filter(|&b| td.bag(b).any(|v| v == vertex));
+            bags.map(|b| td.bag_len(b) - 1).max().unwrap()
         };
         assert_eq!([0, 4, 7, 10].map(width_of), [3, 2, 1, 0]);
         // The empty graph has one empty bag; a 70-cycle is not certified.
-        assert_eq!(
-            min_width_decomposition(&BitGraph::new(0)).unwrap().bags,
-            [[]]
-        );
+        let empty = min_width_decomposition(&BitGraph::new(0)).unwrap();
+        assert_eq!(bags(&empty), [[]]);
         let ring: Vec<(Element, Element)> = (0..70).map(|i| (i, (i + 1) % 70)).collect();
         assert_eq!(min_width_decomposition(&from_edges(70, &ring)), None);
     }

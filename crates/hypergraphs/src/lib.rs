@@ -1,4 +1,4 @@
-//! Hypergraphs: acyclicity, join trees, and (generalized) hypertree width.
+//! Hypergraphs: acyclicity, join trees, and hypertree width.
 //!
 //! The hypergraph-based tractable classes of the paper (Section 6) are:
 //!
@@ -6,15 +6,14 @@
 //!   reduction**, with a **join tree** witness;
 //! * `HTW(k)` — hypertree width at most `k` (Gottlob, Leone & Scarcello),
 //!   with `AC = HTW(1)`; membership is polynomial for fixed `k` (we
-//!   implement a det-k-decomp-style search);
-//! * `GHTW(k)` — generalized hypertree width; membership is NP-complete for
-//!   k ≥ 3 (Gottlob, Miklós & Schwentick), so we expose the sandwich
-//!   `ghw ≤ htw ≤ 3·ghw + 1` instead of an exact test.
+//!   implement a det-k-decomp-style search).
 //!
-//! Lemma 6.4 of the paper shows `HTW(k)` and `GHTW(k)` are closed under the
-//! two operations that drive the hypergraph-based approximation algorithm:
-//! **induced subhypergraphs** and **edge extensions**; both are implemented
-//! on [`Hypergraph`].
+//! Generalized hypertree width (`GHTW(k)`) is not implemented: membership
+//! is NP-complete for `k ≥ 3` (Gottlob, Miklós & Schwentick), and no class
+//! of the approximation search uses it. Lemma 6.4 closes `HTW(k)` under
+//! **induced subhypergraphs** ([`Hypergraph::induced`]) and **edge
+//! extensions**; the latter have no method here, and the property tests
+//! build them by hand.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
