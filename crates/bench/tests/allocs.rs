@@ -37,8 +37,9 @@
 //! it, or superseding it under its name, calls the allocator as often at
 //! twice the tuples. The hom kernel allocates per search: compiling a
 //! source and indexing a target call the allocator as often at eight
-//! times the atoms, a warm `exists` calls it not at all, and it stops
-//! at the first homomorphism without assembling it.
+//! times the atoms, indexing as often for four relations as for one, a
+//! warm `exists` calls it not at all, and it stops at the first
+//! homomorphism without assembling it.
 //!
 //! Its own test binary because it installs a counting
 //! `#[global_allocator]`. The counters are thread-local, so the
@@ -690,13 +691,14 @@ fn one_request_allocates_the_same_at_any_thread_count() {
 /// and approximates into `TW(1)`.
 const Q2: &str = "Q() :- E(x,y), E(y,z), E(z,u), E(x1,y1), E(y1,z1), E(z1,u1), E(x,z1), E(y,u1)";
 
-/// Preparing `Q2` calls the allocator at most 33 times (32 in a
+/// Preparing `Q2` calls the allocator at most 30 times (29 in a
 /// release build, which skips the decomposition's validation): the
 /// shape's treewidth search hands its decomposition to the decomposed
-/// plan, which no second search rebuilds, the bags' rows become the
-/// plan's labels, the compile writes its sources straight into the
-/// buffers the plan keeps, and a single-part source keeps its key only
-/// in its part. The plan is the one a search at that width compiles to.
+/// plan, which no second search rebuilds, the bags' heights and the
+/// rooting share one scratch buffer, the bags' rows become the plan's
+/// labels, the compile writes its sources straight into the buffers the
+/// plan keeps, and a single-part source keeps its key only in its part.
+/// The plan is the one a search at that width compiles to.
 #[test]
 fn preparing_q2_allocates_no_more_than_it_did() {
     use cqapx_engine::PreparedQuery;
@@ -709,7 +711,7 @@ fn preparing_q2_allocates_no_more_than_it_did() {
         .expect("treewidth 2 is within the limit");
     let searched = TreePlan::within_width(&q2, prepared.shape.treewidth).unwrap();
     assert_eq!(format!("{:?}", plan.ir()), format!("{:?}", searched.ir()));
-    assert!(prepare <= 33, "{prepare} allocator calls to prepare Q2");
+    assert!(prepare <= 30, "{prepare} allocator calls to prepare Q2");
 }
 
 /// A tree decomposition keeps its bags as bit rows in one buffer, and
@@ -740,11 +742,15 @@ fn preparing_allocates_per_decomposition_not_per_bag() {
     );
 }
 
-/// One approximation search of `Q2` into `TW(1)` calls the allocator at
-/// most 155 times for its 57 walk nodes, 3 candidates and one result:
-/// each core is computed by restriction on one compiled source, a
-/// compile allocates per search, never per atom, and the walk keeps its
-/// prefix graphs in one buffer.
+/// One approximation search of `Q2` into `TW(1)`, on a fresh thread,
+/// calls the allocator at most 118 times for its 57 walk nodes, 3
+/// candidates and one result: the walk keeps its prefix graphs and the
+/// lists of kept leaves alive at each depth in one scratch, and the
+/// quotient fingerprints it has seen in one arena; each core is computed
+/// by restriction on one compiled source, its probes' witnesses written
+/// into one buffer, and a candidate that is its own core is kept as
+/// offered; a compile allocates per search, never per atom, and an
+/// index per structure, never per relation.
 #[test]
 fn approximating_q2_allocates_per_candidate_not_per_node() {
     use cqapx_core::{all_approximations_tableaux, ApproxOptions, TwK};
@@ -754,7 +760,7 @@ fn approximating_q2_allocates_per_candidate_not_per_node() {
         counted(|| all_approximations_tableaux(&t, &TwK(1), &options));
     assert_eq!(approximations.len(), 1);
     assert_eq!((meta.nodes, meta.candidates), (57, 3));
-    assert!(search <= 155, "{search} allocator calls for the search");
+    assert!(search <= 118, "{search} allocator calls for the search");
 }
 
 /// An approximation-cache key holds the class as a value: building one
@@ -865,8 +871,8 @@ fn a_warm_cache_hit_allocates_nothing() {
 /// parse, prepare, search, compile, miss, hit. A release build skips
 /// the decomposition's validation when preparing.
 const PINNED: [u64; 6] = match cfg!(debug_assertions) {
-    true => [26, 37, 155, 14, 182, 28],
-    false => [26, 36, 155, 14, 182, 28],
+    true => [26, 34, 118, 14, 146, 26],
+    false => [26, 33, 118, 14, 146, 26],
 };
 
 /// The introduction's `Q2` renamed, its atoms reordered: isomorphic.
@@ -1076,6 +1082,35 @@ fn compiling_and_indexing_allocate_per_structure_not_per_atom() {
         (compile, index)
     });
     assert_eq!(small, big, "(compile, index) allocator calls, C8 vs C64");
+}
+
+/// A target's index keeps every relation's lists in one buffer and
+/// every position's occurring values in another: indexing a structure of
+/// one relation and one of four relations (arities 1–3) calls the
+/// allocator exactly as often, three times (the two buffers and the
+/// shared slot).
+#[test]
+fn indexing_allocates_per_structure_not_per_relation() {
+    use cqapx_structures::{StructureBuilder, Vocabulary};
+    let one = directed_cycle(4);
+    let vocab = Vocabulary::new(vec![("A", 2), ("B", 1), ("C", 3), ("D", 2)]);
+    let mut b = StructureBuilder::new(vocab.clone(), 4);
+    for (i, rel) in vocab.rel_ids().enumerate() {
+        let tuple: Vec<u32> = (0..vocab.arity(rel)).map(|p| (i + p) as u32 % 4).collect();
+        b.add(rel, &tuple);
+    }
+    let four = b.finish();
+    let [one, four] = [&one, &four].map(|s| {
+        counted(|| {
+            s.index();
+        })
+        .1
+    });
+    assert_eq!(
+        (one, four),
+        (3, 3),
+        "allocator calls to index 1 vs 4 relations"
+    );
 }
 
 /// A warm search hands its root-level domains back to the thread's

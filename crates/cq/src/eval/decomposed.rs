@@ -192,7 +192,7 @@ mod tests {
         // The four bags form a path; the plan is the one rooted at one
         // of its two middle bags, not at either end.
         let td = treewidth_at_most(&query_graph(&c6), 2).unwrap().reduced();
-        let heights = td.heights();
+        let heights = td.heights(&mut Vec::new()).to_vec();
         let centre = (0..4).filter(|&b| heights[b] == 2).collect::<Vec<_>>();
         assert_eq!(centre.len(), 2);
         let same_ops = |root: usize| {

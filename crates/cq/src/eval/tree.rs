@@ -33,7 +33,7 @@
 use crate::ast::{Atom, ConjunctiveQuery, VarId};
 use crate::classes::query_graph;
 use crate::eval::ir::{compile_tree, MatSource, NodeSpec, PlanIr};
-use cqapx_graphs::treewidth::{treewidth_at_most, TreeDecomposition};
+use cqapx_graphs::treewidth::{treewidth_at_most, RootedDecomposition, TreeDecomposition};
 use cqapx_hypergraphs::{gyo, Hypergraph};
 use std::cmp::Reverse;
 
@@ -131,13 +131,16 @@ impl TreePlan {
     /// [reduced]: TreeDecomposition::reduced
     pub fn from_decomposition(query: &ConjunctiveQuery, td: TreeDecomposition) -> TreePlan {
         let td = td.reduced();
-        let heights = td.heights();
+        // One scratch serves the heights and the rooting.
+        let mut scratch = Vec::with_capacity(4 * td.bag_count());
+        let heights = td.heights(&mut scratch);
         let free = query.free_vars();
         let head = |b: usize| free.iter().filter(|&&v| td.contains(b, v)).count();
         let root = (0..td.bag_count())
             .min_by_key(|&b| (heights[b], Reverse(head(b)), b))
             .expect("a decomposition has at least one bag");
-        Self::rooted(query, td, root)
+        let r = td.rooted_at(root, &mut scratch);
+        Self::over(query, td, r)
     }
 
     /// Compiles `query` over a given tree decomposition of `G(Q)` rooted
@@ -145,7 +148,12 @@ impl TreePlan {
     /// the same answers. Panics when `td` is not a tree over its bags,
     /// `root` is not one of them, or some atom's variables lie in no bag.
     pub fn rooted(query: &ConjunctiveQuery, td: TreeDecomposition, root: usize) -> TreePlan {
-        let rooted = td.rooted_at(root);
+        let r = td.rooted_at(root, &mut Vec::new());
+        Self::over(query, td, r)
+    }
+
+    /// Compiles `query` over `td` oriented as `r`.
+    fn over(query: &ConjunctiveQuery, td: TreeDecomposition, r: RootedDecomposition) -> TreePlan {
         let bags = 0..td.bag_count();
         let width = Some(td.width());
         let bag_sizes = bags.clone().map(|b| td.bag_len(b)).collect();
@@ -178,7 +186,7 @@ impl TreePlan {
             })
             .collect();
         TreePlan {
-            ir: compile_tree(&nodes, &rooted.parent, &rooted.order, query.free_vars()),
+            ir: compile_tree(&nodes, &r.parent, &r.order, query.free_vars()),
             width,
             bag_sizes,
         }

@@ -128,44 +128,48 @@ impl TreeDecomposition {
     }
 
     /// Orients the decomposition tree at `root`. Deterministic: the same
-    /// decomposition and root always yield the same rooted form.
+    /// decomposition and root always yield the same rooted form. The
+    /// neighbour lists and the stack live in `scratch`: after
+    /// [`Self::heights`], one buffer of `4 ·` bags words serves both.
     ///
     /// # Panics
     ///
     /// Panics when `root` is not a bag or the edge list is not a tree
     /// over all bags (which [`treewidth_at_most`] guarantees, and
     /// `validate` checks).
-    pub fn rooted_at(&self, root: usize) -> RootedDecomposition {
+    pub fn rooted_at(&self, root: usize, scratch: &mut Vec<usize>) -> RootedDecomposition {
         let n = self.bag_count();
         assert!(root < n, "root {root} is not one of {n} bags");
-        // Both directions of every edge, sorted: a bag's neighbours are
-        // one run, in ascending order.
-        let mut adj: Vec<(usize, usize)> = (self.tree_edges.iter())
-            .flat_map(|&(a, b)| [(a, b), (b, a)])
-            .collect();
-        adj.sort_unstable();
-        let neighbours = |v: usize| {
-            let from = adj.partition_point(|&(a, _)| a < v);
-            adj[from..].iter().take_while(move |&&(a, _)| a == v)
-        };
+        // Both directions of every edge as `n · from + to`, sorted: a
+        // bag's neighbours are one run, in ascending order.
+        let both = |&(a, b): &(usize, usize)| [a * n + b, b * n + a];
+        scratch.clear();
+        scratch.extend(self.tree_edges.iter().flat_map(both));
+        scratch.sort_unstable();
+        let m = scratch.len();
         let mut parent: Vec<Option<usize>> = vec![None; n];
         // Only the root is reached without getting a parent.
         let seen = |parent: &[Option<usize>], w: usize| w == root || parent[w].is_some();
-        // Iterative DFS from the root; `order` collects the post-order,
-        // which is exactly a bottom-up (children-before-parents) order.
+        // Iterative DFS from the root, its stack after the lists (`2v` to
+        // expand bag `v`, `2v + 1` to emit it); `order` collects the
+        // post-order, which is exactly a bottom-up (children-before-
+        // parents) order.
         let mut order = Vec::with_capacity(n);
-        let mut stack: Vec<(usize, bool)> = Vec::with_capacity(2 * n);
-        stack.push((root, false));
-        while let Some((v, expanded)) = stack.pop() {
-            if expanded {
+        scratch.push(2 * root);
+        while scratch.len() > m {
+            let top = scratch.pop().expect("the stack is not empty");
+            let v = top / 2;
+            if top % 2 == 1 {
                 order.push(v);
                 continue;
             }
-            stack.push((v, true));
-            for &(_, w) in neighbours(v) {
+            scratch.push(2 * v + 1);
+            let run = |v: usize| scratch[..m].partition_point(|&e| e < v * n);
+            for i in run(v)..run(v + 1) {
+                let w = scratch[i] % n;
                 if !seen(&parent, w) {
                     parent[w] = Some(v);
-                    stack.push((w, false));
+                    scratch.push(2 * w);
                 }
             }
         }
@@ -177,21 +181,20 @@ impl TreeDecomposition {
     /// the longest path from that bag to a leaf. In a tree the bag
     /// farthest from any bag is an end of a longest path, and a second
     /// sweep from that end finds the other, so three distance sweeps
-    /// give every height: the distance to the farther end.
-    pub fn heights(&self) -> Vec<usize> {
+    /// give every height: the distance to the farther end. They are left
+    /// in `scratch`, which holds the three sweeps side by side and their
+    /// queue on the way.
+    pub fn heights<'s>(&self, scratch: &'s mut Vec<usize>) -> &'s [usize] {
         let n = self.bag_count();
-        if n == 0 {
-            return Vec::new();
-        }
-        // Three sweeps side by side in one buffer, over one queue.
-        let mut dist = vec![usize::MAX; 3 * n];
-        let mut queue = Vec::with_capacity(n);
-        let mut sweep = |dist: &mut [usize], from: usize| {
-            dist[from] = 0;
-            queue.clear();
-            queue.push(from);
-            let mut next = 0;
-            while let Some(&u) = queue.get(next) {
+        scratch.clear();
+        scratch.resize(3 * n, usize::MAX);
+        // A breadth-first sweep from `from` into `scratch[dist..dist + n]`.
+        let sweep = |scratch: &mut Vec<usize>, dist: usize, from: usize| {
+            scratch.truncate(3 * n);
+            scratch[dist + from] = 0;
+            scratch.push(from);
+            let mut next = 3 * n;
+            while let Some(&u) = scratch.get(next) {
                 next += 1;
                 for &(a, b) in &self.tree_edges {
                     let w = match (a == u, b == u) {
@@ -199,24 +202,23 @@ impl TreeDecomposition {
                         (_, true) => a,
                         _ => continue,
                     };
-                    if dist[w] == usize::MAX {
-                        dist[w] = dist[u] + 1;
-                        queue.push(w);
+                    if scratch[dist + w] == usize::MAX {
+                        scratch[dist + w] = scratch[dist + u] + 1;
+                        scratch.push(w);
                     }
                 }
             }
         };
-        let farthest = |dist: &[usize]| (0..n).max_by_key(|&b| dist[b]).expect("a bag");
-        let (first, ends) = dist.split_at_mut(n);
-        let (one_end, other) = ends.split_at_mut(n);
-        sweep(first, 0);
-        sweep(one_end, farthest(first));
-        sweep(other, farthest(one_end));
-        for ((height, &a), &b) in first.iter_mut().zip(&*one_end).zip(&*other) {
-            *height = a.max(b);
+        let mut from = 0;
+        for dist in [0, n, 2 * n].into_iter().filter(|_| n > 0) {
+            sweep(scratch, dist, from);
+            from = (0..n).max_by_key(|&b| scratch[dist + b]).expect("a bag");
         }
-        dist.truncate(n);
-        dist
+        for b in 0..n {
+            scratch[b] = scratch[n + b].max(scratch[2 * n + b]);
+        }
+        scratch.truncate(n);
+        scratch
     }
 
     /// The decomposition with every bag that is contained in a tree
@@ -880,7 +882,8 @@ mod tests {
             let a = treewidth_at_most(&build(), k).unwrap();
             let b = treewidth_at_most(&build(), k).unwrap();
             assert_eq!(a, b, "width {k}");
-            assert_eq!(a.rooted_at(0), b.rooted_at(0), "rooted width {k}");
+            let root = |td: &TreeDecomposition| td.rooted_at(0, &mut Vec::new());
+            assert_eq!(root(&a), root(&b), "rooted width {k}");
             assert_eq!(a.reduced(), b.reduced(), "reduced width {k}");
         }
     }
@@ -891,7 +894,7 @@ mod tests {
         let g = from_edges(5, &c5);
         let td = treewidth_at_most(&g, 2).unwrap();
         for root in 0..td.bag_count() {
-            let r = td.rooted_at(root);
+            let r = td.rooted_at(root, &mut Vec::new());
             assert_eq!(r.order.len(), td.bag_count());
             assert_eq!(*r.order.last().unwrap(), root);
             // Children before parents, along tree edges only.
@@ -913,10 +916,10 @@ mod tests {
         let g = BitGraph::new(1);
         let td = treewidth_at_most(&g, 1).unwrap();
         assert_eq!(td.bag_count(), 1);
-        let r = td.rooted_at(0);
+        let r = td.rooted_at(0, &mut Vec::new());
         assert_eq!(r.order, vec![0]);
         assert_eq!(r.parent, vec![None]);
-        assert_eq!(td.heights(), vec![0]);
+        assert_eq!(td.heights(&mut Vec::new()), [0]);
     }
 
     #[test]
@@ -937,7 +940,7 @@ mod tests {
         red.validate(&g).unwrap();
         assert_eq!(red.bag_count(), 4);
         assert_eq!(red.width(), 2);
-        let mut heights = red.heights();
+        let mut heights = red.heights(&mut Vec::new()).to_vec();
         heights.sort_unstable();
         assert_eq!(heights, vec![2, 2, 3, 3], "a path of four bags");
         assert_eq!(red.clone().reduced(), red, "idempotent");

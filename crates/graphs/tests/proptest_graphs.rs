@@ -79,8 +79,8 @@ proptest! {
         prop_assert_eq!(&red.clone().reduced(), &red, "idempotent");
         let again = treewidth::treewidth_at_most(&u, k).unwrap().reduced();
         prop_assert_eq!(&again, &red, "deterministic");
-        for (root, height) in red.heights().into_iter().enumerate() {
-            let r = red.rooted_at(root);
+        for (root, &height) in red.heights(&mut Vec::new()).iter().enumerate() {
+            let r = red.rooted_at(root, &mut Vec::new());
             prop_assert_eq!(*r.order.last().unwrap(), root);
             prop_assert_eq!(r.parent.iter().filter(|p| p.is_none()).count(), 1);
             // The height is the longest parent chain.
@@ -571,9 +571,13 @@ fn check_against_oracle(name: &str, cases: u32, max_n: usize) {
             assert!(got.validate(&g).is_ok() && oracle::validate(&want, &g));
             let (got, want) = (got.reduced(), oracle::reduced(want));
             assert_eq!(as_lists(&got), want, "case {case}: reduced");
-            assert_eq!(got.heights(), oracle::heights(&want), "case {case}");
+            assert_eq!(
+                got.heights(&mut Vec::new()),
+                oracle::heights(&want),
+                "case {case}"
+            );
             for root in 0..got.bag_count() {
-                let r = got.rooted_at(root);
+                let r = got.rooted_at(root, &mut Vec::new());
                 assert_eq!((r.parent, r.order), oracle::rooted_at(&want, root));
             }
             let Some(b) = (0..want.bags.len()).find(|&b| !want.bags[b].is_empty()) else {

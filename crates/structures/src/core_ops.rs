@@ -24,7 +24,6 @@
 //! against `D`'s own index with the image confined to `S ∖ {y}`; a probe
 //! that fails stays failed for every smaller `S`, whose target is smaller.
 
-use crate::hom::Homomorphism;
 use crate::index::ElemSet;
 use crate::pointed::Pointed;
 use crate::solver::{HomRun, HomSolver};
@@ -35,14 +34,33 @@ use crate::structure::Element;
 pub struct CoreResult {
     /// The core structure (with dense universe).
     pub core: Pointed,
-    /// The retraction from the input onto (a copy of) the core: for each
-    /// input element, the index of its image *in the core's universe*.
-    pub retraction: Vec<Element>,
     /// Number of retract iterations performed.
     pub iterations: usize,
-    /// The solver compiled on the input, when the input is its own core:
-    /// a caller that keeps the core compiled need not compile it again.
+    /// The solver compiled on the input, when the input is its own core
+    /// of more than one element: a caller that keeps the core compiled
+    /// need not compile it again.
     pub solver: Option<HomSolver>,
+    /// The last witness, squeezed: a homomorphism from the input onto the
+    /// core's elements, in the input's numbering; empty when the input
+    /// is its own core.
+    witness: Vec<Element>,
+}
+
+impl CoreResult {
+    /// The retraction from the input onto (a copy of) the core: for each
+    /// input element, the index of its image *in the core's universe*.
+    /// Built on demand from the witness the computation kept.
+    pub fn retraction(&self) -> Vec<Element> {
+        if self.witness.is_empty() {
+            return (0..self.core.structure.universe_size() as Element).collect();
+        }
+        // The core keeps the image's elements in their order.
+        let mut image = self.witness.clone();
+        image.sort_unstable();
+        image.dedup();
+        let rank = |x: &Element| image.binary_search(x).expect("the image is the core") as Element;
+        self.witness.iter().map(rank).collect()
+    }
 }
 
 /// A search for a homomorphism `D → D[S]` fixing the distinguished tuple,
@@ -108,7 +126,10 @@ pub fn is_core(p: &Pointed) -> bool {
 /// each, in ascending order, and the core `D[S]` — a retract is an induced
 /// substructure — is built once, at the end. It is the unique core up to
 /// isomorphism; the distinguished tuple and the surviving elements' names
-/// carry over.
+/// carry over. Every probe writes its witness, and every squaring its
+/// square, into one buffer; the retraction is built only when
+/// [`CoreResult::retraction`] asks for it. A one-element structure is its
+/// own core, returned at once.
 ///
 /// # Panics
 ///
@@ -128,70 +149,91 @@ pub fn is_core(p: &Pointed) -> bool {
 /// assert_eq!(r.core.structure.universe_size(), 2);
 /// ```
 pub fn core_of(p: &Pointed) -> CoreResult {
+    let (solver, core, witness, iterations) = retract(p);
+    CoreResult {
+        solver: solver.filter(|_| core.is_none()),
+        core: core.unwrap_or_else(|| p.clone()),
+        iterations,
+        witness,
+    }
+}
+
+/// The core of `p` — `p` itself when it is its own core — with the solver
+/// compiled on it: what [`crate::order::MinimalAntichain`] keeps.
+pub(crate) fn core_compiled(p: Pointed) -> (HomSolver, Pointed) {
+    match retract(&p) {
+        (solver, None, ..) => (
+            solver.unwrap_or_else(|| HomSolver::compile(&p.structure)),
+            p,
+        ),
+        (_, Some(core), ..) => (HomSolver::compile(&core.structure), core),
+    }
+}
+
+/// The retraction loop of [`core_of`] on `D = p`: `D` compiled (not for
+/// one element, which nothing probes), the core `D[S]` when smaller, the
+/// last witness squeezed — `D → D[S]`, onto `S`; empty when `D` is its
+/// own core — and the iterations.
+fn retract(p: &Pointed) -> (Option<HomSolver>, Option<Pointed>, Vec<Element>, usize) {
     let n = p.structure.universe_size();
+    let (mut allowed, mut maps, mut iterations) = (ElemSet::default(), Vec::new(), 0);
+    if n == 1 {
+        return (None, None, maps, iterations);
+    }
     let solver = HomSolver::compile(&p.structure);
     assert!(
         solver.constrains_every_element(),
         "core_of needs an active universe (every element in some tuple)"
     );
-    let mut allowed = ElemSet::default();
     allowed.reset_full(n);
-    // The last witness, squeezed: a homomorphism from `D` onto `D[S]`.
-    let mut witness: Option<Homomorphism> = None;
-    let mut iterations = 0;
-    let mut squared = Homomorphism { map: Vec::new() };
+    // The image of `map` in `set`, and its size.
+    let image = |map: &[Element], set: &mut ElemSet| {
+        set.reset_empty(n);
+        map.iter().for_each(|&x| set.insert(x));
+        set.count()
+    };
     for y in 0..n as Element {
         if !allowed.contains(y) || p.distinguished().contains(&y) {
             continue;
         }
         allowed.remove(y);
-        let Some(mut h) = into_restriction(&solver, p, &allowed).find() else {
+        if !into_restriction(&solver, p, &allowed).find_into(&mut maps) {
             allowed.insert(y);
             continue;
-        };
+        }
         iterations += 1;
-        // Iterate the witness to its eventual image (h², h⁴, …): the image
-        // chain shrinks until `h` is injective on it. One cheap pass per
-        // squaring often saves whole probes.
-        let mut image = h.image_size();
+        // Iterate the witness `h = maps[..n]` to its eventual image (h²,
+        // h⁴, …), each square written after it: the image chain shrinks
+        // until `h` is injective on it. As `Im h² ⊆ Im h`, a square no
+        // smaller has `h`'s image, which `allowed` then holds. One cheap
+        // pass per squaring often saves whole probes.
+        let mut size = image(&maps, &mut allowed);
+        maps.reserve_exact(n);
         loop {
-            squared.map.clear();
-            squared.map.extend(h.map.iter().map(|&x| h.map[x as usize]));
-            let next_image = squared.image_size();
-            if next_image >= image {
+            (0..n).for_each(|x| maps.push(maps[maps[x] as usize]));
+            let next = image(&maps[n..], &mut allowed);
+            if next >= size {
                 break;
             }
-            std::mem::swap(&mut h, &mut squared);
-            image = next_image;
+            maps.copy_within(n.., 0);
+            maps.truncate(n);
+            size = next;
         }
-        allowed.reset_empty(n);
-        for &x in &h.map {
-            allowed.insert(x);
-        }
-        witness = Some(h);
+        maps.truncate(n);
     }
-    let Some(h) = witness else {
-        return CoreResult {
-            core: p.clone(),
-            retraction: (0..n as Element).collect(),
-            iterations,
-            solver: Some(solver),
-        };
-    };
-    let (core, remap) = p.structure.induced(|x| allowed.contains(x));
-    let rank = |x: Element| remap[x as usize].expect("the image is the core's universe");
-    let distinguished = p.distinguished().iter().map(|&x| rank(x)).collect();
-    CoreResult {
-        core: Pointed::new(core, distinguished),
-        retraction: h.map.iter().map(|&x| rank(x)).collect(),
-        iterations,
-        solver: None,
-    }
+    // The core, an induced substructure, with the head carried over.
+    let core = (!maps.is_empty()).then(|| {
+        let (core, remap) = p.structure.induced(|x| allowed.contains(x));
+        let rank = |&x: &Element| remap[x as usize].expect("the image is the core's universe");
+        Pointed::new(core, p.distinguished().iter().map(rank).collect())
+    });
+    (Some(solver), core, maps, iterations)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hom::Homomorphism;
     use crate::solver::HomSolver;
     use crate::structure::Structure;
 
@@ -243,7 +285,7 @@ mod tests {
         let g = cycle(3).disjoint_union(&cycle(6));
         let r = core_of(&Pointed::boolean(g.clone()));
         let h = Homomorphism {
-            map: r.retraction.clone(),
+            map: r.retraction(),
         };
         assert!(h.verify(&g, &r.core.structure));
     }

@@ -22,7 +22,6 @@
 //!   paths, chooser properties, …).
 
 use crate::structure::{Element, Structure};
-use std::cell::RefCell;
 
 /// A homomorphism, stored as the image of each source element.
 ///
@@ -46,13 +45,6 @@ pub struct Homomorphism {
     pub map: Vec<Element>,
 }
 
-thread_local! {
-    /// Reusable mark bitset for [`Homomorphism::image_size`] /
-    /// [`Homomorphism::is_non_injective`] — these sit in the core-search
-    /// inner loop, so they must not allocate or sort per call.
-    static IMAGE_MARKS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
 impl Homomorphism {
     /// The image of a source element.
     #[inline]
@@ -60,51 +52,11 @@ impl Homomorphism {
         self.map[e as usize]
     }
 
-    /// Clears and sizes the thread-local mark bitset for this map.
-    /// Allocation-free after warm-up (the scratch persists across calls).
-    fn with_image_marks<R>(&self, f: impl FnOnce(&[Element], &mut [u64]) -> R) -> R {
-        IMAGE_MARKS.with(|cell| {
-            let mut words = cell.borrow_mut();
-            let need = self
-                .map
-                .iter()
-                .map(|&x| x as usize / 64 + 1)
-                .max()
-                .unwrap_or(0);
-            words.clear();
-            words.resize(need, 0);
-            f(&self.map, &mut words)
-        })
-    }
-
     /// `true` when two distinct source elements share an image.
-    ///
-    /// Allocation-free: uses a persistent thread-local mark bitset and
-    /// stops at the first duplicate.
     pub fn is_non_injective(&self) -> bool {
-        self.with_image_marks(|map, marks| {
-            for &x in map {
-                let (w, b) = (x as usize / 64, x % 64);
-                if (marks[w] >> b) & 1 == 1 {
-                    return true;
-                }
-                marks[w] |= 1 << b;
-            }
-            false
-        })
-    }
-
-    /// Number of distinct image elements (allocation-free: no clone/sort).
-    pub(crate) fn image_size(&self) -> usize {
-        self.with_image_marks(|map, marks| {
-            let mut count = 0;
-            for &x in map {
-                let (w, b) = (x as usize / 64, x % 64);
-                count += usize::from((marks[w] >> b) & 1 == 0);
-                marks[w] |= 1 << b;
-            }
-            count
-        })
+        let mut image = self.map.clone();
+        image.sort_unstable();
+        image.windows(2).any(|w| w[0] == w[1])
     }
 
     /// Verifies that this map really is a homomorphism `source → target`.
@@ -229,7 +181,7 @@ mod tests {
         let p = path(2);
         let c = cycle(3);
         let h = HomSolver::compile(&p).run(&c).injective().find().unwrap();
-        assert_eq!(h.image_size(), 3);
+        assert!(!h.is_non_injective());
         // Injective C3 -> P2 impossible.
         assert!(!HomSolver::compile(&cycle(3))
             .run(&path(2))
@@ -319,38 +271,25 @@ mod tests {
 
     #[test]
     fn image_methods_allocation_free_semantics() {
-        // Correctness of the scratch-based image scans across shapes and
-        // repeated calls (the scratch persists between them).
+        // The injectivity test across shapes and repeated calls.
         let inj = Homomorphism { map: vec![2, 0, 1] };
         assert!(!inj.is_non_injective());
-        assert_eq!(inj.image_size(), 3);
 
         let collapse = Homomorphism {
             map: vec![5, 5, 5, 5],
         };
         assert!(collapse.is_non_injective());
-        assert_eq!(collapse.image_size(), 1);
 
         let empty = Homomorphism { map: vec![] };
         assert!(!empty.is_non_injective());
-        assert_eq!(empty.image_size(), 0);
 
-        // Large, sparse images exercise bitset growth; then a small map
-        // reuses the (larger) scratch correctly.
+        // A large, sparse image, then a small map.
         let sparse = Homomorphism {
             map: (0..1000).map(|i| i * 7 % 997).collect(),
         };
-        assert_eq!(
-            sparse.image_size(),
-            sparse
-                .map
-                .iter()
-                .collect::<std::collections::BTreeSet<_>>()
-                .len()
-        );
+        assert!(sparse.is_non_injective());
         let small = Homomorphism { map: vec![1, 1] };
         assert!(small.is_non_injective());
-        assert_eq!(small.image_size(), 1);
     }
 
     #[test]
@@ -371,7 +310,6 @@ mod tests {
             sorted.sort_unstable();
             sorted.dedup();
             let h = Homomorphism { map: map.clone() };
-            assert_eq!(h.image_size(), sorted.len(), "map {map:?}");
             assert_eq!(h.is_non_injective(), sorted.len() < map.len());
         }
     }

@@ -6,7 +6,7 @@
 //! strictly below in the preorder. Dually, on queries, `Q ⊆ Q'` iff
 //! `T_{Q'} → T_Q`.
 
-use crate::core_ops::core_of;
+use crate::core_ops::core_compiled;
 use crate::pointed::Pointed;
 use crate::solver::HomSolver;
 use std::time::{Duration, Instant};
@@ -30,79 +30,9 @@ pub fn hom_exists_compiled(solver: &HomSolver, a: &Pointed, b: &Pointed) -> bool
         .exists()
 }
 
-/// The full pairwise hom-existence matrix of a family:
-/// `below[i][j] = family[i] → family[j]` (diagonal left `false`).
-///
-/// Each member's solver is compiled once and each member's target index is
-/// built once, so the `n²` searches pay no per-pair setup.
-fn hom_matrix(family: &[Pointed]) -> Vec<Vec<bool>> {
-    let n = family.len();
-    let mut below = vec![vec![false; n]; n];
-    for (i, a) in family.iter().enumerate() {
-        let solver = HomSolver::compile(&a.structure);
-        for (j, b) in family.iter().enumerate() {
-            if i != j {
-                below[i][j] = hom_exists_compiled(&solver, a, b);
-            }
-        }
-    }
-    below
-}
-
 /// `true` when `a → b` and `b → a` (homomorphic equivalence; equal cores).
 pub fn hom_equivalent(a: &Pointed, b: &Pointed) -> bool {
     hom_exists(a, b) && hom_exists(b, a)
-}
-
-/// Indices of the →-minimal elements of a family of pointed structures
-/// (elements with nothing strictly below them in the family).
-///
-/// Theorem 4.1: the minimal elements of the quotient family `H_C(Q)`
-/// under `→` are exactly the `C`-approximations. This pairwise matrix is
-/// the exhaustive reference [`MinimalAntichain`] is checked against; the
-/// approximation search itself streams through the antichain.
-pub fn minimal_elements(family: &[Pointed]) -> Vec<usize> {
-    let n = family.len();
-    let below = hom_matrix(family);
-    (0..n)
-        .filter(|&i| {
-            // minimal iff no j with j -> i but i -/-> j
-            !(0..n).any(|j| j != i && below[j][i] && !below[i][j])
-        })
-        .collect()
-}
-
-/// Deduplicates a family up to homomorphic equivalence, keeping the first
-/// representative of each class. Returns the kept indices. With
-/// [`minimal_elements`], the reference [`MinimalAntichain`] is tested on.
-pub fn dedupe_hom_equivalent(family: &[Pointed]) -> Vec<usize> {
-    // Compile each candidate's solver lazily, once; equivalence checks
-    // between i and a kept k then reuse both compiled sides.
-    let mut solvers: Vec<Option<HomSolver>> = (0..family.len()).map(|_| None).collect();
-    let mut kept: Vec<usize> = Vec::new();
-    'outer: for i in 0..family.len() {
-        if solvers[i].is_none() {
-            solvers[i] = Some(HomSolver::compile(&family[i].structure));
-        }
-        for &k in &kept {
-            let fwd = hom_exists_compiled(
-                solvers[i].as_ref().expect("compiled above"),
-                &family[i],
-                &family[k],
-            );
-            if fwd
-                && hom_exists_compiled(
-                    solvers[k].as_ref().expect("kept entries are compiled"),
-                    &family[k],
-                    &family[i],
-                )
-            {
-                continue 'outer;
-            }
-        }
-        kept.push(i);
-    }
-    kept
 }
 
 /// The →-minimal elements of a stream of pointed structures, one
@@ -114,44 +44,54 @@ pub fn dedupe_hom_equivalent(family: &[Pointed]) -> Vec<usize> {
 /// after one hom test per member, without ever being compiled; any other
 /// newcomer evicts the members it maps into and joins.
 ///
-/// **Members are held as cores**, the solver compiled on the core:
-/// `x → y` iff `core(x) → core(y)`, so every later test runs between the
-/// smallest structures of the two classes, and minimized results are
-/// there for the taking ([`Self::into_cores`]; [`Self::into_members`]
-/// returns what was offered). Offered structures need active universes,
-/// as [`core_of`] does and tableaux have.
+/// **One structure per member**, with its solver: the core when the
+/// antichain minimizes, the structure as offered otherwise
+/// ([`Self::new`]). `x → y` iff `core(x) → core(y)`, so either way the
+/// members and the verdicts are the same; a minimizing antichain runs
+/// every later test between the smallest structures of the two classes,
+/// and keeps a candidate that is its own core as offered, with the
+/// solver its core computation compiled. Offered structures need active
+/// universes when minimizing, as [`core_of`](crate::core_of) does and
+/// tableaux have.
 ///
-/// The members equal [`minimal_elements`] of [`dedupe_hom_equivalent`] of
-/// the stream, first representatives in arrival order.
+/// The members are the →-minimal ones among the first representative of
+/// each hom-equivalence class of the stream, in arrival order.
 #[derive(Default)]
 pub struct MinimalAntichain {
-    /// Per member: the core's solver, the core, the structure as offered.
-    members: Vec<(HomSolver, Pointed, Pointed)>,
+    /// Per member: its solver and the structure it is compiled on.
+    members: Vec<(HomSolver, Pointed)>,
+    minimize: bool,
     core_time: Duration,
 }
 
 impl MinimalAntichain {
-    /// An empty antichain.
-    pub fn new() -> Self {
-        MinimalAntichain::default()
+    /// An empty antichain that keeps its members' cores when `minimize`,
+    /// and its members as offered otherwise.
+    pub fn new(minimize: bool) -> Self {
+        MinimalAntichain {
+            minimize,
+            ..MinimalAntichain::default()
+        }
     }
 
     /// Offers the next element of the stream; `true` when it joined.
     pub fn offer(&mut self, c: Pointed) -> bool {
-        let below = |(solver, core, _): &(HomSolver, Pointed, Pointed)| {
-            hom_exists_compiled(solver, core, &c)
-        };
+        let below = |(solver, m): &(HomSolver, Pointed)| hom_exists_compiled(solver, m, &c);
         if self.members.iter().any(below) {
             return false;
         }
-        let start = Instant::now();
-        let found = core_of(&c);
-        self.core_time += start.elapsed();
-        let core = found.core;
-        let solver = (found.solver).unwrap_or_else(|| HomSolver::compile(&core.structure));
+        let (solver, kept) = match self.minimize {
+            true => {
+                let start = Instant::now();
+                let cored = core_compiled(c);
+                self.core_time += start.elapsed();
+                cored
+            }
+            false => (HomSolver::compile(&c.structure), c),
+        };
         self.members
-            .retain(|(_, m, _)| !hom_exists_compiled(&solver, &core, m));
-        self.members.push((solver, core, c));
+            .retain(|(_, m)| !hom_exists_compiled(&solver, &kept, m));
+        self.members.push((solver, kept));
         true
     }
 
@@ -161,16 +101,11 @@ impl MinimalAntichain {
         self.core_time
     }
 
-    /// The current minimal representatives as they were offered, in
-    /// arrival order.
+    /// The current minimal representatives, in arrival order: their
+    /// cores when minimizing — pairwise incomparable, so pairwise
+    /// non-isomorphic — and as they were offered otherwise.
     pub fn into_members(self) -> Vec<Pointed> {
-        self.members.into_iter().map(|(.., m)| m).collect()
-    }
-
-    /// The cores of the current minimal representatives, in arrival
-    /// order: pairwise incomparable, so pairwise non-isomorphic.
-    pub fn into_cores(self) -> Vec<Pointed> {
-        self.members.into_iter().map(|(_, core, _)| core).collect()
+        self.members.into_iter().map(|(_, m)| m).collect()
     }
 }
 
@@ -227,16 +162,18 @@ mod tests {
     #[test]
     fn minimal_and_maximal() {
         // Order: C6 ⥛ C3 ⥛ loop; C4 ⥛ loop; C4 incomparable with C3, C6.
-        let family = vec![cycle(3), cycle(6), lp(), cycle(4)];
-        let mins = minimal_elements(&family);
-        assert_eq!(mins, vec![1, 3]); // C6 and C4
+        let mut chain = MinimalAntichain::new(false);
+        for p in [cycle(3), cycle(6), lp(), cycle(4)] {
+            chain.offer(p);
+        }
+        assert_eq!(chain.into_members(), vec![cycle(6), cycle(4)]);
     }
 
     #[test]
     fn antichain_evicts_and_drops() {
         // The family of `minimal_and_maximal`, ordered so that each of
         // the first two members is evicted by the next.
-        let mut chain = MinimalAntichain::new();
+        let mut chain = MinimalAntichain::new(false);
         assert!(chain.offer(lp()));
         assert!(chain.offer(cycle(3))); // evicts the loop
         assert!(chain.offer(cycle(6))); // evicts C3
@@ -253,15 +190,19 @@ mod tests {
             Pointed::boolean(a.structure.disjoint_union(&b.structure))
         }
         // C3, C3 ∪ C6 and C3 ∪ C9 are pairwise hom-equivalent (all ~ C3).
-        let family = vec![
+        let family = [
             cycle(3),
             union(&cycle(3), &cycle(6)),
             union(&cycle(3), &cycle(9)),
             cycle(4),
             lp(),
         ];
-        let kept = dedupe_hom_equivalent(&family);
-        assert_eq!(kept, vec![0, 3, 4]);
+        // The antichain keeps the first of each class it keeps: C3 and
+        // C4 (the loop lies above both).
+        let mut chain = MinimalAntichain::new(false);
+        let joined = family.map(|p| chain.offer(p));
+        assert_eq!(joined, [true, false, false, true, false]);
+        assert_eq!(chain.into_members(), vec![cycle(3), cycle(4)]);
     }
 
     #[test]

@@ -34,7 +34,8 @@
 //! tuple and its repetition pattern are spans of two buffers, and the
 //! incidence lists of the source variables sit behind one offsets array. So [`HomSolver::compile`] calls the allocator
 //! a fixed number of times, whatever the number of atoms, and a target's
-//! [`StructureIndex`] is laid out the same way per relation. Search
+//! [`StructureIndex`] is laid out the same way, every relation's lists in
+//! one buffer. Search
 //! buffers (domains, trail, queue, value stacks, spare bitsets, and the
 //! run's pins and exclusions) live in a thread-local pool, and a run
 //! hands its root level's saved domains back to it. So a warm run — on
@@ -313,14 +314,22 @@ impl<'s, 't> HomRun<'s, 't> {
     /// Finds one homomorphism, if any: the one witness the search
     /// assembles, moved out.
     pub fn find(self) -> Option<Homomorphism> {
-        let mut result = None;
+        let mut map = Vec::new();
+        self.find_into(&mut map).then_some(Homomorphism { map })
+    }
+
+    /// [`Self::find`] into `map`, which keeps its allocation: `true` when
+    /// a homomorphism was found and written there; `map` is left as it
+    /// was otherwise.
+    pub(crate) fn find_into(self, map: &mut Vec<Element>) -> bool {
+        let mut found = false;
         self.solve(|a| {
-            result = Some(Homomorphism {
-                map: a.iter().map(|x| x.expect("complete assignment")).collect(),
-            });
+            map.clear();
+            map.extend(a.iter().map(|x| x.expect("complete assignment")));
+            found = true;
             ControlFlow::Break(())
         });
-        result
+        found
     }
 
     /// `true` when a homomorphism exists; stops at the first one without
@@ -482,9 +491,8 @@ impl Search<'_> {
         // Unary pruning: a constrained variable can only take values that
         // occur at the right (relation, position).
         for c in &self.solver.constraints {
-            let ridx = self.idx.rel(RelId(c.rel));
             for (p, &v) in self.solver.tuple(*c).0.iter().enumerate() {
-                sc.domains[v as usize].intersect_with(ridx.occurs(p));
+                sc.domains[v as usize].intersect_with(self.idx.occurs(RelId(c.rel), p));
             }
         }
         if let Some(allowed) = within {
@@ -588,8 +596,7 @@ impl Search<'_> {
         self.revisions += 1;
         let c = self.solver.constraints[ci];
         let (vars, first) = self.solver.tuple(c);
-        let rel = RelId(c.rel);
-        let ridx = self.idx.rel(rel);
+        let (rel, idx) = (RelId(c.rel), self.idx);
         let sc = &mut *self.sc;
 
         // Fully assigned: a membership test.
@@ -605,7 +612,7 @@ impl Search<'_> {
         let mut best: Option<&[u32]> = None;
         for (p, &v) in vars.iter().enumerate() {
             if let Some(val) = sc.assignment[v as usize] {
-                let list = ridx.matches(p, val);
+                let list = idx.matches(rel, p, val);
                 if best.is_none_or(|b| list.len() < b.len()) {
                     best = Some(list);
                 }
