@@ -12,9 +12,9 @@ use cqapx_bench::definitions::{self, Hom};
 use cqapx_core::approx::{in_walk_order, repairs_public};
 use cqapx_core::{
     all_approximations_tableaux, is_approximation, walk_approximations_tableaux, Acyclic,
-    ApproxOptions, HtwK, QueryClass, TwK,
+    ApproxCacheKey, ApproxOptions, HtwK, QueryClass, TwK,
 };
-use cqapx_cq::{parse_cq, query_from_tableau, tableau_of};
+use cqapx_cq::{parse_cq, parse_cq_with_vocab, query_from_tableau, tableau_of};
 use cqapx_structures::iso::isomorphic_pointed;
 use cqapx_structures::partition::{bell, for_each_partition};
 use cqapx_structures::quotient::quotient_pointed;
@@ -624,6 +624,155 @@ fn search_cost_and_results_do_not_depend_on_the_spelling() {
     check_order_robustness("search_cost_and_results_do_not_depend_on_the_spelling", 40);
 }
 
+/// `t` spelled again: a query over `vocab` whose variable `x` is named
+/// `v{renaming[x]}`, its atoms in the order of `atoms` (a permutation of
+/// the tableau's tuples), parsed and turned back into a tableau. The
+/// parser numbers variables as they first occur in the text.
+fn respelled(t: &Pointed, renaming: &[u32], atoms: &[usize]) -> Pointed {
+    let s = &t.structure;
+    let name = |x: &Element| format!("v{}", renaming[*x as usize]);
+    let all: Vec<String> = (s.vocabulary().rel_ids())
+        .flat_map(|r| s.tuples(r).map(move |u| (r, u)))
+        .map(|(r, u)| {
+            let args: Vec<String> = u.iter().map(name).collect();
+            format!("{}({})", s.vocabulary().name(r), args.join(","))
+        })
+        .collect();
+    let body: Vec<&str> = atoms.iter().map(|&i| all[i].as_str()).collect();
+    let head: Vec<String> = t.distinguished().iter().map(name).collect();
+    let text = format!("Q({}) :- {}", head.join(","), body.join(", "));
+    tableau_of(&parse_cq_with_vocab(&text, s.vocabulary()).unwrap())
+}
+
+/// Whether the definitions find an isomorphism `a → b`: equal universe
+/// sizes and tuple counts per relation, and an injective homomorphism
+/// that maps head to head.
+fn isomorphic_by_definition(a: &Pointed, b: &Pointed) -> bool {
+    let (s, t) = (&a.structure, &b.structure);
+    let counts = s
+        .vocabulary()
+        .rel_ids()
+        .all(|r| s.tuples(r).len() == t.tuples(r).len());
+    let pins = a.distinguished().iter().zip(b.distinguished());
+    let hom = pins.fold(Hom::new(s, t), |h, (&x, &y)| h.pin(x, y));
+    counts
+        && a.arity() == b.arity()
+        && s.universe_size() == t.universe_size()
+        && hom.injective().exists()
+}
+
+/// Equal [`ApproxCacheKey`]s hold exactly when the definitions find an
+/// isomorphism, on random pointed tableaux over `E/2` and `T/3` with
+/// heads of 0–3 variables that may repeat: against a random respelling
+/// of each (variables renamed, atoms reordered), which must be equal,
+/// against itself under the reversed head, and against the tableau
+/// drawn before it. Directed `C6` against two directed triangles is
+/// the pair one round of colour refinement conflates.
+fn check_canonical_keys(name: &str, cases: u32, max_n: usize) {
+    let key = |t: &Pointed| ApproxCacheKey::new(t, &TwK(1), &ApproxOptions::default());
+    let c6 =
+        tableau_of(&parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)").unwrap());
+    let two =
+        tableau_of(&parse_cq("Q() :- E(a,b), E(b,c), E(c,a), E(d,e), E(e,f), E(f,d)").unwrap());
+    assert!(key(&c6) != key(&two) && !isomorphic_by_definition(&c6, &two));
+    let mut rng = TestRng::deterministic(name);
+    let mut shuffled = |len: usize| {
+        let mut items: Vec<usize> = (0..len).collect();
+        for i in (1..len).rev() {
+            items.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        items
+    };
+    let strategy = (pointed_structure(max_n), 0..4usize);
+    let mut before: Option<Pointed> = None;
+    for_cases(name, cases, strategy, |(t, arity)| {
+        let head = t
+            .distinguished()
+            .iter()
+            .cycle()
+            .take(arity)
+            .copied()
+            .collect();
+        let t = Pointed::new(t.structure, head);
+        let n = t.structure.universe_size();
+        let renaming: Vec<u32> = shuffled(n).into_iter().map(|x| x as u32).collect();
+        let again = respelled(&t, &renaming, &shuffled(t.structure.total_tuples()));
+        assert!(isomorphic_by_definition(&t, &again), "{t:?}");
+        assert_eq!(key(&t), key(&again), "{t:?} vs {again:?}");
+        let reversed = t.distinguished().iter().rev().copied().collect();
+        let others = [
+            Some(Pointed::new(t.structure.clone(), reversed)),
+            before.take(),
+        ];
+        for other in others.into_iter().flatten() {
+            let same = key(&t) == key(&other);
+            assert_eq!(
+                same,
+                isomorphic_by_definition(&t, &other),
+                "{t:?} vs {other:?}"
+            );
+        }
+        before = Some(t);
+    });
+}
+
+#[test]
+fn canonical_keys_agree_with_definitions() {
+    check_canonical_keys("canonical_keys", 256, 6);
+}
+
+/// The labelling's leaves on highly symmetric inputs, pinned: each is at
+/// most `n²` for `n` elements (first-path orbit pruning keeps the star's
+/// 12! automorphisms to 12 leaves), and every generator found is an
+/// automorphism. Colour refinement alone makes `D` discrete.
+#[test]
+fn canonical_labelling_leaves_on_symmetric_families() {
+    use cqapx_gadgets::prop44;
+    use cqapx_structures::iso::canonical_form;
+    let digraph =
+        |n: u32, edges: &[(u32, u32)]| Pointed::boolean(Structure::digraph(n as usize, edges));
+    let star: Vec<(u32, u32)> = (1..=12).map(|i| (0, i)).collect();
+    let triangles: Vec<(u32, u32)> = (0..24).map(|i| (i, i / 3 * 3 + (i + 1) % 3)).collect();
+    let k6: Vec<(u32, u32)> = (0..36)
+        .map(|i| (i / 6, i % 6))
+        .filter(|(a, b)| a != b)
+        .collect();
+    let grid: Vec<(u32, u32)> = (0..25)
+        .flat_map(|v| {
+            [
+                (v % 5 < 4).then_some((v, v + 1)),
+                (v < 20).then_some((v, v + 5)),
+            ]
+        })
+        .flatten()
+        .collect();
+    let ring = {
+        let vocab = Vocabulary::single(3);
+        let mut b = StructureBuilder::new(vocab.clone(), 9);
+        let r = vocab.rel("R").unwrap();
+        (0..9).for_each(|i| _ = b.add(r, &[i, (i + 1) % 9, (i + 3) % 9]));
+        Pointed::boolean(b.finish())
+    };
+    let d = Pointed::boolean(prop44::digraph_d().0.to_structure());
+    let cases = [
+        ("star of 12 leaves", digraph(13, &star), 12),
+        ("8 directed triangles", digraph(24, &triangles), 15),
+        ("K6 both ways", digraph(6, &k6), 6),
+        ("oriented 5x5 grid", digraph(25, &grid), 2),
+        ("ternary ring n = 9", ring, 2),
+        ("Proposition 4.4's D", d, 1),
+    ];
+    for (name, p, leaves) in cases {
+        let n = p.structure.universe_size() as u64;
+        let form = canonical_form(&p);
+        for g in form.generators() {
+            assert_eq!(p.structure.map_image_raw(g), p.structure, "{name}: {g:?}");
+        }
+        assert_eq!(form.leaves(), leaves, "{name}");
+        assert!(leaves <= n * n, "{name}: {leaves} leaves");
+    }
+}
+
 /// The deep variant CI runs in release mode after the default suite.
 #[test]
 #[ignore = "deep: 512 cases up to 8 variables, run in release by CI"]
@@ -633,4 +782,5 @@ fn deep_approximation_differentials() {
     check_repairing_search("deep_repairing", 512);
     check_identification("deep_identification", 512, 7);
     check_order_robustness("deep_order_robustness", 512);
+    check_canonical_keys("deep_canonical_keys", 512, 8);
 }

@@ -180,8 +180,9 @@ fn renamings() -> Vec<ConjunctiveQuery> {
 /// sandwich with the first one's answers, and every renaming's
 /// approximation is one cache entry. Returns the cache's hits and
 /// misses, what the sequential run must match — those, the answers, the
-/// cache's bytes and the report's counts that do not depend on which
-/// renaming was searched — and the report's tableaux.
+/// cache's bytes and the report's counts, which do not depend on which
+/// renaming missed (the cache searches the canonical tableau) — and the
+/// report's tableaux.
 fn serve_renamings(d: &Structure, threads: usize) -> ((u64, u64), String, Vec<Pointed>) {
     let e = Engine::new(EngineConfig {
         threads,
@@ -216,11 +217,13 @@ fn serve_renamings(d: &Structure, threads: usize) -> ((u64, u64), String, Vec<Po
     );
     let report = &entries[0].report;
     let seen = format!(
-        "{counts:?} {:?} {} bytes, {} approximations, {} partitions",
+        "{counts:?} {:?} {} bytes, {} approximations, {} partitions, {} candidates, {} nodes",
         responses[0].answers.to_btree_set(),
         e.snapshot().approx_cache_bytes,
         report.approximations.len(),
         report.partitions,
+        report.candidates,
+        report.nodes,
     );
     (counts, seen, report.tableaux.clone())
 }

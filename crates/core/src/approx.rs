@@ -76,7 +76,7 @@ use cqapx_graphs::coloring::Adjacency;
 use cqapx_graphs::BitGraph;
 use cqapx_hypergraphs::Hypergraph;
 use cqapx_structures::fxhash::{FxHashMap, FxHashSet, FxHasher};
-use cqapx_structures::iso::{signature_pointed, IsoSignature};
+use cqapx_structures::iso::canonical_form;
 use cqapx_structures::order::MinimalAntichain;
 use cqapx_structures::partition::{walk_partitions, Walk};
 use cqapx_structures::{core_of, Partition, Pointed, RelId, StructureBuilder, Vocabulary};
@@ -137,23 +137,21 @@ impl std::ops::Deref for ApproxReport {
     }
 }
 
-/// A stable, hashable cache key for approximation results: the tableau's
-/// isomorphism-invariant signature plus the class and the options.
-///
-/// Two queries whose tableaux are isomorphic (same query up to variable
-/// renaming) produce equal keys, so a cache keyed by `ApproxCacheKey` can
-/// share one [`ApproxReport`] between them. Signature equality is
-/// necessary but not sufficient for isomorphism, so a cache must confirm
-/// candidate hits with `isomorphic_pointed` against a stored
-/// representative tableau — see `cqapx-engine`'s approximation cache.
+/// An exact cache key for approximation results: the tableau's
+/// vocabulary and canonical words ([`canonical_form`]), the class and
+/// the options. Equal keys mean isomorphic tableaux approximated alike,
+/// so a cache keyed by it shares one [`ApproxReport`] between queries
+/// equal up to renaming variables and reordering atoms, and only those.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ApproxCacheKey {
-    /// Isomorphism-invariant signature of the query tableau.
-    pub signature: IsoSignature,
+    /// The vocabulary of the query tableau.
+    pub vocabulary: Vocabulary,
     /// The class approximated into.
     pub class: QueryClass,
     /// The [`ApproxOptions`] the result was computed under.
     pub options: ApproxOptions,
+    /// The tableau's canonical words.
+    pub words: Box<[u32]>,
 }
 
 impl ApproxCacheKey {
@@ -161,9 +159,10 @@ impl ApproxCacheKey {
     /// `opts`.
     pub fn new(t: &Pointed, class: &QueryClass, opts: &ApproxOptions) -> ApproxCacheKey {
         ApproxCacheKey {
-            signature: signature_pointed(t),
+            vocabulary: t.structure.vocabulary().clone(),
             class: *class,
             options: opts.clone(),
+            words: canonical_form(t).words().into(),
         }
     }
 }
@@ -902,11 +901,10 @@ pub struct ApproxReportMeta {
     /// loop and the whole head, the repaired out-of-class ones, and
     /// `Q^triv` (the coarsest partition's quotient), offered last.
     ///
-    /// The count belongs to the spelling that was searched: the walk's
-    /// order (`in_walk_order`) breaks ties by input index, so isomorphic
-    /// renamings of one query can offer different numbers of candidates
-    /// for the same partitions, and a report the engine's cache shares
-    /// keeps the count of whichever request searched first.
+    /// The count belongs to the spelling searched: the walk's order
+    /// (`in_walk_order`) breaks ties by input index, so isomorphic
+    /// renamings can offer different numbers of candidates. The engine's
+    /// cache searches the canonical tableau, the same for every spelling.
     pub candidates: usize,
     /// Number of partitions reached (leaves of the walk; pruned subtrees
     /// and dominated leaves are not counted).

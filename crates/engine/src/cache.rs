@@ -1,25 +1,22 @@
 //! The approximation cache: the single-exponential `C`-approximation
 //! search runs **once per query-isomorphism-class**, and every later
-//! request — same query text, renamed variables, or a different prepared
-//! query with an isomorphic tableau — reuses the `ApproxReport` and its
-//! compiled evaluation plans.
+//! request — same query text, renamed variables, reordered atoms, or a
+//! different prepared query with an isomorphic tableau — reuses the
+//! `ApproxReport` and its compiled evaluation plans.
 //!
-//! Keying is two-level, reusing `cqapx_structures::iso`:
-//!
-//! 1. an [`ApproxCacheKey`] — the tableau's isomorphism-*invariant*
-//!    signature plus class name and option fingerprint — names a bucket;
-//! 2. within a bucket, each isomorphism class met so far is one member:
-//!    its first tableau, compiled once ([`CompiledPointed`]), and one
-//!    [`Flight`] for its approximations. A lookup confirms a member by
-//!    exact isomorphism (signatures can collide; isomorphism cannot).
-//!
-//! The search runs inside the member's flight, so a parallel batch of
-//! isomorphic queries runs it once: one miss, and the rest wait and
-//! hit. The bucket map's lock, read through poison, is held only for
-//! snapshots (one `Arc` clone) and inserts; confirmations and searches
-//! run outside it. A [`Ledger`] charges entries estimated bytes and
-//! evicts them least recently used first, as in the materialization
-//! cache.
+//! The key is exact: an [`ApproxCacheKey`] holds the tableau's vocabulary
+//! and canonical words (`cqapx_structures::iso::canonical_form`), the
+//! class and the options, and equal keys mean isomorphic tableaux. One
+//! map goes from key to member: the class's canonical tableau (its first
+//! spelling, relabelled) and one [`Flight`] for its approximations. A
+//! lookup labels in the thread's scratch and looks the words up borrowed,
+//! so a hit allocates nothing; debug builds check it with
+//! `isomorphic_pointed`. A miss searches the canonical tableau inside the
+//! flight, so a parallel batch of isomorphic queries searches once, and
+//! the report's counts do not depend on the spelling that missed. The
+//! map's lock, read through poison, is held only to look up or insert. A
+//! [`Ledger`] charges entries estimated bytes and evicts them least
+//! recently used first, as in the materialization cache.
 
 use cqapx_core::{
     all_approximations_tableaux, ApproxCacheKey, ApproxOptions, ApproxReport, QueryClass,
@@ -27,9 +24,11 @@ use cqapx_core::{
 use cqapx_cq::eval::flight::{lru, Flight, Ledger};
 use cqapx_cq::eval::{Answers, MatCacheStats, MaterializationCache, NaivePlan, PlanIr, TreePlan};
 use cqapx_cq::ConjunctiveQuery;
-use cqapx_structures::iso::CompiledPointed;
-use cqapx_structures::{Pointed, Structure};
+use cqapx_structures::iso::{canonical_form, isomorphic_pointed};
+use cqapx_structures::{Pointed, Structure, Vocabulary};
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -82,9 +81,9 @@ impl CachedApproximation {
     /// Estimated resident bytes of this entry: the retained tableaux
     /// (the dominant allocations) plus a fixed overhead per compiled
     /// plan. It steers eviction and budget comparisons, never answers.
-    fn estimated_bytes(&self, representative: &Pointed) -> usize {
+    fn estimated_bytes(&self, canonical: &Pointed) -> usize {
         let tableaux: usize = self.report.tableaux.iter().map(pointed_bytes).sum();
-        tableaux + pointed_bytes(representative) + self.evaluators.len() * 256 + 128
+        tableaux + pointed_bytes(canonical) + self.evaluators.len() * 256 + 128
     }
 }
 
@@ -101,22 +100,60 @@ fn pointed_bytes(p: &Pointed) -> usize {
     structure + std::mem::size_of_val(p.distinguished())
 }
 
-/// One isomorphism class: the tableau it was first met as, and the
-/// flight its approximations land in.
+/// One isomorphism class: its canonical tableau, which a miss searches,
+/// and the flight its approximations land in.
 struct Member {
-    representative: CompiledPointed,
+    canonical: Pointed,
     flight: Flight<Arc<CachedApproximation>>,
 }
 
-/// A bucket's members. Inserting one replaces the whole list, so a
-/// snapshot is one `Arc` clone, and a changed bucket is a new pointer.
-type Bucket = Arc<[Arc<Member>]>;
+/// A key's fields, borrowed, in their order: a tuple hashes as the
+/// derived `Hash` of a struct of the same fields does.
+type Parts<'a> = (&'a Vocabulary, &'a QueryClass, &'a ApproxOptions, &'a [u32]);
+
+/// What the map hashes and compares, so that a lookup by borrowed parts
+/// builds no key.
+trait Keyed {
+    fn parts(&self) -> Parts<'_>;
+}
+
+impl Keyed for ApproxCacheKey {
+    fn parts(&self) -> Parts<'_> {
+        (&self.vocabulary, &self.class, &self.options, &self.words)
+    }
+}
+
+impl Keyed for Parts<'_> {
+    fn parts(&self) -> Parts<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn Keyed + 'a> for ApproxCacheKey {
+    fn borrow(&self) -> &(dyn Keyed + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn Keyed + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn Keyed + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn Keyed + '_ {}
 
 /// A concurrent map from tableaux, up to isomorphism, to shared
 /// [`CachedApproximation`]s (see the module documentation).
 #[derive(Default)]
 pub struct ApproxCache {
-    buckets: Mutex<HashMap<ApproxCacheKey, Bucket>>,
+    members: Mutex<HashMap<ApproxCacheKey, Arc<Member>>>,
     ledger: Ledger,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -154,16 +191,16 @@ impl ApproxCache {
         class: &QueryClass,
         opts: &ApproxOptions,
     ) -> (Arc<Member>, Arc<CachedApproximation>, bool) {
-        let member = self.member(ApproxCacheKey::new(t, class, opts), t);
+        let member = self.member(t, class, opts);
         let (value, ran) = self.ledger.claim(&member.flight, || {
-            let (tableaux, meta) = all_approximations_tableaux(t, class, opts);
+            let (tableaux, meta) = all_approximations_tableaux(&member.canonical, class, opts);
             let report = ApproxReport::from_tableaux(tableaux, meta);
             let width = class.decomposition_width();
             let evaluators = (report.approximations.iter())
                 .map(|q| ApproxPlan::compile(q, width))
                 .collect();
             let value = CachedApproximation { report, evaluators };
-            let bytes = value.estimated_bytes(member.representative.pointed());
+            let bytes = value.estimated_bytes(&member.canonical);
             (Arc::new(value), bytes)
         });
         let value = Arc::clone(value);
@@ -174,40 +211,34 @@ impl ApproxCache {
 
     /// Evicts down to the budget, never `keep` (see [`lru`]).
     fn sweep(&self, keep: Option<&Flight<Arc<CachedApproximation>>>) {
-        self.ledger.sweep(|| self.buckets(), |b| evict_lru(b, keep));
+        self.ledger.sweep(|| self.members(), |m| evict_lru(m, keep));
     }
 
-    /// The member of `key`'s bucket isomorphic to `t`, inserted
-    /// un-landed when there is none. An insert that finds the bucket
-    /// changed since its snapshot confirms only the members it has not
-    /// seen, outside the lock, and tries again.
-    fn member(&self, key: ApproxCacheKey, t: &Pointed) -> Arc<Member> {
-        let (mut seen, mut fresh) = (None::<Bucket>, None);
-        loop {
-            let mut buckets = self.buckets();
-            let now = buckets.get(&key).cloned();
-            let unchanged = now.as_deref().map(<[_]>::as_ptr) == seen.as_deref().map(<[_]>::as_ptr);
-            if let (true, Some(fresh)) = (unchanged, &fresh) {
-                let grown = members(&now).iter().cloned().chain([Arc::clone(fresh)]);
-                buckets.insert(key, grown.collect());
-                return Arc::clone(fresh);
-            }
-            drop(buckets);
-            let old = members(&seen);
-            let mut unseen =
-                (members(&now).iter()).filter(|m| !old.iter().any(|o| Arc::ptr_eq(o, m)));
-            if let Some(m) = unseen.find(|m| m.representative.isomorphic_to(t)) {
-                return Arc::clone(m);
-            }
-            seen = now;
-            fresh.get_or_insert_with(|| {
-                let representative = CompiledPointed::new(t.clone());
-                Arc::new(Member {
-                    representative,
-                    flight: Flight::default(),
-                })
-            });
+    /// The member `t` belongs to, inserted un-landed when there is none.
+    /// A racing insert of the same key wins, and this one is dropped.
+    fn member(&self, t: &Pointed, class: &QueryClass, opts: &ApproxOptions) -> Arc<Member> {
+        let (form, vocabulary) = (canonical_form(t), t.structure.vocabulary());
+        if let Some(member) = self.find(t, (vocabulary, class, opts, form.words())) {
+            return member;
         }
+        let member = Arc::new(Member {
+            canonical: form.tableau(vocabulary),
+            flight: Flight::default(),
+        });
+        let key = ApproxCacheKey {
+            vocabulary: vocabulary.clone(),
+            class: *class,
+            options: opts.clone(),
+            words: form.words().into(),
+        };
+        Arc::clone(self.members().entry(key).or_insert(member))
+    }
+
+    /// The member stored under `key`, the parts of `t`'s key.
+    fn find(&self, t: &Pointed, key: Parts<'_>) -> Option<Arc<Member>> {
+        let member = Arc::clone(self.members().get(&key as &dyn Keyed)?);
+        debug_assert!(isomorphic_pointed(&member.canonical, t), "{t:?}");
+        Some(member)
     }
 
     /// Sets the byte budget (`0` = unbounded) and applies it
@@ -241,19 +272,18 @@ impl ApproxCache {
         class: &QueryClass,
         opts: &ApproxOptions,
     ) -> Option<Arc<CachedApproximation>> {
-        let key = ApproxCacheKey::new(t, class, opts);
-        let bucket = self.buckets().get(&key).cloned()?;
-        let landed = |m: &&Arc<Member>| m.flight.landed().is_some();
-        let member = (bucket.iter().filter(landed)).find(|m| m.representative.isomorphic_to(t))?;
+        let (form, vocabulary) = (canonical_form(t), t.structure.vocabulary());
+        let member = self.find(t, (vocabulary, class, opts, form.words()))?;
+        member.flight.landed()?;
         // Landed, so the claim returns at once, and stamps a hit.
         let (value, _) = self.ledger.claim(&member.flight, || unreachable!("landed"));
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(Arc::clone(value))
     }
 
-    /// The bucket map, through poison.
-    fn buckets(&self) -> MutexGuard<'_, HashMap<ApproxCacheKey, Bucket>> {
-        self.buckets.lock().unwrap_or_else(PoisonError::into_inner)
+    /// The member map, through poison.
+    fn members(&self) -> MutexGuard<'_, HashMap<ApproxCacheKey, Arc<Member>>> {
+        self.members.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Cache hits so far.
@@ -267,29 +297,18 @@ impl ApproxCache {
     }
 }
 
-/// Removes the least recently used landed member other than `keep`
-/// from its bucket, and the bucket once empty; returns its charge.
-/// Evicts nothing once `keep` has left the map (see [`lru`]).
+/// Removes the least recently used landed member other than `keep`;
+/// returns its charge. Evicts nothing once `keep` has left the map (see
+/// [`lru`]).
 fn evict_lru(
-    buckets: &mut HashMap<ApproxCacheKey, Bucket>,
+    members: &mut HashMap<ApproxCacheKey, Arc<Member>>,
     keep: Option<&Flight<Arc<CachedApproximation>>>,
 ) -> Option<usize> {
-    let all = || (buckets.values()).flat_map(|b| b.iter().map(|m| (m, &m.flight)));
-    let held = keep.is_none_or(|k| all().any(|(_, f)| std::ptr::eq(f, k)));
-    let victim = Arc::clone(lru(all(), keep).filter(|_| held)?);
-    let other = |m: &&Arc<Member>| !Arc::ptr_eq(m, &victim);
-    buckets.retain(|_, b| {
-        if b.iter().any(|m| Arc::ptr_eq(m, &victim)) {
-            *b = b.iter().filter(other).cloned().collect();
-        }
-        !b.is_empty()
-    });
+    let held = keep.is_none_or(|k| members.values().any(|m| std::ptr::eq(&m.flight, k)));
+    let all = members.values().map(|m| (m, &m.flight));
+    let victim = Arc::clone(lru(all, keep).filter(|_| held)?);
+    members.retain(|_, m| !Arc::ptr_eq(m, &victim));
     Some(victim.flight.charge())
-}
-
-/// The members of a bucket snapshot (none when there was no bucket).
-fn members(bucket: &Option<Bucket>) -> &[Arc<Member>] {
-    bucket.as_deref().unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -302,9 +321,11 @@ mod tests {
     impl ApproxCache {
         /// Number of cached isomorphism classes (landed members only).
         fn len(&self) -> usize {
-            let buckets = self.buckets();
-            let members = buckets.values().flat_map(|b| b.iter());
-            members.filter(|m| m.flight.landed().is_some()).count()
+            let members = self.members();
+            members
+                .values()
+                .filter(|m| m.flight.landed().is_some())
+                .count()
         }
     }
 
@@ -317,7 +338,7 @@ mod tests {
         let opts = ApproxOptions::default();
         let t = tableau_of(&parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap());
         let renamed = tableau_of(&parse_cq("Q() :- E(b,c), E(c,a), E(a,b)").unwrap());
-        let member = cache.member(ApproxCacheKey::new(&t, &TwK(1), &opts), &t);
+        let member = cache.member(&t, &TwK(1), &opts);
         let (inside, release) = (Barrier::new(2), Barrier::new(2));
         std::thread::scope(|s| {
             let search = s.spawn(|| {
@@ -374,6 +395,44 @@ mod tests {
         let (b, hit) = cache.get_or_compute(&tableau_of(&q2), &TwK(1), &opts);
         assert!(hit, "isomorphic tableau must hit");
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    /// A stored key and its borrowed parts hash alike, as the map's
+    /// borrowed lookup needs: the key's derived `Hash` visits its fields
+    /// in the order of the parts' tuple.
+    #[test]
+    fn a_key_and_its_parts_hash_alike() {
+        use std::hash::BuildHasher;
+        let t = tableau_of(&parse_cq("Q(x) :- E(x,y), E(y,z), E(z,x)").unwrap());
+        let key = ApproxCacheKey::new(&t, &TwK(2), &ApproxOptions::default());
+        let state = std::collections::hash_map::RandomState::new();
+        let parts: &dyn Keyed = &key.parts();
+        assert_eq!(state.hash_one(&key), state.hash_one(parts));
+        assert!(parts == Borrow::<dyn Keyed>::borrow(&key));
+    }
+
+    /// Colour refinement cannot tell the directed `C6` from two directed
+    /// triangles, but the key can: they land as two entries, and each is
+    /// hit only by its own renamings, atoms reordered.
+    #[test]
+    fn c6_and_two_triangles_are_two_entries() {
+        let cache = ApproxCache::new();
+        let opts = ApproxOptions::default();
+        let t = |text: &str| tableau_of(&parse_cq(text).unwrap());
+        let c6 = "Q() :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)";
+        let c6_renamed = "Q() :- E(v,w), E(z,u), E(x,y), E(u,v), E(y,z), E(w,x)";
+        let two = "Q() :- E(a,b), E(b,c), E(c,a), E(d,e), E(e,f), E(f,d)";
+        let two_renamed = "Q() :- E(y,z), E(u,v), E(z,x), E(v,w), E(x,y), E(w,u)";
+        let (c6, two) = ([c6, c6_renamed].map(t), [two, two_renamed].map(t));
+        let (a, hit_a) = cache.get_or_compute(&c6[0], &TwK(1), &opts);
+        let (b, hit_b) = cache.get_or_compute(&two[0], &TwK(1), &opts);
+        assert!(!hit_a && !hit_b && !Arc::ptr_eq(&a, &b));
+        assert_eq!(cache.len(), 2);
+        let (a2, hit) = cache.get_or_compute(&c6[1], &TwK(1), &opts);
+        assert!(hit && Arc::ptr_eq(&a, &a2));
+        let (b2, hit) = cache.get_or_compute(&two[1], &TwK(1), &opts);
+        assert!(hit && Arc::ptr_eq(&b, &b2));
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (2, 2, 2));
     }
 
     /// The class is part of the key: one tableau under three classes
@@ -453,7 +512,7 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
-    /// A panic under the bucket lock poisons it; the cache still hits,
+    /// A panic under the member lock poisons it; the cache still hits,
     /// misses and evicts as before.
     #[test]
     fn poisoned_lock_still_hits_misses_and_evicts() {
@@ -463,10 +522,10 @@ mod tests {
         let q2 = parse_cq("Q() :- E(a,b), E(b,c), E(c,d), E(d,a)").unwrap();
         cache.get_or_compute(&tableau_of(&q1), &TwK(1), &opts);
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _buckets = cache.buckets.lock().unwrap();
-            panic!("a panic while the bucket lock is held");
+            let _members = cache.members.lock().unwrap();
+            panic!("a panic while the member lock is held");
         }));
-        assert!(poisoned.is_err() && cache.buckets.is_poisoned());
+        assert!(poisoned.is_err() && cache.members.is_poisoned());
         assert!(cache.get_or_compute(&tableau_of(&q1), &TwK(1), &opts).1);
         cache.set_budget_bytes(1); // the next insert evicts q1
         assert!(!cache.get_or_compute(&tableau_of(&q2), &TwK(1), &opts).1);

@@ -22,7 +22,7 @@
 //!              │        │       else          → sandwich        │
 //!              │        │ (sandwich)                            │
 //!              │        ▼                                       │
-//!              │   ┌─────────────┐ key: iso signature + class,  │
+//!              │   ┌─────────────┐ key: canonical words + class,│
 //!              │   │ ApproxCache │ one flight per iso class     │
 //!              │   └────┬────────┘ value: ApproxReport + plans  │
 //!              │        ▼                                       │

@@ -1,12 +1,12 @@
 //! A fast, deterministic, non-cryptographic hasher for hot-path maps.
 //!
 //! The enumeration loops of the approximation stack (quotient
-//! fingerprints, isomorphism-signature buckets, hom-verdict memos) hash
-//! millions of small keys; the standard library's DDoS-resistant SipHash
-//! dominates those loops. This is the classic `FxHash` multiply-rotate
-//! mix (the rustc hasher): hash *quality* only affects bucket spread —
-//! lookups stay exact through `Eq` — so a fast deterministic hasher is
-//! always sound here. Not for untrusted keys.
+//! fingerprints, hom-verdict memos) hash millions of small keys; the
+//! standard library's DDoS-resistant SipHash dominates those loops. This
+//! is the classic `FxHash` multiply-rotate mix (the rustc hasher): hash
+//! *quality* only affects bucket spread — lookups stay exact through
+//! `Eq` — so a fast deterministic hasher is always sound here. Not for
+//! untrusted keys.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

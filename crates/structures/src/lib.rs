@@ -39,6 +39,8 @@
 pub mod bitmap;
 pub mod core_ops;
 pub mod dict;
+#[doc(hidden)]
+pub mod frozen;
 pub mod fxhash;
 pub mod hom;
 pub mod index;
@@ -55,9 +57,9 @@ pub mod vocabulary;
 pub use bitmap::DomainBitmap;
 pub use core_ops::{core_of, is_core, CoreResult};
 pub use dict::DomainDict;
+pub use frozen::signature_pointed;
 pub use hom::{HomSearchStats, Homomorphism};
 pub use index::StructureIndex;
-pub use iso::{isomorphic, signature_pointed, IsoSignature};
 pub use order::{hom_equivalent, hom_exists};
 pub use partition::Partition;
 pub use pointed::Pointed;

@@ -29,21 +29,19 @@
 //!
 //! # Allocation
 //!
-//! A compiled source keeps its lists in flat buffers, compressed sparse
-//! rows (one offsets array plus one flat array): every constraint's
-//! tuple and its repetition pattern are spans of two buffers, and the
-//! incidence lists of the source variables sit behind one offsets array. So [`HomSolver::compile`] calls the allocator
-//! a fixed number of times, whatever the number of atoms, and a target's
+//! A compiled source keeps its lists as spans of one `u32` buffer: the
+//! constraints, every constraint's tuple and its repetition pattern, and
+//! the incidence lists of the source variables as compressed sparse rows
+//! (offsets, then the lists). So [`HomSolver::compile`] calls the
+//! allocator once, whatever the number of atoms, and a target's
 //! [`StructureIndex`] is laid out the same way, every relation's lists in
-//! one buffer. Search
-//! buffers (domains, trail, queue, value stacks, spare bitsets, and the
-//! run's pins and exclusions) live in a thread-local pool, and a run
-//! hands its root level's saved domains back to it. So a warm run — on
-//! sources and targets no larger than earlier runs on its thread — calls
-//! the allocator only for the witness [`HomRun::find`] returns, and once
-//! for the witness
-//! [`HomRun::for_each`] refills per solution; [`HomRun::exists`] and
-//! [`HomRun::count`] assemble none.
+//! one buffer. Search buffers (domains, trail, queue, value stacks, spare
+//! bitsets, and the run's pins and exclusions) live in a thread-local
+//! pool, and a run hands its root level's saved domains back to it. So a
+//! warm run — on sources and targets no larger than earlier runs on its
+//! thread — calls the allocator only for the witness [`HomRun::find`]
+//! returns, and once for the witness [`HomRun::for_each`] refills per
+//! solution; [`HomRun::exists`] and [`HomRun::count`] assemble none.
 //!
 //! # Budget semantics
 //!
@@ -96,18 +94,6 @@ impl SearchBudget {
     }
 }
 
-/// One table constraint of the compiled source: a source tuple, as a span
-/// of the solver's flat buffers.
-#[derive(Clone, Copy)]
-struct Constraint {
-    /// Relation index (into `Vocabulary::rel_ids` order).
-    rel: u32,
-    /// The tuple is `HomSolver::vars[start..end]`, its repetition pattern
-    /// `HomSolver::first[start..end]`.
-    start: u32,
-    end: u32,
-}
-
 /// A source structure compiled for homomorphism search: reusable across
 /// any number of targets and variants.
 ///
@@ -127,51 +113,50 @@ struct Constraint {
 pub struct HomSolver {
     vocab: Vocabulary,
     n_source: usize,
-    constraints: Vec<Constraint>,
-    /// Every constraint's source tuple, back to back: `vars[p]` must map
-    /// to the target tuple's `p`-th value.
-    vars: Vec<Element>,
-    /// Parallel to `vars`: per position of a tuple, the first position of
-    /// that tuple holding the same variable (positions counted within the
-    /// tuple), so the variable occurs first at `p` iff `first[p] == p`.
-    first: Vec<u32>,
-    /// `incident[incident_at[v]..incident_at[v + 1]]`: the constraints
-    /// incident to source variable `v`, ascending.
-    incident_at: Vec<u32>,
-    incident: Vec<u32>,
+    /// The source's tuples (the constraints) and their positions.
+    m: usize,
+    positions: usize,
+    /// One buffer: per constraint its relation and its tuple's span, three
+    /// words; the tuples, back to back (the `p`-th variable of a tuple
+    /// must map to the target tuple's `p`-th value); parallel to them,
+    /// per position the first position of its tuple holding the same
+    /// variable; then the incidence offsets, one per source variable and
+    /// one more, and between offsets `v` and `v + 1` the constraints
+    /// incident to variable `v`, ascending.
+    words: Vec<u32>,
 }
 
 impl HomSolver {
     /// Compiles the source side of the CSP: constraints, incidence lists,
-    /// repeated-variable patterns. Every list lands in a flat buffer, so
-    /// a compile calls the allocator a fixed number of times, whatever
-    /// the number of atoms.
+    /// repeated-variable patterns. Every list is a span of one buffer, so
+    /// a compile calls the allocator once, whatever the number of atoms.
     pub fn compile(source: &Structure) -> HomSolver {
         let vocab = source.vocabulary().clone();
-        let n_source = source.universe_size();
-        let n_vars = vocab
-            .rel_ids()
+        let (n_source, m) = (source.universe_size(), source.total_tuples());
+        let positions = (vocab.rel_ids())
             .map(|rel| source.flat_tuples(rel).len())
             .sum();
-        let mut constraints = Vec::with_capacity(source.total_tuples());
-        let (mut vars, mut first) = (Vec::with_capacity(n_vars), Vec::with_capacity(n_vars));
-        let mut incident_at = vec![0u32; n_source + 1];
-        for rel in vocab.rel_ids() {
-            for t in source.tuples(rel) {
-                for (p, &v) in t.iter().enumerate() {
-                    let f = t.iter().position(|&u| u == v).expect("`v` is at `p`");
-                    incident_at[v as usize + 1] += u32::from(f == p);
-                    first.push(f as u32);
-                }
-                let start = vars.len() as u32;
-                vars.extend_from_slice(t);
-                let end = vars.len() as u32;
-                constraints.push(Constraint {
-                    rel: rel.0,
-                    start,
-                    end,
-                });
+        // A variable is incident once per tuple it occurs in, so the
+        // lists take at most a word per position; the rest is cut off.
+        let lists = 3 * m + 2 * positions + n_source + 1;
+        let mut words = vec![0u32; lists + positions];
+        let (constraints, rest) = words.split_at_mut(3 * m);
+        let (vars, rest) = rest.split_at_mut(positions);
+        let (first, rest) = rest.split_at_mut(positions);
+        let (incident_at, incident) = rest.split_at_mut(n_source + 1);
+        let rows = vocab
+            .rel_ids()
+            .flat_map(|rel| source.tuples(rel).map(move |t| (rel, t)));
+        let mut at = 0;
+        for ((rel, t), c) in rows.zip(constraints.chunks_exact_mut(3)) {
+            for (p, &v) in t.iter().enumerate() {
+                let f = t.iter().position(|&u| u == v).expect("`v` is at `p`");
+                incident_at[v as usize + 1] += u32::from(f == p);
+                first[at + p] = f as u32;
             }
+            vars[at..at + t.len()].copy_from_slice(t);
+            c.copy_from_slice(&[rel.0, at as u32, (at + t.len()) as u32]);
+            at += t.len();
         }
         // Prefix sums make each variable's count its start, which serves
         // as its cursor while the constraints are placed; each cursor ends
@@ -179,47 +164,58 @@ impl HomSolver {
         for v in 1..incident_at.len() {
             incident_at[v] += incident_at[v - 1];
         }
-        let mut incident = vec![0u32; incident_at[n_source] as usize];
-        for (ci, c) in constraints.iter().enumerate() {
-            for p in c.start..c.end {
-                if first[p as usize] == p - c.start {
+        for (ci, c) in constraints.chunks_exact(3).enumerate() {
+            for p in c[1]..c[2] {
+                if first[p as usize] == p - c[1] {
                     let cursor = &mut incident_at[vars[p as usize] as usize];
                     incident[*cursor as usize] = ci as u32;
                     *cursor += 1;
                 }
             }
         }
+        let used = incident_at[n_source] as usize;
         incident_at.copy_within(..n_source, 1);
         incident_at[0] = 0;
+        words.truncate(lists + used);
         HomSolver {
             vocab,
             n_source,
-            constraints,
-            vars,
-            first,
-            incident_at,
-            incident,
+            m,
+            positions,
+            words,
         }
     }
 
-    /// A constraint's source tuple and its repetition pattern.
+    /// Constraint `ci`: its relation, its source tuple and the tuple's
+    /// repetition pattern.
     #[inline]
-    fn tuple(&self, c: Constraint) -> (&[Element], &[u32]) {
-        let span = c.start as usize..c.end as usize;
-        (&self.vars[span.clone()], &self.first[span])
+    fn constraint(&self, ci: usize) -> (RelId, &[Element], &[u32]) {
+        let (c, vars) = (&self.words[3 * ci..], &self.words[3 * self.m..]);
+        let span = c[1] as usize..c[2] as usize;
+        (
+            RelId(c[0]),
+            &vars[span.clone()],
+            &vars[self.positions..][span],
+        )
+    }
+
+    /// The incidence offsets, then the lists they delimit.
+    #[inline]
+    fn incidence(&self) -> (&[u32], &[u32]) {
+        self.words[3 * self.m + 2 * self.positions..].split_at(self.n_source + 1)
     }
 
     /// The constraints incident to source variable `v`.
     #[inline]
     fn incident(&self, v: Element) -> &[u32] {
-        let at = &self.incident_at[v as usize..v as usize + 2];
-        &self.incident[at[0] as usize..at[1] as usize]
+        let (at, lists) = self.incidence();
+        &lists[at[v as usize] as usize..at[v as usize + 1] as usize]
     }
 
     /// `true` when every source element occurs in some tuple: the source's
     /// universe is its active domain.
     pub(crate) fn constrains_every_element(&self) -> bool {
-        self.incident_at.windows(2).all(|w| w[0] < w[1])
+        self.incidence().0.windows(2).all(|w| w[0] < w[1])
     }
 
     /// Starts a search against a target; configure the returned run with
@@ -252,7 +248,7 @@ impl std::fmt::Debug for HomSolver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HomSolver")
             .field("source_size", &self.n_source)
-            .field("constraints", &self.constraints.len())
+            .field("constraints", &self.m)
             .finish()
     }
 }
@@ -471,7 +467,7 @@ impl Search<'_> {
         sc.marks.clear();
         sc.queue.clear();
         sc.queued.clear();
-        sc.queued.resize(self.solver.constraints.len(), false);
+        sc.queued.resize(self.solver.m, false);
         sc.shrunk.clear();
         if sc.domains.len() < n_s {
             sc.domains.resize_with(n_s, ElemSet::default);
@@ -490,9 +486,10 @@ impl Search<'_> {
 
         // Unary pruning: a constrained variable can only take values that
         // occur at the right (relation, position).
-        for c in &self.solver.constraints {
-            for (p, &v) in self.solver.tuple(*c).0.iter().enumerate() {
-                sc.domains[v as usize].intersect_with(self.idx.occurs(RelId(c.rel), p));
+        for ci in 0..self.solver.m {
+            let (rel, vars, _) = self.solver.constraint(ci);
+            for (p, &v) in vars.iter().enumerate() {
+                sc.domains[v as usize].intersect_with(self.idx.occurs(rel, p));
             }
         }
         if let Some(allowed) = within {
@@ -537,7 +534,7 @@ impl Search<'_> {
     fn propagate_all(&mut self) -> bool {
         let sc = &mut *self.sc;
         sc.queue.clear();
-        for ci in 0..self.solver.constraints.len() as u32 {
+        for ci in 0..self.solver.m as u32 {
             sc.queue.push(ci);
             sc.queued[ci as usize] = true;
         }
@@ -594,9 +591,7 @@ impl Search<'_> {
     /// `sc.shrunk`; returns `false` on a wipe-out.
     fn revise(&mut self, ci: usize) -> bool {
         self.revisions += 1;
-        let c = self.solver.constraints[ci];
-        let (vars, first) = self.solver.tuple(c);
-        let (rel, idx) = (RelId(c.rel), self.idx);
+        let ((rel, vars, first), idx) = (self.solver.constraint(ci), self.idx);
         let sc = &mut *self.sc;
 
         // Fully assigned: a membership test.

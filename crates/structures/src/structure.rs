@@ -342,9 +342,9 @@ impl fmt::Debug for Structure {
 /// [`StructureBuilder::finish`] sorts and deduplicates each relation.
 #[derive(Debug, Clone)]
 pub struct StructureBuilder {
-    vocab: Vocabulary,
-    universe_size: usize,
-    relations: Vec<Vec<Element>>,
+    pub(crate) vocab: Vocabulary,
+    pub(crate) universe_size: usize,
+    pub(crate) relations: Vec<Vec<Element>>,
 }
 
 impl StructureBuilder {

@@ -2,7 +2,8 @@
 //! property-based cross-validation against brute force.
 
 use cqapx_structures::{
-    core_of, hom_exists, isomorphic, HomSolver, Pointed, Structure, StructureBuilder, Vocabulary,
+    core_of, hom_exists, iso::isomorphic_pointed, HomSolver, Pointed, Structure, StructureBuilder,
+    Vocabulary,
 };
 use proptest::prelude::*;
 use std::ops::ControlFlow;
@@ -123,9 +124,9 @@ proptest! {
         let (s, _) = s.restrict_to_adom();
         // Build a hom-equivalent sibling: disjoint union with itself.
         let double = s.disjoint_union(&s);
-        let c1 = core_of(&Pointed::boolean(s)).core.structure;
-        let c2 = core_of(&Pointed::boolean(double)).core.structure;
-        prop_assert!(isomorphic(&c1, &c2));
+        let c1 = core_of(&Pointed::boolean(s)).core;
+        let c2 = core_of(&Pointed::boolean(double)).core;
+        prop_assert!(isomorphic_pointed(&c1, &c2));
     }
 }
 
