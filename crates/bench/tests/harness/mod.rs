@@ -536,8 +536,9 @@ pub fn bitmap_ineligible(q: &ConjunctiveQuery, d: &Structure) -> (ConjunctiveQue
     let w = 64 * largest + 1;
     let vocab = Vocabulary::new(vec![("E", 2), ("P", 1)]);
     let (e, p) = (vocab.rel("E").unwrap(), vocab.rel("P").unwrap());
-    let (names, head) = (q.var_names().to_vec(), q.free_vars().to_vec());
-    let pq = ConjunctiveQuery::new(vocab.clone(), names, head, q.atoms().to_vec());
+    let (names, head) = (q.var_names().iter(), q.free_vars().to_vec());
+    let atoms = q.atoms().map(|a| (a.rel, a.args));
+    let pq = ConjunctiveQuery::new(vocab.clone(), names, head, atoms);
     let mut b = StructureBuilder::new(vocab, w.max(d.universe_size()));
     for t in d.tuples(d.vocabulary().rel("E").expect("digraph vocabulary")) {
         b.add(e, t);
@@ -552,8 +553,8 @@ pub fn bitmap_ineligible(q: &ConjunctiveQuery, d: &Structure) -> (ConjunctiveQue
 /// ascending order, comes out unsorted. Every tree-tier plan then sorts
 /// that scan: its rows fit a word whenever `d` has an edge.
 pub fn scans_unsorted(q: &ConjunctiveQuery, d: &Structure) -> bool {
-    q.atoms().iter().any(|atom| {
-        let mut vars = atom.args.clone();
+    q.atoms().any(|atom| {
+        let mut vars = atom.args.to_vec();
         vars.sort_unstable();
         vars.dedup();
         let mut scan = FlatRelation::empty(vars.clone());
@@ -571,9 +572,9 @@ pub fn check_engine(q: &ConjunctiveQuery, d: &Structure, expected: &Rows) {
     if !q.is_boolean() {
         let boolean = ConjunctiveQuery::new(
             q.vocabulary().clone(),
-            q.var_names().to_vec(),
+            q.var_names().iter(),
             Vec::new(),
-            q.atoms().to_vec(),
+            q.atoms().map(|a| (a.rel, a.args)),
         );
         let holds: Rows = expected.iter().take(1).map(|_| Vec::new()).collect();
         queries.push((boolean, holds));
@@ -743,7 +744,7 @@ pub fn sweep_plan(
 ) -> (ConjunctiveQuery, PlanIr) {
     let text = format!("Q({}) :- {}", head.unwrap_or_default(), atoms.join(", "));
     let q = parse_cq_with_vocab(&text, &sweep_vocabulary()).expect("generated query must parse");
-    let atoms: Vec<&Atom> = q.atoms().iter().collect();
+    let atoms: Vec<Atom> = q.atoms().collect();
     let nodes: Vec<NodeSpec> = (atoms.chunks(1))
         .map(|atoms| NodeSpec { atoms, label: None })
         .collect();

@@ -30,7 +30,7 @@ use cqapx_cq::eval::{
     eval_naive, AnswersBuilder, AtomBinder, EvalProfile, FlatRelation, MatCacheStats,
     MaterializationCache, NaivePlan, Op, PlanIr, TreePlan,
 };
-use cqapx_cq::{parse_cq, query_graph, treewidth_of_query, Atom, ConjunctiveQuery};
+use cqapx_cq::{parse_cq, query_graph, treewidth_of_query, ConjunctiveQuery};
 use cqapx_engine::{
     Engine, EngineConfig, EvalMode, MetricsLevel, PlanKind, Request, ResponseStatus,
     DEGRADE_MIN_SAMPLES,
@@ -122,13 +122,10 @@ fn every_numbering_of_a_cycle_costs_the_same() {
         let mut expected = None;
         let mut acyclic = None;
         for numbering in permutations(&(0..n).collect::<Vec<_>>()) {
-            let atoms = (0..n as usize)
-                .map(|i| Atom {
-                    rel: Vocabulary::graphs().rel("E").expect("E"),
-                    args: vec![numbering[i], numbering[(i + 1) % n as usize]],
-                })
-                .collect();
-            let names = (0..n).map(|v| format!("v{v}")).collect();
+            let e = Vocabulary::graphs().rel("E").expect("E");
+            let atoms =
+                (0..n as usize).map(|i| (e, [numbering[i], numbering[(i + 1) % n as usize]]));
+            let names = (0..n).map(|v| format!("v{v}"));
             let q = ConjunctiveQuery::new(Vocabulary::graphs(), names, Vec::new(), atoms);
             // Renamings of one query share one answer: ask the naive
             // evaluator once per cycle length.
@@ -363,14 +360,13 @@ proptest! {
     #[test]
     fn sort_dedup_radix_is_byte_identical(d in database()) {
         let q = parse_cq("Q(x, y) :- E(x, y), E(y, x)").unwrap();
-        let atoms = q.atoms();
-        let mut schema: Vec<_> = atoms[0].args.clone();
+        let mut schema: Vec<_> = q.atom(0).args.to_vec();
         schema.sort_unstable();
         schema.dedup();
         let mut base = FlatRelation::empty(schema.clone());
         let mut words = Vec::new();
-        let straight = AtomBinder::compile(&atoms[0], &mut words);
-        let reversed = AtomBinder::compile(&atoms[1], &mut words);
+        let straight = AtomBinder::compile(q.atom(0), &mut words);
+        let reversed = AtomBinder::compile(q.atom(1), &mut words);
         straight.materialize_into(&words, &d, &mut base);
         reversed.materialize_into(&words, &d, &mut base);
         reversed.materialize_into(&words, &d, &mut base);

@@ -1061,7 +1061,6 @@ mod tests {
             let t = tableau_of(a);
             let has_loop = a
                 .atoms()
-                .iter()
                 .any(|atom| atom.args.iter().all(|&v| v == atom.args[0]));
             assert!(has_loop, "non-3-colorable ⇒ loop in {a}");
             assert!(TwK(2).contains_tableau(&t));

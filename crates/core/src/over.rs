@@ -22,29 +22,20 @@
 //! difference bounds the approximation error on the given database).
 
 use crate::classes::QueryClass;
-use cqapx_cq::{tableau_of, Atom, ConjunctiveQuery};
+use cqapx_cq::{tableau_of, ConjunctiveQuery};
 use cqapx_structures::Element;
 
 /// Builds the subquery with the given atoms, restricted to variables that
 /// still occur (free variables must survive — atoms covering them are
 /// protected by the caller).
 fn subquery(q: &ConjunctiveQuery, keep: &[bool]) -> Option<ConjunctiveQuery> {
-    let atoms: Vec<Atom> = q
-        .atoms()
-        .iter()
-        .zip(keep)
-        .filter(|&(_, &k)| k)
-        .map(|(a, _)| a.clone())
-        .collect();
-    if atoms.is_empty() {
-        return None;
-    }
+    let atoms = q.atoms().zip(keep).filter(|&(_, &k)| k).map(|(a, _)| a);
+    // No atom kept, no query.
+    atoms.clone().next()?;
     // Variables still used.
     let mut used = vec![false; q.var_count()];
-    for a in &atoms {
-        for &v in &a.args {
-            used[v as usize] = true;
-        }
+    for &v in atoms.clone().flat_map(|a| a.args) {
+        used[v as usize] = true;
     }
     // Safety: every free variable must still occur.
     if q.free_vars().iter().any(|&v| !used[v as usize]) {
@@ -57,17 +48,14 @@ fn subquery(q: &ConjunctiveQuery, keep: &[bool]) -> Option<ConjunctiveQuery> {
     for v in 0..q.var_count() {
         if used[v] {
             remap[v] = next;
-            names.push(q.var_name(v as u32).to_string());
+            names.push(q.var_name(v as u32));
             next += 1;
         }
     }
-    let atoms = atoms
-        .into_iter()
-        .map(|a| Atom {
-            rel: a.rel,
-            args: a.args.iter().map(|&v| remap[v as usize]).collect(),
-        })
-        .collect();
+    let atoms = atoms.map(|a| {
+        let args: Vec<_> = a.args.iter().map(|&v| remap[v as usize]).collect();
+        (a.rel, args)
+    });
     let free = q.free_vars().iter().map(|&v| remap[v as usize]).collect();
     Some(ConjunctiveQuery::new(
         q.vocabulary().clone(),

@@ -10,8 +10,8 @@
 //! Propositions 5.14/5.15 exhibit strong approximations with as many joins
 //! as the original.
 
-use cqapx_cq::{Atom, ConjunctiveQuery, VarId};
-use cqapx_structures::Vocabulary;
+use cqapx_cq::{ConjunctiveQuery, VarId};
+use cqapx_structures::{RelId, Vocabulary};
 
 /// A Boolean query over one `m`-ary relation is a **potential strong
 /// treewidth approximation** when its graph has at most 2 nodes, i.e. it
@@ -53,132 +53,74 @@ pub fn prop_5_13_construct(q_prime: &ConjunctiveQuery, n: usize) -> ConjunctiveQ
     assert_eq!(q_prime.var_count(), 2, "Q' must use exactly two variables");
 
     // Identify variables x (0) and y (1); in every atom one variable
-    // occurs at least twice. Find an atom where some variable occurs
-    // exactly twice.
-    let occurrences = |atom: &Atom, v: VarId| atom.args.iter().filter(|&&a| a == v).count();
-    let twice_atom = q_prime.atoms().iter().enumerate().find_map(|(i, a)| {
-        for v in [0u32, 1u32] {
-            let occ = occurrences(a, v);
-            if occ == 2 && occ < a.args.len() {
-                return Some((i, v));
-            }
-        }
-        None
+    // occurs at least twice. Spread the variable `y` of atom `ai`, where
+    // it occurs `p` times: exactly twice where some atom has one, else
+    // the fewest times a minority variable occurs (p ≥ 3).
+    let occurrences = (q_prime.atoms().enumerate()).flat_map(|(i, a)| {
+        [0, 1].map(|v: VarId| (i, v, a.args.iter().filter(|&&x| x == v).count()))
     });
-
-    let mut atoms: Vec<Atom> = Vec::new();
+    let mixed = |&(i, _, occ): &(usize, VarId, usize)| occ > 0 && occ < q_prime.atom(i).args.len();
+    let twice = occurrences
+        .clone()
+        .filter(mixed)
+        .find(|&(_, _, occ)| occ == 2);
+    let (ai, y, p) = twice
+        .or_else(|| occurrences.filter(mixed).min_by_key(|&(_, _, occ)| occ))
+        .expect("nontrivial Q' has a mixed atom");
+    let y_positions: Vec<usize> = (q_prime.atom(ai).args.iter().enumerate())
+        .filter(|&(_, &a)| a == y)
+        .map(|(pos, _)| pos)
+        .collect();
+    let mut atoms: Vec<(RelId, Vec<VarId>)> = Vec::new();
     // Q has variables x1..xn = ids 0..n-1 (x1 = id 0).
     let var_names: Vec<String> = (1..=n).map(|i| format!("x{i}")).collect();
-
-    match twice_atom {
-        Some((ai, y)) => {
-            let atom = &q_prime.atoms()[ai];
-            let y_positions: Vec<usize> = atom
-                .args
-                .iter()
-                .enumerate()
-                .filter(|&(_, &a)| a == y)
-                .map(|(p, _)| p)
-                .collect();
-            // Atoms R(x1,…,x1, xi, xj) for 2 ≤ i ≤ j ≤ n at the two
-            // y-positions.
-            for i in 2..=n {
-                for j in i..=n {
-                    // x -> x1 everywhere, then place xi, xj at the two
-                    // y-positions.
-                    let mut args = vec![0 as VarId; m];
-                    args[y_positions[0]] = (i - 1) as VarId;
-                    args[y_positions[1]] = (j - 1) as VarId;
-                    atoms.push(Atom { rel, args });
-                }
-            }
-            // Every other atom: x -> x1, the r occurrences of y ->
-            // x2, …, x_{r+1} in order.
-            for (bi, b) in q_prime.atoms().iter().enumerate() {
-                if bi == ai {
-                    continue;
-                }
+    if twice.is_some() {
+        // Atoms R(x1,…,x1, xi, xj) for 2 ≤ i ≤ j ≤ n at the two
+        // y-positions.
+        for i in 2..=n {
+            for j in i..=n {
                 let mut args = vec![0 as VarId; m];
-                let mut next = 1;
-                for (p, &a) in b.args.iter().enumerate() {
-                    if a == y {
-                        args[p] = next as VarId;
-                        next += 1;
-                    } else {
-                        args[p] = 0;
-                    }
-                }
-                assert!(next <= n, "enough variables for the y occurrences");
-                atoms.push(Atom { rel, args });
+                args[y_positions[0]] = (i - 1) as VarId;
+                args[y_positions[1]] = (j - 1) as VarId;
+                atoms.push((rel, args));
             }
         }
-        None => {
-            // Minimum repetition count p ≥ 3 of the minority variable.
-            let (ai, y, p) = q_prime
-                .atoms()
-                .iter()
-                .enumerate()
-                .flat_map(|(i, a)| {
-                    [0u32, 1u32].into_iter().filter_map(move |v| {
-                        let occ = a.args.iter().filter(|&&x| x == v).count();
-                        if occ > 0 && occ < a.args.len() {
-                            Some((i, v, occ))
-                        } else {
-                            None
-                        }
-                    })
-                })
-                .min_by_key(|&(_, _, occ)| occ)
-                .expect("nontrivial Q' has a mixed atom");
-            let atom = &q_prime.atoms()[ai];
-            let y_positions: Vec<usize> = atom
-                .args
-                .iter()
-                .enumerate()
-                .filter(|&(_, &a)| a == y)
-                .map(|(pos, _)| pos)
-                .collect();
-            // Atoms R(x1,…,x1, x2,…,x_{p−1}, xi, xj) for p ≤ i < j ≤ n:
-            // the first p−2 y-positions get x2.., the last two get xi, xj.
-            for i in p..=n {
-                for j in (i + 1)..=n {
-                    let mut args = vec![0 as VarId; m];
-                    for (idx, &pos) in y_positions.iter().enumerate() {
-                        if idx < p - 2 {
-                            args[pos] = (idx + 1) as VarId;
-                        }
-                    }
-                    args[y_positions[p - 2]] = (i - 1) as VarId;
-                    args[y_positions[p - 1]] = (j - 1) as VarId;
-                    atoms.push(Atom { rel, args });
-                }
-            }
-            // Atoms R(x1,…,x1, xi,…,xi) for 2 ≤ i ≤ n.
-            for i in 2..=n {
+    } else {
+        // Atoms R(x1,…,x1, x2,…,x_{p−1}, xi, xj) for p ≤ i < j ≤ n:
+        // the first p−2 y-positions get x2.., the last two get xi, xj.
+        for i in p..=n {
+            for j in (i + 1)..=n {
                 let mut args = vec![0 as VarId; m];
-                for &pos in &y_positions {
-                    args[pos] = (i - 1) as VarId;
+                for (idx, &pos) in y_positions[..p - 2].iter().enumerate() {
+                    args[pos] = (idx + 1) as VarId;
                 }
-                atoms.push(Atom { rel, args });
-            }
-            // Every other atom as before.
-            for (bi, b) in q_prime.atoms().iter().enumerate() {
-                if bi == ai {
-                    continue;
-                }
-                let mut args = vec![0 as VarId; m];
-                let mut next = 1;
-                for (pos, &a) in b.args.iter().enumerate() {
-                    if a == y {
-                        args[pos] = next as VarId;
-                        next += 1;
-                    } else {
-                        args[pos] = 0;
-                    }
-                }
-                atoms.push(Atom { rel, args });
+                args[y_positions[p - 2]] = (i - 1) as VarId;
+                args[y_positions[p - 1]] = (j - 1) as VarId;
+                atoms.push((rel, args));
             }
         }
+        // Atoms R(x1,…,x1, xi,…,xi) for 2 ≤ i ≤ n.
+        for i in 2..=n {
+            let mut args = vec![0 as VarId; m];
+            for &pos in &y_positions {
+                args[pos] = (i - 1) as VarId;
+            }
+            atoms.push((rel, args));
+        }
+    }
+    // Every other atom: x -> x1, the r occurrences of y -> x2, …,
+    // x_{r+1} in order.
+    for (_, b) in q_prime.atoms().enumerate().filter(|&(bi, _)| bi != ai) {
+        let (mut args, mut next) = (vec![0 as VarId; m], 0);
+        for (pos, _) in b.args.iter().enumerate().filter(|&(_, &a)| a == y) {
+            next += 1;
+            args[pos] = next;
+        }
+        assert!(
+            (next as usize) < n,
+            "enough variables for the y occurrences"
+        );
+        atoms.push((rel, args));
     }
 
     ConjunctiveQuery::new(vocab.clone(), var_names, vec![], atoms)
@@ -197,20 +139,20 @@ pub fn prop_5_14_queries(k: usize) -> (ConjunctiveQuery, ConjunctiveQuery) {
     // R(x1, x2, x3, x4, …, xk)
     let mut a1: Vec<VarId> = vec![0, 1, 2];
     a1.extend((3..k).map(|i| i as VarId));
-    atoms.push(Atom { rel, args: a1 });
+    atoms.push((rel, a1));
     // R(x2, x1, x_{k+1}, x4, …, xk)
     let mut a2: Vec<VarId> = vec![1, 0, k as VarId];
     a2.extend((3..k).map(|i| i as VarId));
-    atoms.push(Atom { rel, args: a2 });
+    atoms.push((rel, a2));
     // R(x3, x_{k+1}, x1, x4, …, xk)
     let mut a3: Vec<VarId> = vec![2, k as VarId, 0];
     a3.extend((3..k).map(|i| i as VarId));
-    atoms.push(Atom { rel, args: a3 });
+    atoms.push((rel, a3));
     // R(xj, …, xj, x1, xj, …, xj) with x1 in position j, for 4 ≤ j ≤ k.
     for j in 4..=k {
         let mut args = vec![(j - 1) as VarId; k];
         args[j - 1] = 0;
-        atoms.push(Atom { rel, args });
+        atoms.push((rel, args));
     }
     let q = ConjunctiveQuery::new(vocab.clone(), var_names, vec![], atoms);
 
@@ -219,9 +161,9 @@ pub fn prop_5_14_queries(k: usize) -> (ConjunctiveQuery, ConjunctiveQuery) {
     for pos in 0..k {
         let mut args = vec![1 as VarId; k];
         args[pos] = 0;
-        atoms.push(Atom { rel, args });
+        atoms.push((rel, args));
     }
-    let q_prime = ConjunctiveQuery::new(vocab, vec!["x".into(), "y".into()], vec![], atoms);
+    let q_prime = ConjunctiveQuery::new(vocab, ["x", "y"], vec![], atoms);
     (q, q_prime)
 }
 

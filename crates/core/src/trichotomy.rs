@@ -86,7 +86,7 @@ fn tableau_graph(q: &ConjunctiveQuery) -> Adjacency {
         &Vocabulary::graphs(),
         "theorem applies to queries over graphs"
     );
-    let edges = q.atoms().iter().map(|a| (a.args[0], a.args[1]));
+    let edges = q.atoms().map(|a| (a.args[0], a.args[1]));
     Adjacency::new(q.var_count(), edges)
 }
 
@@ -254,7 +254,7 @@ mod tests {
         let rep = all_approximations(&q, &TwK(1), &ApproxOptions::default());
         for a in &rep.approximations {
             assert!(
-                a.atoms().iter().any(|at| at.args[0] == at.args[1]),
+                a.atoms().any(|at| at.args[0] == at.args[1]),
                 "loop atom required in {a}"
             );
         }
@@ -265,7 +265,7 @@ mod tests {
         assert!(rep
             .approximations
             .iter()
-            .any(|a| a.atoms().iter().all(|at| at.args[0] != at.args[1])));
+            .any(|a| a.atoms().all(|at| at.args[0] != at.args[1])));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * `Q^triv_{k+1}` — tableau `K⃗_{k+1}`: treewidth `k`, contained in every
 //!   Boolean graph CQ with `(k+1)`-colorable tableau (Section 5.2).
 
-use cqapx_cq::{Atom, ConjunctiveQuery, VarId};
+use cqapx_cq::{ConjunctiveQuery, VarId};
 use cqapx_graphs::generators::complete_digraph;
 use cqapx_structures::{Pointed, Vocabulary};
 
@@ -30,23 +30,12 @@ use cqapx_structures::{Pointed, Vocabulary};
 /// assert!(contained_in(&t, &q));
 /// ```
 pub fn trivial_query(vocab: &Vocabulary, arity: usize) -> ConjunctiveQuery {
-    let atoms: Vec<Atom> = vocab
-        .rel_ids()
-        .map(|rel| Atom {
-            rel,
-            args: vec![0; vocab.arity(rel)],
-        })
-        .collect();
     assert!(
-        !atoms.is_empty(),
+        !vocab.is_empty(),
         "trivial query needs a nonempty vocabulary"
     );
-    ConjunctiveQuery::new(
-        vocab.clone(),
-        vec!["x".into()],
-        vec![0 as VarId; arity],
-        atoms,
-    )
+    let loops = vocab.rel_ids().map(|rel| (rel, vec![0; vocab.arity(rel)]));
+    ConjunctiveQuery::new(vocab.clone(), ["x"], vec![0 as VarId; arity], loops)
 }
 
 /// The trivial bipartite Boolean graph query `Q^triv₂() :- E(x,y), E(y,x)`.

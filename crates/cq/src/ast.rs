@@ -1,6 +1,6 @@
 //! The conjunctive-query AST.
 
-use cqapx_structures::{RelId, Vocabulary};
+use cqapx_structures::{Names, RelId, Vocabulary};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -8,23 +8,29 @@ use std::sync::Arc;
 /// A query variable, as a dense index into the query's variable table.
 pub type VarId = u32;
 
-/// One atom `R(v₁, …, v_n)` of a query body.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Atom {
+/// One atom `R(v₁, …, v_n)` of a query body: a view of the query's
+/// buffers, which [`ConjunctiveQuery::atoms`] and
+/// [`ConjunctiveQuery::atom`] lend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Atom<'q> {
     /// The relation symbol.
     pub rel: RelId,
     /// Argument variables (repetitions allowed, e.g. `E(x, x)`).
-    pub args: Vec<VarId>,
+    pub args: &'q [VarId],
 }
 
-impl Atom {
+impl Atom<'_> {
     /// `true` when both atoms mention the same set of variables: they
     /// are one hyperedge of `H(Q)`.
-    pub(crate) fn same_vars(&self, other: &Atom) -> bool {
-        let within = |a: &Atom, b: &Atom| a.args.iter().all(|v| b.args.contains(v));
+    pub(crate) fn same_vars(self, other: Atom) -> bool {
+        let within = |a: Atom, b: Atom| a.args.iter().all(|v| b.args.contains(v));
         within(self, other) && within(other, self)
     }
 }
+
+/// A query's names, head, argument buffer and per-atom relations and
+/// argument ends, as [`ConjunctiveQuery::from_parts`] takes them.
+pub(crate) type Parts = (Arc<Names>, Vec<VarId>, Vec<VarId>, Vec<(RelId, u32)>);
 
 /// A conjunctive query `Q(x̄) :- R₁(…), …, R_m(…)`.
 ///
@@ -32,6 +38,12 @@ impl Atom {
 /// (with repetitions allowed, as in `Q(x, x)`), every other variable is
 /// existentially quantified. Safety is enforced: every free variable must
 /// occur in some atom.
+///
+/// The body is stored flat: one argument buffer and, per atom, its
+/// relation and the end of its arguments; [`Self::atoms`] lends views of
+/// them. The variable names are one [`Names`] table shared with the
+/// query's tableau, so a query is three buffers, besides its head,
+/// whatever its number of atoms and variables.
 ///
 /// # Examples
 ///
@@ -47,73 +59,72 @@ impl Atom {
 pub struct ConjunctiveQuery {
     vocab: Vocabulary,
     /// Shared with the query's tableau: cloning either copies no name.
-    pub(crate) var_names: Arc<[String]>,
+    pub(crate) names: Arc<Names>,
     free: Vec<VarId>,
-    atoms: Vec<Atom>,
+    /// Every atom's arguments, back to back.
+    args: Vec<VarId>,
+    /// Per atom, its relation and where its arguments end in `args`.
+    atoms: Vec<(RelId, u32)>,
 }
 
 impl ConjunctiveQuery {
-    /// Builds a query, checking arities and safety.
+    /// Builds a query from its variable names, its head and its atoms as
+    /// `(relation, arguments)` pairs, checking arities and safety.
     ///
     /// # Panics
     ///
     /// Panics on arity mismatches, out-of-range variables, unsafe free
     /// variables, or an empty body (the paper's CQs always have at least
     /// one atom).
-    pub fn new(
+    pub fn new<A: AsRef<[VarId]>>(
         vocab: Vocabulary,
-        var_names: Vec<String>,
+        var_names: impl IntoIterator<Item = impl fmt::Display>,
         free: Vec<VarId>,
-        atoms: Vec<Atom>,
+        atoms: impl IntoIterator<Item = (RelId, A)>,
     ) -> Self {
-        Self::with_names(vocab, var_names.into(), free, atoms)
-    }
-
-    /// [`ConjunctiveQuery::new`] over names shared with their holder.
-    pub(crate) fn with_names(
-        vocab: Vocabulary,
-        var_names: Arc<[String]>,
-        free: Vec<VarId>,
-        atoms: Vec<Atom>,
-    ) -> Self {
+        let mut args = Vec::new();
+        let ends = atoms.into_iter().map(|(rel, a)| {
+            args.extend_from_slice(a.as_ref());
+            (rel, args.len() as u32)
+        });
+        let ends = ends.collect();
+        let names = Arc::new(var_names.into_iter().collect());
+        let q = Self::from_parts(vocab, (names, free, args, ends));
         assert!(
-            !atoms.is_empty(),
+            q.atom_count() > 0,
             "conjunctive queries need at least one atom"
         );
-        let n = var_names.len() as VarId;
-        for a in &atoms {
-            assert_eq!(
-                a.args.len(),
-                vocab.arity(a.rel),
-                "arity mismatch in atom over {}",
-                vocab.name(a.rel)
-            );
-            for &v in &a.args {
-                assert!(v < n, "variable {v} out of range");
+        let mut occurs = vec![false; q.var_count()];
+        for a in q.atoms() {
+            let (arity, name) = (q.vocab.arity(a.rel), q.vocab.name(a.rel));
+            assert_eq!(a.args.len(), arity, "arity mismatch in atom over {name}");
+            for &v in a.args {
+                *occurs.get_mut(v as usize).expect("variable out of range") = true;
             }
         }
-        let mut occurs = vec![false; n as usize];
-        for a in &atoms {
-            for &v in &a.args {
-                occurs[v as usize] = true;
-            }
-        }
-        for &v in &free {
-            assert!(v < n, "free variable {v} out of range");
+        for &v in &q.free {
+            let name = q.names.get(v as usize);
             assert!(
                 occurs[v as usize],
-                "free variable {} must occur in the body (safety)",
-                var_names[v as usize]
+                "free variable {name} must occur in the body (safety)"
             );
         }
         // Every variable should occur somewhere (no dangling names).
         for (v, &occ) in occurs.iter().enumerate() {
-            assert!(occ, "variable {} occurs in no atom", var_names[v]);
+            assert!(occ, "variable {} occurs in no atom", q.names.get(v));
         }
+        q
+    }
+
+    /// A query from buffers its builder has already checked: every
+    /// atom's arity, every variable named and in some atom, the head
+    /// safe, the body nonempty.
+    pub(crate) fn from_parts(vocab: Vocabulary, (names, free, args, atoms): Parts) -> Self {
         ConjunctiveQuery {
             vocab,
-            var_names,
+            names,
             free,
+            args,
             atoms,
         }
     }
@@ -125,17 +136,17 @@ impl ConjunctiveQuery {
 
     /// Number of variables (free and bound).
     pub fn var_count(&self) -> usize {
-        self.var_names.len()
+        self.names.len()
     }
 
     /// The display name of a variable.
     pub fn var_name(&self, v: VarId) -> &str {
-        &self.var_names[v as usize]
+        self.names.get(v as usize)
     }
 
     /// All variable names.
-    pub fn var_names(&self) -> &[String] {
-        &self.var_names
+    pub fn var_names(&self) -> &Names {
+        &self.names
     }
 
     /// The head (free) variables, in head order.
@@ -153,9 +164,28 @@ impl ConjunctiveQuery {
         self.free.is_empty()
     }
 
-    /// The body atoms.
-    pub fn atoms(&self) -> &[Atom] {
-        &self.atoms
+    /// Body atom `i`.
+    pub fn atom(&self, i: usize) -> Atom<'_> {
+        let start = i.checked_sub(1).map_or(0, |j| self.atoms[j].1 as usize);
+        let (rel, end) = self.atoms[i];
+        Atom {
+            rel,
+            args: &self.args[start..end as usize],
+        }
+    }
+
+    /// The body atoms, in body order: views of the query's buffers.
+    ///
+    /// ```
+    /// use cqapx_cq::parse_cq;
+    ///
+    /// let q = parse_cq("Q(x) :- E(x, y), E(y, y)").unwrap();
+    /// let mut loops = q.atoms().filter(|a| a.args[0] == a.args[1]);
+    /// assert_eq!(loops.next().map(|a| q.var_name(a.args[0])), Some("y"));
+    /// assert_eq!((q.atoms().len(), q.atom(0).args), (2, &[0, 1][..]));
+    /// ```
+    pub fn atoms(&self) -> impl ExactSizeIterator<Item = Atom<'_>> + DoubleEndedIterator + Clone {
+        (0..self.atoms.len()).map(|i| self.atom(i))
     }
 
     /// Number of atoms `m`.
@@ -171,25 +201,20 @@ impl ConjunctiveQuery {
 
 impl fmt::Display for ConjunctiveQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let list = |f: &mut fmt::Formatter<'_>, vars: &[VarId]| {
+            for (i, &v) in vars.iter().enumerate() {
+                let comma = if i > 0 { ", " } else { "" };
+                write!(f, "{comma}{}", self.var_name(v))?;
+            }
+            Ok(())
+        };
         write!(f, "Q(")?;
-        for (i, &v) in self.free.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{}", self.var_names[v as usize])?;
-        }
+        list(f, &self.free)?;
         write!(f, ") :- ")?;
-        for (i, a) in self.atoms.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{}(", self.vocab.name(a.rel))?;
-            for (j, &v) in a.args.iter().enumerate() {
-                if j > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{}", self.var_names[v as usize])?;
-            }
+        for (i, a) in self.atoms().enumerate() {
+            let comma = if i > 0 { ", " } else { "" };
+            write!(f, "{comma}{}(", self.vocab.name(a.rel))?;
+            list(f, a.args)?;
             write!(f, ")")?;
         }
         Ok(())
@@ -209,15 +234,7 @@ mod tests {
     #[test]
     fn build_and_display() {
         let (v, e) = graphs();
-        let q = ConjunctiveQuery::new(
-            v,
-            vec!["x".into(), "y".into()],
-            vec![0],
-            vec![Atom {
-                rel: e,
-                args: vec![0, 1],
-            }],
-        );
+        let q = ConjunctiveQuery::new(v, ["x", "y"], vec![0], [(e, [0, 1])]);
         assert_eq!(q.to_string(), "Q(x) :- E(x, y)");
         assert_eq!(q.arity(), 1);
         assert!(!q.is_boolean());
@@ -227,15 +244,7 @@ mod tests {
     #[test]
     fn repeated_head_variables() {
         let (v, e) = graphs();
-        let q = ConjunctiveQuery::new(
-            v,
-            vec!["x".into()],
-            vec![0, 0],
-            vec![Atom {
-                rel: e,
-                args: vec![0, 0],
-            }],
-        );
+        let q = ConjunctiveQuery::new(v, ["x"], vec![0, 0], [(e, [0, 0])]);
         assert_eq!(q.arity(), 2);
         assert_eq!(q.to_string(), "Q(x, x) :- E(x, x)");
     }
@@ -244,36 +253,20 @@ mod tests {
     #[should_panic(expected = "safety")]
     fn unsafe_query_rejected() {
         let (v, e) = graphs();
-        let _ = ConjunctiveQuery::new(
-            v,
-            vec!["x".into(), "y".into(), "z".into()],
-            vec![2],
-            vec![Atom {
-                rel: e,
-                args: vec![0, 1],
-            }],
-        );
+        let _ = ConjunctiveQuery::new(v, ["x", "y", "z"], vec![2], [(e, [0, 1])]);
     }
 
     #[test]
     #[should_panic(expected = "occurs in no atom")]
     fn dangling_variable_rejected() {
         let (v, e) = graphs();
-        let _ = ConjunctiveQuery::new(
-            v,
-            vec!["x".into(), "y".into(), "z".into()],
-            vec![],
-            vec![Atom {
-                rel: e,
-                args: vec![0, 1],
-            }],
-        );
+        let _ = ConjunctiveQuery::new(v, ["x", "y", "z"], vec![], [(e, [0, 1])]);
     }
 
     #[test]
     #[should_panic(expected = "at least one atom")]
     fn empty_body_rejected() {
         let (v, _) = graphs();
-        let _ = ConjunctiveQuery::new(v, vec![], vec![], vec![]);
+        let _ = ConjunctiveQuery::new(v, [""; 0], vec![], [(RelId(0), [0u32; 0]); 0]);
     }
 }

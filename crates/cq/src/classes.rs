@@ -20,13 +20,13 @@ use cqapx_hypergraphs::{gyo, htw, Hypergraph};
 /// clique edge); this matches tree decompositions of the query hypergraph,
 /// under which `E(x,x)` is acyclic.
 pub fn query_graph(q: &ConjunctiveQuery) -> BitGraph {
-    BitGraph::gaifman(q.var_count(), q.atoms().iter().map(|a| &a.args))
+    BitGraph::gaifman(q.var_count(), q.atoms().map(|a| a.args))
 }
 
 /// The hypergraph `H(Q)`: variables as nodes, one hyperedge per atom's
 /// variable set.
 pub(crate) fn hypergraph_of(q: &ConjunctiveQuery) -> Hypergraph {
-    Hypergraph::from_edges(q.var_count(), q.atoms().iter().map(|a| &a.args))
+    Hypergraph::from_edges(q.var_count(), q.atoms().map(|a| a.args))
 }
 
 /// The treewidth of `Q` (treewidth of `G(Q)`, equivalently of `H(Q)`).

@@ -1602,8 +1602,8 @@ pub struct AtomBinder {
 impl AtomBinder {
     /// Compiles the binder of `atom` onto `words`, whose output columns
     /// are the atom's distinct variables, ascending.
-    pub fn compile(atom: &Atom, words: &mut Vec<u32>) -> AtomBinder {
-        let args = &atom.args;
+    pub fn compile(atom: Atom, words: &mut Vec<u32>) -> AtomBinder {
+        let args = atom.args;
         let first = |v: VarId| args.iter().position(|&u| u == v).expect("an argument") as u32;
         let start = words.len();
         for (j, &v) in args.iter().enumerate() {
@@ -1728,11 +1728,11 @@ impl MatKey {
     /// ascending ([`push_ascending`]). The atoms go in ascending
     /// `(relation, arguments)` order without repeats; a variable's column
     /// is its position in `schema`.
-    pub(crate) fn write(atoms: &[&Atom], schema: Span, words: &mut Vec<u32>) -> Span {
+    pub(crate) fn write(atoms: &[Atom], schema: Span, words: &mut Vec<u32>) -> Span {
         let start = words.len();
         // Column indexes rise with the variables, so ordering by the
         // arguments orders the atoms by their columns too.
-        let keyed = atoms.iter().map(|a| (a.rel, &a.args[..]));
+        let keyed = atoms.iter().map(|a| (a.rel, a.args));
         let above = |low: Option<(RelId, &[VarId])>| keyed.clone().filter(|k| low < Some(*k)).min();
         for (rel, args) in std::iter::successors(above(None), |&k| above(Some(k))) {
             words.extend([rel.0, args.len() as u32]);
@@ -1749,7 +1749,7 @@ impl MatKey {
     /// Writes the key of `atom` taken as its own hyperedge onto `words`,
     /// which needs room for the atom's schema besides: the schema is
     /// written first, and the key then moves down over it.
-    pub(crate) fn write_atom(atom: &Atom, words: &mut Vec<u32>) {
+    pub(crate) fn write_atom(atom: Atom, words: &mut Vec<u32>) {
         let schema = push_ascending(words, atom.args.iter().copied());
         MatKey::write(&[atom], schema, words);
         words.drain(schema.range());
@@ -1972,7 +1972,7 @@ mod tests {
 
     impl MatKey {
         /// The key of `atom` taken as its own hyperedge.
-        fn of_atom(atom: &Atom) -> MatKey {
+        fn of_atom(atom: Atom) -> MatKey {
             let mut words = Vec::new();
             MatKey::write_atom(atom, &mut words);
             MatKey {
@@ -2130,7 +2130,7 @@ mod tests {
         use crate::parser::parse_cq;
         let q = parse_cq("Q(x) :- E(x, x)").unwrap();
         let mut words = Vec::new();
-        let binder = AtomBinder::compile(&q.atoms()[0], &mut words);
+        let binder = AtomBinder::compile(q.atom(0), &mut words);
         let d = Structure::digraph(3, &[(0, 0), (0, 1), (2, 2)]);
         let mut out = FlatRelation::empty(vec![0]);
         binder.materialize_into(&words, &d, &mut out);
@@ -2145,23 +2145,14 @@ mod tests {
         use crate::parser::parse_cq;
         let q1 = parse_cq("Q() :- E(x, y)").unwrap();
         let q2 = parse_cq("Q() :- E(a, b)").unwrap();
-        assert_eq!(
-            MatKey::of_atom(&q1.atoms()[0]),
-            MatKey::of_atom(&q2.atoms()[0])
-        );
+        assert_eq!(MatKey::of_atom(q1.atom(0)), MatKey::of_atom(q2.atom(0)));
         // Within one query, E(x,y) and E(y,x) differ: the second atom's
         // arguments hit the sorted variable list in reverse order.
         let q3 = parse_cq("Q() :- E(x, y), E(y, x)").unwrap();
-        assert_ne!(
-            MatKey::of_atom(&q3.atoms()[0]),
-            MatKey::of_atom(&q3.atoms()[1])
-        );
+        assert_ne!(MatKey::of_atom(q3.atom(0)), MatKey::of_atom(q3.atom(1)));
         // And E(y,z) is the same single-atom hyperedge shape as E(x,y).
         let q4 = parse_cq("Q() :- E(x, y), E(y, z)").unwrap();
-        assert_eq!(
-            MatKey::of_atom(&q4.atoms()[0]),
-            MatKey::of_atom(&q4.atoms()[1])
-        );
+        assert_eq!(MatKey::of_atom(q4.atom(0)), MatKey::of_atom(q4.atom(1)));
     }
 
     /// A large relation of pseudo-random rows (duplicates likely; not
@@ -2192,7 +2183,7 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
         let cache = MaterializationCache::new();
         let q = crate::parser::parse_cq("Q() :- E(x, y)").unwrap();
-        let key = MatKey::of_atom(&q.atoms()[0]);
+        let key = MatKey::of_atom(q.atom(0));
         let runs = AtomicUsize::new(0);
         let hits = AtomicUsize::new(0);
         std::thread::scope(|s| {
@@ -2221,7 +2212,7 @@ mod tests {
     fn cache_hits_and_counts() {
         let cache = MaterializationCache::new();
         let q = crate::parser::parse_cq("Q() :- E(x, y)").unwrap();
-        let key = MatKey::of_atom(&q.atoms()[0]);
+        let key = MatKey::of_atom(q.atom(0));
         let make = || rel(&[0, 1], &[&[1, 2]]);
         let (r1, hit1) = cache.get_or_materialize(&key, make);
         let (r2, hit2) = cache.get_or_materialize(&key, || unreachable!("must hit"));
@@ -2561,7 +2552,7 @@ mod tests {
         let q = parse_cq("Q(x, y) :- E(x, y)").unwrap();
         let mut out = FlatRelation::empty(vec![0, 1]);
         let mut words = Vec::new();
-        AtomBinder::compile(&q.atoms()[0], &mut words).materialize_into(&words, &d, &mut out);
+        AtomBinder::compile(q.atom(0), &mut words).materialize_into(&words, &d, &mut out);
         canon(&mut out);
         assert_eq!(out.domain_width(), 3);
         assert_eq!(out.row(0), &[0, 1]); // (1,3) encoded
@@ -2583,9 +2574,9 @@ mod tests {
     fn three_keys() -> [MatKey; 3] {
         let q = crate::parser::parse_cq("Q() :- E(x, y), F(x, y), G(x, y)").unwrap();
         [
-            MatKey::of_atom(&q.atoms()[0]),
-            MatKey::of_atom(&q.atoms()[1]),
-            MatKey::of_atom(&q.atoms()[2]),
+            MatKey::of_atom(q.atom(0)),
+            MatKey::of_atom(q.atom(1)),
+            MatKey::of_atom(q.atom(2)),
         ]
     }
 
@@ -2908,7 +2899,7 @@ mod tests {
     fn concurrent_first_reads_share_one_bitmap_under_eviction() {
         use std::sync::Barrier;
         let q = crate::parser::parse_cq("Q() :- A(x, y), B(x, y), C(x, y), D(x, y)").unwrap();
-        let keys: Vec<MatKey> = q.atoms().iter().map(MatKey::of_atom).collect();
+        let keys: Vec<MatKey> = q.atoms().map(MatKey::of_atom).collect();
         let (shared, others) = keys.split_first().unwrap();
         let one = dense_rel(&[0, 1], 256, 256, 0).heap_bytes();
         let (readers, churners) = (3, 2);
@@ -3482,10 +3473,10 @@ mod tests {
     /// [`MatKey::write`] before it read columns from a written schema:
     /// a column is the count of distinct smaller variables, by
     /// [`ascending`].
-    fn key_by_rescan(atoms: &[&Atom], words: &mut Vec<u32>) {
+    fn key_by_rescan(atoms: &[Atom], words: &mut Vec<u32>) {
         let vars = atoms.iter().flat_map(|a| a.args.iter().copied());
         let col = |v: VarId| ascending(vars.clone()).take_while(|&u| u < v).count() as u32;
-        let keyed = atoms.iter().map(|a| (a.rel, &a.args[..]));
+        let keyed = atoms.iter().map(|a| (a.rel, a.args));
         let above = |low: Option<(RelId, &[VarId])>| keyed.clone().filter(|k| low < Some(*k)).min();
         for (rel, args) in std::iter::successors(above(None), |&k| above(Some(k))) {
             words.extend([rel.0, args.len() as u32]);
@@ -3506,24 +3497,23 @@ mod tests {
             atoms in proptest::collection::vec(
                 (0..3u32, proptest::collection::vec(0..5usize, 1..=4)), 1..=4),
         ) {
-            let atoms: Vec<Atom> = (atoms.iter())
-                .map(|(rel, picks)| Atom {
-                    rel: RelId(*rel),
-                    args: picks.iter().map(|&i| pool[i % pool.len()]).collect(),
-                })
+            let args: Vec<Vec<VarId>> = (atoms.iter())
+                .map(|(_, picks)| picks.iter().map(|&i| pool[i % pool.len()]).collect())
                 .collect();
-            let group: Vec<&Atom> = atoms.iter().collect();
+            let atoms: Vec<Atom> = (atoms.iter().zip(&args))
+                .map(|((rel, _), args)| Atom { rel: RelId(*rel), args })
+                .collect();
             let vars = || atoms.iter().flat_map(|a| a.args.iter().copied());
             let (mut words, mut want) = (vec![7], vec![7]);
             let schema = push_ascending(&mut words, vars());
             want.extend(ascending(vars()));
-            MatKey::write(&group, schema, &mut words);
-            key_by_rescan(&group, &mut want);
-            for atom in &atoms {
+            MatKey::write(&atoms, schema, &mut words);
+            key_by_rescan(&atoms, &mut want);
+            for &atom in &atoms {
                 MatKey::write_atom(atom, &mut words);
                 key_by_rescan(&[atom], &mut want);
                 AtomBinder::compile(atom, &mut words);
-                let args = &atom.args;
+                let args = atom.args;
                 let first = |v: VarId| args.iter().position(|&u| u == v).unwrap() as u32;
                 for (j, &v) in args.iter().enumerate() {
                     if first(v) < j as u32 {

@@ -874,7 +874,7 @@ pub struct NodeSpec<'a> {
     /// The atoms the node's source materializes, those sharing one
     /// variable set adjacent: one part each. None give the 0-ary "true"
     /// relation (a connector bag).
-    pub atoms: &'a [&'a Atom],
+    pub atoms: &'a [Atom<'a>],
     /// Connectivity label, a bit row over the query's variables holding
     /// the node's schema: the variable set guaranteed to satisfy the
     /// running-intersection property over the tree — the whole bag of a
@@ -1247,17 +1247,17 @@ fn edge_key(words: &mut Vec<u32>, at: &mut [NodeState], u: usize, p: usize) -> (
 /// key and binders, then, when there is not exactly one part, the
 /// union schema and the key of the whole group.
 fn write_source(
-    atoms: &[&Atom],
+    atoms: &[Atom],
     words: &mut Vec<u32>,
     parts: &mut Vec<MatPart>,
     binders: &mut Vec<AtomBinder>,
 ) -> MatSource {
     let first = parts.len();
-    for group in atoms.chunk_by(|a, b| a.same_vars(b)) {
+    for group in atoms.chunk_by(|a, b| a.same_vars(*b)) {
         let schema = push_ascending(words, group[0].args.iter().copied());
         let key = MatKey::write(group, schema, words);
         let start = binders.len();
-        binders.extend(group.iter().map(|a| AtomBinder::compile(a, words)));
+        binders.extend(group.iter().map(|&a| AtomBinder::compile(a, words)));
         let binders = Span::since(start, binders);
         parts.push(MatPart {
             schema,
@@ -1302,7 +1302,7 @@ fn room(nodes: &[NodeSpec], parent: &[Option<usize>], free: &[VarId]) -> [usize;
 impl PlanIr {
     /// An empty program over `nodes` with room for all it will hold.
     fn with_room(nodes: &[NodeSpec], parent: &[Option<usize>], free: &[VarId]) -> PlanIr {
-        let groups = |node: &NodeSpec| node.atoms.chunk_by(|a, b| a.same_vars(b)).count();
+        let groups = |node: &NodeSpec| node.atoms.chunk_by(|a, b| a.same_vars(*b)).count();
         PlanIr {
             ops: Vec::with_capacity(7 * nodes.len()),
             words: Vec::with_capacity(room(nodes, parent, free)[0]),
@@ -1346,7 +1346,7 @@ mod tests {
     }
 
     /// The plan of one node over `atoms`, and its source.
-    fn one_node(atoms: &[&Atom]) -> (PlanIr, MatSource) {
+    fn one_node(atoms: &[Atom]) -> (PlanIr, MatSource) {
         let node = NodeSpec { atoms, label: None };
         let ir = compile_tree(&[node], &[None], &[0], &[]);
         let source = *ir.materialize_sources().next().expect("one node");
@@ -1355,7 +1355,7 @@ mod tests {
 
     fn source_of(q: &str) -> (PlanIr, MatSource) {
         let q = parse_cq(q).unwrap();
-        one_node(&q.atoms().iter().collect::<Vec<_>>())
+        one_node(&q.atoms().collect::<Vec<_>>())
     }
 
     #[test]
@@ -1420,7 +1420,7 @@ mod tests {
         let d = b.finish();
         let rule = "Q(x, y) :- E(x, y), F(x, y), E(x, y), F(y, x)";
         let q = crate::parser::parse_cq_with_vocab(rule, &v).unwrap();
-        let (ir, src) = one_node(&q.atoms().iter().collect::<Vec<_>>());
+        let (ir, src) = one_node(&q.atoms().collect::<Vec<_>>());
         let parts = ir.parts(&src);
         assert_eq!((parts.len(), ir.binders(&parts[0]).len()), (1, 4));
         let mut stats = MatCacheStats::default();
@@ -1729,15 +1729,15 @@ mod tests {
     }
 
     /// One join-tree node per atom of `atoms`, in order.
-    fn atom_nodes<'a>(atoms: &'a [&'a Atom]) -> Vec<NodeSpec<'a>> {
+    fn atom_nodes<'a>(atoms: &'a [Atom<'a>]) -> Vec<NodeSpec<'a>> {
         (atoms.chunks(1))
             .map(|atoms| NodeSpec { atoms, label: None })
             .collect()
     }
 
     /// The atoms of `q`, in body order.
-    fn atoms_of(q: &crate::ast::ConjunctiveQuery) -> Vec<&Atom> {
-        q.atoms().iter().collect()
+    fn atoms_of(q: &crate::ast::ConjunctiveQuery) -> Vec<Atom<'_>> {
+        q.atoms().collect()
     }
 
     #[test]

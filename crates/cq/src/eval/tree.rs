@@ -73,8 +73,8 @@ impl TreePlan {
     pub fn join_tree(query: &ConjunctiveQuery) -> Option<TreePlan> {
         // Group indices are `Hypergraph`'s edge indices: it dedups in order.
         let atoms = grouped(query, 0);
-        let groups = || atoms.chunk_by(|a, b| a.same_vars(b));
-        let h = Hypergraph::from_edges(query.var_count(), groups().map(|g| &g[0].args));
+        let groups = || atoms.chunk_by(|a, b| a.same_vars(*b));
+        let h = Hypergraph::from_edges(query.var_count(), groups().map(|g| g[0].args));
         let join_tree = gyo::gyo_reduce(&h)?;
 
         let mut nodes: Vec<NodeSpec> = Vec::with_capacity(h.edge_count());
@@ -161,10 +161,10 @@ impl TreePlan {
         // atoms grouped by variable set, one part each; a connector bag
         // covering no atom gets the "true" relation. One buffer holds the
         // atoms grouped once, then each bag's, filtered from them.
-        let covers = |b: usize, a: &Atom| a.args.iter().all(|&v| td.contains(b, v));
-        let in_bag = |b: usize| query.atoms().iter().filter(|a| covers(b, a)).count();
+        let covers = |b: usize, a: Atom| a.args.iter().all(|&v| td.contains(b, v));
+        let in_bag = |b: usize| query.atoms().filter(|&a| covers(b, a)).count();
         assert!(
-            (query.atoms().iter()).all(|a| bags.clone().any(|b| covers(b, a))),
+            query.atoms().all(|a| bags.clone().any(|b| covers(b, a))),
             "every atom's variable clique must lie in some bag"
         );
         let m = query.atom_count();
@@ -222,11 +222,11 @@ impl From<TreePlan> for PlanIr {
 /// The atoms of `query` grouped by variable set, with no sort: the sets
 /// in the order of their first atoms, each in body order; the buffer has
 /// room for `more` atoms besides.
-fn grouped(query: &ConjunctiveQuery, more: usize) -> Vec<&Atom> {
-    let all = query.atoms();
-    let firsts = (0..all.len()).filter(|&i| !all[..i].iter().any(|b| b.same_vars(&all[i])));
-    let mut atoms = Vec::with_capacity(all.len() + more);
-    atoms.extend(firsts.flat_map(|i| all[i..].iter().filter(move |b| b.same_vars(&all[i]))));
+fn grouped(query: &ConjunctiveQuery, more: usize) -> Vec<Atom<'_>> {
+    let (m, at) = (query.atom_count(), |i| query.atom(i));
+    let firsts = (0..m).filter(|&i| !(0..i).any(|j| at(j).same_vars(at(i))));
+    let mut atoms = Vec::with_capacity(m + more);
+    atoms.extend(firsts.flat_map(|i| (i..m).map(at).filter(move |b| b.same_vars(at(i)))));
     atoms
 }
 
@@ -249,11 +249,11 @@ pub(super) fn choose_roots(
     // A node's schema: the distinct arguments of its first atom (its
     // atoms share one variable set); column 0 is the least.
     let schema = |u: usize| {
-        let args = &nodes[u].atoms[0].args;
+        let args = nodes[u].atoms[0].args;
         (args.iter().enumerate()).filter_map(|(i, v)| (!args[..i].contains(v)).then_some(v))
     };
     let off_lead = |child: usize, parent: usize| {
-        let p = &nodes[parent].atoms[0].args;
+        let p = nodes[parent].atoms[0].args;
         let shared = schema(child).filter(|v| p.contains(v)).count();
         shared != 1 || schema(child).min().is_none_or(|lead| !p.contains(lead))
     };

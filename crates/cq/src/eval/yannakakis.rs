@@ -86,7 +86,7 @@ mod tests {
     #[test]
     fn a_tie_keeps_the_given_root() {
         let q = parse_cq("Q() :- E(x, y), E(x, z)").unwrap();
-        let h = Hypergraph::from_edges(q.var_count(), q.atoms().iter().map(|a| &a.args));
+        let h = Hypergraph::from_edges(q.var_count(), q.atoms().map(|a| a.args));
         let gyo = gyo::gyo_reduce(&h).unwrap().parent;
         assert_eq!(gyo, [Some(1), None]);
         let plan = TreePlan::join_tree(&q).unwrap();
@@ -102,7 +102,7 @@ mod tests {
     fn a_forest_is_rooted_per_tree() {
         let q = parse_cq("Q() :- E(a0, a1), E(a1, a2), E(a2, a3), E(b0, b1), E(b1, b2), E(b2, b3)")
             .unwrap();
-        let atoms: Vec<&Atom> = q.atoms().iter().collect();
+        let atoms: Vec<Atom> = q.atoms().collect();
         let nodes: Vec<NodeSpec> = (atoms.chunks(1))
             .map(|atoms| NodeSpec { atoms, label: None })
             .collect();

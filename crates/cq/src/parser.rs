@@ -17,11 +17,14 @@
 //! Tokens borrow the input: an identifier is a `&str` slice of it, and
 //! a variable is looked up by that slice. One pass reads the head and
 //! then each body atom, resolving its relation and interning its
-//! variables as it goes, so a parse allocates per query, per atom (its
-//! argument list) and per distinct variable (its name), never per token.
+//! variables straight into the query's argument buffer and per-atom
+//! ends, both sized from the input before the pass; a second read
+//! copies each variable's name once into the query's one name table, at
+//! its exact size. So a parse allocates per query, never per atom,
+//! variable or token.
 
-use crate::ast::{Atom, ConjunctiveQuery, VarId};
-use cqapx_structures::{RelId, Vocabulary};
+use crate::ast::{ConjunctiveQuery, Parts, VarId};
+use cqapx_structures::{Names, RelId, Vocabulary};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -87,10 +90,12 @@ impl<'a> Lexer<'a> {
         Ok(token)
     }
 
-    /// Parses `name "(" vars? ")"` into `name` and the variables in
-    /// `args` (cleared first). Only a head may have no variables.
-    fn atom(&mut self, args: &mut Vec<&'a str>) -> Result<&'a str, ParseError> {
-        args.clear();
+    /// Parses `name "(" vars? ")"` into `name`, handing each variable
+    /// to `var` as it is read. Only a head may have no variables.
+    fn atom(
+        &mut self,
+        mut var: impl FnMut(&'a str) -> Result<(), ParseError>,
+    ) -> Result<&'a str, ParseError> {
         let name = match self.next_token()? {
             Token::Ident(s) => s,
             other => return err(format!("expected a relation name, found {other:?}")),
@@ -107,7 +112,7 @@ impl<'a> Lexer<'a> {
         }
         loop {
             match self.next_token()? {
-                Token::Ident(s) => args.push(s),
+                Token::Ident(s) => var(s)?,
                 other => return err(format!("expected a variable, found {other:?}")),
             }
             match self.next_token()? {
@@ -123,46 +128,50 @@ impl<'a> Lexer<'a> {
 /// reading them.
 const PRESIZED: usize = 256;
 
-/// A query's variable names, head and body, as
-/// [`ConjunctiveQuery::with_names`] takes them.
-type Parsed = (Arc<[String]>, Vec<VarId>, Vec<Atom>);
-
-/// The one pass both entry points share: the head, then every body atom
-/// resolved by `relation(name, arity)` and interned as it is read.
-/// Variables are interned by the borrowed name; once the body is read,
-/// the shared list of names is built at its exact size and each name
-/// copied into its slot once. Every buffer is sized up front from the
-/// input's parentheses and commas (each atom opens one, each variable
-/// follows one), so none grows — up to [`PRESIZED`] entries, so that a
-/// malformed input is not handed a buffer its length alone asks for.
+/// The pass both entry points share: the head, then every body atom
+/// resolved by `relation(name, arity)` and its variables interned, by
+/// their borrowed names, as it is read. The head is then read again, its
+/// variables looked up, and so is the body, each variable's name copied
+/// where it first occurs into a name table of exact size. The other
+/// buffers are sized up front from the input's parentheses and commas
+/// (each atom opens one, each variable follows one), so none grows — up
+/// to [`PRESIZED`] entries, so that a malformed input is not handed a
+/// buffer its length alone asks for.
 fn parse<'a>(
     input: &'a str,
     mut relation: impl FnMut(&'a str, usize) -> Result<RelId, ParseError>,
-) -> Result<Parsed, ParseError> {
+) -> Result<Parts, ParseError> {
     let count = |c: u8| input.bytes().filter(|&b| b == c).count().min(PRESIZED);
     let (opens, commas) = (count(b'('), count(b','));
     let mut lx = Lexer { input, pos: 0 };
-    let mut head = Vec::new();
-    lx.atom(&mut head)?;
+    let mut arity = 0;
+    lx.atom(|_| {
+        arity += 1;
+        Ok(())
+    })?;
     match lx.next_token()? {
         Token::Implies => {}
         other => return err(format!("expected ':-' after head, found {other:?}")),
     }
+    let body = lx.pos;
     let mut var_ids: HashMap<&str, VarId> = HashMap::with_capacity(opens + commas);
-    let mut atoms = Vec::with_capacity(opens);
-    let (mut names, mut args) = (Vec::new(), Vec::new());
+    let (mut args, mut atoms) = (
+        Vec::with_capacity(opens + commas),
+        Vec::with_capacity(opens),
+    );
+    let mut bytes = 0;
     loop {
-        let name = lx.atom(&mut names)?;
-        let rel = relation(name, names.len())?;
-        args.clear();
-        args.extend(names.iter().map(|&v| {
+        let start = args.len();
+        let name = lx.atom(|v| {
             let next = var_ids.len() as VarId;
-            *var_ids.entry(v).or_insert(next)
-        }));
-        atoms.push(Atom {
-            rel,
-            args: args.as_slice().into(),
-        });
+            args.push(*var_ids.entry(v).or_insert_with(|| {
+                bytes += v.len();
+                next
+            }));
+            Ok(())
+        })?;
+        let rel = relation(name, args.len() - start)?;
+        atoms.push((rel, u32::try_from(args.len()).expect("under 2³² arguments")));
         match lx.next_token()? {
             Token::Comma => continue,
             Token::End => break,
@@ -170,19 +179,28 @@ fn parse<'a>(
         }
     }
     // Head variables must occur in the body (safety).
-    let free = head.iter().map(|h| match var_ids.get(h) {
-        Some(&v) => Ok(v),
-        None => err(format!(
-            "head variable {h} does not occur in the body (unsafe query)"
-        )),
-    });
-    let free = free.collect::<Result<_, _>>()?;
-    let mut var_names: Arc<[String]> = (0..var_ids.len()).map(|_| String::new()).collect();
-    let slots = Arc::get_mut(&mut var_names).expect("the list was just built");
-    var_ids
-        .into_iter()
-        .for_each(|(v, id)| slots[id as usize] = v.into());
-    Ok((var_names, free, atoms))
+    let mut free = Vec::with_capacity(arity.min(PRESIZED));
+    Lexer { input, pos: 0 }.atom(|h| {
+        let v = var_ids.get(h).ok_or_else(|| ParseError {
+            message: format!("head variable {h} does not occur in the body (unsafe query)"),
+        })?;
+        free.push(*v);
+        Ok(())
+    })?;
+    let mut names = Names::with_capacity(var_ids.len(), bytes);
+    let (mut lx, mut ids) = (Lexer { input, pos: body }, args.iter());
+    loop {
+        lx.atom(|v| {
+            if *ids.next().expect("one id per variable read") as usize == names.len() {
+                names.push(v);
+            }
+            Ok(())
+        })?;
+        if lx.next_token()? != Token::Comma {
+            break;
+        }
+    }
+    Ok((Arc::new(names), free, args, atoms))
 }
 
 /// Parses a rule-notation CQ, inferring the vocabulary from the body.
@@ -199,7 +217,7 @@ fn parse<'a>(
 /// ```
 pub fn parse_cq(input: &str) -> Result<ConjunctiveQuery, ParseError> {
     let mut rels: Vec<(&str, usize)> = Vec::new();
-    let (var_names, free, atoms) = parse(input, |name, arity| {
+    let parts = parse(input, |name, arity| {
         match rels.iter().position(|&(n, _)| n == name) {
             Some(i) if rels[i].1 == arity => Ok(RelId(i as u32)),
             Some(i) => err(format!(
@@ -214,8 +232,7 @@ pub fn parse_cq(input: &str) -> Result<ConjunctiveQuery, ParseError> {
             }
         }
     })?;
-    let vocab = Vocabulary::new(rels);
-    Ok(ConjunctiveQuery::with_names(vocab, var_names, free, atoms))
+    Ok(ConjunctiveQuery::from_parts(Vocabulary::new(rels), parts))
 }
 
 /// Parses against a fixed vocabulary (arities checked).
@@ -223,7 +240,7 @@ pub fn parse_cq_with_vocab(
     input: &str,
     vocab: &Vocabulary,
 ) -> Result<ConjunctiveQuery, ParseError> {
-    let (var_names, free, atoms) = parse(input, |name, arity| match vocab.rel(name) {
+    let parts = parse(input, |name, arity| match vocab.rel(name) {
         None => err(format!("unknown relation {name}")),
         Some(r) if vocab.arity(r) != arity => err(format!(
             "relation {name} has arity {}, used with {arity} arguments",
@@ -231,8 +248,7 @@ pub fn parse_cq_with_vocab(
         )),
         Some(r) => Ok(r),
     })?;
-    let vocab = vocab.clone();
-    Ok(ConjunctiveQuery::with_names(vocab, var_names, free, atoms))
+    Ok(ConjunctiveQuery::from_parts(vocab.clone(), parts))
 }
 
 #[cfg(test)]
@@ -264,7 +280,7 @@ mod tests {
     #[test]
     fn parse_repeated_variables() {
         let q = parse_cq("Q(x) :- R(x, x, y)").unwrap();
-        assert_eq!(q.atoms()[0].args, vec![0, 0, 1]);
+        assert_eq!(q.atom(0).args, [0, 0, 1]);
     }
 
     #[test]

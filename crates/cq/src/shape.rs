@@ -58,7 +58,7 @@ impl QueryShape {
         let decomposition = min_width_decomposition(&graph);
         let treewidth = (decomposition.as_ref())
             .map_or(q.var_count().saturating_sub(1), TreeDecomposition::width);
-        let max_atom_arity = q.atoms().iter().map(|a| a.args.len()).max().unwrap_or(0);
+        let max_atom_arity = q.atoms().map(|a| a.args.len()).max().unwrap_or(0);
         // Over atoms of at most two arguments `H(Q)` is `G(Q)` plus
         // singletons, and such a hypergraph is acyclic exactly when the
         // graph is a forest (`AC = TW(1)` for queries over graphs).
@@ -76,7 +76,7 @@ impl QueryShape {
             treewidth,
             // Every key, and one atom's schema while its key is written.
             keys: Vec::with_capacity(
-                q.atoms().iter().map(|a| 2 + a.args.len()).sum::<usize>() + max_atom_arity,
+                q.atoms().map(|a| 2 + a.args.len()).sum::<usize>() + max_atom_arity,
             ),
         };
         for atom in q.atoms() {

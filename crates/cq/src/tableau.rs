@@ -2,12 +2,16 @@
 //!
 //! The tableau of `Q(x̄)` is `(T_Q, x̄)`: the body of `Q` viewed as a
 //! database whose elements are the variables, with the free variables
-//! distinguished. The correspondence is lossless (up to variable names),
-//! so the approximation algorithms work entirely on tableaux and convert
-//! back to queries at the end.
+//! distinguished and the variable names as element names, one [`Names`]
+//! table shared by both. The correspondence is lossless up to atom order
+//! and repeated atoms, so the approximation algorithms work entirely on
+//! tableaux and convert back to queries at the end: [`query_from_tableau`]
+//! writes the query's argument buffer straight from the flat tuples, and
+//! a tableau's missing names as `x{e}` into one table, so it allocates
+//! per query, never per atom or variable.
 
-use crate::ast::{Atom, ConjunctiveQuery, VarId};
-use cqapx_structures::{Pointed, Structure, StructureBuilder};
+use crate::ast::ConjunctiveQuery;
+use cqapx_structures::{Names, Pointed, Structure, StructureBuilder};
 use std::sync::Arc;
 
 /// The tableau `(T_Q, x̄)` of a query.
@@ -28,18 +32,18 @@ use std::sync::Arc;
 pub fn tableau_of(q: &ConjunctiveQuery) -> Pointed {
     let mut b = StructureBuilder::new(q.vocabulary().clone(), q.var_count());
     for rel in q.vocabulary().rel_ids() {
-        b.reserve(rel, q.atoms().iter().filter(|a| a.rel == rel).count());
+        b.reserve(rel, q.atoms().filter(|a| a.rel == rel).count());
     }
     for a in q.atoms() {
-        b.add(a.rel, &a.args);
+        b.add(a.rel, a.args);
     }
     let mut s = b.finish();
-    s.set_names(Arc::clone(&q.var_names));
+    s.set_names(Arc::clone(&q.names));
     Pointed::new(s, q.free_vars().to_vec())
 }
 
 /// The canonical query of a tableau: each tuple becomes an atom; element
-/// names become variable names (falling back to `v{i}`).
+/// names become variable names (falling back to `x{e}`).
 ///
 /// Inverse of [`tableau_of`] up to atom order and duplicate atoms.
 ///
@@ -57,25 +61,28 @@ pub fn query_from_tableau(t: &Pointed) -> ConjunctiveQuery {
         s.universe_is_active(),
         "tableau universes must be active (every variable in some atom)"
     );
-    let var_names: Arc<[String]> = match s.names() {
+    let names = match s.names() {
         Some(names) => Arc::clone(names),
-        None => s.elements().map(|e| format!("x{e}")).collect(),
+        None => {
+            let digits = |e: u32| 1 + e.checked_ilog10().unwrap_or(0) as usize;
+            let bytes = s.elements().map(|e| 1 + digits(e)).sum();
+            let mut names = Names::with_capacity(s.universe_size(), bytes);
+            s.elements().for_each(|e| names.push(format_args!("x{e}")));
+            Arc::new(names)
+        }
     };
-    let mut atoms = Vec::new();
-    for rel in s.vocabulary().rel_ids() {
+    let vocab = s.vocabulary();
+    let positions = vocab.rel_ids().map(|rel| s.flat_tuples(rel).len()).sum();
+    let mut args = Vec::with_capacity(positions);
+    let mut atoms = Vec::with_capacity(s.total_tuples());
+    for rel in vocab.rel_ids() {
         for tuple in s.tuples(rel) {
-            atoms.push(Atom {
-                rel,
-                args: tuple.iter().map(|&x| x as VarId).collect(),
-            });
+            args.extend_from_slice(tuple);
+            atoms.push((rel, args.len() as u32));
         }
     }
-    ConjunctiveQuery::with_names(
-        s.vocabulary().clone(),
-        var_names,
-        t.distinguished().to_vec(),
-        atoms,
-    )
+    let free = t.distinguished().to_vec();
+    ConjunctiveQuery::from_parts(vocab.clone(), (names, free, args, atoms))
 }
 
 #[cfg(test)]

@@ -323,7 +323,12 @@ mod tests {
                 }
                 let entry = DatabaseEntry::build("d", b.finish());
                 let s = &entry.structure;
-                assert_eq!(entry.adom_size, s.active_domain().len());
+                let adom: HashSet<u32> = v
+                    .rel_ids()
+                    .flat_map(|r| s.flat_tuples(r))
+                    .copied()
+                    .collect();
+                assert_eq!(entry.adom_size, adom.len());
                 assert_eq!(s.domain_dict().len(), entry.adom_size);
                 assert_eq!(entry.stats.len(), 3);
                 for (rel, stats) in v.rel_ids().zip(&entry.stats) {

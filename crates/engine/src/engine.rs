@@ -1757,7 +1757,7 @@ mod tests {
         let held = e.read_catalog().query(q).unwrap();
         let edges = parse_cq("Q(x, y) :- E(x, y)").unwrap();
         assert_eq!(e.prepare_query("hop2", edges), q);
-        assert_eq!(held.query().atoms().len(), 2);
+        assert_eq!(held.query().atom_count(), 2);
         assert_eq!(e.execute(&Request::new(q, db)).answers.len(), 3);
         let weak = Arc::downgrade(&held);
         drop(held);

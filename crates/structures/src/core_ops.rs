@@ -24,7 +24,7 @@
 //! against `D`'s own index with the image confined to `S ∖ {y}`; a probe
 //! that fails stays failed for every smaller `S`, whose target is smaller.
 
-use crate::index::ElemSet;
+use crate::index::{fill, holds, put, size};
 use crate::pointed::Pointed;
 use crate::solver::{HomRun, HomSolver};
 use crate::structure::Element;
@@ -69,7 +69,7 @@ impl CoreResult {
 fn into_restriction<'s, 't>(
     solver: &'s HomSolver,
     p: &'t Pointed,
-    allowed: &'t ElemSet,
+    allowed: &'t [u64],
 ) -> HomRun<'s, 't> {
     let head = p.distinguished();
     solver
@@ -100,14 +100,14 @@ fn into_restriction<'s, 't>(
 pub fn is_core(p: &Pointed) -> bool {
     let n = p.structure.universe_size();
     let solver = HomSolver::compile(&p.structure);
-    let mut allowed = ElemSet::default();
-    allowed.reset_full(n);
+    let mut allowed = vec![0; n.div_ceil(64)];
+    fill(&mut allowed, n);
     (0..n as Element)
         .filter(|y| !p.distinguished().contains(y))
         .all(|y| {
-            allowed.remove(y);
+            put(&mut allowed, y, false);
             let avoids = into_restriction(&solver, p, &allowed).exists();
-            allowed.insert(y);
+            put(&mut allowed, y, true);
             !avoids
         })
 }
@@ -176,7 +176,7 @@ pub(crate) fn core_compiled(p: Pointed) -> (HomSolver, Pointed) {
 /// own core — and the iterations.
 fn retract(p: &Pointed) -> (Option<HomSolver>, Option<Pointed>, Vec<Element>, usize) {
     let n = p.structure.universe_size();
-    let (mut allowed, mut maps, mut iterations) = (ElemSet::default(), Vec::new(), 0);
+    let (mut maps, mut iterations) = (Vec::new(), 0);
     if n == 1 {
         return (None, None, maps, iterations);
     }
@@ -185,20 +185,21 @@ fn retract(p: &Pointed) -> (Option<HomSolver>, Option<Pointed>, Vec<Element>, us
         solver.constrains_every_element(),
         "core_of needs an active universe (every element in some tuple)"
     );
-    allowed.reset_full(n);
+    let mut allowed = vec![0; n.div_ceil(64)];
+    fill(&mut allowed, n);
     // The image of `map` in `set`, and its size.
-    let image = |map: &[Element], set: &mut ElemSet| {
-        set.reset_empty(n);
-        map.iter().for_each(|&x| set.insert(x));
-        set.count()
+    let image = |map: &[Element], set: &mut [u64]| {
+        set.fill(0);
+        map.iter().for_each(|&x| put(set, x, true));
+        size(set)
     };
     for y in 0..n as Element {
-        if !allowed.contains(y) || p.distinguished().contains(&y) {
+        if !holds(&allowed, y) || p.distinguished().contains(&y) {
             continue;
         }
-        allowed.remove(y);
+        put(&mut allowed, y, false);
         if !into_restriction(&solver, p, &allowed).find_into(&mut maps) {
-            allowed.insert(y);
+            put(&mut allowed, y, true);
             continue;
         }
         iterations += 1;
@@ -223,7 +224,7 @@ fn retract(p: &Pointed) -> (Option<HomSolver>, Option<Pointed>, Vec<Element>, us
     }
     // The core, an induced substructure, with the head carried over.
     let core = (!maps.is_empty()).then(|| {
-        let (core, remap) = p.structure.induced(|x| allowed.contains(x));
+        let (core, remap) = p.structure.induced(|x| holds(&allowed, x));
         let rank = |&x: &Element| remap[x as usize].expect("the image is the core's universe");
         Pointed::new(core, p.distinguished().iter().map(rank).collect())
     });

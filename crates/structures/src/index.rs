@@ -30,92 +30,32 @@ use crate::structure::{Element, Structure};
 use crate::vocabulary::RelId;
 use std::sync::{Arc, OnceLock};
 
-/// A dense bitset over elements `0..n`, the solver's domain
-/// representation.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct ElemSet {
-    words: Vec<u64>,
+/// `true` when the bitset `set` — element `64 · w + b` at bit `b` of
+/// word `w` — holds `x`. Searches keep their domains, and the image a
+/// search is confined to, as such bitsets.
+#[inline]
+pub(crate) fn holds(set: &[u64], x: Element) -> bool {
+    (set[(x / 64) as usize] >> (x % 64)) & 1 == 1
 }
 
-impl ElemSet {
-    /// Resets to the full set `{0, …, n-1}`, reusing the allocation.
-    pub(crate) fn reset_full(&mut self, n: usize) {
-        self.words.clear();
-        self.words.resize(n.div_ceil(64), !0u64);
-        if !n.is_multiple_of(64) {
-            if let Some(last) = self.words.last_mut() {
-                *last = (1u64 << (n % 64)) - 1;
-            }
-        }
-    }
+/// Puts `x` into the bitset `set`, or takes it out.
+#[inline]
+pub(crate) fn put(set: &mut [u64], x: Element, on: bool) {
+    let (word, bit) = (&mut set[(x / 64) as usize], 1 << (x % 64));
+    *word = if on { *word | bit } else { *word & !bit };
+}
 
-    /// Resets to the empty set over `0..n`, reusing the allocation.
-    pub(crate) fn reset_empty(&mut self, n: usize) {
-        self.words.clear();
-        self.words.resize(n.div_ceil(64), 0u64);
-    }
+/// The number of elements the bitset `set` holds.
+#[inline]
+pub(crate) fn size(set: &[u64]) -> usize {
+    set.iter().map(|w| w.count_ones() as usize).sum()
+}
 
-    /// Becomes a copy of `other`, reusing the allocation.
-    pub(crate) fn copy_from(&mut self, other: &ElemSet) {
-        self.words.clear();
-        self.words.extend_from_slice(&other.words);
-    }
-
-    /// The set's words, `64 · w + b` for bit `b` of word `w`.
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    #[inline]
-    pub(crate) fn contains(&self, i: Element) -> bool {
-        (self.words[(i / 64) as usize] >> (i % 64)) & 1 == 1
-    }
-
-    #[inline]
-    pub(crate) fn insert(&mut self, i: Element) {
-        self.words[(i / 64) as usize] |= 1 << (i % 64);
-    }
-
-    /// Removes an element; out-of-range removals are no-ops.
-    #[inline]
-    pub(crate) fn remove(&mut self, i: Element) {
-        if let Some(w) = self.words.get_mut((i / 64) as usize) {
-            *w &= !(1 << (i % 64));
-        }
-    }
-
-    /// Intersects with the set whose words are `other`.
-    pub(crate) fn intersect_with(&mut self, other: &[u64]) {
-        for (w, o) in self.words.iter_mut().zip(other) {
-            *w &= o;
-        }
-        // `other` may cover fewer words; anything beyond it is gone.
-        for w in self.words.iter_mut().skip(other.len()) {
-            *w = 0;
-        }
-    }
-
-    pub(crate) fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    pub(crate) fn iter(&self) -> impl Iterator<Item = Element> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut w = w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros();
-                    w &= w - 1;
-                    Some(wi as Element * 64 + b)
-                }
-            })
-        })
+/// Makes the bitset `set`, of `n.div_ceil(64)` words, hold `0..n`.
+pub(crate) fn fill(set: &mut [u64], n: usize) {
+    set.fill(!0);
+    if let Some(last) = set.last_mut().filter(|_| !n.is_multiple_of(64)) {
+        *last = (1 << (n % 64)) - 1;
     }
 }
 
@@ -398,20 +338,16 @@ mod tests {
     }
 
     #[test]
-    fn elemset_basics() {
-        let mut s = ElemSet::default();
-        s.reset_full(70);
-        assert_eq!(s.count(), 70);
-        assert!(s.contains(69));
-        s.remove(69);
-        assert!(!s.contains(69));
-        s.remove(1000); // out of range: no-op
-        let mut t = ElemSet::default();
-        t.reset_empty(70);
-        t.insert(3);
-        t.insert(64);
-        s.intersect_with(&t.words);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 64]);
-        assert!(!s.is_empty());
+    fn bitset_basics() {
+        let mut s = vec![0; 2];
+        fill(&mut s, 70);
+        assert_eq!((size(&s), holds(&s, 69)), (70, true));
+        put(&mut s, 69, false);
+        assert!(!holds(&s, 69));
+        s.fill(0);
+        put(&mut s, 3, true);
+        put(&mut s, 64, true);
+        assert_eq!(s, [1 << 3, 1]);
+        assert_eq!(size(&s), 2);
     }
 }

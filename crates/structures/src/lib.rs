@@ -11,7 +11,7 @@
 //!
 //! * [`Vocabulary`] — a database schema: named relations with arities.
 //! * [`Structure`] — a finite relational structure (database) over a
-//!   vocabulary, with elements `0..n` and optional display names.
+//!   vocabulary, with elements `0..n` and an optional [`Names`] table.
 //! * [`Pointed`] — a structure together with a tuple of distinguished
 //!   elements `(D, ā)`, the shape of a tableau of a non-Boolean query.
 //! * [`index`] — per-structure inverted indexes over tuples, built once
@@ -45,6 +45,7 @@ pub mod fxhash;
 pub mod hom;
 pub mod index;
 pub mod iso;
+pub mod names;
 pub mod order;
 pub mod packed;
 pub mod partition;
@@ -60,6 +61,7 @@ pub use dict::DomainDict;
 pub use frozen::signature_pointed;
 pub use hom::{HomSearchStats, Homomorphism};
 pub use index::StructureIndex;
+pub use names::Names;
 pub use order::{hom_equivalent, hom_exists};
 pub use partition::Partition;
 pub use pointed::Pointed;

@@ -35,13 +35,16 @@
 //! (offsets, then the lists). So [`HomSolver::compile`] calls the
 //! allocator once, whatever the number of atoms, and a target's
 //! [`StructureIndex`] is laid out the same way, every relation's lists in
-//! one buffer. Search buffers (domains, trail, queue, value stacks, spare
-//! bitsets, and the run's pins and exclusions) live in a thread-local
-//! pool, and a run hands its root level's saved domains back to it. So a
-//! warm run — on sources and targets no larger than earlier runs on its
-//! thread — calls the allocator only for the witness [`HomRun::find`]
-//! returns, and once for the witness [`HomRun::for_each`] refills per
-//! solution; [`HomRun::exists`] and [`HomRun::count`] assemble none.
+//! one buffer. A search keeps its state — domains and support sets as
+//! bitsets, the trail, the assignment with the queue flags, the queue,
+//! the level marks — in flat buffers from a thread-local pool, each
+//! sized to its bound when a run takes it, and reads a variable's values
+//! off its domain, restored after each value. So a run on a fresh thread
+//! calls the allocator once per buffer, and a warm run — on sources and
+//! targets no larger than earlier runs on its thread — only for the
+//! witness [`HomRun::find`] returns, and once for the witness
+//! [`HomRun::for_each`] refills per solution; [`HomRun::exists`] and
+//! [`HomRun::count`] assemble none.
 //!
 //! # Budget semantics
 //!
@@ -56,7 +59,7 @@
 //! cancellation mechanism.
 
 use crate::hom::{HomSearchStats, Homomorphism};
-use crate::index::{ElemSet, StructureIndex};
+use crate::index::{fill, holds, put, size, StructureIndex};
 use crate::structure::{Element, Structure};
 use crate::vocabulary::{RelId, Vocabulary};
 use std::cell::RefCell;
@@ -230,9 +233,10 @@ impl HomSolver {
             target.vocabulary(),
             "homomorphisms need a common vocabulary"
         );
-        let mut sc = take_scratch();
-        sc.pins.clear();
-        sc.excluded.clear();
+        let mut sc = SCRATCH_POOL
+            .with(|p| p.borrow_mut().pop())
+            .unwrap_or_default();
+        sc.fit(self, target.universe_size());
         HomRun {
             solver: self,
             target,
@@ -261,7 +265,7 @@ pub struct HomRun<'s, 't> {
     target: &'t Structure,
     sc: Scratch,
     /// The target elements the image may use, when not all of them.
-    within: Option<&'t ElemSet>,
+    within: Option<&'t [u64]>,
     injective: bool,
     budget: Option<SearchBudget>,
 }
@@ -289,7 +293,7 @@ impl<'s, 't> HomRun<'s, 't> {
     /// Confines the image to the target elements in `allowed`: a search
     /// into the substructure the target induces on them, over the
     /// target's own index.
-    pub(crate) fn within(mut self, allowed: &'t ElemSet) -> Self {
+    pub(crate) fn within(mut self, allowed: &'t [u64]) -> Self {
         self.within = Some(allowed);
         self
     }
@@ -321,7 +325,7 @@ impl<'s, 't> HomRun<'s, 't> {
         let mut found = false;
         self.solve(|a| {
             map.clear();
-            map.extend(a.iter().map(|x| x.expect("complete assignment")));
+            map.extend_from_slice(a);
             found = true;
             ControlFlow::Break(())
         });
@@ -346,8 +350,7 @@ impl<'s, 't> HomRun<'s, 't> {
         let mut h = Homomorphism { map: Vec::new() };
         self.solve(|a| {
             h.map.clear();
-            h.map
-                .extend(a.iter().map(|x| x.expect("complete assignment")));
+            h.map.extend_from_slice(a);
             f(&h)
         })
     }
@@ -363,7 +366,7 @@ impl<'s, 't> HomRun<'s, 't> {
     }
 
     /// Runs the search, handing each complete assignment to `leaf`.
-    fn solve<F: FnMut(&[Option<Element>]) -> ControlFlow<()>>(self, mut leaf: F) -> HomSearchStats {
+    fn solve<F: FnMut(&[Element]) -> ControlFlow<()>>(self, mut leaf: F) -> HomSearchStats {
         let mut sc = self.sc;
         let mut stats = HomSearchStats::default();
         {
@@ -371,7 +374,7 @@ impl<'s, 't> HomRun<'s, 't> {
                 solver: self.solver,
                 target: self.target,
                 idx: self.target.index(),
-                n_target: self.target.universe_size(),
+                w: self.target.universe_size().div_ceil(64),
                 injective: self.injective,
                 budget: self.budget.as_ref(),
                 sc: &mut sc,
@@ -381,56 +384,71 @@ impl<'s, 't> HomRun<'s, 't> {
                 // Root-level arc consistency (its trail level is never
                 // undone).
                 search.new_level();
-                if search.propagate_all() {
-                    let _ = search.search(&mut leaf, &mut stats, 0);
+                if search.propagate(0..search.solver.m as u32) {
+                    let _ = search.search(&mut leaf, &mut stats);
                 }
             }
             stats.revisions = search.revisions;
         }
-        // The root level is never undone: its saved domains go back to
-        // the pool, so the next run on this thread shrinks its root
-        // domains without allocating.
-        sc.pool.extend(sc.trail.drain(..).map(|(_, saved)| saved));
         put_scratch(sc);
         stats
     }
 }
 
+/// The value of an unassigned variable.
+const NONE: u32 = u32::MAX;
+
 /// Reusable search buffers, pooled per thread (pooling rather than a
 /// single slot keeps re-entrant solves — a `for_each` callback starting
-/// another search — safe).
+/// another search — safe). Bitsets over the target take `w` words each.
 #[derive(Default)]
 struct Scratch {
-    domains: Vec<ElemSet>,
-    assignment: Vec<Option<Element>>,
-    /// Saved `(variable, previous domain)` pairs.
-    trail: Vec<(u32, ElemSet)>,
+    /// Per source variable its domain, then one support set per
+    /// position of the widest constraint.
+    sets: Vec<u64>,
+    /// Saved domains, last saved last: per entry the domain's words
+    /// before it shrank, then its variable.
+    trail: Vec<u64>,
     /// Trail length at each decision level.
     marks: Vec<usize>,
+    /// Per source variable its value or [`NONE`]; per constraint 1 while
+    /// it is queued; then room for one tuple, or for the positions of a
+    /// constraint's support sets.
+    ints: Vec<u32>,
+    /// The queued constraints.
     queue: Vec<u32>,
-    queued: Vec<bool>,
-    shrunk: Vec<Element>,
-    /// Per distinct unassigned variable of the constraint under revision:
-    /// its first position and the values some supporting tuple gives it.
-    support: Vec<(u32, ElemSet)>,
-    tuple_buf: Vec<Element>,
-    /// Per-depth candidate-value buffers.
-    vals: Vec<Vec<Element>>,
-    /// Spare bitsets.
-    pool: Vec<ElemSet>,
     /// The run's pins and excluded target elements.
     pins: Vec<(Element, Element)>,
     excluded: Vec<Element>,
 }
 
-thread_local! {
-    static SCRATCH_POOL: RefCell<Vec<Scratch>> = const { RefCell::new(Vec::new()) };
+impl Scratch {
+    /// Sizes the buffers for a run of `solver` against a target of `n_t`
+    /// elements, each to its bound — the trail to one saved domain per
+    /// variable and per constraint, which it outgrows only in a search
+    /// that shrinks more domains than that along one path — so a scratch
+    /// fresh from the pool calls the allocator once per buffer.
+    fn fit(&mut self, solver: &HomSolver, n_t: usize) {
+        let (n_s, m, w) = (solver.n_source, solver.m, n_t.div_ceil(64));
+        let arity = solver.vocab.max_arity();
+        self.sets.clear();
+        self.sets.resize((n_s + arity) * w, 0);
+        self.ints.clear();
+        self.ints.resize(n_s + m + arity, 0);
+        self.ints[..n_s].fill(NONE);
+        self.trail.clear();
+        self.trail.reserve((w + 1) * (n_s + m));
+        self.marks.clear();
+        self.marks.reserve(n_s + 1);
+        self.queue.clear();
+        self.queue.reserve(m);
+        self.pins.clear();
+        self.excluded.clear();
+    }
 }
 
-fn take_scratch() -> Scratch {
-    SCRATCH_POOL
-        .with(|p| p.borrow_mut().pop())
-        .unwrap_or_default()
+thread_local! {
+    static SCRATCH_POOL: RefCell<Vec<Scratch>> = const { RefCell::new(Vec::new()) };
 }
 
 fn put_scratch(sc: Scratch) {
@@ -442,11 +460,35 @@ fn put_scratch(sc: Scratch) {
     });
 }
 
+/// Queues constraint `ci` unless `queued`, its flag among every
+/// constraint's, says it is queued already.
+#[inline]
+fn enqueue(queued: &mut [u32], queue: &mut Vec<u32>, ci: u32) {
+    if queued[ci as usize] == 0 {
+        queued[ci as usize] = 1;
+        queue.push(ci);
+    }
+}
+
+/// The least element of the bitset `set` that is at least `from`.
+fn next_from(set: &[u64], from: Element) -> Option<Element> {
+    let at = (from / 64) as usize;
+    let mut word = *set.get(at)? & (!0u64 << (from % 64));
+    for i in at.. {
+        if word != 0 {
+            return Some(i as Element * 64 + word.trailing_zeros());
+        }
+        word = *set.get(i + 1)?;
+    }
+    None
+}
+
 struct Search<'a> {
     solver: &'a HomSolver,
     target: &'a Structure,
     idx: &'a StructureIndex,
-    n_target: usize,
+    /// Words per bitset over the target.
+    w: usize,
     injective: bool,
     budget: Option<&'a SearchBudget>,
     sc: &'a mut Scratch,
@@ -456,65 +498,58 @@ struct Search<'a> {
 }
 
 impl Search<'_> {
+    /// The words of variable `v`'s domain.
+    #[inline]
+    fn domain(&self, v: usize) -> &[u64] {
+        &self.sc.sets[v * self.w..(v + 1) * self.w]
+    }
+
     /// Initializes domains from the index's occurrence sets, pins,
     /// exclusions and the allowed image. Returns `false` on an immediate
     /// wipe-out.
-    fn setup(&mut self, within: Option<&ElemSet>) -> bool {
-        let n_s = self.solver.n_source;
-        let n_t = self.n_target;
-        let sc = &mut *self.sc;
-        sc.trail.clear();
-        sc.marks.clear();
-        sc.queue.clear();
-        sc.queued.clear();
-        sc.queued.resize(self.solver.m, false);
-        sc.shrunk.clear();
-        if sc.domains.len() < n_s {
-            sc.domains.resize_with(n_s, ElemSet::default);
-        }
-        for d in sc.domains[..n_s].iter_mut() {
-            d.reset_full(n_t);
-        }
-        sc.assignment.clear();
-        sc.assignment.resize(n_s, None);
-        if sc.vals.len() < n_s + 1 {
-            sc.vals.resize_with(n_s + 1, Vec::new);
-        }
+    fn setup(&mut self, within: Option<&[u64]>) -> bool {
+        let (n_s, n_t, w) = (self.solver.n_source, self.target.universe_size(), self.w);
         if n_t == 0 && n_s > 0 {
             return false;
         }
-
+        let sc = &mut *self.sc;
+        let domains = &mut sc.sets[..n_s * w];
+        (0..n_s).for_each(|v| fill(&mut domains[v * w..(v + 1) * w], n_t));
+        let mut intersect = |v: usize, other: &[u64]| {
+            // `other` may cover fewer words; anything beyond it is gone.
+            let words = other.iter().chain(std::iter::repeat(&0));
+            (domains[v * w..(v + 1) * w].iter_mut())
+                .zip(words)
+                .for_each(|(d, o)| *d &= o);
+        };
         // Unary pruning: a constrained variable can only take values that
         // occur at the right (relation, position).
         for ci in 0..self.solver.m {
             let (rel, vars, _) = self.solver.constraint(ci);
             for (p, &v) in vars.iter().enumerate() {
-                sc.domains[v as usize].intersect_with(self.idx.occurs(rel, p));
+                intersect(v as usize, self.idx.occurs(rel, p));
             }
         }
         if let Some(allowed) = within {
-            for d in sc.domains[..n_s].iter_mut() {
-                d.intersect_with(allowed.words());
-            }
+            (0..n_s).for_each(|v| intersect(v, allowed));
         }
         for &e in &sc.excluded {
-            for d in sc.domains[..n_s].iter_mut() {
-                d.remove(e);
+            for v in (0..n_s).filter(|_| e < n_t as Element) {
+                put(&mut domains[v * w..(v + 1) * w], e, false);
             }
         }
         for &(s, t) in &sc.pins {
             assert!((s as usize) < n_s, "pinned source element out of range");
             assert!((t as usize) < n_t, "pinned target element out of range");
-            let keep = sc.domains[s as usize].contains(t);
-            sc.domains[s as usize].reset_empty(n_t);
-            if keep {
-                sc.domains[s as usize].insert(t);
-            }
+            let d = &mut domains[s as usize * w..(s as usize + 1) * w];
+            let keep = holds(d, t);
+            d.fill(0);
+            put(d, t, keep);
         }
         if self.injective && n_s > n_t {
             return false;
         }
-        !(n_s > 0 && sc.domains[..n_s].iter().any(|d| d.is_empty()))
+        !(0..n_s).any(|v| size(&domains[v * w..(v + 1) * w]) == 0)
     }
 
     fn new_level(&mut self) {
@@ -523,167 +558,143 @@ impl Search<'_> {
 
     fn undo_level(&mut self) {
         let mark = self.sc.marks.pop().expect("matching trail level");
-        while self.sc.trail.len() > mark {
-            let (u, dom) = self.sc.trail.pop().expect("trail entry");
-            let shrunk = std::mem::replace(&mut self.sc.domains[u as usize], dom);
-            self.sc.pool.push(shrunk);
+        let (sc, w) = (&mut *self.sc, self.w);
+        while sc.trail.len() > mark {
+            let end = sc.trail.len() - 1;
+            let u = sc.trail[end] as usize;
+            sc.sets[u * w..(u + 1) * w].copy_from_slice(&sc.trail[end - w..end]);
+            sc.trail.truncate(end - w);
         }
     }
 
-    /// Root-level propagation over every constraint.
-    fn propagate_all(&mut self) -> bool {
+    /// AC-3 propagation seeded from the constraints `seeds` — every one
+    /// at the root, after that those incident to the variable just
+    /// assigned (MAC) — cascading through domain shrinks, until a
+    /// fixpoint or a wipe-out.
+    fn propagate(&mut self, seeds: impl Iterator<Item = u32>) -> bool {
+        let n_s = self.solver.n_source;
         let sc = &mut *self.sc;
-        sc.queue.clear();
-        for ci in 0..self.solver.m as u32 {
-            sc.queue.push(ci);
-            sc.queued[ci as usize] = true;
-        }
-        self.drain_queue()
-    }
-
-    /// Propagation seeded from the constraints incident to `var` (MAC).
-    fn propagate_from(&mut self, var: Element) -> bool {
-        let sc = &mut *self.sc;
-        sc.queue.clear();
-        for &ci in self.solver.incident(var) {
-            if !sc.queued[ci as usize] {
-                sc.queued[ci as usize] = true;
-                sc.queue.push(ci);
-            }
-        }
-        self.drain_queue()
-    }
-
-    /// AC-3 worklist: revise queued constraints, cascading through domain
-    /// shrinks, until a fixpoint or a wipe-out.
-    fn drain_queue(&mut self) -> bool {
+        seeds.for_each(|ci| enqueue(&mut sc.ints[n_s..], &mut sc.queue, ci));
         while let Some(ci) = self.sc.queue.pop() {
-            self.sc.queued[ci as usize] = false;
+            self.sc.ints[n_s + ci as usize] = 0;
             if !self.revise(ci as usize) {
-                for &c in &self.sc.queue {
-                    self.sc.queued[c as usize] = false;
+                let sc = &mut *self.sc;
+                for c in sc.queue.drain(..) {
+                    sc.ints[n_s + c as usize] = 0;
                 }
-                self.sc.queue.clear();
-                // A wiped-out revise may have recorded shrunk variables;
-                // drop them so the next propagation doesn't re-enqueue
-                // their constraints against restored domains.
-                self.sc.shrunk.clear();
                 return false;
             }
-            let mut shrunk = std::mem::take(&mut self.sc.shrunk);
-            for &v in &shrunk {
-                for &cj in self.solver.incident(v) {
-                    if cj != ci && !self.sc.queued[cj as usize] {
-                        self.sc.queued[cj as usize] = true;
-                        self.sc.queue.push(cj);
-                    }
-                }
-            }
-            shrunk.clear();
-            self.sc.shrunk = shrunk;
         }
         true
     }
 
     /// Generalized arc consistency on one table constraint under the
     /// current partial assignment: intersects each unassigned variable's
-    /// domain with its supported values. Shrunk variables are appended to
-    /// `sc.shrunk`; returns `false` on a wipe-out.
+    /// domain with its supported values, and queues the other
+    /// constraints incident to each variable it shrinks. Returns `false`
+    /// on a wipe-out.
     fn revise(&mut self, ci: usize) -> bool {
         self.revisions += 1;
         let ((rel, vars, first), idx) = (self.solver.constraint(ci), self.idx);
+        let (n_s, m, w) = (self.solver.n_source, self.solver.m, self.w);
         let sc = &mut *self.sc;
+        let (assigned, rest) = sc.ints.split_at_mut(n_s);
+        let (queued, spare) = rest.split_at_mut(m);
 
         // Fully assigned: a membership test.
-        if vars.iter().all(|&v| sc.assignment[v as usize].is_some()) {
-            sc.tuple_buf.clear();
-            sc.tuple_buf
-                .extend(vars.iter().map(|&v| sc.assignment[v as usize].unwrap()));
-            return self.target.contains(rel, &sc.tuple_buf);
+        if vars.iter().all(|&v| assigned[v as usize] != NONE) {
+            let tuple = &mut spare[..vars.len()];
+            for (x, &v) in tuple.iter_mut().zip(vars) {
+                *x = assigned[v as usize];
+            }
+            return self.target.contains(rel, tuple);
         }
 
         // Seed the support scan from the shortest inverted list of an
         // assigned position; fall back to the full relation.
         let mut best: Option<&[u32]> = None;
         for (p, &v) in vars.iter().enumerate() {
-            if let Some(val) = sc.assignment[v as usize] {
-                let list = idx.matches(rel, p, val);
+            if assigned[v as usize] != NONE {
+                let list = idx.matches(rel, p, assigned[v as usize]);
                 if best.is_none_or(|b| list.len() < b.len()) {
                     best = Some(list);
                 }
             }
         }
 
-        // One support set per distinct unassigned variable, kept with its
+        // One support set per distinct unassigned variable, at its
         // first position.
-        debug_assert!(sc.support.is_empty());
+        let mut k = 0;
         for (p, &v) in vars.iter().enumerate() {
-            if first[p] as usize == p && sc.assignment[v as usize].is_none() {
-                let mut s = sc.pool.pop().unwrap_or_default();
-                s.reset_empty(self.n_target);
-                sc.support.push((p as u32, s));
+            if first[p] as usize == p && assigned[v as usize] == NONE {
+                spare[k] = p as u32;
+                k += 1;
+            }
+        }
+        let positions = &spare[..k];
+        let (domains, supports) = sc.sets.split_at_mut(n_s * w);
+        let supports = &mut supports[..k * w];
+        supports.fill(0);
+        let mut consider = |t: &[Element]| {
+            for (p, &v) in vars.iter().enumerate() {
+                let fits = match assigned[v as usize] {
+                    NONE => holds(&domains[v as usize * w..], t[p]),
+                    val => t[p] == val,
+                };
+                if !fits || t[p] != t[first[p] as usize] {
+                    return;
+                }
+            }
+            for (j, &p) in positions.iter().enumerate() {
+                let x = t[p as usize];
+                put(&mut supports[j * w..], x, true);
+            }
+        };
+        match best {
+            Some(list) => {
+                for &ti in list {
+                    consider(self.target.tuple(rel, ti as usize));
+                }
+            }
+            None => {
+                for t in self.target.tuples(rel) {
+                    consider(t);
+                }
             }
         }
 
-        {
-            let (assignment, domains, support) = (&sc.assignment, &sc.domains, &mut sc.support);
-            let mut consider = |t: &[Element]| {
-                for (p, &v) in vars.iter().enumerate() {
-                    let fits = match assignment[v as usize] {
-                        Some(val) => t[p] == val,
-                        None => domains[v as usize].contains(t[p]),
-                    };
-                    if !fits || t[p] != t[first[p] as usize] {
-                        return;
+        // Apply the supports as new domains, the last position's first
+        // (they are subsets of the old domains by construction).
+        for j in (0..k).rev() {
+            let u = vars[positions[j] as usize] as usize;
+            let (du, sup) = (
+                &mut domains[u * w..(u + 1) * w],
+                &supports[j * w..(j + 1) * w],
+            );
+            let left = size(sup);
+            if left < size(du) {
+                sc.trail.extend_from_slice(du);
+                sc.trail.push(u as u64);
+                du.copy_from_slice(sup);
+                for &cj in self.solver.incident(u as Element) {
+                    if cj as usize != ci {
+                        enqueue(queued, &mut sc.queue, cj);
                     }
                 }
-                for (p, sup) in support.iter_mut() {
-                    sup.insert(t[*p as usize]);
-                }
-            };
-            match best {
-                Some(list) => {
-                    for &ti in list {
-                        consider(self.target.tuple(rel, ti as usize));
-                    }
-                }
-                None => {
-                    for t in self.target.tuples(rel) {
-                        consider(t);
-                    }
+                if left == 0 {
+                    return false;
                 }
             }
         }
-
-        // Apply the supports as new domains (they are subsets of the old
-        // domains by construction).
-        let mut wiped = false;
-        while let Some((p, sup)) = sc.support.pop() {
-            if wiped {
-                sc.pool.push(sup);
-                continue;
-            }
-            let u = vars[p as usize];
-            let du = &mut sc.domains[u as usize];
-            if sup.count() < du.count() {
-                if sup.is_empty() {
-                    wiped = true;
-                }
-                sc.shrunk.push(u);
-                sc.trail.push((u, std::mem::replace(du, sup)));
-            } else {
-                sc.pool.push(sup);
-            }
-        }
-        !wiped
+        true
     }
 
     /// Minimum-remaining-values with degree tiebreak.
     fn select_var(&self) -> Option<Element> {
         let mut best: Option<(usize, usize, Element)> = None;
         for v in 0..self.solver.n_source {
-            if self.sc.assignment[v].is_none() {
-                let dom = self.sc.domains[v].count();
+            if self.sc.ints[v] == NONE {
+                let dom = size(self.domain(v));
                 let deg = self.solver.incident(v as Element).len();
                 let key = (dom, usize::MAX - deg, v as Element);
                 if best.is_none_or(|b| key < b) {
@@ -694,20 +705,22 @@ impl Search<'_> {
         best.map(|(_, _, v)| v)
     }
 
-    fn search<F: FnMut(&[Option<Element>]) -> ControlFlow<()>>(
+    /// Branches on the variable [`Self::select_var`] picks, trying its
+    /// values in ascending order. Each value's level is undone before
+    /// the next, so the domain read for the next value is the one the
+    /// branching started from.
+    fn search<F: FnMut(&[Element]) -> ControlFlow<()>>(
         &mut self,
         f: &mut F,
         stats: &mut HomSearchStats,
-        depth: usize,
     ) -> ControlFlow<()> {
+        let n_s = self.solver.n_source;
         let Some(var) = self.select_var() else {
-            return f(&self.sc.assignment);
+            return f(&self.sc.ints[..n_s]);
         };
-        let mut vals = std::mem::take(&mut self.sc.vals[depth]);
-        vals.clear();
-        vals.extend(self.sc.domains[var as usize].iter());
         let mut flow = ControlFlow::Continue(());
-        for &val in &vals {
+        let mut next = next_from(self.domain(var as usize), 0);
+        while let Some(val) = next {
             if let Some(b) = self.budget {
                 if !b.charge(1) {
                     stats.budget_exhausted = true;
@@ -717,22 +730,18 @@ impl Search<'_> {
             }
             stats.nodes += 1;
             self.new_level();
-            self.sc.assignment[var as usize] = Some(val);
+            self.sc.ints[var as usize] = val;
             let mut ok = true;
             if self.injective {
                 // Forward-check injectivity: val leaves every other domain.
-                let sc = &mut *self.sc;
-                for u in 0..self.solver.n_source {
-                    if u != var as usize
-                        && sc.assignment[u].is_none()
-                        && sc.domains[u].contains(val)
-                    {
-                        let mut nd = sc.pool.pop().unwrap_or_default();
-                        nd.copy_from(&sc.domains[u]);
-                        nd.remove(val);
-                        sc.trail
-                            .push((u as u32, std::mem::replace(&mut sc.domains[u], nd)));
-                        if sc.domains[u].is_empty() {
+                for u in (0..n_s).filter(|&u| u != var as usize) {
+                    if self.sc.ints[u] == NONE && holds(self.domain(u), val) {
+                        let (sc, w) = (&mut *self.sc, self.w);
+                        sc.trail.extend_from_slice(&sc.sets[u * w..(u + 1) * w]);
+                        sc.trail.push(u as u64);
+                        let d = &mut sc.sets[u * w..(u + 1) * w];
+                        put(d, val, false);
+                        if size(d) == 0 {
                             ok = false;
                             break;
                         }
@@ -740,22 +749,23 @@ impl Search<'_> {
                 }
             }
             if ok {
-                ok = self.propagate_from(var);
+                let solver = self.solver;
+                ok = self.propagate(solver.incident(var).iter().copied());
             }
             let res = if ok {
-                self.search(f, stats, depth + 1)
+                self.search(f, stats)
             } else {
                 stats.backtracks += 1;
                 ControlFlow::Continue(())
             };
-            self.sc.assignment[var as usize] = None;
+            self.sc.ints[var as usize] = NONE;
             self.undo_level();
             if res.is_break() {
                 flow = ControlFlow::Break(());
                 break;
             }
+            next = next_from(self.domain(var as usize), val + 1);
         }
-        self.sc.vals[depth] = vals;
         flow
     }
 }

@@ -2,10 +2,10 @@
 
 use crate::dict::{DictCell, DomainDict};
 use crate::index::{IndexCell, StructureIndex};
+use crate::names::Names;
 use crate::vocabulary::{RelId, Vocabulary};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::slice::ChunksExact;
 use std::sync::Arc;
@@ -47,9 +47,10 @@ pub struct Structure {
     universe_size: usize,
     /// Per relation: sorted, deduplicated rows, row-major.
     relations: Vec<Vec<Element>>,
-    /// Optional display names of elements (same length as the universe),
-    /// shared: a clone copies no name.
-    names: Option<Arc<[String]>>,
+    /// Optional display names of elements, one per element: the variable
+    /// names of the query this is the tableau of, shared with it, so a
+    /// clone or a tableau copies no name.
+    names: Option<Arc<Names>>,
     /// Lazily-built inverted indexes (derived data: ignored by equality
     /// and hashing, shared by clones; see [`crate::index`]).
     index: IndexCell,
@@ -168,14 +169,14 @@ impl Structure {
         self.relations.iter().all(|r| r.is_empty())
     }
 
-    /// The set of elements that occur in at least one tuple (active domain).
-    pub fn active_domain(&self) -> BTreeSet<Element> {
-        self.relations.iter().flatten().copied().collect()
-    }
-
-    /// `true` when the universe equals the active domain.
+    /// `true` when the universe equals the active domain: one bit per
+    /// element, so one allocator call whatever the size.
     pub fn universe_is_active(&self) -> bool {
-        self.active_domain().len() == self.universe_size
+        let mut seen = vec![0u64; self.universe_size.div_ceil(64)];
+        for &x in self.relations.iter().flatten() {
+            seen[x as usize / 64] |= 1 << (x % 64);
+        }
+        seen.iter().map(|w| w.count_ones() as usize).sum::<usize>() == self.universe_size
     }
 
     /// Restricts the universe to the active domain, renaming elements to be
@@ -190,7 +191,7 @@ impl Structure {
     /// # Panics
     ///
     /// Panics when the number of names differs from the universe size.
-    pub fn set_names(&mut self, names: impl Into<Arc<[String]>>) {
+    pub fn set_names(&mut self, names: impl Into<Arc<Names>>) {
         let names = names.into();
         assert_eq!(names.len(), self.universe_size, "one name per element");
         self.names = Some(names);
@@ -199,13 +200,15 @@ impl Structure {
     /// The display name of an element (falls back to `e{index}`).
     pub fn element_name(&self, e: Element) -> String {
         match &self.names {
-            Some(names) => names[e as usize].clone(),
+            Some(names) => names.get(e as usize).to_owned(),
             None => format!("e{e}"),
         }
     }
 
-    /// Optional display names of all elements, shared.
-    pub fn names(&self) -> Option<&Arc<[String]>> {
+    /// The display names of the elements, when set: shared with the
+    /// query whose tableau this is, [`Names::get`]`(e)` naming element
+    /// `e`.
+    pub fn names(&self) -> Option<&Arc<Names>> {
         self.names.as_ref()
     }
 
@@ -290,10 +293,11 @@ impl Structure {
             .map(|names| match universe_size as usize {
                 n if n == names.len() => Arc::clone(names),
                 n => {
-                    let mut kept = remap.iter().zip(names.iter()).filter(|(r, _)| r.is_some());
-                    (0..n)
-                        .map(|_| kept.next().expect("a survivor").1.clone())
-                        .collect()
+                    let mut kept = Names::with_capacity(n, names.iter().map(str::len).sum());
+                    (remap.iter().zip(names.iter()))
+                        .filter(|(r, _)| r.is_some())
+                        .for_each(|(_, name)| kept.push(name));
+                    Arc::new(kept)
                 }
             });
         let out = Structure {
@@ -418,8 +422,15 @@ fn sort_dedup_rows(rows: &mut Vec<Element>, arity: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     impl Structure {
+        /// The set of elements that occur in at least one tuple (active
+        /// domain).
+        pub(crate) fn active_domain(&self) -> BTreeSet<Element> {
+            self.relations.iter().flatten().copied().collect()
+        }
+
         /// Creates an empty structure with the given universe size.
         pub(crate) fn empty(vocab: Vocabulary, universe_size: usize) -> Self {
             let relations = vec![Vec::new(); vocab.len()];
@@ -646,7 +657,7 @@ mod tests {
     #[test]
     fn names_roundtrip() {
         let mut g = Structure::digraph(2, &[(0, 1)]);
-        g.set_names(["x", "y"].map(String::from));
+        g.set_names(Names::from_iter(["x", "y"]));
         assert_eq!(g.element_name(0), "x");
         assert_eq!(g.element_name(1), "y");
         assert_eq!(Structure::digraph(2, &[(0, 1)]).element_name(0), "e0");

@@ -45,7 +45,7 @@ fn trichotomy_agrees(q: &ConjunctiveQuery) -> bool {
         BooleanTrichotomy::BipartiteBalanced => rep
             .approximations
             .iter()
-            .all(|a| a.atoms().iter().all(|at| at.args[0] != at.args[1])),
+            .all(|a| a.atoms().all(|at| at.args[0] != at.args[1])),
     }
 }
 
@@ -133,7 +133,7 @@ fn nonboolean_runs() {
     assert!(!rep.approximations.is_empty());
     for a in &rep.approximations {
         assert!(
-            a.atoms().iter().any(|at| at.args[0] == at.args[1]),
+            a.atoms().any(|at| at.args[0] == at.args[1]),
             "Theorem 5.8: {a} has a loop atom"
         );
     }

@@ -158,21 +158,20 @@ proptest! {
         for (rank, &v) in by_key.iter().enumerate() {
             rename[v] = rank as u32;
         }
-        let mut atoms: Vec<(u32, cqapx_cq::Atom)> = q
+        let mut atoms: Vec<(u32, (cqapx_structures::RelId, Vec<u32>))> = q
             .atoms()
-            .iter()
             .zip(&atom_keys)
             .map(|(a, &key)| {
                 let args = a.args.iter().map(|&v| rename[v as usize]).collect();
-                (key, cqapx_cq::Atom { rel: a.rel, args })
+                (key, (a.rel, args))
             })
             .collect();
         atoms.sort_by_key(|(key, _)| *key);
         let rewritten = ConjunctiveQuery::new(
             q.vocabulary().clone(),
-            (0..n).map(|v| format!("w{v}")).collect(),
+            (0..n).map(|v| format!("w{v}")),
             q.free_vars().iter().map(|&v| rename[v as usize]).collect(),
-            atoms.into_iter().map(|(_, a)| a).collect(),
+            atoms.into_iter().map(|(_, a)| a),
         );
         let opts = ApproxOptions::default();
         for k in [1, 2] {
