@@ -202,7 +202,7 @@ fn cold_two_path_bag_requests_little_more_than_it_returns() {
     let plan = compile_tree(&[node], &[None], &[0], &[]);
     let source = plan.materialize_sources().next().expect("one node");
     let mut stats = MatCacheStats::default();
-    let (bag, _, requested) = counted(|| plan.materialize(source, &d, None, &mut stats));
+    let (bag, _, requested) = counted(|| plan.materialize(source, &d, None, None, &mut stats));
     assert_eq!(stats.wcoj_bag_builds, 1);
     assert_eq!(bag.len(), 16 * n as usize, "every wedge, once");
     let parts = 2 * edges.len() * 2 * std::mem::size_of::<u32>();
@@ -692,35 +692,32 @@ fn one_request_allocates_the_same_at_any_thread_count() {
 /// and approximates into `TW(1)`.
 const Q2: &str = "Q() :- E(x,y), E(y,z), E(z,u), E(x1,y1), E(y1,z1), E(z1,u1), E(x,z1), E(y,u1)";
 
-/// Preparing `Q2` calls the allocator at most 26 times (25 in a
+/// Preparing `Q2` calls the allocator at most 25 times (24 in a
 /// release build, which skips the decomposition's validation): the
 /// shape's treewidth search hands its decomposition to the decomposed
 /// plan, which no second search rebuilds, the bags' heights and the
 /// rooting share one scratch buffer, the bags' rows become the plan's
 /// labels, the compile writes its sources straight into the buffers the
-/// plan keeps, a single-part source keeps its key only in its part, and
-/// the naive plan's compiled source is one buffer. The plan is the one
-/// a search at that width compiles to.
+/// plan keeps, and a single-part source keeps its key only in its part;
+/// no hom solver is compiled. The plan is the one a search at that
+/// width compiles to.
 #[test]
 fn preparing_q2_allocates_no_more_than_it_did() {
     use cqapx_engine::PreparedQuery;
     let q2 = parse_cq(Q2).unwrap();
     let copy = q2.clone();
     let (prepared, prepare, _) = counted(|| PreparedQuery::build("q2", copy));
-    let plan = prepared
-        .tree
-        .as_ref()
-        .expect("treewidth 2 is within the limit");
+    let plan = &prepared.tree;
     let searched = TreePlan::within_width(&q2, prepared.shape.treewidth).unwrap();
     assert_eq!(format!("{:?}", plan.ir()), format!("{:?}", searched.ir()));
-    assert!(prepare <= 26, "{prepare} allocator calls to prepare Q2");
+    assert!(prepare <= 25, "{prepare} allocator calls to prepare Q2");
 }
 
 /// A tree decomposition keeps its bags as bit rows in one buffer, and
 /// the search that finds it keeps its order and candidates in one
 /// scratch buffer: `min_width_decomposition`, `QueryShape::with_decomposition`
 /// and `PreparedQuery::build` (the shape, the plan compiled from that
-/// decomposition and the naive plan) each call the allocator exactly as
+/// decomposition and the tableau) each call the allocator exactly as
 /// often for the directed `C32` as for the `C8`, validation in a debug
 /// build included.
 #[test]
@@ -735,7 +732,11 @@ fn preparing_allocates_per_decomposition_not_per_bag() {
         assert_eq!(td.map(|td| td.width()), Some(2), "C{n}");
         let shape = counted(|| QueryShape::with_decomposition(&q)).1;
         let (prepared, build, _) = counted(|| PreparedQuery::build("c", q));
-        assert!(prepared.tree.is_some(), "C{n} prepares a decomposed plan");
+        assert_eq!(
+            prepared.tree.width(),
+            Some(2),
+            "C{n} prepares a decomposed plan"
+        );
         [search, shape, build]
     });
     assert_eq!(
@@ -755,7 +756,10 @@ fn preparing_allocates_per_decomposition_not_per_bag() {
 /// structure, never per relation. The hom solver's thread-local scratch
 /// is a few flat buffers, each sized to its bound when a run takes it,
 /// so the same search on the now warm thread calls the allocator at
-/// most 8 times less (measured: 6).
+/// most 8 times less (measured: 61 fresh, 55 warm). The antichain keeps
+/// its members and their solvers in two vectors and hands the members
+/// out as they lie: no shrinking reallocation whatever the two types'
+/// sizes, the second vector's first allocation in its place.
 #[test]
 fn approximating_q2_allocates_per_candidate_not_per_node() {
     use cqapx_core::{all_approximations_tableaux, ApproxOptions, TwK};
@@ -893,8 +897,8 @@ fn a_warm_cache_hit_allocates_nothing() {
 /// the decomposition's validation when preparing, and the check of the
 /// hit against the cached canonical tableau (7 calls in debug).
 const PINNED: [u64; 6] = match cfg!(debug_assertions) {
-    true => [10, 30, 61, 14, 115, 16],
-    false => [10, 29, 61, 14, 115, 9],
+    true => [10, 29, 61, 14, 114, 15],
+    false => [10, 28, 61, 14, 114, 8],
 };
 
 /// The introduction's `Q2` renamed, its atoms reordered: isomorphic.

@@ -367,7 +367,7 @@ pub fn check_bags(ir: &PlanIr, d: &Structure, what: &str) -> (u64, u64) {
     let (mut rows, mut advances) = (0u64, 0u64);
     for source in ir.materialize_sources().filter(|s| s.parts.len() > 1) {
         let mut stats = MatCacheStats::default();
-        let got = ir.materialize(source, d, None, &mut stats);
+        let got = ir.materialize(source, d, None, None, &mut stats);
         let parts: Vec<FlatRelation> = (ir.parts(source).iter())
             .map(|part| ir.materialize_part(part, d, &mut MatCacheStats::default()))
             .collect();

@@ -487,7 +487,7 @@ fn cached_rows_are_never_written_through_a_sharing_slot() {
                 assert_is(&answers, &expected, q.arity(), &what);
                 for source in plan.materialize_sources() {
                     let mut stats = MatCacheStats::default();
-                    let rel = plan.materialize(source, &d, Some(&cache), &mut stats);
+                    let rel = plan.materialize(source, &d, Some(&cache), None, &mut stats);
                     let rows: Vec<Vec<u32>> = rel.iter_rows().map(<[u32]>::to_vec).collect();
                     let key = format!("{:?}", plan.words(source.key));
                     match landed.iter().find(|(k, _)| *k == key) {
@@ -598,13 +598,11 @@ fn golden_plans() -> Vec<(String, PlanIr)> {
         let q = parse_cq(text).unwrap();
         let prepared = PreparedQuery::build(text, q.clone());
         tiers(&mut plans, text, &q);
-        if let Some(plan) = &prepared.tree {
-            let tier = match plan.width() {
-                None => "prepared yannakakis",
-                Some(_) => "prepared decomposed",
-            };
-            plans.push((format!("{text}, {tier}"), plan.ir().clone()));
-        }
+        let tier = match prepared.tree.width() {
+            None => "prepared yannakakis",
+            Some(_) => "prepared decomposed",
+        };
+        plans.push((format!("{text}, {tier}"), prepared.tree.ir().clone()));
     }
     let options = ApproxOptions::default();
     let report = all_approximations(&parse_cq(Q2).unwrap(), &TwK(1), &options);

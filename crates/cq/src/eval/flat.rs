@@ -44,7 +44,7 @@ use crate::eval::flight::{lru, Flight, Ledger};
 use crate::eval::ir::Span;
 use cqapx_structures::fxhash::FxHashMap;
 use cqapx_structures::packed::{radix_dedup, radix_dedup_u32};
-use cqapx_structures::{DomainBitmap, DomainDict, Element, RelId, Structure};
+use cqapx_structures::{DomainBitmap, DomainDict, Element, RelId, SearchBudget, Structure};
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -651,7 +651,7 @@ impl FlatRelation {
         debug_assert!(distinct, "key positions must be distinct on each side");
         filter.schema = key.iter().map(|&(&i, _)| self.schema[i as usize]).collect();
         let parts = [&*self, &filter].into_iter();
-        let kept = multiway_join(parts, &self.schema, stats);
+        let kept = multiway_join(parts, &self.schema, None, stats);
         if kept.rows < self.rows {
             self.rows = kept.rows;
             self.data = kept.data;
@@ -1079,10 +1079,15 @@ struct WcojRun<'p, 'a> {
     /// `false` while counting: a bulk last level adds up its range
     /// lengths and nothing is written.
     fill: bool,
+    /// The advances a bounded join may make: what was left of its
+    /// budget when it started (`u64::MAX` unbounded).
+    limit: u64,
+    /// The limit was reached: every level returns at once.
+    timed_out: bool,
 }
 
 impl<'p, 'a> WcojRun<'p, 'a> {
-    fn new(plan: &'p WcojPlan, slots: Vec<Slot<'a>>, kept: usize) -> WcojRun<'p, 'a> {
+    fn new(plan: &'p WcojPlan, slots: Vec<Slot<'a>>, kept: usize, limit: u64) -> WcojRun<'p, 'a> {
         WcojRun {
             plan,
             slots,
@@ -1093,6 +1098,8 @@ impl<'p, 'a> WcojRun<'p, 'a> {
             rows: 0,
             advances: 0,
             fill: true,
+            limit,
+            timed_out: false,
         }
     }
 
@@ -1116,6 +1123,10 @@ impl<'p, 'a> WcojRun<'p, 'a> {
     /// anything else leapfrogs; the level above a bulk last level with
     /// one lead is one loop that writes the last level's runs itself.
     fn descend(&mut self, level: usize) -> bool {
+        if self.advances >= self.limit {
+            self.timed_out = true;
+            return false;
+        }
         let plan = self.plan;
         let Some(lv) = plan.levels.get(level) else {
             self.out.extend_from_slice(&self.binding);
@@ -1435,9 +1446,16 @@ fn reordered(
 /// one, like any empty part, makes the result empty. The width bound is
 /// the largest of the parts' when every part with a column has one.
 /// Cursor moves and packed sorts are added to `stats`.
+///
+/// **Budget.** A bounded join may make as many cursor moves as
+/// `budget` has steps left, and charges it those it made; at the limit
+/// it stops, sets [`MatCacheStats::timed_out`] and returns the empty
+/// relation — a sound subset of the join, as every later operator of a
+/// plan is monotone in its inputs.
 pub(crate) fn multiway_join<'a>(
     parts: impl Iterator<Item = &'a FlatRelation> + Clone,
     keep: &[VarId],
+    budget: Option<&SearchBudget>,
     stats: &mut MatCacheStats,
 ) -> FlatRelation {
     let mut out = FlatRelation::empty(keep.to_vec());
@@ -1547,10 +1565,15 @@ pub(crate) fn multiway_join<'a>(
         levels,
         exist_from,
     };
-    let mut st = WcojRun::new(&plan, slots, k);
+    let limit = budget.map_or(u64::MAX, SearchBudget::remaining);
+    let mut st = WcojRun::new(&plan, slots, k, limit);
     if plan.bulk_last {
         st.fill = false;
         st.descend(0);
+        if st.timed_out {
+            stats.timed_out = true;
+            return out;
+        }
         out.rows = st.rows;
         let b = code_bits(out.domain_width);
         if !canonical && k > 1 && k as u32 * b <= 32 && out.packed_sort_wanted() {
@@ -1566,6 +1589,13 @@ pub(crate) fn multiway_join<'a>(
     }
     st.descend(0);
     stats.cursor_advances += st.advances;
+    if let Some(b) = budget {
+        b.charge(st.advances);
+    }
+    if st.timed_out {
+        stats.timed_out = true;
+        return out;
+    }
     out.rows = st.rows;
     let Some(b) = st.word else {
         out.data = Rows::Owned(st.out);
@@ -1784,6 +1814,9 @@ pub struct MatCacheStats {
     pub packed_sorts: u64,
     /// Rows those sorts read.
     pub packed_rows: u64,
+    /// A bounded run's step budget ran dry: its answer is a sound
+    /// subset, possibly empty.
+    pub timed_out: bool,
 }
 
 impl MatCacheStats {
@@ -1797,6 +1830,7 @@ impl MatCacheStats {
         self.bitmap_probes += other.bitmap_probes;
         self.packed_sorts += other.packed_sorts;
         self.packed_rows += other.packed_rows;
+        self.timed_out |= other.timed_out;
     }
 
     /// Counts one bitmap dispatch, here and process-wide.
@@ -2253,7 +2287,12 @@ mod tests {
 
     /// The kernel, its stats dropped.
     fn kernel(parts: &[&FlatRelation], keep: &[VarId]) -> FlatRelation {
-        multiway_join(parts.iter().copied(), keep, &mut MatCacheStats::default())
+        multiway_join(
+            parts.iter().copied(),
+            keep,
+            None,
+            &mut MatCacheStats::default(),
+        )
     }
 
     /// [`enumeration_order`] over `schema`, the union of the part
@@ -2437,7 +2476,7 @@ mod tests {
                 }
                 let mut stats = MatCacheStats::default();
                 let parts = [&rels[0], &rels[1]].into_iter();
-                let out = multiway_join(parts, &[0, 1, 2], &mut stats);
+                let out = multiway_join(parts, &[0, 1, 2], None, &mut stats);
                 let linear = (rels[0].len() + rels[1].len() + out.len()) as u64;
                 assert!(
                     stats.cursor_advances <= 4 * linear,
@@ -3073,7 +3112,7 @@ mod tests {
                     .collect();
                 let gathered = rel.project(head, &mut stats);
                 let parts = [&rel, &all].into_iter();
-                let joined = multiway_join(parts, head, &mut stats);
+                let joined = multiway_join(parts, head, None, &mut stats);
                 for got in [gathered, joined] {
                     assert_eq!(got.rows, want.len(), "project: {what}");
                     let want = want.iter().map(Vec::as_slice);
@@ -3295,7 +3334,12 @@ mod tests {
     /// as code words when they fit a `u32` one, and as rows otherwise.
     fn check_word_join(l: &FlatRelation, r: &FlatRelation, vars: &[VarId], ctx: &str) {
         let want = FlatRelation::reference_of(&[l, r], vars);
-        let got = multiway_join([l, r].into_iter(), vars, &mut MatCacheStats::default());
+        let got = multiway_join(
+            [l, r].into_iter(),
+            vars,
+            None,
+            &mut MatCacheStats::default(),
+        );
         assert_identical(&got, &want, ctx);
         assert_eq!(got.domain_width, want.domain_width, "{ctx}");
     }
@@ -3375,7 +3419,7 @@ mod tests {
         for (vars, sorted) in [(&[0, 1, 2][..], 0), (&[0, 2], u64::from(8 * 8 * n))] {
             let mut stats = MatCacheStats::default();
             let parts = [&yz, &xy].into_iter();
-            let got = multiway_join(parts, vars, &mut stats);
+            let got = multiway_join(parts, vars, None, &mut stats);
             assert_identical(
                 &got,
                 &FlatRelation::reference_of(&[&xy, &yz], vars),
@@ -3451,7 +3495,7 @@ mod tests {
             let want = FlatRelation::reference_of(&[&l, &r], &vars);
             let mut stats = MatCacheStats::default();
             let parts = [&l, &r].into_iter();
-            let got = multiway_join(parts, &vars, &mut stats);
+            let got = multiway_join(parts, &vars, None, &mut stats);
             prop_assert_eq!(&got.schema, &want.schema);
             prop_assert_eq!(got.domain_width, want.domain_width);
             prop_assert_eq!(got.rows, want.rows);

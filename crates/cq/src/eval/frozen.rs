@@ -18,6 +18,14 @@ impl DecomposedPlan {
 }
 
 impl PlanIr {
+    pub fn eval_with_cache(
+        &self,
+        d: &cqapx_structures::Structure,
+        cache: &MaterializationCache,
+        _: &cqapx_par::ThreadBudget,
+    ) -> (super::Answers, MatCacheStats) {
+        self.answers(d, Some(cache))
+    }
     pub fn run_budget_profiled(
         &self,
         d: &cqapx_structures::Structure,

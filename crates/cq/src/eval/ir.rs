@@ -40,7 +40,7 @@ use crate::eval::flat::{
     multiway_join, push_ascending, AtomBinder, FlatRelation, MatCacheStats, MatKey,
     MaterializationCache,
 };
-use cqapx_structures::{DomainBitmap, Element, Structure};
+use cqapx_structures::{DomainBitmap, Element, SearchBudget, Structure};
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -305,12 +305,14 @@ impl PlanIr {
     /// cached at both levels: the joined source under its own key and,
     /// on a source miss, each part under its key (so single-atom parts
     /// are shared with the plans that use them as whole hyperedges). A
-    /// lookup borrows the key's words: only an insert copies them.
+    /// lookup borrows the key's words: only an insert copies them. A bag
+    /// build charges `budget` (see [`PlanIr::answers_within`]).
     pub fn materialize(
         &self,
         source: &MatSource,
         d: &Structure,
         cache: Option<&MaterializationCache>,
+        budget: Option<&SearchBudget>,
         stats: &mut MatCacheStats,
     ) -> FlatRelation {
         if source.parts.is_empty() {
@@ -330,7 +332,7 @@ impl PlanIr {
                 // order and row order), so cache entries are
                 // label-independent.
                 let t0 = std::time::Instant::now();
-                let out = multiway_join(rels.iter(), self.words(source.schema), stats);
+                let out = multiway_join(rels.iter(), self.words(source.schema), budget, stats);
                 stats.wcoj_bag_builds += 1;
                 stats.wcoj_bag_us += t0.elapsed().as_micros() as u64;
                 out
@@ -381,22 +383,23 @@ impl PlanIr {
         let mut acc = scan(first, stats);
         for binder in rest {
             let next = scan(binder, stats);
-            acc = multiway_join([&acc, &next].into_iter(), schema, stats);
+            acc = multiway_join([&acc, &next].into_iter(), schema, None, stats);
         }
         acc
     }
 
-    /// Executes `self.ops[range]` in op order. Returns `false` when an
-    /// [`Op::AssertNonempty`] fired (the answer is empty).
+    /// Executes `self.ops[range]` in op order on `input`. Returns
+    /// `false` when an [`Op::AssertNonempty`] fired or the budget ran dry
+    /// (the answer is empty).
     fn exec(
         &self,
         range: std::ops::Range<usize>,
         slots: &mut [Option<FlatRelation>],
-        d: &Structure,
-        cache: Option<&MaterializationCache>,
+        input: Input<'_>,
         stats: &mut MatCacheStats,
         mut profile: Option<&mut EvalProfile>,
     ) -> bool {
+        let Input { d, cache, budget } = input;
         fn rel(s: &Option<FlatRelation>) -> &FlatRelation {
             s.as_ref().expect("slot written before use")
         }
@@ -406,7 +409,7 @@ impl PlanIr {
             // whether the run goes on.
             let (written, alive) = match *op {
                 Op::Materialize { dst, source } => {
-                    slots[dst] = Some(self.materialize(&source, d, cache, stats));
+                    slots[dst] = Some(self.materialize(&source, d, cache, budget, stats));
                     (dst, true)
                 }
                 Op::Semijoin {
@@ -427,7 +430,7 @@ impl PlanIr {
                 Op::AssertNonempty { slot } => (slot, !rel(&slots[slot]).is_empty()),
                 Op::MultiJoin { dst, inputs, vars } => {
                     let parts = self.slots_of(inputs).map(|s| rel(&slots[s]));
-                    slots[dst] = Some(multiway_join(parts, self.words(vars), stats));
+                    slots[dst] = Some(multiway_join(parts, self.words(vars), budget, stats));
                     (dst, true)
                 }
                 Op::Project { dst, src, vars } => {
@@ -451,7 +454,7 @@ impl PlanIr {
             record(profile.as_deref_mut(), op.label(), t0, || {
                 rel(&slots[written]).len()
             });
-            if !alive {
+            if !alive || stats.timed_out {
                 return false;
             }
         }
@@ -472,16 +475,27 @@ impl PlanIr {
         cache: Option<&MaterializationCache>,
         profile: Option<&mut EvalProfile>,
     ) -> (Option<FlatRelation>, MatCacheStats) {
+        self.run_on(Input::cached(d, cache), profile)
+    }
+
+    /// [`PlanIr::run`] on `input`.
+    fn run_on(
+        &self,
+        input: Input<'_>,
+        profile: Option<&mut EvalProfile>,
+    ) -> (Option<FlatRelation>, MatCacheStats) {
         if let (true, &[Op::Project { src, vars, .. }]) =
             (self.reduction_decides, &self.ops[self.bool_len..])
         {
             if let [var] = self.words(vars)[..] {
                 let (alive, out, stats) =
-                    self.run_reduced(self.ops.len(), Some((src, var)), d, cache, profile);
+                    self.run_reduced(self.ops.len(), Some((src, var)), input, profile);
                 return (out.filter(|_| alive), stats);
             }
         }
-        let (alive, mut slots, stats) = self.run_slots(d, cache, profile);
+        let mut stats = MatCacheStats::default();
+        let mut slots: Vec<Option<FlatRelation>> = vec![None; self.slots];
+        let alive = self.exec(0..self.ops.len(), &mut slots, input, &mut stats, profile);
         (slots[self.output].take().filter(|_| alive), stats)
     }
 
@@ -497,7 +511,8 @@ impl PlanIr {
     ) -> (bool, Vec<Option<FlatRelation>>, MatCacheStats) {
         let mut stats = MatCacheStats::default();
         let mut slots: Vec<Option<FlatRelation>> = vec![None; self.slots];
-        let alive = self.exec(0..self.ops.len(), &mut slots, d, cache, &mut stats, profile);
+        let input = Input::cached(d, cache);
+        let alive = self.exec(0..self.ops.len(), &mut slots, input, &mut stats, profile);
         (alive, slots, stats)
     }
 
@@ -513,7 +528,7 @@ impl PlanIr {
         cache: Option<&MaterializationCache>,
     ) -> (bool, MatCacheStats) {
         let mut stats = MatCacheStats::default();
-        let alive = self.exec(range, slots, d, cache, &mut stats, None);
+        let alive = self.exec(range, slots, Input::cached(d, cache), &mut stats, None);
         (alive, stats)
     }
 
@@ -527,15 +542,38 @@ impl PlanIr {
         d: &Structure,
         cache: Option<&MaterializationCache>,
     ) -> (Answers, MatCacheStats) {
+        self.answers_on(Input::cached(d, cache))
+    }
+
+    /// [`PlanIr::answers`] of a bounded run: no materialization is read
+    /// from or written to a cache, and its bag builds and joins charge
+    /// their cursor moves to `budget` (unbounded when `None`). When the budget
+    /// runs dry the run stops, [`MatCacheStats::timed_out`] is set, and
+    /// the answer is empty — a sound subset. So a cut-short bag never
+    /// lands in a cache.
+    pub fn answers_within(
+        &self,
+        d: &Structure,
+        budget: Option<&SearchBudget>,
+    ) -> (Answers, MatCacheStats) {
+        self.answers_on(Input {
+            d,
+            cache: None,
+            budget,
+        })
+    }
+
+    /// [`PlanIr::answers`] on `input`.
+    fn answers_on(&self, input: Input<'_>) -> (Answers, MatCacheStats) {
         if self.head.is_empty() {
-            let (nonempty, stats) = self.run_boolean(d, cache, None);
+            let (nonempty, stats) = self.run_boolean_on(input, None);
             return (Answers::boolean(nonempty), stats);
         }
-        let (result, mut stats) = self.run(d, cache, None);
+        let (result, mut stats) = self.run_on(input, None);
         let head = self.words(self.head);
         let answers = match result {
             None => Answers::empty(head.len()),
-            Some(rel) => Answers::from_relation(rel, head, d.domain_dict(), &mut stats),
+            Some(rel) => Answers::from_relation(rel, head, input.d.domain_dict(), &mut stats),
         };
         (answers, stats)
     }
@@ -552,11 +590,20 @@ impl PlanIr {
         cache: Option<&MaterializationCache>,
         profile: Option<&mut EvalProfile>,
     ) -> (bool, MatCacheStats) {
+        self.run_boolean_on(Input::cached(d, cache), profile)
+    }
+
+    /// [`PlanIr::run_boolean`] on `input`.
+    fn run_boolean_on(
+        &self,
+        input: Input<'_>,
+        profile: Option<&mut EvalProfile>,
+    ) -> (bool, MatCacheStats) {
         if self.reduction_decides {
-            let (alive, _, stats) = self.run_reduced(self.bool_len, None, d, cache, profile);
+            let (alive, _, stats) = self.run_reduced(self.bool_len, None, input, profile);
             return (alive, stats);
         }
-        let (out, stats) = self.run(d, cache, profile);
+        let (out, stats) = self.run_on(input, profile);
         (out.is_some_and(|r| !r.is_empty()), stats)
     }
 
@@ -575,8 +622,7 @@ impl PlanIr {
         &self,
         end: usize,
         head: Option<(Slot, VarId)>,
-        d: &Structure,
-        cache: Option<&MaterializationCache>,
+        input: Input<'_>,
         mut profile: Option<&mut EvalProfile>,
     ) -> (bool, Option<FlatRelation>, MatCacheStats) {
         let mut stats = MatCacheStats::default();
@@ -584,8 +630,10 @@ impl PlanIr {
         // Every materialization comes first.
         let mat_len = self.materialize_sources().count().min(self.bool_len);
         let p = profile.as_deref_mut();
-        let alive = self.exec(0..mat_len, &mut slots, d, cache, &mut stats, p);
-        debug_assert!(alive, "materializations assert nothing");
+        if !self.exec(0..mat_len, &mut slots, input, &mut stats, p) {
+            debug_assert!(stats.timed_out, "materializations assert nothing");
+            return (false, None, stats);
+        }
         let rel = |s: Slot| slots[s].as_ref().expect("slot written before use");
         let head = head.map(|(s, v)| {
             let col = rel(s).schema().iter().position(|&w| w == v);
@@ -603,7 +651,7 @@ impl PlanIr {
         let p = profile.as_deref_mut();
         let swept = readable.then(|| self.bitmap_bool_sweep(mat_len, &slots, live, &mut stats, p));
         let Some(swept) = swept.flatten() else {
-            let alive = self.exec(mat_len..end, &mut slots, d, cache, &mut stats, profile);
+            let alive = self.exec(mat_len..end, &mut slots, input, &mut stats, profile);
             return (alive, slots[self.output].take(), stats);
         };
         match (swept, head) {
@@ -734,6 +782,26 @@ impl PlanIr {
             }
         }
         Some(Some(filters))
+    }
+}
+
+/// What one run reads: the database, the cache its materializations go
+/// through, and the step budget its multiway joins charge.
+#[derive(Clone, Copy)]
+struct Input<'r> {
+    d: &'r Structure,
+    cache: Option<&'r MaterializationCache>,
+    budget: Option<&'r SearchBudget>,
+}
+
+impl<'r> Input<'r> {
+    /// An unbounded run through `cache`, if any.
+    fn cached(d: &'r Structure, cache: Option<&'r MaterializationCache>) -> Input<'r> {
+        Input {
+            d,
+            cache,
+            budget: None,
+        }
     }
 }
 
@@ -1373,7 +1441,7 @@ mod tests {
         assert!(src.schema.is_empty() && src.key.is_empty());
         let d = Structure::digraph(2, &[]);
         let mut stats = MatCacheStats::default();
-        let r = ir.materialize(&src, &d, None, &mut stats);
+        let r = ir.materialize(&src, &d, None, None, &mut stats);
         assert_eq!(r.len(), 1);
         assert_eq!(r.arity(), 0);
         assert_eq!(stats, MatCacheStats::default());
@@ -1385,7 +1453,7 @@ mod tests {
         let d = Structure::digraph(4, &[(0, 1), (1, 2), (2, 3)]);
         let cache = MaterializationCache::new();
         let mut stats = MatCacheStats::default();
-        let r = ir.materialize(&src, &d, Some(&cache), &mut stats);
+        let r = ir.materialize(&src, &d, Some(&cache), None, &mut stats);
         assert_eq!(r.schema(), &[0, 1, 2]);
         assert_eq!(r.len(), 2); // 0-1-2 and 1-2-3
                                 // Cold: source miss + two part misses, all inserted.
@@ -1393,7 +1461,7 @@ mod tests {
         assert_eq!(cache.len(), 2); // the part shape + the joined source
                                     // Warm: a single source-level hit.
         let mut warm = MatCacheStats::default();
-        let r2 = ir.materialize(&src, &d, Some(&cache), &mut warm);
+        let r2 = ir.materialize(&src, &d, Some(&cache), None, &mut warm);
         assert_eq!((warm.hits, warm.misses), (1, 0));
         assert_eq!(
             r.rows_in_head_order(&[0, 1, 2]),
@@ -1424,7 +1492,7 @@ mod tests {
         let parts = ir.parts(&src);
         assert_eq!((parts.len(), ir.binders(&parts[0]).len()), (1, 4));
         let mut stats = MatCacheStats::default();
-        let got = ir.materialize(&src, &d, None, &mut stats);
+        let got = ir.materialize(&src, &d, None, None, &mut stats);
         assert_eq!(got.schema(), &[0, 1]);
         assert_eq!(got.domain_width(), d.domain_dict().len() as u32);
         let rows: Vec<&[u32]> = got.iter_rows().collect();
@@ -1477,7 +1545,7 @@ mod tests {
         ] {
             let (ir, src) = source_of(q);
             let mut stats = MatCacheStats::default();
-            let got = ir.materialize(&src, &d, None, &mut stats);
+            let got = ir.materialize(&src, &d, None, None, &mut stats);
             let want = reference(&ir, &src, &d);
             assert!(!want.is_empty(), "fixture must produce rows on {q}");
             assert_eq!(got.schema(), want.schema(), "{q}");
@@ -1696,7 +1764,13 @@ mod tests {
         let mut stats = MatCacheStats::default();
         let mut slots: Vec<Option<FlatRelation>> = vec![None; ir.slots];
         let mat_len = ir.materialize_sources().count();
-        assert!(ir.exec(0..mat_len, &mut slots, &d, Some(&cache), &mut stats, None));
+        assert!(ir.exec(
+            0..mat_len,
+            &mut slots,
+            Input::cached(&d, Some(&cache)),
+            &mut stats,
+            None
+        ));
         assert_eq!((stats.hits as usize, stats.misses), (mat_len, 0));
         // Both sweep paths: the live-value sweep and the semijoin
         // kernels.
@@ -1704,7 +1778,13 @@ mod tests {
         let sweep = ir.bitmap_bool_sweep(mat_len, &slots, alive, &mut stats, None);
         assert!(matches!(sweep, Some(Some(_))));
         let sweep = mat_len..ir.bool_len;
-        assert!(ir.exec(sweep, &mut slots, &d, Some(&cache), &mut stats, None));
+        assert!(ir.exec(
+            sweep,
+            &mut slots,
+            Input::cached(&d, Some(&cache)),
+            &mut stats,
+            None
+        ));
         for (dst, source) in ir.materialize_sources().enumerate() {
             let key = ir.words(source.key);
             let (entry, hit) = cache.get_or_materialize(key, || unreachable!("warm"));
@@ -1957,10 +2037,22 @@ mod tests {
             ));
             let mut stats = MatCacheStats::default();
             let mut slots: Vec<Option<FlatRelation>> = vec![None; ir.slots];
-            assert!(ir.exec(0..root, &mut slots, &d, None, &mut stats, None));
+            assert!(ir.exec(
+                0..root,
+                &mut slots,
+                Input::cached(&d, None),
+                &mut stats,
+                None
+            ));
             let (mut stats, mut profile) = (MatCacheStats::default(), EvalProfile::default());
             let (s, profiled) = (&mut stats, Some(&mut profile));
-            assert!(ir.exec(root..root + 1, &mut slots, &d, None, s, profiled));
+            assert!(ir.exec(
+                root..root + 1,
+                &mut slots,
+                Input::cached(&d, None),
+                s,
+                profiled
+            ));
             assert_eq!(profile.ops[0].op, "join");
             assert_eq!(
                 profile.ops[0].rows,
@@ -1983,11 +2075,23 @@ mod tests {
         );
         let mut stats = MatCacheStats::default();
         let mut slots: Vec<Option<FlatRelation>> = vec![None; ir.slots];
-        assert!(ir.exec(0..root, &mut slots, &d, None, &mut stats, None));
+        assert!(ir.exec(
+            0..root,
+            &mut slots,
+            Input::cached(&d, None),
+            &mut stats,
+            None
+        ));
         let before = stats.cursor_advances;
         let mut profile = EvalProfile::default();
         let profiled = Some(&mut profile);
-        assert!(ir.exec(root..root + 1, &mut slots, &d, None, &mut stats, profiled));
+        assert!(ir.exec(
+            root..root + 1,
+            &mut slots,
+            Input::cached(&d, None),
+            &mut stats,
+            profiled
+        ));
         assert_eq!(profile.ops[0].op, "join");
         assert_eq!(profile.ops[0].rows, plan.ir().answers(&d, None).0.len());
         assert!(profile.ops[0].rows > 0 && stats.cursor_advances > before);

@@ -1,11 +1,11 @@
-//! Query evaluation: naive backtracking, and Yannakakis over a tree —
-//! the join tree of an acyclic CQ or the bags of a bounded-width tree
-//! decomposition, one [`TreePlan`] — compiled to the shared physical
-//! plan IR of [`ir`], executing on the columnar join kernel of [`flat`]
-//! and handing results out as the flat sorted [`Answers`] of
-//! [`answers`]. A compiled plan answers through its program alone:
-//! [`PlanIr::answers`] for the answer set, [`PlanIr::run_boolean`] for
-//! `Q(D) ≠ ∅`.
+//! Query evaluation: Yannakakis over a tree — the join tree of an
+//! acyclic CQ or the bags of a tree decomposition, one [`TreePlan`] for
+//! every query — compiled to the shared physical plan IR of [`ir`],
+//! executing on the columnar join kernel of [`flat`] and handing results
+//! out as the flat sorted [`Answers`] of [`answers`]. A compiled plan
+//! answers through its program alone: [`PlanIr::answers`] for the answer
+//! set, [`PlanIr::run_boolean`] for `Q(D) ≠ ∅`. Naive backtracking
+//! ([`naive`]) is the oracle the plans are tested against.
 
 pub mod answers;
 mod decomposed;

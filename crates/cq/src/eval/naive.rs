@@ -1,11 +1,14 @@
 //! Naive CQ evaluation: backtracking join (homomorphism search from the
-//! tableau into the database).
+//! tableau into the database) — the workspace's **oracle**, not a
+//! serving path: the engine answers every request through a prepared
+//! query's tree plan, and the tests check that plan's answers against
+//! these.
 //!
 //! Works for every CQ; combined complexity `|D|^O(|Q|)` in the worst case
 //! — this is the baseline the paper's approximations beat. [`NaivePlan`]
 //! compiles the tableau side once (a [`HomSolver`] with its constraints
-//! and incidence lists) so that repeated evaluations — a served query hit
-//! by many requests, a membership probe per candidate answer — pay only
+//! and incidence lists) so that repeated evaluations — one query against
+//! many databases, a membership probe per candidate answer — pay only
 //! for the search; the database side rides on the per-structure index
 //! cache. The free functions are one-shot sugar over it.
 

@@ -33,7 +33,9 @@
 use crate::ast::{Atom, ConjunctiveQuery, VarId};
 use crate::classes::query_graph;
 use crate::eval::ir::{compile_tree, MatSource, NodeSpec, PlanIr};
-use cqapx_graphs::treewidth::{treewidth_at_most, RootedDecomposition, TreeDecomposition};
+use cqapx_graphs::treewidth::{
+    component_decomposition, treewidth_at_most, RootedDecomposition, TreeDecomposition,
+};
 use cqapx_hypergraphs::{gyo, Hypergraph};
 use std::cmp::Reverse;
 
@@ -141,6 +143,16 @@ impl TreePlan {
             .expect("a decomposition has at least one bag");
         let r = td.rooted_at(root, &mut scratch);
         Self::over(query, td, r)
+    }
+
+    /// Compiles `query` over `td`, a tree decomposition of `G(Q)` a
+    /// search found ([`TreePlan::from_decomposition`]), or, when the
+    /// search certified none — a component past the 64-vertex rule —
+    /// over one bag per connected component of `G(Q)`, each bag joined
+    /// to the next. So every query has a tree plan.
+    pub fn over_decomposition(query: &ConjunctiveQuery, td: Option<TreeDecomposition>) -> TreePlan {
+        let td = td.unwrap_or_else(|| component_decomposition(&query_graph(query)));
+        Self::from_decomposition(query, td)
     }
 
     /// Compiles `query` over a given tree decomposition of `G(Q)` rooted

@@ -29,8 +29,8 @@ pub struct QueryShape {
     /// `Q ∈ AC`: an acyclic query evaluates in `O(|D|·|Q|)` via
     /// Yannakakis — the planner's first choice.
     pub acyclic: bool,
-    /// Treewidth of `G(Q)`; small width keeps even the naive join cheap
-    /// (`|D|^(tw+1)`-flavored instead of `|D|^|Q|`).
+    /// Treewidth of `G(Q)`: a tree decomposition's bags hold at most
+    /// `|D|^(tw+1)` rows, instead of the `|D|^|Q|` of a backtracking join.
     pub treewidth: usize,
     /// Every body atom's materialization-cache key (the atom taken as
     /// its own hyperedge), in body order, in one word buffer: see

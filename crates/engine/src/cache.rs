@@ -22,10 +22,10 @@ use cqapx_core::{
     all_approximations_tableaux, ApproxCacheKey, ApproxOptions, ApproxReport, QueryClass,
 };
 use cqapx_cq::eval::flight::{lru, Flight, Ledger};
-use cqapx_cq::eval::{Answers, MatCacheStats, MaterializationCache, NaivePlan, PlanIr, TreePlan};
-use cqapx_cq::ConjunctiveQuery;
+use cqapx_cq::eval::{PlanIr, TreePlan};
+use cqapx_cq::{ConjunctiveQuery, QueryShape};
 use cqapx_structures::iso::{canonical_form, isomorphic_pointed};
-use cqapx_structures::{Pointed, Structure, Vocabulary};
+use cqapx_structures::{Pointed, Vocabulary};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -33,48 +33,27 @@ use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// How one cached approximation is evaluated: one arm per algorithm.
-#[derive(Debug)]
-pub enum ApproxPlan {
-    /// Yannakakis over a tree: a join tree when the approximation is
-    /// acyclic, else the bags of a tree decomposition when the class
-    /// certifies a width (`QueryClass::decomposition_width`, e.g.
-    /// `TW(k)`).
-    Tree(PlanIr),
-    /// Backtracking, the last resort (still cheap, the approximation is
-    /// in-class). Boxed: the arm would otherwise size every entry.
-    Naive(Box<NaivePlan>),
+/// Compiles `q`, an approximation in a class whose decomposition width
+/// is `width` (if it certifies one), to the program of its tree plan:
+/// over a join tree when it is acyclic, else over a decomposition at
+/// the class's width, else over the one its treewidth search finds (or
+/// component bags). The program is moved out of the plan, not cloned.
+fn compile(q: &ConjunctiveQuery, width: Option<usize>) -> PlanIr {
+    let plan = TreePlan::join_tree(q).or_else(|| TreePlan::within_width(q, width?));
+    let plan = plan
+        .unwrap_or_else(|| TreePlan::over_decomposition(q, QueryShape::with_decomposition(q).1));
+    plan.into()
 }
 
-impl ApproxPlan {
-    /// Compiles `q`, an approximation in a class whose decomposition
-    /// width is `width` (if it certifies one). A tree plan's program is
-    /// moved out of it, not cloned.
-    fn compile(q: &ConjunctiveQuery, width: Option<usize>) -> ApproxPlan {
-        match TreePlan::join_tree(q).or_else(|| TreePlan::within_width(q, width?)) {
-            Some(plan) => ApproxPlan::Tree(plan.into()),
-            None => ApproxPlan::Naive(Box::new(NaivePlan::compile(q.clone()))),
-        }
-    }
-
-    /// Evaluates `Q'(D)` through the database's materialization cache
-    /// (the naive arm reads none) and reports the cache outcome.
-    pub fn answers(&self, d: &Structure, cache: &MaterializationCache) -> (Answers, MatCacheStats) {
-        match self {
-            ApproxPlan::Tree(ir) => ir.answers(d, Some(cache)),
-            ApproxPlan::Naive(plan) => (plan.eval_answers(d), MatCacheStats::default()),
-        }
-    }
-}
-
-/// A cached approximation result: the report plus one compiled
-/// [`ApproxPlan`] per approximation.
+/// A cached approximation result: the report plus one compiled tree
+/// program per approximation.
 pub struct CachedApproximation {
     /// The full approximation report (sound under-approximations of the
     /// represented query, →-maximal within the class).
     pub report: ApproxReport,
-    /// One plan per `report.approximations[i]`.
-    pub evaluators: Vec<ApproxPlan>,
+    /// One plan per `report.approximations[i]`, evaluated through the
+    /// database's materialization cache ([`PlanIr::answers`]).
+    pub evaluators: Vec<PlanIr>,
 }
 
 impl CachedApproximation {
@@ -197,7 +176,7 @@ impl ApproxCache {
             let report = ApproxReport::from_tableaux(tableaux, meta);
             let width = class.decomposition_width();
             let evaluators = (report.approximations.iter())
-                .map(|q| ApproxPlan::compile(q, width))
+                .map(|q| compile(q, width))
                 .collect();
             let value = CachedApproximation { report, evaluators };
             let bytes = value.estimated_bytes(&member.canonical);
@@ -315,7 +294,9 @@ fn evict_lru(
 mod tests {
     use super::*;
     use cqapx_core::TwK;
+    use cqapx_cq::eval::MaterializationCache;
     use cqapx_cq::{parse_cq, tableau_of};
+    use cqapx_structures::Structure;
     use std::sync::Barrier;
 
     impl ApproxCache {
@@ -546,35 +527,31 @@ mod tests {
         let plain = Structure::digraph(3, &[(0, 1), (1, 2), (2, 0)]);
         assert_eq!(c.report.approximations.len(), 1);
         let eval_boolean = |d: &Structure| {
-            let (answers, _) = c.evaluators[0].answers(d, &MaterializationCache::new());
+            let (answers, _) = c.evaluators[0].answers(d, Some(&MaterializationCache::new()));
             !answers.is_empty()
         };
         assert!(eval_boolean(&looped));
         assert!(!eval_boolean(&plain));
     }
 
-    /// Every arm of [`ApproxPlan`] answers as the naive oracle does on
-    /// its approximation. `T4`, the transitive tournament, reaches each
-    /// arm, and the tree arm both ways: into `TW(1)` with one head
-    /// variable (one acyclic approximation, a join tree), into `TW(2)`
-    /// with all four (six cyclic ones, each over a decomposition's bags)
-    /// and Boolean into `HTW(2)` (one, naive: the class certifies no
-    /// decomposition width). Each plan runs on a database where its
-    /// answer is empty and one where it is not, cold and then warm
-    /// through one cache; the warm run misses nothing.
+    /// Every way an approximation compiles answers as the naive oracle
+    /// does on it. `T4`, the transitive tournament, reaches each: into
+    /// `TW(1)` with one head variable (one acyclic approximation, a join
+    /// tree), into `TW(2)` with all four (six cyclic ones, each over a
+    /// decomposition at the class's width) and Boolean into `HTW(2)`
+    /// (one, over the decomposition its treewidth search finds: the
+    /// class certifies no decomposition width). Each plan runs on a
+    /// database where its answer is empty and one where it is not, cold
+    /// and then warm through one cache; the warm run misses nothing.
     #[test]
     fn every_arm_answers_as_the_naive_oracle() {
         use cqapx_core::HtwK;
         use cqapx_cq::eval::eval_naive;
         const T4: &str = "E(a,b), E(a,c), E(a,d), E(b,c), E(b,d), E(c,d)";
-        let arm_of = |p: &ApproxPlan| match p {
-            ApproxPlan::Tree(_) => "tree",
-            ApproxPlan::Naive(_) => "naive",
-        };
         let cases = [
-            ("Q(a)", TwK(1), 1, "tree"),
-            ("Q(a,b,c,d)", TwK(2), 6, "tree"),
-            ("Q()", HtwK(2), 1, "naive"),
+            ("Q(a)", TwK(1), 1, None),
+            ("Q(a,b,c,d)", TwK(2), 6, Some(2)),
+            ("Q()", HtwK(2), 1, Some(3)),
         ];
         // A proper quotient of a tournament has a loop, and T4 itself
         // needs a transitive 4-tournament, so the loop-free database
@@ -582,19 +559,23 @@ mod tests {
         // every approximation.
         let empty = Structure::digraph(4, &[(0, 1), (0, 2), (1, 2), (2, 3)]);
         let full = Structure::digraph(3, &[(0, 1), (1, 1), (1, 2), (2, 1)]);
-        for (head, class, count, arm) in cases {
+        for (head, class, count, width) in cases {
             let q = parse_cq(&format!("{head} :- {T4}")).unwrap();
             let cache = ApproxCache::new();
             let (c, _) = cache.get_or_compute(&tableau_of(&q), &class, &ApproxOptions::default());
             assert_eq!(c.evaluators.len(), count, "{head} into {}", class.name());
             for (plan, approx) in c.evaluators.iter().zip(&c.report.approximations) {
-                assert_eq!(arm_of(plan), arm, "{approx}");
+                let tw = QueryShape::of(approx).treewidth;
+                assert_eq!(
+                    TreePlan::join_tree(approx).map_or(Some(tw), |_| None),
+                    width
+                );
                 for (d, nonempty) in [(&empty, false), (&full, true)] {
                     let want = eval_naive(approx, d);
                     assert_eq!(!want.is_empty(), nonempty, "{approx}");
                     let materialized = MaterializationCache::new();
-                    let (cold, _) = plan.answers(d, &materialized);
-                    let (warm, stats) = plan.answers(d, &materialized);
+                    let (cold, _) = plan.answers(d, Some(&materialized));
+                    let (warm, stats) = plan.answers(d, Some(&materialized));
                     assert_eq!(cold, want, "cold, {approx}");
                     assert_eq!(warm, want, "warm, {approx}");
                     assert_eq!(stats.misses, 0, "warm run re-materialized, {approx}");

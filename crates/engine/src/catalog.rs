@@ -3,13 +3,14 @@
 //!
 //! Registration is the expensive, once-per-object step: databases get
 //! per-relation statistics scanned, queries get their [`QueryShape`]
-//! computed (class membership, treewidth) and a tree plan compiled —
-//! over a join tree when acyclic, or when cyclic and narrow over the
-//! decomposition the treewidth search found. Execution then only reads
-//! `Arc`-shared entries.
+//! computed (class membership, treewidth) and their one tree plan
+//! compiled — over a join tree when acyclic, else over the
+//! decomposition the treewidth search found, or over one bag per
+//! connected component when it certified none. Execution then only
+//! reads `Arc`-shared entries.
 
-use cqapx_cq::eval::{MaterializationCache, NaivePlan, TreePlan};
-use cqapx_cq::{ConjunctiveQuery, QueryShape};
+use cqapx_cq::eval::{MaterializationCache, TreePlan};
+use cqapx_cq::{tableau_of, ConjunctiveQuery, QueryShape};
 use cqapx_metrics::{Counter, Histogram};
 use cqapx_structures::{Pointed, RelId, Structure};
 use std::collections::HashMap;
@@ -138,12 +139,11 @@ pub(crate) fn compute_stats(s: &Structure) -> Vec<RelationStats> {
         .collect()
 }
 
-/// Widest tree decomposition the catalog compiles a [`TreePlan`] over
-/// at prepare time. Bag materializations cost up to
-/// `adom^(width+1)` rows, so the bound keeps prepared plans inside the
-/// regime where the decomposed tier is plausibly competitive; cyclic
-/// queries above it fall back to the naive join or the approximation
-/// sandwich.
+/// Widest tree decomposition whose plan runs cached and unbudgeted.
+/// Bag materializations cost up to `adom^(width+1)` rows: a plan within
+/// the bound reads and writes the database's materialization cache and
+/// ignores the deadline, like a join tree; a wider one runs uncached,
+/// its joins charged to the request's step budget.
 pub(crate) const MAX_DECOMPOSED_WIDTH: usize = 3;
 
 /// A query prepared for serving.
@@ -153,18 +153,19 @@ pub struct PreparedQuery {
     pub name: String,
     /// Plan-relevant metadata (class membership, sizes).
     pub shape: QueryShape,
-    /// The compiled naive plan: the tableau's hom-solver, built once at
-    /// prepare time and reused by every request (and by the refinement
-    /// membership probes). Also owns the query and its tableau.
-    pub naive: NaivePlan,
-    /// Compiled tree plan: over a join tree when the query is acyclic,
-    /// else over a tree decomposition when its treewidth is at most
-    /// `MAX_DECOMPOSED_WIDTH`.
-    pub tree: Option<Arc<TreePlan>>,
+    /// The prepared query itself.
+    pub(crate) query: ConjunctiveQuery,
+    /// The tableau `(T_Q, x̄)`, the approximation cache's key.
+    pub(crate) tableau: Pointed,
+    /// The compiled tree plan every request runs: over a join tree when
+    /// the query is acyclic, else over a tree decomposition — the one
+    /// the treewidth search found, or one bag per connected component
+    /// when it certified none.
+    pub tree: Arc<TreePlan>,
 }
 
 impl PreparedQuery {
-    /// Prepares `q`: its shape and the plans it admits. Like
+    /// Prepares `q`: its shape and its tree plan. Like
     /// `DatabaseEntry::build`, the expensive half and no catalog needed:
     /// build first, lock only for `Catalog::insert_query`.
     pub fn build(name: impl Into<String>, q: ConjunctiveQuery) -> PreparedQuery {
@@ -175,33 +176,17 @@ impl PreparedQuery {
             // GYO on H(Q) decides acyclicity and the join tree comes from
             // the same reduction, so an acyclic shape must compile; fail
             // loudly here (prepare time) rather than deep inside a request.
-            let plan = TreePlan::join_tree(&q);
-            Some(plan.expect("an acyclic query has a join tree"))
+            TreePlan::join_tree(&q).expect("an acyclic query has a join tree")
         } else {
-            // A width within the limit is exact (above it the shape may
-            // carry `treewidth`'s upper bound), so it came with a
-            // decomposition.
-            (shape.treewidth <= MAX_DECOMPOSED_WIDTH).then(|| {
-                let td = decomposition.expect("an exact treewidth comes with its decomposition");
-                TreePlan::from_decomposition(&q, td)
-            })
+            TreePlan::over_decomposition(&q, decomposition)
         };
         PreparedQuery {
             name: name.into(),
-            naive: NaivePlan::compile(q),
             shape,
-            tree: tree.map(Arc::new),
+            tableau: tableau_of(&q),
+            query: q,
+            tree: Arc::new(tree),
         }
-    }
-
-    /// The prepared query itself.
-    pub(crate) fn query(&self) -> &ConjunctiveQuery {
-        self.naive.query()
-    }
-
-    /// The tableau `(T_Q, x̄)`, shared with the approximation cache.
-    pub(crate) fn tableau(&self) -> &Pointed {
-        self.naive.tableau()
     }
 }
 
@@ -358,9 +343,9 @@ mod tests {
                 parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap(),
             ))
             .0;
-        let width = |id| c.query(id).unwrap().tree.as_ref().map(|p| p.width());
-        assert_eq!(width(path), Some(None), "a join tree");
-        assert_eq!(width(tri), Some(Some(2)), "not a join tree");
+        let width = |id| c.query(id).unwrap().tree.width();
+        assert_eq!(width(path), None, "a join tree");
+        assert_eq!(width(tri), Some(2), "not a join tree");
         assert!(c.query(tri).unwrap().shape.treewidth == 2);
         assert_eq!(c.query_by_name("path"), Some(path));
     }
@@ -374,17 +359,17 @@ mod tests {
                 parse_cq("Q() :- E(x,y), E(y,z), E(z,x)").unwrap(),
             ))
             .0;
-        let entry = c.query(tri).unwrap();
-        let plan = entry.tree.as_ref().expect("tw 2 ≤ limit");
-        assert_eq!(plan.width(), Some(2));
-        // K5 has treewidth 4 > MAX_DECOMPOSED_WIDTH: no plan.
+        assert_eq!(c.query(tri).unwrap().tree.width(), Some(2));
+        // K5 has treewidth 4 > MAX_DECOMPOSED_WIDTH: a plan all the same,
+        // one bag over its five variables.
         let k5 =
             "Q() :- E(a,b), E(a,c), E(a,d), E(a,e), E(b,c), E(b,d), E(b,e), E(c,d), E(c,e), E(d,e)";
         let wide = c
             .insert_query(PreparedQuery::build("k5", parse_cq(k5).unwrap()))
             .0;
-        assert_eq!(c.query(wide).unwrap().shape.treewidth, 4);
-        assert!(c.query(wide).unwrap().tree.is_none());
+        let wide = c.query(wide).unwrap();
+        assert_eq!((wide.shape.treewidth, wide.tree.width()), (4, Some(4)));
+        assert!(wide.tree.width() > Some(MAX_DECOMPOSED_WIDTH));
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! The engine: catalog + cache + planner + parallel batch execution.
 
 use crate::cache::{ApproxCache, CachedApproximation};
-use crate::catalog::{Catalog, DatabaseEntry, DbId, PreparedQuery, QueryId};
+use crate::catalog::{Catalog, DatabaseEntry, DbId, PreparedQuery, QueryId, MAX_DECOMPOSED_WIDTH};
 use crate::planner::{choose, PlanDecision, PlanKind, PlanReason};
 use cqapx_core::{ApproxOptions, QueryClass};
-use cqapx_cq::eval::{Answers, AnswersBuilder, MatCacheStats, NaivePlan};
+use cqapx_cq::eval::{Answers, AnswersBuilder, MatCacheStats};
 use cqapx_metrics::{Histogram, HistogramSnapshot, MetricsLevel};
 use cqapx_par::{default_threads, parallel_map, ThreadBudget};
 use cqapx_structures::{SearchBudget, Structure};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
@@ -24,8 +23,11 @@ pub struct EngineConfig {
     /// on the thread that executes it. `0` = available parallelism;
     /// `1` = fully sequential execution.
     pub threads: usize,
-    /// Planner budget: estimated branch nodes the naive join may cost
-    /// before the planner switches to the approximation sandwich.
+    /// Planner budget: the estimated bag rows a cyclic query's tree plan
+    /// may cost on a database before the planner switches to the
+    /// approximation sandwich (see `planner::estimate_decomposed_cost`).
+    /// Acyclic queries are never estimated. The name predates the tree
+    /// tier's taking over from the backtracking join.
     pub naive_cost_budget: f64,
     /// Class for sandwich approximations.
     pub approx_class: QueryClass,
@@ -33,8 +35,12 @@ pub struct EngineConfig {
     pub approx_options: ApproxOptions,
     /// Default per-request timeout (individual requests may override).
     ///
-    /// The deadline bounds **join evaluation** (naive search nodes and
-    /// answer enumeration). It does not bound a first-time approximation
+    /// The deadline bounds the **bounded runs**: a tree plan wider than
+    /// the cached width limit, and the sandwich's exact phase, whose
+    /// multiway joins charge their cursor moves to a step budget (see
+    /// [`EngineConfig::nodes_per_ms`]). It does not bound a plan within
+    /// the limit (polynomial for its shape, run cached), nor a
+    /// first-time approximation
     /// search on the certain-answer path — that work is amortized across
     /// all requests for the query's isomorphism class and is treated as
     /// prepare-style work — nor the in-class approximation evaluators
@@ -42,9 +48,11 @@ pub struct EngineConfig {
     /// [`EvalMode::CertainOnly`] request if first-request latency
     /// matters.
     pub default_timeout: Option<Duration>,
-    /// Search-node budget granted per millisecond of remaining deadline
-    /// (converts wall timeouts into hom-search node budgets, so even
-    /// fruitless searches stop near the deadline).
+    /// Kernel steps granted per millisecond of remaining deadline:
+    /// converts a bounded run's wall timeout into a budget of
+    /// multiway-join cursor moves (seeks, steps, probes and rows
+    /// written), so even a join that finds nothing stops near the
+    /// deadline.
     pub nodes_per_ms: u64,
     /// How much the engine instruments itself (see [`MetricsLevel`]);
     /// `Counters` by default. [`MetricsLevel::None`] skips the latency
@@ -176,8 +184,8 @@ pub struct Response {
     /// For sandwich plans: whether the approximation came from the cache.
     pub cache_hit: Option<bool>,
     /// Relation-materialization cache outcome of this request: how many
-    /// hyperedge scans were skipped (hits) vs run (misses). All-zero for
-    /// plans that never materialize (naive backtracking).
+    /// hyperedge scans were skipped (hits) vs run (misses), none for a
+    /// bounded run, which reads no cache; and the kernel's counters.
     pub mat_cache: MatCacheStats,
     /// Wall time of this request.
     pub wall: Duration,
@@ -249,8 +257,6 @@ pub struct EngineStats {
     /// Plan counts.
     pub plan_decomposed: u64,
     /// Plan counts.
-    pub plan_naive: u64,
-    /// Plan counts.
     pub plan_sandwich: u64,
     /// Approximation-cache hits (sandwich requests that skipped the
     /// single-exponential search because the isomorphism-keyed cache held
@@ -312,8 +318,8 @@ impl fmt::Display for EngineStats {
         )?;
         writeln!(
             f,
-            "plans           yannakakis {} · decomposed {} · naive {} · sandwich {}",
-            self.plan_yannakakis, self.plan_decomposed, self.plan_naive, self.plan_sandwich
+            "plans           yannakakis {} · decomposed {} · sandwich {}",
+            self.plan_yannakakis, self.plan_decomposed, self.plan_sandwich
         )?;
         writeln!(
             f,
@@ -341,28 +347,21 @@ impl fmt::Display for EngineStats {
 }
 
 /// The classes request latency is recorded under, in index order: the
-/// four plan tiers, then degraded and shed requests. Those two get
+/// three plan tiers, then degraded and shed requests. Those two get
 /// their own classes because their latencies describe the degraded
 /// path, not the tier the planner picked, and must not feed back into
 /// its p99.
-const CLASSES: [&str; 6] = [
-    "yannakakis",
-    "decomposed",
-    "naive",
-    "sandwich",
-    "degraded",
-    "shed",
-];
+const CLASSES: [&str; 5] = ["yannakakis", "decomposed", "sandwich", "degraded", "shed"];
 
 /// The index in [`CLASSES`] of a response with this status and plan.
 fn class_of(status: ResponseStatus, plan: PlanKind) -> usize {
     match (status, plan) {
-        (ResponseStatus::Shed, _) | (_, PlanKind::Shed) => 5,
-        (ResponseStatus::Degraded, _) => 4,
+        (ResponseStatus::Shed, _) | (_, PlanKind::Shed) => 4,
+        (ResponseStatus::Degraded, _) => 3,
         (_, PlanKind::Yannakakis) => 0,
         (_, PlanKind::Decomposed) => 1,
-        (_, PlanKind::Naive) => 2,
-        (_, PlanKind::Sandwich) => 3,
+        (_, PlanKind::Sandwich) => 2,
+        (_, PlanKind::Naive) => unreachable!("the planner never chooses the naive tier"),
     }
 }
 
@@ -380,7 +379,7 @@ pub struct StatsSnapshot {
     pub counters: EngineStats,
     /// The level the engine records at.
     pub level: MetricsLevel,
-    /// Latency quantiles of every query class (the four plan tiers,
+    /// Latency quantiles of every query class (the three plan tiers,
     /// `"degraded"`, `"shed"`); values in microseconds. Empty below
     /// `Counters`.
     pub class_latency: BTreeMap<String, HistogramSnapshot>,
@@ -654,7 +653,6 @@ impl Engine {
             wall: Duration::ZERO,
             decision: PlanDecision {
                 kind: PlanKind::Shed,
-                est_naive_cost: 0.0,
                 est_decomposed_cost: None,
                 decomposition_width: None,
                 naive_budget: self.config.naive_cost_budget,
@@ -718,7 +716,7 @@ impl Engine {
                 return self.run(req, &q, &d);
             };
             let r = self.unserved(
-                q.query().arity(),
+                q.query.arity(),
                 ResponseStatus::Shed,
                 PlanReason::QueueFull(depth, limit),
             );
@@ -729,7 +727,7 @@ impl Engine {
             let arity = self
                 .read_catalog()
                 .query(req.query)
-                .map(|q| q.query().arity());
+                .map(|q| q.query.arity());
             self.unserved(
                 arity.unwrap_or(0),
                 ResponseStatus::Failed,
@@ -750,7 +748,7 @@ impl Engine {
             .database(req.db)
             .unwrap_or_else(|| panic!("unknown database id {:?}", req.db));
         assert_eq!(
-            q.query().vocabulary(),
+            q.query.vocabulary(),
             d.structure.vocabulary(),
             "query {:?} and database {:?} have different vocabularies",
             q.name,
@@ -773,9 +771,9 @@ impl Engine {
         match r.plan {
             PlanKind::Yannakakis => s.plan_yannakakis += 1,
             PlanKind::Decomposed => s.plan_decomposed += 1,
-            PlanKind::Naive => s.plan_naive += 1,
             PlanKind::Sandwich => s.plan_sandwich += 1,
-            PlanKind::Shed => {} // not a plan; counted via `shed` or `failed`
+            // Not a plan (counted via `shed` or `failed`), or never chosen.
+            PlanKind::Shed | PlanKind::Naive => {}
         }
         match r.cache_hit {
             Some(true) => s.cache_hits += 1,
@@ -800,50 +798,32 @@ impl Engine {
             .timeout
             .or(self.config.default_timeout)
             .and_then(|t| start.checked_add(t)); // past `Instant`'s range: none
-                                                 // One shared step budget per request: the naive-join searches a
-                                                 // request fans into all charge the same counter, so the join
-                                                 // phase as a whole — not each sub-search — honors the deadline.
-                                                 // (As documented on `EngineConfig::default_timeout`, the
-                                                 // deadline bounds join evaluation; in-class approximation
-                                                 // evaluators are tractable by construction and run unbudgeted.)
-        let budget = deadline.map(|dl| {
-            let remaining_ms = dl
-                .saturating_duration_since(Instant::now())
-                .as_millis()
-                .max(1) as u64;
-            SearchBudget::new(remaining_ms.saturating_mul(self.config.nodes_per_ms))
-        });
-        let decision: PlanDecision = choose(
-            &q.shape,
-            q.tree.as_deref(),
-            d,
-            self.config.naive_cost_budget,
-        );
+        let tree = &q.tree;
+        let decision = choose(&q.shape, Some(tree), d, self.config.naive_cost_budget);
         let mut note = ReasonNote::None;
         let mut mat_cache = MatCacheStats::default();
+        // The runs the deadline bounds: a plan wider than the cached
+        // width limit, and the sandwich's exact phase. Neither reads or
+        // writes the materialization cache, so a cut-short bag never
+        // lands there. A plan within the limit is polynomial for its
+        // shape and runs cached and unbudgeted.
+        let bounded = match decision.kind {
+            PlanKind::Sandwich => req.mode == EvalMode::Exact,
+            _ => tree.width() > Some(MAX_DECOMPOSED_WIDTH),
+        };
 
         // Deadline-aware degradation: when the measured p99 of this
-        // query class says the exact plan will blow the deadline anyway,
+        // query class says a bounded run will blow the deadline anyway,
         // don't start it — serve the approximation's certain answers up
         // front (a sound subset, delivered in time) instead of timing
-        // out. Only the tiers whose runtime the deadline actually
-        // threatens are considered: the naive join (unless the answer is
-        // provably empty, which is instant) and the sandwich in exact
-        // mode (whose exact phase is the same naive join).
+        // out.
         let mut degrade: Option<(u64, u64)> = None;
-        if let Some(dl) = deadline {
-            let threatened = match decision.kind {
-                PlanKind::Naive => decision.est_naive_cost > 0.0,
-                PlanKind::Sandwich => req.mode == EvalMode::Exact,
-                _ => false,
-            };
-            if threatened && self.counting() {
-                let class = class_of(ResponseStatus::Complete, decision.kind);
-                let h = self.class_latency[class].snapshot();
-                let headroom_us = dl.saturating_duration_since(Instant::now()).as_micros() as u64;
-                if h.count >= DEGRADE_MIN_SAMPLES && h.p99 > headroom_us {
-                    degrade = Some((h.p99, headroom_us));
-                }
+        if let Some(dl) = deadline.filter(|_| bounded && self.counting()) {
+            let class = class_of(ResponseStatus::Complete, decision.kind);
+            let h = self.class_latency[class].snapshot();
+            let headroom_us = dl.saturating_duration_since(Instant::now()).as_micros() as u64;
+            if h.count >= DEGRADE_MIN_SAMPLES && h.p99 > headroom_us {
+                degrade = Some((h.p99, headroom_us));
             }
         }
 
@@ -855,73 +835,56 @@ impl Engine {
             let (certain, hit, mstats) = self.certain_answers(q, d);
             mat_cache.add(mstats);
             (certain, ResponseStatus::Degraded, Some(hit))
-        } else {
-            match decision.kind {
-                PlanKind::Yannakakis | PlanKind::Decomposed => {
-                    // The prepared query's one tree plan: the join tree
-                    // when acyclic, else the decomposition. Polynomial for
-                    // the prepared shape, so it runs unbudgeted under the
-                    // deadline policy.
-                    let tree = q.tree.as_ref().expect("the tree tiers need a tree plan");
-                    let (answers, mstats) = tree.ir().answers(&d.structure, Some(&d.materialized));
-                    mat_cache.add(mstats);
-                    (answers, ResponseStatus::Complete, None)
-                }
-                PlanKind::Shed => unreachable!("the planner never sheds; admission control does"),
-                PlanKind::Naive => {
-                    let (answers, timed_out) =
-                        self.eval_naive_bounded(&q.naive, &d.structure, deadline, budget.as_ref());
-                    let status = if timed_out {
-                        ResponseStatus::TimedOut
-                    } else {
-                        ResponseStatus::Complete
-                    };
-                    (answers, status, None)
-                }
-                PlanKind::Sandwich => match req.mode {
-                    EvalMode::CertainOnly => {
-                        // Certain answers: the union over all →-maximal
-                        // in-class approximations, each a sound
-                        // under-approximation.
-                        let (certain, hit, mstats) = self.certain_answers(q, d);
-                        mat_cache.add(mstats);
-                        (certain, ResponseStatus::CertainOnly, Some(hit))
-                    }
-                    EvalMode::Exact => {
-                        // Exact mode wants Q(D) itself, so run the full join
-                        // under the deadline first; the approximation rescues
-                        // a cut-short join with its certain answers.
-                        note = ReasonNote::ExactFallback;
-                        let (exact, timed_out) = self.eval_naive_bounded(
-                            &q.naive,
-                            &d.structure,
-                            deadline,
-                            budget.as_ref(),
-                        );
-                        if timed_out {
-                            // Already over the deadline: only a *cached*
-                            // approximation may be consulted — starting the
-                            // single-exponential search here would blow the
-                            // timeout by orders of magnitude.
-                            match self.cache.lookup_only(
-                                q.tableau(),
-                                &self.config.approx_class,
-                                &self.config.approx_options,
-                            ) {
-                                Some(cached) => {
-                                    let (answers, mstats) =
-                                        self.union_certain(exact, &cached, q, d);
-                                    mat_cache.add(mstats);
-                                    (answers, ResponseStatus::TimedOut, Some(true))
-                                }
-                                None => (exact, ResponseStatus::TimedOut, None),
-                            }
-                        } else {
-                            (exact, ResponseStatus::Complete, None)
-                        }
-                    }
-                },
+        } else if bounded {
+            // One step budget per request: the remaining wall time
+            // converted into kernel steps, charged by every multiway
+            // join of the run.
+            let budget = deadline.map(|dl| {
+                let remaining_ms = dl.saturating_duration_since(Instant::now()).as_millis();
+                SearchBudget::new(
+                    (remaining_ms.max(1) as u64).saturating_mul(self.config.nodes_per_ms),
+                )
+            });
+            let (exact, mstats) = tree.ir().answers_within(&d.structure, budget.as_ref());
+            mat_cache.add(mstats);
+            if decision.kind == PlanKind::Sandwich {
+                // Exact mode wants Q(D) itself, so the full join ran
+                // under the deadline first; the approximation rescues a
+                // cut-short join with its certain answers.
+                note = ReasonNote::ExactFallback;
             }
+            match (mstats.timed_out, decision.kind) {
+                (false, _) => (exact, ResponseStatus::Complete, None),
+                // Already over the deadline: only a *cached*
+                // approximation may be consulted — starting the
+                // single-exponential search here would blow the timeout
+                // by orders of magnitude.
+                (true, PlanKind::Sandwich) => match self.cache.lookup_only(
+                    &q.tableau,
+                    &self.config.approx_class,
+                    &self.config.approx_options,
+                ) {
+                    Some(cached) => {
+                        let (answers, mstats) = self.union_certain(exact, &cached, q, d);
+                        mat_cache.add(mstats);
+                        (answers, ResponseStatus::TimedOut, Some(true))
+                    }
+                    None => (exact, ResponseStatus::TimedOut, None),
+                },
+                (true, _) => (exact, ResponseStatus::TimedOut, None),
+            }
+        } else if decision.kind == PlanKind::Sandwich {
+            // Certain answers: the union over all →-maximal in-class
+            // approximations, each a sound under-approximation.
+            let (certain, hit, mstats) = self.certain_answers(q, d);
+            mat_cache.add(mstats);
+            (certain, ResponseStatus::CertainOnly, Some(hit))
+        } else {
+            // The prepared query's one tree plan, through the database's
+            // materialization cache.
+            let (answers, mstats) = tree.ir().answers(&d.structure, Some(&d.materialized));
+            mat_cache.add(mstats);
+            (answers, ResponseStatus::Complete, None)
         };
         let plan = if status == ResponseStatus::Degraded {
             PlanKind::Sandwich
@@ -970,7 +933,7 @@ impl Engine {
     /// bounds what stays resident.
     fn approximation_of(&self, q: &PreparedQuery) -> (Arc<CachedApproximation>, bool) {
         let (class, opts) = (&self.config.approx_class, &self.config.approx_options);
-        self.cache.get_or_compute(q.tableau(), class, opts)
+        self.cache.get_or_compute(&q.tableau, class, opts)
     }
 
     /// The certain answers of the cached approximation: the union of
@@ -983,7 +946,7 @@ impl Engine {
         d: &DatabaseEntry,
     ) -> (Answers, bool, MatCacheStats) {
         let (cached, hit) = self.approximation_of(q);
-        let none = Answers::empty(q.query().arity());
+        let none = Answers::empty(q.query.arity());
         let (answers, mat) = self.union_certain(none, &cached, q, d);
         (answers, hit, mat)
     }
@@ -998,48 +961,19 @@ impl Engine {
         q: &PreparedQuery,
         d: &DatabaseEntry,
     ) -> (Answers, MatCacheStats) {
-        let mut union = answers_builder(q.query().arity(), &d.structure);
+        // Elements are bounded by the universe size, which lets
+        // canonicalization pack rows.
+        let width = u32::try_from(d.structure.universe_size()).unwrap_or(0);
+        let mut union = AnswersBuilder::new(q.query.arity(), width);
         union.append(seed);
         let mut mat = MatCacheStats::default();
         for plan in &cached.evaluators {
-            let (certain, mstats) = plan.answers(&d.structure, &d.materialized);
+            let (certain, mstats) = plan.answers(&d.structure, Some(&d.materialized));
             union.append(certain);
             mat.add(mstats);
         }
         (union.finish(), mat)
     }
-
-    /// Naive evaluation under a deadline: answers stream out of the
-    /// prepared query's compiled [`NaivePlan`]; the deadline is checked
-    /// at every found answer, and the request's shared [`SearchBudget`]
-    /// (the remaining wall time converted into solver steps) stops even
-    /// answer-free subtrees near the deadline. Returns
-    /// `(answers, timed_out)`; answers are sound either way.
-    fn eval_naive_bounded(
-        &self,
-        plan: &NaivePlan,
-        d: &Structure,
-        deadline: Option<Instant>,
-        budget: Option<&SearchBudget>,
-    ) -> (Answers, bool) {
-        let mut answers = answers_builder(plan.query().arity(), d);
-        let mut timed_out = false;
-        let stats = plan.for_each_answer(d, budget, |a| {
-            if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                timed_out = true;
-                return ControlFlow::Break(());
-            }
-            answers.push_row(a);
-            ControlFlow::Continue(())
-        });
-        (answers.finish(), timed_out || stats.budget_exhausted)
-    }
-}
-
-/// A builder for answer tuples over `d`: its elements are bounded by
-/// the universe size, which lets canonicalization pack rows.
-fn answers_builder(arity: usize, d: &Structure) -> AnswersBuilder {
-    AnswersBuilder::new(arity, u32::try_from(d.universe_size()).unwrap_or(0))
 }
 
 #[cfg(test)]
@@ -1149,7 +1083,8 @@ mod tests {
 
     /// Legal queries the `u64`-mask treewidth search cannot hold (a
     /// 70-variable cycle, a 9×9 grid) prepare with an uncertified shape
-    /// instead of panicking inside the catalog lock and poisoning it.
+    /// instead of panicking inside the catalog lock and poisoning it,
+    /// and are answered exactly over one bag per component.
     #[test]
     fn wide_queries_prepare_and_leave_the_catalog_usable() {
         let e = engine();
@@ -1166,14 +1101,15 @@ mod tests {
             })
             .collect();
         // Into a directed C5 both have five homomorphisms, one per image
-        // of the first variable (the naive join enumerates them all).
+        // of the first variable.
         let d = Structure::digraph(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
         let db = e.register_database("d", d.clone());
-        for (name, atoms) in [("c70", cycle), ("grid", grid)] {
+        for (name, atoms, vars) in [("c70", cycle, 70), ("grid", grid, 81)] {
             let q = parse_cq(&format!("Q() :- {}", atoms.join(", "))).unwrap();
             let id = e.prepare_query(name, q.clone());
             let prepared = e.catalog.read().unwrap().query(id).unwrap();
-            assert!(prepared.tree.is_none() && !prepared.shape.acyclic);
+            assert!(!prepared.shape.acyclic);
+            assert_eq!(prepared.tree.width(), Some(vars - 1), "one bag, {name}");
             let r = e.execute(&Request::new(id, db));
             assert_eq!(r.status, ResponseStatus::Complete, "{name}");
             assert_eq!(r.answers.len(), 1, "{name}");
@@ -1282,23 +1218,68 @@ mod tests {
         assert!(r.mat_cache.misses > 0);
     }
 
+    /// K5 (treewidth 4) on its own clique digraph: cyclic, above the
+    /// cached width limit, cheap here. The tree tier answers it over its
+    /// one bag, uncached.
     #[test]
-    fn cyclic_above_width_limit_served_naive_exactly() {
+    fn cyclic_above_width_limit_served_decomposed_exactly() {
         let e = engine();
-        // K5 (treewidth 4) on its own clique digraph: cyclic, no
-        // decomposed plan at the prepare-time width limit, cheap here.
         let edges: Vec<(u32, u32)> = (0..5u32)
             .flat_map(|u| (0..5u32).filter(move |&v| v != u).map(move |v| (u, v)))
             .collect();
-        let db = e.register_database("k5", Structure::digraph(5, &edges));
-        let k5 =
-            "Q() :- E(a,b), E(a,c), E(a,d), E(a,e), E(b,c), E(b,d), E(b,e), E(c,d), E(c,e), E(d,e)";
-        let q = e.prepare_query("k5", parse_cq(k5).unwrap());
-        let r = e.execute(&Request::new(q, db));
-        assert_eq!(r.plan, PlanKind::Naive);
-        assert_eq!(r.decomposition_width, None);
-        assert_eq!(r.status, ResponseStatus::Complete);
-        assert_eq!(r.answers.len(), 1);
+        let s = Structure::digraph(5, &edges);
+        let db = e.register_database("k5", s.clone());
+        for head in ["Q()", "Q(a, c)"] {
+            let k5 = format!(
+                "{head} :- E(a,b), E(a,c), E(a,d), E(a,e), E(b,c), E(b,d), E(b,e), E(c,d), E(c,e), E(d,e)"
+            );
+            let query = parse_cq(&k5).unwrap();
+            let q = e.prepare_query(head, query.clone());
+            let r = e.execute(&Request::new(q, db));
+            assert_eq!(
+                (r.plan, r.decomposition_width),
+                (PlanKind::Decomposed, Some(4))
+            );
+            assert_eq!(r.status, ResponseStatus::Complete);
+            assert_eq!(r.answers, eval_naive(&query, &s), "{head}");
+            let cache = (r.mat_cache.hits, r.mat_cache.misses);
+            assert_eq!(cache, (0, 0), "a bounded run reads no cache");
+        }
+        assert_eq!(e.database(db).unwrap().materialized.resident_bytes(), 0);
+    }
+
+    /// The directed `C65` has a component past the 64-vertex rule: no
+    /// certified treewidth, so its plan is one bag over all 65 variables.
+    /// On the directed `C65` itself it has 65 homomorphisms, and it is
+    /// answered exactly, Boolean and with a head, whichever tier the
+    /// budget picks.
+    #[test]
+    fn cyclic_past_the_vertex_rule_served_exactly_over_component_bags() {
+        let cycle: Vec<(u32, u32)> = (0..65).map(|i| (i, (i + 1) % 65)).collect();
+        let s = Structure::digraph(65, &cycle);
+        let atoms: Vec<String> = (0..65)
+            .map(|i| format!("E(v{i}, v{})", (i + 1) % 65))
+            .collect();
+        for (budget, plan) in [
+            (5e7, PlanKind::Sandwich),
+            (f64::INFINITY, PlanKind::Decomposed),
+        ] {
+            let e = Engine::new(EngineConfig {
+                naive_cost_budget: budget,
+                ..EngineConfig::default()
+            });
+            let db = e.register_database("c65", s.clone());
+            for head in ["Q()", "Q(v0, v32)"] {
+                let query = parse_cq(&format!("{head} :- {}", atoms.join(", "))).unwrap();
+                let q = e.prepare_query(head, query.clone());
+                let r = e.execute(&Request::new(q, db));
+                assert_eq!((r.plan, r.decomposition_width), (plan, Some(64)));
+                assert_eq!(r.status, ResponseStatus::Complete);
+                let want = eval_naive(&query, &s);
+                assert_eq!(r.answers, want, "{head}");
+                assert_eq!(r.answers.len(), if head == "Q()" { 1 } else { 65 });
+            }
+        }
     }
 
     #[test]
@@ -1419,15 +1400,18 @@ mod tests {
         assert_eq!(stats.plan_decomposed, 4); // the triangle has treewidth 2
     }
 
+    /// A K5 clique: treewidth 4 exceeds the cached width limit, so its
+    /// tree plan runs bounded, its joins charged to the request's
+    /// (starved) step budget. Whatever comes back is sound, nothing
+    /// lands in the materialization cache, and the next request without
+    /// a deadline is answered in full.
     #[test]
     fn timeout_yields_sound_partial_answers() {
         let e = Engine::new(EngineConfig {
-            nodes_per_ms: 1, // starve the search
+            nodes_per_ms: 1, // starve the kernel
             ..EngineConfig::default()
         });
-        // Dense-ish digraph so the search has real work. The query is a
-        // K5 clique: treewidth 4 exceeds the decomposed-tier width
-        // limit, so the planner sends it to the (starved) naive join.
+        // Dense-ish digraph so the join has real work.
         let edges: Vec<(u32, u32)> = (0..15u32)
             .flat_map(|u| {
                 (0..15u32)
@@ -1458,6 +1442,11 @@ mod tests {
         } else {
             assert_eq!(r.answers, full);
         }
+        assert_eq!(r.plan, PlanKind::Decomposed);
+        assert_eq!(e.database(db).unwrap().materialized.resident_bytes(), 0);
+        let r = e.execute(&Request::new(q, db));
+        assert_eq!(r.status, ResponseStatus::Complete);
+        assert_eq!(r.answers, full);
     }
 
     #[test]
@@ -1515,9 +1504,9 @@ mod tests {
         );
     }
 
-    // A cyclic query above the decomposed-tier width limit on a database
-    // where it is genuinely expensive: the planner's naive tier, with
-    // real work for the deadline to threaten.
+    // A cyclic query above the cached width limit on a database where it
+    // is genuinely expensive: a bounded run of the tree tier, with real
+    // work for the deadline to threaten.
     fn k5_on_dense(e: &Engine) -> (QueryId, DbId, Structure) {
         let edges: Vec<(u32, u32)> = (0..12u32)
             .flat_map(|u| {
@@ -1548,9 +1537,9 @@ mod tests {
         // Warm the class histogram with unhurried exact runs.
         for _ in 0..DEGRADE_MIN_SAMPLES {
             let r = e.execute(&Request::new(q, db));
-            assert_eq!(r.plan, PlanKind::Naive);
+            assert_eq!(r.plan, PlanKind::Decomposed);
         }
-        assert!(e.snapshot().class_latency["naive"].p99 > 0);
+        assert!(e.snapshot().class_latency["decomposed"].p99 > 0);
         // A deadline far below the measured p99: the engine should not
         // even start the join.
         let r = e.execute(&Request {
@@ -1571,9 +1560,9 @@ mod tests {
         let snap = e.snapshot();
         assert_eq!(snap.counters.degraded, 1);
         // Degraded latencies get their own class so they don't drag the
-        // naive p99 the prediction reads.
+        // tier's p99 the prediction reads.
         assert_eq!(snap.class_latency["degraded"].count, 1);
-        assert_eq!(snap.class_latency["naive"].count, DEGRADE_MIN_SAMPLES);
+        assert_eq!(snap.class_latency["decomposed"].count, DEGRADE_MIN_SAMPLES);
     }
 
     #[test]
@@ -1643,7 +1632,7 @@ mod tests {
                 let r = e.execute(&huge);
                 assert_eq!(
                     (r.status, r.plan),
-                    (ResponseStatus::Complete, PlanKind::Naive)
+                    (ResponseStatus::Complete, PlanKind::Decomposed)
                 );
                 r.answers
             })
@@ -1757,7 +1746,7 @@ mod tests {
         let held = e.read_catalog().query(q).unwrap();
         let edges = parse_cq("Q(x, y) :- E(x, y)").unwrap();
         assert_eq!(e.prepare_query("hop2", edges), q);
-        assert_eq!(held.query().atom_count(), 2);
+        assert_eq!(held.query.atom_count(), 2);
         assert_eq!(e.execute(&Request::new(q, db)).answers.len(), 3);
         let weak = Arc::downgrade(&held);
         drop(held);

@@ -2,17 +2,6 @@
 
 pub use cqapx_core::QueryClass as ApproxClassChoice;
 
-impl crate::cache::ApproxPlan {
-    pub fn eval_with_cache(
-        &self,
-        d: &cqapx_structures::Structure,
-        cache: &cqapx_cq::eval::MaterializationCache,
-        _: &cqapx_par::ThreadBudget,
-    ) -> (cqapx_cq::eval::Answers, cqapx_cq::eval::MatCacheStats) {
-        self.answers(d, cache)
-    }
-}
-
 pub fn choose_plan(
     shape: &cqapx_cq::QueryShape,
     tree: Option<&cqapx_cq::eval::TreePlan>,

@@ -17,9 +17,8 @@
 //!              │        │       RelationStats (|R|, distinct)   │
 //!              │        ▼                                       │
 //!  execute /   │   ┌─────────┐  acyclic       → Yannakakis      │
-//!  batch ─────►│   │ Planner │  bounded tw    → decomposed      │
-//!              │   └────┬────┘  cheap here    → naive join      │
-//!              │        │       else          → sandwich        │
+//!  batch ─────►│   │ Planner │  bags fit here → decomposed      │
+//!              │   └────┬────┘  else          → sandwich        │
 //!              │        │ (sandwich)                            │
 //!              │        ▼                                       │
 //!              │   ┌─────────────┐ key: canonical words + class,│
@@ -50,7 +49,7 @@ pub mod engine;
 pub mod frozen;
 pub mod planner;
 
-pub use cache::{ApproxCache, ApproxPlan, CachedApproximation};
+pub use cache::{ApproxCache, CachedApproximation};
 pub use catalog::{Catalog, DatabaseEntry, DbId, PreparedQuery, QueryId, RelationStats};
 pub use cqapx_cq::eval::{AnswerRow, Answers};
 pub use cqapx_metrics::{HistogramSnapshot, MetricsLevel};

@@ -1,17 +1,16 @@
 //! The cost-based planner: picks an evaluation strategy per
 //! (prepared query, registered database) pair.
 //!
-//! Decision ladder (cheapest guarantee first):
+//! Every prepared query has one [`TreePlan`], so the ladder has three
+//! tiers:
 //!
-//! 1. **Yannakakis** — the query is acyclic: `O(|D|·|Q|)`, always best.
-//! 2. **Decomposed** — the query is cyclic but has a compiled
-//!    bounded-treewidth plan, and the estimated bag-materialization
-//!    cost fits the budget and undercuts the naive estimate:
-//!    polynomial Yannakakis-over-bags evaluation.
-//! 3. **Naive backtracking** — the estimated join cost against *this*
-//!    database's relation statistics fits the configured budget (small
-//!    tableau, small database, or selective relations).
-//! 4. **Approximation sandwich** — everything else: serve the certain
+//! 1. **Yannakakis** — the query is acyclic: `O(|D|·|Q|)` over its join
+//!    tree, always best; nothing is estimated.
+//! 2. **Decomposed** — the query is cyclic and the estimated
+//!    bag-materialization cost of its decomposition fits the budget on
+//!    *this* database: Yannakakis over the bags, by the one
+//!    worst-case-optimal bag kernel.
+//! 3. **Approximation sandwich** — everything else: serve the certain
 //!    answers `Q'(D)` of the cached `C`-approximation `Q' ⊆ Q`
 //!    (guaranteed-correct under-approximation, tractable to evaluate),
 //!    refining exactly only on demand.
@@ -27,9 +26,10 @@ pub enum PlanKind {
     /// Yannakakis over a join tree: the prepared `TreePlan` of width `None`.
     Yannakakis,
     /// Yannakakis over the bags of a tree decomposition, the prepared
-    /// `TreePlan` of width `Some(w)`: the bounded-treewidth tier.
+    /// `TreePlan` of width `Some(w)`: the tree tier of cyclic queries.
     Decomposed,
-    /// Backtracking join (homomorphism search from the tableau).
+    /// Never chosen: the backtracking join serves no request. Kept
+    /// only because the frozen `cqbench` names it.
     Naive,
     /// Certain answers from the cached in-class approximation.
     Sandwich,
@@ -61,14 +61,8 @@ impl fmt::Display for PlanKind {
 pub enum PlanReason {
     /// The query is acyclic: Yannakakis, always.
     Acyclic,
-    /// Some body relation is empty, so the answer is provably empty and
-    /// the naive tier terminates immediately.
-    ProvablyEmpty,
-    /// Cyclic with a compiled decomposition whose estimate fits the
-    /// budget and undercuts the naive estimate.
-    DecomposedCheaper,
-    /// Cyclic, but the naive estimate fits the budget on this database.
-    NaiveCheap,
+    /// Cyclic, and its decomposition's estimate fits the budget.
+    DecomposedFits,
     /// Cyclic and expensive here: certain answers via the cached
     /// approximation.
     SandwichExpensive,
@@ -86,17 +80,14 @@ pub enum PlanReason {
 pub struct PlanDecision {
     /// The chosen strategy.
     pub kind: PlanKind,
-    /// Estimated cost of naive backtracking on this database (branch
-    /// nodes, order of magnitude); `f64::INFINITY` when saturated, `0`
-    /// when some body relation is empty (the answer is provably empty).
-    pub est_naive_cost: f64,
     /// Estimated cost of the decomposed tier (total bag-materialization
-    /// rows); `None` when the query has no compiled decomposition.
+    /// rows); `None` for an acyclic query, which is not estimated, and
+    /// without a tree plan.
     pub est_decomposed_cost: Option<f64>,
     /// Width of the query's compiled tree decomposition, whether or not
-    /// that tier was chosen; `None` without a compiled plan.
+    /// that tier was chosen; `None` for a join tree.
     pub decomposition_width: Option<usize>,
-    /// The budget the estimates were compared against.
+    /// The budget the estimate was compared against.
     pub naive_budget: f64,
     /// The decision, cheap to copy; see `PlanDecision::describe` for
     /// the rendered rationale.
@@ -108,24 +99,17 @@ impl PlanDecision {
     /// method, not a stored `String`: requests that nobody inspects
     /// never pay for formatting.
     pub(crate) fn describe(&self) -> String {
+        let est = self.est_decomposed_cost.unwrap_or(f64::INFINITY);
         match self.reason {
             PlanReason::Acyclic => "query is acyclic: Yannakakis is O(|D|·|Q|)".into(),
-            PlanReason::ProvablyEmpty => {
-                "a body relation is empty: the answer is provably empty".into()
-            }
-            PlanReason::DecomposedCheaper => format!(
-                "cyclic with treewidth {}: est. {:.1e} bag rows within {NAIVE_NODE_COST_FACTOR}× of est. {:.1e} naive branch nodes",
+            PlanReason::DecomposedFits => format!(
+                "cyclic with treewidth {}: est. {est:.1e} bag rows ≤ budget {:.1e}",
                 self.decomposition_width.unwrap_or(0),
-                self.est_decomposed_cost.unwrap_or(f64::NAN),
-                self.est_naive_cost,
-            ),
-            PlanReason::NaiveCheap => format!(
-                "cyclic but cheap here: est. {:.1e} branch nodes ≤ budget {:.1e}",
-                self.est_naive_cost, self.naive_budget,
+                self.naive_budget,
             ),
             PlanReason::SandwichExpensive => format!(
-                "cyclic and expensive here (est. {:.1e} > budget {:.1e}): serving certain answers via the cached approximation",
-                self.est_naive_cost, self.naive_budget,
+                "cyclic and expensive here (est. {est:.1e} bag rows > budget {:.1e}): serving certain answers via the cached approximation",
+                self.naive_budget,
             ),
             PlanReason::QueueFull(depth, limit) => format!(
                 "admission control: queue depth {depth} over limit {limit}; request shed unplanned"
@@ -133,41 +117,6 @@ impl PlanDecision {
             PlanReason::Failed => "the request failed: nothing was served".into(),
         }
     }
-}
-
-/// An order-of-magnitude upper estimate of backtracking-join work: the
-/// minimum of the variable-assignment bound `adom^|vars|` and the
-/// atom-by-atom bound `∏ |R_atom|`. Each atom's factor prefers the
-/// **real cardinality of its cached materialization** (repeated-variable
-/// filtering included) over the raw relation statistic, so estimates
-/// tighten as the database's [`MaterializationCache`] warms up.
-/// Saturates at `f64::INFINITY`.
-///
-/// **Empty-relation guard**: when any atom's relation (cached or raw)
-/// has no tuples, the answer is provably empty and the estimate is an
-/// exact `0` — the planner must then send the request to the naive tier
-/// (which terminates immediately) instead of letting a zero factor be
-/// clamped upward and skew the tier comparison.
-///
-/// [`MaterializationCache`]: cqapx_cq::eval::MaterializationCache
-pub(crate) fn estimate_naive_cost(shape: &QueryShape, db: &DatabaseEntry) -> f64 {
-    let adom = db.adom_size.max(1) as f64;
-    let assignment_bound = adom.powi(shape.var_count.min(1_000) as i32);
-    let mut atom_bound = 1.0_f64;
-    let cached = db
-        .materialized
-        .peek_cardinalities(shape.atom_keys().map(|(_, k)| k));
-    for ((rel, _), peeked) in shape.atom_keys().zip(cached) {
-        let card = peeked.unwrap_or_else(|| db.rel_stats(rel).cardinality);
-        if card == 0 {
-            return 0.0;
-        }
-        atom_bound *= card as f64;
-        if !atom_bound.is_finite() {
-            break;
-        }
-    }
-    assignment_bound.min(atom_bound)
 }
 
 /// Estimated evaluation cost of a compiled decomposition [`TreePlan`]
@@ -203,78 +152,33 @@ pub(crate) fn estimate_decomposed_cost(plan: &TreePlan, db: &DatabaseEntry) -> f
     total
 }
 
-/// Relative cost of one backtracking branch node against one streamed
-/// bag row, used when comparing the naive and decomposed estimates: a
-/// branch node re-checks constraints and trashes the cache, a bag row
-/// is a contiguous hash-join emit. Within this factor of each other,
-/// the decomposed tier (whose worst case is *certain*, not estimated)
-/// wins the tie.
-pub(crate) const NAIVE_NODE_COST_FACTOR: f64 = 8.0;
-
 /// Chooses the strategy for `shape` against `db`, with `naive_budget`
-/// bounding the estimated cost either join tier may incur. `tree` is the
-/// prepared query's tree plan, if any: its join tree when `shape` is
-/// acyclic, else a decomposition, whose width the decision reports.
+/// bounding the estimated bag rows the decomposed tier may cost. `tree`
+/// is the prepared query's tree plan: its join tree when `shape` is
+/// acyclic, else a decomposition, whose width the decision reports. A
+/// cyclic query without one goes to the sandwich.
 pub(crate) fn choose(
     shape: &QueryShape,
     tree: Option<&TreePlan>,
     db: &DatabaseEntry,
     naive_budget: f64,
 ) -> PlanDecision {
-    let width = tree.and_then(TreePlan::width);
+    let mut decision = PlanDecision {
+        kind: PlanKind::Yannakakis,
+        est_decomposed_cost: None,
+        decomposition_width: tree.and_then(TreePlan::width),
+        naive_budget,
+        reason: PlanReason::Acyclic,
+    };
     if shape.acyclic {
-        return PlanDecision {
-            kind: PlanKind::Yannakakis,
-            est_naive_cost: estimate_naive_cost(shape, db),
-            est_decomposed_cost: None,
-            decomposition_width: width,
-            naive_budget,
-            reason: PlanReason::Acyclic,
-        };
+        return decision;
     }
-    let est_naive = estimate_naive_cost(shape, db);
-    let est_dec = tree.map(|p| estimate_decomposed_cost(p, db));
-    if est_naive == 0.0 {
-        return PlanDecision {
-            kind: PlanKind::Naive,
-            est_naive_cost: 0.0,
-            est_decomposed_cost: est_dec,
-            decomposition_width: width,
-            naive_budget,
-            reason: PlanReason::ProvablyEmpty,
-        };
-    }
-    if let Some(est) = est_dec {
-        if est <= naive_budget && est <= est_naive * NAIVE_NODE_COST_FACTOR {
-            return PlanDecision {
-                kind: PlanKind::Decomposed,
-                est_naive_cost: est_naive,
-                est_decomposed_cost: est_dec,
-                decomposition_width: width,
-                naive_budget,
-                reason: PlanReason::DecomposedCheaper,
-            };
-        }
-    }
-    if est_naive <= naive_budget {
-        PlanDecision {
-            kind: PlanKind::Naive,
-            est_naive_cost: est_naive,
-            est_decomposed_cost: est_dec,
-            decomposition_width: width,
-            naive_budget,
-            reason: PlanReason::NaiveCheap,
-        }
-    } else {
-        PlanDecision {
-            kind: PlanKind::Sandwich,
-            est_naive_cost: est_naive,
-            est_decomposed_cost: est_dec,
-            decomposition_width: width,
-            naive_budget,
-            reason: PlanReason::SandwichExpensive,
-        }
-    }
+    decision.est_decomposed_cost = tree.map(|p| estimate_decomposed_cost(p, db));
+    (decision.kind, decision.reason) = match decision.est_decomposed_cost {
+        Some(est) if est <= naive_budget => (PlanKind::Decomposed, PlanReason::DecomposedFits),
+        _ => (PlanKind::Sandwich, PlanReason::SandwichExpensive),
+    };
+    decision
 }
 
 #[cfg(test)]
@@ -320,17 +224,16 @@ mod tests {
         let p = choose(&s, Some(&plan), &d, 1e6);
         assert_eq!(p.kind, PlanKind::Decomposed);
         assert_eq!(p.decomposition_width, Some(2));
-        assert!(p.est_decomposed_cost.unwrap() <= p.est_naive_cost * NAIVE_NODE_COST_FACTOR);
+        assert!(p.est_decomposed_cost.unwrap() <= 27.0 + 1e-9);
     }
 
     #[test]
-    fn cyclic_without_decomposition_goes_naive() {
+    fn cyclic_without_decomposition_goes_sandwich() {
         let s = shape("Q() :- E(x,y), E(y,z), E(z,x)");
         let d = db(3, &[(0, 1), (1, 2), (2, 0)]);
         let p = choose(&s, None, &d, 1e6);
-        assert_eq!(p.kind, PlanKind::Naive);
-        assert_eq!(p.decomposition_width, None);
-        assert!(p.est_naive_cost <= 27.0 + 1e-9);
+        assert_eq!(p.kind, PlanKind::Sandwich);
+        assert_eq!((p.decomposition_width, p.est_decomposed_cost), (None, None));
     }
 
     #[test]
@@ -347,55 +250,60 @@ mod tests {
         assert!(p.est_decomposed_cost.is_some());
     }
 
-    /// A query whose only atom is the loop `E(x, x)` besides `E(x, y)`:
-    /// the raw relation statistic counts every edge, the materialized
-    /// hyperedge only the loops, so a warm cache tightens the estimate.
+    /// A 4-cycle with a loop atom `E(x, x)` in both of its bags: the raw
+    /// relation statistic counts every edge, the materialized hyperedge
+    /// only the loops, so a warm cache tightens the estimate.
     #[test]
     fn planner_reads_cached_cardinalities() {
         let mut edges: Vec<(u32, u32)> = (0..20u32).map(|i| (i, (i + 1) % 20)).collect();
         edges.push((0, 0)); // a single loop
         let d = db(20, &edges);
-        let q = parse_cq("Q(x) :- E(x, x), E(x, y)").unwrap();
-        let (s, tree) = (QueryShape::of(&q), TreePlan::join_tree(&q).unwrap());
-        let cold = choose(&s, Some(&tree), &d, 1e6).est_naive_cost;
+        let q = "Q(x) :- E(x, x), E(x, y), E(y, z), E(z, w), E(w, x)";
+        let (s, tree) = (shape(q), dec(q));
+        let cold = choose(&s, Some(&tree), &d, 1e6)
+            .est_decomposed_cost
+            .unwrap();
         tree.ir().answers(&d.structure, Some(&d.materialized));
-        let warm = choose(&s, Some(&tree), &d, 1e6).est_naive_cost;
+        let warm = choose(&s, Some(&tree), &d, 1e6)
+            .est_decomposed_cost
+            .unwrap();
         assert!(warm < cold, "warm estimate {warm} should beat cold {cold}");
     }
 
     #[test]
     fn estimates_use_relation_stats() {
-        // 2 tuples → atom bound 2^3 = 8 beats adom^3 = 27.
-        let s = shape("Q() :- E(x,y), E(y,z), E(z,x)");
+        // 2 tuples → part bound 2^3 = 8 beats adom^3 = 27.
+        let q = "Q() :- E(x,y), E(y,z), E(z,x)";
         let d = db(3, &[(0, 1), (1, 2)]);
-        assert!(estimate_naive_cost(&s, &d) <= 8.0 + 1e-9);
+        assert!(estimate_decomposed_cost(&dec(q), &d) <= 8.0 + 1e-9);
     }
 
+    /// An empty relation makes every bag free: the answer is provably
+    /// empty, and the tree tier finds it so at once, within any budget.
     #[test]
-    fn empty_relation_short_circuits_to_naive() {
+    fn empty_relation_costs_nothing_on_the_tree_tier() {
         let q = "Q() :- E(x,y), E(y,z), E(z,x)";
-        let s = shape(q);
         let d = db(3, &[]);
-        assert_eq!(estimate_naive_cost(&s, &d), 0.0);
-        // Even with a tiny budget and a decomposition on offer, the
-        // provably-empty answer goes to the (instant) naive tier.
-        let p = choose(&s, Some(&dec(q)), &d, 0.0);
-        assert_eq!(p.kind, PlanKind::Naive);
-        assert_eq!(p.reason, PlanReason::ProvablyEmpty);
-        assert!(p.describe().contains("provably empty"));
+        let p = choose(&shape(q), Some(&dec(q)), &d, 0.0);
+        assert_eq!(
+            (p.kind, p.est_decomposed_cost),
+            (PlanKind::Decomposed, Some(0.0))
+        );
+        assert_eq!(p.reason, PlanReason::DecomposedFits);
     }
 
     #[test]
     fn describe_renders_the_cited_numbers() {
-        let s = shape("Q() :- E(x,y), E(y,z), E(z,x)");
+        let q = "Q() :- E(x,y), E(y,z), E(z,x)";
+        let (s, plan) = (shape(q), dec(q));
         let d = db(3, &[(0, 1), (1, 2), (2, 0)]);
-        let p = choose(&s, None, &d, 10.0);
+        let p = choose(&s, Some(&plan), &d, 1.0);
         assert_eq!(p.reason, PlanReason::SandwichExpensive);
         let text = p.describe();
-        assert!(text.contains("budget 1.0e1"), "text: {text}");
-        let p = choose(&s, None, &d, 1e6);
-        assert_eq!(p.reason, PlanReason::NaiveCheap);
-        assert!(p.describe().contains("cheap here"));
+        assert!(text.contains("budget 1.0e0"), "text: {text}");
+        let p = choose(&s, Some(&plan), &d, 1e6);
+        assert_eq!(p.reason, PlanReason::DecomposedFits);
+        assert!(p.describe().contains("treewidth 2"));
     }
 
     #[test]

@@ -29,5 +29,6 @@ pub use coloring::{chromatic_number, is_bipartite, is_k_colorable};
 pub use digraph::Digraph;
 pub use oriented::OrientedPath;
 pub use treewidth::{
-    min_width_decomposition, treewidth, treewidth_at_most, BitGraph, TreeDecomposition,
+    component_decomposition, min_width_decomposition, treewidth, treewidth_at_most, BitGraph,
+    TreeDecomposition,
 };

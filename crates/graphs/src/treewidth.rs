@@ -697,6 +697,32 @@ pub fn min_width_decomposition(g: &BitGraph) -> Option<TreeDecomposition> {
     })
 }
 
+/// The decomposition that needs no search: one bag per connected
+/// component of `g`, holding all of its vertices, in the order of their
+/// least vertices, each bag joined to the next. Disjoint bags satisfy
+/// running intersection, so it is valid at any size — the fallback for a
+/// graph [`min_width_decomposition`] cannot certify (the 64-vertex
+/// rule). Its width is the largest component's size minus one.
+pub fn component_decomposition(g: &BitGraph) -> TreeDecomposition {
+    let n = g.n;
+    let least = &g.state[n * g.words..][..n];
+    let leasts = (0..n).filter(|&v| least[v] as usize == v);
+    let mut td = TreeDecomposition::with_room(n, leasts.clone().count().max(1));
+    for l in leasts {
+        let row = td.push_row();
+        for v in (0..n).filter(|&v| least[v] as usize == l) {
+            row[v / 64] |= 1 << (v % 64);
+        }
+    }
+    if n == 0 {
+        td.push_row();
+    }
+    td.tree_edges
+        .extend((1..td.bag_count()).map(|b| (b - 1, b)));
+    debug_assert!(td.validate(g).is_ok(), "{:?}", td.validate(g));
+    td
+}
+
 /// The exact treewidth of `g` (0 for edgeless graphs; loops ignored); the
 /// upper bound `n − 1` for a graph [`treewidth_at_most`] cannot certify.
 pub fn treewidth(g: &BitGraph) -> usize {

@@ -58,8 +58,10 @@ pub fn hom_equivalent(a: &Pointed, b: &Pointed) -> bool {
 /// each hom-equivalence class of the stream, in arrival order.
 #[derive(Default)]
 pub struct MinimalAntichain {
-    /// Per member: its solver and the structure it is compiled on.
-    members: Vec<(HomSolver, Pointed)>,
+    /// The members, and in the same order the solvers compiled on them:
+    /// two vectors, so that the members are handed out as they lie.
+    members: Vec<Pointed>,
+    solvers: Vec<HomSolver>,
     minimize: bool,
     core_time: Duration,
 }
@@ -76,8 +78,8 @@ impl MinimalAntichain {
 
     /// Offers the next element of the stream; `true` when it joined.
     pub fn offer(&mut self, c: Pointed) -> bool {
-        let below = |(solver, m): &(HomSolver, Pointed)| hom_exists_compiled(solver, m, &c);
-        if self.members.iter().any(below) {
+        let mut pairs = self.solvers.iter().zip(&self.members);
+        if pairs.any(|(solver, m)| hom_exists_compiled(solver, m, &c)) {
             return false;
         }
         let (solver, kept) = match self.minimize {
@@ -89,9 +91,19 @@ impl MinimalAntichain {
             }
             false => (HomSolver::compile(&c.structure), c),
         };
-        self.members
-            .retain(|(_, m)| !hom_exists_compiled(&solver, &kept, m));
-        self.members.push((solver, kept));
+        // Evict what the newcomer maps into, keeping the order.
+        let mut stay = 0;
+        for i in 0..self.members.len() {
+            if !hom_exists_compiled(&solver, &kept, &self.members[i]) {
+                self.members.swap(stay, i);
+                self.solvers.swap(stay, i);
+                stay += 1;
+            }
+        }
+        self.members.truncate(stay);
+        self.solvers.truncate(stay);
+        self.members.push(kept);
+        self.solvers.push(solver);
         true
     }
 
@@ -105,7 +117,7 @@ impl MinimalAntichain {
     /// cores when minimizing — pairwise incomparable, so pairwise
     /// non-isomorphic — and as they were offered otherwise.
     pub fn into_members(self) -> Vec<Pointed> {
-        self.members.into_iter().map(|(_, m)| m).collect()
+        self.members
     }
 }
 

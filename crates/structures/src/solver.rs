@@ -85,10 +85,15 @@ impl SearchBudget {
         }
     }
 
+    /// The steps left.
+    pub fn remaining(&self) -> u64 {
+        self.steps.load(Ordering::Relaxed)
+    }
+
     /// Spends `n` steps. Returns `false` — without charging — when the
     /// budget was already exhausted; a final partial charge saturates to
-    /// zero.
-    pub(crate) fn charge(&self, n: u64) -> bool {
+    /// zero. The join kernel charges its cursor moves here too.
+    pub fn charge(&self, n: u64) -> bool {
         self.steps
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
                 (cur > 0).then(|| cur.saturating_sub(n))

@@ -20,7 +20,9 @@ fn main() {
     let engine = Engine::new(EngineConfig {
         metrics: MetricsLevel::Counters,
         max_queue_depth: Some(4),
-        naive_cost_budget: 1e12, // keep the clique on the naive tier
+        // Keep the clique (treewidth 4) on the tree tier: a bounded run,
+        // past the cached width limit, which its deadline can threaten.
+        naive_cost_budget: 1e12,
         ..EngineConfig::default()
     });
 

@@ -11,9 +11,10 @@ use cq_approx::prelude::*;
 use cqapx_engine::EngineConfig;
 
 fn main() {
-    // An engine with a deliberately small naive budget, so the cyclic
-    // query below is forced onto the approximation sandwich and we can
-    // watch the cache amortize the expensive search.
+    // An engine with a deliberately small planner budget (estimated bag
+    // rows), so the cyclic query below is forced onto the approximation
+    // sandwich on the dense database and we can watch the cache amortize
+    // the expensive search.
     let config = EngineConfig {
         naive_cost_budget: 1e4,
         approx_class: TwK(1),
@@ -38,7 +39,8 @@ fn main() {
     // ── Prepared queries ─────────────────────────────────────────────
     // Acyclic: the planner always picks Yannakakis.
     let two_hop = engine.prepare_query("two_hop", parse_cq("Q(x, z) :- E(x, y), E(y, z)").unwrap());
-    // Cyclic: naive on the small path database, sandwich on the dense one.
+    // Cyclic: the decomposed tier on the small path database, sandwich on
+    // the dense one.
     let triangle = engine.prepare_query(
         "triangle_members",
         parse_cq("Q(x) :- E(x, y), E(y, z), E(z, x)").unwrap(),
